@@ -83,6 +83,12 @@ var allocFreeExternals = map[string]bool{
 	// errors.Is walks the Unwrap chain without allocating.
 	"errors.Is": true,
 
+	// strconv's Append forms format into the caller's buffer, like the
+	// binary ones above; strings.Compare is a byte comparison.
+	"strconv.AppendInt":   true,
+	"strconv.AppendFloat": true,
+	"strings.Compare":     true,
+
 	"math/rand.(*Rand).Float64":     true,
 	"math/rand.(*Rand).NormFloat64": true,
 	"math/rand.(*Rand).ExpFloat64":  true,
@@ -96,9 +102,12 @@ var allocFreeExternals = map[string]bool{
 // allocFreePackages are stdlib packages whose entire exported surface is
 // allocation-free value arithmetic.
 var allocFreePackages = map[string]bool{
-	"math":        true,
-	"math/bits":   true,
-	"sync/atomic": true,
+	"cmp":          true,
+	"math":         true,
+	"math/bits":    true,
+	"sync/atomic":  true,
+	"unicode":      true,
+	"unicode/utf8": true,
 }
 
 func runHotPathAlloc(pp *ProgramPass) error {
@@ -234,8 +243,8 @@ func (c *hotChecker) checkBody(f *Func, root *Func) {
 			default:
 				continue
 			}
-			if !types.IsInterface(pt) {
-				continue
+			if _, generic := pt.(*types.TypeParam); generic || !types.IsInterface(pt) {
+				continue // a type argument is passed as itself, not boxed
 			}
 			at, ok := info.Types[arg]
 			if !ok || at.Type == nil {

@@ -81,10 +81,13 @@ func hotConv(b []byte) string {
 
 func sink(v any) { _ = v }
 
+func generic[T any](v T) T { return v }
+
 //seclint:hotpath
 func hotBox(n int, p *int) {
-	sink(n) // want `interface boxing of int value allocates`
-	sink(p) // pointer-shaped: stored directly in the interface word
+	sink(n)    // want `interface boxing of int value allocates`
+	sink(p)    // pointer-shaped: stored directly in the interface word
+	generic(n) // type argument: instantiated, not boxed
 }
 
 func varargs(xs ...int) int { return len(xs) }

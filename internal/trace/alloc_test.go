@@ -1,9 +1,14 @@
 package trace
 
 import (
+	"bytes"
+	"io"
+	"reflect"
+	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/machine"
 	"repro/internal/mpi"
@@ -102,5 +107,128 @@ func TestSteadyStateAllocsWithPOPCollector(t *testing.T) {
 	}
 	if omps == 0 {
 		t.Fatal("collector recorded no thread-team compute regions")
+	}
+}
+
+// recording is what p ranks leave in a Buffer: each rank's events in its
+// own time order, ranks interleaved, rows of the shapes a traced sweep
+// emits (so that the CSV is a few plain labels and mostly zero cells).
+func recording(p, perRank int) []Event {
+	out := make([]Event, 0, p*perRank)
+	for i := 0; i < perRank; i++ {
+		for r := p - 1; r >= 0; r-- {
+			t := float64(i)*1e-3 + float64(r)*1e-7
+			switch i % 4 {
+			case 0:
+				out = append(out, Event{T: t, Rank: r, Kind: KindSectionEnter, Label: "HALO"})
+			case 1:
+				out = append(out, Event{T: t, Rank: r, Kind: KindSend, Peer: (r + 1) % p, Bytes: 134784, Tag: 200})
+			case 2:
+				out = append(out, Event{T: t, Rank: r, Kind: KindRecv, Peer: (r + p - 1) % p, Bytes: 134784, Tag: 200, SendT: t / 3, PostT: t / 2, ArrT: t})
+			case 3:
+				out = append(out, Event{T: t, Rank: r, Kind: KindSectionLeave, Label: "HALO"})
+			}
+		}
+	}
+	return out
+}
+
+// allocated reports the allocations and bytes one call of f costs.
+func allocated(f func()) (allocs float64, bytes uint64) {
+	allocs = testing.AllocsPerRun(5, f)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return allocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestOrderingAllocs pins what ordering may allocate: nothing for input
+// already in canonical order, and for a recording the result plus one
+// int32 per event and per-rank cursors — no second copy of the events.
+func TestOrderingAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates shadow memory; alloc counts are meaningless")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const p, perRank = 64, 800
+	rec := recording(p, perRank)
+	n := uint64(len(rec))
+	eventBytes := n * uint64(unsafe.Sizeof(Event{}))
+	buf := NewBuffer(0)
+	for _, e := range rec {
+		buf.Add(e)
+	}
+	sorted := buf.Events()
+	if !reflect.DeepEqual(sorted, Sorted(rec)) || isSorted(rec) {
+		t.Fatal("recording is not a shuffled version of its canonical order")
+	}
+
+	if allocs, _ := allocated(func() { SortEvents(sorted) }); allocs != 0 {
+		t.Errorf("SortEvents on sorted input: %v allocs, want 0", allocs)
+	}
+	if allocs, _ := allocated(func() { Sorted(sorted) }); allocs != 0 {
+		t.Errorf("Sorted on sorted input: %v allocs, want 0", allocs)
+	}
+	// The result, the index scratch, the cursors; size-class rounding.
+	limit := eventBytes + 4*n + 64*p + 16<<10
+	allocs, bytes := allocated(func() { buf.Events() })
+	t.Logf("Events: %v allocs, %d bytes for %d events (%d bytes of events)", allocs, bytes, n, eventBytes)
+	if allocs > 3 || bytes > limit {
+		t.Errorf("Events on a recording: %v allocs, %d bytes; want <= 3 allocs, <= %d bytes", allocs, bytes, limit)
+	}
+	allocs, bytes = allocated(func() { Sorted(rec) })
+	if allocs > 3 || bytes > limit {
+		t.Errorf("Sorted on a recording: %v allocs, %d bytes; want <= 3 allocs, <= %d bytes", allocs, bytes, limit)
+	}
+	// A buffer that is already in order costs the copy alone.
+	inOrder := NewBuffer(0)
+	for _, e := range sorted {
+		inOrder.Add(e)
+	}
+	if allocs, bytes := allocated(func() { inOrder.Events() }); allocs != 1 || bytes > eventBytes+16<<10 {
+		t.Errorf("Events on an ordered buffer: %v allocs, %d bytes; want 1 alloc, <= %d bytes", allocs, bytes, eventBytes+16<<10)
+	}
+}
+
+// TestCodecAllocs pins the codec's allocations to be independent of the row
+// count: the encoder's one buffer; the decoder's reader, label table and
+// the growth steps of its result.
+func TestCodecAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates shadow memory; alloc counts are meaningless")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	small, large := Sorted(recording(64, 100)), Sorted(recording(64, 1600))
+	eventBytes := uint64(len(large)) * uint64(unsafe.Sizeof(Event{}))
+
+	writeSmall, _ := allocated(func() { WriteEventsCSV(io.Discard, small) })
+	writeLarge, _ := allocated(func() { WriteEventsCSV(io.Discard, large) })
+	if writeSmall != 1 || writeLarge != 1 {
+		t.Errorf("WriteEventsCSV: %v allocs for %d rows, %v for %d; want 1 for both", writeSmall, len(small), writeLarge, len(large))
+	}
+
+	var smallCSV, largeCSV bytes.Buffer
+	WriteEventsCSV(&smallCSV, small)
+	WriteEventsCSV(&largeCSV, large)
+	var got []Event
+	readSmall, _ := allocated(func() { got, _ = ReadCSV(bytes.NewReader(smallCSV.Bytes())) })
+	readLarge, readBytes := allocated(func() { got, _ = ReadCSV(bytes.NewReader(largeCSV.Bytes())) })
+	t.Logf("ReadCSV: %v allocs for %d rows, %v allocs and %d bytes for %d rows (cap %d)", readSmall, len(small), readLarge, readBytes, len(got), cap(got))
+	if len(got) != len(large) {
+		t.Fatalf("ReadCSV returned %d events, want %d", len(got), len(large))
+	}
+	// 16x the rows may cost a few more growth steps of the result.
+	if readLarge > readSmall+4 || readLarge > 32 {
+		t.Errorf("ReadCSV: %v allocs for %d rows, %v for %d", readSmall, len(small), readLarge, len(large))
+	}
+	// A source that knows its length gets the result reserved close to
+	// right — not over-reserved, and not grown by append, which allocates
+	// five times the final size on the way.
+	if over := float64(cap(got)) / float64(len(got)); over > 1.08 {
+		t.Errorf("ReadCSV reserved %d events for %d (%.0f%% over)", cap(got), len(got), 100*(over-1))
+	}
+	if limit := eventBytes * 8 / 5; readBytes > limit {
+		t.Errorf("ReadCSV allocated %d bytes for %d bytes of events; want <= %d", readBytes, eventBytes, limit)
 	}
 }

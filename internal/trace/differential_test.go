@@ -1,0 +1,465 @@
+package trace
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+	"testing/iotest"
+)
+
+// Differential tests: the production writer, reader and sorter against the
+// reference implementations in reference_test.go, on generated streams
+// built from the values most likely to tell two codecs or two sorts apart.
+
+var nastyLabels = []string{
+	"", "HALO", "MPI_MAIN", "CONVOLVE",
+	"a,b", ",", `say "hi"`, `"`, `""`, "line\nbreak", "\n", "cr\rmid", "\r", "crlf\r\nboth",
+	" leading space", "\tleading tab", " leading nbsp", " leading em space", "trailing ",
+	`\.`, `\.x`, `x\.`, "ünïcödé", "\xff\xfe not utf8", "nul\x00byte",
+	`section-mismatch: SectionExit("b") while "a" is innermost, rank 3`,
+}
+
+var nastyFloats = []float64{
+	0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+	5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, math.MaxFloat64,
+	1, -1.5, 0.1, 1.0 / 3, 1e21, 1e-7, 1e20, 123456789012345678,
+	11.674514959528208, 0.46772313634763707, 0.00033844002770070796,
+}
+
+// codecEvents draws events whose every column is hostile to a codec.
+// strict keeps them to what ReadCSV accepts back (known kinds).
+func codecEvents(rng *rand.Rand, n int, strict bool) []Event {
+	pick := func() float64 { return nastyFloats[rng.Intn(len(nastyFloats))] }
+	ints := []int{0, 1, -1, 7, 255, 4096, 134784, -1000, math.MaxInt32, math.MinInt64, math.MaxInt64}
+	out := make([]Event, n)
+	for i := range out {
+		e := &out[i]
+		e.T = pick()
+		e.Rank = ints[rng.Intn(len(ints))]
+		e.Kind = Kind(rng.Intn(len(kindNames)))
+		if !strict && rng.Intn(8) == 0 {
+			e.Kind = []Kind{-1, 99, Kind(len(kindNames))}[rng.Intn(3)]
+		}
+		e.Comm = int64(ints[rng.Intn(len(ints))])
+		// Mostly plain labels, so that quoted rows arrive mid-stream.
+		if rng.Intn(4) == 0 {
+			e.Label = nastyLabels[rng.Intn(len(nastyLabels))]
+		} else {
+			e.Label = nastyLabels[rng.Intn(4)]
+		}
+		e.Peer = ints[rng.Intn(len(ints))]
+		e.Bytes = ints[rng.Intn(len(ints))]
+		e.Tag = ints[rng.Intn(len(ints))]
+		if rng.Intn(2) == 0 {
+			e.SendT, e.PostT, e.ArrT = pick(), pick(), pick()
+		}
+	}
+	return out
+}
+
+func TestWriterMatchesReference(t *testing.T) {
+	check := func(name string, events []Event) {
+		t.Helper()
+		var got, want bytes.Buffer
+		if err := WriteEventsCSV(&got, events); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := refWriteEventsCSV(&want, events); err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: bytes differ from encoding/csv\n got %q\nwant %q", name, got.Bytes(), want.Bytes())
+		}
+	}
+	check("empty", nil)
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		check(fmt.Sprintf("seed %d", seed), codecEvents(rng, rng.Intn(60), false))
+	}
+	// Every label and every float once, in a known place.
+	var all []Event
+	for _, l := range nastyLabels {
+		all = append(all, Event{Label: l})
+	}
+	for _, f := range nastyFloats {
+		all = append(all, Event{T: f, SendT: -f, PostT: f, ArrT: f})
+	}
+	check("catalogue", all)
+	// Across many buffer flushes, one of them forced by a row larger than
+	// the whole buffer.
+	big := codecEvents(rand.New(rand.NewSource(1)), 5000, false)
+	big[2500].Label = strings.Repeat(`x"y,`, 40<<10)
+	check("flushes", big)
+}
+
+// sameEvents is reflect.DeepEqual with floats compared by bit pattern, so
+// that NaN equals itself and -0 differs from 0.
+func sameEvents(a, b []Event) bool {
+	if len(a) != len(b) || (a == nil) != (b == nil) {
+		return false
+	}
+	bits := math.Float64bits
+	for i := range a {
+		x, y := a[i], b[i]
+		if bits(x.T) != bits(y.T) || bits(x.SendT) != bits(y.SendT) ||
+			bits(x.PostT) != bits(y.PostT) || bits(x.ArrT) != bits(y.ArrT) {
+			return false
+		}
+		x.T, x.SendT, x.PostT, x.ArrT = 0, 0, 0, 0
+		y.T, y.SendT, y.PostT, y.ArrT = 0, 0, 0, 0
+		if x != y {
+			return false
+		}
+	}
+	return true
+}
+
+// readDisagreement runs both decoders over the stream open yields and
+// describes the first difference in events or error, or returns "".
+func readDisagreement(open func() io.Reader) string {
+	got, gerr := ReadCSV(open())
+	want, werr := refReadCSV(open())
+	if !sameEvents(got, want) {
+		return fmt.Sprintf("events differ:\n got %d %+v\nwant %d %+v", len(got), got, len(want), want)
+	}
+	if (gerr == nil) != (werr == nil) {
+		return fmt.Sprintf("error differs: got %v, want %v", gerr, werr)
+	}
+	if gerr == nil {
+		return ""
+	}
+	if gerr.Error() != werr.Error() {
+		return fmt.Sprintf("error text differs:\n got %v\nwant %v", gerr, werr)
+	}
+	var gc, wc *CorruptError
+	if errors.As(gerr, &gc) != errors.As(werr, &wc) {
+		return fmt.Sprintf("error type differs: got %T, want %T", gerr, werr)
+	}
+	if gc != nil && (gc.Row != wc.Row || reflect.TypeOf(gc.Err) != reflect.TypeOf(wc.Err)) {
+		return fmt.Sprintf("CorruptError differs: got row %d %T, want row %d %T", gc.Row, gc.Err, wc.Row, wc.Err)
+	}
+	return ""
+}
+
+func TestReaderMatchesReference(t *testing.T) {
+	check := func(name string, data []byte) {
+		t.Helper()
+		if d := readDisagreement(func() io.Reader { return bytes.NewReader(data) }); d != "" {
+			t.Fatalf("%s: %s\ninput %q", name, d, data)
+		}
+	}
+	encode := func(events []Event) []byte {
+		var b bytes.Buffer
+		if err := refWriteEventsCSV(&b, events); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	const header = "t,rank,kind,comm,label,peer,bytes,tag,sendt,postt,arrt\n"
+	const row = "1.5,3,recv,0,,2,4096,200,1.25,1,1.5\n"
+
+	// Encoded streams, plain and with quoted rows in the middle.
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		check(fmt.Sprintf("seed %d", seed), encode(codecEvents(rng, rng.Intn(60), true)))
+	}
+
+	// One small stream of each sort, damaged in every way a file gets
+	// damaged: cut at every byte, CRLF line ends, blank lines, a foreign
+	// row in the middle.
+	plain := []Event{
+		{T: 0, Kind: KindSectionEnter, Label: "MPI_MAIN"},
+		{T: 0.46772313634763707, Rank: 110, Kind: KindRecv, Peer: 238, Tag: -1000, SendT: 0.00033844002770070796, PostT: 0.46772113634763707, ArrT: 0.00037111813542052796},
+		{T: 1, Rank: 1, Kind: KindSend, Peer: 2, Bytes: 134784, Tag: 200},
+		{T: 2, Kind: KindSectionLeave, Label: "MPI_MAIN"},
+	}
+	quoted := append([]Event(nil), plain...)
+	quoted[2].Label = "two\nlines, \"quoted\""
+	for name, events := range map[string][]Event{"plain": plain, "quoted": quoted} {
+		data := encode(events)
+		for cut := 0; cut <= len(data); cut++ {
+			check(fmt.Sprintf("%s cut at %d", name, cut), data[:cut])
+			check(fmt.Sprintf("%s cut at %d + CR", name, cut), append(data[:cut:cut], '\r'))
+		}
+		check(name+" CRLF", bytes.ReplaceAll(data, []byte("\n"), []byte("\r\n")))
+		check(name+" blank lines", bytes.ReplaceAll(data, []byte("\n"), []byte("\n\n\r\n")))
+		check(name+" leading blank lines", append([]byte("\n\r\n\n"), data...))
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		for i := 1; i < len(lines); i++ {
+			var b bytes.Buffer
+			for j, l := range lines {
+				if j == i {
+					b.WriteString("garbage,row\n")
+				}
+				b.Write(l)
+			}
+			check(fmt.Sprintf("%s foreign row before line %d", name, i+1), b.Bytes())
+		}
+	}
+
+	// Single defects. Each goes in as the second of three data rows, once
+	// after plain rows and once after a row that already forced the quoted
+	// path, so both decoders' line and record counts are exercised.
+	defects := map[string]string{
+		"ten fields":        "1,0,send,0,,0,0,0,0,0\n",
+		"twelve fields":     "1,0,send,0,,0,0,0,0,0,0,0\n",
+		"one field":         "x\n",
+		"only commas":       ",,,,,,,,,,\n",
+		"spaces":            "   \n",
+		"bad time":          "xx,0,send,0,,0,0,0,0,0,0\n",
+		"empty time":        ",0,send,0,,0,0,0,0,0,0\n",
+		"time overflow":     "1e309,0,send,0,,0,0,0,0,0,0\n",
+		"time underscore":   "1_0,0,send,0,,0,0,0,0,0,0\n",
+		"bad rank":          "1,x,send,0,,0,0,0,0,0,0\n",
+		"rank overflow":     "1,9223372036854775808,send,0,,0,0,0,0,0,0\n",
+		"rank 19 digits":    "1,1234567890123456789,send,0,,0,0,0,0,0,0\n",
+		"rank spaced":       "1, 5,send,0,,0,0,0,0,0,0\n",
+		"rank underscore":   "1,1_000,send,0,,0,0,0,0,0,0\n",
+		"rank hex":          "1,0x10,send,0,,0,0,0,0,0,0\n",
+		"rank lone minus":   "1,-,send,0,,0,0,0,0,0,0\n",
+		"rank double minus": "1,--1,send,0,,0,0,0,0,0,0\n",
+		"unknown kind":      "1,0,bogus-kind,0,,0,0,0,0,0,0\n",
+		"empty kind":        "1,0,,0,,0,0,0,0,0,0\n",
+		"kind case":         "1,0,Send,0,,0,0,0,0,0,0\n",
+		"bad comm":          "1,0,send,1.5,,0,0,0,0,0,0\n",
+		"comm overflow":     "1,0,send,99999999999999999999,,0,0,0,0,0,0\n",
+		"bad peer":          "1,0,send,0,,p,0,0,0,0,0\n",
+		"bad bytes":         "1,0,send,0,,0,1e3,0,0,0,0\n",
+		"bad tag":           "1,0,send,0,,0,0,,0,0,0\n",
+		"bad sendt":         "1,0,send,0,,0,0,0,zero,0,0\n",
+		"bad postt":         "1,0,send,0,,0,0,0,0,0x,0\n",
+		"bad arrt":          "1,0,send,0,,0,0,0,0,0,0 \n",
+		"bare quote":        "1,0,send,0,a\"b,0,0,0,0,0,0\n",
+		"quote in number":   "1,0,send,0,,0,0,0,0,0,\"\n",
+		"unclosed quote":    "1,0,send,0,\"open,0,0,0,0,0,0\n",
+		"quote then text":   "1,0,send,0,\"a\"b,0,0,0,0,0,0\n",
+		"cr mid-row":        "1,0,send,0,a\rb,0,0,0,0,0,0\n",
+	}
+	for name, bad := range defects {
+		check(name, []byte(header+row+bad+row))
+		check(name+" after quoted", []byte(header+"1,0,marker,0,\"q,\",0,0,0,0,0,0\n\n"+row+bad+row))
+		check(name+" last, cut", []byte(header+row+strings.TrimSuffix(bad, "\n")))
+	}
+
+	// Spellings strconv accepts that the digit fast paths must not reject.
+	accepted := map[string]string{
+		"plus signs":     "+1.5,+3,recv,+0,,+2,+4096,+200,+0,+1,+1.5\n",
+		"leading zeros":  "001.50,003,recv,00,,02,04096,0200,00,01,01.5\n",
+		"minus zero":     "-0,-0,recv,-0,,-0,-0,-0,-0,-0,-0\n",
+		"float forms":    ".5,0,recv,0,,0,0,0,5.,1E3,1e+3\n",
+		"specials":       "inf,0,recv,0,,0,0,0,-Infinity,nan,+Inf\n",
+		"hex float":      "0x1p-2,0,recv,0,,0,0,0,0X1.8P1,0,0\n",
+		"18 digits":      "1,999999999999999999,recv,-999999999999999999,,0,0,0,0,0,0\n",
+		"int64 extremes": "1,9223372036854775807,recv,-9223372036854775808,,0,0,0,0,0,0\n",
+		"long time":      "0.000000000000000000000000000000000000000000001234567890123456789,0,recv,0,,0,0,0,0,0,0\n",
+	}
+	for name, ok := range accepted {
+		check(name, []byte(header+ok))
+		if d, _ := ReadCSV(strings.NewReader(header + ok)); len(d) != 1 {
+			t.Errorf("%s: not accepted", name)
+		}
+	}
+
+	// Headers.
+	for name, data := range map[string]string{
+		"empty":                  "",
+		"newline only":           "\n",
+		"header only":            header,
+		"header uncut":           strings.TrimSuffix(header, "\n"),
+		"foreign header":         "wrong,header,entirely\n1,2,3\n",
+		"foreign 11-col header":  "T,rank,kind,comm,label,peer,bytes,tag,sendt,postt,arrt\n" + row,
+		"old 7-col header":       "t,rank,kind,comm,label,peer,bytes\n1,0,send,0,A,0,0\n",
+		"quoted header":          `"t",rank,kind,comm,"label",peer,bytes,tag,sendt,postt,"arrt"` + "\n" + row,
+		"badly quoted header":    `"t,rank,kind,comm,label,peer,bytes,tag,sendt,postt,arrt` + "\n" + row,
+		"header with comma cell": `"t,rank",kind,comm,label,peer,bytes,tag,sendt,postt,arrt,x` + "\n" + row,
+		"header after blanks":    "\n\n" + header + row,
+		"header CRLF":            strings.TrimSuffix(header, "\n") + "\r\n" + row,
+		"spaced header":          " " + header + row,
+		// The quoted path must get the line as read, not as already
+		// trimmed: encoding/csv drops one "\r" before EOF, not two.
+		"quote, CRs, EOF":      "\"\r\r",
+		"row, quote, CRs, EOF": header + "1,0,send,0,\"a\r\r",
+	} {
+		check(name, []byte(data))
+	}
+
+	// Lines longer than the read buffer, with and without a quote in them.
+	long := strings.Repeat("x", 3*csvBuf)
+	check("long label", []byte(header+row+"1,0,marker,0,"+long+",0,0,0,0,0,0\n"+row))
+	check("long quoted label", []byte(header+row+"1,0,marker,0,\""+long+",\",0,0,0,0,0,0\n"+row))
+	check("long garbage", []byte(header+row+long+"\n"+row))
+	check("long garbage with late quote", []byte(header+row+long+"\"\n"+row))
+	check("long line cut", []byte(header+row+"1,0,marker,0,"+long))
+
+	// A source that fails instead of ending.
+	boom := errors.New("boom")
+	for name, prefix := range map[string]string{
+		"at once":          "",
+		"in header":        "t,rank,ki",
+		"after header":     header,
+		"mid-row":          header + row + "1,0,se",
+		"mid-row, quoted":  header + row + "1,0,send,0,\"op",
+		"bare quote first": header + row + "1,0,send,0,a\"b,0",
+		"after quoted row": header + "1,0,marker,0,\"q,\",0,0,0,0,0,0\n" + row + "1,0",
+	} {
+		if d := readDisagreement(func() io.Reader {
+			return io.MultiReader(strings.NewReader(prefix), iotest.ErrReader(boom))
+		}); d != "" {
+			t.Errorf("failing source %s: %s", name, d)
+		}
+	}
+	// And one that trickles: line assembly must not depend on read sizes.
+	data := encode(quoted)
+	if d := readDisagreement(func() io.Reader { return iotest.OneByteReader(bytes.NewReader(data)) }); d != "" {
+		t.Errorf("one-byte source: %s", d)
+	}
+}
+
+// orderEvents builds a recording the way ranks produce one — each rank's
+// events in its own time order, ranks interleaved at random — out of few
+// enough distinct times, ranks and payloads that every tie-break is hit:
+// zero-length sections (the leave sorts ahead of its own enter), nested
+// enters at one timestamp (recording order is the nesting), KindVerify
+// bursts that differ only in payload.
+func orderEvents(rng *rand.Rand, ranks []int, perRank int) []Event {
+	labels := []string{"MPI_MAIN", "LOAD", "HALO", "a", "b"}
+	runs := make([][]Event, len(ranks))
+	for r, rank := range ranks {
+		t := 0.0
+		for len(runs[r]) < perRank {
+			if rng.Intn(3) == 0 {
+				t += float64(rng.Intn(3)) * 0.5
+			}
+			e := Event{T: t, Rank: rank}
+			switch rng.Intn(6) {
+			case 0: // nested enters, one timestamp
+				runs[r] = append(runs[r],
+					Event{T: t, Rank: rank, Kind: KindSectionEnter, Label: "MPI_MAIN"},
+					Event{T: t, Rank: rank, Kind: KindSectionEnter, Label: "LOAD"})
+			case 1: // zero-length section
+				l := labels[rng.Intn(len(labels))]
+				runs[r] = append(runs[r],
+					Event{T: t, Rank: rank, Kind: KindSectionEnter, Label: l},
+					Event{T: t, Rank: rank, Kind: KindSectionLeave, Label: l})
+			case 2: // verifier burst
+				for i := rng.Intn(4); i >= 0; i-- {
+					runs[r] = append(runs[r], Event{T: t, Rank: rank, Kind: KindVerify,
+						Comm: int64(rng.Intn(2)), Label: labels[rng.Intn(len(labels))],
+						Peer: rng.Intn(2), Bytes: rng.Intn(2) * 8, Tag: rng.Intn(2)})
+				}
+			default:
+				e.Kind = Kind(rng.Intn(len(kindNames)))
+				e.Label = labels[rng.Intn(len(labels))]
+				e.Peer = rng.Intn(4) // must not reorder anything but KindVerify
+				runs[r] = append(runs[r], e)
+			}
+		}
+	}
+	var out []Event
+	for len(runs) > 0 {
+		r := rng.Intn(len(runs))
+		out = append(out, runs[r][0])
+		if runs[r] = runs[r][1:]; len(runs[r]) == 0 {
+			runs = append(runs[:r], runs[r+1:]...)
+		}
+	}
+	return out
+}
+
+func TestSorterMatchesReference(t *testing.T) {
+	check := func(name string, in []Event) {
+		t.Helper()
+		want := append([]Event(nil), in...)
+		refSortEvents(want)
+		orig := append([]Event(nil), in...)
+
+		sorted := Sorted(in)
+		if !reflect.DeepEqual(in, orig) {
+			t.Fatalf("%s: Sorted reordered its argument", name)
+		}
+		if !reflect.DeepEqual(sorted, want) {
+			t.Fatalf("%s: Sorted differs from sort.SliceStable\n  in %+v\n got %+v\nwant %+v", name, in, sorted, want)
+		}
+		if canonical := reflect.DeepEqual(in, want); canonical != (len(in) == 0 || &sorted[0] == &in[0]) {
+			t.Fatalf("%s: Sorted copied = %v on canonical = %v input", name, !canonical, canonical)
+		}
+
+		b := NewBuffer(0)
+		for _, e := range in {
+			b.Add(e)
+		}
+		if got := b.Events(); !reflect.DeepEqual(got, want) && len(in) > 0 {
+			t.Fatalf("%s: Buffer.Events differs from sort.SliceStable\n got %+v\nwant %+v", name, got, want)
+		}
+
+		SortEvents(in)
+		if !reflect.DeepEqual(in, want) {
+			t.Fatalf("%s: SortEvents differs from sort.SliceStable", name)
+		}
+	}
+	check("empty", nil)
+	check("one", []Event{{T: 1}})
+	dense := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	for seed := int64(0); seed < 150; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		name := fmt.Sprintf("seed %d", seed)
+		rec := orderEvents(rng, dense[:1+rng.Intn(len(dense))], 1+rng.Intn(40))
+		check(name+" recorded", rec)
+
+		// One rank's run out of time order among monotone ones.
+		broken := append([]Event(nil), rec...)
+		var mine []int
+		for i, e := range broken {
+			if e.Rank == 0 {
+				mine = append(mine, i)
+			}
+		}
+		if len(mine) > 1 {
+			i, j := mine[0], mine[len(mine)-1]
+			broken[i], broken[j] = broken[j], broken[i]
+		}
+		check(name+" one run broken", broken)
+
+		shuffled := append([]Event(nil), rec...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		check(name+" shuffled", shuffled)
+
+		// Ranks no table can be indexed by.
+		check(name+" sparse ranks", orderEvents(rng, []int{-5, 3, 1 << 40, math.MaxInt64, math.MinInt64}, 1+rng.Intn(20)))
+		check(name+" offset ranks", orderEvents(rng, []int{1000, 1001, 1003}, 400))
+		check(name+" negative ranks", orderEvents(rng, []int{-3, -2, -1, 0, 1}, 1+rng.Intn(20)))
+	}
+}
+
+// TestSortedInputIsLeftInPlace: the consumers that normalize their input
+// (Summarize, Timeline, and through Sorted waitstate.Analyze and
+// verify.CheckTrace) must never reorder the slice they were handed.
+func TestSortedInputIsLeftInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	in := orderEvents(rng, []int{0, 1, 2, 3}, 50)
+	for i := range in { // only well-formed kinds for the replays
+		if in[i].Kind != KindSectionEnter && in[i].Kind != KindSectionLeave {
+			in[i].Kind = KindMarker
+		}
+	}
+	rng.Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
+	orig := append([]Event(nil), in...)
+	canonical := append([]Event(nil), in...)
+	SortEvents(canonical)
+
+	if got, want := Summarize(in), Summarize(canonical); !reflect.DeepEqual(got, want) {
+		t.Errorf("Summarize depends on input order:\n got %+v\nwant %+v", got, want)
+	}
+	if got, want := Timeline(in, 60), Timeline(canonical, 60); got != want {
+		t.Errorf("Timeline depends on input order:\n got %s\nwant %s", got, want)
+	}
+	if !reflect.DeepEqual(in, orig) {
+		t.Error("a consumer reordered the caller's slice")
+	}
+}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -57,9 +58,10 @@ func TestReadCSVTruncatedPrefix(t *testing.T) {
 
 // FuzzReadCSV hammers the CSV decoder with arbitrary byte streams —
 // malformed rows, broken quoting, binary garbage, huge fields. The decoder
-// must either return an error or a well-formed event slice; it must never
-// panic. When a stream parses, re-encoding the events and parsing again
-// must reproduce them (decode∘encode = id on the decoder's image).
+// must never panic, and must agree with the encoding/csv reference decoder
+// on every input: same events, same error, same CorruptError row. When a
+// stream parses, re-encoding the events and parsing again must reproduce
+// them (decode∘encode = id on the decoder's image).
 func FuzzReadCSV(f *testing.F) {
 	// Seed corpus: a valid stream, then progressively broken variants.
 	var valid bytes.Buffer
@@ -86,7 +88,26 @@ func FuzzReadCSV(f *testing.F) {
 	for _, cut := range []int{1, len(valid.Bytes()) / 2, len(valid.Bytes()) - 3} {
 		f.Add(valid.Bytes()[:cut])
 	}
+	// Defects behind the current header, where the row decoder sees them,
+	// after a plain row and after a quoted one.
+	const header = "t,rank,kind,comm,label,peer,bytes,tag,sendt,postt,arrt\n"
+	const row = "1.5,3,recv,0,,2,4096,200,1.25,1,1.5\n"
+	for _, bad := range []string{
+		"1,0,send,0,,0,0,0,0,0\n",             // short row
+		"NaN,0,bogus-kind,0,A,0,0,0,0,0,0\n",  // bad kind
+		"1,0,send,0,\"unclosed,0,0,0,0,0,0\n", // broken quote
+		"1,0,send,0,a\"b,0,0,0,0,0,0\n",       // bare quote
+		"1,x,send,0,A,0,0,0,0,0,0\n",          // bad int
+		"1e309,0,send,0,A,0,0,0,0,0,0\n",      // float overflow
+		"+1,-0,send,007,\"a,\"\"b\nc\",0,0,0,0x1p-2,inf,.5\r\n\r\n",
+	} {
+		f.Add([]byte(header + row + bad + row))
+		f.Add([]byte(header + "1,0,marker,0,\"q,\",0,0,0,0,0,0\n" + bad + row))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if d := readDisagreement(func() io.Reader { return bytes.NewReader(data) }); d != "" {
+			t.Fatal(d)
+		}
 		events, err := ReadCSV(bytes.NewReader(data))
 		if err != nil {
 			// Corruption must still yield a usable, re-encodable prefix;

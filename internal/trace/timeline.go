@@ -29,8 +29,7 @@ func Timeline(events []Event, width int, focus ...string) string {
 	// the slice: time, then rank, then kind (leave before enter on ties) —
 	// the same tie-break Buffer.Events uses, so golden timelines are stable
 	// under any -j scheduling.
-	events = append([]Event(nil), events...)
-	SortEvents(events)
+	events = Sorted(events)
 
 	// Collect intervals per rank by replaying the enter/leave stream.
 	type ival struct {

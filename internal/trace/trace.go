@@ -3,16 +3,47 @@
 // JSON lines, or a coarse ASCII timeline. It is the "temporal trace viewer"
 // substrate the paper's §5.3 sketches: section events give a coarse-grained
 // overview that a GUI tool could zoom into.
+//
+// # Canonical order
+//
+// Every consumer replays events in one order: time, then rank, then kind,
+// with a section leave ahead of everything else at its (time, rank) so that
+// a zero-length section and back-to-back siblings stay well nested. Beyond
+// that the order is the recording order — two nested enters at one
+// timestamp are told apart by nothing else — except for KindVerify events,
+// which carry no nesting and are ordered by their payload columns (comm,
+// label, peer, bytes, tag) so that a report does not depend on which worker
+// reached the buffer first. Buffer.Events returns this order, SortEvents
+// establishes it in place, and Sorted hands it to an analysis without
+// touching the caller's slice.
+//
+// A Buffer records ranks in whatever interleaving the scheduler produced,
+// but each rank's own events arrive in time order. Ordering therefore
+// splits the recording into per-rank runs, stable-sorts only a run that is
+// out of order, and merges the runs straight into the result. Input that is
+// already canonical — a replayed CSV, the result of Events — is recognized
+// in one pass and neither copied nor allocated for.
+//
+// # CSV codec
+//
+// WriteEventsCSV emits exactly the bytes encoding/csv would for the same
+// records: a header, then one 11-column row per event, floats as 'g' with
+// 17 significant digits (lossless), the label quoted under encoding/csv's
+// rule and every other column never needing it. ReadCSV accepts exactly
+// what an encoding/csv reader with 11 fields per record accepts, with the
+// same events, the same CorruptError rows and the same messages; rows
+// without a double quote — all of them, unless a label needed quoting — are
+// decoded in place from the read buffer, and the first line that has one
+// hands itself and the rest of the stream to encoding/csv. Both properties
+// are held by differential tests against the encoding/csv implementations
+// kept in this package's tests.
 package trace
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -52,7 +83,7 @@ const (
 	KindOmpRegion
 )
 
-var kindNames = map[Kind]string{
+var kindNames = [...]string{
 	KindSectionEnter:  "section-enter",
 	KindSectionLeave:  "section-leave",
 	KindSend:          "send",
@@ -67,21 +98,32 @@ var kindNames = map[Kind]string{
 	KindOmpRegion:     "omp-region",
 }
 
-func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+var kindByName = func() map[string]Kind {
+	m := make(map[string]Kind, len(kindNames))
+	for k, name := range kindNames {
+		m[name] = Kind(k)
 	}
+	return m
+}()
+
+func (k Kind) String() string {
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
+	}
+	//seclint:allocs-ok out-of-range kind: no recorder emits one
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // ParseKind inverts Kind.String.
 func ParseKind(s string) (Kind, error) {
-	for k, name := range kindNames {
-		if name == s {
-			return k, nil
-		}
+	if k, ok := kindByName[s]; ok {
+		return k, nil
 	}
-	return 0, fmt.Errorf("trace: unknown kind %q", s)
+	return 0, unknownKind(s)
+}
+
+func unknownKind(s string) error {
+	return fmt.Errorf("trace: unknown kind %q", s)
 }
 
 // Event is one timestamped record. Peer and Bytes are kind-dependent
@@ -158,69 +200,6 @@ func (b *Buffer) Warning() string {
 		drops, limit, kept)
 }
 
-// Events returns the events sorted by time (ties by rank, then kind order),
-// as a copy safe to retain.
-func (b *Buffer) Events() []Event {
-	b.mu.Lock()
-	out := make([]Event, len(b.events))
-	copy(out, b.events)
-	b.mu.Unlock()
-	SortEvents(out)
-	return out
-}
-
-// SortEvents sorts events in the canonical replay order every consumer in
-// this repository uses: time, then rank, then kind (section leaves before
-// same-timestamp enters so interval replays stay well nested). For boundary
-// events the sort stays stable beyond that — two nested section enters can
-// share a timestamp and their recording order (outer before inner) IS the
-// nesting information, so no payload field may reorder them. KindVerify
-// events carry no such ordering and several can share (t, rank, kind) when
-// one operation trips multiple checks, so for those the payload columns
-// (comm, label, peer, bytes, tag) break the tie: verifier violations land
-// in the same order regardless of -j worker count or buffer arrival
-// interleaving. Offline analyses (internal/waitstate) normalize their
-// input with it.
-func SortEvents(events []Event) {
-	sort.SliceStable(events, func(i, j int) bool {
-		a, b := &events[i], &events[j]
-		if a.T != b.T {
-			return a.T < b.T
-		}
-		if a.Rank != b.Rank {
-			return a.Rank < b.Rank
-		}
-		if ka, kb := kindOrder(a.Kind), kindOrder(b.Kind); ka != kb {
-			return ka < kb
-		}
-		if a.Kind != KindVerify {
-			return false // stable: keep recording order
-		}
-		if a.Comm != b.Comm {
-			return a.Comm < b.Comm
-		}
-		if a.Label != b.Label {
-			return a.Label < b.Label
-		}
-		if a.Peer != b.Peer {
-			return a.Peer < b.Peer
-		}
-		if a.Bytes != b.Bytes {
-			return a.Bytes < b.Bytes
-		}
-		return a.Tag < b.Tag
-	})
-}
-
-// kindOrder breaks timestamp ties so that interval replays stay well
-// nested: a section leave at time t precedes a sibling enter at the same t.
-func kindOrder(k Kind) int {
-	if k == KindSectionLeave {
-		return -1
-	}
-	return int(k)
-}
-
 // Filter returns the stored events satisfying keep, time-sorted.
 func (b *Buffer) Filter(keep func(Event) bool) []Event {
 	all := b.Events()
@@ -231,134 +210,6 @@ func (b *Buffer) Filter(keep func(Event) bool) []Event {
 		}
 	}
 	return out
-}
-
-// csvHeader is the stable column set of the CSV codec. The tag and
-// matched-pair timestamp columns (tag, sendt, postt, arrt) carry the
-// wait-state analysis inputs; they are zero for non-message kinds.
-var csvHeader = []string{"t", "rank", "kind", "comm", "label", "peer", "bytes", "tag", "sendt", "postt", "arrt"}
-
-// WriteCSV streams the buffer's time-sorted events as CSV with a header.
-func (b *Buffer) WriteCSV(w io.Writer) error {
-	return WriteEventsCSV(w, b.Events())
-}
-
-// WriteEventsCSV streams an already-assembled event slice as CSV with the
-// standard header — the replayable interchange format cmd/secanalyze
-// -waitstate consumes.
-func WriteEventsCSV(w io.Writer, events []Event) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return err
-	}
-	for _, e := range events {
-		rec := []string{
-			strconv.FormatFloat(e.T, 'g', 17, 64),
-			strconv.Itoa(e.Rank),
-			e.Kind.String(),
-			strconv.FormatInt(e.Comm, 10),
-			e.Label,
-			strconv.Itoa(e.Peer),
-			strconv.Itoa(e.Bytes),
-			strconv.Itoa(e.Tag),
-			strconv.FormatFloat(e.SendT, 'g', 17, 64),
-			strconv.FormatFloat(e.PostT, 'g', 17, 64),
-			strconv.FormatFloat(e.ArrT, 'g', 17, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// CorruptError reports a CSV stream that was readable only up to a point —
-// a truncated final line from a crashed run, or a corrupt row in the
-// middle. Row is the 1-based record number (the header is record 1) of the
-// first unreadable record; Err is the underlying parse failure. ReadCSV
-// pairs it with the events parsed before the damage, so consumers can
-// analyze the intact prefix after warning.
-type CorruptError struct {
-	Row int
-	Err error
-}
-
-func (e *CorruptError) Error() string {
-	return fmt.Sprintf("trace: corrupt CSV at record %d: %v (prefix before it is intact)", e.Row, e.Err)
-}
-
-func (e *CorruptError) Unwrap() error { return e.Err }
-
-// ReadCSV parses a stream produced by WriteCSV. It decodes row by row: a
-// missing or foreign header fails outright (nil events), while a truncated
-// or corrupt data row stops the parse and returns every event decoded
-// before it together with a *CorruptError — the trace of a crashed or
-// killed run remains analyzable up to the damage.
-func ReadCSV(r io.Reader) ([]Event, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(csvHeader)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("trace: empty or unreadable CSV header: %w", err)
-	}
-	if strings.Join(header, ",") != strings.Join(csvHeader, ",") {
-		return nil, fmt.Errorf("trace: unexpected header %v", header)
-	}
-	out := make([]Event, 0, 64)
-	for rec := 2; ; rec++ {
-		row, err := cr.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, &CorruptError{Row: rec, Err: err}
-		}
-		e, err := parseRow(row)
-		if err != nil {
-			return out, &CorruptError{Row: rec, Err: err}
-		}
-		out = append(out, e)
-	}
-}
-
-// parseRow decodes one full-width CSV record into an Event.
-func parseRow(row []string) (Event, error) {
-	var e Event
-	var err error
-	if e.T, err = strconv.ParseFloat(row[0], 64); err != nil {
-		return e, fmt.Errorf("time: %w", err)
-	}
-	if e.Rank, err = strconv.Atoi(row[1]); err != nil {
-		return e, fmt.Errorf("rank: %w", err)
-	}
-	if e.Kind, err = ParseKind(row[2]); err != nil {
-		return e, err
-	}
-	if e.Comm, err = strconv.ParseInt(row[3], 10, 64); err != nil {
-		return e, fmt.Errorf("comm: %w", err)
-	}
-	e.Label = row[4]
-	if e.Peer, err = strconv.Atoi(row[5]); err != nil {
-		return e, fmt.Errorf("peer: %w", err)
-	}
-	if e.Bytes, err = strconv.Atoi(row[6]); err != nil {
-		return e, fmt.Errorf("bytes: %w", err)
-	}
-	if e.Tag, err = strconv.Atoi(row[7]); err != nil {
-		return e, fmt.Errorf("tag: %w", err)
-	}
-	if e.SendT, err = strconv.ParseFloat(row[8], 64); err != nil {
-		return e, fmt.Errorf("sendt: %w", err)
-	}
-	if e.PostT, err = strconv.ParseFloat(row[9], 64); err != nil {
-		return e, fmt.Errorf("postt: %w", err)
-	}
-	if e.ArrT, err = strconv.ParseFloat(row[10], 64); err != nil {
-		return e, fmt.Errorf("arrt: %w", err)
-	}
-	return e, nil
 }
 
 // SectionSummary aggregates a trace's section events offline: per label,
@@ -384,9 +235,7 @@ func Summarize(events []Event) []SectionSummary {
 	open := map[openKey][]float64{} // stack of enter times
 	acc := map[string]*SectionSummary{}
 	// Events must be replayed in time order with leave-before-enter ties.
-	sorted := append([]Event(nil), events...)
-	SortEvents(sorted)
-	for _, e := range sorted {
+	for _, e := range Sorted(events) {
 		switch e.Kind {
 		case KindSectionEnter:
 			k := openKey{e.Rank, e.Label}

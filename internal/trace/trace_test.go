@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -16,9 +17,10 @@ import (
 )
 
 func TestKindStrings(t *testing.T) {
-	for k, want := range kindNames {
+	for i, want := range kindNames {
+		k := Kind(i)
 		if k.String() != want {
-			t.Errorf("Kind(%d).String() = %q", int(k), k.String())
+			t.Errorf("Kind(%d).String() = %q", i, k.String())
 		}
 		back, err := ParseKind(want)
 		if err != nil || back != k {
@@ -445,5 +447,52 @@ func TestCollectorFaultMapping(t *testing.T) {
 	off.FaultEvent(fault.Event{Kind: fault.Kill})
 	if off.Buffer().Len() != 0 {
 		t.Error("Faults=false still recorded")
+	}
+}
+
+// TestEventsWhileRecording: Events orders a snapshot of the buffer without
+// holding its lock, so it must stay correct (and race-free) while ranks
+// keep appending — every result canonical, none losing events an earlier
+// one had.
+func TestEventsWhileRecording(t *testing.T) {
+	const writers, perWriter = 4, 2000
+	b := NewBuffer(0)
+	var wg sync.WaitGroup
+	for r := 0; r < writers; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				b.Add(Event{T: float64(i), Rank: rank, Kind: KindMarker, Bytes: i})
+			}
+		}(r)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	seen := 0
+	for recording := true; recording; {
+		select {
+		case <-done:
+			recording = false
+		default:
+		}
+		ev := b.Events()
+		if len(ev) < seen {
+			t.Fatalf("Events shrank from %d to %d", seen, len(ev))
+		}
+		seen = len(ev)
+		next := [writers]int{}
+		for i, e := range ev {
+			if i > 0 && compareEvents(&ev[i-1], &ev[i]) > 0 {
+				t.Fatalf("Events out of order at %d: %+v then %+v", i, ev[i-1], e)
+			}
+			if e.Bytes != next[e.Rank] {
+				t.Fatalf("rank %d: event %d where %d was due", e.Rank, e.Bytes, next[e.Rank])
+			}
+			next[e.Rank]++
+		}
+	}
+	if seen != writers*perWriter {
+		t.Fatalf("final Events has %d events, want %d", seen, writers*perWriter)
 	}
 }

@@ -18,8 +18,7 @@ import (
 // finalize-time checks from their death onward, matching the live tool's
 // treatment of mpi.Report.Dead.
 func CheckTrace(events []trace.Event) []Violation {
-	sorted := append([]trace.Event(nil), events...)
-	trace.SortEvents(sorted)
+	sorted := trace.Sorted(events)
 
 	type rankComm struct {
 		rank int

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"reflect"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -383,5 +384,18 @@ func TestCheckTrace(t *testing.T) {
 
 	if vs := CheckTrace(nil); len(vs) != 0 {
 		t.Errorf("empty trace produced violations: %v", vs)
+	}
+
+	// Any order in, same violations out, and the caller's slice untouched.
+	reversed := make([]trace.Event, len(events))
+	for i, e := range events {
+		reversed[len(events)-1-i] = e
+	}
+	orig := append([]trace.Event(nil), reversed...)
+	if got := CheckTrace(reversed); !reflect.DeepEqual(got, vs) {
+		t.Errorf("CheckTrace depends on input order:\n got %v\nwant %v", got, vs)
+	}
+	if !reflect.DeepEqual(reversed, orig) {
+		t.Error("CheckTrace reordered the caller's slice")
 	}
 }

@@ -229,7 +229,7 @@ func labelAtSend(cps []changePoint, t, eps float64) string {
 }
 
 // Analyze runs the engine over a replayable event stream. Events may be in
-// any order (they are normalized with trace.SortEvents); section events are
+// any order (they are normalized with trace.Sorted); section events are
 // required for attribution, message events for wait classification.
 func Analyze(events []trace.Event, opts Options) (*Analysis, error) {
 	if len(events) == 0 {
@@ -241,8 +241,7 @@ func Analyze(events []trace.Event, opts Options) (*Analysis, error) {
 	if opts.CommFrac <= 0 {
 		opts.CommFrac = 0.2
 	}
-	evs := append([]trace.Event(nil), events...)
-	trace.SortEvents(evs)
+	evs := trace.Sorted(events)
 
 	// --- Replay: per-rank timelines, section inclusive totals, collectives.
 	type stackEntry struct {

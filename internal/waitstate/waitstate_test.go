@@ -3,6 +3,7 @@ package waitstate
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -279,6 +280,38 @@ func TestDiagnosisDeterministic(t *testing.T) {
 	}
 	if a1.Render() != a2.Render() {
 		t.Error("two analyses of the same deterministic run differ")
+	}
+}
+
+// TestAnalyzeLeavesInputAlone: Analyze takes events in any order and never
+// reorders the caller's slice — it normalizes a copy, and only when the
+// input is not already canonical.
+func TestAnalyzeLeavesInputAlone(t *testing.T) {
+	sorted := recordedRun(t, 3, 2)
+	// Rank by rank, last rank first: out of order, with each rank's own
+	// recording order (which is the nesting of its sections) kept.
+	var byRank []trace.Event
+	for rank := 2; rank >= 0; rank-- {
+		for _, e := range sorted {
+			if e.Rank == rank {
+				byRank = append(byRank, e)
+			}
+		}
+	}
+	orig := append([]trace.Event(nil), byRank...)
+	want, err := Analyze(sorted, Options{SeqTime: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Analyze(byRank, Options{SeqTime: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Render() != want.Render() {
+		t.Error("analysis depends on the order events are handed over in")
+	}
+	if len(byRank) != len(sorted) || !reflect.DeepEqual(byRank, orig) {
+		t.Error("Analyze reordered the caller's slice")
 	}
 }
 
