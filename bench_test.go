@@ -20,6 +20,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/prof"
+	"repro/internal/trace"
 )
 
 // benchConvOpts is the figure-bench sweep: larger than the test quick
@@ -223,30 +224,28 @@ func BenchmarkRuntimeAllreduce64Ranks(b *testing.B) {
 	}
 }
 
-// BenchmarkSectionOverhead measures the per-event cost of the MPI_Section
-// machinery itself ("minimal section impact", paper §4), without checking
-// and without tools.
+// BenchmarkSectionOverhead measures the cost of one enter/exit pair of the
+// MPI_Section machinery itself ("minimal section impact", paper §4): bare,
+// and with the observers every sweep point and served job runs under, at
+// the sweeps' p=64. ns/op is the time for every rank to do one pair;
+// ns/pair divides that by the rank count.
 func BenchmarkSectionOverhead(b *testing.B) {
-	benchSections(b, false, false)
+	b.Run("tools=none", func(b *testing.B) { benchSections(b, 4, false) })
+	b.Run("tools=prof", func(b *testing.B) { benchSections(b, 64, false, prof.New()) })
+	b.Run("tools=prof+collector", func(b *testing.B) {
+		benchSections(b, 64, false, prof.New(), trace.NewCollector(0))
+	})
 }
 
 // BenchmarkSectionOverheadChecked is the ablation with the collective
 // invariant verification enabled.
 func BenchmarkSectionOverheadChecked(b *testing.B) {
-	benchSections(b, true, false)
+	benchSections(b, 4, true)
 }
 
-// BenchmarkSectionOverheadProfiled adds the full profiler tool.
-func BenchmarkSectionOverheadProfiled(b *testing.B) {
-	benchSections(b, false, true)
-}
-
-func benchSections(b *testing.B, checked, profiled bool) {
-	cfg := mpi.Config{Ranks: 4, Model: machine.Ideal(4, 1), Seed: 1,
-		CheckSections: checked, Timeout: 10 * time.Minute}
-	if profiled {
-		cfg.Tools = []mpi.Tool{prof.New()}
-	}
+func benchSections(b *testing.B, ranks int, checked bool, tools ...mpi.Tool) {
+	cfg := mpi.Config{Ranks: ranks, Model: machine.Ideal(ranks, 1), Seed: 1,
+		CheckSections: checked, Tools: tools, Timeout: 10 * time.Minute}
 	b.ResetTimer()
 	_, err := mpi.Run(cfg, func(c *mpi.Comm) error {
 		for i := 0; i < b.N; i++ {
@@ -258,6 +257,7 @@ func benchSections(b *testing.B, checked, profiled bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ranks), "ns/pair")
 }
 
 func BenchmarkConvolutionStep(b *testing.B) {

@@ -284,7 +284,7 @@ func readTrace(path string) ([]trace.Event, error) {
 		return nil, err
 	}
 	defer f.Close()
-	events, err := trace.ReadCSV(f)
+	events, err := trace.ReadCSV(sized(f))
 	var ce *trace.CorruptError
 	if errors.As(err, &ce) {
 		log.Printf("warning: %s: %v; analyzing the %d events before the damage", path, ce, len(events))
@@ -292,6 +292,30 @@ func readTrace(path string) ([]trace.Event, error) {
 	}
 	return events, err
 }
+
+// sized returns f as a reader that also reports how many bytes it has left
+// when f is a regular file: trace.ReadCSV then reserves its result in one
+// piece instead of growing it by append, which allocates five times the
+// final size on the way. A pipe or a device has no length to report and is
+// read as it is.
+func sized(f *os.File) io.Reader {
+	info, err := f.Stat()
+	if err != nil || !info.Mode().IsRegular() {
+		return f
+	}
+	off, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return f
+	}
+	return sizedFile{f, int(info.Size() - off)}
+}
+
+type sizedFile struct {
+	io.Reader
+	rest int
+}
+
+func (f sizedFile) Len() int { return f.rest }
 
 // analyzeWaitstate replays a recorded trace through the wait-state engine
 // and prints the full diagnosis report.

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -151,5 +153,73 @@ func TestAnalyzePop(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "POP efficiency tree") {
 		t.Errorf("corrupt-tail report missing the tree:\n%s", out.String())
+	}
+}
+
+// TestSizedTraceReader: a regular file reports what it has left, so
+// trace.ReadCSV reserves the result close to right in one piece (the
+// decode the gating benchmark measures from memory); a pipe has no length
+// and still reads to the same events on append's growth.
+func TestSizedTraceReader(t *testing.T) {
+	var events []trace.Event
+	for i := 0; i < 20000; i++ {
+		kind := trace.KindSectionEnter
+		if i%2 == 1 {
+			kind = trace.KindSectionLeave
+		}
+		events = append(events, trace.Event{T: float64(i/2) * 1e-3, Rank: 0, Kind: kind, Label: "HALO"})
+	}
+	var csv bytes.Buffer
+	if err := trace.WriteEventsCSV(&csv, events); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.csv")
+	if err := os.WriteFile(path, csv.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := readTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, events) {
+		t.Fatalf("read %d events back from the file, want the %d written", len(got), len(events))
+	}
+	if over := float64(cap(got)) / float64(len(got)); over > 1.08 {
+		t.Errorf("regular file: reserved %d events for %d (%.0f%% over); the length was not used", cap(got), len(got), 100*(over-1))
+	}
+
+	// A file read from the middle reports the rest, not the size.
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Seek(1000, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	if l, ok := sized(f).(interface{ Len() int }); !ok || l.Len() != csv.Len()-1000 {
+		t.Errorf("sized after a 1000-byte seek: Len = %v (has Len: %v), want %d", l, ok, csv.Len()-1000)
+	}
+
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	go func() {
+		pw.Write(csv.Bytes()) // the reader sees a short stream if this fails
+		pw.Close()
+	}()
+	src := sized(pr)
+	if _, ok := src.(interface{ Len() int }); ok {
+		t.Error("a pipe was given a length")
+	}
+	piped, err := trace.ReadCSV(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(piped, events) {
+		t.Fatalf("read %d events from the pipe, want %d", len(piped), len(events))
 	}
 }

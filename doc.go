@@ -14,6 +14,17 @@
 // payload as attributes) and live Prometheus metrics, served by
 // cmd/secmon's HTTP monitor. See "Attaching your own tool" in README.md.
 //
+// Attaching your own tool, the one rule that decides what it costs: hooks
+// run inline on the rank's goroutine, so whatever a hook waits for, the
+// rank waits for — and a section event must never wait for another rank.
+// Keep state rank-local (indexed by Comm.ID and Comm.Rank, written only by
+// that rank), synchronize per instance, never per tool: one mutex around
+// the hooks serializes every rank of every communicator and was, for the
+// reference profiler, half the host time of a sweep. internal/prof is the
+// pattern — per-rank cursors and cells, one atomic count per section
+// instance, a lock only where an instance begins and ends — and its
+// package comment says which goroutine writes what.
+//
 // Buffer ownership, for tool authors and workloads: message payloads live
 // in a size-classed pool. mpi.Comm.Recv (and the Wait on an Irecv request)
 // transfers ownership of the returned []byte to the caller — pass it to

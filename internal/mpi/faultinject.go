@@ -95,10 +95,7 @@ func (c *Comm) applyLinkFaults(srcWorld, dstWorld, nbytes, vbytes int, transfer 
 // sectionLabel reports the innermost open section on this communicator for
 // the calling rank ("" when none). Failure-path only.
 func (c *Comm) sectionLabel() string {
-	reg := c.shared.sections
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	st := reg.perRank[c.rank].stack
+	st := c.shared.sections.perRank[c.rank].stack
 	if len(st) == 0 {
 		return ""
 	}

@@ -46,10 +46,12 @@ type seqEntry struct {
 // sectionRegistry holds the per-communicator stacks and, when checking is
 // enabled, the canonical event sequence every rank must follow. The paper's
 // reference implementation "simply manipulates a stack of contexts for each
-// communicator"; this is that stack.
+// communicator"; this is that stack. perRank[r] is touched only by rank r's
+// goroutine and needs no lock; mu guards canonical, the one thing ranks
+// share, and is taken only under Config.CheckSections.
 type sectionRegistry struct {
-	mu        sync.Mutex
 	perRank   []rankSections
+	mu        sync.Mutex
 	canonical []seqEntry
 }
 
@@ -68,14 +70,12 @@ func (c *Comm) SectionEnter(label string) {
 		panic(&killPanic{section: label, err: errFailStop})
 	}
 	reg := c.shared.sections
-	reg.mu.Lock()
 	rs := &reg.perRank[c.rank]
 	rs.stack = append(rs.stack, sectionFrame{label: label})
 	frame := &rs.stack[len(rs.stack)-1]
 	if c.rs.world.cfg.CheckSections {
-		c.checkSequenceLocked(reg, rs, seqEntry{enter: true, label: label})
+		c.checkSequence(reg, rs, seqEntry{enter: true, label: label})
 	}
-	reg.mu.Unlock()
 
 	for _, t := range c.rs.world.cfg.Tools {
 		//seclint:allocs-ok tool hooks are //seclint:hotpath roots, proven allocation-free in their own right
@@ -91,7 +91,6 @@ func (c *Comm) SectionEnter(label string) {
 //seclint:hotpath
 func (c *Comm) SectionExit(label string) {
 	reg := c.shared.sections
-	reg.mu.Lock()
 	rs := &reg.perRank[c.rank]
 	var frame *sectionFrame
 	if n := len(rs.stack); n == 0 {
@@ -110,7 +109,7 @@ func (c *Comm) SectionExit(label string) {
 		frame = top
 	}
 	if c.rs.world.cfg.CheckSections {
-		c.checkSequenceLocked(reg, rs, seqEntry{enter: false, label: label})
+		c.checkSequence(reg, rs, seqEntry{enter: false, label: label})
 	}
 	rs.exitData = ToolData{}
 	if frame != nil {
@@ -118,7 +117,6 @@ func (c *Comm) SectionExit(label string) {
 		rs.stack = rs.stack[:len(rs.stack)-1]
 	}
 	data := &rs.exitData
-	reg.mu.Unlock()
 
 	for _, t := range c.rs.world.cfg.Tools {
 		//seclint:allocs-ok tool hooks are //seclint:hotpath roots, proven allocation-free in their own right
@@ -129,20 +127,14 @@ func (c *Comm) SectionExit(label string) {
 // SectionDepth reports how many sections are currently open on this rank
 // for this communicator (including MPI_MAIN on the world communicator).
 func (c *Comm) SectionDepth() int {
-	reg := c.shared.sections
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	return len(reg.perRank[c.rank].stack)
+	return len(c.shared.sections.perRank[c.rank].stack)
 }
 
 // SectionStack returns the labels of the currently open sections, outermost
 // first — the "execution state with more semantics than the call-stack" the
 // paper motivates for debuggers.
 func (c *Comm) SectionStack() []string {
-	reg := c.shared.sections
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	st := reg.perRank[c.rank].stack
+	st := c.shared.sections.perRank[c.rank].stack
 	out := make([]string, len(st))
 	for i := range st {
 		out[i] = st[i].label
@@ -150,14 +142,15 @@ func (c *Comm) SectionStack() []string {
 	return out
 }
 
-// checkSequenceLocked verifies that this rank's event agrees with the
-// canonical sequence (established by whichever rank gets there first).
-// reg.mu must be held.
+// checkSequence verifies that this rank's event agrees with the canonical
+// sequence (established by whichever rank gets there first).
 //
 //seclint:allocs-ok debug-mode section auditing (Config.CheckSections), off by default
-func (c *Comm) checkSequenceLocked(reg *sectionRegistry, rs *rankSections, e seqEntry) {
+func (c *Comm) checkSequence(reg *sectionRegistry, rs *rankSections, e seqEntry) {
 	pos := rs.seqPos
 	rs.seqPos++
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
 	if pos == len(reg.canonical) {
 		reg.canonical = append(reg.canonical, e)
 		return

@@ -1,0 +1,353 @@
+package prof
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/fault"
+	"repro/internal/machine"
+	"repro/internal/mpi"
+	"repro/internal/stats"
+)
+
+// The differential suite: the production Profiler and the mutex+map one in
+// reference_test.go are attached to the same run, so both see the same
+// events at the same virtual times, and their profiles must agree — cells
+// only one rank writes bit for bit, cross-rank Welfords (which the two fold
+// in different orders) in count, extremes and, to rounding, moments.
+
+// runBoth executes fn under both profilers. wantErr is a substring the run's
+// error must carry ("" for a clean run).
+func runBoth(t *testing.T, cfg mpi.Config, wantErr string, fn func(*mpi.Comm) error) (got, ref *Profile, p *Profiler) {
+	t.Helper()
+	p, r := New(), newRefProfiler()
+	cfg.Tools = []mpi.Tool{r, p}
+	if cfg.Model == nil {
+		cfg.Model = machine.Ideal(cfg.Ranks, 1)
+	}
+	cfg.Timeout = time.Minute
+	_, err := mpi.Run(cfg, fn)
+	switch {
+	case wantErr == "" && err != nil:
+		t.Fatal(err)
+	case wantErr != "" && (err == nil || !strings.Contains(err.Error(), wantErr)):
+		t.Fatalf("run error = %v, want one containing %q", err, wantErr)
+	}
+	got, err = p.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref, err = r.Result(); err != nil {
+		t.Fatal(err)
+	}
+	return got, ref, p
+}
+
+func relClose(a, b float64) bool {
+	return a == b || math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
+}
+
+func sameWelford(t *testing.T, what string, got, ref stats.Welford) {
+	t.Helper()
+	if got.N() != ref.N() || got.Min() != ref.Min() || got.Max() != ref.Max() {
+		t.Errorf("%s: n/min/max = %d/%g/%g, reference %d/%g/%g", what, got.N(), got.Min(), got.Max(), ref.N(), ref.Min(), ref.Max())
+	}
+	// The variance is compared on the scale of the samples: two exact
+	// algorithms for a spread that is itself rounding noise may differ
+	// by all of it.
+	scale := math.Max(math.Abs(ref.Min()), math.Abs(ref.Max()))
+	if !relClose(got.Mean(), ref.Mean()) && math.Abs(got.Mean()-ref.Mean()) > 1e-12*scale {
+		t.Errorf("%s: mean %g, reference %g", what, got.Mean(), ref.Mean())
+	}
+	if !relClose(got.Var(), ref.Var()) && math.Abs(got.Var()-ref.Var()) > 1e-12*scale*scale {
+		t.Errorf("%s: variance %g, reference %g", what, got.Var(), ref.Var())
+	}
+}
+
+// sameProfile holds got to ref. parents says whether every rank nests each
+// section under the same parent, which is when the reference's
+// first-come Parent is well defined.
+func sameProfile(t *testing.T, got, ref *Profile, parents bool) {
+	t.Helper()
+	if got.WallTime != ref.WallTime || len(got.RankTimes) != len(ref.RankTimes) {
+		t.Errorf("wall time %g over %d ranks, reference %g over %d", got.WallTime, len(got.RankTimes), ref.WallTime, len(ref.RankTimes))
+	}
+	type key struct {
+		comm  int64
+		label string
+	}
+	refs := map[key]*SectionStats{}
+	for _, s := range ref.Sections {
+		refs[key{s.Comm, s.Label}] = s
+	}
+	if len(got.Sections) != len(ref.Sections) {
+		t.Errorf("%d sections %v, reference has %d %v", len(got.Sections), got.Labels(), len(ref.Sections), ref.Labels())
+	}
+	for i, g := range got.Sections {
+		if i > 0 && got.Sections[i-1].TotalTime() < g.TotalTime() {
+			t.Errorf("sections not sorted by total time at %d", i)
+		}
+		r := refs[key{g.Comm, g.Label}]
+		what := fmt.Sprintf("comm %d %q", g.Comm, g.Label)
+		if r == nil {
+			t.Errorf("%s: not in the reference profile", what)
+			continue
+		}
+		if g.Ranks != r.Ranks || g.Instances != r.Instances {
+			t.Errorf("%s: ranks/instances %d/%d, reference %d/%d", what, g.Ranks, g.Instances, r.Ranks, r.Instances)
+		}
+		if parents && g.Parent != r.Parent {
+			t.Errorf("%s: parent %q, reference %q", what, g.Parent, r.Parent)
+		}
+		for rank := range r.PerRankTotal {
+			if g.PerRankTotal[rank] != r.PerRankTotal[rank] || g.PerRankExcl[rank] != r.PerRankExcl[rank] || g.PerRank[rank] != r.PerRank[rank] {
+				t.Errorf("%s: rank %d cells %g/%g/%+v, reference %g/%g/%+v", what, rank,
+					g.PerRankTotal[rank], g.PerRankExcl[rank], g.PerRank[rank],
+					r.PerRankTotal[rank], r.PerRankExcl[rank], r.PerRank[rank])
+				break
+			}
+		}
+		if !relClose(g.SpanTotal, r.SpanTotal) {
+			t.Errorf("%s: span total %g, reference %g", what, g.SpanTotal, r.SpanTotal)
+		}
+		sameWelford(t, what+" Dur", g.Dur, r.Dur)
+		sameWelford(t, what+" Excl", g.Excl, r.Excl)
+		sameWelford(t, what+" EntryImb", g.EntryImb, r.EntryImb)
+		sameWelford(t, what+" Imb", g.Imb, r.Imb)
+	}
+}
+
+// allocated counts the instance cells the profiler ever made: at the end
+// of a run those not still in flight sit on the free lists.
+func allocated(p *Profiler) int {
+	n := 0
+	for i := range *p.comms.Load() {
+		if cs := (*p.comms.Load())[i].Load(); cs != nil {
+			for _, sec := range cs.sections {
+				n += len(sec.free) + len(sec.overflow)
+				for k := range sec.ring {
+					if sec.ring[k].Load() != nil {
+						n++
+					}
+				}
+			}
+		}
+	}
+	return n
+}
+
+// A section program is a tree: a node is a section around its children, a
+// pause, or both; where says which communicator the section is on.
+type node struct {
+	label    string // "" = no section, just the pause and the children
+	where    int    // 0 world, 1 the halves, 2 the thirds
+	pause    uint64 // salt of the per-rank pause; 0 = none (a zero-length section when childless)
+	repeat   int
+	children []node
+}
+
+// genProgram grows a random program: nesting to depth 5, a third of the
+// leaves zero-length, sections spread over three communicators, some
+// subtrees repeated so that sections have many instances.
+func genProgram(rng *stats.RNG, depth int) []node {
+	var out []node
+	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+		nd := node{repeat: 1 + rng.Intn(3), where: rng.Intn(3)}
+		if rng.Intn(4) > 0 {
+			nd.label = fmt.Sprintf("S%d", rng.Intn(6))
+		}
+		if rng.Intn(3) > 0 {
+			nd.pause = 1 + uint64(rng.Intn(1<<20))
+		}
+		if depth < 5 && rng.Intn(3) > 0 {
+			nd.children = genProgram(rng, depth+1)
+		}
+		out = append(out, nd)
+	}
+	return out
+}
+
+func runProgram(comms [3]*mpi.Comm, prog []node) {
+	for _, nd := range prog {
+		c := comms[nd.where]
+		for i := 0; i < nd.repeat; i++ {
+			if nd.label != "" {
+				c.SectionEnter(nd.label)
+			}
+			if nd.pause != 0 {
+				// Rank-dependent, so that entries and exits are skewed.
+				h := (nd.pause + uint64(comms[0].Rank())*0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
+				comms[0].Sleep(float64(h>>40) * 1e-9)
+			}
+			runProgram(comms, nd.children)
+			if nd.label != "" {
+				c.SectionExit(nd.label)
+			}
+		}
+	}
+}
+
+func TestDifferentialGeneratedPrograms(t *testing.T) {
+	for seed := uint64(1); seed <= 12; seed++ {
+		ranks := []int{1, 2, 6, 9}[seed%4]
+		prog := genProgram(stats.NewRNG(seed), 1)
+		t.Run(fmt.Sprintf("seed%d_p%d", seed, ranks), func(t *testing.T) {
+			got, ref, _ := runBoth(t, mpi.Config{Ranks: ranks, Seed: seed}, "", func(c *mpi.Comm) error {
+				halves, err := c.Split(c.Rank()%2, c.Rank())
+				if err != nil {
+					return err
+				}
+				thirds, err := c.Split(c.Rank()%3, -c.Rank())
+				if err != nil {
+					return err
+				}
+				runProgram([3]*mpi.Comm{c, halves, thirds}, prog)
+				return nil
+			})
+			if len(got.Sections) < 2 {
+				t.Fatalf("program produced only %v", got.Labels())
+			}
+			sameProfile(t, got, ref, true)
+		})
+	}
+}
+
+// One rank completes several windows' worth of instances before any other
+// rank enters the first: everything past the window goes through the
+// overflow table and must be folded all the same.
+func TestDifferentialRankFarAhead(t *testing.T) {
+	const ranks, instances = 4, 3*instWindow + 5
+	got, ref, p := runBoth(t, mpi.Config{Ranks: ranks, Seed: 3}, "", func(c *mpi.Comm) error {
+		if c.Rank() != 0 {
+			// Held back in real time until rank 0 is done.
+			if _, err := c.RecvDiscard(0, 1); err != nil {
+				return err
+			}
+		}
+		for i := 0; i < instances; i++ {
+			c.SectionEnter("STEP")
+			c.Sleep(1e-3 * float64(1+c.Rank()+i%7))
+			c.SectionEnter("INNER")
+			c.SectionExit("INNER")
+			c.SectionExit("STEP")
+		}
+		if c.Rank() == 0 {
+			for dst := 1; dst < ranks; dst++ {
+				if err := c.SendGhost(dst, 1, 8, 8); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	sameProfile(t, got, ref, true)
+	if s := got.Section("STEP"); s == nil || s.Instances != instances {
+		t.Fatalf("STEP = %+v, want %d instances", s, instances)
+	}
+	// STEP and INNER each had every instance in flight at once: more
+	// than the three rings of the communicator hold.
+	if n := allocated(p); n <= 3*instWindow {
+		t.Errorf("%d instances materialized; the run-ahead did not exceed the rings' %d and exercise the fallback", n, 3*instWindow)
+	}
+}
+
+// A misnested leave is dropped by both; the frame it failed to close stays
+// open on that rank, so that instance and those of the sections around it
+// never complete. Its ring position is then held for good, and the later
+// instances that map to it live and die in the overflow table.
+func TestDifferentialMisnestedLeave(t *testing.T) {
+	const steps = 2*instWindow + 5
+	got, ref, p := runBoth(t, mpi.Config{Ranks: 3, Seed: 4}, "innermost", func(c *mpi.Comm) error {
+		sub, err := c.Split(0, c.Rank())
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			sub.SectionExit("never-entered") // nothing open on sub
+		}
+		for i := 0; i < steps; i++ {
+			c.SectionEnter("a")
+			c.Sleep(1e-3)
+			if c.Rank() == 1 && i == 2 {
+				c.SectionExit("zzz")
+			} else {
+				c.SectionExit("a")
+			}
+			c.SectionEnter("b")
+			c.Sleep(2e-3 * float64(c.Rank()))
+			c.SectionExit("b")
+		}
+		return nil
+	})
+	sameProfile(t, got, ref, false)
+	if a, b := got.Section("a"), got.Section("b"); a == nil || b == nil || a.Instances != steps-1 || b.Instances != steps {
+		t.Errorf("a = %+v, b = %+v; want %d and %d instances", a, b, steps-1, steps)
+	}
+	if got.Section("zzz") != nil || got.Section("never-entered") != nil || got.Section(mpi.MainSection).Instances != 0 {
+		t.Error("a bogus exit created a section, or MPI_MAIN completed despite rank 1's open frame")
+	}
+	// Instance 2 of "a" still holds its position, so the two later ones
+	// that map there can only have completed in the overflow table.
+	a := (*(*p.comms.Load())[0].Load().labels.Load())["a"]
+	if in := a.ring[2].Load(); in == nil || in.index.Load() != 2 || len(a.overflow) != 0 {
+		t.Errorf("ring position 2 of %q = %+v with %d in overflow; want instance 2 held and the overflow drained", "a", in, len(a.overflow))
+	}
+}
+
+// A rank killed on a section entry leaves that instance and every later one
+// incomplete; what the survivors did is still reported, per rank.
+func TestDifferentialKilledRank(t *testing.T) {
+	plan := &fault.Plan{Seed: 1, Rules: []fault.Rule{{Kind: fault.Kill, Rank: 2, Section: "DIE"}}}
+	got, ref, _ := runBoth(t, mpi.Config{Ranks: 4, Seed: 5, Fault: plan}, "rank 2", func(c *mpi.Comm) error {
+		for i := 0; i < 6; i++ {
+			c.SectionEnter("STEP")
+			c.Sleep(1e-3 * float64(1+c.Rank()))
+			if i == 3 {
+				c.SectionEnter("DIE")
+				c.SectionExit("DIE")
+			}
+			c.SectionExit("STEP")
+		}
+		return nil
+	})
+	sameProfile(t, got, ref, true)
+	step := got.Section("STEP")
+	if step == nil || step.Instances != 3 || step.PerRank[2].N() != 3 || step.PerRank[0].N() != 6 {
+		t.Errorf("STEP = %+v; want 3 complete instances, 3 on the killed rank, 6 on a survivor", step)
+	}
+}
+
+// TestConcurrentHooks drives 64 ranks through sections on three
+// communicators at once with no communication to pace them; run under
+// -race it is the data-race coverage of the rank-local hot path, and the
+// reference attached to the same run checks what comes out.
+func TestConcurrentHooks(t *testing.T) {
+	const ranks, steps = 64, 150
+	got, ref, _ := runBoth(t, mpi.Config{Ranks: ranks, Seed: 6}, "", func(c *mpi.Comm) error {
+		rows, err := c.Split(c.Rank()/8, c.Rank())
+		if err != nil {
+			return err
+		}
+		cols, err := c.Split(c.Rank()%8, c.Rank())
+		if err != nil {
+			return err
+		}
+		for i := 0; i < steps; i++ {
+			c.SectionEnter("STEP")
+			rows.SectionEnter("ROW")
+			c.Sleep(1e-6 * float64(1+(c.Rank()+i)%5))
+			cols.SectionEnter("COL")
+			cols.SectionExit("COL")
+			rows.SectionExit("ROW")
+			c.SectionExit("STEP")
+		}
+		return nil
+	})
+	sameProfile(t, got, ref, true)
+	if s := got.Section("STEP"); s == nil || s.Instances != steps {
+		t.Errorf("STEP = %+v, want %d instances", s, steps)
+	}
+}

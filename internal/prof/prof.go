@@ -6,16 +6,62 @@
 // imb = (Tmax − Tmin) − Tsection — aggregated over every instance of every
 // section, plus inclusive/exclusive per-rank time totals for speedup and
 // load-balance analysis.
+//
+// # Who writes what
+//
+// MPI_Section enter and exit never synchronize ranks, and neither does the
+// Profiler: hooks run inline on the calling rank's goroutine and an event
+// touches only state that rank owns.
+//
+//   - Per (communicator, rank) there is a cursor — the stack of open
+//     frames, the rank's instance counter and exclusive-time accumulator
+//     per section — created by that rank on its first event and read by
+//     nobody else until Finalize.
+//   - SectionStats.PerRankTotal[r], PerRankExcl[r] and PerRank[r] are
+//     written only by rank r.
+//   - The one thing an enter looks up is the label, in a per-communicator
+//     map that is replaced, never written, when a new label appears; a
+//     leave looks nothing up, its frame carries the section.
+//   - An instance (the i-th time a section is entered, counted per rank)
+//     has a cell per participant for its entry and exit time. A rank writes
+//     its own two cells and then counts itself out atomically; the rank
+//     that brings the count to the number of participants folds the
+//     instance and puts the cells back for reuse. Instances in flight are
+//     found in a ring indexed by instance number. The section's lock is
+//     taken by the first rank to enter an instance, which fills the ring
+//     position, and by the last to leave it — per instance, not per event —
+//     and by a rank that runs a whole ring ahead of the slowest: it parks
+//     its instances in an overflow table, so none is ever dropped.
+//
+// Communicators, sections and cursors are registered under a lock on first
+// sight; nothing on the steady path allocates.
+//
+// # Fold order
+//
+// A profile is a function of the run, not of goroutine scheduling. One
+// instance folds its cells in rank order. Instances of a section fold in
+// the order they complete, which for a program whose ranks all enter the
+// same sequence of sections (the MPI_Section contract) is the order every
+// rank leaves them in. Dur and Excl are not folded event by event at all:
+// Finalize merges the per-rank accumulators in rank order. Parent is the
+// enclosing section of the first instance completed by the lowest rank
+// that completed any.
+//
+// # Complete, on a session
+//
+// An instance is complete when every participant has left it. The
+// participants of a communicator are its members — except on the world
+// communicator of an mpi.Config.Active session, which spans every declared
+// rank while only the active ones run: there the count is
+// RuntimeStats.ActiveRanks as seen at Init, and cells are indexed by a
+// dense slot handed out on a rank's first event rather than by rank, so a
+// 10,000-rank world with 64 active ranks keeps 64 cells per instance in
+// flight. An instance a killed or misnesting rank never leaves stays
+// incomplete and is not counted in Instances or the imbalance metrics; the
+// per-rank cells still hold what each rank did.
 package prof
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-
-	"repro/internal/mpi"
-	"repro/internal/stats"
-)
+import "repro/internal/stats"
 
 // SectionStats aggregates every instance of one (communicator, label)
 // section.
@@ -127,192 +173,3 @@ func (p *Profile) Shares() map[string]float64 {
 	}
 	return out
 }
-
-// --- the tool ---------------------------------------------------------------
-
-type secKey struct {
-	comm  int64
-	label string
-}
-
-type instKey struct {
-	comm  int64
-	label string
-	index int
-}
-
-type rankKey struct {
-	comm int64
-	rank int
-}
-
-// openFrame is a live section on one rank.
-type openFrame struct {
-	label     string
-	parent    string
-	enterT    float64
-	childTime float64
-	index     int
-}
-
-// instAcc gathers one instance's per-rank entries and exits until every
-// rank of the communicator has contributed, then folds into the aggregate.
-type instAcc struct {
-	enters []float64
-	ranks  []int
-	leaves []float64
-	lrank  []int
-}
-
-// Profiler is the mpi.Tool. Attach via mpi.Config.Tools, run, then call
-// Result.
-type Profiler struct {
-	mpi.BaseTool
-	mu       sync.Mutex
-	sections map[secKey]*SectionStats
-	stacks   map[rankKey][]openFrame
-	nextIdx  map[rankKey]map[string]int
-	inst     map[instKey]*instAcc
-	profile  *Profile
-	finished bool
-}
-
-// New returns an empty Profiler.
-func New() *Profiler {
-	return &Profiler{
-		sections: map[secKey]*SectionStats{},
-		stacks:   map[rankKey][]openFrame{},
-		nextIdx:  map[rankKey]map[string]int{},
-		inst:     map[instKey]*instAcc{},
-	}
-}
-
-// Init implements mpi.Tool.
-func (p *Profiler) Init(*mpi.WorldInfo) {}
-
-// SectionEnter implements mpi.Tool.
-func (p *Profiler) SectionEnter(c *mpi.Comm, label string, t float64, _ *mpi.ToolData) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	rk := rankKey{comm: c.ID(), rank: c.Rank()}
-	idxs := p.nextIdx[rk]
-	if idxs == nil {
-		idxs = map[string]int{}
-		p.nextIdx[rk] = idxs
-	}
-	idx := idxs[label]
-	idxs[label] = idx + 1
-	parent := ""
-	if st := p.stacks[rk]; len(st) > 0 {
-		parent = st[len(st)-1].label
-	}
-	p.stacks[rk] = append(p.stacks[rk], openFrame{label: label, parent: parent, enterT: t, index: idx})
-
-	ik := instKey{comm: c.ID(), label: label, index: idx}
-	acc := p.inst[ik]
-	if acc == nil {
-		acc = &instAcc{}
-		p.inst[ik] = acc
-	}
-	acc.enters = append(acc.enters, t)
-	acc.ranks = append(acc.ranks, c.Rank())
-}
-
-// SectionLeave implements mpi.Tool.
-func (p *Profiler) SectionLeave(c *mpi.Comm, label string, t float64, _ *mpi.ToolData) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	rk := rankKey{comm: c.ID(), rank: c.Rank()}
-	st := p.stacks[rk]
-	if len(st) == 0 || st[len(st)-1].label != label {
-		// Misnested usage: the runtime reports it; the profiler just
-		// drops the sample rather than corrupting its state.
-		return
-	}
-	frame := st[len(st)-1]
-	p.stacks[rk] = st[:len(st)-1]
-	dur := t - frame.enterT
-	excl := dur - frame.childTime
-	if n := len(p.stacks[rk]); n > 0 {
-		p.stacks[rk][n-1].childTime += dur
-	}
-
-	sk := secKey{comm: c.ID(), label: label}
-	s := p.sections[sk]
-	if s == nil {
-		s = &SectionStats{
-			Comm:         c.ID(),
-			Label:        label,
-			Ranks:        c.Size(),
-			PerRankTotal: make([]float64, c.Size()),
-			PerRankExcl:  make([]float64, c.Size()),
-			PerRank:      make([]stats.Welford, c.Size()),
-			Parent:       frame.parent,
-		}
-		p.sections[sk] = s
-	}
-	s.Dur.Add(dur)
-	s.Excl.Add(excl)
-	s.PerRankTotal[c.Rank()] += dur
-	s.PerRankExcl[c.Rank()] += excl
-	s.PerRank[c.Rank()].Add(dur)
-
-	ik := instKey{comm: c.ID(), label: label, index: frame.index}
-	acc := p.inst[ik]
-	if acc == nil {
-		return
-	}
-	acc.leaves = append(acc.leaves, t)
-	acc.lrank = append(acc.lrank, c.Rank())
-	if len(acc.leaves) == c.Size() {
-		p.foldInstance(s, acc)
-		delete(p.inst, ik)
-	}
-}
-
-// foldInstance computes the Fig. 3 metrics for one completed instance.
-func (p *Profiler) foldInstance(s *SectionStats, acc *instAcc) {
-	tmin, _ := stats.Min(acc.enters)
-	tmax, _ := stats.Max(acc.leaves)
-	s.SpanTotal += tmax - tmin
-	s.Instances++
-	for _, tin := range acc.enters {
-		s.EntryImb.Add(tin - tmin)
-	}
-	for _, tout := range acc.leaves {
-		tsection := tout - tmin
-		s.Imb.Add((tmax - tmin) - tsection)
-	}
-}
-
-// Finalize implements mpi.Tool: it freezes the profile.
-func (p *Profiler) Finalize(r *mpi.Report) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	prof := &Profile{WallTime: r.WallTime}
-	prof.RankTimes = append(prof.RankTimes, r.RankTimes...)
-	for _, s := range p.sections {
-		prof.Sections = append(prof.Sections, s)
-	}
-	sort.Slice(prof.Sections, func(i, j int) bool {
-		ti, tj := prof.Sections[i].TotalTime(), prof.Sections[j].TotalTime()
-		if ti != tj {
-			return ti > tj
-		}
-		return prof.Sections[i].Label < prof.Sections[j].Label
-	})
-	p.profile = prof
-	p.finished = true
-}
-
-// Result returns the profile; it errs when the run has not finished.
-func (p *Profiler) Result() (*Profile, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.finished {
-		return nil, fmt.Errorf("prof: run not finalized")
-	}
-	return p.profile, nil
-}
-
-var _ mpi.Tool = (*Profiler)(nil)

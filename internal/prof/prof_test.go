@@ -3,10 +3,12 @@ package prof
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/convolution"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 )
@@ -384,5 +386,144 @@ func TestPcontrolDanglingPhaseIgnored(t *testing.T) {
 	}
 	if pc.PhaseTotal(5) != 0 {
 		t.Error("unclosed phase recorded time")
+	}
+}
+
+// renderAll is every byte a Profile can print.
+func renderAll(t *testing.T, prof *Profile) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := prof.WriteCSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if err := prof.WritePerRankCSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	sb.WriteString(prof.WorldTree())
+	return sb.String()
+}
+
+// TestProfileDeterministic: a profile is a function of the run's
+// configuration, not of the order in which rank goroutines reached the
+// profiler. The same 64-rank convolution, on a noisy machine model so that
+// every rank's times differ, must print the same bytes every time and at
+// any GOMAXPROCS.
+func TestProfileDeterministic(t *testing.T) {
+	render := func() string {
+		p := New()
+		cfg := mpi.Config{Ranks: 64, Model: machine.NehalemCluster(), Seed: 11,
+			Tools: []mpi.Tool{p}, Timeout: time.Minute}
+		params := convolution.Params{Width: 1024, Height: 768, Steps: 12, Scale: 4, Seed: 3, SkipKernel: true}
+		if _, err := convolution.Run(cfg, params); err != nil {
+			t.Fatal(err)
+		}
+		prof, err := p.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return renderAll(t, prof)
+	}
+	want := render()
+	if !strings.Contains(want, "HALO") {
+		t.Fatalf("no HALO section in:\n%s", want)
+	}
+	for i := 1; i < 8; i++ {
+		if got := render(); got != want {
+			t.Fatalf("run %d printed a different profile:\n%s\nfirst run:\n%s", i, got, want)
+		}
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		got := render()
+		runtime.GOMAXPROCS(prev)
+		if got != want {
+			t.Fatalf("GOMAXPROCS=%d printed a different profile:\n%s\nwant:\n%s", procs, got, want)
+		}
+	}
+}
+
+// TestActiveSessionInstancesComplete is the profiler's side of the mpi
+// package's TestActiveSessionMaterializesOnlyActiveRanks: on a session the
+// world communicator spans every declared rank, but an instance is
+// complete when every ACTIVE rank has left it, and its cells are sized by
+// that count — not 160 KB per in-flight instance because 10,000 ranks were
+// declared. The same program on a world of just the active ranks must
+// yield the same Fig. 3 aggregates bit for bit, which also holds the
+// rank-order fold over arrival-order slots.
+func TestActiveSessionInstancesComplete(t *testing.T) {
+	const declared, stride, steps = 10000, 157, 40
+	active := (declared + stride - 1) / stride // ranks 0, 157, 314, ...
+	program := func(c *mpi.Comm, id int) error {
+		for i := 0; i < steps; i++ {
+			c.SectionEnter("STEP")
+			c.Sleep(1e-4 * float64(1+(id*7+i)%13))
+			c.SectionEnter("INNER")
+			c.Sleep(1e-5 * float64(id%5))
+			c.SectionExit("INNER")
+			c.SectionExit("STEP")
+		}
+		return nil
+	}
+	run := func(cfg mpi.Config, fn func(*mpi.Comm) error) (*Profile, *Profiler) {
+		p := New()
+		cfg.Model, cfg.Seed, cfg.Tools, cfg.Timeout = machine.Ideal(active, 1), 1, []mpi.Tool{p}, time.Minute
+		if _, err := mpi.Run(cfg, fn); err != nil {
+			t.Fatal(err)
+		}
+		prof, err := p.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prof, p
+	}
+	sparse, p := run(mpi.Config{Ranks: declared, Active: func(r int) bool { return r%stride == 0 }},
+		func(c *mpi.Comm) error { return program(c, c.Rank()/stride) })
+	dense, _ := run(mpi.Config{Ranks: active},
+		func(c *mpi.Comm) error { return program(c, c.Rank()) })
+
+	for _, label := range []string{"STEP", "INNER", mpi.MainSection} {
+		s, d := sparse.Section(label), dense.Section(label)
+		if s == nil || d == nil {
+			t.Fatalf("%s missing: sparse %v, dense %v", label, sparse.Labels(), dense.Labels())
+		}
+		if s.Instances != d.Instances || s.Instances == 0 {
+			t.Errorf("%s: %d instances on the session, %d on the dense world", label, s.Instances, d.Instances)
+		}
+		if s.EntryImb != d.EntryImb || s.Imb != d.Imb || s.SpanTotal != d.SpanTotal || s.Dur != d.Dur || s.Excl != d.Excl {
+			t.Errorf("%s: session aggregates %+v differ from the dense world's %+v", label, s, d)
+		}
+		if s.Ranks != declared || len(s.PerRankTotal) != declared {
+			t.Errorf("%s: Ranks = %d with %d per-rank cells, want the declared %d", label, s.Ranks, len(s.PerRankTotal), declared)
+		}
+		for r := 0; r < active; r++ {
+			if s.PerRankTotal[r*stride] != d.PerRankTotal[r] || s.PerRank[r*stride] != d.PerRank[r] {
+				t.Errorf("%s: rank %d's cells differ from dense rank %d's", label, r*stride, r)
+				break
+			}
+		}
+	}
+	if got := sparse.Section("STEP").EntryImb.N(); got != steps*active {
+		t.Errorf("STEP entry imbalance has %d samples, want %d", got, steps*active)
+	}
+
+	// Nothing is left in flight, and what was is sized by the session.
+	cs := (*p.comms.Load())[0].Load()
+	if cs.participants != active {
+		t.Fatalf("world communicator has %d participants, want %d", cs.participants, active)
+	}
+	for _, sec := range cs.sections {
+		if len(sec.overflow) != 0 {
+			t.Errorf("%s: %d instances left in the overflow table", sec.stats.Label, len(sec.overflow))
+		}
+		for k := range sec.ring {
+			if sec.ring[k].Load() != nil {
+				t.Errorf("%s: ring position %d still holds an instance", sec.stats.Label, k)
+			}
+		}
+		for _, in := range sec.free {
+			if len(in.enters) != active || len(in.leaves) != active {
+				t.Fatalf("%s: instance cells sized %d/%d, want %d", sec.stats.Label, len(in.enters), len(in.leaves), active)
+			}
+		}
 	}
 }

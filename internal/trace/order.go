@@ -10,16 +10,18 @@ import (
 // Events returns the events in canonical order (see the package comment),
 // as a copy safe to retain.
 func (b *Buffer) Events() []Event {
-	// Add only ever appends, so the entries below today's length never
+	// Add only ever appends, so the entries below today's count never
 	// change again and can be read after the lock is gone.
 	b.mu.Lock()
-	rec := b.events[:len(b.events):len(b.events)]
+	rec := source{chunks: b.chunks[:len(b.chunks):len(b.chunks)], n: b.n}
 	b.mu.Unlock()
-	if !isSorted(rec) {
+	if !rec.isSorted() {
 		return merged(rec)
 	}
-	out := make([]Event, len(rec))
-	copy(out, rec)
+	out := make([]Event, 0, rec.n)
+	for k := range rec.chunks {
+		out = append(out, rec.part(k)...)
+	}
 	return out
 }
 
@@ -31,7 +33,7 @@ func (b *Buffer) Events() []Event {
 // in that order are left alone at the cost of one pass and no allocation.
 func SortEvents(events []Event) {
 	if !isSorted(events) {
-		copy(events, merged(events))
+		copy(events, merged(sliceSource(events)))
 	}
 }
 
@@ -43,7 +45,55 @@ func Sorted(events []Event) []Event {
 	if isSorted(events) {
 		return events
 	}
-	return merged(events)
+	return merged(sliceSource(events))
+}
+
+// source is a recording to put in order, read where it lies: a plain slice,
+// or the n events in a Buffer's chunks, event i at chunks[i/chunkLen][i%chunkLen].
+type source struct {
+	flat   []Event
+	chunks []*[chunkLen]Event
+	n      int
+}
+
+func sliceSource(events []Event) source { return source{flat: events, n: len(events)} }
+
+func (s *source) at(i int32) *Event {
+	if s.chunks == nil {
+		return &s.flat[i]
+	}
+	return &s.chunks[i>>chunkBits][i&(chunkLen-1)]
+}
+
+// parts is how many pieces part cuts the source into.
+func (s *source) parts() int {
+	if s.chunks == nil {
+		return 1
+	}
+	return len(s.chunks)
+}
+
+// part returns piece k of the source; event j of it is event k*chunkLen+j.
+func (s *source) part(k int) []Event {
+	if s.chunks == nil {
+		return s.flat
+	}
+	return s.chunks[k][:min(chunkLen, s.n-k*chunkLen)]
+}
+
+func (s *source) isSorted() bool {
+	var last *Event
+	for k := 0; k < s.parts(); k++ {
+		c := s.part(k)
+		if len(c) == 0 {
+			break
+		}
+		if last != nil && compareEvents(last, &c[0]) > 0 || !isSorted(c) {
+			return false
+		}
+		last = &c[len(c)-1]
+	}
+	return true
 }
 
 // compareEvents is the canonical order as a three-way comparison. A NaN
@@ -137,7 +187,7 @@ func siftDown(h []cursor, i int) {
 }
 
 // merged returns src in canonical order in a new slice, moving each event
-// once. It buckets the indices by rank (one run per rank, in recording
+// once, straight from where the source keeps it. It buckets the indices by rank (one run per rank, in recording
 // order), stable-sorts a run only if it is not already in order — a rank
 // records its own events in time order, so normally none is — and merges
 // the runs through a heap of per-rank cursors. Across ranks the order is
@@ -145,15 +195,18 @@ func siftDown(h []cursor, i int) {
 // Scratch is one int32 per event plus one per rank. Ranks spread over a
 // range wider than the event count share a single run, which makes this a
 // stable sort of the index.
-func merged(src []Event) []Event {
-	n := len(src)
+func merged(src source) []Event {
+	n := src.n
 	if n > math.MaxInt32 {
 		panic("trace: more than 2^31 events")
 	}
 	dst := make([]Event, n)
-	lo, hi := src[0].Rank, src[0].Rank
-	for i := range src {
-		lo, hi = min(lo, src[i].Rank), max(hi, src[i].Rank)
+	lo, hi := src.at(0).Rank, src.at(0).Rank
+	for k := 0; k < src.parts(); k++ {
+		c := src.part(k)
+		for j := range c {
+			lo, hi = min(lo, c[j].Rank), max(hi, c[j].Rank)
+		}
 	}
 	// mask folds every rank into bucket 0 when the range is too wide to
 	// give each its own.
@@ -163,8 +216,11 @@ func merged(src []Event) []Event {
 	}
 	scratch := make([]int32, buckets+n)
 	end, idx := scratch[:buckets], scratch[buckets:]
-	for i := range src {
-		end[(src[i].Rank-lo)&mask]++
+	for k := 0; k < src.parts(); k++ {
+		c := src.part(k)
+		for j := range c {
+			end[(c[j].Rank-lo)&mask]++
+		}
 	}
 	runs, sum := 0, int32(0)
 	for r, c := range end {
@@ -173,10 +229,13 @@ func merged(src []Event) []Event {
 		}
 		end[r], sum = sum, sum+c
 	}
-	for i := range src {
-		r := (src[i].Rank - lo) & mask
-		idx[end[r]] = int32(i)
-		end[r]++
+	for k := 0; k < src.parts(); k++ {
+		c := src.part(k)
+		for j := range c {
+			r := (c[j].Rank - lo) & mask
+			idx[end[r]] = int32(k*chunkLen + j)
+			end[r]++
+		}
 	}
 
 	heap := make([]cursor, 0, runs)
@@ -187,14 +246,14 @@ func merged(src []Event) []Event {
 		}
 		run := idx[begin:e]
 		for j := 1; j < len(run); j++ {
-			if compareEvents(&src[run[j-1]], &src[run[j]]) > 0 {
+			if compareEvents(src.at(run[j-1]), src.at(run[j])) > 0 {
 				slices.SortStableFunc(run, func(a, b int32) int {
-					return compareEvents(&src[a], &src[b])
+					return compareEvents(src.at(a), src.at(b))
 				})
 				break
 			}
 		}
-		heap = append(heap, cursor{t: src[run[0]].T, rank: int32(r), pos: begin, end: e})
+		heap = append(heap, cursor{t: src.at(run[0]).T, rank: int32(r), pos: begin, end: e})
 		begin = e
 	}
 	for i := len(heap)/2 - 1; i >= 0; i-- {
@@ -202,9 +261,9 @@ func merged(src []Event) []Event {
 	}
 	for out := range dst {
 		c := &heap[0]
-		dst[out] = src[idx[c.pos]]
+		dst[out] = *src.at(idx[c.pos])
 		if c.pos++; c.pos < c.end {
-			c.t = src[idx[c.pos]].T
+			c.t = src.at(idx[c.pos]).T
 		} else {
 			heap[0] = heap[len(heap)-1]
 			heap = heap[:len(heap)-1]

@@ -20,7 +20,9 @@
 // A Buffer records ranks in whatever interleaving the scheduler produced,
 // but each rank's own events arrive in time order. Ordering therefore
 // splits the recording into per-rank runs, stable-sorts only a run that is
-// out of order, and merges the runs straight into the result. Input that is
+// out of order, and merges the runs straight into the result — reading a
+// Buffer's events from the fixed-size chunks it recorded them in, which
+// are allocated once each and never copied or gathered. Input that is
 // already canonical — a replayed CSV, the result of Events — is recognized
 // in one pass and neither copied nor allocated for.
 //
@@ -146,10 +148,23 @@ type Event struct {
 	ArrT  float64 `json:"arrt,omitempty"`
 }
 
+// chunkLen is how many events one chunk of a Buffer holds: 26 KB, under
+// the allocator's large-object threshold.
+const (
+	chunkBits = 8
+	chunkLen  = 1 << chunkBits
+)
+
 // Buffer accumulates events from concurrent ranks. The zero value is ready.
+//
+// Events are kept in chunks of chunkLen, each allocated once and never
+// moved: recording a long trace copies no event twice and holds no
+// half-empty doubled slice, and a reader that noted the count under the
+// lock may read everything below it afterwards.
 type Buffer struct {
 	mu     sync.Mutex
-	events []Event
+	chunks []*[chunkLen]Event // all but the last full
+	n      int
 	limit  int // 0 = unbounded
 	drops  int
 }
@@ -162,21 +177,29 @@ func NewBuffer(limit int) *Buffer {
 }
 
 // Add appends one event.
+//
+//seclint:hotpath
 func (b *Buffer) Add(e Event) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.limit > 0 && len(b.events) >= b.limit {
+	if b.limit > 0 && b.n >= b.limit {
 		b.drops++
 		return
 	}
-	b.events = append(b.events, e)
+	i := b.n & (chunkLen - 1)
+	if i == 0 {
+		//seclint:allocs-ok one chunk per chunkLen events
+		b.chunks = append(b.chunks, new([chunkLen]Event))
+	}
+	b.chunks[b.n>>chunkBits][i] = e
+	b.n++
 }
 
 // Len reports the number of stored events.
 func (b *Buffer) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.events)
+	return b.n
 }
 
 // Dropped reports how many events were discarded due to the limit.
@@ -191,7 +214,7 @@ func (b *Buffer) Dropped() int {
 // "" when nothing was lost. Report renderers print it verbatim.
 func (b *Buffer) Warning() string {
 	b.mu.Lock()
-	drops, limit, kept := b.drops, b.limit, len(b.events)
+	drops, limit, kept := b.drops, b.limit, b.n
 	b.mu.Unlock()
 	if drops == 0 {
 		return ""

@@ -496,3 +496,43 @@ func TestEventsWhileRecording(t *testing.T) {
 		t.Fatalf("final Events has %d events, want %d", seen, writers*perWriter)
 	}
 }
+
+// TestBufferChunkBoundaries: the buffer stores events in chunks; counts at,
+// just under and just over a chunk boundary must read back whole, an
+// inversion whose two events sit in different chunks must still be seen
+// and sorted out, and the limit must hold where it coincides with a chunk.
+func TestBufferChunkBoundaries(t *testing.T) {
+	for _, n := range []int{1, chunkLen - 1, chunkLen, chunkLen + 1, 2 * chunkLen, 3*chunkLen + 7} {
+		in := make([]Event, n)
+		for i := range in {
+			in[i] = Event{T: float64(i), Rank: i % 3, Kind: KindMarker, Bytes: i}
+		}
+		b := NewBuffer(0)
+		for _, e := range in {
+			b.Add(e)
+		}
+		if got := b.Events(); b.Len() != n || !reflect.DeepEqual(got, in) {
+			t.Fatalf("n=%d: an ordered buffer read back %d events (Len %d), not what was added", n, len(got), b.Len())
+		}
+		if n <= chunkLen {
+			continue
+		}
+		in[chunkLen-1], in[chunkLen] = in[chunkLen], in[chunkLen-1]
+		b = NewBuffer(0)
+		for _, e := range in {
+			b.Add(e)
+		}
+		want := append([]Event(nil), in...)
+		refSortEvents(want)
+		if got := b.Events(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: an inversion across the first chunk boundary was not sorted out", n)
+		}
+	}
+	b := NewBuffer(chunkLen)
+	for i := 0; i < chunkLen+5; i++ {
+		b.Add(Event{T: float64(i)})
+	}
+	if b.Len() != chunkLen || b.Dropped() != 5 || len(b.Events()) != chunkLen {
+		t.Errorf("limit %d: kept %d, dropped %d, Events %d", chunkLen, b.Len(), b.Dropped(), len(b.Events()))
+	}
+}
