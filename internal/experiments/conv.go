@@ -218,7 +218,7 @@ func RunConvolution(o ConvOptions) (*ConvResult, error) {
 			}
 		}
 		if collector != nil {
-			out.diag = diagnoseEvents(collector.Buffer().Events(), seq)
+			out.diag = diagnose(collector, seq)
 		}
 		if tele != nil {
 			out.profile = tele.Snapshot()

@@ -154,7 +154,7 @@ func RunDecompComparison(o DecompOptions) (*DecompResult, error) {
 			wall: profile.WallTime,
 		}
 		if collector != nil {
-			out.diag = diagnoseEvents(collector.Buffer().Events(), 0)
+			out.diag = diagnose(collector, 0)
 		}
 		out.verify = verifierViolations(ver)
 		return out, nil

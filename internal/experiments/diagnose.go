@@ -56,15 +56,15 @@ func newDiagCollector() *trace.Collector {
 	return c
 }
 
-// diagnoseEvents runs the wait-state engine over one recorded run and
-// extracts the binding section's record. It returns nil when the trace is
-// empty or carries no named sections — sweeps degrade to blank diagnosis
+// diagnose runs the wait-state engine over one recorded run, where the
+// collector's buffer keeps it, extracts the binding section's record and
+// releases the buffer's chunks to the next point's collector — the run is
+// over and nothing else reads the recording. It returns nil when the trace
+// is empty or carries no named sections — sweeps degrade to blank diagnosis
 // columns instead of failing.
-func diagnoseEvents(events []trace.Event, seq float64) *PointDiagnosis {
-	if len(events) == 0 {
-		return nil
-	}
-	a, err := waitstate.Analyze(events, waitstate.Options{SeqTime: seq})
+func diagnose(collector *trace.Collector, seq float64) *PointDiagnosis {
+	defer collector.Buffer().Release()
+	a, err := waitstate.AnalyzeOrder(collector.Buffer().Order(), waitstate.Options{SeqTime: seq})
 	if err != nil {
 		return nil
 	}

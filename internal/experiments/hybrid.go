@@ -222,7 +222,7 @@ func RunHybrid(o HybridOptions) (*HybridResult, error) {
 			pt.ElementsAvg = sec.AvgPerProcess()
 		}
 		if collector != nil {
-			pt.Diag = diagnoseEvents(collector.Buffer().Events(), 0)
+			pt.Diag = diagnose(collector, 0)
 		}
 		if tele != nil {
 			pt.Profile = tele.Snapshot()

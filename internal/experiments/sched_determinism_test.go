@@ -11,11 +11,10 @@ import (
 // RNGs, and the drivers fold points back in option order, so the CSV
 // emitted at Jobs=1 and Jobs=8 must be byte-identical.
 
-// convCSV runs the quick Fig. 5 sweep with the given worker count and
-// returns the raw CSV bytes.
-func convCSV(t *testing.T, jobs int) []byte {
+// convCSV runs a Fig. 5 sweep with the given worker count and returns the
+// raw CSV bytes.
+func convCSV(t *testing.T, o ConvOptions, jobs int) []byte {
 	t.Helper()
-	o := QuickConvOptions()
 	o.Jobs = jobs
 	res, err := RunConvolution(o)
 	if err != nil {
@@ -29,10 +28,31 @@ func convCSV(t *testing.T, jobs int) []byte {
 }
 
 func TestConvolutionSweepDeterministicAcrossWorkers(t *testing.T) {
-	seq := convCSV(t, 1)
-	par := convCSV(t, 8)
+	seq := convCSV(t, QuickConvOptions(), 1)
+	par := convCSV(t, QuickConvOptions(), 8)
 	if !bytes.Equal(seq, par) {
 		t.Fatalf("Fig 5 sweep CSV differs between -j 1 and -j 8:\n-j 1:\n%s\n-j 8:\n%s", seq, par)
+	}
+}
+
+// The quick sweep stops at p=16, where a wait-state sum has too few terms
+// for its order to show. With Diagnose on and enough ranks, the diag_*
+// columns are sums of hundreds of waits: they must come out the same from
+// one run to the next — the analysis is a function of the recorded events
+// — as well as from one worker count to another, where points also trade
+// trace chunks through the free list in a different order.
+func TestDiagnosedSweepIsAFunctionOfItsOptions(t *testing.T) {
+	o := QuickConvOptions()
+	o.Ps, o.Steps, o.Scale, o.Diagnose = []int{16, 64, 128}, 10, 8, true
+	first := convCSV(t, o, 1)
+	if again := convCSV(t, o, 1); !bytes.Equal(first, again) {
+		t.Fatalf("diagnosed sweep CSV differs between two runs at -j 1:\n%s\n%s", first, again)
+	}
+	if par := convCSV(t, o, 8); !bytes.Equal(first, par) {
+		t.Fatalf("diagnosed sweep CSV differs between -j 1 and -j 8:\n-j 1:\n%s\n-j 8:\n%s", first, par)
+	}
+	if !bytes.Contains(first, []byte("late-sender")) {
+		t.Fatalf("sweep carries no wait-state verdict:\n%s", first)
 	}
 }
 

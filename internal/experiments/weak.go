@@ -161,7 +161,7 @@ func RunWeakConvolution(o WeakOptions) (*WeakResult, error) {
 		if collector != nil {
 			// No strong-scaling baseline exists in a weak sweep, so the
 			// diagnosis omits the Eq. 6 bound (seq = 0).
-			pt.Diag = diagnoseEvents(collector.Buffer().Events(), 0)
+			pt.Diag = diagnose(collector, 0)
 		}
 		pt.VerifyViolations = verifierViolations(ver)
 		return pt, nil

@@ -9,36 +9,20 @@ import "repro/internal/trace"
 // [first event, last event] span; classified wait spans (receive post →
 // completion, split at post + late-sender time into the serialisation and
 // transfer sides) subtract from the useful time; thread-team regions
-// prorate their aggregates by overlap. Accumulation is order-independent,
-// so the input need not be sorted. Degraded runs keep the interval grid
-// but withhold the factors.
-func timeResolved(events []trace.Event, p int, wall float64, n int, degraded bool) []Interval {
+// prorate their aggregates by overlap. Each (interval, rank) cell
+// accumulates that rank's events in canonical order and the factors fold
+// the cells in ascending rank order, so the series is a function of the
+// events alone. Degraded runs keep the interval grid but withhold the
+// factors.
+func timeResolved(o *trace.Order, wall float64, n int, degraded bool) []Interval {
+	p := o.Runs()
 	if n <= 0 || wall <= 0 || p <= 0 {
 		return nil
 	}
 	width := wall / float64(n)
-	type span struct{ first, last float64 }
-	ranks := map[int]*span{}
-	for _, e := range events {
-		s := ranks[e.Rank]
-		if s == nil {
-			ranks[e.Rank] = &span{e.T, e.T}
-			continue
-		}
-		if e.T < s.first {
-			s.first = e.T
-		}
-		if e.T > s.last {
-			s.last = e.T
-		}
-	}
-	idx := map[int]int{}
-	for r := range ranks {
-		idx[r] = len(idx)
-	}
 	rows := make([][]rankTotals, n)
 	for i := range rows {
-		rows[i] = make([]rankTotals, len(idx))
+		rows[i] = make([]rankTotals, p)
 	}
 	// add distributes [from, to] across the interval grid for one rank.
 	add := func(ri int, from, to float64, f func(rt *rankTotals, d float64)) {
@@ -65,52 +49,51 @@ func timeResolved(events []trace.Event, p int, wall float64, n int, degraded boo
 			}
 		}
 	}
-	for r, s := range ranks {
-		add(idx[r], s.first, s.last, func(rt *rankTotals, d float64) {
+	for ri := 0; ri < p; ri++ {
+		run := o.Run(ri)
+		// A run is in time order: its span is its first and last event.
+		add(ri, run.At(0).T, run.At(run.Len()-1).T, func(rt *rankTotals, d float64) {
 			rt.T += d
 			rt.useful += d
 		})
-	}
-	for _, e := range events {
-		ri, ok := idx[e.Rank]
-		if !ok {
-			continue
-		}
-		switch e.Kind {
-		case trace.KindRecv:
-			if e.T <= e.PostT {
-				continue
-			}
-			add(ri, e.PostT, e.T, func(rt *rankTotals, d float64) { rt.useful -= d })
-			if e.Tag < 0 {
-				continue // collective wait: all serialisation-side
-			}
-			late := e.SendT - e.PostT
-			if late < 0 {
-				late = 0
-			}
-			if late > e.T-e.PostT {
-				late = e.T - e.PostT
-			}
-			add(ri, e.PostT+late, e.T, func(rt *rankTotals, d float64) { rt.transfer += d })
-		case trace.KindDeadPeer:
-			if e.T > e.PostT {
-				add(ri, e.PostT, e.T, func(rt *rankTotals, d float64) { rt.useful -= d })
-			}
-		case trace.KindOmpRegion:
-			elapsed := e.T - e.PostT
-			if elapsed <= 0 {
-				continue
-			}
-			team, single := float64(e.Bytes), e.ArrT
-			add(ri, e.PostT, e.T, func(rt *rankTotals, d float64) {
-				rt.ompElapsed += d
-				rt.ompBusy += team * d
-				rt.ompSingle += single * d / elapsed
-				if e.Bytes > rt.maxTeam {
-					rt.maxTeam = e.Bytes
+		for j := 0; j < run.Len(); j++ {
+			e := run.At(j)
+			switch e.Kind {
+			case trace.KindRecv:
+				if e.T <= e.PostT {
+					continue
 				}
-			})
+				add(ri, e.PostT, e.T, func(rt *rankTotals, d float64) { rt.useful -= d })
+				if e.Tag < 0 {
+					continue // collective wait: all serialisation-side
+				}
+				late := e.SendT - e.PostT
+				if late < 0 {
+					late = 0
+				}
+				if late > e.T-e.PostT {
+					late = e.T - e.PostT
+				}
+				add(ri, e.PostT+late, e.T, func(rt *rankTotals, d float64) { rt.transfer += d })
+			case trace.KindDeadPeer:
+				if e.T > e.PostT {
+					add(ri, e.PostT, e.T, func(rt *rankTotals, d float64) { rt.useful -= d })
+				}
+			case trace.KindOmpRegion:
+				elapsed := e.T - e.PostT
+				if elapsed <= 0 {
+					continue
+				}
+				team, single := float64(e.Bytes), e.ArrT
+				add(ri, e.PostT, e.T, func(rt *rankTotals, d float64) {
+					rt.ompElapsed += d
+					rt.ompBusy += team * d
+					rt.ompSingle += single * d / elapsed
+					if e.Bytes > rt.maxTeam {
+						rt.maxTeam = e.Bytes
+					}
+				})
+			}
 		}
 	}
 	out := make([]Interval, n)

@@ -327,15 +327,21 @@ func (t *Tree) diagnose(se *SectionEfficiency) string {
 
 // Analyze replays an event stream through the wait-state engine and builds
 // the tree, plus the time-resolved interval series when requested. It is
-// the one-call form cmd/secanalyze and cmd/secmon use.
+// the one-call form cmd/secanalyze uses on a trace read back from CSV.
 func Analyze(events []trace.Event, opts Options) (*Tree, error) {
-	a, err := waitstate.Analyze(events, waitstate.Options{SeqTime: opts.SeqTime})
+	return AnalyzeOrder(trace.OrderOf(events), opts)
+}
+
+// AnalyzeOrder is Analyze over an indexed recording, read in place — what
+// cmd/secmon serves from a job's buffer. Both passes share the one index.
+func AnalyzeOrder(o *trace.Order, opts Options) (*Tree, error) {
+	a, err := waitstate.AnalyzeOrder(o, waitstate.Options{SeqTime: opts.SeqTime})
 	if err != nil {
 		return nil, err
 	}
 	t := FromAnalysis(a, opts)
 	if opts.Intervals > 0 {
-		t.Intervals = timeResolved(events, a.Ranks, a.Wall, opts.Intervals, t.Degraded)
+		t.Intervals = timeResolved(o, a.Wall, opts.Intervals, t.Degraded)
 	}
 	return t, nil
 }

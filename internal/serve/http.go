@@ -430,7 +430,7 @@ func (h *handler) handleHeatmap(w http.ResponseWriter, req *http.Request) {
 // analyze replays the selected job's recorded stream through the
 // wait-state engine.
 func analyze(v *jobView) (*waitstate.Analysis, error) {
-	return waitstate.Analyze(v.b.collector.Buffer().Events(), waitstate.Options{SeqTime: v.seq})
+	return waitstate.AnalyzeOrder(v.b.collector.Buffer().Order(), waitstate.Options{SeqTime: v.seq})
 }
 
 // efficiencyIntervals is the fixed time-resolved grid /efficiency.json
@@ -440,7 +440,7 @@ const efficiencyIntervals = 8
 // popTree replays the selected job's recorded stream through the POP
 // engine.
 func popTree(v *jobView) (*pop.Tree, error) {
-	return pop.Analyze(v.b.collector.Buffer().Events(),
+	return pop.AnalyzeOrder(v.b.collector.Buffer().Order(),
 		pop.Options{SeqTime: v.seq, Intervals: efficiencyIntervals})
 }
 

@@ -144,8 +144,10 @@ func allocated(f func()) (allocs float64, bytes uint64) {
 }
 
 // TestOrderingAllocs pins what ordering may allocate: nothing for input
-// already in canonical order, and for a recording the result plus one
-// int32 per event and per-rank cursors — no second copy of the events.
+// already in canonical order; for a recording, the index — one int32 per
+// event and per rank — and, to stream it, the heap of per-rank cursors: a
+// fixed number of allocations and nothing the size of the events. Only
+// Events, the reader that hands out a copy, pays for one.
 func TestOrderingAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector allocates shadow memory; alloc counts are meaningless")
@@ -170,16 +172,53 @@ func TestOrderingAllocs(t *testing.T) {
 	if allocs, _ := allocated(func() { Sorted(sorted) }); allocs != 0 {
 		t.Errorf("Sorted on sorted input: %v allocs, want 0", allocs)
 	}
-	// The result, the index scratch, the cursors; size-class rounding.
-	limit := eventBytes + 4*n + 64*p + 16<<10
+
+	// The Order and its scratch; the cursors; size-class rounding.
+	index := 4*n + 4*p + 4<<10
+	stream := index + 24*p + 4<<10
+	var seen int
+	runs := func(o *Order) {
+		for k := 0; k < o.Runs(); k++ {
+			for run, j := o.Run(k), 0; j < run.Len(); j++ {
+				seen += run.At(j).Bytes
+			}
+		}
+	}
+	merge := func(o *Order) {
+		m := o.Merge()
+		for e := m.Next(); e != nil; e = m.Next() {
+			seen += e.Bytes
+		}
+	}
+	for _, c := range []struct {
+		name string
+		read func()
+	}{
+		{"per-rank runs of a buffer", func() { runs(buf.Order()) }},
+		{"per-rank runs of a slice", func() { runs(OrderOf(rec)) }},
+		{"merge of a buffer", func() { merge(buf.Order()) }},
+		{"merge of a slice", func() { merge(OrderOf(rec)) }},
+	} {
+		allocs, bytes := allocated(c.read)
+		t.Logf("%s: %v allocs, %d bytes for %d events (%d bytes of events)", c.name, allocs, bytes, n, eventBytes)
+		if allocs > 3 || bytes > stream {
+			t.Errorf("%s: %v allocs, %d bytes; want <= 3 allocs, <= %d bytes", c.name, allocs, bytes, stream)
+		}
+	}
+	if allocs, bytes := allocated(func() { buf.WriteCSV(io.Discard) }); allocs > 4 || bytes > stream+csvBuf+4<<10 {
+		t.Errorf("WriteCSV of a recording: %v allocs, %d bytes; want <= 4 allocs, <= %d bytes", allocs, bytes, stream+csvBuf+4<<10)
+	}
+
+	// Events and its slice twins: that plus the result.
+	limit := eventBytes + stream + 16<<10
 	allocs, bytes := allocated(func() { buf.Events() })
 	t.Logf("Events: %v allocs, %d bytes for %d events (%d bytes of events)", allocs, bytes, n, eventBytes)
-	if allocs > 3 || bytes > limit {
-		t.Errorf("Events on a recording: %v allocs, %d bytes; want <= 3 allocs, <= %d bytes", allocs, bytes, limit)
+	if allocs > 4 || bytes > limit {
+		t.Errorf("Events on a recording: %v allocs, %d bytes; want <= 4 allocs, <= %d bytes", allocs, bytes, limit)
 	}
 	allocs, bytes = allocated(func() { Sorted(rec) })
-	if allocs > 3 || bytes > limit {
-		t.Errorf("Sorted on a recording: %v allocs, %d bytes; want <= 3 allocs, <= %d bytes", allocs, bytes, limit)
+	if allocs > 4 || bytes > limit {
+		t.Errorf("Sorted on a recording: %v allocs, %d bytes; want <= 4 allocs, <= %d bytes", allocs, bytes, limit)
 	}
 	// A buffer that is already in order costs the copy alone.
 	inOrder := NewBuffer(0)

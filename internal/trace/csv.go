@@ -27,9 +27,17 @@ const (
 	csvBuf   = 64 << 10
 )
 
-// WriteCSV streams the buffer's time-sorted events as CSV with a header.
+// WriteCSV streams the buffer's events as CSV with a header, in canonical
+// order, each row formatted from the chunk its event was recorded in.
 func (b *Buffer) WriteCSV(w io.Writer) error {
-	return WriteEventsCSV(w, b.Events())
+	enc := newCSVEncoder(w)
+	m := b.Order().Merge()
+	for e := m.Next(); e != nil; e = m.Next() {
+		if err := enc.row(e); err != nil {
+			return err
+		}
+	}
+	return enc.flush()
 }
 
 // WriteEventsCSV streams an already-assembled event slice as CSV with the
@@ -37,6 +45,24 @@ func (b *Buffer) WriteCSV(w io.Writer) error {
 // -waitstate consumes. The bytes are those encoding/csv would produce
 // (see the package comment); rows are formatted into one reused buffer.
 func WriteEventsCSV(w io.Writer, events []Event) error {
+	enc := newCSVEncoder(w)
+	for i := range events {
+		if err := enc.row(&events[i]); err != nil {
+			return err
+		}
+	}
+	return enc.flush()
+}
+
+// csvEncoder formats rows into one buffer and hands it to the writer each
+// time it fills.
+type csvEncoder struct {
+	w   io.Writer
+	buf []byte
+}
+
+// newCSVEncoder starts a stream with the header row.
+func newCSVEncoder(w io.Writer) csvEncoder {
 	buf := make([]byte, 0, csvBuf)
 	for i, name := range csvHeader {
 		if i > 0 {
@@ -44,17 +70,20 @@ func WriteEventsCSV(w io.Writer, events []Event) error {
 		}
 		buf = append(buf, name...)
 	}
-	buf = append(buf, '\n')
-	for i := range events {
-		buf = appendRow(buf, &events[i])
-		if len(buf) >= csvFlush {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
+	return csvEncoder{w: w, buf: append(buf, '\n')}
+}
+
+func (c *csvEncoder) row(e *Event) error {
+	c.buf = appendRow(c.buf, e)
+	if len(c.buf) < csvFlush {
+		return nil
 	}
-	_, err := w.Write(buf)
+	return c.flush()
+}
+
+func (c *csvEncoder) flush() error {
+	_, err := c.w.Write(c.buf)
+	c.buf = c.buf[:0]
 	return err
 }
 

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -396,6 +397,33 @@ func TestSorterMatchesReference(t *testing.T) {
 		}
 		if got := b.Events(); !reflect.DeepEqual(got, want) && len(in) > 0 {
 			t.Fatalf("%s: Buffer.Events differs from sort.SliceStable\n got %+v\nwant %+v", name, got, want)
+		}
+
+		// The two in-place readers, over the chunks and over the slice: the
+		// merge is the reference order, and the runs are its events rank by
+		// rank, ranks ascending.
+		for source, o := range map[string]*Order{"buffer": b.Order(), "slice": OrderOf(orig)} {
+			var merged, byRank []Event
+			for _, e := range streamed(o) {
+				merged = append(merged, *e)
+			}
+			for k := 0; k < o.Runs(); k++ {
+				run := o.Run(k)
+				if k > 0 && o.Run(k-1).Rank() >= run.Rank() {
+					t.Fatalf("%s: %s runs %d and %d are ranks %d and %d", name, source, k-1, k, o.Run(k-1).Rank(), run.Rank())
+				}
+				for j := 0; j < run.Len(); j++ {
+					if run.At(j).Rank != run.Rank() {
+						t.Fatalf("%s: %s run of rank %d holds an event of rank %d", name, source, run.Rank(), run.At(j).Rank)
+					}
+					byRank = append(byRank, *run.At(j))
+				}
+			}
+			wantByRank := append([]Event(nil), want...)
+			sort.SliceStable(wantByRank, func(i, j int) bool { return wantByRank[i].Rank < wantByRank[j].Rank })
+			if !reflect.DeepEqual(merged, append([]Event(nil), want...)) || !reflect.DeepEqual(byRank, wantByRank) {
+				t.Fatalf("%s: the readers of the %s's Order differ from sort.SliceStable\n   in %+v\nmerge %+v\n runs %+v\n want %+v", name, source, in, merged, byRank, want)
+			}
 		}
 
 		SortEvents(in)

@@ -8,21 +8,27 @@ import (
 )
 
 // Events returns the events in canonical order (see the package comment),
-// as a copy safe to retain.
+// as a copy safe to retain — the one reader that moves events. Everything
+// that only replays or renders a recording reads it through Order instead.
 func (b *Buffer) Events() []Event {
-	// Add only ever appends, so the entries below today's count never
-	// change again and can be read after the lock is gone.
-	b.mu.Lock()
-	rec := source{chunks: b.chunks[:len(b.chunks):len(b.chunks)], n: b.n}
-	b.mu.Unlock()
+	rec := b.snapshot()
 	if !rec.isSorted() {
-		return merged(rec)
+		return newOrder(rec).gather()
 	}
 	out := make([]Event, 0, rec.n)
 	for k := range rec.chunks {
 		out = append(out, rec.part(k)...)
 	}
 	return out
+}
+
+// snapshot is the recording as it stands. Add only ever appends, so the
+// entries below today's count never change again and can be read after the
+// lock is gone — by any number of readers, until Release.
+func (b *Buffer) snapshot() source {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return source{chunks: b.chunks[:len(b.chunks):len(b.chunks)], n: b.n}
 }
 
 // SortEvents sorts events in place into the canonical replay order every
@@ -33,7 +39,7 @@ func (b *Buffer) Events() []Event {
 // in that order are left alone at the cost of one pass and no allocation.
 func SortEvents(events []Event) {
 	if !isSorted(events) {
-		copy(events, merged(sliceSource(events)))
+		copy(events, OrderOf(events).gather())
 	}
 }
 
@@ -45,7 +51,7 @@ func Sorted(events []Event) []Event {
 	if isSorted(events) {
 		return events
 	}
-	return merged(sliceSource(events))
+	return OrderOf(events).gather()
 }
 
 // source is a recording to put in order, read where it lies: a plain slice,
@@ -155,11 +161,154 @@ func isSorted(events []Event) bool {
 	return true
 }
 
+// Order is a recording put in canonical order without moving an event: one
+// int32 per event, bucketed into one run per rank, the ranks ascending and
+// each run in canonical order. A rank records its own events in time
+// order, so a run normally comes out of the bucketing already ordered; it
+// is stable-sorted only when it fails the full comparator, which a
+// recording routinely does by a hair — a send and the section leave that
+// follows it share a timestamp, and the leave sorts first.
+//
+// Two readers yield the events in place, as pointers into the Buffer's
+// chunks or the caller's slice, valid as long as those are (for a Buffer:
+// until Release): Run, one rank at a time, for a replay whose state is all
+// per rank; Merge, the global (time, rank) order, for everything that
+// renders the stream. An Order of a Buffer covers the events recorded when
+// it was taken; recording may go on underneath it.
+type Order struct {
+	src  source
+	idx  []int32 // event numbers, run after run
+	ends []int32 // run k is idx[ends[k-1]:ends[k]], from 0 for k = 0
+}
+
+// Order indexes the events recorded so far.
+func (b *Buffer) Order() *Order { return newOrder(b.snapshot()) }
+
+// OrderOf indexes a slice, which it neither copies nor reorders.
+func OrderOf(events []Event) *Order { return newOrder(sliceSource(events)) }
+
+// newOrder builds the index: a counting sort of the event numbers by rank
+// (scratch is one int32 per event plus one per rank of the range), then one
+// comparator pass over each run. Ranks spread over a range wider than the
+// event count — nothing a table can be indexed by — get the same runs out
+// of one stable sort by (rank, canonical order).
+func newOrder(src source) *Order {
+	n := src.n
+	if n > math.MaxInt32 {
+		panic("trace: more than 2^31 events")
+	}
+	o := &Order{src: src}
+	if n == 0 {
+		return o
+	}
+	lo, hi := src.at(0).Rank, src.at(0).Rank
+	for k := 0; k < src.parts(); k++ {
+		c := src.part(k)
+		for j := range c {
+			lo, hi = min(lo, c[j].Rank), max(hi, c[j].Rank)
+		}
+	}
+	if uint(hi-lo) >= uint(n) {
+		o.idx = make([]int32, n)
+		for i := range o.idx {
+			o.idx[i] = int32(i)
+		}
+		slices.SortStableFunc(o.idx, func(a, b int32) int {
+			ea, eb := src.at(a), src.at(b)
+			if ea.Rank != eb.Rank {
+				return cmp.Compare(ea.Rank, eb.Rank)
+			}
+			return compareEvents(ea, eb)
+		})
+		for i := 1; i < n; i++ {
+			if src.at(o.idx[i-1]).Rank != src.at(o.idx[i]).Rank {
+				o.ends = append(o.ends, int32(i))
+			}
+		}
+		o.ends = append(o.ends, int32(n))
+		return o
+	}
+
+	buckets := hi - lo + 1
+	scratch := make([]int32, buckets+n)
+	end, idx := scratch[:buckets], scratch[buckets:]
+	for k := 0; k < src.parts(); k++ {
+		c := src.part(k)
+		for j := range c {
+			end[c[j].Rank-lo]++
+		}
+	}
+	sum := int32(0)
+	for r, c := range end {
+		end[r], sum = sum, sum+c
+	}
+	for k := 0; k < src.parts(); k++ {
+		c := src.part(k)
+		for j := range c {
+			r := c[j].Rank - lo
+			idx[end[r]] = int32(k*chunkLen + j)
+			end[r]++
+		}
+	}
+	// end[r] is now where rank lo+r's run ends; keep the runs that exist.
+	runs, begin := 0, int32(0)
+	for _, e := range end {
+		if e == begin {
+			continue
+		}
+		run := idx[begin:e]
+		for j := 1; j < len(run); j++ {
+			if compareEvents(src.at(run[j-1]), src.at(run[j])) > 0 {
+				slices.SortStableFunc(run, func(a, b int32) int {
+					return compareEvents(src.at(a), src.at(b))
+				})
+				break
+			}
+		}
+		end[runs] = e
+		runs++
+		begin = e
+	}
+	o.idx, o.ends = idx, end[:runs]
+	return o
+}
+
+// Len is the number of events indexed.
+func (o *Order) Len() int { return o.src.n }
+
+// Runs is the number of ranks that recorded anything.
+func (o *Order) Runs() int { return len(o.ends) }
+
+// Run returns the k-th run: the events of one rank in canonical order, the
+// ranks ascending with k.
+func (o *Order) Run(k int) Run {
+	begin := int32(0)
+	if k > 0 {
+		begin = o.ends[k-1]
+	}
+	return Run{src: &o.src, idx: o.idx[begin:o.ends[k]]}
+}
+
+// Run is one rank's events in canonical order; it is never empty.
+type Run struct {
+	src *source
+	idx []int32
+}
+
+// Len is the number of events in the run.
+func (r Run) Len() int { return len(r.idx) }
+
+// At returns event j of the run, in place.
+func (r Run) At(j int) *Event { return r.src.at(r.idx[j]) }
+
+// Rank is the rank whose run this is.
+func (r Run) Rank() int { return r.At(0).Rank }
+
 // cursor is one rank's position in the merge: the run idx[pos:end] of
 // indices into the source, and the time of the event at pos.
 type cursor struct {
 	t        float64
-	rank     int32
+	rank     int32 // the run's number, which ascends with the rank
 	pos, end int32
 }
 
@@ -186,89 +335,53 @@ func siftDown(h []cursor, i int) {
 	}
 }
 
-// merged returns src in canonical order in a new slice, moving each event
-// once, straight from where the source keeps it. It buckets the indices by rank (one run per rank, in recording
-// order), stable-sorts a run only if it is not already in order — a rank
-// records its own events in time order, so normally none is — and merges
-// the runs through a heap of per-rank cursors. Across ranks the order is
-// (time, rank), which the cursor carries; within a rank it is the run's.
-// Scratch is one int32 per event plus one per rank. Ranks spread over a
-// range wider than the event count share a single run, which makes this a
-// stable sort of the index.
-func merged(src source) []Event {
-	n := src.n
-	if n > math.MaxInt32 {
-		panic("trace: more than 2^31 events")
-	}
-	dst := make([]Event, n)
-	lo, hi := src.at(0).Rank, src.at(0).Rank
-	for k := 0; k < src.parts(); k++ {
-		c := src.part(k)
-		for j := range c {
-			lo, hi = min(lo, c[j].Rank), max(hi, c[j].Rank)
-		}
-	}
-	// mask folds every rank into bucket 0 when the range is too wide to
-	// give each its own.
-	buckets, mask := 1, 0
-	if uint(hi-lo) < uint(n) {
-		buckets, mask = hi-lo+1, -1
-	}
-	scratch := make([]int32, buckets+n)
-	end, idx := scratch[:buckets], scratch[buckets:]
-	for k := 0; k < src.parts(); k++ {
-		c := src.part(k)
-		for j := range c {
-			end[(c[j].Rank-lo)&mask]++
-		}
-	}
-	runs, sum := 0, int32(0)
-	for r, c := range end {
-		if c > 0 {
-			runs++
-		}
-		end[r], sum = sum, sum+c
-	}
-	for k := 0; k < src.parts(); k++ {
-		c := src.part(k)
-		for j := range c {
-			r := (c[j].Rank - lo) & mask
-			idx[end[r]] = int32(k*chunkLen + j)
-			end[r]++
-		}
-	}
+// Merge is the canonical order as a stream: the runs merged through a heap
+// of per-rank cursors. Across ranks the order is (time, rank), which the
+// cursor carries; within a rank it is the run's.
+type Merge struct {
+	o    *Order
+	heap []cursor
+}
 
-	heap := make([]cursor, 0, runs)
+// Merge starts a pass over all events in canonical order. Its only
+// allocation is the heap, one cursor per rank.
+func (o *Order) Merge() Merge {
+	heap := make([]cursor, len(o.ends))
 	begin := int32(0)
-	for r, e := range end {
-		if e == begin {
-			continue
-		}
-		run := idx[begin:e]
-		for j := 1; j < len(run); j++ {
-			if compareEvents(src.at(run[j-1]), src.at(run[j])) > 0 {
-				slices.SortStableFunc(run, func(a, b int32) int {
-					return compareEvents(src.at(a), src.at(b))
-				})
-				break
-			}
-		}
-		heap = append(heap, cursor{t: src.at(run[0]).T, rank: int32(r), pos: begin, end: e})
+	for k, e := range o.ends {
+		heap[k] = cursor{t: o.src.at(o.idx[begin]).T, rank: int32(k), pos: begin, end: e}
 		begin = e
 	}
 	for i := len(heap)/2 - 1; i >= 0; i-- {
 		siftDown(heap, i)
 	}
-	for out := range dst {
-		c := &heap[0]
-		dst[out] = *src.at(idx[c.pos])
-		if c.pos++; c.pos < c.end {
-			c.t = src.at(idx[c.pos]).T
-		} else {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		siftDown(heap, 0)
+	return Merge{o: o, heap: heap}
+}
+
+// Next returns the next event, in place, or nil when the stream has ended.
+func (m *Merge) Next() *Event {
+	if len(m.heap) == 0 {
+		return nil
+	}
+	c := &m.heap[0]
+	e := m.o.src.at(m.o.idx[c.pos])
+	if c.pos++; c.pos < c.end {
+		c.t = m.o.src.at(m.o.idx[c.pos]).T
+	} else {
+		m.heap[0] = m.heap[len(m.heap)-1]
+		m.heap = m.heap[:len(m.heap)-1]
+	}
+	siftDown(m.heap, 0)
+	return e
+}
+
+// gather returns the events in canonical order in a new slice, moving each
+// once, straight from where the source keeps it.
+func (o *Order) gather() []Event {
+	dst := make([]Event, o.src.n)
+	m := o.Merge()
+	for i := range dst {
+		dst[i] = *m.Next()
 	}
 	return dst
 }

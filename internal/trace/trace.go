@@ -13,18 +13,49 @@
 // timestamp are told apart by nothing else — except for KindVerify events,
 // which carry no nesting and are ordered by their payload columns (comm,
 // label, peer, bytes, tag) so that a report does not depend on which worker
-// reached the buffer first. Buffer.Events returns this order, SortEvents
-// establishes it in place, and Sorted hands it to an analysis without
-// touching the caller's slice.
+// reached the buffer first.
+//
+// # Reading a recording
 //
 // A Buffer records ranks in whatever interleaving the scheduler produced,
-// but each rank's own events arrive in time order. Ordering therefore
-// splits the recording into per-rank runs, stable-sorts only a run that is
-// out of order, and merges the runs straight into the result — reading a
-// Buffer's events from the fixed-size chunks it recorded them in, which
-// are allocated once each and never copied or gathered. Input that is
-// already canonical — a replayed CSV, the result of Events — is recognized
-// in one pass and neither copied nor allocated for.
+// but each rank's own events arrive in time order. Putting a recording in
+// order therefore never moves an event: an Order buckets the event numbers
+// by rank — one int32 per event, one run per rank, a run stable-sorted only
+// when it fails the comparator — and is the one ordering object behind
+// every reader, over a Buffer's chunks (Buffer.Order) or a slice (OrderOf).
+// It has two readers, both yielding *Event where the recording keeps them:
+// Order.Run, the runs one rank at a time in ascending rank order, for a
+// replay whose state is all per rank (internal/waitstate, internal/pop);
+// and Order.Merge, the runs merged through a heap of per-rank cursors into
+// the canonical order, for everything that renders the stream (WriteCSV,
+// WriteJSON, Filter). Events is the merge gathered into a fresh slice, the
+// one reader whose result may outlive the buffer; Sorted and SortEvents are
+// the same for a slice. Input that is already canonical — a replayed CSV,
+// the result of Events — is recognized by those three in one pass and
+// neither indexed nor copied.
+//
+// # Ownership
+//
+// A Buffer keeps events in fixed-size chunks, each written once and never
+// moved; Add is one lock, one hot chunk and sequential stores. Add only
+// appends, so a reader that took the count under the lock reads everything
+// below it without the lock, while the ranks keep recording: an Order taken
+// from a running job is a consistent prefix of every rank's events, which
+// is what cmd/secmon's /waitstate.json and /efficiency.json serve. The
+// pointers an Order hands out stay valid for as long as the chunks belong
+// to the buffer, that is until Release. Release is for the owner who is
+// done with the recording — the sweep drivers, once a point's diagnosis is
+// extracted — and gives the chunks to a bounded free list that the next
+// buffer's Add draws from before allocating, so a sweep's steady state
+// allocates no chunk; retained jobs of the service never call it.
+//
+// The write side is deliberately not split into per-rank logs, although
+// that would make the runs free. It was measured: with one lock per rank
+// log, every event lands in one of 64 to 456 cold chunks instead of the one
+// hot one and the unlock's atomic waits for those stores — Add cost 3.09 s
+// of CPU against 1.31 s on the serve-mix workload, job_p50_s +14 %,
+// peak_rss_mb +7 %. Lock-free single-writer logs are not an option either,
+// because readers of a buffer that is still recording exist (above).
 //
 // # CSV codec
 //
@@ -188,11 +219,68 @@ func (b *Buffer) Add(e Event) {
 	}
 	i := b.n & (chunkLen - 1)
 	if i == 0 {
-		//seclint:allocs-ok one chunk per chunkLen events
-		b.chunks = append(b.chunks, new([chunkLen]Event))
+		c := freeChunks.take()
+		if c == nil {
+			//seclint:allocs-ok one chunk per chunkLen events, when Release has left none to reuse
+			c = new([chunkLen]Event)
+		}
+		b.chunks = append(b.chunks, c)
 	}
 	b.chunks[b.n>>chunkBits][i] = e
 	b.n++
+}
+
+// Release empties the buffer and hands its chunks to the next buffer that
+// records: a sweep that analyses one point and moves on to the next
+// allocates no chunk in its steady state. The caller must be the only user
+// left — no rank still recording, and no Order, Run, Merge or *Event read
+// from this buffer used afterwards (a slice from Events is a copy and stays
+// valid). The buffer itself is ready to record again.
+func (b *Buffer) Release() {
+	b.mu.Lock()
+	chunks := b.chunks
+	b.chunks, b.n, b.drops = nil, 0, 0
+	b.mu.Unlock()
+	freeChunks.put(chunks)
+}
+
+// freeChunksMax bounds the free list: 2048 chunks are 54 MB, room for the
+// two largest points of a paper-scale convolution sweep side by side.
+const freeChunksMax = 2048
+
+// freeChunks is where Release leaves chunks and Add looks first. It is a
+// plain bounded stack rather than a sync.Pool so that reuse does not depend
+// on when the garbage collector last ran: a sweep's allocation volume is
+// the same number every time. Chunks are not cleared — a buffer never reads a chunk
+// past its own count — so a parked chunk pins the label strings of the
+// events it last held, a few constants.
+var freeChunks chunkStack
+
+type chunkStack struct {
+	mu   sync.Mutex
+	list []*[chunkLen]Event
+}
+
+func (s *chunkStack) take() *[chunkLen]Event {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.list)
+	if n == 0 {
+		return nil
+	}
+	c := s.list[n-1]
+	s.list[n-1] = nil
+	s.list = s.list[:n-1]
+	return c
+}
+
+func (s *chunkStack) put(chunks []*[chunkLen]Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.list == nil {
+		s.list = make([]*[chunkLen]Event, 0, freeChunksMax)
+	}
+	s.list = append(s.list, chunks[:min(len(chunks), freeChunksMax-len(s.list))]...)
 }
 
 // Len reports the number of stored events.
@@ -223,13 +311,13 @@ func (b *Buffer) Warning() string {
 		drops, limit, kept)
 }
 
-// Filter returns the stored events satisfying keep, time-sorted.
+// Filter returns the stored events satisfying keep, in canonical order.
 func (b *Buffer) Filter(keep func(Event) bool) []Event {
-	all := b.Events()
-	out := all[:0]
-	for _, e := range all {
-		if keep(e) {
-			out = append(out, e)
+	var out []Event
+	m := b.Order().Merge()
+	for e := m.Next(); e != nil; e = m.Next() {
+		if keep(*e) {
+			out = append(out, *e)
 		}
 	}
 	return out
@@ -305,7 +393,8 @@ func Summarize(events []Event) []SectionSummary {
 // WriteJSON streams the events as JSON lines (one event per line).
 func (b *Buffer) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	for _, e := range b.Events() {
+	m := b.Order().Merge()
+	for e := m.Next(); e != nil; e = m.Next() {
 		if err := enc.Encode(e); err != nil {
 			return err
 		}

@@ -497,6 +497,151 @@ func TestEventsWhileRecording(t *testing.T) {
 	}
 }
 
+// streamed is what a Merge of o yields.
+func streamed(o *Order) []*Event {
+	out := make([]*Event, 0, o.Len())
+	m := o.Merge()
+	for e := m.Next(); e != nil; e = m.Next() {
+		out = append(out, e)
+	}
+	return out
+}
+
+// TestReleaseHandsOverNothing: a released buffer is empty, and a buffer
+// recording into the chunks it gave up — itself or the next one — reads
+// back its own events and nothing of the previous recording, through every
+// reader.
+func TestReleaseHandsOverNothing(t *testing.T) {
+	old := NewBuffer(3*chunkLen + 9)
+	for i := 0; i < 3*chunkLen+20; i++ {
+		old.Add(Event{T: float64(i), Rank: i % 5, Kind: KindMarker, Label: "old", Bytes: i})
+	}
+	if old.Len() != 3*chunkLen+9 || old.Dropped() != 11 {
+		t.Fatalf("before Release: %d kept, %d dropped", old.Len(), old.Dropped())
+	}
+	old.Release()
+	if old.Len() != 0 || old.Dropped() != 0 || old.Warning() != "" || len(old.Events()) != 0 || old.Order().Runs() != 0 {
+		t.Fatalf("after Release: Len %d, Dropped %d, Warning %q, %d events, %d runs; want an empty buffer",
+			old.Len(), old.Dropped(), old.Warning(), len(old.Events()), old.Order().Runs())
+	}
+	for name, b := range map[string]*Buffer{"the next buffer": NewBuffer(0), "the same buffer": old} {
+		want := make([]Event, chunkLen+3) // ends inside a chunk that was full of "old"
+		for i := range want {
+			want[i] = Event{T: float64(i / 2), Rank: i % 2, Kind: KindMarker, Label: "new", Bytes: i}
+			b.Add(want[i])
+		}
+		if got := b.Events(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Events reads back %d events, not the %d recorded", name, len(got), len(want))
+		}
+		o := b.Order()
+		var merged, byRank []Event
+		for _, e := range streamed(o) {
+			merged = append(merged, *e)
+		}
+		for k := 0; k < o.Runs(); k++ {
+			for run, j := o.Run(k), 0; j < run.Len(); j++ {
+				byRank = append(byRank, *run.At(j))
+			}
+		}
+		SortEvents(byRank)
+		if !reflect.DeepEqual(merged, want) || !reflect.DeepEqual(byRank, want) {
+			t.Errorf("%s: the merge yields %d events and the runs %d, not the %d recorded", name, len(merged), len(byRank), len(want))
+		}
+		var csv bytes.Buffer
+		if err := b.WriteCSV(&csv); err != nil || strings.Contains(csv.String(), "old") || strings.Count(csv.String(), "\n") != len(want)+1 {
+			t.Errorf("%s: WriteCSV: err %v, %d lines, mentions the previous recording: %v",
+				name, err, strings.Count(csv.String(), "\n"), strings.Contains(csv.String(), "old"))
+		}
+		b.Release()
+	}
+}
+
+// TestViewsWhileRecording: the in-place readers share TestEventsWhileRecording's
+// contract — an Order taken while ranks keep appending covers a prefix of
+// each rank's events, in order, and stays readable as the buffer grows —
+// while other buffers are recorded, read and released alongside, passing
+// chunks to each other through the free list.
+func TestViewsWhileRecording(t *testing.T) {
+	const writers, perWriter = 4, 2000
+	b := NewBuffer(0)
+	var wg, churn sync.WaitGroup
+	for r := 0; r < writers; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				b.Add(Event{T: float64(i), Rank: rank, Kind: KindMarker, Bytes: i})
+			}
+		}(r)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for g := 0; g < 2; g++ {
+		churn.Add(1)
+		go func(g int) {
+			defer churn.Done()
+			for round := 0; ; round++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				own := NewBuffer(0)
+				for i := 0; i < 2*chunkLen+g; i++ {
+					own.Add(Event{T: float64(i), Rank: -1 - g, Kind: KindMarker, Bytes: round})
+				}
+				run := own.Order().Run(0)
+				for j := 0; j < run.Len(); j++ {
+					if e := run.At(j); e.Rank != -1-g || e.Bytes != round || e.T != float64(j) {
+						t.Errorf("churn %d round %d: event %d of a private buffer is %+v", g, round, j, *e)
+						return
+					}
+				}
+				own.Release()
+			}
+		}(g)
+	}
+	seen := 0
+	for recording := true; recording; {
+		select {
+		case <-done:
+			recording = false
+		default:
+		}
+		o := b.Order()
+		if o.Len() < seen {
+			t.Fatalf("Order shrank from %d to %d events", seen, o.Len())
+		}
+		seen = o.Len()
+		next := [writers]int{}
+		all := streamed(o)
+		for i, e := range all {
+			if i > 0 && compareEvents(all[i-1], e) > 0 {
+				t.Fatalf("merge out of order at %d: %+v then %+v", i, *all[i-1], *e)
+			}
+			if e.Bytes != next[e.Rank] {
+				t.Fatalf("rank %d: event %d where %d was due", e.Rank, e.Bytes, next[e.Rank])
+			}
+			next[e.Rank]++
+		}
+		total := 0
+		for k := 0; k < o.Runs(); k++ {
+			run := o.Run(k)
+			if run.Len() != next[run.Rank()] {
+				t.Fatalf("rank %d: run of %d events, merge saw %d", run.Rank(), run.Len(), next[run.Rank()])
+			}
+			total += run.Len()
+		}
+		if total != o.Len() {
+			t.Fatalf("runs hold %d events, the order %d", total, o.Len())
+		}
+	}
+	churn.Wait()
+	if seen != writers*perWriter {
+		t.Fatalf("final Order has %d events, want %d", seen, writers*perWriter)
+	}
+}
+
 // TestBufferChunkBoundaries: the buffer stores events in chunks; counts at,
 // just under and just over a chunk boundary must read back whole, an
 // inversion whose two events sit in different chunks must still be seen

@@ -15,14 +15,38 @@
 //   - a per-section diagnosis record {section, p, Twait_in, Twait_out,
 //     Tcrit_share, dominant_cause} joined against the Eq. 6 bound.
 //
-// The engine is offline and deterministic: the same event slice always
-// yields the same Analysis, so experiment sweeps can emit diagnosis columns
-// that are byte-identical under any -j.
+// # One engine, two feeders, one fold order
+//
+// Every piece of replay state is keyed by rank — section and collective
+// stacks, timelines, the lists of receives — and only sums cross ranks. The
+// engine therefore never needs the global (time, rank) order: it reads a
+// trace.Order one rank's run at a time, in ascending rank order, with the
+// events where the recording keeps them (a Buffer's chunks for
+// AnalyzeOrder(b.Order()), the caller's slice for Analyze), and the lists
+// it comes back to hold *trace.Event, not copies. The replay charges every
+// quantity to a per-(rank, section) or per-(rank, collective) cell, in the
+// rank's own event order; a lateness charged to the sender's section goes
+// to the sender's cell, receivers taken in ascending rank order. Only when
+// every rank is done are the cells folded into the per-section and
+// per-collective totals, ranks ascending.
+//
+// That fold order is the rule that makes the result a function of the
+// events: float addition is not associative, so a sum over ranks is only
+// reproducible if the ranks always come in the same order — ranging over a
+// map of ranks, as this package once did, produced a different wait_in bit
+// pattern on nearly every call from p=64 up. With it, the same events give
+// the same Analysis bit for bit however they are fed — a Buffer, its
+// Events(), or its CSV read back — and however often, so experiment sweeps
+// emit diagnosis columns that are byte-identical from run to run and under
+// any -j. TestAnalyzeIsAFunctionOfItsInput and TestFeedersAgree hold the
+// package to both.
 package waitstate
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/trace"
@@ -187,52 +211,183 @@ type Analysis struct {
 	RankSections []RankSection `json:"-"`
 }
 
-// changePoint tracks the innermost section (or collective) on one rank
-// from time t on.
+// changePoint says that from time t on, the rank's innermost section (or
+// open collective) is cell number cell of the rank's cells, or none.
 type changePoint struct {
-	t     float64
-	label string
+	t    float64
+	cell int32
 }
 
-// rankTimeline is the per-rank replay state the analysis queries.
+const none = -1
+
+// secCell is one (rank, section) pair's share of everything the analysis
+// sums: the RankSection that is reported as it stands, and the rest of
+// what SectionDiagnosis adds up over ranks. A section enter alone makes a
+// cell without reporting it; inDiag and inRank record that something was
+// charged to it that SectionDiagnosis or RankSections shows.
+type secCell struct {
+	RankSection
+	waitOut, lateRecvSat        float64
+	recvs, lateRecvN, deadPeerN int
+	inDiag, inRank              bool
+}
+
+// collCell is one (rank, collective) pair's share of a CollectiveStat.
+type collCell struct {
+	CollectiveStat
+	touched bool
+}
+
+// rankTimeline is one rank's replay state. The lists are in time order;
+// recvs, deads and omps point at the events where the trace keeps them.
 type rankTimeline struct {
-	sections []changePoint // innermost section label over time
-	colls    []changePoint // innermost open collective name over time
-	recvs    []trace.Event // recv events, time-sorted
-	deads    []trace.Event // dead-peer wait events, time-sorted
-	omps     []trace.Event // thread-team compute regions, time-sorted
-	firstT   float64
-	lastT    float64
-	seen     bool
+	rank      int
+	sections  []changePoint  // innermost section over time
+	colls     []changePoint  // innermost open collective over time
+	recvs     []*trace.Event // matched receives
+	deads     []*trace.Event // dead-peer waits
+	omps      []*trace.Event // thread-team compute regions
+	secs      []secCell
+	collCells []collCell
+	firstT    float64
+	lastT     float64
+	wait      float64 // classified blocked time
 }
 
-// labelAt returns the innermost label at time t (the latest change point
-// at or before t), or "".
-func labelAt(cps []changePoint, t float64) string {
-	i := sort.Search(len(cps), func(i int) bool { return cps[i].t > t })
-	if i == 0 {
-		return ""
+// cellAt returns the cell of the latest change point at or before t.
+func cellAt(cps []changePoint, t float64) int32 {
+	lo, hi := 0, len(cps)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); cps[m].t > t {
+			hi = m
+		} else {
+			lo = m + 1
+		}
 	}
-	return cps[i-1].label
+	if lo == 0 {
+		return none
+	}
+	return cps[lo-1].cell
 }
 
-// labelAtSend resolves the section a SEND belongs to. MessageSent fires
-// before a coincident SectionLeave in program order, but the replay pops
-// the section first on timestamp ties — so look just before the stamp and
-// fall back to the exact lookup (zero-overhead models collapse enter and
-// send onto one timestamp).
-func labelAtSend(cps []changePoint, t, eps float64) string {
-	if lbl := labelAt(cps, t-eps); lbl != "" {
-		return lbl
+// sec returns the rank's cell for a section label, making it on first use.
+// A rank sees a handful of labels, so the cells are a list, searched.
+func (rt *rankTimeline) sec(label string) int32 {
+	for i := range rt.secs {
+		if rt.secs[i].Section == label {
+			return int32(i)
+		}
 	}
-	return labelAt(cps, t)
+	rt.secs = append(rt.secs, secCell{RankSection: RankSection{Section: label, Rank: rt.rank}})
+	return int32(len(rt.secs) - 1)
+}
+
+func (rt *rankTimeline) coll(name string) int32 {
+	for i := range rt.collCells {
+		if rt.collCells[i].Name == name {
+			return int32(i)
+		}
+	}
+	rt.collCells = append(rt.collCells, collCell{CollectiveStat: CollectiveStat{Name: name}})
+	return int32(len(rt.collCells) - 1)
+}
+
+// secAt returns the cell of the innermost section at time t; time spent
+// outside every section is kept under the label "" so that nothing is
+// silently lost.
+func (rt *rankTimeline) secAt(t float64) *secCell {
+	c := cellAt(rt.sections, t)
+	if c == none {
+		c = rt.sec("")
+	}
+	return &rt.secs[c]
+}
+
+// labelAt returns the innermost section label at time t, or "".
+func (rt *rankTimeline) labelAt(t float64) string {
+	if c := cellAt(rt.sections, t); c != none {
+		return rt.secs[c].Section
+	}
+	return ""
+}
+
+// sendCell resolves the section a SEND belongs to, or nil outside every
+// section. MessageSent fires before a coincident SectionLeave in program
+// order, but the replay pops the section first on timestamp ties — so look
+// just before the stamp and fall back to the exact lookup (zero-overhead
+// models collapse enter and send onto one timestamp).
+func (rt *rankTimeline) sendCell(t, eps float64) *secCell {
+	c := cellAt(rt.sections, t-eps)
+	if c == none || rt.secs[c].Section == "" {
+		c = cellAt(rt.sections, t)
+	}
+	if c == none || rt.secs[c].Section == "" {
+		return nil
+	}
+	return &rt.secs[c]
+}
+
+// arena hands out the per-rank lists of one kind from shared blocks, so
+// that a list costs its own length and nothing for having grown. Ranks are
+// replayed one after the other, which makes the list being built the tail
+// of the current block: push appends to it, take cuts it off. When the
+// block is full only that tail moves to the next one.
+type arena[T any] struct {
+	block []T
+	start int // where the list being built begins
+}
+
+// arenaMax caps a block; below it blocks double, as append would.
+const arenaMax = 4096
+
+func (a *arena[T]) push(v T) {
+	if len(a.block) == cap(a.block) {
+		open := a.block[a.start:]
+		size := max(16, 2*len(open), min(2*cap(a.block), arenaMax))
+		a.block, a.start = append(make([]T, 0, size), open...), 0
+	}
+	a.block = append(a.block, v)
+}
+
+func (a *arena[T]) take() []T {
+	list := a.block[a.start:len(a.block):len(a.block)]
+	a.start = len(a.block)
+	return list
+}
+
+// stackEntry is an open section or collective during the replay.
+type stackEntry struct {
+	enterT float64
+	cell   int32
+}
+
+// engine is one analysis in progress.
+type engine struct {
+	eps   float64
+	ranks []rankTimeline // ascending rank
+
+	sections, colls arena[changePoint]
+	recvs           arena[*trace.Event]
+	secStack        []stackEntry
+	collStack       []stackEntry
+
+	unmatched, faults, msgs int
 }
 
 // Analyze runs the engine over a replayable event stream. Events may be in
-// any order (they are normalized with trace.Sorted); section events are
-// required for attribution, message events for wait classification.
+// any order and are left as they are; section events are required for
+// attribution, message events for wait classification.
 func Analyze(events []trace.Event, opts Options) (*Analysis, error) {
-	if len(events) == 0 {
+	return AnalyzeOrder(trace.OrderOf(events), opts)
+}
+
+// AnalyzeOrder runs the engine over an indexed recording — a Buffer's, read
+// in the chunks it was recorded in, or a slice's. It is the one
+// implementation: Analyze(b.Events()), Analyze of the events read back from
+// b's CSV, and AnalyzeOrder(b.Order()) return the same Analysis, bit for
+// bit (see the package comment).
+func AnalyzeOrder(o *trace.Order, opts Options) (*Analysis, error) {
+	if o.Len() == 0 {
 		return nil, fmt.Errorf("waitstate: empty event stream")
 	}
 	if opts.Eps <= 0 {
@@ -241,298 +396,324 @@ func Analyze(events []trace.Event, opts Options) (*Analysis, error) {
 	if opts.CommFrac <= 0 {
 		opts.CommFrac = 0.2
 	}
-	evs := trace.Sorted(events)
+	en := &engine{eps: opts.Eps, ranks: make([]rankTimeline, o.Runs())}
+	for k := range en.ranks {
+		en.replay(k, o.Run(k))
+	}
+	for k := range en.ranks {
+		en.classify(&en.ranks[k])
+	}
+	crit, critSec := en.criticalPath()
+	return en.fold(crit, critSec, opts), nil
+}
 
-	// --- Replay: per-rank timelines, section inclusive totals, collectives.
-	type stackEntry struct {
-		label  string
-		enterT float64
+// replay walks one rank's run: its timelines, its section and collective
+// cells, and the lists of events the classification comes back to.
+func (en *engine) replay(k int, run trace.Run) {
+	rt := &en.ranks[k]
+	first := run.At(0)
+	rt.rank, rt.firstT = first.Rank, first.T
+	if k > 0 {
+		// Ranks of one program see the same labels: room for the
+		// predecessor's cells saves growing into them.
+		rt.secs = make([]secCell, 0, len(en.ranks[k-1].secs))
+		rt.collCells = make([]collCell, 0, len(en.ranks[k-1].collCells))
 	}
-	ranks := map[int]*rankTimeline{}
-	tl := func(r int) *rankTimeline {
-		rt := ranks[r]
-		if rt == nil {
-			rt = &rankTimeline{}
-			ranks[r] = rt
-		}
-		return rt
-	}
-	secStacks := map[int][]stackEntry{}  // per-rank section stack
-	collStacks := map[int][]stackEntry{} // per-rank collective stack
-	diag := map[string]*SectionDiagnosis{}
-	sec := func(label string) *SectionDiagnosis {
-		d := diag[label]
-		if d == nil {
-			d = &SectionDiagnosis{Section: label}
-			diag[label] = d
-		}
-		return d
-	}
-	colls := map[string]*CollectiveStat{}
-	coll := func(name string) *CollectiveStat {
-		cs := colls[name]
-		if cs == nil {
-			cs = &CollectiveStat{Name: name}
-			colls[name] = cs
-		}
-		return cs
-	}
-	type rsKey struct {
-		rank  int
-		label string
-	}
-	rsecs := map[rsKey]*RankSection{}
-	rsec := func(r int, label string) *RankSection {
-		k := rsKey{r, label}
-		rs := rsecs[k]
-		if rs == nil {
-			rs = &RankSection{Section: label, Rank: r}
-			rsecs[k] = rs
-		}
-		return rs
-	}
-	var unmatched, faults int
-	for _, e := range evs {
-		rt := tl(e.Rank)
-		if !rt.seen {
-			rt.firstT, rt.seen = e.T, true
-		}
+	secStack, collStack := en.secStack[:0], en.collStack[:0]
+	for j, n := 0, run.Len(); j < n; j++ {
+		e := run.At(j)
 		if e.T > rt.lastT {
 			rt.lastT = e.T
 		}
 		switch e.Kind {
 		case trace.KindSectionEnter:
-			secStacks[e.Rank] = append(secStacks[e.Rank], stackEntry{e.Label, e.T})
-			rt.sections = append(rt.sections, changePoint{e.T, e.Label})
+			c := rt.sec(e.Label)
+			secStack = append(secStack, stackEntry{e.T, c})
+			en.sections.push(changePoint{e.T, c})
 		case trace.KindSectionLeave:
-			st := secStacks[e.Rank]
-			if n := len(st); n > 0 && st[n-1].label == e.Label {
-				sec(e.Label).Total += e.T - st[n-1].enterT
-				rsec(e.Rank, e.Label).Incl += e.T - st[n-1].enterT
-				secStacks[e.Rank] = st[:n-1]
-				top := ""
-				if n > 1 {
-					top = st[n-2].label
-				}
-				rt.sections = append(rt.sections, changePoint{e.T, top})
-			} else {
-				unmatched++
+			n := len(secStack)
+			if n == 0 || rt.secs[secStack[n-1].cell].Section != e.Label {
+				en.unmatched++
+				continue
 			}
+			cell := &rt.secs[secStack[n-1].cell]
+			cell.Incl += e.T - secStack[n-1].enterT
+			cell.inDiag, cell.inRank = true, true
+			secStack = secStack[:n-1]
+			under := int32(none)
+			if n > 1 {
+				under = secStack[n-2].cell
+			}
+			en.sections.push(changePoint{e.T, under})
 		case trace.KindCollective:
-			collStacks[e.Rank] = append(collStacks[e.Rank], stackEntry{e.Label, e.T})
-			rt.colls = append(rt.colls, changePoint{e.T, e.Label})
+			c := rt.coll(e.Label)
+			collStack = append(collStack, stackEntry{e.T, c})
+			en.colls.push(changePoint{e.T, c})
 		case trace.KindCollectiveEnd:
-			st := collStacks[e.Rank]
-			if n := len(st); n > 0 && st[n-1].label == e.Label {
-				cs := coll(e.Label)
-				cs.Spans++
-				cs.Time += e.T - st[n-1].enterT
-				collStacks[e.Rank] = st[:n-1]
-				top := ""
-				if n > 1 {
-					top = st[n-2].label
-				}
-				rt.colls = append(rt.colls, changePoint{e.T, top})
-			} else {
-				unmatched++
+			n := len(collStack)
+			if n == 0 || rt.collCells[collStack[n-1].cell].Name != e.Label {
+				en.unmatched++
+				continue
 			}
+			cell := &rt.collCells[collStack[n-1].cell]
+			cell.Spans++
+			cell.Time += e.T - collStack[n-1].enterT
+			cell.touched = true
+			collStack = collStack[:n-1]
+			under := int32(none)
+			if n > 1 {
+				under = collStack[n-2].cell
+			}
+			en.colls.push(changePoint{e.T, under})
 		case trace.KindRecv:
-			rt.recvs = append(rt.recvs, e)
+			en.recvs.push(e)
 		case trace.KindDeadPeer:
 			rt.deads = append(rt.deads, e)
 		case trace.KindOmpRegion:
 			rt.omps = append(rt.omps, e)
 		case trace.KindFault:
-			faults++
+			en.faults++
 		}
 	}
-	p := len(ranks)
-	var wall float64
-	for _, rt := range ranks {
-		if rt.lastT > wall {
-			wall = rt.lastT
+	rt.sections, rt.colls, rt.recvs = en.sections.take(), en.colls.take(), en.recvs.take()
+	en.secStack, en.collStack = secStack, collStack
+}
+
+// classify charges one rank's blocked time to its cells — and the lateness
+// a receive suffered to the sender's cell, which is why every rank has been
+// replayed by now.
+func (en *engine) classify(rt *rankTimeline) {
+	en.msgs += len(rt.recvs)
+	for _, e := range rt.recvs {
+		wait := e.T - e.PostT
+		if wait < 0 {
+			wait = 0
 		}
+		rt.wait += wait
+		cell := rt.secAt(e.PostT)
+		cell.inDiag, cell.inRank = true, true
+		cell.recvs++
+		cell.Wait += wait
+		if sat := e.PostT - e.ArrT; sat > en.eps {
+			cell.lateRecvN++
+			cell.lateRecvSat += sat
+		}
+		if e.Tag < 0 {
+			// Algorithm-internal collective traffic: the blocked time is
+			// the rank waiting for the collective to make progress.
+			cell.CollWait += wait
+			if c := cellAt(rt.colls, e.PostT); c != none && rt.collCells[c].Name != "" {
+				rt.collCells[c].Wait += wait
+				rt.collCells[c].touched = true
+			}
+			continue
+		}
+		late := e.SendT - e.PostT
+		if late < 0 {
+			late = 0
+		}
+		if late > wait {
+			late = wait
+		}
+		cell.LateSender += late
+		cell.Transfer += wait - late
+		// Charge the lateness back to whatever the SENDER was doing when
+		// it finally posted the send: that section's Twait_out.
+		if late > 0 {
+			if srt := en.rank(e.Peer); srt != nil {
+				if sc := srt.sendCell(e.SendT, en.eps); sc != nil {
+					sc.waitOut += late
+					sc.inDiag = true
+				}
+			}
+		}
+	}
+	// Dead-peer waits: time the rank spent parked on an operation a
+	// failure aborted. The emitting runtime stamps the section directly
+	// (Label), so attribution survives even a section-free trace.
+	for _, e := range rt.deads {
+		wait := e.T - e.PostT
+		if wait < 0 {
+			wait = 0
+		}
+		rt.wait += wait
+		var cell *secCell
+		if e.Label != "" {
+			cell = &rt.secs[rt.sec(e.Label)]
+		} else {
+			cell = rt.secAt(e.PostT)
+		}
+		cell.inDiag, cell.inRank = true, true
+		cell.Wait += wait
+		cell.DeadWait += wait
+		cell.deadPeerN++
+	}
+	// Thread-team compute regions: attribute each region to the section
+	// open at its start (the region ran entirely inside it — regions do
+	// not straddle section boundaries) and aggregate the POP
+	// thread-efficiency inputs.
+	for _, e := range rt.omps {
+		cell := rt.secAt(e.PostT)
+		cell.inRank = true
+		elapsed := e.T - e.PostT
+		if elapsed < 0 {
+			elapsed = 0
+		}
+		cell.OmpElapsed += elapsed
+		cell.OmpSingle += e.ArrT
+		cell.OmpBusy += float64(e.Bytes) * elapsed
+		if e.Bytes > cell.MaxTeam {
+			cell.MaxTeam = e.Bytes
+		}
+	}
+}
+
+// rank finds a rank's timeline, or nil for a rank that recorded nothing.
+func (en *engine) rank(r int) *rankTimeline {
+	ranks := en.ranks
+	if i := r - ranks[0].rank; i >= 0 && i < len(ranks) && ranks[i].rank == r {
+		return &ranks[i] // ranks lo..hi, none missing: the usual case
+	}
+	i := sort.Search(len(ranks), func(i int) bool { return ranks[i].rank >= r })
+	if i < len(ranks) && ranks[i].rank == r {
+		return &ranks[i]
+	}
+	return nil
+}
+
+// fold assembles the Analysis. Everything summed over ranks is summed here,
+// cell by cell in ascending rank order, which is what makes the result a
+// function of the events alone.
+func (en *engine) fold(crit []PathSegment, critSec map[string]float64, opts Options) *Analysis {
+	p := len(en.ranks)
+	a := &Analysis{
+		Ranks: p, SeqTime: opts.SeqTime, Msgs: en.msgs,
+		CritPath: crit, Faults: en.faults,
+		Ranked: make([]RankBreakdown, 0, p),
+	}
+	for _, s := range crit {
+		a.CritLen += s.To - s.From
+	}
+	if en.unmatched > 0 {
+		a.Warning = fmt.Sprintf("warning: %d unmatched section/collective boundary events; the stream is truncated and aggregates are incomplete", en.unmatched)
+	}
+	var cells int
+	for k := range en.ranks {
+		rt := &en.ranks[k]
+		if rt.lastT > a.Wall {
+			a.Wall = rt.lastT
+		}
+		a.DeadWaits += len(rt.deads)
+		cells += len(rt.secs)
 	}
 
-	// --- Wait-state classification per received message.
-	rankWait := map[int]float64{}
-	var msgs int
-	for r, rt := range ranks {
-		for _, e := range rt.recvs {
-			msgs++
-			wait := e.T - e.PostT
-			if wait < 0 {
-				wait = 0
+	var (
+		diag  []*SectionDiagnosis // in order of first appearance
+		colls []*CollectiveStat
+	)
+	diagOf := map[string]*SectionDiagnosis{}
+	collOf := map[string]*CollectiveStat{}
+	a.RankSections = make([]RankSection, 0, cells)
+	for k := range en.ranks {
+		rt := &en.ranks[k]
+		for i := range rt.secs {
+			cell := &rt.secs[i]
+			if cell.inRank {
+				a.RankSections = append(a.RankSections, cell.RankSection)
 			}
-			rankWait[r] += wait
-			lbl := labelAt(rt.sections, e.PostT)
-			d := sec(lbl)
-			rs := rsec(r, lbl)
-			d.Recvs++
-			d.WaitIn += wait
-			rs.Wait += wait
-			if sat := e.PostT - e.ArrT; sat > opts.Eps {
-				d.LateRecvN++
-				d.LateRecvSat += sat
-			}
-			if e.Tag < 0 {
-				// Algorithm-internal collective traffic: the blocked time is
-				// the rank waiting for the collective to make progress.
-				d.CollWait += wait
-				rs.CollWait += wait
-				if name := labelAt(rt.colls, e.PostT); name != "" {
-					coll(name).Wait += wait
-				}
+			if !cell.inDiag {
 				continue
 			}
-			late := e.SendT - e.PostT
-			if late < 0 {
-				late = 0
+			d := diagOf[cell.Section]
+			if d == nil {
+				d = &SectionDiagnosis{Section: cell.Section}
+				diagOf[cell.Section] = d
+				diag = append(diag, d)
 			}
-			if late > wait {
-				late = wait
-			}
-			d.LateSender += late
-			d.Transfer += wait - late
-			rs.LateSender += late
-			rs.Transfer += wait - late
-			// Charge the lateness back to whatever the SENDER was doing when
-			// it finally posted the send: that section's Twait_out.
-			if late > 0 {
-				if srt := ranks[e.Peer]; srt != nil {
-					if lbl := labelAtSend(srt.sections, e.SendT, opts.Eps); lbl != "" {
-						sec(lbl).WaitOut += late
-					}
-				}
-			}
+			d.Total += cell.Incl
+			d.WaitIn += cell.Wait
+			d.LateSender += cell.LateSender
+			d.Transfer += cell.Transfer
+			d.CollWait += cell.CollWait
+			d.DeadWait += cell.DeadWait
+			d.DeadPeerN += cell.deadPeerN
+			d.WaitOut += cell.waitOut
+			d.LateRecvN += cell.lateRecvN
+			d.LateRecvSat += cell.lateRecvSat
+			d.Recvs += cell.recvs
 		}
-		// Dead-peer waits: time the rank spent parked on an operation a
-		// failure aborted. The emitting runtime stamps the section directly
-		// (Label), so attribution survives even a section-free trace.
-		for _, e := range rt.deads {
-			wait := e.T - e.PostT
-			if wait < 0 {
-				wait = 0
+		for i := range rt.collCells {
+			cell := &rt.collCells[i]
+			if !cell.touched {
+				continue
 			}
-			rankWait[r] += wait
-			lbl := e.Label
-			if lbl == "" {
-				lbl = labelAt(rt.sections, e.PostT)
+			cs := collOf[cell.Name]
+			if cs == nil {
+				cs = &CollectiveStat{Name: cell.Name}
+				collOf[cell.Name] = cs
+				colls = append(colls, cs)
 			}
-			d := sec(lbl)
-			d.WaitIn += wait
-			d.DeadWait += wait
-			d.DeadPeerN++
-			rs := rsec(r, lbl)
-			rs.Wait += wait
-			rs.DeadWait += wait
+			cs.Spans += cell.Spans
+			cs.Time += cell.Time
+			cs.Wait += cell.Wait
 		}
-		// Thread-team compute regions: attribute each region to the section
-		// open at its start (the region ran entirely inside it — regions do
-		// not straddle section boundaries) and aggregate the POP
-		// thread-efficiency inputs.
-		for _, e := range rt.omps {
-			rs := rsec(r, labelAt(rt.sections, e.PostT))
-			elapsed := e.T - e.PostT
-			if elapsed < 0 {
-				elapsed = 0
-			}
-			rs.OmpElapsed += elapsed
-			rs.OmpSingle += e.ArrT
-			rs.OmpBusy += float64(e.Bytes) * elapsed
-			if e.Bytes > rs.MaxTeam {
-				rs.MaxTeam = e.Bytes
-			}
+		rw := rt.lastT - rt.firstT
+		compute := rw - rt.wait
+		if compute < 0 {
+			compute = 0
 		}
+		a.Ranked = append(a.Ranked, RankBreakdown{
+			Rank: rt.rank, Wall: rw, Wait: rt.wait,
+			Compute:  compute,
+			Residual: a.Wall - rt.firstT - rt.wait - compute,
+		})
 	}
 
-	// --- Critical path: backward walk from the last-finishing rank.
-	crit, critSec := criticalPath(ranks, wall, opts.Eps)
-	var critLen float64
-	for _, s := range crit {
-		critLen += s.To - s.From
-	}
-
-	// --- Assemble: diagnosis records, rank breakdown, collectives.
-	a := &Analysis{
-		Ranks: p, Wall: wall, SeqTime: opts.SeqTime, Msgs: msgs,
-		CritPath: crit, CritLen: critLen, Faults: faults,
-	}
-	for _, rt := range ranks {
-		a.DeadWaits += len(rt.deads)
-	}
-	if unmatched > 0 {
-		a.Warning = fmt.Sprintf("warning: %d unmatched section/collective boundary events; the stream is truncated and aggregates are incomplete", unmatched)
-	}
-	for label, d := range diag {
-		if label == "" {
+	for _, d := range diag {
+		d.CritTime = critSec[d.Section]
+		if d.Section == "" {
 			// Receives outside any section (trace without section events):
 			// keep them under a pseudo-section so nothing is silently lost.
 			d.Section = "(no section)"
 		}
 		d.P = p
-		if p > 0 {
-			d.AvgPerProc = d.Total / float64(p)
-		}
+		d.AvgPerProc = d.Total / float64(p)
 		if opts.SeqTime > 0 && d.AvgPerProc > 0 {
 			d.Bound = opts.SeqTime / d.AvgPerProc
 		}
-		d.CritTime = critSec[label]
-		if critLen > 0 {
-			d.CritShare = d.CritTime / critLen
+		if a.CritLen > 0 {
+			d.CritShare = d.CritTime / a.CritLen
 		}
 		d.DominantCause = dominantCause(d, opts.CommFrac)
 		a.Sections = append(a.Sections, *d)
 	}
-	sort.Slice(a.Sections, func(i, j int) bool {
-		if a.Sections[i].Total != a.Sections[j].Total {
-			return a.Sections[i].Total > a.Sections[j].Total
+	slices.SortFunc(a.Sections, func(x, y SectionDiagnosis) int {
+		if x.Total != y.Total {
+			return cmp.Compare(y.Total, x.Total)
 		}
-		return a.Sections[i].Section < a.Sections[j].Section
+		return cmp.Compare(x.Section, y.Section)
 	})
-	a.RankSections = make([]RankSection, 0, len(rsecs))
-	for _, rs := range rsecs {
-		out := *rs
-		if out.Section == "" {
-			out.Section = "(no section)"
+	for i := range a.RankSections {
+		if a.RankSections[i].Section == "" {
+			a.RankSections[i].Section = "(no section)"
 		}
-		a.RankSections = append(a.RankSections, out)
 	}
-	sort.Slice(a.RankSections, func(i, j int) bool {
-		if a.RankSections[i].Section != a.RankSections[j].Section {
-			return a.RankSections[i].Section < a.RankSections[j].Section
+	slices.SortFunc(a.RankSections, func(x, y RankSection) int {
+		if x.Section != y.Section {
+			return cmp.Compare(x.Section, y.Section)
 		}
-		return a.RankSections[i].Rank < a.RankSections[j].Rank
+		return cmp.Compare(x.Rank, y.Rank)
 	})
-	rankIDs := make([]int, 0, p)
-	for r := range ranks {
-		rankIDs = append(rankIDs, r)
-	}
-	sort.Ints(rankIDs)
-	for _, r := range rankIDs {
-		rt := ranks[r]
-		wait := rankWait[r]
-		rw := rt.lastT - rt.firstT
-		compute := rw - wait
-		if compute < 0 {
-			compute = 0
-		}
-		a.Ranked = append(a.Ranked, RankBreakdown{
-			Rank: r, Wall: rw, Wait: wait,
-			Compute:  compute,
-			Residual: wall - rt.firstT - wait - compute,
-		})
-	}
 	for _, cs := range colls {
 		a.Colls = append(a.Colls, *cs)
 	}
-	sort.Slice(a.Colls, func(i, j int) bool {
-		if a.Colls[i].Wait != a.Colls[j].Wait {
-			return a.Colls[i].Wait > a.Colls[j].Wait
+	slices.SortFunc(a.Colls, func(x, y CollectiveStat) int {
+		if x.Wait != y.Wait {
+			return cmp.Compare(y.Wait, x.Wait)
 		}
-		return a.Colls[i].Name < a.Colls[j].Name
+		return cmp.Compare(x.Name, y.Name)
 	})
-	return a, nil
+	return a
 }
 
 // dominantCause classifies a section: compute-bound unless waits exceed
@@ -565,20 +746,22 @@ func dominantCause(d *SectionDiagnosis, commFrac float64) string {
 // the innermost section split at its change points. It returns the
 // segments earliest-first plus the per-section path time (transfer time is
 // charged to the receiving section that blocked on it).
-func criticalPath(ranks map[int]*rankTimeline, wall float64, eps float64) ([]PathSegment, map[string]float64) {
+func (en *engine) criticalPath() ([]PathSegment, map[string]float64) {
 	perSec := map[string]float64{}
-	if len(ranks) == 0 {
-		return nil, perSec
-	}
+	eps := en.eps
 	// Start on the rank that finishes last (lowest id on ties).
-	cur, curT := -1, math.Inf(-1)
-	for r, rt := range ranks {
-		if rt.lastT > curT || (rt.lastT == curT && r < cur) {
-			cur, curT = r, rt.lastT
+	rt, curT := &en.ranks[0], math.Inf(-1)
+	maxHops := 16
+	for k := range en.ranks {
+		if en.ranks[k].lastT > curT {
+			rt, curT = &en.ranks[k], en.ranks[k].lastT
 		}
+		// The walk terminates: each transfer edge moves strictly back in
+		// time (or the iteration cap fires on a degenerate zero-latency chain).
+		maxHops += len(en.ranks[k].recvs) + 1
 	}
 	var rev []PathSegment
-	addCompute := func(rt *rankTimeline, rank int, from, to float64) {
+	addCompute := func(rt *rankTimeline, from, to float64) {
 		if to <= from {
 			return
 		}
@@ -589,58 +772,52 @@ func criticalPath(ranks map[int]*rankTimeline, wall float64, eps float64) ([]Pat
 		for hi > from {
 			lo, label := from, ""
 			if i >= 0 {
-				label = rt.sections[i].label
+				if c := rt.sections[i].cell; c != none {
+					label = rt.secs[c].Section
+				}
 				if rt.sections[i].t > lo {
 					lo = rt.sections[i].t
 				}
 			}
 			if hi > lo {
-				rev = append(rev, PathSegment{Rank: rank, From: lo, To: hi, Kind: "compute", Section: label})
+				rev = append(rev, PathSegment{Rank: rt.rank, From: lo, To: hi, Kind: "compute", Section: label})
 				perSec[label] += hi - lo
 			}
 			hi = lo
 			i--
 		}
 	}
-	// The walk terminates: each transfer edge moves strictly back in time
-	// (or the iteration cap fires on a degenerate zero-latency chain).
-	maxHops := 16
-	for _, rt := range ranks {
-		maxHops += len(rt.recvs) + 1
-	}
 	for hop := 0; hop < maxHops; hop++ {
-		rt := ranks[cur]
 		// Latest binding receive at or before curT.
 		recvs := rt.recvs
+		var sender *rankTimeline
 		i := sort.Search(len(recvs), func(i int) bool { return recvs[i].T > curT }) - 1
-		for i >= 0 {
+		for ; i >= 0; i-- {
 			e := recvs[i]
 			if curT-e.T < -eps {
-				i--
 				continue
 			}
-			if e.T-e.ArrT <= eps && e.ArrT-e.PostT > -eps && ranks[e.Peer] != nil && e.SendT < e.T-eps {
-				break
+			if e.T-e.ArrT <= eps && e.ArrT-e.PostT > -eps && e.SendT < e.T-eps {
+				if sender = en.rank(e.Peer); sender != nil {
+					break
+				}
 			}
-			i--
 		}
 		if i < 0 {
-			addCompute(rt, cur, rt.firstT, curT)
+			addCompute(rt, rt.firstT, curT)
 			break
 		}
 		e := recvs[i]
-		addCompute(rt, cur, e.T, curT)
-		label := labelAt(rt.sections, e.PostT)
+		addCompute(rt, e.T, curT)
+		label := rt.labelAt(e.PostT)
 		rev = append(rev, PathSegment{
-			Rank: cur, From: e.SendT, To: e.T, Kind: "transfer", Section: label, Peer: e.Peer,
+			Rank: rt.rank, From: e.SendT, To: e.T, Kind: "transfer", Section: label, Peer: e.Peer,
 		})
 		perSec[label] += e.T - e.SendT
-		cur, curT = e.Peer, e.SendT
+		rt, curT = sender, e.SendT
 	}
 	// Earliest-first for readers.
-	for l, r := 0, len(rev)-1; l < r; l, r = l+1, r-1 {
-		rev[l], rev[r] = rev[r], rev[l]
-	}
+	slices.Reverse(rev)
 	return rev, perSec
 }
 

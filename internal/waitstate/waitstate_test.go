@@ -6,11 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/convolution"
-	"repro/internal/machine"
-	"repro/internal/mpi"
 	"repro/internal/trace"
 )
 
@@ -204,20 +200,7 @@ func TestAnalyzeEmpty(t *testing.T) {
 // attached and returns the replayable event stream.
 func recordedRun(t *testing.T, ranks, steps int) []trace.Event {
 	t.Helper()
-	col := trace.NewCollector(0)
-	col.Messages = true
-	col.Collectives = true
-	cfg := mpi.Config{
-		Ranks: ranks, Model: machine.NehalemCluster(), Seed: 7,
-		Tools: []mpi.Tool{col}, Timeout: 2 * time.Minute,
-	}
-	params := convolution.Params{
-		Width: 5616, Height: 3744, Steps: steps, Scale: 16, Seed: 7, SkipKernel: true,
-	}
-	if _, err := convolution.Run(cfg, params); err != nil {
-		t.Fatal(err)
-	}
-	return col.Buffer().Events()
+	return recordedBuffer(t, ranks, steps).Events()
 }
 
 // TestPropertyAccounting is the satellite property test on a real recorded
