@@ -8,7 +8,7 @@
 // By default it spins up the service in-process on a loopback listener, so
 // a single command is a full load test:
 //
-//	secload -n 200 -c 32 -faulted 0.2 -out BENCH_serve.json
+//	secload -n 200 -c 32 -faulted 0.2 -out report.json
 //
 // Point it at a running monitor instead with -addr:
 //
@@ -60,7 +60,7 @@ type quantiles struct {
 	Max float64 `json:"max"`
 }
 
-// report is the emitted JSON document (BENCH_serve.json).
+// report is the emitted JSON document (-out).
 type report struct {
 	Schema   int    `json:"schema"`
 	Config   config `json:"config"`

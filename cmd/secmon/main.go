@@ -43,7 +43,6 @@ func main() {
 	retries := flag.Int("retries", 0, "extra attempts for fault-killed jobs (0 = default 2, negative disables)")
 	cacheEntries := flag.Int("cache-entries", 0, "result-cache capacity (0 = default 256, negative disables)")
 	cacheDir := flag.String("cache-dir", "", "persist the result cache here on drain and reload it on start")
-	compat := flag.Bool("compat", false, "pre-queue /run behavior: synchronous single flight, 409 while busy")
 	drain := flag.Duration("drain", 5*time.Second, "graceful-shutdown budget for queued and running jobs")
 	flag.Parse()
 
@@ -57,7 +56,7 @@ func main() {
 		CacheDir:     *cacheDir,
 		Observe:      true,
 	})
-	srv := &http.Server{Addr: *addr, Handler: serve.NewHandler(svc, serve.HandlerOptions{Compat: *compat})}
+	srv := &http.Server{Addr: *addr, Handler: serve.NewHandler(svc, serve.HandlerOptions{})}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

@@ -11,8 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/experiments"
-	"repro/internal/mpi"
 	"repro/internal/serve"
 )
 
@@ -82,40 +80,6 @@ func TestRunRejectsBadParameters(t *testing.T) {
 	code, body = get(t, h, "/sections")
 	if code != http.StatusOK || !strings.Contains(body, `"error"`) {
 		t.Fatalf("sections after failed run: code %d body %q", code, body)
-	}
-}
-
-// TestRunCompatConflict pins the pre-queue contract behind -compat /
-// compat=1: single flight with 409 while busy, admission again once idle.
-func TestRunCompatConflict(t *testing.T) {
-	release := make(chan struct{})
-	svc := serve.NewService(serve.Options{
-		Observe:   true,
-		SeqRunner: func(experiments.LiveOptions) (float64, error) { return 0, nil },
-		Runner: func(o experiments.LiveOptions) (*mpi.Report, error) {
-			<-release
-			return &mpi.Report{WallTime: 1}, nil
-		},
-	})
-	h := serve.NewHandler(svc, serve.HandlerOptions{Compat: true})
-	if code, body := get(t, h, "/run?exp=conv&p=2"); code != http.StatusOK {
-		t.Fatalf("first compat run: code %d body %q", code, body)
-	}
-	if code, _ := get(t, h, "/run?exp=conv&p=2"); code != http.StatusConflict {
-		t.Fatalf("concurrent compat run: code %d, want 409", code)
-	}
-	close(release)
-	// The guard is single-flight, not single-use: once the current run
-	// finishes, /run admits the next launch.
-	deadline := time.Now().Add(10 * time.Second)
-	for svc.Active() {
-		if time.Now().After(deadline) {
-			t.Fatal("first run never finished")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if code, body := get(t, h, "/run?exp=conv&p=2&steps=4&scale=32&wait=1"); code != http.StatusOK {
-		t.Fatalf("run after finish: code %d body %q", code, body)
 	}
 }
 

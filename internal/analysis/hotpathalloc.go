@@ -67,9 +67,10 @@ var allocFreeExternals = map[string]bool{
 	"time.Now":              true,
 	"time.Duration.Seconds": true,
 
-	// binary.LittleEndian codec methods: the Uint/PutUint forms are pure
-	// value arithmetic; the Append forms extend the caller's buffer — the
-	// same amortized scratch-reuse contract as the sanctioned self-append.
+	// binary.LittleEndian and BigEndian codec methods: the Uint/PutUint
+	// forms are pure value arithmetic; the Append forms extend the caller's
+	// buffer — the same amortized scratch-reuse contract as the sanctioned
+	// self-append.
 	"encoding/binary.littleEndian.Uint16":       true,
 	"encoding/binary.littleEndian.Uint32":       true,
 	"encoding/binary.littleEndian.Uint64":       true,
@@ -79,6 +80,10 @@ var allocFreeExternals = map[string]bool{
 	"encoding/binary.littleEndian.AppendUint16": true,
 	"encoding/binary.littleEndian.AppendUint32": true,
 	"encoding/binary.littleEndian.AppendUint64": true,
+	"encoding/binary.bigEndian.Uint32":          true,
+	"encoding/binary.bigEndian.Uint64":          true,
+	"encoding/binary.bigEndian.PutUint32":       true,
+	"encoding/binary.bigEndian.PutUint64":       true,
 
 	// errors.Is walks the Unwrap chain without allocating.
 	"errors.Is": true,

@@ -9,7 +9,7 @@ import (
 )
 
 // "Scaling past the paper": the extreme-scale sweep configurations behind
-// benchsweep targets E12/E13 and the convbench -extreme smoke. The paper's
+// targets E12/E13 and the convbench -extreme smoke. The paper's
 // studies stop at 456 ranks because that is the Nehalem test system's core
 // count; these run the same benchmark on the extrapolated ExtremeCluster
 // with the 2-D decomposition (the 1-D split's geometry cannot even express

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"repro/internal/fault"
 )
 
 // This file renders the recorded run in the Chrome trace_event JSON format
@@ -56,43 +54,18 @@ const secToUs = 1e6
 // WriteChromeTrace renders the events recorded so far; it may be called
 // mid-run (live snapshot) or after Finalize (full trace).
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	r.mu.Lock()
-	spans := append([]Span(nil), r.spans...)
-	counters := append([]counterSample(nil), r.counters...)
-	msgs := append([]msgEvent(nil), r.msgs...)
-	faults := append([]fault.Event(nil), r.faults...)
-	traceID := r.traceID
-	ranks := r.ranks
-	dropped := r.dropped
-	r.mu.Unlock()
-	fault.SortEvents(faults)
+	var spans []Span
+	var msgs []msgEvent
+	p := r.replay(&spans, &msgs)
+	counters, faults := p.counters, p.facts.faults
 
-	// Rank tracks: every rank that produced a span or message, plus the
-	// world size recorded at Init (so an idle rank still gets its track and
-	// a p=64 run always shows 64 tracks).
-	maxRank := ranks - 1
-	for _, sp := range spans {
-		if sp.Rank > maxRank {
-			maxRank = sp.Rank
-		}
-	}
-	for _, m := range msgs {
-		if m.src > maxRank {
-			maxRank = m.src
-		}
-		if m.dst > maxRank {
-			maxRank = m.dst
-		}
-	}
-	for _, fe := range faults {
-		if fe.Rank > maxRank {
-			maxRank = fe.Rank
-		}
-	}
-	metricsPid := maxRank + metricsPidOffset + 1
+	// One track per rank of the world seen at Init, so an idle rank still
+	// gets its track and a p=64 run always shows 64; the counter track
+	// comes after the last.
+	metricsPid := p.facts.world + metricsPidOffset
 
 	var events []chromeEvent
-	for rank := 0; rank <= maxRank; rank++ {
+	for rank := 0; rank < p.facts.world; rank++ {
 		events = append(events,
 			chromeEvent{Name: "process_name", Ph: "M", Pid: rank, Tid: rank,
 				Args: map[string]any{"name": fmt.Sprintf("rank %d", rank)}},
@@ -177,12 +150,6 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		events = append(events, ev)
 	}
 
-	sort.SliceStable(counters, func(i, j int) bool {
-		if counters[i].t != counters[j].t {
-			return counters[i].t < counters[j].t
-		}
-		return counters[i].label < counters[j].label
-	})
 	for _, cs := range counters {
 		events = append(events, chromeEvent{
 			Name: "imbalance " + cs.label, Ph: "C", Ts: cs.t * secToUs,
@@ -195,8 +162,8 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		TraceEvents:     events,
 		DisplayTimeUnit: "ms",
 		OtherData: map[string]any{
-			"trace_id":       traceID.String(),
-			"dropped_events": dropped,
+			"trace_id":       r.TraceID().String(),
+			"dropped_events": r.Dropped(),
 			"source":         "repro/internal/export",
 		},
 	}

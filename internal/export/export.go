@@ -1,31 +1,59 @@
 // Package export is the repository's second, independent consumer of the
-// PMPI-like tool layer: a streaming observability exporter. Where
-// internal/prof is the paper's MALP-style reference analysis tool, this
-// package converts the same MPI_Section enter/leave, point-to-point and
-// collective events into the formats modern observability pipelines speak:
+// PMPI-like tool layer: the observability exporter. Where internal/prof is
+// the paper's MALP-style reference analysis tool, this package turns the
+// same MPI_Section enter/leave, point-to-point and collective events into
+// the formats modern observability pipelines speak — Chrome trace_event
+// JSON for Perfetto (WriteChromeTrace), OTLP-style spans with the 32-byte
+// tool-data payload as attributes (WriteOTLP), Prometheus text and its JSON
+// twin (WritePrometheus, Sections) — and computes the Fig. 3 temporal
+// metrics, the per-section wait split and the Eq. 6 partial bounds
+// independently of internal/prof (see the parity tests).
 //
-//   - Chrome trace_event JSON (WriteChromeTrace) loadable in Perfetto or
-//     chrome://tracing — one track per rank, nested section slices, flow
-//     arrows for p2p messages, counter tracks for per-section imbalance;
-//   - OTLP-style span JSON (WriteOTLP) — one trace per run, one span per
-//     section instance per rank, parent links recovered from the nesting
-//     stack, and the 32-byte tool-data payload surfaced as span attributes;
-//   - Prometheus text exposition (WritePrometheus) backed by a streaming
-//     aggregator that maintains per-section online statistics
-//     (stats.Welford) while the ranks are still running.
+// # Who writes what
 //
-// Recorder demonstrates the paper's tool-agnosticism claim end to end: it
-// attaches through the same mpi.Config.Tools chain as internal/prof, uses
-// the Fig. 2 tool-data slot to stamp span identity between enter and leave,
-// and computes the Fig. 3 temporal metrics independently — chaining it next
-// to the profiler must not perturb either tool's measurements (see the
-// parity tests).
+// The paper's tool claim (Fig. 2, §4) is that one stream of MPI_Section
+// events serves any number of tools, and a Recorder takes it literally: the
+// events are recorded once, by a trace.Collector, and every output above is
+// a view over that recording.
+//
+// The hooks run on the rank goroutines and do what only a live tool can.
+// They forward each event to the Recorder's collector (Collector: the one
+// event store, which cmd/secmon also renders as a job's result.csv). They
+// stamp the Fig. 2 payload at enter — span id, parent id, enter time — and
+// check it at leave, from cursors only their rank touches: an event ordinal
+// per world rank, a stack of open spans per (communicator, rank). No lock,
+// no map, no allocation per event. Three things are written under the
+// Recorder's one mutex, each a handful of times per run: a communicator's
+// member world ranks on first sight (the trace's peer column is a rank of
+// the communicator; flow arrows and CommRank need the world's), a
+// fault.Event when one is injected (the trace keeps fewer of its fields),
+// and a payload another tool of the chain rewrote (kept as it stood at
+// leave; every other payload is the stamp, which a view can rebuild).
+//
+// The views — Sections, Spans, WritePrometheus, WriteChromeTrace, WriteOTLP
+// — each run one single-threaded replay over the recording (replay.go), in
+// recording order, on the caller's goroutine. Recording order is each
+// rank's program order, so the replay numbers a rank's events exactly as
+// the hooks did and span ids match the stamps. What one rank determines
+// (its spans, its per-section durations, its wait split) is accumulated per
+// rank; what crosses ranks is folded in ascending rank order — an
+// instance's Fig. 3 metrics when its last rank has left it, the per-rank
+// cells when the replay ends — so a view is a function of (seed, machine,
+// geometry), not of which rank reached a lock first. A view taken while
+// the ranks still run replays the prefix recorded so far: completed spans,
+// completed instances, WallTime as the latest timestamp seen.
+//
+// The recording is capped (Options.MaxEvents). Dropped counts the events
+// the cap turned away plus, once the run is over, the section frames no
+// leave ever closed; when it is not zero every view describes a truncated
+// stream and Warning says so.
 package export
 
 import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"sync"
@@ -33,7 +61,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/mpi"
-	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // TraceID identifies one run's trace (16 bytes, OTLP-sized).
@@ -67,20 +95,17 @@ func deriveTraceID() TraceID {
 // its own stamp even with other tools in the chain).
 var payloadMagic = [4]byte{'E', 'X', 'P', 'T'}
 
-// DefaultMaxSpans bounds completed-span retention when Options.MaxSpans is
-// zero: enough for the paper-scale p=456 convolution sweep, small enough
-// that a runaway loop cannot exhaust memory.
-const DefaultMaxSpans = 1 << 21
-
-// Unbounded disables a retention limit when set as Options.MaxSpans.
-const Unbounded = -1
+// defaultMaxEvents bounds the recording when Options.MaxEvents is zero:
+// enough for the paper-scale p=456 convolution sweep, small enough that a
+// runaway loop cannot exhaust memory.
+const defaultMaxEvents = 1 << 22
 
 // Options configures a Recorder.
 type Options struct {
-	// MaxSpans caps retained completed spans (0 = DefaultMaxSpans,
-	// Unbounded = no cap). Spans past the cap are counted as dropped and
-	// surfaced by Dropped/Warning — never silently discarded.
-	MaxSpans int
+	// MaxEvents caps the recording (0 = a bounded default). Events past
+	// the cap are counted as dropped and surfaced by Dropped/Warning —
+	// never silently discarded.
+	MaxEvents int
 	// Messages records point-to-point events as Perfetto flow arrows.
 	Messages bool
 	// Collectives records collective begin/end as slices on the rank track.
@@ -88,7 +113,7 @@ type Options struct {
 	// SeqTime is the sequential baseline Σ_j f_j(n0, 1); when positive the
 	// exporter also computes each section's Eq. 6 partial speedup bound.
 	SeqTime float64
-	// TraceID pins the run's trace id; zero derives a fresh one at Init.
+	// TraceID pins the run's trace id; zero derives a fresh one.
 	TraceID TraceID
 }
 
@@ -115,68 +140,6 @@ type Span struct {
 	Data mpi.ToolData
 }
 
-// msgEvent is one half of a point-to-point message (send or recv side).
-// Receive halves carry the matched-pair timestamps (mpi.MatchInfo) so the
-// Chrome-trace flow arrows can annotate each edge with its wait split.
-type msgEvent struct {
-	send     bool
-	src, dst int // world ranks
-	tag      int
-	bytes    int
-	t        float64
-	seq      uint64
-	sendT    float64
-	postT    float64
-	arrival  float64
-}
-
-// counterSample is one point on a per-section imbalance counter track: the
-// instance's mean Fig. 3 imbalance, stamped at the instance's Tmax.
-type counterSample struct {
-	label string
-	t     float64
-	value float64
-}
-
-type secKey struct {
-	comm  int64
-	label string
-}
-
-type rankKey struct {
-	comm int64
-	rank int
-}
-
-// faultKey aggregates fault events per (section, kind) for the Prometheus
-// section_fault_total family. Link faults outside any section aggregate
-// under the empty section label.
-type faultKey struct {
-	section string
-	kind    string
-}
-
-type instKey struct {
-	comm  int64
-	label string
-	index int
-}
-
-// openSpan is a live section instance on one rank.
-type openSpan struct {
-	span      Span
-	childTime float64
-	index     int // per-(rank,label) instance index
-}
-
-// instAcc gathers one instance's per-rank boundary times until every rank
-// of the communicator contributed, then folds into the aggregate — the same
-// completion rule internal/prof uses, so both tools agree on Fig. 3.
-type instAcc struct {
-	enters []float64
-	leaves []float64
-}
-
 // InstanceMetrics are the raw Fig. 3 quantities of one completed section
 // instance: Tmin (first entry), Tmax (last exit), and the mean entry and
 // section imbalances over the communicator's ranks.
@@ -187,83 +150,83 @@ type InstanceMetrics struct {
 	ImbMean      float64 `json:"imb_mean"`
 }
 
-// sectionAgg is the live per-section streaming aggregate.
-type sectionAgg struct {
-	comm      int64
-	label     string
-	parent    string
-	ranks     int
-	instances int
-	dur       stats.Welford
-	excl      stats.Welford
-	entryImb  stats.Welford
-	imb       stats.Welford
-	spanTotal float64
-	perRank   []float64
-	perRankEx []float64
-	last      InstanceMetrics
-	hasLast   bool
-	// Wait-state accumulators (Scalasca-style, from mpi.MatchInfo): blocked
-	// receive time inside the section split into late-sender time, residual
-	// transfer wait, and collective-internal wait (tag < 0 traffic).
-	waitIn   float64
-	lateSend float64
-	transfer float64
-	collWait float64
-	lateRecv int // receives posted after the payload already arrived
-	recvs    int
+// frame is an open section on one rank, as the hooks remember it: enough
+// to name the parent of the next enter and to rebuild this one's stamp.
+type frame struct {
+	id    uint64
+	t     float64
+	label string
+}
+
+// cursor is one rank's open sections on one communicator, innermost last.
+type cursor struct{ stack []frame }
+
+// top is the id of the innermost open span, 0 at top level.
+func (cur *cursor) top() uint64 {
+	if n := len(cur.stack); n > 0 {
+		return cur.stack[n-1].id
+	}
+	return 0
+}
+
+// commInfo is what the Recorder knows of one communicator. members is
+// fixed at registration; cursors[r] is touched only by rank r's goroutine.
+type commInfo struct {
+	members []int // communicator rank -> world rank
+	cursors []cursor
+}
+
+// runFacts are the few things about a run that the recording does not
+// hold; the Recorder's mutex guards them.
+type runFacts struct {
+	seqTime  float64
+	world    int // world size seen at Init
+	finished bool
+	wall     float64
+	unclosed int // frames still open at Finalize
+	faults   []fault.Event
+	foreign  map[uint64]mpi.ToolData // span id -> payload at leave, where it was not the stamp
 }
 
 // Recorder is the exporter's mpi.Tool. Attach it via mpi.Config.Tools —
-// alone or chained with other tools; every method is safe for concurrent
-// use from all rank goroutines, and every Write*/snapshot accessor may be
-// called while the run is still in flight (that is the "live" part).
+// alone or chained with other tools; every view may be called while the
+// run is still in flight (that is the "live" part). See the package
+// comment for which goroutine writes what.
 type Recorder struct {
-	mpi.BaseTool
+	opts Options
+	col  *trace.Collector
 
-	mu       sync.Mutex
-	opts     Options
-	world    *mpi.WorldInfo
-	traceID  TraceID
-	seqs     []uint64 // per-world-rank event sequence counters
-	stacks   map[rankKey][]openSpan
-	nextIdx  map[rankKey]map[string]int
-	collOpen map[int][]openSpan // per-world-rank open collectives
-	inst     map[instKey]*instAcc
-	aggs     map[secKey]*sectionAgg
-	spans    []Span
-	counters []counterSample
-	msgs     []msgEvent
-	faults   []fault.Event
-	faultAgg map[faultKey]int
-	dropped  int
-	maxT     float64
-	finished bool
-	wall     float64
-	ranks    int
+	// comms is indexed by Comm.ID and replaced, never written, when a
+	// communicator is first seen. seqs[w] is the ordinal of world rank w's
+	// last recorded event, written by that rank alone.
+	comms atomic.Pointer[[]*commInfo]
+	seqs  []uint64
+
+	mu  sync.Mutex
+	run runFacts
 }
 
 // NewRecorder returns a Recorder with the given options.
 func NewRecorder(opts Options) *Recorder {
-	if opts.MaxSpans == 0 {
-		opts.MaxSpans = DefaultMaxSpans
+	if opts.MaxEvents == 0 {
+		opts.MaxEvents = defaultMaxEvents
 	}
 	if opts.TraceID.IsZero() {
 		// Derived eagerly so callers can report the ID before the run
 		// starts (cmd/secmon's async /run response).
 		opts.TraceID = deriveTraceID()
 	}
-	return &Recorder{
-		opts:     opts,
-		traceID:  opts.TraceID,
-		stacks:   map[rankKey][]openSpan{},
-		nextIdx:  map[rankKey]map[string]int{},
-		collOpen: map[int][]openSpan{},
-		inst:     map[instKey]*instAcc{},
-		aggs:     map[secKey]*sectionAgg{},
-		faultAgg: map[faultKey]int{},
-	}
+	col := trace.NewCollector(opts.MaxEvents)
+	col.Messages, col.Collectives = opts.Messages, opts.Collectives
+	return &Recorder{opts: opts, col: col, run: runFacts{seqTime: opts.SeqTime}}
 }
+
+// Collector is the trace collector the Recorder records through: the one
+// event store behind every view. A caller that wants the run's trace as
+// well — cmd/secmon's result.csv, a wait-state analysis — reads its Buffer
+// rather than attaching a second collector, and may switch on the kinds no
+// view needs (Omp) before the run starts.
+func (r *Recorder) Collector() *trace.Collector { return r.col }
 
 // SetSeqTime installs (or replaces) the sequential baseline used for the
 // Eq. 6 partial bounds; callers that measure the baseline after
@@ -271,361 +234,244 @@ func NewRecorder(opts Options) *Recorder {
 func (r *Recorder) SetSeqTime(seq float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.opts.SeqTime = seq
+	r.run.seqTime = seq
 }
 
-// TraceID reports the run's trace id (derived at Init when not pinned).
-func (r *Recorder) TraceID() TraceID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.traceID
-}
+// TraceID reports the run's trace id.
+func (r *Recorder) TraceID() TraceID { return r.opts.TraceID }
 
 // Init implements mpi.Tool.
 func (r *Recorder) Init(w *mpi.WorldInfo) {
+	r.seqs = make([]uint64, w.Size)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.world = w
-	r.ranks = w.Size
-	r.seqs = make([]uint64, w.Size)
-	if r.traceID.IsZero() {
-		r.traceID = deriveTraceID()
-	}
+	r.run.world = w.Size
 }
 
-// nextSeqLocked advances the world rank's event sequence.
-func (r *Recorder) nextSeqLocked(worldRank int) uint64 {
-	if worldRank >= len(r.seqs) { // sub-communicator before Init (tests)
-		grown := make([]uint64, worldRank+1)
-		copy(grown, r.seqs)
-		r.seqs = grown
+// comm returns what is known of c's communicator, registering it first if
+// this is its first event: a replay can then resolve every rank the event
+// names.
+func (r *Recorder) comm(c *mpi.Comm) *commInfo {
+	if t := r.comms.Load(); t != nil && c.ID() < int64(len(*t)) {
+		if ci := (*t)[c.ID()]; ci != nil {
+			return ci
+		}
 	}
-	r.seqs[worldRank]++
-	return r.seqs[worldRank]
+	return r.registerComm(c)
 }
 
-// spanID derives a span's identity from its rank and per-rank event
-// sequence. Ranks race for r.mu, so a global allocation counter would hand
-// out different ids run to run; this derivation depends only on each
-// rank's own (deterministic, virtual-time) execution order, which keeps
-// golden traces, OTLP spans and Fig. 2 payload stamps byte-stable.
+//seclint:allocs-ok first sight of a communicator
+func (r *Recorder) registerComm(c *mpi.Comm) *commInfo {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var table []*commInfo
+	if t := r.comms.Load(); t != nil {
+		table = *t
+	}
+	id := int(c.ID())
+	if id < len(table) && table[id] != nil {
+		return table[id]
+	}
+	grown := make([]*commInfo, max(len(table), id+1))
+	copy(grown, table)
+	ci := &commInfo{members: make([]int, c.Size()), cursors: make([]cursor, c.Size())}
+	for i := range ci.members {
+		ci.members[i] = c.WorldRankOf(i)
+	}
+	grown[id] = ci
+	r.comms.Store(&grown)
+	return ci
+}
+
+// spanID derives a span's identity from its rank and the ordinal of its
+// enter among the rank's recorded events. The ordinal depends only on the
+// rank's own (deterministic, virtual-time) execution order, so the hooks
+// and every replay arrive at the same id, run after run: ids, parent links
+// and Fig. 2 stamps are byte-stable. What is folded across ranks is stable
+// for a different reason, the replay's fold order.
 func spanID(worldRank int, seq uint64) uint64 {
 	return uint64(worldRank+1)<<40 | seq
 }
 
-// observeLocked tracks the latest event timestamp for live wall estimates.
-func (r *Recorder) observeLocked(t float64) {
-	if t > r.maxT {
-		r.maxT = t
-	}
+// next registers c's communicator if need be and returns the ordinal of
+// the event its rank is about to record.
+func (r *Recorder) next(c *mpi.Comm) (*commInfo, uint64) {
+	ci := r.comm(c)
+	seq := &r.seqs[c.WorldRank()]
+	*seq++
+	return ci, *seq
 }
 
-// SectionEnter implements mpi.Tool: it opens a span, stamps span identity
-// into the Fig. 2 tool-data slot, and starts the instance accumulator.
+// SectionEnter implements mpi.Tool: it stamps span identity into the
+// Fig. 2 tool-data slot and records the event.
+//
+//seclint:hotpath
 func (r *Recorder) SectionEnter(c *mpi.Comm, label string, t float64, data *mpi.ToolData) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.observeLocked(t)
-	world := c.WorldRank()
-	rk := rankKey{comm: c.ID(), rank: c.Rank()}
-
-	idxs := r.nextIdx[rk]
-	if idxs == nil {
-		idxs = map[string]int{}
-		r.nextIdx[rk] = idxs
-	}
-	idx := idxs[label]
-	idxs[label] = idx + 1
-
-	sp := Span{
-		Label:    label,
-		Comm:     c.ID(),
-		Rank:     world,
-		CommRank: c.Rank(),
-		Start:    t,
-		EnterSeq: r.nextSeqLocked(world),
-	}
-	sp.ID = spanID(world, sp.EnterSeq)
-	parentLabel := ""
-	if st := r.stacks[rk]; len(st) > 0 {
-		sp.Parent = st[len(st)-1].span.ID
-		parentLabel = st[len(st)-1].span.Label
-	}
-	r.stacks[rk] = append(r.stacks[rk], openSpan{span: sp, index: idx})
-
-	if data != nil {
-		stampPayload(data, sp.ID, sp.Parent, t)
-	}
-
-	ik := instKey{comm: c.ID(), label: label, index: idx}
-	acc := r.inst[ik]
-	if acc == nil {
-		acc = &instAcc{}
-		r.inst[ik] = acc
-	}
-	acc.enters = append(acc.enters, t)
-
-	if a := r.aggs[secKey{comm: c.ID(), label: label}]; a == nil {
-		r.aggs[secKey{comm: c.ID(), label: label}] = &sectionAgg{
-			comm:      c.ID(),
-			label:     label,
-			parent:    parentLabel,
-			ranks:     c.Size(),
-			perRank:   make([]float64, c.Size()),
-			perRankEx: make([]float64, c.Size()),
-		}
-	}
+	ci, seq := r.next(c)
+	cur := &ci.cursors[c.Rank()]
+	id := spanID(c.WorldRank(), seq)
+	stampPayload(data, id, cur.top(), t)
+	cur.stack = append(cur.stack, frame{id: id, t: t, label: label})
+	r.col.SectionEnter(c, label, t, data)
 }
 
-// SectionLeave implements mpi.Tool: it closes the span, folds the duration
-// into the streaming aggregates, and completes the instance when the last
-// rank leaves.
+// SectionLeave implements mpi.Tool: it checks that the slot still holds
+// the stamp of the span being closed — keeping the payload when another
+// tool put its own there — and records the event. A misnested leave (the
+// runtime reports it) closes nothing here and in no replay, as in
+// internal/prof, but is recorded like any event.
+//
+//seclint:hotpath
 func (r *Recorder) SectionLeave(c *mpi.Comm, label string, t float64, data *mpi.ToolData) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.observeLocked(t)
-	world := c.WorldRank()
-	rk := rankKey{comm: c.ID(), rank: c.Rank()}
-	st := r.stacks[rk]
-	if len(st) == 0 || st[len(st)-1].span.Label != label {
-		// Misnested usage: the runtime reports it; drop the sample rather
-		// than corrupting exporter state (same policy as internal/prof).
-		return
-	}
-	open := st[len(st)-1]
-	r.stacks[rk] = st[:len(st)-1]
-
-	sp := open.span
-	sp.End = t
-	sp.LeaveSeq = r.nextSeqLocked(world)
-	dur := t - sp.Start
-	sp.Excl = dur - open.childTime
-	if data != nil {
-		sp.Data = *data
-	}
-	if n := len(r.stacks[rk]); n > 0 {
-		r.stacks[rk][n-1].childTime += dur
-	}
-	r.retainSpanLocked(sp)
-
-	sk := secKey{comm: c.ID(), label: label}
-	a := r.aggs[sk]
-	if a == nil { // leave without recorded enter cannot happen, but be safe
-		a = &sectionAgg{
-			comm: c.ID(), label: label, ranks: c.Size(),
-			perRank:   make([]float64, c.Size()),
-			perRankEx: make([]float64, c.Size()),
+	cur := &r.comm(c).cursors[c.Rank()]
+	if n := len(cur.stack); n > 0 && cur.stack[n-1].label == label {
+		open := cur.stack[n-1]
+		cur.stack = cur.stack[:n-1]
+		r.seqs[c.WorldRank()]++
+		var stamp mpi.ToolData
+		stampPayload(&stamp, open.id, cur.top(), open.t)
+		if *data != stamp {
+			r.keepPayload(open.id, data)
 		}
-		r.aggs[sk] = a
 	}
-	a.dur.Add(dur)
-	a.excl.Add(sp.Excl)
-	a.perRank[c.Rank()] += dur
-	a.perRankEx[c.Rank()] += sp.Excl
-
-	ik := instKey{comm: c.ID(), label: label, index: open.index}
-	acc := r.inst[ik]
-	if acc == nil {
-		return
-	}
-	acc.leaves = append(acc.leaves, t)
-	if len(acc.leaves) == c.Size() {
-		r.foldInstanceLocked(a, acc)
-		delete(r.inst, ik)
-	}
+	r.col.SectionLeave(c, label, t, data)
 }
 
-// foldInstanceLocked computes the Fig. 3 metrics for one completed
-// instance, mirroring prof.Profiler.foldInstance so both tools report the
-// same numbers.
-func (r *Recorder) foldInstanceLocked(a *sectionAgg, acc *instAcc) {
-	tmin, _ := stats.Min(acc.enters)
-	tmax, _ := stats.Max(acc.leaves)
-	a.spanTotal += tmax - tmin
-	a.instances++
-	var entrySum, imbSum float64
-	for _, tin := range acc.enters {
-		a.entryImb.Add(tin - tmin)
-		entrySum += tin - tmin
-	}
-	for _, tout := range acc.leaves {
-		tsection := tout - tmin
-		imb := (tmax - tmin) - tsection
-		a.imb.Add(imb)
-		imbSum += imb
-	}
-	n := float64(len(acc.leaves))
-	a.last = InstanceMetrics{
-		Tmin:         tmin,
-		Tmax:         tmax,
-		EntryImbMean: entrySum / n,
-		ImbMean:      imbSum / n,
-	}
-	a.hasLast = true
-	r.counters = append(r.counters, counterSample{label: a.label, t: tmax, value: a.last.ImbMean})
-}
-
-// retainSpanLocked appends a completed span, honoring the retention cap.
-func (r *Recorder) retainSpanLocked(sp Span) {
-	if r.opts.MaxSpans != Unbounded && len(r.spans) >= r.opts.MaxSpans {
-		r.dropped++
-		return
-	}
-	r.spans = append(r.spans, sp)
-}
-
-// CollectiveBegin implements mpi.Tool.
-func (r *Recorder) CollectiveBegin(c *mpi.Comm, name string, t float64) {
-	if !r.opts.Collectives {
-		return
-	}
+//seclint:allocs-ok another tool of the chain rewrote the Fig. 2 slot
+func (r *Recorder) keepPayload(id uint64, data *mpi.ToolData) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.observeLocked(t)
-	world := c.WorldRank()
-	sp := Span{
-		Label:      name,
-		Collective: true,
-		Comm:       c.ID(),
-		Rank:       world,
-		CommRank:   c.Rank(),
-		Start:      t,
-		EnterSeq:   r.nextSeqLocked(world),
+	if r.run.foreign == nil {
+		r.run.foreign = map[uint64]mpi.ToolData{}
 	}
-	sp.ID = spanID(world, sp.EnterSeq)
-	if st := r.stacks[rankKey{comm: c.ID(), rank: c.Rank()}]; len(st) > 0 {
-		sp.Parent = st[len(st)-1].span.ID
-	}
-	r.collOpen[world] = append(r.collOpen[world], openSpan{span: sp})
-}
-
-// CollectiveEnd implements mpi.Tool.
-func (r *Recorder) CollectiveEnd(c *mpi.Comm, name string, t float64) {
-	if !r.opts.Collectives {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.observeLocked(t)
-	world := c.WorldRank()
-	st := r.collOpen[world]
-	if len(st) == 0 || st[len(st)-1].span.Label != name {
-		return
-	}
-	sp := st[len(st)-1].span
-	r.collOpen[world] = st[:len(st)-1]
-	sp.End = t
-	sp.Excl = t - sp.Start
-	sp.LeaveSeq = r.nextSeqLocked(world)
-	r.retainSpanLocked(sp)
+	r.run.foreign[id] = *data
 }
 
 // MessageSent implements mpi.Tool.
+//
+//seclint:hotpath
 func (r *Recorder) MessageSent(c *mpi.Comm, dst, tag, bytes int, t float64) {
-	if !r.opts.Messages {
-		return
+	if r.col.Messages {
+		r.next(c)
+		r.col.MessageSent(c, dst, tag, bytes, t)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.observeLocked(t)
-	world := c.WorldRank()
-	r.msgs = append(r.msgs, msgEvent{
-		send: true, src: world, dst: c.WorldRankOf(dst),
-		tag: tag, bytes: bytes, t: t, seq: r.nextSeqLocked(world),
-	})
 }
 
-// MessageRecv implements mpi.Tool: besides recording the flow-arrow half,
-// it classifies the receive's blocked time from the matched-pair stamps and
-// folds it into the innermost open section's wait-state counters.
+// MessageRecv implements mpi.Tool.
+//
+//seclint:hotpath
 func (r *Recorder) MessageRecv(c *mpi.Comm, src, tag, bytes int, t float64, m mpi.MatchInfo) {
-	if !r.opts.Messages {
-		return
+	if r.col.Messages {
+		r.next(c)
+		r.col.MessageRecv(c, src, tag, bytes, t, m)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.observeLocked(t)
-	world := c.WorldRank()
-	r.msgs = append(r.msgs, msgEvent{
-		send: false, src: c.WorldRankOf(src), dst: world,
-		tag: tag, bytes: bytes, t: t, seq: r.nextSeqLocked(world),
-		sendT: m.SendT, postT: m.PostT, arrival: m.Arrival,
-	})
-	// Attribute to the receiving rank's innermost open section on this comm.
-	st := r.stacks[rankKey{comm: c.ID(), rank: c.Rank()}]
-	if len(st) == 0 {
-		return
+}
+
+// CollectiveBegin implements mpi.Tool.
+//
+//seclint:hotpath
+func (r *Recorder) CollectiveBegin(c *mpi.Comm, name string, t float64) {
+	if r.col.Collectives {
+		r.next(c)
+		r.col.CollectiveBegin(c, name, t)
 	}
-	a := r.aggs[secKey{comm: c.ID(), label: st[len(st)-1].span.Label}]
-	if a == nil {
-		return
+}
+
+// CollectiveEnd implements mpi.Tool. The runtime ends every collective it
+// began, so the ordinal counts each end.
+//
+//seclint:hotpath
+func (r *Recorder) CollectiveEnd(c *mpi.Comm, name string, t float64) {
+	if r.col.Collectives {
+		r.next(c)
+		r.col.CollectiveEnd(c, name, t)
 	}
-	wait := t - m.PostT
-	if wait < 0 {
-		wait = 0
-	}
-	a.recvs++
-	a.waitIn += wait
-	if m.PostT > m.Arrival {
-		a.lateRecv++
-	}
-	if tag < 0 {
-		a.collWait += wait
-		return
-	}
-	late := m.SendT - m.PostT
-	if late < 0 {
-		late = 0
-	}
-	if late > wait {
-		late = wait
-	}
-	a.lateSend += late
-	a.transfer += wait - late
+}
+
+// Pcontrol implements mpi.Tool; no view uses it, the trace keeps it.
+func (r *Recorder) Pcontrol(c *mpi.Comm, level int, t float64) { r.col.Pcontrol(c, level, t) }
+
+// ComputeRegion implements mpi.ComputeObserver for the trace's sake
+// (recorded when the collector's Omp is set).
+//
+//seclint:hotpath
+func (r *Recorder) ComputeRegion(c *mpi.Comm, team int, start, end, single float64) {
+	r.col.ComputeRegion(c, team, start, end, single)
 }
 
 // FaultEvent implements mpi.FaultObserver: injected faults and their
-// observed consequences stream into the recorder as they happen, so a
-// scrape (or the Chrome trace of a live snapshot) sees the degradation the
-// moment it is injected. Events are retained verbatim for /faults.json-style
-// consumers and aggregated per (section, kind) for the section_fault_total
-// Prometheus family.
+// observed consequences are recorded in the trace like any event and kept
+// verbatim besides — the trace row has no room for Src and Section — for
+// /faults.json-style consumers, the section_fault_total family and the
+// Chrome trace's instants.
 func (r *Recorder) FaultEvent(ev fault.Event) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.observeLocked(ev.T)
-	r.faults = append(r.faults, ev)
-	r.faultAgg[faultKey{section: ev.Section, kind: ev.Kind.String()}]++
-}
-
-// Faults returns the fault events recorded so far in canonical order
-// (fault.SortEvents), so the same run yields a byte-identical JSON log
-// however the rank goroutines interleaved.
-func (r *Recorder) Faults() []fault.Event {
-	r.mu.Lock()
-	out := append([]fault.Event(nil), r.faults...)
+	r.run.faults = append(r.run.faults, ev)
 	r.mu.Unlock()
-	fault.SortEvents(out)
-	return out
+	r.col.FaultEvent(ev)
 }
 
-// FaultCount is one (section, kind) cell of the fault aggregate.
+// Finalize implements mpi.Tool: it records the run report and counts the
+// section frames still open — a span without a leave has no duration to
+// export, so it is reported as dropped. The ranks are done, their cursors
+// readable.
+func (r *Recorder) Finalize(rep *mpi.Report) {
+	unclosed := 0
+	if t := r.comms.Load(); t != nil {
+		for _, ci := range *t {
+			if ci == nil {
+				continue
+			}
+			for i := range ci.cursors {
+				unclosed += len(ci.cursors[i].stack)
+			}
+		}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.run.finished, r.run.wall, r.run.unclosed = true, rep.WallTime, unclosed
+}
+
+// facts copies the run facts for a view; the fault log comes out in
+// canonical order (fault.SortEvents), however the rank goroutines
+// interleaved.
+func (r *Recorder) facts() runFacts {
+	r.mu.Lock()
+	f := r.run
+	f.faults = append([]fault.Event(nil), f.faults...)
+	f.foreign = maps.Clone(f.foreign)
+	r.mu.Unlock()
+	fault.SortEvents(f.faults)
+	return f
+}
+
+// Faults returns the fault events recorded so far in canonical order, so
+// the same run yields a byte-identical JSON log every time.
+func (r *Recorder) Faults() []fault.Event { return r.facts().faults }
+
+// FaultCount is one (section, kind) cell of the fault aggregate. Link
+// faults outside any section aggregate under the empty section label.
 type FaultCount struct {
 	Section string `json:"section,omitempty"`
 	Kind    string `json:"kind"`
 	Count   int    `json:"count"`
 }
 
-// FaultCounts snapshots the per-(section, kind) fault totals, sorted by
-// section then kind — the deterministic order the Prometheus writer and
+// FaultCounts totals the faults recorded so far per (section, kind), sorted
+// by section then kind — the deterministic order the Prometheus writer and
 // cmd/secmon's /faults.json both render.
-func (r *Recorder) FaultCounts() []FaultCount {
-	r.mu.Lock()
-	out := make([]FaultCount, 0, len(r.faultAgg))
-	for k, n := range r.faultAgg {
-		out = append(out, FaultCount{Section: k.section, Kind: k.kind, Count: n})
+func (r *Recorder) FaultCounts() []FaultCount { return countFaults(r.facts().faults) }
+
+func countFaults(faults []fault.Event) []FaultCount {
+	cells := map[FaultCount]int{}
+	for _, ev := range faults {
+		cells[FaultCount{Section: ev.Section, Kind: ev.Kind.String()}]++
 	}
-	r.mu.Unlock()
+	out := make([]FaultCount, 0, len(cells))
+	for c, n := range cells {
+		c.Count = n
+		out = append(out, c)
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Section != out[j].Section {
 			return out[i].Section < out[j].Section
@@ -635,172 +481,39 @@ func (r *Recorder) FaultCounts() []FaultCount {
 	return out
 }
 
-// Finalize implements mpi.Tool: it records the run report and discards any
-// still-open frames (counted as dropped — a span without a leave has no
-// duration to export).
-func (r *Recorder) Finalize(rep *mpi.Report) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.finished = true
-	r.wall = rep.WallTime
-	for k, st := range r.stacks {
-		r.dropped += len(st)
-		delete(r.stacks, k)
-	}
-	for k, st := range r.collOpen {
-		r.dropped += len(st)
-		delete(r.collOpen, k)
-	}
-}
-
 // Finished reports whether Finalize ran.
 func (r *Recorder) Finished() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.finished
+	return r.run.finished
 }
 
 // WallTime reports the final virtual makespan after Finalize, or the
-// latest event timestamp observed so far during a live run.
+// latest event timestamp recorded so far during a live run.
 func (r *Recorder) WallTime() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.finished {
-		return r.wall
+	if f := r.facts(); f.finished {
+		return f.wall
 	}
-	return r.maxT
+	return r.replay(nil, nil).maxT
 }
 
-// Dropped reports how many spans (or unclosed frames) were discarded.
-// Non-zero drops mean the aggregates describe a truncated stream.
+// Dropped reports how many events the cap turned away plus, after
+// Finalize, how many section frames were never closed. Non-zero drops mean
+// the views describe a truncated stream.
 func (r *Recorder) Dropped() int {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
+	unclosed := r.run.unclosed
+	r.mu.Unlock()
+	return r.col.Dropped() + unclosed
 }
 
 // Warning returns a human-readable warning line when events were dropped,
 // and "" when the stream is complete — callers print it verbatim.
 func (r *Recorder) Warning() string {
 	if n := r.Dropped(); n > 0 {
-		return fmt.Sprintf("warning: %d events dropped (span cap %d); aggregates and traces describe a truncated stream", n, r.opts.MaxSpans)
+		return fmt.Sprintf("warning: %d events dropped (event cap %d); aggregates and traces describe a truncated stream", n, r.opts.MaxEvents)
 	}
 	return ""
-}
-
-// SectionSnapshot is a point-in-time copy of one section's streaming
-// aggregate, JSON-ready for cmd/secmon's /sections endpoint.
-type SectionSnapshot struct {
-	Comm   int64  `json:"comm"`
-	Label  string `json:"label"`
-	Parent string `json:"parent,omitempty"`
-	Ranks  int    `json:"ranks"`
-	// Instances counts completed instances (entered and left by every rank).
-	Instances int `json:"instances"`
-	// Total / ExclTotal are summed-over-ranks inclusive / exclusive times.
-	Total      float64 `json:"total_seconds"`
-	ExclTotal  float64 `json:"excl_seconds"`
-	AvgPerProc float64 `json:"avg_per_proc_seconds"`
-	DurMean    float64 `json:"dur_mean_seconds"`
-	DurStd     float64 `json:"dur_std_seconds"`
-	DurMin     float64 `json:"dur_min_seconds"`
-	DurMax     float64 `json:"dur_max_seconds"`
-	// EntryImbMean / ImbMean are the Fig. 3 aggregates: mean Tin−Tmin and
-	// mean (Tmax−Tmin)−Tsection over every rank of every instance.
-	EntryImbMean float64 `json:"entry_imb_mean_seconds"`
-	ImbMean      float64 `json:"imb_mean_seconds"`
-	ImbMax       float64 `json:"imb_max_seconds"`
-	// SpanTotal sums the distributed span Tmax−Tmin over instances.
-	SpanTotal float64 `json:"span_total_seconds"`
-	// LoadImbalance is max/mean − 1 over per-rank inclusive totals.
-	LoadImbalance float64 `json:"load_imbalance"`
-	// Bound is the Eq. 6 partial speedup bound seq / avgPerProc (0 when no
-	// sequential baseline was configured).
-	Bound float64 `json:"partial_bound,omitempty"`
-	// LastInstance carries the raw Fig. 3 numbers of the most recently
-	// completed instance (Tmin, Tmax, imbalance means).
-	LastInstance *InstanceMetrics `json:"last_instance,omitempty"`
-	// PerRankTotal is each rank's summed inclusive time.
-	PerRankTotal []float64 `json:"per_rank_total_seconds"`
-	// Wait-state split (requires Options.Messages): total blocked receive
-	// time inside the section, its late-sender / transfer / collective
-	// components, the count of late-receiver messages, and the number of
-	// receives observed.
-	WaitIn       float64 `json:"wait_in_seconds"`
-	LateSender   float64 `json:"late_sender_seconds"`
-	TransferWait float64 `json:"transfer_wait_seconds"`
-	CollWait     float64 `json:"collective_wait_seconds"`
-	LateRecvs    int     `json:"late_receiver_total"`
-	Recvs        int     `json:"recv_total"`
-}
-
-// Sections snapshots the streaming aggregates, sorted by total inclusive
-// time descending (ties by label) like prof.Profile.
-func (r *Recorder) Sections() []SectionSnapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]SectionSnapshot, 0, len(r.aggs))
-	for _, a := range r.aggs {
-		s := SectionSnapshot{
-			Comm:          a.comm,
-			Label:         a.label,
-			Parent:        a.parent,
-			Ranks:         a.ranks,
-			Instances:     a.instances,
-			Total:         stats.Sum(a.perRank),
-			ExclTotal:     stats.Sum(a.perRankEx),
-			DurMean:       a.dur.Mean(),
-			DurStd:        a.dur.Std(),
-			DurMin:        a.dur.Min(),
-			DurMax:        a.dur.Max(),
-			EntryImbMean:  a.entryImb.Mean(),
-			ImbMean:       a.imb.Mean(),
-			ImbMax:        a.imb.Max(),
-			SpanTotal:     a.spanTotal,
-			PerRankTotal:  append([]float64(nil), a.perRank...),
-			LoadImbalance: loadImbalance(a.perRank),
-			WaitIn:        a.waitIn,
-			LateSender:    a.lateSend,
-			TransferWait:  a.transfer,
-			CollWait:      a.collWait,
-			LateRecvs:     a.lateRecv,
-			Recvs:         a.recvs,
-		}
-		if a.ranks > 0 {
-			s.AvgPerProc = s.Total / float64(a.ranks)
-		}
-		if r.opts.SeqTime > 0 && s.AvgPerProc > 0 {
-			s.Bound = r.opts.SeqTime / s.AvgPerProc
-		}
-		if a.hasLast {
-			inst := a.last
-			s.LastInstance = &inst
-		}
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Total != out[j].Total {
-			return out[i].Total > out[j].Total
-		}
-		return out[i].Label < out[j].Label
-	})
-	return out
-}
-
-// Spans copies the completed spans (unordered — writers sort as needed).
-func (r *Recorder) Spans() []Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Span(nil), r.spans...)
-}
-
-// loadImbalance is max/mean − 1 with zero-safe handling.
-func loadImbalance(perRank []float64) float64 {
-	v, err := stats.Imbalance(perRank)
-	if err != nil || math.IsNaN(v) {
-		return 0
-	}
-	return v
 }
 
 // stampPayload writes the exporter's Fig. 2 tool-data layout: a 4-byte
@@ -829,3 +542,4 @@ func DecodePayload(data mpi.ToolData) (spanID, parentID uint64, enterT float64, 
 
 var _ mpi.Tool = (*Recorder)(nil)
 var _ mpi.FaultObserver = (*Recorder)(nil)
+var _ mpi.ComputeObserver = (*Recorder)(nil)

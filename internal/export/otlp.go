@@ -104,10 +104,8 @@ func virtualUnixNano(t float64) string {
 // Fig. 2 tool-data payload rides along as span attributes, both raw (hex)
 // and decoded.
 func (r *Recorder) WriteOTLP(w io.Writer) error {
-	r.mu.Lock()
-	spans := append([]Span(nil), r.spans...)
-	traceID := r.traceID.String()
-	r.mu.Unlock()
+	spans := r.Spans()
+	traceID := r.TraceID().String()
 
 	sort.SliceStable(spans, func(i, j int) bool {
 		if spans[i].Rank != spans[j].Rank {

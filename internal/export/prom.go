@@ -1,16 +1,17 @@
 package export
 
 import (
+	"bytes"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
+
+	"repro/internal/stats"
 )
 
-// This file renders the streaming aggregator's state in the Prometheus
-// text exposition format (version 0.0.4). The recorder keeps every family
-// current while the ranks are still running, so a scrape — or cmd/secmon's
-// /metrics endpoint — observes the run live:
+// This file renders a replay's aggregates in the Prometheus text exposition
+// format (version 0.0.4). Every scrape — cmd/secmon's /metrics endpoint —
+// replays what has been recorded so far, so it observes the run live:
 //
 //	section_time_seconds         summary  per-rank inclusive section time
 //	section_exclusive_seconds    summary  per-rank exclusive section time
@@ -28,7 +29,7 @@ import (
 //	section_fault_total          counter injected faults per {section,kind}
 //	mpi_messages_total           counter  point-to-point events recorded
 //	mpi_message_bytes_total      counter  bytes carried by recorded messages
-//	dropped_events               counter  spans/frames discarded by the cap
+//	dropped_events               counter  events past the cap, unclosed frames
 //	export_run_finished          gauge    1 after Finalize
 //	export_wall_seconds          gauge    makespan (live: latest event time)
 //
@@ -50,237 +51,107 @@ func promLabels(comm int64, section string, extra string) string {
 	return "{" + s + "}"
 }
 
-// summaryFamily writes one summary family across every section.
-type promSection struct {
-	comm  int64
-	label string
-	count int
-	sum   float64
-	min   float64
-	max   float64
-}
-
-func writeSummary(w io.Writer, name, help string, rows []promSection) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s summary\n", name, help, name); err != nil {
-		return err
-	}
-	for _, s := range rows {
-		if s.count == 0 {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "%s%s %.17g\n%s%s %.17g\n%s_count%s %d\n%s_sum%s %.17g\n",
-			name, promLabels(s.comm, s.label, `quantile="0"`), s.min,
-			name, promLabels(s.comm, s.label, `quantile="1"`), s.max,
-			name, promLabels(s.comm, s.label, ""), s.count,
-			name, promLabels(s.comm, s.label, ""), s.sum); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WritePrometheus renders the live aggregates as Prometheus text. It is
-// safe to call concurrently with a running MPI program — that is exactly
-// the scrape-while-running scenario it exists for.
+// WritePrometheus replays the recording and renders the aggregates as
+// Prometheus text. It is safe to call concurrently with a running MPI
+// program — that is exactly the scrape-while-running scenario it exists for.
 func (r *Recorder) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	type aggCopy struct {
-		sectionAgg
-		total, exclTotal float64
-		loadImb          float64
-	}
-	aggs := make([]aggCopy, 0, len(r.aggs))
-	for _, a := range r.aggs {
-		c := aggCopy{sectionAgg: *a}
-		for _, v := range a.perRank {
-			c.total += v
-		}
-		for _, v := range a.perRankEx {
-			c.exclTotal += v
-		}
-		// Detach the shared slices: the copy must not alias live state.
-		c.perRank = nil
-		c.perRankEx = nil
-		c.loadImb = loadImbalance(a.perRank)
-		aggs = append(aggs, c)
-	}
-	var msgCount int
-	var msgBytes int64
-	for _, m := range r.msgs {
-		if m.send {
-			msgCount++
-			msgBytes += int64(m.bytes)
-		}
-	}
-	faultRows := make([]FaultCount, 0, len(r.faultAgg))
-	for k, n := range r.faultAgg {
-		faultRows = append(faultRows, FaultCount{Section: k.section, Kind: k.kind, Count: n})
-	}
-	dropped := r.dropped
-	finished := r.finished
-	wall := r.wall
-	if !finished {
-		wall = r.maxT
-	}
-	seqTime := r.opts.SeqTime
-	r.mu.Unlock()
-
-	sort.Slice(aggs, func(i, j int) bool {
-		if aggs[i].comm != aggs[j].comm {
-			return aggs[i].comm < aggs[j].comm
-		}
-		return aggs[i].label < aggs[j].label
-	})
-
-	mk := func(f func(a aggCopy) promSection) []promSection {
-		rows := make([]promSection, 0, len(aggs))
-		for _, a := range aggs {
-			rows = append(rows, f(a))
-		}
-		return rows
-	}
-	if err := writeSummary(w, "section_time_seconds",
-		"Per-rank inclusive time spent in each MPI section.",
-		mk(func(a aggCopy) promSection {
-			return promSection{a.comm, a.label, a.dur.N(), a.total, a.dur.Min(), a.dur.Max()}
-		})); err != nil {
-		return err
-	}
-	if err := writeSummary(w, "section_exclusive_seconds",
-		"Per-rank exclusive time (inclusive minus nested sections).",
-		mk(func(a aggCopy) promSection {
-			return promSection{a.comm, a.label, a.excl.N(), a.exclTotal, a.excl.Min(), a.excl.Max()}
-		})); err != nil {
-		return err
-	}
-	if err := writeSummary(w, "section_entry_imbalance_seconds",
-		"Fig. 3 entry imbalance imb_in = Tin - Tmin per rank per instance.",
-		mk(func(a aggCopy) promSection {
-			return promSection{a.comm, a.label, a.entryImb.N(),
-				a.entryImb.Mean() * float64(a.entryImb.N()), a.entryImb.Min(), a.entryImb.Max()}
-		})); err != nil {
-		return err
-	}
-	if err := writeSummary(w, "section_imbalance_seconds",
-		"Fig. 3 section imbalance imb = (Tmax-Tmin) - Tsection per rank per instance.",
-		mk(func(a aggCopy) promSection {
-			return promSection{a.comm, a.label, a.imb.N(),
-				a.imb.Mean() * float64(a.imb.N()), a.imb.Min(), a.imb.Max()}
-		})); err != nil {
-		return err
+	p := r.replay(nil, nil)
+	var b bytes.Buffer
+	family := func(name, typ, help string) {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 	}
 
-	if _, err := fmt.Fprint(w, "# HELP section_instances_total Completed section instances (entered and left by every rank).\n# TYPE section_instances_total counter\n"); err != nil {
-		return err
-	}
-	for _, a := range aggs {
-		if _, err := fmt.Fprintf(w, "section_instances_total%s %d\n",
-			promLabels(a.comm, a.label, ""), a.instances); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprint(w, "# HELP section_span_seconds_total Summed distributed span Tmax - Tmin over completed instances.\n# TYPE section_span_seconds_total counter\n"); err != nil {
-		return err
-	}
-	for _, a := range aggs {
-		if _, err := fmt.Fprintf(w, "section_span_seconds_total%s %.17g\n",
-			promLabels(a.comm, a.label, ""), a.spanTotal); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprint(w, "# HELP section_load_imbalance_ratio Load imbalance max/mean - 1 over per-rank inclusive totals.\n# TYPE section_load_imbalance_ratio gauge\n"); err != nil {
-		return err
-	}
-	for _, a := range aggs {
-		if _, err := fmt.Fprintf(w, "section_load_imbalance_ratio%s %.17g\n",
-			promLabels(a.comm, a.label, ""), a.loadImb); err != nil {
-			return err
-		}
-	}
-	waitCounter := func(name, help string, value func(a aggCopy) float64) error {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name); err != nil {
-			return err
-		}
-		for _, a := range aggs {
-			if a.recvs == 0 {
+	for _, f := range []struct {
+		name, help string
+		stat       func(*section) (stats.Welford, float64) // samples and their sum
+	}{
+		{"section_time_seconds", "Per-rank inclusive time spent in each MPI section.",
+			func(s *section) (stats.Welford, float64) { return s.dur, s.Total }},
+		{"section_exclusive_seconds", "Per-rank exclusive time (inclusive minus nested sections).",
+			func(s *section) (stats.Welford, float64) { return s.excl, s.ExclTotal }},
+		{"section_entry_imbalance_seconds", "Fig. 3 entry imbalance imb_in = Tin - Tmin per rank per instance.",
+			func(s *section) (stats.Welford, float64) {
+				return s.entryImb, s.entryImb.Mean() * float64(s.entryImb.N())
+			}},
+		{"section_imbalance_seconds", "Fig. 3 section imbalance imb = (Tmax-Tmin) - Tsection per rank per instance.",
+			func(s *section) (stats.Welford, float64) { return s.imb, s.imb.Mean() * float64(s.imb.N()) }},
+	} {
+		family(f.name, "summary", f.help)
+		for _, s := range p.sections {
+			st, sum := f.stat(s)
+			if st.N() == 0 {
 				continue
 			}
-			if _, err := fmt.Fprintf(w, "%s%s %.17g\n", name, promLabels(a.comm, a.label, ""), value(a)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := waitCounter("section_wait_in_seconds_total",
-		"Blocked receive time accumulated inside the section (Scalasca wait-state input).",
-		func(a aggCopy) float64 { return a.waitIn }); err != nil {
-		return err
-	}
-	if err := waitCounter("section_late_sender_seconds_total",
-		"Late-sender share of section_wait_in_seconds_total (send posted after the receive).",
-		func(a aggCopy) float64 { return a.lateSend }); err != nil {
-		return err
-	}
-	if err := waitCounter("section_transfer_wait_seconds_total",
-		"In-flight transfer share of section_wait_in_seconds_total.",
-		func(a aggCopy) float64 { return a.transfer }); err != nil {
-		return err
-	}
-	if err := waitCounter("section_collective_wait_seconds_total",
-		"Blocked time on collective-internal traffic inside the section.",
-		func(a aggCopy) float64 { return a.collWait }); err != nil {
-		return err
-	}
-	if err := waitCounter("section_late_receiver_total",
-		"Receives posted after the payload had already arrived (message sat in the mailbox).",
-		func(a aggCopy) float64 { return float64(a.lateRecv) }); err != nil {
-		return err
-	}
-	if len(faultRows) > 0 {
-		sort.Slice(faultRows, func(i, j int) bool {
-			if faultRows[i].Section != faultRows[j].Section {
-				return faultRows[i].Section < faultRows[j].Section
-			}
-			return faultRows[i].Kind < faultRows[j].Kind
-		})
-		if _, err := fmt.Fprint(w, "# HELP section_fault_total Injected faults and observed failure consequences by section and kind.\n# TYPE section_fault_total counter\n"); err != nil {
-			return err
-		}
-		for _, fr := range faultRows {
-			if _, err := fmt.Fprintf(w, "section_fault_total{section=\"%s\",kind=\"%s\"} %d\n",
-				promEscape(fr.Section), promEscape(fr.Kind), fr.Count); err != nil {
-				return err
-			}
-		}
-	}
-	if seqTime > 0 {
-		if _, err := fmt.Fprint(w, "# HELP section_partial_speedup_bound Eq. 6 partial speedup bound seq / avg-per-proc section time.\n# TYPE section_partial_speedup_bound gauge\n"); err != nil {
-			return err
-		}
-		for _, a := range aggs {
-			if a.ranks == 0 || a.total <= 0 {
-				continue
-			}
-			bound := seqTime / (a.total / float64(a.ranks))
-			if _, err := fmt.Fprintf(w, "section_partial_speedup_bound%s %.17g\n",
-				promLabels(a.comm, a.label, ""), bound); err != nil {
-				return err
-			}
+			plain := promLabels(s.Comm, s.Label, "")
+			fmt.Fprintf(&b, "%s%s %.17g\n%s%s %.17g\n%s_count%s %d\n%s_sum%s %.17g\n",
+				f.name, promLabels(s.Comm, s.Label, `quantile="0"`), st.Min(),
+				f.name, promLabels(s.Comm, s.Label, `quantile="1"`), st.Max(),
+				f.name, plain, st.N(), f.name, plain, sum)
 		}
 	}
 
-	boolGauge := func(v bool) int {
-		if v {
-			return 1
-		}
-		return 0
+	// One value per section; a family lists the sections its condition holds for.
+	type series struct {
+		name, typ, help string
+		on              func(*section) bool
+		value           func(*section) float64
 	}
-	_, err := fmt.Fprintf(w,
-		"# HELP mpi_messages_total Point-to-point messages recorded.\n# TYPE mpi_messages_total counter\nmpi_messages_total %d\n"+
-			"# HELP mpi_message_bytes_total Bytes carried by recorded point-to-point messages.\n# TYPE mpi_message_bytes_total counter\nmpi_message_bytes_total %d\n"+
-			"# HELP dropped_events Events discarded by the retention cap; non-zero means truncated aggregates.\n# TYPE dropped_events counter\ndropped_events %d\n"+
-			"# HELP export_run_finished Whether the run has finalized (0 while ranks are still executing).\n# TYPE export_run_finished gauge\nexport_run_finished %d\n"+
-			"# HELP export_wall_seconds Virtual makespan; the latest observed event time while live.\n# TYPE export_wall_seconds gauge\nexport_wall_seconds %.17g\n",
-		msgCount, msgBytes, dropped, boolGauge(finished), wall)
+	always := func(*section) bool { return true }
+	received := func(s *section) bool { return s.Recvs > 0 }
+	write := func(f series) {
+		family(f.name, f.typ, f.help)
+		for _, s := range p.sections {
+			if f.on(s) {
+				fmt.Fprintf(&b, "%s%s %.17g\n", f.name, promLabels(s.Comm, s.Label, ""), f.value(s))
+			}
+		}
+	}
+	for _, f := range []series{
+		{"section_instances_total", "counter", "Completed section instances (entered and left by every rank).",
+			always, func(s *section) float64 { return float64(s.Instances) }},
+		{"section_span_seconds_total", "counter", "Summed distributed span Tmax - Tmin over completed instances.",
+			always, func(s *section) float64 { return s.SpanTotal }},
+		{"section_load_imbalance_ratio", "gauge", "Load imbalance max/mean - 1 over per-rank inclusive totals.",
+			always, func(s *section) float64 { return s.LoadImbalance }},
+		{"section_wait_in_seconds_total", "counter", "Blocked receive time accumulated inside the section (Scalasca wait-state input).",
+			received, func(s *section) float64 { return s.WaitIn }},
+		{"section_late_sender_seconds_total", "counter", "Late-sender share of section_wait_in_seconds_total (send posted after the receive).",
+			received, func(s *section) float64 { return s.LateSender }},
+		{"section_transfer_wait_seconds_total", "counter", "In-flight transfer share of section_wait_in_seconds_total.",
+			received, func(s *section) float64 { return s.TransferWait }},
+		{"section_collective_wait_seconds_total", "counter", "Blocked time on collective-internal traffic inside the section.",
+			received, func(s *section) float64 { return s.CollWait }},
+		{"section_late_receiver_total", "counter", "Receives posted after the payload had already arrived (message sat in the mailbox).",
+			received, func(s *section) float64 { return float64(s.LateRecvs) }},
+	} {
+		write(f)
+	}
+	if faults := countFaults(p.facts.faults); len(faults) > 0 {
+		family("section_fault_total", "counter", "Injected faults and observed failure consequences by section and kind.")
+		for _, fc := range faults {
+			fmt.Fprintf(&b, "section_fault_total{section=\"%s\",kind=\"%s\"} %d\n",
+				promEscape(fc.Section), promEscape(fc.Kind), fc.Count)
+		}
+	}
+	if p.facts.seqTime > 0 {
+		write(series{"section_partial_speedup_bound", "gauge", "Eq. 6 partial speedup bound seq / avg-per-proc section time.",
+			func(s *section) bool { return s.Bound > 0 }, func(s *section) float64 { return s.Bound }})
+	}
+
+	finished, wall := 0, p.maxT
+	if p.facts.finished {
+		finished, wall = 1, p.facts.wall
+	}
+	family("mpi_messages_total", "counter", "Point-to-point messages recorded.")
+	fmt.Fprintf(&b, "mpi_messages_total %d\n", p.msgCount)
+	family("mpi_message_bytes_total", "counter", "Bytes carried by recorded point-to-point messages.")
+	fmt.Fprintf(&b, "mpi_message_bytes_total %d\n", p.msgBytes)
+	family("dropped_events", "counter", "Events discarded by the retention cap; non-zero means truncated aggregates.")
+	fmt.Fprintf(&b, "dropped_events %d\n", r.Dropped())
+	family("export_run_finished", "gauge", "Whether the run has finalized (0 while ranks are still executing).")
+	fmt.Fprintf(&b, "export_run_finished %d\n", finished)
+	family("export_wall_seconds", "gauge", "Virtual makespan; the latest observed event time while live.")
+	fmt.Fprintf(&b, "export_wall_seconds %.17g\n", wall)
+	_, err := w.Write(b.Bytes())
 	return err
 }

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
@@ -138,6 +139,55 @@ func TestSendRecvSteadyStateAllocsWithWaitStateTool(t *testing.T) {
 	}
 	if tool.recvs == 0 {
 		t.Fatal("wait-state tool observed no receives")
+	}
+}
+
+// TestRecyclingDoesNotDependOnGC pins what the free lists are for: envelopes
+// and posted receives come back whether or not the collector ran in between
+// (two cycles empty a sync.Pool, victim cache included), so what a sweep
+// allocates does not follow GC timing. One rank sends itself a burst of
+// ghost messages — more than it keeps of its own, so the list serves the
+// rest — and never blocks, which keeps the runtime's own per-cycle caches
+// (sudogs) out of the count.
+func TestRecyclingDoesNotDependOnGC(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates shadow memory; alloc counts are meaningless")
+	}
+	const burst, runs = envCacheMax + 4, 10
+	cfg := Config{Ranks: 1, Model: machine.Ideal(1, 1), Seed: 1, Timeout: time.Minute}
+	var avg float64
+	_, err := Run(cfg, func(c *Comm) error {
+		step := func() error {
+			for i := 0; i < burst; i++ {
+				if err := c.SendGhost(0, i, 64, 64); err != nil {
+					return err
+				}
+			}
+			for i := 0; i < burst; i++ {
+				if _, err := c.RecvDiscard(0, i); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		if err := step(); err != nil {
+			return err
+		}
+		var stepErr error
+		avg = testing.AllocsPerRun(runs, func() {
+			runtime.GC()
+			runtime.GC()
+			if stepErr == nil {
+				stepErr = step()
+			}
+		})
+		return stepErr
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if avg != 0 {
+		t.Errorf("ghost burst after two collections: %v allocs/op, want 0", avg)
 	}
 }
 

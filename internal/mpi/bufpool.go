@@ -129,13 +129,98 @@ func Release(b []byte) {
 
 // envelopes and posted receives are recycled too; both are small fixed
 // structs, but at one of each per message they dominate the allocation
-// profile once payloads are pooled.
+// profile once payloads are pooled. They go through bounded free lists
+// rather than sync.Pools, so that reuse does not depend on when the garbage
+// collector last ran (a collection empties a sync.Pool, and a 10k-rank world
+// then allocates its envelopes again): a sweep allocates the same bytes
+// every time. In front of the lists a rank keeps a few objects of its own
+// (rankState.envs, a chain through envelope.next, and rankState.posted),
+// touched by nobody else and so by no lock: a Sendrecv — the stencil and
+// tree-collective pattern — sends with an envelope its last receive freed.
+// The lists see what is left: fan-outs and fan-ins (a batch at a time),
+// bursts of Isends, and every rank's first take and last put.
 
-var envPool = sync.Pool{New: func() any { return new(envelope) }}
+const (
+	// freeListMax bounds a free list: 128k envelopes are 12 MB, what a
+	// 10,000-rank halo exchange keeps in flight with room to spare.
+	freeListMax = 128 << 10
+	// envCacheMax is the most envelopes a rank keeps; one more and the
+	// chain goes to the list.
+	envCacheMax = 8
+)
 
-// newEnvelope returns a zeroed envelope from the pool.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	list []*T
+}
+
+// take returns a parked object, or nil.
+func (f *freeList[T]) take() *T {
+	f.mu.Lock()
+	n := len(f.list)
+	if n == 0 {
+		f.mu.Unlock()
+		return nil
+	}
+	v := f.list[n-1]
+	f.list[n-1] = nil
+	f.list = f.list[:n-1]
+	f.mu.Unlock()
+	return v
+}
+
+// put parks v; a full list leaves it to the collector.
+func (f *freeList[T]) put(v *T) {
+	f.mu.Lock()
+	if len(f.list) < freeListMax {
+		f.list = append(f.list, v)
+	}
+	f.mu.Unlock()
+}
+
+var (
+	envFree    freeList[envelope]
+	postedFree freeList[posted]
+)
+
+// takeEnvelopes chains up to max parked envelopes onto head and returns the
+// new head and how many it took.
+func takeEnvelopes(head *envelope, max int) (_ *envelope, n int) {
+	f := &envFree
+	f.mu.Lock()
+	for ; n < max && len(f.list) > 0; n++ {
+		last := len(f.list) - 1
+		e := f.list[last]
+		f.list[last] = nil
+		f.list = f.list[:last]
+		e.next, head = head, e
+	}
+	f.mu.Unlock()
+	return head, n
+}
+
+// putEnvelopes parks a chain.
+func putEnvelopes(head *envelope) {
+	f := &envFree
+	f.mu.Lock()
+	for e := head; e != nil && len(f.list) < freeListMax; {
+		next := e.next
+		e.next = nil
+		f.list = append(f.list, e)
+		e = next
+	}
+	f.mu.Unlock()
+}
+
+// newEnvelope returns a zeroed envelope. The package-level forms serve the
+// paths with no rank at hand (a poisoned box, a revocation); a rank on the
+// message path goes through its rankState.
 func newEnvelope() *envelope {
-	return envPool.Get().(*envelope)
+	if e := envFree.take(); e != nil {
+		return e
+	}
+	//seclint:allocs-ok free-list miss: amortized by recycling
+	return new(envelope)
 }
 
 // freeEnvelope recycles e and its payload buffer (when still attached).
@@ -144,31 +229,81 @@ func freeEnvelope(e *envelope) {
 		payloads.put(e.data)
 	}
 	*e = envelope{}
-	envPool.Put(e)
+	envFree.put(e)
+}
+
+func (r *rankState) newEnvelope() *envelope {
+	e := r.envs
+	if e == nil {
+		return newEnvelope()
+	}
+	r.envs, e.next = e.next, nil
+	r.nenv--
+	return e
+}
+
+// reserveEnvelopes tops the rank's chain up to n under one acquisition of
+// the list's lock — a fan-out's worth, ahead of its newEnvelope calls.
+func (r *rankState) reserveEnvelopes(n int) {
+	if n > r.nenv {
+		var got int
+		r.envs, got = takeEnvelopes(r.envs, n-r.nenv)
+		r.nenv += got
+	}
+}
+
+// freeEnvelope recycles e and its payload buffer (when still attached).
+func (r *rankState) freeEnvelope(e *envelope) {
+	if e.data != nil {
+		payloads.put(e.data)
+	}
+	r.releaseEnvelope(e)
 }
 
 // releaseEnvelope recycles e without touching its payload — used after
 // ownership of e.data moved to the receiver.
-func releaseEnvelope(e *envelope) {
+func (r *rankState) releaseEnvelope(e *envelope) {
 	*e = envelope{}
-	envPool.Put(e)
+	if r.nenv >= envCacheMax {
+		putEnvelopes(r.envs)
+		r.envs, r.nenv = nil, 0
+	}
+	e.next, r.envs = r.envs, e
+	r.nenv++
 }
 
-// postedPool recycles posted receives together with their one-slot match
-// channels, so Irecv/Recv do not allocate a channel per operation. A
-// posted may be recycled only when its channel is provably empty: either
-// it matched immediately (the channel was never used) or its single
-// envelope has been received.
-var postedPool = sync.Pool{New: func() any {
-	return &posted{ch: make(chan *envelope, 1)}
-}}
-
-func newPosted(src, tag int) *posted {
-	p := postedPool.Get().(*posted)
+// A posted receive is recycled together with its one-slot match channel, so
+// Irecv/Recv do not allocate a channel per operation. A posted may be
+// recycled only when its channel is provably empty: either it matched
+// immediately (the channel was never used) or its single envelope has been
+// received.
+func (r *rankState) newPosted(src, tag int) *posted {
+	p := r.posted
+	if p != nil {
+		r.posted = nil
+	} else if p = postedFree.take(); p == nil {
+		//seclint:allocs-ok free-list miss: amortized by recycling
+		p = &posted{ch: make(chan *envelope, 1)}
+	}
 	p.src, p.tag = src, tag
 	return p
 }
 
-func freePosted(p *posted) {
-	postedPool.Put(p)
+func (r *rankState) freePosted(p *posted) {
+	if r.posted == nil {
+		r.posted = p
+		return
+	}
+	postedFree.put(p)
+}
+
+// recycle hands what the rank kept to the lists when the rank is done, for
+// the next world's ranks to start from.
+func (r *rankState) recycle() {
+	putEnvelopes(r.envs)
+	r.envs, r.nenv = nil, 0
+	if r.posted != nil {
+		postedFree.put(r.posted)
+		r.posted = nil
+	}
 }

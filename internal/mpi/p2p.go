@@ -45,6 +45,8 @@ type envelope struct {
 	// fail marks a poison envelope: no message, only a failure to report
 	// to a parked receiver (see ft.go). nil on every real message.
 	fail *poisonInfo
+	// next chains free envelopes (bufpool.go); nil on one in flight.
+	next *envelope
 }
 
 // ghost reports whether the message carries no real bytes.
@@ -68,7 +70,7 @@ func (e *envelope) takePayload() []byte {
 }
 
 // posted is an outstanding receive. The one-slot channel is reused across
-// operations through postedPool.
+// operations through the rank's own slot and postedFree (bufpool.go).
 type posted struct {
 	src, tag int
 	ch       chan *envelope
@@ -273,7 +275,7 @@ func (c *Comm) sendInternal(dst, tag int, data []byte, nbytes, vbytes int, ghost
 	}
 
 	if !dropped {
-		e := newEnvelope()
+		e := c.rs.newEnvelope()
 		e.src, e.tag = c.rank, tag
 		e.nbytes, e.vbytes = nbytes, vbytes
 		e.sendT = c.rs.now()
@@ -358,11 +360,12 @@ func (c *Comm) SendGhostBatch(dsts []int, tag int, nbytes, vbytes []int) error {
 	contenders := w.placement.NodesInUse()
 	envs := c.rs.batchEnvs[:0]
 	sendTs := c.rs.batchSendTs[:0]
+	c.rs.reserveEnvelopes(len(dsts))
 	for i, dst := range dsts {
 		c.rs.advance(model.Net.SendOverhead)
 		dstWorld := c.shared.group[dst]
 		transfer := model.MsgTime(vbytes[i], w.placement.SameNode(srcWorld, dstWorld), contenders, c.rs.rng)
-		e := newEnvelope()
+		e := c.rs.newEnvelope()
 		e.src, e.tag = c.rank, tag
 		e.nbytes, e.vbytes = nbytes[i], vbytes[i]
 		e.sendT = c.rs.now()
@@ -434,7 +437,7 @@ func (c *Comm) SendGhostBatch(dsts []int, tag int, nbytes, vbytes []int) error {
 	}
 	if failPi != nil {
 		for k := failAt; k < len(envs); k++ {
-			freeEnvelope(envs[k])
+			c.rs.freeEnvelope(envs[k])
 		}
 		return fmt.Errorf("mpi: rank %d: Send to rank %d failed: %w", c.rank, dsts[failAt], failPi.reason)
 	}
@@ -450,13 +453,13 @@ func (c *Comm) Irecv(src, tag int) (*Request, error) {
 	if c.rs.world.fi != nil {
 		c.countOp()
 	}
-	p := newPosted(src, tag)
+	p := c.rs.newPosted(src, tag)
 	req := &Request{comm: c, pending: p, src: src, postT: c.rs.now()}
 	sh, box := c.shared.box(c.rank)
 	if e := sh.post(box, p); e != nil {
 		req.env = e
 		req.pending = nil
-		freePosted(p) // never waited on: channel untouched
+		c.rs.freePosted(p) // never waited on: channel untouched
 	}
 	return req, nil
 }
@@ -471,7 +474,7 @@ func (c *Comm) recvEnvelope(src, tag int) (*envelope, error) {
 	if c.rs.world.fi != nil {
 		c.countOp()
 	}
-	p := newPosted(src, tag)
+	p := c.rs.newPosted(src, tag)
 	postT := c.rs.now()
 	sh, box := c.shared.box(c.rank)
 	e := sh.post(box, p)
@@ -484,7 +487,7 @@ func (c *Comm) recvEnvelope(src, tag int) (*envelope, error) {
 			e = <-p.ch
 		}
 	}
-	freePosted(p)
+	c.rs.freePosted(p)
 	if e.fail != nil {
 		return nil, c.failRecv(e, postT, src)
 	}
@@ -499,7 +502,7 @@ func (c *Comm) recvEnvelope(src, tag int) (*envelope, error) {
 // fault event with the original post time.
 func (c *Comm) failRecv(e *envelope, postT float64, src int) error {
 	pi := e.fail
-	releaseEnvelope(e)
+	c.rs.releaseEnvelope(e)
 	c.rs.advanceTo(pi.deathT)
 	srcWorld := -1
 	if src >= 0 && src < len(c.shared.group) {
@@ -558,7 +561,7 @@ func (r *Request) Wait() ([]byte, Status, error) {
 		} else {
 			e = <-r.pending.ch
 		}
-		freePosted(r.pending)
+		c.rs.freePosted(r.pending)
 		r.pending = nil
 	}
 	r.env = nil
@@ -570,7 +573,7 @@ func (r *Request) Wait() ([]byte, Status, error) {
 	r.done = true
 	r.status = Status{Source: e.src, Tag: e.tag, Bytes: e.vbytes}
 	r.data = e.takePayload()
-	releaseEnvelope(e)
+	c.rs.releaseEnvelope(e)
 	return r.data, r.status, nil
 }
 
@@ -635,7 +638,7 @@ func (c *Comm) Recv(src, tag int) ([]byte, Status, error) {
 	}
 	st := Status{Source: e.src, Tag: e.tag, Bytes: e.vbytes}
 	data := e.takePayload()
-	releaseEnvelope(e)
+	c.rs.releaseEnvelope(e)
 	return data, st, nil
 }
 
@@ -651,7 +654,7 @@ func (c *Comm) RecvDiscard(src, tag int) (Status, error) {
 		return Status{}, err
 	}
 	st := Status{Source: e.src, Tag: e.tag, Bytes: e.vbytes}
-	freeEnvelope(e)
+	c.rs.freeEnvelope(e)
 	return st, nil
 }
 
@@ -749,7 +752,7 @@ func (c *Comm) RecvFloat64s(src, tag int) ([]float64, Status, error) {
 	}
 	st := Status{Source: e.src, Tag: e.tag, Bytes: e.vbytes}
 	xs, err := decodeEnvelopeFloat64s(e, nil)
-	freeEnvelope(e)
+	c.rs.freeEnvelope(e)
 	return xs, st, err
 }
 
@@ -763,7 +766,7 @@ func (c *Comm) recvFloat64sInto(dst []float64, src, tag int) ([]float64, Status,
 	}
 	st := Status{Source: e.src, Tag: e.tag, Bytes: e.vbytes}
 	xs, err := decodeEnvelopeFloat64s(e, dst[:0])
-	freeEnvelope(e)
+	c.rs.freeEnvelope(e)
 	return xs, st, err
 }
 

@@ -183,6 +183,7 @@ func (w *World) rankMain(rs *rankState) {
 			w.rankDied(rank, re, rs.now())
 		}
 		rs.markFinished()
+		rs.recycle()
 		t := rs.now()
 		w.finals[rank] = t
 		rs.shard.noteClock(t)

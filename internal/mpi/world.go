@@ -172,7 +172,6 @@ type rankState struct {
 	rng   *stats.RNG
 	world *World
 	shard *rankShard
-	start time.Time // wallclock epoch (Wallclock mode only)
 
 	// Scratch buffers for the typed send path and the tree collectives.
 	// They are per-rank (hence shared by every communicator of the rank,
@@ -190,14 +189,24 @@ type rankState struct {
 	batchEnvs    []*envelope
 	batchMatches []postedMatch
 	batchSendTs  []float64
+	// The rank's own free envelopes (chained through envelope.next) and
+	// posted receive, in front of the free lists (bufpool.go).
+	envs   *envelope
+	nenv   int
+	posted *posted
 
+	// Deadlock detection (nil unless Config.Deadline > 0).
+	blk *blockedInfo
+
+	// What a fault-free virtual-time run never touches comes last, a cache
+	// line's worth: states sit back to back in a slab, and the line two
+	// neighbours share then holds nothing the first one reads or writes
+	// while the second advances its clock.
+	start time.Time // wallclock epoch (Wallclock mode only)
 	// Fault injection (nil/zero unless a plan is armed; see armFaults).
 	ops     uint64   // point-to-point op counter
 	killAt  uint64   // fail-stop threshold (0 = none)
 	linkSeq []uint64 // per-destination send ordinals for link rules
-
-	// Deadlock detection (nil unless Config.Deadline > 0).
-	blk *blockedInfo
 }
 
 func (r *rankState) advance(d float64) {

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/export"
 	"repro/internal/mpi"
-	"repro/internal/prof"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/verify"
@@ -57,14 +56,14 @@ func (g *rankGauges) write(w io.Writer) error {
 	return err
 }
 
-// bundle is one attempt's tool chain. The trace collector is always
-// attached — it produces the canonical result artifact — while the rich
-// observability tools (recorder, profiler, telemetry, gauges) ride along
-// only when the service runs in Observe mode, and the verifier only when
-// the request asked for it.
+// bundle is one attempt's tool chain. One trace collector records every
+// attempt — its buffer is the canonical result artifact and what every
+// analysis endpoint replays. An observed attempt (Options.Observe) records
+// through an export.Recorder, whose views read that same buffer, and has
+// two more always-on observers: the rank gauges and the streaming
+// telemetry. The verifier rides along only when the request asked for it.
 type bundle struct {
-	rec       *export.Recorder
-	profiler  *prof.Profiler
+	rec       *export.Recorder // nil unless observed; records into collector
 	collector *trace.Collector
 	verifier  *verify.Tool
 	gauges    *rankGauges
@@ -73,36 +72,35 @@ type bundle struct {
 
 // newBundle assembles the tool chain for one attempt.
 func newBundle(observe, verifyOn bool) *bundle {
-	c := trace.NewCollector(collectorLimit)
-	c.Messages = true
-	c.Collectives = true
-	// Thread-team compute regions feed the POP hybrid split; pure-MPI
-	// experiments record none, so the flag costs them nothing.
-	c.Omp = true
-	b := &bundle{collector: c}
+	b := &bundle{}
 	if observe {
-		b.rec = export.NewRecorder(export.Options{Messages: true, Collectives: true})
-		b.profiler = prof.New()
+		// The recorder's cap is the collector's, so that result.csv is
+		// cut at the same event whether or not the job was observed.
+		b.rec = export.NewRecorder(export.Options{MaxEvents: collectorLimit, Messages: true, Collectives: true})
+		b.collector = b.rec.Collector()
 		b.gauges = &rankGauges{}
 		b.tele = telemetry.New(telemetry.Options{})
+	} else {
+		b.collector = trace.NewCollector(collectorLimit)
+		b.collector.Messages = true
+		b.collector.Collectives = true
 	}
+	// Thread-team compute regions feed the POP hybrid split; pure-MPI
+	// experiments record none, so the flag costs them nothing.
+	b.collector.Omp = true
 	if verifyOn {
 		b.verifier = verify.New()
 	}
 	return b
 }
 
-// tools returns the chain in attachment order (the profiler first, exactly
-// as the sweep drivers chain their reference profiler).
+// tools returns the chain in attachment order, each hook consumer once:
+// the recorder stands in for its collector.
 func (b *bundle) tools() []mpi.Tool {
-	var out []mpi.Tool
-	if b.profiler != nil {
-		out = append(out, b.profiler)
-	}
+	out := []mpi.Tool{b.collector}
 	if b.rec != nil {
-		out = append(out, b.rec)
+		out[0] = b.rec
 	}
-	out = append(out, b.collector)
 	if b.gauges != nil {
 		out = append(out, b.gauges)
 	}

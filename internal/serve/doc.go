@@ -64,6 +64,20 @@
 // the idempotency contract the chaos tests pin. Application failures are
 // never retried.
 //
+// # Observers
+//
+// One trace collector records every attempt. Its buffer is the job's
+// result (the canonical event CSV) and the one thing every analysis
+// endpoint reads: /waitstate.json, /critpath.json and /efficiency.json
+// replay it, and so do the exporter's views. With Options.Observe three
+// observers are always on: the export.Recorder, which stands in front of
+// the collector (it stamps the Fig. 2 payload and records through it —
+// /metrics, /sections, /trace.json and /spans.json are its replays of the
+// same buffer), the rank gauges, and the streaming telemetry
+// (/profile.json, /heatmap.csv). The runtime verifier is a fourth, per
+// request (verify=1). Whether a job was observed does not change its
+// result bytes.
+//
 // # Result cache
 //
 // Successful results are cached in a bounded LRU keyed on the resolved

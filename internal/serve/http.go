@@ -24,11 +24,6 @@ import (
 
 // HandlerOptions configures the HTTP surface.
 type HandlerOptions struct {
-	// Compat makes every /run behave like the pre-queue monitor: 409
-	// while anything is queued or running, synchronous semantics
-	// otherwise. Individual requests opt in with compat=1 or the
-	// X-Secmon-Compat header regardless of this default.
-	Compat bool
 	// Logf receives handler-level diagnostics (default log.Printf).
 	Logf func(format string, args ...any)
 }
@@ -37,14 +32,13 @@ type HandlerOptions struct {
 // registry. Analysis endpoints select a job with ?job= (default: the most
 // recent job that actually executed).
 type handler struct {
-	svc    *Service
-	compat bool
-	logf   func(format string, args ...any)
+	svc  *Service
+	logf func(format string, args ...any)
 }
 
 // NewHandler wires the endpoint set over a service.
 func NewHandler(s *Service, opts HandlerOptions) http.Handler {
-	h := &handler{svc: s, compat: opts.Compat, logf: opts.Logf}
+	h := &handler{svc: s, logf: opts.Logf}
 	if h.logf == nil {
 		h.logf = log.Printf
 	}
@@ -88,7 +82,7 @@ a result cache.</p>
 <ul>
 <li><a href="/run?exp=conv&amp;p=64">/run?exp=conv&amp;p=64</a> — submit a job (202 + job id; add wait=1 to block;
     params: exp=conv|conv2d|lulesh, p, steps, scale, seed, threads, tenant, nocache=1, verify=1, seq=0,
-    fault=kill:rank=2,after=100, fault-seed=N, deadline=30s, compat=1 for the pre-queue 409 behavior)</li>
+    fault=kill:rank=2,after=100, fault-seed=N, deadline=30s)</li>
 <li><a href="/jobs">/jobs</a> — job registry: queue, states, retries, cache hits</li>
 <li>/jobs/{id} — one job's lifecycle and root cause; /jobs/{id}/cancel; /jobs/{id}/result.csv — canonical event CSV</li>
 <li><a href="/metrics">/metrics</a> — Prometheus: serve_* service families plus the selected run's section metrics</li>
@@ -800,8 +794,6 @@ func (h *handler) submitError(w http.ResponseWriter, err error) {
 
 // handleRun admits a job. Default: 202 + job id (or 200 with the full
 // document when wait=1 / the submission was answered from the cache).
-// Compat mode preserves the pre-queue single-flight contract: 409 while
-// anything is queued or running.
 func (h *handler) handleRun(w http.ResponseWriter, req *http.Request) {
 	q := req.URL.Query()
 	request, err := parseRunRequest(req)
@@ -810,18 +802,6 @@ func (h *handler) handleRun(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	wait := q.Get("wait") == "1"
-	compat := h.compat || q.Get("compat") == "1" || req.Header.Get("X-Secmon-Compat") != ""
-	if compat {
-		if h.svc.Active() {
-			http.Error(w, "a run is already in progress", http.StatusConflict)
-			return
-		}
-		// The pre-queue monitor always executed and surfaced fault kills
-		// as failures with their partial observability; bypass cache,
-		// dedup and the retry policy.
-		request.NoCache = true
-		request.NoRetry = true
-	}
 	job, err := h.svc.Submit(request)
 	if err != nil {
 		h.submitError(w, err)
@@ -836,8 +816,7 @@ func (h *handler) handleRun(w http.ResponseWriter, req *http.Request) {
 	v := snapshotJob(job)
 	resp := runResponse(&v)
 	w.Header().Set("Content-Type", "application/json")
-	// Compat clients predate the job model and expect a plain 200 accept.
-	if v.running && !compat {
+	if v.running {
 		w.WriteHeader(http.StatusAccepted)
 	}
 	enc := json.NewEncoder(w)

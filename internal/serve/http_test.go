@@ -180,43 +180,6 @@ func TestHTTPAsyncLifecycle(t *testing.T) {
 	}
 }
 
-// TestHTTPCompatConflict preserves the pre-queue single-flight contract
-// behind the compat switch, for both the query knob and the header.
-func TestHTTPCompatConflict(t *testing.T) {
-	g := newGatedRunner()
-	h, _ := liveHandler(t, Options{Runner: g.run, SeqRunner: noSeq})
-	if code, body := get(t, h, "/run?exp=conv&p=2&steps=4&scale=32"); code != http.StatusAccepted {
-		t.Fatalf("first run: code %d body %q", code, body)
-	}
-	if code, _ := get(t, h, "/run?exp=conv&p=2&compat=1"); code != http.StatusConflict {
-		t.Fatalf("compat while busy: code %d, want 409", code)
-	}
-	req := httptest.NewRequest(http.MethodGet, "/run?exp=conv&p=2", nil)
-	req.Header.Set("X-Secmon-Compat", "1")
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, req)
-	if w.Code != http.StatusConflict {
-		t.Fatalf("compat header while busy: code %d, want 409", w.Code)
-	}
-	g.release()
-}
-
-// TestHTTPCompatDefault covers the process-wide -compat flag equivalent.
-func TestHTTPCompatDefault(t *testing.T) {
-	g := newGatedRunner()
-	s := NewService(Options{Runner: g.run, SeqRunner: noSeq})
-	h := NewHandler(s, HandlerOptions{Compat: true, Logf: t.Logf})
-	if code, body := get(t, h, "/run?exp=conv&p=2"); code != http.StatusOK {
-		// Compat submissions still answer 200 even while live (the old
-		// monitor's async accept), never 202.
-		t.Fatalf("compat run: code %d body %q", code, body)
-	}
-	if code, _ := get(t, h, "/run?exp=conv&p=2"); code != http.StatusConflict {
-		t.Fatalf("second compat run: code %d, want 409", code)
-	}
-	g.release()
-}
-
 // TestHTTPShed maps queue overflow to 429 with a Retry-After header.
 func TestHTTPShed(t *testing.T) {
 	g := newGatedRunner()

@@ -39,7 +39,12 @@ func TestMetricsGolden(t *testing.T) {
 	// The finishing goroutine releases its slot after closing done; wait
 	// for the gauges to settle.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Active() {
+	running := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.inflight
+	}
+	for running() > 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("service never went idle")
 		}

@@ -114,10 +114,11 @@ type Options struct {
 	// it the oldest terminal jobs are forgotten (404 on /jobs/{id}; cached
 	// results remain addressable by configuration).
 	HistoryLimit int
-	// Observe attaches the full observability bundle (recorder, profiler,
-	// telemetry, rank gauges) to every attempt, which the analysis
+	// Observe attaches the observability bundle to every attempt — the
+	// recorder (in front of the collector, whose buffer its views read),
+	// the rank gauges and the streaming telemetry — which the analysis
 	// endpoints serve. The canonical trace collector that produces the
-	// result artifact is always attached regardless.
+	// result artifact records every attempt regardless.
 	Observe bool
 	// Runner and SeqRunner are test seams; nil selects the real
 	// experiment launchers.
@@ -177,8 +178,7 @@ type Request struct {
 	// always executes. Its successful result still refreshes the cache.
 	NoCache bool
 	// NoRetry disables the fault-retry policy for this job: a fault-killed
-	// attempt fails terminally with its partial observability intact
-	// (compat mode relies on this to preserve the pre-queue contract).
+	// attempt fails terminally with its partial observability intact.
 	NoRetry bool
 }
 
@@ -690,17 +690,6 @@ func (s *Service) Jobs() []*Job {
 	out := make([]*Job, len(s.order))
 	copy(out, s.order)
 	return out
-}
-
-// Active reports whether any job is queued or running (the compat
-// single-flight guard).
-func (s *Service) Active() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.queue.Len() > 0 || s.inflight > 0 {
-		return true
-	}
-	return false
 }
 
 // Draining reports whether Drain has begun.

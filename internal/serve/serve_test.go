@@ -287,7 +287,39 @@ func TestRetryDisarmsFaultAndMatchesCleanRun(t *testing.T) {
 	}
 }
 
-// TestNoRetryFailsTerminally checks the compat knob: with retries off, a
+// TestObserveDoesNotChangeResult: an observed job records through the
+// exporter's collector, an unobserved one through a bare collector, and the
+// result artifact — what the cache serves for both — must be the same bytes:
+// every event kind forwarded, the thread-team regions of a hybrid run
+// included, and the same cap.
+func TestObserveDoesNotChangeResult(t *testing.T) {
+	for _, opts := range []experiments.LiveOptions{
+		{Experiment: "conv", Ranks: 4, Steps: 4, Scale: 32, Seed: 2017},
+		{Experiment: "conv2d", Ranks: 4, Steps: 2, Scale: 32, Seed: 7},
+		{Experiment: "lulesh", Ranks: 8, Steps: 2, Threads: 4, Seed: 3},
+	} {
+		var csv [2][]byte
+		for i, observe := range []bool{false, true} {
+			j, err := NewService(Options{Observe: observe}).Submit(Request{Opts: opts, WithSeq: true})
+			if err != nil {
+				t.Fatalf("%s observe=%v: %v", opts.Experiment, observe, err)
+			}
+			waitJob(t, j)
+			if j.State() != Done {
+				t.Fatalf("%s observe=%v: state %s: %v", opts.Experiment, observe, j.State(), j.Err())
+			}
+			csv[i] = j.Result().CSV
+		}
+		if len(csv[0]) == 0 || !bytes.Equal(csv[0], csv[1]) {
+			t.Errorf("%s: result.csv is %d bytes unobserved, %d observed, and they differ", opts.Experiment, len(csv[0]), len(csv[1]))
+		}
+		if opts.Threads > 1 && !bytes.Contains(csv[1], []byte(",omp-region,")) {
+			t.Errorf("%s: no thread-team region in the observed artifact", opts.Experiment)
+		}
+	}
+}
+
+// TestNoRetryFailsTerminally checks the retry=0 knob: with retries off, a
 // fault-killed job fails with the injected kill as root cause.
 func TestNoRetryFailsTerminally(t *testing.T) {
 	s := NewService(Options{})

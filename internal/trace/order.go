@@ -31,6 +31,23 @@ func (b *Buffer) snapshot() source {
 	return source{chunks: b.chunks[:len(b.chunks):len(b.chunks)], n: b.n}
 }
 
+// Recording is the events of a Buffer in the order they were recorded, read
+// in place. It is the reader for a replay that must see exactly what each
+// rank did in the order it did it: an Order re-sorts a rank's send and the
+// section leave that shares its timestamp, which renumbers anything counted
+// per rank (internal/export's span ids). Like an Order it covers the events
+// recorded when it was taken, and its pointers stay valid until Release.
+type Recording struct{ src source }
+
+// Recording reads the events recorded so far.
+func (b *Buffer) Recording() Recording { return Recording{b.snapshot()} }
+
+// Len is the number of events covered.
+func (r Recording) Len() int { return r.src.n }
+
+// At returns event i, in place.
+func (r Recording) At(i int) *Event { return r.src.at(int32(i)) }
+
 // SortEvents sorts events in place into the canonical replay order every
 // consumer in this repository uses (see the package comment): time, rank,
 // section leaves first, then recording order — stable, because the order

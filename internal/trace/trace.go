@@ -34,6 +34,11 @@
 // the result of Events — is recognized by those three in one pass and
 // neither indexed nor copied.
 //
+// A replay that must see each rank's events exactly as the rank recorded
+// them reads the recording without an Order at all: Buffer.Recording yields
+// the events in place in recording order. internal/export numbers a rank's
+// events, and a run swaps a send with the leave that shares its timestamp.
+//
 // # Ownership
 //
 // A Buffer keeps events in fixed-size chunks, each written once and never
