@@ -294,10 +294,12 @@ func readTrace(path string) ([]trace.Event, error) {
 }
 
 // sized returns f as a reader that also reports how many bytes it has left
-// when f is a regular file: trace.ReadCSV then reserves its result in one
-// piece instead of growing it by append, which allocates five times the
-// final size on the way. A pipe or a device has no length to report and is
-// read as it is.
+// when f is a regular file: trace.ReadCSV then reserves its result from the
+// rows of the blocks read so far and the bytes still to come — twice for a
+// large trace, whose head is not like the rest — instead of growing it by
+// append, which allocates five times the final size on the way and stalls
+// the decoding workers at every step. A pipe or a device has no length to
+// report and is read as it is; either way the read uses every core.
 func sized(f *os.File) io.Reader {
 	info, err := f.Stat()
 	if err != nil || !info.Mode().IsRegular() {

@@ -71,7 +71,9 @@ func TestOversubscribedTeamOnCrowdedNodeSlower(t *testing.T) {
 			team := New(c, 8)
 			t0 := c.Now()
 			team.ParallelFor(64, w.Scale(1.0/64), func(int) {})
-			dur = c.Now() - t0
+			if c.Rank() == 0 {
+				dur = c.Now() - t0
+			}
 			return nil
 		})
 		if err != nil {

@@ -231,13 +231,19 @@ func TestOrderingAllocs(t *testing.T) {
 }
 
 // TestCodecAllocs pins the codec's allocations to be independent of the row
-// count: the encoder's one buffer; the decoder's reader, label table and
-// the growth steps of its result.
+// count: the encoder's one buffer; the decoder's reader, its first block,
+// the label table and the growth steps of its result, and, once the stream
+// outgrows that block, the ring's other blocks in one piece, two channels
+// and a goroutine, a closure and a label table per worker.
 func TestCodecAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector allocates shadow memory; alloc counts are meaningless")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// Four workers wherever the test runs; AllocsPerRun itself measures
+	// at GOMAXPROCS 1, which is the decoder run on the spot.
+	const workers = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	small, large := Sorted(recording(64, 100)), Sorted(recording(64, 1600))
 	eventBytes := uint64(len(large)) * uint64(unsafe.Sizeof(Event{}))
 
@@ -258,8 +264,16 @@ func TestCodecAllocs(t *testing.T) {
 		t.Fatalf("ReadCSV returned %d events, want %d", len(got), len(large))
 	}
 	// 16x the rows may cost a few more growth steps of the result.
-	if readLarge > readSmall+4 || readLarge > 32 {
+	if readLarge > readSmall+4 || readLarge > 12 {
 		t.Errorf("ReadCSV: %v allocs for %d rows, %v for %d", readSmall, len(small), readLarge, len(large))
+	}
+	// With the workers on, a constant more and a constant for each.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, _ = ReadCSV(bytes.NewReader(largeCSV.Bytes()))
+	runtime.ReadMemStats(&after)
+	if mallocs := after.Mallocs - before.Mallocs; len(got) != len(large) || mallocs > 16+6*workers {
+		t.Errorf("ReadCSV with %d workers: %d events, %d allocs; want %d, <= %d", workers, len(got), mallocs, len(large), 16+6*workers)
 	}
 	// A source that knows its length gets the result reserved close to
 	// right — not over-reserved, and not grown by append, which allocates
@@ -269,5 +283,22 @@ func TestCodecAllocs(t *testing.T) {
 	}
 	if limit := eventBytes * 8 / 5; readBytes > limit {
 		t.Errorf("ReadCSV allocated %d bytes for %d bytes of events; want <= %d", readBytes, eventBytes, limit)
+	}
+}
+
+// BenchmarkReadCSV decodes the 64-rank, 1,600-step recording of
+// TestCodecAllocs: 102,400 rows, 6.5 MB.
+func BenchmarkReadCSV(b *testing.B) {
+	var data bytes.Buffer
+	if err := WriteEventsCSV(&data, Sorted(recording(64, 1600))); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(data.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if events, err := ReadCSV(bytes.NewReader(data.Bytes())); err != nil || len(events) != 102400 {
+			b.Fatalf("%d events, err %v", len(events), err)
+		}
 	}
 }

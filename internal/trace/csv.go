@@ -1,14 +1,17 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"runtime"
+	"slices"
 	"strconv"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -55,11 +58,23 @@ func WriteEventsCSV(w io.Writer, events []Event) error {
 }
 
 // csvEncoder formats rows into one buffer and hands it to the writer each
-// time it fills.
+// time it fills. It keeps the text of the last floatMemo non-zero floats it
+// formatted: a receive's sendt, postt and arrt are the t of rows nearby and
+// a leave's t is the next enter's, so about half the non-zero cells of a
+// trace repeat one of the few before them.
 type csvEncoder struct {
 	w   io.Writer
 	buf []byte
+
+	memoBits [floatMemo]uint64 // 0, which is never looked up, while unused
+	memoText [floatMemo][24]byte
+	memoLen  [floatMemo]uint8
+	memoNext int // the oldest entry, the next one replaced
 }
+
+// floatMemo is how many formatted floats the encoder remembers; 24 bytes
+// hold any of them ("-2.2250738585072014e-308").
+const floatMemo = 16
 
 // newCSVEncoder starts a stream with the header row.
 func newCSVEncoder(w io.Writer) csvEncoder {
@@ -74,7 +89,7 @@ func newCSVEncoder(w io.Writer) csvEncoder {
 }
 
 func (c *csvEncoder) row(e *Event) error {
-	c.buf = appendRow(c.buf, e)
+	c.buf = c.appendRow(c.buf, e)
 	if len(c.buf) < csvFlush {
 		return nil
 	}
@@ -90,8 +105,8 @@ func (c *csvEncoder) flush() error {
 // appendRow formats one event as a CSV record, newline included.
 //
 //seclint:hotpath
-func appendRow(buf []byte, e *Event) []byte {
-	buf = appendFloat(buf, e.T)
+func (c *csvEncoder) appendRow(buf []byte, e *Event) []byte {
+	buf = c.appendFloat(buf, e.T)
 	buf = append(buf, ',')
 	buf = strconv.AppendInt(buf, int64(e.Rank), 10)
 	buf = append(buf, ',')
@@ -107,24 +122,36 @@ func appendRow(buf []byte, e *Event) []byte {
 	buf = append(buf, ',')
 	buf = strconv.AppendInt(buf, int64(e.Tag), 10)
 	buf = append(buf, ',')
-	buf = appendFloat(buf, e.SendT)
+	buf = c.appendFloat(buf, e.SendT)
 	buf = append(buf, ',')
-	buf = appendFloat(buf, e.PostT)
+	buf = c.appendFloat(buf, e.PostT)
 	buf = append(buf, ',')
-	buf = appendFloat(buf, e.ArrT)
+	buf = c.appendFloat(buf, e.ArrT)
 	buf = append(buf, '\n')
 	return buf
 }
 
 // appendFloat formats v as 'g' with 17 significant digits, which
 // round-trips every float64. Positive zero — most sendt/postt/arrt cells —
-// skips the formatter.
-func appendFloat(buf []byte, v float64) []byte {
-	if math.Float64bits(v) == 0 {
+// skips the formatter, and so does a value that is still in the memo.
+func (c *csvEncoder) appendFloat(buf []byte, v float64) []byte {
+	key := math.Float64bits(v)
+	if key == 0 {
 		buf = append(buf, '0')
 		return buf
 	}
-	return strconv.AppendFloat(buf, v, 'g', 17, 64)
+	for i, k := range &c.memoBits {
+		if k == key {
+			buf = append(buf, c.memoText[i][:c.memoLen[i]]...)
+			return buf
+		}
+	}
+	n := len(buf)
+	buf = strconv.AppendFloat(buf, v, 'g', 17, 64)
+	i := c.memoNext
+	c.memoNext = (i + 1) % floatMemo
+	c.memoBits[i], c.memoLen[i] = key, uint8(copy(c.memoText[i][:], buf[n:]))
+	return buf
 }
 
 // appendField writes a free-text field under encoding/csv's quoting rule:
@@ -189,202 +216,427 @@ func (e *CorruptError) Unwrap() error { return e.Err }
 // before it together with a *CorruptError — the trace of a crashed or
 // killed run remains analyzable up to the damage.
 func ReadCSV(r io.Reader) ([]Event, error) {
-	rr := newRowReader(r)
-	if err := rr.next(); err != nil {
-		return nil, fmt.Errorf("trace: empty or unreadable CSV header: %w", err)
+	return readCSV(r, csvBlockSize)
+}
+
+// csvBlockSize is how much of the stream one worker decodes at a time, some
+// 4,000 rows: handing it over costs nothing next to decoding it, and two of
+// them per worker are all the read buffer there is.
+const csvBlockSize = 256 << 10
+
+// readCSV is ReadCSV with the block size, which only tests vary.
+func readCSV(src io.Reader, blockSize int) ([]Event, error) {
+	r := &csvReader{src: src, blockSize: blockSize, workers: runtime.GOMAXPROCS(0), labels: map[string]string{}}
+	first := blockSize
+	if l, ok := src.(interface{ Len() int }); ok {
+		r.total = int64(l.Len())
+		first = int(min(int64(first), r.total+1))
 	}
-	for i, name := range csvHeader {
-		if string(rr.fields[i]) != name {
-			header := make([]string, numCols)
-			for j, f := range rr.fields {
-				header[j] = string(f)
-			}
-			return nil, fmt.Errorf("trace: unexpected header %v", header)
+	r.ring = make([]csvBlock, 1, 2*r.workers)
+	r.ring[0].buf = make([]byte, first)
+
+	// Blocks of whole lines go to the workers until a line has a quote in
+	// it: encoding/csv reads from that line on, after everything before it.
+	var quoted []byte
+	for more := true; more && r.err == nil; {
+		if r.next-r.head == len(r.ring) {
+			r.retire() // every block is in flight: the oldest first
+			continue
 		}
+		b := &r.ring[r.next%len(r.ring)]
+		data, carried := r.fill(b)
+		r.tail = nil
+		if q := bytes.IndexByte(data[carried:], '"'); q >= 0 {
+			start := bytes.LastIndexByte(data[:carried+q], '\n') + 1
+			data, quoted = data[:start], data[start:]
+		} else if r.srcErr != io.EOF {
+			// The unfinished last line waits for its end in the next
+			// block; a source that failed will not send it, and the csv
+			// reader drops such a line too.
+			cut := bytes.LastIndexByte(data, '\n') + 1
+			data, r.tail = data[:cut], data[cut:]
+		}
+		more = r.srcErr == nil && quoted == nil
+		r.pos += int64(len(data))
+		if !r.header {
+			data = r.readHeader(data)
+		}
+		r.dispatch(b, data, more)
 	}
-	out := make([]Event, 0, 64)
-	labels := map[string]string{}
-	for rec := 2; ; rec++ {
-		err := rr.next()
-		if err == io.EOF {
-			return out, nil
+	r.drain()
+	if r.jobs != nil {
+		close(r.jobs)
+		r.wg.Wait()
+	}
+	switch {
+	case r.err != nil:
+	case quoted != nil:
+		rest := r.src
+		if r.srcErr != nil {
+			rest = errReader{r.srcErr}
 		}
-		if err != nil {
-			return out, &CorruptError{Row: rec, Err: err}
+		r.readQuoted(io.MultiReader(bytes.NewReader(quoted), rest))
+	case r.srcErr != io.EOF || !r.header:
+		r.fail(r.srcErr)
+	}
+	return r.out, r.err
+}
+
+// csvReader is the state of one ReadCSV, all of it the calling goroutine's.
+// That goroutine reads the stream block by block, cuts each block at its
+// last line end, reserves a range of the result for its rows and hands both
+// to a worker; it takes the blocks back in stream order, which is where
+// line numbers, record numbers and the first error come from.
+type csvReader struct {
+	src    io.Reader
+	srcErr error  // what ended the stream: io.EOF or the source's error
+	tail   []byte // the unfinished last line of the block read last
+	pos    int64  // bytes of the stream in the blocks handed out so far
+	total  int64  // stream length when the source reports one, else 0
+
+	// The blocks ring[head%len:next%len] are in flight. One block,
+	// decoded on the spot, is all there is while the stream fits in it or
+	// GOMAXPROCS is 1.
+	blockSize  int
+	workers    int
+	ring       []csvBlock
+	head, next int
+	jobs, done chan *csvBlock
+	wg         sync.WaitGroup
+	labels     map[string]string // of the rows this goroutine decodes itself
+
+	// out[:len] holds the rows of the blocks taken back, out[len:reserved]
+	// the ranges of those in flight.
+	out      []Event
+	reserved int
+	header   bool // seen and right
+	lines    int  // lines and records in the blocks taken back, the
+	recs     int  // header among them
+	err      error
+}
+
+// csvBlock is a piece of the stream on its way through a worker.
+type csvBlock struct {
+	buf  []byte  // recycled; data, the tail and a quoted rest lie in it
+	data []byte  // whole lines, none with a quote in it
+	out  []Event // the block's range of the result: one element per line
+
+	// What decoding found: the rows written to out, the lines that took,
+	// and what is wrong with the line after them, line numbers counted
+	// from the block's first.
+	rows, lines int
+	err         error
+	decoded     bool
+}
+
+// fill reads the next block into b: the tail of the block before, then the
+// stream until the buffer is full or the stream ends — and on, into a
+// buffer twice the size, for as long as there is no line end in it. It
+// returns the block and how much of it is that tail.
+func (r *csvReader) fill(b *csvBlock) (data []byte, carried int) {
+	n := len(r.tail)
+	if n >= len(b.buf) {
+		b.buf = make([]byte, 2*n)
+	}
+	copy(b.buf, r.tail)
+	carried = n
+	for scanned := n; ; scanned = n {
+		for n < len(b.buf) && r.srcErr == nil {
+			var m int
+			m, r.srcErr = r.src.Read(b.buf[n:])
+			n += m
 		}
-		n := len(out)
-		if n == cap(out) {
-			out = rr.grow(out)
+		if r.srcErr != nil || bytes.IndexByte(b.buf[scanned:n], '\n') >= 0 {
+			return b.buf[:n], carried
 		}
-		out = out[:n+1]
-		if err := parseRow(&out[n], &rr.fields, labels); err != nil {
-			return out[:n], &CorruptError{Row: rec, Err: err}
-		}
+		grown := make([]byte, 2*len(b.buf))
+		copy(grown, b.buf)
+		b.buf = grown
 	}
 }
 
-// rowReader yields the records of a CSV stream exactly as an
-// encoding/csv.Reader with FieldsPerRecord = numCols would — same fields,
-// same errors, same line numbers in them — but splits the rows that carry
-// no quote itself, in place in the read buffer. The first line with a quote
-// in it hands that line and the rest of the stream to encoding/csv.
-type rowReader struct {
-	br      *bufio.Reader
-	long    []byte // a line longer than br's buffer, assembled
-	numLine int    // lines consumed from br
-	fields  [numCols][]byte
-
-	read  int64 // bytes consumed from br
-	total int64 // stream length when the source reports one, else 0
-
-	cr      *csv.Reader // takes over at the first quoted line
-	crLine  int         // lines consumed before cr's first
-	scratch []byte      // backing for fields while cr is in charge
-}
-
-func newRowReader(r io.Reader) *rowReader {
-	rr := &rowReader{br: bufio.NewReaderSize(r, csvBuf)}
-	if l, ok := r.(interface{ Len() int }); ok {
-		rr.total = int64(l.Len())
-	}
-	return rr
-}
-
-// presizeAfter is the row count from which grow trusts the mean row length
-// seen so far to predict how many rows the rest of the stream holds.
-const presizeAfter = 4096
-
-// grow returns out with room for more rows. When the stream's length is
-// known, the room is what the unread bytes should need at the mean row
-// length so far plus 3 %, but no more than seven times the rows that mean
-// was taken over: the head of a trace (start-up, scatter) is not
-// representative, and an estimate that falls short costs a second copy of
-// everything while one that overshoots is held for the trace's lifetime.
-// Otherwise — and once encoding/csv is reading ahead of rr.read — growth is
-// append's.
-func (rr *rowReader) grow(out []Event) []Event {
-	n := len(out)
-	if rr.total <= rr.read || rr.cr != nil || n < presizeAfter {
-		return append(out, Event{})[:n]
-	}
-	rest := float64(rr.total-rr.read) * float64(n) / float64(rr.read)
-	grown := make([]Event, n, n+min(int(rest*1.03)+16, 7*n))
-	copy(grown, out)
-	return grown
-}
-
-// readLine returns the next line as it stands in the stream, with its
-// "\n" if it has one; at the end of the stream, io.EOF, possibly with a last
-// unterminated line.
-func (rr *rowReader) readLine() ([]byte, error) {
-	line, err := rr.br.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		rr.long = append(rr.long[:0], line...)
-		for err == bufio.ErrBufferFull {
-			line, err = rr.br.ReadSlice('\n')
-			rr.long = append(rr.long, line...)
+// readHeader consumes data through the first line that is not blank, which
+// must be the header, and returns what follows it.
+func (r *csvReader) readHeader(data []byte) []byte {
+	for len(data) > 0 && !r.header && r.err == nil {
+		var line []byte
+		line, data = nextLine(data)
+		r.lines++
+		if len(line) == 0 {
+			continue
 		}
-		line = rr.long
-	}
-	rr.numLine++
-	rr.read += int64(len(line))
-	return line, err
-}
-
-// next decodes the next record into rr.fields, valid until the call after.
-// It returns io.EOF at the end of the stream and otherwise the error
-// encoding/csv reports for the record.
-func (rr *rowReader) next() error {
-	if rr.cr != nil {
-		return rr.nextQuoted()
-	}
-	var line []byte
-	for {
-		var err error
-		line, err = rr.readLine()
-		if bytes.IndexByte(line, '"') >= 0 {
-			// The csv reader sees this line again, then whatever followed
-			// it: the rest of the stream, its end, or the error that cut
-			// the line short.
-			rest := io.Reader(rr.br)
-			if err != nil {
-				rest = errReader{err}
-			}
-			rr.cr = csv.NewReader(io.MultiReader(bytes.NewReader(bytes.Clone(line)), rest))
-			rr.cr.FieldsPerRecord = numCols
-			rr.cr.ReuseRecord = true
-			rr.crLine = rr.numLine - 1
-			return rr.nextQuoted()
-		}
-		// The line ends as encoding/csv ends it: before "\n" or "\r\n",
-		// or, unterminated at the end of the stream, before one "\r".
-		n := len(line)
-		switch {
-		case err == io.EOF && n == 0:
-			return io.EOF
-		case err == io.EOF:
-			err = nil
-			if line[n-1] == '\r' {
-				line = line[:n-1]
-			}
-		case n >= 2 && line[n-2] == '\r' && line[n-1] == '\n':
-			line = line[:n-2]
-		case n >= 1 && line[n-1] == '\n':
-			line = line[:n-1]
-		}
-		if err != nil {
-			return err
-		}
-		if len(line) > 0 {
+		var fields [numCols][]byte
+		if !splitRow(line, &fields) {
+			r.fail(&csv.ParseError{StartLine: r.lines, Line: r.lines, Column: 1, Err: csv.ErrFieldCount})
 			break
 		}
-		// Blank line: skipped, but counted.
+		r.checkHeader(&fields)
 	}
+	return data
+}
+
+// checkHeader opens the result if the first record is the header.
+func (r *csvReader) checkHeader(fields *[numCols][]byte) {
+	for i, name := range csvHeader {
+		if string(fields[i]) != name {
+			header := make([]string, numCols)
+			for j, f := range fields {
+				header[j] = string(f)
+			}
+			r.err = fmt.Errorf("trace: unexpected header %v", header)
+			return
+		}
+	}
+	r.header, r.recs, r.out = true, 1, []Event{}
+}
+
+// startWorkers turns the one block into a ring of two per worker, or as
+// many as the rest of the stream can fill.
+func (r *csvReader) startWorkers() {
+	extra, size := cap(r.ring)-1, r.blockSize
+	if r.total > r.pos {
+		extra = min(extra, int((r.total-r.pos)/int64(size))+1)
+	}
+	r.ring = r.ring[:1+extra]
+	bufs := make([]byte, extra*size)
+	for i := range r.ring[1:] {
+		r.ring[1+i].buf = bufs[i*size : (i+1)*size : (i+1)*size]
+	}
+	// Every block fits in either channel: neither side ever waits to send.
+	r.jobs = make(chan *csvBlock, len(r.ring))
+	r.done = make(chan *csvBlock, len(r.ring))
+	for i := 0; i < min(r.workers, extra); i++ {
+		r.wg.Add(1)
+		go func() {
+			defer r.wg.Done()
+			labels := map[string]string{}
+			for b := range r.jobs {
+				b.decode(labels)
+				r.done <- b
+			}
+		}()
+	}
+}
+
+// dispatch reserves the result's next elements for the rows of data, one
+// for each line, and has the block decoded into them: by a worker if the
+// stream has more blocks to come, which the first such block starts.
+func (r *csvReader) dispatch(b *csvBlock, data []byte, more bool) {
+	if len(data) == 0 || r.err != nil {
+		return
+	}
+	need := bytes.Count(data, []byte{'\n'})
+	if data[len(data)-1] != '\n' {
+		need++
+	}
+	if r.reserved+need > cap(r.out) {
+		// Workers are writing to the elements there are, and a block of
+		// theirs that had blank lines gives some back.
+		r.drain()
+		if r.err != nil {
+			return
+		}
+		if r.reserved+need > cap(r.out) {
+			r.grow(need)
+		}
+	}
+	if more && r.jobs == nil && r.workers > 1 {
+		r.startWorkers()
+	}
+	b.data, b.out = data, r.out[r.reserved:r.reserved+need]
+	r.reserved += need
+	r.next++
+	if r.jobs != nil {
+		r.jobs <- b
+		return
+	}
+	b.decode(r.labels)
+	b.decoded = true
+	r.retire()
+}
+
+// grow makes room for need more rows. When the stream's length is known,
+// the room is what the unread bytes should need at the mean row length so
+// far plus 3 %: an estimate that falls short costs a second copy of
+// everything, one that overshoots is held for the trace's lifetime. The
+// head of a trace (start-up, scatter) is not representative, so a mean
+// taken over less than a sixteenth of the stream reserves for no more than
+// an eighth of it; the reservation made there is for all the rest.
+// Otherwise growth is append's.
+func (r *csvReader) grow(need int) {
+	n := len(r.out)
+	if r.total <= r.pos {
+		r.out = slices.Grow(r.out, need)
+		return
+	}
+	end := r.total
+	if r.pos < r.total/16 {
+		end = r.total / 8
+	}
+	rows := float64(n + need)
+	rest := float64(end-r.pos) * rows / float64(r.pos)
+	grown := make([]Event, n, n+need+int(rest*1.03)+16)
+	copy(grown, r.out)
+	r.out = grown
+}
+
+// retire takes back the oldest block in flight: its rows join the result,
+// moved down if a block before it had fewer rows than lines, and its counts
+// the totals. The first block with a bad row ends the result there.
+func (r *csvReader) retire() {
+	b := &r.ring[r.head%len(r.ring)]
+	for !b.decoded {
+		(<-r.done).decoded = true
+	}
+	b.decoded = false
+	r.head++
+	if r.err != nil {
+		return
+	}
+	n := len(r.out)
+	r.out = r.out[:n+b.rows]
+	if b.rows > 0 && &r.out[n] != &b.out[0] {
+		copy(r.out[n:], b.out[:b.rows])
+	}
+	if r.head == r.next {
+		r.reserved = len(r.out)
+	}
+	r.recs += b.rows
+	if b.err != nil {
+		r.fail(shiftLines(b.err, r.lines))
+	}
+	r.lines += b.lines
+}
+
+// drain takes back every block in flight.
+func (r *csvReader) drain() {
+	for r.head < r.next {
+		r.retire()
+	}
+}
+
+// fail ends the read at the record after the last one taken back. A stream
+// that fails before its header has no prefix worth keeping.
+func (r *csvReader) fail(err error) {
+	if !r.header {
+		r.out, r.err = nil, fmt.Errorf("trace: empty or unreadable CSV header: %w", err)
+		return
+	}
+	r.err = &CorruptError{Row: r.recs + 1, Err: err}
+}
+
+// shiftLines moves the line numbers in an encoding/csv error, counted from
+// where a block or the csv reader began, to the whole stream's.
+func shiftLines(err error, by int) error {
+	var pe *csv.ParseError
+	if errors.As(err, &pe) {
+		pe.StartLine += by
+		pe.Line += by
+	}
+	return err
+}
+
+// readQuoted decodes the rest of the stream, from the first line with a
+// quote in it, through encoding/csv, each record copied out of its strings.
+func (r *csvReader) readQuoted(rest io.Reader) {
+	cr := csv.NewReader(rest)
+	cr.FieldsPerRecord = numCols
+	cr.ReuseRecord = true
+	var fields [numCols][]byte
+	var scratch []byte
+	for r.err == nil {
+		rec, err := cr.Read()
+		if err == io.EOF && r.header {
+			return
+		}
+		if err != nil {
+			r.fail(shiftLines(err, r.lines))
+			return
+		}
+		scratch = scratch[:0]
+		for _, f := range rec {
+			scratch = append(scratch, f...)
+		}
+		off := 0
+		for i, f := range rec {
+			fields[i] = scratch[off : off+len(f)]
+			off += len(f)
+		}
+		if !r.header {
+			r.checkHeader(&fields)
+			continue
+		}
+		n := len(r.out)
+		r.out = append(r.out, Event{})
+		if err := parseRow(&r.out[n], &fields, r.labels); err != nil {
+			r.out = r.out[:n]
+			r.fail(err)
+			return
+		}
+		r.recs++
+	}
+}
+
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// decode parses the block's lines into its range of the result, up to the
+// first line that is wrong.
+func (b *csvBlock) decode(labels map[string]string) {
+	var fields [numCols][]byte
+	rows, lines := 0, 0
+	b.err = nil
+	for data := b.data; len(data) > 0 && b.err == nil; {
+		var line []byte
+		line, data = nextLine(data)
+		lines++
+		if len(line) == 0 {
+			continue // blank: skipped, but counted
+		}
+		if !splitRow(line, &fields) {
+			b.err = &csv.ParseError{StartLine: lines, Line: lines, Column: 1, Err: csv.ErrFieldCount}
+		} else if b.err = parseRow(&b.out[rows], &fields, labels); b.err == nil {
+			rows++
+		}
+	}
+	b.rows, b.lines = rows, lines
+}
+
+// nextLine cuts the first line off data and returns it as encoding/csv ends
+// it: before "\n" or "\r\n", or, unterminated at the end of the stream,
+// before one "\r".
+func nextLine(data []byte) (line, rest []byte) {
+	line = data
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		line, rest = data[:i], data[i+1:]
+	}
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
+	return line, rest
+}
+
+// splitRow cuts a line without quotes at its commas, and reports whether
+// that made numCols fields.
+func splitRow(line []byte, fields *[numCols][]byte) bool {
 	n, start := 0, 0
 	for i, c := range line {
 		if c != ',' {
 			continue
 		}
 		if n < numCols-1 {
-			rr.fields[n] = line[start:i]
+			fields[n] = line[start:i]
 		}
 		n++
 		start = i + 1
 	}
 	if n != numCols-1 {
-		return &csv.ParseError{StartLine: rr.numLine, Line: rr.numLine, Column: 1, Err: csv.ErrFieldCount}
+		return false
 	}
-	rr.fields[n] = line[start:]
-	return nil
+	fields[n] = line[start:]
+	return true
 }
-
-// nextQuoted is next once encoding/csv has taken over: its record copied
-// into rr.fields, its line numbers shifted back to the whole stream's.
-func (rr *rowReader) nextQuoted() error {
-	rec, err := rr.cr.Read()
-	if err != nil {
-		var pe *csv.ParseError
-		if errors.As(err, &pe) {
-			pe.StartLine += rr.crLine
-			pe.Line += rr.crLine
-		}
-		return err
-	}
-	rr.scratch = rr.scratch[:0]
-	for _, f := range rec {
-		rr.scratch = append(rr.scratch, f...)
-	}
-	off := 0
-	for i, f := range rec {
-		rr.fields[i] = rr.scratch[off : off+len(f)]
-		off += len(f)
-	}
-	return nil
-}
-
-type errReader struct{ err error }
-
-func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 // parseRow decodes one full-width record into e. Labels are interned: a
 // trace repeats a handful of them a hundred thousand times.
@@ -440,13 +692,80 @@ func intern(labels map[string]string, b []byte) string {
 	return s
 }
 
-// parseFloat is strconv.ParseFloat on bytes, with the all-zero cell that
-// fills most of the sendt/postt/arrt columns decided on sight.
+// parseFloat is strconv.ParseFloat on bytes: the plain decimals a trace is
+// made of are decoded here, every other spelling — and the wording of every
+// error — is strconv's.
 func parseFloat(b []byte) (float64, error) {
-	if len(b) == 1 && b[0] == '0' {
-		return 0, nil
+	if v, ok := parseDecimal(b); ok {
+		return v, nil
 	}
 	return strconv.ParseFloat(string(b), 64)
+}
+
+var pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// parseDecimal decodes digits[.digits] with at most 19 significant digits
+// and at most 19 after the point: the value is then w / 10^k for two
+// integers that fit a word each, and one division of the two, normalised,
+// yields its first 64 bits and whether anything follows them — all that
+// rounding to nearest even needs. The result is the correctly rounded one,
+// which is what strconv.ParseFloat returns. Any other cell is declined.
+//
+//seclint:hotpath
+func parseDecimal(b []byte) (float64, bool) {
+	// w is the digits without the point, n of them once the zeros they
+	// start with are gone — from before the point and, if nothing else was
+	// there, from after it — and k of them behind the point.
+	var w uint64
+	i, digits, k := 0, len(b), 0
+	for i < len(b) && b[i] == '0' {
+		i++
+	}
+	first := i
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		w = w*10 + uint64(b[i]-'0') // wraps past 19 digits, refused below
+	}
+	n := i - first
+	if i < len(b) {
+		if b[i] != '.' {
+			return 0, false
+		}
+		digits--
+		k = digits - i
+		for i++; n == 0 && i < len(b) && b[i] == '0'; i++ {
+		}
+		first = i
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			w = w*10 + uint64(b[i]-'0')
+		}
+		if i < len(b) {
+			return 0, false
+		}
+		n += i - first
+	}
+	if digits == 0 || n > 19 || k > 19 {
+		return 0, false
+	}
+	if w == 0 {
+		return 0, true
+	}
+	// w/10^k = (w<<lw)/(d<<ld) * 2^(ld-lw), the quotient in (1/2, 2): with
+	// 63 more bits it is a q of 63 or 64 bits, of which a float64 keeps 53.
+	d := pow10[k]
+	lw, ld := bits.LeadingZeros64(w), bits.LeadingZeros64(d)
+	w <<= lw
+	q, rem := bits.Div64(w>>1, w<<63, d<<ld)
+	drop := 10 + uint(q>>63)
+	mant, low, half := q>>drop, q&(1<<drop-1), uint64(1)<<(drop-1)
+	if low > half || low == half && (rem != 0 || mant&1 == 1) {
+		mant++
+	}
+	// mant * 2^exp with mant in [2^52, 2^53]: added to the exponent field
+	// rather than or-ed, the mantissa's leading one steps the exponent to
+	// where it belongs, twice if rounding carried it to 2^53.
+	exp := int(drop) - 63 + ld - lw
+	return math.Float64frombits(uint64(exp+52+1022)<<52 + mant), true
 }
 
 // parseInt is strconv.Atoi on bytes.

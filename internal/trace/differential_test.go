@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -121,10 +122,11 @@ func sameEvents(a, b []Event) bool {
 	return true
 }
 
-// readDisagreement runs both decoders over the stream open yields and
-// describes the first difference in events or error, or returns "".
-func readDisagreement(open func() io.Reader) string {
-	got, gerr := ReadCSV(open())
+// readerDisagreement runs read — ReadCSV, or readCSV at some block size —
+// and the reference decoder over the stream open yields and describes the
+// first difference in events or error, or returns "".
+func readerDisagreement(read func(io.Reader) ([]Event, error), open func() io.Reader) string {
+	got, gerr := read(open())
 	want, werr := refReadCSV(open())
 	if !sameEvents(got, want) {
 		return fmt.Sprintf("events differ:\n got %d %+v\nwant %d %+v", len(got), got, len(want), want)
@@ -149,9 +151,61 @@ func readDisagreement(open func() io.Reader) string {
 }
 
 func TestReaderMatchesReference(t *testing.T) {
+	readerMatchesReference(t, ReadCSV)
+}
+
+// TestReaderMatchesReferenceAcrossBlocks runs the same streams through
+// blocks so small that a cut lands on every byte of a row — between "\r"
+// and "\n", among blank lines, ahead of an unterminated last line or of the
+// first quoted one, inside a line longer than a block, on a failing
+// source's error — with the ring decoded on the spot and by more workers
+// than there are blocks.
+func TestReaderMatchesReferenceAcrossBlocks(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, size := range []int{1, 2, 7, 64, 4096} {
+			t.Run(fmt.Sprintf("procs=%d/block=%d", procs, size), func(t *testing.T) {
+				readerMatchesReference(t, func(r io.Reader) ([]Event, error) { return readCSV(r, size) })
+			})
+		}
+	}
+
+	// And a few streams at every block size there is below their length,
+	// whole and behind a source that fails two thirds in.
+	const header = "t,rank,kind,comm,label,peer,bytes,tag,sendt,postt,arrt\n"
+	const row = "1.5,3,recv,0,HALO,2,4096,200,1.25,1,1.5\n"
+	crlf := strings.ReplaceAll(header+row+row, "\n", "\r\n")
+	boom := errors.New("boom")
+	for name, stream := range map[string]string{
+		"CRLF, blank lines, open end": "\r\n" + crlf + "\n\r\n\n" + row + "\n\n" + strings.TrimSuffix(row, "\n"),
+		"open end with CR":            crlf + strings.TrimSuffix(crlf, "\n"),
+		"quoted row":                  header + row + row + "\n1,0,marker,0,\"q,\n\",0,0,0,0,0,0\n" + row + "x\n",
+		"bad row":                     header + row + row + "\n\n1,x,send,0,,0,0,0,0,0,0\n" + row,
+		"short last row":              header + row + row + row + "1,0,send,0,,0,0,0,0,0\n",
+		"long line":                   header + row + "1,0,marker,0," + strings.Repeat("x", 300) + ",0,0,0,0,0,0\n" + row,
+	} {
+		for _, procs := range []int{1, 3} {
+			runtime.GOMAXPROCS(procs)
+			for size := 1; size <= len(stream)+1; size++ {
+				read := func(r io.Reader) ([]Event, error) { return readCSV(r, size) }
+				if d := readerDisagreement(read, func() io.Reader { return strings.NewReader(stream) }); d != "" {
+					t.Fatalf("%s, GOMAXPROCS %d, block size %d: %s", name, procs, size, d)
+				}
+				if d := readerDisagreement(read, func() io.Reader {
+					return io.MultiReader(strings.NewReader(stream[:len(stream)*2/3]), iotest.ErrReader(boom))
+				}); d != "" {
+					t.Fatalf("%s failing, GOMAXPROCS %d, block size %d: %s", name, procs, size, d)
+				}
+			}
+		}
+	}
+}
+
+func readerMatchesReference(t *testing.T, read func(io.Reader) ([]Event, error)) {
 	check := func(name string, data []byte) {
 		t.Helper()
-		if d := readDisagreement(func() io.Reader { return bytes.NewReader(data) }); d != "" {
+		if d := readerDisagreement(read, func() io.Reader { return bytes.NewReader(data) }); d != "" {
 			t.Fatalf("%s: %s\ninput %q", name, d, data)
 		}
 	}
@@ -262,7 +316,7 @@ func TestReaderMatchesReference(t *testing.T) {
 	}
 	for name, ok := range accepted {
 		check(name, []byte(header+ok))
-		if d, _ := ReadCSV(strings.NewReader(header + ok)); len(d) != 1 {
+		if d, _ := read(strings.NewReader(header + ok)); len(d) != 1 {
 			t.Errorf("%s: not accepted", name)
 		}
 	}
@@ -309,7 +363,7 @@ func TestReaderMatchesReference(t *testing.T) {
 		"bare quote first": header + row + "1,0,send,0,a\"b,0",
 		"after quoted row": header + "1,0,marker,0,\"q,\",0,0,0,0,0,0\n" + row + "1,0",
 	} {
-		if d := readDisagreement(func() io.Reader {
+		if d := readerDisagreement(read, func() io.Reader {
 			return io.MultiReader(strings.NewReader(prefix), iotest.ErrReader(boom))
 		}); d != "" {
 			t.Errorf("failing source %s: %s", name, d)
@@ -317,7 +371,7 @@ func TestReaderMatchesReference(t *testing.T) {
 	}
 	// And one that trickles: line assembly must not depend on read sizes.
 	data := encode(quoted)
-	if d := readDisagreement(func() io.Reader { return iotest.OneByteReader(bytes.NewReader(data)) }); d != "" {
+	if d := readerDisagreement(read, func() io.Reader { return iotest.OneByteReader(bytes.NewReader(data)) }); d != "" {
 		t.Errorf("one-byte source: %s", d)
 	}
 }

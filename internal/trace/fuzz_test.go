@@ -57,11 +57,12 @@ func TestReadCSVTruncatedPrefix(t *testing.T) {
 }
 
 // FuzzReadCSV hammers the CSV decoder with arbitrary byte streams —
-// malformed rows, broken quoting, binary garbage, huge fields. The decoder
-// must never panic, and must agree with the encoding/csv reference decoder
-// on every input: same events, same error, same CorruptError row. When a
-// stream parses, re-encoding the events and parsing again must reproduce
-// them (decode∘encode = id on the decoder's image).
+// malformed rows, broken quoting, binary garbage, huge fields — cut into
+// blocks of an arbitrary size. The decoder must never panic, and must agree
+// with the encoding/csv reference decoder on every input: same events, same
+// error, same CorruptError row, at the fuzzed block size and at the real
+// one. When a stream parses, re-encoding the events and parsing again must
+// reproduce them (decode∘encode = id on the decoder's image).
 func FuzzReadCSV(f *testing.F) {
 	// Seed corpus: a valid stream, then progressively broken variants.
 	var valid bytes.Buffer
@@ -72,21 +73,28 @@ func FuzzReadCSV(f *testing.F) {
 	if err := buf.WriteCSV(&valid); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(valid.Bytes())
-	f.Add([]byte(""))
-	f.Add([]byte("t,rank,kind,comm,label,peer,bytes\n"))
-	f.Add([]byte("t,rank,kind,comm,label,peer,bytes\n1,0,section-enter,0,A,0\n"))   // short row
-	f.Add([]byte("t,rank,kind,comm,label,peer,bytes\nNaN,0,bogus-kind,0,A,0,0\n"))  // bad kind
-	f.Add([]byte("t,rank,kind,comm,label,peer,bytes\n1,0,send,0,\"unclosed,0,0\n")) // broken quote
-	f.Add([]byte("t,rank,kind,comm,label,peer,bytes\n1,x,send,0,A,0,0\n"))          // bad int
-	f.Add([]byte("wrong,header,entirely\n1,2,3\n"))                                 // wrong header
-	f.Add([]byte("t,rank,kind,comm,label,peer,bytes\n1e309,0,send,0,A,0,0\n"))      // float overflow
-	f.Add([]byte("t,rank,kind,comm,label,peer,bytes\n1,0,marker,0," +
+	// Each seed at a block smaller than a row, one of a few rows, and one
+	// that holds the stream.
+	add := func(data []byte) {
+		for _, block := range []uint16{5, 100, 1 << 15} {
+			f.Add(data, block)
+		}
+	}
+	add(valid.Bytes())
+	add([]byte(""))
+	add([]byte("t,rank,kind,comm,label,peer,bytes\n"))
+	add([]byte("t,rank,kind,comm,label,peer,bytes\n1,0,section-enter,0,A,0\n"))   // short row
+	add([]byte("t,rank,kind,comm,label,peer,bytes\nNaN,0,bogus-kind,0,A,0,0\n"))  // bad kind
+	add([]byte("t,rank,kind,comm,label,peer,bytes\n1,0,send,0,\"unclosed,0,0\n")) // broken quote
+	add([]byte("t,rank,kind,comm,label,peer,bytes\n1,x,send,0,A,0,0\n"))          // bad int
+	add([]byte("wrong,header,entirely\n1,2,3\n"))                                 // wrong header
+	add([]byte("t,rank,kind,comm,label,peer,bytes\n1e309,0,send,0,A,0,0\n"))      // float overflow
+	add([]byte("t,rank,kind,comm,label,peer,bytes\n1,0,marker,0," +
 		strings.Repeat("x", 1<<16) + ",0,0\n")) // huge field
 	// Truncation seeds: a valid stream cut mid-row at several depths — the
 	// shape a crashed writer leaves behind.
 	for _, cut := range []int{1, len(valid.Bytes()) / 2, len(valid.Bytes()) - 3} {
-		f.Add(valid.Bytes()[:cut])
+		add(valid.Bytes()[:cut])
 	}
 	// Defects behind the current header, where the row decoder sees them,
 	// after a plain row and after a quoted one.
@@ -101,12 +109,18 @@ func FuzzReadCSV(f *testing.F) {
 		"1e309,0,send,0,A,0,0,0,0,0,0\n",      // float overflow
 		"+1,-0,send,007,\"a,\"\"b\nc\",0,0,0,0x1p-2,inf,.5\r\n\r\n",
 	} {
-		f.Add([]byte(header + row + bad + row))
-		f.Add([]byte(header + "1,0,marker,0,\"q,\",0,0,0,0,0,0\n" + bad + row))
+		add([]byte(header + row + bad + row))
+		add([]byte(header + "1,0,marker,0,\"q,\",0,0,0,0,0,0\n" + bad + row))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if d := readDisagreement(func() io.Reader { return bytes.NewReader(data) }); d != "" {
+	f.Fuzz(func(t *testing.T, data []byte, block uint16) {
+		open := func() io.Reader { return bytes.NewReader(data) }
+		if d := readerDisagreement(ReadCSV, open); d != "" {
 			t.Fatal(d)
+		}
+		// In blocks, and from a source that does not say how long it is.
+		blocks := func(r io.Reader) ([]Event, error) { return readCSV(struct{ io.Reader }{r}, 1+int(block)) }
+		if d := readerDisagreement(blocks, open); d != "" {
+			t.Fatalf("in blocks of %d: %s", 1+int(block), d)
 		}
 		events, err := ReadCSV(bytes.NewReader(data))
 		if err != nil {

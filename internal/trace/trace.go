@@ -69,12 +69,39 @@
 // 17 significant digits (lossless), the label quoted under encoding/csv's
 // rule and every other column never needing it. ReadCSV accepts exactly
 // what an encoding/csv reader with 11 fields per record accepts, with the
-// same events, the same CorruptError rows and the same messages; rows
-// without a double quote — all of them, unless a label needed quoting — are
-// decoded in place from the read buffer, and the first line that has one
-// hands itself and the rest of the stream to encoding/csv. Both properties
-// are held by differential tests against the encoding/csv implementations
-// kept in this package's tests.
+// same events, the same CorruptError rows and the same messages. Both
+// properties are held by differential tests against the encoding/csv
+// implementations kept in this package's tests.
+//
+// A read uses every core. The calling goroutine reads the stream in blocks
+// of 256 KiB, cuts each at its last line end (the rest opens the next
+// block) and counts its line ends: a block yields at most that many rows,
+// so that range of the one result slice is reserved for it, and block and
+// range go to one of GOMAXPROCS workers that decodes the rows in place —
+// no worker touches another's range, and no event points into a block
+// (labels are interned copies, one table per worker). The reader takes the
+// blocks back in stream order, adding their line and record counts to
+// running totals: the first bad row in stream order is reported with the
+// line and record numbers a sequential reader would have counted, and the
+// result ends just before it. A block that had blank lines yields fewer
+// rows than it reserved, and the rows of the blocks after it are moved down
+// as they come back. The ring of blocks is two per worker and recycled; the
+// result is reserved from the row density so far and the source's Len, if
+// it has one. With GOMAXPROCS 1, or a stream that ends inside its first
+// block, the same decoder runs on the calling goroutine and none is
+// started. The first line with a double quote in it — none, unless a label
+// needed quoting — stops the hand-outs: everything before it is decoded as
+// above, and that line and the rest of the stream are encoding/csv's.
+//
+// A float cell of the shape digits[.digits], with at most 19 digits from
+// the first that is not zero and at most 19 after the point, is an integer
+// below 10^19 over a power of ten up to 10^19: both fit a machine word, one
+// 128-by-64-bit division gives 64 bits of the quotient and a remainder that
+// says whether the quotient is exact, and rounding that to 53 bits, ties to
+// even, is the correctly rounded value — the one strconv.ParseFloat
+// returns. Signs, exponents, hex, Inf and NaN, longer digit strings and
+// everything malformed are passed to strconv, which also words the errors.
+// The integer columns work the same way.
 package trace
 
 import (

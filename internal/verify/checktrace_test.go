@@ -2,42 +2,32 @@ package verify
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"sort"
+	"testing"
 
 	"repro/internal/trace"
 )
 
-// CheckTrace replays a recorded event stream offline and returns the
-// violations a live verifier would have reported: per-rank nesting
-// (underflow, mismatch, unclosed), per-label enter counts across ranks,
-// and collective-order consistency. It is how cmd/secanalyze -verify
-// audits a trace CSV after the fact; only section and collective events
-// are consulted, so traces recorded without message events verify fine.
-//
-// Ranks that die in the trace (a KindFault kill event) are exempt from the
-// finalize-time checks from their death onward, matching the live tool's
-// treatment of mpi.Report.Dead.
-func CheckTrace(events []trace.Event) []Violation {
+// refCheckTrace is CheckTrace as it was before it stopped copying events
+// and looking a section event's rank up three times: the definition of
+// which violations a trace has, and in which order they are reported.
+func refCheckTrace(events []trace.Event) []Violation {
 	sorted := trace.Sorted(events)
 
 	type rankComm struct {
 		rank int
 		comm int64
 	}
-	// What a rank has done on a communicator: the sections it has open,
-	// innermost last, and how often it has entered each.
-	type sections struct {
-		stack  []string
-		enters map[string]int
-	}
-	states := map[rankComm]*sections{}
+	stacks := map[rankComm][]string{}
+	enters := map[rankComm]map[string]int{}
 	colls := map[int64]*collSeq{}
 	dead := map[int]bool{}
 	var out []Violation
 	var wallT float64
 
-	for i := range sorted {
-		e := &sorted[i]
+	for _, e := range sorted {
 		if e.T > wallT {
 			wallT = e.T
 		}
@@ -50,26 +40,26 @@ func CheckTrace(events []trace.Event) []Violation {
 			}
 		case trace.KindSectionEnter:
 			k := rankComm{e.Rank, e.Comm}
-			s := states[k]
-			if s == nil {
-				s = &sections{enters: map[string]int{}}
-				states[k] = s
+			stacks[k] = append(stacks[k], e.Label)
+			m := enters[k]
+			if m == nil {
+				m = map[string]int{}
+				enters[k] = m
 			}
-			s.stack = append(s.stack, e.Label)
-			s.enters[e.Label]++
+			m[e.Label]++
 		case trace.KindSectionLeave:
-			s := states[rankComm{e.Rank, e.Comm}]
-			if s == nil || len(s.stack) == 0 {
+			k := rankComm{e.Rank, e.Comm}
+			st := stacks[k]
+			if len(st) == 0 {
 				out = append(out, Violation{T: e.T, Rank: e.Rank, Comm: e.Comm, Class: ClassUnderflow,
 					Detail: fmt.Sprintf("SectionExit(%q) with no section open", e.Label)})
 				continue
 			}
-			top := len(s.stack) - 1
-			if s.stack[top] != e.Label {
+			if top := st[len(st)-1]; top != e.Label {
 				out = append(out, Violation{T: e.T, Rank: e.Rank, Comm: e.Comm, Class: ClassMismatch,
-					Detail: fmt.Sprintf("SectionExit(%q) but %q is innermost", e.Label, s.stack[top])})
+					Detail: fmt.Sprintf("SectionExit(%q) but %q is innermost", e.Label, top)})
 			}
-			s.stack = s.stack[:top]
+			stacks[k] = st[:len(st)-1]
 		case trace.KindCollective:
 			seq := colls[e.Comm]
 			if seq == nil {
@@ -89,8 +79,8 @@ func CheckTrace(events []trace.Event) []Violation {
 	}
 
 	// Finalize-equivalent checks over the replayed state.
-	stackKeys := make([]rankComm, 0, len(states))
-	for k := range states {
+	stackKeys := make([]rankComm, 0, len(stacks))
+	for k := range stacks {
 		stackKeys = append(stackKeys, k)
 	}
 	sort.Slice(stackKeys, func(i, j int) bool {
@@ -103,7 +93,7 @@ func CheckTrace(events []trace.Event) []Violation {
 		if dead[k.rank] {
 			continue
 		}
-		for _, label := range states[k].stack {
+		for _, label := range stacks[k] {
 			out = append(out, Violation{T: wallT, Rank: k.rank, Comm: k.comm, Class: ClassUnclosed,
 				Detail: fmt.Sprintf("section %q still open at finalize", label)})
 		}
@@ -116,7 +106,7 @@ func CheckTrace(events []trace.Event) []Violation {
 	}
 	counts := map[commLabel]map[int]int{}
 	participants := map[int64]map[int]bool{}
-	for k, s := range states {
+	for k, m := range enters {
 		if dead[k.rank] {
 			continue
 		}
@@ -124,7 +114,7 @@ func CheckTrace(events []trace.Event) []Violation {
 			participants[k.comm] = map[int]bool{}
 		}
 		participants[k.comm][k.rank] = true
-		for label, n := range s.enters {
+		for label, n := range m {
 			ck := commLabel{k.comm, label}
 			if counts[ck] == nil {
 				counts[ck] = map[int]int{}
@@ -191,4 +181,78 @@ func CheckTrace(events []trace.Event) []Violation {
 
 	SortViolations(out)
 	return out
+}
+
+// faultyTrace draws a trace of a few ranks on two communicators in which
+// every class of violation CheckTrace knows has room to occur: leaves
+// without an enter, leaves of the wrong section, sections left open, enter
+// counts and collective sequences that differ between ranks, and a rank
+// that is killed half way.
+func faultyTrace(rng *rand.Rand) []trace.Event {
+	labels := []string{"MPI_MAIN", "HALO", "LOAD", "x"}
+	colls := []string{"Barrier", "Allreduce", "Bcast"}
+	ranks := 2 + rng.Intn(5)
+	var out []trace.Event
+	for r := 0; r < ranks; r++ {
+		t := 0.0
+		var open []string
+		for n := rng.Intn(60); n > 0; n-- {
+			t += float64(rng.Intn(3)) * 0.25
+			e := trace.Event{T: t, Rank: r, Comm: int64(rng.Intn(2))}
+			switch rng.Intn(10) {
+			case 0, 1, 2:
+				e.Kind, e.Label = trace.KindSectionEnter, labels[rng.Intn(len(labels))]
+				open = append(open, e.Label)
+			case 3, 4, 5:
+				e.Kind, e.Label = trace.KindSectionLeave, labels[rng.Intn(len(labels))]
+				if len(open) > 0 && rng.Intn(4) > 0 {
+					e.Label, open = open[len(open)-1], open[:len(open)-1]
+				}
+			case 6, 7:
+				e.Kind, e.Label = trace.KindCollective, colls[rng.Intn(len(colls))]
+				if rng.Intn(3) > 0 {
+					e.Label = colls[0]
+				}
+			case 8:
+				e.Kind, e.Label = trace.KindFault, []string{"kill", "drop", "delay"}[rng.Intn(3)]
+				if rng.Intn(4) > 0 {
+					e.Label = "drop"
+				}
+			default:
+				e.Kind, e.Peer = trace.KindSend, rng.Intn(ranks)
+			}
+			out = append(out, e)
+		}
+	}
+	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
+}
+
+func TestCheckTraceMatchesReference(t *testing.T) {
+	classes := map[string]int{}
+	killed := 0
+	for seed := int64(0); seed < 400; seed++ {
+		events := faultyTrace(rand.New(rand.NewSource(seed)))
+		got, want := CheckTrace(events), refCheckTrace(events)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: violations differ\n got %v\nwant %v", seed, got, want)
+		}
+		for _, v := range want {
+			classes[v.Class]++
+		}
+		for _, e := range events {
+			if e.Kind == trace.KindFault && e.Label == "kill" {
+				killed++
+				break
+			}
+		}
+	}
+	for _, class := range []string{ClassUnderflow, ClassMismatch, ClassUnclosed, ClassEnterDivergence, ClassCollectiveOrder} {
+		if classes[class] == 0 {
+			t.Errorf("no generated trace has a %s violation", class)
+		}
+	}
+	if killed == 0 {
+		t.Error("no generated trace kills a rank")
+	}
 }
