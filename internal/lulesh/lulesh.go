@@ -186,10 +186,18 @@ type state struct {
 	rho, mx, my, mz, en []float64
 	// Scratch for the update.
 	nrho, nmx, nmy, nmz, nen []float64
-	// Persistent halo-exchange buffers: the outgoing packed face and the
-	// received neighbor face are reused across all 6 exchanges × all steps,
-	// keeping the steady-state timeloop allocation-free.
-	packBuf, faceBuf []float64
+	// scratch is the one slab behind everything transient in a step, sized
+	// and allocated with the fields so that the time loop allocates nothing
+	// of its own (TestTimeLoopSteadyStateAllocs). Two tenants take turns:
+	// CommSBN stages the outgoing packed face and the received neighbor
+	// face in its first 10n² floats (haloBuffers), reused across all 6
+	// exchanges; CalcForceForNodes then lays its primitive plane and carried
+	// face fluxes over the same floats (forceWorkspace). Neither keeps
+	// anything in it from one step to the next.
+	scratch []float64
+	// forcePlane is the plane the force pass expects next: its carried
+	// buffers hold that plane's state (see computeIncrements).
+	forcePlane int
 	// Per-step outputs.
 	maxWave      float64 // local max wavespeed (courant)
 	hydroRate    float64 // local max relative density change (hydro)

@@ -306,3 +306,64 @@ func TestRunAllTable7Configs(t *testing.T) {
 		})
 	}
 }
+
+// fmaProbe holds operands whose product needs more than 53 bits, kept in
+// variables so the compiler cannot fold the probe away.
+var fmaProbe = [3]float64{1 + 0x1p-30, 1 - 0x1p-30, -1}
+
+// contractsMulAdd reports whether this build rounds x*y+z once (a fused
+// multiply-add) rather than twice; see differential_test.go.
+func contractsMulAdd() bool {
+	x, y, z := fmaProbe[0], fmaProbe[1], fmaProbe[2]
+	return x*y+z != float64(x*y)+z
+}
+
+// TestAbsolutePins holds the solver to the values it has always produced.
+// The suite above compares decomposition against decomposition and thread
+// count against thread count, so a kernel change that shifts every run alike
+// passes it; these are the benchmark's three shapes (Table 7 at scale 4,
+// ten steps) in absolute terms. The field, its extrema and the timestep
+// history are decomposition-independent; the global sums are folded in rank
+// order and differ in the last bits.
+func TestAbsolutePins(t *testing.T) {
+	if contractsMulAdd() {
+		t.Skip("pins were taken where x*y+z rounds twice; this build contracts it")
+	}
+	const (
+		fieldHash = 0x4ec595f262e82c7a
+		finalDt   = 0x3f504f0e51ea00a8
+		minRho    = 0x3fda7e318fea9260
+		maxRho    = 0x3ff23a4bf0a59355
+		minP      = 0x3e9ad7f29abcaf48
+	)
+	for _, c := range []struct {
+		ranks, s       int
+		mass1, energy1 uint64
+	}{
+		{1, 48, 0x3feffffffffffffc, 0x401725ed4c8d30f4},
+		{8, 24, 0x3ff0000000000000, 0x401725ed4c8d2fc7},
+		{27, 16, 0x3ff0000000000000, 0x401725ed4c8d2fb3},
+	} {
+		res, err := Run(idealCfg(c.ranks, 1), Params{S: c.s, Steps: 10, Threads: 1, Scale: 4, SedovEnergy: 1e4})
+		if err != nil {
+			t.Fatalf("ranks=%d: %v", c.ranks, err)
+		}
+		d := res.Diag
+		if d.FieldHash != fieldHash {
+			t.Errorf("ranks=%d: FieldHash %#x, want %#x", c.ranks, d.FieldHash, uint64(fieldHash))
+		}
+		for _, v := range []struct {
+			name string
+			got  float64
+			want uint64
+		}{
+			{"FinalDt", d.FinalDt, finalDt}, {"Mass1", d.Mass1, c.mass1}, {"Energy1", d.Energy1, c.energy1},
+			{"MinRho", d.MinRho, minRho}, {"MaxRho", d.MaxRho, maxRho}, {"MinP", d.MinP, minP},
+		} {
+			if math.Float64bits(v.got) != v.want {
+				t.Errorf("ranks=%d: %s = %#x (%g), want %#x (%g)", c.ranks, v.name,
+					math.Float64bits(v.got), v.got, v.want, math.Float64frombits(v.want))
+			}
+		}
+	}
+}

@@ -28,6 +28,8 @@ func initState(s *state) {
 	s.nmy = make([]float64, v)
 	s.nmz = make([]float64, v)
 	s.nen = make([]float64, v)
+	st, n := s.stride(), s.n
+	s.scratch = make([]float64, 5*st*st+5*n*n+5*n)
 	for k := 1; k <= s.n; k++ {
 		for j := 1; j <= s.n; j++ {
 			for i := 1; i <= s.n; i++ {
@@ -44,110 +46,205 @@ func initState(s *state) {
 	}
 }
 
-// soundSpeed returns c for one cell's conserved state.
-func soundSpeed(rho, mx, my, mz, en float64) float64 {
-	u, v, w := mx/rho, my/rho, mz/rho
+// primitives returns one cell's velocity, pressure (floored at pFloor) and
+// sound speed from its conserved state: the whole equation of state, four
+// divisions and one square root. Everything that needs any of the five — the
+// force pass, the viscosity and Courant scans, the final diagnostics — goes
+// through here, so a value is the same bits wherever it is evaluated.
+func primitives(rho, mx, my, mz, en float64) (u, v, w, p, c float64) {
+	u, v, w = mx/rho, my/rho, mz/rho
 	ke := 0.5 * rho * (u*u + v*v + w*w)
-	p := (gammaGas - 1) * (en - ke)
+	p = (gammaGas - 1) * (en - ke)
 	if p < pFloor {
 		p = pFloor
 	}
-	return math.Sqrt(gammaGas * p / rho)
+	return u, v, w, p, math.Sqrt(gammaGas * p / rho)
 }
 
-// pressure returns p for one cell.
-func pressure(rho, mx, my, mz, en float64) float64 {
-	u, v, w := mx/rho, my/rho, mz/rho
-	ke := 0.5 * rho * (u*u + v*v + w*w)
-	p := (gammaGas - 1) * (en - ke)
-	if p < pFloor {
-		p = pFloor
-	}
-	return p
-}
-
-// flux computes the Euler flux component along the given axis
-// (0=x, 1=y, 2=z) for one conserved state.
-func flux(axis int, rho, mx, my, mz, en float64) (frho, fmx, fmy, fmz, fen float64) {
-	u := mx / rho
-	switch axis {
-	case 1:
-		u = my / rho
-	case 2:
-		u = mz / rho
-	}
-	p := pressure(rho, mx, my, mz, en)
-	frho = rho * u
-	fmx = mx * u
-	fmy = my * u
-	fmz = mz * u
-	switch axis {
-	case 0:
-		fmx += p
-	case 1:
-		fmy += p
-	case 2:
-		fmz += p
-	}
-	fen = (en + p) * u
+// rusanovFace returns the Rusanov (local Lax–Friedrichs) numerical flux
+// through the face between cells L and R, written once for all three axes in
+// face-normal form: mn is the momentum component normal to the face and
+// un = mn/rho its velocity, ma and mb are the two tangential components, p
+// and c the cell's pressure and sound speed as primitives returns them.
+// Callers permute (mx, my, mz) into (mn, ma, mb) and the result back.
+// Arguments and results are scalars so that they travel in registers: the
+// same pass with this function returning [5]float64 goes through memory and
+// takes 75 ns per cell against 59 (BenchmarkForcePass).
+//
+// The dissipation speed takes the builtin max; it differs from math.Max only
+// with +Inf on one side and NaN on the other, a state that has blown up
+// already.
+func rusanovFace(
+	rhoL, mnL, maL, mbL, enL, unL, pL, cL,
+	rhoR, mnR, maR, mbR, enR, unR, pR, cR float64,
+) (frho, fmn, fma, fmb, fen float64) {
+	hs := 0.5 * max(math.Abs(unL)+cL, math.Abs(unR)+cR)
+	frho = 0.5*(rhoL*unL+rhoR*unR) - hs*(rhoR-rhoL)
+	fmn = 0.5*((mnL*unL+pL)+(mnR*unR+pR)) - hs*(mnR-mnL)
+	fma = 0.5*(maL*unL+maR*unR) - hs*(maR-maL)
+	fmb = 0.5*(mbL*unL+mbR*unR) - hs*(mbR-mbL)
+	fen = 0.5*((enL+pL)*unL+(enR+pR)*unR) - hs*(enR-enL)
 	return
 }
 
-// rusanov computes the Rusanov (local Lax–Friedrichs) numerical flux along
-// axis between left state L and right state R.
-func rusanov(axis int, rhoL, mxL, myL, mzL, enL, rhoR, mxR, myR, mzR, enR float64) (f [5]float64) {
-	fl0, fl1, fl2, fl3, fl4 := flux(axis, rhoL, mxL, myL, mzL, enL)
-	fr0, fr1, fr2, fr3, fr4 := flux(axis, rhoR, mxR, myR, mzR, enR)
-	var uL, uR float64
-	switch axis {
-	case 0:
-		uL, uR = mxL/rhoL, mxR/rhoR
-	case 1:
-		uL, uR = myL/rhoL, myR/rhoR
-	case 2:
-		uL, uR = mzL/rhoL, mzR/rhoR
+// forceWorkspace carves the force pass's three buffers out of the scratch
+// slab (see state.scratch), each a sequence of groups of five floats: prim,
+// the primitives (u, v, w, p, c) of the cells of one (n+2)² plane, ghost ring
+// included; zf, the flux through the z-low face of each of the plane's n²
+// cells; yf, the flux through the y-low face of each of a row's n cells.
+// Fluxes are stored in field order (rho, mx, my, mz, en).
+func (s *state) forceWorkspace() (prim, zf, yf []float64) {
+	np, nz := 5*s.stride()*s.stride(), 5*s.n*s.n
+	return s.scratch[:np], s.scratch[np : np+nz], s.scratch[np+nz : np+nz+5*s.n]
+}
+
+// five returns the i-th group of five floats of buf.
+func five(buf []float64, i int) []float64 { return buf[5*i : 5*i+5 : 5*i+5] }
+
+// storePrimitives evaluates cell id of the fields into group pc of prim.
+func (s *state) storePrimitives(prim []float64, pc, id int) {
+	q := five(prim, pc)
+	q[0], q[1], q[2], q[3], q[4] = primitives(s.rho[id], s.mx[id], s.my[id], s.mz[id], s.en[id])
+}
+
+// openForcePass readies the carried buffers for plane 1: prim's interior
+// takes plane 1's primitives and zf the fluxes between the z-low ghost plane
+// and plane 1.
+func (s *state) openForcePass(prim, zf []float64) {
+	st := s.stride()
+	rho, mx, my, mz, en := s.rho, s.mx, s.my, s.mz, s.en
+	zc := 0
+	for j := 1; j <= s.n; j++ {
+		for i := 1; i <= s.n; i++ {
+			lo := j*st + i // the ghost cell (i, j, 0), and (i, j)'s place in prim
+			id := lo + st*st
+			s.storePrimitives(prim, lo, id)
+			q, z := five(prim, lo), five(zf, zc)
+			_, _, wL, pL, cL := primitives(rho[lo], mx[lo], my[lo], mz[lo], en[lo])
+			z[0], z[3], z[1], z[2], z[4] = rusanovFace(
+				rho[lo], mz[lo], mx[lo], my[lo], en[lo], wL, pL, cL,
+				rho[id], mz[id], mx[id], my[id], en[id], q[2], q[3], q[4])
+			zc++
+		}
 	}
-	sL := math.Abs(uL) + soundSpeed(rhoL, mxL, myL, mzL, enL)
-	sR := math.Abs(uR) + soundSpeed(rhoR, mxR, myR, mzR, enR)
-	smax := math.Max(sL, sR)
-	f[0] = 0.5*(fl0+fr0) - 0.5*smax*(rhoR-rhoL)
-	f[1] = 0.5*(fl1+fr1) - 0.5*smax*(mxR-mxL)
-	f[2] = 0.5*(fl2+fr2) - 0.5*smax*(myR-myL)
-	f[3] = 0.5*(fl3+fr3) - 0.5*smax*(mzR-mzL)
-	f[4] = 0.5*(fl4+fr4) - 0.5*smax*(enR-enL)
-	return
+}
+
+// openPlane evaluates the primitives of plane k's 4n ghost neighbours into
+// prim's ring (the ring's corners are never read: the stencil has faces
+// only) and fills yf with the fluxes through the y-low boundary faces.
+func (s *state) openPlane(k int, prim, yf []float64) {
+	n, st := s.n, s.stride()
+	base := k * st * st
+	for a := 1; a <= n; a++ {
+		for _, pc := range [4]int{a * st, a*st + n + 1, a, (n+1)*st + a} {
+			s.storePrimitives(prim, pc, base+pc)
+		}
+	}
+	rho, mx, my, mz, en := s.rho, s.mx, s.my, s.mz, s.en
+	for i := 1; i <= n; i++ {
+		lo, hi := base+i, base+st+i
+		l, h, y := five(prim, i), five(prim, st+i), five(yf, i-1)
+		y[0], y[2], y[1], y[3], y[4] = rusanovFace(
+			rho[lo], my[lo], mx[lo], mz[lo], en[lo], l[1], l[3], l[4],
+			rho[hi], my[hi], mx[hi], mz[hi], en[hi], h[1], h[3], h[4])
+	}
+}
+
+// increment folds the six face fluxes of one conserved quantity into its
+// update: d accumulates fp − fm over axes 0, 1, 2 from zero — the order the
+// sum has always been taken in, kept because the bits depend on it — and
+// the result is stored negated and scaled by lam = dt/dx.
+func increment(lam, xp, xm, yp, ym, zp, zm float64) float64 {
+	var d float64
+	d += xp - xm
+	d += yp - ym
+	d += zp - zm
+	return -lam * d
 }
 
 // computeIncrements fills the scratch arrays with dt/dx times the flux
 // divergence of every interior cell in plane k (the "force" computation,
 // the solver's dominant loop). The increments are stored negated so the
 // later phases simply add them.
+//
+// Every quantity is evaluated once. A cell's primitives come from prim,
+// which holds plane k on entry; the cell above is evaluated here, for the
+// z-high face, and written over the finished cell, so prim holds plane k+1
+// on return. Each face flux is computed once and serves the cell below it
+// as fp and the cell above it as fm: the x-face travels along the row in
+// registers, the y-faces wait one row in yf, the z-faces one plane in zf.
+// Per value this is the expression the six-calls-per-cell kernel evaluated
+// (kept as reference_test.go; differential_test.go holds the two together),
+// so the increments are the same bits.
+//
+// prim and zf are handed from plane k to plane k+1, so the pass relies on
+// its caller visiting planes 1..n in ascending order, one at a time —
+// omp.Team.ForModeled runs its body sequentially on the rank's goroutine —
+// and panics on any other order.
+//
+//seclint:hotpath
 func (s *state) computeIncrements(k int) {
-	st := s.stride()
+	if k != 1 && k != s.forcePlane {
+		panic("lulesh: force pass needs planes in ascending order")
+	}
+	s.forcePlane = k + 1
+	n, st := s.n, s.stride()
+	prim, zf, yf := s.forceWorkspace()
+	if k == 1 {
+		s.openForcePass(prim, zf)
+	}
+	s.openPlane(k, prim, yf)
+
+	rho, mx, my, mz, en := s.rho, s.mx, s.my, s.mz, s.en
 	lam := s.dt / s.dx
-	offs := [3]int{1, st, st * st} // +x, +y, +z neighbor strides
-	for j := 1; j <= s.n; j++ {
-		for i := 1; i <= s.n; i++ {
-			id := s.idx(i, j, k)
-			var d [5]float64
-			for axis := 0; axis < 3; axis++ {
-				o := offs[axis]
-				lo, hi := id-o, id+o
-				fm := rusanov(axis,
-					s.rho[lo], s.mx[lo], s.my[lo], s.mz[lo], s.en[lo],
-					s.rho[id], s.mx[id], s.my[id], s.mz[id], s.en[id])
-				fp := rusanov(axis,
-					s.rho[id], s.mx[id], s.my[id], s.mz[id], s.en[id],
-					s.rho[hi], s.mx[hi], s.my[hi], s.mz[hi], s.en[hi])
-				for c := 0; c < 5; c++ {
-					d[c] += fp[c] - fm[c]
-				}
+	zc := 0
+	for j := 1; j <= n; j++ {
+		// C is the cell whose x-high face is next; the row opens with the
+		// x-low ghost, which has that face and nothing else to compute.
+		id, pc := (k*st+j)*st, j*st
+		q := five(prim, pc)
+		rhoC, mxC, myC, mzC, enC := rho[id], mx[id], my[id], mz[id], en[id]
+		uC, vC, wC, pC, cC := q[0], q[1], q[2], q[3], q[4]
+		var fx0, fx1, fx2, fx3, fx4 float64 // C's x-low face
+		for i := 0; i <= n; i++ {
+			r := id + 1
+			q = five(prim, pc+1)
+			rhoR, mxR, myR, mzR, enR := rho[r], mx[r], my[r], mz[r], en[r]
+			uR, vR, wR, pR, cR := q[0], q[1], q[2], q[3], q[4]
+			gx0, gx1, gx2, gx3, gx4 := rusanovFace(
+				rhoC, mxC, myC, mzC, enC, uC, pC, cC,
+				rhoR, mxR, myR, mzR, enR, uR, pR, cR)
+			if i > 0 {
+				// The y-high face, against the next row of prim.
+				h := id + st
+				q = five(prim, pc+st)
+				gy0, gy2, gy1, gy3, gy4 := rusanovFace(
+					rhoC, myC, mxC, mzC, enC, vC, pC, cC,
+					rho[h], my[h], mx[h], mz[h], en[h], q[1], q[3], q[4])
+				// The z-high face, against the cell above: its primitives
+				// are evaluated here and replace C's for the next plane.
+				h = id + st*st
+				uT, vT, wT, pT, cT := primitives(rho[h], mx[h], my[h], mz[h], en[h])
+				gz0, gz3, gz1, gz2, gz4 := rusanovFace(
+					rhoC, mzC, mxC, myC, enC, wC, pC, cC,
+					rho[h], mz[h], mx[h], my[h], en[h], wT, pT, cT)
+				q = five(prim, pc)
+				q[0], q[1], q[2], q[3], q[4] = uT, vT, wT, pT, cT
+
+				y, z := five(yf, i-1), five(zf, zc)
+				zc++
+				s.nrho[id] = increment(lam, gx0, fx0, gy0, y[0], gz0, z[0])
+				s.nmx[id] = increment(lam, gx1, fx1, gy1, y[1], gz1, z[1])
+				s.nmy[id] = increment(lam, gx2, fx2, gy2, y[2], gz2, z[2])
+				s.nmz[id] = increment(lam, gx3, fx3, gy3, y[3], gz3, z[3])
+				s.nen[id] = increment(lam, gx4, fx4, gy4, y[4], gz4, z[4])
+				y[0], y[1], y[2], y[3], y[4] = gy0, gy1, gy2, gy3, gy4
+				z[0], z[1], z[2], z[3], z[4] = gz0, gz1, gz2, gz3, gz4
 			}
-			s.nrho[id] = -lam * d[0]
-			s.nmx[id] = -lam * d[1]
-			s.nmy[id] = -lam * d[2]
-			s.nmz[id] = -lam * d[3]
-			s.nen[id] = -lam * d[4]
+			fx0, fx1, fx2, fx3, fx4 = gx0, gx1, gx2, gx3, gx4
+			rhoC, mxC, myC, mzC, enC = rhoR, mxR, myR, mzR, enR
+			uC, vC, wC, pC, cC = uR, vR, wR, pR, cR
+			id, pc = r, pc+1
 		}
 	}
 }
@@ -199,16 +296,15 @@ func (s *state) applyEnergy(k int) {
 // produces; for the Rusanov scheme it measures the built-in dissipation.
 func (s *state) viscosityScan(k int) float64 {
 	st := s.stride()
+	rho, mx, my, mz := s.rho, s.mx, s.my, s.mz
 	maxQ := 0.0
 	for j := 1; j <= s.n; j++ {
 		for i := 1; i <= s.n; i++ {
 			id := s.idx(i, j, k)
-			u0 := s.mx[id] / s.rho[id]
-			du := math.Abs(s.mx[id+1]/s.rho[id+1]-u0) +
-				math.Abs(s.my[id+st]/s.rho[id+st]-s.my[id]/s.rho[id]) +
-				math.Abs(s.mz[id+st*st]/s.rho[id+st*st]-s.mz[id]/s.rho[id])
-			q := s.rho[id] * soundSpeed(s.rho[id], s.mx[id], s.my[id], s.mz[id], s.en[id]) * du
-			if q > maxQ {
+			x, y, z := id+1, id+st, id+st*st
+			u, v, w, _, c := primitives(rho[id], mx[id], my[id], mz[id], s.en[id])
+			du := math.Abs(mx[x]/rho[x]-u) + math.Abs(my[y]/rho[y]-v) + math.Abs(mz[z]/rho[z]-w)
+			if q := rho[id] * c * du; q > maxQ {
 				maxQ = q
 			}
 		}
@@ -244,12 +340,8 @@ func (s *state) courantScan(k int) float64 {
 	for j := 1; j <= s.n; j++ {
 		for i := 1; i <= s.n; i++ {
 			id := s.idx(i, j, k)
-			rho := s.rho[id]
-			u := math.Abs(s.mx[id] / rho)
-			v := math.Abs(s.my[id] / rho)
-			w := math.Abs(s.mz[id] / rho)
-			speed := math.Max(u, math.Max(v, w)) + soundSpeed(rho, s.mx[id], s.my[id], s.mz[id], s.en[id])
-			if speed > m {
+			u, v, w, _, c := primitives(s.rho[id], s.mx[id], s.my[id], s.mz[id], s.en[id])
+			if speed := max(math.Abs(u), math.Abs(v), math.Abs(w)) + c; speed > m {
 				m = speed
 			}
 		}

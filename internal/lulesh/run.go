@@ -27,23 +27,8 @@ func faceTags(axis int) (low, high int) {
 // rank 0's return value is meaningful).
 func runRank(c *mpi.Comm, p Params) (Diagnostics, error) {
 	var diag Diagnostics
-	px := cubeRoot(c.Size())
-	s := &state{
-		c:     c,
-		team:  omp.New(c, p.Threads),
-		p:     p,
-		px:    px,
-		n:     p.S / p.Scale,
-		fullN: p.S,
-	}
-	s.ix = c.Rank() % px
-	s.iy = (c.Rank() / px) % px
-	s.iz = c.Rank() / (px * px)
-	s.globalN = s.n * px
-	s.dx = 1.0 / float64(s.globalN)
-	if p.SedovEnergy <= 0 {
-		s.p.SedovEnergy = 1e4
-	}
+	st := newState(c, p)
+	s := &st // stays on the rank's stack: nothing below lets it escape
 
 	c.SectionEnter(SecMain)
 	defer c.SectionExit(SecMain)
@@ -100,8 +85,7 @@ func runRank(c *mpi.Comm, p Params) (Diagnostics, error) {
 					if s.rho[id] > maxRho {
 						maxRho = s.rho[id]
 					}
-					pv := pressure(s.rho[id], s.mx[id], s.my[id], s.mz[id], s.en[id])
-					if pv < minP {
+					if _, _, _, pv, _ := primitives(s.rho[id], s.mx[id], s.my[id], s.mz[id], s.en[id]); pv < minP {
 						minP = pv
 					}
 				}
@@ -118,6 +102,30 @@ func runRank(c *mpi.Comm, p Params) (Diagnostics, error) {
 		return err
 	})
 	return diag, err
+}
+
+// newState places the calling rank in the cube and sizes its subdomain; the
+// fields are allocated by initState. It returns the state by value so that
+// the caller decides where it lives.
+func newState(c *mpi.Comm, p Params) state {
+	px := cubeRoot(c.Size())
+	s := state{
+		c:     c,
+		team:  omp.New(c, p.Threads),
+		p:     p,
+		px:    px,
+		n:     p.S / p.Scale,
+		fullN: p.S,
+	}
+	s.ix = c.Rank() % px
+	s.iy = (c.Rank() / px) % px
+	s.iz = c.Rank() / (px * px)
+	s.globalN = s.n * px
+	s.dx = 1.0 / float64(s.globalN)
+	if p.SedovEnergy <= 0 {
+		s.p.SedovEnergy = 1e4
+	}
+	return s
 }
 
 // doStep advances one explicit timestep with the paper's section anatomy.
@@ -291,9 +299,8 @@ func (s *state) planeBody(f func(k int)) func(int) {
 // boundary, Sendrecv with cube neighbors elsewhere. Virtual message sizes
 // are the full-scale face sizes.
 func (s *state) exchangeHalos() error {
-	fields := [5][]float64{s.rho, s.mx, s.my, s.mz, s.en}
-	// Which momentum component flips at a mirror wall, per axis.
-	flip := [3]int{1, 2, 3}
+	fields := s.fields()
+	pack, recv := s.haloBuffers()
 	vbytes := int(s.faceElemsFull() * 5 * 8)
 
 	for axis := 0; axis < 3; axis++ {
@@ -303,21 +310,18 @@ func (s *state) exchangeHalos() error {
 			off[axis] = side
 			nb := s.neighbor(off[0], off[1], off[2])
 			if nb < 0 {
-				s.mirrorWall(axis, side, fields, flip[axis])
+				s.mirrorWall(axis, side, fields)
 				continue
 			}
 			sendTag, recvTag := lowTag, highTag
 			if side > 0 {
 				sendTag, recvTag = highTag, lowTag
 			}
-			payload := s.packFace(axis, side, fields)
-			s.packBuf = payload
-			face, _, err := s.c.SendrecvFloat64sInto(nb, sendTag, payload,
-				vbytes, nb, recvTag, s.faceBuf)
+			face, _, err := s.c.SendrecvFloat64sInto(nb, sendTag, s.packFace(axis, side, fields, pack),
+				vbytes, nb, recvTag, recv)
 			if err != nil {
 				return err
 			}
-			s.faceBuf = face
 			if err := s.unpackFace(axis, side, fields, face); err != nil {
 				return err
 			}
@@ -326,75 +330,99 @@ func (s *state) exchangeHalos() error {
 	return nil
 }
 
-// facePlane iterates the (j2, j1) coordinates of a face and calls f with
-// the source (interior) and destination (ghost) flat indices for the given
-// axis/side.
-func (s *state) facePlane(axis, side int, f func(interior, ghost int)) {
-	inner, outer := 1, s.n
-	ghostIn, ghostOut := 0, s.n+1
-	var fixed, gfixed int
-	if side < 0 {
-		fixed, gfixed = inner, ghostIn
-	} else {
-		fixed, gfixed = outer, ghostOut
-	}
-	for b := 1; b <= s.n; b++ {
-		for a := 1; a <= s.n; a++ {
-			var ii, gi int
-			switch axis {
-			case 0:
-				ii, gi = s.idx(fixed, a, b), s.idx(gfixed, a, b)
-			case 1:
-				ii, gi = s.idx(a, fixed, b), s.idx(a, gfixed, b)
-			default:
-				ii, gi = s.idx(a, b, fixed), s.idx(a, b, gfixed)
-			}
-			f(ii, gi)
-		}
-	}
+// fields lists the conserved fields in wire order: density, the three
+// momenta (field 1+axis is the momentum along axis), energy.
+func (s *state) fields() [5][]float64 { return [5][]float64{s.rho, s.mx, s.my, s.mz, s.en} }
+
+// haloBuffers returns the exchange's two staging buffers out of the scratch
+// slab, each empty with room for exactly one packed face (5n² floats).
+func (s *state) haloBuffers() (pack, recv []float64) {
+	m := 5 * s.n * s.n
+	return s.scratch[:0:m], s.scratch[m : m : 2*m]
 }
 
-// packFace flattens the interior boundary plane of every field into the
-// reusable pack buffer.
-func (s *state) packFace(axis, side int, fields [5][]float64) []float64 {
-	out := s.packBuf[:0]
-	if cap(out) < 5*s.n*s.n {
-		out = make([]float64, 0, 5*s.n*s.n)
+// faceWalk describes the boundary plane on the given side of an axis as a
+// strided walk over the flat field index: interior and ghost are the plane's
+// first element (in-plane coordinates (1, 1)) in the outermost interior
+// layer and in the ghost layer beside it; sa steps the fast in-plane
+// coordinate and sb the slow one, n elements each.
+func (s *state) faceWalk(axis, side int) (interior, ghost, sa, sb int) {
+	st := s.stride()
+	var sn int // the step along the face normal
+	switch axis {
+	case 0:
+		sn, sa, sb = 1, st, st*st
+	case 1:
+		sn, sa, sb = st, 1, st*st
+	default:
+		sn, sa, sb = st*st, 1, st
 	}
+	first := sa + sb
+	if side < 0 {
+		return first + sn, first, sa, sb
+	}
+	return first + s.n*sn, first + (s.n+1)*sn, sa, sb
+}
+
+// packFace flattens the interior boundary plane of every field into out,
+// field by field.
+//
+//seclint:hotpath
+func (s *state) packFace(axis, side int, fields [5][]float64, out []float64) []float64 {
+	n := s.n
+	out = out[:5*n*n]
+	first, _, sa, sb := s.faceWalk(axis, side)
+	pos := 0
 	for _, fld := range fields {
-		s.facePlane(axis, side, func(interior, _ int) {
-			out = append(out, fld[interior])
-		})
+		for b, row := 0, first; b < n; b, row = b+1, row+sb {
+			for a, src := 0, row; a < n; a, src = a+1, src+sa {
+				out[pos] = fld[src]
+				pos++
+			}
+		}
 	}
 	return out
 }
 
 // unpackFace writes a received neighbor plane into the ghost layer.
+//
+//seclint:hotpath
 func (s *state) unpackFace(axis, side int, fields [5][]float64, face []float64) error {
-	if len(face) != 5*s.n*s.n {
-		return fmt.Errorf("lulesh: face payload %d != %d", len(face), 5*s.n*s.n)
+	n := s.n
+	if len(face) != 5*n*n {
+		return fmt.Errorf("lulesh: face payload %d != %d", len(face), 5*n*n)
 	}
+	_, first, sa, sb := s.faceWalk(axis, side)
 	pos := 0
 	for _, fld := range fields {
-		s.facePlane(axis, side, func(_, ghost int) {
-			fld[ghost] = face[pos]
-			pos++
-		})
+		for b, row := 0, first; b < n; b, row = b+1, row+sb {
+			for a, dst := 0, row; a < n; a, dst = a+1, dst+sa {
+				fld[dst] = face[pos]
+				pos++
+			}
+		}
 	}
 	return nil
 }
 
 // mirrorWall fills a global-boundary ghost plane with the mirrored interior
 // state, negating the wall-normal momentum (reflective BC).
-func (s *state) mirrorWall(axis, side int, fields [5][]float64, flipField int) {
+//
+//seclint:hotpath
+func (s *state) mirrorWall(axis, side int, fields [5][]float64) {
+	n := s.n
+	first, ghost, sa, sb := s.faceWalk(axis, side)
+	out := ghost - first
 	for fi, fld := range fields {
 		sign := 1.0
-		if fi == flipField {
+		if fi == 1+axis {
 			sign = -1
 		}
-		s.facePlane(axis, side, func(interior, ghost int) {
-			fld[ghost] = sign * fld[interior]
-		})
+		for b, row := 0, first; b < n; b, row = b+1, row+sb {
+			for a, src := 0, row; a < n; a, src = a+1, src+sa {
+				fld[src+out] = sign * fld[src]
+			}
+		}
 	}
 }
 
@@ -418,62 +446,50 @@ func (s *state) totals() (mass, energy float64, err error) {
 	return agg[0], agg[1], nil
 }
 
-// gatherFieldHash assembles the global density field on rank 0 (in global
-// index order, independent of the decomposition) and hashes it; the hash is
-// then broadcast so every rank returns the same value.
+// gatherFieldHash hashes the global density field on rank 0 (in global
+// index order, independent of the decomposition); the hash is then broadcast
+// so every rank returns the same value. A rank encodes its interior once, in
+// local order, and rank 0 feeds the hash row by row straight from the
+// gathered wire bytes: the little-endian encoding is the hashed stream.
 func (s *state) gatherFieldHash() (uint64, error) {
 	c := s.c
-	// Flatten my interior in local order.
-	local := make([]float64, 0, s.n*s.n*s.n)
-	for k := 1; k <= s.n; k++ {
-		for j := 1; j <= s.n; j++ {
-			for i := 1; i <= s.n; i++ {
-				local = append(local, s.rho[s.idx(i, j, k)])
-			}
+	n := s.n
+	local := make([]byte, 0, 8*n*n*n)
+	for k := 1; k <= n; k++ {
+		for j := 1; j <= n; j++ {
+			row := s.idx(1, j, k)
+			local = mpi.AppendFloat64s(local, s.rho[row:row+n])
 		}
 	}
-	parts, err := c.Gather(0, mpi.Float64sToBytes(local))
+	parts, err := c.Gather(0, local)
 	if err != nil {
 		return 0, err
 	}
 	var hash uint64
 	if c.Rank() == 0 {
-		g := s.globalN
-		global := make([]float64, g*g*g)
 		for r, raw := range parts {
-			vals, err := mpi.BytesToFloat64s(raw)
-			if err != nil {
-				return 0, err
+			if len(raw) != len(local) {
+				return 0, fmt.Errorf("lulesh: rank %d sent %d field bytes, want %d", r, len(raw), len(local))
 			}
-			mpi.Release(raw)
-			rx := r % s.px
-			ry := (r / s.px) % s.px
-			rz := r / (s.px * s.px)
-			pos := 0
-			for k := 0; k < s.n; k++ {
-				for j := 0; j < s.n; j++ {
-					for i := 0; i < s.n; i++ {
-						gi := rx*s.n + i
-						gj := ry*s.n + j
-						gk := rz*s.n + k
-						global[(gk*g+gj)*g+gi] = vals[pos]
-						pos++
+		}
+		h := fnv.New64a()
+		for gk := 0; gk < s.globalN; gk++ {
+			for gj := 0; gj < s.globalN; gj++ {
+				// The global row (·, gj, gk) is one local row of each rank
+				// along x, in rank order.
+				first := ((gk/n)*s.px + gj/n) * s.px
+				row := 8 * ((gk%n)*n + gj%n) * n
+				for _, raw := range parts[first : first+s.px] {
+					if _, err := h.Write(raw[row : row+8*n]); err != nil {
+						return 0, err
 					}
 				}
 			}
 		}
-		h := fnv.New64a()
-		var buf [8]byte
-		for _, v := range global {
-			bits := math.Float64bits(v)
-			for b := 0; b < 8; b++ {
-				buf[b] = byte(bits >> (8 * b))
-			}
-			if _, err := h.Write(buf[:]); err != nil {
-				return 0, err
-			}
-		}
 		hash = h.Sum64()
+		for _, raw := range parts {
+			mpi.Release(raw)
+		}
 	}
 	got, err := c.Bcast(0, []byte(fmt.Sprintf("%d", hash)))
 	if err != nil {
