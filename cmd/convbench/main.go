@@ -27,26 +27,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 
 	"repro/internal/diag"
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/verify"
 )
-
-// resolveOut places a relative artifact path inside dir (created on
-// demand); absolute paths and an empty dir pass through unchanged.
-func resolveOut(dir, name string) (string, error) {
-	if dir == "" || filepath.IsAbs(name) {
-		return name, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	return filepath.Join(dir, name), nil
-}
 
 func main() {
 	log.SetFlags(0)
@@ -200,37 +186,17 @@ func main() {
 	}
 
 	if *csvPath != "" {
-		path, err := resolveOut(*outDir, *csvPath)
+		path, err := diag.WriteArtifact(*outDir, *csvPath, res.WriteCSV)
 		if err != nil {
-			log.Fatal(err)
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := res.WriteCSV(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("raw sweep written to %s\n", path)
 	}
 
 	if *profilePath != "" {
-		prof := res.LargestProfile()
-		if prof == nil {
-			log.Fatal("profile: every profiled point failed; no summary to write")
-		}
-		path, err := resolveOut(*outDir, *profilePath)
-		if err != nil {
+		if err := diag.WriteProfileSummary(*outDir, *profilePath, res.LargestProfile(), "point"); err != nil {
 			log.Fatal(err)
 		}
-		if err := prof.WriteFile(path); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("telemetry: %s\n", prof.Summary())
-		fmt.Printf("telemetry summary written to %s\n", path)
 	}
 
 	if err := stopProfiles(); err != nil {
@@ -238,12 +204,8 @@ func main() {
 	}
 
 	if *verifyRuns {
-		if len(violations) > 0 {
-			for _, v := range violations {
-				fmt.Fprintln(os.Stderr, "verify: "+v.String())
-			}
-			log.Fatalf("verify: %d violation(s) across the sweep's runs", len(violations))
+		if err := diag.ReportViolations(violations); err != nil {
+			log.Fatal(err)
 		}
-		fmt.Println("verify: every run satisfied the section and collective contracts")
 	}
 }

@@ -21,8 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/balance"
@@ -144,36 +142,16 @@ func main() {
 			}
 		}
 		if *csvPath != "" {
-			path, err := resolveOut(*outDir, *csvPath)
+			path, err := diag.WriteArtifact(*outDir, *csvPath, res.WriteCSV)
 			if err != nil {
-				log.Fatal(err)
-			}
-			f, err := os.Create(path)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := res.WriteCSV(f); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("KNL sweep written to %s\n", path)
 		}
 		if *profilePath != "" {
-			tp := res.LargestProfile()
-			if tp == nil {
-				log.Fatal("profile: every profiled cell failed; no summary to write")
-			}
-			path, err := resolveOut(*outDir, *profilePath)
-			if err != nil {
+			if err := diag.WriteProfileSummary(*outDir, *profilePath, res.LargestProfile(), "cell"); err != nil {
 				log.Fatal(err)
 			}
-			if err := tp.WriteFile(path); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("telemetry: %s\n", tp.Summary())
-			fmt.Printf("telemetry summary written to %s\n", path)
 		}
 	}
 
@@ -188,26 +166,10 @@ func main() {
 	}
 
 	if *verifyRuns {
-		if len(violations) > 0 {
-			for _, v := range violations {
-				fmt.Fprintln(os.Stderr, "verify: "+v.String())
-			}
-			log.Fatalf("verify: %d violation(s) across the sweep's runs", len(violations))
+		if err := diag.ReportViolations(violations); err != nil {
+			log.Fatal(err)
 		}
-		fmt.Println("verify: every run satisfied the section and collective contracts")
 	}
-}
-
-// resolveOut places a relative artifact path inside dir (created on
-// demand); absolute paths and an empty dir pass through unchanged.
-func resolveOut(dir, name string) (string, error) {
-	if dir == "" || filepath.IsAbs(name) {
-		return name, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	return filepath.Join(dir, name), nil
 }
 
 // inspectRun executes one Table 7 configuration (p=8, s=24, 4 threads) on

@@ -55,6 +55,7 @@ import (
 
 	"repro/internal/balance"
 	"repro/internal/core"
+	"repro/internal/diag"
 	"repro/internal/pop"
 	"repro/internal/prof"
 	"repro/internal/telemetry"
@@ -254,15 +255,7 @@ func renderTelemetry(w io.Writer, path, heatCSV, chromePath string) error {
 		if out == "" {
 			return nil
 		}
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		if err := write(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if _, err := diag.WriteArtifact("", out, write); err != nil {
 			return err
 		}
 		fmt.Printf("%s written to %s\n", what, out)
@@ -353,15 +346,7 @@ func analyzePop(w io.Writer, path string, seq float64, intervals int, csvPath st
 		return err
 	}
 	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			return err
-		}
-		if err := t.WriteCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if _, err := diag.WriteArtifact("", csvPath, t.WriteCSV); err != nil {
 			return err
 		}
 		fmt.Printf("efficiency CSV written to %s\n", csvPath)

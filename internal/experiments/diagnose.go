@@ -85,48 +85,47 @@ func diagnose(collector *trace.Collector, seq float64) *PointDiagnosis {
 }
 
 // diagHeader is the diagnosis column block shared by every sweep CSV: the
-// wait-state verdict plus the binding section's POP efficiency factors.
-// The trailing `error` column every sweep appends stays last.
+// wait-state verdict plus the binding section's POP efficiency factors, one
+// pop_ column per pop.FactorTable row that has a CSV column, and the
+// dominant factor. The trailing `error` column every sweep appends stays
+// last.
 func diagHeader() []string {
-	return []string{
-		"diag_section", "diag_cause", "diag_wait_in", "diag_wait_out", "diag_crit_share",
-		"pop_parallel_eff", "pop_load_balance", "pop_comm_eff", "pop_transfer_eff",
-		"pop_serialisation_eff", "pop_thread_eff", "pop_omp_region_eff",
-		"pop_serial_region_eff", "pop_dominant_factor",
-	}
+	return append([]string{"diag_section", "diag_cause", "diag_wait_in", "diag_wait_out", "diag_crit_share"},
+		popHeader()...)
 }
 
-// popCellCount is the width of the pop_* sub-block in diagHeader.
-const popCellCount = 9
+// popHeader is the pop_* sub-block of diagHeader.
+func popHeader() []string {
+	var cols []string
+	for _, fc := range pop.FactorTable {
+		if fc.CSV != "" {
+			cols = append(cols, "pop_"+fc.CSV)
+		}
+	}
+	return append(cols, "pop_dominant_factor")
+}
 
 // csvCells renders the diagnosis columns; a nil receiver (diagnosis off or
 // unavailable) yields empty cells so the column layout stays fixed, and a
 // degraded point (nil Factors) blanks only the pop_* sub-block.
 func (d *PointDiagnosis) csvCells() []string {
-	cells := make([]string, 0, len(diagHeader()))
 	if d == nil {
-		return append(cells, make([]string, len(diagHeader()))...)
+		return make([]string, len(diagHeader()))
 	}
-	cells = append(cells,
+	cells := []string{
 		d.Section,
 		d.Cause,
 		fmt.Sprintf("%g", d.WaitIn),
 		fmt.Sprintf("%g", d.WaitOut),
 		fmt.Sprintf("%g", d.CritShare),
-	)
-	if d.Eff == nil || d.Eff.Factors == nil {
-		return append(cells, make([]string, popCellCount)...)
 	}
-	f := d.Eff.Factors
-	return append(cells,
-		fmt.Sprintf("%g", f.Parallel),
-		fmt.Sprintf("%g", f.LoadBalance),
-		fmt.Sprintf("%g", f.Comm),
-		fmt.Sprintf("%g", f.Transfer),
-		fmt.Sprintf("%g", f.Serialisation),
-		fmt.Sprintf("%g", f.Thread),
-		fmt.Sprintf("%g", f.OmpRegion),
-		fmt.Sprintf("%g", f.SerialRegion),
-		d.Eff.Dominant,
-	)
+	if d.Eff == nil || d.Eff.Factors == nil {
+		return append(cells, make([]string, len(popHeader()))...)
+	}
+	for _, fc := range pop.FactorTable {
+		if fc.CSV != "" {
+			cells = append(cells, fmt.Sprintf("%g", fc.Get(d.Eff.Factors)))
+		}
+	}
+	return append(cells, d.Eff.Dominant)
 }

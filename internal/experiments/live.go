@@ -55,7 +55,36 @@ type LiveOptions struct {
 	Deadline time.Duration
 }
 
-func (o LiveOptions) withDefaults() (LiveOptions, error) {
+// Admission bounds of a live run. A monitor hands LiveOptions whatever its
+// clients typed, and a run that progresses is cut short by nothing but the
+// Timeout watchdog (Deadline fires on deadlock only), so sizes beyond what
+// the repository's own drivers reach are refused before anything is
+// allocated: ranks past the extreme sweep's 10,000 plus headroom, steps past
+// the paper's 1,000-step convolution, teams past KNL's 256 hardware
+// threads, and scale divisors past the point where the executed problem is
+// a handful of pixels.
+const (
+	MaxLiveRanks   = 16384
+	MaxLiveSteps   = 1000
+	MaxLiveThreads = 256
+	MaxLiveScale   = 1024
+)
+
+// Resolved returns the options with every default filled in — the exact
+// configuration RunLive will execute — or the validation error it would
+// fail with. Monitors report resolved values, not raw request input.
+func (o LiveOptions) Resolved() (LiveOptions, error) {
+	for _, b := range []struct {
+		name   string
+		v, max int
+	}{
+		{"Ranks", o.Ranks, MaxLiveRanks}, {"Steps", o.Steps, MaxLiveSteps},
+		{"Threads", o.Threads, MaxLiveThreads}, {"Scale", o.Scale, MaxLiveScale},
+	} {
+		if b.v > b.max {
+			return o, fmt.Errorf("experiments: %s must be <= %d, got %d", b.name, b.max, b.v)
+		}
+	}
 	switch o.Experiment {
 	case "conv", "":
 		o.Experiment = "conv"
@@ -109,13 +138,6 @@ func (o LiveOptions) withDefaults() (LiveOptions, error) {
 	return o, nil
 }
 
-// Resolved returns the options with every default filled in — the exact
-// configuration RunLive will execute — or the validation error it would
-// fail with. Monitors report resolved values, not raw request input.
-func (o LiveOptions) Resolved() (LiveOptions, error) {
-	return o.withDefaults()
-}
-
 // CacheKey renders the run's identity for result caching: every field that
 // influences the simulated execution — workload, machine, geometry, seeds,
 // the fault plan (via its canonical key) and the deadlock deadline (it
@@ -146,7 +168,7 @@ func (o LiveOptions) CacheKey() string {
 // convolution workload has a calibrated sequential path; lulesh returns 0
 // with no error, meaning "bounds unavailable".
 func SeqBaseline(o LiveOptions) (float64, error) {
-	o, err := o.withDefaults()
+	o, err := o.Resolved()
 	if err != nil {
 		return 0, err
 	}
@@ -169,7 +191,7 @@ var liveLimiter = sched.NewLimiter(1)
 // attached and returns the run report. The tools observe the run exactly
 // as the sweep drivers' profiler does — same hooks, same virtual clock.
 func RunLive(o LiveOptions) (*mpi.Report, error) {
-	o, err := o.withDefaults()
+	o, err := o.Resolved()
 	if err != nil {
 		return nil, err
 	}

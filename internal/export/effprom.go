@@ -1,15 +1,15 @@
 package export
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/pop"
+	"repro/internal/promtext"
 )
 
 // WriteEfficiencyPrometheus renders a POP efficiency tree (internal/pop)
-// as section_efficiency_* gauges in the same text exposition format as
-// Recorder.WritePrometheus; cmd/secmon appends the families to /metrics.
+// as section_efficiency_* gauges, one family per row of pop.FactorTable
+// that carries a help text; cmd/secmon appends the families to /metrics.
 //
 // The degraded flag is always emitted so dashboards can gate on it; on a
 // degraded (faulted) run the per-section factor samples are withheld —
@@ -19,50 +19,28 @@ import (
 // section_efficiency_binding, names both the section that caps the
 // speedup and why.
 func WriteEfficiencyPrometheus(w io.Writer, t *pop.Tree) error {
-	degraded := 0
+	pw := promtext.New(w, promtext.Shortest)
+	var degraded int64
 	if t.Degraded {
 		degraded = 1
 	}
-	if _, err := fmt.Fprintf(w, "# HELP section_efficiency_degraded Whether the run is degraded by injected faults (efficiency factors withheld).\n# TYPE section_efficiency_degraded gauge\nsection_efficiency_degraded %d\n", degraded); err != nil {
-		return err
-	}
-	families := []struct {
-		name, help string
-		get        func(*pop.Factors) float64
-	}{
-		{"parallel", "POP parallel efficiency (load_balance x communication) per section.", func(f *pop.Factors) float64 { return f.Parallel }},
-		{"load_balance", "POP load-balance efficiency (mean/max useful time) per section.", func(f *pop.Factors) float64 { return f.LoadBalance }},
-		{"communication", "POP communication efficiency (transfer x serialisation) per section.", func(f *pop.Factors) float64 { return f.Comm }},
-		{"transfer", "POP transfer efficiency (ideal-network runtime over real) per section.", func(f *pop.Factors) float64 { return f.Transfer }},
-		{"serialisation", "POP serialisation efficiency (dependency-chain losses) per section.", func(f *pop.Factors) float64 { return f.Serialisation }},
-		{"thread", "POP thread efficiency (omp_region x serial_region) per section.", func(f *pop.Factors) float64 { return f.Thread }},
-		{"omp_region", "POP OpenMP-region efficiency (useful share of thread time in parallel regions) per section.", func(f *pop.Factors) float64 { return f.OmpRegion }},
-		{"serial_region", "POP serial-region efficiency (capacity lost to threads idling outside parallel regions) per section.", func(f *pop.Factors) float64 { return f.SerialRegion }},
-	}
-	for _, fam := range families {
-		full := "section_efficiency_" + fam.name
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", full, fam.help, full); err != nil {
-			return err
+	pw.IntFamily("section_efficiency_degraded", "gauge", "Whether the run is degraded by injected faults (efficiency factors withheld).", degraded)
+	for _, fc := range pop.FactorTable {
+		if fc.Help == "" {
+			continue
 		}
+		name := "section_efficiency_" + fc.Name
+		pw.Family(name, "gauge", fc.Help)
 		for i := range t.Sections {
-			se := &t.Sections[i]
-			if se.Factors == nil {
-				continue
-			}
-			if _, err := fmt.Fprintf(w, "%s{section=\"%s\"} %g\n", full, promEscape(se.Section), fam.get(se.Factors)); err != nil {
-				return err
+			if se := &t.Sections[i]; se.Factors != nil {
+				pw.Float(name, fc.Get(se.Factors), "section", se.Section)
 			}
 		}
 	}
-	if _, err := fmt.Fprint(w, "# HELP section_efficiency_binding The Eq. 6 bound-holding section's dominant (lowest) efficiency factor.\n# TYPE section_efficiency_binding gauge\n"); err != nil {
-		return err
-	}
+	pw.Family("section_efficiency_binding", "gauge", "The Eq. 6 bound-holding section's dominant (lowest) efficiency factor.")
 	if b := t.Binding; b != nil && b.Factors != nil {
 		name, v := b.Factors.Dominant()
-		if _, err := fmt.Fprintf(w, "section_efficiency_binding{section=\"%s\",factor=\"%s\"} %g\n",
-			promEscape(b.Section), promEscape(name), v); err != nil {
-			return err
-		}
+		pw.Float("section_efficiency_binding", v, "section", b.Section, "factor", name)
 	}
-	return nil
+	return pw.Flush()
 }

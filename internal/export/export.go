@@ -180,7 +180,8 @@ type commInfo struct {
 // hold; the Recorder's mutex guards them.
 type runFacts struct {
 	seqTime  float64
-	world    int // world size seen at Init
+	world    int               // world size seen at Init
+	stats    *mpi.RuntimeStats // the runtime's live gauges, from Init
 	finished bool
 	wall     float64
 	unclosed int // frames still open at Finalize
@@ -245,7 +246,16 @@ func (r *Recorder) Init(w *mpi.WorldInfo) {
 	r.seqs = make([]uint64, w.Size)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.run.world = w.Size
+	r.run.world, r.run.stats = w.Size, w.Stats
+}
+
+// Stats returns the runtime's live session gauges — declared, active and
+// materialized ranks, readable while the ranks still execute — or nil
+// before the run's Init.
+func (r *Recorder) Stats() *mpi.RuntimeStats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.run.stats
 }
 
 // comm returns what is known of c's communicator, registering it first if

@@ -1,64 +1,27 @@
 package export
 
 import (
-	"bytes"
-	"fmt"
 	"io"
-	"strings"
+	"strconv"
 
+	"repro/internal/promtext"
 	"repro/internal/stats"
 )
 
-// This file renders a replay's aggregates in the Prometheus text exposition
-// format (version 0.0.4). Every scrape — cmd/secmon's /metrics endpoint —
-// replays what has been recorded so far, so it observes the run live:
-//
-//	section_time_seconds         summary  per-rank inclusive section time
-//	section_exclusive_seconds    summary  per-rank exclusive section time
-//	section_entry_imbalance_seconds summary  Fig. 3 imb_in = Tin − Tmin
-//	section_imbalance_seconds    summary  Fig. 3 imb = (Tmax−Tmin) − Tsection
-//	section_instances_total      counter  completed instances
-//	section_span_seconds_total   counter  Σ (Tmax − Tmin) over instances
-//	section_load_imbalance_ratio gauge    max/mean − 1 over per-rank totals
-//	section_partial_speedup_bound gauge   Eq. 6 bound (needs Options.SeqTime)
-//	section_wait_in_seconds_total counter blocked receive time in the section
-//	section_late_sender_seconds_total counter late-sender share of wait_in
-//	section_transfer_wait_seconds_total counter transfer share of wait_in
-//	section_collective_wait_seconds_total counter collective-internal wait
-//	section_late_receiver_total  counter receives posted after arrival
-//	section_fault_total          counter injected faults per {section,kind}
-//	mpi_messages_total           counter  point-to-point events recorded
-//	mpi_message_bytes_total      counter  bytes carried by recorded messages
-//	dropped_events               counter  events past the cap, unclosed frames
-//	export_run_finished          gauge    1 after Finalize
-//	export_wall_seconds          gauge    makespan (live: latest event time)
-//
-// Summaries carry _count/_sum plus the exact {quantile="0"|"1"} extremes
-// the Welford accumulators track for free.
-
-// promEscape escapes a label value per the exposition format.
-func promEscape(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(v)
-}
-
-// promLabels renders the shared {comm,section} label set.
-func promLabels(comm int64, section string, extra string) string {
-	s := fmt.Sprintf(`comm="%d",section="%s"`, comm, promEscape(section))
-	if extra != "" {
-		s += "," + extra
-	}
-	return "{" + s + "}"
-}
-
 // WritePrometheus replays the recording and renders the aggregates as
-// Prometheus text. It is safe to call concurrently with a running MPI
-// program — that is exactly the scrape-while-running scenario it exists for.
+// Prometheus text through internal/promtext; the family tables below are
+// the list of what it exposes. Every scrape — cmd/secmon's /metrics —
+// replays what has been recorded so far, so it observes the run live, and it
+// is safe to call concurrently with a running MPI program: that is exactly
+// the scrape-while-running scenario it exists for. Summaries carry
+// _count/_sum plus the exact {quantile="0"|"1"} extremes the Welford
+// accumulators track for free.
 func (r *Recorder) WritePrometheus(w io.Writer) error {
 	p := r.replay(nil, nil)
-	var b bytes.Buffer
-	family := func(name, typ, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	pw := promtext.New(w, promtext.RoundTrip)
+	labels := make([][]string, len(p.sections)) // of p.sections[i], shared by its samples
+	for i, s := range p.sections {
+		labels[i] = []string{"comm", strconv.FormatInt(s.Comm, 10), "section", s.Label}
 	}
 
 	for _, f := range []struct {
@@ -76,17 +39,11 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 		{"section_imbalance_seconds", "Fig. 3 section imbalance imb = (Tmax-Tmin) - Tsection per rank per instance.",
 			func(s *section) (stats.Welford, float64) { return s.imb, s.imb.Mean() * float64(s.imb.N()) }},
 	} {
-		family(f.name, "summary", f.help)
-		for _, s := range p.sections {
-			st, sum := f.stat(s)
-			if st.N() == 0 {
-				continue
+		pw.Family(f.name, "summary", f.help)
+		for i, s := range p.sections {
+			if st, sum := f.stat(s); st.N() > 0 {
+				pw.Summary(f.name, st.Min(), st.Max(), int64(st.N()), sum, labels[i]...)
 			}
-			plain := promLabels(s.Comm, s.Label, "")
-			fmt.Fprintf(&b, "%s%s %.17g\n%s%s %.17g\n%s_count%s %d\n%s_sum%s %.17g\n",
-				f.name, promLabels(s.Comm, s.Label, `quantile="0"`), st.Min(),
-				f.name, promLabels(s.Comm, s.Label, `quantile="1"`), st.Max(),
-				f.name, plain, st.N(), f.name, plain, sum)
 		}
 	}
 
@@ -99,10 +56,10 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 	always := func(*section) bool { return true }
 	received := func(s *section) bool { return s.Recvs > 0 }
 	write := func(f series) {
-		family(f.name, f.typ, f.help)
-		for _, s := range p.sections {
+		pw.Family(f.name, f.typ, f.help)
+		for i, s := range p.sections {
 			if f.on(s) {
-				fmt.Fprintf(&b, "%s%s %.17g\n", f.name, promLabels(s.Comm, s.Label, ""), f.value(s))
+				pw.Float(f.name, f.value(s), labels[i]...)
 			}
 		}
 	}
@@ -127,10 +84,9 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 		write(f)
 	}
 	if faults := countFaults(p.facts.faults); len(faults) > 0 {
-		family("section_fault_total", "counter", "Injected faults and observed failure consequences by section and kind.")
+		pw.Family("section_fault_total", "counter", "Injected faults and observed failure consequences by section and kind.")
 		for _, fc := range faults {
-			fmt.Fprintf(&b, "section_fault_total{section=\"%s\",kind=\"%s\"} %d\n",
-				promEscape(fc.Section), promEscape(fc.Kind), fc.Count)
+			pw.Int("section_fault_total", int64(fc.Count), "section", fc.Section, "kind", fc.Kind)
 		}
 	}
 	if p.facts.seqTime > 0 {
@@ -138,20 +94,16 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 			func(s *section) bool { return s.Bound > 0 }, func(s *section) float64 { return s.Bound }})
 	}
 
-	finished, wall := 0, p.maxT
+	var finished int64
+	wall := p.maxT
 	if p.facts.finished {
 		finished, wall = 1, p.facts.wall
 	}
-	family("mpi_messages_total", "counter", "Point-to-point messages recorded.")
-	fmt.Fprintf(&b, "mpi_messages_total %d\n", p.msgCount)
-	family("mpi_message_bytes_total", "counter", "Bytes carried by recorded point-to-point messages.")
-	fmt.Fprintf(&b, "mpi_message_bytes_total %d\n", p.msgBytes)
-	family("dropped_events", "counter", "Events discarded by the retention cap; non-zero means truncated aggregates.")
-	fmt.Fprintf(&b, "dropped_events %d\n", r.Dropped())
-	family("export_run_finished", "gauge", "Whether the run has finalized (0 while ranks are still executing).")
-	fmt.Fprintf(&b, "export_run_finished %d\n", finished)
-	family("export_wall_seconds", "gauge", "Virtual makespan; the latest observed event time while live.")
-	fmt.Fprintf(&b, "export_wall_seconds %.17g\n", wall)
-	_, err := w.Write(b.Bytes())
-	return err
+	pw.IntFamily("mpi_messages_total", "counter", "Point-to-point messages recorded.", int64(p.msgCount))
+	pw.IntFamily("mpi_message_bytes_total", "counter", "Bytes carried by recorded point-to-point messages.", p.msgBytes)
+	pw.IntFamily("dropped_events", "counter", "Events discarded by the retention cap; non-zero means truncated aggregates.", int64(r.Dropped()))
+	pw.IntFamily("export_run_finished", "gauge", "Whether the run has finalized (0 while ranks are still executing).", finished)
+	pw.Family("export_wall_seconds", "gauge", "Virtual makespan; the latest observed event time while live.")
+	pw.Float("export_wall_seconds", wall)
+	return pw.Flush()
 }

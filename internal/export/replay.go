@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -362,8 +363,8 @@ func (p *replay) finish() {
 		if v, err := stats.Imbalance(s.PerRankTotal); err == nil && !math.IsNaN(v) {
 			s.LoadImbalance = v
 		}
-		if p.facts.seqTime > 0 && s.AvgPerProc > 0 {
-			s.Bound = p.facts.seqTime / s.AvgPerProc
+		if b, err := core.PartialBound(p.facts.seqTime, s.AvgPerProc); err == nil {
+			s.Bound = b
 		}
 	}
 	slices.SortFunc(p.counters, counterSample.compare)

@@ -20,12 +20,12 @@ func timeResolved(o *trace.Order, wall float64, n int, degraded bool) []Interval
 		return nil
 	}
 	width := wall / float64(n)
-	rows := make([][]rankTotals, n)
+	rows := make([][]RankTotals, n)
 	for i := range rows {
-		rows[i] = make([]rankTotals, p)
+		rows[i] = make([]RankTotals, p)
 	}
 	// add distributes [from, to] across the interval grid for one rank.
-	add := func(ri int, from, to float64, f func(rt *rankTotals, d float64)) {
+	add := func(ri int, from, to float64, f func(rt *RankTotals, d float64)) {
 		if to <= from {
 			return
 		}
@@ -52,9 +52,9 @@ func timeResolved(o *trace.Order, wall float64, n int, degraded bool) []Interval
 	for ri := 0; ri < p; ri++ {
 		run := o.Run(ri)
 		// A run is in time order: its span is its first and last event.
-		add(ri, run.At(0).T, run.At(run.Len()-1).T, func(rt *rankTotals, d float64) {
+		add(ri, run.At(0).T, run.At(run.Len()-1).T, func(rt *RankTotals, d float64) {
 			rt.T += d
-			rt.useful += d
+			rt.Useful += d
 		})
 		for j := 0; j < run.Len(); j++ {
 			e := run.At(j)
@@ -63,7 +63,7 @@ func timeResolved(o *trace.Order, wall float64, n int, degraded bool) []Interval
 				if e.T <= e.PostT {
 					continue
 				}
-				add(ri, e.PostT, e.T, func(rt *rankTotals, d float64) { rt.useful -= d })
+				add(ri, e.PostT, e.T, func(rt *RankTotals, d float64) { rt.Useful -= d })
 				if e.Tag < 0 {
 					continue // collective wait: all serialisation-side
 				}
@@ -74,10 +74,10 @@ func timeResolved(o *trace.Order, wall float64, n int, degraded bool) []Interval
 				if late > e.T-e.PostT {
 					late = e.T - e.PostT
 				}
-				add(ri, e.PostT+late, e.T, func(rt *rankTotals, d float64) { rt.transfer += d })
+				add(ri, e.PostT+late, e.T, func(rt *RankTotals, d float64) { rt.Transfer += d })
 			case trace.KindDeadPeer:
 				if e.T > e.PostT {
-					add(ri, e.PostT, e.T, func(rt *rankTotals, d float64) { rt.useful -= d })
+					add(ri, e.PostT, e.T, func(rt *RankTotals, d float64) { rt.Useful -= d })
 				}
 			case trace.KindOmpRegion:
 				elapsed := e.T - e.PostT
@@ -85,12 +85,12 @@ func timeResolved(o *trace.Order, wall float64, n int, degraded bool) []Interval
 					continue
 				}
 				team, single := float64(e.Bytes), e.ArrT
-				add(ri, e.PostT, e.T, func(rt *rankTotals, d float64) {
-					rt.ompElapsed += d
-					rt.ompBusy += team * d
-					rt.ompSingle += single * d / elapsed
-					if e.Bytes > rt.maxTeam {
-						rt.maxTeam = e.Bytes
+				add(ri, e.PostT, e.T, func(rt *RankTotals, d float64) {
+					rt.OmpElapsed += d
+					rt.OmpBusy += team * d
+					rt.OmpSingle += single * d / elapsed
+					if e.Bytes > rt.MaxTeam {
+						rt.MaxTeam = e.Bytes
 					}
 				})
 			}

@@ -34,23 +34,54 @@ type Factors struct {
 	Total         float64 `json:"total"`
 }
 
+// Factor is one row of the factor table: what every surface that lists
+// the factors — JSON and Prometheus, the reports, the CSVs — needs to know
+// about one of them.
+type Factor struct {
+	// Name is the JSON tag and the Prometheus family suffix; Display the
+	// dashed spelling of reports, diagnoses and the telemetry factor label.
+	Name, Display string
+	// CSV is the column (the sweep CSVs prefix it with pop_) and Help the
+	// section_efficiency_<Name> family's help text. Total has neither: it
+	// is Parallel × Thread, which both already carry.
+	CSV, Help string
+	// Level is the depth in the tree (Total 0; Parallel and Thread 1; their
+	// factors 2; Comm's 3). Leaf marks the factors nothing multiplies into
+	// — the candidates for a scope's dominant factor.
+	Level int
+	Leaf  bool
+	// Get reads the factor.
+	Get func(*Factors) float64
+}
+
+// FactorTable lists the factors in the order of the Factors fields, which
+// is the order every surface emits them in.
+var FactorTable = []Factor{
+	{"parallel", "parallel", "parallel_eff", "POP parallel efficiency (load_balance x communication) per section.",
+		1, false, func(f *Factors) float64 { return f.Parallel }},
+	{"load_balance", "load-balance", "load_balance", "POP load-balance efficiency (mean/max useful time) per section.",
+		2, true, func(f *Factors) float64 { return f.LoadBalance }},
+	{"communication", "comm", "comm_eff", "POP communication efficiency (transfer x serialisation) per section.",
+		2, false, func(f *Factors) float64 { return f.Comm }},
+	{"transfer", "transfer", "transfer_eff", "POP transfer efficiency (ideal-network runtime over real) per section.",
+		3, true, func(f *Factors) float64 { return f.Transfer }},
+	{"serialisation", "serialisation", "serialisation_eff", "POP serialisation efficiency (dependency-chain losses) per section.",
+		3, true, func(f *Factors) float64 { return f.Serialisation }},
+	{"thread", "thread", "thread_eff", "POP thread efficiency (omp_region x serial_region) per section.",
+		1, false, func(f *Factors) float64 { return f.Thread }},
+	{"omp_region", "omp-region", "omp_region_eff", "POP OpenMP-region efficiency (useful share of thread time in parallel regions) per section.",
+		2, true, func(f *Factors) float64 { return f.OmpRegion }},
+	{"serial_region", "serial-region", "serial_region_eff", "POP serial-region efficiency (capacity lost to threads idling outside parallel regions) per section.",
+		2, true, func(f *Factors) float64 { return f.SerialRegion }},
+	{"total", "total", "", "", 0, false, func(f *Factors) float64 { return f.Total }},
+}
+
 // Dominant returns the lowest leaf factor — the named root cause of the
-// scope's inefficiency — and its value. Leaves are load-balance, transfer,
-// serialisation, omp-region and serial-region; the first in that order
-// wins ties.
-func (f *Factors) Dominant() (string, float64) {
-	name, v := "load-balance", f.LoadBalance
-	for _, leaf := range []struct {
-		name string
-		v    float64
-	}{
-		{"transfer", f.Transfer},
-		{"serialisation", f.Serialisation},
-		{"omp-region", f.OmpRegion},
-		{"serial-region", f.SerialRegion},
-	} {
-		if leaf.v < v {
-			name, v = leaf.name, leaf.v
+// scope's inefficiency — and its value; the first in table order wins ties.
+func (f *Factors) Dominant() (name string, v float64) {
+	for _, fc := range FactorTable {
+		if x := fc.Get(f); fc.Leaf && (name == "" || x < v) {
+			name, v = fc.Display, x
 		}
 	}
 	return name, v
@@ -121,17 +152,26 @@ func (t *Tree) Section(name string) *SectionEfficiency {
 	return nil
 }
 
-// rankTotals is one rank's contribution to a scope (a section, the whole
-// run, or a time interval). useful may arrive un-clamped; computeFactors
-// normalizes it into [0, T].
-type rankTotals struct {
-	T          float64 // the rank's total time in the scope
-	useful     float64 // T minus classified waits (and idle)
-	transfer   float64 // transfer-wait component inside the scope
-	ompElapsed float64 // thread-team region time
-	ompSingle  float64 // single-thread duration of that region work
-	ompBusy    float64 // allocated thread-seconds (Σ team × elapsed)
-	maxTeam    int     // largest team observed (0/1 = pure MPI)
+// RankTotals is one rank's contribution to a scope (a section, the whole
+// run, or a time interval), in seconds: the rows the factor formulas score,
+// whether a trace replay (FromAnalysis) or the streaming telemetry's online
+// aggregates (FromTotals) filled them in.
+type RankTotals struct {
+	// T is the rank's total time in the scope.
+	T float64
+	// Useful is T minus classified waits (and idle). It may arrive
+	// un-clamped; the formulas normalize it into [0, T].
+	Useful float64
+	// Transfer is the transfer-wait component inside the scope.
+	Transfer float64
+	// OmpElapsed is thread-team region time, OmpSingle the single-thread
+	// duration of the same work, OmpBusy the allocated thread-seconds
+	// (Σ team × elapsed).
+	OmpElapsed float64
+	OmpSingle  float64
+	OmpBusy    float64
+	// MaxTeam is the largest team observed (0/1 = pure MPI).
+	MaxTeam int
 }
 
 func clamp01(x float64) float64 {
@@ -148,7 +188,7 @@ func clamp01(x float64) float64 {
 // scope's per-rank rows; p is the divisor of the load-balance mean so
 // ranks absent from rows count as fully idle. A scope nobody entered
 // (Tmax = 0) scores a neutral all-ones tree.
-func computeFactors(rows []rankTotals, p int) (f Factors, tMax, tIdeal, uMax, uAvg float64) {
+func computeFactors(rows []RankTotals, p int) (f Factors, tMax, tIdeal, uMax, uAvg float64) {
 	f = Factors{
 		Parallel: 1, LoadBalance: 1, Comm: 1, Transfer: 1, Serialisation: 1,
 		Thread: 1, OmpRegion: 1, SerialRegion: 1, Total: 1,
@@ -161,7 +201,7 @@ func computeFactors(rows []rankTotals, p int) (f Factors, tMax, tIdeal, uMax, uA
 		if r.T > tMax {
 			tMax = r.T
 		}
-		u := r.useful
+		u := r.Useful
 		if u < 0 {
 			u = 0
 		}
@@ -172,27 +212,27 @@ func computeFactors(rows []rankTotals, p int) (f Factors, tMax, tIdeal, uMax, uA
 		if u > uMax {
 			uMax = u
 		}
-		ideal := r.T - r.transfer
+		ideal := r.T - r.Transfer
 		if ideal < u {
 			ideal = u
 		}
 		if ideal > tIdeal {
 			tIdeal = ideal
 		}
-		team := float64(r.maxTeam)
+		team := float64(r.MaxTeam)
 		if team < 1 {
 			team = 1
 		}
-		par := r.ompElapsed
+		par := r.OmpElapsed
 		if par > u {
 			par = u
 		}
 		serial := u - par
-		busy := r.ompBusy
-		if busy < r.ompSingle {
-			busy = r.ompSingle
+		busy := r.OmpBusy
+		if busy < r.OmpSingle {
+			busy = r.OmpSingle
 		}
-		usefulSum += r.ompSingle + serial
+		usefulSum += r.OmpSingle + serial
 		busySum += busy + serial
 		capSum += team * u
 	}
@@ -221,8 +261,11 @@ func computeFactors(rows []rankTotals, p int) (f Factors, tMax, tIdeal, uMax, uA
 	return
 }
 
-// newSection assembles one scope's record; degraded withholds the factors.
-func newSection(name string, p int, rows []rankTotals, degraded bool) SectionEfficiency {
+// FromTotals assembles one scope's efficiency record from per-rank totals:
+// the factor tree plus its timing inputs. p is the divisor of the
+// load-balance mean, so ranks absent from rows count as fully idle;
+// degraded withholds the factors.
+func FromTotals(name string, p int, rows []RankTotals, degraded bool) SectionEfficiency {
 	f, tMax, tIdeal, uMax, uAvg := computeFactors(rows, p)
 	se := SectionEfficiency{
 		Section: name, P: p,
@@ -245,38 +288,31 @@ func FromAnalysis(a *waitstate.Analysis, opts Options) *Tree {
 		Faults: a.Faults, DeadWaits: a.DeadWaits, Warning: a.Warning,
 		Degraded: a.Faults > 0 || a.DeadWaits > 0,
 	}
-	bySec := map[string][]waitstate.RankSection{}
-	type rankAgg struct{ transfer, ompElapsed, ompSingle, ompBusy float64 }
-	perRank := map[int]*rankAgg{}
-	maxTeam := map[int]int{}
+	// One pass fills every section's rows and, per rank, what the global
+	// scope sums over the rank's sections.
+	bySec := map[string][]RankTotals{}
+	perRank := map[int]*RankTotals{}
 	for _, rs := range a.RankSections {
-		bySec[rs.Section] = append(bySec[rs.Section], rs)
+		row := RankTotals{
+			T: rs.Incl, Useful: rs.Incl - rs.Wait, Transfer: rs.Transfer,
+			OmpElapsed: rs.OmpElapsed, OmpSingle: rs.OmpSingle,
+			OmpBusy: rs.OmpBusy, MaxTeam: rs.MaxTeam,
+		}
+		bySec[rs.Section] = append(bySec[rs.Section], row)
 		ra := perRank[rs.Rank]
 		if ra == nil {
-			ra = &rankAgg{}
+			ra = &RankTotals{}
 			perRank[rs.Rank] = ra
 		}
-		ra.transfer += rs.Transfer
-		ra.ompElapsed += rs.OmpElapsed
-		ra.ompSingle += rs.OmpSingle
-		ra.ompBusy += rs.OmpBusy
-		if rs.MaxTeam > maxTeam[rs.Rank] {
-			maxTeam[rs.Rank] = rs.MaxTeam
-		}
-		if rs.MaxTeam > t.Threads {
-			t.Threads = rs.MaxTeam
-		}
+		ra.Transfer += row.Transfer
+		ra.OmpElapsed += row.OmpElapsed
+		ra.OmpSingle += row.OmpSingle
+		ra.OmpBusy += row.OmpBusy
+		ra.MaxTeam = max(ra.MaxTeam, row.MaxTeam)
+		t.Threads = max(t.Threads, row.MaxTeam)
 	}
 	for _, d := range a.Sections {
-		var rows []rankTotals
-		for _, rs := range bySec[d.Section] {
-			rows = append(rows, rankTotals{
-				T: rs.Incl, useful: rs.Incl - rs.Wait, transfer: rs.Transfer,
-				ompElapsed: rs.OmpElapsed, ompSingle: rs.OmpSingle,
-				ompBusy: rs.OmpBusy, maxTeam: rs.MaxTeam,
-			})
-		}
-		se := newSection(d.Section, a.Ranks, rows, t.Degraded)
+		se := FromTotals(d.Section, a.Ranks, bySec[d.Section], t.Degraded)
 		se.Bound = d.Bound
 		se.Cause = d.DominantCause
 		t.Sections = append(t.Sections, se)
@@ -284,41 +320,37 @@ func FromAnalysis(a *waitstate.Analysis, opts Options) *Tree {
 	// Global scope: each rank spans from its first event to the end of the
 	// run (Wait + Compute + Residual in the breakdown's terms), its useful
 	// time is the classified compute, and waits/regions sum over sections.
-	var global []rankTotals
+	var global []RankTotals
 	for _, rb := range a.Ranked {
-		row := rankTotals{
-			T:      rb.Wait + rb.Compute + rb.Residual,
-			useful: rb.Compute,
-		}
+		var row RankTotals
 		if ra := perRank[rb.Rank]; ra != nil {
-			row.transfer = ra.transfer
-			row.ompElapsed = ra.ompElapsed
-			row.ompSingle = ra.ompSingle
-			row.ompBusy = ra.ompBusy
+			row = *ra
 		}
-		row.maxTeam = maxTeam[rb.Rank]
+		row.T, row.Useful = rb.Wait+rb.Compute+rb.Residual, rb.Compute
 		global = append(global, row)
 	}
-	g := newSection("(run)", a.Ranks, global, t.Degraded)
+	g := FromTotals("(run)", a.Ranks, global, t.Degraded)
 	t.Global = &g
 	if b := a.Binding(); b != nil {
 		if se := t.Section(b.Section); se != nil {
 			t.Binding = se
-			t.Diagnosis = t.diagnose(se)
+			t.Diagnosis = se.Diagnose(t.Faults, t.DeadWaits)
 		}
 	}
 	return t
 }
 
-// diagnose renders the one-line verdict joining the Eq. 6 bound holder
-// with its dominant efficiency factor.
-func (t *Tree) diagnose(se *SectionEfficiency) string {
-	if t.Degraded {
+// Diagnose renders the one-line verdict for the section that holds the
+// Eq. 6 bound, naming its dominant efficiency factor; a record whose
+// factors are withheld reads as the degraded run it comes from, with the
+// fault counts the caller saw.
+func (se *SectionEfficiency) Diagnose(faults, deadWaits int) string {
+	if se.Factors == nil {
 		return fmt.Sprintf("%s binds at p=%d: degraded run (%d faults, %d dead-peer waits); efficiencies withheld",
-			se.Section, t.Ranks, t.Faults, t.DeadWaits)
+			se.Section, se.P, faults, deadWaits)
 	}
 	name, v := se.Factors.Dominant()
-	line := fmt.Sprintf("%s binds at p=%d: %s efficiency %.2f", se.Section, t.Ranks, name, v)
+	line := fmt.Sprintf("%s binds at p=%d: %s efficiency %.2f", se.Section, se.P, name, v)
 	if se.Bound > 0 {
 		line += fmt.Sprintf(" (Eq. 6 bound %.3g×)", se.Bound)
 	}

@@ -8,6 +8,11 @@ import (
 	"strings"
 )
 
+// sectionColumns is how many of the table's rows Render's per-section table
+// shows: the MPI level in full and the head of the thread level, Parallel
+// down to Thread.
+const sectionColumns = 6
+
 // Render returns the human-readable report: the run header with the
 // binding diagnosis, the run-level factor identity, the per-section table
 // and (when computed) the time-resolved series.
@@ -42,19 +47,22 @@ func (t *Tree) Render() string {
 		"section", "parallel", "loadbal", "comm", "transfer", "serial", "thread", "dominant", "bound", "cause")
 	for i := range t.Sections {
 		se := &t.Sections[i]
-		bound := ""
+		fmt.Fprintf(&b, "%-28s", se.Section)
+		dominant, bound := "-", ""
+		for _, fc := range FactorTable[:sectionColumns] {
+			if se.Factors == nil {
+				fmt.Fprintf(&b, " %8s", "-")
+			} else {
+				fmt.Fprintf(&b, " %8.3f", fc.Get(se.Factors))
+			}
+		}
+		if se.Factors != nil {
+			dominant = se.Dominant
+		}
 		if se.Bound > 0 {
 			bound = fmt.Sprintf("%.5g", se.Bound)
 		}
-		if se.Factors == nil {
-			fmt.Fprintf(&b, "%-28s %8s %8s %8s %8s %8s %8s  %-14s %10s  %s\n",
-				se.Section, "-", "-", "-", "-", "-", "-", "-", bound, se.Cause)
-			continue
-		}
-		f := se.Factors
-		fmt.Fprintf(&b, "%-28s %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f  %-14s %10s  %s\n",
-			se.Section, f.Parallel, f.LoadBalance, f.Comm, f.Transfer, f.Serialisation, f.Thread,
-			se.Dominant, bound, se.Cause)
+		fmt.Fprintf(&b, "  %-14s %10s  %s\n", dominant, bound, se.Cause)
 	}
 	if len(t.Intervals) > 0 {
 		fmt.Fprintf(&b, "\ntime-resolved run-level factors (%d intervals):\n", len(t.Intervals))
@@ -76,13 +84,13 @@ func (t *Tree) Render() string {
 // the same convention as the sweep CSVs' pop_* columns.
 func (t *Tree) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	header := []string{
-		"section", "p", "t_max", "t_ideal", "useful_max", "useful_avg",
-		"parallel_eff", "load_balance", "comm_eff", "transfer_eff", "serialisation_eff",
-		"thread_eff", "omp_region_eff", "serial_region_eff",
-		"dominant_factor", "partial_bound", "cause",
+	header := []string{"section", "p", "t_max", "t_ideal", "useful_max", "useful_avg"}
+	for _, fc := range FactorTable {
+		if fc.CSV != "" {
+			header = append(header, fc.CSV)
+		}
 	}
-	if err := cw.Write(header); err != nil {
+	if err := cw.Write(append(header, "dominant_factor", "partial_bound", "cause")); err != nil {
 		return err
 	}
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
@@ -91,18 +99,23 @@ func (t *Tree) WriteCSV(w io.Writer) error {
 			se.Section, strconv.Itoa(se.P),
 			g(se.TMax), g(se.TIdeal), g(se.UsefulMax), g(se.UsefulAvg),
 		}
-		if f := se.Factors; f != nil {
-			cells = append(cells,
-				g(f.Parallel), g(f.LoadBalance), g(f.Comm), g(f.Transfer), g(f.Serialisation),
-				g(f.Thread), g(f.OmpRegion), g(f.SerialRegion), se.Dominant)
-		} else {
-			cells = append(cells, "", "", "", "", "", "", "", "", "")
+		for _, fc := range FactorTable {
+			switch {
+			case fc.CSV == "":
+			case se.Factors == nil:
+				cells = append(cells, "")
+			default:
+				cells = append(cells, g(fc.Get(se.Factors)))
+			}
 		}
-		bound := ""
+		dominant, bound := "", ""
+		if se.Factors != nil {
+			dominant = se.Dominant
+		}
 		if se.Bound > 0 {
 			bound = g(se.Bound)
 		}
-		return append(cells, bound, se.Cause)
+		return append(cells, dominant, bound, se.Cause)
 	}
 	if t.Global != nil {
 		if err := cw.Write(row(t.Global)); err != nil {

@@ -2,9 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"fmt"
-	"io"
-	"sync"
 
 	"repro/internal/export"
 	"repro/internal/mpi"
@@ -17,57 +14,17 @@ import (
 // carries a truncation warning instead of growing without bound.
 const collectorLimit = 4 << 20
 
-// rankGauges captures the runtime's live session gauges at Init so
-// /metrics can report rank bring-up while the ranks are still executing.
-// On a lazy run (exp=conv2d, or any session workload) the materialized
-// gauge climbs from 0 toward the active count.
-type rankGauges struct {
-	mpi.BaseTool
-	mu    sync.Mutex
-	stats *mpi.RuntimeStats
-}
-
-func (g *rankGauges) Init(w *mpi.WorldInfo) {
-	g.mu.Lock()
-	g.stats = w.Stats
-	g.mu.Unlock()
-}
-
-// write emits the Prometheus gauge family; a scrape before the first run's
-// Init emits nothing.
-func (g *rankGauges) write(w io.Writer) error {
-	if g == nil {
-		return nil
-	}
-	g.mu.Lock()
-	stats := g.stats
-	g.mu.Unlock()
-	if stats == nil {
-		return nil
-	}
-	_, err := fmt.Fprintf(w,
-		"# HELP mpi_ranks_declared Configured world size of the current run.\n"+
-			"# TYPE mpi_ranks_declared gauge\nmpi_ranks_declared %d\n"+
-			"# HELP mpi_ranks_active Ranks participating in the session.\n"+
-			"# TYPE mpi_ranks_active gauge\nmpi_ranks_active %d\n"+
-			"# HELP mpi_ranks_materialized Active ranks whose state the runtime has brought up so far.\n"+
-			"# TYPE mpi_ranks_materialized gauge\nmpi_ranks_materialized %d\n",
-		stats.DeclaredRanks(), stats.ActiveRanks(), stats.MaterializedRanks())
-	return err
-}
-
 // bundle is one attempt's tool chain. One trace collector records every
 // attempt — its buffer is the canonical result artifact and what every
 // analysis endpoint replays. An observed attempt (Options.Observe) records
 // through an export.Recorder, whose views read that same buffer, and has
-// two more always-on observers: the rank gauges and the streaming
-// telemetry. The verifier rides along only when the request asked for it.
+// one more always-on observer, the streaming telemetry. The verifier rides
+// along only when the request asked for it.
 type bundle struct {
 	rec       *export.Recorder // nil unless observed; records into collector
 	collector *trace.Collector
-	verifier  *verify.Tool
-	gauges    *rankGauges
-	tele      *telemetry.Tool
+	tele      *telemetry.Tool // nil unless observed
+	verifier  *verify.Tool    // nil unless asked for
 }
 
 // newBundle assembles the tool chain for one attempt.
@@ -78,7 +35,6 @@ func newBundle(observe, verifyOn bool) *bundle {
 		// cut at the same event whether or not the job was observed.
 		b.rec = export.NewRecorder(export.Options{MaxEvents: collectorLimit, Messages: true, Collectives: true})
 		b.collector = b.rec.Collector()
-		b.gauges = &rankGauges{}
 		b.tele = telemetry.New(telemetry.Options{})
 	} else {
 		b.collector = trace.NewCollector(collectorLimit)
@@ -100,9 +56,6 @@ func (b *bundle) tools() []mpi.Tool {
 	out := []mpi.Tool{b.collector}
 	if b.rec != nil {
 		out[0] = b.rec
-	}
-	if b.gauges != nil {
-		out = append(out, b.gauges)
 	}
 	if b.tele != nil {
 		out = append(out, b.tele)

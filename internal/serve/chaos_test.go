@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -25,9 +26,10 @@ func TestChaosStorm(t *testing.T) {
 	settleGoroutines(t, runtime.NumGoroutine()+64)
 	baseline := runtime.NumGoroutine()
 
+	cacheDir := t.TempDir()
 	s := NewService(Options{
 		Tenants: 8, QueueDepth: 16, MaxInflight: 4,
-		RetryBackoff: time.Millisecond,
+		RetryBackoff: time.Millisecond, CacheDir: cacheDir,
 	})
 	h := NewHandler(s, HandlerOptions{Logf: t.Logf})
 	srv := httptest.NewServer(h)
@@ -124,6 +126,39 @@ func TestChaosStorm(t *testing.T) {
 	}
 	// Goroutine-leak check: back to the pre-storm neighborhood.
 	settleGoroutines(t, baseline+10)
+
+	// Kill mid-persist: a successor warms from what the drain persisted,
+	// reorders it (every third key touched), extends it, and dies between
+	// writing its artifacts and renaming its index. The drained index still
+	// stands, and a restart must serve every key it names byte for byte.
+	stored := map[string][]byte{}
+	for key, el := range s.cache.byKey {
+		stored[key] = el.Value.(*cacheEntry).res.CSV
+	}
+	successor := newResultCache(256)
+	successor.load(cacheDir)
+	n := 0
+	for key := range stored {
+		if n++; n%3 == 0 {
+			successor.get(key)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		successor.put(fmt.Sprintf("late-%d", i), &Result{Wall: 1, CSV: []byte(fmt.Sprintf("t\n%d\n", i))})
+	}
+	if _, err := successor.writeArtifacts(cacheDir); err != nil {
+		t.Fatalf("successor artifacts: %v", err)
+	}
+	restarted := newResultCache(256)
+	restarted.load(cacheDir)
+	if restarted.len() != len(stored) {
+		t.Fatalf("restart warmed %d entries, the drained index names %d", restarted.len(), len(stored))
+	}
+	for key, want := range stored {
+		if res := restarted.get(key); res == nil || !bytes.Equal(res.CSV, want) {
+			t.Fatalf("key %s: restart serves other bytes than the drain persisted", key)
+		}
+	}
 }
 
 // settleGoroutines waits for the runtime's goroutine count to fall to the

@@ -69,14 +69,31 @@
 // One trace collector records every attempt. Its buffer is the job's
 // result (the canonical event CSV) and the one thing every analysis
 // endpoint reads: /waitstate.json, /critpath.json and /efficiency.json
-// replay it, and so do the exporter's views. With Options.Observe three
-// observers are always on: the export.Recorder, which stands in front of
-// the collector (it stamps the Fig. 2 payload and records through it —
-// /metrics, /sections, /trace.json and /spans.json are its replays of the
-// same buffer), the rank gauges, and the streaming telemetry
-// (/profile.json, /heatmap.csv). The runtime verifier is a fourth, per
-// request (verify=1). Whether a job was observed does not change its
-// result bytes.
+// replay it, and so do the exporter's views. With Options.Observe an
+// attempt's chain is two observers: the export.Recorder, which stands in
+// front of the collector (it stamps the Fig. 2 payload and records through
+// it — /sections, /trace.json and /spans.json are its replays of the same
+// buffer), and the streaming telemetry (/profile.json, /heatmap.csv). The
+// runtime verifier is a third, per request (verify=1). Whether a job was
+// observed does not change its result bytes.
+//
+// The job-scoped surface is one table (views.go): each row is served as
+// /{view}?job= and as /jobs/{id}/{view}, and the job selection, the 404s
+// (unknown job, served from the cache, no run yet, executed unobserved),
+// the 503 while the recording is empty, the headers and the index page are
+// derived from it. /metrics is an ordered list of sources
+// (Service.metricsSources): secmon_up, serve_*, then for the selected job
+// the rank gauges (from the runtime stats the recorder keeps), the
+// recorder's families, the verifier's, the telemetry's and the POP gauges.
+// Every family is written through internal/promtext.
+//
+// # Admission bounds
+//
+// Sizes are checked where every front end resolves a request, at
+// experiments.LiveOptions.Resolved: p, steps, threads and scale beyond
+// experiments.MaxLive* answer 400 before a job exists. The deadlock
+// deadline fires only on a run that stops progressing, so without them the
+// 10-minute watchdog was the only limit on a run that does progress.
 //
 // # Result cache
 //
@@ -88,7 +105,20 @@
 // hit answers instantly with the stored artifact; cache-served jobs carry
 // no live observability bundle (nothing executed), so the analysis
 // endpoints direct callers to re-run with nocache=1 when they need a live
-// trace. Drain persists the cache index and artifacts to -cache-dir; a
-// restarted service warms itself from disk and serves byte-identical
-// artifacts for keys cached by its predecessor.
+// trace. Drain persists the cache to -cache-dir; a restarted service warms
+// itself from disk and serves byte-identical artifacts for keys cached by
+// its predecessor.
+//
+// What a crash can leave behind: artifacts are files named by the SHA-256
+// of their bytes, written to a temporary name and renamed, and index.json
+// (key, digest, size per entry) is renamed into place after them; only then
+// are artifacts the new index no longer names removed. A process killed at
+// any point therefore leaves the previous index with every artifact it
+// names intact, plus at most some unnamed artifacts and temporaries that
+// the next completed Drain removes. What it cannot leave is a key that
+// warms to other bytes: load builds each file name from the recorded digest
+// (64 hex digits, so never a path out of the directory) and skips any entry
+// whose file is missing, has another size or hashes to something else; a
+// damaged index warms to empty. Nothing is fsynced — after a power loss the
+// cache may be cold, never wrong.
 package serve

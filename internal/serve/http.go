@@ -4,22 +4,20 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/export"
 	"repro/internal/fault"
 	"repro/internal/mpi"
-	"repro/internal/pop"
-	"repro/internal/telemetry"
-	"repro/internal/verify"
-	"repro/internal/waitstate"
+	"repro/internal/promtext"
 )
 
 // HandlerOptions configures the HTTP surface.
@@ -36,7 +34,9 @@ type handler struct {
 	logf func(format string, args ...any)
 }
 
-// NewHandler wires the endpoint set over a service.
+// NewHandler wires the endpoint set over a service. Every row of the view
+// table is served under two routes: /{view}, which selects the job with
+// ?job= (default: the latest executed one), and /jobs/{id}/{view}.
 func NewHandler(s *Service, opts HandlerOptions) http.Handler {
 	h := &handler{svc: s, logf: opts.Logf}
 	if h.logf == nil {
@@ -45,16 +45,12 @@ func NewHandler(s *Service, opts HandlerOptions) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", h.handleIndex)
 	mux.HandleFunc("/metrics", h.handleMetrics)
-	mux.HandleFunc("/sections", h.handleSections)
-	mux.HandleFunc("/trace.json", h.handleTrace)
-	mux.HandleFunc("/spans.json", h.handleSpans)
-	mux.HandleFunc("/waitstate.json", h.handleWaitstate)
-	mux.HandleFunc("/critpath.json", h.handleCritpath)
-	mux.HandleFunc("/efficiency.json", h.handleEfficiency)
-	mux.HandleFunc("/faults.json", h.handleFaults)
-	mux.HandleFunc("/verify.json", h.handleVerify)
-	mux.HandleFunc("/profile.json", h.handleProfile)
-	mux.HandleFunc("/heatmap.csv", h.handleHeatmap)
+	for i := range views {
+		vw := &views[i]
+		serve := func(w http.ResponseWriter, req *http.Request) { h.serveView(w, req, vw) }
+		mux.HandleFunc("/"+vw.name, serve)
+		mux.HandleFunc("/jobs/{id}/"+vw.name, serve)
+	}
 	mux.HandleFunc("/run", h.handleRun)
 	mux.HandleFunc("/jobs", h.handleJobs)
 	mux.HandleFunc("/jobs/{id}", h.handleJob)
@@ -74,7 +70,8 @@ func (h *handler) handleIndex(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprint(w, `<!doctype html><title>secmon</title>
+	var b strings.Builder
+	b.WriteString(`<!doctype html><title>secmon</title>
 <h1>MPI section sweep service</h1>
 <p>Multi-tenant live observability over the paper's MPI_Section tool chain:
 every /run is a job in a bounded fair queue with backpressure, retries and
@@ -86,43 +83,35 @@ a result cache.</p>
 <li><a href="/jobs">/jobs</a> — job registry: queue, states, retries, cache hits</li>
 <li>/jobs/{id} — one job's lifecycle and root cause; /jobs/{id}/cancel; /jobs/{id}/result.csv — canonical event CSV</li>
 <li><a href="/metrics">/metrics</a> — Prometheus: serve_* service families plus the selected run's section metrics</li>
-<li><a href="/sections">/sections</a> — JSON aggregates: Fig. 3 metrics and Eq. 6 partial bounds</li>
-<li><a href="/trace.json">/trace.json</a> — Chrome trace_event JSON (open in Perfetto / chrome://tracing)</li>
-<li><a href="/spans.json">/spans.json</a> — OTLP-style span export</li>
-<li><a href="/waitstate.json">/waitstate.json</a> — wait-state diagnosis: why the binding section caps the speedup</li>
-<li><a href="/critpath.json">/critpath.json</a> — critical path through the happens-before graph</li>
-<li><a href="/efficiency.json">/efficiency.json</a> — POP efficiency tree joined with the Eq. 6 binding</li>
-<li><a href="/profile.json">/profile.json</a> — streaming telemetry snapshot (constant memory at any rank count)</li>
-<li><a href="/heatmap.csv">/heatmap.csv</a> — bounded rank×time wait heatmap</li>
-<li><a href="/faults.json">/faults.json</a> — injected faults and failure consequences</li>
-<li><a href="/verify.json">/verify.json</a> — runtime verifier report</li>
-</ul>
-<p>Every analysis endpoint accepts ?job=&lt;id&gt; to select a run; the default is the latest executed job.</p>`)
+`)
+	for _, vw := range views {
+		fmt.Fprintf(&b, "<li><a href=\"/%s\">/%s</a> — %s</li>\n", vw.name, vw.name, vw.about)
+	}
+	b.WriteString(`</ul>
+<p>Every analysis endpoint accepts ?job=&lt;id&gt; to select a run, or is addressed as /jobs/{id}/{view}; the default is the latest executed job.</p>`)
+	if _, err := io.WriteString(w, b.String()); err != nil {
+		h.logf("index write: %v", err)
+	}
 }
 
 // jobView is a consistent snapshot of one job for the handlers.
 type jobView struct {
-	j        *Job
 	id       string
 	tenant   string
 	state    State
 	running  bool
 	opts     experiments.LiveOptions
-	withSeq  bool
 	verifyOn bool
 	attempts int
 	retried  ErrorKind
 	cacheHit bool
 	dedups   int
 	created  time.Time
-	started  time.Time
-	finished time.Time
 	queueLat time.Duration
 	seq      float64
 	wall     float64
 	err      error
 	errKind  ErrorKind
-	result   *Result
 	b        *bundle
 }
 
@@ -130,14 +119,13 @@ func snapshotJob(j *Job) jobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := jobView{
-		j: j, id: j.id, tenant: j.tenant, state: j.state,
+		id: j.id, tenant: j.tenant, state: j.state,
 		running: !j.state.Terminal(),
-		opts:    j.opts, withSeq: j.withSeq, verifyOn: j.verify,
+		opts:    j.opts, verifyOn: j.verify,
 		attempts: j.attempts, retried: j.retryKind,
 		cacheHit: j.cacheHit, dedups: j.dedups,
-		created: j.created, started: j.started, finished: j.finished,
-		queueLat: j.queueLat, seq: j.seq,
-		err: j.err, errKind: j.errKind, result: j.result, b: j.bundle,
+		created: j.created, queueLat: j.queueLat, seq: j.seq,
+		err: j.err, errKind: j.errKind, b: j.bundle,
 	}
 	if j.result != nil {
 		v.wall = j.result.Wall
@@ -148,11 +136,24 @@ func snapshotJob(j *Job) jobView {
 	return v
 }
 
-// jobFor selects the job an analysis endpoint describes: the explicit
-// ?job= id, else the latest job that executed (and therefore has live
-// observability). The string is a ready-to-serve 404 message when nil.
+// traceID is the job's trace id, "" for one that was not observed.
+func (v *jobView) traceID() string {
+	if v.b == nil || v.b.rec == nil {
+		return ""
+	}
+	return v.b.rec.TraceID().String()
+}
+
+// jobFor selects the job an analysis endpoint describes: the id in the
+// path or in ?job=, else the latest job that executed (and therefore has
+// live observability). The string is a ready-to-serve 404 message when the
+// selection has nothing to show.
 func (h *handler) jobFor(req *http.Request) (*jobView, string) {
-	if id := req.URL.Query().Get("job"); id != "" {
+	id := req.PathValue("id")
+	if id == "" {
+		id = req.URL.Query().Get("job")
+	}
+	if id != "" {
 		j := h.svc.Job(id)
 		if j == nil {
 			return nil, fmt.Sprintf("unknown job id %q (see /jobs)", id)
@@ -171,370 +172,49 @@ func (h *handler) jobFor(req *http.Request) (*jobView, string) {
 	return &v, ""
 }
 
-// observedJob resolves jobFor and writes the 404 itself when the selected
-// job carries no live observability.
-func (h *handler) observedJob(w http.ResponseWriter, req *http.Request) *jobView {
+// serveView is every view's handler: select the job, 404 when there is
+// nothing to show of it or it lacks the part the view reads, 503 while its
+// recording is still empty, then the row's headers and its rendering.
+func (h *handler) serveView(w http.ResponseWriter, req *http.Request, vw *view) {
 	v, msg := h.jobFor(req)
-	if msg != "" || v == nil || v.b == nil {
-		if msg == "" {
-			msg = "no run yet: GET /run?exp=conv&p=64 first"
-		}
-		http.Error(w, msg, http.StatusNotFound)
-		return nil
+	if msg == "" && (vw.needs == needsRecorder && v.b.rec == nil || vw.needs == needsTelemetry && v.b.tele == nil) {
+		msg = vw.needs
 	}
-	return v
+	if msg != "" {
+		http.Error(w, msg, http.StatusNotFound)
+		return
+	}
+	write, err := vw.render(v)
+	if err != nil {
+		http.Error(w, "no events recorded yet: "+err.Error(), http.StatusServiceUnavailable)
+		return
+	}
+	w.Header().Set("Content-Type", vw.contentType)
+	if vw.download {
+		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", vw.name))
+	}
+	if err := write(w); err != nil {
+		h.logf("%s write: %v", vw.name, err)
+	}
 }
 
 func (h *handler) writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	w.Header().Set("Content-Type", jsonType)
+	if err := jsonDoc(v)(w); err != nil {
 		h.logf("json write: %v", err)
 	}
 }
 
+// handleMetrics writes the sources of Service.metricsSources in order.
 func (h *handler) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprint(w, "# HELP secmon_up Monitor process liveness.\n# TYPE secmon_up gauge\nsecmon_up 1\n")
-	if err := h.svc.WritePrometheus(w); err != nil {
-		h.logf("metrics write: %v", err)
-		return
-	}
+	w.Header().Set("Content-Type", promtext.ContentType)
 	v, _ := h.jobFor(req)
-	if v == nil || v.b == nil {
-		return
-	}
-	if err := v.b.gauges.write(w); err != nil {
-		h.logf("metrics write: %v", err)
-		return
-	}
-	if v.b.rec != nil {
-		if err := v.b.rec.WritePrometheus(w); err != nil {
+	for _, source := range h.svc.metricsSources(v) {
+		if err := source(w); err != nil {
 			h.logf("metrics write: %v", err)
 			return
 		}
 	}
-	if v.b.verifier != nil {
-		if err := export.WriteVerifyPrometheus(w, v.b.verifier.Counts()); err != nil {
-			h.logf("metrics write: %v", err)
-		}
-	}
-	// Streaming telemetry families: bounded-cardinality per-section series
-	// straight from the constant-memory accumulators.
-	if v.b.tele != nil {
-		if err := v.b.tele.WritePrometheus(w, telemetry.PromOptions{}); err != nil {
-			h.logf("metrics write: %v", err)
-		}
-	}
-	// POP efficiency gauges: replay the recorded stream on demand. An
-	// empty stream (scrape before the first event) simply omits the
-	// families.
-	if t, err := popTree(v); err == nil && t != nil {
-		if err := export.WriteEfficiencyPrometheus(w, t); err != nil {
-			h.logf("metrics write: %v", err)
-		}
-	}
-}
-
-// sectionsResponse is the /sections JSON document.
-type sectionsResponse struct {
-	Job        string                   `json:"job"`
-	Tenant     string                   `json:"tenant"`
-	State      State                    `json:"state"`
-	Experiment string                   `json:"experiment"`
-	Ranks      int                      `json:"ranks"`
-	Steps      int                      `json:"steps"`
-	Scale      int                      `json:"scale"`
-	Seed       uint64                   `json:"seed"`
-	TraceID    string                   `json:"trace_id"`
-	Running    bool                     `json:"running"`
-	Error      string                   `json:"error,omitempty"`
-	WallTime   float64                  `json:"wall_seconds"`
-	Dropped    int                      `json:"dropped_events"`
-	Warning    string                   `json:"warning,omitempty"`
-	Sections   []export.SectionSnapshot `json:"sections"`
-}
-
-func (h *handler) handleSections(w http.ResponseWriter, req *http.Request) {
-	v := h.observedJob(w, req)
-	if v == nil {
-		return
-	}
-	resp := sectionsResponse{
-		Job: v.id, Tenant: v.tenant, State: v.state,
-		Experiment: v.opts.Experiment,
-		Ranks:      v.opts.Ranks,
-		Steps:      v.opts.Steps,
-		Scale:      v.opts.Scale,
-		Seed:       v.opts.Seed,
-		Running:    v.running,
-		WallTime:   v.wall,
-	}
-	if v.err != nil {
-		resp.Error = mpi.RootCause(v.err).Error()
-	}
-	if v.b.rec != nil {
-		resp.TraceID = v.b.rec.TraceID().String()
-		if resp.Running {
-			resp.WallTime = v.b.rec.WallTime()
-		}
-		resp.Dropped = v.b.rec.Dropped()
-		resp.Warning = v.b.rec.Warning()
-		resp.Sections = v.b.rec.Sections()
-	}
-	h.writeJSON(w, resp)
-}
-
-func (h *handler) handleTrace(w http.ResponseWriter, req *http.Request) {
-	v := h.observedJob(w, req)
-	if v == nil {
-		return
-	}
-	if v.b.rec == nil {
-		http.Error(w, "run executed without the exporter attached", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Disposition", `attachment; filename="trace.json"`)
-	if err := v.b.rec.WriteChromeTrace(w); err != nil {
-		h.logf("trace write: %v", err)
-	}
-}
-
-func (h *handler) handleSpans(w http.ResponseWriter, req *http.Request) {
-	v := h.observedJob(w, req)
-	if v == nil {
-		return
-	}
-	if v.b.rec == nil {
-		http.Error(w, "run executed without the exporter attached", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Disposition", `attachment; filename="spans.json"`)
-	if err := v.b.rec.WriteOTLP(w); err != nil {
-		h.logf("spans write: %v", err)
-	}
-}
-
-// faultsResponse is the /faults.json document.
-type faultsResponse struct {
-	Job     string `json:"job"`
-	TraceID string `json:"trace_id"`
-	Running bool   `json:"running"`
-	// Plan is the armed fault spec ("" for a healthy run). Attempts counts
-	// executions including fault-triggered retries.
-	Plan     string              `json:"plan,omitempty"`
-	Seed     uint64              `json:"seed,omitempty"`
-	Attempts int                 `json:"attempts"`
-	Counts   []export.FaultCount `json:"counts"`
-	Events   []fault.Event       `json:"events"`
-}
-
-func (h *handler) handleFaults(w http.ResponseWriter, req *http.Request) {
-	v := h.observedJob(w, req)
-	if v == nil {
-		return
-	}
-	resp := faultsResponse{Job: v.id, Running: v.running, Attempts: v.attempts}
-	if v.opts.Fault != nil {
-		resp.Plan = v.opts.Fault.String()
-		resp.Seed = v.opts.Fault.Seed
-	}
-	if v.b.rec != nil {
-		resp.TraceID = v.b.rec.TraceID().String()
-		resp.Counts = v.b.rec.FaultCounts()
-		resp.Events = v.b.rec.Faults()
-	}
-	if resp.Events == nil {
-		resp.Events = []fault.Event{}
-	}
-	if resp.Counts == nil {
-		resp.Counts = []export.FaultCount{}
-	}
-	h.writeJSON(w, resp)
-}
-
-// verifyResponse is the /verify.json document.
-type verifyResponse struct {
-	Job     string `json:"job"`
-	TraceID string `json:"trace_id"`
-	Running bool   `json:"running"`
-	// Enabled reports whether the job was launched with verify=1; the
-	// remaining fields are meaningful only when it was.
-	Enabled    bool               `json:"enabled"`
-	OK         bool               `json:"ok"`
-	Counts     map[string]uint64  `json:"counts"`
-	Violations []verify.Violation `json:"violations"`
-}
-
-func (h *handler) handleVerify(w http.ResponseWriter, req *http.Request) {
-	v := h.observedJob(w, req)
-	if v == nil {
-		return
-	}
-	resp := verifyResponse{Job: v.id, Running: v.running, Enabled: v.b.verifier != nil, OK: true,
-		Counts: map[string]uint64{}, Violations: []verify.Violation{}}
-	if v.b.rec != nil {
-		resp.TraceID = v.b.rec.TraceID().String()
-	}
-	if v.b.verifier != nil {
-		resp.OK = v.b.verifier.OK()
-		resp.Counts = v.b.verifier.Counts()
-		resp.Violations = v.b.verifier.Violations()
-		if resp.Violations == nil {
-			resp.Violations = []verify.Violation{}
-		}
-	}
-	h.writeJSON(w, resp)
-}
-
-func (h *handler) handleProfile(w http.ResponseWriter, req *http.Request) {
-	v := h.observedJob(w, req)
-	if v == nil {
-		return
-	}
-	if v.b.tele == nil {
-		http.Error(w, "run executed without streaming telemetry attached", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := v.b.tele.Snapshot().WriteJSON(w); err != nil {
-		h.logf("profile write: %v", err)
-	}
-}
-
-func (h *handler) handleHeatmap(w http.ResponseWriter, req *http.Request) {
-	v := h.observedJob(w, req)
-	if v == nil {
-		return
-	}
-	if v.b.tele == nil {
-		http.Error(w, "run executed without streaming telemetry attached", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-	w.Header().Set("Content-Disposition", `attachment; filename="heatmap.csv"`)
-	if err := v.b.tele.Snapshot().WriteHeatmapCSV(w); err != nil {
-		h.logf("heatmap write: %v", err)
-	}
-}
-
-// analyze replays the selected job's recorded stream through the
-// wait-state engine.
-func analyze(v *jobView) (*waitstate.Analysis, error) {
-	return waitstate.AnalyzeOrder(v.b.collector.Buffer().Order(), waitstate.Options{SeqTime: v.seq})
-}
-
-// efficiencyIntervals is the fixed time-resolved grid /efficiency.json
-// serves; finer grids belong to secanalyze -pop -intervals N.
-const efficiencyIntervals = 8
-
-// popTree replays the selected job's recorded stream through the POP
-// engine.
-func popTree(v *jobView) (*pop.Tree, error) {
-	return pop.AnalyzeOrder(v.b.collector.Buffer().Order(),
-		pop.Options{SeqTime: v.seq, Intervals: efficiencyIntervals})
-}
-
-// waitstateResponse is the /waitstate.json document.
-type waitstateResponse struct {
-	Job        string `json:"job"`
-	Experiment string `json:"experiment"`
-	Running    bool   `json:"running"`
-	// Binding is the section with the largest average per-process time —
-	// the Eq. 6 bound holder — with its dominant wait-state cause.
-	Binding *waitstate.SectionDiagnosis `json:"binding,omitempty"`
-	*waitstate.Analysis
-}
-
-func (h *handler) handleWaitstate(w http.ResponseWriter, req *http.Request) {
-	v := h.observedJob(w, req)
-	if v == nil {
-		return
-	}
-	a, err := analyze(v)
-	if err != nil {
-		http.Error(w, "no events recorded yet: "+err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	resp := waitstateResponse{Job: v.id, Experiment: v.opts.Experiment, Running: v.running, Analysis: a}
-	resp.Binding = a.Binding()
-	resp.CritPath = nil
-	h.writeJSON(w, resp)
-}
-
-// critpathResponse is the /critpath.json document.
-type critpathResponse struct {
-	Job        string  `json:"job"`
-	Experiment string  `json:"experiment"`
-	Running    bool    `json:"running"`
-	Ranks      int     `json:"ranks"`
-	Wall       float64 `json:"wall_seconds"`
-	// CritLen is the summed segment length; Coverage its share of the wall
-	// (1.0 when the stream includes the section events).
-	CritLen  float64 `json:"crit_len_seconds"`
-	Coverage float64 `json:"coverage"`
-	// PerSection maps each section to its time on the path and share of it.
-	PerSection []critpathSection       `json:"per_section"`
-	Segments   []waitstate.PathSegment `json:"segments"`
-	Warning    string                  `json:"warning,omitempty"`
-}
-
-type critpathSection struct {
-	Section string  `json:"section"`
-	Seconds float64 `json:"crit_seconds"`
-	Share   float64 `json:"crit_share"`
-}
-
-func (h *handler) handleCritpath(w http.ResponseWriter, req *http.Request) {
-	v := h.observedJob(w, req)
-	if v == nil {
-		return
-	}
-	a, err := analyze(v)
-	if err != nil {
-		http.Error(w, "no events recorded yet: "+err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	resp := critpathResponse{
-		Job: v.id, Experiment: v.opts.Experiment, Running: v.running,
-		Ranks: a.Ranks, Wall: a.Wall, CritLen: a.CritLen,
-		Segments: a.CritPath, Warning: a.Warning,
-	}
-	if a.Wall > 0 {
-		resp.Coverage = a.CritLen / a.Wall
-	}
-	for _, d := range a.Sections {
-		if d.CritTime > 0 {
-			resp.PerSection = append(resp.PerSection, critpathSection{
-				Section: d.Section, Seconds: d.CritTime, Share: d.CritShare,
-			})
-		}
-	}
-	h.writeJSON(w, resp)
-}
-
-// efficiencyResponse is the /efficiency.json document.
-type efficiencyResponse struct {
-	Job        string `json:"job"`
-	Experiment string `json:"experiment"`
-	Running    bool   `json:"running"`
-	*pop.Tree
-}
-
-func (h *handler) handleEfficiency(w http.ResponseWriter, req *http.Request) {
-	v := h.observedJob(w, req)
-	if v == nil {
-		return
-	}
-	t, err := popTree(v)
-	if err != nil {
-		http.Error(w, "no events recorded yet: "+err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	h.writeJSON(w, efficiencyResponse{Job: v.id, Experiment: v.opts.Experiment, Running: v.running, Tree: t})
 }
 
 // jobSummary is the /jobs row and /jobs/{id} document.
@@ -571,12 +251,10 @@ func summarize(v *jobView) jobSummary {
 		CacheHit: v.cacheHit, Dedups: v.dedups, Created: v.created,
 		QueueSeconds: v.queueLat.Seconds(),
 		WallSeconds:  v.wall, SeqSeconds: v.seq,
+		TraceID: v.traceID(),
 	}
 	if v.opts.Fault != nil {
 		sum.Fault = v.opts.Fault.String()
-	}
-	if v.b != nil && v.b.rec != nil {
-		sum.TraceID = v.b.rec.TraceID().String()
 	}
 	if v.err != nil {
 		sum.Error = mpi.RootCause(v.err).Error()
@@ -596,11 +274,7 @@ type jobsResponse struct {
 
 func (h *handler) handleJobs(w http.ResponseWriter, req *http.Request) {
 	s := h.svc
-	s.mu.Lock()
-	queued := s.queue.Len()
-	inflight := s.inflight
-	draining := s.draining
-	s.mu.Unlock()
+	queued, inflight, draining := s.state()
 	resp := jobsResponse{
 		Draining: draining, Queued: queued, Inflight: inflight,
 		Cache: s.CacheLen(), Jobs: []jobSummary{},
@@ -652,7 +326,7 @@ func (h *handler) handleJobResult(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, fmt.Sprintf("job %s has no result (state %s)", j.ID(), j.State()), http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", "text/csv; charset=utf-8")
+	w.Header().Set("Content-Type", csvType)
 	w.Header().Set("Content-Disposition", `attachment; filename="result.csv"`)
 	if _, err := w.Write(res.CSV); err != nil {
 		h.logf("result write: %v", err)
@@ -660,8 +334,8 @@ func (h *handler) handleJobResult(w http.ResponseWriter, req *http.Request) {
 }
 
 // queryInt parses an integer query parameter with a default.
-func queryInt(req *http.Request, key string, def int) (int, error) {
-	v := req.URL.Query().Get(key)
+func queryInt(q url.Values, key string, def int) (int, error) {
+	v := q.Get(key)
 	if v == "" {
 		return def, nil
 	}
@@ -672,21 +346,21 @@ func queryInt(req *http.Request, key string, def int) (int, error) {
 	return n, nil
 }
 
-// parseRunRequest translates /run query parameters into a Request.
-func parseRunRequest(req *http.Request) (Request, error) {
-	q := req.URL.Query()
+// parseRunRequest translates /run query parameters into a Request. Sizes
+// are range-checked where every front end resolves them, at
+// LiveOptions.Resolved (Submit).
+func parseRunRequest(q url.Values) (Request, error) {
 	out := Request{Tenant: q.Get("tenant")}
 	opts := experiments.LiveOptions{Experiment: q.Get("exp")}
 	var err error
-	if opts.Ranks, err = queryInt(req, "p", 4); err == nil {
-		if opts.Steps, err = queryInt(req, "steps", 0); err == nil {
-			if opts.Scale, err = queryInt(req, "scale", 0); err == nil {
-				opts.Threads, err = queryInt(req, "threads", 0)
-			}
+	for _, f := range []struct {
+		key string
+		def int
+		dst *int
+	}{{"p", 4, &opts.Ranks}, {"steps", 0, &opts.Steps}, {"scale", 0, &opts.Scale}, {"threads", 0, &opts.Threads}} {
+		if *f.dst, err = queryInt(q, f.key, f.def); err != nil {
+			return out, err
 		}
-	}
-	if err != nil {
-		return out, err
 	}
 	if seed := q.Get("seed"); seed != "" {
 		v, err := strconv.ParseUint(seed, 10, 64)
@@ -742,8 +416,8 @@ func runResponse(v *jobView) map[string]any {
 	if v.opts.Fault != nil {
 		resp["fault"] = v.opts.Fault.String()
 	}
-	if v.b != nil && v.b.rec != nil {
-		resp["trace_id"] = v.b.rec.TraceID().String()
+	if id := v.traceID(); id != "" {
+		resp["trace_id"] = id
 	}
 	if v.cacheHit {
 		resp["cache_hit"] = true
@@ -777,7 +451,7 @@ func (h *handler) submitError(w http.ResponseWriter, err error) {
 	var shed *ShedError
 	if errors.As(err, &shed) {
 		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(shed.RetryAfter.Seconds()))))
-		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Type", jsonType)
 		w.WriteHeader(http.StatusTooManyRequests)
 		json.NewEncoder(w).Encode(map[string]any{
 			"error":               shed.Error(),
@@ -796,7 +470,7 @@ func (h *handler) submitError(w http.ResponseWriter, err error) {
 // document when wait=1 / the submission was answered from the cache).
 func (h *handler) handleRun(w http.ResponseWriter, req *http.Request) {
 	q := req.URL.Query()
-	request, err := parseRunRequest(req)
+	request, err := parseRunRequest(q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -814,14 +488,11 @@ func (h *handler) handleRun(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	v := snapshotJob(job)
-	resp := runResponse(&v)
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", jsonType)
 	if v.running {
 		w.WriteHeader(http.StatusAccepted)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(resp); err != nil {
+	if err := jsonDoc(runResponse(&v))(w); err != nil {
 		h.logf("run response write: %v", err)
 	}
 }

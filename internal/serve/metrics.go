@@ -1,10 +1,13 @@
 package serve
 
 import (
-	"fmt"
 	"io"
-	"strconv"
 	"sync/atomic"
+
+	"repro/internal/export"
+	"repro/internal/pop"
+	"repro/internal/promtext"
+	"repro/internal/telemetry"
 )
 
 // metrics is the service's own telemetry: cardinality-bounded like the
@@ -55,23 +58,13 @@ func (h *latencyHistogram) observe(seconds float64) {
 	h.sumMicros.Add(uint64(seconds * 1e6))
 }
 
-// counterFamily renders one Prometheus counter family.
-func counterFamily(w io.Writer, name, help string, v uint64) error {
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	return err
-}
-
-// gaugeFamily renders one Prometheus gauge family.
-func gaugeFamily(w io.Writer, name, help string, v int) error {
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	return err
-}
-
-// writePrometheus renders the counter and histogram families in the text
-// exposition format. Gauges that need live service state are written by
-// Service.WritePrometheus around this.
-func (m *metrics) writePrometheus(w io.Writer) error {
-	counters := []struct {
+// WritePrometheus renders the serve_* families: the counters, the
+// queue-latency histogram, and point-in-time gauges for the queue, inflight
+// count, cache size and drain flag.
+func (s *Service) WritePrometheus(w io.Writer) error {
+	m := &s.metrics
+	pw := promtext.New(w, promtext.Shortest)
+	for _, c := range []struct {
 		name, help string
 		v          *atomic.Uint64
 	}{
@@ -85,61 +78,98 @@ func (m *metrics) writePrometheus(w io.Writer) error {
 		{"serve_jobs_deduped_total", "Submissions attached to an identical in-flight job.", &m.deduped},
 		{"serve_cache_hits_total", "Submissions answered from the result cache.", &m.cacheHits},
 		{"serve_cache_misses_total", "Submissions that had to execute.", &m.cacheMisses},
+	} {
+		pw.IntFamily(c.name, "counter", c.help, int64(c.v.Load()))
 	}
-	for _, c := range counters {
-		if err := counterFamily(w, c.name, c.help, c.v.Load()); err != nil {
-			return err
-		}
-	}
-	const hn = "serve_queue_latency_seconds"
-	if _, err := fmt.Fprintf(w, "# HELP %s Queue residency from admission to dispatch.\n# TYPE %s histogram\n", hn, hn); err != nil {
-		return err
-	}
-	var cum uint64
-	for i := 0; i < nLatencyBuckets; i++ {
-		cum += m.queueLatency.buckets[i].Load()
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", hn,
-			strconv.FormatFloat(latencyBucketLE(i), 'g', -1, 64), cum); err != nil {
-			return err
-		}
-	}
-	count := m.queueLatency.count.Load()
-	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", hn, count); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", hn,
-		strconv.FormatFloat(float64(m.queueLatency.sumMicros.Load())/1e6, 'g', -1, 64), hn, count)
-	return err
-}
 
-// WritePrometheus renders the serve_* families: the counters and the
-// queue-latency histogram, plus point-in-time gauges for the queue,
-// inflight count, cache size and drain flag.
-func (s *Service) WritePrometheus(w io.Writer) error {
-	if err := s.metrics.writePrometheus(w); err != nil {
-		return err
+	const hn = "serve_queue_latency_seconds"
+	pw.Family(hn, "histogram", "Queue residency from admission to dispatch.")
+	var buckets [nLatencyBuckets]promtext.Bucket
+	for i := range buckets {
+		buckets[i] = promtext.Bucket{Le: latencyBucketLE(i), Count: m.queueLatency.buckets[i].Load()}
 	}
-	s.mu.Lock()
-	queued := s.queue.Len()
-	inflight := s.inflight
-	draining := 0
-	if s.draining {
-		draining = 1
-	}
-	s.mu.Unlock()
-	gauges := []struct {
+	pw.Histogram(hn, buckets[:], m.queueLatency.count.Load(), float64(m.queueLatency.sumMicros.Load())/1e6)
+
+	queued, inflight, draining := s.state()
+	for _, g := range []struct {
 		name, help string
 		v          int
 	}{
 		{"serve_queue_depth", "Jobs currently queued across every tenant.", queued},
 		{"serve_inflight", "Jobs currently running.", inflight},
 		{"serve_cache_entries", "Results currently cached.", s.cache.len()},
-		{"serve_draining", "1 while the service is draining.", draining},
+		{"serve_draining", "1 while the service is draining.", map[bool]int{true: 1}[draining]},
+	} {
+		pw.IntFamily(g.name, "gauge", g.help, int64(g.v))
 	}
-	for _, g := range gauges {
-		if err := gaugeFamily(w, g.name, g.help, g.v); err != nil {
-			return err
+	return pw.Flush()
+}
+
+// state is the service's point-in-time state: queue length, running jobs,
+// drain flag.
+func (s *Service) state() (queued, inflight int, draining bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.queue.Len(), s.inflight, s.draining
+}
+
+// metricsSources is /metrics as an ordered list: what the process and the
+// service always expose, then the families of the job the request selects
+// (nil when there is none yet, or it never executed) — rank gauges,
+// recorder, verifier, telemetry, POP. Each source writes whole families
+// and owns their names; internal/promtext owns the format.
+func (s *Service) metricsSources(v *jobView) []func(io.Writer) error {
+	sources := []func(io.Writer) error{
+		func(w io.Writer) error {
+			pw := promtext.New(w, promtext.Shortest)
+			pw.IntFamily("secmon_up", "gauge", "Monitor process liveness.", 1)
+			return pw.Flush()
+		},
+		s.WritePrometheus,
+	}
+	if v == nil || v.b == nil {
+		return sources
+	}
+	b := v.b
+	if b.rec != nil {
+		sources = append(sources, b.writeRankGauges, b.rec.WritePrometheus)
+	}
+	if b.verifier != nil {
+		sources = append(sources, func(w io.Writer) error {
+			return export.WriteVerifyPrometheus(w, b.verifier.Counts())
+		})
+	}
+	if b.tele != nil {
+		// Bounded-cardinality per-section series straight from the
+		// constant-memory accumulators.
+		sources = append(sources, func(w io.Writer) error {
+			return b.tele.WritePrometheus(w, telemetry.PromOptions{})
+		})
+	}
+	// POP efficiency gauges: replay the recorded stream on demand. An empty
+	// stream (scrape before the first event) simply omits the families.
+	return append(sources, func(w io.Writer) error {
+		t, err := pop.AnalyzeOrder(b.collector.Buffer().Order(), pop.Options{SeqTime: v.seq})
+		if err != nil {
+			return nil
 		}
+		return export.WriteEfficiencyPrometheus(w, t)
+	})
+}
+
+// writeRankGauges reports rank bring-up from the runtime's live session
+// gauges, which the recorder keeps from Init: on a lazy run (exp=conv2d, or
+// any session workload) the materialized gauge climbs from 0 toward the
+// active count while the ranks are still executing. A scrape before Init
+// emits nothing.
+func (b *bundle) writeRankGauges(w io.Writer) error {
+	stats := b.rec.Stats()
+	if stats == nil {
+		return nil
 	}
-	return nil
+	pw := promtext.New(w, promtext.Shortest)
+	pw.IntFamily("mpi_ranks_declared", "gauge", "Configured world size of the current run.", int64(stats.DeclaredRanks()))
+	pw.IntFamily("mpi_ranks_active", "gauge", "Ranks participating in the session.", int64(stats.ActiveRanks()))
+	pw.IntFamily("mpi_ranks_materialized", "gauge", "Active ranks whose state the runtime has brought up so far.", int64(stats.MaterializedRanks()))
+	return pw.Flush()
 }

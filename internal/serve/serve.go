@@ -115,9 +115,8 @@ type Options struct {
 	// results remain addressable by configuration).
 	HistoryLimit int
 	// Observe attaches the observability bundle to every attempt — the
-	// recorder (in front of the collector, whose buffer its views read),
-	// the rank gauges and the streaming telemetry — which the analysis
-	// endpoints serve. The canonical trace collector that produces the
+	// recorder (in front of the collector, whose buffer its views read)
+	// and the streaming telemetry — which the analysis endpoints serve. The canonical trace collector that produces the
 	// result artifact records every attempt regardless.
 	Observe bool
 	// Runner and SeqRunner are test seams; nil selects the real

@@ -1,0 +1,267 @@
+package serve
+
+import (
+	"encoding/json"
+	"io"
+
+	"repro/internal/export"
+	"repro/internal/fault"
+	"repro/internal/mpi"
+	"repro/internal/pop"
+	"repro/internal/verify"
+	"repro/internal/waitstate"
+)
+
+// What a view can need of an attempt's bundle beyond the recording every
+// attempt has, named by the 404 text that says it is missing: the job
+// executed, but on a service that does not observe.
+const (
+	needsRecorder  = "run executed without the exporter attached"
+	needsTelemetry = "run executed without streaming telemetry attached"
+)
+
+// view is one row of the job-scoped surface. Everything a view's two routes
+// (/{name}?job= and /jobs/{id}/{name}) do besides rendering — selecting the
+// job, the 404s and the 503, the headers, the index entry, logging a failed
+// write — handler.serveView derives from the row.
+type view struct {
+	name        string // URL segment
+	about       string // index-page description
+	contentType string
+	download    bool   // served as an attachment named after the view
+	needs       string // "", needsRecorder or needsTelemetry
+	// render prepares the response over a job that has the needed part and
+	// returns its writer. Its one failure is a recording with nothing in it
+	// yet, which is served as 503 before any header is sent.
+	render func(v *jobView) (func(io.Writer) error, error)
+}
+
+const (
+	jsonType = "application/json"
+	csvType  = "text/csv; charset=utf-8"
+)
+
+// views is the table, in index-page order.
+var views = []view{
+	{"sections", "JSON aggregates: Fig. 3 metrics and Eq. 6 partial bounds", jsonType, false, "", sectionsView},
+	{"trace.json", "Chrome trace_event JSON (open in Perfetto / chrome://tracing)", jsonType, true, needsRecorder,
+		func(v *jobView) (func(io.Writer) error, error) { return v.b.rec.WriteChromeTrace, nil }},
+	{"spans.json", "OTLP-style span export", jsonType, true, needsRecorder,
+		func(v *jobView) (func(io.Writer) error, error) { return v.b.rec.WriteOTLP, nil }},
+	{"waitstate.json", "wait-state diagnosis: why the binding section caps the speedup", jsonType, false, "", waitstateView},
+	{"critpath.json", "critical path through the happens-before graph", jsonType, false, "", critpathView},
+	{"efficiency.json", "POP efficiency tree joined with the Eq. 6 binding", jsonType, false, "", efficiencyView},
+	{"profile.json", "streaming telemetry snapshot (constant memory at any rank count)", jsonType, false, needsTelemetry,
+		func(v *jobView) (func(io.Writer) error, error) { return v.b.tele.Snapshot().WriteJSON, nil }},
+	{"heatmap.csv", "bounded rank×time wait heatmap", csvType, true, needsTelemetry,
+		func(v *jobView) (func(io.Writer) error, error) { return v.b.tele.Snapshot().WriteHeatmapCSV, nil }},
+	{"faults.json", "injected faults and failure consequences", jsonType, false, "", faultsView},
+	{"verify.json", "runtime verifier report", jsonType, false, "", verifyView},
+}
+
+// jsonDoc writes v the way every JSON document of the surface is written.
+func jsonDoc(v any) func(io.Writer) error {
+	return func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	}
+}
+
+// sectionsResponse is the /sections JSON document.
+type sectionsResponse struct {
+	Job        string                   `json:"job"`
+	Tenant     string                   `json:"tenant"`
+	State      State                    `json:"state"`
+	Experiment string                   `json:"experiment"`
+	Ranks      int                      `json:"ranks"`
+	Steps      int                      `json:"steps"`
+	Scale      int                      `json:"scale"`
+	Seed       uint64                   `json:"seed"`
+	TraceID    string                   `json:"trace_id"`
+	Running    bool                     `json:"running"`
+	Error      string                   `json:"error,omitempty"`
+	WallTime   float64                  `json:"wall_seconds"`
+	Dropped    int                      `json:"dropped_events"`
+	Warning    string                   `json:"warning,omitempty"`
+	Sections   []export.SectionSnapshot `json:"sections"`
+}
+
+func sectionsView(v *jobView) (func(io.Writer) error, error) {
+	resp := sectionsResponse{
+		Job: v.id, Tenant: v.tenant, State: v.state,
+		Experiment: v.opts.Experiment,
+		Ranks:      v.opts.Ranks,
+		Steps:      v.opts.Steps,
+		Scale:      v.opts.Scale,
+		Seed:       v.opts.Seed,
+		TraceID:    v.traceID(),
+		Running:    v.running,
+		WallTime:   v.wall,
+	}
+	if v.err != nil {
+		resp.Error = mpi.RootCause(v.err).Error()
+	}
+	if rec := v.b.rec; rec != nil {
+		if resp.Running {
+			resp.WallTime = rec.WallTime()
+		}
+		resp.Dropped = rec.Dropped()
+		resp.Warning = rec.Warning()
+		resp.Sections = rec.Sections()
+	}
+	return jsonDoc(resp), nil
+}
+
+// faultsResponse is the /faults.json document.
+type faultsResponse struct {
+	Job     string `json:"job"`
+	TraceID string `json:"trace_id"`
+	Running bool   `json:"running"`
+	// Plan is the armed fault spec ("" for a healthy run). Attempts counts
+	// executions including fault-triggered retries.
+	Plan     string              `json:"plan,omitempty"`
+	Seed     uint64              `json:"seed,omitempty"`
+	Attempts int                 `json:"attempts"`
+	Counts   []export.FaultCount `json:"counts"`
+	Events   []fault.Event       `json:"events"`
+}
+
+func faultsView(v *jobView) (func(io.Writer) error, error) {
+	resp := faultsResponse{Job: v.id, TraceID: v.traceID(), Running: v.running, Attempts: v.attempts,
+		Counts: []export.FaultCount{}, Events: []fault.Event{}}
+	if v.opts.Fault != nil {
+		resp.Plan = v.opts.Fault.String()
+		resp.Seed = v.opts.Fault.Seed
+	}
+	if rec := v.b.rec; rec != nil {
+		if counts := rec.FaultCounts(); counts != nil {
+			resp.Counts = counts
+		}
+		if events := rec.Faults(); events != nil {
+			resp.Events = events
+		}
+	}
+	return jsonDoc(resp), nil
+}
+
+// verifyResponse is the /verify.json document.
+type verifyResponse struct {
+	Job     string `json:"job"`
+	TraceID string `json:"trace_id"`
+	Running bool   `json:"running"`
+	// Enabled reports whether the job was launched with verify=1; the
+	// remaining fields are meaningful only when it was.
+	Enabled    bool               `json:"enabled"`
+	OK         bool               `json:"ok"`
+	Counts     map[string]uint64  `json:"counts"`
+	Violations []verify.Violation `json:"violations"`
+}
+
+func verifyView(v *jobView) (func(io.Writer) error, error) {
+	resp := verifyResponse{Job: v.id, TraceID: v.traceID(), Running: v.running, Enabled: v.b.verifier != nil, OK: true,
+		Counts: map[string]uint64{}, Violations: []verify.Violation{}}
+	if vt := v.b.verifier; vt != nil {
+		resp.OK = vt.OK()
+		resp.Counts = vt.Counts()
+		if violations := vt.Violations(); violations != nil {
+			resp.Violations = violations
+		}
+	}
+	return jsonDoc(resp), nil
+}
+
+// analyze replays the selected job's recorded stream through the
+// wait-state engine.
+func analyze(v *jobView) (*waitstate.Analysis, error) {
+	return waitstate.AnalyzeOrder(v.b.collector.Buffer().Order(), waitstate.Options{SeqTime: v.seq})
+}
+
+// waitstateResponse is the /waitstate.json document.
+type waitstateResponse struct {
+	Job        string `json:"job"`
+	Experiment string `json:"experiment"`
+	Running    bool   `json:"running"`
+	// Binding is the section with the largest average per-process time —
+	// the Eq. 6 bound holder — with its dominant wait-state cause.
+	Binding *waitstate.SectionDiagnosis `json:"binding,omitempty"`
+	*waitstate.Analysis
+}
+
+func waitstateView(v *jobView) (func(io.Writer) error, error) {
+	a, err := analyze(v)
+	if err != nil {
+		return nil, err
+	}
+	resp := waitstateResponse{Job: v.id, Experiment: v.opts.Experiment, Running: v.running,
+		Binding: a.Binding(), Analysis: a}
+	resp.CritPath = nil
+	return jsonDoc(resp), nil
+}
+
+// critpathResponse is the /critpath.json document.
+type critpathResponse struct {
+	Job        string  `json:"job"`
+	Experiment string  `json:"experiment"`
+	Running    bool    `json:"running"`
+	Ranks      int     `json:"ranks"`
+	Wall       float64 `json:"wall_seconds"`
+	// CritLen is the summed segment length; Coverage its share of the wall
+	// (1.0 when the stream includes the section events).
+	CritLen  float64 `json:"crit_len_seconds"`
+	Coverage float64 `json:"coverage"`
+	// PerSection maps each section to its time on the path and share of it.
+	PerSection []critpathSection       `json:"per_section"`
+	Segments   []waitstate.PathSegment `json:"segments"`
+	Warning    string                  `json:"warning,omitempty"`
+}
+
+type critpathSection struct {
+	Section string  `json:"section"`
+	Seconds float64 `json:"crit_seconds"`
+	Share   float64 `json:"crit_share"`
+}
+
+func critpathView(v *jobView) (func(io.Writer) error, error) {
+	a, err := analyze(v)
+	if err != nil {
+		return nil, err
+	}
+	resp := critpathResponse{
+		Job: v.id, Experiment: v.opts.Experiment, Running: v.running,
+		Ranks: a.Ranks, Wall: a.Wall, CritLen: a.CritLen,
+		Segments: a.CritPath, Warning: a.Warning,
+	}
+	if a.Wall > 0 {
+		resp.Coverage = a.CritLen / a.Wall
+	}
+	for _, d := range a.Sections {
+		if d.CritTime > 0 {
+			resp.PerSection = append(resp.PerSection, critpathSection{
+				Section: d.Section, Seconds: d.CritTime, Share: d.CritShare,
+			})
+		}
+	}
+	return jsonDoc(resp), nil
+}
+
+// efficiencyIntervals is the fixed time-resolved grid /efficiency.json
+// serves; finer grids belong to secanalyze -pop -intervals N.
+const efficiencyIntervals = 8
+
+// efficiencyResponse is the /efficiency.json document.
+type efficiencyResponse struct {
+	Job        string `json:"job"`
+	Experiment string `json:"experiment"`
+	Running    bool   `json:"running"`
+	*pop.Tree
+}
+
+func efficiencyView(v *jobView) (func(io.Writer) error, error) {
+	t, err := pop.AnalyzeOrder(v.b.collector.Buffer().Order(),
+		pop.Options{SeqTime: v.seq, Intervals: efficiencyIntervals})
+	if err != nil {
+		return nil, err
+	}
+	return jsonDoc(efficiencyResponse{Job: v.id, Experiment: v.opts.Experiment, Running: v.running, Tree: t}), nil
+}

@@ -15,6 +15,12 @@
 // slabs materialize lazily on first event, so a 10k-rank run with sparse
 // activity pays only for what it touches.
 //
+// What is computed online here is the aggregates; the definitions applied
+// to them have one owner each and are called, not restated: cause labels,
+// the dominant-cause and binding rules and the timestamp tolerance are
+// internal/waitstate's, the Eq. 6 bound core.PartialBound, the factor
+// formulas, the factor table and the diagnosis sentence internal/pop's.
+//
 // # Determinism
 //
 // The scheduler interleaves rank goroutines nondeterministically, yet the

@@ -12,28 +12,24 @@ import "sync/atomic"
 // whether it arrives before or after any rescale.
 
 type grid struct {
-	bins  int
-	base  float64
-	scale int64 // current bin width = base × scale (power of two)
+	scale int64 // current bin width = baseBin × scale (power of two)
 
 	rowLo, rows int // global heat-row span of this shard
 
 	msgs  []int64
 	bytes []int64
 	waitP []int64
-	heat  []int64 // rows × bins wait picoseconds
+	heat  []int64 // rows × timeBins wait picoseconds
 }
 
 //seclint:allocs-ok bin-grid construction: once per shard
-func (g *grid) init(bins int, base float64, rowLo, rows int) {
-	g.bins = bins
-	g.base = base
+func (g *grid) init(rowLo, rows int) {
 	g.scale = 1
 	g.rowLo, g.rows = rowLo, rows
-	g.msgs = make([]int64, bins)
-	g.bytes = make([]int64, bins)
-	g.waitP = make([]int64, bins)
-	g.heat = make([]int64, rows*bins)
+	g.msgs = make([]int64, timeBins)
+	g.bytes = make([]int64, timeBins)
+	g.waitP = make([]int64, timeBins)
+	g.heat = make([]int64, rows*timeBins)
 }
 
 // index maps a timestamp to its bin, rescaling until it fits. Guarded by
@@ -43,8 +39,8 @@ func (g *grid) index(t float64) int {
 		t = 0
 	}
 	for {
-		idx := int(t / (g.base * float64(g.scale)))
-		if idx < g.bins {
+		idx := int(t / (baseBin * float64(g.scale)))
+		if idx < timeBins {
 			return idx
 		}
 		g.rescale()
@@ -68,7 +64,7 @@ func (g *grid) rescale() {
 	fold(g.bytes)
 	fold(g.waitP)
 	for r := 0; r < g.rows; r++ {
-		fold(g.heat[r*g.bins : (r+1)*g.bins])
+		fold(g.heat[r*timeBins : (r+1)*timeBins])
 	}
 	g.scale <<= 1
 }
@@ -81,7 +77,7 @@ func (g *grid) add(t float64, row int, msgs, bytes, waitP int64) {
 	g.waitP[idx] += waitP
 	if waitP != 0 {
 		if r := row - g.rowLo; r >= 0 && r < g.rows {
-			g.heat[r*g.bins+idx] += waitP
+			g.heat[r*timeBins+idx] += waitP
 		}
 	}
 }
@@ -112,23 +108,21 @@ type exemplar struct {
 // The threshold is the current kth-smallest hash, readable without the
 // shard lock so the steady state rejects in one atomic load.
 type exReservoir struct {
-	k      int
 	thresh atomic.Uint64
 	items  []exemplar
 }
 
 //seclint:allocs-ok reservoir construction: once per shard
-func (r *exReservoir) init(k int) {
-	r.k = k
-	r.items = make([]exemplar, 0, k)
+func (r *exReservoir) init() {
+	r.items = make([]exemplar, 0, exemplars)
 	r.thresh.Store(^uint64(0))
 }
 
 // insert is called under the shard mutex after a threshold pre-check.
 func (r *exReservoir) insert(e exemplar) {
-	if len(r.items) < r.k {
+	if len(r.items) < exemplars {
 		r.items = append(r.items, e)
-		if len(r.items) == r.k {
+		if len(r.items) == exemplars {
 			r.thresh.Store(r.maxH())
 		}
 		return

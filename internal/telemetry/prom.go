@@ -1,9 +1,11 @@
 package telemetry
 
 import (
-	"bufio"
-	"fmt"
 	"io"
+
+	"repro/internal/pop"
+	"repro/internal/promtext"
+	"repro/internal/waitstate"
 )
 
 // PromOptions bounds the Prometheus exposition.
@@ -13,13 +15,6 @@ type PromOptions struct {
 	// into the "(other)" label, and every suppressed series increments
 	// telemetry_series_dropped_total.
 	MaxSections int
-}
-
-func (o PromOptions) withDefaults() PromOptions {
-	if o.MaxSections <= 0 {
-		o.MaxSections = 24
-	}
-	return o
 }
 
 // perSectionFamilies is how many per-section series one section label emits
@@ -32,16 +27,17 @@ const perSectionFamilies = 9
 // series suppressed by the cap is itself exported as
 // telemetry_series_dropped_total.
 func (tl *Tool) WritePrometheus(w io.Writer, o PromOptions) error {
-	o = o.withDefaults()
+	if o.MaxSections <= 0 {
+		o.MaxSections = 24
+	}
 	p := tl.Snapshot()
 
 	kept := p.Sections
-	var folded SectionProfile
-	foldedAny := false
 	if len(kept) > o.MaxSections {
 		over := kept[o.MaxSections:]
-		kept = kept[:o.MaxSections]
-		folded = SectionProfile{Section: OtherLabel}
+		// The folded slot reports totals only: means cannot fold without
+		// the sample weights, so its per-section gauges are suppressed.
+		folded := SectionProfile{Section: OtherLabel}
 		for i := range over {
 			s := &over[i]
 			folded.Count += s.Count
@@ -52,26 +48,18 @@ func (tl *Tool) WritePrometheus(w io.Writer, o PromOptions) error {
 			folded.CollWaitSeconds += s.CollWaitSeconds
 			folded.DeadWaitSeconds += s.DeadWaitSeconds
 			folded.Instances += s.Instances
-			// Means cannot fold without the sample weights; the folded slot
-			// reports totals only, and its per-section gauges are suppressed.
 			tl.promDropped.Add(perSectionFamilies)
 		}
-		foldedAny = true
+		kept = append(kept[:o.MaxSections:o.MaxSections], folded)
 	}
 
-	bw := bufio.NewWriter(w)
+	pw := promtext.New(w, promtext.Shortest)
 	sec := func(name, help, typ string, val func(*SectionProfile) (float64, bool)) {
-		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-		emit := func(s *SectionProfile) {
-			if v, ok := val(s); ok {
-				fmt.Fprintf(bw, "%s{section=\"%s\"} %g\n", name, sanitizeLabel(s.Section), v)
-			}
-		}
+		pw.Family(name, typ, help)
 		for i := range kept {
-			emit(&kept[i])
-		}
-		if foldedAny {
-			emit(&folded)
+			if v, ok := val(&kept[i]); ok {
+				pw.Float(name, v, "section", kept[i].Section)
+			}
 		}
 	}
 
@@ -80,30 +68,23 @@ func (tl *Tool) WritePrometheus(w io.Writer, o PromOptions) error {
 	sec("telemetry_section_instances_total", "Completed synchronized section instances.", "counter",
 		func(s *SectionProfile) (float64, bool) { return float64(s.Instances), true })
 
-	fmt.Fprintf(bw, "# HELP telemetry_section_wait_seconds_total Classified blocked wait inside the section.\n")
-	fmt.Fprintf(bw, "# TYPE telemetry_section_wait_seconds_total counter\n")
-	emitWaits := func(s *SectionProfile) {
-		label := sanitizeLabel(s.Section)
+	const waits = "telemetry_section_wait_seconds_total"
+	pw.Family(waits, "counter", "Classified blocked wait inside the section.")
+	for i := range kept {
+		s := &kept[i]
 		for _, c := range []struct {
 			cause string
 			v     float64
 		}{
-			{causeLateSender, s.LateSenderSeconds},
-			{causeTransfer, s.TransferSeconds},
-			{causeCollectiveWait, s.CollWaitSeconds},
-			{causeDeadPeer, s.DeadWaitSeconds},
+			{waitstate.CauseLateSender, s.LateSenderSeconds},
+			{waitstate.CauseTransfer, s.TransferSeconds},
+			{waitstate.CauseCollectiveWait, s.CollWaitSeconds},
+			{waitstate.CauseDeadPeer, s.DeadWaitSeconds},
 		} {
 			if c.v > 0 {
-				fmt.Fprintf(bw, "telemetry_section_wait_seconds_total{section=\"%s\",cause=\"%s\"} %g\n",
-					label, c.cause, c.v)
+				pw.Float(waits, c.v, "section", s.Section, "cause", c.cause)
 			}
 		}
-	}
-	for i := range kept {
-		emitWaits(&kept[i])
-	}
-	if foldedAny {
-		emitWaits(&folded)
 	}
 
 	sec("telemetry_section_imb_in_seconds", "Mean entry imbalance Tin-Tmin per instance sample (Fig. 3).", "gauge",
@@ -114,63 +95,39 @@ func (tl *Tool) WritePrometheus(w io.Writer, o PromOptions) error {
 		func(s *SectionProfile) (float64, bool) { return s.Bound, s.Bound > 0 })
 
 	if p.Global != nil && p.Global.Factors != nil {
-		f := p.Global.Factors
-		fmt.Fprintf(bw, "# HELP telemetry_pop_efficiency POP multiplicative efficiency factors for the whole run.\n")
-		fmt.Fprintf(bw, "# TYPE telemetry_pop_efficiency gauge\n")
-		for _, e := range []struct {
-			factor string
-			v      float64
-		}{
-			{"parallel", f.Parallel}, {"load-balance", f.LoadBalance}, {"comm", f.Comm},
-			{"transfer", f.Transfer}, {"serialisation", f.Serialisation},
-			{"thread", f.Thread}, {"omp-region", f.OmpRegion}, {"serial-region", f.SerialRegion},
-			{"total", f.Total},
-		} {
-			fmt.Fprintf(bw, "telemetry_pop_efficiency{factor=\"%s\"} %g\n", e.factor, e.v)
+		pw.Family("telemetry_pop_efficiency", "gauge", "POP multiplicative efficiency factors for the whole run.")
+		for _, fc := range pop.FactorTable {
+			pw.Float("telemetry_pop_efficiency", fc.Get(p.Global.Factors), "factor", fc.Display)
 		}
 	}
 
-	fmt.Fprintf(bw, "# HELP telemetry_messages_total Point-to-point messages sent.\n")
-	fmt.Fprintf(bw, "# TYPE telemetry_messages_total counter\ntelemetry_messages_total %d\n", p.Messages)
-	fmt.Fprintf(bw, "# HELP telemetry_message_bytes_total Point-to-point payload bytes sent.\n")
-	fmt.Fprintf(bw, "# TYPE telemetry_message_bytes_total counter\ntelemetry_message_bytes_total %d\n", p.MessageBytes)
+	pw.IntFamily("telemetry_messages_total", "counter", "Point-to-point messages sent.", p.Messages)
+	pw.IntFamily("telemetry_message_bytes_total", "counter", "Point-to-point payload bytes sent.", p.MessageBytes)
 
-	fmt.Fprintf(bw, "# HELP telemetry_message_latency_seconds Send-to-receive latency of matched messages.\n")
-	fmt.Fprintf(bw, "# TYPE telemetry_message_latency_seconds histogram\n")
-	var cum int64
-	for _, b := range p.Latency {
-		cum += b.Count
-		fmt.Fprintf(bw, "telemetry_message_latency_seconds_bucket{le=\"%g\"} %d\n", b.Le, cum)
+	pw.Family("telemetry_message_latency_seconds", "histogram", "Send-to-receive latency of matched messages.")
+	buckets := make([]promtext.Bucket, len(p.Latency))
+	var matched uint64
+	for i, b := range p.Latency {
+		buckets[i] = promtext.Bucket{Le: b.Le, Count: uint64(b.Count)}
+		matched += uint64(b.Count)
 	}
-	fmt.Fprintf(bw, "telemetry_message_latency_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(bw, "telemetry_message_latency_seconds_sum %g\n", p.LatencySum)
-	fmt.Fprintf(bw, "telemetry_message_latency_seconds_count %d\n", cum)
+	pw.Histogram("telemetry_message_latency_seconds", buckets, matched, p.LatencySum)
 
-	fmt.Fprintf(bw, "# HELP telemetry_ranks Rank population by runtime state.\n")
-	fmt.Fprintf(bw, "# TYPE telemetry_ranks gauge\n")
-	fmt.Fprintf(bw, "telemetry_ranks{state=\"declared\"} %d\n", p.Ranks)
+	pw.Family("telemetry_ranks", "gauge", "Rank population by runtime state.")
+	pw.Int("telemetry_ranks", int64(p.Ranks), "state", "declared")
 	if p.ActiveRanks > 0 || p.MaterializedRanks > 0 {
-		fmt.Fprintf(bw, "telemetry_ranks{state=\"active\"} %d\n", p.ActiveRanks)
-		fmt.Fprintf(bw, "telemetry_ranks{state=\"materialized\"} %d\n", p.MaterializedRanks)
+		pw.Int("telemetry_ranks", int64(p.ActiveRanks), "state", "active")
+		pw.Int("telemetry_ranks", int64(p.MaterializedRanks), "state", "materialized")
 	}
 
-	fmt.Fprintf(bw, "# HELP telemetry_wall_seconds Wall time covered by the profile so far.\n")
-	fmt.Fprintf(bw, "# TYPE telemetry_wall_seconds gauge\ntelemetry_wall_seconds %g\n", p.Wall)
-	fmt.Fprintf(bw, "# HELP telemetry_degraded 1 when faults or dead-peer waits degraded the run.\n")
-	fmt.Fprintf(bw, "# TYPE telemetry_degraded gauge\ntelemetry_degraded %d\n", boolInt(p.Degraded))
-
-	fmt.Fprintf(bw, "# HELP telemetry_series_dropped_total Per-section series suppressed by the cardinality cap.\n")
-	fmt.Fprintf(bw, "# TYPE telemetry_series_dropped_total counter\ntelemetry_series_dropped_total %d\n",
-		tl.promDropped.Load())
-	fmt.Fprintf(bw, "# HELP telemetry_section_table_overflow_total Events aggregated into the overflow section slot.\n")
-	fmt.Fprintf(bw, "# TYPE telemetry_section_table_overflow_total counter\ntelemetry_section_table_overflow_total %d\n",
-		p.SectionsDropped)
-	return bw.Flush()
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
+	pw.Family("telemetry_wall_seconds", "gauge", "Wall time covered by the profile so far.")
+	pw.Float("telemetry_wall_seconds", p.Wall)
+	var degraded int64
+	if p.Degraded {
+		degraded = 1
 	}
-	return 0
+	pw.IntFamily("telemetry_degraded", "gauge", "1 when faults or dead-peer waits degraded the run.", degraded)
+	pw.IntFamily("telemetry_series_dropped_total", "counter", "Per-section series suppressed by the cardinality cap.", tl.promDropped.Load())
+	pw.IntFamily("telemetry_section_table_overflow_total", "counter", "Events aggregated into the overflow section slot.", p.SectionsDropped)
+	return pw.Flush()
 }

@@ -6,18 +6,9 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/mpi"
+	"repro/internal/core"
 	"repro/internal/pop"
-)
-
-// Cause labels mirror the wait-state engine's so both paths speak the same
-// diagnosis vocabulary.
-const (
-	causeCompute        = "compute"
-	causeLateSender     = "late-sender"
-	causeTransfer       = "transfer"
-	causeCollectiveWait = "collective-wait"
-	causeDeadPeer       = "dead-peer"
+	"repro/internal/waitstate"
 )
 
 // SectionProfile is one section's streamed aggregate.
@@ -53,7 +44,7 @@ type SectionProfile struct {
 	SpanMean   float64 `json:"span_mean_seconds"`
 	ImbSkipped int64   `json:"imb_skipped,omitempty"`
 	// Bound is the live Eq. 6 partial speedup bound (0 without a baseline);
-	// Cause the dominant wait-state verdict.
+	// Cause the dominant wait-state verdict (waitstate.DominantCause).
 	Bound float64 `json:"partial_bound,omitempty"`
 	Cause string  `json:"dominant_cause"`
 	// Efficiency is the POP factor tree computed from the streamed per-rank
@@ -177,7 +168,10 @@ func (tl *Tool) Snapshot() *Profile {
 	}
 	p.Wall = tl.wall()
 
-	// Per-section fold plus the POP join.
+	// Per-section fold plus the POP join. The verdicts are the wait-state
+	// engine's own rules, read off the streamed totals; the overflow slot
+	// is not a section and cannot bind.
+	var candidates []waitstate.SectionDiagnosis
 	labels := append(append(make([]string, 0, len(tab.labels)+1), tab.labels...), OtherLabel)
 	for sid, label := range labels {
 		slot := int32(sid)
@@ -188,10 +182,18 @@ func (tl *Tool) Snapshot() *Profile {
 		if sp == nil {
 			continue
 		}
-		if p.SeqTime > 0 && sp.AvgPerProc > 0 {
-			sp.Bound = p.SeqTime / sp.AvgPerProc
+		if b, err := core.PartialBound(p.SeqTime, sp.AvgPerProc); err == nil {
+			sp.Bound = b
 		}
-		sp.Cause = dominantCause(sp)
+		d := waitstate.SectionDiagnosis{
+			Section: label, Total: sp.TotalSeconds, AvgPerProc: sp.AvgPerProc,
+			WaitIn: sp.WaitSeconds, LateSender: sp.LateSenderSeconds, Transfer: sp.TransferSeconds,
+			CollWait: sp.CollWaitSeconds, DeadWait: sp.DeadWaitSeconds,
+		}
+		sp.Cause = waitstate.DominantCause(&d)
+		if label != OtherLabel {
+			candidates = append(candidates, d)
+		}
 		eff := pop.FromTotals(label, tl.ranks, rows, p.Degraded)
 		eff.Bound = sp.Bound
 		eff.Cause = sp.Cause
@@ -207,24 +209,9 @@ func (tl *Tool) Snapshot() *Profile {
 		}
 		return p.Sections[i].Section < p.Sections[j].Section
 	})
-
-	// Eq. 6 binding: the section with the largest per-process average,
-	// excluding the whole-run wrapper and the overflow slot (mirrors
-	// waitstate.Analysis.Binding).
-	var binding *SectionProfile
-	for i := range p.Sections {
-		s := &p.Sections[i]
-		if s.Section == mpi.MainSection || s.Section == OtherLabel || s.TotalSeconds <= 0 {
-			continue
-		}
-		if binding == nil || s.AvgPerProc > binding.AvgPerProc ||
-			(s.AvgPerProc == binding.AvgPerProc && s.Section < binding.Section) {
-			binding = s
-		}
-	}
-	if binding != nil {
-		p.Binding = binding.Section
-		p.Diagnosis = p.diagnose(binding)
+	if b := waitstate.Binding(candidates); b != nil {
+		p.Binding = b.Section
+		p.Diagnosis = p.Section(b.Section).Efficiency.Diagnose(int(p.Faults), int(p.DeadWaits))
 	}
 
 	// Whole-run scope.
@@ -350,11 +337,10 @@ func (tl *Tool) foldSection(label string, sid int32) (*SectionProfile, []pop.Ran
 // first event to the end of the run, so early finishers read as load
 // imbalance — the same accounting the trace-driven tree applies.
 func (tl *Tool) globalScope(wall float64, degraded bool) *pop.SectionEfficiency {
-	type rankAgg struct {
-		wait, transfer, oe, os, ob float64
-		maxTeam                    int
-	}
-	aggs := make([]rankAgg, tl.ranks)
+	// Per rank, summed over its sections: the row's wait components and
+	// thread-team totals, and the wait that its useful time lacks.
+	aggs := make([]pop.RankTotals, tl.ranks)
+	waits := make([]float64, tl.ranks)
 	for i := range tl.shards {
 		sh := &tl.shards[i]
 		if !sh.ready.Load() {
@@ -366,16 +352,13 @@ func (tl *Tool) globalScope(wall float64, degraded bool) *pop.SectionEfficiency 
 				continue
 			}
 			for r := 0; r < sh.n; r++ {
-				row := &slab[r]
-				ag := &aggs[sh.lo+r]
-				ag.wait += secs(row.wait.Load())
-				ag.transfer += secs(row.transfer.Load())
-				ag.oe += secs(row.ompElapsed.Load())
-				ag.os += secs(row.ompSingle.Load())
-				ag.ob += secs(row.ompBusy.Load())
-				if mt := int(row.maxTeam.Load()); mt > ag.maxTeam {
-					ag.maxTeam = mt
-				}
+				row, ag := &slab[r], &aggs[sh.lo+r]
+				waits[sh.lo+r] += secs(row.wait.Load())
+				ag.Transfer += secs(row.transfer.Load())
+				ag.OmpElapsed += secs(row.ompElapsed.Load())
+				ag.OmpSingle += secs(row.ompSingle.Load())
+				ag.OmpBusy += secs(row.ompBusy.Load())
+				ag.MaxTeam = max(ag.MaxTeam, int(row.maxTeam.Load()))
 			}
 		}
 	}
@@ -389,19 +372,10 @@ func (tl *Tool) globalScope(wall float64, degraded bool) *pop.SectionEfficiency 
 		if !ok {
 			last = first
 		}
-		t := wall - first
-		if t < 0 {
-			t = 0
-		}
-		useful := (last - first) - aggs[r].wait
-		if useful < 0 {
-			useful = 0
-		}
-		rows = append(rows, pop.RankTotals{
-			T: t, Useful: useful, Transfer: aggs[r].transfer,
-			OmpElapsed: aggs[r].oe, OmpSingle: aggs[r].os, OmpBusy: aggs[r].ob,
-			MaxTeam: aggs[r].maxTeam,
-		})
+		row := aggs[r]
+		row.T = max(wall-first, 0)
+		row.Useful = max((last-first)-waits[r], 0)
+		rows = append(rows, row)
 	}
 	if len(rows) == 0 {
 		return nil
@@ -413,7 +387,7 @@ func (tl *Tool) globalScope(wall float64, degraded bool) *pop.SectionEfficiency 
 // foldGrid merges the per-shard time grids to the coarsest scale in use and
 // emits the interval series and heatmap.
 func (tl *Tool) foldGrid(p *Profile) {
-	bins := tl.o.TimeBins
+	const bins = timeBins
 	var maxScale int64 = 1
 	any := false
 	for i := range tl.shards {
@@ -452,7 +426,7 @@ func (tl *Tool) foldGrid(p *Profile) {
 		}
 		sh.mu.Unlock()
 	}
-	width := tl.o.BaseBin * float64(maxScale)
+	width := baseBin * float64(maxScale)
 	last := 0
 	for i := 0; i < bins; i++ {
 		if msgs[i] != 0 || bytesB[i] != 0 || waitP[i] != 0 {
@@ -523,8 +497,8 @@ func (tl *Tool) foldExemplars(p *Profile, tab *secTable) {
 		sh.mu.Unlock()
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].h < all[j].h })
-	if len(all) > tl.o.Exemplars {
-		all = all[:tl.o.Exemplars]
+	if len(all) > exemplars {
+		all = all[:exemplars]
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].t != all[j].t {
@@ -542,45 +516,6 @@ func (tl *Tool) foldExemplars(p *Profile, tab *secTable) {
 			Section: label, T: e.t, Wait: e.wait, Latency: e.lat,
 		})
 	}
-}
-
-// dominantCause mirrors the wait-state engine's verdict formula.
-func dominantCause(s *SectionProfile) string {
-	if s.TotalSeconds <= 0 || s.WaitSeconds <= 0 {
-		return causeCompute
-	}
-	if s.WaitSeconds/s.TotalSeconds < commFrac {
-		return causeCompute
-	}
-	cause, best := causeLateSender, s.LateSenderSeconds
-	if s.TransferSeconds > best {
-		cause, best = causeTransfer, s.TransferSeconds
-	}
-	if s.CollWaitSeconds > best {
-		cause, best = causeCollectiveWait, s.CollWaitSeconds
-	}
-	if s.DeadWaitSeconds > best {
-		cause = causeDeadPeer
-	}
-	return cause
-}
-
-// diagnose renders the one-line verdict for the binding section, matching
-// the trace-driven tree's wording.
-func (p *Profile) diagnose(s *SectionProfile) string {
-	if p.Degraded {
-		return fmt.Sprintf("%s binds at p=%d: degraded run (%d faults, %d dead-peer waits); efficiencies withheld",
-			s.Section, p.Ranks, p.Faults, p.DeadWaits)
-	}
-	line := fmt.Sprintf("%s binds at p=%d", s.Section, p.Ranks)
-	if s.Efficiency != nil && s.Efficiency.Factors != nil {
-		name, v := s.Efficiency.Factors.Dominant()
-		line += fmt.Sprintf(": %s efficiency %.2f", name, v)
-	}
-	if s.Bound > 0 {
-		line += fmt.Sprintf(" (Eq. 6 bound %.3g×)", s.Bound)
-	}
-	return line
 }
 
 // Render prints the profile as a terminal report: the section table,
@@ -655,12 +590,19 @@ func (p *Profile) Render() string {
 	return b.String()
 }
 
+// renderEfficiency lists one scope's factors in pop.FactorTable's order.
 func renderEfficiency(name string, e *pop.SectionEfficiency) string {
 	if e.Factors == nil {
 		return fmt.Sprintf("POP [%s]: factors withheld (degraded run)\n", name)
 	}
-	f := e.Factors
-	return fmt.Sprintf("POP [%s]: total %.3f = parallel %.3f (LB %.3f × comm %.3f; transfer %.3f, serialisation %.3f) × thread %.3f (region %.3f × serial %.3f)\n",
-		name, f.Total, f.Parallel, f.LoadBalance, f.Comm, f.Transfer, f.Serialisation,
-		f.Thread, f.OmpRegion, f.SerialRegion)
+	var b strings.Builder
+	fmt.Fprintf(&b, "POP [%s]:", name)
+	for i, fc := range pop.FactorTable {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, " %s %.3f", fc.Display, fc.Get(e.Factors))
+	}
+	b.WriteByte('\n')
+	return b.String()
 }

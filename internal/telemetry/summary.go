@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 )
 
 // WriteJSON serializes the profile as indented JSON (trailing newline). The
@@ -16,24 +15,6 @@ func (p *Profile) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(p)
-}
-
-// WriteFile writes the profile summary to path.
-func (p *Profile) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	if err := p.WriteJSON(bw); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // ReadSummary parses a profile summary previously produced by WriteJSON.
@@ -145,9 +126,4 @@ func (p *Profile) Summary() string {
 		return p.Diagnosis
 	}
 	return fmt.Sprintf("p=%d wall %.6g s: no section bound the run", p.Ranks, p.Wall)
-}
-
-// sanitizeLabel maps a section label into a safe Prometheus label value.
-func sanitizeLabel(s string) string {
-	return strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`).Replace(s)
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/mpi"
+	"repro/internal/waitstate"
 )
 
 const (
@@ -40,52 +41,27 @@ const (
 	// length, so bucket i covers [2^(i-1), 2^i)).
 	hBuckets = 64
 
-	// lateEps matches waitstate.DefaultEps so the late-receiver count agrees
-	// with the trace-driven classification.
-	lateEps = 1e-12
-	// commFrac matches the wait-state engine's "communication-bound" knee
-	// for the dominant-cause verdict.
-	commFrac = 0.2
+	// timeBins is the fixed resolution of the time-binned interval series
+	// and the heatmap's time axis. The bin width starts at baseBin virtual
+	// seconds and doubles whenever the run outgrows the span — constant
+	// memory at any run length.
+	timeBins = 64
+	baseBin  = 1e-6
+	// heatRows bounds the rank axis of the wait heatmap: consecutive ranks
+	// fold into ceil(ranks/heatRows) groups per row.
+	heatRows = 256
+	// exemplars is the per-shard budget of sampled receive events linking
+	// the aggregates back to concrete messages. The global snapshot keeps
+	// the bottom-k by deterministic hash across shards.
+	exemplars = 8
 )
 
-// Options configures a telemetry Tool. The zero value is usable: every
-// field has a bounded default.
+// Options configures a telemetry Tool. The zero value is usable.
 type Options struct {
 	// SeqTime is the sequential baseline Σ_j f_j(n0, 1); when positive every
 	// section carries its live Eq. 6 partial speedup bound. Settable later
 	// via SetSeqTime (monitors learn the baseline after attach).
 	SeqTime float64
-	// TimeBins is the fixed resolution of the time-binned interval series
-	// and the heatmap's time axis (default 64). The bin width starts at
-	// BaseBin and doubles whenever the run outgrows the span — constant
-	// memory at any run length.
-	TimeBins int
-	// HeatRows bounds the rank axis of the wait heatmap (default 256):
-	// consecutive ranks fold into ceil(ranks/HeatRows) groups per row.
-	HeatRows int
-	// Exemplars is the per-shard budget of sampled receive events linking
-	// the aggregates back to concrete messages (default 8). The global
-	// snapshot keeps the bottom-k by deterministic hash across shards.
-	Exemplars int
-	// BaseBin is the initial time-bin width in virtual seconds (default
-	// 1e-6).
-	BaseBin float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.TimeBins <= 0 {
-		o.TimeBins = 64
-	}
-	if o.HeatRows <= 0 {
-		o.HeatRows = 256
-	}
-	if o.Exemplars <= 0 {
-		o.Exemplars = 8
-	}
-	if o.BaseBin <= 0 {
-		o.BaseBin = 1e-6
-	}
-	return o
 }
 
 // ---- picosecond integer time ----------------------------------------------
@@ -93,7 +69,7 @@ func (o Options) withDefaults() Options {
 // Durations accumulate as picosecond int64s: integer addition is
 // associative, so concurrent atomic adds from any interleaving produce the
 // same sums — the root of the byte-identical-output contract. One pico is
-// 1e-12 s, matching waitstate.DefaultEps; rounding error stays below half
+// 1e-12 s, matching waitstate.Eps; rounding error stays below half
 // an eps per recorded event.
 
 func pico(s float64) int64 {
@@ -234,7 +210,7 @@ type telShard struct {
 }
 
 //seclint:allocs-ok telemetry shard bring-up: once per shard
-func (sh *telShard) materialize(o Options, rowGroup int) {
+func (sh *telShard) materialize(rowGroup int) {
 	if sh.ready.Load() {
 		return
 	}
@@ -243,8 +219,8 @@ func (sh *telShard) materialize(o Options, rowGroup int) {
 		sh.secs = make([]secAcc, nSlots)
 		rowLo := sh.lo / rowGroup
 		rowHi := (sh.lo + sh.n - 1) / rowGroup
-		sh.grid.init(o.TimeBins, o.BaseBin, rowLo, rowHi-rowLo+1)
-		sh.ex.init(o.Exemplars)
+		sh.grid.init(rowLo, rowHi-rowLo+1)
+		sh.ex.init()
 		sh.ready.Store(true)
 	}
 	sh.mu.Unlock()
@@ -334,7 +310,6 @@ type secTable struct {
 // Config.Tools. All hooks are safe for concurrent use; Snapshot may be
 // called at any time, including while the ranks are still executing.
 type Tool struct {
-	o        Options
 	rowGroup int
 
 	ranks int
@@ -367,9 +342,9 @@ var (
 
 // New builds a telemetry tool for one run.
 func New(o Options) *Tool {
-	tl := &Tool{o: o.withDefaults()}
+	tl := &Tool{}
 	tl.tab.Store(&secTable{ids: map[string]int32{}})
-	tl.SetSeqTime(tl.o.SeqTime)
+	tl.SetSeqTime(o.SeqTime)
 	tl.threads.Store(1)
 	return tl
 }
@@ -386,7 +361,7 @@ func (tl *Tool) seqTime() float64 { return math.Float64frombits(tl.seqBits.Load(
 func (tl *Tool) Init(w *mpi.WorldInfo) {
 	tl.ranks = w.Size
 	tl.stats = w.Stats
-	tl.rowGroup = (w.Size + tl.o.HeatRows - 1) / tl.o.HeatRows
+	tl.rowGroup = (w.Size + heatRows - 1) / heatRows
 	if tl.rowGroup < 1 {
 		tl.rowGroup = 1
 	}
@@ -413,7 +388,7 @@ func (tl *Tool) Finalize(r *mpi.Report) {
 func (tl *Tool) shardFor(worldRank int) *telShard {
 	sh := &tl.shards[worldRank>>shardBits]
 	if !sh.ready.Load() {
-		sh.materialize(tl.o, tl.rowGroup)
+		sh.materialize(tl.rowGroup)
 	}
 	return sh
 }
@@ -546,7 +521,7 @@ func (tl *Tool) MessageRecv(c *mpi.Comm, src, tag, bytes int, t float64, m mpi.M
 	a.waitPico.Add(wp)
 	row := sh.pop(sid, wr)
 	row.wait.Add(wp)
-	if m.PostT-m.Arrival > lateEps {
+	if m.PostT-m.Arrival > waitstate.Eps {
 		a.lateRecvs.Add(1)
 	}
 	var lat float64

@@ -49,25 +49,25 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/trace"
 )
 
-// DefaultEps is the timestamp tolerance used when Options.Eps is zero:
-// virtual clocks are exact float64 arithmetic, so only representation
-// error needs absorbing.
-const DefaultEps = 1e-12
+const (
+	// Eps is the absolute timestamp tolerance: virtual clocks are exact
+	// float64 arithmetic, so only representation error needs absorbing.
+	Eps = 1e-12
+	// CommFrac is the wait-in fraction of a section's inclusive time above
+	// which the dominant cause is a wait state rather than "compute" — the
+	// conventional "communication-bound" knee.
+	CommFrac = 0.2
+)
 
 // Options configures an analysis.
 type Options struct {
 	// SeqTime is the sequential baseline Σ_j f_j(n0, 1); when positive each
 	// section also gets its Eq. 6 partial speedup bound.
 	SeqTime float64
-	// Eps is the absolute timestamp tolerance (0 = DefaultEps).
-	Eps float64
-	// CommFrac is the wait-in fraction of a section's inclusive time above
-	// which the dominant cause is a wait state rather than "compute"
-	// (0 = 0.2, the conventional "communication-bound" knee).
-	CommFrac float64
 }
 
 // Cause labels a section's dominant diagnosis.
@@ -316,8 +316,8 @@ func (rt *rankTimeline) labelAt(t float64) string {
 // order, but the replay pops the section first on timestamp ties — so look
 // just before the stamp and fall back to the exact lookup (zero-overhead
 // models collapse enter and send onto one timestamp).
-func (rt *rankTimeline) sendCell(t, eps float64) *secCell {
-	c := cellAt(rt.sections, t-eps)
+func (rt *rankTimeline) sendCell(t float64) *secCell {
+	c := cellAt(rt.sections, t-Eps)
 	if c == none || rt.secs[c].Section == "" {
 		c = cellAt(rt.sections, t)
 	}
@@ -363,7 +363,6 @@ type stackEntry struct {
 
 // engine is one analysis in progress.
 type engine struct {
-	eps   float64
 	ranks []rankTimeline // ascending rank
 
 	sections, colls arena[changePoint]
@@ -390,13 +389,7 @@ func AnalyzeOrder(o *trace.Order, opts Options) (*Analysis, error) {
 	if o.Len() == 0 {
 		return nil, fmt.Errorf("waitstate: empty event stream")
 	}
-	if opts.Eps <= 0 {
-		opts.Eps = DefaultEps
-	}
-	if opts.CommFrac <= 0 {
-		opts.CommFrac = 0.2
-	}
-	en := &engine{eps: opts.Eps, ranks: make([]rankTimeline, o.Runs())}
+	en := &engine{ranks: make([]rankTimeline, o.Runs())}
 	for k := range en.ranks {
 		en.replay(k, o.Run(k))
 	}
@@ -494,7 +487,7 @@ func (en *engine) classify(rt *rankTimeline) {
 		cell.inDiag, cell.inRank = true, true
 		cell.recvs++
 		cell.Wait += wait
-		if sat := e.PostT - e.ArrT; sat > en.eps {
+		if sat := e.PostT - e.ArrT; sat > Eps {
 			cell.lateRecvN++
 			cell.lateRecvSat += sat
 		}
@@ -521,7 +514,7 @@ func (en *engine) classify(rt *rankTimeline) {
 		// it finally posted the send: that section's Twait_out.
 		if late > 0 {
 			if srt := en.rank(e.Peer); srt != nil {
-				if sc := srt.sendCell(e.SendT, en.eps); sc != nil {
+				if sc := srt.sendCell(e.SendT); sc != nil {
 					sc.waitOut += late
 					sc.inDiag = true
 				}
@@ -678,13 +671,13 @@ func (en *engine) fold(crit []PathSegment, critSec map[string]float64, opts Opti
 		}
 		d.P = p
 		d.AvgPerProc = d.Total / float64(p)
-		if opts.SeqTime > 0 && d.AvgPerProc > 0 {
-			d.Bound = opts.SeqTime / d.AvgPerProc
+		if b, err := core.PartialBound(opts.SeqTime, d.AvgPerProc); err == nil {
+			d.Bound = b
 		}
 		if a.CritLen > 0 {
 			d.CritShare = d.CritTime / a.CritLen
 		}
-		d.DominantCause = dominantCause(d, opts.CommFrac)
+		d.DominantCause = DominantCause(d)
 		a.Sections = append(a.Sections, *d)
 	}
 	slices.SortFunc(a.Sections, func(x, y SectionDiagnosis) int {
@@ -716,13 +709,15 @@ func (en *engine) fold(crit []PathSegment, critSec map[string]float64, opts Opti
 	return a
 }
 
-// dominantCause classifies a section: compute-bound unless waits exceed
-// commFrac of the inclusive time, then the largest wait component wins.
-func dominantCause(d *SectionDiagnosis, commFrac float64) string {
+// DominantCause classifies a section from its Total, WaitIn and the four
+// wait components: compute-bound unless waits reach CommFrac of the
+// inclusive time, then the largest component wins. It is the one verdict
+// formula: the streaming telemetry applies it to its own aggregates.
+func DominantCause(d *SectionDiagnosis) string {
 	if d.Total <= 0 || d.WaitIn <= 0 {
 		return CauseCompute
 	}
-	if d.WaitIn/d.Total < commFrac {
+	if d.WaitIn/d.Total < CommFrac {
 		return CauseCompute
 	}
 	cause, best := CauseLateSender, d.LateSender
@@ -740,7 +735,7 @@ func dominantCause(d *SectionDiagnosis, commFrac float64) string {
 
 // criticalPath walks the happens-before graph backward from the
 // last-finishing rank. At each receive whose completion was determined by
-// the message's arrival (T − ArrT <= eps with the payload arriving after
+// the message's arrival (T − ArrT <= Eps with the payload arriving after
 // the post), the path jumps along the message edge to the sender at its
 // send time; everything between binding receives is compute attributed to
 // the innermost section split at its change points. It returns the
@@ -748,7 +743,6 @@ func dominantCause(d *SectionDiagnosis, commFrac float64) string {
 // charged to the receiving section that blocked on it).
 func (en *engine) criticalPath() ([]PathSegment, map[string]float64) {
 	perSec := map[string]float64{}
-	eps := en.eps
 	// Start on the rank that finishes last (lowest id on ties).
 	rt, curT := &en.ranks[0], math.Inf(-1)
 	maxHops := 16
@@ -794,10 +788,10 @@ func (en *engine) criticalPath() ([]PathSegment, map[string]float64) {
 		i := sort.Search(len(recvs), func(i int) bool { return recvs[i].T > curT }) - 1
 		for ; i >= 0; i-- {
 			e := recvs[i]
-			if curT-e.T < -eps {
+			if curT-e.T < -Eps {
 				continue
 			}
-			if e.T-e.ArrT <= eps && e.ArrT-e.PostT > -eps && e.SendT < e.T-eps {
+			if e.T-e.ArrT <= Eps && e.ArrT-e.PostT > -Eps && e.SendT < e.T-Eps {
 				if sender = en.rank(e.Peer); sender != nil {
 					break
 				}
@@ -825,10 +819,14 @@ func (en *engine) criticalPath() ([]PathSegment, map[string]float64) {
 // average per-process time, excluding the implicit MPI_MAIN umbrella — or
 // nil when the trace has no section records. This is the section that caps
 // the speedup; its DominantCause says why.
-func (a *Analysis) Binding() *SectionDiagnosis {
+func (a *Analysis) Binding() *SectionDiagnosis { return Binding(a.Sections) }
+
+// Binding is the binding rule over any set of section records; it reads
+// Section, Total and AvgPerProc, and the lowest label wins a tie.
+func Binding(sections []SectionDiagnosis) *SectionDiagnosis {
 	var best *SectionDiagnosis
-	for i := range a.Sections {
-		d := &a.Sections[i]
+	for i := range sections {
+		d := &sections[i]
 		if d.Section == "MPI_MAIN" || d.Section == "(no section)" || d.Total <= 0 {
 			continue
 		}
