@@ -77,10 +77,9 @@ func Run2D(cfg mpi.Config, p Params) (*Result, error) {
 
 // tile2D is the per-rank decomposition geometry.
 type tile2D struct {
-	cart       *mpi.CartComm
-	cx, cy     int // grid coordinates (column, row)
-	px, py     int
-	xlo, xhi   int // executed column range
+	cx, cy     int       // grid coordinates (column, row)
+	nbr        [3][3]int // rank at grid offset [dy+1][dx+1], -1 outside
+	xlo, xhi   int       // executed column range
 	ylo, yhi   int
 	fxlo, fxhi int // full-size column range (for cost charging)
 	fylo, fyhi int
@@ -91,17 +90,7 @@ func (t *tile2D) fullW() int { return t.fxhi - t.fxlo }
 func (t *tile2D) fullH() int { return t.fyhi - t.fylo }
 
 // neighborRank returns the rank at grid offset (dx, dy), or -1 outside.
-func (t *tile2D) neighborRank(dx, dy int) int {
-	nx, ny := t.cx+dx, t.cy+dy
-	if nx < 0 || ny < 0 || nx >= t.px || ny >= t.py {
-		return -1
-	}
-	r, err := t.cart.CoordsToRank([]int{ny, nx})
-	if err != nil {
-		return -1
-	}
-	return r
-}
+func (t *tile2D) neighborRank(dx, dy int) int { return t.nbr[dy+1][dx+1] }
 
 func runRank2D(c *mpi.Comm, p Params, px, py int) (*img.Image, error) {
 	cart, err := c.CartCreate([]int{py, px}, nil)
@@ -109,7 +98,21 @@ func runRank2D(c *mpi.Comm, p Params, px, py int) (*img.Image, error) {
 		return nil, err
 	}
 	coords := cart.Coords()
-	t := &tile2D{cart: cart, cy: coords[0], cx: coords[1], px: px, py: py}
+	t := &tile2D{cy: coords[0], cx: coords[1]}
+	// The eight neighbours are fixed for the run; every halo exchange of
+	// every step reads them.
+	for dy := -1; dy <= 1; dy++ {
+		for dx := -1; dx <= 1; dx++ {
+			nx, ny := t.cx+dx, t.cy+dy
+			r := -1
+			if nx >= 0 && ny >= 0 && nx < px && ny < py {
+				if r, err = cart.CoordsToRank([]int{ny, nx}); err != nil {
+					return nil, err
+				}
+			}
+			t.nbr[dy+1][dx+1] = r
+		}
+	}
 	execW, execH := p.execWidth(), p.execHeight()
 	t.xlo, t.xhi = partition(execW, px, t.cx)
 	t.ylo, t.yhi = partition(execH, py, t.cy)

@@ -12,8 +12,16 @@ type CartComm struct {
 	*Comm
 	dims     []int
 	periodic []bool
-	coords   []int
+	// Backing store of the two slices for grids of up to cartInline
+	// dimensions (every grid in the repository), so that a rank's topology
+	// is one allocation.
+	inline struct {
+		dims     [cartInline]int
+		periodic [cartInline]bool
+	}
 }
+
+const cartInline = 3
 
 // CartCreate arranges the communicator's ranks in row-major order on a grid
 // with the given dimensions. The product of dims must equal the
@@ -31,32 +39,33 @@ func (c *Comm) CartCreate(dims []int, periodic []bool) (*CartComm, error) {
 		n *= d
 	}
 	if n != c.Size() {
-		return nil, fmt.Errorf("mpi: grid %v holds %d ranks, communicator has %d", dims, n, c.Size())
+		// Printed from a copy so that dims does not escape and a caller's
+		// literal stays on its stack.
+		return nil, fmt.Errorf("mpi: grid %v holds %d ranks, communicator has %d", append([]int(nil), dims...), n, c.Size())
 	}
-	switch {
-	case len(periodic) == 0:
-		periodic = make([]bool, len(dims))
-	case len(periodic) != len(dims):
+	if len(periodic) != 0 && len(periodic) != len(dims) {
 		return nil, fmt.Errorf("mpi: periodic length %d != dims length %d", len(periodic), len(dims))
 	}
-	cart := &CartComm{
-		Comm:     c,
-		dims:     append([]int(nil), dims...),
-		periodic: append([]bool(nil), periodic...),
+	cart := &CartComm{Comm: c}
+	if nd := len(dims); nd <= cartInline {
+		cart.dims = cart.inline.dims[:nd]
+		cart.periodic = cart.inline.periodic[:nd]
+	} else {
+		cart.dims = make([]int, nd)
+		cart.periodic = make([]bool, nd)
 	}
-	cart.coords = cart.rankToCoords(c.Rank())
+	copy(cart.dims, dims)
+	copy(cart.periodic, periodic)
 	return cart, nil
 }
 
 // Dims returns a copy of the grid dimensions.
 func (cc *CartComm) Dims() []int { return append([]int(nil), cc.dims...) }
 
-// Coords returns the calling rank's grid coordinates.
-func (cc *CartComm) Coords() []int { return append([]int(nil), cc.coords...) }
-
-// rankToCoords converts a rank to row-major coordinates.
-func (cc *CartComm) rankToCoords(rank int) []int {
+// Coords returns the calling rank's grid coordinates (row-major).
+func (cc *CartComm) Coords() []int {
 	coords := make([]int, len(cc.dims))
+	rank := cc.Rank()
 	for i := len(cc.dims) - 1; i >= 0; i-- {
 		coords[i] = rank % cc.dims[i]
 		rank /= cc.dims[i]

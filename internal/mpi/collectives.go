@@ -3,6 +3,8 @@ package mpi
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 )
 
 // Collective internal tags. User tags are >= 0; the runtime reserves the
@@ -88,16 +90,29 @@ func (c *Comm) collectiveEnd(name string) {
 	}
 }
 
-// Barrier blocks until every rank of the communicator reaches it, using the
-// dissemination algorithm (ceil(log2 p) rounds), and aligns virtual clocks
-// accordingly.
+// Barrier blocks until every rank of the communicator reaches it and aligns
+// virtual clocks as the dissemination algorithm does: ceil(log2 p) rounds,
+// rank r sending to r+step and receiving from r-step. The rounds' messages
+// are virtual — one host rendezvous evaluates their clock arithmetic and
+// fires their tool events — unless a fault plan is armed or the run is in
+// Wallclock mode, where every round is a real Sendrecv (package doc,
+// "Literal messages under a plan"). Virtual times and tool events are the
+// same either way.
 func (c *Comm) Barrier() error {
 	c.collectiveBegin("Barrier")
 	defer c.collectiveEnd("Barrier")
-	p := c.Size()
-	if p == 1 {
+	if c.Size() == 1 {
 		return nil
 	}
+	if w := c.rs.world; w.fi != nil || w.cfg.Wallclock {
+		return c.barrierMessages()
+	}
+	return c.barrierRendezvous()
+}
+
+// barrierMessages runs the dissemination schedule over real messages.
+func (c *Comm) barrierMessages() error {
+	p := c.Size()
 	for step := 1; step < p; step *= 2 {
 		dst := (c.rank + step) % p
 		src := (c.rank - step + p) % p
@@ -106,6 +121,118 @@ func (c *Comm) Barrier() error {
 		}
 	}
 	return nil
+}
+
+// barrierState is a communicator's barrier rendezvous. One generation is in
+// flight at a time — a rank cannot reach barrier g+1 before g released it —
+// so the state is reused, not keyed by call.
+type barrierState struct {
+	mu      sync.Mutex
+	arrived int
+	gen     chan struct{} // closed when the generation in flight releases
+	// released counts the generations that completed. A waiter that wakes
+	// and finds it where it was at arrival was released by abort.
+	released atomic.Uint64
+	comms    []*Comm // the arrived ranks' handles, by comm rank
+	// Evaluator scratch: the current round's send stamps, by sender.
+	sendT, arrival []float64
+}
+
+// barrierRendezvous parks the rank until the communicator's last arriver has
+// evaluated the schedule for everyone, or a revocation aborts the wait.
+func (c *Comm) barrierRendezvous() error {
+	cs := c.shared
+	b := &cs.barrier
+	p := c.Size()
+	b.mu.Lock()
+	select {
+	case <-cs.revoked:
+		b.mu.Unlock()
+		return c.barrierAborted()
+	default:
+	}
+	if b.comms == nil {
+		b.comms = make([]*Comm, p)
+		b.sendT = make([]float64, p)
+		b.arrival = make([]float64, p)
+	}
+	if b.arrived == 0 {
+		b.gen = make(chan struct{})
+	}
+	b.comms[c.rank] = c
+	b.arrived++
+	if b.arrived == p {
+		// Evaluated under the lock: it orders each parked rank's last
+		// instruction before the hooks fired here on its behalf (rank-owned
+		// tool cursors stay single-writer), and keeps abort from releasing
+		// a waiter whose clock is being written.
+		b.evaluate()
+		b.arrived = 0
+		b.released.Add(1)
+		close(b.gen)
+		b.mu.Unlock()
+		return nil
+	}
+	gen, g := b.gen, b.released.Load()
+	// Published before the lock goes: after that the last arriver may be
+	// writing this rank's clock.
+	c.rs.enterBlocked(c, "Barrier", -1, 0)
+	b.mu.Unlock()
+	<-gen
+	c.rs.exitBlocked()
+	if b.released.Load() == g {
+		return c.barrierAborted()
+	}
+	return nil
+}
+
+// abort releases the waiters of a generation that can no longer complete;
+// revoke calls it once the communicator reads as revoked, so every later
+// arriver is turned away at the door.
+func (b *barrierState) abort() {
+	b.mu.Lock()
+	if b.arrived > 0 {
+		b.arrived = 0
+		close(b.gen)
+	}
+	b.mu.Unlock()
+}
+
+func (c *Comm) barrierAborted() error {
+	return fmt.Errorf("mpi: rank %d: Barrier aborted: %w", c.rank, c.shared.pi.reason)
+}
+
+// evaluate runs the dissemination schedule of barrierMessages as arithmetic
+// over the arrived ranks' clocks: per round, every rank's send, then every
+// rank's receive, through the stamp and completion functions real messages
+// use (p2p.go) and with the hooks a real round fires — each rank's events
+// in its program order (sent k, received k, sent k+1, ...), each with the
+// rank's clock already at the event's time.
+//
+//seclint:hotpath
+func (b *barrierState) evaluate() {
+	p := len(b.comms)
+	tools := b.comms[0].rs.world.cfg.Tools
+	for step := 1; step < p; step *= 2 {
+		for r, c := range b.comms {
+			dst := r + step
+			if dst >= p {
+				dst -= p
+			}
+			b.sendT[r], b.arrival[r], _, _ = c.stampSend(dst, 0, 0)
+			for _, t := range tools {
+				//seclint:allocs-ok tool hooks are //seclint:hotpath roots, proven allocation-free in their own right
+				t.MessageSent(c, dst, tagBarrier, 0, b.sendT[r])
+			}
+		}
+		for r, c := range b.comms {
+			src := r - step
+			if src < 0 {
+				src += p
+			}
+			c.completeRecv(src, tagBarrier, 0, MatchInfo{SendT: b.sendT[src], PostT: c.rs.now(), Arrival: b.arrival[src]})
+		}
+	}
 }
 
 // Bcast distributes root's buffer to every rank over a binomial tree and

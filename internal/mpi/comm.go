@@ -20,6 +20,8 @@ type commShared struct {
 	splitMu  sync.Mutex
 	splitGen map[int]*splitState // keyed by per-rank collective call index
 
+	barrier barrierState // collectives.go
+
 	// Fault tolerance (ft.go): revoked closes when the communicator is
 	// revoked; pi carries the reason and is immutable once set.
 	revokeOnce sync.Once
@@ -222,6 +224,14 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		close(st.done)
 	}
 	st.mu.Unlock()
+	if last {
+		// Every rank has looked the call up and holds st itself: forget it,
+		// or a per-step Dup retains O(calls x ranks) for the communicator's
+		// life.
+		cs.splitMu.Lock()
+		delete(cs.splitGen, call)
+		cs.splitMu.Unlock()
+	}
 	c.rs.enterBlocked(c, "Split", -1, 0)
 	select {
 	case <-st.done:

@@ -43,6 +43,17 @@
 // the no-plan fast path stays at 0 allocs/op (pinned by
 // TestSendRecvSteadyStateAllocs).
 //
+// Literal messages under a plan: rules address messages one at a time (a
+// rank's Nth operation, a link's Nth message), so an armed plan — even one
+// with no rules — turns off the two places where the runtime does not move
+// messages one at a time. SendGhostBatch falls back to a SendGhost loop, and
+// Barrier, which otherwise evaluates its dissemination rounds as clock
+// arithmetic in one host rendezvous (collectives.go), sends every round as
+// a real zero-byte Sendrecv. Wallclock mode does the same to Barrier, since
+// there a message arrives when it is delivered. Virtual times and tool
+// events are identical either way, which makes the empty plan the in-tree
+// reference the rendezvous is tested against (barrier_test.go).
+//
 // Failures surface as errors, not crashes. A panic inside a rank function
 // — including an injected fail-stop — is recovered into a
 // RankError{Rank, Section, Err}; peers blocked on the dead rank are

@@ -120,13 +120,14 @@ func (c *Comm) Revoke() {
 }
 
 // revoke poisons every mailbox of the communicator and wakes ranks parked
-// in Split on it. Idempotent.
+// in Split or Barrier on it. Idempotent.
 //
 //seclint:allocs-ok revocation is a one-shot failure event
 func (cs *commShared) revoke(pi *poisonInfo) {
 	cs.revokeOnce.Do(func() {
 		cs.pi = pi
 		close(cs.revoked)
+		cs.barrier.abort()
 	})
 	for i := range cs.boxShards {
 		cs.boxShards[i].poison(pi)
@@ -220,8 +221,9 @@ func (w *World) deadRanks() []int {
 // deliberately bypasses the mailboxes: both calls must make progress on a
 // revoked communicator, which is their whole purpose.
 type ftState struct {
-	cs *commShared
-	op string // "Shrink" or "Agree"
+	cs   *commShared
+	op   string // "Shrink" or "Agree"
+	call int    // its key in cs.ftGen
 
 	mu        sync.Mutex
 	arrived   map[int]bool // comm rank -> arrived
@@ -245,6 +247,7 @@ func (c *Comm) ftCall(op string) *ftState {
 		st = &ftState{
 			cs:      cs,
 			op:      op,
+			call:    call,
 			arrived: make(map[int]bool),
 			flags:   make(map[int]bool),
 			done:    make(chan struct{}),
@@ -307,6 +310,11 @@ func (st *ftState) tryComplete() {
 	w.ftMu.Lock()
 	delete(w.ftPending, st)
 	w.ftMu.Unlock()
+	// Every live member has arrived, so each holds st itself and a member
+	// that has not is dead and never will: forget the call.
+	st.cs.ftMu.Lock()
+	delete(st.cs.ftGen, st.call)
+	st.cs.ftMu.Unlock()
 	close(st.done)
 }
 

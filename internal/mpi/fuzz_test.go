@@ -13,7 +13,22 @@ import (
 
 // Randomized traffic stress: arbitrary (but deadlock-free) communication
 // patterns must deliver every message exactly once, unmodified, with clocks
-// monotone — the delivery-soundness property behind every benchmark.
+// monotone — the delivery-soundness property behind every benchmark. Two
+// testing/quick properties and the runtime's fuzz target.
+
+// FuzzBarrierSchedule decodes bytes into a barrier program (barrier_test.go:
+// up to 96 ranks, a Split by colours, skewed arrivals, barriers single,
+// repeated, nested and followed by p2p) and requires the rendezvous barrier
+// and the message barrier to agree on every final clock, hook and the
+// frontier.
+func FuzzBarrierSchedule(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{6, 17, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 5, 0x80, 1, 0x82, 4, 0x85, 3})
+	f.Add([]byte{94, 1, 2, 0, 3, 1, 2, 3, 0, 3, 2, 1, 0, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkBarrierProg(t, decodeBarrierProg(&byteSrc{data}, 0), []progVariant{{tool: true}})
+	})
+}
 
 // TestRandomPermutationTraffic: in each round, messages follow a random
 // permutation; every rank sends one and receives one.

@@ -257,29 +257,12 @@ func (c *Comm) sendInternal(dst, tag int, data []byte, nbytes, vbytes int, ghost
 		return fmt.Errorf("mpi: negative tag %d is reserved", tag)
 	}
 	w := c.rs.world
-	model := w.cfg.Model
-	c.rs.advance(model.Net.SendOverhead)
-
-	srcWorld := c.shared.group[c.rank]
-	dstWorld := c.shared.group[dst]
-	sameNode := w.placement.SameNode(srcWorld, dstWorld)
-	contenders := w.placement.NodesInUse()
-	transfer := model.MsgTime(vbytes, sameNode, contenders, c.rs.rng)
-
-	dropped := false
-	if fi := w.fi; fi != nil {
-		c.countOp()
-		if fi.hasLink {
-			dropped, nbytes, transfer = c.applyLinkFaults(srcWorld, dstWorld, nbytes, vbytes, transfer)
-		}
-	}
-
+	sendT, arrival, nbytes, dropped := c.stampSend(dst, nbytes, vbytes)
 	if !dropped {
 		e := c.rs.newEnvelope()
 		e.src, e.tag = c.rank, tag
 		e.nbytes, e.vbytes = nbytes, vbytes
-		e.sendT = c.rs.now()
-		e.arrival = e.sendT + transfer
+		e.sendT, e.arrival = sendT, arrival
 		if !ghost {
 			n := nbytes
 			if n > len(data) {
@@ -297,7 +280,7 @@ func (c *Comm) sendInternal(dst, tag int, data []byte, nbytes, vbytes int, ghost
 			// Session bring-up: a first message into a dormant shard
 			// materializes it, so the receiver exists by the time anyone
 			// waits on it.
-			w.nudge(dstWorld)
+			w.nudge(c.shared.group[dst])
 		}
 	}
 
@@ -308,6 +291,30 @@ func (c *Comm) sendInternal(dst, tag int, data []byte, nbytes, vbytes int, ghost
 	return nil
 }
 
+// stampSend is the sender's half of a message's clock arithmetic, said once
+// for Send, SendGhostBatch and the barrier evaluator (collectives.go):
+// charge o_send, model the transfer of vbytes to comm rank dst with jitter
+// from the rank's own stream, let an armed fault plan count the operation
+// and perturb the link, then stamp the message. nbytes comes back shortened
+// when a trunc rule fired; dropped means the message is never delivered
+// (the sender proceeds and its hooks still fire).
+func (c *Comm) stampSend(dst, nbytes, vbytes int) (sendT, arrival float64, realBytes int, dropped bool) {
+	w := c.rs.world
+	model := w.cfg.Model
+	c.rs.advance(model.Net.SendOverhead)
+	srcWorld := c.shared.group[c.rank]
+	dstWorld := c.shared.group[dst]
+	transfer := model.MsgTime(vbytes, w.placement.SameNode(srcWorld, dstWorld), w.placement.NodesInUse(), c.rs.rng)
+	if fi := w.fi; fi != nil {
+		c.countOp()
+		if fi.hasLink {
+			dropped, nbytes, transfer = c.applyLinkFaults(srcWorld, dstWorld, nbytes, vbytes, transfer)
+		}
+	}
+	sendT = c.rs.now()
+	return sendT, sendT + transfer, nbytes, dropped
+}
+
 // SendGhostBatch posts one ghost message per destination — the fan-out
 // counterpart of SendGhost. Message i is exactly equivalent to
 // SendGhost(dsts[i], tag, nbytes[i], vbytes[i]) called in order: per-message
@@ -316,9 +323,9 @@ func (c *Comm) sendInternal(dst, tag int, data []byte, nbytes, vbytes int, ghost
 // byte-identical CSVs. The payoff is delivery: envelopes addressed to
 // consecutive destinations in the same mailbox shard are enqueued under a
 // single shard-lock acquisition instead of one per message. With a fault
-// plan armed the call degrades to per-message SendGhost so injected
-// link-fault schedules stay identical. On a revoked communicator a prefix
-// of the batch may already have been delivered when the error returns.
+// plan armed the call is that SendGhost loop (package doc, "Literal
+// messages under a plan"). On a revoked communicator a prefix of the batch
+// may already have been delivered when the error returns.
 //
 //seclint:hotpath
 func (c *Comm) SendGhostBatch(dsts []int, tag int, nbytes, vbytes []int) error {
@@ -355,21 +362,14 @@ func (c *Comm) SendGhostBatch(dsts []int, tag int, nbytes, vbytes []int) error {
 
 	// Charge and stamp every message first, in order, exactly as the
 	// sequential loop would.
-	model := w.cfg.Model
-	srcWorld := c.shared.group[c.rank]
-	contenders := w.placement.NodesInUse()
 	envs := c.rs.batchEnvs[:0]
 	sendTs := c.rs.batchSendTs[:0]
 	c.rs.reserveEnvelopes(len(dsts))
 	for i, dst := range dsts {
-		c.rs.advance(model.Net.SendOverhead)
-		dstWorld := c.shared.group[dst]
-		transfer := model.MsgTime(vbytes[i], w.placement.SameNode(srcWorld, dstWorld), contenders, c.rs.rng)
 		e := c.rs.newEnvelope()
 		e.src, e.tag = c.rank, tag
 		e.nbytes, e.vbytes = nbytes[i], vbytes[i]
-		e.sendT = c.rs.now()
-		e.arrival = e.sendT + transfer
+		e.sendT, e.arrival, _, _ = c.stampSend(dst, nbytes[i], vbytes[i])
 		envs = append(envs, e)
 		sendTs = append(sendTs, e.sendT)
 	}
@@ -491,7 +491,7 @@ func (c *Comm) recvEnvelope(src, tag int) (*envelope, error) {
 	if e.fail != nil {
 		return nil, c.failRecv(e, postT, src)
 	}
-	c.completeRecv(e, postT)
+	c.completeRecv(e.src, e.tag, e.vbytes, MatchInfo{SendT: e.sendT, PostT: postT, Arrival: e.arrival})
 	return e, nil
 }
 
@@ -517,26 +517,20 @@ func (c *Comm) failRecv(e *envelope, postT float64, src int) error {
 	return fmt.Errorf("mpi: rank %d: receive aborted: %w", c.rank, pi.reason)
 }
 
-// completeRecv advances the receiver's clock to the arrival stamp and
-// fires the tool hooks for e. postT is the virtual time the receive was
-// posted — it rides into the MatchInfo handed to tools together with the
-// envelope's matched send stamps.
-func (c *Comm) completeRecv(e *envelope, postT float64) {
-	model := c.rs.world.cfg.Model
-	c.rs.advance(model.Net.RecvOverhead)
-	c.rs.advanceTo(e.arrival)
+// completeRecv is the receiver's half of a message's clock arithmetic, said
+// once for Recv, Wait and the barrier evaluator: charge o_recv, advance the
+// clock to the arrival stamp and fire the tool hooks. m carries the matched
+// send's stamps and the virtual time the receive was posted.
+func (c *Comm) completeRecv(src, tag, vbytes int, m MatchInfo) {
+	c.rs.advance(c.rs.world.cfg.Model.Net.RecvOverhead)
+	c.rs.advanceTo(m.Arrival)
 	// Lazy clock synchronization: communication completion is where a
 	// rank's progress becomes observable, so publish it to the shard
-	// frontier here (never under any lock).
+	// frontier here.
 	c.rs.shard.noteClock(c.rs.clock)
-	tools := c.rs.world.cfg.Tools
-	if len(tools) == 0 {
-		return
-	}
-	m := MatchInfo{SendT: e.sendT, PostT: postT, Arrival: e.arrival}
-	for _, tool := range tools {
+	for _, tool := range c.rs.world.cfg.Tools {
 		//seclint:allocs-ok tool hooks are //seclint:hotpath roots, proven allocation-free in their own right
-		tool.MessageRecv(c, e.src, e.tag, e.vbytes, c.rs.now(), m)
+		tool.MessageRecv(c, src, tag, vbytes, c.rs.now(), m)
 	}
 }
 
@@ -569,7 +563,7 @@ func (r *Request) Wait() ([]byte, Status, error) {
 		r.done = true
 		return nil, Status{}, c.failRecv(e, r.postT, r.src)
 	}
-	c.completeRecv(e, r.postT)
+	c.completeRecv(e.src, e.tag, e.vbytes, MatchInfo{SendT: e.sendT, PostT: r.postT, Arrival: e.arrival})
 	r.done = true
 	r.status = Status{Source: e.src, Tag: e.tag, Bytes: e.vbytes}
 	r.data = e.takePayload()
