@@ -53,10 +53,10 @@ const secToUs = 1e6
 
 // WriteChromeTrace renders the events recorded so far; it may be called
 // mid-run (live snapshot) or after Finalize (full trace).
-func (r *Recorder) WriteChromeTrace(w io.Writer) error {
+func (v Views) WriteChromeTrace(w io.Writer) error {
 	var spans []Span
 	var msgs []msgEvent
-	p := r.replay(&spans, &msgs)
+	p := v.replay(&spans, &msgs)
 	counters, faults := p.counters, p.facts.faults
 
 	// One track per rank of the world seen at Init, so an idle rank still
@@ -162,8 +162,8 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		TraceEvents:     events,
 		DisplayTimeUnit: "ms",
 		OtherData: map[string]any{
-			"trace_id":       r.TraceID().String(),
-			"dropped_events": r.Dropped(),
+			"trace_id":       p.facts.traceID.String(),
+			"dropped_events": p.facts.dropped(),
 			"source":         "repro/internal/export",
 		},
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // The differential suite: the Recorder and the mutex-and-maps one in
@@ -58,11 +59,13 @@ func sortSpans(spans []Span) {
 	})
 }
 
-// sameViews holds the Recorder's views to the reference's state. parents
-// says whether every rank nests each section under the same parent, which
-// is when the reference's first-come parent is well defined.
+// sameViews holds the Recorder's views to the reference's state, and the
+// same run reopened to the Recorder's. parents says whether every rank nests
+// each section under the same parent, which is when the reference's
+// first-come parent is well defined.
 func sameViews(t *testing.T, rec *Recorder, ref *refRecorder, parents bool) {
 	t.Helper()
+	sameReopened(t, rec)
 	var got []Span
 	var gotMsgs []msgEvent
 	p := rec.replay(&got, &gotMsgs)
@@ -168,6 +171,58 @@ func sameViews(t *testing.T, rec *Recorder, ref *refRecorder, parents bool) {
 			!relClose(gl.EntryImbMean, wl.EntryImbMean) || !relClose(gl.ImbMean, wl.ImbMean)) {
 			t.Errorf("%s: last instance %+v, reference %+v", what, *gl, *wl)
 		}
+	}
+}
+
+// sameReopened holds the other source of the one replay to the first: the
+// run sealed, its recording written out and read back, the views reopened
+// over the restored recording (each rank's events in recording order, the
+// ranks interleaved as the CSV has them and not as they were recorded). Every
+// writer gives the same bytes and every accessor the same value as the
+// Recorder's own.
+func sameReopened(t *testing.T, rec *Recorder) {
+	t.Helper()
+	order := rec.Collector().Buffer().Order()
+	var csv bytes.Buffer
+	if err := order.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	events, err := trace.ReadCSV(bytes.NewReader(csv.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := trace.Restore(events, order.Index())
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, reopened := rec.Views, rec.Seal().Open(restored)
+	for name, w := range map[string][2]func(io.Writer) error{
+		"prometheus":   {live.WritePrometheus, reopened.WritePrometheus},
+		"chrome trace": {live.WriteChromeTrace, reopened.WriteChromeTrace},
+		"otlp":         {live.WriteOTLP, reopened.WriteOTLP},
+	} {
+		var want, got bytes.Buffer
+		if err := w[0](&want); err != nil {
+			t.Fatal(err)
+		}
+		if err := w[1](&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: the reopened run renders %d bytes, the Recorder %d, and they differ", name, got.Len(), want.Len())
+		}
+	}
+	facts := func(v Views) []any {
+		return []any{v.Sections(), v.Faults(), v.FaultCounts(), v.Dropped(), v.Warning(), v.WallTime(), v.TraceID(), v.Finished()}
+	}
+	if got, want := facts(reopened), facts(live); !reflect.DeepEqual(got, want) {
+		t.Errorf("the reopened run's accessors\n got %+v\nwant %+v", got, want)
+	}
+	// The facts alone, with no event behind them.
+	bare := rec.Seal().Open(trace.Recording{})
+	if got, want := []any{bare.Faults(), bare.FaultCounts(), bare.Dropped(), bare.Warning(), bare.TraceID()},
+		[]any{live.Faults(), live.FaultCounts(), live.Dropped(), live.Warning(), live.TraceID()}; !reflect.DeepEqual(got, want) {
+		t.Errorf("the sealed facts\n got %+v\nwant %+v", got, want)
 	}
 }
 

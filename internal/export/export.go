@@ -31,17 +31,29 @@
 // leave; every other payload is the stamp, which a view can rebuild).
 //
 // The views — Sections, Spans, WritePrometheus, WriteChromeTrace, WriteOTLP
-// — each run one single-threaded replay over the recording (replay.go), in
-// recording order, on the caller's goroutine. Recording order is each
-// rank's program order, so the replay numbers a rank's events exactly as
-// the hooks did and span ids match the stamps. What one rank determines
+// — each run one single-threaded replay (replay.go) on the caller's
+// goroutine, over each rank's events in recording order. Recording order is
+// each rank's program order, so the replay numbers a rank's events exactly
+// as the hooks did and span ids match the stamps. What one rank determines
 // (its spans, its per-section durations, its wait split) is accumulated per
 // rank; what crosses ranks is folded in ascending rank order — an
 // instance's Fig. 3 metrics when its last rank has left it, the per-rank
 // cells when the replay ends — so a view is a function of (seed, machine,
-// geometry), not of which rank reached a lock first. A view taken while
-// the ranks still run replays the prefix recorded so far: completed spans,
-// completed instances, WallTime as the latest timestamp seen.
+// geometry), not of which rank reached a lock first, nor of how the ranks'
+// events interleave in what it is fed. A view taken while the ranks still
+// run replays the prefix recorded so far: completed spans, completed
+// instances, WallTime as the latest timestamp seen.
+//
+// A view is a replay of *a* recording. The views are methods of Views, over
+// a source of two reads — the events, then the few facts no event carries
+// (runFacts) — and there are two sources. A Recorder is one while it exists:
+// its collector's buffer in place, its facts under its mutex. When the run
+// is over, Seal copies the facts out, and a caller that writes the buffer
+// out (trace.Order.WriteCSV and the Order's Index) can drop the Recorder and
+// release the buffer; Sealed.Open over the events read back (trace.Restore)
+// is the other source, and the same replay gives the same bytes. That is
+// how cmd/secmon holds a finished job: as its result.csv, an index and a
+// page of facts.
 //
 // The recording is capped (Options.MaxEvents). Dropped counts the events
 // the cap turned away plus, once the run is over, the section frames no
@@ -176,26 +188,49 @@ type commInfo struct {
 	cursors []cursor
 }
 
-// runFacts are the few things about a run that the recording does not
-// hold; the Recorder's mutex guards them.
+// runFacts are the few things about a run that its events do not say: with
+// the events in recording order they are all a view is made from. A
+// Recorder's mutex guards its own; a Sealed run's are final.
 type runFacts struct {
-	seqTime  float64
-	world    int               // world size seen at Init
-	stats    *mpi.RuntimeStats // the runtime's live gauges, from Init
-	finished bool
-	wall     float64
-	unclosed int // frames still open at Finalize
-	faults   []fault.Event
-	foreign  map[uint64]mpi.ToolData // span id -> payload at leave, where it was not the stamp
+	traceID   TraceID
+	maxEvents int // the recording's cap, which Warning names
+	seqTime   float64
+	world     int // world size seen at Init
+	finished  bool
+	wall      float64
+	unclosed  int     // frames still open at Finalize
+	capped    int     // events the cap turned away
+	members   [][]int // by Comm.ID: communicator rank -> world rank; nil for one not seen
+	faults    []fault.Event
+	foreign   map[uint64]mpi.ToolData // span id -> payload at leave, where it was not the stamp
 }
+
+// source is a run as a view sees it, in two reads: the events recorded so
+// far, each rank's in the order the rank recorded them (how the ranks
+// interleave is no view's business), and then the facts, which read second
+// cover every event of the first — a communicator is registered before its
+// first event is recorded. A Recorder is one for as long as it exists; a
+// Sealed run is one again once Open is handed its events.
+type source interface {
+	recording() trace.Recording
+	facts() runFacts
+}
+
+// Views are the exporter's outputs over one run, each a replay of its
+// source (replay.go) or a reading of its facts. A Recorder's are live —
+// callable while the ranks execute, over what has been recorded so far; a
+// Sealed run's, from Open, are the same bytes the Recorder's were when the
+// run ended. The zero Views has no source and none of its methods may be
+// called.
+type Views struct{ src source }
 
 // Recorder is the exporter's mpi.Tool. Attach it via mpi.Config.Tools —
 // alone or chained with other tools; every view may be called while the
 // run is still in flight (that is the "live" part). See the package
 // comment for which goroutine writes what.
 type Recorder struct {
-	opts Options
-	col  *trace.Collector
+	Views
+	col *trace.Collector
 
 	// comms is indexed by Comm.ID and replaced, never written, when a
 	// communicator is first seen. seqs[w] is the ordinal of world rank w's
@@ -203,8 +238,9 @@ type Recorder struct {
 	comms atomic.Pointer[[]*commInfo]
 	seqs  []uint64
 
-	mu  sync.Mutex
-	run runFacts
+	mu    sync.Mutex
+	run   runFacts          // but for capped and members, which facts reads where they live
+	stats *mpi.RuntimeStats // the runtime's live gauges, from Init
 }
 
 // NewRecorder returns a Recorder with the given options.
@@ -219,7 +255,9 @@ func NewRecorder(opts Options) *Recorder {
 	}
 	col := trace.NewCollector(opts.MaxEvents)
 	col.Messages, col.Collectives = opts.Messages, opts.Collectives
-	return &Recorder{opts: opts, col: col, run: runFacts{seqTime: opts.SeqTime}}
+	r := &Recorder{col: col, run: runFacts{traceID: opts.TraceID, maxEvents: opts.MaxEvents, seqTime: opts.SeqTime}}
+	r.Views = Views{r}
+	return r
 }
 
 // Collector is the trace collector the Recorder records through: the one
@@ -239,23 +277,24 @@ func (r *Recorder) SetSeqTime(seq float64) {
 }
 
 // TraceID reports the run's trace id.
-func (r *Recorder) TraceID() TraceID { return r.opts.TraceID }
+func (v Views) TraceID() TraceID { return v.src.facts().traceID }
 
 // Init implements mpi.Tool.
 func (r *Recorder) Init(w *mpi.WorldInfo) {
 	r.seqs = make([]uint64, w.Size)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.run.world, r.run.stats = w.Size, w.Stats
+	r.run.world, r.stats = w.Size, w.Stats
 }
 
 // Stats returns the runtime's live session gauges — declared, active and
 // materialized ranks, readable while the ranks still execute — or nil
-// before the run's Init.
+// before the run's Init. They are the run's world: a caller that outlives
+// the run copies the numbers out rather than keep the pointer.
 func (r *Recorder) Stats() *mpi.RuntimeStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.run.stats
+	return r.stats
 }
 
 // comm returns what is known of c's communicator, registering it first if
@@ -442,8 +481,11 @@ func (r *Recorder) Finalize(rep *mpi.Report) {
 	r.run.finished, r.run.wall, r.run.unclosed = true, rep.WallTime, unclosed
 }
 
-// facts copies the run facts for a view; the fault log comes out in
-// canonical order (fault.SortEvents), however the rank goroutines
+// recording implements source over the collector's buffer, read in place.
+func (r *Recorder) recording() trace.Recording { return r.col.Buffer().Recording() }
+
+// facts implements source: a copy of the run facts as they stand, the fault
+// log in canonical order (fault.SortEvents), however the rank goroutines
 // interleaved.
 func (r *Recorder) facts() runFacts {
 	r.mu.Lock()
@@ -452,12 +494,53 @@ func (r *Recorder) facts() runFacts {
 	f.foreign = maps.Clone(f.foreign)
 	r.mu.Unlock()
 	fault.SortEvents(f.faults)
+	f.capped = r.col.Dropped()
+	if t := r.comms.Load(); t != nil {
+		f.members = make([][]int, len(*t))
+		for id, ci := range *t {
+			if ci != nil {
+				f.members[id] = ci.members
+			}
+		}
+	}
+	return f
+}
+
+// Sealed is a run as Seal keeps it: its facts without its events — a few
+// hundred bytes, where the Recorder holds a cursor per rank, the collector
+// and the runtime's world.
+type Sealed struct{ run runFacts }
+
+// Seal returns what the views need of the run besides its events. Called
+// once the run is over, when the facts are final, it lets go of everything
+// else: write the collector's buffer out (trace.Order.WriteCSV, keeping the
+// Order's Index), drop the Recorder, release the buffer, and Open gives the
+// views back over the events read from those bytes.
+func (r *Recorder) Seal() *Sealed { return &Sealed{r.facts()} }
+
+// Open returns the views of the sealed run over its events, which rec must
+// yield in each rank's recording order (trace.Restore). The views that read
+// the facts alone — TraceID, Faults, FaultCounts, Dropped, Warning — are as
+// well served by the empty Recording.
+func (s *Sealed) Open(rec trace.Recording) Views { return Views{reopened{rec, s}} }
+
+// reopened is a Sealed run with its events: the other source.
+type reopened struct {
+	rec    trace.Recording
+	sealed *Sealed
+}
+
+func (o reopened) recording() trace.Recording { return o.rec }
+
+func (o reopened) facts() runFacts {
+	f := o.sealed.run
+	f.faults = append([]fault.Event(nil), f.faults...) // Faults hands it out
 	return f
 }
 
 // Faults returns the fault events recorded so far in canonical order, so
 // the same run yields a byte-identical JSON log every time.
-func (r *Recorder) Faults() []fault.Event { return r.facts().faults }
+func (v Views) Faults() []fault.Event { return v.src.facts().faults }
 
 // FaultCount is one (section, kind) cell of the fault aggregate. Link
 // faults outside any section aggregate under the empty section label.
@@ -470,7 +553,7 @@ type FaultCount struct {
 // FaultCounts totals the faults recorded so far per (section, kind), sorted
 // by section then kind — the deterministic order the Prometheus writer and
 // cmd/secmon's /faults.json both render.
-func (r *Recorder) FaultCounts() []FaultCount { return countFaults(r.facts().faults) }
+func (v Views) FaultCounts() []FaultCount { return countFaults(v.src.facts().faults) }
 
 func countFaults(faults []fault.Event) []FaultCount {
 	cells := map[FaultCount]int{}
@@ -492,36 +575,29 @@ func countFaults(faults []fault.Event) []FaultCount {
 }
 
 // Finished reports whether Finalize ran.
-func (r *Recorder) Finished() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.run.finished
-}
+func (v Views) Finished() bool { return v.src.facts().finished }
 
 // WallTime reports the final virtual makespan after Finalize, or the
 // latest event timestamp recorded so far during a live run.
-func (r *Recorder) WallTime() float64 {
-	if f := r.facts(); f.finished {
+func (v Views) WallTime() float64 {
+	if f := v.src.facts(); f.finished {
 		return f.wall
 	}
-	return r.replay(nil, nil).maxT
+	return v.replay(nil, nil).maxT
 }
 
 // Dropped reports how many events the cap turned away plus, after
 // Finalize, how many section frames were never closed. Non-zero drops mean
 // the views describe a truncated stream.
-func (r *Recorder) Dropped() int {
-	r.mu.Lock()
-	unclosed := r.run.unclosed
-	r.mu.Unlock()
-	return r.col.Dropped() + unclosed
-}
+func (v Views) Dropped() int { return v.src.facts().dropped() }
+
+func (f runFacts) dropped() int { return f.capped + f.unclosed }
 
 // Warning returns a human-readable warning line when events were dropped,
 // and "" when the stream is complete — callers print it verbatim.
-func (r *Recorder) Warning() string {
-	if n := r.Dropped(); n > 0 {
-		return fmt.Sprintf("warning: %d events dropped (event cap %d); aggregates and traces describe a truncated stream", n, r.opts.MaxEvents)
+func (v Views) Warning() string {
+	if f := v.src.facts(); f.dropped() > 0 {
+		return fmt.Sprintf("warning: %d events dropped (event cap %d); aggregates and traces describe a truncated stream", f.dropped(), f.maxEvents)
 	}
 	return ""
 }

@@ -103,9 +103,9 @@ func virtualUnixNano(t float64) string {
 // expect; parent links reproduce the section nesting stack; the 32-byte
 // Fig. 2 tool-data payload rides along as span attributes, both raw (hex)
 // and decoded.
-func (r *Recorder) WriteOTLP(w io.Writer) error {
-	spans := r.Spans()
-	traceID := r.TraceID().String()
+func (v Views) WriteOTLP(w io.Writer) error {
+	var spans []Span
+	traceID := v.replay(&spans, nil).facts.traceID.String()
 
 	sort.SliceStable(spans, func(i, j int) bool {
 		if spans[i].Rank != spans[j].Rank {

@@ -16,8 +16,8 @@ import (
 // the scrape-while-running scenario it exists for. Summaries carry
 // _count/_sum plus the exact {quantile="0"|"1"} extremes the Welford
 // accumulators track for free.
-func (r *Recorder) WritePrometheus(w io.Writer) error {
-	p := r.replay(nil, nil)
+func (v Views) WritePrometheus(w io.Writer) error {
+	p := v.replay(nil, nil)
 	pw := promtext.New(w, promtext.RoundTrip)
 	labels := make([][]string, len(p.sections)) // of p.sections[i], shared by its samples
 	for i, s := range p.sections {
@@ -101,7 +101,7 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 	}
 	pw.IntFamily("mpi_messages_total", "counter", "Point-to-point messages recorded.", int64(p.msgCount))
 	pw.IntFamily("mpi_message_bytes_total", "counter", "Bytes carried by recorded point-to-point messages.", p.msgBytes)
-	pw.IntFamily("dropped_events", "counter", "Events discarded by the retention cap; non-zero means truncated aggregates.", int64(r.Dropped()))
+	pw.IntFamily("dropped_events", "counter", "Events discarded by the retention cap; non-zero means truncated aggregates.", int64(p.facts.dropped()))
 	pw.IntFamily("export_run_finished", "gauge", "Whether the run has finalized (0 while ranks are still executing).", finished)
 	pw.Family("export_wall_seconds", "gauge", "Virtual makespan; the latest observed event time while live.")
 	pw.Float("export_wall_seconds", wall)

@@ -11,7 +11,8 @@ import (
 )
 
 // This file is the one pass every view is made of: a single-threaded
-// replay of the recording, in recording order, that rebuilds what the
+// replay of a source — a Recorder's buffer, or a sealed run's events read
+// back — each rank's events in recording order, that rebuilds what the
 // hooks' cursors knew (event ordinals, open spans) and folds the rest; see
 // the package comment for what is folded when.
 
@@ -164,7 +165,6 @@ type commReplay struct {
 // replay is the state of one pass and, once run returns, its result.
 type replay struct {
 	facts runFacts
-	table []*commInfo
 	comms []*commReplay // by Comm.ID, opened on first event
 	// Per world rank: the event ordinal and the open collectives.
 	seqs []uint64
@@ -181,16 +181,12 @@ type replay struct {
 	maxT     float64
 }
 
-// replay runs one pass over what has been recorded so far.
-func (r *Recorder) replay(spans *[]Span, msgs *[]msgEvent) *replay {
-	// The recording first: whatever it holds was registered before it was
-	// recorded, so the facts and the table read after it cover it.
-	rec := r.col.Buffer().Recording()
-	p := &replay{facts: r.facts(), spans: spans, msgs: msgs}
-	if t := r.comms.Load(); t != nil {
-		p.table = *t
-	}
-	p.comms = make([]*commReplay, len(p.table))
+// replay runs one pass over the source: what a Recorder has recorded so far,
+// or all of a reopened run.
+func (v Views) replay(spans *[]Span, msgs *[]msgEvent) *replay {
+	rec := v.src.recording() // first: see source
+	p := &replay{facts: v.src.facts(), spans: spans, msgs: msgs}
+	p.comms = make([]*commReplay, len(p.facts.members))
 	p.seqs = make([]uint64, p.facts.world)
 	p.coll = make([][]Span, p.facts.world)
 	for i := 0; i < rec.Len(); i++ {
@@ -204,7 +200,7 @@ func (r *Recorder) replay(spans *[]Span, msgs *[]msgEvent) *replay {
 func (p *replay) member(e *trace.Event) (*commReplay, int) {
 	cm := p.comms[e.Comm]
 	if cm == nil {
-		cm = &commReplay{members: p.table[e.Comm].members, labels: map[string]*section{}}
+		cm = &commReplay{members: p.facts.members[e.Comm], labels: map[string]*section{}}
 		cm.stacks = make([][]openSpan, len(cm.members))
 		cm.ranks = make([]int32, p.facts.world)
 		for cr, w := range cm.members {
@@ -419,8 +415,8 @@ type SectionSnapshot struct {
 // Sections replays the recording into per-section aggregates, sorted by
 // total inclusive time descending (ties by label, then communicator) like
 // prof.Profile.
-func (r *Recorder) Sections() []SectionSnapshot {
-	p := r.replay(nil, nil)
+func (v Views) Sections() []SectionSnapshot {
+	p := v.replay(nil, nil)
 	out := make([]SectionSnapshot, len(p.sections))
 	for i, s := range p.sections {
 		out[i] = s.SectionSnapshot
@@ -436,8 +432,8 @@ func (r *Recorder) Sections() []SectionSnapshot {
 
 // Spans replays the recording into its completed spans (unordered —
 // writers sort as needed).
-func (r *Recorder) Spans() []Span {
+func (v Views) Spans() []Span {
 	var spans []Span
-	r.replay(&spans, nil)
+	v.replay(&spans, nil)
 	return spans
 }

@@ -25,8 +25,10 @@ import (
 // axis that is supposed to be invisible.
 
 // hookEvent is one tool callback as its rank saw it. Communicators are
-// identified by (size, rank): Split numbers its colours in map order, so ids
-// differ from run to run.
+// identified by (size, rank), not by id: one Split numbers its colours in
+// ascending order (TestSplitNumbersColoursInOrder), but the sibling
+// communicators of stepDup copy themselves at the same time and take their
+// ids in arrival order.
 type hookEvent struct {
 	kind             string // enter/leave a section, sent/recv a message, begin/end a collective
 	size, rank       int

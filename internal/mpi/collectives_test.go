@@ -466,6 +466,49 @@ func TestSplitUndefinedColor(t *testing.T) {
 	}
 }
 
+// TestSplitNumbersColoursInOrder: Comm.ID after a Split is a function of the
+// run. The siblings used to be numbered in map-iteration order, so the same
+// colour got a different id from one run to the next — and a trace's comm
+// column, every tool's per-communicator table and the service cache's
+// byte-identity contract are keyed by that number.
+func TestSplitNumbersColoursInOrder(t *testing.T) {
+	colours := []int{7, 3, 11} // by rank%3: not in ascending order by rank
+	var first map[int]int64
+	for run := 0; run < 50; run++ {
+		ids := make([]int64, 8)
+		_, err := Run(testCfg(8), func(c *Comm) error {
+			sub, err := c.Split(colours[c.Rank()%3], -c.Rank())
+			if err != nil {
+				return err
+			}
+			ids[c.Rank()] = sub.ID()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		byColour := map[int]int64{}
+		for r, id := range ids {
+			colour := colours[r%3]
+			if was, ok := byColour[colour]; ok && was != id {
+				t.Fatalf("run %d: colour %d has ids %d and %d", run, colour, was, id)
+			}
+			byColour[colour] = id
+		}
+		if byColour[3] >= byColour[7] || byColour[7] >= byColour[11] {
+			t.Fatalf("run %d: ids %v do not ascend with the colour", run, byColour)
+		}
+		if first == nil {
+			first = byColour
+		}
+		for colour, id := range byColour {
+			if first[colour] != id {
+				t.Fatalf("run %d: colour %d has id %d, run 0 gave it %d", run, colour, id, first[colour])
+			}
+		}
+	}
+}
+
 func TestSplitTwiceIndependent(t *testing.T) {
 	_, err := Run(testCfg(4), func(c *Comm) error {
 		a, err := c.Split(c.Rank()/2, c.Rank())

@@ -274,8 +274,17 @@ func buildSplit(w *World, parent *commShared, entries []splitEntry) map[int]*com
 			byColor[e.color] = append(byColor[e.color], e)
 		}
 	}
+	// Siblings are numbered in ascending colour order: Comm.ID is what a
+	// trace's comm column and every tool's tables are keyed by, and must be
+	// a function of the run, not of the map's iteration.
+	colors := make([]int, 0, len(byColor))
+	for color := range byColor {
+		colors = append(colors, color)
+	}
+	sort.Ints(colors)
 	out := make(map[int]*commShared, len(byColor))
-	for color, es := range byColor {
+	for _, color := range colors {
+		es := byColor[color]
 		sort.Slice(es, func(i, j int) bool {
 			if es[i].key != es[j].key {
 				return es[i].key < es[j].key

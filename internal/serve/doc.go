@@ -83,9 +83,54 @@
 // the 503 while the recording is empty, the headers and the index page are
 // derived from it. /metrics is an ordered list of sources
 // (Service.metricsSources): secmon_up, serve_*, then for the selected job
-// the rank gauges (from the runtime stats the recorder keeps), the
-// recorder's families, the verifier's, the telemetry's and the POP gauges.
-// Every family is written through internal/promtext.
+// the rank gauges, the recorder's families, the verifier's, the
+// telemetry's and the POP gauges. Every family is written through
+// internal/promtext. Rows and sources are written once, against the attempt
+// interface (bundle.go), which an attempt satisfies twice over.
+//
+// # What a job keeps
+//
+// The tool chain — the bundle — is on the job while the attempt runs, and a
+// view of a running job reads the live tools: the prefix recorded so far,
+// the runtime's rank gauges as they climb. When the attempt ends, at the
+// terminal transition or before the wait for a retry, seal (seal.go) turns
+// it into bytes and the bundle comes off the job:
+//
+//   - the recording as the canonical CSV, which is the result artifact of a
+//     Done job and shares its bytes (a Failed job keeps its partial one);
+//   - what that order forgets: canonical order moves a section leave ahead
+//     of the send or receive that shares its (time, rank), and the exporter
+//     numbers spans and attributes a receive's wait by each rank's program
+//     order. The index the CSV was merged through (trace.Order.Index, four
+//     bytes an event) is kept beside it, and trace.Restore gives each rank's
+//     recording order back;
+//   - the facts no event carries: the exporter's (export.Sealed — trace id,
+//     world size, wall, frames left open, events the cap turned away, each
+//     communicator's member world ranks, the fault log, payloads another
+//     tool rewrote), three rank gauges as integers, one telemetry snapshot,
+//     the verifier's report.
+//
+// The collector's chunks then go back to trace's free list, where the next
+// job's recording finds them, and nothing a listed job holds leads to a
+// tool, a collector or the run's world: a job of 23,004 events keeps 1.8 MB
+// (its CSV is 1.5) where its bundle was 4.4. A handler that took the bundle
+// from the running job may still be replaying those chunks when the attempt
+// ends, so the bundle counts its readers and the last one out releases
+// them; a cancelled job's bundle is dropped the same way and nothing is
+// kept of it.
+//
+// A view of a job that has ended reopens it, per request: trace.ReadCSV over
+// the kept bytes, the analysis views straight over trace.OrderOf — they are
+// functions of canonical order — and the recorder's views through the same
+// export replay, fed each rank's events in restored recording order. Same
+// bytes as the live bundle gave when the run ended (seal_test.go holds every
+// row to that). What it costs is the decode: about 6 ms on top of a 2–4 ms
+// view for those 23 k events, 0.1–0.4 s for a million (BenchmarkSealedViews);
+// the rows that read facts alone (/faults.json, /verify.json, /profile.json,
+// /heatmap.csv) cost what they did. Nothing is memoized — the periodic
+// consumer is a /metrics scrape, 10 ms where it was 4 — and a reopened
+// recording lives for the request: 104 bytes an event, 436 MB at the
+// 4 M-event cap.
 //
 // # Admission bounds
 //
@@ -102,10 +147,13 @@
 // deadline — experiments.LiveOptions.CacheKey). Identical in-flight
 // requests are single-flighted: a submit whose key matches a queued or
 // running job attaches to that job and shares its id and result. A cache
-// hit answers instantly with the stored artifact; cache-served jobs carry
-// no live observability bundle (nothing executed), so the analysis
-// endpoints direct callers to re-run with nocache=1 when they need a live
-// trace. Drain persists the cache to -cache-dir; a restarted service warms
+// hit answers instantly with the stored artifact; cache-served jobs have no
+// attempt, live or sealed (nothing executed), so the analysis endpoints
+// direct callers to re-run with nocache=1. The analysis views need only the
+// artifact and the code path for serving them from it now exists; the
+// recorder's views need the seal's facts, which the cache does not hold and
+// -cache-dir does not persist — hits keep their 404 until it does. Drain
+// persists the cache to -cache-dir; a restarted service warms
 // itself from disk and serves byte-identical artifacts for keys cached by
 // its predecessor.
 //

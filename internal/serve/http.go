@@ -18,6 +18,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/promtext"
+	"repro/internal/verify"
 )
 
 // HandlerOptions configures the HTTP surface.
@@ -112,12 +113,15 @@ type jobView struct {
 	wall     float64
 	err      error
 	errKind  ErrorKind
-	b        *bundle
+	traceID  string         // "" for a job that was not observed
+	verify   *verify.Report // of a job that has ended; nil unless it asked for one
+	// a is the attempt the views read, set by observeJob alone; nil when the
+	// job has none to show.
+	a attempt
 }
 
-func snapshotJob(j *Job) jobView {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// viewLocked snapshots the job; j.mu must be held.
+func (j *Job) viewLocked() jobView {
 	v := jobView{
 		id: j.id, tenant: j.tenant, state: j.state,
 		running: !j.state.Terminal(),
@@ -125,7 +129,7 @@ func snapshotJob(j *Job) jobView {
 		attempts: j.attempts, retried: j.retryKind,
 		cacheHit: j.cacheHit, dedups: j.dedups,
 		created: j.created, queueLat: j.queueLat, seq: j.seq,
-		err: j.err, errKind: j.errKind, b: j.bundle,
+		err: j.err, errKind: j.errKind, traceID: j.traceID,
 	}
 	if j.result != nil {
 		v.wall = j.result.Wall
@@ -133,21 +137,48 @@ func snapshotJob(j *Job) jobView {
 			v.seq = j.result.Seq
 		}
 	}
+	if j.sealed != nil {
+		v.verify = j.sealed.verify
+	}
 	return v
 }
 
-// traceID is the job's trace id, "" for one that was not observed.
-func (v *jobView) traceID() string {
-	if v.b == nil || v.b.rec == nil {
-		return ""
+// snapshotJob describes the job without reading its attempt.
+func snapshotJob(j *Job) jobView {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.viewLocked()
+}
+
+// observeJob is snapshotJob for a handler that renders from the job's
+// attempt: the bundle of a running one, retained in the same critical
+// section that found it on the job, or the sealed one, reopened. The caller
+// releases the view when the response is written.
+func observeJob(j *Job) jobView {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	v := j.viewLocked()
+	switch {
+	case j.bundle != nil:
+		j.bundle.retain()
+		v.a = j.bundle
+	case j.sealed != nil:
+		v.a = &reopened{sealed: j.sealed}
 	}
-	return v.b.rec.TraceID().String()
+	return v
+}
+
+// release ends the reading of the job's attempt, if it has one.
+func (v *jobView) release() {
+	if v != nil && v.a != nil {
+		v.a.release()
+	}
 }
 
 // jobFor selects the job an analysis endpoint describes: the id in the
 // path or in ?job=, else the latest job that executed (and therefore has
-// live observability). The string is a ready-to-serve 404 message when the
-// selection has nothing to show.
+// an attempt to show). The string is a ready-to-serve 404 message when the
+// selection has nothing to show. The view is the caller's to release.
 func (h *handler) jobFor(req *http.Request) (*jobView, string) {
 	id := req.PathValue("id")
 	if id == "" {
@@ -158,28 +189,25 @@ func (h *handler) jobFor(req *http.Request) (*jobView, string) {
 		if j == nil {
 			return nil, fmt.Sprintf("unknown job id %q (see /jobs)", id)
 		}
-		v := snapshotJob(j)
-		if v.b == nil {
+		v := observeJob(j)
+		if v.a == nil {
 			return &v, fmt.Sprintf("job %s was served from the result cache; re-run with nocache=1 for live observability", id)
 		}
 		return &v, ""
 	}
-	j := h.svc.LatestObserved()
-	if j == nil {
+	v := h.svc.latestObserved()
+	if v == nil {
 		return nil, "no run yet: GET /run?exp=conv&p=64 first"
 	}
-	v := snapshotJob(j)
-	return &v, ""
+	return v, ""
 }
 
 // serveView is every view's handler: select the job, 404 when there is
-// nothing to show of it or it lacks the part the view reads, 503 while its
-// recording is still empty, then the row's headers and its rendering.
+// nothing to show of it, 503 while its recording is still empty, 404 when it
+// lacks the part the view reads, then the row's headers and its rendering.
 func (h *handler) serveView(w http.ResponseWriter, req *http.Request, vw *view) {
 	v, msg := h.jobFor(req)
-	if msg == "" && (vw.needs == needsRecorder && v.b.rec == nil || vw.needs == needsTelemetry && v.b.tele == nil) {
-		msg = vw.needs
-	}
+	defer v.release()
 	if msg != "" {
 		http.Error(w, msg, http.StatusNotFound)
 		return
@@ -187,6 +215,10 @@ func (h *handler) serveView(w http.ResponseWriter, req *http.Request, vw *view) 
 	write, err := vw.render(v)
 	if err != nil {
 		http.Error(w, "no events recorded yet: "+err.Error(), http.StatusServiceUnavailable)
+		return
+	}
+	if write == nil {
+		http.Error(w, vw.needs, http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", vw.contentType)
@@ -209,6 +241,7 @@ func (h *handler) writeJSON(w http.ResponseWriter, v any) {
 func (h *handler) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", promtext.ContentType)
 	v, _ := h.jobFor(req)
+	defer v.release()
 	for _, source := range h.svc.metricsSources(v) {
 		if err := source(w); err != nil {
 			h.logf("metrics write: %v", err)
@@ -251,7 +284,7 @@ func summarize(v *jobView) jobSummary {
 		CacheHit: v.cacheHit, Dedups: v.dedups, Created: v.created,
 		QueueSeconds: v.queueLat.Seconds(),
 		WallSeconds:  v.wall, SeqSeconds: v.seq,
-		TraceID: v.traceID(),
+		TraceID: v.traceID,
 	}
 	if v.opts.Fault != nil {
 		sum.Fault = v.opts.Fault.String()
@@ -416,8 +449,8 @@ func runResponse(v *jobView) map[string]any {
 	if v.opts.Fault != nil {
 		resp["fault"] = v.opts.Fault.String()
 	}
-	if id := v.traceID(); id != "" {
-		resp["trace_id"] = id
+	if v.traceID != "" {
+		resp["trace_id"] = v.traceID
 	}
 	if v.cacheHit {
 		resp["cache_hit"] = true
@@ -428,9 +461,9 @@ func runResponse(v *jobView) map[string]any {
 		if v.retried != "" {
 			resp["retried"] = v.retried
 		}
-		if v.b != nil && v.b.verifier != nil {
-			resp["verify_ok"] = v.b.verifier.OK()
-			resp["verify_violations"] = len(v.b.verifier.Violations())
+		if v.verify != nil {
+			resp["verify_ok"] = v.verify.OK()
+			resp["verify_violations"] = len(v.verify.Violations)
 		}
 		if v.err != nil {
 			// The raw error tree leads with whichever secondary victim

@@ -115,9 +115,10 @@ func (s *Service) state() (queued, inflight int, draining bool) {
 
 // metricsSources is /metrics as an ordered list: what the process and the
 // service always expose, then the families of the job the request selects
-// (nil when there is none yet, or it never executed) — rank gauges,
-// recorder, verifier, telemetry, POP. Each source writes whole families
-// and owns their names; internal/promtext owns the format.
+// (nil, or without an attempt, when there is none yet or it never executed)
+// — rank gauges, recorder, verifier, telemetry, POP — from its attempt,
+// running or sealed. Each source writes whole families and owns their
+// names; internal/promtext owns the format.
 func (s *Service) metricsSources(v *jobView) []func(io.Writer) error {
 	sources := []func(io.Writer) error{
 		func(w io.Writer) error {
@@ -127,29 +128,39 @@ func (s *Service) metricsSources(v *jobView) []func(io.Writer) error {
 		},
 		s.WritePrometheus,
 	}
-	if v == nil || v.b == nil {
+	if v == nil || v.a == nil {
 		return sources
 	}
-	b := v.b
-	if b.rec != nil {
-		sources = append(sources, b.writeRankGauges, b.rec.WritePrometheus)
+	a := v.a
+	if _, ok := a.exporter(); ok {
+		sources = append(sources,
+			func(w io.Writer) error { return writeRankGauges(w, a.ranks()) },
+			func(w io.Writer) error {
+				rec, err := a.replayable()
+				if err != nil {
+					return err
+				}
+				return rec.WritePrometheus(w)
+			})
 	}
-	if b.verifier != nil {
-		sources = append(sources, func(w io.Writer) error {
-			return export.WriteVerifyPrometheus(w, b.verifier.Counts())
-		})
+	if rep := a.verification(); rep != nil {
+		sources = append(sources, func(w io.Writer) error { return export.WriteVerifyPrometheus(w, rep.Counts) })
 	}
-	if b.tele != nil {
+	if p, seriesDropped := a.telemetry(); p != nil {
 		// Bounded-cardinality per-section series straight from the
 		// constant-memory accumulators.
 		sources = append(sources, func(w io.Writer) error {
-			return b.tele.WritePrometheus(w, telemetry.PromOptions{})
+			return p.WritePrometheus(w, telemetry.PromOptions{}, seriesDropped)
 		})
 	}
 	// POP efficiency gauges: replay the recorded stream on demand. An empty
 	// stream (scrape before the first event) simply omits the families.
 	return append(sources, func(w io.Writer) error {
-		t, err := pop.AnalyzeOrder(b.collector.Buffer().Order(), pop.Options{SeqTime: v.seq})
+		order, err := a.order()
+		if err != nil {
+			return err
+		}
+		t, err := pop.AnalyzeOrder(order, pop.Options{SeqTime: v.seq})
 		if err != nil {
 			return nil
 		}
@@ -157,19 +168,15 @@ func (s *Service) metricsSources(v *jobView) []func(io.Writer) error {
 	})
 }
 
-// writeRankGauges reports rank bring-up from the runtime's live session
-// gauges, which the recorder keeps from Init: on a lazy run (exp=conv2d, or
-// any session workload) the materialized gauge climbs from 0 toward the
-// active count while the ranks are still executing. A scrape before Init
-// emits nothing.
-func (b *bundle) writeRankGauges(w io.Writer) error {
-	stats := b.rec.Stats()
-	if stats == nil {
+// writeRankGauges reports rank bring-up; a scrape before the run's Init has
+// no gauges and emits nothing.
+func writeRankGauges(w io.Writer, g *rankGauges) error {
+	if g == nil {
 		return nil
 	}
 	pw := promtext.New(w, promtext.Shortest)
-	pw.IntFamily("mpi_ranks_declared", "gauge", "Configured world size of the current run.", int64(stats.DeclaredRanks()))
-	pw.IntFamily("mpi_ranks_active", "gauge", "Ranks participating in the session.", int64(stats.ActiveRanks()))
-	pw.IntFamily("mpi_ranks_materialized", "gauge", "Active ranks whose state the runtime has brought up so far.", int64(stats.MaterializedRanks()))
+	pw.IntFamily("mpi_ranks_declared", "gauge", "Configured world size of the current run.", int64(g.declared))
+	pw.IntFamily("mpi_ranks_active", "gauge", "Ranks participating in the session.", int64(g.active))
+	pw.IntFamily("mpi_ranks_materialized", "gauge", "Active ranks whose state the runtime has brought up so far.", int64(g.materialized))
 	return pw.Flush()
 }

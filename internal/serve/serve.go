@@ -218,8 +218,14 @@ type Job struct {
 	err       error
 	errKind   ErrorKind
 	result    *Result
-	bundle    *bundle
-	done      chan struct{}
+	traceID   string // of the latest attempt; "" unless observed
+	// What the views read: the tool chain of the attempt that is running,
+	// then what seal kept of the last one that ended. A job that never
+	// executed — a cache hit, one still queued — or was cancelled has
+	// neither.
+	bundle *bundle
+	sealed *sealed
+	done   chan struct{}
 }
 
 // ID returns the job id ("j000042").
@@ -512,8 +518,26 @@ func (s *Service) dispatchLocked() {
 	}
 }
 
-// finish routes a terminal transition through both locks in order.
-func (s *Service) finish(j *Job, st State, res *Result, err error) {
+// endAttempt is where the job stops holding a live attempt: kept, what seal
+// kept of the attempt that has ended (nil to keep nothing), takes the
+// bundle's place, and the bundle is released.
+func (j *Job) endAttempt(kept *sealed) {
+	j.mu.Lock()
+	b := j.bundle
+	j.bundle, j.sealed = nil, kept
+	j.mu.Unlock()
+	if b != nil {
+		b.release()
+	}
+}
+
+// finish ends the last attempt of a job that was dispatched — kept is nil
+// when the job is cancelled and its result discarded — and routes the
+// terminal transition through both locks in order. The attempt first: by
+// the time anyone sees the job terminal its chunks are back on the free
+// list, unless a handler is still reading them.
+func (s *Service) finish(j *Job, st State, res *Result, err error, kept *sealed) {
+	j.endAttempt(kept)
 	s.mu.Lock()
 	j.mu.Lock()
 	j.finishLocked(s, st, res, err)
@@ -560,7 +584,10 @@ func (s *Service) retryAfterLocked() time.Duration {
 	return est
 }
 
-// run executes a job's attempts until a terminal state.
+// run executes a job's attempts until a terminal state. An attempt's bundle
+// is on the job while the attempt runs; when it has ended, what seal kept of
+// it takes its place — nothing, if the job was cancelled — and the bundle is
+// released, by finish or before the wait for the next attempt.
 func (s *Service) run(j *Job) {
 	defer func() {
 		s.mu.Lock()
@@ -572,14 +599,15 @@ func (s *Service) run(j *Job) {
 	opts := j.opts
 	for attempt := 1; ; attempt++ {
 		if j.cancelRequested() {
-			s.finish(j, Cancelled, nil, errCancelled)
+			s.finish(j, Cancelled, nil, errCancelled, nil)
 			return
 		}
-		b := newBundle(s.opts.Observe, j.verify)
+		b := newBundle(s.opts.Observe, j.verify, collectorLimit)
 		opts.Tools = b.tools()
+		traceID := b.traceID()
 		j.mu.Lock()
 		j.attempts = attempt
-		j.bundle = b
+		j.bundle, j.sealed, j.traceID = b, nil, traceID
 		j.mu.Unlock()
 
 		var seq float64
@@ -597,15 +625,12 @@ func (s *Service) run(j *Job) {
 			rep, runErr = s.opts.Runner(opts)
 		}
 		if j.cancelRequested() {
-			s.finish(j, Cancelled, nil, errCancelled)
+			s.finish(j, Cancelled, nil, errCancelled, nil)
 			return
 		}
+		kept := b.seal()
 		if runErr == nil {
-			res := &Result{Wall: rep.WallTime, Seq: seq}
-			if csv, err := b.eventsCSV(); err == nil {
-				res.CSV = csv
-			}
-			s.finish(j, Done, res, nil)
+			s.finish(j, Done, &Result{Wall: rep.WallTime, Seq: seq, CSV: kept.csv}, nil, kept)
 			return
 		}
 		root, kind := classify(runErr)
@@ -614,10 +639,11 @@ func (s *Service) run(j *Job) {
 		// were armed. Application failures fail immediately.
 		retryable := !j.noRetry && opts.Fault != nil && kind != ErrKindApp
 		if !retryable || attempt > s.opts.Retries {
-			s.finish(j, Failed, nil, root)
+			s.finish(j, Failed, nil, root, kept)
 			return
 		}
 		s.metrics.retried.Add(1)
+		j.endAttempt(kept)
 		j.mu.Lock()
 		j.retryKind = kind
 		j.mu.Unlock()
@@ -626,7 +652,7 @@ func (s *Service) run(j *Job) {
 		// byte-identical to the clean path's.
 		opts.Fault = nil
 		if !s.backoff(j, attempt) {
-			s.finish(j, Cancelled, nil, errCancelled)
+			s.finish(j, Cancelled, nil, errCancelled, nil)
 			return
 		}
 	}
@@ -664,19 +690,15 @@ func (s *Service) Latest() *Job {
 	return s.latest
 }
 
-// LatestObserved returns the most recent job carrying an observability
-// bundle — the default subject of the analysis endpoints (cache-served
-// jobs never executed, so they have nothing live to show).
-func (s *Service) LatestObserved() *Job {
+// latestObserved observes the most recent job with an attempt to show, live
+// or sealed — the default subject of the analysis endpoints (cache-served
+// jobs never executed, so they have nothing to show). Nil before the first.
+func (s *Service) latestObserved() *jobView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := len(s.order) - 1; i >= 0; i-- {
-		j := s.order[i]
-		j.mu.Lock()
-		ok := j.bundle != nil
-		j.mu.Unlock()
-		if ok {
-			return j
+		if v := observeJob(s.order[i]); v.a != nil {
+			return &v
 		}
 	}
 	return nil

@@ -8,13 +8,14 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/pop"
+	"repro/internal/telemetry"
 	"repro/internal/verify"
 	"repro/internal/waitstate"
 )
 
-// What a view can need of an attempt's bundle beyond the recording every
-// attempt has, named by the 404 text that says it is missing: the job
-// executed, but on a service that does not observe.
+// What a view can need of an attempt beyond the recording every attempt
+// has, named by the 404 text that says it is missing: the job executed, but
+// on a service that does not observe.
 const (
 	needsRecorder  = "run executed without the exporter attached"
 	needsTelemetry = "run executed without streaming telemetry attached"
@@ -30,9 +31,10 @@ type view struct {
 	contentType string
 	download    bool   // served as an attachment named after the view
 	needs       string // "", needsRecorder or needsTelemetry
-	// render prepares the response over a job that has the needed part and
-	// returns its writer. Its one failure is a recording with nothing in it
-	// yet, which is served as 503 before any header is sent.
+	// render prepares the response from the job's attempt (v.a) and returns
+	// its writer — nil when the attempt lacks the part the row needs. Its one
+	// failure is a recording with nothing in it yet, which is served as 503
+	// before any header is sent.
 	render func(v *jobView) (func(io.Writer) error, error)
 }
 
@@ -45,18 +47,41 @@ const (
 var views = []view{
 	{"sections", "JSON aggregates: Fig. 3 metrics and Eq. 6 partial bounds", jsonType, false, "", sectionsView},
 	{"trace.json", "Chrome trace_event JSON (open in Perfetto / chrome://tracing)", jsonType, true, needsRecorder,
-		func(v *jobView) (func(io.Writer) error, error) { return v.b.rec.WriteChromeTrace, nil }},
+		recorderView(export.Views.WriteChromeTrace)},
 	{"spans.json", "OTLP-style span export", jsonType, true, needsRecorder,
-		func(v *jobView) (func(io.Writer) error, error) { return v.b.rec.WriteOTLP, nil }},
+		recorderView(export.Views.WriteOTLP)},
 	{"waitstate.json", "wait-state diagnosis: why the binding section caps the speedup", jsonType, false, "", waitstateView},
 	{"critpath.json", "critical path through the happens-before graph", jsonType, false, "", critpathView},
 	{"efficiency.json", "POP efficiency tree joined with the Eq. 6 binding", jsonType, false, "", efficiencyView},
 	{"profile.json", "streaming telemetry snapshot (constant memory at any rank count)", jsonType, false, needsTelemetry,
-		func(v *jobView) (func(io.Writer) error, error) { return v.b.tele.Snapshot().WriteJSON, nil }},
+		telemetryView((*telemetry.Profile).WriteJSON)},
 	{"heatmap.csv", "bounded rank×time wait heatmap", csvType, true, needsTelemetry,
-		func(v *jobView) (func(io.Writer) error, error) { return v.b.tele.Snapshot().WriteHeatmapCSV, nil }},
+		telemetryView((*telemetry.Profile).WriteHeatmapCSV)},
 	{"faults.json", "injected faults and failure consequences", jsonType, false, "", faultsView},
 	{"verify.json", "runtime verifier report", jsonType, false, "", verifyView},
+}
+
+// recorderView is a row that is one of the exporter's writers over the
+// attempt's events.
+func recorderView(write func(export.Views, io.Writer) error) func(*jobView) (func(io.Writer) error, error) {
+	return func(v *jobView) (func(io.Writer) error, error) {
+		if _, ok := v.a.exporter(); !ok {
+			return nil, nil
+		}
+		rec, err := v.a.replayable()
+		return func(w io.Writer) error { return write(rec, w) }, err
+	}
+}
+
+// telemetryView is a row that is one of the telemetry snapshot's writers.
+func telemetryView(write func(*telemetry.Profile, io.Writer) error) func(*jobView) (func(io.Writer) error, error) {
+	return func(v *jobView) (func(io.Writer) error, error) {
+		p, _ := v.a.telemetry()
+		if p == nil {
+			return nil, nil
+		}
+		return func(w io.Writer) error { return write(p, w) }, nil
+	}
 }
 
 // jsonDoc writes v the way every JSON document of the surface is written.
@@ -95,14 +120,18 @@ func sectionsView(v *jobView) (func(io.Writer) error, error) {
 		Steps:      v.opts.Steps,
 		Scale:      v.opts.Scale,
 		Seed:       v.opts.Seed,
-		TraceID:    v.traceID(),
+		TraceID:    v.traceID,
 		Running:    v.running,
 		WallTime:   v.wall,
 	}
 	if v.err != nil {
 		resp.Error = mpi.RootCause(v.err).Error()
 	}
-	if rec := v.b.rec; rec != nil {
+	if _, ok := v.a.exporter(); ok {
+		rec, err := v.a.replayable()
+		if err != nil {
+			return nil, err
+		}
 		if resp.Running {
 			resp.WallTime = rec.WallTime()
 		}
@@ -128,13 +157,13 @@ type faultsResponse struct {
 }
 
 func faultsView(v *jobView) (func(io.Writer) error, error) {
-	resp := faultsResponse{Job: v.id, TraceID: v.traceID(), Running: v.running, Attempts: v.attempts,
+	resp := faultsResponse{Job: v.id, TraceID: v.traceID, Running: v.running, Attempts: v.attempts,
 		Counts: []export.FaultCount{}, Events: []fault.Event{}}
 	if v.opts.Fault != nil {
 		resp.Plan = v.opts.Fault.String()
 		resp.Seed = v.opts.Fault.Seed
 	}
-	if rec := v.b.rec; rec != nil {
+	if rec, ok := v.a.exporter(); ok {
 		if counts := rec.FaultCounts(); counts != nil {
 			resp.Counts = counts
 		}
@@ -159,13 +188,14 @@ type verifyResponse struct {
 }
 
 func verifyView(v *jobView) (func(io.Writer) error, error) {
-	resp := verifyResponse{Job: v.id, TraceID: v.traceID(), Running: v.running, Enabled: v.b.verifier != nil, OK: true,
+	rep := v.a.verification()
+	resp := verifyResponse{Job: v.id, TraceID: v.traceID, Running: v.running, Enabled: rep != nil, OK: true,
 		Counts: map[string]uint64{}, Violations: []verify.Violation{}}
-	if vt := v.b.verifier; vt != nil {
-		resp.OK = vt.OK()
-		resp.Counts = vt.Counts()
-		if violations := vt.Violations(); violations != nil {
-			resp.Violations = violations
+	if rep != nil {
+		resp.OK = rep.OK()
+		resp.Counts = rep.Counts
+		if rep.Violations != nil {
+			resp.Violations = rep.Violations
 		}
 	}
 	return jsonDoc(resp), nil
@@ -174,7 +204,11 @@ func verifyView(v *jobView) (func(io.Writer) error, error) {
 // analyze replays the selected job's recorded stream through the
 // wait-state engine.
 func analyze(v *jobView) (*waitstate.Analysis, error) {
-	return waitstate.AnalyzeOrder(v.b.collector.Buffer().Order(), waitstate.Options{SeqTime: v.seq})
+	order, err := v.a.order()
+	if err != nil {
+		return nil, err
+	}
+	return waitstate.AnalyzeOrder(order, waitstate.Options{SeqTime: v.seq})
 }
 
 // waitstateResponse is the /waitstate.json document.
@@ -258,8 +292,11 @@ type efficiencyResponse struct {
 }
 
 func efficiencyView(v *jobView) (func(io.Writer) error, error) {
-	t, err := pop.AnalyzeOrder(v.b.collector.Buffer().Order(),
-		pop.Options{SeqTime: v.seq, Intervals: efficiencyIntervals})
+	order, err := v.a.order()
+	if err != nil {
+		return nil, err
+	}
+	t, err := pop.AnalyzeOrder(order, pop.Options{SeqTime: v.seq, Intervals: efficiencyIntervals})
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"io"
+	"sync/atomic"
 
 	"repro/internal/pop"
 	"repro/internal/promtext"
@@ -27,10 +28,16 @@ const perSectionFamilies = 9
 // series suppressed by the cap is itself exported as
 // telemetry_series_dropped_total.
 func (tl *Tool) WritePrometheus(w io.Writer, o PromOptions) error {
+	return tl.Snapshot().WritePrometheus(w, o, &tl.promDropped)
+}
+
+// WritePrometheus is the exposition of one snapshot, for a caller that kept
+// the snapshot and not the tool. dropped is the running total behind
+// telemetry_series_dropped_total, which the call adds to and reports.
+func (p *Profile) WritePrometheus(w io.Writer, o PromOptions, dropped *atomic.Int64) error {
 	if o.MaxSections <= 0 {
 		o.MaxSections = 24
 	}
-	p := tl.Snapshot()
 
 	kept := p.Sections
 	if len(kept) > o.MaxSections {
@@ -48,7 +55,7 @@ func (tl *Tool) WritePrometheus(w io.Writer, o PromOptions) error {
 			folded.CollWaitSeconds += s.CollWaitSeconds
 			folded.DeadWaitSeconds += s.DeadWaitSeconds
 			folded.Instances += s.Instances
-			tl.promDropped.Add(perSectionFamilies)
+			dropped.Add(perSectionFamilies)
 		}
 		kept = append(kept[:o.MaxSections:o.MaxSections], folded)
 	}
@@ -127,7 +134,7 @@ func (tl *Tool) WritePrometheus(w io.Writer, o PromOptions) error {
 		degraded = 1
 	}
 	pw.IntFamily("telemetry_degraded", "gauge", "1 when faults or dead-peer waits degraded the run.", degraded)
-	pw.IntFamily("telemetry_series_dropped_total", "counter", "Per-section series suppressed by the cardinality cap.", tl.promDropped.Load())
+	pw.IntFamily("telemetry_series_dropped_total", "counter", "Per-section series suppressed by the cardinality cap.", dropped.Load())
 	pw.IntFamily("telemetry_section_table_overflow_total", "counter", "Events aggregated into the overflow section slot.", p.SectionsDropped)
 	return pw.Flush()
 }

@@ -146,6 +146,8 @@ func (p *Profile) Section(name string) *SectionProfile {
 // at any time from any goroutine; aggregates observed mid-run cover the
 // events completed so far.
 func (tl *Tool) Snapshot() *Profile {
+	tl.initMu.RLock() // a snapshot may be asked for before, or while, the run initializes the tool
+	defer tl.initMu.RUnlock()
 	tab := tl.tab.Load()
 	p := &Profile{
 		Schema:          1,
@@ -388,21 +390,22 @@ func (tl *Tool) globalScope(wall float64, degraded bool) *pop.SectionEfficiency 
 // emits the interval series and heatmap.
 func (tl *Tool) foldGrid(p *Profile) {
 	const bins = timeBins
+	// Every ready shard stays locked from the scan for the coarsest scale
+	// to the end of the fold: a grid that rescaled in between would be
+	// coarser than the scale it is folded to.
 	var maxScale int64 = 1
-	any := false
+	var ready []*telShard
 	for i := range tl.shards {
 		sh := &tl.shards[i]
 		if !sh.ready.Load() {
 			continue
 		}
-		any = true
 		sh.mu.Lock()
-		if sh.grid.scale > maxScale {
-			maxScale = sh.grid.scale
-		}
-		sh.mu.Unlock()
+		defer sh.mu.Unlock()
+		ready = append(ready, sh)
+		maxScale = max(maxScale, sh.grid.scale)
 	}
-	if !any {
+	if len(ready) == 0 {
 		return
 	}
 	msgs := make([]int64, bins)
@@ -410,12 +413,7 @@ func (tl *Tool) foldGrid(p *Profile) {
 	waitP := make([]int64, bins)
 	nrows := (tl.ranks + tl.rowGroup - 1) / tl.rowGroup
 	heat := make([]int64, nrows*bins)
-	for i := range tl.shards {
-		sh := &tl.shards[i]
-		if !sh.ready.Load() {
-			continue
-		}
-		sh.mu.Lock()
+	for _, sh := range ready {
 		factor := maxScale / sh.grid.scale
 		foldInto(msgs, sh.grid.msgs, factor)
 		foldInto(bytesB, sh.grid.bytes, factor)
@@ -424,7 +422,6 @@ func (tl *Tool) foldGrid(p *Profile) {
 			foldInto(heat[(sh.grid.rowLo+r)*bins:(sh.grid.rowLo+r+1)*bins],
 				sh.grid.heat[r*bins:(r+1)*bins], factor)
 		}
-		sh.mu.Unlock()
 	}
 	width := baseBin * float64(maxScale)
 	last := 0

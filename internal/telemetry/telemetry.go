@@ -310,18 +310,20 @@ type secTable struct {
 // Config.Tools. All hooks are safe for concurrent use; Snapshot may be
 // called at any time, including while the ranks are still executing.
 type Tool struct {
+	// What Init lays out. The hooks read it freely — the ranks start after
+	// Init — and a Snapshot, which may come from any goroutine at any time,
+	// under initMu.
+	initMu   sync.RWMutex
 	rowGroup int
-
-	ranks int
-	stats *mpi.RuntimeStats
+	ranks    int
+	stats    *mpi.RuntimeStats
+	cur      []rankCur
+	shards   []telShard
 
 	tab   atomic.Pointer[secTable]
 	tabMu sync.Mutex
 
 	rings [nSlots]atomic.Pointer[instRing]
-
-	cur    []rankCur
-	shards []telShard
 
 	seqBits      atomic.Uint64
 	threads      atomic.Int32
@@ -359,6 +361,8 @@ func (tl *Tool) seqTime() float64 { return math.Float64frombits(tl.seqBits.Load(
 // for the declared world. Shard slabs stay unmaterialized until a rank in
 // their span produces an event, mirroring the runtime's lazy bring-up.
 func (tl *Tool) Init(w *mpi.WorldInfo) {
+	tl.initMu.Lock()
+	defer tl.initMu.Unlock()
 	tl.ranks = w.Size
 	tl.stats = w.Stats
 	tl.rowGroup = (w.Size + heatRows - 1) / heatRows

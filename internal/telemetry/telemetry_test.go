@@ -424,3 +424,35 @@ func TestLiveSnapshotMidRun(t *testing.T) {
 		t.Errorf("wall went backward: %g then %g", p.Wall, final.Wall)
 	}
 }
+
+// TestSnapshotWhileGridRescales snapshots in a loop while short runs carry
+// their shard's time grid through some twenty rescales each. foldGrid used
+// to read the coarsest scale in one pass over the shards and fold in a
+// second, unlocking in between: a grid that rescaled there was coarser than
+// the scale it was folded to, and the fold divided by zero.
+func TestSnapshotWhileGridRescales(t *testing.T) {
+	for run := 0; run < 40; run++ {
+		tl := New(Options{})
+		cfg := mpi.Config{Ranks: 4, Model: machine.NehalemCluster(), Seed: uint64(run),
+			Tools: []mpi.Tool{tl}, Timeout: time.Minute}
+		params := convolution.Params{Width: 5616, Height: 3744, Steps: 6, Scale: 32, Seed: 7, SkipKernel: true}
+		stop, stopped := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(stopped)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					tl.Snapshot()
+				}
+			}
+		}()
+		_, err := convolution.Run(cfg, params)
+		close(stop)
+		<-stopped
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

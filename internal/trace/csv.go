@@ -32,9 +32,13 @@ const (
 
 // WriteCSV streams the buffer's events as CSV with a header, in canonical
 // order, each row formatted from the chunk its event was recorded in.
-func (b *Buffer) WriteCSV(w io.Writer) error {
+func (b *Buffer) WriteCSV(w io.Writer) error { return b.Order().WriteCSV(w) }
+
+// WriteCSV streams the indexed events as CSV with a header, in canonical
+// order, each row formatted from where its event lies.
+func (o *Order) WriteCSV(w io.Writer) error {
 	enc := newCSVEncoder(w)
-	m := b.Order().Merge()
+	m := o.Merge()
 	for e := m.Next(); e != nil; e = m.Next() {
 		if err := enc.row(e); err != nil {
 			return err

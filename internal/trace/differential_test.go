@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -543,5 +544,75 @@ func TestSortedInputIsLeftInPlace(t *testing.T) {
 	}
 	if !reflect.DeepEqual(in, orig) {
 		t.Error("a consumer reordered the caller's slice")
+	}
+}
+
+// TestRestoreGivesBackRecordingOrder: a buffer written out through an Order
+// and released is read back — from the CSV and the Order's Index — as a
+// Recording with every rank's events in the order that rank recorded them,
+// which the CSV alone does not say (the generator hits every tie-break), in
+// the CSV's interleaving of the ranks.
+func TestRestoreGivesBackRecordingOrder(t *testing.T) {
+	byRank := func(n int, at func(int) *Event) map[int][]Event {
+		runs := map[int][]Event{}
+		for i := 0; i < n; i++ {
+			e := at(i)
+			runs[e.Rank] = append(runs[e.Rank], *e)
+		}
+		return runs
+	}
+	check := func(name string, in []Event) {
+		t.Helper()
+		b := NewBuffer(0)
+		for _, e := range in {
+			b.Add(e)
+		}
+		want := byRank(len(in), func(i int) *Event { return &in[i] })
+		o := b.Order()
+		var csv bytes.Buffer
+		if err := o.WriteCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		index := o.Index()
+		b.Release()
+		kept := append([]int32(nil), index...)
+
+		events, err := ReadCSV(bytes.NewReader(csv.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rec, err := Restore(events, index)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rec.Len() != len(in) {
+			t.Fatalf("%s: %d events restored of %d", name, rec.Len(), len(in))
+		}
+		if got := byRank(rec.Len(), rec.At); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: a rank's events do not come back in the order it recorded them\n got %+v\nwant %+v", name, got, want)
+		}
+		for i := range events {
+			if rec.At(i).Rank != events[i].Rank {
+				t.Fatalf("%s: event %d is rank %d's, the CSV's row is rank %d's", name, i, rec.At(i).Rank, events[i].Rank)
+			}
+		}
+		if !slices.Equal(index, kept) {
+			t.Fatalf("%s: Restore wrote to the index", name)
+		}
+	}
+	check("empty", nil)
+	for seed := int64(0); seed < 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		name := fmt.Sprintf("seed %d", seed)
+		rec := orderEvents(rng, []int{0, 1, 2, 3, 4, 5, 6, 7}[:1+rng.Intn(8)], 1+rng.Intn(40))
+		check(name+" recorded", rec)
+		shuffled := append([]Event(nil), rec...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		check(name+" shuffled", shuffled)
+		check(name+" sparse ranks", orderEvents(rng, []int{-5, 3, 1 << 40, math.MaxInt64, math.MinInt64}, 1+rng.Intn(20)))
+		check(name+" offset ranks", orderEvents(rng, []int{1000, 1001, 1003}, 400))
+	}
+	if _, err := Restore(make([]Event, 3), make([]int32, 2)); err == nil {
+		t.Error("an index of another length restored")
 	}
 }

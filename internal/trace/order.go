@@ -2,6 +2,7 @@ package trace
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -37,16 +38,66 @@ func (b *Buffer) snapshot() source {
 // section leave that shares its timestamp, which renumbers anything counted
 // per rank (internal/export's span ids). Like an Order it covers the events
 // recorded when it was taken, and its pointers stay valid until Release.
-type Recording struct{ src source }
+//
+// A recording that was released after its CSV was written is read back by
+// Restore; the zero Recording is empty.
+type Recording struct {
+	src source
+	idx []int32 // event i is src.at(idx[i]); nil where the source lies in order
+}
 
 // Recording reads the events recorded so far.
-func (b *Buffer) Recording() Recording { return Recording{b.snapshot()} }
+func (b *Buffer) Recording() Recording { return Recording{src: b.snapshot()} }
 
 // Len is the number of events covered.
 func (r Recording) Len() int { return r.src.n }
 
 // At returns event i, in place.
-func (r Recording) At(i int) *Event { return r.src.at(int32(i)) }
+func (r Recording) At(i int) *Event {
+	if r.idx != nil {
+		return r.src.at(r.idx[i])
+	}
+	return r.src.at(int32(i))
+}
+
+// Restore is the Recording of a buffer that no longer exists, over the
+// events read back from the CSV an Order of it wrote and that Order's
+// Index. The CSV is in canonical order, and so is each run of an Order: the
+// rows of one rank line up with that rank's run of the index, whose numbers
+// ascend in the order the rank recorded its events. The Recording keeps the
+// CSV's interleaving of the ranks — time order, as good as the one the
+// buffer had — and hands out, in the places of a rank's rows, that rank's
+// events in recording order: all but the few that share a timestamp stay
+// where they are. events is read in place and index is not written, so one
+// kept index serves any number of concurrent restores.
+func Restore(events []Event, index []int32) (Recording, error) {
+	if len(events) != len(index) {
+		return Recording{}, fmt.Errorf("trace: restoring %d events with an index of %d", len(events), len(index))
+	}
+	o := OrderOf(events)
+	perm := make([]int32, len(events))
+	var pairs []int64 // a run as (number recorded under, row)
+	begin := int32(0)
+	for _, end := range o.ends {
+		rows, was := o.idx[begin:end], index[begin:end]
+		begin = end
+		if slices.IsSorted(was) { // recorded in canonical order
+			for _, row := range rows {
+				perm[row] = row
+			}
+			continue
+		}
+		pairs = pairs[:0]
+		for j, row := range rows {
+			pairs = append(pairs, int64(was[j])<<32|int64(row))
+		}
+		slices.Sort(pairs)
+		for j, p := range pairs {
+			perm[rows[j]] = int32(p)
+		}
+	}
+	return Recording{src: o.src, idx: perm}, nil
+}
 
 // SortEvents sorts events in place into the canonical replay order every
 // consumer in this repository uses (see the package comment): time, rank,
@@ -292,6 +343,13 @@ func newOrder(src source) *Order {
 
 // Len is the number of events indexed.
 func (o *Order) Len() int { return o.src.n }
+
+// Index is the index itself, shared with the Order and not to be written:
+// the number each event was recorded under, run after run. Within a run the
+// numbers ascend in the order the rank recorded its events, which is all
+// that canonical order forgets of a recording; kept beside the CSV the same
+// Order wrote, it is what Restore needs to give that order back.
+func (o *Order) Index() []int32 { return o.idx }
 
 // Runs is the number of ranks that recorded anything.
 func (o *Order) Runs() int { return len(o.ends) }

@@ -38,6 +38,12 @@
 // them reads the recording without an Order at all: Buffer.Recording yields
 // the events in place in recording order. internal/export numbers a rank's
 // events, and a run swaps a send with the leave that shares its timestamp.
+// That is all the CSV forgets of a recording, and the Order it was written
+// through remembers it: Order.Index, the number each event was recorded
+// under, ascends within a run in recording order. Kept beside the bytes —
+// four per event — it lets Restore read them back as a Recording again, each
+// rank's events in the order the rank recorded them, after the buffer is
+// gone.
 //
 // # Ownership
 //
@@ -50,9 +56,12 @@
 // pointers an Order hands out stay valid for as long as the chunks belong
 // to the buffer, that is until Release. Release is for the owner who is
 // done with the recording — the sweep drivers, once a point's diagnosis is
-// extracted — and gives the chunks to a bounded free list that the next
-// buffer's Add draws from before allocating, so a sweep's steady state
-// allocates no chunk; retained jobs of the service never call it.
+// extracted; the service, once an attempt has ended, its CSV and Index are
+// written and the last handler that was reading the live buffer has let go
+// (internal/serve counts them) — and gives the chunks to a bounded free
+// list that the next buffer's Add draws from before allocating, so a
+// sweep's and a service's steady state allocate no chunk (ChunkAllocs
+// counts the ones that had to be).
 //
 // The write side is deliberately not split into per-rank logs, although
 // that would make the runs free. It was measured: with one lock per rank
@@ -289,8 +298,18 @@ const freeChunksMax = 2048
 var freeChunks chunkStack
 
 type chunkStack struct {
-	mu   sync.Mutex
-	list []*[chunkLen]Event
+	mu     sync.Mutex
+	list   []*[chunkLen]Event
+	misses uint64 // takes that found the list empty
+}
+
+// ChunkAllocs is how many chunks this process has had to allocate because
+// no released one was waiting: a count that stands still is a recording
+// path in its steady state.
+func ChunkAllocs() uint64 {
+	freeChunks.mu.Lock()
+	defer freeChunks.mu.Unlock()
+	return freeChunks.misses
 }
 
 func (s *chunkStack) take() *[chunkLen]Event {
@@ -298,6 +317,7 @@ func (s *chunkStack) take() *[chunkLen]Event {
 	defer s.mu.Unlock()
 	n := len(s.list)
 	if n == 0 {
+		s.misses++
 		return nil
 	}
 	c := s.list[n-1]

@@ -382,6 +382,19 @@ func (v *Tool) Counts() map[string]uint64 {
 	return out
 }
 
+// Report is a verifier's findings as a value: what is left to say of a run
+// once its tool is gone.
+type Report struct {
+	Counts     map[string]uint64 // per class
+	Violations []Violation       // in SortViolations order
+}
+
+// OK reports whether the run verified clean.
+func (r *Report) OK() bool { return len(r.Violations) == 0 }
+
+// Report returns the findings so far.
+func (v *Tool) Report() *Report { return &Report{Counts: v.Counts(), Violations: v.Violations()} }
+
 // OK reports whether no violation has been recorded.
 func (v *Tool) OK() bool {
 	v.mu.Lock()
