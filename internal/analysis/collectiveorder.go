@@ -20,6 +20,7 @@ var collectiveNames = map[string]bool{
 	"Allgather":        true,
 	"Scatter":          true,
 	"Alltoall":         true,
+	"ExchangeGhost":    true,
 	"Scan":             true,
 	"Exscan":           true,
 	"Split":            true,

@@ -30,6 +30,24 @@ func sectionGuarded(c *mpi.Comm) {
 	}
 }
 
+// the halo exchange is a collective too: the border rank that skips it, for
+// having nobody above it, leaves every other rank at the rendezvous.
+func rankGuardedExchange(c *mpi.Comm, ops []mpi.GhostExchange) error {
+	if c.Rank() > 0 {
+		return c.ExchangeGhost(ops) // want `collective ExchangeGhost reached under a rank-dependent branch`
+	}
+	return nil
+}
+
+// the list depends on the rank, the call does not: clean.
+func rankBuiltExchange(c *mpi.Comm) error {
+	var ops []mpi.GhostExchange
+	if up := c.Rank() - 1; up >= 0 {
+		ops = append(ops, mpi.GhostExchange{Peer: up})
+	}
+	return c.ExchangeGhost(ops)
+}
+
 // a loop whose trip count depends on the rank diverges the same way.
 func rankLoop(c *mpi.Comm) {
 	for i := 0; i < c.Rank(); i++ {

@@ -6,8 +6,9 @@ import "mpi"
 
 // bare call statements drop the error.
 func discard(c *mpi.Comm, b []byte) {
-	c.Send(1, 0, b) // want `result of Send is discarded`
-	c.Barrier()     // want `result of Barrier is discarded`
+	c.Send(1, 0, b)      // want `result of Send is discarded`
+	c.Barrier()          // want `result of Barrier is discarded`
+	c.ExchangeGhost(nil) // want `result of ExchangeGhost is discarded`
 }
 
 // blanking the error position drops it just as hard.

@@ -283,17 +283,15 @@ func runRank(c *mpi.Comm, p Params) (*img.Image, error) {
 			if p.SkipKernel {
 				// Ghost exchange: full matching, ordering and timing, zero
 				// payload traffic.
+				var list [2]mpi.GhostExchange
+				ops := list[:0]
 				if up >= 0 {
-					if _, err := c.SendrecvGhost(up, tagUp, rowBytes, fullRowBytes, up, tagDown); err != nil {
-						return err
-					}
+					ops = append(ops, mpi.GhostExchange{Peer: up, SendTag: tagUp, NBytes: rowBytes, VBytes: fullRowBytes, RecvTag: tagDown})
 				}
 				if down < ranks {
-					if _, err := c.SendrecvGhost(down, tagDown, rowBytes, fullRowBytes, down, tagUp); err != nil {
-						return err
-					}
+					ops = append(ops, mpi.GhostExchange{Peer: down, SendTag: tagDown, NBytes: rowBytes, VBytes: fullRowBytes, RecvTag: tagUp})
 				}
-				return nil
+				return c.ExchangeGhost(ops)
 			}
 			topHalo, bottomHalo = nil, nil
 			// Exchange with the upper neighbor: send my first row up,

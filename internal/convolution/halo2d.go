@@ -23,42 +23,30 @@ const (
 
 // exchangeHalos2DGhost performs the exact message sequence of
 // exchangeHalos2D — same neighbors, tags, real sizes and virtual sizes, in
-// the same order — without materializing any payload. SkipKernel sweeps run
-// on it: virtual clocks advance identically, nothing is packed or copied.
+// the same order — without materializing any payload, as one ExchangeGhost
+// over the neighbours that exist. SkipKernel sweeps run on it: virtual
+// clocks advance identically, nothing is packed or copied.
 func (t *tile2D) exchangeHalos2DGhost(c *mpi.Comm) error {
 	ch := img.Channels
-	w, h := t.w, t.h
+	rowBytes, colBytes := t.w*ch*8, t.h*ch*8
 	fullRowBytes := t.fullW() * ch * 8
 	fullColBytes := t.fullH() * ch * 8
 	cornerBytes := ch * 8
-	if up := t.neighborRank(0, -1); up >= 0 {
-		if _, err := c.SendrecvGhost(up, tagRowUp, w*ch*8, fullRowBytes, up, tagRowDown); err != nil {
-			return err
+	var list [8]mpi.GhostExchange
+	ops := list[:0]
+	add := func(dx, dy, sendTag, nbytes, vbytes, recvTag int) {
+		if peer := t.neighborRank(dx, dy); peer >= 0 {
+			ops = append(ops, mpi.GhostExchange{Peer: peer, SendTag: sendTag, NBytes: nbytes, VBytes: vbytes, RecvTag: recvTag})
 		}
 	}
-	if down := t.neighborRank(0, +1); down >= 0 {
-		if _, err := c.SendrecvGhost(down, tagRowDown, w*ch*8, fullRowBytes, down, tagRowUp); err != nil {
-			return err
-		}
-	}
-	if left := t.neighborRank(-1, 0); left >= 0 {
-		if _, err := c.SendrecvGhost(left, tagColLeft, h*ch*8, fullColBytes, left, tagColRight); err != nil {
-			return err
-		}
-	}
-	if right := t.neighborRank(+1, 0); right >= 0 {
-		if _, err := c.SendrecvGhost(right, tagColRight, h*ch*8, fullColBytes, right, tagColLeft); err != nil {
-			return err
-		}
-	}
+	add(0, -1, tagRowUp, rowBytes, fullRowBytes, tagRowDown)
+	add(0, +1, tagRowDown, rowBytes, fullRowBytes, tagRowUp)
+	add(-1, 0, tagColLeft, colBytes, fullColBytes, tagColRight)
+	add(+1, 0, tagColRight, colBytes, fullColBytes, tagColLeft)
 	for _, d := range cornerDirs {
-		if diag := t.neighborRank(d.dx, d.dy); diag >= 0 {
-			if _, err := c.SendrecvGhost(diag, d.sendTag, ch*8, cornerBytes, diag, d.recvTag); err != nil {
-				return err
-			}
-		}
+		add(d.dx, d.dy, d.sendTag, cornerBytes, cornerBytes, d.recvTag)
 	}
-	return nil
+	return c.ExchangeGhost(ops)
 }
 
 // cornerDir describes one diagonal exchange; the tags encode the travel

@@ -128,6 +128,16 @@ type ConvResult struct {
 	Verify []verify.Violation
 }
 
+// rankCosts is what the sweeps hand sched.MapByCost: jobs per consecutive
+// jobs run scale ps[i/per], and a simulation costs what its ranks do.
+func rankCosts(ps []int, per int) []int {
+	costs := make([]int, len(ps)*per)
+	for i := range costs {
+		costs[i] = ps[i/per]
+	}
+	return costs
+}
+
 // RunConvolution executes the sweep and assembles the partial-bounding
 // study.
 func RunConvolution(o ConvOptions) (*ConvResult, error) {
@@ -165,7 +175,7 @@ func RunConvolution(o ConvOptions) (*ConvResult, error) {
 		verify  []verify.Violation
 		errMsg  string
 	}
-	reps, err := sched.Map(sched.Workers(o.Jobs), len(o.Ps)*o.Reps, func(i int) (repResult, error) {
+	reps, err := sched.MapByCost(sched.Workers(o.Jobs), rankCosts(o.Ps, o.Reps), func(i int) (repResult, error) {
 		p := o.Ps[i/o.Reps]
 		rep := i % o.Reps
 		profiler := prof.New()

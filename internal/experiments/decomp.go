@@ -122,7 +122,7 @@ func RunDecompComparison(o DecompOptions) (*DecompResult, error) {
 		verify     []verify.Violation
 		errMsg     string
 	}
-	runs, err := sched.Map(sched.Workers(o.Jobs), 2*len(o.Ps), func(i int) (variantResult, error) {
+	runs, err := sched.MapByCost(sched.Workers(o.Jobs), rankCosts(o.Ps, 2), func(i int) (variantResult, error) {
 		p := o.Ps[i/2]
 		runner := convolution.Run
 		if i%2 == 1 {

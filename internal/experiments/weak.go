@@ -121,7 +121,7 @@ func RunWeakConvolution(o WeakOptions) (*WeakResult, error) {
 	// Each scale is an independent simulation; only the efficiency columns
 	// depend on the p=1 baseline, so they are derived after the parallel
 	// sweep, in order.
-	points, err := sched.Map(sched.Workers(o.Jobs), len(o.Ps), func(i int) (WeakPoint, error) {
+	points, err := sched.MapByCost(sched.Workers(o.Jobs), rankCosts(o.Ps, 1), func(i int) (WeakPoint, error) {
 		p := o.Ps[i]
 		params := convolution.Params{
 			Width:      o.Width,

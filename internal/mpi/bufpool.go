@@ -297,6 +297,69 @@ func (r *rankState) freePosted(p *posted) {
 	postedFree.put(p)
 }
 
+// An ExchangeGhost generation's lists live in one slab per communicator
+// (exchange.go). Slabs outlive their world: Run parks them here when the
+// ranks are done, and the next world's communicator takes the smallest that
+// holds its estimate, so a sweep allocates its slabs once, not once a point.
+
+const (
+	// slabOpsPerRank sizes a new slab: a Moore neighbourhood's eight ops a
+	// rank. Longer lists grow it by append.
+	slabOpsPerRank = 8
+	// slabsMax bounds the parked slabs: one per worker of a wide sweep.
+	slabsMax = 8
+)
+
+var slabFree struct {
+	mu   sync.Mutex
+	list [][]exchangeOp
+}
+
+// takeSlab returns an empty slab of capacity n or more.
+func takeSlab(n int) []exchangeOp {
+	f := &slabFree
+	f.mu.Lock()
+	best := -1
+	for i, s := range f.list {
+		if cap(s) >= n && (best < 0 || cap(s) < cap(f.list[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		f.mu.Unlock()
+		return make([]exchangeOp, 0, n)
+	}
+	s := f.list[best]
+	last := len(f.list) - 1
+	f.list[best], f.list[last] = f.list[last], nil
+	f.list = f.list[:last]
+	f.mu.Unlock()
+	return s
+}
+
+// putSlab parks s; a full list keeps its roomiest.
+func putSlab(s []exchangeOp) {
+	if cap(s) == 0 {
+		return
+	}
+	f := &slabFree
+	f.mu.Lock()
+	if len(f.list) < slabsMax {
+		f.list = append(f.list, s[:0])
+	} else {
+		least := 0
+		for i := range f.list {
+			if cap(f.list[i]) < cap(f.list[least]) {
+				least = i
+			}
+		}
+		if cap(f.list[least]) < cap(s) {
+			f.list[least] = s[:0]
+		}
+	}
+	f.mu.Unlock()
+}
+
 // recycle hands what the rank kept to the lists when the rank is done, for
 // the next world's ranks to start from.
 func (r *rankState) recycle() {

@@ -3,8 +3,6 @@ package mpi
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 )
 
 // Collective internal tags. User tags are >= 0; the runtime reserves the
@@ -123,83 +121,30 @@ func (c *Comm) barrierMessages() error {
 	return nil
 }
 
-// barrierState is a communicator's barrier rendezvous. One generation is in
-// flight at a time — a rank cannot reach barrier g+1 before g released it —
-// so the state is reused, not keyed by call.
+// barrierState is a communicator's barrier rendezvous and its evaluator's
+// scratch: the current round's send stamps, by sender.
 type barrierState struct {
-	mu      sync.Mutex
-	arrived int
-	gen     chan struct{} // closed when the generation in flight releases
-	// released counts the generations that completed. A waiter that wakes
-	// and finds it where it was at arrival was released by abort.
-	released atomic.Uint64
-	comms    []*Comm // the arrived ranks' handles, by comm rank
-	// Evaluator scratch: the current round's send stamps, by sender.
+	rendezvous
 	sendT, arrival []float64
 }
 
 // barrierRendezvous parks the rank until the communicator's last arriver has
 // evaluated the schedule for everyone, or a revocation aborts the wait.
 func (c *Comm) barrierRendezvous() error {
-	cs := c.shared
-	b := &cs.barrier
-	p := c.Size()
-	b.mu.Lock()
-	select {
-	case <-cs.revoked:
-		b.mu.Unlock()
-		return c.barrierAborted()
-	default:
+	b := &c.shared.barrier
+	last, ok := b.arrive(c)
+	if !ok {
+		return c.aborted("Barrier")
 	}
-	if b.comms == nil {
-		b.comms = make([]*Comm, p)
-		b.sendT = make([]float64, p)
-		b.arrival = make([]float64, p)
-	}
-	if b.arrived == 0 {
-		b.gen = make(chan struct{})
-	}
-	b.comms[c.rank] = c
-	b.arrived++
-	if b.arrived == p {
-		// Evaluated under the lock: it orders each parked rank's last
-		// instruction before the hooks fired here on its behalf (rank-owned
-		// tool cursors stay single-writer), and keeps abort from releasing
-		// a waiter whose clock is being written.
+	if last {
 		b.evaluate()
-		b.arrived = 0
-		b.released.Add(1)
-		close(b.gen)
-		b.mu.Unlock()
+		b.release()
 		return nil
 	}
-	gen, g := b.gen, b.released.Load()
-	// Published before the lock goes: after that the last arriver may be
-	// writing this rank's clock.
-	c.rs.enterBlocked(c, "Barrier", -1, 0)
-	b.mu.Unlock()
-	<-gen
-	c.rs.exitBlocked()
-	if b.released.Load() == g {
-		return c.barrierAborted()
+	if !b.park(c, "Barrier") {
+		return c.aborted("Barrier")
 	}
 	return nil
-}
-
-// abort releases the waiters of a generation that can no longer complete;
-// revoke calls it once the communicator reads as revoked, so every later
-// arriver is turned away at the door.
-func (b *barrierState) abort() {
-	b.mu.Lock()
-	if b.arrived > 0 {
-		b.arrived = 0
-		close(b.gen)
-	}
-	b.mu.Unlock()
-}
-
-func (c *Comm) barrierAborted() error {
-	return fmt.Errorf("mpi: rank %d: Barrier aborted: %w", c.rank, c.shared.pi.reason)
 }
 
 // evaluate runs the dissemination schedule of barrierMessages as arithmetic
@@ -212,6 +157,10 @@ func (c *Comm) barrierAborted() error {
 //seclint:hotpath
 func (b *barrierState) evaluate() {
 	p := len(b.comms)
+	if b.sendT == nil {
+		//seclint:allocs-ok the communicator's first barrier: once
+		b.sendT, b.arrival = make([]float64, p), make([]float64, p)
+	}
 	tools := b.comms[0].rs.world.cfg.Tools
 	for step := 1; step < p; step *= 2 {
 		for r, c := range b.comms {

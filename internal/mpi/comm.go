@@ -20,7 +20,8 @@ type commShared struct {
 	splitMu  sync.Mutex
 	splitGen map[int]*splitState // keyed by per-rank collective call index
 
-	barrier barrierState // collectives.go
+	barrier  barrierState  // collectives.go
+	exchange exchangeState // exchange.go
 
 	// Fault tolerance (ft.go): revoked closes when the communicator is
 	// revoked; pi carries the reason and is immutable once set.

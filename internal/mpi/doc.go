@@ -45,14 +45,20 @@
 //
 // Literal messages under a plan: rules address messages one at a time (a
 // rank's Nth operation, a link's Nth message), so an armed plan — even one
-// with no rules — turns off the two places where the runtime does not move
-// messages one at a time. SendGhostBatch falls back to a SendGhost loop, and
+// with no rules — turns off the three places where the runtime does not move
+// messages one at a time. SendGhostBatch falls back to a SendGhost loop;
 // Barrier, which otherwise evaluates its dissemination rounds as clock
 // arithmetic in one host rendezvous (collectives.go), sends every round as
-// a real zero-byte Sendrecv. Wallclock mode does the same to Barrier, since
-// there a message arrives when it is delivered. Virtual times and tool
-// events are identical either way, which makes the empty plan the in-tree
-// reference the rendezvous is tested against (barrier_test.go).
+// a real zero-byte Sendrecv; and ExchangeGhost, which otherwise evaluates
+// every rank's list of pairwise exchanges in a rendezvous of the same kind
+// (exchange.go), runs its list as a SendrecvGhost loop. Wallclock mode does
+// the same to Barrier and ExchangeGhost, since there a message arrives when
+// it is delivered. An ExchangeGhost call also takes the loop on its own when
+// it finds a mailbox of the communicator already holding a send one of its
+// receives names, or a posted receive: that traffic was there first, and
+// only real messages match it in order. Virtual times and tool events are
+// identical either way, which makes the empty plan the in-tree reference the
+// rendezvous is tested against (barrier_test.go, exchange_test.go).
 //
 // Failures surface as errors, not crashes. A panic inside a rank function
 // — including an injected fail-stop — is recovered into a

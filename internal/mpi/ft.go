@@ -128,6 +128,7 @@ func (cs *commShared) revoke(pi *poisonInfo) {
 		cs.pi = pi
 		close(cs.revoked)
 		cs.barrier.abort()
+		cs.exchange.abort()
 	})
 	for i := range cs.boxShards {
 		cs.boxShards[i].poison(pi)

@@ -14,7 +14,7 @@ import (
 // Randomized traffic stress: arbitrary (but deadlock-free) communication
 // patterns must deliver every message exactly once, unmodified, with clocks
 // monotone — the delivery-soundness property behind every benchmark. Two
-// testing/quick properties and the runtime's fuzz target.
+// testing/quick properties and the runtime's fuzz targets.
 
 // FuzzBarrierSchedule decodes bytes into a barrier program (barrier_test.go:
 // up to 96 ranks, a Split by colours, skewed arrivals, barriers single,
@@ -27,6 +27,21 @@ func FuzzBarrierSchedule(f *testing.F) {
 	f.Add([]byte{94, 1, 2, 0, 3, 1, 2, 3, 0, 3, 2, 1, 0, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkBarrierProg(t, decodeBarrierProg(&byteSrc{data}, 0), []progVariant{{tool: true}})
+	})
+}
+
+// FuzzExchangeSchedule decodes bytes into an exchange program
+// (exchange_test.go: up to 96 ranks, a Split by colours, skewed arrivals, 1-D
+// and 2-D halos with edges missing, self and repeated exchanges, empty lists,
+// the exchange's own tags queued or posted ahead of the call) and requires
+// ExchangeGhost's rendezvous and its literal loop to agree on every final
+// clock, hook and the frontier.
+func FuzzExchangeSchedule(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{6, 17, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 9, 0x80, 1, 0x82, 4, 0x88, 3, 9, 0x8a, 2, 7})
+	f.Add([]byte{94, 1, 2, 0, 3, 1, 2, 3, 0, 3, 2, 1, 0, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkExchangeProg(t, decodeExchangeProg(&byteSrc{data}, 0), []progVariant{{tool: true}})
 	})
 }
 

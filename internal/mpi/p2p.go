@@ -292,7 +292,8 @@ func (c *Comm) sendInternal(dst, tag int, data []byte, nbytes, vbytes int, ghost
 }
 
 // stampSend is the sender's half of a message's clock arithmetic, said once
-// for Send, SendGhostBatch and the barrier evaluator (collectives.go):
+// for Send, SendGhostBatch and the rendezvous evaluators (collectives.go,
+// exchange.go):
 // charge o_send, model the transfer of vbytes to comm rank dst with jitter
 // from the rank's own stream, let an armed fault plan count the operation
 // and perturb the link, then stamp the message. nbytes comes back shortened
@@ -518,7 +519,7 @@ func (c *Comm) failRecv(e *envelope, postT float64, src int) error {
 }
 
 // completeRecv is the receiver's half of a message's clock arithmetic, said
-// once for Recv, Wait and the barrier evaluator: charge o_recv, advance the
+// once for Recv, Wait and the rendezvous evaluators: charge o_recv, advance the
 // clock to the arrival stamp and fire the tool hooks. m carries the matched
 // send's stamps and the virtual time the receive was posted.
 func (c *Comm) completeRecv(src, tag, vbytes int, m MatchInfo) {
@@ -673,7 +674,8 @@ func (c *Comm) SendrecvSized(dst, sendTag int, data []byte, virtualBytes, src, r
 
 // SendrecvGhost is Sendrecv for ghost messages: nbytes of unmaterialized
 // payload out (modeled as virtualBytes), and the matching inbound message
-// received and discarded. The whole exchange allocates nothing.
+// received and discarded. The whole exchange allocates nothing. A rank's
+// exchanges of one step, every rank calling, are ExchangeGhost.
 func (c *Comm) SendrecvGhost(dst, sendTag, nbytes, virtualBytes, src, recvTag int) (Status, error) {
 	if err := c.SendGhost(dst, sendTag, nbytes, virtualBytes); err != nil {
 		return Status{}, err

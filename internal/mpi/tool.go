@@ -53,9 +53,10 @@ type MatchInfo struct {
 // must be safe for concurrent use — events arrive from every rank — but the
 // hooks of one rank r are sequential, in r's program order and ordered
 // before r's next instruction: state a tool keeps per rank needs no lock.
-// They usually run on r's goroutine, not always: a Barrier's message events
-// fire on the goroutine of the communicator's last arriver while r is
-// parked, with r's clock already at the event's time.
+// They usually run on r's goroutine, not always: the message events of a
+// Barrier and of an ExchangeGhost fire on the goroutine of the
+// communicator's last arriver while r is parked, with r's clock already at
+// the event's time.
 //
 // SectionEnter/SectionLeave mirror MPIX_Section_enter_cb and
 // MPIX_Section_leave_cb from the paper: they receive the communicator, the

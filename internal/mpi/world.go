@@ -360,6 +360,16 @@ func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
 		<-done
 	}
 
+	// Every rank is done: the communicators' exchange slabs go to the next
+	// world (bufpool.go). The watchdog's early return above keeps them, its
+	// ranks may still be running.
+	w.ftMu.Lock()
+	for _, cs := range w.comms {
+		putSlab(cs.exchange.ops)
+		cs.exchange.ops = nil
+	}
+	w.ftMu.Unlock()
+
 	rep := &Report{
 		RankTimes:         make([]float64, c.Ranks),
 		DeclaredRanks:     c.Ranks,

@@ -14,6 +14,7 @@ package sched
 
 import (
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -51,9 +52,16 @@ func Workers(j int) int {
 // contract the aggregate result is independent of the worker count.
 //
 // On failure the error of the lowest-index failing job is returned —
-// deterministic even when several jobs fail — and jobs not yet started are
-// skipped.
+// deterministic even when several jobs fail — and jobs after it that have
+// not started are skipped.
 func ForEach(workers, n int, fn func(i int) error) error {
+	return forEach(workers, n, nil, fn)
+}
+
+// forEach is ForEach with the order the pool claims jobs in: order[k] is the
+// k-th job to start, nil the index order. One worker runs inline and in index
+// order whatever it says — an order only matters to who finishes last.
+func forEach(workers, n int, order []int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -73,30 +81,38 @@ func ForEach(workers, n int, fn func(i int) error) error {
 		return nil
 	}
 	var (
-		next   atomic.Int64
-		failed atomic.Bool
+		next atomic.Int64
+		// lowest is the lowest failing index so far, n while there is none.
+		// Jobs above it are skipped; a job below it still runs, since it may
+		// fail too and would then be the one a single worker reports.
+		lowest atomic.Int64
 		wg     sync.WaitGroup
 		mu     sync.Mutex
-		errIdx = -1
 		errVal error
 	)
+	lowest.Store(int64(n))
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
+				if i >= n {
 					return
 				}
+				if order != nil {
+					i = order[i]
+				}
+				if int64(i) > lowest.Load() {
+					continue
+				}
 				if err := fn(i); err != nil {
-					failed.Store(true)
 					mu.Lock()
-					if errIdx < 0 || i < errIdx {
-						errIdx, errVal = i, err
+					if int64(i) < lowest.Load() {
+						lowest.Store(int64(i))
+						errVal = err
 					}
 					mu.Unlock()
-					return
 				}
 			}
 		}()
@@ -109,8 +125,26 @@ func ForEach(workers, n int, fn func(i int) error) error {
 // results in index order: the order-stable gather the sweep drivers fold
 // from. On error the partial results are discarded.
 func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
+	return mapOrdered(workers, n, nil, fn)
+}
+
+// MapByCost is Map over len(costs) jobs that the pool claims dearest first
+// (equal costs in index order), so that a sweep's most expensive point — the
+// last one of an ascending scale — does not start last and run alone while
+// the other workers idle. Only the starting order changes: slot i is job i's
+// result, and a fold over the slots sees what Map's would.
+func MapByCost[T any](workers int, costs []int, fn func(i int) (T, error)) ([]T, error) {
+	order := make([]int, len(costs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return costs[order[a]] > costs[order[b]] })
+	return mapOrdered(workers, len(costs), order, fn)
+}
+
+func mapOrdered[T any](workers, n int, order []int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := ForEach(workers, n, func(i int) error {
+	err := forEach(workers, n, order, func(i int) error {
 		v, err := fn(i)
 		if err != nil {
 			return err

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -104,6 +106,73 @@ func TestMapError(t *testing.T) {
 	})
 	if err == nil || out != nil {
 		t.Fatalf("Map error path: out=%v err=%v", out, err)
+	}
+}
+
+// TestMapByCostStartsDearestFirst: the pool claims jobs by descending cost,
+// equal costs in index order; one worker keeps the index order; the slots
+// are the jobs' own whatever started when.
+func TestMapByCostStartsDearestFirst(t *testing.T) {
+	costs := []int{2, 64, 8, 64, 1, 456, 8}
+	for workers, want := range map[int][]int{
+		1: {0, 1, 2, 3, 4, 5, 6},
+		2: {1, 3, 2, 6, 0, 4}, // and 5, which holds its worker until they are done
+	} {
+		var mu sync.Mutex
+		var started []int
+		others := make(chan struct{})
+		out, err := MapByCost(workers, costs, func(i int) (int, error) {
+			if workers == 2 && i == 5 {
+				// The dearest job keeps one worker busy: the other claims the
+				// rest one after another, and its order is the pool's.
+				<-others
+				return costs[i] * 10, nil
+			}
+			mu.Lock()
+			started = append(started, i)
+			if len(started) == len(costs)-1 {
+				close(others)
+			}
+			mu.Unlock()
+			return costs[i] * 10, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range out {
+			if v != costs[i]*10 {
+				t.Errorf("workers=%d: out[%d] = %d, want job %d's %d", workers, i, v, i, costs[i]*10)
+			}
+		}
+		if !slices.Equal(started, want) {
+			t.Errorf("workers=%d: jobs started in the order %v, want %v", workers, started, want)
+		}
+	}
+}
+
+// TestMapByCostLowestIndexErrorWins: the dearest job starts first and fails
+// first, and a cheaper job with a lower index that fails too still runs and
+// is the one reported — what one worker, in index order, reports.
+func TestMapByCostLowestIndexErrorWins(t *testing.T) {
+	costs := make([]int, 32)
+	for i := range costs {
+		costs[i] = i // ascending: claimed last to first
+	}
+	for _, workers := range []int{1, 4, 16} {
+		var ran [32]atomic.Bool
+		_, err := MapByCost(workers, costs, func(i int) (int, error) {
+			ran[i].Store(true)
+			if i%7 == 3 {
+				return 0, fmt.Errorf("job %d failed", i)
+			}
+			return i, nil
+		})
+		if err == nil || err.Error() != "job 3 failed" {
+			t.Fatalf("workers=%d: err = %v, want job 3 failed", workers, err)
+		}
+		if workers == 1 && ran[4].Load() {
+			t.Errorf("workers=1: job 4 ran after job 3 failed")
+		}
 	}
 }
 

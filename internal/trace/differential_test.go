@@ -428,6 +428,41 @@ func orderEvents(rng *rand.Rand, ranks []int, perRank int) []Event {
 	return out
 }
 
+// TestSortRunMatchesStableSort holds the repair pass of newOrder to the sort
+// it stands in for, on one rank's run as recordings break it: by a hair
+// (orderEvents' ties, zero-length sections and verifier bursts, few enough
+// to stay inside the pass's budget) and wholesale (blocks of the run
+// reversed or rotated, which spend the budget and finish in the sort).
+func TestSortRunMatchesStableSort(t *testing.T) {
+	for seed := int64(0); seed < 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		events := orderEvents(rng, []int{3}, 1+rng.Intn(300))
+		for blocks := rng.Intn(4) * rng.Intn(3); blocks > 0; blocks-- {
+			lo := rng.Intn(len(events))
+			block := events[lo : lo+rng.Intn(len(events)-lo+1)]
+			if rng.Intn(2) == 0 {
+				slices.Reverse(block)
+			} else if len(block) > 0 {
+				k := rng.Intn(len(block))
+				slices.Reverse(block[:k])
+				slices.Reverse(block[k:])
+				slices.Reverse(block)
+			}
+		}
+		src := sliceSource(events)
+		got := make([]int32, len(events))
+		for i := range got {
+			got[i] = int32(i)
+		}
+		want := slices.Clone(got)
+		slices.SortStableFunc(want, func(a, b int32) int { return compareEvents(src.at(a), src.at(b)) })
+		sortRun(&src, got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: sortRun differs from slices.SortStableFunc on %d events\n got %v\nwant %v", seed, len(events), got, want)
+		}
+	}
+}
+
 func TestSorterMatchesReference(t *testing.T) {
 	check := func(name string, in []Event) {
 		t.Helper()

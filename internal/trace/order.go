@@ -232,10 +232,10 @@ func isSorted(events []Event) bool {
 // Order is a recording put in canonical order without moving an event: one
 // int32 per event, bucketed into one run per rank, the ranks ascending and
 // each run in canonical order. A rank records its own events in time
-// order, so a run normally comes out of the bucketing already ordered; it
-// is stable-sorted only when it fails the full comparator, which a
-// recording routinely does by a hair — a send and the section leave that
-// follows it share a timestamp, and the leave sorts first.
+// order, so a run normally comes out of the bucketing already ordered, or
+// fails the full comparator by a hair — a send and the section leave that
+// follows it share a timestamp, and the leave sorts first — and is repaired
+// by as little (sortRun).
 //
 // Two readers yield the events in place, as pointers into the Buffer's
 // chunks or the caller's slice, valid as long as those are (for a Buffer:
@@ -324,21 +324,42 @@ func newOrder(src source) *Order {
 		if e == begin {
 			continue
 		}
-		run := idx[begin:e]
-		for j := 1; j < len(run); j++ {
-			if compareEvents(src.at(run[j-1]), src.at(run[j])) > 0 {
-				slices.SortStableFunc(run, func(a, b int32) int {
-					return compareEvents(src.at(a), src.at(b))
-				})
-				break
-			}
-		}
+		sortRun(&src, idx[begin:e])
 		end[runs] = e
 		runs++
 		begin = e
 	}
 	o.idx, o.ends = idx, end[:runs]
 	return o
+}
+
+// sortRun puts one rank's run in canonical order, stably. A run normally is
+// in order but for the leaves that belong before the send or receive they
+// share a timestamp with, about one a section, so it is repaired where it
+// lies: a stable insertion pass, one comparison an event plus one move an
+// inversion. A run further out of order
+// than a move an event — a recording merged from several, a hand-built
+// slice — goes to the stable sort from where the pass stopped; the pass only
+// ever moved an event past strictly greater ones, so the outcome is the
+// sort's of the run as it was.
+func sortRun(src *source, run []int32) {
+	budget := len(run)
+	for j := 1; j < len(run); j++ {
+		v := run[j]
+		e := src.at(v)
+		k := j
+		for ; k > 0 && compareEvents(src.at(run[k-1]), e) > 0 && budget >= 0; k-- {
+			run[k] = run[k-1]
+			budget--
+		}
+		run[k] = v
+		if budget < 0 {
+			slices.SortStableFunc(run, func(a, b int32) int {
+				return compareEvents(src.at(a), src.at(b))
+			})
+			return
+		}
+	}
 }
 
 // Len is the number of events indexed.
