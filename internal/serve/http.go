@@ -361,6 +361,10 @@ func (h *handler) handleJobResult(w http.ResponseWriter, req *http.Request) {
 	}
 	w.Header().Set("Content-Type", csvType)
 	w.Header().Set("Content-Disposition", `attachment; filename="result.csv"`)
+	// The artifact's length has been known since seal: said up front, the
+	// body is not chunked, a cut connection shows as a short read, and a
+	// HEAD answers it.
+	w.Header().Set("Content-Length", strconv.Itoa(len(res.CSV)))
 	if _, err := w.Write(res.CSV); err != nil {
 		h.logf("result write: %v", err)
 	}

@@ -3,8 +3,10 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -67,6 +69,49 @@ func TestHTTPRunRejectsBadParameters(t *testing.T) {
 		if code, _ := get(t, h, path); code != http.StatusBadRequest {
 			t.Fatalf("%s: code %d, want 400", path, code)
 		}
+	}
+}
+
+// TestHTTPResultSaysItsLength: over a real connection a Done job's
+// result.csv arrives with its length up front and unchunked, and a HEAD
+// learns that length without the body.
+func TestHTTPResultSaysItsLength(t *testing.T) {
+	h, _ := liveHandler(t, Options{})
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	code, body := get(t, h, "/run?exp=conv&p=4&steps=6&scale=32&seed=2017&wait=1")
+	var run struct {
+		JobID string `json:"job_id"`
+	}
+	if err := json.Unmarshal([]byte(body), &run); err != nil || code != http.StatusOK {
+		t.Fatalf("run: code %d, %v\n%s", code, err, body)
+	}
+	url := srv.URL + "/jobs/" + run.JobID + "/result.csv"
+
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csv, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !strings.HasPrefix(string(csv), "t,") {
+		t.Fatalf("GET: status %d, %d bytes, %v", resp.StatusCode, len(csv), err)
+	}
+	if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(csv)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("GET: Content-Length %q, Transfer-Encoding %v for a body of %d bytes", got, resp.TransferEncoding, len(csv))
+	}
+
+	resp, err = http.Head(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	none, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || len(none) != 0 {
+		t.Fatalf("HEAD: status %d, %d bytes of body, %v", resp.StatusCode, len(none), err)
+	}
+	if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(csv)) {
+		t.Errorf("HEAD: Content-Length %q, want %d", got, len(csv))
 	}
 }
 

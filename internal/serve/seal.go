@@ -38,7 +38,9 @@ const csvRowBytes = 72
 // byte-identical artifact the cache and retry contracts are stated over —
 // merging the recording straight into the encoder, and copies the facts out
 // of the tools. The run is over: nothing it reads changes any more. The
-// caller then takes the bundle off the job and releases it.
+// caller then takes the bundle off the job and releases it. The CSV is
+// nearly all of what a terminal transition costs — 3 ms for 23,004 events
+// beside a 5 ms run (doc.go, "What a job keeps").
 func (b *bundle) seal() *sealed {
 	order := b.collector.Buffer().Order()
 	buf := bytes.NewBuffer(make([]byte, 0, 64+csvRowBytes*order.Len()))

@@ -231,10 +231,12 @@ func TestOrderingAllocs(t *testing.T) {
 }
 
 // TestCodecAllocs pins the codec's allocations to be independent of the row
-// count: the encoder's one buffer; the decoder's reader, its first block,
-// the label table and the growth steps of its result, and, once the stream
-// outgrows that block, the ring's other blocks in one piece, two channels
-// and a goroutine, a closure and a label table per worker.
+// count: the encoder's one buffer — its memos, 22 KB of slots, are part of
+// the encoder and stay in the writer's frame; the decoder's reader, its
+// first block, the label table and the growth steps of its result, and,
+// once the stream outgrows that block, the ring's other blocks in one
+// piece, two channels and a goroutine, a closure and a label table per
+// worker.
 func TestCodecAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector allocates shadow memory; alloc counts are meaningless")
@@ -299,6 +301,30 @@ func BenchmarkReadCSV(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if events, err := ReadCSV(bytes.NewReader(data.Bytes())); err != nil || len(events) != 102400 {
 			b.Fatalf("%d events, err %v", len(events), err)
+		}
+	}
+}
+
+// BenchmarkWriteCSV encodes the same recording, as the ranks left it in a
+// Buffer, through its Order: the merge and the encoder, what sealing a
+// served job pays.
+func BenchmarkWriteCSV(b *testing.B) {
+	buf := NewBuffer(0)
+	for _, e := range recording(64, 1600) {
+		buf.Add(e)
+	}
+	order := buf.Order()
+	var out bytes.Buffer
+	if err := order.WriteCSV(&out); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(out.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out.Reset()
+		if err := order.WriteCSV(&out); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

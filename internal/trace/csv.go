@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/csv"
 	"errors"
 	"fmt"
@@ -62,23 +63,47 @@ func WriteEventsCSV(w io.Writer, events []Event) error {
 }
 
 // csvEncoder formats rows into one buffer and hands it to the writer each
-// time it fills. It keeps the text of the last floatMemo non-zero floats it
-// formatted: a receive's sendt, postt and arrt are the t of rows nearby and
-// a leave's t is the next enter's, so about half the non-zero cells of a
-// trace repeat one of the few before them.
+// time it fills. Wherever it can, a row is made of text the encoder has made
+// before (see the package comment): a float it still remembers, the
+// ",kind,comm,label," middle of an earlier row, the constant tail of a row
+// whose last columns are all zero. The two memos are arrays in the encoder
+// itself, 22 KB that live in the frame of whoever writes the stream.
 type csvEncoder struct {
 	w   io.Writer
 	buf []byte
 
-	memoBits [floatMemo]uint64 // 0, which is never looked up, while unused
-	memoText [floatMemo][24]byte
-	memoLen  [floatMemo]uint8
-	memoNext int // the oldest entry, the next one replaced
+	floats  [1 << floatSlotBits]floatSlot
+	middles [1 << middleSlotBits]middleSlot
 }
 
-// floatMemo is how many formatted floats the encoder remembers; 24 bytes
+// floatSlot is the text of the float64 that last hashed to it. 24 bytes
 // hold any of them ("-2.2250738585072014e-308").
-const floatMemo = 16
+type floatSlot struct {
+	bits uint64 // 0, which is never looked up, while unused
+	n    uint8
+	text [24]byte
+}
+
+// middleSlot is a row's ",kind,comm,label,", the label quoted if it needs to
+// be. Only a middle of at most middleText bytes is kept, which covers every
+// kind with any section label of this repository and a comm of many digits.
+type middleSlot struct {
+	kind  Kind
+	comm  int64
+	label string
+	n     uint8 // 0 while unused
+	text  [middleText]byte
+}
+
+const (
+	floatSlotBits  = 8
+	middleSlotBits = 7
+	middleProbes   = 8
+	middleText     = 56
+	// hashMul is 2^64 over the golden ratio: the top bits of a product with
+	// it tell neighbouring keys apart.
+	hashMul = 0x9e3779b97f4a7c15
+)
 
 // newCSVEncoder starts a stream with the header row.
 func newCSVEncoder(w io.Writer) csvEncoder {
@@ -106,26 +131,30 @@ func (c *csvEncoder) flush() error {
 	return err
 }
 
-// appendRow formats one event as a CSV record, newline included.
+// appendRow formats one event as a CSV record, newline included. The
+// zero tails are recognised on bit patterns: -0 is written "-0".
 //
 //seclint:hotpath
 func (c *csvEncoder) appendRow(buf []byte, e *Event) []byte {
 	buf = c.appendFloat(buf, e.T)
 	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, int64(e.Rank), 10)
+	buf = appendInt(buf, int64(e.Rank))
+	buf = c.appendMiddle(buf, e)
+	noTimes := math.Float64bits(e.SendT)|math.Float64bits(e.PostT)|math.Float64bits(e.ArrT) == 0
+	if noTimes && e.Peer|e.Bytes|e.Tag == 0 {
+		buf = append(buf, "0,0,0,0,0,0\n"...)
+		return buf
+	}
+	buf = appendInt(buf, int64(e.Peer))
 	buf = append(buf, ',')
-	buf = append(buf, e.Kind.String()...)
+	buf = appendInt(buf, int64(e.Bytes))
 	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, e.Comm, 10)
+	buf = appendInt(buf, int64(e.Tag))
 	buf = append(buf, ',')
-	buf = appendField(buf, e.Label)
-	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, int64(e.Peer), 10)
-	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, int64(e.Bytes), 10)
-	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, int64(e.Tag), 10)
-	buf = append(buf, ',')
+	if noTimes {
+		buf = append(buf, "0,0,0\n"...)
+		return buf
+	}
 	buf = c.appendFloat(buf, e.SendT)
 	buf = append(buf, ',')
 	buf = c.appendFloat(buf, e.PostT)
@@ -135,27 +164,226 @@ func (c *csvEncoder) appendRow(buf []byte, e *Event) []byte {
 	return buf
 }
 
-// appendFloat formats v as 'g' with 17 significant digits, which
+// appendFloat writes v as 'g' with 17 significant digits, which
 // round-trips every float64. Positive zero — most sendt/postt/arrt cells —
-// skips the formatter, and so does a value that is still in the memo.
+// is one byte; every other value is copied from its slot of the memo,
+// formatted into it first unless it is what the slot holds. Where the
+// buffer has room for a whole slot, which is everywhere but behind a label
+// of many KiB, the slot is copied whole — three words, not a call — and the
+// buffer cut back to the text's length.
 func (c *csvEncoder) appendFloat(buf []byte, v float64) []byte {
 	key := math.Float64bits(v)
 	if key == 0 {
 		buf = append(buf, '0')
 		return buf
 	}
-	for i, k := range &c.memoBits {
-		if k == key {
-			buf = append(buf, c.memoText[i][:c.memoLen[i]]...)
+	s := &c.floats[key*hashMul>>(64-floatSlotBits)]
+	if s.bits != key {
+		s.bits, s.n = key, uint8(formatFloat(&s.text, v))
+	}
+	if n := len(buf); cap(buf)-n >= len(s.text) {
+		buf = buf[:n+len(s.text)]
+		*(*[24]byte)(buf[n:]) = s.text
+		buf = buf[:n+int(s.n)]
+		return buf
+	}
+	buf = append(buf, s.text[:s.n]...)
+	return buf
+}
+
+// appendMiddle writes ",kind,comm,label," — a dozen distinct texts in a
+// whole recording, four dozen in one of LULESH. The hash reads the label's
+// length and three of its bytes; a hit is the whole key equal. A key is kept
+// in the first of the middleProbes slots from its hash that was free when it
+// came, so keys that share a hash all stay, and takes over the first of
+// those slots when none was. Direct-mapped, one of the convolution's 21
+// keys and 7 to 11 of LULESH's 49 fall on a slot that another key holds, and
+// the two take it from each other row after row.
+func (c *csvEncoder) appendMiddle(buf []byte, e *Event) []byte {
+	h := uint64(e.Kind)<<32 ^ uint64(e.Comm)<<8 ^ uint64(len(e.Label))
+	if n := len(e.Label); n > 0 {
+		h ^= uint64(e.Label[0])<<40 | uint64(e.Label[n/2])<<48 | uint64(e.Label[n-1])<<56
+	}
+	h *= hashMul
+	h = (h ^ h>>32) * hashMul >> (64 - middleSlotBits)
+	home := &c.middles[h]
+	for i := uint64(0); i < middleProbes; i++ {
+		s := &c.middles[(h+i)%uint64(len(c.middles))]
+		if s.n == 0 {
+			home = s
+			break
+		}
+		if s.kind == e.Kind && s.comm == e.Comm && s.label == e.Label {
+			buf = append(buf, s.text[:s.n]...)
 			return buf
 		}
 	}
-	n := len(buf)
-	buf = strconv.AppendFloat(buf, v, 'g', 17, 64)
-	i := c.memoNext
-	c.memoNext = (i + 1) % floatMemo
-	c.memoBits[i], c.memoLen[i] = key, uint8(copy(c.memoText[i][:], buf[n:]))
+	from := len(buf)
+	buf = append(buf, ',')
+	buf = append(buf, e.Kind.String()...)
+	buf = append(buf, ',')
+	buf = appendInt(buf, e.Comm)
+	buf = append(buf, ',')
+	buf = appendField(buf, e.Label)
+	buf = append(buf, ',')
+	if n := len(buf) - from; n <= middleText {
+		home.kind, home.comm, home.label, home.n = e.Kind, e.Comm, e.Label, uint8(n)
+		copy(home.text[:], buf[from:])
+	}
 	return buf
+}
+
+// digitPairs[i] is the two decimal digits of i < 100, the tens in the low
+// byte: stored little-endian they read in order.
+var digitPairs = func() (p [100]uint16) {
+	for i := range p {
+		p[i] = uint16('0'+i/10) | uint16('0'+i%10)<<8
+	}
+	return p
+}()
+
+// appendInt is strconv.AppendInt in base 10: up to eight digits are
+// written here, two at a time; longer and negative numbers are strconv's.
+func appendInt(buf []byte, v int64) []byte {
+	if uint64(v) >= 1e8 {
+		buf = strconv.AppendInt(buf, v, 10)
+		return buf
+	}
+	u := uint32(v)
+	if u < 10 {
+		buf = append(buf, byte('0'+u))
+		return buf
+	}
+	if u < 100 {
+		p := digitPairs[u]
+		buf = append(buf, byte(p), byte(p>>8))
+		return buf
+	}
+	var a [8]byte
+	i := len(a) - 2
+	for ; u >= 100; i, u = i-2, u/100 {
+		binary.LittleEndian.PutUint16(a[i:], digitPairs[u%100])
+	}
+	binary.LittleEndian.PutUint16(a[i:], digitPairs[u])
+	if u < 10 {
+		i++
+	}
+	buf = append(buf, a[i:]...)
+	return buf
+}
+
+// formatFloat writes v into dst as strconv.AppendFloat(nil, v, 'g', 17, 64)
+// does and returns the length: formatDecimal's digits where it takes the
+// value, strconv's otherwise.
+func formatFloat(dst *[24]byte, v float64) int {
+	if n := formatDecimal(dst, math.Float64bits(v)); n > 0 {
+		return n
+	}
+	return len(strconv.AppendFloat(dst[:0], v, 'g', 17, 64))
+}
+
+// pow5[s] is 5^s, exact: 5^27 is the last below 2^63.
+var pow5 = func() (p [28]uint64) {
+	p[0] = 1
+	for s := 1; s < len(p); s++ {
+		p[s] = 5 * p[s-1]
+	}
+	return p
+}()
+
+// formatDecimal writes the float64 with bit pattern key as 'g' with 17
+// significant digits if 2^-36 <= v < 2^51 (1.5e-11 to 2.2e15) and returns
+// the length; any other value — negative, zero, subnormal, Inf and NaN
+// among them — it leaves alone and returns 0.
+//
+// v is m·2^(b-52) with 2^52 <= m < 2^53. With k = floor(b·log10 2),
+// 10^k <= 2^b <= v < 2^(b+1) < 2·10^(k+1), so v·10^(16-k) has 17 or 18
+// digits before the point. It is m·5^(16-k) / 2^shift with shift = 36-b+k:
+// over the domain 16-k stays within 0…27 and shift within 1…61, so the
+// power of five fits a word, the product is exact in two, the quotient fits
+// one again, and the remainder — with the 18th digit, where there is one —
+// says exactly where v lies between two 17-digit neighbours. Ties go to
+// even, as in strconv. (Rounding up to 10^17 is carried into the exponent
+// although no double of this domain lies that close below a power of ten:
+// the kernel is right by construction, not by a census of its domain.)
+//
+//seclint:hotpath
+func formatDecimal(dst *[24]byte, key uint64) int {
+	b := int(key>>52) - (1023 - 36) // the sign bit, if set, puts it out of range too
+	if uint(b) > 36+50 {
+		return 0
+	}
+	b -= 36
+	k := b * 78913 >> 18 // floor(b·log10 2) for |b| < 1650
+	shift := uint(36 - b + k)
+	hi, lo := bits.Mul64(key&(1<<52-1)|1<<52, pow5[16-k])
+	q := hi<<(64-shift) | lo>>shift
+	rem, half := lo&(1<<shift-1), uint64(1)<<(shift-1)
+	var up bool
+	if q < 1e17 {
+		up = rem > half || rem == half && q&1 == 1
+	} else {
+		k++
+		d := q % 10
+		q /= 10
+		up = d > 5 || d == 5 && (rem != 0 || q&1 == 1)
+	}
+	if up {
+		if q++; q == 1e17 {
+			q, k = 1e16, k+1
+		}
+	}
+
+	// The digits d.dddddddddddddddd of q stand for d.ddd…·10^k. They go
+	// where %e and a %f of one or more integer digits have them but for the
+	// point, dst[1:18], or behind the "0.000" of a smaller %f.
+	at := 1
+	if -4 <= k && k < 0 {
+		at = 1 - k
+	}
+	top, low := uint32(q/1e8), uint32(q%1e8)
+	dst[at] = byte('0' + top/1e8)
+	put8(dst, at+1, top%1e8)
+	put8(dst, at+9, low)
+	n := 17
+	for dst[at+n-1] == '0' {
+		n--
+	}
+	switch {
+	case k >= 0: // %f: the k+1 integer digits move down to make room for the point
+		for i := 0; i <= k; i++ {
+			dst[i] = dst[i+1]
+		}
+		if n <= k+1 {
+			return k + 1 // the zeros that were trimmed belong to the integer
+		}
+		dst[k+1] = '.'
+		return n + 1
+	case k >= -4: // %f: 0.ddd, 0.0ddd, …
+		for i := 2; i < at; i++ {
+			dst[i] = '0'
+		}
+		dst[0], dst[1] = '0', '.'
+		return at + n
+	}
+	// %e: d.ddde-XX, or de-XX.
+	dst[0] = dst[1]
+	end := 1
+	if n > 1 {
+		dst[1] = '.'
+		end = n + 1
+	}
+	dst[end], dst[end+1] = 'e', '-'
+	binary.LittleEndian.PutUint16(dst[end+2:], digitPairs[-k])
+	return end + 4
+}
+
+// put8 writes the eight decimal digits of v < 10^8 at dst[at:at+8].
+func put8(dst *[24]byte, at int, v uint32) {
+	for i := at + 6; i >= at; i -= 2 {
+		binary.LittleEndian.PutUint16(dst[i:], digitPairs[v%100])
+		v /= 100
+	}
 }
 
 // appendField writes a free-text field under encoding/csv's quoting rule:

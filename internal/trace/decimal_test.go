@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -116,6 +117,146 @@ func FuzzParseFloat(f *testing.F) {
 	f.Fuzz(func(t *testing.T, cell []byte) {
 		if d := parseFloatDisagreement(string(cell)); d != "" {
 			t.Fatalf("parseFloat(%q): %s", cell, d)
+		}
+	})
+}
+
+// The write side's kernel is held to strconv.AppendFloat the same way: the
+// same bytes for every float64, its own digits inside its domain and
+// strconv's outside.
+
+func formatFloatDisagreement(v float64) string {
+	var dst [24]byte
+	got := dst[:formatFloat(&dst, v)]
+	if want := strconv.AppendFloat(nil, v, 'g', 17, 64); string(got) != string(want) {
+		return fmt.Sprintf("formatFloat(%#x) = %q, want %q", math.Float64bits(v), got, want)
+	}
+	return ""
+}
+
+// formatDomain says which values formatDecimal takes, on each side of each
+// edge of its domain [2^-36, 2^51).
+var formatDomain = []struct {
+	v    float64
+	took bool
+}{
+	{math.Ldexp(1, -36), true}, {math.Nextafter(math.Ldexp(1, -36), 0), false},
+	{math.Nextafter(math.Ldexp(1, 51), 0), true}, {math.Ldexp(1, 51), false},
+	{1.5, true}, {-1.5, false}, {0, false}, {math.Copysign(0, -1), false},
+	{1e-5, true}, {1e-4, true}, {0.1, true}, {1, true}, {134784, true}, {1e15, true},
+	{0.47207114751222223, true}, {1e-11, false}, {1e16, false}, {-math.Ldexp(1, -36), false},
+	{5e-324, false}, {2.2250738585072009e-308, false}, {math.MaxFloat64, false},
+	{math.Inf(1), false}, {math.Inf(-1), false}, {math.NaN(), false},
+}
+
+// formatEdges are the values around every decision of formatDecimal.
+func formatEdges() []float64 {
+	edges := append([]float64{}, nastyFloats...)
+	near := func(v float64) {
+		edges = append(edges, v)
+		up, down := v, v
+		for i := 0; i < 3; i++ {
+			up, down = math.Nextafter(up, math.Inf(1)), math.Nextafter(down, 0)
+			edges = append(edges, up, down)
+		}
+	}
+	// Powers of ten, where the digit count of the quotient and the choice
+	// between %e and %f (at 1e-5 and 1e-4) change; a double just below one
+	// is what could round up to 10^17 and carry. (None in the kernel's
+	// domain does: 1e-14 is the nearest that carries.)
+	for x := -30; x <= 30; x++ {
+		p, err := strconv.ParseFloat("1e"+strconv.Itoa(x), 64)
+		if err != nil {
+			panic(err)
+		}
+		near(p)
+		near(p / 2)
+		near(p * 5)
+	}
+	// Powers of two, where the binary exponent the decimal one is estimated
+	// from steps — the kernel's domain [2^-36, 2^51) ends on two of them.
+	for b := -40; b <= 56; b++ {
+		near(math.Ldexp(1, b))
+	}
+	// Exact ties: an odd j over 2^(17-x), between 10^x and 10^(x+1), is
+	// j·5^(16-x)/2 units of its 17th digit — a whole number and a half.
+	// Half of them have an even whole number below them, half an odd one.
+	rng := rand.New(rand.NewSource(17))
+	for x := -8; x <= 15; x++ {
+		lo := math.Ldexp(math.Pow(10, float64(x)), 17-x)
+		hi := min(10*lo, 1<<53)
+		for i := 0; i < 200; i++ {
+			j := uint64(lo+rng.Float64()*(hi-lo)) | 1
+			if v := math.Ldexp(float64(j), x-17); float64(j) >= lo && float64(j) < hi {
+				edges = append(edges, v)
+			}
+		}
+	}
+	return edges
+}
+
+func TestFormatFloatMatchesStrconv(t *testing.T) {
+	for _, v := range formatEdges() {
+		if d := formatFloatDisagreement(v); d != "" {
+			t.Error(d)
+		}
+	}
+	// The kernel must take its domain itself, or the test above compares
+	// strconv with strconv — and nothing outside it, where it is not exact.
+	// On each side of each edge:
+	var dst [24]byte
+	for _, c := range formatDomain {
+		if n := formatDecimal(&dst, math.Float64bits(c.v)); n > 0 != c.took {
+			t.Errorf("formatDecimal(%v) wrote %d bytes, took it = %v, want %v", c.v, n, n > 0, c.took)
+		}
+		if d := formatFloatDisagreement(c.v); d != "" {
+			t.Error(d)
+		}
+	}
+	// The decimal exponent is estimated as floor(b·log10 2) in integers:
+	// that is what it is over the domain's binary exponents and beyond.
+	for b := -60; b <= 60; b++ {
+		if got, want := b*78913>>18, int(math.Floor(float64(b)*math.Log10(2))); got != want {
+			t.Errorf("floor(%d·log10 2) estimated %d, is %d", b, got, want)
+		}
+	}
+
+	// Generated values, each with its two neighbours: what a trace holds
+	// (seconds), every magnitude, and raw bit patterns.
+	rng := rand.New(rand.NewSource(24))
+	n := 700000
+	if testing.Short() {
+		n = 70000
+	}
+	for i := 0; i < n; i++ {
+		var v float64
+		switch i % 3 {
+		case 0:
+			v = rng.Float64() * 10
+		case 1:
+			v = math.Pow(10, rng.Float64()*80-40)
+		case 2:
+			v = math.Float64frombits(rng.Uint64())
+		}
+		for _, v := range [...]float64{v, math.Nextafter(v, math.Inf(1)), math.Nextafter(v, math.Inf(-1))} {
+			if d := formatFloatDisagreement(v); d != "" {
+				t.Fatal(d)
+			}
+		}
+	}
+}
+
+// FuzzFormatFloat: on any bit pattern formatFloat is strconv.AppendFloat.
+func FuzzFormatFloat(f *testing.F) {
+	for _, v := range nastyFloats {
+		f.Add(math.Float64bits(v))
+	}
+	for _, c := range formatDomain {
+		f.Add(math.Float64bits(c.v))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		if d := formatFloatDisagreement(math.Float64frombits(bits)); d != "" {
+			t.Fatal(d)
 		}
 	})
 }

@@ -99,6 +99,115 @@ func TestWriterMatchesReference(t *testing.T) {
 	big := codecEvents(rand.New(rand.NewSource(1)), 5000, false)
 	big[2500].Label = strings.Repeat(`x"y,`, 40<<10)
 	check("flushes", big)
+	check("served", servedEvents())
+}
+
+// servedEvents is a recording of the shape the service seals, 64 ranks
+// stepping through the convolution's sections, with everything the encoder
+// remembers put to the test: floats that come back hundreds of rows later
+// (a receive's sendt is its sender's t) and more distinct ones than the
+// memo has slots; keys of the middle memo that share a hash, that differ in
+// one part only — by the hundred, so that some share a slot whatever the
+// hash and some are evicted — and middles too long to be kept; the zero
+// tails with a -0 in them; integers around every digit count appendInt
+// tells apart.
+func servedEvents() []Event {
+	const p = 64
+	var out []Event
+	section := func(t float64, r int, label string, d float64) float64 {
+		out = append(out, Event{T: t, Rank: r, Kind: KindSectionEnter, Label: label})
+		out = append(out, Event{T: t + d, Rank: r, Kind: KindSectionLeave, Label: label})
+		return t + d
+	}
+	at := func(step, r int) float64 { return float64(step)*0.011 + float64(r)*1.3e-6 }
+	for r := 0; r < p; r++ {
+		out = append(out, Event{Rank: r, Kind: KindSectionEnter, Label: "MPI_MAIN"})
+		section(section(0, r, "LOAD", 0.4), r, "SCATTER", 0.07)
+	}
+	for step := 1; step <= 12; step++ {
+		// In time order, as a merge has them: every rank's send, then every
+		// rank's receive — whose sendt and postt were written as a t more
+		// than a hundred rows back — then the compute sections.
+		for r := 0; r < p; r++ {
+			out = append(out, Event{T: at(step, r), Rank: r, Kind: KindSectionEnter, Label: "HALO"})
+			out = append(out, Event{T: at(step, r), Rank: r, Kind: KindSend, Peer: (r + 1) % p, Bytes: 134784, Tag: 200 + step%2})
+		}
+		for r := 0; r < p; r++ {
+			t, left := at(step, r), (r+p-1)%p
+			out = append(out, Event{T: t + 2e-4, Rank: r, Kind: KindRecv, Peer: left, Bytes: 134784, Tag: 200 + step%2,
+				SendT: at(step, left), PostT: t, ArrT: at(step, left) + 1.9e-4})
+			out = append(out, Event{T: t + 2e-4, Rank: r, Kind: KindSectionLeave, Label: "HALO"})
+		}
+		for r := 0; r < p; r++ {
+			section(at(step, r)+2e-4, r, "CONVOLVE", 0.01)
+		}
+	}
+	for r := 0; r < p; r++ {
+		section(section(at(13, r), r, "GATHER", 0.05), r, "STORE", 0.3)
+		out = append(out, Event{T: at(14, r), Rank: r, Kind: KindSectionLeave, Label: "MPI_MAIN"})
+	}
+
+	// One (kind, comm), labels that agree wherever a hash might look —
+	// length, first, middle and last byte — taking turns; a quoted label
+	// and one too long for a slot, again and again.
+	long := strings.Repeat("CalcCourantConstraintForElems/", 3)
+	for i := 0; i < 6; i++ {
+		for _, l := range []string{"CONVOLVE", "CANVOLVE", "CONVOLVE", `a,"b"`, long, "CONVOLVE.", long, `a,"b"`} {
+			out = append(out, Event{T: 1, Kind: KindSectionEnter, Comm: 3, Label: l})
+		}
+	}
+	// Keys that differ in one part only, more of them than there are slots.
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 300; i++ {
+			out = append(out, Event{T: 2, Kind: KindMarker, Comm: 7, Label: fmt.Sprintf("L%03d", i)})
+			out = append(out, Event{T: 2, Kind: KindMarker, Comm: int64(i), Label: "L"})
+			out = append(out, Event{T: 2, Kind: Kind(i), Comm: 7, Label: "L"})
+		}
+	}
+	// -0 in each float column, alone and among other values, behind zero and
+	// non-zero integers.
+	negZero := math.Copysign(0, -1)
+	for _, e := range []Event{
+		{T: negZero}, {SendT: negZero}, {PostT: negZero}, {ArrT: negZero},
+		{T: negZero, SendT: negZero, PostT: negZero, ArrT: negZero},
+		{T: 1, SendT: 0.5, PostT: negZero, ArrT: 0.25}, {T: 1, SendT: negZero, PostT: 0.5},
+	} {
+		out = append(out, e)
+		e.Kind, e.Peer, e.Tag = KindRecv, 1, 200
+		out = append(out, e)
+	}
+	for _, v := range []int{0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 9999, 10000, 99999, 100000, 999999, 1000000,
+		9999999, 10000000, 99999999, 100000000, 100000001, 1234567890, -1, -9, -10, -99, -100, -1000, -99999999, -100000000} {
+		out = append(out, Event{Rank: v, Kind: KindSend}, Event{Kind: KindSend, Comm: int64(v)}, Event{Kind: KindSend, Peer: v},
+			Event{Kind: KindSend, Bytes: v}, Event{Kind: KindSend, Tag: v}, Event{Rank: v, Kind: KindRecv, Comm: int64(v), Peer: v, Bytes: v, Tag: v, ArrT: 1})
+	}
+	return out
+}
+
+// TestAppendRowAtAnyCapacity: a row comes out the same whether the buffer
+// has room for it, for part of it, or for none.
+func TestAppendRowAtAnyCapacity(t *testing.T) {
+	events := []Event{
+		{T: 0.47207114751222223, Rank: 63, Kind: KindRecv, Peer: 62, Bytes: 134784, Tag: 200, SendT: 0.47207314751222224, PostT: 1.9999999999999999e-06, ArrT: 0.47207394751222226},
+		{T: 11.674514959528208, Rank: 7, Kind: KindSectionLeave, Comm: 12, Label: "CONVOLVE"},
+		{T: -1.5, Rank: 100, Kind: KindSend, Label: `a,"b"`, Peer: 1, Bytes: 1 << 40, Tag: -1000},
+	}
+	for i := range events {
+		var want bytes.Buffer
+		if err := refWriteEventsCSV(&want, events[i:i+1]); err != nil {
+			t.Fatal(err)
+		}
+		row := want.Bytes()[bytes.IndexByte(want.Bytes(), '\n')+1:]
+		for room := 0; room <= len(row)+32; room++ {
+			enc := newCSVEncoder(io.Discard)
+			for pass := 0; pass < 2; pass++ { // the second finds everything in the memos
+				buf := append(make([]byte, 0, 3+room), "xyz"...)
+				if got := enc.appendRow(buf, &events[i]); string(got) != "xyz"+string(row) {
+					t.Fatalf("event %d, room for %d bytes, pass %d:\n got %q\nwant %q", i, room, pass, got[3:], row)
+				}
+			}
+		}
+	}
 }
 
 // sameEvents is reflect.DeepEqual with floats compared by bit pattern, so

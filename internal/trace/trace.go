@@ -1,8 +1,8 @@
 // Package trace records timestamped runtime events (section boundaries,
-// messages, collectives) from the mpi tool layer and renders them as CSV,
-// JSON lines, or a coarse ASCII timeline. It is the "temporal trace viewer"
-// substrate the paper's §5.3 sketches: section events give a coarse-grained
-// overview that a GUI tool could zoom into.
+// messages, collectives) from the mpi tool layer and renders them as CSV or
+// a coarse ASCII timeline. It is the "temporal trace viewer" substrate the
+// paper's §5.3 sketches: section events give a coarse-grained overview that
+// a GUI tool could zoom into.
 //
 // # Canonical order
 //
@@ -28,9 +28,9 @@
 // replay whose state is all per rank (internal/waitstate, internal/pop);
 // and Order.Merge, the runs merged through a heap of per-rank cursors into
 // the canonical order, for everything that renders the stream (WriteCSV,
-// WriteJSON, Filter). Events is the merge gathered into a fresh slice, the
-// one reader whose result may outlive the buffer; Sorted and SortEvents are
-// the same for a slice. Input that is already canonical — a replayed CSV,
+// Filter). Events is the merge gathered into a fresh slice, the one reader
+// whose result may outlive the buffer; Sorted and SortEvents are the same
+// for a slice. Input that is already canonical — a replayed CSV,
 // the result of Events — is recognized by those three in one pass and
 // neither indexed nor copied.
 //
@@ -82,6 +82,34 @@
 // properties are held by differential tests against the encoding/csv
 // implementations kept in this package's tests.
 //
+// A write formats each float at most once and copies the rest of a row from
+// text it has made before. A float of 2^-36 <= v < 2^51 — every timestamp
+// and duration of a run — is m·2^e with m below 2^53; the s that puts
+// v·10^s at 17 or 18 digits before the point follows from the binary
+// exponent, m·5^s is exact in 128 bits because 5^s is below 2^63 up to
+// s = 27, and shifting that product right by -(e+s) gives those digits and a
+// remainder that says exactly which way the 17th rounds, ties to even:
+// the digits strconv's 'g' with precision 17 prints, from one multiplication
+// and no table of rounded powers. They are laid out as %e below 1e-4 and
+// %f from there, trailing zeros trimmed. Every other value — negative,
+// zero, subnormal, Inf, NaN, below 1.5e-11 or above 2.2e15 — is
+// strconv.AppendFloat's, as the integer columns are strconv.AppendInt's
+// below zero and past eight digits. What is remembered: the text of a
+// float, in 256 slots found by a hash of its bit pattern — a receive's sendt
+// is its sender's t, written as many rows earlier as there are ranks, which the
+// sixteen most recent values the encoder used to keep had long forgotten,
+// and a leave's t is the next enter's; the ",kind,comm,label," middle of a
+// row, of which a recording has a dozen or four and where the quoting rule
+// would otherwise be applied to every row, in 128 slots by a hash of the
+// key, compared in full on a hit; and the tails "0,0,0,0,0,0" of a section
+// row and "0,0,0" of a send, recognised on bit patterns so that -0 is still
+// written "-0". The slots are part of the encoder, which lives in the
+// writer's frame: the one allocation of a write is its 64 KiB buffer. The
+// writer is not parallel. Its caller, a service sealing a job, runs beside
+// other jobs that keep the cores busy, so a write gets cheaper only by
+// costing fewer instructions; and no trace written here is large enough for
+// the hand-over of blocks to pay, as it does for a read.
+//
 // A read uses every core. The calling goroutine reads the stream in blocks
 // of 256 KiB, cuts each at its last line end (the rest opens the next
 // block) and counts its line ends: a block yields at most that many rows,
@@ -114,9 +142,7 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 )
@@ -440,16 +466,4 @@ func Summarize(events []Event) []SectionSummary {
 		return out[i].Label < out[j].Label
 	})
 	return out
-}
-
-// WriteJSON streams the events as JSON lines (one event per line).
-func (b *Buffer) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	m := b.Order().Merge()
-	for e := m.Next(); e != nil; e = m.Next() {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -174,22 +173,6 @@ func TestReadCSVErrors(t *testing.T) {
 	bad = "t,rank,kind,comm,label,peer,bytes\n1,0,nokind,0,l,0,0\n"
 	if _, err := ReadCSV(strings.NewReader(bad)); err == nil {
 		t.Error("bad kind accepted")
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	b := NewBuffer(0)
-	b.Add(Event{T: 1.5, Rank: 2, Kind: KindSectionEnter, Label: "phase"})
-	var buf bytes.Buffer
-	if err := b.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var e Event
-	if err := json.Unmarshal(buf.Bytes(), &e); err != nil {
-		t.Fatal(err)
-	}
-	if e.T != 1.5 || e.Rank != 2 || e.Label != "phase" {
-		t.Errorf("json roundtrip = %+v", e)
 	}
 }
 
