@@ -90,10 +90,12 @@ func main() {
 	if *seed != 0 {
 		opts.Seed = *seed
 	}
-	opts.Jobs = *jobs
-	opts.Fault = plan
-	opts.Deadline = *deadline
-	opts.Verify = *verifyRuns
+	// The knobs every sweep shares, for the strong sweep and the -weak and
+	// -decomp extensions alike.
+	shared := func(s *experiments.Sweep) {
+		s.Jobs, s.Fault, s.Deadline, s.Verify = *jobs, plan, *deadline, *verifyRuns
+	}
+	shared(&opts.Sweep)
 	opts.Profile = *profilePath != ""
 
 	fmt.Printf("machine: %s  |  image 5616x3744 RGB, %d steps, %d reps, scales %v\n\n",
@@ -152,10 +154,7 @@ func main() {
 		if *quick {
 			wopts = experiments.QuickWeakOptions()
 		}
-		wopts.Jobs = *jobs
-		wopts.Fault = plan
-		wopts.Deadline = *deadline
-		wopts.Verify = *verifyRuns
+		shared(&wopts.Sweep)
 		wres, err := experiments.RunWeakConvolution(wopts)
 		if err != nil {
 			log.Fatal(err)
@@ -173,10 +172,7 @@ func main() {
 		if *quick {
 			dopts = experiments.QuickDecompOptions()
 		}
-		dopts.Jobs = *jobs
-		dopts.Fault = plan
-		dopts.Deadline = *deadline
-		dopts.Verify = *verifyRuns
+		shared(&dopts.Sweep)
 		dres, err := experiments.RunDecompComparison(dopts)
 		if err != nil {
 			log.Fatal(err)

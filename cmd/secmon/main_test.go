@@ -66,14 +66,15 @@ func TestRunRejectsBadParameters(t *testing.T) {
 		"/run?threads=x",
 		"/run?seed=-1",
 		"/run?exp=unknown",
+		"/run?exp=lulesh&p=2", // lulesh needs a cube rank count
 	} {
 		if code, _ := get(t, h, path); code != http.StatusBadRequest {
 			t.Fatalf("%s: code %d, want 400", path, code)
 		}
 	}
-	// A run that fails after launch (lulesh needs a cube rank count)
-	// surfaces its error on /run (with wait=1) and /sections.
-	code, body := get(t, h, "/run?exp=lulesh&p=2&wait=1")
+	// A run that fails after launch (a killed rank, no retry) surfaces its
+	// error on /run (with wait=1) and /sections.
+	code, body := get(t, h, "/run?exp=conv&p=4&steps=6&scale=32&wait=1&seq=0&retry=0&fault=kill:rank=2,after=5")
 	if code != http.StatusOK || !strings.Contains(body, "error") {
 		t.Fatalf("failing run: code %d body %q", code, body)
 	}

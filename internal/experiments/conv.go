@@ -3,59 +3,34 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
-	"time"
 
 	"repro/internal/convolution"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/machine"
-	"repro/internal/mpi"
-	"repro/internal/prof"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/verify"
 )
 
 // ConvOptions configures the convolution scaling study of §5.1.
 type ConvOptions struct {
+	Sweep
 	// Ps are the MPI process counts to sweep.
 	Ps []int
-	// Steps is the number of convolution time-steps per run.
-	Steps int
 	// Reps averages each point over this many repetitions with distinct
 	// seeds ("runs were done twenty times and averaged" — default 3 keeps
-	// the harness fast while still smoothing jitter).
+	// the harness fast while still smoothing jitter); rep r uses
+	// Seed+7919·r, and rep 0 is the Diagnose/Profile specimen.
 	Reps int
 	// Scale divides the executed image dimensions.
 	Scale int
-	// Seed is the base seed; rep r uses Seed+r.
-	Seed uint64
-	// Model is the machine (default: the Nehalem cluster of the paper).
-	Model *machine.Model
-	// Jobs bounds the worker pool running sweep points concurrently
-	// (sched.Workers semantics: 0 selects the process default). Results are
-	// independent of the value.
-	Jobs int
-	// Diagnose attaches a trace collector to each point's rep-0 run and
-	// reports the binding section's wait-state diagnosis in the CSV.
-	Diagnose bool
 	// Profile attaches the constant-memory streaming telemetry tool to each
 	// point's rep-0 run; the resulting summaries land in ConvPoint.Profile.
 	// Unlike Diagnose this never buffers an event stream, so it composes
 	// with the extreme-scale sweeps.
 	Profile bool
-	// Verify attaches the runtime section/collective verifier to every run;
-	// violations accumulate in ConvResult.Verify (the -verify bench flag).
-	Verify bool
-	// Fault arms a deterministic fault plan in every point's runtime; points
-	// whose runs fail degrade to an `error` CSV cell instead of aborting the
-	// sweep.
-	Fault *fault.Plan
-	// Deadline arms the per-run deadlock detector (default 30s when Fault is
-	// set, off otherwise).
-	Deadline time.Duration
 	// TwoD runs the 2-D domain decomposition (convolution.Run2D) instead of
 	// the paper's 1-D split. Required past the 1-D geometry limit (the
 	// executed image height caps 1-D rank counts near the paper's scales).
@@ -70,13 +45,10 @@ type ConvOptions struct {
 // 1000 steps, up to 456 cores of the Nehalem cluster.
 func PaperConvOptions() ConvOptions {
 	return ConvOptions{
-		Ps:       []int{8, 16, 32, 64, 80, 96, 112, 128, 144, 192, 256, 320, 456},
-		Steps:    1000,
-		Reps:     3,
-		Scale:    8,
-		Seed:     2017,
-		Model:    machine.NehalemCluster(),
-		Diagnose: true,
+		Sweep: Sweep{Model: machine.NehalemCluster(), Seed: 2017, Steps: 1000, Diagnose: true},
+		Ps:    []int{8, 16, 32, 64, 80, 96, 112, 128, 144, 192, 256, 320, 456},
+		Reps:  3,
+		Scale: 8,
 	}
 }
 
@@ -85,13 +57,28 @@ func PaperConvOptions() ConvOptions {
 // shorter run.
 func QuickConvOptions() ConvOptions {
 	return ConvOptions{
-		Ps:       []int{2, 4, 8, 16},
-		Steps:    40,
-		Reps:     1,
-		Scale:    16,
-		Seed:     2017,
-		Model:    machine.NehalemCluster(),
-		Diagnose: true,
+		Sweep: Sweep{Model: machine.NehalemCluster(), Seed: 2017, Steps: 40, Diagnose: true},
+		Ps:    []int{2, 4, 8, 16},
+		Reps:  1,
+		Scale: 16,
+	}
+}
+
+// ExtremeConvOptions scales past the paper (target E12, the convbench
+// -extreme smoke; EXPERIMENTS.md §"Scaling past the paper"): the paper's
+// studies stop at 456 ranks, the Nehalem system's core count, while this
+// sweep reaches 10,000 on the extrapolated ExtremeCluster — a 100×100
+// process grid over the paper image at Scale 16, three time-steps, one
+// repetition — with the 2-D decomposition (1-D rows cannot express 10,000
+// ranks over a 234-row executed image) and the lazy session runtime.
+func ExtremeConvOptions() ConvOptions {
+	return ConvOptions{
+		Sweep: Sweep{Model: machine.ExtremeCluster(), Seed: 2017, Steps: 3},
+		Ps:    []int{1024, 4096, 10000},
+		Reps:  1,
+		Scale: 16,
+		TwoD:  true,
+		Lazy:  true,
 	}
 }
 
@@ -128,16 +115,6 @@ type ConvResult struct {
 	Verify []verify.Violation
 }
 
-// rankCosts is what the sweeps hand sched.MapByCost: jobs per consecutive
-// jobs run scale ps[i/per], and a simulation costs what its ranks do.
-func rankCosts(ps []int, per int) []int {
-	costs := make([]int, len(ps)*per)
-	for i := range costs {
-		costs[i] = ps[i/per]
-	}
-	return costs
-}
-
 // RunConvolution executes the sweep and assembles the partial-bounding
 // study.
 func RunConvolution(o ConvOptions) (*ConvResult, error) {
@@ -147,10 +124,7 @@ func RunConvolution(o ConvOptions) (*ConvResult, error) {
 	if o.Reps < 1 {
 		o.Reps = 1
 	}
-	params := convolution.Params{
-		Width: 5616, Height: 3744,
-		Steps: o.Steps, Scale: o.Scale, Seed: o.Seed, SkipKernel: true,
-	}
+	params := paperImage(o.Steps, o.Scale, o.Seed)
 	seq, err := seqBaselineCached(params, o.Model)
 	if err != nil {
 		return nil, err
@@ -166,85 +140,18 @@ func RunConvolution(o ConvOptions) (*ConvResult, error) {
 	// sequentially and in the original (p, rep) order — fp addition order
 	// and study insertion order are those of the sequential sweep, so the
 	// output bytes are identical for every Jobs value.
-	type repResult struct {
-		wall    float64
-		totals  map[string]float64
-		shares  map[string]float64
-		diag    *PointDiagnosis
-		profile *telemetry.Profile
-		verify  []verify.Violation
-		errMsg  string
-	}
-	reps, err := sched.MapByCost(sched.Workers(o.Jobs), rankCosts(o.Ps, o.Reps), func(i int) (repResult, error) {
-		p := o.Ps[i/o.Reps]
+	run, labels := convRunner(o.TwoD, params), convolution.Labels()
+	reps, err := sched.MapByCost(sched.Workers(o.Jobs), rankCosts(o.Ps, o.Reps), func(i int) (pointResult, error) {
 		rep := i % o.Reps
-		profiler := prof.New()
-		cfg := mpi.Config{
-			Ranks:   p,
-			Model:   o.Model,
-			Seed:    o.Seed + uint64(rep)*7919,
-			Tools:   []mpi.Tool{profiler},
-			Timeout: 10 * time.Minute,
-			Lazy:    o.Lazy,
-		}
-		applyFault(&cfg, o.Fault, o.Deadline)
-		ver := attachVerifier(&cfg, o.Verify)
-		// The rep-0 run doubles as the diagnosis specimen: tools observe the
-		// virtual clocks without perturbing them, so attaching the collector
-		// leaves the measured times bit-identical.
-		var collector *trace.Collector
-		if o.Diagnose && rep == 0 {
-			collector = newDiagCollector()
-			cfg.Tools = append(cfg.Tools, collector)
-		}
-		var tele *telemetry.Tool
-		if o.Profile && rep == 0 {
-			tele = telemetry.New(telemetry.Options{SeqTime: seq})
-			cfg.Tools = append(cfg.Tools, tele)
-		}
-		runConv := convolution.Run
-		if o.TwoD {
-			runConv = convolution.Run2D
-		}
-		if _, err := runConv(cfg, params); err != nil {
-			// Degraded mode: the point records its root cause and the sweep
-			// carries on — returning the error would abort every other point.
-			return repResult{errMsg: runErrCell(err), verify: verifierViolations(ver)}, nil
-		}
-		profile, err := profiler.Result()
-		if err != nil {
-			return repResult{}, err
-		}
-		out := repResult{
-			wall:   profile.WallTime,
-			totals: map[string]float64{},
-			shares: map[string]float64{},
-		}
-		shares := profile.Shares()
-		for _, label := range convolution.Labels() {
-			if s := profile.Section(label); s != nil {
-				out.totals[label] = s.TotalTime()
-				out.shares[label] = shares[label]
-			}
-		}
-		if collector != nil {
-			out.diag = diagnose(collector, seq)
-		}
-		if tele != nil {
-			out.profile = tele.Snapshot()
-		}
-		out.verify = verifierViolations(ver)
-		return out, nil
+		return o.runPoint(point{
+			ranks: o.Ps[i/o.Reps], seed: o.Seed + uint64(rep)*7919, lazy: o.Lazy, run: run,
+			labels: labels, specimen: rep == 0, profile: o.Profile, seq: seq,
+		})
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Collect verifier findings in sequential (p, rep) order, then impose
-	// the canonical sort — identical bytes for every Jobs value.
-	for _, r := range reps {
-		res.Verify = append(res.Verify, r.verify...)
-	}
-	verify.SortViolations(res.Verify)
+	res.Verify = violations(reps)
 
 	for pi, p := range o.Ps {
 		pt := ConvPoint{
@@ -252,16 +159,16 @@ func RunConvolution(o ConvOptions) (*ConvResult, error) {
 			Totals:     map[string]float64{},
 			AvgPerProc: map[string]float64{},
 			Shares:     map[string]float64{},
+			Diag:       reps[pi*o.Reps].diag,
+			Profile:    reps[pi*o.Reps].profile,
 		}
-		pt.Diag = reps[pi*o.Reps].diag
-		pt.Profile = reps[pi*o.Reps].profile
 		for rep := 0; rep < o.Reps; rep++ {
 			job := reps[pi*o.Reps+rep]
-			if job.errMsg != "" && pt.Err == "" {
-				pt.Err = fmt.Sprintf("p=%d rep=%d: %s", p, rep, job.errMsg)
+			if job.err != "" && pt.Err == "" {
+				pt.Err = fmt.Sprintf("p=%d rep=%d: %s", p, rep, job.err)
 			}
 			pt.Wall += job.wall
-			for _, label := range convolution.Labels() {
+			for _, label := range labels {
 				if t, ok := job.totals[label]; ok {
 					pt.Totals[label] += t
 					pt.Shares[label] += job.shares[label]
@@ -272,13 +179,9 @@ func RunConvolution(o ConvOptions) (*ConvResult, error) {
 			// A failed repetition poisons the point's averages: report the
 			// root cause, keep the metrics zero, and leave the bound study to
 			// the points that completed.
-			pt.Wall, pt.Speedup = 0, 0
-			pt.Totals = map[string]float64{}
-			pt.AvgPerProc = map[string]float64{}
-			pt.Shares = map[string]float64{}
-			pt.Diag = nil
-			pt.Profile = nil
-			res.Points = append(res.Points, pt)
+			res.Points = append(res.Points, ConvPoint{
+				P: p, Totals: map[string]float64{}, AvgPerProc: map[string]float64{}, Shares: map[string]float64{}, Err: pt.Err,
+			})
 			continue
 		}
 		inv := 1 / float64(o.Reps)
@@ -298,16 +201,13 @@ func RunConvolution(o ConvOptions) (*ConvResult, error) {
 	return res, nil
 }
 
-// sectionColumns is the section ordering of the Fig. 5 tables.
-func sectionColumns() []string { return convolution.Labels() }
-
 // Fig5a renders the percentage of execution time per section vs. process
 // count — the paper's Fig. 5(a).
 func (r *ConvResult) Fig5a() string {
-	t := newTable(append([]string{"#procs"}, sectionColumns()...)...)
+	t := newTable(append([]string{"#procs"}, convolution.Labels()...)...)
 	for _, pt := range r.Points {
 		cells := []string{fmt.Sprintf("%d", pt.P)}
-		for _, label := range sectionColumns() {
+		for _, label := range convolution.Labels() {
 			cells = append(cells, fmt.Sprintf("%.2f%%", 100*pt.Shares[label]))
 		}
 		t.addRow(cells...)
@@ -317,10 +217,10 @@ func (r *ConvResult) Fig5a() string {
 
 // Fig5b renders the total (summed over ranks) time per section — Fig. 5(b).
 func (r *ConvResult) Fig5b() string {
-	t := newTable(append([]string{"#procs"}, sectionColumns()...)...)
+	t := newTable(append([]string{"#procs"}, convolution.Labels()...)...)
 	for _, pt := range r.Points {
 		cells := []string{fmt.Sprintf("%d", pt.P)}
-		for _, label := range sectionColumns() {
+		for _, label := range convolution.Labels() {
 			cells = append(cells, fmt.Sprintf("%.4g", pt.Totals[label]))
 		}
 		t.addRow(cells...)
@@ -330,10 +230,10 @@ func (r *ConvResult) Fig5b() string {
 
 // Fig5c renders the average per-process time per section — Fig. 5(c).
 func (r *ConvResult) Fig5c() string {
-	t := newTable(append([]string{"#procs"}, sectionColumns()...)...)
+	t := newTable(append([]string{"#procs"}, convolution.Labels()...)...)
 	for _, pt := range r.Points {
 		cells := []string{fmt.Sprintf("%d", pt.P)}
-		for _, label := range sectionColumns() {
+		for _, label := range convolution.Labels() {
 			cells = append(cells, fmt.Sprintf("%.4g", pt.AvgPerProc[label]))
 		}
 		t.addRow(cells...)
@@ -368,7 +268,7 @@ var fig6Scales = []int{64, 80, 112, 128, 144}
 func (r *ConvResult) Fig6() string {
 	t := newTable("#Processes", "Tot. HALO Time", "Speedup Bound (B)")
 	for _, row := range r.Study.BoundTable(convolution.SecHalo) {
-		if !contains(fig6Scales, row.Scale) && len(r.Points) > 6 {
+		if !slices.Contains(fig6Scales, row.Scale) && len(r.Points) > 6 {
 			continue
 		}
 		t.addRow(fmt.Sprintf("%d", row.Scale),
@@ -385,7 +285,7 @@ func (r *ConvResult) Fig6() string {
 func (r *ConvResult) FitReport() string {
 	t := newTable("section", "A (serial s)", "B (parallel s)", "C (overhead s/p)",
 		"RMSE", "predicted p*")
-	for _, label := range sectionColumns() {
+	for _, label := range convolution.Labels() {
 		fit, pStar, ok, err := r.Study.PredictStudyInflexion(label)
 		if err != nil {
 			continue
@@ -404,32 +304,19 @@ func (r *ConvResult) FitReport() string {
 // WriteCSV emits every point with all per-section columns plus the
 // wait-state diagnosis block (blank when Diagnose was off).
 func (r *ConvResult) WriteCSV(w io.Writer) error {
-	cols := sectionColumns()
-	header := []string{"p", "wall", "speedup"}
-	for _, c := range cols {
-		header = append(header, "total_"+c, "share_"+c)
+	labels := convolution.Labels()
+	cols := []string{"p", "wall", "speedup"}
+	for _, c := range labels {
+		cols = append(cols, "total_"+c, "share_"+c)
 	}
-	header = append(header, diagHeader()...)
-	header = append(header, "error")
-	if _, err := io.WriteString(w, csvLine(header...)); err != nil {
-		return err
-	}
-	for _, pt := range r.Points {
-		cells := []string{
-			fmt.Sprintf("%d", pt.P),
-			fmt.Sprintf("%g", pt.Wall),
-			fmt.Sprintf("%g", pt.Speedup),
-		}
-		for _, c := range cols {
+	return writeSweepCSV(w, cols, len(r.Points), func(i int) ([]string, *PointDiagnosis, string) {
+		pt := r.Points[i]
+		cells := []string{fmt.Sprintf("%d", pt.P), fmt.Sprintf("%g", pt.Wall), fmt.Sprintf("%g", pt.Speedup)}
+		for _, c := range labels {
 			cells = append(cells, fmt.Sprintf("%g", pt.Totals[c]), fmt.Sprintf("%g", pt.Shares[c]))
 		}
-		cells = append(cells, pt.Diag.csvCells()...)
-		cells = append(cells, csvEscape(pt.Err))
-		if _, err := io.WriteString(w, csvLine(cells...)); err != nil {
-			return err
-		}
-	}
-	return nil
+		return cells, pt.Diag, pt.Err
+	})
 }
 
 // LargestProfile returns the streaming telemetry summary of the largest
@@ -441,13 +328,4 @@ func (r *ConvResult) LargestProfile() *telemetry.Profile {
 		}
 	}
 	return nil
-}
-
-func contains(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -3,15 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/convolution"
-	"repro/internal/fault"
 	"repro/internal/machine"
-	"repro/internal/mpi"
-	"repro/internal/prof"
 	"repro/internal/sched"
-	"repro/internal/trace"
 	"repro/internal/verify"
 )
 
@@ -53,47 +48,26 @@ type DecompResult struct {
 
 // DecompOptions configures the comparison.
 type DecompOptions struct {
+	Sweep
 	Ps    []int
-	Steps int
 	Scale int
-	Seed  uint64
-	Model *machine.Model
-	// Jobs bounds the worker pool (sched.Workers semantics).
-	Jobs int
-	// Diagnose attaches a trace collector per run and reports the binding
-	// section's wait-state diagnosis in the CSV.
-	Diagnose bool
-	// Verify attaches the runtime section/collective verifier to every run;
-	// violations accumulate in DecompResult.Verify (the -verify bench flag).
-	Verify bool
-	// Fault arms a deterministic fault plan; failed variants degrade to an
-	// `error` CSV cell instead of aborting the comparison.
-	Fault *fault.Plan
-	// Deadline arms the per-run deadlock detector (default 30s when Fault is
-	// set, off otherwise).
-	Deadline time.Duration
 }
 
 // QuickDecompOptions is a reduced comparison for tests.
 func QuickDecompOptions() DecompOptions {
 	return DecompOptions{
-		Ps:       []int{4, 16},
-		Steps:    20,
-		Scale:    16,
-		Seed:     2017,
-		Model:    machine.NehalemCluster(),
-		Diagnose: true,
+		Sweep: Sweep{Model: machine.NehalemCluster(), Seed: 2017, Steps: 20, Diagnose: true},
+		Ps:    []int{4, 16},
+		Scale: 16,
 	}
 }
 
 // PaperDecompOptions compares at the paper's scales.
 func PaperDecompOptions() DecompOptions {
 	return DecompOptions{
+		Sweep: Sweep{Model: machine.NehalemCluster(), Seed: 2017, Steps: 200},
 		Ps:    []int{16, 64, 144, 256},
-		Steps: 200,
 		Scale: 8,
-		Seed:  2017,
-		Model: machine.NehalemCluster(),
 	}
 }
 
@@ -102,10 +76,7 @@ func RunDecompComparison(o DecompOptions) (*DecompResult, error) {
 	if o.Model == nil {
 		o.Model = machine.NehalemCluster()
 	}
-	params := convolution.Params{
-		Width: 5616, Height: 3744,
-		Steps: o.Steps, Scale: o.Scale, Seed: o.Seed, SkipKernel: true,
-	}
+	params := paperImage(o.Steps, o.Scale, o.Seed)
 	grids := make([][2]int, len(o.Ps))
 	for i, p := range o.Ps {
 		px, py, err := convolution.Grid2D(p)
@@ -116,72 +87,32 @@ func RunDecompComparison(o DecompOptions) (*DecompResult, error) {
 	}
 	// Two jobs per scale — the 1-D and 2-D runs are independent of each
 	// other too, so both decompositions fan out on the worker pool.
-	type variantResult struct {
-		halo, wall float64
-		diag       *PointDiagnosis
-		verify     []verify.Violation
-		errMsg     string
-	}
-	runs, err := sched.MapByCost(sched.Workers(o.Jobs), rankCosts(o.Ps, 2), func(i int) (variantResult, error) {
-		p := o.Ps[i/2]
-		runner := convolution.Run
-		if i%2 == 1 {
-			runner = convolution.Run2D
-		}
-		profiler := prof.New()
-		cfg := mpi.Config{
-			Ranks: p, Model: o.Model, Seed: o.Seed,
-			Tools: []mpi.Tool{profiler}, Timeout: 10 * time.Minute,
-		}
-		applyFault(&cfg, o.Fault, o.Deadline)
-		ver := attachVerifier(&cfg, o.Verify)
-		var collector *trace.Collector
-		if o.Diagnose {
-			collector = newDiagCollector()
-			cfg.Tools = append(cfg.Tools, collector)
-		}
-		if _, err := runner(cfg, params); err != nil {
-			// Degraded mode: record the root cause, let the sweep carry on;
-			// the CSV row's variant column names the failed decomposition.
-			return variantResult{errMsg: runErrCell(err), verify: verifierViolations(ver)}, nil
-		}
-		profile, err := profiler.Result()
-		if err != nil {
-			return variantResult{}, err
-		}
-		out := variantResult{
-			halo: profile.Section(convolution.SecHalo).AvgPerProcess(),
-			wall: profile.WallTime,
-		}
-		if collector != nil {
-			out.diag = diagnose(collector, 0)
-		}
-		out.verify = verifierViolations(ver)
-		return out, nil
+	runs, err := sched.MapByCost(sched.Workers(o.Jobs), rankCosts(o.Ps, 2), func(i int) (pointResult, error) {
+		return o.runPoint(point{
+			ranks: o.Ps[i/2], seed: o.Seed, run: convRunner(i%2 == 1, params),
+			labels: []string{convolution.SecHalo}, specimen: true,
+		})
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &DecompResult{}
-	for _, r := range runs {
-		res.Verify = append(res.Verify, r.verify...)
-	}
-	verify.SortViolations(res.Verify)
+	res := &DecompResult{Verify: violations(runs)}
 	for i, p := range o.Ps {
 		px, py := grids[i][0], grids[i][1]
+		v1, v2 := runs[2*i], runs[2*i+1]
 		res.Points = append(res.Points, DecompPoint{
 			P:       p,
 			Grid:    fmt.Sprintf("%dx%d", px, py),
 			Bytes1D: params.Halo1DBytesPerProc(),
 			Bytes2D: params.Halo2DBytesPerProc(px, py),
-			Halo1D:  runs[2*i].halo,
-			Wall1D:  runs[2*i].wall,
-			Diag1D:  runs[2*i].diag,
-			Err1D:   runs[2*i].errMsg,
-			Halo2D:  runs[2*i+1].halo,
-			Wall2D:  runs[2*i+1].wall,
-			Diag2D:  runs[2*i+1].diag,
-			Err2D:   runs[2*i+1].errMsg,
+			Halo1D:  v1.avgs[convolution.SecHalo],
+			Wall1D:  v1.wall,
+			Diag1D:  v1.diag,
+			Err1D:   v1.err,
+			Halo2D:  v2.avgs[convolution.SecHalo],
+			Wall2D:  v2.wall,
+			Diag2D:  v2.diag,
+			Err2D:   v2.err,
 		})
 	}
 	return res, nil
@@ -207,41 +138,19 @@ func (r *DecompResult) Table() string {
 }
 
 // WriteCSV emits the comparison as one row per (p, variant) so the
-// diagnosis block applies to a single decomposition at a time.
+// diagnosis block applies to a single decomposition at a time; the variant
+// column names a failed decomposition.
 func (r *DecompResult) WriteCSV(w io.Writer) error {
-	header := append([]string{"p", "variant", "grid", "halo_bytes_per_proc", "halo_avg", "wall"}, diagHeader()...)
-	header = append(header, "error")
-	if _, err := io.WriteString(w, csvLine(header...)); err != nil {
-		return err
-	}
-	for _, pt := range r.Points {
-		rows := []struct {
-			variant string
-			grid    string
-			bytes   int
-			halo    float64
-			wall    float64
-			diag    *PointDiagnosis
-			errMsg  string
-		}{
-			{"1d", fmt.Sprintf("1x%d", pt.P), pt.Bytes1D, pt.Halo1D, pt.Wall1D, pt.Diag1D, pt.Err1D},
-			{"2d", pt.Grid, pt.Bytes2D, pt.Halo2D, pt.Wall2D, pt.Diag2D, pt.Err2D},
-		}
-		for _, row := range rows {
-			cells := []string{
-				fmt.Sprintf("%d", pt.P),
-				row.variant,
-				row.grid,
-				fmt.Sprintf("%d", row.bytes),
-				fmt.Sprintf("%g", row.halo),
-				fmt.Sprintf("%g", row.wall),
+	return writeSweepCSV(w, []string{"p", "variant", "grid", "halo_bytes_per_proc", "halo_avg", "wall"}, 2*len(r.Points),
+		func(i int) ([]string, *PointDiagnosis, string) {
+			pt := r.Points[i/2]
+			variant, grid, bytes, halo, wall, diag, cause := "1d", fmt.Sprintf("1x%d", pt.P), pt.Bytes1D, pt.Halo1D, pt.Wall1D, pt.Diag1D, pt.Err1D
+			if i%2 == 1 {
+				variant, grid, bytes, halo, wall, diag, cause = "2d", pt.Grid, pt.Bytes2D, pt.Halo2D, pt.Wall2D, pt.Diag2D, pt.Err2D
 			}
-			cells = append(cells, row.diag.csvCells()...)
-			cells = append(cells, csvEscape(row.errMsg))
-			if _, err := io.WriteString(w, csvLine(cells...)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+			return []string{
+				fmt.Sprintf("%d", pt.P), variant, grid, fmt.Sprintf("%d", bytes),
+				fmt.Sprintf("%g", halo), fmt.Sprintf("%g", wall),
+			}, diag, cause
+		})
 }

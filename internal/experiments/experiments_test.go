@@ -291,12 +291,10 @@ func TestBroadwellMPIBeatsOpenMP(t *testing.T) {
 	// Fig. 8's conclusion: "it is more optimal to parallelize on top of
 	// MPI" — compare 8 workers each way at equal total elements.
 	o := HybridOptions{
-		Model:    machine.DualBroadwell(),
+		Sweep:    Sweep{Model: machine.DualBroadwell(), Seed: 2017, Steps: 3},
 		Ranks:    []int{1, 8},
 		Threads:  []int{1, 8},
-		Steps:    3,
 		MaxScale: 8,
-		Seed:     2017,
 	}
 	res, err := RunHybrid(o)
 	if err != nil {

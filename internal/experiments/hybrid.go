@@ -4,65 +4,39 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/lulesh"
 	"repro/internal/machine"
-	"repro/internal/mpi"
-	"repro/internal/prof"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/verify"
 )
 
 // HybridOptions configures the LULESH MPI+OpenMP study of §5.2.
 type HybridOptions struct {
-	// Model is the machine (KNL or DualBroadwell in the paper).
-	Model *machine.Model
+	// Sweep's Model is KNL or DualBroadwell in the paper.
+	Sweep
 	// Ranks are the MPI process counts to sweep (cubes; the per-rank size
 	// follows Table 7 to keep 110592 total elements).
 	Ranks []int
 	// Threads are the OpenMP team sizes to sweep.
 	Threads []int
-	// Steps per run.
-	Steps int
 	// MaxScale caps the execution-scale divisor (the driver picks the
 	// largest divisor of s not exceeding it with an executed edge >= 2).
 	MaxScale int
-	// Seed for the machine's stochastic components.
-	Seed uint64
-	// Jobs bounds the worker pool (sched.Workers semantics).
-	Jobs int
-	// Diagnose attaches a trace collector per grid cell and reports the
-	// binding section's wait-state diagnosis in the CSV.
-	Diagnose bool
 	// Profile attaches the constant-memory streaming telemetry tool per
 	// cell; summaries land in HybridPoint.Profile.
 	Profile bool
-	// Verify attaches the runtime section/collective verifier to every cell;
-	// violations accumulate in HybridResult.Verify (the -verify bench flag).
-	Verify bool
-	// Fault arms a deterministic fault plan; failed cells degrade to an
-	// `error` CSV cell instead of aborting the sweep.
-	Fault *fault.Plan
-	// Deadline arms the per-run deadlock detector (default 30s when Fault is
-	// set, off otherwise).
-	Deadline time.Duration
 }
 
 // PaperBroadwellOptions reproduces Fig. 8's sweep.
 func PaperBroadwellOptions() HybridOptions {
 	return HybridOptions{
-		Model:    machine.DualBroadwell(),
+		Sweep:    Sweep{Model: machine.DualBroadwell(), Seed: 2017, Steps: 10, Diagnose: true},
 		Ranks:    []int{1, 8, 27},
 		Threads:  []int{1, 2, 4, 8, 16, 32, 64},
-		Steps:    10,
 		MaxScale: 4,
-		Seed:     2017,
-		Diagnose: true,
 	}
 }
 
@@ -70,26 +44,20 @@ func PaperBroadwellOptions() HybridOptions {
 // series).
 func PaperKNLOptions() HybridOptions {
 	return HybridOptions{
-		Model:    machine.KNL(),
+		Sweep:    Sweep{Model: machine.KNL(), Seed: 2017, Steps: 10, Diagnose: true},
 		Ranks:    []int{1, 8, 27},
 		Threads:  []int{1, 2, 4, 8, 16, 24, 32, 48, 64, 128, 256},
-		Steps:    10,
 		MaxScale: 4,
-		Seed:     2017,
-		Diagnose: true,
 	}
 }
 
 // QuickHybridOptions is a reduced sweep for tests.
 func QuickHybridOptions() HybridOptions {
 	return HybridOptions{
-		Model:    machine.KNL(),
+		Sweep:    Sweep{Model: machine.KNL(), Seed: 2017, Steps: 3, Diagnose: true},
 		Ranks:    []int{1, 8},
 		Threads:  []int{1, 4, 24, 128},
-		Steps:    3,
 		MaxScale: 8,
-		Seed:     2017,
-		Diagnose: true,
 	}
 }
 
@@ -129,9 +97,6 @@ type HybridPoint struct {
 	// Profile is the streaming telemetry summary (nil with Profile off, and
 	// for failed cells).
 	Profile *telemetry.Profile
-	// VerifyViolations is this cell's runtime-verifier report (nil with
-	// Verify off).
-	VerifyViolations []verify.Violation
 	// Err is the run's root cause ("" when healthy); failed cells keep zero
 	// metrics while the sweep completes.
 	Err string
@@ -151,7 +116,6 @@ func RunHybrid(o HybridOptions) (*HybridResult, error) {
 	if o.Model == nil {
 		o.Model = machine.KNL()
 	}
-	res := &HybridResult{Opts: o}
 	// Resolve the per-rank sizes first (cheap, and validation errors should
 	// not depend on scheduling), then fan the (ranks, threads) grid out on
 	// the worker pool: each cell is an independent simulation.
@@ -167,85 +131,34 @@ func RunHybrid(o HybridOptions) (*HybridResult, error) {
 			cells = append(cells, gridCell{ranks, threads, s, scale})
 		}
 	}
-	points, err := sched.Map(sched.Workers(o.Jobs), len(cells), func(i int) (HybridPoint, error) {
+	labels := lulesh.Sections()
+	runs, err := sched.Map(sched.Workers(o.Jobs), len(cells), func(i int) (pointResult, error) {
 		cell := cells[i]
 		params := lulesh.Params{
 			S: cell.s, Steps: o.Steps, Threads: cell.threads, Scale: cell.scale, SedovEnergy: 1e4,
 		}
-		profiler := prof.New()
-		cfg := mpi.Config{
-			Ranks:          cell.ranks,
-			ThreadsPerRank: cell.threads,
-			Model:          o.Model,
-			Seed:           o.Seed,
-			Tools:          []mpi.Tool{profiler},
-			Timeout:        10 * time.Minute,
-		}
-		applyFault(&cfg, o.Fault, o.Deadline)
-		ver := attachVerifier(&cfg, o.Verify)
-		var collector *trace.Collector
-		if o.Diagnose {
-			collector = newDiagCollector()
-			cfg.Tools = append(cfg.Tools, collector)
-		}
-		var tele *telemetry.Tool
-		if o.Profile {
-			tele = telemetry.New(telemetry.Options{})
-			cfg.Tools = append(cfg.Tools, tele)
-		}
-		if _, err := lulesh.Run(cfg, params); err != nil {
-			// Degraded mode: record the root cause, let the sweep carry on.
-			return HybridPoint{
-				Ranks: cell.ranks, Threads: cell.threads,
-				Totals: map[string]float64{}, Err: runErrCell(err),
-				VerifyViolations: verifierViolations(ver),
-			}, nil
-		}
-		profile, err := profiler.Result()
-		if err != nil {
-			return HybridPoint{}, err
-		}
-		pt := HybridPoint{
-			Ranks: cell.ranks, Threads: cell.threads,
-			Wall:   profile.WallTime,
-			Totals: map[string]float64{},
-		}
-		for _, label := range lulesh.Sections() {
-			if sec := profile.Section(label); sec != nil {
-				pt.Totals[label] = sec.TotalTime()
-			}
-		}
-		if sec := profile.Section(lulesh.SecNodal); sec != nil {
-			pt.NodalAvg = sec.AvgPerProcess()
-		}
-		if sec := profile.Section(lulesh.SecElements); sec != nil {
-			pt.ElementsAvg = sec.AvgPerProcess()
-		}
-		if collector != nil {
-			pt.Diag = diagnose(collector, 0)
-		}
-		if tele != nil {
-			pt.Profile = tele.Snapshot()
-		}
-		pt.VerifyViolations = verifierViolations(ver)
-		return pt, nil
+		return o.runPoint(point{
+			ranks: cell.ranks, threads: cell.threads, seed: o.Seed, run: luleshRunner(params),
+			labels: labels, specimen: true, profile: o.Profile,
+		})
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Points = points
+	res := &HybridResult{Opts: o, Verify: violations(runs)}
+	for i, r := range runs {
+		res.Points = append(res.Points, HybridPoint{
+			Ranks: cells[i].ranks, Threads: cells[i].threads, Wall: r.wall,
+			NodalAvg: r.avgs[lulesh.SecNodal], ElementsAvg: r.avgs[lulesh.SecElements],
+			Totals: r.totals, Diag: r.diag, Profile: r.profile, Err: r.err,
+		})
+	}
 	sort.Slice(res.Points, func(i, j int) bool {
 		if res.Points[i].Ranks != res.Points[j].Ranks {
 			return res.Points[i].Ranks < res.Points[j].Ranks
 		}
 		return res.Points[i].Threads < res.Points[j].Threads
 	})
-	// Collect verifier findings in sorted cell order, then impose the
-	// canonical sort — identical bytes for every Jobs value.
-	for i := range res.Points {
-		res.Verify = append(res.Verify, res.Points[i].VerifyViolations...)
-	}
-	verify.SortViolations(res.Verify)
 	return res, nil
 }
 
@@ -377,24 +290,15 @@ func (a *Fig10Analysis) Render() string {
 // WriteCSV emits every hybrid point plus the wait-state diagnosis block
 // (blank when Diagnose was off).
 func (r *HybridResult) WriteCSV(w io.Writer) error {
-	header := append([]string{"ranks", "threads", "wall", "nodal_avg", "elements_avg"}, diagHeader()...)
-	header = append(header, "error")
-	if _, err := io.WriteString(w, csvLine(header...)); err != nil {
-		return err
-	}
-	for _, pt := range r.Points {
-		cells := []string{
-			fmt.Sprintf("%d", pt.Ranks),
-			fmt.Sprintf("%d", pt.Threads),
-			fmt.Sprintf("%g", pt.Wall),
-			fmt.Sprintf("%g", pt.NodalAvg),
-			fmt.Sprintf("%g", pt.ElementsAvg),
-		}
-		cells = append(cells, pt.Diag.csvCells()...)
-		cells = append(cells, csvEscape(pt.Err))
-		if _, err := io.WriteString(w, csvLine(cells...)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeSweepCSV(w, []string{"ranks", "threads", "wall", "nodal_avg", "elements_avg"}, len(r.Points),
+		func(i int) ([]string, *PointDiagnosis, string) {
+			pt := r.Points[i]
+			return []string{
+				fmt.Sprintf("%d", pt.Ranks),
+				fmt.Sprintf("%d", pt.Threads),
+				fmt.Sprintf("%g", pt.Wall),
+				fmt.Sprintf("%g", pt.NodalAvg),
+				fmt.Sprintf("%g", pt.ElementsAvg),
+			}, pt.Diag, pt.Err
+		})
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/convolution"
 	"repro/internal/fault"
 	"repro/internal/lulesh"
 	"repro/internal/machine"
@@ -15,11 +14,11 @@ import (
 )
 
 // This file exposes single-point experiment launches with caller-supplied
-// tool chains. The sweep drivers (RunConvolution, RunHybrid) own their
-// tool stack; live observability (cmd/secmon) instead needs "run THIS
-// configuration with THESE tools attached, now" — e.g. an export.Recorder
-// streaming Prometheus metrics while the ranks execute, chained after the
-// reference profiler.
+// tool chains. The sweep drivers own their tool stack (point.go); live
+// observability (cmd/secmon) instead needs "run THIS configuration with
+// THESE tools attached, now" — e.g. an export.Recorder streaming
+// Prometheus metrics while the ranks execute, chained after the reference
+// profiler. What it can launch is the workload table below.
 
 // LiveOptions configures one on-demand experiment run.
 type LiveOptions struct {
@@ -38,8 +37,8 @@ type LiveOptions struct {
 	Seed uint64
 	// Threads is the OpenMP team per rank (lulesh only; default 1).
 	Threads int
-	// Model overrides the machine (default: NehalemCluster for conv, KNL
-	// for lulesh — the paper's machines).
+	// Model overrides the machine (default: the workload row's —
+	// NehalemCluster for conv, ExtremeCluster for conv2d, KNL for lulesh).
 	Model *machine.Model
 	// Tools are attached in order, exactly as mpi.Config.Tools.
 	Tools []mpi.Tool
@@ -70,9 +69,61 @@ const (
 	MaxLiveScale   = 1024
 )
 
+// workload is one row of the live table: the defaults an Experiment name
+// resolves to and how resolved options become a run.
+type workload struct {
+	name  string
+	model func() *machine.Model
+	// steps, scale and threads are the defaults Resolved fills in; threads
+	// 0 means the workload has no OpenMP team and leaves Threads alone.
+	steps, scale, threads int
+	// lazy selects session-style lazy rank bring-up (mpi.Config.Lazy).
+	lazy bool
+	// seq: a calibrated sequential path exists for SeqBaseline to measure.
+	seq bool
+	// bind turns resolved options into the run's geometry check and the run.
+	bind func(o LiveOptions) (validate func(ranks int) error, run runner)
+}
+
+var workloads = []workload{
+	{name: "conv", model: machine.NehalemCluster, steps: 40, scale: 16, seq: true,
+		bind: func(o LiveOptions) (func(int) error, runner) {
+			p := paperImage(o.Steps, o.Scale, o.Seed)
+			return p.Validate, convRunner(false, p)
+		}},
+	// The extreme-scale session workload: 2-D tiles on the extrapolated
+	// cluster, lazy bring-up, few steps — 10,000 declared ranks resolve in
+	// seconds without pre-allocating rank state.
+	{name: "conv2d", model: machine.ExtremeCluster, steps: 2, scale: 16, lazy: true, seq: true,
+		bind: func(o LiveOptions) (func(int) error, runner) {
+			p := paperImage(o.Steps, o.Scale, o.Seed)
+			return p.Validate2D, convRunner(true, p)
+		}},
+	// Table 7's 8-rank edge at every cube of ranks; Scale must divide it.
+	{name: "lulesh", model: machine.KNL, steps: 5, scale: 4, threads: 1,
+		bind: func(o LiveOptions) (func(int) error, runner) {
+			p := lulesh.Params{S: 24, Steps: o.Steps, Threads: o.Threads, Scale: o.Scale, SedovEnergy: 1e4}
+			return p.Validate, luleshRunner(p)
+		}},
+}
+
+// lookup returns the row an Experiment name selects ("" is conv), or nil.
+func lookup(name string) *workload {
+	if name == "" {
+		name = "conv"
+	}
+	for i := range workloads {
+		if workloads[i].name == name {
+			return &workloads[i]
+		}
+	}
+	return nil
+}
+
 // Resolved returns the options with every default filled in — the exact
 // configuration RunLive will execute — or the validation error it would
-// fail with. Monitors report resolved values, not raw request input.
+// fail with, geometry included. Monitors report resolved values, not raw
+// request input.
 func (o LiveOptions) Resolved() (LiveOptions, error) {
 	for _, b := range []struct {
 		name   string
@@ -85,46 +136,22 @@ func (o LiveOptions) Resolved() (LiveOptions, error) {
 			return o, fmt.Errorf("experiments: %s must be <= %d, got %d", b.name, b.max, b.v)
 		}
 	}
-	switch o.Experiment {
-	case "conv", "":
-		o.Experiment = "conv"
-		if o.Model == nil {
-			o.Model = machine.NehalemCluster()
-		}
-		if o.Steps <= 0 {
-			o.Steps = 40
-		}
-		if o.Scale <= 0 {
-			o.Scale = 16
-		}
-	case "conv2d":
-		// The extreme-scale session workload: 2-D tiles on the extrapolated
-		// cluster, lazy bring-up, few steps — 10,000 declared ranks resolve
-		// in seconds without pre-allocating rank state.
-		if o.Model == nil {
-			o.Model = machine.ExtremeCluster()
-		}
-		if o.Steps <= 0 {
-			o.Steps = 2
-		}
-		if o.Scale <= 0 {
-			o.Scale = 16
-		}
-	case "lulesh":
-		if o.Model == nil {
-			o.Model = machine.KNL()
-		}
-		if o.Steps <= 0 {
-			o.Steps = 5
-		}
-		if o.Scale <= 0 {
-			o.Scale = 4
-		}
-		if o.Threads <= 0 {
-			o.Threads = 1
-		}
-	default:
+	w := lookup(o.Experiment)
+	if w == nil {
 		return o, fmt.Errorf("experiments: unknown experiment %q (want conv, conv2d or lulesh)", o.Experiment)
+	}
+	o.Experiment = w.name
+	if o.Model == nil {
+		o.Model = w.model()
+	}
+	if o.Steps <= 0 {
+		o.Steps = w.steps
+	}
+	if o.Scale <= 0 {
+		o.Scale = w.scale
+	}
+	if o.Threads <= 0 && w.threads > 0 {
+		o.Threads = w.threads
 	}
 	if o.Ranks <= 0 {
 		return o, fmt.Errorf("experiments: Ranks must be >= 1, got %d", o.Ranks)
@@ -134,6 +161,10 @@ func (o LiveOptions) Resolved() (LiveOptions, error) {
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 10 * time.Minute
+	}
+	validate, _ := w.bind(o)
+	if err := validate(o.Ranks); err != nil {
+		return o, fmt.Errorf("experiments: %s p=%d: %w", o.Experiment, o.Ranks, err)
 	}
 	return o, nil
 }
@@ -165,21 +196,17 @@ func (o LiveOptions) CacheKey() string {
 
 // SeqBaseline measures the sequential wall time of the configured workload
 // — the Σ_j f_j(n0, 1) the Eq. 6 partial bounds divide. Only the
-// convolution workload has a calibrated sequential path; lulesh returns 0
+// convolution workloads have a calibrated sequential path; lulesh returns 0
 // with no error, meaning "bounds unavailable".
 func SeqBaseline(o LiveOptions) (float64, error) {
 	o, err := o.Resolved()
 	if err != nil {
 		return 0, err
 	}
-	if o.Experiment != "conv" && o.Experiment != "conv2d" {
+	if !lookup(o.Experiment).seq {
 		return 0, nil
 	}
-	params := convolution.Params{
-		Width: 5616, Height: 3744,
-		Steps: o.Steps, Scale: o.Scale, Seed: o.Seed, SkipKernel: true,
-	}
-	return seqBaselineCached(params, o.Model)
+	return seqBaselineCached(paperImage(o.Steps, o.Scale, o.Seed), o.Model)
 }
 
 // liveLimiter bounds concurrent RunLive executions so an on-demand monitor
@@ -189,61 +216,24 @@ var liveLimiter = sched.NewLimiter(1)
 
 // RunLive executes one experiment run with the caller's tool chain
 // attached and returns the run report. The tools observe the run exactly
-// as the sweep drivers' profiler does — same hooks, same virtual clock.
+// as the sweep drivers' profiler does — same hooks, same virtual clock,
+// same mpi.Config builder.
 func RunLive(o LiveOptions) (*mpi.Report, error) {
 	o, err := o.Resolved()
 	if err != nil {
 		return nil, err
 	}
+	w := lookup(o.Experiment)
+	_, run := w.bind(o)
 	liveLimiter.Resize(sched.Workers(0))
 	liveLimiter.Acquire()
 	defer liveLimiter.Release()
-	cfg := mpi.Config{
-		Ranks:   o.Ranks,
-		Model:   o.Model,
-		Seed:    o.Seed,
-		Tools:   o.Tools,
-		Timeout: o.Timeout,
+	// No team in the config: lulesh.Run sizes it from its Params.
+	cfg := Sweep{Model: o.Model, Fault: o.Fault, Deadline: o.Deadline}.config(point{ranks: o.Ranks, seed: o.Seed, lazy: w.lazy})
+	cfg.Tools, cfg.Timeout = o.Tools, o.Timeout
+	rep, err := run(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: live %s p=%d: %w", o.Experiment, o.Ranks, err)
 	}
-	applyFault(&cfg, o.Fault, o.Deadline)
-	switch o.Experiment {
-	case "conv":
-		params := convolution.Params{
-			Width: 5616, Height: 3744,
-			Steps: o.Steps, Scale: o.Scale, Seed: o.Seed, SkipKernel: true,
-		}
-		res, err := convolution.Run(cfg, params)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: live conv p=%d: %w", o.Ranks, err)
-		}
-		return res.Report, nil
-	case "conv2d":
-		cfg.Lazy = true
-		params := convolution.Params{
-			Width: 5616, Height: 3744,
-			Steps: o.Steps, Scale: o.Scale, Seed: o.Seed, SkipKernel: true,
-		}
-		res, err := convolution.Run2D(cfg, params)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: live conv2d p=%d: %w", o.Ranks, err)
-		}
-		return res.Report, nil
-	case "lulesh":
-		cfg.ThreadsPerRank = o.Threads
-		// Per-rank edge from Table 7's budget where possible; any cube of
-		// ranks works as long as Scale divides S.
-		s := 24
-		if o.Scale > 0 && s%o.Scale != 0 {
-			return nil, fmt.Errorf("experiments: lulesh scale %d must divide s=%d", o.Scale, s)
-		}
-		params := lulesh.Params{
-			S: s, Steps: o.Steps, Threads: o.Threads, Scale: o.Scale, SedovEnergy: 1e4,
-		}
-		res, err := lulesh.Run(cfg, params)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: live lulesh p=%d: %w", o.Ranks, err)
-		}
-		return res.Report, nil
-	}
-	panic("unreachable")
+	return rep, nil
 }

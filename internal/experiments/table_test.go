@@ -67,9 +67,3 @@ func TestPaperOptionsAreValid(t *testing.T) {
 		t.Error("Broadwell options not on the Broadwell model")
 	}
 }
-
-func TestContains(t *testing.T) {
-	if !contains([]int{1, 2, 3}, 2) || contains([]int{1, 3}, 2) || contains(nil, 0) {
-		t.Error("contains broken")
-	}
-}

@@ -3,16 +3,11 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/convolution"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/machine"
-	"repro/internal/mpi"
-	"repro/internal/prof"
 	"repro/internal/sched"
-	"repro/internal/trace"
 	"repro/internal/verify"
 )
 
@@ -26,56 +21,34 @@ import (
 
 // WeakOptions configures the weak-scaling sweep.
 type WeakOptions struct {
+	Sweep
 	// Ps are the process counts; at p the image height is BaseHeight·p.
 	Ps []int
 	// Width and BaseHeight fix the per-process slab (full-cost problem).
 	Width, BaseHeight int
-	// Steps per run.
-	Steps int
 	// Scale divides executed dimensions, as in the strong sweep.
 	Scale int
-	Seed  uint64
-	Model *machine.Model
-	// Jobs bounds the worker pool (sched.Workers semantics).
-	Jobs int
-	// Diagnose attaches a trace collector per point and reports the binding
-	// section's wait-state diagnosis in the CSV.
-	Diagnose bool
-	// Verify attaches the runtime section/collective verifier to every run;
-	// violations accumulate in WeakResult.Verify (the -verify bench flag).
-	Verify bool
-	// Fault arms a deterministic fault plan; failed points degrade to an
-	// `error` CSV cell instead of aborting the sweep.
-	Fault *fault.Plan
-	// Deadline arms the per-run deadlock detector (default 30s when Fault is
-	// set, off otherwise).
-	Deadline time.Duration
 }
 
 // QuickWeakOptions is a reduced sweep for tests.
 func QuickWeakOptions() WeakOptions {
 	return WeakOptions{
+		Sweep:      Sweep{Model: machine.NehalemCluster(), Seed: 2017, Steps: 30, Diagnose: true},
 		Ps:         []int{1, 2, 4, 8},
 		Width:      1024,
 		BaseHeight: 128,
-		Steps:      30,
 		Scale:      8,
-		Seed:       2017,
-		Model:      machine.NehalemCluster(),
-		Diagnose:   true,
 	}
 }
 
 // PaperWeakOptions scales the paper's image slab out to 456 ranks.
 func PaperWeakOptions() WeakOptions {
 	return WeakOptions{
+		Sweep:      Sweep{Model: machine.NehalemCluster(), Seed: 2017, Steps: 200},
 		Ps:         []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 456},
 		Width:      5616,
 		BaseHeight: 64,
-		Steps:      200,
 		Scale:      8,
-		Seed:       2017,
-		Model:      machine.NehalemCluster(),
 	}
 }
 
@@ -92,9 +65,6 @@ type WeakPoint struct {
 	HaloAvg float64
 	// Diag is the wait-state diagnosis (nil with Diagnose off).
 	Diag *PointDiagnosis
-	// VerifyViolations is this point's runtime-verifier report (nil with
-	// Verify off).
-	VerifyViolations []verify.Violation
 	// Err is the run's root cause ("" when healthy); failed points keep zero
 	// metrics while the sweep completes.
 	Err string
@@ -117,73 +87,36 @@ func RunWeakConvolution(o WeakOptions) (*WeakResult, error) {
 	if len(o.Ps) == 0 || o.Ps[0] != 1 {
 		return nil, fmt.Errorf("experiments: weak scaling needs Ps starting at 1")
 	}
-	res := &WeakResult{Opts: o}
 	// Each scale is an independent simulation; only the efficiency columns
 	// depend on the p=1 baseline, so they are derived after the parallel
 	// sweep, in order.
-	points, err := sched.MapByCost(sched.Workers(o.Jobs), rankCosts(o.Ps, 1), func(i int) (WeakPoint, error) {
-		p := o.Ps[i]
-		params := convolution.Params{
-			Width:      o.Width,
-			Height:     o.BaseHeight * p,
-			Steps:      o.Steps,
-			Scale:      o.Scale,
-			Seed:       o.Seed,
-			SkipKernel: true,
+	runs, err := sched.MapByCost(sched.Workers(o.Jobs), rankCosts(o.Ps, 1), func(i int) (pointResult, error) {
+		slab := convolution.Params{
+			Width: o.Width, Height: o.BaseHeight * o.Ps[i],
+			Steps: o.Steps, Scale: o.Scale, Seed: o.Seed, SkipKernel: true,
 		}
-		profiler := prof.New()
-		cfg := mpi.Config{
-			Ranks:   p,
-			Model:   o.Model,
-			Seed:    o.Seed,
-			Tools:   []mpi.Tool{profiler},
-			Timeout: 10 * time.Minute,
-		}
-		applyFault(&cfg, o.Fault, o.Deadline)
-		ver := attachVerifier(&cfg, o.Verify)
-		var collector *trace.Collector
-		if o.Diagnose {
-			collector = newDiagCollector()
-			cfg.Tools = append(cfg.Tools, collector)
-		}
-		if _, err := convolution.Run(cfg, params); err != nil {
-			// Degraded mode: record the root cause, let the sweep carry on.
-			return WeakPoint{P: p, Err: runErrCell(err), VerifyViolations: verifierViolations(ver)}, nil
-		}
-		profile, err := profiler.Result()
-		if err != nil {
-			return WeakPoint{}, err
-		}
-		pt := WeakPoint{P: p, Wall: profile.WallTime}
-		if halo := profile.Section(convolution.SecHalo); halo != nil {
-			pt.HaloAvg = halo.AvgPerProcess()
-		}
-		if collector != nil {
-			// No strong-scaling baseline exists in a weak sweep, so the
-			// diagnosis omits the Eq. 6 bound (seq = 0).
-			pt.Diag = diagnose(collector, 0)
-		}
-		pt.VerifyViolations = verifierViolations(ver)
-		return pt, nil
+		// No strong-scaling baseline exists in a weak sweep, so the
+		// diagnosis omits the Eq. 6 bound (seq = 0).
+		return o.runPoint(point{
+			ranks: o.Ps[i], seed: o.Seed, run: convRunner(false, slab),
+			labels: []string{convolution.SecHalo}, specimen: true,
+		})
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i := range points {
-		res.Verify = append(res.Verify, points[i].VerifyViolations...)
-	}
-	verify.SortViolations(res.Verify)
-	base := points[0].Wall // Ps[0] == 1, validated above
-	for i := range points {
+	res := &WeakResult{Opts: o, Verify: violations(runs)}
+	base := runs[0].wall // Ps[0] == 1, validated above
+	for i, r := range runs {
+		pt := WeakPoint{P: o.Ps[i], Wall: r.wall, HaloAvg: r.avgs[convolution.SecHalo], Diag: r.diag, Err: r.err}
 		// Efficiency needs both the baseline and this point to have survived;
 		// a failed run leaves the derived columns zero next to its error.
-		if points[i].Err != "" || base <= 0 || points[i].Wall <= 0 {
-			continue
+		if r.err == "" && base > 0 && r.wall > 0 {
+			pt.Efficiency = base / r.wall
+			pt.ScaledSpeedup = float64(pt.P) * pt.Efficiency
 		}
-		points[i].Efficiency = base / points[i].Wall
-		points[i].ScaledSpeedup = float64(points[i].P) * points[i].Efficiency
+		res.Points = append(res.Points, pt)
 	}
-	res.Points = points
 	return res, nil
 }
 
@@ -237,24 +170,15 @@ func (r *WeakResult) Table() (string, error) {
 // WriteCSV emits every weak-scaling point plus the wait-state diagnosis
 // block (blank when Diagnose was off).
 func (r *WeakResult) WriteCSV(w io.Writer) error {
-	header := append([]string{"p", "wall", "efficiency", "scaled_speedup", "halo_avg"}, diagHeader()...)
-	header = append(header, "error")
-	if _, err := io.WriteString(w, csvLine(header...)); err != nil {
-		return err
-	}
-	for _, pt := range r.Points {
-		cells := []string{
-			fmt.Sprintf("%d", pt.P),
-			fmt.Sprintf("%g", pt.Wall),
-			fmt.Sprintf("%g", pt.Efficiency),
-			fmt.Sprintf("%g", pt.ScaledSpeedup),
-			fmt.Sprintf("%g", pt.HaloAvg),
-		}
-		cells = append(cells, pt.Diag.csvCells()...)
-		cells = append(cells, csvEscape(pt.Err))
-		if _, err := io.WriteString(w, csvLine(cells...)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeSweepCSV(w, []string{"p", "wall", "efficiency", "scaled_speedup", "halo_avg"}, len(r.Points),
+		func(i int) ([]string, *PointDiagnosis, string) {
+			pt := r.Points[i]
+			return []string{
+				fmt.Sprintf("%d", pt.P),
+				fmt.Sprintf("%g", pt.Wall),
+				fmt.Sprintf("%g", pt.Efficiency),
+				fmt.Sprintf("%g", pt.ScaledSpeedup),
+				fmt.Sprintf("%g", pt.HaloAvg),
+			}, pt.Diag, pt.Err
+		})
 }

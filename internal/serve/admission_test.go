@@ -1,18 +1,22 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
 	"net/url"
 	"strconv"
 	"testing"
 
+	"repro/internal/convolution"
 	"repro/internal/experiments"
+	"repro/internal/lulesh"
 )
 
 // TestHTTPRunRejectsOutOfRange: the two requests no bound covered — a run
 // that progresses for hours, a world whose placement table alone is 8 GB —
-// and their neighbours answer 400 without a job, a queue slot or a worker;
-// the largest sizes the repository's own clients send are still admitted.
+// their neighbours, and geometry no run can execute answer 400 without a
+// job, a queue slot or a worker; the largest sizes the repository's own
+// clients send are still admitted.
 func TestHTTPRunRejectsOutOfRange(t *testing.T) {
 	g := newGatedRunner()
 	defer g.release()
@@ -24,6 +28,10 @@ func TestHTTPRunRejectsOutOfRange(t *testing.T) {
 		"/run?exp=conv&p=4&steps=" + strconv.Itoa(experiments.MaxLiveSteps+1),
 		"/run?exp=lulesh&p=8&threads=" + strconv.Itoa(experiments.MaxLiveThreads+1),
 		"/run?exp=conv&p=4&scale=" + strconv.Itoa(experiments.MaxLiveScale+1),
+		"/run?exp=lulesh&p=7",                // ranks must be a cube
+		"/run?exp=lulesh&p=8&scale=5",        // scale must divide s=24
+		"/run?exp=conv&p=1000",               // executed height 234 < 1000 ranks
+		"/run?exp=conv2d&p=16384&scale=1024", // executed image 5x3 < 128x128 grid
 	} {
 		if code, body := get(t, h, path); code != http.StatusBadRequest {
 			t.Errorf("%s: code %d, want 400 (%s)", path, code, body)
@@ -75,11 +83,27 @@ func renderQuery(r Request, opts experiments.LiveOptions) url.Values {
 	return q
 }
 
+// geometryErr checks an admitted configuration the way its run will, with
+// the workload's own parameter validation.
+func geometryErr(o experiments.LiveOptions) error {
+	image := convolution.Paper()
+	image.Steps, image.Scale, image.Seed = o.Steps, o.Scale, o.Seed
+	switch o.Experiment {
+	case "conv":
+		return image.Validate(o.Ranks)
+	case "conv2d":
+		return image.Validate2D(o.Ranks)
+	case "lulesh":
+		return lulesh.Params{S: 24, Steps: o.Steps, Threads: o.Threads, Scale: o.Scale, SedovEnergy: 1e4}.Validate(o.Ranks)
+	}
+	return fmt.Errorf("unknown experiment %q", o.Experiment)
+}
+
 // FuzzParseRunRequest: any query string is either refused (the 400 of
 // parseRunRequest or of Resolved, which Submit runs) or resolves to sizes
-// inside the admission bounds, and then names a configuration stably: the
-// query rendered from the resolved request parses back to the same request
-// and the same cache key.
+// inside the admission bounds and a geometry its workload can execute, and
+// then names a configuration stably: the query rendered from the resolved
+// request parses back to the same request and the same cache key.
 func FuzzParseRunRequest(f *testing.F) {
 	for _, seed := range []string{
 		"exp=conv&p=64",
@@ -89,6 +113,10 @@ func FuzzParseRunRequest(f *testing.F) {
 		"exp=conv&p=4&fault=kill:rank=2,after=5&fault=delay:src=*,dst=*,prob=1,secs=1e-6&fault-seed=7&deadline=30s",
 		"exp=conv&p=4&steps=2000000000",
 		"exp=lulesh&p=1000000000",
+		"exp=lulesh&p=7",
+		"exp=lulesh&p=8&scale=5",
+		"exp=conv&p=1000",
+		"exp=conv2d&p=16384&scale=1024",
 		"p=-1&steps=x&seed=-1&deadline=-3s",
 		"exp=warp;p=2",
 	} {
@@ -114,6 +142,9 @@ func FuzzParseRunRequest(f *testing.F) {
 			if b[0] < 0 || b[0] > b[1] || (name != "threads" && b[0] == 0) {
 				t.Fatalf("%q admitted with %s=%d outside (0, %d]", raw, name, b[0], b[1])
 			}
+		}
+		if err := geometryErr(opts); err != nil {
+			t.Fatalf("%q admitted a geometry its run rejects: %v", raw, err)
 		}
 		again, err := parseRunRequest(renderQuery(req, opts))
 		if err != nil {

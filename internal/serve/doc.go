@@ -148,6 +148,11 @@
 // experiments.MaxLive* answer 400 before a job exists. The deadlock
 // deadline fires only on a run that stops progressing, so without them the
 // 10-minute watchdog was the only limit on a run that does progress.
+// Resolved also runs the workload's own geometry check, so a request no
+// run can execute — lulesh ranks that are not a cube or a scale that does
+// not divide its edge, more conv ranks than executed rows, a conv2d grid
+// larger than the executed image — answers 400 too, instead of a 202, a
+// queue slot and a worker before it fails.
 //
 // # Result cache
 //
