@@ -21,6 +21,8 @@ var collectiveNames = map[string]bool{
 	"Scatter":          true,
 	"Alltoall":         true,
 	"ExchangeGhost":    true,
+	"ScatterGhost":     true,
+	"GatherGhost":      true,
 	"Scan":             true,
 	"Exscan":           true,
 	"Split":            true,

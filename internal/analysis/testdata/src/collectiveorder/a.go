@@ -48,6 +48,29 @@ func rankBuiltExchange(c *mpi.Comm) error {
 	return c.ExchangeGhost(ops)
 }
 
+// the rooted ghost calls are collectives: the root that alone calls the
+// fan-out leaves every receiver waiting, and so do the senders that alone
+// call the fan-in.
+func rankGuardedRooted(c *mpi.Comm, dsts, sizes []int) error {
+	if c.Rank() == 0 {
+		return c.ScatterGhost(0, 1, dsts, sizes, sizes) // want `collective ScatterGhost reached under a rank-dependent branch`
+	} else {
+		return c.GatherGhost(0, 1, 8, 8) // want `collective GatherGhost reached under a rank-dependent branch`
+	}
+}
+
+// the root builds the lists, every rank calls: clean.
+func rankBuiltRooted(c *mpi.Comm) error {
+	var dsts, sizes []int
+	if c.Rank() == 0 {
+		dsts, sizes = append(dsts, 1), append(sizes, 8)
+	}
+	if err := c.ScatterGhost(0, 1, dsts, sizes, sizes); err != nil {
+		return err
+	}
+	return c.GatherGhost(0, 1, 8, 8)
+}
+
 // a loop whose trip count depends on the rank diverges the same way.
 func rankLoop(c *mpi.Comm) {
 	for i := 0; i < c.Rank(); i++ {

@@ -35,6 +35,9 @@ type GhostExchange struct{ Peer, SendTag, NBytes, VBytes, RecvTag int }
 
 func (c *Comm) ExchangeGhost(ops []GhostExchange) error { return nil }
 
+func (c *Comm) ScatterGhost(root, tag int, dsts, nbytes, vbytes []int) error { return nil }
+func (c *Comm) GatherGhost(root, tag, nbytes, vbytes int) error              { return nil }
+
 func (c *Comm) Send(dst, tag int, b []byte) error { return nil }
 func (c *Comm) Recv(src, tag int) ([]byte, error) { return nil, nil }
 

@@ -225,29 +225,33 @@ func runRank(c *mpi.Comm, p Params) (*img.Image, error) {
 	fullRows := fullHi - fullLo
 	err = c.Section(SecScatter, func() error {
 		const tag = 100
+		if p.SkipKernel {
+			// Ghost bands: no pixels exist, but each message carries its
+			// band's real byte count and full-problem vbytes.
+			var dsts, nbytes, vbytes []int
+			if rank == 0 {
+				dsts, nbytes, vbytes = make([]int, 0, ranks-1), make([]int, 0, ranks-1), make([]int, 0, ranks-1)
+				for r := ranks - 1; r >= 1; r-- {
+					rLo, rHi := partition(execH, ranks, r)
+					rFullLo, rFullHi := partition(p.Height, ranks, r)
+					dsts = append(dsts, r)
+					nbytes = append(nbytes, (rHi-rLo)*stride*8)
+					vbytes = append(vbytes, (rFullHi-rFullLo)*fullRowBytes)
+				}
+			}
+			return c.ScatterGhost(0, tag, dsts, nbytes, vbytes)
+		}
 		if rank == 0 {
 			for r := ranks - 1; r >= 1; r-- {
 				rLo, rHi := partition(execH, ranks, r)
 				rFullLo, rFullHi := partition(p.Height, ranks, r)
-				vbytes := (rFullHi - rFullLo) * fullRowBytes
-				if p.SkipKernel {
-					// Ghost band: no pixels exist, but the message carries
-					// the band's real byte count and full-problem vbytes.
-					if err := c.SendGhost(r, tag, (rHi-rLo)*stride*8, vbytes); err != nil {
-						return err
-					}
-					continue
-				}
 				rows, err := source.Rows(rLo, rHi)
 				if err != nil {
 					return err
 				}
-				if err := c.SendFloat64sSized(r, tag, rows, vbytes); err != nil {
+				if err := c.SendFloat64sSized(r, tag, rows, (rFullHi-rFullLo)*fullRowBytes); err != nil {
 					return err
 				}
-			}
-			if p.SkipKernel {
-				return nil
 			}
 			own, err := source.Rows(0, execHi)
 			if err != nil {
@@ -255,10 +259,6 @@ func runRank(c *mpi.Comm, p Params) (*img.Image, error) {
 			}
 			band = append([]float64(nil), own...)
 			return nil
-		}
-		if p.SkipKernel {
-			_, err := c.RecvDiscard(0, tag)
-			return err
 		}
 		var err error
 		band, _, err = c.RecvFloat64s(0, tag)
@@ -339,19 +339,11 @@ func runRank(c *mpi.Comm, p Params) (*img.Image, error) {
 	var result *img.Image
 	err = c.Section(SecGather, func() error {
 		const tag = 300
-		if rank != 0 {
-			if p.SkipKernel {
-				return c.SendGhost(0, tag, execRows*stride*8, fullRows*fullRowBytes)
-			}
-			return c.SendFloat64sSized(0, tag, band, fullRows*fullRowBytes)
-		}
 		if p.SkipKernel {
-			for r := 1; r < ranks; r++ {
-				if _, err := c.RecvDiscard(r, tag); err != nil {
-					return err
-				}
-			}
-			return nil
+			return c.GatherGhost(0, tag, execRows*stride*8, fullRows*fullRowBytes)
+		}
+		if rank != 0 {
+			return c.SendFloat64sSized(0, tag, band, fullRows*fullRowBytes)
 		}
 		var err error
 		result, err = img.New(execW, execH)

@@ -165,18 +165,13 @@ func runRank2D(c *mpi.Comm, p Params, px, py int) (*img.Image, error) {
 	var tile []float64
 	err = c.Section(SecScatter, func() error {
 		const tag = 110
-		if c.Rank() == 0 {
-			if p.SkipKernel {
-				// Ghost fan-out: one batched delivery instead of p-1
-				// individual sends. Message order, charges and stamps match
-				// the per-rank loop exactly (descending rank, as before);
-				// at 10k ranks the batch collapses ~40 shard-lock
-				// acquisitions' worth of delivery out of the hot path.
+		if p.SkipKernel {
+			// Ghost tiles, in descending rank order.
+			var dsts, nbytes, vbytes []int
+			if c.Rank() == 0 {
 				n := c.Size() - 1
-				dsts := make([]int, 0, n)
-				nbytes := make([]int, 0, n)
-				vbytes := make([]int, 0, n)
-				for r := c.Size() - 1; r >= 1; r-- {
+				dsts, nbytes, vbytes = make([]int, 0, n), make([]int, 0, n), make([]int, 0, n)
+				for r := n; r >= 1; r-- {
 					rcy := r / px
 					rcx := r % px
 					rxlo, rxhi := partition(execW, px, rcx)
@@ -187,8 +182,10 @@ func runRank2D(c *mpi.Comm, p Params, px, py int) (*img.Image, error) {
 					nbytes = append(nbytes, (rxhi-rxlo)*(ryhi-rylo)*ch*8)
 					vbytes = append(vbytes, (fxhi-fxlo)*(fyhi-fylo)*ch*8)
 				}
-				return c.SendGhostBatch(dsts, tag, nbytes, vbytes)
 			}
+			return c.ScatterGhost(0, tag, dsts, nbytes, vbytes)
+		}
+		if c.Rank() == 0 {
 			for r := c.Size() - 1; r >= 1; r-- {
 				rcy := r / px
 				rcx := r % px
@@ -204,10 +201,6 @@ func runRank2D(c *mpi.Comm, p Params, px, py int) (*img.Image, error) {
 			}
 			tile = extractTile(source, t.xlo, t.xhi, t.ylo, t.yhi)
 			return nil
-		}
-		if p.SkipKernel {
-			_, err := c.RecvDiscard(0, tag)
-			return err
 		}
 		var err error
 		tile, _, err = c.RecvFloat64s(0, tag)
@@ -254,20 +247,12 @@ func runRank2D(c *mpi.Comm, p Params, px, py int) (*img.Image, error) {
 	var result *img.Image
 	err = c.Section(SecGather, func() error {
 		const tag = 111
-		if c.Rank() != 0 {
-			vbytes := t.fullW() * t.fullH() * ch * 8
-			if p.SkipKernel {
-				return c.SendGhost(0, tag, t.w*t.h*ch*8, vbytes)
-			}
-			return c.SendFloat64sSized(0, tag, tile, vbytes)
-		}
+		vbytes := t.fullW() * t.fullH() * ch * 8
 		if p.SkipKernel {
-			for r := 1; r < c.Size(); r++ {
-				if _, err := c.RecvDiscard(r, tag); err != nil {
-					return err
-				}
-			}
-			return nil
+			return c.GatherGhost(0, tag, t.w*t.h*ch*8, vbytes)
+		}
+		if c.Rank() != 0 {
+			return c.SendFloat64sSized(0, tag, tile, vbytes)
 		}
 		var err error
 		result, err = img.New(execW, execH)

@@ -75,7 +75,7 @@ type workload struct {
 	name  string
 	model func() *machine.Model
 	// steps, scale and threads are the defaults Resolved fills in; threads
-	// 0 means the workload has no OpenMP team and leaves Threads alone.
+	// 0 means the workload has no OpenMP team, and Threads resolves to 0.
 	steps, scale, threads int
 	// lazy selects session-style lazy rank bring-up (mpi.Config.Lazy).
 	lazy bool
@@ -150,7 +150,9 @@ func (o LiveOptions) Resolved() (LiveOptions, error) {
 	if o.Scale <= 0 {
 		o.Scale = w.scale
 	}
-	if o.Threads <= 0 && w.threads > 0 {
+	if w.threads == 0 {
+		o.Threads = 0 // no team to size: every spelling is the same run
+	} else if o.Threads <= 0 {
 		o.Threads = w.threads
 	}
 	if o.Ranks <= 0 {

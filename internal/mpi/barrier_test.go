@@ -18,7 +18,7 @@ import (
 
 // Barrier has two bodies (collectives.go): one host rendezvous that
 // evaluates the dissemination rounds as clock arithmetic, and the rounds as
-// literal messages, kept for armed fault plans and Wallclock. An empty plan
+// literal messages, kept for armed fault plans. An empty plan
 // arms the second with no other effect, so it is the reference the first is
 // held to here: same final clocks, same hooks with the same fields in the
 // same per-rank order, same frontier — on generated programs, across every

@@ -137,7 +137,7 @@ func Release(b []byte) {
 // (rankState.envs, a chain through envelope.next, and rankState.posted),
 // touched by nobody else and so by no lock: a Sendrecv — the stencil and
 // tree-collective pattern — sends with an envelope its last receive freed.
-// The lists see what is left: fan-outs and fan-ins (a batch at a time),
+// The lists see what is left: fan-outs and fan-ins of messages,
 // bursts of Isends, and every rank's first take and last put.
 
 const (
@@ -183,22 +183,6 @@ var (
 	postedFree freeList[posted]
 )
 
-// takeEnvelopes chains up to max parked envelopes onto head and returns the
-// new head and how many it took.
-func takeEnvelopes(head *envelope, max int) (_ *envelope, n int) {
-	f := &envFree
-	f.mu.Lock()
-	for ; n < max && len(f.list) > 0; n++ {
-		last := len(f.list) - 1
-		e := f.list[last]
-		f.list[last] = nil
-		f.list = f.list[:last]
-		e.next, head = head, e
-	}
-	f.mu.Unlock()
-	return head, n
-}
-
 // putEnvelopes parks a chain.
 func putEnvelopes(head *envelope) {
 	f := &envFree
@@ -240,16 +224,6 @@ func (r *rankState) newEnvelope() *envelope {
 	r.envs, e.next = e.next, nil
 	r.nenv--
 	return e
-}
-
-// reserveEnvelopes tops the rank's chain up to n under one acquisition of
-// the list's lock — a fan-out's worth, ahead of its newEnvelope calls.
-func (r *rankState) reserveEnvelopes(n int) {
-	if n > r.nenv {
-		var got int
-		r.envs, got = takeEnvelopes(r.envs, n-r.nenv)
-		r.nenv += got
-	}
 }
 
 // freeEnvelope recycles e and its payload buffer (when still attached).

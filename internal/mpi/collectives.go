@@ -16,6 +16,8 @@ const (
 	tagScatter
 	tagAllgather
 	tagAlltoall
+	tagScatterGhost
+	tagGatherGhost
 )
 
 // Op identifies a reduction operator over float64 vectors.
@@ -92,17 +94,16 @@ func (c *Comm) collectiveEnd(name string) {
 // virtual clocks as the dissemination algorithm does: ceil(log2 p) rounds,
 // rank r sending to r+step and receiving from r-step. The rounds' messages
 // are virtual — one host rendezvous evaluates their clock arithmetic and
-// fires their tool events — unless a fault plan is armed or the run is in
-// Wallclock mode, where every round is a real Sendrecv (package doc,
-// "Literal messages under a plan"). Virtual times and tool events are the
-// same either way.
+// fires their tool events — unless a fault plan is armed, where every round
+// is a real Sendrecv (package doc, "Literal messages under a plan"). Virtual
+// times and tool events are the same either way.
 func (c *Comm) Barrier() error {
 	c.collectiveBegin("Barrier")
 	defer c.collectiveEnd("Barrier")
 	if c.Size() == 1 {
 		return nil
 	}
-	if w := c.rs.world; w.fi != nil || w.cfg.Wallclock {
+	if c.rs.world.fi != nil {
 		return c.barrierMessages()
 	}
 	return c.barrierRendezvous()

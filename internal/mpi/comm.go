@@ -20,8 +20,9 @@ type commShared struct {
 	splitMu  sync.Mutex
 	splitGen map[int]*splitState // keyed by per-rank collective call index
 
-	barrier  barrierState  // collectives.go
-	exchange exchangeState // exchange.go
+	barrier         barrierState  // collectives.go
+	exchange        exchangeState // exchange.go
+	scatter, gather rootedState   // rooted.go
 
 	// Fault tolerance (ft.go): revoked closes when the communicator is
 	// revoked; pi carries the reason and is immutable once set.
@@ -43,6 +44,8 @@ type Comm struct {
 	splitCalls int // per-rank ordinal of Split/Dup calls on this comm
 	sectionIdx int // per-rank position in the section sequence log
 	ftCalls    int // per-rank ordinal of Shrink/Agree calls on this comm
+	// per-rank ordinals of ScatterGhost and GatherGhost calls on this comm
+	scatterCalls, gatherCalls uint64
 }
 
 func (w *World) newCommShared(group []int) *commShared {

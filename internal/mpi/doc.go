@@ -45,20 +45,23 @@
 //
 // Literal messages under a plan: rules address messages one at a time (a
 // rank's Nth operation, a link's Nth message), so an armed plan — even one
-// with no rules — turns off the three places where the runtime does not move
-// messages one at a time. SendGhostBatch falls back to a SendGhost loop;
-// Barrier, which otherwise evaluates its dissemination rounds as clock
-// arithmetic in one host rendezvous (collectives.go), sends every round as
-// a real zero-byte Sendrecv; and ExchangeGhost, which otherwise evaluates
-// every rank's list of pairwise exchanges in a rendezvous of the same kind
-// (exchange.go), runs its list as a SendrecvGhost loop. Wallclock mode does
-// the same to Barrier and ExchangeGhost, since there a message arrives when
-// it is delivered. An ExchangeGhost call also takes the loop on its own when
-// it finds a mailbox of the communicator already holding a send one of its
-// receives names, or a posted receive: that traffic was there first, and
-// only real messages match it in order. Virtual times and tool events are
-// identical either way, which makes the empty plan the in-tree reference the
-// rendezvous is tested against (barrier_test.go, exchange_test.go).
+// with no rules — turns off the places where the runtime does not move
+// messages one at a time. Barrier, which otherwise evaluates its
+// dissemination rounds as clock arithmetic in one host rendezvous
+// (collectives.go), sends every round as a real zero-byte Sendrecv;
+// ExchangeGhost, which otherwise evaluates every rank's list of pairwise
+// exchanges in a rendezvous of the same kind (exchange.go), runs its list as
+// a SendrecvGhost loop; and ScatterGhost and GatherGhost, which otherwise
+// stamp their messages into per-rank slots that the receiving side reads
+// (rooted.go), run their SendGhost and RecvDiscard loops under a reserved
+// tag, so that as in MPI they match only their own messages, while every
+// hook reports the caller's tag. An ExchangeGhost call also takes the loop
+// on its own when it finds a mailbox of the communicator already holding a
+// send one of its receives names, or a posted receive: that traffic was
+// there first, and only real messages match it in order. Virtual times and
+// tool events are identical either way, which makes the empty plan the
+// in-tree reference the virtual bodies are tested against (barrier_test.go,
+// exchange_test.go, rooted_test.go).
 //
 // Failures surface as errors, not crashes. A panic inside a rank function
 // — including an injected fail-stop — is recovered into a
@@ -95,10 +98,7 @@
 //     shard.go). A shard's state slab is materialized on first touch under
 //     the shard's own mutex; rank-state pointers are stable thereafter.
 //     Mailboxes are sharded the same way (boxShard in p2p.go): delivery
-//     locks one shard, not the world, and SendGhostBatch enqueues runs of
-//     consecutive same-shard destinations under a single lock acquisition
-//     while staying message-for-message identical (charges, stamps, tool
-//     hooks) to the equivalent SendGhost loop.
+//     locks one shard, not the world.
 //
 //   - Virtual-clock frontiers are per shard. Ranks publish their clock to
 //     the shard's atomic frontier lazily — at receive completion and at

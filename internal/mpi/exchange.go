@@ -30,12 +30,11 @@ type GhostExchange struct {
 // The messages are virtual: the ranks meet in one host rendezvous and the
 // last arriver evaluates everyone's list as dataflow over the arrival clocks
 // (exchangeState.evaluate). The loop above is the body when a fault plan is
-// armed or the run is in Wallclock mode (package doc, "Literal messages
-// under a plan"), and for a call that finds a message it would have matched
-// already queued. Lists that do not pair up — a receive whose send nobody
-// posts, or a cycle of ranks each waiting for a later send of the next —
-// hang the loop; the rendezvous returns every rank an error naming the first
-// rank left waiting.
+// armed (package doc, "Literal messages under a plan"), and for a call that
+// finds a message it would have matched already queued. Lists that do not
+// pair up — a receive whose send nobody posts, or a cycle of ranks each
+// waiting for a later send of the next — hang the loop; the rendezvous
+// returns every rank an error naming the first rank left waiting.
 func (c *Comm) ExchangeGhost(ops []GhostExchange) error {
 	for _, x := range ops {
 		if x.Peer < 0 || x.Peer >= c.Size() {
@@ -44,14 +43,11 @@ func (c *Comm) ExchangeGhost(ops []GhostExchange) error {
 		if x.SendTag < 0 || x.RecvTag < 0 {
 			return fmt.Errorf("mpi: ExchangeGhost with negative tag %d", min(x.SendTag, x.RecvTag))
 		}
-		if x.NBytes < 0 {
-			return fmt.Errorf("mpi: negative ghost size %d", x.NBytes)
-		}
-		if x.VBytes < 0 {
-			return fmt.Errorf("mpi: negative virtual size %d", x.VBytes)
+		if err := checkSizes(x.NBytes, x.VBytes); err != nil {
+			return err
 		}
 	}
-	if w := c.rs.world; w.fi != nil || w.cfg.Wallclock {
+	if c.rs.world.fi != nil {
 		return c.exchangeMessages(ops)
 	}
 	x := &c.shared.exchange

@@ -16,8 +16,8 @@ import (
 
 // ExchangeGhost has two bodies (exchange.go): one host rendezvous that
 // evaluates every rank's list as dataflow over the arrival clocks, and the
-// list as a loop of literal SendrecvGhosts, kept for armed fault plans,
-// Wallclock and calls that find their own traffic already queued. As for
+// list as a loop of literal SendrecvGhosts, kept for armed fault plans and
+// calls that find their own traffic already queued. As for
 // Barrier, an empty plan arms the second with no other effect and is the
 // reference the first is held to — on barrier_test.go's machinery (hook log,
 // byte decoder, variants, result diff), with programs of exchanges.
@@ -37,6 +37,11 @@ const (
 	xQueuedSend        // a message under the exchange's own tag queued before the call
 	xPostedRecv        // ... a receive posted
 	xOtherTag          // unrelated traffic queued before the call: the exchange stays virtual
+	// Rooted calls (rooted_test.go).
+	xScatter   // a ScatterGhost from a drawn root, its destinations in a drawn order
+	xGather    // a GatherGhost to a drawn root
+	xRootedRun // three of each back to back, a root repeated: a writer runs a call ahead
+	xRootedP2P // point-to-point under the call's tag queued and posted around it
 	numXSteps
 )
 
@@ -91,7 +96,7 @@ func namedExchangeProg(p int) *exchangeProg {
 			pr.colours[r] = r % 2
 		}
 	}
-	for op := 0; op < numXSteps; op++ {
+	for op := 0; op < xScatter; op++ {
 		pr.steps = append(pr.steps, progStep{xSkew, op&1 == 0}, progStep{op, false}, progStep{op, true})
 	}
 	pr.steps = append(pr.steps, progStep{xMoore, false}, progStep{xMoore, false}, progStep{xTwice, true}, progStep{xChain, false})
@@ -316,7 +321,7 @@ func (pr *exchangeProg) step(world, on *Comm, i, op int) error {
 			return err
 		}
 		return nil
-	default: // xOtherTag
+	case xOtherTag:
 		if low {
 			if err := on.SendGhost(partner, tagOther, 8, 640); err != nil {
 				return err
@@ -330,6 +335,8 @@ func (pr *exchangeProg) step(world, on *Comm, i, op int) error {
 			return err
 		}
 		return nil
+	default:
+		return pr.rootedStep(on, i, op)
 	}
 }
 
@@ -392,13 +399,19 @@ func checkExchangeProg(t *testing.T, pr *exchangeProg, variants []progVariant) {
 }
 
 func TestExchangeRendezvousMatchesMessages(t *testing.T) {
+	checkExchangeAxes(t, namedExchangeProg, 2017)
+}
+
+// checkExchangeAxes holds the named program to the reference across every
+// axis, and three generated ones (seeded by seed) across one value of each.
+func checkExchangeAxes(t *testing.T, namedProg func(p int) *exchangeProg, seed uint64) {
 	var all []progVariant
 	for i := 0; i < 32; i++ {
 		all = append(all, progVariant{messages: i&1 != 0, lazy: i&2 != 0, oneProc: i&4 != 0, tool: i&8 != 0, deadline: i&16 != 0})
 	}
-	// Generated programs take one rendezvous run per axis value.
+	// Generated programs take one virtual run per axis value.
 	few := []progVariant{{tool: true}, {lazy: true, oneProc: true, tool: true}, {lazy: true, deadline: true}, {tool: true, deadline: true}}
-	rng := stats.NewRNG(2017)
+	rng := stats.NewRNG(seed)
 	for _, p := range []int{2, 3, 5, 8, 13, 64, 257, 1000} {
 		t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
 			named, generated := all, 3
@@ -407,7 +420,7 @@ func TestExchangeRendezvousMatchesMessages(t *testing.T) {
 				// most of the suite's time, and ten times that under -race.
 				named, generated = few, 1
 			}
-			checkExchangeProg(t, namedExchangeProg(p), named)
+			checkExchangeProg(t, namedProg(p), named)
 			for g := 0; g < generated; g++ {
 				data := make([]byte, 32+p)
 				for i := range data {
@@ -416,17 +429,6 @@ func TestExchangeRendezvousMatchesMessages(t *testing.T) {
 				checkExchangeProg(t, decodeExchangeProg(&byteSrc{data}, p), few)
 			}
 		})
-	}
-}
-
-// TestExchangeInWallclockMode: there a message arrives when it is delivered,
-// so the exchange moves real ones.
-func TestExchangeInWallclockMode(t *testing.T) {
-	cfg := testCfg(5)
-	cfg.Wallclock = true
-	pr := namedExchangeProg(5)
-	if _, err := Run(cfg, func(c *Comm) error { return c.ExchangeGhost(pr.chain(c, 0)) }); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -120,7 +120,8 @@ func (c *Comm) Revoke() {
 }
 
 // revoke poisons every mailbox of the communicator and wakes ranks parked
-// in Split or Barrier on it. Idempotent.
+// in Split, Barrier, ExchangeGhost, ScatterGhost or GatherGhost on it.
+// Idempotent.
 //
 //seclint:allocs-ok revocation is a one-shot failure event
 func (cs *commShared) revoke(pi *poisonInfo) {
@@ -129,6 +130,8 @@ func (cs *commShared) revoke(pi *poisonInfo) {
 		close(cs.revoked)
 		cs.barrier.abort()
 		cs.exchange.abort()
+		cs.scatter.abort()
+		cs.gather.abort()
 	})
 	for i := range cs.boxShards {
 		cs.boxShards[i].poison(pi)

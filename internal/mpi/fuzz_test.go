@@ -33,13 +33,16 @@ func FuzzBarrierSchedule(f *testing.F) {
 // FuzzExchangeSchedule decodes bytes into an exchange program
 // (exchange_test.go: up to 96 ranks, a Split by colours, skewed arrivals, 1-D
 // and 2-D halos with edges missing, self and repeated exchanges, empty lists,
-// the exchange's own tags queued or posted ahead of the call) and requires
-// ExchangeGhost's rendezvous and its literal loop to agree on every final
-// clock, hook and the frontier.
+// the exchange's own tags queued or posted ahead of the call; rooted_test.go:
+// scatters and gathers from drawn roots, single, back to back and among
+// point-to-point traffic under their tag) and requires ExchangeGhost's
+// rendezvous, the rooted calls' slots and their literal loops to agree on
+// every final clock, hook and the frontier.
 func FuzzExchangeSchedule(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{6, 17, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 9, 0x80, 1, 0x82, 4, 0x88, 3, 9, 0x8a, 2, 7})
 	f.Add([]byte{94, 1, 2, 0, 3, 1, 2, 3, 0, 3, 2, 1, 0, 1, 2, 3})
+	f.Add([]byte{6, 17, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 11, xScatter, 0x80 | xGather, xRootedRun, 0x80 | xRootedP2P, 0, 0x80 | xScatter, xGather, 0x80 | xRootedRun, xRootedP2P, 1, 14, 0x8f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkExchangeProg(t, decodeExchangeProg(&byteSrc{data}, 0), []progVariant{{tool: true}})
 	})

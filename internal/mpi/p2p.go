@@ -83,9 +83,7 @@ func (p *posted) matches(e *envelope) bool {
 
 // mailbox holds the unmatched traffic addressed to one rank. Boxes have no
 // lock of their own: they live in boxShard slabs, and all queue access goes
-// through the owning shard's mutex (one lock per shardSize ranks, which
-// also lets a batched fan-out deliver a whole run of messages under a
-// single acquisition).
+// through the owning shard's mutex (one lock per shardSize ranks).
 type mailbox struct {
 	sends []*envelope
 	recvs []*posted
@@ -178,13 +176,6 @@ func (sh *boxShard) post(b *mailbox, p *posted) *envelope {
 	return nil
 }
 
-// postedMatch pairs a matched receive with its envelope so batched delivery
-// can complete the channel handoffs after the shard lock drops.
-type postedMatch struct {
-	p *posted
-	e *envelope
-}
-
 // Request represents a nonblocking operation; Wait completes it.
 type Request struct {
 	comm *Comm
@@ -205,7 +196,7 @@ type Request struct {
 //
 //seclint:hotpath
 func (c *Comm) Send(dst, tag int, data []byte) error {
-	return c.sendInternal(dst, tag, data, len(data), len(data), false)
+	return c.sendInternal(dst, tag, tag, data, len(data), len(data))
 }
 
 // SendSized is Send with an explicit virtual message size: the receiver
@@ -218,7 +209,7 @@ func (c *Comm) SendSized(dst, tag int, data []byte, virtualBytes int) error {
 	if virtualBytes < 0 {
 		return fmt.Errorf("mpi: negative virtual size %d", virtualBytes)
 	}
-	return c.sendInternal(dst, tag, data, len(data), virtualBytes, false)
+	return c.sendInternal(dst, tag, tag, data, len(data), virtualBytes)
 }
 
 // SendGhost transmits a message of nbytes whose payload bytes are never
@@ -231,13 +222,21 @@ func (c *Comm) SendSized(dst, tag int, data []byte, virtualBytes int) error {
 //
 //seclint:hotpath
 func (c *Comm) SendGhost(dst, tag, nbytes, virtualBytes int) error {
+	if err := checkSizes(nbytes, virtualBytes); err != nil {
+		return err
+	}
+	return c.sendInternal(dst, tag, tag, nil, nbytes, virtualBytes)
+}
+
+// checkSizes refuses a ghost message's negative real or virtual size.
+func checkSizes(nbytes, vbytes int) error {
 	if nbytes < 0 {
 		return fmt.Errorf("mpi: negative ghost size %d", nbytes)
 	}
-	if virtualBytes < 0 {
-		return fmt.Errorf("mpi: negative virtual size %d", virtualBytes)
+	if vbytes < 0 {
+		return fmt.Errorf("mpi: negative virtual size %d", vbytes)
 	}
-	return c.sendInternal(dst, tag, nil, nbytes, virtualBytes, true)
+	return nil
 }
 
 // Isend is Send; the returned request completes immediately (eager
@@ -249,7 +248,9 @@ func (c *Comm) Isend(dst, tag int, data []byte) (*Request, error) {
 	return &Request{comm: c, done: true}, nil
 }
 
-func (c *Comm) sendInternal(dst, tag int, data []byte, nbytes, vbytes int, ghost bool) error {
+// sendInternal sends under tag and reports hookTag: the caller's tag, where
+// a collective's literal body (rooted.go) matches under a reserved one.
+func (c *Comm) sendInternal(dst, tag, hookTag int, data []byte, nbytes, vbytes int) error {
 	if dst < 0 || dst >= c.Size() {
 		return fmt.Errorf("mpi: Send to invalid rank %d (size %d)", dst, c.Size())
 	}
@@ -263,15 +264,9 @@ func (c *Comm) sendInternal(dst, tag int, data []byte, nbytes, vbytes int, ghost
 		e.src, e.tag = c.rank, tag
 		e.nbytes, e.vbytes = nbytes, vbytes
 		e.sendT, e.arrival = sendT, arrival
-		if !ghost {
-			n := nbytes
-			if n > len(data) {
-				n = len(data)
-			}
-			buf := payloads.get(n)
-			copy(buf, data[:n])
-			e.data = buf
-		}
+		// A ghost message's nil data makes no payload.
+		e.data = payloads.get(min(nbytes, len(data)))
+		copy(e.data, data)
 		sh, box := c.shared.box(dst)
 		if pi := sh.deliver(box, e); pi != nil {
 			return fmt.Errorf("mpi: rank %d: Send to rank %d failed: %w", c.rank, dst, pi.reason)
@@ -286,14 +281,14 @@ func (c *Comm) sendInternal(dst, tag int, data []byte, nbytes, vbytes int, ghost
 
 	for _, t := range w.cfg.Tools {
 		//seclint:allocs-ok tool hooks are //seclint:hotpath roots, proven allocation-free in their own right
-		t.MessageSent(c, dst, tag, vbytes, c.rs.now())
+		t.MessageSent(c, dst, hookTag, vbytes, c.rs.now())
 	}
 	return nil
 }
 
 // stampSend is the sender's half of a message's clock arithmetic, said once
-// for Send, SendGhostBatch and the rendezvous evaluators (collectives.go,
-// exchange.go):
+// for Send, the rendezvous evaluators (collectives.go, exchange.go) and the
+// rooted calls' slots (rooted.go):
 // charge o_send, model the transfer of vbytes to comm rank dst with jitter
 // from the rank's own stream, let an armed fault plan count the operation
 // and perturb the link, then stamp the message. nbytes comes back shortened
@@ -316,17 +311,10 @@ func (c *Comm) stampSend(dst, nbytes, vbytes int) (sendT, arrival float64, realB
 	return sendT, sendT + transfer, nbytes, dropped
 }
 
-// SendGhostBatch posts one ghost message per destination — the fan-out
-// counterpart of SendGhost. Message i is exactly equivalent to
-// SendGhost(dsts[i], tag, nbytes[i], vbytes[i]) called in order: per-message
-// overheads, modeled transfer times, send stamps and tool hooks are
-// identical, so sweeps switching a scatter loop to the batch produce
-// byte-identical CSVs. The payoff is delivery: envelopes addressed to
-// consecutive destinations in the same mailbox shard are enqueued under a
-// single shard-lock acquisition instead of one per message. With a fault
-// plan armed the call is that SendGhost loop (package doc, "Literal
-// messages under a plan"). On a revoked communicator a prefix of the batch
-// may already have been delivered when the error returns.
+// SendGhostBatch posts one ghost message per destination: the loop
+// SendGhost(dsts[i], tag, nbytes[i], vbytes[i]) in order. A fan-out every
+// rank takes part in is ScatterGhost. On a revoked communicator a prefix of
+// the batch may already have been delivered when the error returns.
 //
 //seclint:hotpath
 func (c *Comm) SendGhostBatch(dsts []int, tag int, nbytes, vbytes []int) error {
@@ -334,113 +322,10 @@ func (c *Comm) SendGhostBatch(dsts []int, tag int, nbytes, vbytes []int) error {
 		return fmt.Errorf("mpi: SendGhostBatch length mismatch (%d dsts, %d nbytes, %d vbytes)",
 			len(dsts), len(nbytes), len(vbytes))
 	}
-	if len(dsts) == 0 {
-		return nil
-	}
-	w := c.rs.world
-	if w.fi != nil {
-		for i, dst := range dsts {
-			if err := c.SendGhost(dst, tag, nbytes[i], vbytes[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if tag < 0 && tag > internalTagBase {
-		return fmt.Errorf("mpi: negative tag %d is reserved", tag)
-	}
 	for i, dst := range dsts {
-		if dst < 0 || dst >= c.Size() {
-			return fmt.Errorf("mpi: Send to invalid rank %d (size %d)", dst, c.Size())
+		if err := c.SendGhost(dst, tag, nbytes[i], vbytes[i]); err != nil {
+			return err
 		}
-		if nbytes[i] < 0 {
-			return fmt.Errorf("mpi: negative ghost size %d", nbytes[i])
-		}
-		if vbytes[i] < 0 {
-			return fmt.Errorf("mpi: negative virtual size %d", vbytes[i])
-		}
-	}
-
-	// Charge and stamp every message first, in order, exactly as the
-	// sequential loop would.
-	envs := c.rs.batchEnvs[:0]
-	sendTs := c.rs.batchSendTs[:0]
-	c.rs.reserveEnvelopes(len(dsts))
-	for i, dst := range dsts {
-		e := c.rs.newEnvelope()
-		e.src, e.tag = c.rank, tag
-		e.nbytes, e.vbytes = nbytes[i], vbytes[i]
-		e.sendT, e.arrival, _, _ = c.stampSend(dst, nbytes[i], vbytes[i])
-		envs = append(envs, e)
-		sendTs = append(sendTs, e.sendT)
-	}
-	c.rs.batchEnvs = envs
-	c.rs.batchSendTs = sendTs
-
-	// Deliver in runs of consecutive same-shard destinations, each run
-	// under one shard-lock acquisition. Matched receives are woken after
-	// the lock drops, preserving the unlocked-handoff discipline of the
-	// single-message path.
-	var failPi *poisonInfo
-	failAt := len(dsts)
-	delivered := 0
-	for i := 0; i < len(dsts) && failPi == nil; {
-		s := dsts[i] >> shardBits
-		j := i + 1
-		for j < len(dsts) && dsts[j]>>shardBits == s {
-			j++
-		}
-		sh, _ := c.shared.box(dsts[i])
-		matches := c.rs.batchMatches[:0]
-		sh.mu.Lock()
-		for k := i; k < j; k++ {
-			b := &sh.slab[dsts[k]&shardMask]
-			if pi := b.fail; pi != nil {
-				failPi, failAt = pi, k
-				break
-			}
-			e := envs[k]
-			matched := false
-			for ri, p := range b.recvs {
-				if p.matches(e) {
-					b.recvs = append(b.recvs[:ri], b.recvs[ri+1:]...)
-					matches = append(matches, postedMatch{p: p, e: e})
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				b.sends = append(b.sends, e)
-			}
-		}
-		sh.mu.Unlock()
-		for _, m := range matches {
-			m.p.ch <- m.e
-		}
-		c.rs.batchMatches = matches[:0]
-		if failPi == nil {
-			delivered = j
-		} else {
-			delivered = failAt
-		}
-		if w.lazy {
-			for k := i; k < delivered; k++ {
-				w.nudge(c.shared.group[dsts[k]])
-			}
-		}
-		i = j
-	}
-	for _, t := range w.cfg.Tools {
-		for k := 0; k < delivered; k++ {
-			//seclint:allocs-ok tool hooks are //seclint:hotpath roots, proven allocation-free in their own right
-			t.MessageSent(c, dsts[k], tag, vbytes[k], sendTs[k])
-		}
-	}
-	if failPi != nil {
-		for k := failAt; k < len(envs); k++ {
-			c.rs.freeEnvelope(envs[k])
-		}
-		return fmt.Errorf("mpi: rank %d: Send to rank %d failed: %w", c.rank, dsts[failAt], failPi.reason)
 	}
 	return nil
 }
@@ -465,10 +350,11 @@ func (c *Comm) Irecv(src, tag int) (*Request, error) {
 	return req, nil
 }
 
-// recvEnvelope blocks for a matching message and returns its envelope with
-// the clock advanced and the tool hooks fired — the request-free receive
-// path Recv, RecvDiscard and the collectives run on.
-func (c *Comm) recvEnvelope(src, tag int) (*envelope, error) {
+// recvEnvelope blocks for a message matching (src, tag) and returns its
+// envelope with the clock advanced and the tool hooks fired — the
+// request-free receive path Recv, RecvDiscard and the collectives run on.
+// The hooks report hookTag when it is not tag (see sendInternal).
+func (c *Comm) recvEnvelope(src, tag, hookTag int) (*envelope, error) {
 	if src != AnySource && (src < 0 || src >= c.Size()) {
 		return nil, fmt.Errorf("mpi: Recv from invalid rank %d (size %d)", src, c.Size())
 	}
@@ -481,7 +367,7 @@ func (c *Comm) recvEnvelope(src, tag int) (*envelope, error) {
 	e := sh.post(box, p)
 	if e == nil {
 		if c.rs.blk != nil {
-			c.rs.enterBlocked(c, "Recv", src, tag)
+			c.rs.enterBlocked(c, "Recv", src, hookTag)
 			e = <-p.ch
 			c.rs.exitBlocked()
 		} else {
@@ -492,7 +378,10 @@ func (c *Comm) recvEnvelope(src, tag int) (*envelope, error) {
 	if e.fail != nil {
 		return nil, c.failRecv(e, postT, src)
 	}
-	c.completeRecv(e.src, e.tag, e.vbytes, MatchInfo{SendT: e.sendT, PostT: postT, Arrival: e.arrival})
+	if hookTag == tag {
+		hookTag = e.tag // tag may be AnyTag
+	}
+	c.completeRecv(e.src, hookTag, e.vbytes, MatchInfo{SendT: e.sendT, PostT: postT, Arrival: e.arrival})
 	return e, nil
 }
 
@@ -627,7 +516,7 @@ func (c *Comm) Iprobe(src, tag int) (Status, bool, error) {
 //
 //seclint:hotpath
 func (c *Comm) Recv(src, tag int) ([]byte, Status, error) {
-	e, err := c.recvEnvelope(src, tag)
+	e, err := c.recvEnvelope(src, tag, tag)
 	if err != nil {
 		return nil, Status{}, err
 	}
@@ -644,7 +533,7 @@ func (c *Comm) Recv(src, tag int) ([]byte, Status, error) {
 //
 //seclint:hotpath
 func (c *Comm) RecvDiscard(src, tag int) (Status, error) {
-	e, err := c.recvEnvelope(src, tag)
+	e, err := c.recvEnvelope(src, tag, tag)
 	if err != nil {
 		return Status{}, err
 	}
@@ -742,7 +631,7 @@ func (c *Comm) sendFloat64sSized(dst, tag int, xs []float64, vbytes int) error {
 // RecvFloat64s receives a float64 vector. The wire buffer is recycled
 // internally; the returned vector is freshly allocated and caller-owned.
 func (c *Comm) RecvFloat64s(src, tag int) ([]float64, Status, error) {
-	e, err := c.recvEnvelope(src, tag)
+	e, err := c.recvEnvelope(src, tag, tag)
 	if err != nil {
 		return nil, Status{}, err
 	}
@@ -756,7 +645,7 @@ func (c *Comm) RecvFloat64s(src, tag int) ([]float64, Status, error) {
 // returning the filled slice — the zero-allocation receive the collectives
 // fold from.
 func (c *Comm) recvFloat64sInto(dst []float64, src, tag int) ([]float64, Status, error) {
-	e, err := c.recvEnvelope(src, tag)
+	e, err := c.recvEnvelope(src, tag, tag)
 	if err != nil {
 		return nil, Status{}, err
 	}

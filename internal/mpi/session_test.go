@@ -10,7 +10,7 @@ import (
 )
 
 // Session-runtime tests: lazy shard materialization, active-subset sessions,
-// and the batched ghost fan-out fast path.
+// and the ghost fan-out (rooted_test.go has the lazy one across shards).
 
 // TestActiveSessionMaterializesOnlyActiveRanks is the lazy-init ground
 // truth: with an Active predicate selecting 8 of 1024 declared ranks, the
@@ -68,63 +68,9 @@ func TestActiveSessionMaterializesOnlyActiveRanks(t *testing.T) {
 	}
 }
 
-// TestLazyBatchFanOutAcrossShards exercises the batched-delivery path over
-// multiple mailbox shards on a lazily brought-up world: rank 0 scatters one
-// ghost message to every other rank with a single SendGhostBatch. 600 ranks
-// span three shards, so the batch takes the run-splitting shard-lock path,
-// and every rank must end up materialized. This test also runs under
-// `go test -race` — it is the data-race coverage for the new mailbox path.
-func TestLazyBatchFanOutAcrossShards(t *testing.T) {
-	const ranks = 600 // 3 shards of 256/256/88
-	cfg := Config{
-		Ranks:   ranks,
-		Model:   machine.Ideal(64, 16),
-		Seed:    1,
-		Lazy:    true,
-		Timeout: time.Minute,
-	}
-	rep, err := Run(cfg, func(c *Comm) error {
-		const tag = 9
-		if c.Rank() == 0 {
-			dsts := make([]int, 0, ranks-1)
-			nbytes := make([]int, 0, ranks-1)
-			vbytes := make([]int, 0, ranks-1)
-			for r := 1; r < ranks; r++ {
-				dsts = append(dsts, r)
-				nbytes = append(nbytes, 128)
-				vbytes = append(vbytes, 4096)
-			}
-			if err := c.SendGhostBatch(dsts, tag, nbytes, vbytes); err != nil {
-				return err
-			}
-			// Collect one ack per rank so the run only ends after every
-			// delivery was observed.
-			for r := 1; r < ranks; r++ {
-				if _, err := c.RecvDiscard(r, tag); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if _, err := c.RecvDiscard(0, tag); err != nil {
-			return err
-		}
-		return c.SendGhost(0, tag, 8, 8)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.MaterializedRanks != ranks {
-		t.Errorf("MaterializedRanks = %d, want %d", rep.MaterializedRanks, ranks)
-	}
-	if rep.ActiveRanks != ranks {
-		t.Errorf("ActiveRanks = %d, want %d", rep.ActiveRanks, ranks)
-	}
-}
-
-// TestSendGhostBatchSteadyStateAllocs pins the batched fan-out to the same
-// contract as the single-message path: zero allocations per operation in
-// steady state (pooled envelopes, reused batch scratch on the rank state).
+// TestSendGhostBatchSteadyStateAllocs pins the fan-out to the same contract
+// as the single-message path it loops over: zero allocations per operation
+// in steady state (pooled envelopes).
 func TestSendGhostBatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector allocates shadow memory; alloc counts are meaningless")

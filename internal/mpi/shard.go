@@ -103,7 +103,6 @@ func (w *World) ensureShard(sh *rankShard) {
 		rs.id = rank
 		rs.world = w
 		rs.shard = sh
-		rs.start = w.startT
 		if w.detect {
 			rs.blk = &sh.blks[i]
 			rs.blk.peer = -1

@@ -28,12 +28,6 @@ type Config struct {
 	// Tools are attached in order; each receives every profiling hook.
 	// They are shared across ranks and must be safe for concurrent use.
 	Tools []Tool
-	// Wallclock switches timing from the virtual clock to real elapsed
-	// time: rank clocks read the host monotonic clock, model charges
-	// become no-ops, and messages arrive when they are delivered. Used to
-	// validate the runtime and the tools against physical execution; the
-	// paper-scale experiments always use virtual time.
-	Wallclock bool
 	// CheckSections enables verification of the MPI_Section collective
 	// invariants (identical enter/exit sequences on every rank of a
 	// communicator, perfect nesting). The paper recommends the checks be
@@ -124,7 +118,6 @@ type World struct {
 	errs         []error   // per-world-rank errors, written by rankMain
 	finals       []float64 // per-world-rank final clocks
 	wg           sync.WaitGroup
-	startT       time.Time
 	materialized atomic.Int64 // active ranks brought up so far
 
 	sectionErrMu sync.Mutex
@@ -181,14 +174,6 @@ type rankState struct {
 	encScratch []byte    // wire encoding for typed sends
 	accScratch []float64 // reduction accumulator
 	vecScratch []float64 // decoded peer contribution during reductions
-	// Batched-delivery scratch (SendGhostBatch): prepared envelopes, the
-	// matched receives to wake after the shard lock drops, and the
-	// sender-owned copy of each message's send stamp — envelope ownership
-	// transfers at delivery, so the tool hooks must not read envelopes
-	// the receivers may already have freed.
-	batchEnvs    []*envelope
-	batchMatches []postedMatch
-	batchSendTs  []float64
 	// The rank's own free envelopes (chained through envelope.next) and
 	// posted receive, in front of the free lists (bufpool.go).
 	envs   *envelope
@@ -198,11 +183,10 @@ type rankState struct {
 	// Deadlock detection (nil unless Config.Deadline > 0).
 	blk *blockedInfo
 
-	// What a fault-free virtual-time run never touches comes last, a cache
-	// line's worth: states sit back to back in a slab, and the line two
+	// What a fault-free virtual-time run never touches comes last, 40
+	// bytes: states sit back to back in a slab, and most of the line two
 	// neighbours share then holds nothing the first one reads or writes
 	// while the second advances its clock.
-	start time.Time // wallclock epoch (Wallclock mode only)
 	// Fault injection (nil/zero unless a plan is armed; see armFaults).
 	ops     uint64   // point-to-point op counter
 	killAt  uint64   // fail-stop threshold (0 = none)
@@ -210,29 +194,16 @@ type rankState struct {
 }
 
 func (r *rankState) advance(d float64) {
-	if r.world.cfg.Wallclock {
-		return
-	}
 	if d > 0 {
 		r.clock += d
 	}
 }
 
-// now reports the rank's current time: the virtual clock, or real elapsed
-// seconds in Wallclock mode.
-func (r *rankState) now() float64 {
-	if r.world.cfg.Wallclock {
-		return time.Since(r.start).Seconds()
-	}
-	return r.clock
-}
+// now reports the rank's virtual clock.
+func (r *rankState) now() float64 { return r.clock }
 
-// advanceTo moves the clock to at least t (no-op in Wallclock mode, where
-// time moves by itself).
+// advanceTo moves the clock to at least t.
 func (r *rankState) advanceTo(t float64) {
-	if r.world.cfg.Wallclock {
-		return
-	}
 	if t > r.clock {
 		r.clock = t
 	}
@@ -322,7 +293,6 @@ func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
 	w.errs = make([]error, c.Ranks)
 	w.finals = make([]float64, c.Ranks)
 	done := make(chan struct{})
-	w.startT = time.Now()
 	w.wg.Add(w.activeCount)
 	if w.lazy {
 		// Session bring-up: a background spawner walks the shards in order

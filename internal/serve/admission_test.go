@@ -52,6 +52,45 @@ func TestHTTPRunRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestHTTPRunThreadsPerWorkload: a workload without an OpenMP team resolves
+// any threads a request names to 0 — the run it executes — so spellings
+// that differ only there share one cache key; lulesh's team defaults to 1.
+func TestHTTPRunThreadsPerWorkload(t *testing.T) {
+	resolve := func(raw string) experiments.LiveOptions {
+		t.Helper()
+		q, err := url.ParseQuery(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := parseRunRequest(q)
+		if err != nil {
+			t.Fatalf("%s: %v", raw, err)
+		}
+		opts, err := req.Opts.Resolved()
+		if err != nil {
+			t.Fatalf("%s: %v", raw, err)
+		}
+		return opts
+	}
+	for _, tc := range []struct {
+		raw, same string
+		threads   int
+	}{
+		{"exp=conv&p=4&threads=-1", "exp=conv&p=4", 0},
+		{"exp=conv&p=4&threads=4", "exp=conv&p=4", 0},
+		{"exp=conv2d&p=16&threads=4", "exp=conv2d&p=16&threads=0", 0},
+		{"exp=lulesh&p=8&threads=-1", "exp=lulesh&p=8&threads=1", 1},
+	} {
+		opts := resolve(tc.raw)
+		if opts.Threads != tc.threads {
+			t.Errorf("%s resolved with Threads %d, want %d", tc.raw, opts.Threads, tc.threads)
+		}
+		if k1, k2 := requestKey(opts, true, false), requestKey(resolve(tc.same), true, false); k1 != k2 {
+			t.Errorf("%s has cache key %q, %s %q: want one run, one key", tc.raw, k1, tc.same, k2)
+		}
+	}
+}
+
 // renderQuery spells a parsed request back as the query that asks for it.
 func renderQuery(r Request, opts experiments.LiveOptions) url.Values {
 	q := url.Values{
@@ -119,6 +158,8 @@ func FuzzParseRunRequest(f *testing.F) {
 		"exp=conv2d&p=16384&scale=1024",
 		"p=-1&steps=x&seed=-1&deadline=-3s",
 		"exp=warp;p=2",
+		"exp=conv&p=4&threads=-1",
+		"exp=conv2d&p=16&threads=4",
 	} {
 		f.Add(seed)
 	}
