@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	"repro/internal/balance"
@@ -79,8 +80,8 @@ func main() {
 		fmt.Println(w)
 	}
 	fmt.Println("timeline (A=COMPUTE, B=SYNC — note the growing B share on low ranks):")
-	fmt.Print(trace.Timeline(collector.Buffer().Filter(func(e trace.Event) bool {
-		return e.Label == "COMPUTE" || e.Label == "SYNC"
+	fmt.Print(trace.Timeline(slices.DeleteFunc(collector.Buffer().Events(), func(e trace.Event) bool {
+		return e.Label != "COMPUTE" && e.Label != "SYNC"
 	}), 96))
 
 	// The §8 load-balance analysis: persistent vs transient decomposition,

@@ -1,5 +1,5 @@
 // Package core implements the paper's analytical contribution: the speedup
-// metric, its classic bounds (Amdahl, Gustafson–Barsis, Karp–Flatt), and —
+// metric, its classic bounds (Amdahl, Gustafson–Barsis), and —
 // centrally — *partial speedup bounding* (paper §2, Eq. 3–6):
 //
 // Model the application as a sum of per-section times T_i = f_i(n, p).
@@ -76,17 +76,6 @@ func GustafsonSpeedup(s float64, p int) (float64, error) {
 		return 0, fmt.Errorf("%w: GustafsonSpeedup(s=%g, p=%d)", ErrBadInput, s, p)
 	}
 	return s + float64(p)*(1-s), nil
-}
-
-// KarpFlatt returns the experimentally determined serial fraction
-// e = (1/S − 1/p) / (1 − 1/p) from a measured speedup S on p > 1
-// processors — the paper's third classic metric.
-func KarpFlatt(speedup float64, p int) (float64, error) {
-	if speedup <= 0 || p <= 1 {
-		return 0, fmt.Errorf("%w: KarpFlatt(S=%g, p=%d)", ErrBadInput, speedup, p)
-	}
-	pf := float64(p)
-	return (1/speedup - 1/pf) / (1 - 1/pf), nil
 }
 
 // PartialBound is Eq. 6 evaluated from measurements: given the total

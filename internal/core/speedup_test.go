@@ -100,28 +100,6 @@ func TestGustafson(t *testing.T) {
 	}
 }
 
-func TestKarpFlatt(t *testing.T) {
-	// From S = AmdahlBound(fs, p), Karp–Flatt must recover fs exactly.
-	for _, fs := range []float64{0.01, 0.1, 0.3} {
-		for _, p := range []int{2, 8, 64} {
-			s, _ := AmdahlBound(fs, p)
-			e, err := KarpFlatt(s, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(e-fs) > 1e-9 {
-				t.Errorf("KarpFlatt(Amdahl(%g, %d)) = %g", fs, p, e)
-			}
-		}
-	}
-	if _, err := KarpFlatt(4, 1); err == nil {
-		t.Error("p=1 accepted")
-	}
-	if _, err := KarpFlatt(0, 4); err == nil {
-		t.Error("S=0 accepted")
-	}
-}
-
 func TestPartialBound(t *testing.T) {
 	// The paper's Fig. 6 first row: B(64) = 5589.84 / (3025.44/64) = 118.25.
 	b, err := PartialBoundFromTotal(5589.84, 3025.44, 64)

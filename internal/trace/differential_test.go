@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -569,6 +570,93 @@ func TestSortRunMatchesStableSort(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("seed %d: sortRun differs from slices.SortStableFunc on %d events\n got %v\nwant %v", seed, len(events), got, want)
 		}
+	}
+}
+
+// sortRunPath is newOrder as it was before it took canonical input as it
+// is: the event numbers bucketed by rank, stably, and every run put in
+// order by sortRun.
+func sortRunPath(src source) (idx, ends []int32) {
+	idx = make([]int32, src.n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortStableFunc(idx, func(a, b int32) int { return cmp.Compare(src.at(a).Rank, src.at(b).Rank) })
+	begin := 0
+	for i := 1; i <= len(idx); i++ {
+		if i == len(idx) || src.at(idx[i]).Rank != src.at(idx[i-1]).Rank {
+			sortRun(&src, idx[begin:i])
+			ends = append(ends, int32(i))
+			begin = i
+		}
+	}
+	return idx, ends
+}
+
+// TestOrderOfCanonicalInput holds the index of input newOrder finds
+// canonical, and buckets without sortRun, to the one the sortRun path
+// gives, bit for bit: on canonical slices and buffers, on the same with one
+// event displaced, and on a slice that a NaN time lets pass isSorted while
+// one rank's run is out of order.
+func TestOrderOfCanonicalInput(t *testing.T) {
+	check := func(name string, o *Order) {
+		t.Helper()
+		idx, ends := sortRunPath(o.src)
+		if !slices.Equal(o.Index(), idx) || !slices.Equal(o.ends, ends) {
+			t.Fatalf("%s: the Order differs from the sortRun path\n got %v %v\nwant %v %v", name, o.Index(), o.ends, idx, ends)
+		}
+	}
+	canonicalSeen := 0
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		name := fmt.Sprintf("seed %d", seed)
+		events := orderEvents(rng, []int{0, 1, 2, 3, 4, 5, 6, 7}[:1+rng.Intn(8)], 1+rng.Intn(80))
+		SortEvents(events)
+		if isSorted(events) {
+			canonicalSeen++
+		}
+		check(name+" canonical", OrderOf(events))
+
+		// The same events in a Buffer, across chunks.
+		b := NewBuffer(0)
+		for _, e := range events {
+			b.Add(e)
+		}
+		check(name+" canonical buffer", b.Order())
+		b.Release()
+
+		// One event displaced.
+		moved := slices.Clone(events)
+		from, to := rng.Intn(len(moved)), rng.Intn(len(moved))
+		e := moved[from]
+		moved = slices.Insert(slices.Delete(moved, from, from+1), to, e)
+		check(name+" one displaced", OrderOf(moved))
+	}
+	if canonicalSeen != 200 {
+		t.Fatalf("%d of 200 sorted slices pass isSorted", canonicalSeen)
+	}
+
+	// Long canonical runs over many chunks.
+	rng := rand.New(rand.NewSource(1))
+	long := orderEvents(rng, []int{0, 1, 2}, 3*chunkLen)
+	SortEvents(long)
+	b := NewBuffer(0)
+	for _, e := range long {
+		b.Add(e)
+	}
+	check("long canonical buffer", b.Order())
+	b.Release()
+
+	// A NaN compares equal to every time: every neighbouring pair passes,
+	// and rank 0's run is not in order.
+	nan := []Event{{T: 2, Rank: 0}, {T: math.NaN(), Rank: 1}, {T: 1, Rank: 0}}
+	if !isSorted(nan) {
+		t.Fatal("the NaN slice does not pass isSorted")
+	}
+	o := OrderOf(nan)
+	check("NaN", o)
+	if run := o.Run(0); run.At(0).T != 1 {
+		t.Fatalf("rank 0's run starts at %g behind a NaN", run.At(0).T)
 	}
 }
 

@@ -257,9 +257,13 @@ func OrderOf(events []Event) *Order { return newOrder(sliceSource(events)) }
 
 // newOrder builds the index: a counting sort of the event numbers by rank
 // (scratch is one int32 per event plus one per rank of the range), then one
-// comparator pass over each run. Ranks spread over a range wider than the
-// event count — nothing a table can be indexed by — get the same runs out
-// of one stable sort by (rank, canonical order).
+// comparator pass over each run, skipped when the pass that finds the rank
+// range saw a canonical source (isSorted's test) free of NaN times, as a CSV
+// read back or the result of Events is: stable bucketing leaves every run
+// of it in order. A NaN compares equal to every time, so a slice with one
+// can pass isSorted with a run out of order. Ranks spread over a range
+// wider than the event count — nothing a table can be indexed by — get the
+// same runs out of one stable sort by (rank, canonical order).
 func newOrder(src source) *Order {
 	n := src.n
 	if n > math.MaxInt32 {
@@ -270,10 +274,16 @@ func newOrder(src source) *Order {
 		return o
 	}
 	lo, hi := src.at(0).Rank, src.at(0).Rank
+	canonical, last := true, src.at(0)
 	for k := 0; k < src.parts(); k++ {
 		c := src.part(k)
 		for j := range c {
-			lo, hi = min(lo, c[j].Rank), max(hi, c[j].Rank)
+			e := &c[j]
+			lo, hi = min(lo, e.Rank), max(hi, e.Rank)
+			if canonical && !(last.T < e.T) && (e.T != e.T || compareEvents(last, e) > 0) {
+				canonical = false
+			}
+			last = e
 		}
 	}
 	if uint(hi-lo) >= uint(n) {
@@ -324,7 +334,9 @@ func newOrder(src source) *Order {
 		if e == begin {
 			continue
 		}
-		sortRun(&src, idx[begin:e])
+		if !canonical {
+			sortRun(&src, idx[begin:e])
+		}
 		end[runs] = e
 		runs++
 		begin = e

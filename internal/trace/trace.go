@@ -27,12 +27,13 @@
 // Order.Run, the runs one rank at a time in ascending rank order, for a
 // replay whose state is all per rank (internal/waitstate, internal/pop);
 // and Order.Merge, the runs merged through a heap of per-rank cursors into
-// the canonical order, for everything that renders the stream (WriteCSV,
-// Filter). Events is the merge gathered into a fresh slice, the one reader
+// the canonical order, for everything that renders the stream (WriteCSV).
+// Events is the merge gathered into a fresh slice, the one reader
 // whose result may outlive the buffer; Sorted and SortEvents are the same
 // for a slice. Input that is already canonical — a replayed CSV,
 // the result of Events — is recognized by those three in one pass and
-// neither indexed nor copied.
+// neither indexed nor copied; an Order of it, if no time is NaN, skips the
+// comparator pass over its runs.
 //
 // A replay that must see each rank's events exactly as the rank recorded
 // them reads the recording without an Order at all: Buffer.Recording yields
@@ -387,18 +388,6 @@ func (b *Buffer) Warning() string {
 	}
 	return fmt.Sprintf("warning: trace buffer dropped %d events past the %d-event limit (%d kept); derived aggregates are incomplete",
 		drops, limit, kept)
-}
-
-// Filter returns the stored events satisfying keep, in canonical order.
-func (b *Buffer) Filter(keep func(Event) bool) []Event {
-	var out []Event
-	m := b.Order().Merge()
-	for e := m.Next(); e != nil; e = m.Next() {
-		if keep(*e) {
-			out = append(out, *e)
-		}
-	}
-	return out
 }
 
 // SectionSummary aggregates a trace's section events offline: per label,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -104,15 +105,9 @@ func TestBufferLimitAndDrops(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	b := NewBuffer(0)
-	b.Add(Event{T: 1, Kind: KindSend})
-	b.Add(Event{T: 2, Kind: KindRecv})
-	b.Add(Event{T: 3, Kind: KindSend})
-	got := b.Filter(func(e Event) bool { return e.Kind == KindSend })
-	if len(got) != 2 || got[0].T != 1 || got[1].T != 3 {
-		t.Errorf("filter = %+v", got)
-	}
+// filter returns the buffer's events satisfying keep, in canonical order.
+func filter(b *Buffer, keep func(Event) bool) []Event {
+	return slices.DeleteFunc(b.Events(), func(e Event) bool { return !keep(e) })
 }
 
 func TestCSVRoundtrip(t *testing.T) {
@@ -194,10 +189,10 @@ func TestCollectorRecordsSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enters := col.Buffer().Filter(func(e Event) bool {
+	enters := filter(col.Buffer(), func(e Event) bool {
 		return e.Kind == KindSectionEnter && e.Label == "compute"
 	})
-	leaves := col.Buffer().Filter(func(e Event) bool {
+	leaves := filter(col.Buffer(), func(e Event) bool {
 		return e.Kind == KindSectionLeave && e.Label == "compute"
 	})
 	if len(enters) != 2 || len(leaves) != 2 {
@@ -238,14 +233,14 @@ func TestCollectorMessageOptIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	isMsg := func(e Event) bool { return e.Kind == KindSend || e.Kind == KindRecv }
-	if n := len(quiet.Buffer().Filter(isMsg)); n != 0 {
+	if n := len(filter(quiet.Buffer(), isMsg)); n != 0 {
 		t.Errorf("quiet collector recorded %d messages", n)
 	}
-	if n := len(chatty.Buffer().Filter(isMsg)); n < 2 {
+	if n := len(filter(chatty.Buffer(), isMsg)); n < 2 {
 		t.Errorf("chatty collector recorded %d message events", n)
 	}
 	isColl := func(e Event) bool { return e.Kind == KindCollective }
-	if n := len(chatty.Buffer().Filter(isColl)); n != 2 {
+	if n := len(filter(chatty.Buffer(), isColl)); n != 2 {
 		t.Errorf("collective events = %d, want 2", n)
 	}
 }
@@ -283,7 +278,7 @@ func TestCollectorPcontrol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := col.Buffer().Filter(func(e Event) bool { return e.Kind == KindPcontrol })
+	got := filter(col.Buffer(), func(e Event) bool { return e.Kind == KindPcontrol })
 	if len(got) != 1 || got[0].Bytes != 7 {
 		t.Errorf("pcontrol events = %+v", got)
 	}

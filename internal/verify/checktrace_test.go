@@ -183,22 +183,35 @@ func refCheckTrace(events []trace.Event) []Violation {
 	return out
 }
 
-// faultyTrace draws a trace of a few ranks on two communicators in which
-// every class of violation CheckTrace knows has room to occur: leaves
+// faultyTrace draws a trace of a few ranks on up to five communicators in
+// which every class of violation CheckTrace knows has room to occur: leaves
 // without an enter, leaves of the wrong section, sections left open, enter
 // counts and collective sequences that differ between ranks, and a rank
-// that is killed half way.
+// that is killed half way. Collectives on different communicators
+// interleave within a rank. The ranks are mostly 0, 1, 2, ..., which
+// CheckTrace finds by index; some traces add a negative rank or one at
+// 1<<20 or beyond, which it keeps in a map.
 func faultyTrace(rng *rand.Rand) []trace.Event {
 	labels := []string{"MPI_MAIN", "HALO", "LOAD", "x"}
 	colls := []string{"Barrier", "Allreduce", "Bcast"}
-	ranks := 2 + rng.Intn(5)
+	var ranks []int
+	for r := 1 + rng.Intn(6); r >= 0; r-- {
+		ranks = append(ranks, r)
+	}
+	switch rng.Intn(4) {
+	case 0:
+		ranks = append(ranks, -1-rng.Intn(3))
+	case 1:
+		ranks = append(ranks, 1<<20+rng.Intn(2))
+	}
+	comms := 1 + rng.Intn(5)
 	var out []trace.Event
-	for r := 0; r < ranks; r++ {
+	for _, r := range ranks {
 		t := 0.0
 		var open []string
 		for n := rng.Intn(60); n > 0; n-- {
 			t += float64(rng.Intn(3)) * 0.25
-			e := trace.Event{T: t, Rank: r, Comm: int64(rng.Intn(2))}
+			e := trace.Event{T: t, Rank: r, Comm: int64(rng.Intn(comms))}
 			switch rng.Intn(10) {
 			case 0, 1, 2:
 				e.Kind, e.Label = trace.KindSectionEnter, labels[rng.Intn(len(labels))]
@@ -219,7 +232,7 @@ func faultyTrace(rng *rand.Rand) []trace.Event {
 					e.Label = "drop"
 				}
 			default:
-				e.Kind, e.Peer = trace.KindSend, rng.Intn(ranks)
+				e.Kind, e.Peer = trace.KindSend, ranks[rng.Intn(len(ranks))]
 			}
 			out = append(out, e)
 		}
@@ -230,8 +243,8 @@ func faultyTrace(rng *rand.Rand) []trace.Event {
 
 func TestCheckTraceMatchesReference(t *testing.T) {
 	classes := map[string]int{}
-	killed := 0
-	for seed := int64(0); seed < 400; seed++ {
+	killed, far := 0, 0
+	for seed := int64(0); seed < 600; seed++ {
 		events := faultyTrace(rand.New(rand.NewSource(seed)))
 		got, want := CheckTrace(events), refCheckTrace(events)
 		if !reflect.DeepEqual(got, want) {
@@ -246,6 +259,12 @@ func TestCheckTraceMatchesReference(t *testing.T) {
 				break
 			}
 		}
+		for _, e := range events {
+			if e.Rank < 0 || e.Rank >= len(events) {
+				far++
+				break
+			}
+		}
 	}
 	for _, class := range []string{ClassUnderflow, ClassMismatch, ClassUnclosed, ClassEnterDivergence, ClassCollectiveOrder} {
 		if classes[class] == 0 {
@@ -254,5 +273,8 @@ func TestCheckTraceMatchesReference(t *testing.T) {
 	}
 	if killed == 0 {
 		t.Error("no generated trace kills a rank")
+	}
+	if far == 0 {
+		t.Error("no generated trace has a rank CheckTrace cannot index")
 	}
 }

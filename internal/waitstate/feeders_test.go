@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -151,6 +152,10 @@ func genRecording(rng *rand.Rand, ranks []int, perRank int) []trace.Event {
 	return out
 }
 
+// splits are the worker counts the split tests force, whatever the size of
+// the trace.
+var splits = []int{1, 2, 3, 8}
+
 func TestFeedersAgree(t *testing.T) {
 	check := func(name string, rec []trace.Event, limit int) {
 		t.Helper()
@@ -186,6 +191,17 @@ func TestFeedersAgree(t *testing.T) {
 		if d := analysisDiff(inPlace, fromCSV); d != "" {
 			t.Fatalf("%s: buffer path vs CSV round trip: %s", name, d)
 		}
+		for _, workers := range splits {
+			for feeder, o := range map[string]*trace.Order{"buffer": b.Order(), "CSV": trace.OrderOf(back)} {
+				split, err := analyzeOrder(o, opts, workers)
+				if err != nil {
+					t.Fatalf("%s: %d workers on the %s: %v", name, workers, feeder, err)
+				}
+				if d := analysisDiff(inPlace, split); d != "" {
+					t.Fatalf("%s: one worker vs %d on the %s: %s", name, workers, feeder, d)
+				}
+			}
+		}
 		if limit == 0 {
 			// Uncapped, the recording order itself is a third slice to feed.
 			asRecorded, err := Analyze(rec, opts)
@@ -207,6 +223,15 @@ func TestFeedersAgree(t *testing.T) {
 		name := fmt.Sprintf("seed %d", seed)
 		rec := genRecording(rng, dense[:1+rng.Intn(len(dense))], 1+rng.Intn(60))
 		check(name+" recorded", rec, 0)
+
+		// The same order of times, none of their sums exact: a charge added
+		// out of order changes a bit.
+		inexact := append([]trace.Event(nil), rec...)
+		for i := range inexact {
+			e := &inexact[i]
+			e.T, e.SendT, e.PostT, e.ArrT = math.Exp(e.T), math.Exp(e.SendT), math.Exp(e.PostT), math.Exp(e.ArrT)
+		}
+		check(name+" inexact times", inexact, 0)
 
 		// One rank's run out of time order among monotone ones.
 		broken := append([]trace.Event(nil), rec...)
@@ -282,9 +307,10 @@ func recordedBuffer(t testing.TB, ranks, steps int) *trace.Buffer {
 }
 
 // TestAnalyzeIsAFunctionOfItsInput: thirty analyses of one recorded p=128
-// run agree in every bit of every float. Summing over ranks while ranging
-// over a map gave thirty different wait_in values here, and with them a
-// sweep CSV that differed from run to run.
+// run agree in every bit of every float, and so do analyses of it split
+// between workers. Summing over ranks while ranging over a map gave thirty
+// different wait_in values here, and with them a sweep CSV that differed
+// from run to run.
 func TestAnalyzeIsAFunctionOfItsInput(t *testing.T) {
 	events := recordedBuffer(t, 128, 5).Events()
 	first, err := Analyze(events, Options{SeqTime: 10})
@@ -302,6 +328,15 @@ func TestAnalyzeIsAFunctionOfItsInput(t *testing.T) {
 		}
 		if d := analysisDiff(first, again); d != "" {
 			t.Fatalf("call %d differs from call 0: %s", call, d)
+		}
+	}
+	for _, workers := range splits {
+		split, err := analyzeOrder(trace.OrderOf(events), Options{SeqTime: 10}, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := analysisDiff(first, split); d != "" {
+			t.Fatalf("%d workers differ from one: %s", workers, d)
 		}
 	}
 }
@@ -356,4 +391,40 @@ func TestReleaseAfterAnalysis(t *testing.T) {
 			t.Fatal("a released buffer still analyses")
 		}
 	}
+}
+
+// FuzzAnalyzeSplit: any trace a CSV can hold analyses to the same bits on
+// one worker and split between several. The seeds are small, so that the
+// fuzzer spends its time mutating rather than minimizing.
+func FuzzAnalyzeSplit(f *testing.F) {
+	smoke, err := os.ReadFile("testdata/smoke_trace.csv")
+	if err != nil {
+		f.Fatal(err)
+	}
+	lines := bytes.SplitAfter(smoke, []byte("\n"))
+	f.Add(bytes.Join(lines[:min(40, len(lines))], nil), uint8(0))
+	var gen bytes.Buffer
+	if err := trace.WriteEventsCSV(&gen, genRecording(rand.New(rand.NewSource(1)), []int{0, 1, 2, 3}, 12)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(gen.Bytes(), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, workers uint8) {
+		events, err := trace.ReadCSV(bytes.NewReader(data))
+		if err != nil || len(events) == 0 {
+			return
+		}
+		o := trace.OrderOf(events)
+		one, err := analyzeOrder(o, Options{SeqTime: 1}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 2 + int(workers%7)
+		split, err := analyzeOrder(o, Options{SeqTime: 1}, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := analysisDiff(one, split); d != "" {
+			t.Fatalf("one worker vs %d: %s", n, d)
+		}
+	})
 }

@@ -30,6 +30,12 @@
 // every rank is done are the cells folded into the per-section and
 // per-collective totals, ranks ascending.
 //
+// So ranges of ranks replay side by side: AnalyzeOrder gives each of up to
+// sched.Workers(0) workers, one per 64 Ki events, consecutive runs to replay
+// and classify. The lateness charged to a sender's cell, the one write that
+// crosses ranks, waits for the join: one pass over every rank's receives,
+// ranks ascending, adds it in the order a lone worker does as it classifies.
+//
 // That fold order is the rule that makes the result a function of the
 // events: float addition is not associative, so a sum over ranks is only
 // reproducible if the ranks always come in the same order — ranging over a
@@ -39,7 +45,8 @@
 // Events(), or its CSV read back — and however often, so experiment sweeps
 // emit diagnosis columns that are byte-identical from run to run and under
 // any -j. TestAnalyzeIsAFunctionOfItsInput and TestFeedersAgree hold the
-// package to both.
+// package to both, under forced splits too, and FuzzAnalyzeSplit holds any
+// split to one worker.
 package waitstate
 
 import (
@@ -50,6 +57,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -252,6 +260,8 @@ type rankTimeline struct {
 	firstT    float64
 	lastT     float64
 	wait      float64 // classified blocked time
+
+	unmatched, faults int // boundary events without a partner; injected faults
 }
 
 // cellAt returns the cell of the latest change point at or before t.
@@ -328,10 +338,10 @@ func (rt *rankTimeline) sendCell(t float64) *secCell {
 }
 
 // arena hands out the per-rank lists of one kind from shared blocks, so
-// that a list costs its own length and nothing for having grown. Ranks are
-// replayed one after the other, which makes the list being built the tail
-// of the current block: push appends to it, take cuts it off. When the
-// block is full only that tail moves to the next one.
+// that a list costs its own length and nothing for having grown. A worker
+// replays its ranks one after the other, which makes the list being built
+// the tail of the current block: push appends to it, take cuts it off. When
+// the block is full only that tail moves to the next one.
 type arena[T any] struct {
 	block []T
 	start int // where the list being built begins
@@ -364,14 +374,21 @@ type stackEntry struct {
 // engine is one analysis in progress.
 type engine struct {
 	ranks []rankTimeline // ascending rank
+}
 
+// worker replays and classifies the runs lo to hi, with arenas and stacks of
+// its own; it writes only the timelines of those ranks.
+type worker struct {
+	lo, hi          int
+	last            *rankTimeline // the rank replayed before
 	sections, colls arena[changePoint]
 	recvs           arena[*trace.Event]
 	secStack        []stackEntry
 	collStack       []stackEntry
-
-	unmatched, faults, msgs int
 }
+
+// minShare is the fewest events worth a worker of their own.
+const minShare = 64 << 10
 
 // Analyze runs the engine over a replayable event stream. Events may be in
 // any order and are left as they are; section events are required for
@@ -386,15 +403,41 @@ func Analyze(events []trace.Event, opts Options) (*Analysis, error) {
 // b's CSV, and AnalyzeOrder(b.Order()) return the same Analysis, bit for
 // bit (see the package comment).
 func AnalyzeOrder(o *trace.Order, opts Options) (*Analysis, error) {
+	return analyzeOrder(o, opts, max(1, min(sched.Workers(0), o.Len()/minShare)))
+}
+
+// analyzeOrder is AnalyzeOrder on at most the given number of workers, each
+// given about the same number of events.
+func analyzeOrder(o *trace.Order, opts Options, workers int) (*Analysis, error) {
 	if o.Len() == 0 {
 		return nil, fmt.Errorf("waitstate: empty event stream")
 	}
 	en := &engine{ranks: make([]rankTimeline, o.Runs())}
-	for k := range en.ranks {
-		en.replay(k, o.Run(k))
+	workers = min(workers, o.Runs()) // no range is empty
+	ws := []worker{{}}
+	for k, seen := 0, 0; k < o.Runs(); k++ {
+		if seen >= len(ws)*o.Len()/workers {
+			ws[len(ws)-1].hi = k
+			ws = append(ws, worker{lo: k})
+		}
+		seen += o.Run(k).Len()
 	}
-	for k := range en.ranks {
-		en.classify(&en.ranks[k])
+	ws[len(ws)-1].hi = o.Runs()
+	alone := len(ws) == 1
+	sched.ForEach(len(ws), len(ws), func(i int) error {
+		w := &ws[i]
+		for k := w.lo; k < w.hi; k++ {
+			w.replay(&en.ranks[k], o.Run(k))
+		}
+		for k := w.lo; k < w.hi; k++ {
+			en.classify(&en.ranks[k], alone)
+		}
+		return nil
+	})
+	for k := 0; !alone && k < len(en.ranks); k++ {
+		for _, e := range en.ranks[k].recvs {
+			en.charge(e)
+		}
 	}
 	crit, critSec := en.criticalPath()
 	return en.fold(crit, critSec, opts), nil
@@ -402,17 +445,16 @@ func AnalyzeOrder(o *trace.Order, opts Options) (*Analysis, error) {
 
 // replay walks one rank's run: its timelines, its section and collective
 // cells, and the lists of events the classification comes back to.
-func (en *engine) replay(k int, run trace.Run) {
-	rt := &en.ranks[k]
+func (w *worker) replay(rt *rankTimeline, run trace.Run) {
 	first := run.At(0)
 	rt.rank, rt.firstT = first.Rank, first.T
-	if k > 0 {
+	if w.last != nil {
 		// Ranks of one program see the same labels: room for the
 		// predecessor's cells saves growing into them.
-		rt.secs = make([]secCell, 0, len(en.ranks[k-1].secs))
-		rt.collCells = make([]collCell, 0, len(en.ranks[k-1].collCells))
+		rt.secs = make([]secCell, 0, len(w.last.secs))
+		rt.collCells = make([]collCell, 0, len(w.last.collCells))
 	}
-	secStack, collStack := en.secStack[:0], en.collStack[:0]
+	secStack, collStack := w.secStack[:0], w.collStack[:0]
 	for j, n := 0, run.Len(); j < n; j++ {
 		e := run.At(j)
 		if e.T > rt.lastT {
@@ -422,11 +464,11 @@ func (en *engine) replay(k int, run trace.Run) {
 		case trace.KindSectionEnter:
 			c := rt.sec(e.Label)
 			secStack = append(secStack, stackEntry{e.T, c})
-			en.sections.push(changePoint{e.T, c})
+			w.sections.push(changePoint{e.T, c})
 		case trace.KindSectionLeave:
 			n := len(secStack)
 			if n == 0 || rt.secs[secStack[n-1].cell].Section != e.Label {
-				en.unmatched++
+				rt.unmatched++
 				continue
 			}
 			cell := &rt.secs[secStack[n-1].cell]
@@ -437,15 +479,15 @@ func (en *engine) replay(k int, run trace.Run) {
 			if n > 1 {
 				under = secStack[n-2].cell
 			}
-			en.sections.push(changePoint{e.T, under})
+			w.sections.push(changePoint{e.T, under})
 		case trace.KindCollective:
 			c := rt.coll(e.Label)
 			collStack = append(collStack, stackEntry{e.T, c})
-			en.colls.push(changePoint{e.T, c})
+			w.colls.push(changePoint{e.T, c})
 		case trace.KindCollectiveEnd:
 			n := len(collStack)
 			if n == 0 || rt.collCells[collStack[n-1].cell].Name != e.Label {
-				en.unmatched++
+				rt.unmatched++
 				continue
 			}
 			cell := &rt.collCells[collStack[n-1].cell]
@@ -457,31 +499,46 @@ func (en *engine) replay(k int, run trace.Run) {
 			if n > 1 {
 				under = collStack[n-2].cell
 			}
-			en.colls.push(changePoint{e.T, under})
+			w.colls.push(changePoint{e.T, under})
 		case trace.KindRecv:
-			en.recvs.push(e)
+			w.recvs.push(e)
 		case trace.KindDeadPeer:
 			rt.deads = append(rt.deads, e)
 		case trace.KindOmpRegion:
 			rt.omps = append(rt.omps, e)
 		case trace.KindFault:
-			en.faults++
+			rt.faults++
 		}
 	}
-	rt.sections, rt.colls, rt.recvs = en.sections.take(), en.colls.take(), en.recvs.take()
-	en.secStack, en.collStack = secStack, collStack
+	rt.sections, rt.colls, rt.recvs = w.sections.take(), w.colls.take(), w.recvs.take()
+	w.secStack, w.collStack, w.last = secStack, collStack, rt
 }
 
-// classify charges one rank's blocked time to its cells — and the lateness
-// a receive suffered to the sender's cell, which is why every rank has been
-// replayed by now.
-func (en *engine) classify(rt *rankTimeline) {
-	en.msgs += len(rt.recvs)
+// lateness splits the blocked time of a receive: wait, from its post to its
+// completion, and late, the part of it spent before the send was posted.
+func lateness(e *trace.Event) (wait, late float64) {
+	if wait = e.T - e.PostT; wait < 0 {
+		wait = 0
+	}
+	if late = e.SendT - e.PostT; late < 0 {
+		late = 0
+	}
+	if late > wait {
+		late = wait
+	}
+	return wait, late
+}
+
+// classify charges one rank's blocked time to its own cells, and alone the
+// lateness of each receive to its sender's cell while the receive is at hand:
+// charging every receive again after the join, as several workers must, cost
+// a lone worker a fifth of its time.
+func (en *engine) classify(rt *rankTimeline, alone bool) {
 	for _, e := range rt.recvs {
-		wait := e.T - e.PostT
-		if wait < 0 {
-			wait = 0
+		if alone {
+			en.charge(e)
 		}
+		wait, late := lateness(e)
 		rt.wait += wait
 		cell := rt.secAt(e.PostT)
 		cell.inDiag, cell.inRank = true, true
@@ -501,25 +558,8 @@ func (en *engine) classify(rt *rankTimeline) {
 			}
 			continue
 		}
-		late := e.SendT - e.PostT
-		if late < 0 {
-			late = 0
-		}
-		if late > wait {
-			late = wait
-		}
 		cell.LateSender += late
 		cell.Transfer += wait - late
-		// Charge the lateness back to whatever the SENDER was doing when
-		// it finally posted the send: that section's Twait_out.
-		if late > 0 {
-			if srt := en.rank(e.Peer); srt != nil {
-				if sc := srt.sendCell(e.SendT); sc != nil {
-					sc.waitOut += late
-					sc.inDiag = true
-				}
-			}
-		}
 	}
 	// Dead-peer waits: time the rank spent parked on an operation a
 	// failure aborted. The emitting runtime stamps the section directly
@@ -561,6 +601,20 @@ func (en *engine) classify(rt *rankTimeline) {
 	}
 }
 
+// charge charges the lateness of receive e back to whatever the SENDER was
+// doing when it finally posted the send: that section's Twait_out. Receivers
+// taken in ascending rank order, the sums do not depend on the split.
+func (en *engine) charge(e *trace.Event) {
+	if _, late := lateness(e); e.Tag >= 0 && late > 0 {
+		if srt := en.rank(e.Peer); srt != nil {
+			if sc := srt.sendCell(e.SendT); sc != nil {
+				sc.waitOut += late
+				sc.inDiag = true
+			}
+		}
+	}
+}
+
 // rank finds a rank's timeline, or nil for a rank that recorded nothing.
 func (en *engine) rank(r int) *rankTimeline {
 	ranks := en.ranks
@@ -580,24 +634,26 @@ func (en *engine) rank(r int) *rankTimeline {
 func (en *engine) fold(crit []PathSegment, critSec map[string]float64, opts Options) *Analysis {
 	p := len(en.ranks)
 	a := &Analysis{
-		Ranks: p, SeqTime: opts.SeqTime, Msgs: en.msgs,
-		CritPath: crit, Faults: en.faults,
+		Ranks: p, SeqTime: opts.SeqTime, CritPath: crit,
 		Ranked: make([]RankBreakdown, 0, p),
 	}
 	for _, s := range crit {
 		a.CritLen += s.To - s.From
 	}
-	if en.unmatched > 0 {
-		a.Warning = fmt.Sprintf("warning: %d unmatched section/collective boundary events; the stream is truncated and aggregates are incomplete", en.unmatched)
-	}
-	var cells int
+	var cells, unmatched int
 	for k := range en.ranks {
 		rt := &en.ranks[k]
 		if rt.lastT > a.Wall {
 			a.Wall = rt.lastT
 		}
+		a.Msgs += len(rt.recvs)
+		a.Faults += rt.faults
 		a.DeadWaits += len(rt.deads)
 		cells += len(rt.secs)
+		unmatched += rt.unmatched
+	}
+	if unmatched > 0 {
+		a.Warning = fmt.Sprintf("warning: %d unmatched section/collective boundary events; the stream is truncated and aggregates are incomplete", unmatched)
 	}
 
 	var (
