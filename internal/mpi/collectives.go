@@ -139,7 +139,7 @@ func (c *Comm) barrierRendezvous() error {
 	}
 	if last {
 		b.evaluate()
-		b.release()
+		b.release(c)
 		return nil
 	}
 	if !b.park(c, "Barrier") {
