@@ -72,7 +72,7 @@ func main() {
 	chromePath := flag.String("chrome-trace", "", "with a telemetry summary: also write the interval series as Chrome-trace counter tracks")
 	seq := flag.Float64("seq", 0, "sequential baseline time in seconds (required with -profile)")
 	perRankPath := flag.String("perrank", "", "per-rank profile CSV (from prof.Profile.WritePerRankCSV): load-balance analysis")
-	tracePath := flag.String("trace", "", "trace CSV (from trace.Buffer.WriteCSV)")
+	tracePath := flag.String("trace", "", "trace CSV (from trace.Order.WriteCSV)")
 	waitPath := flag.String("waitstate", "", "trace CSV with message events: wait-state and critical-path analysis (optional -seq adds Eq. 6 bounds)")
 	popPath := flag.String("pop", "", "trace CSV with message events: POP efficiency tree joined with the Eq. 6 binding (optional -seq, -intervals, -csv)")
 	intervals := flag.Int("intervals", 8, "time-resolved interval count for -pop (0 disables)")

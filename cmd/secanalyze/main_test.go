@@ -24,7 +24,7 @@ func writeTraceFile(t *testing.T) (string, []byte) {
 		buf.Add(trace.Event{T: 1.2, Rank: rank, Kind: trace.KindSectionLeave, Label: "HALO"})
 	}
 	var csv bytes.Buffer
-	if err := buf.WriteCSV(&csv); err != nil {
+	if err := buf.Order().WriteCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "trace.csv")
@@ -66,7 +66,7 @@ func TestVerifyTrace(t *testing.T) {
 	buf.Add(trace.Event{T: 0.9, Rank: 0, Kind: trace.KindSectionLeave, Label: "CONVOLVE"})
 	// Rank 1 never leaves.
 	var csv bytes.Buffer
-	if err := buf.WriteCSV(&csv); err != nil {
+	if err := buf.Order().WriteCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
 	bad := filepath.Join(t.TempDir(), "bad.csv")

@@ -11,11 +11,8 @@
 // Patterns are directories relative to -dir ("./...", "./internal/mpi");
 // the default is "./...". Findings print in go vet's text form by
 // default; -sarif emits a SARIF 2.1.0 document instead (for code-scanning
-// upload), and -o redirects either form to a file. -baseline filters
-// findings through a committed suppression ledger (see
-// analysis.Baseline); -write-baseline regenerates that ledger from the
-// current findings. Exit status is 0 when the tree is clean after
-// baseline filtering, 1 when any finding remains, 2 on a load or usage
+// upload), and -o redirects either form to a file. Exit status is 0 when
+// the tree is clean, 1 when any finding remains, 2 on a load or usage
 // error.
 package main
 
@@ -42,8 +39,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	list := fs.Bool("list", false, "print the available passes and exit")
 	sarif := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 document instead of text")
 	out := fs.String("o", "", "write output to this file instead of stdout")
-	baseline := fs.String("baseline", "", "filter findings through this suppression baseline file")
-	writeBaseline := fs.Bool("write-baseline", false, "rewrite the -baseline file from the current findings and exit clean")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: seclint [flags] [package patterns]\n\nPasses:\n")
 		for _, a := range analysis.All() {
@@ -80,10 +75,6 @@ func run(args []string, stdout, stderr *os.File) int {
 			analyzers = append(analyzers, a)
 		}
 	}
-	if *writeBaseline && *baseline == "" {
-		fmt.Fprintln(stderr, "seclint: -write-baseline requires -baseline")
-		return 2
-	}
 
 	pkgs, err := analysis.Load(analysis.LoadConfig{Dir: *dir, Tests: *tests}, fs.Args()...)
 	if err != nil {
@@ -91,34 +82,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 	findings, runErr := analysis.Run(pkgs, analyzers)
-
-	if *writeBaseline {
-		f, err := os.Create(*baseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "seclint: %v\n", err)
-			return 2
-		}
-		_, werr := analysis.NewBaseline(findings, *dir).WriteTo(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintf(stderr, "seclint: writing baseline: %v\n", werr)
-			return 2
-		}
-		fmt.Fprintf(stderr, "seclint: wrote %d finding(s) to %s\n", len(findings), *baseline)
-		return 0
-	}
-
-	suppressed := 0
-	if *baseline != "" {
-		b, err := analysis.ReadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "seclint: %v\n", err)
-			return 2
-		}
-		findings, suppressed = b.Filter(findings, *dir)
-	}
 
 	var w io.Writer = stdout
 	if *out != "" {
@@ -139,9 +102,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		for _, f := range findings {
 			fmt.Fprintln(w, f)
 		}
-	}
-	if suppressed > 0 {
-		fmt.Fprintf(stderr, "seclint: %d finding(s) suppressed by %s\n", suppressed, *baseline)
 	}
 	if runErr != nil {
 		fmt.Fprintf(stderr, "seclint: %v\n", runErr)

@@ -6,7 +6,6 @@ package repro
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -88,7 +87,7 @@ func TestPipelineTraceTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := collector.Buffer().WriteCSV(&buf); err != nil {
+	if err := collector.Buffer().Order().WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	events, err := trace.ReadCSV(&buf)
@@ -141,50 +140,6 @@ func TestPipelineHybridAdaptive(t *testing.T) {
 	// The chosen cap must actually be no slower than both extremes.
 	if run(best) > run(1) || run(best) > run(256) {
 		t.Errorf("recommended cap %d is not an improvement", best)
-	}
-}
-
-// TestPipelineSectionsVsPcontrol: the MPI_Section profiler and the
-// IPM-style Pcontrol baseline measure the same phase, but only sections
-// carry labels, nesting and cross-rank instance metrics.
-func TestPipelineSectionsVsPcontrol(t *testing.T) {
-	secProf := prof.New()
-	pcProf := prof.NewPcontrol()
-	cfg := mpi.Config{
-		Ranks: 4, Model: machine.Ideal(4, 1), Seed: 1,
-		Tools:   []mpi.Tool{secProf, pcProf},
-		Timeout: 2 * time.Minute,
-	}
-	_, err := mpi.Run(cfg, func(c *mpi.Comm) error {
-		for i := 0; i < 10; i++ {
-			c.Pcontrol(1)
-			c.SectionEnter("phase-one")
-			c.Sleep(0.05)
-			c.SectionExit("phase-one")
-			c.Pcontrol(0)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	profile, err := secProf.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sec := profile.Section("phase-one")
-	if sec == nil {
-		t.Fatal("section missing")
-	}
-	secTotal := sec.TotalTime()
-	pcTotal := pcProf.PhaseTotal(1)
-	if math.Abs(secTotal-pcTotal)/secTotal > 1e-9 {
-		t.Errorf("section total %g != pcontrol total %g", secTotal, pcTotal)
-	}
-	// The expressiveness gap: sections know their distributed span and
-	// imbalance; Pcontrol cannot (flat, unlabeled, rank-local).
-	if sec.Instances != 10 || sec.SpanTotal <= 0 {
-		t.Errorf("section instance metrics missing: %+v", sec)
 	}
 }
 

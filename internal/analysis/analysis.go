@@ -69,13 +69,13 @@ const mpiPkgName = "mpi"
 
 // mpiCall resolves call to an entry point of the mpi runtime: a method on
 // a type defined in a package named "mpi" (Comm, CartComm, Request) or a
-// package-level function of such a package (Release, Waitall, ...). It
+// package-level function of such a package (Release, ...). It
 // returns the bare name ("SectionEnter", "Release") when it is one.
 func mpiCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		// Unqualified call. Inside the mpi package itself, package-level
-		// functions (Release, Waitall) appear as plain identifiers.
+		// functions (Release) appear as plain identifiers.
 		id, ok := call.Fun.(*ast.Ident)
 		if !ok {
 			return "", false

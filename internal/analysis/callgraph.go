@@ -199,9 +199,6 @@ func (p *Program) FuncOf(obj *types.Func) *Func {
 	return p.funcs[obj.Origin()]
 }
 
-// LitOf returns the index entry for a function literal.
-func (p *Program) LitOf(lit *ast.FuncLit) *Func { return p.lits[lit] }
-
 // Directives exposes the program-wide line-directive index.
 func (p *Program) Directives() *lineDirectives { return p.directives }
 

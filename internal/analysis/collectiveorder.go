@@ -12,23 +12,14 @@ import (
 var collectiveNames = map[string]bool{
 	"Barrier":          true,
 	"Bcast":            true,
-	"Reduce":           true,
 	"Allreduce":        true,
-	"ReduceFloat64":    true,
 	"AllreduceFloat64": true,
 	"Gather":           true,
-	"Allgather":        true,
-	"Scatter":          true,
-	"Alltoall":         true,
 	"ExchangeGhost":    true,
 	"ScatterGhost":     true,
 	"GatherGhost":      true,
-	"Scan":             true,
-	"Exscan":           true,
 	"Split":            true,
 	"Dup":              true,
-	"Shrink":           true,
-	"Agree":            true,
 	"CartCreate":       true,
 	"SectionEnter":     true,
 	"SectionExit":      true,
@@ -42,7 +33,7 @@ var CollectiveOrder = &Analyzer{
 	Name: "collectiveorder",
 	Doc: "flag collectives reached under rank-dependent branches\n\n" +
 		"All ranks of a communicator must call collectives (Barrier, Bcast,\n" +
-		"Reduce, Agree, SectionEnter, ...) in the same order. A collective\n" +
+		"Allreduce, SectionEnter, ...) in the same order. A collective\n" +
 		"lexically inside a branch whose condition depends on Rank() is\n" +
 		"reached by some ranks and not others — the classic divergence\n" +
 		"deadlock.",

@@ -61,7 +61,7 @@
 //
 // # collectiveorder
 //
-// Collectives (Barrier, Bcast, Reduce, Agree, SectionEnter, ...) reached
+// Collectives (Barrier, Bcast, Allreduce, SectionEnter, ...) reached
 // only under a rank-dependent condition are entered by some ranks and not
 // others — the classic divergence deadlock. Flagged:
 //
@@ -161,7 +161,5 @@
 // All passes match mpi entry points by package name ("mpi"), so the suite
 // checks the in-tree runtime, user code importing it, and the test fixtures
 // under testdata alike. Findings render as go vet text or as SARIF 2.1.0
-// (sarif.go) and can be filtered through a committed suppression baseline
-// (baseline.go); both orders are deterministic regardless of package load
-// order.
+// (sarif.go), in an order that does not depend on package load order.
 package analysis

@@ -458,7 +458,7 @@ func applyDirectives(findings []Finding, pkgs []*Package, program *Program) []Fi
 		}
 	}
 	// A suppression without a justification defeats the audit trail the
-	// baseline and directives exist to provide; flag it once per directive.
+	// directives exist to provide; flag it once per directive.
 	seen := map[token.Pos]bool{}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {

@@ -71,70 +71,6 @@ func TestSARIFDeterministic(t *testing.T) {
 	}
 }
 
-// TestBaselineRoundTrip: a baseline generated from a finding set
-// suppresses exactly that set — no more — and survives the write/read
-// cycle used by -write-baseline / -baseline.
-func TestBaselineRoundTrip(t *testing.T) {
-	findings := sampleFindings(t)
-	// Duplicate one finding (different line, same message) to exercise
-	// the count coalescing: one entry with Count=2 must absorb both.
-	dup := findings[0]
-	dup.Pos.Line = 99
-	findings = append(findings, dup)
-
-	b := NewBaseline(findings, "/repo")
-	if len(b.Findings) != 3 {
-		t.Fatalf("coalesced baseline has %d entries, want 3", len(b.Findings))
-	}
-
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.WriteTo(f); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rb, err := ReadBaseline(path)
-	if err != nil {
-		t.Fatalf("ReadBaseline: %v", err)
-	}
-
-	kept, suppressed := rb.Filter(findings, "/repo")
-	if len(kept) != 0 || suppressed != len(findings) {
-		t.Errorf("baseline over its own findings: kept %d suppressed %d, want 0/%d", len(kept), suppressed, len(findings))
-	}
-
-	// A third identical finding exceeds the entry's count budget.
-	extra := append(append([]Finding(nil), findings...), dup)
-	kept, suppressed = rb.Filter(extra, "/repo")
-	if len(kept) != 1 || suppressed != len(findings) {
-		t.Errorf("over-budget finding: kept %d suppressed %d, want 1/%d", len(kept), suppressed, len(findings))
-	}
-
-	// A genuinely new finding passes through in order.
-	novel := Finding{Analyzer: "lockorder", Pos: token.Position{Filename: "/repo/a.go", Line: 1}, Message: "new"}
-	kept, _ = rb.Filter(append([]Finding{novel}, findings...), "/repo")
-	if len(kept) != 1 || kept[0].Message != "new" {
-		t.Errorf("novel finding not kept: %v", kept)
-	}
-}
-
-// TestReadBaselineMissing: a missing baseline file is an empty baseline.
-func TestReadBaselineMissing(t *testing.T) {
-	b, err := ReadBaseline(filepath.Join(t.TempDir(), "nope.json"))
-	if err != nil {
-		t.Fatalf("missing baseline should not error: %v", err)
-	}
-	kept, suppressed := b.Filter(sampleFindings(t), "/repo")
-	if suppressed != 0 || len(kept) != 3 {
-		t.Errorf("empty baseline filtered findings: kept %d suppressed %d", len(kept), suppressed)
-	}
-}
-
 // TestDeterministicOrder is the load-order regression test: the same
 // fixture packages analyzed in opposite orders must yield the identical
 // findings sequence, because Run sorts packages and findings itself.

@@ -82,7 +82,7 @@ func rankLoop(c *mpi.Comm) {
 func rankSwitch(c *mpi.Comm, v float64) {
 	switch c.Rank() {
 	case 0:
-		_, _ = c.Reduce(0, v) // want `collective Reduce reached under a rank-dependent branch`
+		_, _ = c.Allreduce(v) // want `collective Allreduce reached under a rank-dependent branch`
 	}
 }
 

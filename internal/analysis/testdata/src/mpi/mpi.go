@@ -25,9 +25,7 @@ func (c *Comm) Section(label string, body func() error) error {
 
 func (c *Comm) Barrier() error                              { return nil }
 func (c *Comm) Bcast(root int, b []byte) ([]byte, error)    { return b, nil }
-func (c *Comm) Reduce(root int, v float64) (float64, error) { return v, nil }
 func (c *Comm) Allreduce(v float64) (float64, error)        { return v, nil }
-func (c *Comm) Agree(flag bool) (bool, error)               { return flag, nil }
 func (c *Comm) Gather(root int, b []byte) ([][]byte, error) { return nil, nil }
 
 // GhostExchange is one op of an ExchangeGhost list.

@@ -86,14 +86,3 @@ func (c *Controller) Observe(team int, duration float64) error {
 	c.current = c.best
 	return nil
 }
-
-// RecommendCap is the offline form: given a section's measured per-process
-// times across team sizes (parallel slices), it returns the team size to
-// cap the section at — the scale of its minimum duration.
-func RecommendCap(teams []int, times []float64) (int, error) {
-	if len(teams) != len(times) || len(teams) == 0 {
-		return 0, fmt.Errorf("%w: RecommendCap needs matching non-empty slices", ErrBadInput)
-	}
-	idx := InflexionIndex(times)
-	return teams[idx], nil
-}

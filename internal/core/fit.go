@@ -19,57 +19,6 @@ import (
 //     minimizer p* = sqrt(b/c) is a *predicted* inflexion point, usable
 //     before the section has actually stopped scaling.
 
-// FitAmdahl returns the serial fraction fs ∈ [0, 1] minimizing the squared
-// error between AmdahlBound(fs, p) and the measured speedups. It needs at
-// least two points with p > 1.
-func FitAmdahl(scales []int, speedups []float64) (float64, error) {
-	if len(scales) != len(speedups) {
-		return 0, fmt.Errorf("%w: FitAmdahl length mismatch", ErrBadInput)
-	}
-	n := 0
-	for i, p := range scales {
-		if p > 1 && speedups[i] > 0 {
-			n++
-		}
-	}
-	if n < 2 {
-		return 0, fmt.Errorf("%w: FitAmdahl needs >= 2 points with p > 1", ErrBadInput)
-	}
-	sse := func(fs float64) float64 {
-		var e float64
-		for i, p := range scales {
-			if p <= 1 || speedups[i] <= 0 {
-				continue
-			}
-			s, err := AmdahlBound(fs, p)
-			if err != nil {
-				return math.Inf(1)
-			}
-			d := s - speedups[i]
-			e += d * d
-		}
-		return e
-	}
-	// Golden-section search on [0, 1]: sse is unimodal in fs.
-	const phi = 0.6180339887498949
-	lo, hi := 0.0, 1.0
-	x1 := hi - phi*(hi-lo)
-	x2 := lo + phi*(hi-lo)
-	f1, f2 := sse(x1), sse(x2)
-	for i := 0; i < 200 && hi-lo > 1e-12; i++ {
-		if f1 < f2 {
-			hi, x2, f2 = x2, x1, f1
-			x1 = hi - phi*(hi-lo)
-			f1 = sse(x1)
-		} else {
-			lo, x1, f1 = x1, x2, f2
-			x2 = lo + phi*(hi-lo)
-			f2 = sse(x2)
-		}
-	}
-	return (lo + hi) / 2, nil
-}
-
 // SectionTimeFit is the fitted T(p) = A + B/p + C·p law.
 type SectionTimeFit struct {
 	A, B, C float64

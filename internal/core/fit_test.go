@@ -6,53 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestFitAmdahlRecoversExactFraction(t *testing.T) {
-	for _, fs := range []float64{0.01, 0.05, 0.2, 0.5} {
-		scales := []int{2, 4, 8, 16, 32, 64}
-		speedups := make([]float64, len(scales))
-		for i, p := range scales {
-			speedups[i], _ = AmdahlBound(fs, p)
-		}
-		got, err := FitAmdahl(scales, speedups)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-fs) > 1e-6 {
-			t.Errorf("FitAmdahl = %g, want %g", got, fs)
-		}
-	}
-}
-
-func TestFitAmdahlNoisyData(t *testing.T) {
-	fs := 0.1
-	scales := []int{2, 4, 8, 16, 32}
-	speedups := make([]float64, len(scales))
-	noise := []float64{1.02, 0.97, 1.03, 0.99, 1.01}
-	for i, p := range scales {
-		s, _ := AmdahlBound(fs, p)
-		speedups[i] = s * noise[i]
-	}
-	got, err := FitAmdahl(scales, speedups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-fs) > 0.03 {
-		t.Errorf("noisy fit = %g, want ≈%g", got, fs)
-	}
-}
-
-func TestFitAmdahlValidation(t *testing.T) {
-	if _, err := FitAmdahl([]int{2}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := FitAmdahl([]int{1, 1}, []float64{1, 1}); err == nil {
-		t.Error("p=1-only data accepted")
-	}
-	if _, err := FitAmdahl([]int{2, 4}, []float64{-1, 0}); err == nil {
-		t.Error("non-positive speedups accepted")
-	}
-}
-
 func TestFitSectionTimeRecoversLaw(t *testing.T) {
 	a, b, c := 0.5, 100.0, 0.25
 	scales := []int{1, 2, 4, 8, 16, 32, 64}

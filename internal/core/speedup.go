@@ -18,7 +18,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrBadInput flags analytically meaningless arguments (non-positive times
@@ -33,18 +32,6 @@ func Speedup(seq, par float64) (float64, error) {
 	return seq / par, nil
 }
 
-// Efficiency returns S/p, the per-processor yield of the speedup.
-func Efficiency(seq, par float64, p int) (float64, error) {
-	if p <= 0 {
-		return 0, fmt.Errorf("%w: Efficiency with p=%d", ErrBadInput, p)
-	}
-	s, err := Speedup(seq, par)
-	if err != nil {
-		return 0, err
-	}
-	return s / float64(p), nil
-}
-
 // AmdahlBound returns the Amdahl speedup bound 1/(fs + (1-fs)/p) — Eq. 2 —
 // for serial fraction fs ∈ [0, 1] on p processors.
 func AmdahlBound(fs float64, p int) (float64, error) {
@@ -56,17 +43,6 @@ func AmdahlBound(fs float64, p int) (float64, error) {
 		return float64(p), nil
 	}
 	return 1 / den, nil
-}
-
-// AmdahlLimit returns the asymptotic Amdahl bound 1/fs (infinite for fs=0).
-func AmdahlLimit(fs float64) (float64, error) {
-	if fs < 0 || fs > 1 {
-		return 0, fmt.Errorf("%w: AmdahlLimit(fs=%g)", ErrBadInput, fs)
-	}
-	if fs == 0 {
-		return math.Inf(1), nil
-	}
-	return 1 / fs, nil
 }
 
 // GustafsonSpeedup returns the Gustafson–Barsis scaled speedup
@@ -113,20 +89,4 @@ func InflexionIndex(times []float64) int {
 		}
 	}
 	return best
-}
-
-// HasInflexion reports whether the series rises again after its minimum —
-// the paper's criterion for "parallelism budget exhausted" (Fig. 10): some
-// later scale is strictly slower than the best one.
-func HasInflexion(times []float64) bool {
-	idx := InflexionIndex(times)
-	if idx < 0 {
-		return false
-	}
-	for _, v := range times[idx+1:] {
-		if v > times[idx] {
-			return true
-		}
-	}
-	return false
 }

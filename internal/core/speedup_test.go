@@ -18,16 +18,6 @@ func TestSpeedup(t *testing.T) {
 	}
 }
 
-func TestEfficiency(t *testing.T) {
-	got, err := Efficiency(10, 2, 10)
-	if err != nil || got != 0.5 {
-		t.Errorf("Efficiency = %g, %v", got, err)
-	}
-	if _, err := Efficiency(10, 2, 0); err == nil {
-		t.Error("p=0 accepted")
-	}
-}
-
 func TestAmdahlBound(t *testing.T) {
 	// fs=0.1, p→∞ gives 10; at p=10 gives 1/(0.1+0.09) ≈ 5.263.
 	got, err := AmdahlBound(0.1, 10)
@@ -53,20 +43,6 @@ func TestAmdahlBound(t *testing.T) {
 	}
 }
 
-func TestAmdahlLimit(t *testing.T) {
-	got, err := AmdahlLimit(0.25)
-	if err != nil || got != 4 {
-		t.Errorf("AmdahlLimit = %g, %v", got, err)
-	}
-	got, _ = AmdahlLimit(0)
-	if !math.IsInf(got, 1) {
-		t.Errorf("fs=0 limit = %g, want +Inf", got)
-	}
-	if _, err := AmdahlLimit(2); err == nil {
-		t.Error("fs out of range accepted")
-	}
-}
-
 func TestAmdahlBoundMonotoneInP(t *testing.T) {
 	f := func(fsRaw uint8, p1Raw, p2Raw uint8) bool {
 		fs := float64(fsRaw) / 255
@@ -77,7 +53,8 @@ func TestAmdahlBoundMonotoneInP(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		limit, _ := AmdahlLimit(fs)
+		// Amdahl's limit 1/fs (+Inf at fs = 0) caps both.
+		limit := 1 / fs
 		return b2 >= b1-1e-12 && b1 <= limit+1e-9 && b2 <= limit+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -152,21 +129,6 @@ func TestInflexionIndex(t *testing.T) {
 		if got := InflexionIndex(c.xs); got != c.want {
 			t.Errorf("InflexionIndex(%v) = %d, want %d", c.xs, got, c.want)
 		}
-	}
-}
-
-func TestHasInflexion(t *testing.T) {
-	if HasInflexion(nil) {
-		t.Error("empty series has inflexion")
-	}
-	if HasInflexion([]float64{4, 3, 2, 1}) {
-		t.Error("monotone decreasing series has inflexion")
-	}
-	if !HasInflexion([]float64{4, 2, 3}) {
-		t.Error("rising tail not detected")
-	}
-	if HasInflexion([]float64{4, 2, 2}) {
-		t.Error("flat tail is not an inflexion")
 	}
 }
 

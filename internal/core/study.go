@@ -71,28 +71,6 @@ func (s *Study) PointAt(scale int) *Point {
 	return nil
 }
 
-// SpeedupAt reports the measured speedup at the given scale.
-func (s *Study) SpeedupAt(scale int) (float64, error) {
-	pt := s.PointAt(scale)
-	if pt == nil {
-		return 0, fmt.Errorf("%w: no point at scale %d", ErrBadInput, scale)
-	}
-	return Speedup(s.SeqTime, pt.Wall)
-}
-
-// Speedups returns the scales and measured speedups, ascending in scale.
-func (s *Study) Speedups() (scales []int, speedups []float64) {
-	for _, pt := range s.Points {
-		sp, err := Speedup(s.SeqTime, pt.Wall)
-		if err != nil {
-			continue
-		}
-		scales = append(scales, pt.Scale)
-		speedups = append(speedups, sp)
-	}
-	return scales, speedups
-}
-
 // BoundsAt evaluates Eq. 6 for every section measured at the given scale:
 // label → partial speedup bound.
 func (s *Study) BoundsAt(scale int) (map[string]float64, error) {
@@ -113,26 +91,6 @@ func (s *Study) BoundsAt(scale int) (map[string]float64, error) {
 		out[label] = b
 	}
 	return out, nil
-}
-
-// MinBoundAt reports the tightest (smallest) partial bound at the given
-// scale and the section imposing it — the program's current scalability
-// bottleneck.
-func (s *Study) MinBoundAt(scale int) (label string, bound float64, err error) {
-	bounds, err := s.BoundsAt(scale)
-	if err != nil {
-		return "", 0, err
-	}
-	if len(bounds) == 0 {
-		return "", 0, fmt.Errorf("%w: no sections at scale %d", ErrBadInput, scale)
-	}
-	bound = -1
-	for l, b := range bounds {
-		if bound < 0 || b < bound || (b == bound && l < label) {
-			label, bound = l, b
-		}
-	}
-	return label, bound, nil
 }
 
 // BoundRow is one line of the paper's Fig. 6 table.
@@ -172,48 +130,6 @@ func (s *Study) SectionSeries(label string) (scales []int, avg []float64) {
 		}
 	}
 	return scales, avg
-}
-
-// InflexionScale reports the scale at which the section's per-process time
-// is minimal and whether the series rises afterwards (a true inflexion in
-// the paper's sense). ok is false when the section was never measured.
-func (s *Study) InflexionScale(label string) (scale int, rises, ok bool) {
-	scales, avg := s.SectionSeries(label)
-	idx := InflexionIndex(avg)
-	if idx < 0 {
-		return 0, false, false
-	}
-	return scales[idx], HasInflexion(avg), true
-}
-
-// BoundAtInflexion evaluates the partial bound of a section at its
-// inflexion point — the paper's §5.2 headline computation
-// (S ≤ Ts / ΣT_i at 24 KNL threads).
-func (s *Study) BoundAtInflexion(label string) (scale int, bound float64, err error) {
-	scale, _, ok := s.InflexionScale(label)
-	if !ok {
-		return 0, 0, fmt.Errorf("%w: section %q not measured", ErrBadInput, label)
-	}
-	pt := s.PointAt(scale)
-	avg, _ := pt.avgPerProc(label)
-	bound, err = PartialBound(s.SeqTime, avg)
-	return scale, bound, err
-}
-
-// Labels lists every section appearing in any point, sorted.
-func (s *Study) Labels() []string {
-	set := map[string]bool{}
-	for _, pt := range s.Points {
-		for l := range pt.SectionTotal {
-			set[l] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for l := range set {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Validate checks the structural soundness of the study against Eq. 6: at

@@ -61,34 +61,6 @@ func TestAddPointSortsAndCopies(t *testing.T) {
 	}
 }
 
-func TestSpeedupAt(t *testing.T) {
-	s := demoStudy(t)
-	got, err := s.SpeedupAt(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 1000.0 / (125 + 0.5)
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("SpeedupAt(8) = %g, want %g", got, want)
-	}
-	if _, err := s.SpeedupAt(999); err == nil {
-		t.Error("unknown scale accepted")
-	}
-}
-
-func TestSpeedupsAscending(t *testing.T) {
-	s := demoStudy(t)
-	scales, sps := s.Speedups()
-	if len(scales) != 6 || len(sps) != 6 {
-		t.Fatalf("lengths: %d/%d", len(scales), len(sps))
-	}
-	for i := 1; i < len(scales); i++ {
-		if scales[i] <= scales[i-1] {
-			t.Error("scales not ascending")
-		}
-	}
-}
-
 func TestBoundsAtAndMinBound(t *testing.T) {
 	s := demoStudy(t)
 	bounds, err := s.BoundsAt(64)
@@ -102,15 +74,8 @@ func TestBoundsAtAndMinBound(t *testing.T) {
 	if math.Abs(bounds["CONVOLVE"]-64) > 1e-9 {
 		t.Errorf("CONVOLVE bound = %g, want 64", bounds["CONVOLVE"])
 	}
-	label, bound, err := s.MinBoundAt(64)
-	if err != nil || label != "CONVOLVE" || math.Abs(bound-64) > 1e-9 {
-		t.Errorf("MinBoundAt = %q %g %v", label, bound, err)
-	}
 	if _, err := s.BoundsAt(3); err == nil {
 		t.Error("unknown scale accepted")
-	}
-	if _, _, err := s.MinBoundAt(3); err == nil {
-		t.Error("unknown scale accepted by MinBoundAt")
 	}
 }
 
@@ -152,31 +117,17 @@ func TestSectionSeriesAndInflexion(t *testing.T) {
 	if len(scales) != 6 {
 		t.Fatalf("series length %d", len(scales))
 	}
-	scale, rises, ok := s.InflexionScale("phase")
-	if !ok || scale != 8 || !rises {
-		t.Errorf("inflexion = %d rises=%v ok=%v, want 8 true true", scale, rises, ok)
+	idx := InflexionIndex(avg)
+	if idx < 0 || scales[idx] != 8 {
+		t.Fatalf("inflexion at index %d of %v, want scale 8", idx, scales)
 	}
-	_ = avg
-	iscale, bound, err := s.BoundAtInflexion("phase")
-	if err != nil || iscale != 8 {
-		t.Fatalf("BoundAtInflexion: %d %v", iscale, err)
+	// The paper's §5.2 computation: the bound at the inflexion point.
+	bound, err := PartialBound(100, avg[idx])
+	if err != nil || math.Abs(bound-100.0/9.0) > 1e-9 {
+		t.Errorf("bound at inflexion = %g, %v, want %g", bound, err, 100.0/9.0)
 	}
-	if math.Abs(bound-100.0/9.0) > 1e-9 {
-		t.Errorf("bound at inflexion = %g, want %g", bound, 100.0/9.0)
-	}
-	if _, _, ok := s.InflexionScale("ghost"); ok {
-		t.Error("unknown section has an inflexion scale")
-	}
-	if _, _, err := s.BoundAtInflexion("ghost"); err == nil {
-		t.Error("unknown section accepted by BoundAtInflexion")
-	}
-}
-
-func TestLabels(t *testing.T) {
-	s := demoStudy(t)
-	got := s.Labels()
-	if len(got) != 2 || got[0] != "CONVOLVE" || got[1] != "HALO" {
-		t.Errorf("labels = %v", got)
+	if scales, _ := s.SectionSeries("ghost"); scales != nil {
+		t.Error("unknown section has a series")
 	}
 }
 
@@ -303,18 +254,5 @@ func TestControllerValidation(t *testing.T) {
 	}
 	if err := c.Observe(1, 0); err == nil {
 		t.Error("duration=0 accepted")
-	}
-}
-
-func TestRecommendCap(t *testing.T) {
-	got, err := RecommendCap([]int{1, 2, 4, 8}, []float64{10, 6, 5, 7})
-	if err != nil || got != 4 {
-		t.Errorf("RecommendCap = %d, %v", got, err)
-	}
-	if _, err := RecommendCap([]int{1}, []float64{1, 2}); err == nil {
-		t.Error("mismatched slices accepted")
-	}
-	if _, err := RecommendCap(nil, nil); err == nil {
-		t.Error("empty slices accepted")
 	}
 }

@@ -14,6 +14,16 @@ import (
 // The shape assertions below are the machine-checkable form of the paper's
 // qualitative claims; they run on the reduced Quick sweeps.
 
+// quickHybridOptions is a reduced Fig. 9 sweep.
+func quickHybridOptions() HybridOptions {
+	return HybridOptions{
+		Sweep:    Sweep{Model: machine.KNL(), Seed: 2017, Steps: 3, Diagnose: true},
+		Ranks:    []int{1, 8},
+		Threads:  []int{1, 4, 24, 128},
+		MaxScale: 8,
+	}
+}
+
 func runQuickConv(t *testing.T) *ConvResult {
 	t.Helper()
 	res, err := RunConvolution(QuickConvOptions())
@@ -181,11 +191,11 @@ func TestConvDefaultsFilledIn(t *testing.T) {
 }
 
 func TestHybridSweepAndFig10(t *testing.T) {
-	res, err := RunHybrid(QuickHybridOptions())
+	res, err := RunHybrid(quickHybridOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != len(QuickHybridOptions().Ranks)*len(QuickHybridOptions().Threads) {
+	if len(res.Points) != len(quickHybridOptions().Ranks)*len(quickHybridOptions().Threads) {
 		t.Fatalf("points = %d", len(res.Points))
 	}
 	if res.Point(1, 24) == nil || res.Point(8, 4) == nil {
@@ -228,7 +238,7 @@ func TestHybridSweepAndFig10(t *testing.T) {
 func TestHybridMoreMPIHurtsOpenMPOnKNL(t *testing.T) {
 	// Fig. 9: at p=8 on the KNL with many threads per rank the node is
 	// oversubscribed and large teams slow the run down vs few threads.
-	res, err := RunHybrid(QuickHybridOptions())
+	res, err := RunHybrid(quickHybridOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +262,7 @@ func TestFig7Static(t *testing.T) {
 }
 
 func TestScalingTableRender(t *testing.T) {
-	res, err := RunHybrid(QuickHybridOptions())
+	res, err := RunHybrid(quickHybridOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

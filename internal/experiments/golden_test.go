@@ -120,7 +120,7 @@ func TestGoldenWeakAndDecomp(t *testing.T) {
 }
 
 func TestGoldenHybrid(t *testing.T) {
-	o := QuickHybridOptions()
+	o := quickHybridOptions()
 	o.Profile = true
 	res, err := RunHybrid(o)
 	if err != nil {

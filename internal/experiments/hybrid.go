@@ -51,16 +51,6 @@ func PaperKNLOptions() HybridOptions {
 	}
 }
 
-// QuickHybridOptions is a reduced sweep for tests.
-func QuickHybridOptions() HybridOptions {
-	return HybridOptions{
-		Sweep:    Sweep{Model: machine.KNL(), Seed: 2017, Steps: 3, Diagnose: true},
-		Ranks:    []int{1, 8},
-		Threads:  []int{1, 4, 24, 128},
-		MaxScale: 8,
-	}
-}
-
 // sFor returns the Table 7 per-rank size keeping 110592 elements total.
 func sFor(ranks int) (int, error) {
 	for _, cfg := range lulesh.Table7() {

@@ -46,7 +46,7 @@ func TestFitReport(t *testing.T) {
 }
 
 func TestHybridPlots(t *testing.T) {
-	res, err := RunHybrid(QuickHybridOptions())
+	res, err := RunHybrid(quickHybridOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestDiagnosedSweepIsAFunctionOfItsOptions(t *testing.T) {
 // hybridCSV runs the quick Fig. 9 sweep with the given worker count.
 func hybridCSV(t *testing.T, jobs int) []byte {
 	t.Helper()
-	o := QuickHybridOptions()
+	o := quickHybridOptions()
 	o.Jobs = jobs
 	res, err := RunHybrid(o)
 	if err != nil {

@@ -46,8 +46,8 @@ func TestPaperOptionsAreValid(t *testing.T) {
 	if execH := 3744 / c.Scale; execH < maxP {
 		t.Errorf("executed height %d < largest p %d", execH, maxP)
 	}
-	if maxP > c.Model.TotalCores() {
-		t.Errorf("sweep exceeds the cluster: %d > %d cores", maxP, c.Model.TotalCores())
+	if maxP > c.Model.Nodes*c.Model.CoresPerNode {
+		t.Errorf("sweep exceeds the cluster: %d > %d cores", maxP, c.Model.Nodes*c.Model.CoresPerNode)
 	}
 
 	for _, o := range []HybridOptions{PaperBroadwellOptions(), PaperKNLOptions()} {

@@ -213,7 +213,7 @@ func sameReopened(t *testing.T, rec *Recorder) {
 		}
 	}
 	facts := func(v Views) []any {
-		return []any{v.Sections(), v.Faults(), v.FaultCounts(), v.Dropped(), v.Warning(), v.WallTime(), v.TraceID(), v.Finished()}
+		return []any{v.Sections(), v.Faults(), v.FaultCounts(), v.Dropped(), v.Warning(), v.WallTime(), v.TraceID()}
 	}
 	if got, want := facts(reopened), facts(live); !reflect.DeepEqual(got, want) {
 		t.Errorf("the reopened run's accessors\n got %+v\nwant %+v", got, want)

@@ -437,9 +437,6 @@ func (r *Recorder) CollectiveEnd(c *mpi.Comm, name string, t float64) {
 	}
 }
 
-// Pcontrol implements mpi.Tool; no view uses it, the trace keeps it.
-func (r *Recorder) Pcontrol(c *mpi.Comm, level int, t float64) { r.col.Pcontrol(c, level, t) }
-
 // ComputeRegion implements mpi.ComputeObserver for the trace's sake
 // (recorded when the collector's Omp is set).
 //
@@ -573,9 +570,6 @@ func countFaults(faults []fault.Event) []FaultCount {
 	})
 	return out
 }
-
-// Finished reports whether Finalize ran.
-func (v Views) Finished() bool { return v.src.facts().finished }
 
 // WallTime reports the final virtual makespan after Finalize, or the
 // latest event timestamp recorded so far during a live run.

@@ -435,18 +435,3 @@ func (p *Plan) Key() string {
 	}
 	return strconv.FormatUint(p.Seed, 10) + "|" + p.String()
 }
-
-// HasKillRules reports whether any rule is a fail-stop. Serving layers use
-// it to decide whether a job's failure could have been caused by the plan
-// itself (and is therefore retryable on a clean re-run).
-func (p *Plan) HasKillRules() bool {
-	if p == nil {
-		return false
-	}
-	for _, r := range p.Rules {
-		if r.Kind == Kill {
-			return true
-		}
-	}
-	return false
-}

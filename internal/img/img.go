@@ -67,11 +67,6 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// At returns the pixel channel value (no bounds checks beyond the slice's).
-func (im *Image) At(x, y, c int) float64 {
-	return im.Pix[(y*im.W+x)*Channels+c]
-}
-
 // Rows returns the flat pixel data of rows [lo, hi) — the unit the
 // benchmark scatters over ranks.
 func (im *Image) Rows(lo, hi int) ([]float64, error) {
@@ -122,13 +117,6 @@ func (im *Image) EncodePPM(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// PPMSize reports the encoded byte size without encoding — used to charge
-// the storage model.
-func (im *Image) PPMSize() int {
-	header := len(fmt.Sprintf("P6\n%d %d\n255\n", im.W, im.H))
-	return header + im.W*im.H*Channels
 }
 
 // DecodePPM parses a binary PPM produced by EncodePPM (maxval 255 only).

@@ -290,7 +290,7 @@ func (s *state) perPlane(w perElem) machine.Work {
 	return s.charge(w).Scale(1 / float64(s.fullN))
 }
 
-// planeBody adapts a plane-indexed method to ParallelFor's 0-based index.
+// planeBody adapts a plane-indexed method to ForModeled's 0-based index.
 func (s *state) planeBody(f func(k int)) func(int) {
 	return func(k int) { f(k + 1) }
 }

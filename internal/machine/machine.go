@@ -24,11 +24,6 @@ type Work struct {
 	Bytes float64 // bytes moved to/from memory
 }
 
-// Add returns the element-wise sum of two work quanta.
-func (w Work) Add(o Work) Work {
-	return Work{Flops: w.Flops + o.Flops, Bytes: w.Bytes + o.Bytes}
-}
-
 // Scale returns the work multiplied by k.
 func (w Work) Scale(k float64) Work {
 	return Work{Flops: w.Flops * k, Bytes: w.Bytes * k}
@@ -117,9 +112,6 @@ func (m *Model) Validate() error {
 
 // HWThreadsPerNode reports the hardware-thread capacity of one node.
 func (m *Model) HWThreadsPerNode() int { return m.CoresPerNode * m.ThreadsPerCore }
-
-// TotalCores reports the number of physical cores of the whole machine.
-func (m *Model) TotalCores() int { return m.Nodes * m.CoresPerNode }
 
 // effCores converts n software threads on one node into "effective cores":
 // full cores first, hyper-threads at HTYield, and a global OversubEff

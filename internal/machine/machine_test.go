@@ -32,11 +32,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestWorkAlgebra(t *testing.T) {
-	w := Work{Flops: 10, Bytes: 4}.Add(Work{Flops: 5, Bytes: 6})
-	if w.Flops != 15 || w.Bytes != 10 {
-		t.Errorf("Add = %+v", w)
-	}
-	w = Work{Flops: 2, Bytes: 3}.Scale(4)
+	w := Work{Flops: 2, Bytes: 3}.Scale(4)
 	if w.Flops != 8 || w.Bytes != 12 {
 		t.Errorf("Scale = %+v", w)
 	}
@@ -269,13 +265,13 @@ func TestPlacementBlockFill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Ranks() != 64 || p.ThreadsPerRank() != 1 {
-		t.Fatalf("placement metadata wrong: %d/%d", p.Ranks(), p.ThreadsPerRank())
+	if len(p.nodeOf) != 64 {
+		t.Fatalf("placed %d ranks, want 64", len(p.nodeOf))
 	}
 	// 8 ranks per node, block-wise.
 	for r := 0; r < 64; r++ {
-		if want := r / 8; p.NodeOf(r) != want {
-			t.Fatalf("rank %d on node %d, want %d", r, p.NodeOf(r), want)
+		if want := r / 8; p.nodeOf[r] != want {
+			t.Fatalf("rank %d on node %d, want %d", r, p.nodeOf[r], want)
 		}
 	}
 	if !p.SameNode(0, 7) || p.SameNode(7, 8) {
@@ -293,8 +289,8 @@ func TestPlacementHybrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < 8; r++ {
-		if p.NodeOf(r) != 0 {
-			t.Fatalf("single-node machine placed rank %d on node %d", r, p.NodeOf(r))
+		if p.nodeOf[r] != 0 {
+			t.Fatalf("single-node machine placed rank %d on node %d", r, p.nodeOf[r])
 		}
 	}
 	if p.NodeThreads(0) != 128 {
@@ -335,20 +331,8 @@ func TestPlacementErrors(t *testing.T) {
 	}
 	// Zero threads defaults to one.
 	p, err := NewPlacement(m, 4, 0)
-	if err != nil || p.ThreadsPerRank() != 1 {
-		t.Errorf("threads defaulting failed: %v %d", err, p.ThreadsPerRank())
-	}
-}
-
-func TestPlacementInterNodePairs(t *testing.T) {
-	m := NehalemCluster()
-	p, _ := NewPlacement(m, 64, 1) // 8 nodes → 7 boundaries
-	if got := p.InterNodePairs(); got != 7 {
-		t.Errorf("InterNodePairs = %d, want 7", got)
-	}
-	single, _ := NewPlacement(KNL(), 16, 1)
-	if got := single.InterNodePairs(); got != 1 {
-		t.Errorf("single-node InterNodePairs = %d, want 1", got)
+	if err != nil || p.NodeThreads(0) != 4 {
+		t.Errorf("threads defaulting failed: %v, %d threads on node 0, want 4", err, p.NodeThreads(0))
 	}
 }
 
@@ -369,11 +353,11 @@ func TestPlacementPropertyAllRanksPlaced(t *testing.T) {
 			return false
 		}
 		for i := 0; i < r; i++ {
-			if p.NodeOf(i) < 0 || p.NodeOf(i) >= m.Nodes {
+			if p.nodeOf[i] < 0 || p.nodeOf[i] >= m.Nodes {
 				return false
 			}
 			// Block placement is monotone in rank.
-			if i > 0 && p.NodeOf(i) < p.NodeOf(i-1) {
+			if i > 0 && p.nodeOf[i] < p.nodeOf[i-1] {
 				return false
 			}
 		}

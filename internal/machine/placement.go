@@ -9,17 +9,14 @@ import "fmt"
 // end up on each node so the cost model can charge bandwidth and core
 // sharing correctly.
 type Placement struct {
-	model          *Model
-	ranks          int
-	threadsPerRank int
-	nodeOf         []int
-	threadsOnNode  []int
-	// nodesInUse/interNodePairs are derived once at construction: the
-	// placement is immutable, and NodesInUse sits on the per-message send
-	// path, where an O(nodes) recount at 10k ranks would dominate the
-	// transfer-time model itself.
-	nodesInUse     int
-	interNodePairs int
+	model         *Model
+	nodeOf        []int
+	threadsOnNode []int
+	// nodesInUse is derived once at construction: the placement is
+	// immutable, and NodesInUse sits on the per-message send path, where an
+	// O(nodes) recount at 10k ranks would dominate the transfer-time model
+	// itself.
+	nodesInUse int
 }
 
 // NewPlacement distributes ranks block-wise over the model's nodes. Ranks
@@ -49,11 +46,9 @@ func NewPlacement(m *Model, ranks, threadsPerRank int) (*Placement, error) {
 		perNode = (ranks + m.Nodes - 1) / m.Nodes
 	}
 	p := &Placement{
-		model:          m,
-		ranks:          ranks,
-		threadsPerRank: threadsPerRank,
-		nodeOf:         make([]int, ranks),
-		threadsOnNode:  make([]int, m.Nodes),
+		model:         m,
+		nodeOf:        make([]int, ranks),
+		threadsOnNode: make([]int, m.Nodes),
 	}
 	for r := 0; r < ranks; r++ {
 		n := r / perNode
@@ -68,28 +63,8 @@ func NewPlacement(m *Model, ranks, threadsPerRank int) (*Placement, error) {
 			p.nodesInUse++
 		}
 	}
-	for r := 1; r < ranks; r++ {
-		if !p.SameNode(r-1, r) {
-			p.interNodePairs++
-		}
-	}
-	if p.interNodePairs == 0 {
-		p.interNodePairs = 1
-	}
 	return p, nil
 }
-
-// Model returns the machine model this placement was built for.
-func (p *Placement) Model() *Model { return p.model }
-
-// Ranks reports the number of placed ranks.
-func (p *Placement) Ranks() int { return p.ranks }
-
-// ThreadsPerRank reports the software team size of each rank.
-func (p *Placement) ThreadsPerRank() int { return p.threadsPerRank }
-
-// NodeOf reports the node index hosting rank r.
-func (p *Placement) NodeOf(r int) int { return p.nodeOf[r] }
 
 // SameNode reports whether two ranks share a node.
 func (p *Placement) SameNode(a, b int) bool { return p.nodeOf[a] == p.nodeOf[b] }
@@ -112,9 +87,3 @@ func (p *Placement) ComputeTime(r int, w Work, team int) float64 {
 // contention figure for inter-node transfers. O(1): computed at
 // construction, since this sits on the per-message send path.
 func (p *Placement) NodesInUse() int { return p.nodesInUse }
-
-// InterNodePairs estimates the number of rank pairs whose traffic crosses
-// the switch when every rank exchanges with neighbors simultaneously; it is
-// the contention figure handed to Model.MsgTime for stencil-style phases.
-// O(1): computed at construction.
-func (p *Placement) InterNodePairs() int { return p.interNodePairs }

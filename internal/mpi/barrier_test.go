@@ -301,7 +301,7 @@ func runBarrierProg(pr *barrierProg, v progVariant) (*progResult, error) {
 	var rtStats *RuntimeStats
 	rep, err := Run(cfg, func(c *Comm) error {
 		if c.Rank() == 0 {
-			rtStats = c.World().Stats
+			rtStats = &RuntimeStats{w: c.rs.world}
 		}
 		return pr.run(c)
 	})
@@ -552,37 +552,6 @@ func TestBarrierInActiveSession(t *testing.T) {
 	}
 	if rep.MaterializedRanks != declared/stride {
 		t.Errorf("MaterializedRanks = %d, want %d", rep.MaterializedRanks, declared/stride)
-	}
-}
-
-// --- Split, Dup, Agree forget a completed call ------------------------------
-
-func TestCollectiveCallTablesDrain(t *testing.T) {
-	var world *commShared
-	_, err := Run(testCfg(8), func(c *Comm) error {
-		if c.Rank() == 0 {
-			world = c.shared
-		}
-		for i := 0; i < 1000; i++ {
-			if _, err := c.Dup(); err != nil {
-				return err
-			}
-		}
-		for i := 0; i < 100; i++ {
-			if ok, err := c.Agree(true); err != nil || !ok {
-				return fmt.Errorf("Agree %d = %t, %v", i, ok, err)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(world.splitGen); n != 0 {
-		t.Errorf("len(splitGen) = %d after 1000 Dups, want 0", n)
-	}
-	if n := len(world.ftGen); n != 0 {
-		t.Errorf("len(ftGen) = %d after 100 Agrees, want 0", n)
 	}
 }
 

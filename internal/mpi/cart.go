@@ -59,9 +59,6 @@ func (c *Comm) CartCreate(dims []int, periodic []bool) (*CartComm, error) {
 	return cart, nil
 }
 
-// Dims returns a copy of the grid dimensions.
-func (cc *CartComm) Dims() []int { return append([]int(nil), cc.dims...) }
-
 // Coords returns the calling rank's grid coordinates (row-major).
 func (cc *CartComm) Coords() []int {
 	coords := make([]int, len(cc.dims))
@@ -91,53 +88,4 @@ func (cc *CartComm) CoordsToRank(coords []int) (int, error) {
 		rank = rank*d + v
 	}
 	return rank, nil
-}
-
-// ProcNull is returned by Shift for a neighbor beyond a non-periodic edge,
-// mirroring MPI_PROC_NULL.
-const ProcNull = -1
-
-// Shift reports the source and destination ranks for a displacement along
-// one dimension, as MPI_Cart_shift: dst is the neighbor at +disp, src the
-// neighbor at -disp; either is ProcNull beyond a non-periodic boundary.
-func (cc *CartComm) Shift(dim, disp int) (src, dst int, err error) {
-	if dim < 0 || dim >= len(cc.dims) {
-		return 0, 0, fmt.Errorf("mpi: Shift dimension %d out of range", dim)
-	}
-	at := func(offset int) int {
-		coords := cc.Coords()
-		coords[dim] += offset
-		r, err := cc.CoordsToRank(coords)
-		if err != nil {
-			return ProcNull
-		}
-		return r
-	}
-	return at(-disp), at(+disp), nil
-}
-
-// NeighborSendrecv performs a Sendrecv along one dimension: sends data disp
-// steps forward, receives from disp steps backward. A ProcNull partner
-// makes the corresponding half a no-op (nil payload returned when there is
-// no source).
-func (cc *CartComm) NeighborSendrecv(dim, disp, tag int, data []byte) ([]byte, Status, error) {
-	src, dst, err := cc.Shift(dim, disp)
-	if err != nil {
-		return nil, Status{}, err
-	}
-	var req *Request
-	if src != ProcNull {
-		if req, err = cc.Irecv(src, tag); err != nil {
-			return nil, Status{}, err
-		}
-	}
-	if dst != ProcNull {
-		if err := cc.Send(dst, tag, data); err != nil {
-			return nil, Status{}, err
-		}
-	}
-	if req == nil {
-		return nil, Status{}, nil
-	}
-	return req.Wait()
 }

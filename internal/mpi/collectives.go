@@ -1,13 +1,12 @@
 package mpi
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Collective internal tags. User tags are >= 0; the runtime reserves the
 // space below internalTagBase. Per-pair FIFO matching keeps successive
-// collectives from interfering even though they reuse tags.
+// collectives from interfering even though they reuse tags. The block keeps
+// the tags of collectives since removed (Scatter, Allgather, Alltoall):
+// tags reach the trace, and deleting one would renumber those after it.
 const (
 	tagBarrier = internalTagBase - iota
 	tagBcast
@@ -224,19 +223,6 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 	return data, nil
 }
 
-// Reduce folds each rank's vector with op; the reduced vector lands on
-// root (other ranks get nil). Binomial-tree reduction.
-func (c *Comm) Reduce(root int, xs []float64, op Op) ([]float64, error) {
-	acc, err := c.reduceScratch(root, xs, op, "Reduce")
-	if err != nil || acc == nil {
-		return nil, err
-	}
-	// Copy out of the rank scratch: the caller owns the result.
-	out := make([]float64, len(acc))
-	copy(out, acc)
-	return out, nil
-}
-
 // reduceScratch runs the binomial-tree reduction with the fold accumulator
 // and the peer-decode buffer living in the rank's preallocated scratch. At
 // root it returns the accumulator itself — valid only until the next
@@ -342,112 +328,6 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 		out[r] = b
 	}
 	return out, nil
-}
-
-// Scatter distributes parts[r] from root to every rank r and returns the
-// local part. parts is only read at root and must have one entry per rank.
-func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
-	if err := c.checkRoot(root); err != nil {
-		return nil, err
-	}
-	c.collectiveBegin("Scatter")
-	defer c.collectiveEnd("Scatter")
-	if c.rank != root {
-		b, _, err := c.Recv(root, tagScatter)
-		return b, err
-	}
-	if len(parts) != c.Size() {
-		return nil, fmt.Errorf("mpi: Scatter needs %d parts, got %d", c.Size(), len(parts))
-	}
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		if err := c.Send(r, tagScatter, parts[r]); err != nil {
-			return nil, err
-		}
-	}
-	own := make([]byte, len(parts[root]))
-	copy(own, parts[root])
-	return own, nil
-}
-
-// Allgather gives every rank every rank's buffer, via the ring algorithm
-// (p-1 neighbor exchanges).
-func (c *Comm) Allgather(data []byte) ([][]byte, error) {
-	c.collectiveBegin("Allgather")
-	defer c.collectiveEnd("Allgather")
-	p := c.Size()
-	out := make([][]byte, p)
-	own := make([]byte, len(data))
-	copy(own, data)
-	out[c.rank] = own
-	if p == 1 {
-		return out, nil
-	}
-	right := (c.rank + 1) % p
-	left := (c.rank - 1 + p) % p
-	send := own
-	for step := 0; step < p-1; step++ {
-		recvFrom := (c.rank - step - 1 + 2*p) % p
-		b, _, err := c.Sendrecv(right, tagAllgather, send, left, tagAllgather)
-		if err != nil {
-			return nil, err
-		}
-		out[recvFrom] = b
-		send = b
-	}
-	return out, nil
-}
-
-// Alltoall performs a personalized all-to-all exchange: rank r receives
-// parts[r] from every rank. parts must have one entry per rank.
-func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
-	c.collectiveBegin("Alltoall")
-	defer c.collectiveEnd("Alltoall")
-	p := c.Size()
-	if len(parts) != p {
-		return nil, fmt.Errorf("mpi: Alltoall needs %d parts, got %d", p, len(parts))
-	}
-	out := make([][]byte, p)
-	own := make([]byte, len(parts[c.rank]))
-	copy(own, parts[c.rank])
-	out[c.rank] = own
-	reqs := make([]*Request, 0, p-1)
-	for off := 1; off < p; off++ {
-		src := (c.rank - off + p) % p
-		req, err := c.Irecv(src, tagAlltoall)
-		if err != nil {
-			return nil, err
-		}
-		reqs = append(reqs, req)
-	}
-	for off := 1; off < p; off++ {
-		dst := (c.rank + off) % p
-		if err := c.Send(dst, tagAlltoall, parts[dst]); err != nil {
-			return nil, err
-		}
-	}
-	for _, req := range reqs {
-		b, st, err := req.Wait()
-		if err != nil {
-			return nil, err
-		}
-		out[st.Source] = b
-	}
-	return out, nil
-}
-
-// ReduceFloat64 reduces a scalar; a convenience over Reduce.
-func (c *Comm) ReduceFloat64(root int, x float64, op Op) (float64, error) {
-	v, err := c.Reduce(root, []float64{x}, op)
-	if err != nil {
-		return 0, err
-	}
-	if c.rank != root {
-		return math.NaN(), nil
-	}
-	return v[0], nil
 }
 
 // AllreduceFloat64 all-reduces a scalar.

@@ -17,9 +17,7 @@ type commShared struct {
 
 	sections *sectionRegistry
 
-	splitMu  sync.Mutex
-	splitGen map[int]*splitState // keyed by per-rank collective call index
-
+	split           splitState
 	barrier         barrierState  // collectives.go
 	exchange        exchangeState // exchange.go
 	scatter, gather rootedState   // rooted.go
@@ -29,9 +27,6 @@ type commShared struct {
 	revokeOnce sync.Once
 	revoked    chan struct{}
 	pi         *poisonInfo
-
-	ftMu  sync.Mutex
-	ftGen map[int]*ftState // keyed by per-rank Shrink/Agree call index
 }
 
 // Comm is one rank's handle on a communicator. Handles are cheap values
@@ -41,34 +36,17 @@ type Comm struct {
 	rank   int // rank within this communicator
 	rs     *rankState
 
-	splitCalls int // per-rank ordinal of Split/Dup calls on this comm
 	sectionIdx int // per-rank position in the section sequence log
-	ftCalls    int // per-rank ordinal of Shrink/Agree calls on this comm
 	// per-rank ordinals of ScatterGhost and GatherGhost calls on this comm
 	scatterCalls, gatherCalls uint64
 }
 
-func (w *World) newCommShared(group []int) *commShared {
-	cs := w.newCommSharedClean(group)
-	// A communicator born into an already-failed world starts revoked, so
-	// post-mortem Splits cannot silently block on a dead member. Shrink
-	// results bypass this via newCommSharedClean: their groups hold only
-	// survivors.
-	w.ftMu.Lock()
-	pi := w.failPi
-	w.ftMu.Unlock()
-	if pi != nil {
-		cs.revoke(pi)
-	}
-	return cs
-}
-
-// newCommSharedClean builds and registers a communicator without the
-// failed-world auto-revocation — the constructor Shrink uses for the
-// survivors' communicator.
+// newCommShared builds and registers a communicator. One born into an
+// already-failed world starts revoked, so post-mortem Splits cannot
+// silently block on a dead member.
 //
-//seclint:allocs-ok communicator construction: once per world or shrink, off the steady path
-func (w *World) newCommSharedClean(group []int) *commShared {
+//seclint:allocs-ok communicator construction: once per world or split, off the steady path
+func (w *World) newCommShared(group []int) *commShared {
 	w.commMu.Lock()
 	id := w.nextComm
 	w.nextComm++
@@ -78,14 +56,16 @@ func (w *World) newCommSharedClean(group []int) *commShared {
 		world:     w,
 		group:     group,
 		boxShards: make([]boxShard, (len(group)+shardSize-1)/shardSize),
-		splitGen:  make(map[int]*splitState),
 		revoked:   make(chan struct{}),
-		ftGen:     make(map[int]*ftState),
 	}
 	cs.sections = newSectionRegistry(len(group))
 	w.ftMu.Lock()
 	w.comms = append(w.comms, cs)
+	pi := w.failPi
 	w.ftMu.Unlock()
+	if pi != nil {
+		cs.revoke(pi)
+	}
 	return cs
 }
 
@@ -119,17 +99,6 @@ func (c *Comm) WorldRankOf(r int) int { return c.shared.group[r] }
 
 // Now reports the calling rank's virtual clock in seconds.
 func (c *Comm) Now() float64 { return c.rs.now() }
-
-// World reports global run facts (size, machine model).
-func (c *Comm) World() *WorldInfo {
-	w := c.rs.world
-	return &WorldInfo{
-		Size:           w.cfg.Ranks,
-		ThreadsPerRank: w.cfg.ThreadsPerRank,
-		Model:          w.cfg.Model,
-		Stats:          &RuntimeStats{w: w},
-	}
-}
 
 // Compute executes nothing but charges w to the rank's virtual clock as
 // single-threaded work, including a sampled OS-noise detour. Benchmarks
@@ -188,13 +157,11 @@ func (c *Comm) Dup() (*Comm, error) {
 	return c.Split(0, c.rank)
 }
 
-// splitState coordinates one collective Split call.
+// splitState is a communicator's Split rendezvous: the arrived ranks'
+// colours and keys, and the communicators its last arriver built from them.
 type splitState struct {
-	mu      sync.Mutex
-	arrived int
-	entries []splitEntry
-	done    chan struct{}
-	// results, filled by the last arriver
+	rendezvous
+	entries   []splitEntry
 	newShared map[int]*commShared // color -> shared
 }
 
@@ -207,51 +174,22 @@ type splitEntry struct {
 // Collective: every rank of c must call it. A negative color returns a nil
 // communicator for that rank (MPI_UNDEFINED).
 func (c *Comm) Split(color, key int) (*Comm, error) {
-	cs := c.shared
-	call := c.splitCalls
-	c.splitCalls++
-
-	cs.splitMu.Lock()
-	st, ok := cs.splitGen[call]
+	sp := &c.shared.split
+	last, ok := sp.arrive(c)
 	if !ok {
-		st = &splitState{done: make(chan struct{})}
-		cs.splitGen[call] = st
+		return nil, c.aborted("Split")
 	}
-	cs.splitMu.Unlock()
-
-	st.mu.Lock()
-	st.entries = append(st.entries, splitEntry{rank: c.rank, color: color, key: key})
-	st.arrived++
-	last := st.arrived == c.Size()
+	sp.entries = append(sp.entries, splitEntry{rank: c.rank, color: color, key: key})
 	if last {
-		st.newShared = buildSplit(cs.world, cs, st.entries)
-		close(st.done)
+		sp.newShared = buildSplit(c.shared.world, c.shared, sp.entries)
+		sp.entries = sp.entries[:0]
+		sp.release(c)
+	} else if !sp.park(c, "Split") {
+		return nil, c.aborted("Split")
 	}
-	st.mu.Unlock()
-	if last {
-		// Every rank has looked the call up and holds st itself: forget it,
-		// or a per-step Dup retains O(calls x ranks) for the communicator's
-		// life.
-		cs.splitMu.Lock()
-		delete(cs.splitGen, call)
-		cs.splitMu.Unlock()
-	}
-	c.rs.enterBlocked(c, "Split", -1, 0)
-	select {
-	case <-st.done:
-		c.rs.exitBlocked()
-	case <-cs.revoked:
-		c.rs.exitBlocked()
-		// A member died (or the run was aborted) before every rank
-		// arrived: the split can never complete.
-		select {
-		case <-st.done:
-			// Completed concurrently with the revocation; fall through
-			// and let the follow-up Barrier surface the failure.
-		default:
-			return nil, fmt.Errorf("mpi: rank %d: Split aborted: %w", c.rank, cs.pi.reason)
-		}
-	}
+	// Read before the next generation can overwrite it: its last arriver
+	// cannot arrive before this rank does.
+	ns := sp.newShared[color]
 
 	// Synchronize virtual clocks like the barrier a real split implies.
 	if err := c.Barrier(); err != nil {
@@ -260,7 +198,6 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	if color < 0 {
 		return nil, nil
 	}
-	ns := st.newShared[color]
 	// Locate my rank in the new group.
 	me := c.shared.group[c.rank]
 	for i, wr := range ns.group {

@@ -13,8 +13,8 @@
 //     a laptop.
 //
 //   - A PMPI-like tool layer. Tools (profilers, tracers) register hooks
-//     that the runtime invokes on message, collective, Pcontrol and —
-//     centrally for the paper — MPI_Section events (MPIX_Section_enter /
+//     that the runtime invokes on message, collective and — centrally for
+//     the paper — MPI_Section events (MPIX_Section_enter /
 //     MPIX_Section_exit, Figs. 1–2 of the paper), including the 32-byte
 //     tool-data payload preserved between enter and leave.
 //
@@ -66,9 +66,9 @@
 // A released rendezvous makes one rank runnable, not all of them: the
 // releaser owes the first parked rank a wake-up, each woken rank the next,
 // and a rank pays when it next blocks (every channel wait goes through
-// rankState.enterBlocked), polls Iprobe or ends. So a world has one runnable
-// rank per released generation and a sweep point stays on one host core. It
-// is live: only a running rank owes, and blocking, polling or ending pays; a
+// rankState.enterBlocked) or ends. So a world has one runnable rank per
+// released generation and a sweep point stays on one host core. It is live:
+// only a running rank owes, and blocking or ending pays; a
 // revoke wakes every parked rank, so a rank stuck in real work holds nobody.
 // The cost: the stretch from a release to a rank's next block, in the tree
 // hooks and a Compute charge, runs one rank at a time, and a rank must not
@@ -80,13 +80,13 @@
 // RankError{Rank, Section, Err}; peers blocked on the dead rank are
 // unblocked with poison envelopes, observe ErrRevoked-wrapped failures
 // and report a dead_peer fault event carrying the time they spent
-// blocked. Propagation follows ULFM: Comm.Revoke poisons a communicator
-// (pending and future operations return ErrRevoked), Comm.Shrink builds a
-// replacement communicator over the survivors, and Comm.Agree runs a
-// fault-tolerant agreement that reports dead participants instead of
-// hanging. Run collects every rank's failure into its returned error;
-// RootCause distills the primary cause (an injected kill outranks the
-// secondary ErrRevoked / dead-peer noise it provokes).
+// blocked. Propagation follows ULFM's revocation: a rank's death revokes
+// every communicator it belongs to, so pending and future operations on
+// them return ErrRevoked instead of hanging. There is no user-level
+// recovery (no Shrink or Agree): a degraded sweep point records the failure
+// and the sweep moves on. Run collects every rank's failure into its
+// returned error; RootCause distills the primary cause (an injected kill
+// outranks the secondary ErrRevoked / dead-peer noise it provokes).
 //
 // Hangs are bounded too: Config.Deadline arms a global deadlock detector.
 // If no rank makes progress for the deadline, the run aborts with a

@@ -365,7 +365,7 @@ func runProg(p int, seed uint64, v progVariant, fn func(*Comm) error) (*progResu
 	var rtStats *RuntimeStats
 	rep, err := Run(cfg, func(c *Comm) error {
 		if c.Rank() == 0 {
-			rtStats = c.World().Stats
+			rtStats = &RuntimeStats{w: c.rs.world}
 		}
 		return fn(c)
 	})

@@ -131,18 +131,3 @@ func (w *World) faultLog() []fault.Event {
 	fault.SortEvents(out)
 	return out
 }
-
-// InjectedOnly filters a fault log down to the plan-injected events (kill,
-// drop, delay, trunc), dropping the observed consequences (dead_peer).
-// Injected schedules are a pure function of the plan; consequence events
-// also depend on how far each peer had progressed when the failure reached
-// it, which real goroutine scheduling influences.
-func InjectedOnly(events []fault.Event) []fault.Event {
-	out := make([]fault.Event, 0, len(events))
-	for _, ev := range events {
-		if ev.Kind != fault.DeadPeer {
-			out = append(out, ev)
-		}
-	}
-	return out
-}

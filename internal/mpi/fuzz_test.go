@@ -182,14 +182,17 @@ func TestRandomCollectiveSequences(t *testing.T) {
 						return fmt.Errorf("op %d: bcast %q", i, got)
 					}
 				default:
-					got, err := c.Allgather([]byte{byte(c.Rank()), byte(i)})
+					got, err := c.Gather(roots[i], []byte{byte(c.Rank()), byte(i)})
 					if err != nil {
 						return err
 					}
-					for r := 0; r < p; r++ {
+					for r := 0; r < len(got); r++ {
 						if got[r][0] != byte(r) || got[r][1] != byte(i) {
-							return fmt.Errorf("op %d: allgather[%d] = %v", i, r, got[r])
+							return fmt.Errorf("op %d: gather[%d] = %v", i, r, got[r])
 						}
+					}
+					if (c.Rank() == roots[i]) != (len(got) == p) {
+						return fmt.Errorf("op %d: rank %d gathered %d parts", i, c.Rank(), len(got))
 					}
 				}
 			}

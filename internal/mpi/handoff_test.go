@@ -17,17 +17,17 @@ import (
 
 // Where a rank blocks after a rendezvous (blockAfter).
 const (
-	blockRecv    = iota // Recv from the rank above, which sends down after its own
-	blockWait           // the same through Irecv and Wait
-	blockScatter        // a ScatterGhost from the top rank
-	blockGather         // a GatherGhost to rank 0
-	blockSplit          // Split
-	blockAgree          // an ft agreement
-	blockPoll           // the Recv shift, spinning on Iprobe until the message is in
+	blockRecv      = iota // Recv from the rank above, which sends down after its own
+	blockWait             // the same through Irecv and Wait
+	blockScatter          // a ScatterGhost from the top rank
+	blockGather           // a GatherGhost to rank 0
+	blockSplit            // Split
+	blockAllreduce        // an Allreduce: a tree of real messages
+	blockBcast            // a Bcast from the top rank
 	numBlocks
 )
 
-var blockNames = [numBlocks]string{"Recv", "Wait", "ScatterGhost", "GatherGhost", "Split", "Agree", "Iprobe"}
+var blockNames = [numBlocks]string{"Recv", "Wait", "ScatterGhost", "GatherGhost", "Split", "Allreduce", "Bcast"}
 
 // tagHandOff tags blockAfter's messages.
 const tagHandOff = 240
@@ -36,23 +36,15 @@ const tagHandOff = 240
 func blockAfter(on *Comm, kind int) error {
 	n, r := on.Size(), on.Rank()
 	switch kind {
-	case blockRecv, blockWait, blockPoll:
+	case blockRecv, blockWait:
 		// A shift down the ranks: each receive waits for a sender that sends
 		// only once its own receive is done.
 		if r+1 < n {
 			var got []byte
 			var err error
-			switch kind {
-			case blockPoll:
-				for ok := false; !ok && err == nil; runtime.Gosched() {
-					_, ok, err = on.Iprobe(r+1, tagHandOff)
-				}
-				if err == nil {
-					got, _, err = on.Recv(r+1, tagHandOff)
-				}
-			case blockRecv:
+			if kind == blockRecv {
 				got, _, err = on.Recv(r+1, tagHandOff)
-			default:
+			} else {
 				var req *Request
 				if req, err = on.Irecv(r+1, tagHandOff); err == nil {
 					got, _, err = req.Wait()
@@ -81,8 +73,14 @@ func blockAfter(on *Comm, kind int) error {
 	case blockSplit:
 		_, err := on.Split(r%2, -r)
 		return err
-	default: // blockAgree
-		_, err := on.Agree(true)
+	case blockAllreduce:
+		_, err := on.Allreduce([]float64{float64(r)}, OpSum)
+		return err
+	default: // blockBcast
+		got, err := on.Bcast(n-1, make([]byte, 16))
+		if r != n-1 {
+			Release(got)
+		}
 		return err
 	}
 }

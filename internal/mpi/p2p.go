@@ -453,57 +453,6 @@ func (r *Request) Wait() ([]byte, Status, error) {
 	return r.data, r.status, nil
 }
 
-// Waitall completes every request in order and returns their payloads and
-// statuses — MPI_Waitall. It fails on the first erroring request.
-func Waitall(reqs []*Request) ([][]byte, []Status, error) {
-	data := make([][]byte, len(reqs))
-	sts := make([]Status, len(reqs))
-	for i, r := range reqs {
-		var err error
-		if data[i], sts[i], err = r.Wait(); err != nil {
-			return nil, nil, fmt.Errorf("mpi: Waitall request %d: %w", i, err)
-		}
-	}
-	return data, sts, nil
-}
-
-// Waitany completes one not-yet-completed request and reports its index —
-// MPI_Waitany. Completed requests are skipped; with none pending it returns
-// index -1. Unlike MPI it serves requests in array order when several are
-// ready (our eager transport makes readiness unobservable without waiting).
-func Waitany(reqs []*Request) (int, []byte, Status, error) {
-	for i, r := range reqs {
-		if r == nil || r.done {
-			continue
-		}
-		data, st, err := r.Wait()
-		return i, data, st, err
-	}
-	return -1, nil, Status{}, nil
-}
-
-// Iprobe reports whether a message from src (or AnySource) with tag (or
-// AnyTag) is already waiting, and its status when so — MPI_Iprobe. The
-// message stays queued; a subsequent Recv retrieves it. A rank polling it
-// may be waiting on a peer parked behind its hand-off, so it pays that first
-// (rendezvous.go).
-func (c *Comm) Iprobe(src, tag int) (Status, bool, error) {
-	c.rs.handOff()
-	if src != AnySource && (src < 0 || src >= c.Size()) {
-		return Status{}, false, fmt.Errorf("mpi: Iprobe from invalid rank %d (size %d)", src, c.Size())
-	}
-	probe := posted{src: src, tag: tag}
-	sh, box := c.shared.box(c.rank)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, e := range box.sends {
-		if probe.matches(e) {
-			return Status{Source: e.src, Tag: e.tag, Bytes: e.vbytes}, true, nil
-		}
-	}
-	return Status{}, false, nil
-}
-
 // Recv blocks for a message from src (or AnySource) with tag (or AnyTag)
 // and returns its payload. Ownership of the payload transfers to the
 // caller: it stays valid indefinitely, and MAY be handed back to the

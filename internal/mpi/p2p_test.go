@@ -346,118 +346,6 @@ func TestFloat64Codec(t *testing.T) {
 	}
 }
 
-func TestWaitallAndWaitany(t *testing.T) {
-	_, err := Run(testCfg(4), func(c *Comm) error {
-		if c.Rank() == 0 {
-			for r := 1; r < 4; r++ {
-				if err := c.Send(r, 5, []byte{byte(r)}); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		// Each non-root posts two receives: one real, one matched later.
-		a, err := c.Irecv(0, 5)
-		if err != nil {
-			return err
-		}
-		data, sts, err := Waitall([]*Request{a})
-		if err != nil {
-			return err
-		}
-		if len(data) != 1 || data[0][0] != byte(c.Rank()) || sts[0].Source != 0 {
-			t.Errorf("rank %d: Waitall got %v %v", c.Rank(), data, sts)
-		}
-		// Waitany over an already-completed request returns -1.
-		idx, _, _, err := Waitany([]*Request{a})
-		if err != nil || idx != -1 {
-			t.Errorf("Waitany over done requests = %d, %v", idx, err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWaitanyPicksPending(t *testing.T) {
-	_, err := Run(testCfg(2), func(c *Comm) error {
-		if c.Rank() == 0 {
-			return c.Send(1, 3, []byte("x"))
-		}
-		done, err := c.Isend(0, 99, nil) // completed immediately... but 0 never receives; harmless eager
-		if err != nil {
-			return err
-		}
-		_ = done
-		pending, err := c.Irecv(0, 3)
-		if err != nil {
-			return err
-		}
-		idx, data, st, err := Waitany([]*Request{done, pending})
-		if err != nil {
-			return err
-		}
-		if idx != 1 || string(data) != "x" || st.Tag != 3 {
-			t.Errorf("Waitany = %d %q %+v", idx, data, st)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIprobe(t *testing.T) {
-	_, err := Run(testCfg(2), func(c *Comm) error {
-		if c.Rank() == 0 {
-			if err := c.Send(1, 9, []byte("peek")); err != nil {
-				return err
-			}
-			return c.Barrier()
-		}
-		// Nothing with tag 8.
-		if _, ok, err := c.Iprobe(0, 8); err != nil || ok {
-			t.Errorf("Iprobe(0,8) = %v, %v", ok, err)
-		}
-		if err := c.Barrier(); err != nil { // message surely enqueued
-			return err
-		}
-		st, ok, err := c.Iprobe(AnySource, AnyTag)
-		if err != nil || !ok {
-			t.Fatalf("Iprobe missed pending message: %v %v", ok, err)
-		}
-		if st.Source != 0 || st.Tag != 9 || st.Bytes != 4 {
-			t.Errorf("probe status = %+v", st)
-		}
-		// The message is still retrievable.
-		b, _, err := c.Recv(0, 9)
-		if err != nil || string(b) != "peek" {
-			t.Errorf("Recv after probe: %q %v", b, err)
-		}
-		// And now the queue is empty again.
-		if _, ok, _ := c.Iprobe(AnySource, AnyTag); ok {
-			t.Error("probe found a consumed message")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIprobeValidation(t *testing.T) {
-	_, err := Run(testCfg(1), func(c *Comm) error {
-		if _, _, err := c.Iprobe(5, 0); err == nil {
-			t.Error("invalid source accepted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSendRecvFloat64s(t *testing.T) {
 	want := []float64{3.14, -2.72, 0, math.Inf(1)}
 	_, err := Run(testCfg(2), func(c *Comm) error {

@@ -6,10 +6,10 @@ import (
 	"sync/atomic"
 )
 
-// rendezvous is the host meeting of a communicator's ranks behind the
-// collectives whose messages are virtual — Barrier (collectives.go) and
-// ExchangeGhost (exchange.go): every rank arrives and parks, and the last
-// arriver evaluates the collective's clock arithmetic for everyone, then
+// rendezvous is the host meeting of a communicator's ranks behind Split
+// (comm.go) and the collectives whose messages are virtual — Barrier
+// (collectives.go) and ExchangeGhost (exchange.go): every rank arrives and
+// parks, and the last arriver evaluates the call for everyone, then
 // releases them. One generation is in flight at a time — a rank cannot reach
 // generation g+1 before g released it — so the state is reused, not keyed by
 // call. Each collective has a rendezvous of its own: ranks that disagree on
@@ -17,7 +17,7 @@ import (
 //
 // A release makes one rank runnable, not p-1: the parked ranks form a list
 // through their wakers, the releaser owes the head a wake-up and each woken
-// rank the rank after it, paid when it next blocks, polls or ends
+// rank the rank after it, paid when it next blocks or ends
 // (rankState.handOff). abort wakes every rank parked here at once. The
 // liveness argument and the cost are in doc.go.
 type rendezvous struct {

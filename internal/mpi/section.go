@@ -124,24 +124,6 @@ func (c *Comm) SectionExit(label string) {
 	}
 }
 
-// SectionDepth reports how many sections are currently open on this rank
-// for this communicator (including MPI_MAIN on the world communicator).
-func (c *Comm) SectionDepth() int {
-	return len(c.shared.sections.perRank[c.rank].stack)
-}
-
-// SectionStack returns the labels of the currently open sections, outermost
-// first — the "execution state with more semantics than the call-stack" the
-// paper motivates for debuggers.
-func (c *Comm) SectionStack() []string {
-	st := c.shared.sections.perRank[c.rank].stack
-	out := make([]string, len(st))
-	for i := range st {
-		out[i] = st[i].label
-	}
-	return out
-}
-
 // checkSequence verifies that this rank's event agrees with the canonical
 // sequence (established by whichever rank gets there first).
 //

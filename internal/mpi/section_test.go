@@ -16,7 +16,6 @@ type recordingTool struct {
 	finals   int
 	enters   []string // "rank:label"
 	leaves   []string
-	pctrl    []int
 	sent     int
 	received int
 	colls    []string
@@ -44,12 +43,6 @@ func (r *recordingTool) SectionLeave(c *Comm, label string, t float64, data *Too
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.leaves = append(r.leaves, key(c.Rank(), label))
-}
-
-func (r *recordingTool) Pcontrol(c *Comm, level int, t float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.pctrl = append(r.pctrl, level)
 }
 
 func (r *recordingTool) MessageSent(c *Comm, dst, tag, bytes int, t float64) {
@@ -84,12 +77,21 @@ func countWith(xs []string, substr string) int {
 	return n
 }
 
+// openSections lists the rank's open section labels, outermost first.
+func openSections(c *Comm) []string {
+	var out []string
+	for _, f := range c.shared.sections.perRank[c.rank].stack {
+		out = append(out, f.label)
+	}
+	return out
+}
+
 func TestMainSectionImplicit(t *testing.T) {
 	tool := &recordingTool{}
 	cfg := testCfg(3)
 	cfg.Tools = []Tool{tool}
 	_, err := Run(cfg, func(c *Comm) error {
-		if got := c.SectionStack(); len(got) != 1 || got[0] != MainSection {
+		if got := openSections(c); len(got) != 1 || got[0] != MainSection {
 			t.Errorf("rank %d stack inside main = %v", c.Rank(), got)
 		}
 		return nil
@@ -117,16 +119,16 @@ func TestNestedSections(t *testing.T) {
 		c.SectionEnter("outer")
 		c.SectionEnter("inner")
 		want := []string{MainSection, "outer", "inner"}
-		if got := c.SectionStack(); !reflect.DeepEqual(got, want) {
+		if got := openSections(c); !reflect.DeepEqual(got, want) {
 			t.Errorf("stack = %v, want %v", got, want)
 		}
-		if c.SectionDepth() != 3 {
-			t.Errorf("depth = %d", c.SectionDepth())
+		if len(openSections(c)) != 3 {
+			t.Errorf("depth = %d", len(openSections(c)))
 		}
 		c.SectionExit("inner")
 		c.SectionExit("outer")
-		if c.SectionDepth() != 1 {
-			t.Errorf("depth after exits = %d", c.SectionDepth())
+		if len(openSections(c)) != 1 {
+			t.Errorf("depth after exits = %d", len(openSections(c)))
 		}
 		return nil
 	})
@@ -143,8 +145,8 @@ func TestSectionHelperNesting(t *testing.T) {
 	cfg.CheckSections = true
 	_, err := Run(cfg, func(c *Comm) error {
 		return c.Section("phase", func() error {
-			if c.SectionDepth() != 2 {
-				t.Errorf("depth in helper = %d", c.SectionDepth())
+			if len(openSections(c)) != 2 {
+				t.Errorf("depth in helper = %d", len(openSections(c)))
 			}
 			return nil
 		})
@@ -331,23 +333,6 @@ func TestToolDataNestedInstancesIndependent(t *testing.T) {
 	}
 	if got["aaa"] != 'a' || got["bbb"] != 'b' {
 		t.Errorf("tool data mixed across nested frames: %v", got)
-	}
-}
-
-func TestPcontrolNotifiesTools(t *testing.T) {
-	tool := &recordingTool{}
-	cfg := testCfg(2)
-	cfg.Tools = []Tool{tool}
-	_, err := Run(cfg, func(c *Comm) error {
-		c.Pcontrol(1)
-		c.Pcontrol(0)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tool.pctrl) != 4 {
-		t.Errorf("pcontrol events = %v", tool.pctrl)
 	}
 }
 

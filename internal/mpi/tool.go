@@ -67,7 +67,6 @@ type Tool interface {
 	Finalize(r *Report)
 	SectionEnter(c *Comm, label string, t float64, data *ToolData)
 	SectionLeave(c *Comm, label string, t float64, data *ToolData)
-	Pcontrol(c *Comm, level int, t float64)
 	MessageSent(c *Comm, dst, tag, bytes int, t float64)
 	MessageRecv(c *Comm, src, tag, bytes int, t float64, m MatchInfo)
 	CollectiveBegin(c *Comm, name string, t float64)
@@ -105,9 +104,6 @@ func (BaseTool) SectionEnter(*Comm, string, float64, *ToolData) {}
 // SectionLeave implements Tool.
 func (BaseTool) SectionLeave(*Comm, string, float64, *ToolData) {}
 
-// Pcontrol implements Tool.
-func (BaseTool) Pcontrol(*Comm, int, float64) {}
-
 // MessageSent implements Tool.
 func (BaseTool) MessageSent(*Comm, int, int, int, float64) {}
 
@@ -121,13 +117,3 @@ func (BaseTool) CollectiveBegin(*Comm, string, float64) {}
 func (BaseTool) CollectiveEnd(*Comm, string, float64) {}
 
 var _ Tool = BaseTool{}
-
-// Pcontrol is the MPI_Pcontrol analogue: it only notifies attached tools.
-// The IPM-style phase-outlining baseline in internal/prof builds on it; the
-// paper contrasts its tool-defined semantics with the standardized
-// MPI_Section interface.
-func (c *Comm) Pcontrol(level int) {
-	for _, t := range c.rs.world.cfg.Tools {
-		t.Pcontrol(c, level, c.rs.now())
-	}
-}

@@ -310,22 +310,6 @@ func TestWallTimeIsMaxRankTime(t *testing.T) {
 	}
 }
 
-// TestWorldInfo exposure.
-func TestWorldInfo(t *testing.T) {
-	model := machine.KNL()
-	cfg := Config{Ranks: 3, ThreadsPerRank: 4, Model: model, Seed: 1, Timeout: 30 * time.Second}
-	_, err := Run(cfg, func(c *Comm) error {
-		w := c.World()
-		if w.Size != 3 || w.ThreadsPerRank != 4 || w.Model != model {
-			t.Errorf("WorldInfo = %+v", w)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestIntraNodeCheaperThanInterNode: messages between co-located ranks cost
 // less virtual time.
 func TestIntraNodeCheaperThanInterNode(t *testing.T) {

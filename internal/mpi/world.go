@@ -123,14 +123,12 @@ type World struct {
 	sectionErrMu sync.Mutex
 	sectionErrs  []error
 
-	// Fault tolerance state (ft.go). ftMu guards the communicator
-	// registry, the dead mask, the first-failure poison and the pending
-	// fault-tolerant collectives.
-	ftMu      sync.Mutex
-	comms     []*commShared
-	dead      []bool
-	failPi    *poisonInfo
-	ftPending map[*ftState]struct{}
+	// Failure propagation state (ft.go). ftMu guards the communicator
+	// registry, the dead mask and the first-failure poison.
+	ftMu   sync.Mutex
+	comms  []*commShared
+	dead   []bool
+	failPi *poisonInfo
 
 	// Run-level abort (deadlock detector / watchdog).
 	aborted   chan struct{}
@@ -223,8 +221,7 @@ const MainSection = "MPI_MAIN"
 // or an error return all remove the rank from the computation as a
 // RankError and propagate ULFM-style — every communicator the dead rank
 // belongs to is revoked, so peers blocked on it fail with an error
-// wrapping ErrRevoked instead of hanging (see Comm.Shrink / Comm.Agree for
-// how survivors continue). With Config.Deadline set, a run in which every
+// wrapping ErrRevoked instead of hanging. With Config.Deadline set, a run in which every
 // live rank is blocked with no possible progress aborts with a
 // DeadlockError naming each rank's parked operation. RootCause distills
 // the aggregate error back to the originating failure.
@@ -239,7 +236,6 @@ func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
 	}
 	w := &World{cfg: c, placement: placement}
 	w.dead = make([]bool, c.Ranks)
-	w.ftPending = make(map[*ftState]struct{})
 	w.aborted = make(chan struct{})
 	w.runFn = fn
 	w.active = c.Active

@@ -17,20 +17,6 @@ import (
 	"repro/internal/mpi"
 )
 
-// Schedule selects the loop-scheduling policy, mirroring OpenMP's static
-// and dynamic schedules. Dynamic scheduling removes the tail imbalance of
-// uneven static chunks at the price of a per-chunk dispatch cost.
-type Schedule int
-
-// Supported schedules.
-const (
-	Static Schedule = iota
-	Dynamic
-)
-
-// dynChunkOverhead is the modeled dispatch cost of one dynamic chunk.
-const dynChunkOverhead = 2e-7
-
 // Team is a thread team bound to one MPI rank.
 type Team struct {
 	comm    *mpi.Comm
@@ -47,74 +33,14 @@ func New(c *mpi.Comm, threads int) *Team {
 	return &Team{comm: c, threads: threads}
 }
 
-// Threads reports the team size.
-func (t *Team) Threads() int { return t.threads }
-
-// Comm reports the MPI communicator handle the team belongs to.
-func (t *Team) Comm() *mpi.Comm { return t.comm }
-
-// ParallelFor executes body(i) for i in [0, n) and charges the region's
-// modeled duration: fork/join overhead plus the parallel execution of n
-// iterations costing perIter each, under static scheduling.
-func (t *Team) ParallelFor(n int, perIter machine.Work, body func(i int)) {
-	t.ParallelForSched(Static, 0, n, perIter, body)
-}
-
-// ParallelForSched is ParallelFor with an explicit schedule. chunk is the
-// dynamic chunk size (ignored for Static; defaults to 1 when <= 0).
-func (t *Team) ParallelForSched(sched Schedule, chunk, n int, perIter machine.Work, body func(i int)) {
-	if n <= 0 {
-		return
-	}
-	for i := 0; i < n; i++ {
-		body(i)
-	}
-	t.chargeLoop(sched, chunk, n, perIter)
-}
-
-// ParallelForRange executes body(lo, hi) once per modeled chunk boundary —
-// useful when the body vectorizes over a slice — with the same time
-// accounting as ParallelFor. The chunking handed to the body is the static
-// per-thread partition, so callers can exploit contiguity.
-func (t *Team) ParallelForRange(n int, perIter machine.Work, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	per := (n + t.threads - 1) / t.threads
-	for lo := 0; lo < n; lo += per {
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		body(lo, hi)
-	}
-	t.chargeLoop(Static, 0, n, perIter)
-}
-
-// chargeLoop advances the rank's virtual clock by the modeled loop time.
-func (t *Team) chargeLoop(sched Schedule, chunk, n int, perIter machine.Work) {
+// chargeLoop advances the rank's virtual clock by the modeled time of a
+// statically scheduled loop: the slowest thread runs ceil(n/th) iterations,
+// modeled as that thread's work replicated across the team, which the
+// roofline then divides by team throughput.
+func (t *Team) chargeLoop(n int, perIter machine.Work) {
 	th := t.threads
-	var w machine.Work
-	switch {
-	case th == 1:
-		w = perIter.Scale(float64(n))
-	case sched == Dynamic:
-		if chunk <= 0 {
-			chunk = 1
-		}
-		// Dynamic scheduling balances perfectly up to one trailing chunk,
-		// but pays a dispatch cost per chunk.
-		nChunks := (n + chunk - 1) / chunk
-		w = perIter.Scale(float64(n))
-		t.comm.Sleep(dynChunkOverhead * float64(nChunks) / float64(th))
-	default:
-		// Static: the slowest thread runs ceil(n/th) iterations; model the
-		// region as that thread's work replicated across the team, which
-		// the roofline then divides by team throughput.
-		per := (n + th - 1) / th
-		w = perIter.Scale(float64(per * th))
-	}
-	t.comm.ComputeParallel(w, th)
+	per := (n + th - 1) / th
+	t.comm.ComputeParallel(perIter.Scale(float64(per*th)), th)
 }
 
 // ForModeled executes body for realN iterations while charging the cost of
@@ -127,18 +53,8 @@ func (t *Team) ForModeled(modelN, realN int, perIter machine.Work, body func(i i
 		body(i)
 	}
 	if modelN > 0 {
-		t.chargeLoop(Static, 0, modelN, perIter)
+		t.chargeLoop(modelN, perIter)
 	}
-}
-
-// Region executes body once and charges it as a parallel region processing
-// total work w with the whole team (an OpenMP "parallel" block around
-// hand-divided work).
-func (t *Team) Region(w machine.Work, body func()) {
-	if body != nil {
-		body()
-	}
-	t.comm.ComputeParallel(w, t.threads)
 }
 
 // Serial executes body on the master thread only, charging single-threaded

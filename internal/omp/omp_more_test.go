@@ -20,7 +20,7 @@ func TestForModeledExecutesRealChargesModel(t *testing.T) {
 		team.ForModeled(100, 10, w, func(i int) { ran++ })
 		scaled = c.Now() - t0
 		t0 = c.Now()
-		team.ParallelFor(100, w, func(int) {})
+		team.ForModeled(100, 100, w, func(int) {})
 		full = c.Now() - t0
 	})
 	if ran != 10 {
@@ -46,16 +46,6 @@ func TestForModeledZeroModelN(t *testing.T) {
 	}
 }
 
-func TestCommAccessor(t *testing.T) {
-	model := quietBroadwell()
-	runSingle(t, model, 2, func(c *mpi.Comm) {
-		team := New(c, 2)
-		if team.Comm() != c {
-			t.Error("Comm accessor lost the communicator")
-		}
-	})
-}
-
 func TestOversubscribedTeamOnCrowdedNodeSlower(t *testing.T) {
 	// The Fig. 9 mechanism in isolation: the same 8-thread region costs
 	// more when 27 ranks share the KNL than when one rank owns it.
@@ -70,7 +60,7 @@ func TestOversubscribedTeamOnCrowdedNodeSlower(t *testing.T) {
 		_, err := mpi.Run(cfg, func(c *mpi.Comm) error {
 			team := New(c, 8)
 			t0 := c.Now()
-			team.ParallelFor(64, w.Scale(1.0/64), func(int) {})
+			team.ForModeled(64, 64, w.Scale(1.0/64), func(int) {})
 			if c.Rank() == 0 {
 				dur = c.Now() - t0
 			}

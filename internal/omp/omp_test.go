@@ -37,40 +37,12 @@ func quietBroadwell() *machine.Model {
 	return m
 }
 
-func TestParallelForExecutesEveryIteration(t *testing.T) {
-	model := quietBroadwell()
-	sum := 0
-	runSingle(t, model, 4, func(c *mpi.Comm) {
-		team := New(c, 4)
-		team.ParallelFor(100, machine.Work{Flops: 1}, func(i int) { sum += i })
-	})
-	if sum != 4950 {
-		t.Errorf("iterations wrong: sum = %d", sum)
-	}
-}
-
-func TestParallelForZeroAndNegativeN(t *testing.T) {
-	model := quietBroadwell()
-	called := false
-	wall := runSingle(t, model, 2, func(c *mpi.Comm) {
-		team := New(c, 2)
-		team.ParallelFor(0, machine.Work{Flops: 1e9}, func(int) { called = true })
-		team.ParallelFor(-5, machine.Work{Flops: 1e9}, func(int) { called = true })
-	})
-	if called {
-		t.Error("body called for empty loop")
-	}
-	if wall != 0 {
-		t.Errorf("empty loops charged %g seconds", wall)
-	}
-}
-
 func TestTeamSizeClamped(t *testing.T) {
 	team := New(nil, 0)
-	if team.Threads() != 1 {
-		t.Errorf("Threads = %d, want 1", team.Threads())
+	if team.threads != 1 {
+		t.Errorf("Threads = %d, want 1", team.threads)
 	}
-	if New(nil, -5).Threads() != 1 {
+	if New(nil, -5).threads != 1 {
 		t.Error("negative size not clamped")
 	}
 }
@@ -82,11 +54,11 @@ func TestMoreThreadsFasterUntilOverhead(t *testing.T) {
 	runSingle(t, model, 8, func(c *mpi.Comm) {
 		team1 := New(c, 1)
 		t0 := c.Now()
-		team1.ParallelFor(1000, w.Scale(1e-3), func(int) {})
+		team1.ForModeled(1000, 1000, w.Scale(1e-3), func(int) {})
 		t1 = c.Now() - t0
 		team8 := New(c, 8)
 		t0 = c.Now()
-		team8.ParallelFor(1000, w.Scale(1e-3), func(int) {})
+		team8.ForModeled(1000, 1000, w.Scale(1e-3), func(int) {})
 		t8 = c.Now() - t0
 	})
 	if t8 >= t1 {
@@ -105,10 +77,10 @@ func TestStaticTailImbalanceCharged(t *testing.T) {
 	runSingle(t, model, 4, func(c *mpi.Comm) {
 		team := New(c, 4)
 		t0 := c.Now()
-		team.ParallelFor(8, w, func(int) {}) // 2 iters/thread
+		team.ForModeled(8, 8, w, func(int) {}) // 2 iters/thread
 		even = c.Now() - t0
 		t0 = c.Now()
-		team.ParallelFor(9, w, func(int) {}) // 3 on one thread
+		team.ForModeled(9, 9, w, func(int) {}) // 3 on one thread
 		uneven = c.Now() - t0
 	})
 	// 9 iterations statically on 4 threads must cost like 12 (3 per
@@ -118,100 +90,29 @@ func TestStaticTailImbalanceCharged(t *testing.T) {
 	}
 }
 
-func TestDynamicBeatsStaticOnTail(t *testing.T) {
-	model := quietBroadwell()
-	w := machine.Work{Flops: 1e7}
-	var static, dynamic float64
-	runSingle(t, model, 4, func(c *mpi.Comm) {
-		team := New(c, 4)
-		t0 := c.Now()
-		team.ParallelForSched(Static, 0, 9, w, func(int) {})
-		static = c.Now() - t0
-		t0 = c.Now()
-		team.ParallelForSched(Dynamic, 1, 9, w, func(int) {})
-		dynamic = c.Now() - t0
-	})
-	if dynamic >= static {
-		t.Errorf("dynamic (%g) not better than static (%g) on a 9/4 tail", dynamic, static)
-	}
-}
-
-func TestDynamicChunkDefaulted(t *testing.T) {
-	model := quietBroadwell()
-	ran := 0
-	runSingle(t, model, 2, func(c *mpi.Comm) {
-		team := New(c, 2)
-		team.ParallelForSched(Dynamic, 0, 10, machine.Work{Flops: 1}, func(int) { ran++ })
-	})
-	if ran != 10 {
-		t.Errorf("dynamic with chunk 0 ran %d iters", ran)
-	}
-}
-
-func TestParallelForRangeCoversAll(t *testing.T) {
-	model := quietBroadwell()
-	covered := make([]bool, 103)
-	runSingle(t, model, 4, func(c *mpi.Comm) {
-		team := New(c, 4)
-		team.ParallelForRange(len(covered), machine.Work{Flops: 1}, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if covered[i] {
-					t.Errorf("index %d visited twice", i)
-				}
-				covered[i] = true
-			}
-		})
-	})
-	for i, ok := range covered {
-		if !ok {
-			t.Errorf("index %d not covered", i)
-		}
-	}
-}
-
-func TestParallelForRangeTimingMatchesParallelFor(t *testing.T) {
-	model := quietBroadwell()
-	w := machine.Work{Flops: 1e6}
-	var a, b float64
-	runSingle(t, model, 8, func(c *mpi.Comm) {
-		team := New(c, 8)
-		t0 := c.Now()
-		team.ParallelFor(1000, w, func(int) {})
-		a = c.Now() - t0
-		t0 = c.Now()
-		team.ParallelForRange(1000, w, func(lo, hi int) {})
-		b = c.Now() - t0
-	})
-	if math.Abs(a-b) > 1e-12 {
-		t.Errorf("range and indexed variants charge differently: %g vs %g", a, b)
-	}
-}
-
-func TestRegionAndSerial(t *testing.T) {
+func TestSerialSlowerThanTeam(t *testing.T) {
 	model := quietBroadwell()
 	w := machine.Work{Flops: 1e9}
-	var region, serial float64
-	ranRegion, ranSerial := false, false
+	var loop, serial float64
+	ranSerial := false
 	runSingle(t, model, 4, func(c *mpi.Comm) {
 		team := New(c, 4)
 		t0 := c.Now()
-		team.Region(w, func() { ranRegion = true })
-		region = c.Now() - t0
+		team.ForModeled(4, 4, w.Scale(0.25), func(int) {})
+		loop = c.Now() - t0
 		t0 = c.Now()
 		team.Serial(w, func() { ranSerial = true })
 		serial = c.Now() - t0
 	})
-	if !ranRegion || !ranSerial {
-		t.Error("bodies not executed")
+	if !ranSerial {
+		t.Error("body not executed")
 	}
-	if region >= serial {
-		t.Errorf("region with 4 threads (%g) not faster than serial (%g)", region, serial)
+	if loop >= serial {
+		t.Errorf("loop with 4 threads (%g) not faster than serial (%g)", loop, serial)
 	}
-	// Nil bodies are legal (pure time accounting).
+	// A nil body is legal (pure time accounting).
 	runSingle(t, model, 2, func(c *mpi.Comm) {
-		team := New(c, 2)
-		team.Region(w, nil)
-		team.Serial(w, nil)
+		New(c, 2).Serial(w, nil)
 	})
 }
 
@@ -222,7 +123,7 @@ func TestSingleThreadTeamHasNoForkCost(t *testing.T) {
 	runSingle(t, model, 1, func(c *mpi.Comm) {
 		team := New(c, 1)
 		t0 := c.Now()
-		team.ParallelFor(10, w.Scale(0.1), func(int) {})
+		team.ForModeled(10, 10, w.Scale(0.1), func(int) {})
 		teamed = c.Now() - t0
 		t0 = c.Now()
 		c.Compute(w)
@@ -249,7 +150,7 @@ func TestKNLInflexionExists(t *testing.T) {
 			team := New(c, th)
 			t0 := c.Now()
 			for step := 0; step < 50; step++ { // many small regions, as in a timestep loop
-				team.ParallelFor(1000, w.Scale(1e-3), func(int) {})
+				team.ForModeled(1000, 1000, w.Scale(1e-3), func(int) {})
 			}
 			times[th] = c.Now() - t0
 		}

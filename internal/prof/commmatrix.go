@@ -12,24 +12,15 @@ import (
 // world ranks — the classic communication-matrix view IPM popularized and
 // the paper's related work references. Attach via mpi.Config.Tools.
 //
-// Collective participation is tracked separately: CollectiveBegin/End spans
-// are counted and timed per rank, and traffic sent while a rank is inside a
-// collective (the algorithm's internal tag<0 messages) is attributed to the
-// collective matrices rather than the user point-to-point ones.
+// Traffic sent while a rank is inside a collective (the algorithm's internal
+// tag<0 messages) is left out: the matrix shows user point-to-point traffic.
 type CommMatrix struct {
 	mpi.BaseTool
-	mu    sync.Mutex
-	size  int
-	bytes [][]int64 // [src][dst] user p2p payload bytes
-	msgs  [][]int64 // [src][dst] user p2p message count
-	// collective-internal traffic, keyed like the user matrices
-	collBytes [][]int64
-	collMsgs  [][]int64
-	// per-rank collective participation spans
-	collDepth []int     // current nesting depth
-	collEnter []float64 // enter time of the outermost open span
-	collCount []int64   // completed outermost spans
-	collTime  []float64 // summed outermost span duration
+	mu        sync.Mutex
+	size      int
+	bytes     [][]int64 // [src][dst] user p2p payload bytes
+	msgs      [][]int64 // [src][dst] user p2p message count
+	collDepth []int     // per-rank collective nesting depth
 }
 
 // NewCommMatrix returns an empty collector.
@@ -42,18 +33,11 @@ func (m *CommMatrix) Init(w *mpi.WorldInfo) {
 	m.size = w.Size
 	m.bytes = make([][]int64, w.Size)
 	m.msgs = make([][]int64, w.Size)
-	m.collBytes = make([][]int64, w.Size)
-	m.collMsgs = make([][]int64, w.Size)
 	for i := range m.bytes {
 		m.bytes[i] = make([]int64, w.Size)
 		m.msgs[i] = make([]int64, w.Size)
-		m.collBytes[i] = make([]int64, w.Size)
-		m.collMsgs[i] = make([]int64, w.Size)
 	}
 	m.collDepth = make([]int, w.Size)
-	m.collEnter = make([]float64, w.Size)
-	m.collCount = make([]int64, w.Size)
-	m.collTime = make([]float64, w.Size)
 }
 
 // MessageSent implements mpi.Tool.
@@ -68,108 +52,30 @@ func (m *CommMatrix) MessageSent(c *mpi.Comm, dst, tag, bytes int, t float64) {
 	// A negative tag or an open participation span marks algorithm-internal
 	// collective traffic; keep it out of the user p2p matrix.
 	if tag < 0 || (src < len(m.collDepth) && m.collDepth[src] > 0) {
-		m.collBytes[src][d] += int64(bytes)
-		m.collMsgs[src][d]++
 		return
 	}
 	m.bytes[src][d] += int64(bytes)
 	m.msgs[src][d]++
 }
 
-// CollectiveBegin implements mpi.Tool: it opens the rank's participation
-// span (nested collectives extend the outermost span).
+// CollectiveBegin implements mpi.Tool: the rank is inside a collective.
 func (m *CommMatrix) CollectiveBegin(c *mpi.Comm, name string, t float64) {
 	r := c.WorldRank()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if r >= len(m.collDepth) {
-		return
+	if r < len(m.collDepth) {
+		m.collDepth[r]++
 	}
-	if m.collDepth[r] == 0 {
-		m.collEnter[r] = t
-	}
-	m.collDepth[r]++
 }
 
-// CollectiveEnd implements mpi.Tool: it closes the participation span and
-// folds its duration into the per-rank totals.
+// CollectiveEnd implements mpi.Tool: the collective is over.
 func (m *CommMatrix) CollectiveEnd(c *mpi.Comm, name string, t float64) {
 	r := c.WorldRank()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if r >= len(m.collDepth) || m.collDepth[r] == 0 {
-		return
+	if r < len(m.collDepth) && m.collDepth[r] > 0 {
+		m.collDepth[r]--
 	}
-	m.collDepth[r]--
-	if m.collDepth[r] == 0 {
-		m.collCount[r]++
-		m.collTime[r] += t - m.collEnter[r]
-	}
-}
-
-// Bytes reports the traffic volume from src to dst.
-func (m *CommMatrix) Bytes(src, dst int) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if src < 0 || dst < 0 || src >= m.size || dst >= m.size {
-		return 0
-	}
-	return m.bytes[src][dst]
-}
-
-// Messages reports the message count from src to dst.
-func (m *CommMatrix) Messages(src, dst int) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if src < 0 || dst < 0 || src >= m.size || dst >= m.size {
-		return 0
-	}
-	return m.msgs[src][dst]
-}
-
-// CollectiveBytes reports the collective-internal traffic from src to dst.
-func (m *CommMatrix) CollectiveBytes(src, dst int) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if src < 0 || dst < 0 || src >= m.size || dst >= m.size {
-		return 0
-	}
-	return m.collBytes[src][dst]
-}
-
-// CollectiveMessages reports the collective-internal message count from src
-// to dst.
-func (m *CommMatrix) CollectiveMessages(src, dst int) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if src < 0 || dst < 0 || src >= m.size || dst >= m.size {
-		return 0
-	}
-	return m.collMsgs[src][dst]
-}
-
-// CollectiveSpans reports how many outermost collective participation spans
-// rank completed and their summed duration.
-func (m *CommMatrix) CollectiveSpans(rank int) (count int64, seconds float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if rank < 0 || rank >= len(m.collCount) {
-		return 0, 0
-	}
-	return m.collCount[rank], m.collTime[rank]
-}
-
-// TotalBytes reports all recorded traffic.
-func (m *CommMatrix) TotalBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var total int64
-	for _, row := range m.bytes {
-		for _, v := range row {
-			total += v
-		}
-	}
-	return total
 }
 
 // matrixGlyphs maps normalized volume to a character, cold to hot.

@@ -33,20 +33,17 @@ func TestCommMatrixRecordsTraffic(t *testing.T) {
 		_, _, err := c.Recv(0, 0)
 		return err
 	})
-	if got := m.Bytes(0, 1); got != 100 {
+	if got := m.bytes[0][1]; got != 100 {
 		t.Errorf("Bytes(0,1) = %d", got)
 	}
-	if got := m.Bytes(0, 2); got != 200 {
+	if got := m.bytes[0][2]; got != 200 {
 		t.Errorf("Bytes(0,2) = %d", got)
 	}
-	if got := m.Bytes(1, 0); got != 0 {
+	if got := m.bytes[1][0]; got != 0 {
 		t.Errorf("Bytes(1,0) = %d, want 0", got)
 	}
-	if got := m.Messages(0, 1); got != 1 {
+	if got := m.msgs[0][1]; got != 1 {
 		t.Errorf("Messages(0,1) = %d", got)
-	}
-	if got := m.TotalBytes(); got != 300 {
-		t.Errorf("TotalBytes = %d", got)
 	}
 }
 
@@ -60,7 +57,7 @@ func TestCommMatrixVirtualSizes(t *testing.T) {
 		_, _, err := c.Recv(0, 0)
 		return err
 	})
-	if got := m.Bytes(0, 1); got != 4096 {
+	if got := m.bytes[0][1]; got != 4096 {
 		t.Errorf("virtual bytes = %d, want 4096", got)
 	}
 }
@@ -82,7 +79,7 @@ func TestCommMatrixSubcommunicatorTraffic(t *testing.T) {
 		}
 		return nil
 	})
-	if got := m.Bytes(1, 3); got != 64 {
+	if got := m.bytes[1][3]; got != 64 {
 		t.Errorf("world-attributed bytes(1,3) = %d, want 64", got)
 	}
 }
@@ -102,7 +99,7 @@ func TestCommMatrixStencilShape(t *testing.T) {
 			if dst == (src+1)%p {
 				want = 10
 			}
-			if got := m.Bytes(src, dst); got != want {
+			if got := m.bytes[src][dst]; got != want {
 				t.Errorf("Bytes(%d,%d) = %d, want %d", src, dst, got, want)
 			}
 		}
@@ -134,20 +131,9 @@ func TestCommMatrixRender(t *testing.T) {
 	}
 }
 
-func TestCommMatrixBoundsSafe(t *testing.T) {
-	m := NewCommMatrix()
-	if m.Bytes(0, 0) != 0 || m.Messages(-1, 5) != 0 || m.TotalBytes() != 0 {
-		t.Error("uninitialized matrix not zero-safe")
-	}
-	if c, s := m.CollectiveSpans(2); c != 0 || s != 0 {
-		t.Error("uninitialized collective spans not zero-safe")
-	}
-}
-
 func TestCommMatrixSeparatesCollectiveTraffic(t *testing.T) {
-	// A barrier's internal messages must land in the collective matrices
-	// and every rank must get one participation span — while user p2p
-	// traffic in the same run stays in the plain matrices.
+	// A barrier's internal messages must stay out of the matrix, while
+	// user p2p traffic in the same run lands in it.
 	const p = 4
 	m := runWithMatrix(t, p, func(c *mpi.Comm) error {
 		if err := c.Barrier(); err != nil {
@@ -162,32 +148,18 @@ func TestCommMatrixSeparatesCollectiveTraffic(t *testing.T) {
 		}
 		return nil
 	})
-	if got := m.Bytes(0, 1); got != 128 {
+	if got := m.bytes[0][1]; got != 128 {
 		t.Errorf("user Bytes(0,1) = %d, want 128", got)
 	}
-	var collMsgs int64
 	for src := 0; src < p; src++ {
 		for dst := 0; dst < p; dst++ {
-			collMsgs += m.CollectiveMessages(src, dst)
 			// The barrier's internal traffic must NOT pollute the p2p view.
 			if src == 0 && dst == 1 {
 				continue
 			}
-			if got := m.Messages(src, dst); got != 0 {
+			if got := m.msgs[src][dst]; got != 0 {
 				t.Errorf("collective traffic leaked into p2p Messages(%d,%d) = %d", src, dst, got)
 			}
-		}
-	}
-	if collMsgs == 0 {
-		t.Error("no collective-internal messages recorded for the barrier")
-	}
-	for r := 0; r < p; r++ {
-		count, seconds := m.CollectiveSpans(r)
-		if count != 1 {
-			t.Errorf("rank %d: %d collective spans, want 1", r, count)
-		}
-		if seconds < 0 {
-			t.Errorf("rank %d: negative span time %g", r, seconds)
 		}
 	}
 }

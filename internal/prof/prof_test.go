@@ -332,63 +332,6 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
-func TestPcontrolProfilerPhases(t *testing.T) {
-	pc := NewPcontrol()
-	cfg := mpi.Config{
-		Ranks: 2, Model: machine.Ideal(2, 1), Seed: 1,
-		Tools: []mpi.Tool{pc}, Timeout: 30 * time.Second,
-	}
-	_, err := mpi.Run(cfg, func(c *mpi.Comm) error {
-		c.Pcontrol(1)
-		c.Sleep(1)
-		c.Pcontrol(0) // close phase 1
-		c.Pcontrol(2)
-		c.Sleep(2)
-		c.Pcontrol(3) // implicit close of 2, open 3
-		c.Sleep(0.5)
-		c.Pcontrol(0)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pc.Levels(); len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Errorf("levels = %v", got)
-	}
-	if math.Abs(pc.PhaseTotal(1)-2) > 1e-9 { // 1s × 2 ranks
-		t.Errorf("phase 1 total = %g, want 2", pc.PhaseTotal(1))
-	}
-	if math.Abs(pc.PhaseTotal(2)-4) > 1e-9 {
-		t.Errorf("phase 2 total = %g, want 4", pc.PhaseTotal(2))
-	}
-	if math.Abs(pc.PhaseTotal(3)-1) > 1e-9 {
-		t.Errorf("phase 3 total = %g, want 1", pc.PhaseTotal(3))
-	}
-	if pc.PhaseTotal(9) != 0 {
-		t.Error("unknown phase must be 0")
-	}
-}
-
-func TestPcontrolDanglingPhaseIgnored(t *testing.T) {
-	pc := NewPcontrol()
-	cfg := mpi.Config{
-		Ranks: 1, Model: machine.Ideal(1, 1), Seed: 1,
-		Tools: []mpi.Tool{pc}, Timeout: 30 * time.Second,
-	}
-	_, err := mpi.Run(cfg, func(c *mpi.Comm) error {
-		c.Pcontrol(0) // exit with nothing open: no-op
-		c.Pcontrol(5) // never closed
-		c.Sleep(1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pc.PhaseTotal(5) != 0 {
-		t.Error("unclosed phase recorded time")
-	}
-}
-
 // renderAll is every byte a Profile can print.
 func renderAll(t *testing.T, prof *Profile) string {
 	t.Helper()

@@ -110,13 +110,6 @@ func (q *FairQueue[T]) Len() int {
 	return q.size
 }
 
-// TenantLen returns the queued item count for one tenant.
-func (q *FairQueue[T]) TenantLen(tenant string) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.queues[tenant])
-}
-
 // Drain empties every queue and returns the removed items in round-robin
 // order (the order Pop would have served them). The tenant rotation is
 // preserved so a queue reused after Drain keeps its fairness state.

@@ -64,13 +64,13 @@ func TestFairQueueBounds(t *testing.T) {
 	if got := q.Len(); got != 3 {
 		t.Fatalf("Len=%d, want 3", got)
 	}
-	if got := q.TenantLen("a"); got != 2 {
-		t.Fatalf("TenantLen(a)=%d, want 2", got)
+	if got := len(q.queues["a"]); got != 2 {
+		t.Fatalf("tenant a holds %d items, want 2", got)
 	}
 
 	// A rejected tenant is not half-admitted: after the table-full error
 	// its queue stays absent and the survivors drain cleanly.
-	if got := q.TenantLen("c"); got != 0 {
+	if got := len(q.queues["c"]); got != 0 {
 		t.Fatalf("rejected tenant holds %d items", got)
 	}
 	if got := len(q.Drain()); got != 3 {

@@ -333,7 +333,6 @@ type Service struct {
 	jobs     map[string]*Job
 	order    []*Job          // submission order, for listing and eviction
 	pending  map[string]*Job // cache key -> live job (single-flight)
-	latest   *Job
 	nextID   int
 	// durEWMA is the exponentially weighted average of observed run
 	// durations (seconds), feeding the Retry-After estimate.
@@ -402,7 +401,6 @@ func (s *Service) Submit(req Request) (*Job, error) {
 			leader.dedups++
 			leader.mu.Unlock()
 			s.metrics.deduped.Add(1)
-			s.latest = leader
 			return leader, nil
 		}
 		if res := s.cache.get(key); res != nil {
@@ -453,7 +451,6 @@ func (s *Service) newJobLocked(tenant, key string, opts experiments.LiveOptions,
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
-	s.latest = j
 	s.evictHistoryLocked()
 	return j
 }
@@ -464,12 +461,6 @@ func (s *Service) dropJobLocked(j *Job) {
 	delete(s.jobs, j.id)
 	if n := len(s.order); n > 0 && s.order[n-1] == j {
 		s.order = s.order[:n-1]
-	}
-	if s.latest == j {
-		s.latest = nil
-		if n := len(s.order); n > 0 {
-			s.latest = s.order[n-1]
-		}
 	}
 	s.nextID-- // ids stay dense; the shed request never existed
 }
@@ -683,13 +674,6 @@ func (s *Service) Job(id string) *Job {
 	return s.jobs[id]
 }
 
-// Latest returns the most recently submitted job (nil before the first).
-func (s *Service) Latest() *Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.latest
-}
-
 // latestObserved observes the most recent job with an attempt to show, live
 // or sealed — the default subject of the analysis endpoints (cache-served
 // jobs never executed, so they have nothing to show). Nil before the first.
@@ -711,13 +695,6 @@ func (s *Service) Jobs() []*Job {
 	out := make([]*Job, len(s.order))
 	copy(out, s.order)
 	return out
-}
-
-// Draining reports whether Drain has begun.
-func (s *Service) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
 }
 
 // CacheLen returns the number of cached results.

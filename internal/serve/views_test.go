@@ -22,6 +22,12 @@ func fetch(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder
 	return w
 }
 
+// latestID is the id of the most recently submitted job.
+func latestID(s *Service) string {
+	jobs := s.Jobs()
+	return jobs[len(jobs)-1].ID()
+}
+
 // TestViewsUnderBothRoutes serves every row of the view table as
 // /{view}, /{view}?job=id and /jobs/{id}/{view} and requires one body and
 // one set of headers, the row's.
@@ -30,7 +36,7 @@ func TestViewsUnderBothRoutes(t *testing.T) {
 	if code, body := get(t, h, "/run?exp=conv&p=4&steps=6&scale=32&verify=1&wait=1"); code != http.StatusOK {
 		t.Fatalf("run: code %d body %q", code, body)
 	}
-	id := s.Latest().ID()
+	id := latestID(s)
 	for _, vw := range views {
 		latest := fetch(t, h, "/"+vw.name)
 		if latest.Code != http.StatusOK {
@@ -114,7 +120,7 @@ func TestViewRefusals(t *testing.T) {
 				t.Fatalf("run: code %d body %q", code, body)
 			}
 		}
-		hit := s.Latest().ID()
+		hit := latestID(s)
 		text := "job " + hit + " was served from the result cache; re-run with nocache=1 for live observability"
 		for _, vw := range views {
 			expect(t, h, "/"+vw.name+"?job="+hit, http.StatusNotFound, text)
@@ -255,7 +261,7 @@ func TestMetricsExpositionLint(t *testing.T) {
 		if code, body := get(t, h, run); code != http.StatusOK {
 			t.Fatalf("%s: code %d body %q", run, code, body)
 		}
-		_, body := get(t, h, "/metrics?job="+s.Latest().ID())
+		_, body := get(t, h, "/metrics?job="+latestID(s))
 		lintExposition(t, body)
 		for _, family := range []string{"secmon_up", "serve_queue_latency_seconds", "mpi_ranks_declared",
 			"section_time_seconds", "telemetry_message_latency_seconds", "section_efficiency_degraded"} {

@@ -11,7 +11,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by reducers that need at least one sample.
@@ -115,16 +114,6 @@ func Mean(xs []float64) (float64, error) {
 	return Sum(xs) / float64(len(xs)), nil
 }
 
-// MustMean is Mean for callers that have already checked non-emptiness.
-// It panics on an empty slice.
-func MustMean(xs []float64) float64 {
-	m, err := Mean(xs)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Min returns the smallest element of xs, or an error when xs is empty.
 func Min(xs []float64) (float64, error) {
 	if len(xs) == 0 {
@@ -162,90 +151,6 @@ func Variance(xs []float64) float64 {
 
 // Std returns the unbiased sample standard deviation of xs.
 func Std(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Median returns the median of xs, or an error when xs is empty.
-func Median(xs []float64) (float64, error) {
-	return Percentile(xs, 50)
-}
-
-// Percentile returns the p-th percentile (0..100) using linear
-// interpolation between closest ranks. xs is not modified.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of range [0,100]")
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// GeoMean returns the geometric mean of xs; every element must be positive.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("stats: geometric mean needs positive samples")
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs))), nil
-}
-
-// LinFit fits y = a + b*x by ordinary least squares and returns (a, b).
-// It errs when fewer than two distinct x values are supplied.
-func LinFit(x, y []float64) (a, b float64, err error) {
-	if len(x) != len(y) {
-		return 0, 0, errors.New("stats: LinFit length mismatch")
-	}
-	if len(x) < 2 {
-		return 0, 0, ErrEmpty
-	}
-	var sx, sy, sxx, sxy float64
-	for i := range x {
-		sx += x[i]
-		sy += y[i]
-		sxx += x[i] * x[i]
-		sxy += x[i] * y[i]
-	}
-	n := float64(len(x))
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return 0, 0, errors.New("stats: LinFit degenerate x values")
-	}
-	b = (n*sxy - sx*sy) / den
-	a = (sy - b*sx) / n
-	return a, b, nil
-}
-
-// CoefVar returns the coefficient of variation (std/mean) of xs; an error
-// when xs is empty and 0 when the mean is 0.
-func CoefVar(xs []float64) (float64, error) {
-	m, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	if m == 0 {
-		return 0, nil
-	}
-	return Std(xs) / m, nil
-}
 
 // Imbalance reports the classic HPC load-imbalance factor max/mean - 1 for a
 // set of per-rank times. A perfectly balanced set yields 0.

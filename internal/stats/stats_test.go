@@ -108,94 +108,6 @@ func TestMeanMinMaxErrors(t *testing.T) {
 	if _, err := Max(nil); err != ErrEmpty {
 		t.Errorf("Max(nil) err = %v, want ErrEmpty", err)
 	}
-	if _, err := Median(nil); err != ErrEmpty {
-		t.Errorf("Median(nil) err = %v, want ErrEmpty", err)
-	}
-}
-
-func TestMustMeanPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustMean(nil) did not panic")
-		}
-	}()
-	MustMean(nil)
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{15, 20, 35, 40, 50}
-	cases := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 15}, {100, 50}, {50, 35}, {25, 20}, {75, 40},
-	}
-	for _, c := range cases {
-		got, err := Percentile(xs, c.p)
-		if err != nil {
-			t.Fatalf("Percentile(%g): %v", c.p, err)
-		}
-		if !almostEq(got, c.want, 1e-12) {
-			t.Errorf("Percentile(%g) = %g, want %g", c.p, got, c.want)
-		}
-	}
-	if _, err := Percentile(xs, -1); err == nil {
-		t.Error("negative percentile accepted")
-	}
-	if _, err := Percentile(xs, 101); err == nil {
-		t.Error("percentile > 100 accepted")
-	}
-	// Input must not be reordered.
-	if xs[0] != 15 || xs[4] != 50 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
-func TestPercentileSingleElement(t *testing.T) {
-	got, err := Percentile([]float64{7}, 99)
-	if err != nil || got != 7 {
-		t.Errorf("Percentile single = %g, %v", got, err)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	got, err := GeoMean([]float64{1, 8})
-	if err != nil || !almostEq(got, 2.8284271247461903, 1e-12) {
-		t.Errorf("GeoMean = %g, %v", got, err)
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Error("GeoMean accepted zero")
-	}
-	if _, err := GeoMean(nil); err != ErrEmpty {
-		t.Error("GeoMean(nil) must be ErrEmpty")
-	}
-}
-
-func TestLinFitRecoversLine(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	y := make([]float64, len(x))
-	for i, v := range x {
-		y[i] = 3 + 2*v
-	}
-	a, b, err := LinFit(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(a, 3, 1e-9) || !almostEq(b, 2, 1e-9) {
-		t.Errorf("LinFit = (%g, %g), want (3, 2)", a, b)
-	}
-}
-
-func TestLinFitErrors(t *testing.T) {
-	if _, _, err := LinFit([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, _, err := LinFit([]float64{1}, []float64{1}); err == nil {
-		t.Error("single point accepted")
-	}
-	if _, _, err := LinFit([]float64{2, 2, 2}, []float64{1, 2, 3}); err == nil {
-		t.Error("degenerate x accepted")
-	}
 }
 
 func TestImbalance(t *testing.T) {
@@ -213,16 +125,6 @@ func TestImbalance(t *testing.T) {
 	got, _ = Imbalance([]float64{0, 0})
 	if got != 0 {
 		t.Errorf("zero-mean imbalance = %g, want 0", got)
-	}
-}
-
-func TestCoefVar(t *testing.T) {
-	got, err := CoefVar([]float64{5, 5, 5})
-	if err != nil || got != 0 {
-		t.Errorf("constant CV = %g, %v", got, err)
-	}
-	if _, err := CoefVar(nil); err != ErrEmpty {
-		t.Error("CoefVar(nil) must be ErrEmpty")
 	}
 }
 

@@ -489,9 +489,6 @@ func (tl *Tool) SectionLeave(c *mpi.Comm, label string, t float64, _ *mpi.ToolDa
 	atomicMaxT(&cur.lastT, t)
 }
 
-// Pcontrol implements mpi.Tool (no-op: phases are IPM's concern).
-func (tl *Tool) Pcontrol(*mpi.Comm, int, float64) {}
-
 // MessageSent implements mpi.Tool.
 //
 //seclint:hotpath

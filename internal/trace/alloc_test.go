@@ -166,9 +166,6 @@ func TestOrderingAllocs(t *testing.T) {
 		t.Fatal("recording is not a shuffled version of its canonical order")
 	}
 
-	if allocs, _ := allocated(func() { SortEvents(sorted) }); allocs != 0 {
-		t.Errorf("SortEvents on sorted input: %v allocs, want 0", allocs)
-	}
 	if allocs, _ := allocated(func() { Sorted(sorted) }); allocs != 0 {
 		t.Errorf("Sorted on sorted input: %v allocs, want 0", allocs)
 	}
@@ -205,7 +202,7 @@ func TestOrderingAllocs(t *testing.T) {
 			t.Errorf("%s: %v allocs, %d bytes; want <= 3 allocs, <= %d bytes", c.name, allocs, bytes, stream)
 		}
 	}
-	if allocs, bytes := allocated(func() { buf.WriteCSV(io.Discard) }); allocs > 4 || bytes > stream+csvBuf+4<<10 {
+	if allocs, bytes := allocated(func() { buf.Order().WriteCSV(io.Discard) }); allocs > 4 || bytes > stream+csvBuf+4<<10 {
 		t.Errorf("WriteCSV of a recording: %v allocs, %d bytes; want <= 4 allocs, <= %d bytes", allocs, bytes, stream+csvBuf+4<<10)
 	}
 

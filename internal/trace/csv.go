@@ -31,10 +31,6 @@ const (
 	csvBuf   = 64 << 10
 )
 
-// WriteCSV streams the buffer's events as CSV with a header, in canonical
-// order, each row formatted from the chunk its event was recorded in.
-func (b *Buffer) WriteCSV(w io.Writer) error { return b.Order().WriteCSV(w) }
-
 // WriteCSV streams the indexed events as CSV with a header, in canonical
 // order, each row formatted from where its event lies.
 func (o *Order) WriteCSV(w io.Writer) error {

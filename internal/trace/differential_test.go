@@ -611,7 +611,7 @@ func TestOrderOfCanonicalInput(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		name := fmt.Sprintf("seed %d", seed)
 		events := orderEvents(rng, []int{0, 1, 2, 3, 4, 5, 6, 7}[:1+rng.Intn(8)], 1+rng.Intn(80))
-		SortEvents(events)
+		copy(events, Sorted(events))
 		if isSorted(events) {
 			canonicalSeen++
 		}
@@ -639,7 +639,7 @@ func TestOrderOfCanonicalInput(t *testing.T) {
 	// Long canonical runs over many chunks.
 	rng := rand.New(rand.NewSource(1))
 	long := orderEvents(rng, []int{0, 1, 2}, 3*chunkLen)
-	SortEvents(long)
+	copy(long, Sorted(long))
 	b := NewBuffer(0)
 	for _, e := range long {
 		b.Add(e)
@@ -696,12 +696,12 @@ func TestSorterMatchesReference(t *testing.T) {
 			}
 			for k := 0; k < o.Runs(); k++ {
 				run := o.Run(k)
-				if k > 0 && o.Run(k-1).Rank() >= run.Rank() {
-					t.Fatalf("%s: %s runs %d and %d are ranks %d and %d", name, source, k-1, k, o.Run(k-1).Rank(), run.Rank())
+				if k > 0 && o.Run(k-1).At(0).Rank >= run.At(0).Rank {
+					t.Fatalf("%s: %s runs %d and %d are ranks %d and %d", name, source, k-1, k, o.Run(k-1).At(0).Rank, run.At(0).Rank)
 				}
 				for j := 0; j < run.Len(); j++ {
-					if run.At(j).Rank != run.Rank() {
-						t.Fatalf("%s: %s run of rank %d holds an event of rank %d", name, source, run.Rank(), run.At(j).Rank)
+					if run.At(j).Rank != run.At(0).Rank {
+						t.Fatalf("%s: %s run of rank %d holds an event of rank %d", name, source, run.At(0).Rank, run.At(j).Rank)
 					}
 					byRank = append(byRank, *run.At(j))
 				}
@@ -713,9 +713,9 @@ func TestSorterMatchesReference(t *testing.T) {
 			}
 		}
 
-		SortEvents(in)
+		copy(in, Sorted(in))
 		if !reflect.DeepEqual(in, want) {
-			t.Fatalf("%s: SortEvents differs from sort.SliceStable", name)
+			t.Fatalf("%s: Sorted differs from sort.SliceStable", name)
 		}
 	}
 	check("empty", nil)
@@ -766,7 +766,7 @@ func TestSortedInputIsLeftInPlace(t *testing.T) {
 	rng.Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
 	orig := append([]Event(nil), in...)
 	canonical := append([]Event(nil), in...)
-	SortEvents(canonical)
+	copy(canonical, Sorted(canonical))
 
 	if got, want := Summarize(in), Summarize(canonical); !reflect.DeepEqual(got, want) {
 		t.Errorf("Summarize depends on input order:\n got %+v\nwant %+v", got, want)

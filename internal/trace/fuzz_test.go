@@ -20,7 +20,7 @@ func TestReadCSVTruncatedPrefix(t *testing.T) {
 		buf.Add(Event{T: float64(i), Rank: i, Kind: KindMarker, Label: "m"})
 	}
 	var full bytes.Buffer
-	if err := buf.WriteCSV(&full); err != nil {
+	if err := buf.Order().WriteCSV(&full); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.SplitAfter(full.String(), "\n")
@@ -70,7 +70,7 @@ func FuzzReadCSV(f *testing.F) {
 	buf.Add(Event{T: 0.5, Rank: 0, Kind: KindSectionEnter, Comm: 1, Label: "HALO"})
 	buf.Add(Event{T: 1.25, Rank: 0, Kind: KindSectionLeave, Comm: 1, Label: "HALO"})
 	buf.Add(Event{T: 0.75, Rank: 1, Kind: KindSend, Comm: 1, Peer: 0, Bytes: 4096})
-	if err := buf.WriteCSV(&valid); err != nil {
+	if err := buf.Order().WriteCSV(&valid); err != nil {
 		f.Fatal(err)
 	}
 	// Each seed at a block smaller than a row, one of a few rows, and one
@@ -149,7 +149,7 @@ func FuzzReadCSV(f *testing.F) {
 			b.Add(e)
 		}
 		var out bytes.Buffer
-		if err := b.WriteCSV(&out); err != nil {
+		if err := b.Order().WriteCSV(&out); err != nil {
 			t.Fatalf("re-encode failed for accepted input: %v", err)
 		}
 		again, err := ReadCSV(&out)
@@ -205,7 +205,7 @@ func TestCSVRoundTripProperty(t *testing.T) {
 			want = append(want, e)
 		}
 		var csvOut bytes.Buffer
-		if err := buf.WriteCSV(&csvOut); err != nil {
+		if err := buf.Order().WriteCSV(&csvOut); err != nil {
 			t.Log(err)
 			return false
 		}

@@ -99,18 +99,6 @@ func Restore(events []Event, index []int32) (Recording, error) {
 	return Recording{src: o.src, idx: perm}, nil
 }
 
-// SortEvents sorts events in place into the canonical replay order every
-// consumer in this repository uses (see the package comment): time, rank,
-// section leaves first, then recording order — stable, because the order
-// two nested enters at one timestamp were recorded in IS their nesting —
-// with only KindVerify events ordered further, by payload. Events already
-// in that order are left alone at the cost of one pass and no allocation.
-func SortEvents(events []Event) {
-	if !isSorted(events) {
-		copy(events, OrderOf(events).gather())
-	}
-}
-
 // Sorted returns events in canonical order without reordering the caller's
 // slice: the slice itself when it is already canonical (what ReadCSV of a
 // written trace and Buffer.Events produce), otherwise a sorted copy. The
@@ -408,9 +396,6 @@ func (r Run) Len() int { return len(r.idx) }
 
 // At returns event j of the run, in place.
 func (r Run) At(j int) *Event { return r.src.at(r.idx[j]) }
-
-// Rank is the rank whose run this is.
-func (r Run) Rank() int { return r.At(0).Rank }
 
 // cursor is one rank's position in the merge: the run idx[pos:end] of
 // indices into the source, and the time of the event at pos.

@@ -78,9 +78,11 @@ func refParseRow(row []string) (Event, error) {
 	if e.Rank, err = strconv.Atoi(row[1]); err != nil {
 		return e, fmt.Errorf("rank: %w", err)
 	}
-	if e.Kind, err = ParseKind(row[2]); err != nil {
-		return e, err
+	kind, ok := kindByName[row[2]]
+	if !ok {
+		return e, unknownKind(row[2])
 	}
+	e.Kind = kind
 	if e.Comm, err = strconv.ParseInt(row[3], 10, 64); err != nil {
 		return e, fmt.Errorf("comm: %w", err)
 	}

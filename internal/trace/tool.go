@@ -108,11 +108,6 @@ func (c *Collector) CollectiveEnd(cm *mpi.Comm, name string, t float64) {
 	c.buf.Add(Event{T: t, Rank: cm.WorldRank(), Kind: KindCollectiveEnd, Comm: cm.ID(), Label: name})
 }
 
-// Pcontrol implements mpi.Tool.
-func (c *Collector) Pcontrol(cm *mpi.Comm, level int, t float64) {
-	c.buf.Add(Event{T: t, Rank: cm.WorldRank(), Kind: KindPcontrol, Comm: cm.ID(), Bytes: level})
-}
-
 // FaultEvent implements mpi.FaultObserver: injected faults and their
 // observed consequences land in the trace next to the sections and messages
 // they disrupted. The 11-column CSV schema is unchanged — fault fields ride

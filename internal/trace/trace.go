@@ -158,6 +158,9 @@ const (
 	KindSend
 	KindRecv
 	KindCollective
+	// KindPcontrol is an MPI_Pcontrol call, its level in Bytes. The runtime
+	// no longer has the hook, so nothing records one; the codec still reads
+	// and writes the kind so older traces parse.
 	KindPcontrol
 	KindMarker
 	KindCollectiveEnd
@@ -172,7 +175,8 @@ const (
 	KindDeadPeer
 	// KindVerify is a runtime-verifier violation (internal/verify): the
 	// violation class and detail ride in Label ("class: detail"), and the
-	// offending rank in Rank.
+	// offending rank in Rank. The verifier no longer mirrors violations
+	// into a trace; the codec still reads and orders the kind.
 	KindVerify
 	// KindOmpRegion is one modeled thread-team compute region (an OpenMP
 	// parallel loop or region executed via Comm.ComputeParallel). The
@@ -215,20 +219,12 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// ParseKind inverts Kind.String.
-func ParseKind(s string) (Kind, error) {
-	if k, ok := kindByName[s]; ok {
-		return k, nil
-	}
-	return 0, unknownKind(s)
-}
-
 func unknownKind(s string) error {
 	return fmt.Errorf("trace: unknown kind %q", s)
 }
 
 // Event is one timestamped record. Peer and Bytes are kind-dependent
-// (message endpoints and sizes; Pcontrol level rides in Bytes). Tag is the
+// (message endpoints and sizes). Tag is the
 // message tag on send/recv events (collective-internal traffic carries
 // negative tags). SendT, PostT and ArrT are the matched-pair timestamps of
 // recv events (mpi.MatchInfo: matching send's post time, this receive's

@@ -22,16 +22,15 @@ func TestKindStrings(t *testing.T) {
 		if k.String() != want {
 			t.Errorf("Kind(%d).String() = %q", i, k.String())
 		}
-		back, err := ParseKind(want)
-		if err != nil || back != k {
-			t.Errorf("ParseKind(%q) = %v, %v", want, back, err)
+		if back, ok := kindByName[want]; !ok || back != k {
+			t.Errorf("kindByName[%q] = %v, %t", want, back, ok)
 		}
 	}
 	if Kind(99).String() != "Kind(99)" {
 		t.Error("unknown kind string wrong")
 	}
-	if _, err := ParseKind("nope"); err == nil {
-		t.Error("ParseKind accepted garbage")
+	if _, ok := kindByName["nope"]; ok {
+		t.Error("kindByName holds garbage")
 	}
 }
 
@@ -65,12 +64,12 @@ func TestSortEventsTotalOrder(t *testing.T) {
 		{T: 1, Rank: 0, Kind: KindVerify, Comm: 3, Label: "section-unclosed: y"},
 	}
 	want := append([]Event(nil), base...)
-	SortEvents(want)
+	copy(want, Sorted(want))
 	for seed := int64(0); seed < 20; seed++ {
 		got := append([]Event(nil), base...)
 		rng := rand.New(rand.NewSource(seed))
 		rng.Shuffle(len(got), func(i, j int) { got[i], got[j] = got[j], got[i] })
-		SortEvents(got)
+		copy(got, Sorted(got))
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: sort order not deterministic:\n got %+v\nwant %+v", seed, got, want)
 		}
@@ -89,7 +88,7 @@ func TestSortEventsKeepsNestingOrder(t *testing.T) {
 		{T: 1, Rank: 0, Kind: KindSectionLeave, Label: "MPI_MAIN"},
 	}
 	want := append([]Event(nil), events...)
-	SortEvents(events)
+	copy(events, Sorted(events))
 	if !reflect.DeepEqual(events, want) {
 		t.Fatalf("sort reordered same-timestamp nested boundaries:\n got %+v\nwant %+v", events, want)
 	}
@@ -140,7 +139,7 @@ func TestCSVRoundtrip(t *testing.T) {
 			want = append(want, e)
 		}
 		var buf bytes.Buffer
-		if err := b.WriteCSV(&buf); err != nil {
+		if err := b.Order().WriteCSV(&buf); err != nil {
 			return false
 		}
 		got, err := ReadCSV(&buf)
@@ -262,25 +261,6 @@ func TestCollectorSectionsOptOut(t *testing.T) {
 	}
 	if col.Buffer().Len() != 0 {
 		t.Errorf("opted-out collector recorded %d events", col.Buffer().Len())
-	}
-}
-
-func TestCollectorPcontrol(t *testing.T) {
-	col := NewCollector(0)
-	cfg := mpi.Config{
-		Ranks: 1, Model: machine.Ideal(1, 1), Seed: 1,
-		Tools: []mpi.Tool{col}, Timeout: 30 * time.Second,
-	}
-	_, err := mpi.Run(cfg, func(c *mpi.Comm) error {
-		c.Pcontrol(7)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := filter(col.Buffer(), func(e Event) bool { return e.Kind == KindPcontrol })
-	if len(got) != 1 || got[0].Bytes != 7 {
-		t.Errorf("pcontrol events = %+v", got)
 	}
 }
 
@@ -521,12 +501,12 @@ func TestReleaseHandsOverNothing(t *testing.T) {
 				byRank = append(byRank, *run.At(j))
 			}
 		}
-		SortEvents(byRank)
+		copy(byRank, Sorted(byRank))
 		if !reflect.DeepEqual(merged, want) || !reflect.DeepEqual(byRank, want) {
 			t.Errorf("%s: the merge yields %d events and the runs %d, not the %d recorded", name, len(merged), len(byRank), len(want))
 		}
 		var csv bytes.Buffer
-		if err := b.WriteCSV(&csv); err != nil || strings.Contains(csv.String(), "old") || strings.Count(csv.String(), "\n") != len(want)+1 {
+		if err := b.Order().WriteCSV(&csv); err != nil || strings.Contains(csv.String(), "old") || strings.Count(csv.String(), "\n") != len(want)+1 {
 			t.Errorf("%s: WriteCSV: err %v, %d lines, mentions the previous recording: %v",
 				name, err, strings.Count(csv.String(), "\n"), strings.Contains(csv.String(), "old"))
 		}
@@ -605,8 +585,8 @@ func TestViewsWhileRecording(t *testing.T) {
 		total := 0
 		for k := 0; k < o.Runs(); k++ {
 			run := o.Run(k)
-			if run.Len() != next[run.Rank()] {
-				t.Fatalf("rank %d: run of %d events, merge saw %d", run.Rank(), run.Len(), next[run.Rank()])
+			if run.Len() != next[run.At(0).Rank] {
+				t.Fatalf("rank %d: run of %d events, merge saw %d", run.At(0).Rank, run.Len(), next[run.At(0).Rank])
 			}
 			total += run.Len()
 		}

@@ -22,7 +22,6 @@ import (
 	"sync"
 
 	"repro/internal/mpi"
-	"repro/internal/trace"
 )
 
 // Violation classes.
@@ -89,18 +88,12 @@ type Tool struct {
 	colls      map[int64]*collSeq
 	violations []Violation
 	counts     map[string]uint64
-	sink       *trace.Buffer
 }
 
 // New returns an unattached verifier.
 func New() *Tool {
 	return &Tool{counts: map[string]uint64{}, colls: map[int64]*collSeq{}}
 }
-
-// SetTraceSink makes the verifier mirror every violation into b as an
-// event of kind "verify" (class and detail in the label). Call before the
-// run starts.
-func (v *Tool) SetTraceSink(b *trace.Buffer) { v.sink = b }
 
 // Init implements mpi.Tool.
 func (v *Tool) Init(w *mpi.WorldInfo) {
@@ -120,15 +113,6 @@ func (v *Tool) record(viol Violation) {
 	v.violations = append(v.violations, viol)
 	v.counts[viol.Class]++
 	v.mu.Unlock()
-	if v.sink != nil {
-		v.sink.Add(trace.Event{
-			T:     viol.T,
-			Rank:  viol.Rank,
-			Kind:  trace.KindVerify,
-			Comm:  viol.Comm,
-			Label: viol.Class + ": " + viol.Detail,
-		})
-	}
 }
 
 // SectionEnter implements mpi.Tool: push the label and count the enter.

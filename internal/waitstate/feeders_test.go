@@ -174,7 +174,7 @@ func TestFeedersAgree(t *testing.T) {
 			t.Fatalf("%s: Events: %v", name, err)
 		}
 		var csv bytes.Buffer
-		if err := b.WriteCSV(&csv); err != nil {
+		if err := b.Order().WriteCSV(&csv); err != nil {
 			t.Fatal(err)
 		}
 		back, err := trace.ReadCSV(&csv)
