@@ -9,6 +9,8 @@
 // path (MessageSent/MessageRecv) keeps the embedded no-op hooks, so an
 // attached verifier adds zero allocations per message — sections and
 // collectives, which are orders of magnitude rarer, carry the bookkeeping.
+// Attaching it is how a run asks for the paper's selectively enabled section
+// checks; CheckTrace runs the same checker over a recorded trace.
 //
 // Violations surface four ways: the structured Violations list, per-class
 // counters (exported as section_verify_violations_total Prometheus
@@ -19,7 +21,6 @@ package verify
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/mpi"
 )
@@ -54,135 +55,37 @@ func (v Violation) String() string {
 	return fmt.Sprintf("t=%.6g rank=%d comm=%d %s: %s", v.T, v.Rank, v.Comm, v.Class, v.Detail)
 }
 
-// rankState is the bookkeeping of one world rank. Each instance is touched
-// only by its own rank goroutine (tool hooks run inline on the rank), so no
-// lock guards it.
-type rankState struct {
-	// stacks holds the open-section labels per communicator.
-	stacks map[int64][]string
-	// enters counts SectionEnter per communicator and label.
-	enters map[int64]map[string]int
-	// commRank remembers this world rank's rank within each communicator.
-	commRank map[int64]int
-	_        [64]byte // pad out false sharing between rank goroutines
-}
-
-// collSeq is the canonical collective sequence of one communicator:
-// whichever rank reaches position i first defines entry i, later ranks
-// must agree (the same first-writer scheme the runtime's CheckSections
-// uses for sections).
-type collSeq struct {
-	canonical []string
-	pos       map[int]int // per world rank
-	flagged   map[int]bool
-}
-
 // Tool is the runtime verifier. Attach with mpi.Config.Tools (or the
-// -verify flag of the benchmark drivers) and inspect after the run.
+// -verify flag of the benchmark drivers) and inspect after the run. Its hooks
+// feed the checker CheckTrace feeds offline: the hook's world rank and
+// communicator id, the runtime's dead ranks, and finalize at the wall time.
 type Tool struct {
 	mpi.BaseTool
-
-	ranks []rankState
-
-	mu         sync.Mutex
-	colls      map[int64]*collSeq
-	violations []Violation
-	counts     map[string]uint64
+	checker
 }
 
 // New returns an unattached verifier.
-func New() *Tool {
-	return &Tool{counts: map[string]uint64{}, colls: map[int64]*collSeq{}}
-}
+func New() *Tool { return &Tool{} }
 
 // Init implements mpi.Tool.
-func (v *Tool) Init(w *mpi.WorldInfo) {
-	v.ranks = make([]rankState, w.Size)
-	for i := range v.ranks {
-		v.ranks[i] = rankState{
-			stacks:   map[int64][]string{},
-			enters:   map[int64]map[string]int{},
-			commRank: map[int64]int{},
-		}
-	}
+func (v *Tool) Init(w *mpi.WorldInfo) { v.reset(w.Size) }
+
+// SectionEnter implements mpi.Tool.
+func (v *Tool) SectionEnter(c *mpi.Comm, label string, _ float64, _ *mpi.ToolData) {
+	v.enter(c.WorldRank(), c.ID(), label)
 }
 
-// record registers one violation (cold path).
-func (v *Tool) record(viol Violation) {
-	v.mu.Lock()
-	v.violations = append(v.violations, viol)
-	v.counts[viol.Class]++
-	v.mu.Unlock()
-}
-
-// SectionEnter implements mpi.Tool: push the label and count the enter.
-func (v *Tool) SectionEnter(c *mpi.Comm, label string, t float64, _ *mpi.ToolData) {
-	wr := c.WorldRank()
-	st := &v.ranks[wr]
-	id := c.ID()
-	st.stacks[id] = append(st.stacks[id], label)
-	m := st.enters[id]
-	if m == nil {
-		m = map[string]int{}
-		st.enters[id] = m
-	}
-	m[label]++
-	st.commRank[id] = c.Rank()
-}
-
-// SectionLeave implements mpi.Tool: the label must close the innermost
-// open section of this communicator.
+// SectionLeave implements mpi.Tool.
 func (v *Tool) SectionLeave(c *mpi.Comm, label string, t float64, _ *mpi.ToolData) {
-	wr := c.WorldRank()
-	st := &v.ranks[wr]
-	id := c.ID()
-	stack := st.stacks[id]
-	if len(stack) == 0 {
-		v.record(Violation{T: t, Rank: wr, Comm: id, Class: ClassUnderflow,
-			Detail: fmt.Sprintf("SectionExit(%q) with no section open", label)})
-		return
-	}
-	top := stack[len(stack)-1]
-	if top != label {
-		v.record(Violation{T: t, Rank: wr, Comm: id, Class: ClassMismatch,
-			Detail: fmt.Sprintf("SectionExit(%q) but %q is innermost", label, top)})
-	}
-	// Force-pop, mirroring the runtime, so one mismatch does not cascade.
-	st.stacks[id] = stack[:len(stack)-1]
+	v.leave(t, c.WorldRank(), c.ID(), label)
 }
 
-// CollectiveBegin implements mpi.Tool: every rank of a communicator must
-// issue the same collective sequence. First writer defines the canonical
-// order; divergence is flagged once per rank per communicator.
+// CollectiveBegin implements mpi.Tool.
 func (v *Tool) CollectiveBegin(c *mpi.Comm, name string, t float64) {
-	wr := c.WorldRank()
-	id := c.ID()
-	v.mu.Lock()
-	seq := v.colls[id]
-	if seq == nil {
-		seq = &collSeq{pos: map[int]int{}, flagged: map[int]bool{}}
-		v.colls[id] = seq
-	}
-	pos := seq.pos[wr]
-	seq.pos[wr] = pos + 1
-	var viol *Violation
-	if pos == len(seq.canonical) {
-		seq.canonical = append(seq.canonical, name)
-	} else if pos < len(seq.canonical) && seq.canonical[pos] != name && !seq.flagged[wr] {
-		seq.flagged[wr] = true
-		viol = &Violation{T: t, Rank: wr, Comm: id, Class: ClassCollectiveOrder,
-			Detail: fmt.Sprintf("rank called %s at collective step %d, other ranks called %s", name, pos, seq.canonical[pos])}
-	}
-	v.mu.Unlock()
-	if viol != nil {
-		v.record(*viol)
-	}
+	v.collective(t, c.WorldRank(), c.ID(), name)
 }
 
-// Finalize implements mpi.Tool: cross-rank checks that need the complete
-// run — unclosed sections, per-label enter counts, and collective sequence
-// lengths. Ranks the runtime reports dead are exempt (a killed rank
-// legitimately leaves its sections open).
+// Finalize implements mpi.Tool. Ranks the runtime reports dead are exempt.
 func (v *Tool) Finalize(r *mpi.Report) {
 	dead := map[int]bool{}
 	wallT := 0.0
@@ -192,134 +95,7 @@ func (v *Tool) Finalize(r *mpi.Report) {
 		}
 		wallT = r.WallTime
 	}
-
-	// Unclosed sections per live rank, innermost last.
-	for wr := range v.ranks {
-		if dead[wr] {
-			continue
-		}
-		st := &v.ranks[wr]
-		ids := sortedCommIDs(st.stacks)
-		for _, id := range ids {
-			for _, label := range st.stacks[id] {
-				v.record(Violation{T: wallT, Rank: wr, Comm: id, Class: ClassUnclosed,
-					Detail: fmt.Sprintf("section %q still open at finalize", label)})
-			}
-		}
-	}
-
-	// Per-communicator, per-label enter counts must agree across the live
-	// ranks that used the communicator at all.
-	type commLabel struct {
-		id    int64
-		label string
-	}
-	counts := map[commLabel]map[int]int{} // -> world rank -> count
-	for wr := range v.ranks {
-		if dead[wr] {
-			continue
-		}
-		for id, m := range v.ranks[wr].enters {
-			for label, n := range m {
-				k := commLabel{id, label}
-				if counts[k] == nil {
-					counts[k] = map[int]int{}
-				}
-				counts[k][wr] = n
-			}
-		}
-	}
-	participants := map[int64]map[int]bool{} // comm -> live ranks seen on it
-	for wr := range v.ranks {
-		if dead[wr] {
-			continue
-		}
-		for id := range v.ranks[wr].enters {
-			if participants[id] == nil {
-				participants[id] = map[int]bool{}
-			}
-			participants[id][wr] = true
-		}
-	}
-	keys := make([]commLabel, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].id != keys[j].id {
-			return keys[i].id < keys[j].id
-		}
-		return keys[i].label < keys[j].label
-	})
-	for _, k := range keys {
-		perRank := counts[k]
-		// A participant of the communicator that never entered this label
-		// counts as zero. Scan in rank order so the reported extremes are
-		// deterministic.
-		ranks := make([]int, 0, len(participants[k.id]))
-		for wr := range participants[k.id] {
-			ranks = append(ranks, wr)
-		}
-		sort.Ints(ranks)
-		minN, maxN := -1, -1
-		minRank, maxRank := -1, -1
-		for _, wr := range ranks {
-			n := perRank[wr]
-			if minN == -1 || n < minN {
-				minN, minRank = n, wr
-			}
-			if maxN == -1 || n > maxN {
-				maxN, maxRank = n, wr
-			}
-		}
-		if minN != maxN {
-			v.record(Violation{T: wallT, Rank: minRank, Comm: k.id, Class: ClassEnterDivergence,
-				Detail: fmt.Sprintf("section %q entered %d times on rank %d but %d times on rank %d", k.label, minN, minRank, maxN, maxRank)})
-		}
-	}
-
-	// Collective sequence lengths: a rank that stopped issuing collectives
-	// early diverged even if every call it made matched the canonical
-	// order.
-	v.mu.Lock()
-	collIDs := make([]int64, 0, len(v.colls))
-	for id := range v.colls {
-		collIDs = append(collIDs, id)
-	}
-	sort.Slice(collIDs, func(i, j int) bool { return collIDs[i] < collIDs[j] })
-	var lags []Violation
-	for _, id := range collIDs {
-		seq := v.colls[id]
-		ranks := make([]int, 0, len(seq.pos))
-		for wr := range seq.pos {
-			ranks = append(ranks, wr)
-		}
-		sort.Ints(ranks)
-		for _, wr := range ranks {
-			if dead[wr] || seq.flagged[wr] {
-				continue
-			}
-			if n := seq.pos[wr]; n < len(seq.canonical) {
-				lags = append(lags, Violation{T: wallT, Rank: wr, Comm: id, Class: ClassCollectiveOrder,
-					Detail: fmt.Sprintf("rank issued %d collectives, other ranks issued %d (next missing: %s)", n, len(seq.canonical), seq.canonical[n])})
-			}
-		}
-	}
-	v.mu.Unlock()
-	for _, l := range lags {
-		v.record(l)
-	}
-}
-
-// sortedCommIDs returns the map's keys ascending, for deterministic
-// violation order.
-func sortedCommIDs(m map[int64][]string) []int64 {
-	out := make([]int64, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	v.finalize(wallT, dead)
 }
 
 // Violations returns the recorded violations in deterministic order:
