@@ -3,7 +3,9 @@ package export_test
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -268,6 +270,20 @@ func TestChainingDoesNotPerturb(t *testing.T) {
 	}
 }
 
+// firstScrape holds each section entry until the scraper has rendered once:
+// a world runs one rank at a time and may otherwise end before the scraper
+// is first scheduled.
+type firstScrape struct {
+	mpi.BaseTool
+	scrapes *atomic.Int64
+}
+
+func (f firstScrape) SectionEnter(*mpi.Comm, string, float64, *mpi.ToolData) {
+	for f.scrapes.Load() == 0 {
+		runtime.Gosched()
+	}
+}
+
 // TestLiveScrapeWhileRunning exercises the streaming aggregator: a
 // goroutine scrapes Prometheus text and section snapshots concurrently
 // with the executing ranks. Run under -race this is the two-consumer
@@ -276,13 +292,13 @@ func TestLiveScrapeWhileRunning(t *testing.T) {
 	rec := export.NewRecorder(export.Options{Messages: true, Collectives: true})
 	profiler := prof.New()
 	stop := make(chan struct{})
-	scraped := make(chan int, 1)
+	scraped := make(chan int64, 1)
+	var n atomic.Int64
 	go func() {
-		n := 0
 		for {
 			select {
 			case <-stop:
-				scraped <- n
+				scraped <- n.Load()
 				return
 			default:
 			}
@@ -292,10 +308,10 @@ func TestLiveScrapeWhileRunning(t *testing.T) {
 			}
 			rec.Sections()
 			rec.WallTime()
-			n++
+			n.Add(1)
 		}
 	}()
-	runWorkload(t, 6, 11, profiler, rec)
+	runWorkload(t, 6, 11, profiler, rec, firstScrape{scrapes: &n})
 	close(stop)
 	if n := <-scraped; n == 0 {
 		t.Fatal("scraper never ran")

@@ -394,13 +394,17 @@ func TestBarrierRendezvousMatchesMessages(t *testing.T) {
 
 // --- failure semantics on the rendezvous path (no plan armed) --------------
 
+// liveGoroutines counts the goroutines that are not idle rank coroutines,
+// which the runtime keeps for the next world.
+func liveGoroutines() int { return runtime.NumGoroutine() - PooledRankGoroutines() }
+
 // noStragglers fails the test if goroutines started by the run outlive it.
 func noStragglers(t *testing.T, before int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
+	for liveGoroutines() > before {
 		if time.Now().After(deadline) {
-			t.Errorf("%d goroutines after Run, %d before", runtime.NumGoroutine(), before)
+			t.Errorf("%d goroutines after Run, %d before", liveGoroutines(), before)
 			return
 		}
 		time.Sleep(time.Millisecond)
@@ -411,7 +415,7 @@ func TestBarrierWaitersUnwindWhenARankFails(t *testing.T) {
 	boom := errors.New("boom")
 	for _, mode := range []string{"error", "panic"} {
 		t.Run(mode, func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			before := liveGoroutines()
 			waiterErrs := make([]error, 8)
 			_, err := Run(ftCfg(8), func(c *Comm) error {
 				if c.Rank() == 5 {
@@ -450,7 +454,7 @@ func TestBarrierWaitersUnwindWhenARankFails(t *testing.T) {
 // the rest parked for good; the report names the operation, not a round's
 // peer and tag.
 func TestBarrierDeadlockReport(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := liveGoroutines()
 	start := time.Now()
 	_, err := Run(dlCfg(6), func(c *Comm) error {
 		if c.Rank() == 2 {
@@ -482,7 +486,7 @@ func TestBarrierDeadlockReport(t *testing.T) {
 func TestBarrierWatchdogReleasesRendezvous(t *testing.T) {
 	for _, mode := range []string{"stuck", "mid-flight"} {
 		t.Run(mode, func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			before := liveGoroutines()
 			cfg := testCfg(4)
 			cfg.Timeout = 100 * time.Millisecond
 			var completed [4]int
@@ -560,7 +564,7 @@ func TestBarrierInActiveSession(t *testing.T) {
 // TestBarrierSteadyStateAllocs: after a communicator's first barrier, a
 // barrier allocates nothing at 8 or 64 ranks — with or without two
 // collections in between (the TestRecyclingDoesNotDependOnGC axis). A release
-// wakes ranks through their pooled wakers; there is no channel per generation.
+// splices its parked ranks onto the run queue; nothing is made per generation.
 func TestBarrierSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector allocates shadow memory; alloc counts are meaningless")

@@ -181,7 +181,6 @@ func (f *freeList[T]) put(v *T) {
 var (
 	envFree    freeList[envelope]
 	postedFree freeList[posted]
-	wakerFree  freeList[waker]
 )
 
 // putEnvelopes parks a chain.
@@ -247,24 +246,21 @@ func (r *rankState) releaseEnvelope(e *envelope) {
 	r.nenv++
 }
 
-// A posted receive is recycled together with its one-slot match channel, so
-// Irecv/Recv do not allocate a channel per operation. A posted may be
-// recycled only when its channel is provably empty: either it matched
-// immediately (the channel was never used) or its single envelope has been
-// received.
+// A posted receive is recycled once it has matched.
 func (r *rankState) newPosted(src, tag int) *posted {
 	p := r.posted
 	if p != nil {
 		r.posted = nil
 	} else if p = postedFree.take(); p == nil {
 		//seclint:allocs-ok free-list miss: amortized by recycling
-		p = &posted{ch: make(chan *envelope, 1)}
+		p = new(posted)
 	}
 	p.src, p.tag = src, tag
 	return p
 }
 
 func (r *rankState) freePosted(p *posted) {
+	*p = posted{}
 	if r.posted == nil {
 		r.posted = p
 		return
@@ -344,18 +340,4 @@ func (r *rankState) recycle() {
 		postedFree.put(r.posted)
 		r.posted = nil
 	}
-	if r.wk != nil {
-		r.wk.at = nil       // would keep this world alive from the pool
-		wakerFree.put(r.wk) // kept in r.wk for a late abort, which cannot claim it
-	}
-}
-
-// newWaker returns a waker with an empty channel: every wake-up is received,
-// so one parked back comes out empty.
-func newWaker() *waker {
-	if w := wakerFree.take(); w != nil {
-		return w
-	}
-	//seclint:allocs-ok free-list miss: amortized by recycling
-	return &waker{ch: make(chan struct{}, 1)}
 }

@@ -138,7 +138,7 @@ func (c *Comm) barrierRendezvous() error {
 	}
 	if last {
 		b.evaluate()
-		b.release(c)
+		b.release()
 		return nil
 	}
 	if !b.park(c, "Barrier") {

@@ -30,7 +30,7 @@ type commShared struct {
 }
 
 // Comm is one rank's handle on a communicator. Handles are cheap values
-// tied to their rank's goroutine; methods must only be called from it.
+// tied to their rank; methods must only be called from its rank function.
 type Comm struct {
 	shared *commShared
 	rank   int // rank within this communicator
@@ -183,7 +183,7 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	if last {
 		sp.newShared = buildSplit(c.shared.world, c.shared, sp.entries)
 		sp.entries = sp.entries[:0]
-		sp.release(c)
+		sp.release()
 	} else if !sp.park(c, "Split") {
 		return nil, c.aborted("Split")
 	}

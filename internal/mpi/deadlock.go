@@ -74,76 +74,47 @@ func (e *DeadlockError) Error() string {
 	return b.String()
 }
 
-// enterBlocked is called by a rank about to park in op, waiting on peer
-// (comm rank of c, or AnySource/-1) with the given tag: every channel wait of
-// a rank goroutine in this package goes through it. It pays the wake-up the
-// rank owes (rendezvous.go), then, with deadlock detection active, publishes
-// the rank as blocked.
-func (rs *rankState) enterBlocked(c *Comm, op string, peer, tag int) {
-	rs.handOff()
+// park blocks the rank in op, waiting on peer (comm rank of c, or -1) with
+// tag, until a wake (sched.go); the caller has queued it where the call
+// that wakes it looks, and dropped any lock. Every wait of a rank in this
+// package goes through it, published to the detector while it lasts.
+func (rs *rankState) park(c *Comm, op string, peer, tag int) {
 	b := rs.blk
-	if b == nil {
-		return
-	}
-	wpeer := -1
-	if peer >= 0 && peer < len(c.shared.group) {
-		wpeer = c.shared.group[peer]
-	}
-	b.mu.Lock()
-	was := b.state
-	b.state = blkBlocked
-	b.op, b.peer, b.tag = op, wpeer, tag
-	b.comm = c.shared.id
-	b.section = c.sectionLabel()
-	b.since = rs.now()
-	b.mu.Unlock()
-	if was != blkBlocked {
+	if b != nil {
+		wpeer := -1
+		if peer >= 0 && peer < len(c.shared.group) {
+			wpeer = c.shared.group[peer]
+		}
+		b.mu.Lock()
+		b.state = blkBlocked
+		b.op, b.peer, b.tag = op, wpeer, tag
+		b.comm = c.shared.id
+		b.section = c.sectionLabel()
+		b.since = rs.now()
+		b.mu.Unlock()
 		rs.world.blockedRanks.Add(1)
 	}
-}
-
-// exitBlocked publishes that the rank unparked, counting global progress.
-func (rs *rankState) exitBlocked() {
-	b := rs.blk
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	was := b.state
-	b.state = blkRunning
-	b.mu.Unlock()
-	if was == blkBlocked {
+	//seclint:allocs-ok the switch back to the driver: a pooled coroutine's yield allocates nothing
+	rs.co.yield(false)
+	if b != nil {
+		b.mu.Lock()
+		b.state = blkRunning
+		b.mu.Unlock()
 		rs.world.blockedRanks.Add(-1)
-	}
-	rs.world.progress.Add(1)
-}
-
-// handOff wakes the parked rank this one owes a wake-up, if any.
-func (rs *rankState) handOff() {
-	if w := rs.wk; w != nil && w.next != nil {
-		next := w.next
-		w.next = nil
-		next.wake(w.at)
+		rs.world.progress.Add(1)
 	}
 }
 
-// markFinished pays the rank's wake-up and retires it from the detector's
-// live set (normal return and death both end here).
+// markFinished retires the rank from the detector's live set (normal return
+// and death both end here).
 func (rs *rankState) markFinished() {
-	rs.handOff()
-	b := rs.blk
-	if b == nil {
-		return
+	if b := rs.blk; b != nil {
+		b.mu.Lock()
+		b.state = blkFinished
+		b.mu.Unlock()
+		rs.world.liveRanks.Add(-1)
+		rs.world.progress.Add(1)
 	}
-	b.mu.Lock()
-	was := b.state
-	b.state = blkFinished
-	b.mu.Unlock()
-	if was == blkBlocked {
-		rs.world.blockedRanks.Add(-1)
-	}
-	rs.world.liveRanks.Add(-1)
-	rs.world.progress.Add(1)
 }
 
 // detector samples the world's blocked state.
@@ -166,17 +137,17 @@ func (d *detector) stop() { d.stopOnce.Do(func() { close(d.stopc) }) }
 // run samples at deadline/8 and fires once three consecutive samples show
 // every live rank blocked with an unchanged progress counter — a quiescent
 // world, since any deliverable message unparks a rank (which bumps the
-// counter). Three stable samples keep a momentarily-starved runnable
-// goroutine from reading as deadlock, while still reporting well within
+// counter). Three stable samples keep a rank that is queued to run but not
+// yet resumed from reading as deadlock, while still reporting well within
 // the configured deadline.
 //
 // Each tick costs three atomic loads regardless of world size: ranks
 // maintain liveRanks/blockedRanks at their own park/unpark points, so the
 // probe work is proportional to state *changes*, not to the rank count.
 // The O(ranks) walk in snapshot runs only once, to build the report of a
-// detected deadlock. Lazy runs stay sound: an active rank whose goroutine
-// has not been spawned yet counts as live but can never count as blocked,
-// so the world cannot read as quiescent while bring-up is still pending.
+// detected deadlock. Lazy runs stay sound: an active rank that has not been
+// materialized yet counts as live but can never count as blocked, so the
+// world cannot read as quiescent while bring-up is still pending.
 func (d *detector) run() {
 	interval := d.deadline / 8
 	if interval < 200*time.Microsecond {

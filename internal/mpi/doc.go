@@ -1,7 +1,8 @@
 // Package mpi implements the in-process message-passing runtime this
-// repository uses in place of a real MPI library. One goroutine plays each
-// rank; communicators, tagged point-to-point messaging (with wildcards and
-// nonblocking operations) and tree-based collectives follow MPI semantics.
+// repository uses in place of a real MPI library. Each rank runs on a
+// coroutine of its own, and a world runs one rank at a time; communicators,
+// tagged point-to-point messaging (with wildcards and nonblocking
+// operations) and tree-based collectives follow MPI semantics.
 //
 // Two things distinguish it from a toy:
 //
@@ -25,6 +26,20 @@
 // without re-matching sends to receives offline. MatchInfo is passed by
 // value on the allocation-free fast path; see its doc for the exact
 // semantics of each stamp.
+//
+// # One rank at a time
+//
+// Each Run has a driver goroutine that resumes its ranks one at a time, in
+// run-queue order, each on a coroutine from a pool all worlds share, until
+// the rank parks (rankState.park) or ends. A matching send, a rendezvous
+// release (in arrival order), a rooted call's last writer or reader and a
+// revocation append the ranks they wake to the queue. No rank passes
+// through the Go scheduler, so a world stays on one host core, and only the
+// driver revokes for an abort, between two ranks. So a rank waits for a
+// peer only through this package's calls, never through a channel, lock or
+// WaitGroup another rank of its world releases; and a rank in real work
+// holds its world: its parked peers unwind once it returns (Run returns at
+// the watchdog). Virtual times and hooks do not depend on the run order.
 //
 // # Fault injection and fault tolerance
 //
@@ -62,18 +77,6 @@
 // tool events are identical either way, which makes the empty plan the
 // in-tree reference the virtual bodies are tested against (barrier_test.go,
 // exchange_test.go, rooted_test.go).
-//
-// A released rendezvous makes one rank runnable, not all of them: the
-// releaser owes the first parked rank a wake-up, each woken rank the next,
-// and a rank pays when it next blocks (every channel wait goes through
-// rankState.enterBlocked) or ends. So a world has one runnable rank per
-// released generation and a sweep point stays on one host core. It is live:
-// only a running rank owes, and blocking or ending pays; a
-// revoke wakes every parked rank, so a rank stuck in real work holds nobody.
-// The cost: the stretch from a release to a rank's next block, in the tree
-// hooks and a Compute charge, runs one rank at a time, and a rank must not
-// wait for a peer other than through this package's calls (no Go channel or
-// WaitGroup). Virtual times and hooks are the evaluator's, unchanged.
 //
 // Failures surface as errors, not crashes. A panic inside a rank function
 // — including an injected fail-stop — is recovered into a
@@ -120,10 +123,10 @@
 //     deadlock detector's steady-state tick reads three counters instead
 //     of walking every rank.
 //
-//   - Sessions bring ranks up lazily. With Config.Lazy the rank goroutines
-//     materialize shard by shard in the background and on demand when a
-//     message first addresses them, so start-up cost tracks the ranks
-//     actually touched, not the declared world size. Config.Active
+//   - Sessions bring ranks up lazily. With Config.Lazy the ranks
+//     materialize shard by shard, on demand when a message first addresses
+//     them and by the driver when nothing else can run, so start-up cost
+//     tracks the ranks actually touched, not the declared world size. Config.Active
 //     restricts the session to a rank subset (implying Lazy): inactive
 //     ranks never materialize, never run fn, and report zero final clocks.
 //     By contract an Active session must confine collectives — including

@@ -58,7 +58,7 @@ func (c *Comm) ExchangeGhost(ops []GhostExchange) error {
 	x.admit(c.rank, ops)
 	if last {
 		x.evaluate()
-		x.release(c)
+		x.release()
 	} else if !x.park(c, "ExchangeGhost") {
 		return c.aborted("ExchangeGhost")
 	}

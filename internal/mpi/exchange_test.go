@@ -475,7 +475,7 @@ func TestExchangeWaitersUnwindWhenARankFails(t *testing.T) {
 	pr := namedExchangeProg(8)
 	for _, mode := range []string{"error", "panic"} {
 		t.Run(mode, func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			before := liveGoroutines()
 			waiterErrs := make([]error, 8)
 			_, err := Run(ftCfg(8), func(c *Comm) error {
 				if c.Rank() == 5 {
@@ -514,7 +514,7 @@ func TestExchangeWaitersUnwindWhenARankFails(t *testing.T) {
 // the rest parked for good; the report names the operation, not a message's
 // peer and tag.
 func TestExchangeDeadlockReport(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := liveGoroutines()
 	pr := namedExchangeProg(6)
 	start := time.Now()
 	_, err := Run(dlCfg(6), func(c *Comm) error {
@@ -548,7 +548,7 @@ func TestExchangeWatchdogReleasesRendezvous(t *testing.T) {
 	pr := namedExchangeProg(4)
 	for _, mode := range []string{"stuck", "mid-flight"} {
 		t.Run(mode, func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			before := liveGoroutines()
 			cfg := testCfg(4)
 			cfg.Timeout = 100 * time.Millisecond
 			var completed [4]int
@@ -601,7 +601,7 @@ func TestExchangeUnpairedLists(t *testing.T) {
 		}, "rank 0 is left waiting for a message from rank 1 under tag 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			before := liveGoroutines()
 			errs := make([]error, 3)
 			_, err := Run(testCfg(3), func(c *Comm) error {
 				errs[c.Rank()] = c.ExchangeGhost(tc.lists[c.Rank()])

@@ -15,10 +15,9 @@ import (
 // records the failure and moves on; there is no user-level recovery API.
 //
 // The propagation mechanism is a "poison envelope": revoking a communicator
-// marks each mailbox failed and hands every parked receive a pooled
-// envelope whose fail pointer carries the reason. Receivers already own a
-// one-slot channel per posted receive, so waking them costs nothing on the
-// healthy path — the fast path pays exactly one nil check per operation
+// marks each mailbox failed and fills every posted receive with a pooled
+// envelope whose fail pointer carries the reason, waking its rank as a
+// message would — the fast path pays exactly one nil check per operation
 // (see the package doc's zero-overhead contract).
 
 // ErrRevoked is the sentinel wrapped by every operation that fails because
@@ -71,7 +70,7 @@ type poisonInfo struct {
 	deathT float64
 }
 
-// poison marks every box of the shard revoked and wakes its parked
+// poison marks every box of the shard revoked and fills its posted
 // receives with poison envelopes. Idempotent; the first reason wins.
 // Queued sends stay matchable: a message that was already delivered before
 // the failure can still be received, mirroring ULFM's completion of
@@ -83,26 +82,20 @@ func (sh *boxShard) poison(pi *poisonInfo) {
 		sh.pi = pi
 	}
 	pi = sh.pi
-	var woken []*posted
 	for i := range sh.slab {
 		b := &sh.slab[i]
 		if b.fail == nil {
 			b.fail = pi
 		}
-		if len(b.recvs) > 0 {
-			woken = append(woken, b.recvs...)
-			b.recvs = nil
+		for _, p := range b.recvs {
+			e := newEnvelope()
+			e.src = -1
+			e.fail = pi
+			p.fill(e)
 		}
+		b.recvs = nil
 	}
 	sh.mu.Unlock()
-	for _, p := range woken {
-		e := newEnvelope()
-		e.src = -1
-		e.fail = pi
-		// The one-slot channel of a still-queued posted receive is
-		// provably empty, so this never blocks.
-		p.ch <- e
-	}
 }
 
 // revoke poisons every mailbox of the communicator and wakes ranks parked
@@ -137,7 +130,7 @@ func (cs *commShared) contains(worldRank int) bool {
 
 // rankDied records a rank's death and propagates it: every communicator the
 // rank belongs to is revoked, waking all blocked peers. Called from the
-// rank goroutine's recovery path.
+// rank's recovery path.
 //
 //seclint:allocs-ok rank-failure bring-down path
 func (w *World) rankDied(rank int, re *RankError, t float64) {
@@ -185,24 +178,31 @@ func (w *World) deadRanks() []int {
 	return out
 }
 
-// abort poisons the whole run with err: every communicator is revoked and
-// every parked rank wakes with an error.
-// The deadlock detector and the Timeout watchdog are its only callers.
+// abort poisons the whole run with err: it records the reason and closes
+// aborted, on which the driver revokes the world (revokeAll). The deadlock
+// detector, the Timeout watchdog and a rank's runtime.Goexit call it.
 func (w *World) abort(err error) {
 	w.abortOnce.Do(func() {
-		pi := &poisonInfo{reason: fmt.Errorf("%w: %w", ErrRevoked, err)}
 		w.ftMu.Lock()
 		w.abortErr = err
-		if w.failPi == nil {
-			w.failPi = pi
-		}
-		comms := append([]*commShared(nil), w.comms...)
 		w.ftMu.Unlock()
 		close(w.aborted)
-		for _, cs := range comms {
-			cs.revoke(pi)
-		}
 	})
+}
+
+// revokeAll is the driver's half of abort: every communicator is revoked and
+// every parked rank wakes with an error.
+func (w *World) revokeAll() {
+	w.ftMu.Lock()
+	pi := &poisonInfo{reason: fmt.Errorf("%w: %w", ErrRevoked, w.abortErr)}
+	if w.failPi == nil {
+		w.failPi = pi
+	}
+	comms := append([]*commShared(nil), w.comms...)
+	w.ftMu.Unlock()
+	for _, cs := range comms {
+		cs.revoke(pi)
+	}
 }
 
 // abortReason reports the run-level abort error, nil while the run is

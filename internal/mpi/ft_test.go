@@ -144,16 +144,10 @@ func TestQueuedMessageSurvivesRevoke(t *testing.T) {
 			}
 			return leave
 		}
-		// Wait until the revocation has landed, then drain the queued message.
-		for {
-			time.Sleep(10 * time.Millisecond)
-			sh, box := c.shared.box(c.rank)
-			sh.mu.Lock()
-			poisoned := box.fail != nil
-			sh.mu.Unlock()
-			if poisoned {
-				break
-			}
+		// A barrier rank 0 never reaches fails once the revocation has
+		// landed; then drain the queued message.
+		if berr := c.Barrier(); !errors.Is(berr, ErrRevoked) {
+			t.Errorf("Barrier = %v, want ErrRevoked", berr)
 		}
 		data, st, rerr := c.Recv(0, 5)
 		if rerr != nil {

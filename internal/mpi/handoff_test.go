@@ -5,15 +5,19 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/machine"
 )
 
-// A released rendezvous wakes one rank, which owes the next parked rank its
-// wake-up until it next blocks or ends (rendezvous.go). These cases block
-// right after a rendezvous on something a rank later in that chain does after
-// its own release: a rank that kept its hand-off through any of them would
-// leave the world hung.
+// A world runs one rank at a time: a rendezvous release, a message, a rooted
+// call's last writer or reader puts the ranks it makes runnable on the
+// world's run queue, and its driver resumes them in turn (sched.go). These
+// cases block right after a rendezvous on something a rank later in that
+// queue does after its own release: a wake that went missing at any of them
+// would leave the world hung.
 
 // Where a rank blocks after a rendezvous (blockAfter).
 const (
@@ -87,8 +91,8 @@ func blockAfter(on *Comm, kind int) error {
 
 // TestHandOffPassesAtEveryBlock: ranks released by a Barrier or an
 // ExchangeGhost block at once at each site, and the world completes; ranks
-// that return, err or panic right after one end with the hand-off passed.
-// Each world runs under a 2 s deadline, detector armed and not.
+// that return, err or panic right after one let the rest run on. Each world
+// runs under a 2 s deadline, detector armed and not.
 func TestHandOffPassesAtEveryBlock(t *testing.T) {
 	const p, rounds = 16, 8
 	boom := errors.New("boom")
@@ -137,7 +141,7 @@ func TestHandOffPassesAtEveryBlock(t *testing.T) {
 		for _, meet := range []string{"Barrier", "ExchangeGhost"} {
 			for _, detect := range []bool{true, false} {
 				t.Run(fmt.Sprintf("%s/after=%s/detector=%t", s.name, meet, detect), func(t *testing.T) {
-					before := runtime.NumGoroutine()
+					before := liveGoroutines()
 					cfg := testCfg(p)
 					cfg.Timeout = 2 * time.Second
 					if detect {
@@ -165,13 +169,13 @@ func TestHandOffPassesAtEveryBlock(t *testing.T) {
 	}
 }
 
-// TestWatchdogWakesHandOffChain: the rank that releases a Barrier, and so owes
-// the first waiter its wake-up, is then stuck in work past the watchdog. The
-// revoke still reaches every waiter of the released generation, and they
-// unwind while it is stuck.
-func TestWatchdogWakesHandOffChain(t *testing.T) {
+// TestWatchdogReturnsWhileARankWorks: the rank that releases a Barrier is
+// then stuck in real work past the watchdog. It holds its world: Run returns
+// with the watchdog's error while it works, and once it returns, its peers
+// unwind and nothing is left running.
+func TestWatchdogReturnsWhileARankWorks(t *testing.T) {
 	const p = 8
-	before := runtime.NumGoroutine()
+	before := liveGoroutines()
 	cfg := testCfg(p)
 	cfg.Timeout = 100 * time.Millisecond
 	hold := make(chan struct{})
@@ -180,19 +184,12 @@ func TestWatchdogWakesHandOffChain(t *testing.T) {
 		noStragglers(t, before)
 	}()
 	_, err := Run(cfg, func(c *Comm) error {
-		if c.Rank() == 0 {
-			// Arrive last, so this rank releases the generation.
-			b := &c.shared.barrier
-			for arrived := 0; arrived < p-1; time.Sleep(time.Millisecond) {
-				b.mu.Lock()
-				arrived = b.arrived
-				b.mu.Unlock()
-			}
-		}
 		if err := c.Barrier(); err != nil {
 			return err
 		}
-		if c.Rank() == 0 {
+		if c.Rank() == p-1 {
+			// The last arriver released the generation; its peers are
+			// queued behind it.
 			<-hold // work that outlasts the watchdog
 			return nil
 		}
@@ -201,6 +198,132 @@ func TestWatchdogWakesHandOffChain(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "watchdog") {
 		t.Fatalf("err = %v, want the watchdog's abort", err)
 	}
-	// Left running: rank 0 and Run's wait for it.
-	noStragglers(t, before+2)
+}
+
+// oneAtATime is a tool whose every hook yields the processor between
+// counting itself in and out: two ranks of a world running at once would,
+// under some schedule, meet inside it.
+type oneAtATime struct {
+	BaseTool
+	inFlight, overlaps atomic.Int32
+}
+
+func (o *oneAtATime) hook() {
+	if o.inFlight.Add(1) > 1 {
+		o.overlaps.Add(1)
+	}
+	runtime.Gosched()
+	o.inFlight.Add(-1)
+}
+
+func (o *oneAtATime) SectionEnter(*Comm, string, float64, *ToolData)       { o.hook() }
+func (o *oneAtATime) SectionLeave(*Comm, string, float64, *ToolData)       { o.hook() }
+func (o *oneAtATime) MessageSent(*Comm, int, int, int, float64)            { o.hook() }
+func (o *oneAtATime) MessageRecv(*Comm, int, int, int, float64, MatchInfo) { o.hook() }
+func (o *oneAtATime) CollectiveBegin(*Comm, string, float64)               { o.hook() }
+func (o *oneAtATime) CollectiveEnd(*Comm, string, float64)                 { o.hook() }
+
+// TestWorldRunsOneRankAtATime: at every blocking site, after a Barrier and
+// after an ExchangeGhost, eager and lazy, detector armed and not, no two
+// ranks of a world are ever inside a hook at once. The lazy world spans two
+// shards, so the second comes up through a nudge or the driver.
+func TestWorldRunsOneRankAtATime(t *testing.T) {
+	const p, rounds = shardSize + 16, 4
+	meets := map[string]func(c *Comm) error{
+		"Barrier":       (*Comm).Barrier,
+		"ExchangeGhost": chainExchange,
+	}
+	for kind := 0; kind < numBlocks; kind++ {
+		for _, meet := range []string{"Barrier", "ExchangeGhost"} {
+			for _, lazy := range []bool{false, true} {
+				for _, detect := range []bool{false, true} {
+					name := fmt.Sprintf("%s/after=%s/lazy=%t/detector=%t", blockNames[kind], meet, lazy, detect)
+					t.Run(name, func(t *testing.T) {
+						tool := &oneAtATime{}
+						cfg := testCfg(p)
+						cfg.Tools = []Tool{tool}
+						cfg.Lazy = lazy
+						cfg.Timeout = 10 * time.Second
+						if detect {
+							cfg.Deadline = 10 * time.Second
+						}
+						_, err := Run(cfg, func(c *Comm) error {
+							for i := 0; i < rounds; i++ {
+								if err := c.Section("ROUND", func() error { return meets[meet](c) }); err != nil {
+									return err
+								}
+								if err := blockAfter(c, kind); err != nil {
+									return err
+								}
+							}
+							return nil
+						})
+						if n := tool.overlaps.Load(); n > 0 {
+							t.Errorf("%d hooks ran while another rank's was in flight", n)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestRankCoroutinesArePooled: once warm, a world takes its ranks'
+// coroutines from the pool and gives them back, so a p = 256 Run makes no
+// new ones and allocates no more than it did when each rank was a goroutine
+// of its own: 1,053 allocations, measured on that runtime with this test's
+// body.
+func TestRankCoroutinesArePooled(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates shadow memory; alloc counts are meaningless")
+	}
+	const p, goroutineRuntime = 256, 1053
+	cfg := Config{Ranks: p, Model: machine.Ideal(p, 1), Seed: 1, Timeout: time.Minute}
+	run := func() {
+		if _, err := Run(cfg, func(c *Comm) error { return c.Barrier() }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	pooled := PooledRankGoroutines()
+	if pooled < p {
+		t.Fatalf("%d coroutines pooled after a %d-rank run", pooled, p)
+	}
+	if avg := testing.AllocsPerRun(20, run); avg > goroutineRuntime {
+		t.Errorf("warm %d-rank Run: %v allocs, want <= %d", p, avg, goroutineRuntime)
+	}
+	if now := PooledRankGoroutines(); now != pooled {
+		t.Errorf("pool went from %d to %d coroutines across warm runs", pooled, now)
+	}
+}
+
+// TestRankGoexitEndsTheWorld: ranks that leave through runtime.Goexit (a
+// t.FailNow in a rank function) unwind their world's driver; a new driver
+// aborts the world, so the parked ranks unwind and Run returns. The second
+// exit comes while the first one's world is being drained.
+func TestRankGoexitEndsTheWorld(t *testing.T) {
+	before := liveGoroutines()
+	cfg := testCfg(4)
+	cfg.Timeout = time.Minute
+	start := time.Now()
+	_, err := Run(cfg, func(c *Comm) error {
+		if c.Rank() == 1 {
+			runtime.Goexit()
+		}
+		err := c.Barrier()
+		if c.Rank() == 2 {
+			runtime.Goexit()
+		}
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "Goexit") || !errors.Is(err, ErrRevoked) {
+		t.Fatalf("err = %v, want the Goexit abort and revoked waiters", err)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Errorf("Run took %v, want it to return without the watchdog", elapsed)
+	}
+	noStragglers(t, before)
 }

@@ -69,11 +69,30 @@ func (e *envelope) takePayload() []byte {
 	return b
 }
 
-// posted is an outstanding receive. The one-slot channel is reused across
-// operations through the rank's own slot and postedFree (bufpool.go).
+// posted is an outstanding receive, reused across operations through the
+// rank's own slot and postedFree (bufpool.go). env is its match, once
+// there; rs the rank parked waiting for it, if any.
 type posted struct {
 	src, tag int
-	ch       chan *envelope
+	env      *envelope
+	rs       *rankState
+}
+
+// fill hands p its match and wakes the rank waiting for it.
+func (p *posted) fill(e *envelope) {
+	p.env = e
+	if p.rs != nil {
+		p.rs.wake()
+	}
+}
+
+// await parks the rank in op until p is matched and returns the match.
+func (c *Comm) await(p *posted, op string, peer, tag int) *envelope {
+	if p.env == nil {
+		p.rs = c.rs
+		c.rs.park(c, op, peer, tag)
+	}
+	return p.env
 }
 
 func (p *posted) matches(e *envelope) bool {
@@ -142,7 +161,7 @@ func (sh *boxShard) deliver(b *mailbox, e *envelope) *poisonInfo {
 		if p.matches(e) {
 			b.recvs = append(b.recvs[:i], b.recvs[i+1:]...)
 			sh.mu.Unlock()
-			p.ch <- e
+			p.fill(e)
 			return nil
 		}
 	}
@@ -153,7 +172,7 @@ func (sh *boxShard) deliver(b *mailbox, e *envelope) *poisonInfo {
 
 // post matches a receive against queued sends or registers it. It returns
 // either an immediately matched envelope or nil, in which case the caller
-// waits on p.ch. On a poisoned box with no queued match it returns a
+// awaits p. On a poisoned box with no queued match it returns a
 // poison envelope instead of parking the receive forever.
 func (sh *boxShard) post(b *mailbox, p *posted) *envelope {
 	sh.mu.Lock()
@@ -345,7 +364,7 @@ func (c *Comm) Irecv(src, tag int) (*Request, error) {
 	if e := sh.post(box, p); e != nil {
 		req.env = e
 		req.pending = nil
-		c.rs.freePosted(p) // never waited on: channel untouched
+		c.rs.freePosted(p)
 	}
 	return req, nil
 }
@@ -366,9 +385,7 @@ func (c *Comm) recvEnvelope(src, tag, hookTag int) (*envelope, error) {
 	sh, box := c.shared.box(c.rank)
 	e := sh.post(box, p)
 	if e == nil {
-		c.rs.enterBlocked(c, "Recv", src, hookTag)
-		e = <-p.ch
-		c.rs.exitBlocked()
+		e = c.await(p, "Recv", src, hookTag)
 	}
 	c.rs.freePosted(p)
 	if e.fail != nil {
@@ -434,9 +451,7 @@ func (r *Request) Wait() ([]byte, Status, error) {
 	c := r.comm
 	e := r.env
 	if e == nil {
-		c.rs.enterBlocked(c, "Wait", r.src, r.pending.tag)
-		e = <-r.pending.ch
-		c.rs.exitBlocked()
+		e = c.await(r.pending, "Wait", r.src, r.pending.tag)
 		c.rs.freePosted(r.pending)
 		r.pending = nil
 	}

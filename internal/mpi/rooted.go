@@ -12,8 +12,8 @@ import (
 // nil lists. As in MPI, the call's messages match only its own receives,
 // whatever point-to-point traffic shares the tag. The root waits for nobody:
 // it stamps each message into its destination's slot on the communicator
-// and closes the one channel the receivers wait on. Under an armed fault
-// plan the loop is the body (package doc, "Literal messages under a plan").
+// and wakes the receivers waiting for it. Under an armed fault plan the
+// loop is the body (package doc, "Literal messages under a plan").
 //
 //seclint:hotpath
 func (c *Comm) ScatterGhost(root, tag int, dsts, nbytes, vbytes []int) error {
@@ -55,8 +55,8 @@ func (c *Comm) ScatterGhost(root, tag int, dsts, nbytes, vbytes []int) error {
 // rank's SendGhost(root, tag, nbytes, vbytes) and root's RecvDiscard(r, tag)
 // for each other rank r in ascending order; root's own sizes are ignored.
 // Its messages are its own, as for ScatterGhost. A sender waits for nobody:
-// it stamps its message into its slot, and the last one closes the channel
-// root waits on. Under an armed fault plan the loop is the body.
+// it stamps its message into its slot, and the last one wakes root. Under
+// an armed fault plan the loop is the body.
 //
 //seclint:hotpath
 func (c *Comm) GatherGhost(root, tag, nbytes, vbytes int) error {
@@ -133,10 +133,11 @@ type rootedState struct {
 	mu    sync.Mutex
 	slots []rootedSlot // by comm rank
 	ord   uint64       // 0 before the first call
-	// Generation ord's writers still to write (the last closes filled) and
-	// readers still to read (the last closes drained, if anyone waits on it).
+	// Generation ord's writers still to write (the last wakes the readers
+	// parked in filling) and readers still to read (the last wakes the next
+	// generation's ranks parked in draining).
 	unwritten, unread int
-	filled, drained   chan struct{}
+	filling, draining rankQueue
 	aborted           bool
 	seen              []uint32 // checkFanOut's marks, touched only by the root
 	checks            uint32
@@ -180,23 +181,19 @@ func (st *rootedState) checkFanOut(p, root int, dsts, nbytes, vbytes []int) erro
 // enter brings the state to generation k, opening it with its writer and
 // reader counts once generation k-1 is read, and waiting for that.
 //
-//seclint:allocs-ok the communicator's first call allocates its slots; a generation its channel, and a rank waiting for it the drain channel
+//seclint:allocs-ok the communicator's first call allocates its slots
 func (st *rootedState) enter(c *Comm, op string, root, tag int, k uint64, writers, readers int) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for !st.aborted && st.ord != k {
 		if st.unread > 0 {
-			if st.drained == nil {
-				st.drained = make(chan struct{})
-			}
-			st.wait(c, st.drained, op, root, tag)
+			st.wait(c, &st.draining, op, root, tag)
 			continue
 		}
 		if st.slots == nil {
 			st.slots = make([]rootedSlot, c.Size())
 		}
 		st.ord, st.unwritten, st.unread = k, writers, readers
-		st.filled = make(chan struct{})
 	}
 	if st.aborted {
 		return c.aborted(op)
@@ -204,21 +201,20 @@ func (st *rootedState) enter(c *Comm, op string, root, tag int, k uint64, writer
 	return nil
 }
 
-// wait drops the lock, parks on ch — published to the deadlock detector as
-// blocked in op on root — and takes the lock again.
-func (st *rootedState) wait(c *Comm, ch chan struct{}, op string, root, tag int) {
-	c.rs.enterBlocked(c, op, root, tag)
+// wait queues the rank on q, drops the lock, parks — published to the
+// deadlock detector as blocked in op on root — and takes the lock again.
+func (st *rootedState) wait(c *Comm, q *rankQueue, op string, root, tag int) {
+	q.push(c.rs)
 	st.mu.Unlock()
-	<-ch
-	c.rs.exitBlocked()
+	c.rs.park(c, op, root, tag)
 	st.mu.Lock()
 }
 
 // wrote counts a writer done.
 func (st *rootedState) wrote() {
 	st.mu.Lock()
-	if st.unwritten--; st.unwritten == 0 && !st.aborted {
-		close(st.filled)
+	if st.unwritten--; st.unwritten == 0 {
+		st.filling.wakeAll()
 	}
 	st.mu.Unlock()
 }
@@ -227,8 +223,8 @@ func (st *rootedState) wrote() {
 // receives in the loop's order, each posted at its clock, and counts it done.
 func (st *rootedState) receive(c *Comm, op string, root, tag int) error {
 	st.mu.Lock()
-	if st.unwritten > 0 {
-		st.wait(c, st.filled, op, root, tag)
+	if st.unwritten > 0 && !st.aborted {
+		st.wait(c, &st.filling, op, root, tag)
 	}
 	filled := st.unwritten == 0
 	st.mu.Unlock()
@@ -245,9 +241,8 @@ func (st *rootedState) receive(c *Comm, op string, root, tag int) error {
 		}
 	}
 	st.mu.Lock()
-	if st.unread--; st.unread == 0 && st.drained != nil {
-		close(st.drained)
-		st.drained = nil
+	if st.unread--; st.unread == 0 {
+		st.draining.wakeAll()
 	}
 	st.mu.Unlock()
 	return nil
@@ -257,12 +252,7 @@ func (st *rootedState) receive(c *Comm, op string, root, tag int) error {
 func (st *rootedState) abort() {
 	st.mu.Lock()
 	st.aborted = true
-	if st.unwritten > 0 {
-		close(st.filled)
-	}
-	if st.drained != nil {
-		close(st.drained)
-		st.drained = nil
-	}
+	st.filling.wakeAll()
+	st.draining.wakeAll()
 	st.mu.Unlock()
 }

@@ -187,7 +187,7 @@ func TestRootedWaitersUnwindWhenARankFails(t *testing.T) {
 	for _, op := range []string{"ScatterGhost", "GatherGhost"} {
 		for _, mode := range []string{"error", "panic"} {
 			t.Run(op+"/"+mode, func(t *testing.T) {
-				before := runtime.NumGoroutine()
+				before := liveGoroutines()
 				errs := make([]error, 8)
 				_, err := Run(ftCfg(8), func(c *Comm) error {
 					if c.Rank() == 5 {
@@ -256,7 +256,7 @@ func TestRootedDeadlockReport(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			before := liveGoroutines()
 			start := time.Now()
 			_, err := Run(dlCfg(6), func(c *Comm) error {
 				c.SectionEnter("ROOTED")
@@ -290,7 +290,7 @@ func TestRootedWatchdogReleasesWaiters(t *testing.T) {
 	for _, op := range []string{"ScatterGhost", "GatherGhost"} {
 		for _, mode := range []string{"stuck", "mid-flight"} {
 			t.Run(op+"/"+mode, func(t *testing.T) {
-				before := runtime.NumGoroutine()
+				before := liveGoroutines()
 				cfg := testCfg(4)
 				cfg.Timeout = 100 * time.Millisecond
 				var completed [4]int

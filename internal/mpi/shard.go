@@ -10,15 +10,14 @@ import (
 )
 
 // Sharded rank state. Per-rank runtime context lives in fixed-size shard
-// slabs instead of one flat array of pointers: a shard's slab (and the rank
-// goroutines it backs) is materialized on first touch — by the background
-// spawner of a lazy run, or by the first message addressed into the shard —
-// so a 10,000-rank world does not pay 10,000 allocations and goroutine
-// launches before the first byte moves. Each shard also carries a virtual-
-// clock frontier, a lock-free high-water mark its ranks publish at
-// communication points; cross-shard time observation (live gauges, the
-// run report) folds the per-shard frontiers instead of taking any global
-// lock.
+// slabs instead of one flat array of pointers: a shard's slab (and the ranks
+// it queues to run) is materialized on first touch — by the first message
+// addressed into the shard, or by a lazy world's driver when no rank can
+// run — so a 10,000-rank world does not pay 10,000 allocations before the
+// first byte moves. Each shard also carries a virtual-clock frontier, a
+// lock-free high-water mark its ranks publish at communication points;
+// cross-shard time observation (live gauges, the run report) folds the
+// per-shard frontiers instead of taking any global lock.
 
 const (
 	// shardBits sets the shard granularity: 1<<shardBits ranks per shard.
@@ -39,30 +38,21 @@ type rankShard struct {
 	n  int // ranks covered (the last shard may be partial)
 
 	mu    sync.Mutex
-	ready atomic.Bool // states materialized and goroutines launched
-	// spawned counts the active ranks this shard launched (gauge input).
-	spawned int
+	ready atomic.Bool // states materialized and ranks queued to run
 
 	states []rankState
 	blks   []blockedInfo // deadlock-detector slots; nil unless armed
 
 	// frontier is the shard's virtual-clock high-water mark, float64 bits.
 	// Ranks publish lazily at communication points (completeRecv) and at
-	// finish; non-negative clocks make the bit pattern order-preserving,
-	// but noteClock compares as float64 anyway.
+	// finish; one rank of the world runs at a time, so it has one writer.
 	frontier atomic.Uint64
 }
 
 // noteClock raises the shard frontier to at least t.
 func (sh *rankShard) noteClock(t float64) {
-	for {
-		cur := sh.frontier.Load()
-		if math.Float64frombits(cur) >= t {
-			return
-		}
-		if sh.frontier.CompareAndSwap(cur, math.Float64bits(t)) {
-			return
-		}
+	if math.Float64frombits(sh.frontier.Load()) < t {
+		sh.frontier.Store(math.Float64bits(t))
 	}
 }
 
@@ -77,10 +67,9 @@ func (w *World) isActive(rank int) bool {
 	return w.active == nil || w.active(rank)
 }
 
-// ensureShard materializes the shard's state slab and launches the rank
-// goroutines of its active ranks. Idempotent and safe from any goroutine;
-// the double-checked ready flag keeps the post-materialization cost at one
-// atomic load.
+// ensureShard materializes the shard's state slab and queues its active ranks
+// to run. Idempotent; the double-checked ready flag keeps the
+// post-materialization cost at one atomic load.
 //
 //seclint:allocs-ok lazy shard bring-up: once per shard, amortized across the session
 func (w *World) ensureShard(sh *rankShard) {
@@ -122,23 +111,17 @@ func (w *World) ensureShard(sh *rankShard) {
 			}
 		}
 		spawned++
+		w.runq.push(rs)
 	}
-	sh.spawned = spawned
 	sh.ready.Store(true)
 	sh.mu.Unlock()
 	w.materialized.Add(int64(spawned))
-	for i := range sh.states {
-		rs := &sh.states[i]
-		if rs.rng == nil {
-			continue // inactive
-		}
-		go w.rankMain(rs)
-	}
+	w.running += spawned
 }
 
 // nudge materializes the shard of a world rank a message was just delivered
 // to — the communication-driven half of lazy bring-up. Only called on lazy
-// runs; the background spawner covers shards nobody sends to.
+// runs; the driver brings up the shards nobody sends to.
 func (w *World) nudge(worldRank int) {
 	sh := w.shardOf(worldRank)
 	if !sh.ready.Load() {
@@ -146,27 +129,11 @@ func (w *World) nudge(worldRank int) {
 	}
 }
 
-// spawnAll is the lazy run's background spawner: it walks the shards in
-// order so every active rank's goroutine eventually launches even if no
-// message ever targets its shard. Demand nudges from senders overtake it
-// for communication-hot shards.
-func (w *World) spawnAll() {
-	for s := range w.shards {
-		select {
-		case <-w.aborted:
-			return
-		default:
-		}
-		w.ensureShard(&w.shards[s])
-	}
-}
-
-// rankMain is one rank goroutine: the MPI_MAIN-wrapped execution of the
-// run's rank function, with panic recovery and death propagation.
+// rankMain is one rank: the MPI_MAIN-wrapped execution of the run's rank
+// function, with panic recovery and death propagation.
 //
-//seclint:allocs-ok rank goroutine prologue and epilogue: once per rank, not per op
+//seclint:allocs-ok rank prologue and epilogue: once per rank, not per op
 func (w *World) rankMain(rs *rankState) {
-	defer w.wg.Done()
 	rank := rs.id
 	comm := &Comm{shared: w.worldComm, rank: rank, rs: rs}
 	defer func() {
@@ -186,6 +153,7 @@ func (w *World) rankMain(rs *rankState) {
 		t := rs.now()
 		w.finals[rank] = t
 		rs.shard.noteClock(t)
+		w.running--
 	}()
 	comm.SectionEnter(MainSection)
 	err := w.runFn(comm)
@@ -213,7 +181,7 @@ func (s *RuntimeStats) DeclaredRanks() int { return s.w.cfg.Ranks }
 func (s *RuntimeStats) ActiveRanks() int { return s.w.activeCount }
 
 // MaterializedRanks reports how many active ranks have had their state
-// materialized and goroutine launched so far. On a lazy run it climbs from
+// materialized and been queued to run so far. On a lazy run it climbs from
 // 0 as shards spin up; on an eager run it equals ActiveRanks from the
 // start.
 func (s *RuntimeStats) MaterializedRanks() int { return int(s.w.materialized.Load()) }

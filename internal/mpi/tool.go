@@ -50,13 +50,13 @@ type MatchInfo struct {
 // Tool is the PMPI-analogue interception interface. A profiling or tracing
 // tool implements it (usually by embedding BaseTool) and is attached via
 // Config.Tools; the runtime then invokes the hooks inline. Implementations
-// must be safe for concurrent use — events arrive from every rank — but the
-// hooks of one rank r are sequential, in r's program order and ordered
-// before r's next instruction: state a tool keeps per rank needs no lock.
-// They usually run on r's goroutine, not always: the message events of a
-// Barrier and of an ExchangeGhost fire on the goroutine of the
-// communicator's last arriver while r is parked, with r's clock already at
-// the event's time.
+// must be safe for concurrent use — events arrive from every rank, and
+// worlds run side by side — but the hooks of one rank r are sequential, in
+// r's program order and ordered before r's next instruction: state a tool
+// keeps per rank needs no lock. They usually run while r runs, not always:
+// the message events of a Barrier and of an ExchangeGhost fire while the
+// communicator's last arriver runs and r is parked, with r's clock already
+// at the event's time.
 //
 // SectionEnter/SectionLeave mirror MPIX_Section_enter_cb and
 // MPIX_Section_leave_cb from the paper: they receive the communicator, the

@@ -36,7 +36,8 @@ type Config struct {
 	// Timeout aborts the run if the ranks do not finish within this real
 	// duration (0 means no watchdog). Intended for tests: a deadlocked
 	// topology otherwise hangs the process. When it fires, the run is
-	// revoked so blocked rank goroutines unwind instead of leaking.
+	// revoked so parked ranks unwind; a rank stuck in real work holds its
+	// world, and Run returns without it.
 	Timeout time.Duration
 	// Fault attaches a deterministic fault-injection plan (nil = no
 	// faults). The runtime consults it on section entry and the
@@ -48,10 +49,10 @@ type Config struct {
 	// with a DeadlockError listing each rank's parked operation. 0
 	// disables detection (and its per-rank bookkeeping entirely).
 	Deadline time.Duration
-	// Lazy enables session-style rank bring-up: rank state and goroutines
-	// are materialized shard by shard — by a background spawner and on
-	// demand when a message first targets a shard — instead of all at
-	// Run(). Virtual times, CSVs and tool hooks are identical to an eager
+	// Lazy enables session-style rank bring-up: rank state is materialized
+	// shard by shard — when a message first targets a shard, and by the
+	// world's driver whenever no materialized rank can run — instead of all
+	// at Run(). Virtual times, CSVs and tool hooks are identical to an eager
 	// run; only real-time bring-up order changes. Huge worlds start
 	// producing traffic while most of their ranks are still unmaterialized.
 	Lazy bool
@@ -115,10 +116,18 @@ type World struct {
 	activeCount  int            // ranks the session runs fn on
 	runFn        func(*Comm) error
 	worldComm    *commShared
-	errs         []error   // per-world-rank errors, written by rankMain
-	finals       []float64 // per-world-rank final clocks
-	wg           sync.WaitGroup
+	errs         []error      // per-world-rank errors, written by rankMain
+	finals       []float64    // per-world-rank final clocks
 	materialized atomic.Int64 // active ranks brought up so far
+
+	// The driver's state (sched.go): the run queue, the materialized ranks
+	// not yet ended, a lazy world's next shard, the idle coroutines, and
+	// done, closed once every rank ended.
+	runq      rankQueue
+	running   int
+	nextShard int
+	idle      coChain
+	done      chan struct{}
 
 	sectionErrMu sync.Mutex
 	sectionErrs  []error
@@ -154,7 +163,7 @@ type World struct {
 	blockedRanks atomic.Int64
 }
 
-// rankState is the per-rank mutable context, touched only by its goroutine.
+// rankState is the per-rank mutable context, touched only while it runs.
 // States live in shard slabs (shard.go); rng == nil marks a rank outside
 // the session, whose state exists but never runs.
 type rankState struct {
@@ -166,7 +175,7 @@ type rankState struct {
 
 	// Scratch buffers for the typed send path and the tree collectives.
 	// They are per-rank (hence shared by every communicator of the rank,
-	// which is safe: one goroutine drives a rank, and collectives do not
+	// which is safe: a rank runs one call at a time, and collectives do not
 	// nest), grow to the high-water mark of the run, and keep the steady
 	// state of Reduce/Allreduce and SendFloat64s allocation-free.
 	encScratch []byte    // wire encoding for typed sends
@@ -177,7 +186,9 @@ type rankState struct {
 	envs   *envelope
 	nenv   int
 	posted *posted
-	wk     *waker // where it parks in a rendezvous; nil until its first
+	// Its coroutine, and its link in the run queue or a wait queue.
+	co   *rankCo
+	next *rankState
 
 	// Deadlock detection (nil unless Config.Deadline > 0).
 	blk *blockedInfo
@@ -212,7 +223,7 @@ func (r *rankState) advanceTo(t float64) {
 // Init and left in Finalize, as the paper specifies.
 const MainSection = "MPI_MAIN"
 
-// Run executes fn on cfg.Ranks rank goroutines and blocks until every rank
+// Run executes fn on cfg.Ranks ranks and blocks until every rank
 // returns. The *Comm passed to fn is that rank's handle on MPI_COMM_WORLD,
 // already inside the implicit MPI_MAIN section. Rank errors are aggregated;
 // section-invariant violations (when enabled) are reported after the run.
@@ -289,42 +300,33 @@ func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
 
 	w.errs = make([]error, c.Ranks)
 	w.finals = make([]float64, c.Ranks)
-	done := make(chan struct{})
-	w.wg.Add(w.activeCount)
-	if w.lazy {
-		// Session bring-up: a background spawner walks the shards in order
-		// while senders demand-materialize the shards they first target.
-		go w.spawnAll()
-	} else {
+	w.done = make(chan struct{})
+	if !w.lazy {
 		for s := range w.shards {
 			w.ensureShard(&w.shards[s])
 		}
 	}
-	go func() {
-		w.wg.Wait()
-		close(done)
-	}()
+	go w.drive()
 	if det != nil {
 		go det.run()
 		defer det.stop()
 	}
 	if c.Timeout > 0 {
 		select {
-		case <-done:
+		case <-w.done:
 		case <-time.After(c.Timeout):
-			// Revoke the run so blocked rank goroutines unwind instead
-			// of leaking, then give them a grace period. Ranks stuck in
-			// real (non-runtime) work cannot be saved; preserve the old
-			// leak-and-return behavior for them.
+			// Revoke the run so parked ranks unwind instead of leaking,
+			// then give them a grace period. A rank stuck in real
+			// (non-runtime) work holds its world: leak it and return.
 			w.abort(fmt.Errorf("mpi: run exceeded %v watchdog (deadlock?)", c.Timeout))
 			select {
-			case <-done:
+			case <-w.done:
 			case <-time.After(2 * time.Second):
 				return nil, w.abortReason()
 			}
 		}
 	} else {
-		<-done
+		<-w.done
 	}
 
 	// Every rank is done: the communicators' exchange slabs go to the next

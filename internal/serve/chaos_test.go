@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/mpi"
 )
 
 // TestChaosStorm is the in-repo chaos acceptance check: ≥200 concurrent
@@ -23,8 +25,8 @@ func TestChaosStorm(t *testing.T) {
 		t.Skip("storm is not short")
 	}
 	// Let in-flight simulations from earlier tests unwind before counting.
-	settleGoroutines(t, runtime.NumGoroutine()+64)
-	baseline := runtime.NumGoroutine()
+	settleGoroutines(t, liveGoroutines()+64)
+	baseline := liveGoroutines()
 
 	cacheDir := t.TempDir()
 	s := NewService(Options{
@@ -161,20 +163,24 @@ func TestChaosStorm(t *testing.T) {
 	}
 }
 
-// settleGoroutines waits for the runtime's goroutine count to fall to the
-// bound; it fails the test if it never does.
+// liveGoroutines counts the goroutines that are not idle rank coroutines,
+// which the MPI runtime keeps for the next run.
+func liveGoroutines() int { return runtime.NumGoroutine() - mpi.PooledRankGoroutines() }
+
+// settleGoroutines waits for the live goroutine count to fall to the bound;
+// it fails the test if it never does.
 func settleGoroutines(t *testing.T, bound int) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if n := runtime.NumGoroutine(); n <= bound {
+		if n := liveGoroutines(); n <= bound {
 			return
 		}
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
 			n := runtime.Stack(buf, true)
 			t.Fatalf("goroutines did not settle below %d (now %d)\n%s",
-				bound, runtime.NumGoroutine(), buf[:n])
+				bound, liveGoroutines(), buf[:n])
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -82,7 +82,8 @@
 // (unknown job, served from the cache, no run yet, executed unobserved),
 // the 503 while the recording is empty, the headers and the index page are
 // derived from it. /metrics is an ordered list of sources
-// (Service.metricsSources): secmon_up, serve_*, then for the selected job
+// (Service.metricsSources): secmon_up and mpi_pooled_rank_coroutines,
+// serve_*, then for the selected job
 // the rank gauges, the recorder's families, the verifier's, the
 // telemetry's and the POP gauges. Every family is written through
 // internal/promtext. Rows and sources are written once, against the attempt

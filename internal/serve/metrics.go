@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/export"
+	"repro/internal/mpi"
 	"repro/internal/pop"
 	"repro/internal/promtext"
 	"repro/internal/telemetry"
@@ -124,6 +125,7 @@ func (s *Service) metricsSources(v *jobView) []func(io.Writer) error {
 		func(w io.Writer) error {
 			pw := promtext.New(w, promtext.Shortest)
 			pw.IntFamily("secmon_up", "gauge", "Monitor process liveness.", 1)
+			pw.IntFamily("mpi_pooled_rank_coroutines", "gauge", "Idle rank coroutines the runtime keeps for the next run.", int64(mpi.PooledRankGoroutines()))
 			return pw.Flush()
 		},
 		s.WritePrometheus,
