@@ -171,16 +171,23 @@ func (m *Model) SerialComputeTime(w Work) float64 {
 	return m.ComputeTime(w, 1, 1)
 }
 
+// NoiseMemo is the last Poisson mean a stream's NoiseSample drew a count
+// for, and its e^(−mean): a rank charging the same work step after step
+// computes the exponential once. The zero value is empty.
+type NoiseMemo struct{ mean, l float64 }
+
 // NoiseSample returns the OS-noise detour accumulated during d seconds of
-// computation, drawn from rng. It is 0 when the model has no noise or d <= 0.
-func (m *Model) NoiseSample(d float64, rng *stats.RNG) float64 {
-	if d <= 0 || m.Noise.EventRate <= 0 || m.Noise.MeanDuration <= 0 {
+// computation, drawn from rng; memo belongs to rng's owner. It is 0, and
+// draws nothing, when the model has no noise or d is not positive (NaN
+// included).
+func (m *Model) NoiseSample(d float64, rng *stats.RNG, memo *NoiseMemo) float64 {
+	if !(d > 0) || m.Noise.EventRate <= 0 || m.Noise.MeanDuration <= 0 {
 		return 0
 	}
 	// Expected number of events in d seconds of compute; sample a Poisson
 	// count via inversion for small means, normal approximation otherwise.
 	mean := m.Noise.EventRate * d
-	n := poisson(mean, rng)
+	n := poisson(mean, rng, memo)
 	var total float64
 	for i := 0; i < n; i++ {
 		total += rng.Exp(1 / m.Noise.MeanDuration)
@@ -189,8 +196,8 @@ func (m *Model) NoiseSample(d float64, rng *stats.RNG) float64 {
 }
 
 // poisson draws a Poisson(mean) sample.
-func poisson(mean float64, rng *stats.RNG) int {
-	if mean <= 0 {
+func poisson(mean float64, rng *stats.RNG, memo *NoiseMemo) int {
+	if !(mean > 0) {
 		return 0
 	}
 	if mean > 30 {
@@ -201,7 +208,10 @@ func poisson(mean float64, rng *stats.RNG) int {
 		}
 		return int(v + 0.5)
 	}
-	l := math.Exp(-mean)
+	if mean != memo.mean {
+		memo.mean, memo.l = mean, math.Exp(-mean)
+	}
+	l := memo.l
 	k, p := 0, 1.0
 	for {
 		p *= rng.Float64()

@@ -130,14 +130,15 @@ func TestComputeTimeMonotoneInThreads(t *testing.T) {
 func TestNoiseSampleZeroWhenDisabled(t *testing.T) {
 	m := Ideal(1, 1)
 	rng := stats.NewRNG(1)
-	if got := m.NoiseSample(10, rng); got != 0 {
+	var memo NoiseMemo
+	if got := m.NoiseSample(10, rng, &memo); got != 0 {
 		t.Errorf("noise on ideal machine = %g", got)
 	}
 	n := NehalemCluster()
-	if got := n.NoiseSample(0, rng); got != 0 {
+	if got := n.NoiseSample(0, rng, &memo); got != 0 {
 		t.Errorf("noise for zero duration = %g", got)
 	}
-	if got := n.NoiseSample(-1, rng); got != 0 {
+	if got := n.NoiseSample(-1, rng, &memo); got != 0 {
 		t.Errorf("noise for negative duration = %g", got)
 	}
 }
@@ -146,9 +147,10 @@ func TestNoiseSampleMean(t *testing.T) {
 	m := NehalemCluster()
 	rng := stats.NewRNG(99)
 	var w stats.Welford
+	var memo NoiseMemo
 	const d = 5.0
 	for i := 0; i < 20000; i++ {
-		w.Add(m.NoiseSample(d, rng))
+		w.Add(m.NoiseSample(d, rng, &memo))
 	}
 	want := m.Noise.EventRate * d * m.Noise.MeanDuration
 	if math.Abs(w.Mean()-want)/want > 0.05 {
@@ -156,18 +158,70 @@ func TestNoiseSampleMean(t *testing.T) {
 	}
 }
 
+// directNoise is NoiseSample without the memo: e^(−mean) computed on
+// every call.
+func directNoise(m *Model, d float64, rng *stats.RNG) float64 {
+	if !(d > 0) || m.Noise.EventRate <= 0 || m.Noise.MeanDuration <= 0 {
+		return 0
+	}
+	mean := m.Noise.EventRate * d
+	n := 0
+	if mean > 30 {
+		if v := rng.Normal(mean, math.Sqrt(mean)); v >= 0 {
+			n = int(v + 0.5)
+		}
+	} else {
+		l := math.Exp(-mean)
+		for p := rng.Float64(); p > l; p *= rng.Float64() {
+			n++
+		}
+	}
+	var total float64
+	for i := 0; i < n; i++ {
+		total += rng.Exp(1 / m.Noise.MeanDuration)
+	}
+	return total
+}
+
+// TestNoiseMemoMatchesDirect holds NoiseSample with a rank's memo to the
+// direct computation, draw for draw and RNG state for RNG state, over a
+// sequence of durations that repeats, changes, is not positive or NaN, and
+// crosses poisson's normal-approximation cutoff (mean 30) both ways.
+func TestNoiseMemoMatchesDirect(t *testing.T) {
+	m := NehalemCluster()
+	m.Noise.EventRate, m.Noise.MeanDuration = 10, 1e-3 // mean = 10·d
+	ds := []float64{
+		0.1, 0.1, 0.1, 0.25, 0.1, 0.25, 0.25, // repeats and changes
+		0, -1, math.NaN(), 0.25, math.Inf(-1), // nothing drawn, memo kept
+		2.99, 3, 3, 3.01, 3, 3.01, 2.99, // means 29.9, 30, 30.1
+		100, 0.25, 1e-12, 1e-12, 5e-324, 0.1,
+	}
+	got, want := stats.NewRNG(2017), stats.NewRNG(2017)
+	var memo NoiseMemo
+	for i, d := range ds {
+		g, w := m.NoiseSample(d, got, &memo), directNoise(m, d, want)
+		if math.Float64bits(g) != math.Float64bits(w) || *got != *want {
+			t.Fatalf("step %d (d = %g): memo %g, direct %g; RNG states equal: %v", i, d, g, w, *got == *want)
+		}
+		if mean := m.Noise.EventRate * d; mean > 0 && mean <= 30 && memo.mean != mean {
+			t.Errorf("step %d (d = %g): memo holds mean %g, want %g", i, d, memo.mean, mean)
+		}
+	}
+}
+
 func TestPoissonSmallAndLargeMeans(t *testing.T) {
 	rng := stats.NewRNG(5)
 	for _, mean := range []float64{0.5, 3, 50} {
 		var w stats.Welford
+		var memo NoiseMemo
 		for i := 0; i < 50000; i++ {
-			w.Add(float64(poisson(mean, rng)))
+			w.Add(float64(poisson(mean, rng, &memo)))
 		}
 		if math.Abs(w.Mean()-mean)/mean > 0.05 {
 			t.Errorf("poisson(%g) mean = %g", mean, w.Mean())
 		}
 	}
-	if poisson(0, rng) != 0 {
+	if poisson(0, rng, &NoiseMemo{}) != 0 {
 		t.Error("poisson(0) != 0")
 	}
 }

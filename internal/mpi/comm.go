@@ -22,10 +22,10 @@ type commShared struct {
 	exchange        exchangeState // exchange.go
 	scatter, gather rootedState   // rooted.go
 
-	// Fault tolerance (ft.go): revoked closes when the communicator is
+	// Fault tolerance (ft.go): revoked is set when the communicator is
 	// revoked; pi carries the reason and is immutable once set.
 	revokeOnce sync.Once
-	revoked    chan struct{}
+	revoked    bool
 	pi         *poisonInfo
 }
 
@@ -56,7 +56,6 @@ func (w *World) newCommShared(group []int) *commShared {
 		world:     w,
 		group:     group,
 		boxShards: make([]boxShard, (len(group)+shardSize-1)/shardSize),
-		revoked:   make(chan struct{}),
 	}
 	cs.sections = newSectionRegistry(len(group))
 	w.ftMu.Lock()
@@ -120,7 +119,7 @@ func (c *Comm) ComputeParallel(w WorkUnit, team int) {
 	model := world.cfg.Model
 	d := world.placement.ComputeTime(c.WorldRank(), w, team)
 	d += model.ForkJoinOverhead(team, world.placement.NodeThreads(c.WorldRank()))
-	d += model.NoiseSample(d, c.rs.rng)
+	d += model.NoiseSample(d, c.rs.rng, &c.rs.noise)
 	if team > 1 && len(world.computeObs) > 0 {
 		start := c.rs.now()
 		c.rs.advance(d)

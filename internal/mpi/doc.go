@@ -41,6 +41,15 @@
 // holds its world: its parked peers unwind once it returns (Run returns at
 // the watchdog). Virtual times and hooks do not depend on the run order.
 //
+// # What is world-local
+//
+// Only a world's running rank or its driver touches the rendezvous behind
+// Barrier, ExchangeGhost and Split, and the barrier, exchange and split
+// states around it, so they have no lock. Other goroutines reach a world
+// only through the abort flag and channel (the watchdog and the detector,
+// by abort), the RuntimeStats gauges, blockedInfo and the pools worlds
+// share; those are atomic or locked.
+//
 // # Fault injection and fault tolerance
 //
 // The runtime can execute a deterministic failure schedule and survive

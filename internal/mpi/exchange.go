@@ -114,7 +114,7 @@ type exchangeRank struct {
 	scan int32
 }
 
-// admit copies the rank's list into the slab; the caller holds the lock.
+// admit copies the list of a rank that has just arrived into the slab.
 func (x *exchangeState) admit(rank int, ops []GhostExchange) {
 	if x.ranks == nil {
 		p := len(x.comms)

@@ -577,6 +577,54 @@ func TestExchangeWatchdogReleasesRendezvous(t *testing.T) {
 	}
 }
 
+// TestAbortMidGeneration: the watchdog's abort lands while three ranks are
+// parked in a half-arrived ExchangeGhost and the fourth is in real work.
+// The driver revokes between two ranks, so the abort takes effect when the
+// working rank next parks: the parked ranks come back with ErrRevoked, no
+// generation completes, and the late rank, arriving after the revocation,
+// is turned away at the door instead of parking where nobody would wake it.
+// Run returns the watchdog's error. Under -race it covers the rendezvous
+// state having no lock: the watchdog's goroutine only sets the abort flag.
+func TestAbortMidGeneration(t *testing.T) {
+	const p = 4
+	before := liveGoroutines()
+	cfg := testCfg(p)
+	cfg.Timeout = 20 * time.Millisecond
+	var errs [p]error
+	var recvErr error
+	var x *exchangeState
+	_, err := Run(cfg, func(c *Comm) error {
+		if c.Rank() == 0 {
+			x = &c.shared.exchange
+		}
+		if c.Rank() == p-1 {
+			for !c.rs.world.abortSet.Load() {
+				time.Sleep(time.Millisecond) // real work that outlasts the watchdog
+			}
+			// Nobody sends this: the receive parks, and the driver revokes.
+			_, recvErr = c.RecvDiscard(0, 99)
+		}
+		errs[c.Rank()] = c.ExchangeGhost(nil)
+		return errs[c.Rank()]
+	})
+	if err == nil || !strings.Contains(err.Error(), "watchdog") {
+		t.Fatalf("err = %v, want the watchdog's abort", err)
+	}
+	if !errors.Is(recvErr, ErrRevoked) {
+		t.Errorf("the working rank's receive returned %v, want ErrRevoked", recvErr)
+	}
+	for r, e := range errs {
+		if !errors.Is(e, ErrRevoked) || !strings.Contains(e.Error(), "ExchangeGhost aborted") {
+			t.Errorf("rank %d: ExchangeGhost returned %v, want it aborted with ErrRevoked", r, e)
+		}
+	}
+	if x.released != 0 || x.arrived != 0 || x.parked.head != nil {
+		t.Errorf("rendezvous after the abort: %d generations released, %d arrived, parked queue empty %t; want 0, 0, true",
+			x.released, x.arrived, x.parked.head == nil)
+	}
+	noStragglers(t, before)
+}
+
 // TestExchangeUnpairedLists: lists the literal loop would hang on come back
 // as one error on every rank, naming the first rank left waiting — for a
 // receive nobody sends to, and for a cycle in which every receive waits for

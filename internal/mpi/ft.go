@@ -106,7 +106,7 @@ func (sh *boxShard) poison(pi *poisonInfo) {
 func (cs *commShared) revoke(pi *poisonInfo) {
 	cs.revokeOnce.Do(func() {
 		cs.pi = pi
-		close(cs.revoked)
+		cs.revoked = true
 		cs.split.abort()
 		cs.barrier.abort()
 		cs.exchange.abort()
@@ -178,14 +178,16 @@ func (w *World) deadRanks() []int {
 	return out
 }
 
-// abort poisons the whole run with err: it records the reason and closes
-// aborted, on which the driver revokes the world (revokeAll). The deadlock
-// detector, the Timeout watchdog and a rank's runtime.Goexit call it.
+// abort poisons the whole run with err: it records the reason, sets
+// abortSet and closes aborted, on which the driver revokes the world
+// (revokeAll). The deadlock detector, the Timeout watchdog and a rank's
+// runtime.Goexit call it.
 func (w *World) abort(err error) {
 	w.abortOnce.Do(func() {
 		w.ftMu.Lock()
 		w.abortErr = err
 		w.ftMu.Unlock()
+		w.abortSet.Store(true)
 		close(w.aborted)
 	})
 }

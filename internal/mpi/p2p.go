@@ -430,7 +430,7 @@ func (c *Comm) completeRecv(src, tag, vbytes int, m MatchInfo) {
 	// Lazy clock synchronization: communication completion is where a
 	// rank's progress becomes observable, so publish it to the shard
 	// frontier here.
-	c.rs.shard.noteClock(c.rs.clock)
+	c.rs.world.shardOf(int(c.rs.id)).noteClock(c.rs.clock)
 	for _, tool := range c.rs.world.cfg.Tools {
 		//seclint:allocs-ok tool hooks are //seclint:hotpath roots, proven allocation-free in their own right
 		tool.MessageRecv(c, src, tag, vbytes, c.rs.now(), m)

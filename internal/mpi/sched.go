@@ -145,13 +145,9 @@ func (w *World) drive() {
 func (w *World) schedule() {
 	revoked := false
 	for {
-		if !revoked {
-			select {
-			case <-w.aborted:
-				revoked = true
-				w.revokeAll()
-			default:
-			}
+		if !revoked && w.abortSet.Load() {
+			revoked = true
+			w.revokeAll()
 		}
 		rs := w.runq.pop()
 		if rs == nil {

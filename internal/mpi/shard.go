@@ -89,9 +89,8 @@ func (w *World) ensureShard(sh *rankShard) {
 	for i := range sh.states {
 		rank := sh.lo + i
 		rs := &sh.states[i]
-		rs.id = rank
+		rs.id = int32(rank)
 		rs.world = w
-		rs.shard = sh
 		if w.detect {
 			rs.blk = &sh.blks[i]
 			rs.blk.peer = -1
@@ -134,7 +133,7 @@ func (w *World) nudge(worldRank int) {
 //
 //seclint:allocs-ok rank prologue and epilogue: once per rank, not per op
 func (w *World) rankMain(rs *rankState) {
-	rank := rs.id
+	rank := int(rs.id)
 	comm := &Comm{shared: w.worldComm, rank: rank, rs: rs}
 	defer func() {
 		if p := recover(); p != nil {
@@ -152,7 +151,7 @@ func (w *World) rankMain(rs *rankState) {
 		rs.recycle()
 		t := rs.now()
 		w.finals[rank] = t
-		rs.shard.noteClock(t)
+		w.shardOf(rank).noteClock(t)
 		w.running--
 	}()
 	comm.SectionEnter(MainSection)

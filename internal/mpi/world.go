@@ -139,7 +139,10 @@ type World struct {
 	dead   []bool
 	failPi *poisonInfo
 
-	// Run-level abort (deadlock detector / watchdog).
+	// Run-level abort (deadlock detector / watchdog): abortSet is what the
+	// driver polls between two ranks, aborted what it blocks on when every
+	// rank is parked.
+	abortSet  atomic.Bool
 	aborted   chan struct{}
 	abortOnce sync.Once
 	abortErr  error
@@ -165,13 +168,15 @@ type World struct {
 
 // rankState is the per-rank mutable context, touched only while it runs.
 // States live in shard slabs (shard.go); rng == nil marks a rank outside
-// the session, whose state exists but never runs.
+// the session, whose state exists but never runs. Slabs are page-rounded:
+// keep it at 200 bytes (the shard is found by id, not kept).
 type rankState struct {
-	id    int
+	id    int32 // world rank
+	nenv  int32 // length of envs
 	clock float64
 	rng   *stats.RNG
+	noise machine.NoiseMemo // rng's last Poisson mean and its exponential
 	world *World
-	shard *rankShard
 
 	// Scratch buffers for the typed send path and the tree collectives.
 	// They are per-rank (hence shared by every communicator of the rank,
@@ -184,7 +189,6 @@ type rankState struct {
 	// The rank's own free envelopes (chained through envelope.next) and
 	// posted receive, in front of the free lists (bufpool.go).
 	envs   *envelope
-	nenv   int
 	posted *posted
 	// Its coroutine, and its link in the run queue or a wait queue.
 	co   *rankCo

@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/machine"
 	"repro/internal/mpi"
@@ -113,4 +114,68 @@ func TestProfilerSteadyStateAllocs(t *testing.T) {
 	if n == 0 {
 		t.Error("prof+collector: no allocation at all; the collector recorded nothing?")
 	}
+}
+
+// profiledPointBytes is what the profiler added to the bytes a warm
+// p = 456 point of the 1-D convolution step allocated (a HALO section
+// around an exchange with both row neighbours, a CONVOLVE section around a
+// compute charge, 200 steps) before the label hint, with go1.24 on
+// linux/amd64: a 632-byte cursor per rank in the 640-byte size class, the
+// sections, their instances and the label maps. pointSlack absorbs what
+// two runs of one point differ by (under 1 KiB) and what another Go
+// version's map layout adds; a cursor one size class up costs every rank
+// 64 bytes, 29 KiB here.
+const profiledPointBytes, pointSlack = 417_040, 4096
+
+// TestProfiledPointBytes pins the bytes the profiler adds to a warm conv
+// point, measured against the same point with no tool, so that the
+// runtime's own bytes and the Go version's map layout largely cancel.
+func TestProfiledPointBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates shadow memory; byte counts are meaningless")
+	}
+	if n := unsafe.Sizeof(cursor{}); n > 632 {
+		t.Errorf("cursor is %d bytes; over 632 it leaves the 640-byte size class", n)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const p, steps = 456, 200
+	point := func(tools ...mpi.Tool) uint64 {
+		cfg := mpi.Config{Ranks: p, Model: machine.NehalemCluster(), Seed: 2017, Tools: tools, Timeout: time.Minute}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := mpi.Run(cfg, func(c *mpi.Comm) error {
+			var list [2]mpi.GhostExchange
+			ops := list[:0]
+			if up := c.Rank() - 1; up >= 0 {
+				ops = append(ops, mpi.GhostExchange{Peer: up, SendTag: 200, NBytes: 64, VBytes: 8192, RecvTag: 201})
+			}
+			if down := c.Rank() + 1; down < p {
+				ops = append(ops, mpi.GhostExchange{Peer: down, SendTag: 201, NBytes: 64, VBytes: 8192, RecvTag: 200})
+			}
+			for s := 0; s < steps; s++ {
+				c.SectionEnter("HALO")
+				if err := c.ExchangeGhost(ops); err != nil {
+					return err
+				}
+				c.SectionExit("HALO")
+				c.SectionEnter("CONVOLVE")
+				c.Compute(mpi.WorkUnit{Flops: 1e6})
+				c.SectionExit("CONVOLVE")
+			}
+			return nil
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	point(New()) // fills the runtime's pools and coroutines
+	bare := point()
+	n := point(New()) - bare
+	if n > profiledPointBytes+pointSlack {
+		t.Errorf("the profiler added %d bytes to a warm p = %d point, want at most %d + %d", n, p, profiledPointBytes, pointSlack)
+	}
+	t.Logf("the profiler added %d bytes to a warm p = %d point (%d without it; pin %d)", n, p, bare, profiledPointBytes)
 }

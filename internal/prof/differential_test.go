@@ -351,3 +351,90 @@ func TestConcurrentHooks(t *testing.T) {
 		t.Errorf("STEP = %+v, want %d instances", s, steps)
 	}
 }
+
+// TestDifferentialLabelHint drives the label hint — the section a rank
+// entered after the one it entered last, the guess SectionEnter tries
+// before its label map — through programs where the guess is often wrong:
+// an order that changes from step to step, more labels than a cursor's
+// first array holds, one set of label strings on two communicators (and
+// ranks taking the communicators in different orders), and labels built at
+// run time, equal in content to earlier ones but not in address.
+func TestDifferentialLabelHint(t *testing.T) {
+	const steps = 3*instWindow + 7
+	cases := []struct {
+		name string
+		fn   func(c *mpi.Comm) error
+	}{
+		{"changing-order", func(c *mpi.Comm) error {
+			seq := [][]string{{"A", "B"}, {"A", "C"}, {"B", "A", "C"}, {"C"}}
+			for i := 0; i < steps; i++ {
+				for _, l := range seq[i%len(seq)] {
+					c.SectionEnter(l)
+					c.Sleep(1e-6 * float64(1+(c.Rank()+i)%3))
+					c.SectionExit(l)
+				}
+			}
+			return nil
+		}},
+		{"many-labels", func(c *mpi.Comm) error {
+			var labels [13]string
+			for i := range labels {
+				labels[i] = fmt.Sprintf("L%02d", i)
+			}
+			for i := 0; i < steps; i++ {
+				// Strides 1, 2 and 5 over the labels: every label has
+				// several followers.
+				stride := []int{1, 2, 5}[i%3]
+				for k := 0; k < len(labels); k++ {
+					l := labels[(k*stride+i)%len(labels)]
+					c.SectionEnter(l)
+					c.Sleep(1e-6 * float64(1+c.Rank()%4))
+					c.SectionExit(l)
+				}
+			}
+			return nil
+		}},
+		{"shared-strings", func(c *mpi.Comm) error {
+			sub, err := c.Split(c.Rank()%2, c.Rank())
+			if err != nil {
+				return err
+			}
+			first, second := c, sub
+			if c.Rank()%2 == 1 {
+				first, second = sub, c
+			}
+			for i := 0; i < steps; i++ {
+				first.SectionEnter("A")
+				second.SectionEnter("A")
+				c.Sleep(1e-6 * float64(1+c.Rank()%3))
+				second.SectionExit("A")
+				second.SectionEnter("B")
+				second.SectionExit("B")
+				first.SectionExit("A")
+				first.SectionEnter("B")
+				first.SectionExit("B")
+			}
+			return nil
+		}},
+		{"run-time-labels", func(c *mpi.Comm) error {
+			for i := 0; i < steps; i++ {
+				outer := fmt.Sprintf("STEP%d", i%3)
+				c.SectionEnter(outer)
+				for k := 0; k < 1+i%4; k++ {
+					inner := strings.Repeat("I", 1+(i+k)%3)
+					c.SectionEnter(inner)
+					c.Sleep(1e-6 * float64(1+(c.Rank()+k)%5))
+					c.SectionExit(inner)
+				}
+				c.SectionExit(outer)
+			}
+			return nil
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, ref, _ := runBoth(t, mpi.Config{Ranks: 6, Seed: 7}, "", tc.fn)
+			sameProfile(t, got, ref, true)
+		})
+	}
+}

@@ -19,9 +19,15 @@
 //     nobody else until Finalize.
 //   - SectionStats.PerRankTotal[r], PerRankExcl[r] and PerRank[r] are
 //     written only by rank r.
-//   - The one thing an enter looks up is the label, in a per-communicator
-//     map that is replaced, never written, when a new label appears; a
-//     leave looks nothing up, its frame carries the section.
+//   - The one thing an enter looks up is the label. It first tries a hint:
+//     the follower of the section the rank entered last on the
+//     communicator, an atomic pointer to the section some rank entered
+//     right after that one, which any rank may overwrite. A follower whose
+//     label matches is the section, since labels are unique within a
+//     communicator and hints never cross one. Otherwise the enter asks the
+//     per-communicator map, which is replaced, never written, when a new
+//     label appears and stays the authority, and stores the answer as the
+//     follower. A leave looks nothing up, its frame carries the section.
 //   - An instance (the i-th time a section is entered, counted per rank)
 //     has a cell per participant for its entry and exit time. A rank writes
 //     its own two cells and then counts itself out atomically; the rank

@@ -53,22 +53,36 @@ type commState struct {
 	sections []*section // in registration order; section.id indexes it
 	// On a communicator with fewer participants than ranks, instance
 	// cells are indexed by a dense slot handed out on a rank's first
-	// event: slotRank[slot] is its rank, and order — built once, when
-	// the first instance completes and so every participant is known —
-	// lists the slots by ascending rank. Both stay nil when every rank
-	// participates and the slot is the rank.
-	slotRank []int32
-	order    []int32
+	// event. slots is nil when every rank participates and the slot is
+	// the rank.
+	slots *slotTable
 }
 
-// sparse reports whether some ranks of the communicator sit the run out.
-func (cs *commState) sparse() bool { return cs.participants < len(cs.cursors) }
+// slotTable is a sparse communicator's slots: of[rank] is a rank's slot
+// (each rank writes its own), rank[slot] its rank, and order — built once,
+// when the first instance completes and so every participant is known —
+// lists the slots by ascending rank.
+type slotTable struct {
+	of, rank, order []int32
+}
+
+// slot is the index of rank's instance cells.
+func (cs *commState) slot(rank int) int {
+	if cs.slots != nil {
+		return int(cs.slots.of[rank])
+	}
+	return rank
+}
 
 // section is one (communicator, label) pair: its aggregate and the
-// instances not yet left by every participant.
+// instances not yet left by every participant. The aggregate is part of it,
+// not a pointer: one allocation of 864 bytes in the 896-byte size class.
 type section struct {
-	stats *SectionStats
-	id    int
+	id int
+	// follower is the section some rank entered right after this one,
+	// the first guess at the next label of a rank that just entered this
+	// one; the label map stays the authority.
+	follower atomic.Pointer[section]
 
 	// ring[i%instWindow] holds instance i while it is in flight; a rank
 	// finds it there with two atomic loads. mu serializes what happens
@@ -81,6 +95,8 @@ type section struct {
 	mu       sync.Mutex
 	overflow map[int]*instance
 	free     []*instance
+
+	stats SectionStats
 }
 
 // instance holds the Fig. 3 raw material of one section instance. Every
@@ -95,9 +111,11 @@ type instance struct {
 
 // cursor is one rank's private state on one communicator. stack and secs
 // start out in the arrays behind them, so that a rank's first event costs
-// one allocation however many sections it goes on to see.
+// one allocation however many sections it goes on to see. At 632 bytes it
+// fills a 640-byte size class with the malloc header; a field more would
+// cost every cursor 64 bytes.
 type cursor struct {
-	slot  int // index of this rank's instance cells
+	last  *section // the section this rank entered last
 	stack []openFrame
 	secs  []rankSection // by section.id
 
@@ -167,6 +185,9 @@ func (p *Profiler) registerComm(c *mpi.Comm) *commState {
 		if p.active > 0 && c.Size() == p.declared {
 			cs.participants = p.active
 		}
+		if cs.participants < c.Size() {
+			cs.slots = &slotTable{of: make([]int32, c.Size())}
+		}
 		cs.labels.Store(&map[string]*section{})
 		table[id].Store(cs)
 	}
@@ -175,12 +196,12 @@ func (p *Profiler) registerComm(c *mpi.Comm) *commState {
 
 //seclint:allocs-ok first event of a rank on a communicator
 func (cs *commState) newCursor(rank int) *cursor {
-	cur := &cursor{slot: rank}
+	cur := &cursor{}
 	cur.stack, cur.secs = cur.stack0[:0], cur.secs0[:0]
-	if cs.sparse() {
+	if st := cs.slots; st != nil {
 		cs.mu.Lock()
-		cur.slot = len(cs.slotRank)
-		cs.slotRank = append(cs.slotRank, int32(rank))
+		st.of[rank] = int32(len(st.rank))
+		st.rank = append(st.rank, int32(rank))
 		cs.mu.Unlock()
 	}
 	cs.cursors[rank] = cur
@@ -195,7 +216,7 @@ func (cs *commState) registerSection(c *mpi.Comm, label string) *section {
 	if sec := old[label]; sec != nil {
 		return sec
 	}
-	sec := &section{id: len(cs.sections), overflow: map[int]*instance{}, stats: &SectionStats{
+	sec := &section{id: len(cs.sections), overflow: map[int]*instance{}, stats: SectionStats{
 		Comm:         c.ID(),
 		Label:        label,
 		Ranks:        c.Size(),
@@ -218,19 +239,20 @@ func (cs *commState) registerSection(c *mpi.Comm, label string) *section {
 //
 //seclint:allocs-ok built once per sparse communicator
 func (cs *commState) rankOrder() []int32 {
-	if !cs.sparse() {
+	st := cs.slots
+	if st == nil {
 		return nil
 	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	if cs.order == nil {
-		cs.order = make([]int32, len(cs.slotRank))
-		for i := range cs.order {
-			cs.order[i] = int32(i)
+	if st.order == nil {
+		st.order = make([]int32, len(st.rank))
+		for i := range st.order {
+			st.order[i] = int32(i)
 		}
-		slices.SortFunc(cs.order, func(a, b int32) int { return cmp.Compare(cs.slotRank[a], cs.slotRank[b]) })
+		slices.SortFunc(st.order, func(a, b int32) int { return cmp.Compare(st.rank[a], st.rank[b]) })
 	}
-	return cs.order
+	return st.order
 }
 
 // SectionEnter implements mpi.Tool.
@@ -242,10 +264,21 @@ func (p *Profiler) SectionEnter(c *mpi.Comm, label string, t float64, _ *mpi.Too
 	if cur == nil {
 		cur = cs.newCursor(c.Rank())
 	}
-	sec := (*cs.labels.Load())[label]
-	if sec == nil {
-		sec = cs.registerSection(c, label)
+	var sec *section
+	if cur.last != nil {
+		if f := cur.last.follower.Load(); f != nil && f.stats.Label == label {
+			sec = f
+		}
 	}
+	if sec == nil {
+		if sec = (*cs.labels.Load())[label]; sec == nil {
+			sec = cs.registerSection(c, label)
+		}
+		if cur.last != nil {
+			cur.last.follower.Store(sec)
+		}
+	}
+	cur.last = sec
 	for sec.id >= len(cur.secs) {
 		cur.secs = append(cur.secs, rankSection{})
 	}
@@ -256,7 +289,7 @@ func (p *Profiler) SectionEnter(c *mpi.Comm, label string, t float64, _ *mpi.Too
 	if in == nil || in.index.Load() != int64(idx) {
 		in = sec.instanceSlow(idx, cs.participants)
 	}
-	in.enters[cur.slot] = t
+	in.enters[cs.slot(c.Rank())] = t
 	cur.stack = append(cur.stack, openFrame{sec: sec, inst: in, enterT: t})
 }
 
@@ -309,7 +342,7 @@ func (p *Profiler) SectionLeave(c *mpi.Comm, label string, t float64, _ *mpi.Too
 	n := len(cur.stack) - 1
 	frame := cur.stack[n]
 	sec := frame.sec
-	st := sec.stats
+	st := &sec.stats
 	if st.Label != label {
 		// Misnested usage: the runtime reports it; the profiler just
 		// drops the sample rather than corrupting its state.
@@ -331,7 +364,7 @@ func (p *Profiler) SectionLeave(c *mpi.Comm, label string, t float64, _ *mpi.Too
 	rs.excl.Add(excl)
 
 	in := frame.inst
-	in.leaves[cur.slot] = t
+	in.leaves[cs.slot(rank)] = t
 	if int(in.left.Add(1)) == cs.participants {
 		sec.complete(in, cs.rankOrder())
 	}
@@ -344,26 +377,33 @@ func (p *Profiler) SectionLeave(c *mpi.Comm, label string, t float64, _ *mpi.Too
 func (s *section) complete(in *instance, order []int32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.stats
-	tmin, _ := stats.Min(in.enters)
-	tmax, _ := stats.Max(in.leaves)
+	st := &s.stats
+	enters, leaves := in.enters, in.leaves[:len(in.enters)]
+	tmin, tmax := enters[0], leaves[0]
+	for i := 1; i < len(enters); i++ {
+		if enters[i] < tmin {
+			tmin = enters[i]
+		}
+		if leaves[i] > tmax {
+			tmax = leaves[i]
+		}
+	}
 	st.SpanTotal += tmax - tmin
 	st.Instances++
+	// The two chains are independent: one loop overlaps their divisions.
+	entryImb, imb := st.EntryImb, st.Imb
 	if order == nil {
-		for _, tin := range in.enters {
-			st.EntryImb.Add(tin - tmin)
-		}
-		for _, tout := range in.leaves {
-			st.Imb.Add((tmax - tmin) - (tout - tmin))
+		for i, tin := range enters {
+			entryImb.Add(tin - tmin)
+			imb.Add((tmax - tmin) - (leaves[i] - tmin))
 		}
 	} else {
 		for _, slot := range order {
-			st.EntryImb.Add(in.enters[slot] - tmin)
-		}
-		for _, slot := range order {
-			st.Imb.Add((tmax - tmin) - (in.leaves[slot] - tmin))
+			entryImb.Add(enters[slot] - tmin)
+			imb.Add((tmax - tmin) - (leaves[slot] - tmin))
 		}
 	}
+	st.EntryImb, st.Imb = entryImb, imb
 
 	idx := int(in.index.Load())
 	pos := &s.ring[idx&(instWindow-1)]
@@ -395,7 +435,7 @@ func (p *Profiler) Finalize(r *mpi.Report) {
 			continue
 		}
 		for _, sec := range cs.sections {
-			st := sec.stats
+			st := &sec.stats
 			for rank, cur := range cs.cursors {
 				if st.PerRank[rank].N() == 0 {
 					continue
