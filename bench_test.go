@@ -21,6 +21,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/prof"
 	"repro/internal/trace"
+	"repro/internal/verify"
 )
 
 // benchConvOpts is the figure-bench sweep: larger than the test quick
@@ -230,22 +231,22 @@ func BenchmarkRuntimeAllreduce64Ranks(b *testing.B) {
 // the sweeps' p=64. ns/op is the time for every rank to do one pair;
 // ns/pair divides that by the rank count.
 func BenchmarkSectionOverhead(b *testing.B) {
-	b.Run("tools=none", func(b *testing.B) { benchSections(b, 4, false) })
-	b.Run("tools=prof", func(b *testing.B) { benchSections(b, 64, false, prof.New()) })
+	b.Run("tools=none", func(b *testing.B) { benchSections(b, 4) })
+	b.Run("tools=prof", func(b *testing.B) { benchSections(b, 64, prof.New()) })
 	b.Run("tools=prof+collector", func(b *testing.B) {
-		benchSections(b, 64, false, prof.New(), trace.NewCollector(0))
+		benchSections(b, 64, prof.New(), trace.NewCollector(0))
 	})
 }
 
 // BenchmarkSectionOverheadChecked is the ablation with the collective
-// invariant verification enabled.
+// invariant verification enabled: the section-contract checker attached.
 func BenchmarkSectionOverheadChecked(b *testing.B) {
-	benchSections(b, 4, true)
+	benchSections(b, 4, verify.New())
 }
 
-func benchSections(b *testing.B, ranks int, checked bool, tools ...mpi.Tool) {
+func benchSections(b *testing.B, ranks int, tools ...mpi.Tool) {
 	cfg := mpi.Config{Ranks: ranks, Model: machine.Ideal(ranks, 1), Seed: 1,
-		CheckSections: checked, Tools: tools, Timeout: 10 * time.Minute}
+		Tools: tools, Timeout: 10 * time.Minute}
 	b.ResetTimer()
 	_, err := mpi.Run(cfg, func(c *mpi.Comm) error {
 		for i := 0; i < b.N; i++ {

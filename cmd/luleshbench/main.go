@@ -179,18 +179,21 @@ func main() {
 func inspectRun() error {
 	profiler := prof.New()
 	matrix := prof.NewCommMatrix()
+	checker := verify.New()
 	cfg := mpi.Config{
 		Ranks:          8,
 		ThreadsPerRank: 4,
 		Model:          machine.KNL(),
 		Seed:           2017,
-		Tools:          []mpi.Tool{profiler, matrix},
-		CheckSections:  true,
+		Tools:          []mpi.Tool{profiler, matrix, checker},
 		Timeout:        10 * time.Minute,
 	}
 	params := lulesh.Params{S: 24, Steps: 10, Threads: 4, Scale: 4, SedovEnergy: 1e4}
 	res, err := lulesh.Run(cfg, params)
 	if err != nil {
+		return err
+	}
+	if err := checker.Err(); err != nil {
 		return err
 	}
 	profile, err := profiler.Result()

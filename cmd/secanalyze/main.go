@@ -1,19 +1,14 @@
-// Command secanalyze performs partial-speedup-bounding analysis (paper §2,
-// Eq. 6) on a section profile produced by the prof package's CSV writer:
-// for every section it prints the average per-process time and the speedup
-// bound it imposes given the sequential baseline, tightest bound first.
+// Command secanalyze analyzes what a run recorded. On a streaming telemetry
+// summary (the JSON written by convbench/luleshbench -profile or secmon's
+// /profile.json) it renders the full live report: section table with the
+// partial-speedup bounds of paper §2, Eq. 6, the binding diagnosis, POP
+// factors, interval series and exemplar receives:
 //
-// Usage:
+//	secanalyze -profile summary.json
 //
-//	secanalyze -profile run.csv -seq 5589.84
-//
-// -profile also accepts a streaming telemetry summary (the JSON written by
-// convbench/luleshbench -profile or secmon's /profile.json) — the format is
-// sniffed from the file's first byte — and renders the full live report:
-// section table with Eq. 6 bounds, the binding diagnosis, POP factors,
-// interval series and exemplar receives. With -heatmap-csv the summary's
-// rank×time wait heatmap is additionally written as CSV; with -chrome-trace
-// the interval series becomes Chrome-trace counter tracks.
+// With -heatmap-csv the summary's rank×time wait heatmap is additionally
+// written as CSV; with -chrome-trace the interval series becomes
+// Chrome-trace counter tracks.
 //
 // It can also render an ASCII timeline from a trace CSV:
 //
@@ -50,14 +45,10 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
-	"repro/internal/balance"
-	"repro/internal/core"
 	"repro/internal/diag"
 	"repro/internal/pop"
-	"repro/internal/prof"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/verify"
@@ -67,11 +58,10 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("secanalyze: ")
-	profilePath := flag.String("profile", "", "profile CSV (from prof.Profile.WriteCSV) or streaming telemetry JSON summary (format sniffed)")
+	profilePath := flag.String("profile", "", "streaming telemetry JSON summary (from convbench/luleshbench -profile or secmon's /profile.json)")
 	heatCSV := flag.String("heatmap-csv", "", "with a telemetry summary: also write the rank x time wait heatmap as CSV")
 	chromePath := flag.String("chrome-trace", "", "with a telemetry summary: also write the interval series as Chrome-trace counter tracks")
-	seq := flag.Float64("seq", 0, "sequential baseline time in seconds (required with -profile)")
-	perRankPath := flag.String("perrank", "", "per-rank profile CSV (from prof.Profile.WritePerRankCSV): load-balance analysis")
+	seq := flag.Float64("seq", 0, "sequential baseline time in seconds: adds Eq. 6 bounds to -waitstate and -pop")
 	tracePath := flag.String("trace", "", "trace CSV (from trace.Order.WriteCSV)")
 	waitPath := flag.String("waitstate", "", "trace CSV with message events: wait-state and critical-path analysis (optional -seq adds Eq. 6 bounds)")
 	popPath := flag.String("pop", "", "trace CSV with message events: POP efficiency tree joined with the Eq. 6 binding (optional -seq, -intervals, -csv)")
@@ -89,18 +79,8 @@ func main() {
 	)
 	switch {
 	case *profilePath != "":
-		if telemetry.LooksLikeSummary(*profilePath) {
-			run = func(w io.Writer) error {
-				return renderTelemetry(w, *profilePath, *heatCSV, *chromePath)
-			}
-			name = "telemetry.txt"
-			break
-		}
-		run = func(w io.Writer) error { return analyzeProfile(w, *profilePath, *seq) }
-		name = "bounds.txt"
-	case *perRankPath != "":
-		run = func(w io.Writer) error { return analyzeBalance(w, *perRankPath) }
-		name = "balance.txt"
+		run = func(w io.Writer) error { return renderTelemetry(w, *profilePath, *heatCSV, *chromePath) }
+		name = "telemetry.txt"
 	case *tracePath != "":
 		run = func(w io.Writer) error { return renderTimeline(w, *tracePath, *width, *focus) }
 		name = "timeline.txt"
@@ -139,106 +119,6 @@ func main() {
 	if err := run(out); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// analyzeBalance groups per-rank rows by section and prints the
-// load-balance verdicts, most imbalance-weighted first.
-func analyzeBalance(w io.Writer, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	rows, err := prof.ReadPerRankCSV(f)
-	if err != nil {
-		return err
-	}
-	type key struct {
-		comm  int64
-		label string
-	}
-	groups := map[key][]prof.PerRankRow{}
-	var order []key
-	for _, r := range rows {
-		k := key{r.Comm, r.Label}
-		if _, seen := groups[k]; !seen {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], r)
-	}
-	var analyses []*balance.Analysis
-	for _, k := range order {
-		a, err := balance.AnalyzeRows(groups[k])
-		if err != nil {
-			return err
-		}
-		analyses = append(analyses, a)
-	}
-	sort.Slice(analyses, func(i, j int) bool {
-		wi := analyses[i].Imbalance * analyses[i].MeanTotal
-		wj := analyses[j].Imbalance * analyses[j].MeanTotal
-		return wi > wj
-	})
-	fmt.Fprintf(w, "%-28s %6s %12s %9s %11s %7s\n",
-		"section", "ranks", "mean/rank(s)", "max/µ-1", "persistent", "gini")
-	for _, a := range analyses {
-		fmt.Fprintf(w, "%-28s %6d %12.5g %9.3f %10.0f%% %7.3f\n",
-			a.Label, a.Ranks, a.MeanTotal, a.Imbalance, 100*a.PersistentShare, a.Gini)
-	}
-	fmt.Fprintln(w)
-	for _, a := range analyses {
-		fmt.Fprintln(w, a.Verdict())
-	}
-	return nil
-}
-
-func analyzeProfile(w io.Writer, path string, seq float64) error {
-	if seq <= 0 {
-		return fmt.Errorf("-seq must be a positive sequential time")
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	rows, err := prof.ReadCSV(f)
-	if err != nil {
-		return err
-	}
-	type analyzed struct {
-		prof.CSVRow
-		bound float64
-	}
-	var out []analyzed
-	for _, r := range rows {
-		if r.AvgPerProc <= 0 {
-			continue
-		}
-		b, err := core.PartialBound(seq, r.AvgPerProc)
-		if err != nil {
-			return err
-		}
-		out = append(out, analyzed{CSVRow: r, bound: b})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].bound < out[j].bound })
-	fmt.Fprintf(w, "partial speedup bounds (Eq. 6) for seq = %g s, tightest first\n", seq)
-	fmt.Fprintf(w, "%-28s %6s %10s %12s %14s %10s\n",
-		"section", "ranks", "instances", "avg/proc(s)", "bound B", "imb(s)")
-	for _, a := range out {
-		fmt.Fprintf(w, "%-28s %6d %10d %12.5g %14.5g %10.4g\n",
-			a.Label, a.Ranks, a.Instances, a.AvgPerProc, a.bound, a.ImbMean)
-	}
-	// Call out the tightest bound from an actual code section — MPI_MAIN
-	// wraps the whole run, so its "bound" is just the measured speedup.
-	for _, a := range out {
-		if a.Label == "MPI_MAIN" {
-			continue
-		}
-		fmt.Fprintf(w, "\ntightest bound: section %q caps the strong-scaling speedup at %.5g×\n",
-			a.Label, a.bound)
-		break
-	}
-	return nil
 }
 
 // renderTelemetry renders a streaming telemetry summary and the optional

@@ -61,9 +61,7 @@ var keptUnreachable = map[string]string{
 	"repro/internal/mpi.(Request).Wait": "program IR op",
 	"repro/internal/mpi.(Comm).Dup":     "program IR op",
 
-	// Formats a binary reads; no binary writes them yet.
-	"repro/internal/prof.(Profile).WriteCSV":             "secanalyze -profile reads this CSV",
-	"repro/internal/prof.(Profile).WritePerRankCSV":      "secanalyze -perrank reads this CSV",
+	// Sweep CSVs no binary writes yet; goldens pin their bytes.
 	"repro/internal/experiments.(WeakResult).WriteCSV":   "golden-pinned CSV of convbench -weak's sweep",
 	"repro/internal/experiments.(DecompResult).WriteCSV": "golden-pinned CSV of convbench -decomp's sweep",
 

@@ -19,6 +19,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/prof"
+	"repro/internal/verify"
 )
 
 func main() {
@@ -39,16 +40,19 @@ func main() {
 	}
 
 	profiler := prof.New()
+	checker := verify.New()
 	cfg := mpi.Config{
-		Ranks:         p,
-		Model:         model,
-		Seed:          7,
-		Tools:         []mpi.Tool{profiler},
-		CheckSections: true,
-		Timeout:       5 * time.Minute,
+		Ranks:   p,
+		Model:   model,
+		Seed:    7,
+		Tools:   []mpi.Tool{profiler, checker},
+		Timeout: 5 * time.Minute,
 	}
 	res, err := convolution.Run(cfg, params)
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := checker.Err(); err != nil {
 		log.Fatal(err)
 	}
 	diff, err := img.MaxAbsDiff(ref, res.Output)

@@ -19,6 +19,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/prof"
 	"repro/internal/trace"
+	"repro/internal/verify"
 )
 
 func main() {
@@ -27,13 +28,13 @@ func main() {
 	profiler := prof.New()
 	collector := trace.NewCollector(0)
 	matrix := prof.NewCommMatrix()
+	checker := verify.New()
 	cfg := mpi.Config{
-		Ranks:         p,
-		Model:         machine.NehalemCluster(),
-		Seed:          3,
-		Tools:         []mpi.Tool{profiler, collector, matrix},
-		CheckSections: true,
-		Timeout:       2 * time.Minute,
+		Ranks:   p,
+		Model:   machine.NehalemCluster(),
+		Seed:    3,
+		Tools:   []mpi.Tool{profiler, collector, matrix, checker},
+		Timeout: 2 * time.Minute,
 	}
 	_, err := mpi.Run(cfg, func(c *mpi.Comm) error {
 		for step := 0; step < 3; step++ {
@@ -58,6 +59,9 @@ func main() {
 		return nil
 	})
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := checker.Err(); err != nil {
 		log.Fatal(err)
 	}
 

@@ -16,6 +16,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/prof"
+	"repro/internal/verify"
 )
 
 const (
@@ -62,13 +63,13 @@ func stencilStep(c *mpi.Comm, chunk []float64) error {
 func main() {
 	log.SetFlags(0)
 	profiler := prof.New()
+	checker := verify.New()
 	cfg := mpi.Config{
-		Ranks:         ranks,
-		Model:         machine.NehalemCluster(),
-		Seed:          42,
-		Tools:         []mpi.Tool{profiler},
-		CheckSections: true,
-		Timeout:       2 * time.Minute,
+		Ranks:   ranks,
+		Model:   machine.NehalemCluster(),
+		Seed:    42,
+		Tools:   []mpi.Tool{profiler, checker},
+		Timeout: 2 * time.Minute,
 	}
 	_, err := mpi.Run(cfg, func(c *mpi.Comm) error {
 		chunk := make([]float64, cells/c.Size())
@@ -85,6 +86,9 @@ func main() {
 		return err
 	})
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := checker.Err(); err != nil {
 		log.Fatal(err)
 	}
 

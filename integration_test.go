@@ -18,10 +18,12 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/prof"
 	"repro/internal/trace"
+	"repro/internal/verify"
 )
 
-// TestPipelineConvolutionProfileToBounds: benchmark → profiler → CSV →
-// secanalyze-style bound computation, verifying Eq. 6 end to end.
+// TestPipelineConvolutionProfileToBounds: benchmark → profiler → bound
+// computation, verifying Eq. 6 end to end on a run the section-contract
+// checker passes.
 func TestPipelineConvolutionProfileToBounds(t *testing.T) {
 	model := machine.NehalemCluster()
 	params := convolution.Params{Width: 1024, Height: 512, Steps: 20, Scale: 8, Seed: 5, SkipKernel: true}
@@ -30,12 +32,16 @@ func TestPipelineConvolutionProfileToBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	profiler := prof.New()
+	checker := verify.New()
 	cfg := mpi.Config{
 		Ranks: 16, Model: model, Seed: 5,
-		Tools: []mpi.Tool{profiler}, CheckSections: true,
+		Tools:   []mpi.Tool{profiler, checker},
 		Timeout: 2 * time.Minute,
 	}
 	if _, err := convolution.Run(cfg, params); err != nil {
+		t.Fatal(err)
+	}
+	if err := checker.Err(); err != nil {
 		t.Fatal(err)
 	}
 	profile, err := profiler.Result()
@@ -43,30 +49,21 @@ func TestPipelineConvolutionProfileToBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Round-trip the profile through its CSV codec, as secanalyze does.
-	var buf bytes.Buffer
-	if err := profile.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := prof.ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	speedup := seq / profile.WallTime
 	if speedup <= 1 || speedup > 16 {
 		t.Fatalf("implausible speedup %g at 16 ranks", speedup)
 	}
 	checked := 0
-	for _, r := range rows {
-		if r.AvgPerProc <= 0 {
+	for _, s := range profile.Sections {
+		if s.AvgPerProcess() <= 0 {
 			continue
 		}
-		b, err := core.PartialBound(seq, r.AvgPerProc)
+		b, err := core.PartialBound(seq, s.AvgPerProcess())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if b < speedup*(1-1e-9) {
-			t.Errorf("section %s bound %g below measured speedup %g", r.Label, b, speedup)
+			t.Errorf("section %s bound %g below measured speedup %g", s.Label, b, speedup)
 		}
 		checked++
 	}

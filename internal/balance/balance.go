@@ -118,63 +118,6 @@ func AnalyzeProfile(p *prof.Profile) ([]*Analysis, error) {
 	return out, nil
 }
 
-// AnalyzeRows performs the same analysis from exported per-rank profile
-// rows (prof.ReadPerRankCSV), enabling offline analysis in cmd/secanalyze.
-// All rows must belong to the same (comm, label) section.
-func AnalyzeRows(rows []prof.PerRankRow) (*Analysis, error) {
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("balance: no rows")
-	}
-	label, comm := rows[0].Label, rows[0].Comm
-	ranks := rows[0].Ranks
-	totals := make([]float64, ranks)
-	var between stats.Welford
-	var withinSum float64
-	n := 0
-	for _, r := range rows {
-		if r.Label != label || r.Comm != comm {
-			return nil, fmt.Errorf("balance: mixed sections %q/%q in one analysis", label, r.Label)
-		}
-		if r.Rank < 0 || r.Rank >= ranks {
-			return nil, fmt.Errorf("balance: rank %d out of range [0,%d)", r.Rank, ranks)
-		}
-		totals[r.Rank] = r.Total
-		if r.Instances > 0 {
-			between.Add(r.DurMean)
-			withinSum += r.DurStd * r.DurStd
-			n++
-		}
-	}
-	a := &Analysis{Label: label, Ranks: ranks}
-	mean, err := stats.Mean(totals)
-	if err != nil {
-		return nil, err
-	}
-	a.MeanTotal = mean
-	if v, err := stats.Imbalance(totals); err == nil {
-		a.Imbalance = v
-	}
-	a.Gini = gini(totals)
-	if n > 1 {
-		betweenVar := between.Var()
-		within := withinSum / float64(n)
-		if total := betweenVar + within; total > 0 {
-			a.PersistentShare = betweenVar / total
-		}
-	}
-	sigma := stats.Std(totals)
-	for r, v := range totals {
-		if sigma > 0 && v > mean+2*sigma {
-			a.Outliers = append(a.Outliers, r)
-		}
-		if v > a.SlowestTotal {
-			a.SlowestTotal = v
-			a.SlowestRank = r
-		}
-	}
-	return a, nil
-}
-
 // gini computes the Gini coefficient of non-negative values.
 func gini(xs []float64) float64 {
 	n := len(xs)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/prof"
+	"repro/internal/verify"
 )
 
 // smallParams is a fully-executed configuration small enough for tests.
@@ -191,10 +192,13 @@ func TestSkipKernelReturnsNoImage(t *testing.T) {
 
 func TestSectionsProfiled(t *testing.T) {
 	profiler := prof.New()
+	checker := verify.New() // the benchmark must satisfy the invariants
 	cfg := idealCfg(4)
-	cfg.Tools = []mpi.Tool{profiler}
-	cfg.CheckSections = true // the benchmark must satisfy the invariants
+	cfg.Tools = []mpi.Tool{profiler, checker}
 	if _, err := Run(cfg, smallParams()); err != nil {
+		t.Fatal(err)
+	}
+	if err := checker.Err(); err != nil {
 		t.Fatal(err)
 	}
 	profile, err := profiler.Result()

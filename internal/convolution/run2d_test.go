@@ -9,6 +9,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/prof"
+	"repro/internal/verify"
 )
 
 func TestGrid2D(t *testing.T) {
@@ -174,11 +175,14 @@ func TestRun2DHaloCheaperAtScale(t *testing.T) {
 // TestRun2DSectionsProfiled: the section anatomy holds in the 2-D variant.
 func TestRun2DSectionsProfiled(t *testing.T) {
 	profiler := prof.New()
+	checker := verify.New()
 	cfg := idealCfg(4)
-	cfg.Tools = []mpi.Tool{profiler}
-	cfg.CheckSections = true
+	cfg.Tools = []mpi.Tool{profiler, checker}
 	p := Params{Width: 16, Height: 12, Steps: 2, Scale: 1, Seed: 5}
 	if _, err := Run2D(cfg, p); err != nil {
+		t.Fatal(err)
+	}
+	if err := checker.Err(); err != nil {
 		t.Fatal(err)
 	}
 	profile, err := profiler.Result()

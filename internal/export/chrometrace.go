@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"repro/internal/waitstate"
 )
 
 // This file renders the recorded run in the Chrome trace_event JSON format
@@ -217,12 +219,9 @@ func flowEvents(msgs []msgEvent) []chromeEvent {
 		// Wait split from the receive half's matched-pair stamps (zero on
 		// pre-MatchInfo snapshots): how long the receiver blocked and how
 		// much of that the sender's lateness explains.
-		if wait := m.t - m.postT; wait > 0 && m.arrival > 0 {
+		if wait, late := waitstate.Lateness(m.t, m.postT, m.sendT); wait > 0 && m.arrival > 0 {
 			args["wait_us"] = wait * secToUs
-			if late := m.sendT - m.postT; late > 0 {
-				if late > wait {
-					late = wait
-				}
+			if late > 0 {
 				args["late_sender_us"] = late * secToUs
 			}
 			if m.postT > m.arrival {

@@ -13,19 +13,20 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/prof"
+	"repro/internal/verify"
 )
 
 // runWorkload executes a small deterministic program — nested sections,
 // skewed compute, p2p ring traffic and a barrier — with the given tools.
 func runWorkload(t *testing.T, p int, seed uint64, tools ...mpi.Tool) *mpi.Report {
 	t.Helper()
+	checker := verify.New()
 	cfg := mpi.Config{
-		Ranks:         p,
-		Model:         machine.NehalemCluster(),
-		Seed:          seed,
-		Tools:         tools,
-		CheckSections: true,
-		Timeout:       2 * time.Minute,
+		Ranks:   p,
+		Model:   machine.NehalemCluster(),
+		Seed:    seed,
+		Tools:   append(tools, checker),
+		Timeout: 2 * time.Minute,
 	}
 	rep, err := mpi.Run(cfg, func(c *mpi.Comm) error {
 		for step := 0; step < 3; step++ {
@@ -53,6 +54,9 @@ func runWorkload(t *testing.T, p int, seed uint64, tools ...mpi.Tool) *mpi.Repor
 		return nil
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checker.Err(); err != nil {
 		t.Fatal(err)
 	}
 	return rep

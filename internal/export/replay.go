@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/waitstate"
 )
 
 // This file is the one pass every view is made of: a single-threaded
@@ -65,7 +66,7 @@ type waitSplit struct {
 
 // observe classifies one receive.
 func (w *waitSplit) observe(e *trace.Event) {
-	wait := max(e.T-e.PostT, 0)
+	wait, late := waitstate.Lateness(e.T, e.PostT, e.SendT)
 	w.recvs++
 	w.waitIn += wait
 	if e.PostT > e.ArrT {
@@ -75,7 +76,6 @@ func (w *waitSplit) observe(e *trace.Event) {
 		w.collWait += wait
 		return
 	}
-	late := min(max(e.SendT-e.PostT, 0), wait)
 	w.lateSend += late
 	w.transfer += wait - late
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/prof"
+	"repro/internal/verify"
 )
 
 func idealCfg(ranks, threads int) mpi.Config {
@@ -177,12 +178,15 @@ func TestScaleChargesFullCost(t *testing.T) {
 // counts and the timeloop dominates (the paper's "99% of main").
 func TestSectionsProfiled(t *testing.T) {
 	profiler := prof.New()
+	checker := verify.New()
 	cfg := idealCfg(8, 1)
 	cfg.Model = machine.NehalemCluster() // non-zero times
-	cfg.Tools = []mpi.Tool{profiler}
-	cfg.CheckSections = true
+	cfg.Tools = []mpi.Tool{profiler, checker}
 	p := Params{S: 4, Steps: 5, Threads: 1, Scale: 1, SedovEnergy: 1e4}
 	if _, err := Run(cfg, p); err != nil {
+		t.Fatal(err)
+	}
+	if err := checker.Err(); err != nil {
 		t.Fatal(err)
 	}
 	profile, err := profiler.Result()

@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // This file implements the paper's central abstraction, MPI_Section
 // (Section 4): a temporal outline of a distributed code region entered by
@@ -16,9 +13,10 @@ import (
 // collective calls: they never synchronize ranks, they only record the
 // rank-local virtual timestamp and notify tools. Sections may be nested but
 // must nest perfectly, and all ranks of the communicator must enter the
-// same sequence of sections — invariants the runtime verifies with
-// non-intrusive bookkeeping when Config.CheckSections is set (the paper
-// recommends the checks be selectively enabled to minimize impact).
+// same sections. The runtime always reports an exit that does not match
+// the innermost open section; the cross-rank invariants are checked by
+// attaching verify.New() to Config.Tools (the paper recommends the checks
+// be selectively enabled to minimize impact).
 
 // sectionFrame is one live section instance on one rank.
 type sectionFrame struct {
@@ -28,8 +26,7 @@ type sectionFrame struct {
 
 // rankSections is the per-rank section context for one communicator.
 type rankSections struct {
-	stack  []sectionFrame
-	seqPos int // position in the canonical sequence (checking mode)
+	stack []sectionFrame
 	// exitData is the scratch ToolData handed to SectionLeave hooks. A
 	// function-local copy would escape through the hook call and cost one
 	// heap allocation per exit — even with no tools attached — which the
@@ -38,21 +35,12 @@ type rankSections struct {
 	exitData ToolData
 }
 
-type seqEntry struct {
-	enter bool
-	label string
-}
-
-// sectionRegistry holds the per-communicator stacks and, when checking is
-// enabled, the canonical event sequence every rank must follow. The paper's
-// reference implementation "simply manipulates a stack of contexts for each
+// sectionRegistry holds the per-communicator stacks. The paper's reference
+// implementation "simply manipulates a stack of contexts for each
 // communicator"; this is that stack. perRank[r] is touched only by rank r's
-// goroutine and needs no lock; mu guards canonical, the one thing ranks
-// share, and is taken only under Config.CheckSections.
+// goroutine and needs no lock.
 type sectionRegistry struct {
-	perRank   []rankSections
-	mu        sync.Mutex
-	canonical []seqEntry
+	perRank []rankSections
 }
 
 //seclint:allocs-ok registry construction at session bring-up
@@ -69,13 +57,9 @@ func (c *Comm) SectionEnter(label string) {
 	if fi := c.rs.world.fi; fi != nil && fi.plan.KillSection(c.WorldRank(), label) {
 		panic(&killPanic{section: label, err: errFailStop})
 	}
-	reg := c.shared.sections
-	rs := &reg.perRank[c.rank]
+	rs := &c.shared.sections.perRank[c.rank]
 	rs.stack = append(rs.stack, sectionFrame{label: label})
 	frame := &rs.stack[len(rs.stack)-1]
-	if c.rs.world.cfg.CheckSections {
-		c.checkSequence(reg, rs, seqEntry{enter: true, label: label})
-	}
 
 	for _, t := range c.rs.world.cfg.Tools {
 		//seclint:allocs-ok tool hooks are //seclint:hotpath roots, proven allocation-free in their own right
@@ -90,8 +74,7 @@ func (c *Comm) SectionEnter(label string) {
 //
 //seclint:hotpath
 func (c *Comm) SectionExit(label string) {
-	reg := c.shared.sections
-	rs := &reg.perRank[c.rank]
+	rs := &c.shared.sections.perRank[c.rank]
 	var frame *sectionFrame
 	if n := len(rs.stack); n == 0 {
 		//seclint:allocs-ok section-mismatch error construction: failing path
@@ -108,9 +91,6 @@ func (c *Comm) SectionExit(label string) {
 		}
 		frame = top
 	}
-	if c.rs.world.cfg.CheckSections {
-		c.checkSequence(reg, rs, seqEntry{enter: false, label: label})
-	}
 	rs.exitData = ToolData{}
 	if frame != nil {
 		rs.exitData = frame.data
@@ -121,39 +101,6 @@ func (c *Comm) SectionExit(label string) {
 	for _, t := range c.rs.world.cfg.Tools {
 		//seclint:allocs-ok tool hooks are //seclint:hotpath roots, proven allocation-free in their own right
 		t.SectionLeave(c, label, c.rs.now(), data)
-	}
-}
-
-// checkSequence verifies that this rank's event agrees with the canonical
-// sequence (established by whichever rank gets there first).
-//
-//seclint:allocs-ok debug-mode section auditing (Config.CheckSections), off by default
-func (c *Comm) checkSequence(reg *sectionRegistry, rs *rankSections, e seqEntry) {
-	pos := rs.seqPos
-	rs.seqPos++
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if pos == len(reg.canonical) {
-		reg.canonical = append(reg.canonical, e)
-		return
-	}
-	if pos > len(reg.canonical) {
-		// Cannot happen: appends occur under the same lock.
-		c.rs.world.reportSectionError(fmt.Errorf(
-			"mpi: internal section sequence overrun on rank %d", c.rank))
-		return
-	}
-	want := reg.canonical[pos]
-	if want != e {
-		kind := func(enter bool) string {
-			if enter {
-				return "enter"
-			}
-			return "exit"
-		}
-		c.rs.world.reportSectionError(fmt.Errorf(
-			"mpi: section sequence divergence on comm %d: rank %d did %s %q at step %d, other ranks did %s %q",
-			c.shared.id, c.rank, kind(e.enter), e.label, pos, kind(want.enter), want.label))
 	}
 }
 

@@ -27,12 +27,12 @@ type Config struct {
 	Seed uint64
 	// Tools are attached in order; each receives every profiling hook.
 	// They are shared across ranks and must be safe for concurrent use.
+	// The MPI_Section collective invariants (the same sections entered on
+	// every rank of a communicator, perfect nesting, the same collective
+	// order) are checked by attaching verify.New(); the paper recommends
+	// the checks be selectively enabled, and they default off like its
+	// reference runtime.
 	Tools []Tool
-	// CheckSections enables verification of the MPI_Section collective
-	// invariants (identical enter/exit sequences on every rank of a
-	// communicator, perfect nesting). The paper recommends the checks be
-	// selectively enabled; they default off like its reference runtime.
-	CheckSections bool
 	// Timeout aborts the run if the ranks do not finish within this real
 	// duration (0 means no watchdog). Intended for tests: a deadlocked
 	// topology otherwise hangs the process. When it fires, the run is

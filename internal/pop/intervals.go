@@ -1,6 +1,9 @@
 package pop
 
-import "repro/internal/trace"
+import (
+	"repro/internal/trace"
+	"repro/internal/waitstate"
+)
 
 // timeResolved slices the run's wall time into n equal intervals and
 // evaluates the run-level factor tree over each — Haldar-style
@@ -67,13 +70,7 @@ func timeResolved(o *trace.Order, wall float64, n int, degraded bool) []Interval
 				if e.Tag < 0 {
 					continue // collective wait: all serialisation-side
 				}
-				late := e.SendT - e.PostT
-				if late < 0 {
-					late = 0
-				}
-				if late > e.T-e.PostT {
-					late = e.T - e.PostT
-				}
+				_, late := waitstate.Lateness(e.T, e.PostT, e.SendT)
 				add(ri, e.PostT+late, e.T, func(rt *RankTotals, d float64) { rt.Transfer += d })
 			case trace.KindDeadPeer:
 				if e.T > e.PostT {

@@ -1,7 +1,7 @@
 package prof
 
 import (
-	"bytes"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -284,65 +284,16 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestCSVRoundtrip(t *testing.T) {
-	prof := runProfiled(t, 2, func(c *mpi.Comm) error {
-		c.SectionEnter("phase")
-		c.Sleep(1.5)
-		c.SectionExit("phase")
-		return nil
-	})
-	var buf bytes.Buffer
-	if err := prof.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(prof.Sections) {
-		t.Fatalf("rows = %d, want %d", len(rows), len(prof.Sections))
-	}
-	var phase *CSVRow
-	for i := range rows {
-		if rows[i].Label == "phase" {
-			phase = &rows[i]
-		}
-	}
-	if phase == nil {
-		t.Fatal("phase row missing")
-	}
-	if phase.Ranks != 2 || phase.Instances != 1 {
-		t.Errorf("row = %+v", phase)
-	}
-	if math.Abs(phase.Total-3) > 1e-9 || math.Abs(phase.AvgPerProc-1.5) > 1e-9 {
-		t.Errorf("row totals = %g/%g", phase.Total, phase.AvgPerProc)
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := ReadCSV(strings.NewReader("x,y\n1,2\n")); err == nil {
-		t.Error("wrong header accepted")
-	}
-	bad := strings.Join(profileCSVHeader, ",") + "\n0,l,x,1,1,1,1,1,1,1,1,1\n"
-	if _, err := ReadCSV(strings.NewReader(bad)); err == nil {
-		t.Error("bad ranks field accepted")
-	}
-}
-
-// renderAll is every byte a Profile can print.
-func renderAll(t *testing.T, prof *Profile) string {
-	t.Helper()
+// renderAll is every byte a Profile can print, and every statistic it
+// holds, each float in its shortest exact form.
+func renderAll(prof *Profile) string {
 	var sb strings.Builder
-	if err := prof.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if err := prof.WritePerRankCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
+	sb.WriteString(prof.Table())
 	sb.WriteString(prof.WorldTree())
+	for _, s := range prof.Sections {
+		fmt.Fprintf(&sb, "%d %s %d %d %v %v %v %v %v %v %v %v\n", s.Comm, s.Label, s.Ranks, s.Instances,
+			s.SpanTotal, s.Dur.Mean(), s.Dur.Std(), s.EntryImb.Mean(), s.Imb.Mean(), s.PerRankTotal, s.PerRankExcl, s.PerRank)
+	}
 	return sb.String()
 }
 
@@ -364,7 +315,7 @@ func TestProfileDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return renderAll(t, prof)
+		return renderAll(prof)
 	}
 	want := render()
 	if !strings.Contains(want, "HALO") {

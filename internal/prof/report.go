@@ -1,10 +1,7 @@
 package prof
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
-	"strconv"
 	"strings"
 )
 
@@ -21,103 +18,4 @@ func (p *Profile) Table() string {
 			s.TotalExclusive(), s.EntryImb.Mean(), s.Imb.Mean(), s.LoadImbalance())
 	}
 	return sb.String()
-}
-
-// profileCSVHeader is the stable column set for WriteCSV/ReadCSV.
-var profileCSVHeader = []string{
-	"comm", "label", "ranks", "instances",
-	"total", "avg_per_proc", "excl_total",
-	"dur_mean", "dur_std", "entry_imb_mean", "imb_mean", "span_total",
-}
-
-// WriteCSV emits one row per section, machine-readable, for cmd/secanalyze
-// and external plotting.
-func (p *Profile) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(profileCSVHeader); err != nil {
-		return err
-	}
-	g := func(v float64) string { return strconv.FormatFloat(v, 'g', 17, 64) }
-	for _, s := range p.Sections {
-		rec := []string{
-			strconv.FormatInt(s.Comm, 10),
-			s.Label,
-			strconv.Itoa(s.Ranks),
-			strconv.Itoa(s.Instances),
-			g(s.TotalTime()),
-			g(s.AvgPerProcess()),
-			g(s.TotalExclusive()),
-			g(s.Dur.Mean()),
-			g(s.Dur.Std()),
-			g(s.EntryImb.Mean()),
-			g(s.Imb.Mean()),
-			g(s.SpanTotal),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// CSVRow is one parsed row of a profile CSV (aggregates only — Welford
-// state is not serialized, so round-tripping keeps summary statistics).
-type CSVRow struct {
-	Comm         int64
-	Label        string
-	Ranks        int
-	Instances    int
-	Total        float64
-	AvgPerProc   float64
-	ExclTotal    float64
-	DurMean      float64
-	DurStd       float64
-	EntryImbMean float64
-	ImbMean      float64
-	SpanTotal    float64
-}
-
-// ReadCSV parses a stream produced by WriteCSV.
-func ReadCSV(r io.Reader) ([]CSVRow, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 || strings.Join(rows[0], ",") != strings.Join(profileCSVHeader, ",") {
-		return nil, fmt.Errorf("prof: not a profile CSV")
-	}
-	out := make([]CSVRow, 0, len(rows)-1)
-	for i, row := range rows[1:] {
-		if len(row) != len(profileCSVHeader) {
-			return nil, fmt.Errorf("prof: row %d has %d fields", i+2, len(row))
-		}
-		var c CSVRow
-		var err error
-		fail := func(what string, e error) error {
-			return fmt.Errorf("prof: row %d %s: %w", i+2, what, e)
-		}
-		if c.Comm, err = strconv.ParseInt(row[0], 10, 64); err != nil {
-			return nil, fail("comm", err)
-		}
-		c.Label = row[1]
-		if c.Ranks, err = strconv.Atoi(row[2]); err != nil {
-			return nil, fail("ranks", err)
-		}
-		if c.Instances, err = strconv.Atoi(row[3]); err != nil {
-			return nil, fail("instances", err)
-		}
-		floats := []*float64{
-			&c.Total, &c.AvgPerProc, &c.ExclTotal, &c.DurMean,
-			&c.DurStd, &c.EntryImbMean, &c.ImbMean, &c.SpanTotal,
-		}
-		for j, dst := range floats {
-			if *dst, err = strconv.ParseFloat(row[4+j], 64); err != nil {
-				return nil, fail(profileCSVHeader[4+j], err)
-			}
-		}
-		out = append(out, c)
-	}
-	return out, nil
 }

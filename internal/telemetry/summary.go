@@ -40,29 +40,6 @@ func ReadSummaryFile(path string) (*Profile, error) {
 	return ReadSummary(f)
 }
 
-// LooksLikeSummary reports whether the file at path is a telemetry JSON
-// summary (first non-space byte '{') rather than some other profile format.
-func LooksLikeSummary(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	for {
-		b, err := br.ReadByte()
-		if err != nil {
-			return false
-		}
-		switch b {
-		case ' ', '\t', '\r', '\n':
-			continue
-		default:
-			return b == '{'
-		}
-	}
-}
-
 // WriteHeatmapCSV renders the rank×time wait heatmap as CSV: one row per
 // rank group, one column per time bin, cells in seconds of blocked wait.
 func (p *Profile) WriteHeatmapCSV(w io.Writer) error {

@@ -513,10 +513,7 @@ func (tl *Tool) MessageRecv(c *mpi.Comm, src, tag, bytes int, t float64, m mpi.M
 	sid := cur.top()
 	sh := tl.shardFor(wr)
 	a := &sh.secs[sid]
-	wait := t - m.PostT
-	if wait < 0 {
-		wait = 0
-	}
+	wait, late := waitstate.Lateness(t, m.PostT, m.SendT)
 	wp := pico(wait)
 	a.recvs.Add(1)
 	a.waitPico.Add(wp)
@@ -529,13 +526,6 @@ func (tl *Tool) MessageRecv(c *mpi.Comm, src, tag, bytes int, t float64, m mpi.M
 	if tag < 0 {
 		a.collWaitPico.Add(wp)
 	} else {
-		late := m.SendT - m.PostT
-		if late < 0 {
-			late = 0
-		}
-		if late > wait {
-			late = wait
-		}
 		lp := pico(late)
 		a.latePico.Add(lp)
 		a.transferPico.Add(wp - lp)

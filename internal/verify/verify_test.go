@@ -24,28 +24,51 @@ func testCfg(ranks int, tools ...mpi.Tool) mpi.Config {
 }
 
 // TestCleanRunVerifies: a well-formed program produces zero violations.
+// The section invariants are per communicator, so the two halves of a Split
+// may enter different sections.
 func TestCleanRunVerifies(t *testing.T) {
-	v := New()
-	_, err := mpi.Run(testCfg(4, v), func(c *mpi.Comm) error {
-		for i := 0; i < 3; i++ {
-			c.SectionEnter("step")
-			c.SectionEnter("halo")
-			c.SectionExit("halo")
-			c.SectionExit("step")
-			if err := c.Barrier(); err != nil {
+	for _, tc := range []struct {
+		name string
+		prog func(*mpi.Comm) error
+	}{
+		{"steps", func(c *mpi.Comm) error {
+			for i := 0; i < 3; i++ {
+				c.SectionEnter("step")
+				c.SectionEnter("halo")
+				c.SectionExit("halo")
+				c.SectionExit("step")
+				if err := c.Barrier(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"split-halves", func(c *mpi.Comm) error {
+			sub, err := c.Split(c.Rank()%2, c.Rank())
+			if err != nil {
 				return err
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.OK() {
-		t.Fatalf("clean run reported violations: %v", v.Violations())
-	}
-	if err := v.Err(); err != nil {
-		t.Errorf("Err() = %v, want nil", err)
+			label := "even-phase"
+			if c.Rank()%2 == 1 {
+				label = "odd-phase"
+			}
+			sub.SectionEnter(label)
+			sub.SectionExit(label)
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := New()
+			if _, err := mpi.Run(testCfg(4, v), tc.prog); err != nil {
+				t.Fatal(err)
+			}
+			if !v.OK() {
+				t.Fatalf("clean run reported violations: %v", v.Violations())
+			}
+			if err := v.Err(); err != nil {
+				t.Errorf("Err() = %v, want nil", err)
+			}
+		})
 	}
 }
 
@@ -158,32 +181,58 @@ func TestSectionUnderflow(t *testing.T) {
 	}
 }
 
-// TestCollectiveOrderDivergence: both ranks run an Allreduce, but rank 1's
-// tool also sees a Reduce no peer ran (its hooks fired by hand, as a library
-// wrapping its own collective would). The run completes, but the collective
-// *sequences* differ ("Allreduce, Reduce, Bcast" vs "Reduce, Allreduce,
-// ..."), which is exactly the divergence the verifier exists to catch.
+// TestCollectiveOrderDivergence: a run whose ranks disagree completes, and
+// the verifier reports the divergence. In "collective-order" both ranks run
+// an Allreduce, but rank 1's tool also sees a Reduce no peer ran (its hooks
+// fired by hand, as a library wrapping its own collective would), so the
+// collective *sequences* differ ("Allreduce, Reduce, Bcast" vs "Reduce,
+// Allreduce, ..."). In "section-enter" rank 0 enters a section rank 1 never
+// does, and the other way round.
 func TestCollectiveOrderDivergence(t *testing.T) {
-	v := New()
-	_, err := mpi.Run(testCfg(2, v), func(c *mpi.Comm) error {
-		if c.Rank() == 1 {
-			v.CollectiveBegin(c, "Reduce", c.Now())
-			v.CollectiveEnd(c, "Reduce", c.Now())
-		}
-		_, err := c.Allreduce([]float64{float64(c.Rank() + 1)}, mpi.OpSum)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, viol := range v.Violations() {
-		if viol.Class == ClassCollectiveOrder {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no %s violation in %v", ClassCollectiveOrder, v.Violations())
+	for _, tc := range []struct {
+		name, class string
+		prog        func(v *Tool) func(*mpi.Comm) error
+	}{
+		{"collective-order", ClassCollectiveOrder, func(v *Tool) func(*mpi.Comm) error {
+			return func(c *mpi.Comm) error {
+				if c.Rank() == 1 {
+					v.CollectiveBegin(c, "Reduce", c.Now())
+					v.CollectiveEnd(c, "Reduce", c.Now())
+				}
+				_, err := c.Allreduce([]float64{float64(c.Rank() + 1)}, mpi.OpSum)
+				return err
+			}
+		}},
+		{"section-enter", ClassEnterDivergence, func(*Tool) func(*mpi.Comm) error {
+			return func(c *mpi.Comm) error {
+				label := "compute"
+				if c.Rank() == 1 {
+					label = "io"
+				}
+				c.SectionEnter(label)
+				c.SectionExit(label)
+				return nil
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := New()
+			if _, err := mpi.Run(testCfg(2, v), tc.prog(v)); err != nil {
+				t.Fatal(err)
+			}
+			found := false
+			for _, viol := range v.Violations() {
+				if viol.Class == tc.class {
+					found = true
+				}
+			}
+			if !found {
+				t.Errorf("no %s violation in %v", tc.class, v.Violations())
+			}
+			if v.Err() == nil {
+				t.Error("Err() = nil on a divergent run")
+			}
+		})
 	}
 }
 

@@ -514,13 +514,15 @@ func (w *worker) replay(rt *rankTimeline, run trace.Run) {
 	w.secStack, w.collStack, w.last = secStack, collStack, rt
 }
 
-// lateness splits the blocked time of a receive: wait, from its post to its
-// completion, and late, the part of it spent before the send was posted.
-func lateness(e *trace.Event) (wait, late float64) {
-	if wait = e.T - e.PostT; wait < 0 {
+// Lateness splits the blocked time of a receive posted at postT, sent at
+// sendT and completed at t: wait, from its post to its completion, and
+// late, the part of it spent before the send was posted. Every tool that
+// splits a receive's wait this way calls it, so they agree to the bit.
+func Lateness(t, postT, sendT float64) (wait, late float64) {
+	if wait = t - postT; wait < 0 {
 		wait = 0
 	}
-	if late = e.SendT - e.PostT; late < 0 {
+	if late = sendT - postT; late < 0 {
 		late = 0
 	}
 	if late > wait {
@@ -538,7 +540,7 @@ func (en *engine) classify(rt *rankTimeline, alone bool) {
 		if alone {
 			en.charge(e)
 		}
-		wait, late := lateness(e)
+		wait, late := Lateness(e.T, e.PostT, e.SendT)
 		rt.wait += wait
 		cell := rt.secAt(e.PostT)
 		cell.inDiag, cell.inRank = true, true
@@ -605,7 +607,7 @@ func (en *engine) classify(rt *rankTimeline, alone bool) {
 // doing when it finally posted the send: that section's Twait_out. Receivers
 // taken in ascending rank order, the sums do not depend on the split.
 func (en *engine) charge(e *trace.Event) {
-	if _, late := lateness(e); e.Tag >= 0 && late > 0 {
+	if _, late := Lateness(e.T, e.PostT, e.SendT); e.Tag >= 0 && late > 0 {
 		if srt := en.rank(e.Peer); srt != nil {
 			if sc := srt.sendCell(e.SendT); sc != nil {
 				sc.waitOut += late
