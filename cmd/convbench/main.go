@@ -6,7 +6,7 @@
 //
 //	convbench [-fig 5a|5b|5c|5d|6|all] [-quick] [-extreme] [-reps N] [-steps N]
 //	          [-seed N] [-out results] [-csv out.csv] [-profile prof.json]
-//	          [-j N] [-verify] [-fault-spec SPEC] [-fault-seed N] [-deadline D]
+//	          [-j N] [-verify] [-fault-spec SPEC] [-fault-seed N]
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // With -profile the constant-memory streaming telemetry tool rides along on
@@ -54,7 +54,6 @@ func main() {
 	verifyRuns := flag.Bool("verify", false, "attach the runtime section/collective verifier to every run and exit nonzero on violations")
 	faultSpec := flag.String("fault-spec", "", `fault plan, e.g. "kill:rank=8,after=50;drop:src=0,dst=1,prob=0.5" (see internal/fault)`)
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the fault plan's probabilistic rules")
-	deadline := flag.Duration("deadline", 0, "per-run deadlock detector deadline (default 30s when -fault-spec is set)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	flag.Parse()
@@ -93,7 +92,7 @@ func main() {
 	// The knobs every sweep shares, for the strong sweep and the -weak and
 	// -decomp extensions alike.
 	shared := func(s *experiments.Sweep) {
-		s.Jobs, s.Fault, s.Deadline, s.Verify = *jobs, plan, *deadline, *verifyRuns
+		s.Jobs, s.Fault, s.Verify = *jobs, plan, *verifyRuns
 	}
 	shared(&opts.Sweep)
 	opts.Profile = *profilePath != ""

@@ -124,7 +124,7 @@ func TestEfficiencyEndpointFaultedRun(t *testing.T) {
 	h := testHandler()
 	code, body := get(t, h,
 		"/run?exp=conv&p=4&steps=6&scale=32&seed=2017&wait=1&seq=0"+
-			"&fault=delay:src=*,dst=*,prob=1,secs=1e-6&fault-seed=9&deadline=30s")
+			"&fault=delay:src=*,dst=*,prob=1,secs=1e-6&fault-seed=9")
 	if code != http.StatusOK {
 		t.Fatalf("faulty run: code %d body %q", code, body)
 	}

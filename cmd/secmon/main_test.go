@@ -85,15 +85,13 @@ func TestRunRejectsBadParameters(t *testing.T) {
 }
 
 // TestRunFaultKnobs drives a faulty run through the HTTP surface: the
-// fault/fault-seed/deadline knobs arm the plan, /faults.json serves the
+// fault/fault-seed knobs arm the plan, /faults.json serves the
 // canonical event log live, and /metrics exposes section_fault_total.
 func TestRunFaultKnobs(t *testing.T) {
 	h := testHandler()
 	for _, path := range []string{
 		"/run?exp=conv&p=2&fault=bogus",
 		"/run?exp=conv&p=2&fault=kill:rank=0&fault-seed=x",
-		"/run?exp=conv&p=2&deadline=nope",
-		"/run?exp=conv&p=2&deadline=-3s",
 	} {
 		if code, _ := get(t, h, path); code != http.StatusBadRequest {
 			t.Fatalf("%s: code %d, want 400", path, code)
@@ -102,7 +100,7 @@ func TestRunFaultKnobs(t *testing.T) {
 
 	code, body := get(t, h,
 		"/run?exp=conv&p=4&steps=6&scale=32&seed=2017&wait=1&seq=0"+
-			"&fault=delay:src=*,dst=*,prob=1,secs=1e-6&fault-seed=9&deadline=30s")
+			"&fault=delay:src=*,dst=*,prob=1,secs=1e-6&fault-seed=9")
 	if code != http.StatusOK {
 		t.Fatalf("faulty run: code %d body %q", code, body)
 	}

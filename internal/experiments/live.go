@@ -42,22 +42,19 @@ type LiveOptions struct {
 	Model *machine.Model
 	// Tools are attached in order, exactly as mpi.Config.Tools.
 	Tools []mpi.Tool
-	// Timeout is the deadlock watchdog (default 10 minutes).
+	// Timeout bounds the run's real work (default 10 minutes); a deadlock
+	// ends the run by itself.
 	Timeout time.Duration
 	// Fault arms a deterministic fault plan in the run's runtime; the
 	// monitor's observers (trace collectors, export recorders) see the
 	// injected events live.
 	Fault *fault.Plan
-	// Deadline arms the deadlock detector (default 30s when Fault is set,
-	// off otherwise) — a faulty live run must end in a per-rank blocked
-	// report, not a hung monitor.
-	Deadline time.Duration
 }
 
 // Admission bounds of a live run. A monitor hands LiveOptions whatever its
 // clients typed, and a run that progresses is cut short by nothing but the
-// Timeout watchdog (Deadline fires on deadlock only), so sizes beyond what
-// the repository's own drivers reach are refused before anything is
+// Timeout watchdog (a deadlock ends only a run that stops), so sizes beyond
+// what the repository's own drivers reach are refused before anything is
 // allocated: ranks past the extreme sweep's 10,000 plus headroom, steps past
 // the paper's 1,000-step convolution, teams past KNL's 256 hardware
 // threads, and scale divisors past the point where the executed problem is
@@ -172,12 +169,11 @@ func (o LiveOptions) Resolved() (LiveOptions, error) {
 }
 
 // CacheKey renders the run's identity for result caching: every field that
-// influences the simulated execution — workload, machine, geometry, seeds,
-// the fault plan (via its canonical key) and the deadlock deadline (it
-// decides how a wedged run fails). Tool attachments deliberately do not
-// participate: they observe the run without perturbing virtual time. Call
-// it on Resolved() options so defaulted and explicit spellings of the same
-// configuration share an entry.
+// influences the simulated execution — workload, machine, geometry, seeds
+// and the fault plan (via its canonical key). Tool attachments deliberately
+// do not participate: they observe the run without perturbing virtual time.
+// Call it on Resolved() options so defaulted and explicit spellings of the
+// same configuration share an entry.
 func (o LiveOptions) CacheKey() string {
 	model := ""
 	if o.Model != nil {
@@ -192,7 +188,6 @@ func (o LiveOptions) CacheKey() string {
 		strconv.FormatUint(o.Seed, 10),
 		strconv.Itoa(o.Threads),
 		o.Fault.Key(),
-		o.Deadline.String(),
 	}, "|")
 }
 
@@ -231,7 +226,7 @@ func RunLive(o LiveOptions) (*mpi.Report, error) {
 	liveLimiter.Acquire()
 	defer liveLimiter.Release()
 	// No team in the config: lulesh.Run sizes it from its Params.
-	cfg := Sweep{Model: o.Model, Fault: o.Fault, Deadline: o.Deadline}.config(point{ranks: o.Ranks, seed: o.Seed, lazy: w.lazy})
+	cfg := Sweep{Model: o.Model, Fault: o.Fault}.config(point{ranks: o.Ranks, seed: o.Seed, lazy: w.lazy})
 	cfg.Tools, cfg.Timeout = o.Tools, o.Timeout
 	rep, err := run(cfg)
 	if err != nil {

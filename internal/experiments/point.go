@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"time"
-
 	"repro/internal/convolution"
 	"repro/internal/fault"
 	"repro/internal/lulesh"
@@ -44,22 +42,7 @@ type Sweep struct {
 	// Fault arms a deterministic fault plan in every run; points whose runs
 	// fail degrade to an `error` CSV cell instead of aborting the sweep.
 	Fault *fault.Plan
-	// Deadline arms the per-run deadlock detector (default 30s when Fault is
-	// set, off otherwise).
-	Deadline time.Duration
 }
-
-// defaultFaultDeadline arms the deadlock detector whenever a fault plan is
-// attached and the caller did not choose a deadline: injected failures can
-// legitimately strand peers (a killed rank's partner blocks forever), and a
-// degraded sweep must terminate with a report instead of hanging.
-//
-// A fault-free sweep point runs with no real-time bound at all. A pending
-// watchdog timer is not free: it sits in one scheduler's timer heap, and
-// every look for runnable work there reads the clock — 6.6 % of a bare 1-D
-// p=456 point's profile at GOMAXPROCS 1. On-demand runs keep their own
-// Timeout (LiveOptions).
-const defaultFaultDeadline = 30 * time.Second
 
 // runner executes one workload run under cfg.
 type runner func(cfg mpi.Config) (*mpi.Report, error)
@@ -128,19 +111,14 @@ type pointResult struct {
 
 // config is the mpi.Config of one run of p, tools not yet attached.
 func (s Sweep) config(p point) mpi.Config {
-	cfg := mpi.Config{
+	return mpi.Config{
 		Ranks:          p.ranks,
 		ThreadsPerRank: p.threads,
 		Model:          s.Model,
 		Seed:           p.seed,
 		Lazy:           p.lazy,
 		Fault:          s.Fault,
-		Deadline:       s.Deadline,
 	}
-	if s.Fault != nil && s.Deadline == 0 {
-		cfg.Deadline = defaultFaultDeadline
-	}
-	return cfg
 }
 
 // runPoint executes p under the sweep's tool chain — the profiler, the

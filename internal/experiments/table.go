@@ -5,7 +5,7 @@
 // paper reports as aligned text and as CSV.
 //
 // Three layers: one point runner (point.go) builds every run's mpi.Config
-// — fault plan, deadline — and tool chain — profiler, verifier, the
+// — fault plan — and tool chain — profiler, verifier, the
 // specimen's collector and telemetry — and reduces the run to numbers or a
 // root-cause cell; per-study folds (conv.go, weak.go, decomp.go,
 // hybrid.go) turn their point lists into results: rep averaging and the

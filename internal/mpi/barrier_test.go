@@ -267,11 +267,10 @@ type progVariant struct {
 	lazy     bool
 	oneProc  bool // GOMAXPROCS 1, else as the test was started
 	tool     bool
-	deadline bool // detector armed: waiters publish where they park
 }
 
 func (v progVariant) String() string {
-	return fmt.Sprintf("messages=%t/lazy=%t/oneProc=%t/tool=%t/deadline=%t", v.messages, v.lazy, v.oneProc, v.tool, v.deadline)
+	return fmt.Sprintf("messages=%t/lazy=%t/oneProc=%t/tool=%t", v.messages, v.lazy, v.oneProc, v.tool)
 }
 
 type progResult struct {
@@ -289,9 +288,6 @@ func runBarrierProg(pr *barrierProg, v progVariant) (*progResult, error) {
 	cfg := Config{Ranks: pr.p, Model: machine.ExtremeCluster(), Seed: pr.seed, Lazy: v.lazy, Timeout: time.Minute}
 	if v.messages {
 		cfg.Fault = &fault.Plan{}
-	}
-	if v.deadline {
-		cfg.Deadline = 30 * time.Second
 	}
 	var log *hookLog
 	if v.tool {
@@ -366,11 +362,11 @@ func checkBarrierProg(t *testing.T, pr *barrierProg, variants []progVariant) {
 
 func TestBarrierRendezvousMatchesMessages(t *testing.T) {
 	var all []progVariant
-	for i := 0; i < 32; i++ {
-		all = append(all, progVariant{messages: i&1 != 0, lazy: i&2 != 0, oneProc: i&4 != 0, tool: i&8 != 0, deadline: i&16 != 0})
+	for i := 0; i < 16; i++ {
+		all = append(all, progVariant{messages: i&1 != 0, lazy: i&2 != 0, oneProc: i&4 != 0, tool: i&8 != 0})
 	}
 	// Generated programs take one rendezvous run per axis value.
-	few := []progVariant{{tool: true}, {lazy: true, oneProc: true, tool: true}, {lazy: true, deadline: true}, {tool: true, deadline: true}}
+	few := []progVariant{{tool: true}, {lazy: true, oneProc: true, tool: true}, {lazy: true}}
 	rng := stats.NewRNG(2017)
 	for _, p := range []int{2, 3, 5, 8, 13, 64, 257, 1000} {
 		t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
@@ -417,7 +413,7 @@ func TestBarrierWaitersUnwindWhenARankFails(t *testing.T) {
 		t.Run(mode, func(t *testing.T) {
 			before := liveGoroutines()
 			waiterErrs := make([]error, 8)
-			_, err := Run(ftCfg(8), func(c *Comm) error {
+			_, err := Run(testCfg(8), func(c *Comm) error {
 				if c.Rank() == 5 {
 					if mode == "panic" {
 						panic("deliberate test panic")
@@ -455,7 +451,6 @@ func TestBarrierWaitersUnwindWhenARankFails(t *testing.T) {
 // peer and tag.
 func TestBarrierDeadlockReport(t *testing.T) {
 	before := liveGoroutines()
-	start := time.Now()
 	_, err := Run(dlCfg(6), func(c *Comm) error {
 		if c.Rank() == 2 {
 			return nil
@@ -464,9 +459,6 @@ func TestBarrierDeadlockReport(t *testing.T) {
 		defer c.SectionExit("SYNC")
 		return c.Barrier()
 	})
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("detection took %v, want well within a few deadlines", elapsed)
-	}
 	byRank := blockedByRank(t, err, 5)
 	for rank, op := range byRank {
 		if op.Op != "Barrier" || op.Peer != -1 || op.Tag != 0 || op.Section != "SYNC" {
@@ -480,7 +472,8 @@ func TestBarrierDeadlockReport(t *testing.T) {
 }
 
 // TestBarrierWatchdogReleasesRendezvous: the watchdog's abort releases a
-// rendezvous that will never fill, and one that fills and empties while the
+// rendezvous that will never fill while two ranks trade messages instead of
+// arriving, and one that fills and empties while the
 // abort lands (generations complete and break concurrently; none may hang,
 // release twice or report a completed barrier as aborted).
 func TestBarrierWatchdogReleasesRendezvous(t *testing.T) {
@@ -491,8 +484,8 @@ func TestBarrierWatchdogReleasesRendezvous(t *testing.T) {
 			cfg.Timeout = 100 * time.Millisecond
 			var completed [4]int
 			_, err := Run(cfg, func(c *Comm) error {
-				if mode == "stuck" && c.Rank() == 0 {
-					return nil
+				if mode == "stuck" && c.Rank() < 2 {
+					return tradeForever(c, 1-c.Rank())
 				}
 				for {
 					if err := c.Barrier(); err != nil {
@@ -505,7 +498,7 @@ func TestBarrierWatchdogReleasesRendezvous(t *testing.T) {
 				t.Fatalf("err = %v, want the watchdog's abort and revoked waiters", err)
 			}
 			for r, n := range completed {
-				if n != completed[3] && !(mode == "stuck" && r == 0) {
+				if n != completed[3] && !(mode == "stuck" && r < 2) {
 					t.Errorf("rank %d completed %d barriers, rank 3 %d", r, n, completed[3])
 				}
 			}

@@ -45,10 +45,11 @@
 //
 // Only a world's running rank or its driver touches the rendezvous behind
 // Barrier, ExchangeGhost and Split, and the barrier, exchange and split
-// states around it, so they have no lock. Other goroutines reach a world
-// only through the abort flag and channel (the watchdog and the detector,
-// by abort), the RuntimeStats gauges, blockedInfo and the pools worlds
-// share; those are atomic or locked.
+// states around it, so they have no lock; so is where each rank parked,
+// which the driver reads back for a deadlock report. Other goroutines reach
+// a world only through the abort flag (the watchdog, by abort), the
+// RuntimeStats gauges and the pools worlds share; those are atomic or
+// locked.
 //
 // # Fault injection and fault tolerance
 //
@@ -100,11 +101,13 @@
 // returned error; RootCause distills the primary cause (an injected kill
 // outranks the secondary ErrRevoked / dead-peer noise it provokes).
 //
-// Hangs are bounded too: Config.Deadline arms a global deadlock detector.
-// If no rank makes progress for the deadline, the run aborts with a
-// DeadlockError whose report lists every blocked rank — the operation it
+// Hangs end too. Only the driver wakes a rank, so when its run queue is
+// empty, no lazy shard is left to bring up and ranks are still running,
+// the run is deadlocked: the driver aborts it, the moment it happens, with
+// a DeadlockError whose report lists every blocked rank — the operation it
 // is stuck in, the section it was executing, and the peer it is waiting
-// on.
+// on. It is always on and costs each park a few plain stores. A rank
+// stuck in real work never parks; Config.Timeout bounds it.
 //
 // Every injected fault and observed consequence is appended to
 // Report.Faults (canonically ordered via fault.SortEvents) and streamed
@@ -128,9 +131,7 @@
 //     the shard's atomic frontier lazily — at receive completion and at
 //     rank finish, the points where clocks become externally meaningful —
 //     instead of synchronizing through a global structure on every
-//     advance. RuntimeStats.Frontier folds the shard maxima on demand; the
-//     deadlock detector's steady-state tick reads three counters instead
-//     of walking every rank.
+//     advance. RuntimeStats.Frontier folds the shard maxima on demand.
 //
 //   - Sessions bring ranks up lazily. With Config.Lazy the ranks
 //     materialize shard by shard, on demand when a message first addresses
@@ -141,9 +142,9 @@
 //     By contract an Active session must confine collectives — including
 //     Split and Barrier — to communicators whose members are all active;
 //     the world communicator still spans every declared rank, so a
-//     world-spanning collective would wait forever on ranks that will
-//     never arrive. Point-to-point traffic among active ranks is
-//     unrestricted.
+//     world-spanning collective waits on ranks that will never arrive, and
+//     the run ends in a DeadlockError. Point-to-point traffic among active
+//     ranks is unrestricted.
 //
 // WorldInfo.Stats hands tools a live RuntimeStats view of the bring-up
 // (declared vs. active vs. materialized ranks, virtual-time frontier),

@@ -354,9 +354,6 @@ func runProg(p int, seed uint64, v progVariant, fn func(*Comm) error) (*progResu
 	if v.messages {
 		cfg.Fault = &fault.Plan{}
 	}
-	if v.deadline {
-		cfg.Deadline = 30 * time.Second
-	}
 	var log *hookLog
 	if v.tool {
 		log = &hookLog{}
@@ -409,11 +406,11 @@ func TestExchangeRendezvousMatchesMessages(t *testing.T) {
 // axis, and three generated ones (seeded by seed) across one value of each.
 func checkExchangeAxes(t *testing.T, namedProg func(p int) *exchangeProg, seed uint64) {
 	var all []progVariant
-	for i := 0; i < 32; i++ {
-		all = append(all, progVariant{messages: i&1 != 0, lazy: i&2 != 0, oneProc: i&4 != 0, tool: i&8 != 0, deadline: i&16 != 0})
+	for i := 0; i < 16; i++ {
+		all = append(all, progVariant{messages: i&1 != 0, lazy: i&2 != 0, oneProc: i&4 != 0, tool: i&8 != 0})
 	}
 	// Generated programs take one virtual run per axis value.
-	few := []progVariant{{tool: true}, {lazy: true, oneProc: true, tool: true}, {lazy: true, deadline: true}, {tool: true, deadline: true}}
+	few := []progVariant{{tool: true}, {lazy: true, oneProc: true, tool: true}, {lazy: true}}
 	rng := stats.NewRNG(seed)
 	for _, p := range []int{2, 3, 5, 8, 13, 64, 257, 1000} {
 		t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
@@ -477,7 +474,7 @@ func TestExchangeWaitersUnwindWhenARankFails(t *testing.T) {
 		t.Run(mode, func(t *testing.T) {
 			before := liveGoroutines()
 			waiterErrs := make([]error, 8)
-			_, err := Run(ftCfg(8), func(c *Comm) error {
+			_, err := Run(testCfg(8), func(c *Comm) error {
 				if c.Rank() == 5 {
 					if mode == "panic" {
 						panic("deliberate test panic")
@@ -516,7 +513,6 @@ func TestExchangeWaitersUnwindWhenARankFails(t *testing.T) {
 func TestExchangeDeadlockReport(t *testing.T) {
 	before := liveGoroutines()
 	pr := namedExchangeProg(6)
-	start := time.Now()
 	_, err := Run(dlCfg(6), func(c *Comm) error {
 		if c.Rank() == 2 {
 			return nil
@@ -525,9 +521,6 @@ func TestExchangeDeadlockReport(t *testing.T) {
 		defer c.SectionExit("HALO")
 		return c.ExchangeGhost(pr.chain(c, 0))
 	})
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("detection took %v, want well within a few deadlines", elapsed)
-	}
 	byRank := blockedByRank(t, err, 5)
 	for rank, op := range byRank {
 		if op.Op != "ExchangeGhost" || op.Peer != -1 || op.Tag != 0 || op.Section != "HALO" {
@@ -541,7 +534,8 @@ func TestExchangeDeadlockReport(t *testing.T) {
 }
 
 // TestExchangeWatchdogReleasesRendezvous: the watchdog's abort releases a
-// rendezvous that will never fill, and one that fills and empties while the
+// rendezvous that will never fill while two ranks trade messages instead of
+// arriving, and one that fills and empties while the
 // abort lands (generations complete and break concurrently; none may hang,
 // release twice or report a completed exchange as aborted).
 func TestExchangeWatchdogReleasesRendezvous(t *testing.T) {
@@ -553,8 +547,8 @@ func TestExchangeWatchdogReleasesRendezvous(t *testing.T) {
 			cfg.Timeout = 100 * time.Millisecond
 			var completed [4]int
 			_, err := Run(cfg, func(c *Comm) error {
-				if mode == "stuck" && c.Rank() == 0 {
-					return nil
+				if mode == "stuck" && c.Rank() < 2 {
+					return tradeForever(c, 1-c.Rank())
 				}
 				ops := pr.moore(c, 0, true)
 				for {
@@ -568,7 +562,7 @@ func TestExchangeWatchdogReleasesRendezvous(t *testing.T) {
 				t.Fatalf("err = %v, want the watchdog's abort and revoked waiters", err)
 			}
 			for r, n := range completed {
-				if n != completed[3] && !(mode == "stuck" && r == 0) {
+				if n != completed[3] && !(mode == "stuck" && r < 2) {
 					t.Errorf("rank %d completed %d exchanges, rank 3 %d", r, n, completed[3])
 				}
 			}

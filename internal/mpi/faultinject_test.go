@@ -29,7 +29,7 @@ func TestKillAfterNOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ftCfg(2)
+	cfg := testCfg(2)
 	cfg.Fault = plan
 	rep, err := Run(cfg, func(c *Comm) error {
 		// Ping-pong: each iteration is one send + one recv per rank, so
@@ -104,7 +104,7 @@ func TestDropPreventsDelivery(t *testing.T) {
 // completion time out by the configured virtual seconds.
 func TestDelayShiftsVirtualArrival(t *testing.T) {
 	recvT := func(spec string) float64 {
-		cfg := ftCfg(2)
+		cfg := testCfg(2)
 		if spec != "" {
 			plan, err := fault.ParseSpec(spec, 3)
 			if err != nil {
@@ -142,7 +142,7 @@ func TestTruncShortensPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ftCfg(2)
+	cfg := testCfg(2)
 	cfg.Fault = plan
 	rep, err := Run(cfg, func(c *Comm) error {
 		if c.Rank() == 0 {
@@ -181,7 +181,7 @@ func TestInjectedScheduleDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() []fault.Event {
-		cfg := ftCfg(4)
+		cfg := testCfg(4)
 		cfg.Fault = plan
 		rep, err := Run(cfg, func(c *Comm) error {
 			// A ring with per-round traffic: plenty of link ordinals.
@@ -218,7 +218,7 @@ func TestKillEventDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() []fault.Event {
-		cfg := ftCfg(4)
+		cfg := testCfg(4)
 		cfg.Fault = plan
 		rep, err := Run(cfg, func(c *Comm) error {
 			c.SectionEnter("RING")
@@ -268,7 +268,7 @@ func TestFaultObserverStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	spy := &faultSpyTool{}
-	cfg := ftCfg(2)
+	cfg := testCfg(2)
 	cfg.Fault = plan
 	cfg.Tools = append(cfg.Tools, spy)
 	rep, err := Run(cfg, func(c *Comm) error {
@@ -297,16 +297,13 @@ func TestFaultObserverStreams(t *testing.T) {
 // state is armed (the zero-overhead contract's structural half; the
 // allocation half is covered by alloc_test.go).
 func TestNoPlanNoStateOrOverheadHooks(t *testing.T) {
-	_, err := Run(ftCfg(2), func(c *Comm) error {
+	_, err := Run(testCfg(2), func(c *Comm) error {
 		w := c.rs.world
 		if w.fi != nil {
 			t.Error("fault state armed without a plan")
 		}
 		if c.rs.linkSeq != nil || c.rs.killAt != 0 {
 			t.Error("per-rank injection state allocated without a plan")
-		}
-		if c.rs.blk == nil {
-			t.Error("deadline set but blocked-tracking not armed")
 		}
 		return c.Barrier()
 	})

@@ -21,8 +21,8 @@ import (
 // (see the package doc's zero-overhead contract).
 
 // ErrRevoked is the sentinel wrapped by every operation that fails because
-// its communicator was revoked — by a peer rank's death or by the deadlock
-// detector aborting the run. Match it with errors.Is.
+// its communicator was revoked — by a peer rank's death or by a deadlock
+// report or the watchdog aborting the run. Match it with errors.Is.
 var ErrRevoked = errors.New("mpi: communication revoked")
 
 // RankError reports one rank's failure: a panic in the rank function, an
@@ -178,17 +178,15 @@ func (w *World) deadRanks() []int {
 	return out
 }
 
-// abort poisons the whole run with err: it records the reason, sets
-// abortSet and closes aborted, on which the driver revokes the world
-// (revokeAll). The deadlock detector, the Timeout watchdog and a rank's
-// runtime.Goexit call it.
+// abort poisons the whole run with err: it records the reason and sets
+// abortSet, on which the driver revokes the world (revokeAll). The driver's
+// deadlock report, the Timeout watchdog and a rank's runtime.Goexit call it.
 func (w *World) abort(err error) {
 	w.abortOnce.Do(func() {
 		w.ftMu.Lock()
 		w.abortErr = err
 		w.ftMu.Unlock()
 		w.abortSet.Store(true)
-		close(w.aborted)
 	})
 }
 

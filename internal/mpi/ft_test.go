@@ -10,19 +10,11 @@ import (
 	"repro/internal/machine"
 )
 
-// ftCfg is testCfg with a deadline, so a propagation bug surfaces as a
-// deadlock report instead of tripping the coarse watchdog.
-func ftCfg(ranks int) Config {
-	cfg := testCfg(ranks)
-	cfg.Deadline = 5 * time.Second
-	return cfg
-}
-
 // TestPanicInRankRecovered is the regression test for the former
 // process-killing behavior: a panic in one rank function must come back as
 // a RankError and must unblock the peers parked on the dead rank.
 func TestPanicInRankRecovered(t *testing.T) {
-	_, err := Run(ftCfg(4), func(c *Comm) error {
+	_, err := Run(testCfg(4), func(c *Comm) error {
 		// No defer for the exit: a deferred SectionExit would pop the
 		// frame during unwinding, before Run's recovery samples it.
 		c.SectionEnter("WORK")
@@ -63,7 +55,7 @@ func TestPanicInRankRecovered(t *testing.T) {
 // computation; peers blocked on it must unwind rather than hang.
 func TestErrorReturnPropagates(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := Run(ftCfg(2), func(c *Comm) error {
+	_, err := Run(testCfg(2), func(c *Comm) error {
 		if c.Rank() == 1 {
 			return boom
 		}
@@ -81,7 +73,7 @@ func TestErrorReturnPropagates(t *testing.T) {
 }
 
 // TestPanicUnblocksWithoutDeadline: peer unblocking must not depend on the
-// deadlock detector — death propagation alone wakes parked ranks.
+// driver's deadlock report — death propagation alone wakes parked ranks.
 func TestPanicUnblocksWithoutDeadline(t *testing.T) {
 	cfg := testCfg(3)
 	cfg.Timeout = 30 * time.Second // watchdog only; must not fire
@@ -102,6 +94,10 @@ func TestPanicUnblocksWithoutDeadline(t *testing.T) {
 	if !errors.Is(err, ErrRevoked) {
 		t.Errorf("blocked peers should fail with ErrRevoked: %v", err)
 	}
+	var dl *DeadlockError
+	if errors.As(err, &dl) {
+		t.Errorf("peers were woken by a deadlock report, not the death: %v", err)
+	}
 }
 
 // TestRevokeWakesPendingOps: a rank's error return revokes its
@@ -110,7 +106,7 @@ func TestPanicUnblocksWithoutDeadline(t *testing.T) {
 func TestRevokeWakesPendingOps(t *testing.T) {
 	leave := errors.New("leave")
 	errs := make(chan error, 2)
-	_, err := Run(ftCfg(2), func(c *Comm) error {
+	_, err := Run(testCfg(2), func(c *Comm) error {
 		if c.Rank() == 0 {
 			// Give rank 1 a moment to park in its receive, then fail.
 			time.Sleep(50 * time.Millisecond)
@@ -137,7 +133,7 @@ func TestRevokeWakesPendingOps(t *testing.T) {
 // revocation stays receivable (ULFM completes already-matched operations).
 func TestQueuedMessageSurvivesRevoke(t *testing.T) {
 	leave := errors.New("leave")
-	_, err := Run(ftCfg(2), func(c *Comm) error {
+	_, err := Run(testCfg(2), func(c *Comm) error {
 		if c.Rank() == 0 {
 			if err := c.Send(1, 5, []byte("pre")); err != nil {
 				return err
@@ -171,7 +167,7 @@ func TestQueuedMessageSurvivesRevoke(t *testing.T) {
 // TestSplitAbortsOnDeath: ranks parked in Split must unwind when a member
 // dies before arriving.
 func TestSplitAbortsOnDeath(t *testing.T) {
-	_, err := Run(ftCfg(3), func(c *Comm) error {
+	_, err := Run(testCfg(3), func(c *Comm) error {
 		if c.Rank() == 2 {
 			panic("no split for me")
 		}
@@ -196,7 +192,7 @@ func TestSplitAbortsOnDeath(t *testing.T) {
 // TestReportFaultsRecordsDeath: the run report carries the kill and the
 // dead-peer consequences, canonically sorted.
 func TestReportFaultsRecordsDeath(t *testing.T) {
-	rep, err := Run(ftCfg(2), func(c *Comm) error {
+	rep, err := Run(testCfg(2), func(c *Comm) error {
 		if c.Rank() == 0 {
 			panic("down")
 		}

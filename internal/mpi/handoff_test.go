@@ -92,7 +92,8 @@ func blockAfter(on *Comm, kind int) error {
 // TestHandOffPassesAtEveryBlock: ranks released by a Barrier or an
 // ExchangeGhost block at once at each site, and the world completes; ranks
 // that return, err or panic right after one let the rest run on. Each world
-// runs under a 2 s deadline, detector armed and not.
+// runs with the deadlock detector as its only bound (detector=true) and
+// with a 2 s watchdog besides (detector=false).
 func TestHandOffPassesAtEveryBlock(t *testing.T) {
 	const p, rounds = 16, 8
 	boom := errors.New("boom")
@@ -145,7 +146,7 @@ func TestHandOffPassesAtEveryBlock(t *testing.T) {
 					cfg := testCfg(p)
 					cfg.Timeout = 2 * time.Second
 					if detect {
-						cfg.Deadline = 2 * time.Second
+						cfg.Timeout = 0
 					}
 					_, err := Run(cfg, func(c *Comm) error { return s.body(c, meets[meet](c)) })
 					switch s.name {
@@ -224,7 +225,8 @@ func (o *oneAtATime) CollectiveBegin(*Comm, string, float64)               { o.h
 func (o *oneAtATime) CollectiveEnd(*Comm, string, float64)                 { o.hook() }
 
 // TestWorldRunsOneRankAtATime: at every blocking site, after a Barrier and
-// after an ExchangeGhost, eager and lazy, detector armed and not, no two
+// after an ExchangeGhost, eager and lazy, with the deadlock detector as the
+// world's only bound (detector=true) and a watchdog besides, no two
 // ranks of a world are ever inside a hook at once. The lazy world spans two
 // shards, so the second comes up through a nudge or the driver.
 func TestWorldRunsOneRankAtATime(t *testing.T) {
@@ -245,7 +247,7 @@ func TestWorldRunsOneRankAtATime(t *testing.T) {
 						cfg.Lazy = lazy
 						cfg.Timeout = 10 * time.Second
 						if detect {
-							cfg.Deadline = 10 * time.Second
+							cfg.Timeout = 0
 						}
 						_, err := Run(cfg, func(c *Comm) error {
 							for i := 0; i < rounds; i++ {

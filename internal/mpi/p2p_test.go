@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -75,18 +76,49 @@ func TestRunRecoversPanics(t *testing.T) {
 	}
 }
 
+// TestWatchdogCatchesDeadlock: a rank stuck in real work — on a channel the
+// test closes once Run has returned — never parks, so the driver cannot see
+// its peer's wait as a deadlock; only the watchdog ends the run.
 func TestWatchdogCatchesDeadlock(t *testing.T) {
+	before := liveGoroutines()
 	cfg := testCfg(2)
 	cfg.Timeout = 200 * time.Millisecond
+	hold := make(chan struct{})
+	defer func() {
+		close(hold)
+		noStragglers(t, before)
+	}()
 	_, err := Run(cfg, func(c *Comm) error {
-		if c.Rank() == 0 {
-			_, _, err := c.Recv(1, 7) // rank 1 never sends
+		if c.Rank() == 1 {
+			_, err := c.RecvDiscard(0, 7) // rank 0 never sends
 			return err
 		}
+		<-hold
 		return nil
 	})
-	if err == nil {
-		t.Fatal("deadlock not detected")
+	var dl *DeadlockError
+	if err == nil || !strings.Contains(err.Error(), "watchdog") || errors.As(err, &dl) {
+		t.Fatalf("err = %v, want the watchdog's abort and no deadlock report", err)
+	}
+}
+
+// tradeForever trades messages with peer until the run is revoked: two
+// ranks that keep a world progressing, so only the watchdog can end it.
+func tradeForever(c *Comm, peer int) error {
+	for {
+		if c.Rank() < peer {
+			if err := c.Send(peer, 0, nil); err != nil {
+				return err
+			}
+		}
+		if _, err := c.RecvDiscard(peer, 0); err != nil {
+			return err
+		}
+		if c.Rank() > peer {
+			if err := c.Send(peer, 0, nil); err != nil {
+				return err
+			}
+		}
 	}
 }
 

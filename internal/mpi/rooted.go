@@ -201,8 +201,8 @@ func (st *rootedState) enter(c *Comm, op string, root, tag int, k uint64, writer
 	return nil
 }
 
-// wait queues the rank on q, drops the lock, parks — published to the
-// deadlock detector as blocked in op on root — and takes the lock again.
+// wait queues the rank on q, drops the lock, parks — in op on root, for a
+// deadlock report — and takes the lock again.
 func (st *rootedState) wait(c *Comm, q *rankQueue, op string, root, tag int) {
 	q.push(c.rs)
 	st.mu.Unlock()

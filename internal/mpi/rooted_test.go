@@ -189,7 +189,7 @@ func TestRootedWaitersUnwindWhenARankFails(t *testing.T) {
 			t.Run(op+"/"+mode, func(t *testing.T) {
 				before := liveGoroutines()
 				errs := make([]error, 8)
-				_, err := Run(ftCfg(8), func(c *Comm) error {
+				_, err := Run(testCfg(8), func(c *Comm) error {
 					if c.Rank() == 5 {
 						if mode == "panic" {
 							panic("deliberate test panic")
@@ -257,15 +257,11 @@ func TestRootedDeadlockReport(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := liveGoroutines()
-			start := time.Now()
 			_, err := Run(dlCfg(6), func(c *Comm) error {
 				c.SectionEnter("ROOTED")
 				defer c.SectionExit("ROOTED")
 				return tc.body(c)
 			})
-			if elapsed := time.Since(start); elapsed > 5*time.Second {
-				t.Errorf("detection took %v, want well within a few deadlines", elapsed)
-			}
 			op := "ScatterGhost"
 			if strings.HasPrefix(tc.name, "gather") {
 				op = "GatherGhost"
@@ -284,7 +280,8 @@ func TestRootedDeadlockReport(t *testing.T) {
 }
 
 // TestRootedWatchdogReleasesWaiters: the watchdog's abort releases ranks
-// waiting on a root that never calls, and calls in flight when it lands;
+// waiting on a root that trades messages with rank 1 instead of calling, and
+// calls in flight when it lands;
 // none hangs, and no writer is ever more than one call ahead of a reader.
 func TestRootedWatchdogReleasesWaiters(t *testing.T) {
 	for _, op := range []string{"ScatterGhost", "GatherGhost"} {
@@ -295,8 +292,8 @@ func TestRootedWatchdogReleasesWaiters(t *testing.T) {
 				cfg.Timeout = 100 * time.Millisecond
 				var completed [4]int
 				_, err := Run(cfg, func(c *Comm) error {
-					if mode == "stuck" && c.Rank() == 0 {
-						return nil
+					if mode == "stuck" && c.Rank() < 2 {
+						return tradeForever(c, 1-c.Rank())
 					}
 					dsts, sizes := []int{1, 2, 3}, []int{8, 8, 8}
 					if c.Rank() != 0 {

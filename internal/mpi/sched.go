@@ -140,8 +140,10 @@ func (w *World) drive() {
 }
 
 // schedule resumes queued ranks one at a time. An empty queue brings up a
-// lazy world's next shard; with none left, parked ranks wait for an abort,
-// which the driver alone turns into a revocation, between two ranks.
+// lazy world's next shard; with none left, ranks still running are parked
+// for good, and the driver aborts the run with their deadlock report. Only
+// the driver turns an abort, the watchdog's too, into a revocation, between
+// two ranks.
 func (w *World) schedule() {
 	revoked := false
 	for {
@@ -157,7 +159,7 @@ func (w *World) schedule() {
 			} else if w.running == 0 || revoked {
 				return
 			} else {
-				<-w.aborted
+				w.abort(w.deadlock())
 			}
 			continue
 		}

@@ -41,7 +41,6 @@ type rankShard struct {
 	ready atomic.Bool // states materialized and ranks queued to run
 
 	states []rankState
-	blks   []blockedInfo // deadlock-detector slots; nil unless armed
 
 	// frontier is the shard's virtual-clock high-water mark, float64 bits.
 	// Ranks publish lazily at communication points (completeRecv) and at
@@ -82,25 +81,13 @@ func (w *World) ensureShard(sh *rankShard) {
 		return
 	}
 	sh.states = make([]rankState, sh.n)
-	if w.detect {
-		sh.blks = make([]blockedInfo, sh.n)
-	}
 	spawned := 0
 	for i := range sh.states {
 		rank := sh.lo + i
 		rs := &sh.states[i]
 		rs.id = int32(rank)
 		rs.world = w
-		if w.detect {
-			rs.blk = &sh.blks[i]
-			rs.blk.peer = -1
-		}
 		if !w.isActive(rank) {
-			// Inactive ranks never run and never count as live: the
-			// detector sees them as already finished.
-			if rs.blk != nil {
-				rs.blk.state = blkFinished
-			}
 			continue
 		}
 		rs.rng = stats.NewRNG(mixSeed(w.cfg.Seed, uint64(rank)))
@@ -147,7 +134,6 @@ func (w *World) rankMain(rs *rankState) {
 			w.errs[rank] = re
 			w.rankDied(rank, re, rs.now())
 		}
-		rs.markFinished()
 		rs.recycle()
 		t := rs.now()
 		w.finals[rank] = t

@@ -34,21 +34,16 @@ type Config struct {
 	// reference runtime.
 	Tools []Tool
 	// Timeout aborts the run if the ranks do not finish within this real
-	// duration (0 means no watchdog). Intended for tests: a deadlocked
-	// topology otherwise hangs the process. When it fires, the run is
-	// revoked so parked ranks unwind; a rank stuck in real work holds its
-	// world, and Run returns without it.
+	// duration (0 means no watchdog). It bounds real work — a deadlock
+	// ends the run by itself. When it fires, the run is revoked so parked
+	// ranks unwind; a rank stuck in real work holds its world, and Run
+	// returns without it.
 	Timeout time.Duration
 	// Fault attaches a deterministic fault-injection plan (nil = no
 	// faults). The runtime consults it on section entry and the
 	// point-to-point hot paths; with a nil plan those sites reduce to one
 	// nil check and the 0 allocs/op contract is preserved.
 	Fault *fault.Plan
-	// Deadline enables the global deadlock detector: when every live rank
-	// has been blocked with no progress for this long, the run aborts
-	// with a DeadlockError listing each rank's parked operation. 0
-	// disables detection (and its per-rank bookkeeping entirely).
-	Deadline time.Duration
 	// Lazy enables session-style rank bring-up: rank state is materialized
 	// shard by shard — when a message first targets a shard, and by the
 	// world's driver whenever no materialized rank can run — instead of all
@@ -139,11 +134,9 @@ type World struct {
 	dead   []bool
 	failPi *poisonInfo
 
-	// Run-level abort (deadlock detector / watchdog): abortSet is what the
-	// driver polls between two ranks, aborted what it blocks on when every
-	// rank is parked.
+	// Run-level abort (deadlock report / watchdog): abortSet is what the
+	// driver polls between two ranks.
 	abortSet  atomic.Bool
-	aborted   chan struct{}
 	abortOnce sync.Once
 	abortErr  error
 
@@ -156,20 +149,12 @@ type World struct {
 	// collected once at Init so ComputeParallel's hook check is a cheap
 	// len() == 0 in the common (unobserved) case.
 	computeObs []ComputeObserver
-
-	// Deadlock detection (deadlock.go). detect arms the per-rank
-	// bookkeeping; liveRanks/blockedRanks are the O(1) counters the
-	// detector tick reads instead of scanning every rank.
-	detect       bool
-	progress     atomic.Uint64
-	liveRanks    atomic.Int64
-	blockedRanks atomic.Int64
 }
 
 // rankState is the per-rank mutable context, touched only while it runs.
 // States live in shard slabs (shard.go); rng == nil marks a rank outside
 // the session, whose state exists but never runs. Slabs are page-rounded:
-// keep it at 200 bytes (the shard is found by id, not kept).
+// keep it at 224 bytes (the shard is found by id, not kept).
 type rankState struct {
 	id    int32 // world rank
 	nenv  int32 // length of envs
@@ -193,9 +178,11 @@ type rankState struct {
 	// Its coroutine, and its link in the run queue or a wait queue.
 	co   *rankCo
 	next *rankState
-
-	// Deadlock detection (nil unless Config.Deadline > 0).
-	blk *blockedInfo
+	// Where it last parked, for a deadlock report (deadlock.go): the comm,
+	// op, comm-rank peer and tag (MPI tags are C ints).
+	parkComm          *Comm
+	parkOp            string
+	parkPeer, parkTag int32
 
 	// What a fault-free virtual-time run never touches comes last, 40
 	// bytes: states sit back to back in a slab, and most of the line two
@@ -236,9 +223,9 @@ const MainSection = "MPI_MAIN"
 // or an error return all remove the rank from the computation as a
 // RankError and propagate ULFM-style — every communicator the dead rank
 // belongs to is revoked, so peers blocked on it fail with an error
-// wrapping ErrRevoked instead of hanging. With Config.Deadline set, a run in which every
-// live rank is blocked with no possible progress aborts with a
-// DeadlockError naming each rank's parked operation. RootCause distills
+// wrapping ErrRevoked instead of hanging. A run in which every live rank
+// is blocked with no possible progress aborts, the moment it happens, with
+// a DeadlockError naming each rank's parked operation. RootCause distills
 // the aggregate error back to the originating failure.
 func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
 	c, err := cfg.withDefaults()
@@ -251,11 +238,9 @@ func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
 	}
 	w := &World{cfg: c, placement: placement}
 	w.dead = make([]bool, c.Ranks)
-	w.aborted = make(chan struct{})
 	w.runFn = fn
 	w.active = c.Active
 	w.lazy = c.Lazy || c.Active != nil
-	w.detect = c.Deadline > 0
 
 	// Shard headers for the whole world; slabs materialize on first touch.
 	nShards := (c.Ranks + shardSize - 1) / shardSize
@@ -279,11 +264,6 @@ func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
 	}
 
 	w.armFaults(c.Fault)
-	var det *detector
-	if w.detect {
-		w.liveRanks.Store(int64(w.activeCount))
-		det = newDetector(w, c.Deadline)
-	}
 	w.worldComm = w.newCommShared(identityGroup(c.Ranks))
 
 	info := &WorldInfo{
@@ -311,10 +291,6 @@ func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
 		}
 	}
 	go w.drive()
-	if det != nil {
-		go det.run()
-		defer det.stop()
-	}
 	if c.Timeout > 0 {
 		select {
 		case <-w.done:
@@ -322,7 +298,7 @@ func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
 			// Revoke the run so parked ranks unwind instead of leaking,
 			// then give them a grace period. A rank stuck in real
 			// (non-runtime) work holds its world: leak it and return.
-			w.abort(fmt.Errorf("mpi: run exceeded %v watchdog (deadlock?)", c.Timeout))
+			w.abort(fmt.Errorf("mpi: run exceeded %v watchdog", c.Timeout))
 			select {
 			case <-w.done:
 			case <-time.After(2 * time.Second):

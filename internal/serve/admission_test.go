@@ -106,9 +106,6 @@ func renderQuery(r Request, opts experiments.LiveOptions) url.Values {
 		q.Set("fault", opts.Fault.String())
 		q.Set("fault-seed", strconv.FormatUint(opts.Fault.Seed, 10))
 	}
-	if opts.Deadline > 0 {
-		q.Set("deadline", opts.Deadline.String())
-	}
 	for key, on := range map[string]bool{"verify": r.Verify, "nocache": r.NoCache} {
 		if on {
 			q.Set(key, "1")
@@ -149,14 +146,14 @@ func FuzzParseRunRequest(f *testing.F) {
 		"exp=conv&p=4&steps=6&scale=32&seed=2017&wait=1&verify=1",
 		"exp=lulesh&p=8&threads=4&seq=0&retry=0&tenant=a",
 		"exp=conv2d&p=10000&nocache=1",
-		"exp=conv&p=4&fault=kill:rank=2,after=5&fault=delay:src=*,dst=*,prob=1,secs=1e-6&fault-seed=7&deadline=30s",
+		"exp=conv&p=4&fault=kill:rank=2,after=5&fault=delay:src=*,dst=*,prob=1,secs=1e-6&fault-seed=7",
 		"exp=conv&p=4&steps=2000000000",
 		"exp=lulesh&p=1000000000",
 		"exp=lulesh&p=7",
 		"exp=lulesh&p=8&scale=5",
 		"exp=conv&p=1000",
 		"exp=conv2d&p=16384&scale=1024",
-		"p=-1&steps=x&seed=-1&deadline=-3s",
+		"p=-1&steps=x&seed=-1",
 		"exp=warp;p=2",
 		"exp=conv&p=4&threads=-1",
 		"exp=conv2d&p=16&threads=4",

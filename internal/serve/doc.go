@@ -43,13 +43,14 @@
 // backlog per worker slot. Clients that honor it converge on the service's
 // actual drain rate instead of retry-storming.
 //
-// # Deadlines
+// # Deadlocks
 //
-// Every job runs with a deadlock deadline (request deadline= parameter,
-// else the service default) propagated into mpi.Config.Deadline, so a
-// wedged simulation — injected drop deadlock, application hang — ends in a
-// DeadlockError report instead of pinning a worker slot forever. This is
-// what makes the inflight bound a real capacity guarantee.
+// A simulation that wedges — an injected drop, an application hang in a
+// receive or a collective — ends in a DeadlockError report the moment its
+// last rank parks: the runtime's driver finds its run queue empty. No job
+// pins a worker slot on a deadlock, which is what makes the inflight bound a
+// real capacity guarantee; a run that progresses is bounded by its
+// watchdog (experiments.LiveOptions.Timeout).
 //
 // # Retries
 //
@@ -146,9 +147,9 @@
 //
 // Sizes are checked where every front end resolves a request, at
 // experiments.LiveOptions.Resolved: p, steps, threads and scale beyond
-// experiments.MaxLive* answer 400 before a job exists. The deadlock
-// deadline fires only on a run that stops progressing, so without them the
-// 10-minute watchdog was the only limit on a run that does progress.
+// experiments.MaxLive* answer 400 before a job exists. A deadlock ends only
+// a run that stops progressing, so without them the 10-minute watchdog was
+// the only limit on a run that does progress.
 // Resolved also runs the workload's own geometry check, so a request no
 // run can execute — lulesh ranks that are not a cube or a scale that does
 // not divide its edge, more conv ranks than executed rows, a conv2d grid
@@ -158,8 +159,8 @@
 // # Result cache
 //
 // Successful results are cached in a bounded LRU keyed on the resolved
-// run identity (experiment, machine, geometry, seeds, fault plan key,
-// deadline — experiments.LiveOptions.CacheKey). Identical in-flight
+// run identity (experiment, machine, geometry, seeds, fault plan key —
+// experiments.LiveOptions.CacheKey). Identical in-flight
 // requests are single-flighted: a submit whose key matches a queued or
 // running job attaches to that job and shares its id and result. A cache
 // hit answers instantly with the stored artifact; cache-served jobs have no

@@ -80,7 +80,7 @@ a result cache.</p>
 <ul>
 <li><a href="/run?exp=conv&amp;p=64">/run?exp=conv&amp;p=64</a> — submit a job (202 + job id; add wait=1 to block;
     params: exp=conv|conv2d|lulesh, p, steps, scale, seed, threads, tenant, nocache=1, verify=1, seq=0,
-    fault=kill:rank=2,after=100, fault-seed=N, deadline=30s)</li>
+    fault=kill:rank=2,after=100, fault-seed=N)</li>
 <li><a href="/jobs">/jobs</a> — job registry: queue, states, retries, cache hits</li>
 <li>/jobs/{id} — one job's lifecycle and root cause; /jobs/{id}/cancel; /jobs/{id}/result.csv — canonical event CSV</li>
 <li><a href="/metrics">/metrics</a> — Prometheus: serve_* service families plus the selected run's section metrics</li>
@@ -420,13 +420,6 @@ func parseRunRequest(q url.Values) (Request, error) {
 		if opts.Fault, err = fault.ParseSpec(spec, seed); err != nil {
 			return out, err
 		}
-	}
-	if v := q.Get("deadline"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			return out, errors.New("parameter deadline is not a positive duration")
-		}
-		opts.Deadline = d
 	}
 	out.Opts = opts
 	out.WithSeq = q.Get("seq") != "0"

@@ -62,8 +62,6 @@ func TestHTTPRunRejectsBadParameters(t *testing.T) {
 		"/run?steps=x",
 		"/run?exp=conv&p=2&fault=bogus",
 		"/run?exp=conv&p=2&fault=kill:rank=0&fault-seed=x",
-		"/run?exp=conv&p=2&deadline=nope",
-		"/run?exp=conv&p=2&deadline=-3s",
 		"/run?exp=conv&p=2&seed=-1",
 	} {
 		if code, _ := get(t, h, path); code != http.StatusBadRequest {

@@ -101,10 +101,6 @@ type Options struct {
 	// RetryBackoff is the base of the jittered exponential backoff between
 	// attempts (default 25ms).
 	RetryBackoff time.Duration
-	// DefaultDeadline arms the deadlock detector for jobs that did not
-	// choose a deadline (default 2m). It is what keeps a wedged simulation
-	// from pinning a worker slot forever.
-	DefaultDeadline time.Duration
 	// CacheEntries bounds the result LRU (default 256; <0 disables).
 	CacheEntries int
 	// CacheDir, when non-empty, is loaded at construction and written by
@@ -142,9 +138,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 25 * time.Millisecond
-	}
-	if o.DefaultDeadline <= 0 {
-		o.DefaultDeadline = 2 * time.Minute
 	}
 	if o.CacheEntries == 0 {
 		o.CacheEntries = 256
@@ -264,7 +257,7 @@ func (j *Job) Wait(ctx context.Context) error {
 
 // Cancel requests cancellation. A queued job transitions to Cancelled
 // immediately; a running job finishes its current attempt (bounded by its
-// deadline) and is then recorded as Cancelled, its result discarded.
+// watchdog) and is then recorded as Cancelled, its result discarded.
 // Returns false if the job was already terminal.
 func (j *Job) Cancel() bool {
 	s := j.svc
@@ -379,9 +372,6 @@ func (s *Service) Submit(req Request) (*Job, error) {
 	opts, err := req.Opts.Resolved()
 	if err != nil {
 		return nil, err
-	}
-	if opts.Deadline <= 0 {
-		opts.Deadline = s.opts.DefaultDeadline
 	}
 	tenant := req.Tenant
 	if tenant == "" {
@@ -704,7 +694,7 @@ func (s *Service) CacheLen() int { return s.cache.len() }
 // budget, cancels whatever remains, and persists the result cache to
 // Options.CacheDir. Every admitted job is in a terminal state when Drain
 // returns (running simulations cancelled past the budget still unwind in
-// the background, bounded by their deadlines; their results are
+// the background, bounded by their watchdogs; their results are
 // discarded).
 func (s *Service) Drain(ctx context.Context) error {
 	s.mu.Lock()
