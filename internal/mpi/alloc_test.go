@@ -238,6 +238,44 @@ func TestAllreduceSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestSectionStackInline pins that a rank's section stack starts inline:
+// in a warm world whose ranks nest sections two deep (MPI_MAIN and one
+// section at a time inside it), the sections allocate nothing per rank
+// beyond the registry every communicator has anyway. A Run with them must
+// allocate what a Run without them does, at two world sizes; a stack grown
+// by append costs one allocation per rank.
+func TestSectionStackInline(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates shadow memory; alloc counts are meaningless")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	bare := func(c *Comm) error { return nil }
+	sections := func(c *Comm) error {
+		for _, label := range []string{"LOAD", "HALO", "STORE"} {
+			c.SectionEnter(label)
+			c.SectionExit(label)
+		}
+		return nil
+	}
+	for _, p := range []int{64, 512} {
+		cfg := Config{Ranks: p, Model: machine.Ideal(p, 1), Seed: 1, Timeout: time.Minute}
+		allocs := func(fn func(*Comm) error) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if _, err := Run(cfg, fn); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		without := allocs(bare)
+		with := allocs(sections)
+		if with > without+2 {
+			t.Errorf("p = %d: a Run with sections made %v allocations, without %v; want no more than 2 apart", p, with, without)
+		}
+		t.Logf("p = %d: %v allocations with sections, %v without", p, with, without)
+	}
+}
+
 // BenchmarkSendRecv is the steady-state p2p micro-benchmark the fast path
 // targets: 0 allocs/op.
 func BenchmarkSendRecv(b *testing.B) {

@@ -44,9 +44,11 @@
 // # What is world-local
 //
 // Only a world's running rank or its driver touches the rendezvous behind
-// Barrier, ExchangeGhost and Split, and the barrier, exchange and split
-// states around it, so they have no lock; so is where each rank parked,
-// which the driver reads back for a deadlock report. Other goroutines reach
+// Barrier, ExchangeGhost and Split, the barrier, exchange and split states
+// around it, the rooted slots behind ScatterGhost and GatherGhost, and the
+// scratch ToolData a section exit hands its hooks, so they have no lock; so
+// is where each rank parked, which the driver reads back for a deadlock
+// report. Other goroutines reach
 // a world only through the abort flag (the watchdog, by abort), the
 // RuntimeStats gauges and the pools worlds share; those are atomic or
 // locked.

@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // ScatterGhost is a ghost fan-out from root: message for message, root's
 // SendGhost(dsts[i], tag, nbytes[i], vbytes[i]) in list order and every
@@ -129,8 +126,9 @@ func (c *Comm) discard(src, tag, hookTag int) error {
 // rootedState is a communicator's slots for one rooted call: per rank, the
 // stamps of the message it sends (GatherGhost) or is sent (ScatterGhost).
 // They hold one generation at a time, the call with per-rank ordinal ord.
+// Only the world's running rank touches them, and revoke, which runs on it
+// or on the driver (package doc, "What is world-local"): no lock.
 type rootedState struct {
-	mu    sync.Mutex
 	slots []rootedSlot // by comm rank
 	ord   uint64       // 0 before the first call
 	// Generation ord's writers still to write (the last wakes the readers
@@ -183,8 +181,6 @@ func (st *rootedState) checkFanOut(p, root int, dsts, nbytes, vbytes []int) erro
 //
 //seclint:allocs-ok the communicator's first call allocates its slots
 func (st *rootedState) enter(c *Comm, op string, root, tag int, k uint64, writers, readers int) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	for !st.aborted && st.ord != k {
 		if st.unread > 0 {
 			st.wait(c, &st.draining, op, root, tag)
@@ -201,34 +197,27 @@ func (st *rootedState) enter(c *Comm, op string, root, tag int, k uint64, writer
 	return nil
 }
 
-// wait queues the rank on q, drops the lock, parks — in op on root, for a
-// deadlock report — and takes the lock again.
+// wait queues the rank on q and parks it, in op on root for a deadlock
+// report.
 func (st *rootedState) wait(c *Comm, q *rankQueue, op string, root, tag int) {
 	q.push(c.rs)
-	st.mu.Unlock()
 	c.rs.park(c, op, root, tag)
-	st.mu.Lock()
 }
 
 // wrote counts a writer done.
 func (st *rootedState) wrote() {
-	st.mu.Lock()
 	if st.unwritten--; st.unwritten == 0 {
 		st.filling.wakeAll()
 	}
-	st.mu.Unlock()
 }
 
 // receive waits until the generation is filled, completes the reader's
 // receives in the loop's order, each posted at its clock, and counts it done.
 func (st *rootedState) receive(c *Comm, op string, root, tag int) error {
-	st.mu.Lock()
 	if st.unwritten > 0 && !st.aborted {
 		st.wait(c, &st.filling, op, root, tag)
 	}
-	filled := st.unwritten == 0
-	st.mu.Unlock()
-	if !filled {
+	if st.unwritten > 0 {
 		return c.aborted(op)
 	}
 	if c.rank != root {
@@ -240,19 +229,15 @@ func (st *rootedState) receive(c *Comm, op string, root, tag int) error {
 			}
 		}
 	}
-	st.mu.Lock()
 	if st.unread--; st.unread == 0 {
 		st.draining.wakeAll()
 	}
-	st.mu.Unlock()
 	return nil
 }
 
 // abort releases every waiter; revoke calls it once.
 func (st *rootedState) abort() {
-	st.mu.Lock()
 	st.aborted = true
 	st.filling.wakeAll()
 	st.draining.wakeAll()
-	st.mu.Unlock()
 }

@@ -24,15 +24,12 @@ type sectionFrame struct {
 	data  ToolData // preserved between enter and leave (Fig. 2)
 }
 
-// rankSections is the per-rank section context for one communicator.
+// rankSections is the per-rank section context for one communicator. Its
+// stack starts in stack0, which holds MPI_MAIN and one section inside it,
+// so a rank nesting no deeper than that never allocates for its sections.
 type rankSections struct {
-	stack []sectionFrame
-	// exitData is the scratch ToolData handed to SectionLeave hooks. A
-	// function-local copy would escape through the hook call and cost one
-	// heap allocation per exit — even with no tools attached — which the
-	// allocation-free fast path cannot afford. Only this rank's goroutine
-	// touches it, and only between pop and hook return.
-	exitData ToolData
+	stack  []sectionFrame
+	stack0 [2]sectionFrame
 }
 
 // sectionRegistry holds the per-communicator stacks. The paper's reference
@@ -58,6 +55,9 @@ func (c *Comm) SectionEnter(label string) {
 		panic(&killPanic{section: label, err: errFailStop})
 	}
 	rs := &c.shared.sections.perRank[c.rank]
+	if rs.stack == nil {
+		rs.stack = rs.stack0[:0]
+	}
 	rs.stack = append(rs.stack, sectionFrame{label: label})
 	frame := &rs.stack[len(rs.stack)-1]
 
@@ -91,12 +91,12 @@ func (c *Comm) SectionExit(label string) {
 		}
 		frame = top
 	}
-	rs.exitData = ToolData{}
+	data := &c.rs.world.exitData
+	*data = ToolData{}
 	if frame != nil {
-		rs.exitData = frame.data
+		*data = frame.data
 		rs.stack = rs.stack[:len(rs.stack)-1]
 	}
-	data := &rs.exitData
 
 	for _, t := range c.rs.world.cfg.Tools {
 		//seclint:allocs-ok tool hooks are //seclint:hotpath roots, proven allocation-free in their own right

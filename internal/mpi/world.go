@@ -124,6 +124,13 @@ type World struct {
 	idle      coChain
 	done      chan struct{}
 
+	// exitData is the scratch ToolData handed to SectionLeave hooks. A
+	// function-local copy would escape through the hook call and cost one
+	// heap allocation per exit — even with no tools attached — which the
+	// allocation-free fast path cannot afford. One rank of the world runs
+	// at a time, and it uses it only between pop and hook return.
+	exitData ToolData
+
 	sectionErrMu sync.Mutex
 	sectionErrs  []error
 

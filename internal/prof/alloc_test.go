@@ -119,13 +119,13 @@ func TestProfilerSteadyStateAllocs(t *testing.T) {
 // profiledPointBytes is what the profiler added to the bytes a warm
 // p = 456 point of the 1-D convolution step allocated (a HALO section
 // around an exchange with both row neighbours, a CONVOLVE section around a
-// compute charge, 200 steps) before the label hint, with go1.24 on
-// linux/amd64: a 632-byte cursor per rank in the 640-byte size class, the
-// sections, their instances and the label maps. pointSlack absorbs what
-// two runs of one point differ by (under 1 KiB) and what another Go
+// compute charge, 200 steps), with go1.24 on linux/amd64: a 312-byte
+// cursor per rank in the 320-byte size class, the sections, the
+// communicator's pooled instances and the label maps. pointSlack absorbs
+// what two runs of one point differ by (under 1 KiB) and what another Go
 // version's map layout adds; a cursor one size class up costs every rank
-// 64 bytes, 29 KiB here.
-const profiledPointBytes, pointSlack = 417_040, 4096
+// 32 bytes, 14 KiB here.
+const profiledPointBytes, pointSlack = 271_056, 4096
 
 // TestProfiledPointBytes pins the bytes the profiler adds to a warm conv
 // point, measured against the same point with no tool, so that the
@@ -134,8 +134,8 @@ func TestProfiledPointBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector allocates shadow memory; byte counts are meaningless")
 	}
-	if n := unsafe.Sizeof(cursor{}); n > 632 {
-		t.Errorf("cursor is %d bytes; over 632 it leaves the 640-byte size class", n)
+	if n := unsafe.Sizeof(cursor{}); n > 312 {
+		t.Errorf("cursor is %d bytes, want at most 312, in the 320-byte size class", n)
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

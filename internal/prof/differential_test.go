@@ -114,20 +114,20 @@ func sameProfile(t *testing.T, got, ref *Profile, parents bool) {
 			t.Errorf("%s: span total %g, reference %g", what, g.SpanTotal, r.SpanTotal)
 		}
 		sameWelford(t, what+" Dur", g.Dur, r.Dur)
-		sameWelford(t, what+" Excl", g.Excl, r.Excl)
 		sameWelford(t, what+" EntryImb", g.EntryImb, r.EntryImb)
 		sameWelford(t, what+" Imb", g.Imb, r.Imb)
 	}
 }
 
 // allocated counts the instance cells the profiler ever made: at the end
-// of a run those not still in flight sit on the free lists.
+// of a run those not still in flight sit on the communicators' free lists.
 func allocated(p *Profiler) int {
 	n := 0
 	for i := range *p.comms.Load() {
 		if cs := (*p.comms.Load())[i].Load(); cs != nil {
+			n += len(cs.free)
 			for _, sec := range cs.sections {
-				n += len(sec.free) + len(sec.overflow)
+				n += len(sec.overflow)
 				for k := range sec.ring {
 					if sec.ring[k].Load() != nil {
 						n++
@@ -247,8 +247,9 @@ func TestDifferentialRankFarAhead(t *testing.T) {
 	if s := got.Section("STEP"); s == nil || s.Instances != instances {
 		t.Fatalf("STEP = %+v, want %d instances", s, instances)
 	}
-	// STEP and INNER each had every instance in flight at once: more
-	// than the three rings of the communicator hold.
+	// STEP and INNER each had every instance in flight at once. Cells are
+	// made only when the communicator's free list is empty, so more of
+	// them than its three rings hold means some waited in overflow.
 	if n := allocated(p); n <= 3*instWindow {
 		t.Errorf("%d instances materialized; the run-ahead did not exceed the rings' %d and exercise the fallback", n, 3*instWindow)
 	}

@@ -14,9 +14,8 @@
 // touches only state that rank owns.
 //
 //   - Per (communicator, rank) there is a cursor — the stack of open
-//     frames, the rank's instance counter and exclusive-time accumulator
-//     per section — created by that rank on its first event and read by
-//     nobody else until Finalize.
+//     frames and the rank's instance counter per section — created by that
+//     rank on its first event and read by nobody else until Finalize.
 //   - SectionStats.PerRankTotal[r], PerRankExcl[r] and PerRank[r] are
 //     written only by rank r.
 //   - The one thing an enter looks up is the label. It first tries a hint:
@@ -32,12 +31,16 @@
 //     has a cell per participant for its entry and exit time. A rank writes
 //     its own two cells and then counts itself out atomically; the rank
 //     that brings the count to the number of participants folds the
-//     instance and puts the cells back for reuse. Instances in flight are
+//     instance and puts the cells back on the communicator's free list,
+//     where the next instance of any of its sections takes them: sections
+//     on one communicator run one after another. Instances in flight are
 //     found in a ring indexed by instance number. The section's lock is
 //     taken by the first rank to enter an instance, which fills the ring
 //     position, and by the last to leave it — per instance, not per event —
 //     and by a rank that runs a whole ring ahead of the slowest: it parks
-//     its instances in an overflow table, so none is ever dropped.
+//     its instances in an overflow table, so none is ever dropped. The
+//     free list is under the communicator's lock, which is taken inside a
+//     section's lock and never the other way round.
 //
 // Communicators, sections and cursors are registered under a lock on first
 // sight; nothing on the steady path allocates.
@@ -48,10 +51,10 @@
 // instance folds its cells in rank order. Instances of a section fold in
 // the order they complete, which for a program whose ranks all enter the
 // same sequence of sections (the MPI_Section contract) is the order every
-// rank leaves them in. Dur and Excl are not folded event by event at all:
-// Finalize merges the per-rank accumulators in rank order. Parent is the
-// enclosing section of the first instance completed by the lowest rank
-// that completed any.
+// rank leaves them in. Dur is not folded event by event at all: Finalize
+// merges the per-rank accumulators in rank order. Exclusive time is kept
+// per rank only, in PerRankExcl. Parent is the enclosing section of the
+// first instance completed by the lowest rank that completed any.
 //
 // # Complete, on a session
 //
@@ -81,9 +84,6 @@ type SectionStats struct {
 	Instances int
 	// Dur aggregates per-rank inclusive durations (Tout − Tin).
 	Dur stats.Welford
-	// Excl aggregates per-rank exclusive durations (inclusive minus time
-	// spent in nested sections).
-	Excl stats.Welford
 	// EntryImb aggregates per-rank entry imbalance imb_in = Tin − Tmin.
 	EntryImb stats.Welford
 	// Imb aggregates the paper's per-rank section imbalance

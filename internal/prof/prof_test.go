@@ -383,7 +383,7 @@ func TestActiveSessionInstancesComplete(t *testing.T) {
 		if s.Instances != d.Instances || s.Instances == 0 {
 			t.Errorf("%s: %d instances on the session, %d on the dense world", label, s.Instances, d.Instances)
 		}
-		if s.EntryImb != d.EntryImb || s.Imb != d.Imb || s.SpanTotal != d.SpanTotal || s.Dur != d.Dur || s.Excl != d.Excl {
+		if s.EntryImb != d.EntryImb || s.Imb != d.Imb || s.SpanTotal != d.SpanTotal || s.Dur != d.Dur {
 			t.Errorf("%s: session aggregates %+v differ from the dense world's %+v", label, s, d)
 		}
 		if s.Ranks != declared || len(s.PerRankTotal) != declared {
@@ -414,10 +414,13 @@ func TestActiveSessionInstancesComplete(t *testing.T) {
 				t.Errorf("%s: ring position %d still holds an instance", sec.stats.Label, k)
 			}
 		}
-		for _, in := range sec.free {
-			if len(in.enters) != active || len(in.leaves) != active {
-				t.Fatalf("%s: instance cells sized %d/%d, want %d", sec.stats.Label, len(in.enters), len(in.leaves), active)
-			}
+	}
+	if len(cs.free) == 0 {
+		t.Fatal("no folded instance on the world communicator's free list")
+	}
+	for _, in := range cs.free {
+		if len(in.enters) != active || len(in.leaves) != active {
+			t.Fatalf("instance cells sized %d/%d, want %d", len(in.enters), len(in.leaves), active)
 		}
 	}
 }

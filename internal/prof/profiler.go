@@ -49,8 +49,13 @@ type commState struct {
 	// labels maps a label to its section; replaced, never written.
 	labels atomic.Pointer[map[string]*section]
 
-	mu       sync.Mutex // first sight of a section or (sparse) a rank
+	mu       sync.Mutex // first sight of a section or (sparse) a rank; free
 	sections []*section // in registration order; section.id indexes it
+	// free holds folded instances for any section here to reuse: the
+	// sections of a communicator run one after another, and their cells
+	// are all sized by participants. mu, which guards it, is taken inside
+	// section.mu and never the other way round.
+	free []*instance
 	// On a communicator with fewer participants than ranks, instance
 	// cells are indexed by a dense slot handed out on a rank's first
 	// event. slots is nil when every rank participates and the slot is
@@ -76,7 +81,7 @@ func (cs *commState) slot(rank int) int {
 
 // section is one (communicator, label) pair: its aggregate and the
 // instances not yet left by every participant. The aggregate is part of it,
-// not a pointer: one allocation of 864 bytes in the 896-byte size class.
+// not a pointer: one allocation of 800 bytes in the 896-byte size class.
 type section struct {
 	id int
 	// follower is the section some rank entered right after this one,
@@ -89,12 +94,11 @@ type section struct {
 	// once per instance rather than once per event — the first rank to
 	// enter fills the position, the last to leave folds the instance and
 	// clears it — and the fallback for an instance whose position still
-	// holds an older one: it waits in overflow. Folded instances are
-	// reused from free.
+	// holds an older one: it waits in overflow. Folded instances go back
+	// to the communicator's free list.
 	ring     [instWindow]atomic.Pointer[instance]
 	mu       sync.Mutex
 	overflow map[int]*instance
-	free     []*instance
 
 	stats SectionStats
 }
@@ -111,9 +115,9 @@ type instance struct {
 
 // cursor is one rank's private state on one communicator. stack and secs
 // start out in the arrays behind them, so that a rank's first event costs
-// one allocation however many sections it goes on to see. At 632 bytes it
-// fills a 640-byte size class with the malloc header; a field more would
-// cost every cursor 64 bytes.
+// one allocation however many sections it goes on to see. At 312 bytes it
+// takes the 320-byte size class (objects this small carry no malloc
+// header); past 320 bytes every cursor costs 32 more.
 type cursor struct {
 	last  *section // the section this rank entered last
 	stack []openFrame
@@ -125,8 +129,7 @@ type cursor struct {
 
 // rankSection is one rank's view of one section.
 type rankSection struct {
-	next int           // index of the next instance this rank enters
-	excl stats.Welford // exclusive durations, merged at Finalize
+	next int // index of the next instance this rank enters
 	// parent is the section enclosing the first instance this rank
 	// completed (nil at top level).
 	parent *section
@@ -287,7 +290,7 @@ func (p *Profiler) SectionEnter(c *mpi.Comm, label string, t float64, _ *mpi.Too
 	rs.next++
 	in := sec.ring[idx&(instWindow-1)].Load()
 	if in == nil || in.index.Load() != int64(idx) {
-		in = sec.instanceSlow(idx, cs.participants)
+		in = sec.instanceSlow(cs, idx)
 	}
 	in.enters[cs.slot(c.Rank())] = t
 	cur.stack = append(cur.stack, openFrame{sec: sec, inst: in, enterT: t})
@@ -300,7 +303,7 @@ func (p *Profiler) SectionEnter(c *mpi.Comm, label string, t float64, _ *mpi.Too
 // hands it the position. Nothing is ever skipped.
 //
 //seclint:allocs-ok instance cells grow to the deepest run-ahead once, then recycle
-func (s *section) instanceSlow(idx, participants int) *instance {
+func (s *section) instanceSlow(cs *commState, idx int) *instance {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	pos := &s.ring[idx&(instWindow-1)]
@@ -314,10 +317,13 @@ func (s *section) instanceSlow(idx, participants int) *instance {
 		}
 	}
 	var in *instance
-	if n := len(s.free); n > 0 {
-		in, s.free = s.free[n-1], s.free[:n-1]
-	} else {
-		in = &instance{enters: make([]float64, participants), leaves: make([]float64, participants)}
+	cs.mu.Lock()
+	if n := len(cs.free); n > 0 {
+		in, cs.free = cs.free[n-1], cs.free[:n-1]
+	}
+	cs.mu.Unlock()
+	if in == nil {
+		in = &instance{enters: make([]float64, cs.participants), leaves: make([]float64, cs.participants)}
 	}
 	in.left.Store(0)
 	in.index.Store(int64(idx))
@@ -350,23 +356,20 @@ func (p *Profiler) SectionLeave(c *mpi.Comm, label string, t float64, _ *mpi.Too
 	}
 	cur.stack = cur.stack[:n]
 	dur := t - frame.enterT
-	excl := dur - frame.childTime
-	rs := &cur.secs[sec.id]
 	if n > 0 {
 		cur.stack[n-1].childTime += dur
 		if st.PerRank[rank].N() == 0 {
-			rs.parent = cur.stack[n-1].sec
+			cur.secs[sec.id].parent = cur.stack[n-1].sec
 		}
 	}
 	st.PerRankTotal[rank] += dur
-	st.PerRankExcl[rank] += excl
+	st.PerRankExcl[rank] += dur - frame.childTime
 	st.PerRank[rank].Add(dur)
-	rs.excl.Add(excl)
 
 	in := frame.inst
 	in.leaves[cs.slot(rank)] = t
 	if int(in.left.Add(1)) == cs.participants {
-		sec.complete(in, cs.rankOrder())
+		sec.complete(cs, in)
 	}
 }
 
@@ -374,7 +377,8 @@ func (p *Profiler) SectionLeave(c *mpi.Comm, label string, t float64, _ *mpi.Too
 // metrics, cells in rank order — and recycles it. Its ring position goes
 // to the instance a window later if a rank running ahead already made that
 // one in the overflow table.
-func (s *section) complete(in *instance, order []int32) {
+func (s *section) complete(cs *commState, in *instance) {
+	order := cs.rankOrder()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := &s.stats
@@ -413,13 +417,15 @@ func (s *section) complete(in *instance, order []int32) {
 		pos.Store(s.overflow[idx+instWindow])
 		delete(s.overflow, idx+instWindow)
 	}
-	s.free = append(s.free, in)
+	cs.mu.Lock()
+	cs.free = append(cs.free, in)
+	cs.mu.Unlock()
 }
 
 // Finalize implements mpi.Tool: it freezes the profile. The run is over,
-// so every rank's cells can be read; Dur and Excl are the per-rank
-// accumulators merged in rank order, and Parent comes from the lowest
-// rank that completed an instance.
+// so every rank's cells can be read; Dur merges the per-rank accumulators
+// in rank order, and Parent comes from the lowest rank that completed an
+// instance.
 func (p *Profiler) Finalize(r *mpi.Report) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -445,7 +451,6 @@ func (p *Profiler) Finalize(r *mpi.Report) {
 					st.Parent = rs.parent.stats.Label
 				}
 				st.Dur.Merge(st.PerRank[rank])
-				st.Excl.Merge(rs.excl)
 			}
 			// A section no rank ever left (a rank killed inside it)
 			// has nothing to report.

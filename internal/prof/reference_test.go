@@ -137,7 +137,6 @@ func (p *refProfiler) SectionLeave(c *mpi.Comm, label string, t float64, _ *mpi.
 		p.sections[sk] = s
 	}
 	s.Dur.Add(dur)
-	s.Excl.Add(excl)
 	s.PerRankTotal[c.Rank()] += dur
 	s.PerRankExcl[c.Rank()] += excl
 	s.PerRank[c.Rank()].Add(dur)
