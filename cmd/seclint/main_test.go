@@ -61,10 +61,6 @@ var keptUnreachable = map[string]string{
 	"repro/internal/mpi.(Request).Wait": "program IR op",
 	"repro/internal/mpi.(Comm).Dup":     "program IR op",
 
-	// Sweep CSVs no binary writes yet; goldens pin their bytes.
-	"repro/internal/experiments.(WeakResult).WriteCSV":   "golden-pinned CSV of convbench -weak's sweep",
-	"repro/internal/experiments.(DecompResult).WriteCSV": "golden-pinned CSV of convbench -decomp's sweep",
-
 	// Read by the tests of kept code; deleting them would move their
 	// bodies into those tests.
 	"repro/internal/mpi.(Comm).Now":                   "tests read a rank's virtual clock",

@@ -15,15 +15,16 @@
 // cmd/secmon's HTTP monitor. See "Attaching your own tool" in README.md.
 //
 // Attaching your own tool, the one rule that decides what it costs: hooks
-// run inline on the rank's goroutine, so whatever a hook waits for, the
+// run inline on the rank's coroutine, so whatever a hook waits for, the
 // rank waits for — and a section event must never wait for another rank.
-// Keep state rank-local (indexed by Comm.ID and Comm.Rank, written only by
-// that rank), synchronize per instance, never per tool: one mutex around
-// the hooks serializes every rank of every communicator and was, for the
-// reference profiler, half the host time of a sweep. internal/prof is the
-// pattern — per-rank cursors and cells, one atomic count per section
-// instance, a lock only where an instance begins and ends — and its
-// package comment says which goroutine writes what.
+// The hooks of one world run one at a time, in each rank's program order,
+// and a tool instance serves one live world, so build the chain per Run
+// and keep no lock against your own hooks. A tool needs a lock only for a
+// reader on another goroutine: export's live /metrics scrape, telemetry's
+// Snapshot, trace.Buffer's views of a recording in progress, verify's
+// Report read by a serve handler. internal/prof is the pattern — plain
+// per-rank cursors and cells, no lock or atomic on the event path — and
+// its package comment says what each event writes.
 //
 // Buffer ownership, for tool authors and workloads: message payloads live
 // in a size-classed pool. mpi.Comm.Recv (and the Wait on an Irecv request)

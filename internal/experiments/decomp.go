@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/convolution"
 	"repro/internal/machine"
@@ -28,10 +27,6 @@ type DecompPoint struct {
 	Halo2D  float64
 	Wall1D  float64
 	Wall2D  float64
-	// Diag1D / Diag2D are the per-variant wait-state diagnoses (nil with
-	// Diagnose off).
-	Diag1D *PointDiagnosis
-	Diag2D *PointDiagnosis
 	// Err1D / Err2D carry each variant's root cause ("" when healthy).
 	Err1D string
 	Err2D string
@@ -56,7 +51,7 @@ type DecompOptions struct {
 // QuickDecompOptions is a reduced comparison for tests.
 func QuickDecompOptions() DecompOptions {
 	return DecompOptions{
-		Sweep: Sweep{Model: machine.NehalemCluster(), Seed: 2017, Steps: 20, Diagnose: true},
+		Sweep: Sweep{Model: machine.NehalemCluster(), Seed: 2017, Steps: 20},
 		Ps:    []int{4, 16},
 		Scale: 16,
 	}
@@ -90,7 +85,7 @@ func RunDecompComparison(o DecompOptions) (*DecompResult, error) {
 	runs, err := sched.MapByCost(sched.Workers(o.Jobs), rankCosts(o.Ps, 2), func(i int) (pointResult, error) {
 		return o.runPoint(point{
 			ranks: o.Ps[i/2], seed: o.Seed, run: convRunner(i%2 == 1, params),
-			labels: []string{convolution.SecHalo}, specimen: true,
+			labels: []string{convolution.SecHalo},
 		})
 	})
 	if err != nil {
@@ -107,11 +102,9 @@ func RunDecompComparison(o DecompOptions) (*DecompResult, error) {
 			Bytes2D: params.Halo2DBytesPerProc(px, py),
 			Halo1D:  v1.avgs[convolution.SecHalo],
 			Wall1D:  v1.wall,
-			Diag1D:  v1.diag,
 			Err1D:   v1.err,
 			Halo2D:  v2.avgs[convolution.SecHalo],
 			Wall2D:  v2.wall,
-			Diag2D:  v2.diag,
 			Err2D:   v2.err,
 		})
 	}
@@ -135,22 +128,4 @@ func (r *DecompResult) Table() string {
 		)
 	}
 	return "Decomposition ablation (§3): 1-D rows vs 2-D tiles\n" + t.String()
-}
-
-// WriteCSV emits the comparison as one row per (p, variant) so the
-// diagnosis block applies to a single decomposition at a time; the variant
-// column names a failed decomposition.
-func (r *DecompResult) WriteCSV(w io.Writer) error {
-	return writeSweepCSV(w, []string{"p", "variant", "grid", "halo_bytes_per_proc", "halo_avg", "wall"}, 2*len(r.Points),
-		func(i int) ([]string, *PointDiagnosis, string) {
-			pt := r.Points[i/2]
-			variant, grid, bytes, halo, wall, diag, cause := "1d", fmt.Sprintf("1x%d", pt.P), pt.Bytes1D, pt.Halo1D, pt.Wall1D, pt.Diag1D, pt.Err1D
-			if i%2 == 1 {
-				variant, grid, bytes, halo, wall, diag, cause = "2d", pt.Grid, pt.Bytes2D, pt.Halo2D, pt.Wall2D, pt.Diag2D, pt.Err2D
-			}
-			return []string{
-				fmt.Sprintf("%d", pt.P), variant, grid, fmt.Sprintf("%d", bytes),
-				fmt.Sprintf("%g", halo), fmt.Sprintf("%g", wall),
-			}, diag, cause
-		})
 }

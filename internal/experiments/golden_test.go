@@ -108,14 +108,12 @@ func TestGoldenWeakAndDecomp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden(t, "weak_quick.csv", csvBytes(t, wres.WriteCSV))
 	golden(t, "weak_quick.txt", []byte(must(t)(wres.Table())))
 
 	dres, err := RunDecompComparison(QuickDecompOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden(t, "decomp_quick.csv", csvBytes(t, dres.WriteCSV))
 	golden(t, "decomp_quick.txt", []byte(dres.Table()))
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -82,39 +83,36 @@ func TestHybridSweepDeterministicAcrossWorkers(t *testing.T) {
 
 // The weak-scaling and decomposition drivers went through the same port;
 // cover them with the same invariant so a future driver change cannot
-// silently reintroduce order dependence.
+// silently reintroduce order dependence. Their table and every field of
+// every point must agree.
 func TestWeakAndDecompDeterministicAcrossWorkers(t *testing.T) {
-	weakCSV := func(jobs int) []byte {
+	weak := func(jobs int) string {
 		o := QuickWeakOptions()
 		o.Jobs = jobs
 		res, err := RunWeakConvolution(o)
 		if err != nil {
 			t.Fatalf("RunWeakConvolution(jobs=%d): %v", jobs, err)
 		}
-		var buf bytes.Buffer
-		if err := res.WriteCSV(&buf); err != nil {
-			t.Fatalf("WriteCSV(jobs=%d): %v", jobs, err)
+		table, err := res.Table()
+		if err != nil {
+			t.Fatalf("Table(jobs=%d): %v", jobs, err)
 		}
-		return buf.Bytes()
+		return table + fmt.Sprintf("%+v", res.Points)
 	}
-	if w1, w8 := weakCSV(1), weakCSV(8); !bytes.Equal(w1, w8) {
-		t.Errorf("weak sweep CSV differs between -j 1 and -j 8:\n-j 1:\n%s\n-j 8:\n%s", w1, w8)
+	if w1, w8 := weak(1), weak(8); w1 != w8 {
+		t.Errorf("weak sweep differs between -j 1 and -j 8:\n-j 1:\n%s\n-j 8:\n%s", w1, w8)
 	}
 
-	decompCSV := func(jobs int) []byte {
+	decomp := func(jobs int) string {
 		o := QuickDecompOptions()
 		o.Jobs = jobs
 		res, err := RunDecompComparison(o)
 		if err != nil {
 			t.Fatalf("RunDecompComparison(jobs=%d): %v", jobs, err)
 		}
-		var buf bytes.Buffer
-		if err := res.WriteCSV(&buf); err != nil {
-			t.Fatalf("WriteCSV(jobs=%d): %v", jobs, err)
-		}
-		return buf.Bytes()
+		return res.Table() + fmt.Sprintf("%+v", res.Points)
 	}
-	if d1, d8 := decompCSV(1), decompCSV(8); !bytes.Equal(d1, d8) {
-		t.Errorf("decomp CSV differs between -j 1 and -j 8:\n-j 1:\n%s\n-j 8:\n%s", d1, d8)
+	if d1, d8 := decomp(1), decomp(8); d1 != d8 {
+		t.Errorf("decomp comparison differs between -j 1 and -j 8:\n-j 1:\n%s\n-j 8:\n%s", d1, d8)
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/convolution"
 	"repro/internal/core"
@@ -33,7 +32,7 @@ type WeakOptions struct {
 // QuickWeakOptions is a reduced sweep for tests.
 func QuickWeakOptions() WeakOptions {
 	return WeakOptions{
-		Sweep:      Sweep{Model: machine.NehalemCluster(), Seed: 2017, Steps: 30, Diagnose: true},
+		Sweep:      Sweep{Model: machine.NehalemCluster(), Seed: 2017, Steps: 30},
 		Ps:         []int{1, 2, 4, 8},
 		Width:      1024,
 		BaseHeight: 128,
@@ -63,8 +62,6 @@ type WeakPoint struct {
 	// HaloAvg is the per-process HALO time (constant per-process slab ⇒
 	// the communication term weak scaling must keep flat).
 	HaloAvg float64
-	// Diag is the wait-state diagnosis (nil with Diagnose off).
-	Diag *PointDiagnosis
 	// Err is the run's root cause ("" when healthy); failed points keep zero
 	// metrics while the sweep completes.
 	Err string
@@ -95,11 +92,9 @@ func RunWeakConvolution(o WeakOptions) (*WeakResult, error) {
 			Width: o.Width, Height: o.BaseHeight * o.Ps[i],
 			Steps: o.Steps, Scale: o.Scale, Seed: o.Seed, SkipKernel: true,
 		}
-		// No strong-scaling baseline exists in a weak sweep, so the
-		// diagnosis omits the Eq. 6 bound (seq = 0).
 		return o.runPoint(point{
 			ranks: o.Ps[i], seed: o.Seed, run: convRunner(false, slab),
-			labels: []string{convolution.SecHalo}, specimen: true,
+			labels: []string{convolution.SecHalo},
 		})
 	})
 	if err != nil {
@@ -108,7 +103,7 @@ func RunWeakConvolution(o WeakOptions) (*WeakResult, error) {
 	res := &WeakResult{Opts: o, Verify: violations(runs)}
 	base := runs[0].wall // Ps[0] == 1, validated above
 	for i, r := range runs {
-		pt := WeakPoint{P: o.Ps[i], Wall: r.wall, HaloAvg: r.avgs[convolution.SecHalo], Diag: r.diag, Err: r.err}
+		pt := WeakPoint{P: o.Ps[i], Wall: r.wall, HaloAvg: r.avgs[convolution.SecHalo], Err: r.err}
 		// Efficiency needs both the baseline and this point to have survived;
 		// a failed run leaves the derived columns zero next to its error.
 		if r.err == "" && base > 0 && r.wall > 0 {
@@ -165,20 +160,4 @@ func (r *WeakResult) Table() (string, error) {
 		"Weak scaling (per-process slab %d×%d, %d steps); implied serial share s = %.3f\n",
 		r.Opts.Width, r.Opts.BaseHeight, r.Opts.Steps, s)
 	return caption + t.String(), nil
-}
-
-// WriteCSV emits every weak-scaling point plus the wait-state diagnosis
-// block (blank when Diagnose was off).
-func (r *WeakResult) WriteCSV(w io.Writer) error {
-	return writeSweepCSV(w, []string{"p", "wall", "efficiency", "scaled_speedup", "halo_avg"}, len(r.Points),
-		func(i int) ([]string, *PointDiagnosis, string) {
-			pt := r.Points[i]
-			return []string{
-				fmt.Sprintf("%d", pt.P),
-				fmt.Sprintf("%g", pt.Wall),
-				fmt.Sprintf("%g", pt.Efficiency),
-				fmt.Sprintf("%g", pt.ScaledSpeedup),
-				fmt.Sprintf("%g", pt.HaloAvg),
-			}, pt.Diag, pt.Err
-		})
 }

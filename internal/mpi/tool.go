@@ -49,14 +49,15 @@ type MatchInfo struct {
 
 // Tool is the PMPI-analogue interception interface. A profiling or tracing
 // tool implements it (usually by embedding BaseTool) and is attached via
-// Config.Tools; the runtime then invokes the hooks inline. Implementations
-// must be safe for concurrent use — events arrive from every rank, and
-// worlds run side by side — but the hooks of one rank r are sequential, in
-// r's program order and ordered before r's next instruction: state a tool
-// keeps per rank needs no lock. They usually run while r runs, not always:
-// the message events of a Barrier and of an ExchangeGhost fire while the
-// communicator's last arriver runs and r is parked, with r's clock already
-// at the event's time.
+// Config.Tools; the runtime then invokes the hooks inline. The hooks of one
+// world run one at a time, in each rank r's program order and ordered
+// before r's next instruction, and one tool instance serves one live world:
+// worlds run side by side, so each Run gets a chain of its own. What a tool
+// keeps therefore needs no lock against its hooks; it needs one only for a
+// reader on another goroutine, such as a live scrape. A rank's hooks
+// usually run while it runs, not always: the message events of a Barrier
+// and of an ExchangeGhost fire while the communicator's last arriver runs
+// and r is parked, with r's clock already at the event's time.
 //
 // SectionEnter/SectionLeave mirror MPIX_Section_enter_cb and
 // MPIX_Section_leave_cb from the paper: they receive the communicator, the
@@ -82,8 +83,8 @@ type Tool interface {
 // receives the region's [start, end] span on the rank's virtual clock, the
 // team size, and single — the modeled duration the same work would have
 // taken one thread — which together are exactly the inputs of the POP
-// MPI+OpenMP inefficiency split (internal/pop). Implementations must be
-// safe for concurrent use; regions arrive from every rank.
+// MPI+OpenMP inefficiency split (internal/pop). It runs one call at a time
+// with the world's other hooks, as Tool's do.
 type ComputeObserver interface {
 	ComputeRegion(c *Comm, team int, start, end, single float64)
 }

@@ -26,7 +26,8 @@ type Config struct {
 	// Runs with equal seeds and configs produce identical virtual times.
 	Seed uint64
 	// Tools are attached in order; each receives every profiling hook.
-	// They are shared across ranks and must be safe for concurrent use.
+	// The hooks of one world run one at a time, in each rank's program
+	// order, and a tool instance serves one live world (see Tool).
 	// The MPI_Section collective invariants (the same sections entered on
 	// every rank of a communicator, perfect nesting, the same collective
 	// order) are checked by attaching verify.New(); the paper recommends

@@ -3,7 +3,6 @@ package prof
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/mpi"
 )
@@ -14,9 +13,10 @@ import (
 //
 // Traffic sent while a rank is inside a collective (the algorithm's internal
 // tag<0 messages) is left out: the matrix shows user point-to-point traffic.
+// One CommMatrix serves one world at a time.
 type CommMatrix struct {
 	mpi.BaseTool
-	mu        sync.Mutex
+	oneWorld
 	size      int
 	bytes     [][]int64 // [src][dst] user p2p payload bytes
 	msgs      [][]int64 // [src][dst] user p2p message count
@@ -26,10 +26,9 @@ type CommMatrix struct {
 // NewCommMatrix returns an empty collector.
 func NewCommMatrix() *CommMatrix { return &CommMatrix{} }
 
-// Init implements mpi.Tool.
+// Init implements mpi.Tool: it claims the matrix for the world.
 func (m *CommMatrix) Init(w *mpi.WorldInfo) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.claim()
 	m.size = w.Size
 	m.bytes = make([][]int64, w.Size)
 	m.msgs = make([][]int64, w.Size)
@@ -40,12 +39,13 @@ func (m *CommMatrix) Init(w *mpi.WorldInfo) {
 	m.collDepth = make([]int, w.Size)
 }
 
+// Finalize implements mpi.Tool: it frees the matrix for another world.
+func (m *CommMatrix) Finalize(*mpi.Report) { m.free() }
+
 // MessageSent implements mpi.Tool.
 func (m *CommMatrix) MessageSent(c *mpi.Comm, dst, tag, bytes int, t float64) {
 	src := c.WorldRank()
 	d := c.WorldRankOf(dst)
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.bytes == nil || src >= m.size || d >= m.size {
 		return
 	}
@@ -61,8 +61,6 @@ func (m *CommMatrix) MessageSent(c *mpi.Comm, dst, tag, bytes int, t float64) {
 // CollectiveBegin implements mpi.Tool: the rank is inside a collective.
 func (m *CommMatrix) CollectiveBegin(c *mpi.Comm, name string, t float64) {
 	r := c.WorldRank()
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if r < len(m.collDepth) {
 		m.collDepth[r]++
 	}
@@ -71,8 +69,6 @@ func (m *CommMatrix) CollectiveBegin(c *mpi.Comm, name string, t float64) {
 // CollectiveEnd implements mpi.Tool: the collective is over.
 func (m *CommMatrix) CollectiveEnd(c *mpi.Comm, name string, t float64) {
 	r := c.WorldRank()
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if r < len(m.collDepth) && m.collDepth[r] > 0 {
 		m.collDepth[r]--
 	}
@@ -84,8 +80,6 @@ const matrixGlyphs = " .:-=+*#%@"
 // Render draws the byte matrix as an ASCII heat map (rows = senders,
 // columns = receivers), normalized to the hottest pair.
 func (m *CommMatrix) Render() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.size == 0 {
 		return "(no communication recorded)\n"
 	}

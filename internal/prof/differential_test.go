@@ -123,15 +123,15 @@ func sameProfile(t *testing.T, got, ref *Profile, parents bool) {
 // of a run those not still in flight sit on the communicators' free lists.
 func allocated(p *Profiler) int {
 	n := 0
-	for i := range *p.comms.Load() {
-		if cs := (*p.comms.Load())[i].Load(); cs != nil {
-			n += len(cs.free)
-			for _, sec := range cs.sections {
-				n += len(sec.overflow)
-				for k := range sec.ring {
-					if sec.ring[k].Load() != nil {
-						n++
-					}
+	for _, cs := range p.comms {
+		if cs == nil {
+			continue
+		}
+		n += len(cs.free)
+		for _, sec := range cs.sections {
+			for _, in := range sec.ring {
+				if in != nil {
+					n++
 				}
 			}
 		}
@@ -215,19 +215,26 @@ func TestDifferentialGeneratedPrograms(t *testing.T) {
 	}
 }
 
-// One rank completes several windows' worth of instances before any other
-// rank enters the first: everything past the window goes through the
-// overflow table and must be folded all the same.
+// After a few instances in lockstep, one rank completes a few hundred more
+// before any other rank enters the first of them: all of those are in
+// flight at once, so the rings grow, carrying instances whose index is
+// past their length to their new positions, and each must be folded all
+// the same.
 func TestDifferentialRankFarAhead(t *testing.T) {
-	const ranks, instances = 4, 3*instWindow + 5
+	const ranks, instances, lockstep = 4, 3*64 + 5, 6
 	got, ref, p := runBoth(t, mpi.Config{Ranks: ranks, Seed: 3}, "", func(c *mpi.Comm) error {
-		if c.Rank() != 0 {
-			// Held back in real time until rank 0 is done.
-			if _, err := c.RecvDiscard(0, 1); err != nil {
-				return err
-			}
-		}
 		for i := 0; i < instances; i++ {
+			if i == lockstep {
+				if err := c.Barrier(); err != nil {
+					return err
+				}
+				if c.Rank() != 0 {
+					// Held back in real time until rank 0 is done.
+					if _, err := c.RecvDiscard(0, 1); err != nil {
+						return err
+					}
+				}
+			}
 			c.SectionEnter("STEP")
 			c.Sleep(1e-3 * float64(1+c.Rank()+i%7))
 			c.SectionEnter("INNER")
@@ -247,20 +254,23 @@ func TestDifferentialRankFarAhead(t *testing.T) {
 	if s := got.Section("STEP"); s == nil || s.Instances != instances {
 		t.Fatalf("STEP = %+v, want %d instances", s, instances)
 	}
-	// STEP and INNER each had every instance in flight at once. Cells are
-	// made only when the communicator's free list is empty, so more of
-	// them than its three rings hold means some waited in overflow.
-	if n := allocated(p); n <= 3*instWindow {
-		t.Errorf("%d instances materialized; the run-ahead did not exceed the rings' %d and exercise the fallback", n, 3*instWindow)
+	// STEP and INNER each had every instance past the lockstep ones in
+	// flight at once. Cells are made only when the communicator's free
+	// list is empty.
+	if n, want := allocated(p), 2*(instances-lockstep); n < want {
+		t.Errorf("%d instances materialized, want at least the %d that were in flight at once", n, want)
+	}
+	if step := p.comms[0].labels["STEP"]; len(step.ring) < instances {
+		t.Errorf("the STEP ring holds %d positions, want room for all %d instances", len(step.ring), instances)
 	}
 }
 
 // A misnested leave is dropped by both; the frame it failed to close stays
 // open on that rank, so that instance and those of the sections around it
-// never complete. Its ring position is then held for good, and the later
-// instances that map to it live and die in the overflow table.
+// never complete. It holds its ring position for good, and the later
+// instances that map to the same position grow the ring past it.
 func TestDifferentialMisnestedLeave(t *testing.T) {
-	const steps = 2*instWindow + 5
+	const steps = 2*64 + 5
 	got, ref, p := runBoth(t, mpi.Config{Ranks: 3, Seed: 4}, "innermost", func(c *mpi.Comm) error {
 		sub, err := c.Split(0, c.Rank())
 		if err != nil {
@@ -290,11 +300,17 @@ func TestDifferentialMisnestedLeave(t *testing.T) {
 	if got.Section("zzz") != nil || got.Section("never-entered") != nil || got.Section(mpi.MainSection).Instances != 0 {
 		t.Error("a bogus exit created a section, or MPI_MAIN completed despite rank 1's open frame")
 	}
-	// Instance 2 of "a" still holds its position, so the two later ones
-	// that map there can only have completed in the overflow table.
-	a := (*(*p.comms.Load())[0].Load().labels.Load())["a"]
-	if in := a.ring[2].Load(); in == nil || in.index.Load() != 2 || len(a.overflow) != 0 {
-		t.Errorf("ring position 2 of %q = %+v with %d in overflow; want instance 2 held and the overflow drained", "a", in, len(a.overflow))
+	// Instance 2 of "a" is the only one still held: every later one
+	// folded around it.
+	a := p.comms[0].labels["a"]
+	held := 0
+	for _, in := range a.ring {
+		if in != nil {
+			held++
+		}
+	}
+	if in := a.ring[2&(len(a.ring)-1)]; held != 1 || in == nil || in.index != 2 {
+		t.Errorf("ring of %q holds %d instances at length %d; want instance 2 alone, at its position", "a", held, len(a.ring))
 	}
 }
 
@@ -322,8 +338,8 @@ func TestDifferentialKilledRank(t *testing.T) {
 }
 
 // TestConcurrentHooks drives 64 ranks through sections on three
-// communicators at once with no communication to pace them; run under
-// -race it is the data-race coverage of the rank-local hot path, and the
+// communicators at once with no communication to pace them: one sequential
+// world interleaves the ranks' events across the communicators, and the
 // reference attached to the same run checks what comes out.
 func TestConcurrentHooks(t *testing.T) {
 	const ranks, steps = 64, 150
@@ -361,7 +377,7 @@ func TestConcurrentHooks(t *testing.T) {
 // ranks taking the communicators in different orders), and labels built at
 // run time, equal in content to earlier ones but not in address.
 func TestDifferentialLabelHint(t *testing.T) {
-	const steps = 3*instWindow + 7
+	const steps = 3*64 + 7
 	cases := []struct {
 		name string
 		fn   func(c *mpi.Comm) error

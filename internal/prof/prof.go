@@ -9,41 +9,38 @@
 //
 // # Who writes what
 //
-// MPI_Section enter and exit never synchronize ranks, and neither does the
-// Profiler: hooks run inline on the calling rank's goroutine and an event
-// touches only state that rank owns.
+// The hooks of one world run one at a time, in each rank's program order
+// (mpi.Tool), and a Profiler serves one live world at a time, which Init
+// checks. So nothing it keeps is shared in a way that needs a lock or an
+// atomic, and nobody reads it before Finalize.
 //
 //   - Per (communicator, rank) there is a cursor — the stack of open
-//     frames and the rank's instance counter per section — created by that
-//     rank on its first event and read by nobody else until Finalize.
+//     frames and the rank's instance counter per section — made on that
+//     rank's first event there.
 //   - SectionStats.PerRankTotal[r], PerRankExcl[r] and PerRank[r] are
-//     written only by rank r.
+//     written by rank r's events only.
 //   - The one thing an enter looks up is the label. It first tries a hint:
 //     the follower of the section the rank entered last on the
-//     communicator, an atomic pointer to the section some rank entered
-//     right after that one, which any rank may overwrite. A follower whose
-//     label matches is the section, since labels are unique within a
-//     communicator and hints never cross one. Otherwise the enter asks the
-//     per-communicator map, which is replaced, never written, when a new
-//     label appears and stays the authority, and stores the answer as the
-//     follower. A leave looks nothing up, its frame carries the section.
+//     communicator, the section some rank entered right after that one. A
+//     follower whose label matches is the section, since labels are unique
+//     within a communicator and hints never cross one. Otherwise the enter
+//     asks the communicator's label map, which stays the authority, and
+//     stores the answer as the follower. A leave looks nothing up, its
+//     frame carries the section.
 //   - An instance (the i-th time a section is entered, counted per rank)
-//     has a cell per participant for its entry and exit time. A rank writes
-//     its own two cells and then counts itself out atomically; the rank
-//     that brings the count to the number of participants folds the
-//     instance and puts the cells back on the communicator's free list,
-//     where the next instance of any of its sections takes them: sections
-//     on one communicator run one after another. Instances in flight are
-//     found in a ring indexed by instance number. The section's lock is
-//     taken by the first rank to enter an instance, which fills the ring
-//     position, and by the last to leave it — per instance, not per event —
-//     and by a rank that runs a whole ring ahead of the slowest: it parks
-//     its instances in an overflow table, so none is ever dropped. The
-//     free list is under the communicator's lock, which is taken inside a
-//     section's lock and never the other way round.
+//     has a cell per participant for its entry and exit time and counts
+//     the participants that left it. The leave that completes the count
+//     folds the instance and puts the cells on the communicator's free
+//     list, where the next instance of any of its sections takes them:
+//     sections on one communicator run one after another.
+//   - Instances in flight sit in the section's ring, at their index modulo
+//     its length. The ring starts at 4 and doubles when a rank that runs
+//     ahead finds its next instance's position still held by an older
+//     one, so no instance is dropped; ranks in lockstep keep two or three
+//     in flight.
 //
-// Communicators, sections and cursors are registered under a lock on first
-// sight; nothing on the steady path allocates.
+// Communicators, sections and cursors are made on first sight; nothing on
+// the steady path allocates.
 //
 // # Fold order
 //

@@ -401,16 +401,13 @@ func TestActiveSessionInstancesComplete(t *testing.T) {
 	}
 
 	// Nothing is left in flight, and what was is sized by the session.
-	cs := (*p.comms.Load())[0].Load()
+	cs := p.comms[0]
 	if cs.participants != active {
 		t.Fatalf("world communicator has %d participants, want %d", cs.participants, active)
 	}
 	for _, sec := range cs.sections {
-		if len(sec.overflow) != 0 {
-			t.Errorf("%s: %d instances left in the overflow table", sec.stats.Label, len(sec.overflow))
-		}
-		for k := range sec.ring {
-			if sec.ring[k].Load() != nil {
+		for k, in := range sec.ring {
+			if in != nil {
 				t.Errorf("%s: ring position %d still holds an instance", sec.stats.Label, k)
 			}
 		}
@@ -421,6 +418,51 @@ func TestActiveSessionInstancesComplete(t *testing.T) {
 	for _, in := range cs.free {
 		if len(in.enters) != active || len(in.leaves) != active {
 			t.Fatalf("instance cells sized %d/%d, want %d", len(in.enters), len(in.leaves), active)
+		}
+	}
+}
+
+// TestProfilerServesOneWorldAtATime pins the one-world contract of the
+// package's tools: a second Init before Finalize panics, an Init after
+// Finalize is allowed, and a Profiler that served one run reports the next
+// on its own.
+func TestProfilerServesOneWorldAtATime(t *testing.T) {
+	info := &mpi.WorldInfo{Size: 2}
+	for _, tool := range []mpi.Tool{New(), NewCommMatrix()} {
+		tool.Init(info)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%T: a second Init before Finalize did not panic", tool)
+				}
+			}()
+			tool.Init(info)
+		}()
+		tool.Finalize(&mpi.Report{})
+		tool.Init(info)
+		tool.Finalize(&mpi.Report{})
+	}
+
+	p := New()
+	for run := 0; run < 2; run++ {
+		prof := func() *Profile {
+			cfg := mpi.Config{Ranks: 2, Model: machine.Ideal(2, 1), Seed: 1, Tools: []mpi.Tool{p}, Timeout: time.Minute}
+			if _, err := mpi.Run(cfg, func(c *mpi.Comm) error {
+				c.SectionEnter("S")
+				c.Sleep(1)
+				c.SectionExit("S")
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			prof, err := p.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return prof
+		}()
+		if s := prof.Section("S"); s == nil || s.Instances != 1 || s.TotalTime() != 2 {
+			t.Errorf("run %d: S = %+v, want one instance of 1 s on each of 2 ranks", run, s)
 		}
 	}
 }

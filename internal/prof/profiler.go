@@ -5,35 +5,37 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/mpi"
 	"repro/internal/stats"
 )
 
-// instWindow is how many instances of one section may be in flight in the
-// section's ring before a rank that runs further ahead takes the locked
-// fallback. A power of two. A position is filled while its instance is in
-// flight and instances are recycled, so ranks in lockstep ever allocate
-// two or three whatever the window.
-const instWindow = 64
+// oneWorld is mpi.Tool's contract made a check for this package's tools:
+// the hooks of one world run one at a time, which is all their unlocked
+// state relies on, so an instance attached to a second live world is a
+// bug. Init claims the instance and Finalize frees it.
+type oneWorld struct{ live atomic.Bool }
+
+func (g *oneWorld) claim() {
+	if !g.live.CompareAndSwap(false, true) {
+		panic("prof: tool attached to a second live world; build one per mpi.Run")
+	}
+}
+
+func (g *oneWorld) free() { g.live.Store(false) }
 
 // Profiler is the mpi.Tool. Attach via mpi.Config.Tools, run, then call
-// Result. See the package comment for which goroutine owns which state.
+// Result. One Profiler serves one world at a time.
 type Profiler struct {
 	mpi.BaseTool
+	oneWorld
 	// declared and active are the world's declared and session rank
 	// counts seen at Init (0 when Init handed no RuntimeStats).
 	declared, active int
 
-	// comms is the table of per-communicator state, indexed by Comm.ID
-	// and replaced by a longer one when an ID falls outside it.
-	comms atomic.Pointer[[]atomic.Pointer[commState]]
-
-	mu       sync.Mutex // communicator registration, profile, finished
-	profile  *Profile
-	finished bool
+	comms   []*commState // indexed by Comm.ID
+	profile *Profile
 }
 
 // commState is what the profiler keeps per communicator.
@@ -43,18 +45,12 @@ type commState struct {
 	// Config.Active session. An instance is complete when that many
 	// ranks have left it.
 	participants int
-	// cursors[r] belongs to rank r's goroutine, which creates it on its
-	// first event here and is the only one to touch it until Finalize.
-	cursors []*cursor
-	// labels maps a label to its section; replaced, never written.
-	labels atomic.Pointer[map[string]*section]
-
-	mu       sync.Mutex // first sight of a section or (sparse) a rank; free
-	sections []*section // in registration order; section.id indexes it
+	cursors      []*cursor // by rank, made on the rank's first event
+	labels       map[string]*section
+	sections     []*section // in registration order; section.id indexes it
 	// free holds folded instances for any section here to reuse: the
 	// sections of a communicator run one after another, and their cells
-	// are all sized by participants. mu, which guards it, is taken inside
-	// section.mu and never the other way round.
+	// are all sized by participants.
 	free []*instance
 	// On a communicator with fewer participants than ranks, instance
 	// cells are indexed by a dense slot handed out on a rank's first
@@ -80,36 +76,25 @@ func (cs *commState) slot(rank int) int {
 }
 
 // section is one (communicator, label) pair: its aggregate and the
-// instances not yet left by every participant. The aggregate is part of it,
-// not a pointer: one allocation of 800 bytes in the 896-byte size class.
+// instances not yet left by every participant.
 type section struct {
 	id int
 	// follower is the section some rank entered right after this one,
 	// the first guess at the next label of a rank that just entered this
 	// one; the label map stays the authority.
-	follower atomic.Pointer[section]
-
-	// ring[i%instWindow] holds instance i while it is in flight; a rank
-	// finds it there with two atomic loads. mu serializes what happens
-	// once per instance rather than once per event — the first rank to
-	// enter fills the position, the last to leave folds the instance and
-	// clears it — and the fallback for an instance whose position still
-	// holds an older one: it waits in overflow. Folded instances go back
-	// to the communicator's free list.
-	ring     [instWindow]atomic.Pointer[instance]
-	mu       sync.Mutex
-	overflow map[int]*instance
-
+	follower *section
+	// ring[i&(len(ring)-1)] holds instance i while it is in flight. The
+	// instances in flight sit at distinct positions, and the ring doubles
+	// when one finds its position held by an older one.
+	ring  []*instance
 	stats SectionStats
 }
 
-// instance holds the Fig. 3 raw material of one section instance. Every
-// participant writes its own cell of enters and leaves and then counts
-// itself in left; whoever brings left to the participant count owns the
-// instance from then on and folds it.
+// instance holds the Fig. 3 raw material of one section instance: a cell
+// per participant for its entry and exit time, and how many have left.
 type instance struct {
-	index          atomic.Int64
-	left           atomic.Int32
+	index          int
+	left           int
 	enters, leaves []float64
 }
 
@@ -146,8 +131,11 @@ type openFrame struct {
 // New returns an empty Profiler.
 func New() *Profiler { return &Profiler{} }
 
-// Init implements mpi.Tool.
+// Init implements mpi.Tool: it claims the Profiler for the world and
+// starts an empty profile.
 func (p *Profiler) Init(w *mpi.WorldInfo) {
+	p.claim()
+	p.declared, p.active, p.comms, p.profile = 0, 0, nil, nil
 	if w.Stats != nil {
 		p.declared, p.active = w.Stats.DeclaredRanks(), w.Stats.ActiveRanks()
 	}
@@ -155,45 +143,28 @@ func (p *Profiler) Init(w *mpi.WorldInfo) {
 
 // comm returns the state of c's communicator.
 func (p *Profiler) comm(c *mpi.Comm) *commState {
-	if t := p.comms.Load(); t != nil && c.ID() < int64(len(*t)) {
-		if cs := (*t)[c.ID()].Load(); cs != nil {
-			return cs
-		}
+	if id := c.ID(); id < int64(len(p.comms)) && p.comms[id] != nil {
+		return p.comms[id]
 	}
 	return p.registerComm(c)
 }
 
 //seclint:allocs-ok first sight of a communicator
 func (p *Profiler) registerComm(c *mpi.Comm) *commState {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	id := int(c.ID())
-	var table []atomic.Pointer[commState]
-	if t := p.comms.Load(); t != nil {
-		table = *t
+	if id >= len(p.comms) {
+		p.comms = append(p.comms, make([]*commState, id+1-len(p.comms))...)
 	}
-	if id >= len(table) {
-		grown := make([]atomic.Pointer[commState], max(2*len(table), id+1, 8))
-		for i := range table {
-			grown[i].Store(table[i].Load())
-		}
-		table = grown
-		p.comms.Store(&grown)
+	cs := &commState{participants: c.Size(), cursors: make([]*cursor, c.Size()), labels: map[string]*section{}}
+	// Only a communicator spanning every declared rank can have members
+	// outside the session (mpi.Config.Active).
+	if p.active > 0 && c.Size() == p.declared {
+		cs.participants = p.active
 	}
-	cs := table[id].Load()
-	if cs == nil {
-		cs = &commState{participants: c.Size(), cursors: make([]*cursor, c.Size())}
-		// Only a communicator spanning every declared rank can have
-		// members outside the session (mpi.Config.Active).
-		if p.active > 0 && c.Size() == p.declared {
-			cs.participants = p.active
-		}
-		if cs.participants < c.Size() {
-			cs.slots = &slotTable{of: make([]int32, c.Size())}
-		}
-		cs.labels.Store(&map[string]*section{})
-		table[id].Store(cs)
+	if cs.participants < c.Size() {
+		cs.slots = &slotTable{of: make([]int32, c.Size())}
 	}
+	p.comms[id] = cs
 	return cs
 }
 
@@ -202,24 +173,16 @@ func (cs *commState) newCursor(rank int) *cursor {
 	cur := &cursor{}
 	cur.stack, cur.secs = cur.stack0[:0], cur.secs0[:0]
 	if st := cs.slots; st != nil {
-		cs.mu.Lock()
 		st.of[rank] = int32(len(st.rank))
 		st.rank = append(st.rank, int32(rank))
-		cs.mu.Unlock()
 	}
 	cs.cursors[rank] = cur
 	return cur
 }
 
-//seclint:allocs-ok first sight of a section: its per-rank cells and the replaced label index
+//seclint:allocs-ok first sight of a section: its per-rank cells and ring
 func (cs *commState) registerSection(c *mpi.Comm, label string) *section {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	old := *cs.labels.Load()
-	if sec := old[label]; sec != nil {
-		return sec
-	}
-	sec := &section{id: len(cs.sections), overflow: map[int]*instance{}, stats: SectionStats{
+	sec := &section{id: len(cs.sections), ring: make([]*instance, 4), stats: SectionStats{
 		Comm:         c.ID(),
 		Label:        label,
 		Ranks:        c.Size(),
@@ -228,12 +191,7 @@ func (cs *commState) registerSection(c *mpi.Comm, label string) *section {
 		PerRank:      make([]stats.Welford, c.Size()),
 	}}
 	cs.sections = append(cs.sections, sec)
-	labels := make(map[string]*section, len(old)+1)
-	for l, s := range old {
-		labels[l] = s
-	}
-	labels[label] = sec
-	cs.labels.Store(&labels)
+	cs.labels[label] = sec
 	return sec
 }
 
@@ -246,8 +204,6 @@ func (cs *commState) rankOrder() []int32 {
 	if st == nil {
 		return nil
 	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
 	if st.order == nil {
 		st.order = make([]int32, len(st.rank))
 		for i := range st.order {
@@ -269,16 +225,16 @@ func (p *Profiler) SectionEnter(c *mpi.Comm, label string, t float64, _ *mpi.Too
 	}
 	var sec *section
 	if cur.last != nil {
-		if f := cur.last.follower.Load(); f != nil && f.stats.Label == label {
+		if f := cur.last.follower; f != nil && f.stats.Label == label {
 			sec = f
 		}
 	}
 	if sec == nil {
-		if sec = (*cs.labels.Load())[label]; sec == nil {
+		if sec = cs.labels[label]; sec == nil {
 			sec = cs.registerSection(c, label)
 		}
 		if cur.last != nil {
-			cur.last.follower.Store(sec)
+			cur.last.follower = sec
 		}
 	}
 	cur.last = sec
@@ -288,50 +244,39 @@ func (p *Profiler) SectionEnter(c *mpi.Comm, label string, t float64, _ *mpi.Too
 	rs := &cur.secs[sec.id]
 	idx := rs.next
 	rs.next++
-	in := sec.ring[idx&(instWindow-1)].Load()
-	if in == nil || in.index.Load() != int64(idx) {
-		in = sec.instanceSlow(cs, idx)
+	in := sec.ring[idx&(len(sec.ring)-1)]
+	if in == nil || in.index != idx {
+		in = sec.open(cs, idx)
 	}
 	in.enters[cs.slot(c.Rank())] = t
 	cur.stack = append(cur.stack, openFrame{sec: sec, inst: in, enterT: t})
 }
 
-// instanceSlow finds or makes instance idx when its ring position does not
-// already hold it: the position is empty (this rank is the first to enter
-// idx), or still holds an instance some rank has not left — this rank is a
-// whole window ahead — and idx waits in the overflow table until complete
-// hands it the position. Nothing is ever skipped.
+// open puts instance idx in the ring when this rank is the first to enter
+// it. Its position is empty, or still holds an older instance some rank
+// has not left: then the ring doubles until idx has a position of its own.
+// The held instances are distinct modulo the length, so they stay distinct
+// modulo twice it.
 //
-//seclint:allocs-ok instance cells grow to the deepest run-ahead once, then recycle
-func (s *section) instanceSlow(cs *commState, idx int) *instance {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	pos := &s.ring[idx&(instWindow-1)]
-	held := pos.Load()
-	if held != nil {
-		if held.index.Load() == int64(idx) {
-			return held
+//seclint:allocs-ok the ring and the instance cells grow to the deepest run-ahead once, then recycle
+func (s *section) open(cs *commState, idx int) *instance {
+	for s.ring[idx&(len(s.ring)-1)] != nil {
+		ring := make([]*instance, 2*len(s.ring))
+		for _, in := range s.ring {
+			if in != nil {
+				ring[in.index&(len(ring)-1)] = in
+			}
 		}
-		if in := s.overflow[idx]; in != nil {
-			return in
-		}
+		s.ring = ring
 	}
 	var in *instance
-	cs.mu.Lock()
 	if n := len(cs.free); n > 0 {
 		in, cs.free = cs.free[n-1], cs.free[:n-1]
-	}
-	cs.mu.Unlock()
-	if in == nil {
+	} else {
 		in = &instance{enters: make([]float64, cs.participants), leaves: make([]float64, cs.participants)}
 	}
-	in.left.Store(0)
-	in.index.Store(int64(idx))
-	if held == nil {
-		pos.Store(in)
-	} else {
-		s.overflow[idx] = in
-	}
+	in.index, in.left = idx, 0
+	s.ring[idx&(len(s.ring)-1)] = in
 	return in
 }
 
@@ -368,19 +313,15 @@ func (p *Profiler) SectionLeave(c *mpi.Comm, label string, t float64, _ *mpi.Too
 
 	in := frame.inst
 	in.leaves[cs.slot(rank)] = t
-	if int(in.left.Add(1)) == cs.participants {
+	if in.left++; in.left == cs.participants {
 		sec.complete(cs, in)
 	}
 }
 
 // complete folds an instance every participant has left — the Fig. 3
-// metrics, cells in rank order — and recycles it. Its ring position goes
-// to the instance a window later if a rank running ahead already made that
-// one in the overflow table.
+// metrics, cells in rank order — and recycles it.
 func (s *section) complete(cs *commState, in *instance) {
 	order := cs.rankOrder()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := &s.stats
 	enters, leaves := in.enters, in.leaves[:len(in.enters)]
 	tmin, tmax := enters[0], leaves[0]
@@ -409,34 +350,18 @@ func (s *section) complete(cs *commState, in *instance) {
 	}
 	st.EntryImb, st.Imb = entryImb, imb
 
-	idx := int(in.index.Load())
-	pos := &s.ring[idx&(instWindow-1)]
-	if pos.Load() != in {
-		delete(s.overflow, idx)
-	} else {
-		pos.Store(s.overflow[idx+instWindow])
-		delete(s.overflow, idx+instWindow)
-	}
-	cs.mu.Lock()
+	s.ring[in.index&(len(s.ring)-1)] = nil
 	cs.free = append(cs.free, in)
-	cs.mu.Unlock()
 }
 
-// Finalize implements mpi.Tool: it freezes the profile. The run is over,
-// so every rank's cells can be read; Dur merges the per-rank accumulators
-// in rank order, and Parent comes from the lowest rank that completed an
-// instance.
+// Finalize implements mpi.Tool: it freezes the profile and frees the
+// Profiler for another world. Dur merges the per-rank accumulators in rank
+// order, and Parent comes from the lowest rank that completed an instance.
 func (p *Profiler) Finalize(r *mpi.Report) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.free()
 	prof := &Profile{WallTime: r.WallTime}
 	prof.RankTimes = append(prof.RankTimes, r.RankTimes...)
-	var table []atomic.Pointer[commState]
-	if t := p.comms.Load(); t != nil {
-		table = *t
-	}
-	for i := range table {
-		cs := table[i].Load()
+	for _, cs := range p.comms {
 		if cs == nil {
 			continue
 		}
@@ -469,14 +394,11 @@ func (p *Profiler) Finalize(r *mpi.Report) {
 		return cmp.Compare(a.Comm, b.Comm)
 	})
 	p.profile = prof
-	p.finished = true
 }
 
 // Result returns the profile; it errs when the run has not finished.
 func (p *Profiler) Result() (*Profile, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.finished {
+	if p.profile == nil {
 		return nil, fmt.Errorf("prof: run not finalized")
 	}
 	return p.profile, nil
