@@ -22,9 +22,11 @@
 // and keep no lock against your own hooks. A tool needs a lock only for a
 // reader on another goroutine: export's live /metrics scrape, telemetry's
 // Snapshot, trace.Buffer's views of a recording in progress, verify's
-// Report read by a serve handler. internal/prof is the pattern — plain
-// per-rank cursors and cells, no lock or atomic on the event path — and
-// its package comment says what each event writes.
+// Report read by a serve handler. Each tool owns a 32-byte payload per
+// section frame (Fig. 2): keep enter state there, not in a stack of your
+// own. internal/prof is the pattern — enter state in its payload, a
+// 16-byte cursor and plain cells per rank, no lock or atomic on the event
+// path — and its package comment says what each event writes.
 //
 // Buffer ownership, for tool authors and workloads: message payloads live
 // in a size-classed pool. mpi.Comm.Recv (and the Wait on an Irecv request)

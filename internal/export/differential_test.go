@@ -421,22 +421,41 @@ func TestDifferentialFaultPlan(t *testing.T) {
 }
 
 // scribbler is a tool chained after the recorders that puts its own
-// payload in the Fig. 2 slot of one section.
+// payload in its Fig. 2 slot of one section and reads it back at leave,
+// counting the leaves that found it and those that did not.
 type scribbler struct {
 	mpi.BaseTool
-	label string
+	label        string
+	found, other *int
+}
+
+func (scribbler) stamp(c *mpi.Comm) mpi.ToolData {
+	return mpi.ToolData{0: 'X', 1: byte(c.Rank()), 31: 0xff}
 }
 
 func (s scribbler) SectionEnter(c *mpi.Comm, label string, _ float64, data *mpi.ToolData) {
 	if label == s.label {
-		*data = mpi.ToolData{0: 'X', 1: byte(c.Rank()), 31: 0xff}
+		*data = s.stamp(c)
 	}
 }
 
-// A payload another tool wrote is exported as it stood at leave; every
-// other span carries the stamp.
+func (s scribbler) SectionLeave(c *mpi.Comm, label string, _ float64, data *mpi.ToolData) {
+	if label != s.label {
+		return
+	}
+	if *data == s.stamp(c) {
+		*s.found++
+	} else {
+		*s.other++
+	}
+}
+
+// Each tool of the chain owns its payload: a tool that writes its own slot
+// leaves every span's stamp intact, its own section's included, and reads
+// its own payload back at leave.
 func TestDifferentialForeignPayload(t *testing.T) {
 	rec, ref := NewRecorder(Options{}), newRefRecorder(Options{}, 0)
+	var found, other int
 	runBoth(t, mpi.Config{Ranks: 3, Seed: 8}, "", rec, ref, func(c *mpi.Comm) error {
 		for i := 0; i < 3; i++ {
 			c.SectionEnter("OUTER")
@@ -446,12 +465,19 @@ func TestDifferentialForeignPayload(t *testing.T) {
 			c.SectionExit("OUTER")
 		}
 		return nil
-	}, scribbler{label: "THEIRS"})
+	}, scribbler{label: "THEIRS", found: &found, other: &other})
 	sameViews(t, rec, ref, true)
-	for _, sp := range rec.Spans() {
-		if _, _, _, ok := DecodePayload(sp.Data); ok == (sp.Label == "THEIRS") {
-			t.Errorf("span %q: stamp recognized = %v", sp.Label, ok)
+	spans := rec.Spans()
+	for _, sp := range spans {
+		if id, parent, enterT, ok := DecodePayload(sp.Data); !ok || id != sp.ID || parent != sp.Parent || enterT != sp.Start {
+			t.Errorf("span %q: payload %x, want the recorder's stamp", sp.Label, sp.Data)
 		}
+	}
+	if len(spans) != 3*(1+2*3) {
+		t.Errorf("%d spans, want %d", len(spans), 3*(1+2*3))
+	}
+	if found != 3*3 || other != 0 {
+		t.Errorf("the scribbler read its payload back at %d leaves and another at %d, want %d and 0", found, other, 3*3)
 	}
 }
 

@@ -19,16 +19,16 @@
 // The hooks run on the rank goroutines and do what only a live tool can.
 // They forward each event to the Recorder's collector (Collector: the one
 // event store, which cmd/secmon also renders as a job's result.csv). They
-// stamp the Fig. 2 payload at enter — span id, parent id, enter time — and
-// check it at leave, from cursors only their rank touches: an event ordinal
-// per world rank, a stack of open spans per (communicator, rank). No lock,
-// no map, no allocation per event. Three things are written under the
-// Recorder's one mutex, each a handful of times per run: a communicator's
-// member world ranks on first sight (the trace's peer column is a rank of
-// the communicator; flow arrows and CommRank need the world's), a
-// fault.Event when one is injected (the trace keeps fewer of its fields),
-// and a payload another tool of the chain rewrote (kept as it stood at
-// leave; every other payload is the stamp, which a view can rebuild).
+// stamp the Fig. 2 payload at enter — span id, parent id, enter time —
+// from cursors only their rank touches: an event ordinal per world rank, a
+// stack of open spans per (communicator, rank). The payload is the
+// Recorder's own slot (mpi.Tool), so no other tool rewrites it and a view
+// rebuilds it from the stamp. No lock, no map, no allocation per event.
+// Two things are written under the Recorder's one mutex, each a handful of
+// times per run: a communicator's member world ranks on first sight (the
+// trace's peer column is a rank of the communicator; flow arrows and
+// CommRank need the world's), and a fault.Event when one is injected (the
+// trace keeps fewer of its fields).
 //
 // The views — Sections, Spans, WritePrometheus, WriteChromeTrace, WriteOTLP
 // — each run one single-threaded replay (replay.go) on the caller's
@@ -65,7 +65,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"maps"
 	"math"
 	"sort"
 	"sync"
@@ -103,8 +102,8 @@ func deriveTraceID() TraceID {
 }
 
 // payloadMagic marks a tool-data slot written by this package (Fig. 2: the
-// payload layout is tool-defined; the magic lets the leave side recognize
-// its own stamp even with other tools in the chain).
+// payload layout is tool-defined; the magic lets a reader of the exported
+// bytes tell this layout from another tool's).
 var payloadMagic = [4]byte{'E', 'X', 'P', 'T'}
 
 // defaultMaxEvents bounds the recording when Options.MaxEvents is zero:
@@ -148,7 +147,7 @@ type Span struct {
 	// EnterSeq/LeaveSeq order same-timestamp events within one rank so the
 	// trace replays with the nesting the rank actually executed.
 	EnterSeq, LeaveSeq uint64
-	// Data is the 32-byte tool payload as it stood at leave (sections only).
+	// Data is the Recorder's 32-byte tool payload, its stamp (sections only).
 	Data mpi.ToolData
 }
 
@@ -163,10 +162,9 @@ type InstanceMetrics struct {
 }
 
 // frame is an open section on one rank, as the hooks remember it: enough
-// to name the parent of the next enter and to rebuild this one's stamp.
+// to name the parent of the next enter and to match its leave.
 type frame struct {
 	id    uint64
-	t     float64
 	label string
 }
 
@@ -202,7 +200,6 @@ type runFacts struct {
 	capped    int     // events the cap turned away
 	members   [][]int // by Comm.ID: communicator rank -> world rank; nil for one not seen
 	faults    []fault.Event
-	foreign   map[uint64]mpi.ToolData // span id -> payload at leave, where it was not the stamp
 }
 
 // source is a run as a view sees it, in two reads: the events recorded so
@@ -360,40 +357,23 @@ func (r *Recorder) SectionEnter(c *mpi.Comm, label string, t float64, data *mpi.
 	cur := &ci.cursors[c.Rank()]
 	id := spanID(c.WorldRank(), seq)
 	stampPayload(data, id, cur.top(), t)
-	cur.stack = append(cur.stack, frame{id: id, t: t, label: label})
+	cur.stack = append(cur.stack, frame{id: id, label: label})
 	r.col.SectionEnter(c, label, t, data)
 }
 
-// SectionLeave implements mpi.Tool: it checks that the slot still holds
-// the stamp of the span being closed — keeping the payload when another
-// tool put its own there — and records the event. A misnested leave (the
-// runtime reports it) closes nothing here and in no replay, as in
-// internal/prof, but is recorded like any event.
+// SectionLeave implements mpi.Tool: it closes the span and records the
+// event. The slot is this tool's alone, so it still holds the stamp, which
+// a view rebuilds. A misnested leave (the runtime reports it) closes
+// nothing here and in no replay, but is recorded like any event.
 //
 //seclint:hotpath
 func (r *Recorder) SectionLeave(c *mpi.Comm, label string, t float64, data *mpi.ToolData) {
 	cur := &r.comm(c).cursors[c.Rank()]
 	if n := len(cur.stack); n > 0 && cur.stack[n-1].label == label {
-		open := cur.stack[n-1]
 		cur.stack = cur.stack[:n-1]
 		r.seqs[c.WorldRank()]++
-		var stamp mpi.ToolData
-		stampPayload(&stamp, open.id, cur.top(), open.t)
-		if *data != stamp {
-			r.keepPayload(open.id, data)
-		}
 	}
 	r.col.SectionLeave(c, label, t, data)
-}
-
-//seclint:allocs-ok another tool of the chain rewrote the Fig. 2 slot
-func (r *Recorder) keepPayload(id uint64, data *mpi.ToolData) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.run.foreign == nil {
-		r.run.foreign = map[uint64]mpi.ToolData{}
-	}
-	r.run.foreign[id] = *data
 }
 
 // MessageSent implements mpi.Tool.
@@ -488,7 +468,6 @@ func (r *Recorder) facts() runFacts {
 	r.mu.Lock()
 	f := r.run
 	f.faults = append([]fault.Event(nil), f.faults...)
-	f.foreign = maps.Clone(f.foreign)
 	r.mu.Unlock()
 	fault.SortEvents(f.faults)
 	f.capped = r.col.Dropped()

@@ -219,7 +219,7 @@ func (r *refRecorder) SectionLeave(c *mpi.Comm, label string, t float64, data *m
 	st := r.stacks[rk]
 	if len(st) == 0 || st[len(st)-1].span.Label != label {
 		// Misnested usage: the runtime reports it; drop the sample rather
-		// than corrupting exporter state (same policy as internal/prof).
+		// than corrupting exporter state.
 		return
 	}
 	open := st[len(st)-1]

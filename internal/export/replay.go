@@ -263,9 +263,6 @@ func (p *replay) event(e *trace.Event) {
 		}
 		if p.spans != nil {
 			stampPayload(&sp.Data, sp.ID, sp.Parent, sp.Start)
-			if data, ok := p.facts.foreign[sp.ID]; ok {
-				sp.Data = data
-			}
 			*p.spans = append(*p.spans, sp)
 		}
 		sec, in := open.sec, open.inst

@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/machine"
 )
@@ -242,11 +243,17 @@ func TestAllreduceSteadyStateAllocs(t *testing.T) {
 // in a warm world whose ranks nest sections two deep (MPI_MAIN and one
 // section at a time inside it), the sections allocate nothing per rank
 // beyond the registry every communicator has anyway. A Run with them must
-// allocate what a Run without them does, at two world sizes; a stack grown
-// by append costs one allocation per rank.
+// allocate what a Run without them does, at two world sizes and with zero,
+// one and two tools; a stack grown by append costs one allocation per
+// rank. Tool 0's payload is the frame's inline one, so one tool costs
+// nothing over none; a second adds its slots, made on MPI_MAIN's enter:
+// one table for the communicator and one per rank at most.
 func TestSectionStackInline(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector allocates shadow memory; alloc counts are meaningless")
+	}
+	if n := unsafe.Sizeof(rankSections{}); n != 120 {
+		t.Errorf("rankSections is %d bytes, want 120", n)
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -259,20 +266,29 @@ func TestSectionStackInline(t *testing.T) {
 		return nil
 	}
 	for _, p := range []int{64, 512} {
-		cfg := Config{Ranks: p, Model: machine.Ideal(p, 1), Seed: 1, Timeout: time.Minute}
-		allocs := func(fn func(*Comm) error) float64 {
-			return testing.AllocsPerRun(5, func() {
-				if _, err := Run(cfg, fn); err != nil {
-					t.Fatal(err)
-				}
-			})
+		var without [3]float64
+		for n, chain := range [][]Tool{nil, {BaseTool{}}, {BaseTool{}, BaseTool{}}} {
+			cfg := Config{Ranks: p, Model: machine.Ideal(p, 1), Seed: 1, Tools: chain, Timeout: time.Minute}
+			allocs := func(fn func(*Comm) error) float64 {
+				return testing.AllocsPerRun(5, func() {
+					if _, err := Run(cfg, fn); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			without[n] = allocs(bare)
+			with := allocs(sections)
+			if with > without[n]+2 {
+				t.Errorf("p = %d, %d tools: a Run with sections made %v allocations, without %v; want no more than 2 apart", p, n, with, without[n])
+			}
+			t.Logf("p = %d, %d tools: %v allocations with sections, %v without", p, n, with, without[n])
 		}
-		without := allocs(bare)
-		with := allocs(sections)
-		if with > without+2 {
-			t.Errorf("p = %d: a Run with sections made %v allocations, without %v; want no more than 2 apart", p, with, without)
+		if without[1] > without[0]+2 {
+			t.Errorf("p = %d: one tool made %v allocations, none %v; want no more than 2 apart", p, without[1], without[0])
 		}
-		t.Logf("p = %d: %v allocations with sections, %v without", p, with, without)
+		if limit := without[1] + 2 + float64(1+p); without[2] > limit {
+			t.Errorf("p = %d: two tools made %v allocations, one %v; want at most %v (a table and a slot slab per rank)", p, without[2], without[1], limit)
+		}
 	}
 }
 

@@ -318,6 +318,76 @@ func TestToolDataNestedInstancesIndependent(t *testing.T) {
 	}
 }
 
+// TestToolDataPerTool pins that each tool of a chain owns its payload: it
+// finds its slot zeroed at every enter and reads back at every leave only
+// what it stamped there — through nested frames, a stack grown past its
+// inline frames, a misnested exit (the stamps of the frame the runtime
+// force-pops) and an exit with nothing open (a zero payload).
+func TestToolDataPerTool(t *testing.T) {
+	const tools, ranks, steps = 3, 2, 3
+	stamp := func(tool int, c *Comm, label string) ToolData {
+		var d ToolData
+		d[0], d[1] = byte(tool+1), byte(c.Rank())
+		copy(d[2:], label)
+		return d
+	}
+	var leaves [tools]int
+	chain := make([]Tool, tools)
+	for i := range chain {
+		chain[i] = &funcTool{
+			enter: func(c *Comm, label string, _ float64, data *ToolData) {
+				if *data != (ToolData{}) {
+					t.Errorf("tool %d entered %q on a slot holding %x", i, label, *data)
+				}
+				*data = stamp(i, c, label)
+			},
+			leave: func(c *Comm, label string, _ float64, data *ToolData) {
+				want := stamp(i, c, label)
+				switch label {
+				case "zzz":
+					want = stamp(i, c, "b") // the frame the runtime force-pops
+				case "never":
+					want = ToolData{}
+				}
+				if *data != want {
+					t.Errorf("tool %d left %q on rank %d with %x, want %x", i, label, c.Rank(), *data, want)
+				}
+				leaves[i]++
+			},
+		}
+	}
+	cfg := testCfg(ranks)
+	cfg.Tools = chain
+	_, err := Run(cfg, func(c *Comm) error {
+		sub, err := c.Split(0, c.Rank())
+		if err != nil {
+			return err
+		}
+		sub.SectionExit("never")
+		for s := 0; s < steps; s++ {
+			c.SectionEnter("a")
+			c.SectionEnter("b")
+			c.SectionEnter("c")
+			c.SectionExit("c")
+			if s == 1 {
+				c.SectionExit("zzz")
+			} else {
+				c.SectionExit("b")
+			}
+			c.SectionExit("a")
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "innermost") {
+		t.Fatalf("run error = %v, want the misnesting reported", err)
+	}
+	for i, n := range leaves {
+		if want := ranks * (1 + 3*steps + 1); n != want {
+			t.Errorf("tool %d saw %d leaves, want %d", i, n, want)
+		}
+	}
+}
+
 func TestMessageHooksFire(t *testing.T) {
 	tool := &recordingTool{}
 	cfg := testCfg(2)

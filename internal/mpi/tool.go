@@ -63,6 +63,11 @@ type MatchInfo struct {
 // MPIX_Section_leave_cb from the paper: they receive the communicator, the
 // label, the rank-local virtual timestamp, and the 32-byte data slot that
 // the runtime preserves between the two events of one section instance.
+// Each tool owns its slot: zeroed at enter, handed back at leave as the
+// tool left it, seen by no other tool, so it holds the tool's enter state
+// rather than a stack of its own (a misnested exit hands over the frame the
+// runtime force-pops; an exit with nothing open, a zero slot). The first
+// tool's slot is inline in the frame: a one-tool chain pays nothing for it.
 type Tool interface {
 	Init(w *WorldInfo)
 	Finalize(r *Report)

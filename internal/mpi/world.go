@@ -125,11 +125,9 @@ type World struct {
 	idle      coChain
 	done      chan struct{}
 
-	// exitData is the scratch ToolData handed to SectionLeave hooks. A
-	// function-local copy would escape through the hook call and cost one
-	// heap allocation per exit — even with no tools attached — which the
-	// allocation-free fast path cannot afford. One rank of the world runs
-	// at a time, and it uses it only between pop and hook return.
+	// exitData is the scratch ToolData SectionExit hands each tool in turn
+	// (a local would escape through the hook call, one allocation per
+	// exit). One rank of the world runs at a time, and only it uses it.
 	exitData ToolData
 
 	sectionErrMu sync.Mutex

@@ -116,16 +116,28 @@ func TestProfilerSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// runBytes reports the bytes the process allocated over one mpi.Run.
+func runBytes(t *testing.T, cfg mpi.Config, fn func(*mpi.Comm) error) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := mpi.Run(cfg, fn)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // profiledPointBytes is what the profiler added to the bytes a warm
 // p = 456 point of the 1-D convolution step allocated (a HALO section
 // around an exchange with both row neighbours, a CONVOLVE section around a
-// compute charge, 200 steps), with go1.24 on linux/amd64: a 312-byte
-// cursor per rank in the 320-byte size class, the sections and their
-// rings, the communicator's pooled instances and its label map.
-// pointSlack absorbs what two runs of one point differ by (under 1 KiB)
-// and what another Go version's map layout adds; a cursor one size class
-// up costs every rank 32 bytes, 14 KiB here.
-const profiledPointBytes, pointSlack = 268_528, 4096
+// compute charge, 200 steps), with go1.24 on linux/amd64: a 16-byte
+// rankCursor per rank in one slice, the sections with their per-rank cells
+// and counters and their rings, the communicator's pooled instances and
+// its label map. pointSlack absorbs what two runs of one point differ by
+// (under 1 KiB) and what another Go version's map layout adds.
+const profiledPointBytes, pointSlack = 133_008, 4096
 
 // TestProfiledPointBytes pins the bytes the profiler adds to a warm conv
 // point, measured against the same point with no tool, so that the
@@ -134,17 +146,15 @@ func TestProfiledPointBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector allocates shadow memory; byte counts are meaningless")
 	}
-	if n := unsafe.Sizeof(cursor{}); n > 312 {
-		t.Errorf("cursor is %d bytes, want at most 312, in the 320-byte size class", n)
+	if n := unsafe.Sizeof(rankCursor{}); n > 16 {
+		t.Errorf("rankCursor is %d bytes, want at most 16", n)
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const p, steps = 456, 200
 	point := func(tools ...mpi.Tool) uint64 {
 		cfg := mpi.Config{Ranks: p, Model: machine.NehalemCluster(), Seed: 2017, Tools: tools, Timeout: time.Minute}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := mpi.Run(cfg, func(c *mpi.Comm) error {
+		return runBytes(t, cfg, func(c *mpi.Comm) error {
 			var list [2]mpi.GhostExchange
 			ops := list[:0]
 			if up := c.Rank() - 1; up >= 0 {
@@ -165,11 +175,6 @@ func TestProfiledPointBytes(t *testing.T) {
 			}
 			return nil
 		})
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return after.TotalAlloc - before.TotalAlloc
 	}
 	point(New()) // fills the runtime's pools and coroutines
 	bare := point()
@@ -178,4 +183,46 @@ func TestProfiledPointBytes(t *testing.T) {
 		t.Errorf("the profiler added %d bytes to a warm p = %d point, want at most %d + %d", n, p, profiledPointBytes, pointSlack)
 	}
 	t.Logf("the profiler added %d bytes to a warm p = %d point (%d without it; pin %d)", n, p, bare, profiledPointBytes)
+}
+
+// TestProfilerBytesPerRank pins what the profiler adds per rank to a
+// 10,000-rank lazy world whose ranks each go once through six sections
+// inside MPI_MAIN, seven in all, against the same run with no tool: a
+// 16-byte rankCursor, and per section 60 bytes of cells (PerRankTotal,
+// PerRankExcl, a 40-byte Welford and a 4-byte instance counter). The
+// slack is what does not scale with sections' cells: the instances in
+// flight (rank r leaves each instance before rank r+1 enters it, so every
+// section has one, at 16 bytes per rank: an entry and an exit time),
+// Profile.RankTimes (8 bytes per rank), and 24 more for the page rounding
+// of these large slices, the label map and the rings. go1.24 on
+// linux/amd64 measured 564 bytes per rank, against a bound of 580.
+func TestProfilerBytesPerRank(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates shadow memory; byte counts are meaningless")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const p = 10_000
+	labels := []string{"LOAD", "HALO", "CONVOLVE", "REDUCE", "STORE", "CHECK"}
+	sections := len(labels) + 1 // and MPI_MAIN
+	run := func(tools ...mpi.Tool) uint64 {
+		cfg := mpi.Config{Ranks: p, Model: machine.Ideal(p, 1), Seed: 1, Lazy: true, Tools: tools, Timeout: time.Minute}
+		return runBytes(t, cfg, func(c *mpi.Comm) error {
+			for _, l := range labels {
+				c.SectionEnter(l)
+				c.Compute(mpi.WorkUnit{Flops: 1e3})
+				c.SectionExit(l)
+			}
+			return nil
+		})
+	}
+	run(New()) // fills the runtime's pools and coroutines
+	bare := run()
+	perRank := float64(run(New())-bare) / p
+	pin := float64(16 + 60*sections)
+	slack := float64(16*sections + 8 + 24)
+	if perRank > pin+slack {
+		t.Errorf("the profiler added %.1f bytes per rank, want at most %v + %v", perRank, pin, slack)
+	}
+	t.Logf("the profiler added %.1f bytes per rank to a %d-rank lazy world with %d sections (pin %v + %v)", perRank, p, sections, pin, slack)
 }

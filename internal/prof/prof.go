@@ -14,11 +14,12 @@
 // checks. So nothing it keeps is shared in a way that needs a lock or an
 // atomic, and nobody reads it before Finalize.
 //
-//   - Per (communicator, rank) there is a cursor — the stack of open
-//     frames and the rank's instance counter per section — made on that
-//     rank's first event there.
-//   - SectionStats.PerRankTotal[r], PerRankExcl[r] and PerRank[r] are
-//     written by rank r's events only.
+//   - A rank's enter state (section, instance, entry time, the enclosing
+//     section and its child time so far) rides in the profiler's own
+//     Fig. 2 payload (mpi.Tool); it keeps no stack but the runtime's.
+//   - Per (communicator, rank) there is a 16-byte rankCursor; the
+//     section's instance counter and SectionStats.PerRankTotal[r],
+//     PerRankExcl[r] and PerRank[r] are written by rank r's events only.
 //   - The one thing an enter looks up is the label. It first tries a hint:
 //     the follower of the section the rank entered last on the
 //     communicator, the section some rank entered right after that one. A
@@ -26,7 +27,7 @@
 //     within a communicator and hints never cross one. Otherwise the enter
 //     asks the communicator's label map, which stays the authority, and
 //     stores the answer as the follower. A leave looks nothing up, its
-//     frame carries the section.
+//     payload carries the section and the instance.
 //   - An instance (the i-th time a section is entered, counted per rank)
 //     has a cell per participant for its entry and exit time and counts
 //     the participants that left it. The leave that completes the count
@@ -39,8 +40,8 @@
 //     one, so no instance is dropped; ranks in lockstep keep two or three
 //     in flight.
 //
-// Communicators, sections and cursors are made on first sight; nothing on
-// the steady path allocates.
+// Communicators and sections are made on an enter's first sight of them;
+// nothing on the steady path allocates.
 //
 // # Fold order
 //
@@ -51,7 +52,7 @@
 // rank leaves them in. Dur is not folded event by event at all: Finalize
 // merges the per-rank accumulators in rank order. Exclusive time is kept
 // per rank only, in PerRankExcl. Parent is the enclosing section of the
-// first instance completed by the lowest rank that completed any.
+// first instance left by the lowest rank that left any.
 //
 // # Complete, on a session
 //
@@ -60,11 +61,12 @@
 // communicator of an mpi.Config.Active session, which spans every declared
 // rank while only the active ones run: there the count is
 // RuntimeStats.ActiveRanks as seen at Init, and cells are indexed by a
-// dense slot handed out on a rank's first event rather than by rank, so a
+// dense slot handed out on a rank's first enter rather than by rank, so a
 // 10,000-rank world with 64 active ranks keeps 64 cells per instance in
-// flight. An instance a killed or misnesting rank never leaves stays
-// incomplete and is not counted in Instances or the imbalance metrics; the
-// per-rank cells still hold what each rank did.
+// flight. An instance a killed rank never leaves, or one a misnested exit
+// pops (the enclosing frame gets back its child time), stays incomplete
+// and is not counted in Instances or the imbalance metrics; the per-rank
+// cells still hold what each rank did.
 package prof
 
 import "repro/internal/stats"

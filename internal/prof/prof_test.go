@@ -239,8 +239,9 @@ func TestSubcommunicatorSectionsSeparate(t *testing.T) {
 }
 
 func TestMisnestedEventsDropped(t *testing.T) {
-	// The runtime reports the misnesting as a run error (tested in mpi);
-	// here we check the profiler stays consistent despite it.
+	// The runtime reports the misnesting as a run error (tested in mpi)
+	// and force-pops "a"; the profiler follows its stack, abandons that
+	// instance and stays consistent.
 	p := New()
 	cfg := mpi.Config{
 		Ranks: 1, Model: machine.Ideal(1, 1), Seed: 1,
@@ -248,8 +249,10 @@ func TestMisnestedEventsDropped(t *testing.T) {
 	}
 	_, err := mpi.Run(cfg, func(c *mpi.Comm) error {
 		c.SectionEnter("a")
-		c.SectionExit("zzz") // bogus: profiler must ignore, runtime force-pops "a"
+		c.Sleep(1)
+		c.SectionExit("zzz") // bogus: the runtime force-pops "a", which never completes
 		c.SectionEnter("b")
+		c.Sleep(2)
 		c.SectionExit("b")
 		return nil
 	})
@@ -263,10 +266,16 @@ func TestMisnestedEventsDropped(t *testing.T) {
 	if s := prof.Section("zzz"); s != nil {
 		t.Error("bogus exit created a section")
 	}
-	if s := prof.Section("b"); s == nil || s.Instances != 1 {
-		t.Error("profiler state corrupted after misnesting")
+	if s := prof.Section("a"); s != nil {
+		t.Errorf("the abandoned instance of a was reported: %+v", s)
 	}
-	_ = prof
+	if s := prof.Section("b"); s == nil || s.Instances != 1 || s.Parent != mpi.MainSection {
+		t.Errorf("b = %+v, want one instance inside MPI_MAIN", s)
+	}
+	// The abandoned frame's second counts as MPI_MAIN's own time.
+	if s := prof.Section(mpi.MainSection); s == nil || s.Instances != 1 || s.TotalExclusive() != s.TotalTime()-2 {
+		t.Errorf("MPI_MAIN = %+v, want one instance with all but b's 2 s exclusive", s)
+	}
 }
 
 func TestTableRendering(t *testing.T) {

@@ -2,7 +2,9 @@ package prof
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -45,7 +47,7 @@ type commState struct {
 	// Config.Active session. An instance is complete when that many
 	// ranks have left it.
 	participants int
-	cursors      []*cursor // by rank, made on the rank's first event
+	cursors      []rankCursor // by rank
 	labels       map[string]*section
 	sections     []*section // in registration order; section.id indexes it
 	// free holds folded instances for any section here to reuse: the
@@ -53,10 +55,18 @@ type commState struct {
 	// are all sized by participants.
 	free []*instance
 	// On a communicator with fewer participants than ranks, instance
-	// cells are indexed by a dense slot handed out on a rank's first
-	// event. slots is nil when every rank participates and the slot is
-	// the rank.
+	// cells and counters are indexed by a dense slot handed out on a
+	// rank's first enter. slots is nil when every rank participates and
+	// the slot is the rank.
 	slots *slotTable
+}
+
+// rankCursor is one rank's state on one communicator, besides the
+// payloads of its open frames (see le).
+type rankCursor struct {
+	last int32   // id + 1 of the section the rank entered last; 0 before any
+	top  int32   // id + 1 of its innermost open section; 0 at top level
+	acc  float64 // time so far in the sections closed directly inside top
 }
 
 // slotTable is a sparse communicator's slots: of[rank] is a rank's slot
@@ -67,7 +77,7 @@ type slotTable struct {
 	of, rank, order []int32
 }
 
-// slot is the index of rank's instance cells.
+// slot is the index of rank's instance cells and counters.
 func (cs *commState) slot(rank int) int {
 	if cs.slots != nil {
 		return int(cs.slots.of[rank])
@@ -78,16 +88,20 @@ func (cs *commState) slot(rank int) int {
 // section is one (communicator, label) pair: its aggregate and the
 // instances not yet left by every participant.
 type section struct {
-	id int
+	id int32
 	// follower is the section some rank entered right after this one,
 	// the first guess at the next label of a rank that just entered this
 	// one; the label map stays the authority.
 	follower *section
+	next     []int32 // by slot: the index of the next instance its rank enters
 	// ring[i&(len(ring)-1)] holds instance i while it is in flight. The
 	// instances in flight sit at distinct positions, and the ring doubles
 	// when one finds its position held by an older one.
-	ring  []*instance
-	stats SectionStats
+	ring []*instance
+	// parent is the id + 1 (0: none) of the section around the first
+	// instance left by parentRank, the lowest rank to leave one so far.
+	parent, parentRank int32
+	stats              SectionStats
 }
 
 // instance holds the Fig. 3 raw material of one section instance: a cell
@@ -98,35 +112,11 @@ type instance struct {
 	enters, leaves []float64
 }
 
-// cursor is one rank's private state on one communicator. stack and secs
-// start out in the arrays behind them, so that a rank's first event costs
-// one allocation however many sections it goes on to see. At 312 bytes it
-// takes the 320-byte size class (objects this small carry no malloc
-// header); past 320 bytes every cursor costs 32 more.
-type cursor struct {
-	last  *section // the section this rank entered last
-	stack []openFrame
-	secs  []rankSection // by section.id
-
-	stack0 [4]openFrame
-	secs0  [8]rankSection
-}
-
-// rankSection is one rank's view of one section.
-type rankSection struct {
-	next int // index of the next instance this rank enters
-	// parent is the section enclosing the first instance this rank
-	// completed (nil at top level).
-	parent *section
-}
-
-// openFrame is a live section instance on one rank.
-type openFrame struct {
-	sec       *section
-	inst      *instance
-	enterT    float64
-	childTime float64
-}
+// le encodes a frame, what a rank keeps from entering a section instance
+// to leaving it, in the Fig. 2 payload at offsets 0, 4, 8, 16 and 24: the
+// section's id + 1 (0: no frame), the instance index, the entry time, the
+// rankCursor.acc the entry displaced and the enclosing section's id + 1.
+var le = binary.LittleEndian
 
 // New returns an empty Profiler.
 func New() *Profiler { return &Profiler{} }
@@ -141,21 +131,13 @@ func (p *Profiler) Init(w *mpi.WorldInfo) {
 	}
 }
 
-// comm returns the state of c's communicator.
-func (p *Profiler) comm(c *mpi.Comm) *commState {
-	if id := c.ID(); id < int64(len(p.comms)) && p.comms[id] != nil {
-		return p.comms[id]
-	}
-	return p.registerComm(c)
-}
-
 //seclint:allocs-ok first sight of a communicator
-func (p *Profiler) registerComm(c *mpi.Comm) *commState {
+func (p *Profiler) registerComm(c *mpi.Comm) {
 	id := int(c.ID())
 	if id >= len(p.comms) {
 		p.comms = append(p.comms, make([]*commState, id+1-len(p.comms))...)
 	}
-	cs := &commState{participants: c.Size(), cursors: make([]*cursor, c.Size()), labels: map[string]*section{}}
+	cs := &commState{participants: c.Size(), cursors: make([]rankCursor, c.Size()), labels: map[string]*section{}}
 	// Only a communicator spanning every declared rank can have members
 	// outside the session (mpi.Config.Active).
 	if p.active > 0 && c.Size() == p.declared {
@@ -165,31 +147,24 @@ func (p *Profiler) registerComm(c *mpi.Comm) *commState {
 		cs.slots = &slotTable{of: make([]int32, c.Size())}
 	}
 	p.comms[id] = cs
-	return cs
-}
-
-//seclint:allocs-ok first event of a rank on a communicator
-func (cs *commState) newCursor(rank int) *cursor {
-	cur := &cursor{}
-	cur.stack, cur.secs = cur.stack0[:0], cur.secs0[:0]
-	if st := cs.slots; st != nil {
-		st.of[rank] = int32(len(st.rank))
-		st.rank = append(st.rank, int32(rank))
-	}
-	cs.cursors[rank] = cur
-	return cur
 }
 
 //seclint:allocs-ok first sight of a section: its per-rank cells and ring
 func (cs *commState) registerSection(c *mpi.Comm, label string) *section {
-	sec := &section{id: len(cs.sections), ring: make([]*instance, 4), stats: SectionStats{
-		Comm:         c.ID(),
-		Label:        label,
-		Ranks:        c.Size(),
-		PerRankTotal: make([]float64, c.Size()),
-		PerRankExcl:  make([]float64, c.Size()),
-		PerRank:      make([]stats.Welford, c.Size()),
-	}}
+	sec := &section{
+		id:         int32(len(cs.sections)),
+		next:       make([]int32, cs.participants),
+		ring:       make([]*instance, 4),
+		parentRank: int32(c.Size()),
+		stats: SectionStats{
+			Comm:         c.ID(),
+			Label:        label,
+			Ranks:        c.Size(),
+			PerRankTotal: make([]float64, c.Size()),
+			PerRankExcl:  make([]float64, c.Size()),
+			PerRank:      make([]stats.Welford, c.Size()),
+		},
+	}
 	cs.sections = append(cs.sections, sec)
 	cs.labels[label] = sec
 	return sec
@@ -214,42 +189,48 @@ func (cs *commState) rankOrder() []int32 {
 	return st.order
 }
 
-// SectionEnter implements mpi.Tool.
+// SectionEnter implements mpi.Tool: it opens a frame in the payload.
 //
 //seclint:hotpath
-func (p *Profiler) SectionEnter(c *mpi.Comm, label string, t float64, _ *mpi.ToolData) {
-	cs := p.comm(c)
-	cur := cs.cursors[c.Rank()]
-	if cur == nil {
-		cur = cs.newCursor(c.Rank())
+func (p *Profiler) SectionEnter(c *mpi.Comm, label string, t float64, data *mpi.ToolData) {
+	if id := c.ID(); id >= int64(len(p.comms)) || p.comms[id] == nil {
+		p.registerComm(c)
 	}
+	cs, rank := p.comms[c.ID()], c.Rank()
+	cur := &cs.cursors[rank]
 	var sec *section
-	if cur.last != nil {
-		if f := cur.last.follower; f != nil && f.stats.Label == label {
+	if cur.last != 0 {
+		if f := cs.sections[cur.last-1].follower; f != nil && f.stats.Label == label {
 			sec = f
 		}
+	} else if st := cs.slots; st != nil {
+		st.of[rank] = int32(len(st.rank))
+		//seclint:allocs-ok first enter of a rank on a sparse communicator
+		st.rank = append(st.rank, int32(rank))
 	}
 	if sec == nil {
 		if sec = cs.labels[label]; sec == nil {
 			sec = cs.registerSection(c, label)
 		}
-		if cur.last != nil {
-			cur.last.follower = sec
+		if cur.last != 0 {
+			cs.sections[cur.last-1].follower = sec
 		}
 	}
-	cur.last = sec
-	for sec.id >= len(cur.secs) {
-		cur.secs = append(cur.secs, rankSection{})
+	cur.last = sec.id + 1
+	slot := cs.slot(rank)
+	idx := sec.next[slot]
+	sec.next[slot]++
+	in := sec.ring[int(idx)&(len(sec.ring)-1)]
+	if in == nil || in.index != int(idx) {
+		in = sec.open(cs, int(idx))
 	}
-	rs := &cur.secs[sec.id]
-	idx := rs.next
-	rs.next++
-	in := sec.ring[idx&(len(sec.ring)-1)]
-	if in == nil || in.index != idx {
-		in = sec.open(cs, idx)
-	}
-	in.enters[cs.slot(c.Rank())] = t
-	cur.stack = append(cur.stack, openFrame{sec: sec, inst: in, enterT: t})
+	in.enters[slot] = t
+	le.PutUint32(data[0:], uint32(sec.id+1))
+	le.PutUint32(data[4:], uint32(idx))
+	le.PutUint64(data[8:], math.Float64bits(t))
+	le.PutUint64(data[16:], math.Float64bits(cur.acc))
+	le.PutUint32(data[24:], uint32(cur.top))
+	cur.top, cur.acc = sec.id+1, 0
 }
 
 // open puts instance idx in the ring when this rank is the first to enter
@@ -280,38 +261,38 @@ func (s *section) open(cs *commState, idx int) *instance {
 	return in
 }
 
-// SectionLeave implements mpi.Tool.
+// SectionLeave implements mpi.Tool: it closes the frame the runtime popped.
+// A misnested leave (the runtime reports it) abandons the instance and
+// gives the enclosing frame back its child time.
 //
 //seclint:hotpath
-func (p *Profiler) SectionLeave(c *mpi.Comm, label string, t float64, _ *mpi.ToolData) {
-	cs := p.comm(c)
+func (p *Profiler) SectionLeave(c *mpi.Comm, label string, t float64, data *mpi.ToolData) {
+	id := le.Uint32(data[0:])
+	if id == 0 {
+		return
+	}
+	cs := p.comms[c.ID()] // registered by the frame's enter
 	rank := c.Rank()
-	cur := cs.cursors[rank]
-	if cur == nil || len(cur.stack) == 0 {
-		return
-	}
-	n := len(cur.stack) - 1
-	frame := cur.stack[n]
-	sec := frame.sec
+	cur := &cs.cursors[rank]
+	sec := cs.sections[id-1]
 	st := &sec.stats
+	parent, saved := int32(le.Uint32(data[24:])), math.Float64frombits(le.Uint64(data[16:]))
+	cur.top = parent
 	if st.Label != label {
-		// Misnested usage: the runtime reports it; the profiler just
-		// drops the sample rather than corrupting its state.
+		cur.acc = saved
 		return
 	}
-	cur.stack = cur.stack[:n]
-	dur := t - frame.enterT
-	if n > 0 {
-		cur.stack[n-1].childTime += dur
-		if st.PerRank[rank].N() == 0 {
-			cur.secs[sec.id].parent = cur.stack[n-1].sec
-		}
+	dur := t - math.Float64frombits(le.Uint64(data[8:]))
+	excl := dur - cur.acc
+	cur.acc = saved + dur
+	if st.PerRank[rank].N() == 0 && int32(rank) < sec.parentRank {
+		sec.parent, sec.parentRank = parent, int32(rank)
 	}
 	st.PerRankTotal[rank] += dur
-	st.PerRankExcl[rank] += dur - frame.childTime
+	st.PerRankExcl[rank] += excl
 	st.PerRank[rank].Add(dur)
 
-	in := frame.inst
+	in := sec.ring[int(le.Uint32(data[4:]))&(len(sec.ring)-1)]
 	in.leaves[cs.slot(rank)] = t
 	if in.left++; in.left == cs.participants {
 		sec.complete(cs, in)
@@ -356,7 +337,7 @@ func (s *section) complete(cs *commState, in *instance) {
 
 // Finalize implements mpi.Tool: it freezes the profile and frees the
 // Profiler for another world. Dur merges the per-rank accumulators in rank
-// order, and Parent comes from the lowest rank that completed an instance.
+// order.
 func (p *Profiler) Finalize(r *mpi.Report) {
 	defer p.free()
 	prof := &Profile{WallTime: r.WallTime}
@@ -367,15 +348,11 @@ func (p *Profiler) Finalize(r *mpi.Report) {
 		}
 		for _, sec := range cs.sections {
 			st := &sec.stats
-			for rank, cur := range cs.cursors {
-				if st.PerRank[rank].N() == 0 {
-					continue
-				}
-				rs := &cur.secs[sec.id]
-				if st.Dur.N() == 0 && rs.parent != nil {
-					st.Parent = rs.parent.stats.Label
-				}
-				st.Dur.Merge(st.PerRank[rank])
+			if sec.parent != 0 {
+				st.Parent = cs.sections[sec.parent-1].stats.Label
+			}
+			for _, w := range st.PerRank {
+				st.Dur.Merge(w)
 			}
 			// A section no rank ever left (a rank killed inside it)
 			// has nothing to report.

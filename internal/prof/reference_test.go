@@ -109,13 +109,17 @@ func (p *refProfiler) SectionLeave(c *mpi.Comm, label string, t float64, _ *mpi.
 	defer p.mu.Unlock()
 	rk := refRankKey{comm: c.ID(), rank: c.Rank()}
 	st := p.stacks[rk]
-	if len(st) == 0 || st[len(st)-1].label != label {
-		// Misnested usage: the runtime reports it; the profiler just
-		// drops the sample rather than corrupting its state.
+	if len(st) == 0 {
 		return
 	}
 	frame := st[len(st)-1]
 	p.stacks[rk] = st[:len(st)-1]
+	if frame.label != label {
+		// Misnested usage: the runtime reports it and force-pops its
+		// innermost frame; the profiler pops the same frame and drops
+		// its instance, which never completes.
+		return
+	}
 	dur := t - frame.enterT
 	excl := dur - frame.childTime
 	if n := len(p.stacks[rk]); n > 0 {
