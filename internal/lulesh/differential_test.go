@@ -26,10 +26,12 @@ import (
 func bareState(n int) *state {
 	s := &state{n: n, fullN: n, px: 1, globalN: n, dx: 1 / float64(n)}
 	s.p.SedovEnergy = 1e4
-	initState(s)
+	initState(s, make([]float64, s.slabLen()))
 	return s
 }
 
+// increments lists the five increment arrays, interior-only: n³ floats each,
+// every one of them written by a full force pass.
 func (s *state) increments() [5][]float64 { return [5][]float64{s.nrho, s.nmx, s.nmy, s.nmz, s.nen} }
 
 // clone copies the conserved fields and the step size into a fresh state.
@@ -108,10 +110,21 @@ func diffSlices(t *testing.T, what string, got, want []float64) {
 
 // checkForcePass runs the reference and the production kernel over every
 // plane of s, then the scans and the packed faces, and requires the same
-// bits.
+// bits. The production increments start out as NaN with a payload no
+// arithmetic produces, so a cell the kernel skipped cannot pass for one the
+// reference wrote.
 func checkForcePass(t *testing.T, s *state) {
 	t.Helper()
 	ref, got := s.clone(), s.clone()
+	poison := math.Float64frombits(0x7ff8_dead_beef_0001)
+	for _, inc := range got.increments() {
+		if len(inc) != s.n*s.n*s.n {
+			t.Fatalf("increment array of %d floats, want n³ = %d", len(inc), s.n*s.n*s.n)
+		}
+		for i := range inc {
+			inc[i] = poison
+		}
+	}
 	var refQ, gotQ, refW, gotW float64
 	for k := 1; k <= s.n; k++ {
 		ref.refComputeIncrements(k)

@@ -182,18 +182,25 @@ type state struct {
 	globalN    int // executed global edge
 	dx         float64
 
-	// Conserved fields with one ghost layer: (n+2)^3 each.
+	// All float state is one slab (slabLen), carved in three parts by
+	// initState. runRank hands the slab to the free list (freeSlabs) once
+	// FinalOutput, its last read, is done, and the next rank of the same
+	// edge starts from it.
+	//
+	// The conserved fields, with one ghost layer: (n+2)³ each, indexed by
+	// idx.
 	rho, mx, my, mz, en []float64
-	// Scratch for the update.
+	// The update's increments, written on the interior only: n³ each,
+	// indexed by inner.
 	nrho, nmx, nmy, nmz, nen []float64
-	// scratch is the one slab behind everything transient in a step, sized
-	// and allocated with the fields so that the time loop allocates nothing
-	// of its own (TestTimeLoopSteadyStateAllocs). Two tenants take turns:
-	// CommSBN stages the outgoing packed face and the received neighbor
-	// face in its first 10n² floats (haloBuffers), reused across all 6
-	// exchanges; CalcForceForNodes then lays its primitive plane and carried
-	// face fluxes over the same floats (forceWorkspace). Neither keeps
-	// anything in it from one step to the next.
+	// scratch is the part behind everything transient in a step, carved
+	// with the fields so that the time loop allocates nothing of its own
+	// (TestTimeLoopSteadyStateAllocs). Two tenants take turns: CommSBN
+	// stages the outgoing packed face and the received neighbor face in its
+	// first 10n² floats (haloBuffers), reused across all 6 exchanges;
+	// CalcForceForNodes then lays its primitive plane and carried face
+	// fluxes over the same floats (forceWorkspace). Neither keeps anything
+	// in it from one step to the next.
 	scratch []float64
 	// forcePlane is the plane the force pass expects next: its carried
 	// buffers hold that plane's state (see computeIncrements).
@@ -212,6 +219,18 @@ func (s *state) volume() int { return (s.n + 2) * (s.n + 2) * (s.n + 2) }
 func (s *state) idx(i, j, k int) int {
 	st := s.stride()
 	return (k*st+j)*st + i
+}
+
+// inner is idx for the interior-only increment arrays: cell (i, j, k),
+// 1 <= i, j, k <= n.
+func (s *state) inner(i, j, k int) int { return ((k-1)*s.n+j-1)*s.n + i - 1 }
+
+// slabLen is the floats of a rank's state slab: five (n+2)³ fields, five n³
+// increment arrays, and the 5(n+2)² + 5n² + 5n scratch floats of the force
+// pass (which covers the 10n² of halo staging).
+func (s *state) slabLen() int {
+	st, n := s.stride(), s.n
+	return 5*st*st*st + 5*n*n*n + 5*st*st + 5*n*n + 5*n
 }
 
 // neighbor returns the rank of the cube neighbor at offset (dx,dy,dz), or

@@ -3,6 +3,8 @@ package lulesh
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 )
 
 // Physical constants of the ideal-gas solver.
@@ -13,23 +15,24 @@ const (
 	pFloor   = 1e-12
 )
 
-// initState allocates and initializes the per-rank state: uniform quiescent
-// gas with a Sedov energy deposit in the global corner cell (owned by rank
-// (0,0,0)), mirroring LULESH's -s Sedov setup.
-func initState(s *state) {
-	v := s.volume()
-	s.rho = make([]float64, v)
-	s.mx = make([]float64, v)
-	s.my = make([]float64, v)
-	s.mz = make([]float64, v)
-	s.en = make([]float64, v)
-	s.nrho = make([]float64, v)
-	s.nmx = make([]float64, v)
-	s.nmy = make([]float64, v)
-	s.nmz = make([]float64, v)
-	s.nen = make([]float64, v)
-	st, n := s.stride(), s.n
-	s.scratch = make([]float64, 5*st*st+5*n*n+5*n)
+// initState clears slab, carves the per-rank state out of it (see
+// state.slabLen for the layout) and sets uniform quiescent gas with a Sedov
+// energy deposit in the global corner cell (owned by rank (0,0,0)),
+// mirroring LULESH's -s Sedov setup. slab holds s.slabLen() floats;
+// runRank takes it from the free list (freeSlabs) and returns it there when
+// the rank is done, and a test that calls initState directly simply drops
+// its slab.
+func initState(s *state, slab []float64) {
+	clear(slab)
+	carve := func(size int) []float64 {
+		part := slab[:size:size]
+		slab = slab[size:]
+		return part
+	}
+	v, in := s.volume(), s.n*s.n*s.n
+	s.rho, s.mx, s.my, s.mz, s.en = carve(v), carve(v), carve(v), carve(v), carve(v)
+	s.nrho, s.nmx, s.nmy, s.nmz, s.nen = carve(in), carve(in), carve(in), carve(in), carve(in)
+	s.scratch = slab
 	for k := 1; k <= s.n; k++ {
 		for j := 1; j <= s.n; j++ {
 			for i := 1; i <= s.n; i++ {
@@ -44,6 +47,63 @@ func initState(s *state) {
 		// setup with the blast origin at the global (0,0,0) element.
 		s.en[s.idx(1, 1, 1)] = s.p.SedovEnergy
 	}
+}
+
+// slabBudget bounds the bytes the free list keeps. The paper's KNL sweep
+// (experiments.PaperKNLOptions) runs ranks of edge 12, 6 and 4, whose slabs
+// are 193, 33 and 13 KB, so its points hold 193, 267 and 363 KB. Two points
+// of each of the three geometries — the whole sweep on two workers — come to
+// 1.65 MB, so a repeated sweep allocates no state at all; a sweep of other
+// geometries pushes the oldest slabs out. The price is resident memory: a
+// process that ran such a sweep keeps up to 2 MiB parked. A slab larger than
+// the whole budget is left to the GC.
+const slabBudget = 2 << 20
+
+// freeSlabs is where runRank returns its state slab and takes the next one
+// from, so that the next run of the same geometry allocates no state. It is
+// a plain bounded stack rather than a sync.Pool so that reuse does not
+// depend on when the garbage collector last ran: a sweep allocates the same
+// bytes every time.
+var freeSlabs slabStack
+
+type slabStack struct {
+	mu    sync.Mutex
+	list  [][]float64 // oldest first
+	bytes int         // 8 × the floats in list, at most slabBudget
+}
+
+// take returns a slab of size floats: the newest parked slab of exactly that
+// length, or a fresh one. Its contents are whatever its last rank left;
+// initState clears it.
+func (s *slabStack) take(size int) []float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := len(s.list) - 1; i >= 0; i-- {
+		if b := s.list[i]; len(b) == size {
+			s.list = slices.Delete(s.list, i, i+1)
+			s.bytes -= 8 * size
+			return b
+		}
+	}
+	return make([]float64, size)
+}
+
+// put parks a slab its caller no longer reads or writes, dropping the oldest
+// parked slabs when the budget needs the room.
+func (s *slabStack) put(b []float64) {
+	size := 8 * len(b)
+	if size > slabBudget {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	drop := 0
+	for s.bytes+size > slabBudget {
+		s.bytes -= 8 * len(s.list[drop])
+		drop++
+	}
+	s.list = append(slices.Delete(s.list, 0, drop), b)
+	s.bytes += size
 }
 
 // primitives returns one cell's velocity, pressure (floored at pFloor) and
@@ -162,7 +222,7 @@ func increment(lam, xp, xm, yp, ym, zp, zm float64) float64 {
 	return -lam * d
 }
 
-// computeIncrements fills the scratch arrays with dt/dx times the flux
+// computeIncrements fills the increment arrays with dt/dx times the flux
 // divergence of every interior cell in plane k (the "force" computation,
 // the solver's dominant loop). The increments are stored negated so the
 // later phases simply add them.
@@ -201,7 +261,7 @@ func (s *state) computeIncrements(k int) {
 	for j := 1; j <= n; j++ {
 		// C is the cell whose x-high face is next; the row opens with the
 		// x-low ghost, which has that face and nothing else to compute.
-		id, pc := (k*st+j)*st, j*st
+		id, pc, in := (k*st+j)*st, j*st, s.inner(1, j, k)
 		q := five(prim, pc)
 		rhoC, mxC, myC, mzC, enC := rho[id], mx[id], my[id], mz[id], en[id]
 		uC, vC, wC, pC, cC := q[0], q[1], q[2], q[3], q[4]
@@ -233,11 +293,12 @@ func (s *state) computeIncrements(k int) {
 
 				y, z := five(yf, i-1), five(zf, zc)
 				zc++
-				s.nrho[id] = increment(lam, gx0, fx0, gy0, y[0], gz0, z[0])
-				s.nmx[id] = increment(lam, gx1, fx1, gy1, y[1], gz1, z[1])
-				s.nmy[id] = increment(lam, gx2, fx2, gy2, y[2], gz2, z[2])
-				s.nmz[id] = increment(lam, gx3, fx3, gy3, y[3], gz3, z[3])
-				s.nen[id] = increment(lam, gx4, fx4, gy4, y[4], gz4, z[4])
+				s.nrho[in] = increment(lam, gx0, fx0, gy0, y[0], gz0, z[0])
+				s.nmx[in] = increment(lam, gx1, fx1, gy1, y[1], gz1, z[1])
+				s.nmy[in] = increment(lam, gx2, fx2, gy2, y[2], gz2, z[2])
+				s.nmz[in] = increment(lam, gx3, fx3, gy3, y[3], gz3, z[3])
+				s.nen[in] = increment(lam, gx4, fx4, gy4, y[4], gz4, z[4])
+				in++
 				y[0], y[1], y[2], y[3], y[4] = gy0, gy1, gy2, gy3, gy4
 				z[0], z[1], z[2], z[3], z[4] = gz0, gz1, gz2, gz3, gz4
 			}
@@ -253,10 +314,10 @@ func (s *state) computeIncrements(k int) {
 func (s *state) applyMomentum(k int) {
 	for j := 1; j <= s.n; j++ {
 		for i := 1; i <= s.n; i++ {
-			id := s.idx(i, j, k)
-			s.nmx[id] += s.mx[id]
-			s.nmy[id] += s.my[id]
-			s.nmz[id] += s.mz[id]
+			id, in := s.idx(i, j, k), s.inner(i, j, k)
+			s.nmx[in] += s.mx[id]
+			s.nmy[in] += s.my[id]
+			s.nmz[in] += s.mz[id]
 		}
 	}
 }
@@ -266,12 +327,12 @@ func (s *state) applyMomentum(k int) {
 func (s *state) applyContinuity(k int) {
 	for j := 1; j <= s.n; j++ {
 		for i := 1; i <= s.n; i++ {
-			id := s.idx(i, j, k)
-			v := s.nrho[id] + s.rho[id]
+			id, in := s.idx(i, j, k), s.inner(i, j, k)
+			v := s.nrho[in] + s.rho[id]
 			if v < rhoFloor {
 				v = rhoFloor
 			}
-			s.nrho[id] = v
+			s.nrho[in] = v
 		}
 	}
 }
@@ -281,12 +342,12 @@ func (s *state) applyContinuity(k int) {
 func (s *state) applyEnergy(k int) {
 	for j := 1; j <= s.n; j++ {
 		for i := 1; i <= s.n; i++ {
-			id := s.idx(i, j, k)
-			e := s.nen[id] + s.en[id]
+			id, in := s.idx(i, j, k), s.inner(i, j, k)
+			e := s.nen[in] + s.en[id]
 			if e < pFloor {
 				e = pFloor
 			}
-			s.nen[id] = e
+			s.nen[in] = e
 		}
 	}
 }
@@ -312,23 +373,23 @@ func (s *state) viscosityScan(k int) float64 {
 	return maxQ
 }
 
-// swapState promotes the scratch arrays to current ("update volumes") and
-// returns the plane's maximum relative density change — the raw material of
-// the hydro timestep constraint.
+// swapState promotes the updated increment arrays to current ("update
+// volumes") and returns the plane's maximum relative density change — the
+// raw material of the hydro timestep constraint.
 func (s *state) swapState(k int) float64 {
 	maxRate := 0.0
 	for j := 1; j <= s.n; j++ {
 		for i := 1; i <= s.n; i++ {
-			id := s.idx(i, j, k)
-			rate := math.Abs(s.nrho[id]-s.rho[id]) / s.rho[id]
+			id, in := s.idx(i, j, k), s.inner(i, j, k)
+			rate := math.Abs(s.nrho[in]-s.rho[id]) / s.rho[id]
 			if rate > maxRate {
 				maxRate = rate
 			}
-			s.rho[id] = s.nrho[id]
-			s.mx[id] = s.nmx[id]
-			s.my[id] = s.nmy[id]
-			s.mz[id] = s.nmz[id]
-			s.en[id] = s.nen[id]
+			s.rho[id] = s.nrho[in]
+			s.mx[id] = s.nmx[in]
+			s.my[id] = s.nmy[in]
+			s.mz[id] = s.nmz[in]
+			s.en[id] = s.nen[in]
 		}
 	}
 	return maxRate
@@ -355,11 +416,11 @@ func (s *state) velocityScan(k int) float64 {
 	m := 0.0
 	for j := 1; j <= s.n; j++ {
 		for i := 1; i <= s.n; i++ {
-			id := s.idx(i, j, k)
+			id, in := s.idx(i, j, k), s.inner(i, j, k)
 			// New momentum over the pre-update density: the predictor
 			// velocity (the density update happens in LagrangeElements).
 			rho := s.rho[id]
-			for _, mom := range [3]float64{s.nmx[id], s.nmy[id], s.nmz[id]} {
+			for _, mom := range [3]float64{s.nmx[in], s.nmy[in], s.nmz[in]} {
 				if v := math.Abs(mom / rho); v > m {
 					m = v
 				}

@@ -87,7 +87,7 @@ func TestSedovSymmetry(t *testing.T) {
 		s := &state{c: c, team: teamOf(c), p: p, px: 1, n: n, fullN: n}
 		s.globalN = n
 		s.dx = 1.0 / float64(n)
-		initState(s)
+		initState(s, make([]float64, s.slabLen()))
 		s.maxWave = 0
 		for k := 1; k <= s.n; k++ {
 			if w := s.courantScan(k); w > s.maxWave {
@@ -144,7 +144,7 @@ func TestShockPropagates(t *testing.T) {
 			s := &state{c: c, team: teamOf(c), p: p, px: 1, n: 12, fullN: 12}
 			s.globalN = 12
 			s.dx = 1.0 / 12
-			initState(s)
+			initState(s, make([]float64, s.slabLen()))
 			s.maxWave = 0
 			for k := 1; k <= s.n; k++ {
 				if w := s.courantScan(k); w > s.maxWave {

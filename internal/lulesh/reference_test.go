@@ -6,7 +6,9 @@ import "math"
 // kernel: every cell calls refRusanov six times, every call re-derives both
 // cells' equation of state, and the faces are walked through a closure per
 // element. Kept verbatim (names prefixed ref) as the executable specification
-// the production kernel is held to bit for bit in differential_test.go.
+// the production kernel is held to bit for bit in differential_test.go; the
+// one edit since is the increments' index, which follows their interior-only
+// layout (state.inner).
 
 // refSoundSpeed returns c for one cell's conserved state.
 func refSoundSpeed(rho, mx, my, mz, en float64) float64 {
@@ -82,7 +84,7 @@ func refRusanov(axis int, rhoL, mxL, myL, mzL, enL, rhoR, mxR, myR, mzR, enR flo
 	return
 }
 
-// refComputeIncrements fills the scratch arrays with dt/dx times the flux
+// refComputeIncrements fills the increment arrays with dt/dx times the flux
 // divergence of every interior cell in plane k, stored negated.
 func (s *state) refComputeIncrements(k int) {
 	st := s.stride()
@@ -105,11 +107,12 @@ func (s *state) refComputeIncrements(k int) {
 					d[c] += fp[c] - fm[c]
 				}
 			}
-			s.nrho[id] = -lam * d[0]
-			s.nmx[id] = -lam * d[1]
-			s.nmy[id] = -lam * d[2]
-			s.nmz[id] = -lam * d[3]
-			s.nen[id] = -lam * d[4]
+			in := s.inner(i, j, k)
+			s.nrho[in] = -lam * d[0]
+			s.nmx[in] = -lam * d[1]
+			s.nmy[in] = -lam * d[2]
+			s.nmz[in] = -lam * d[3]
+			s.nen[in] = -lam * d[4]
 		}
 	}
 }

@@ -34,8 +34,10 @@ func runRank(c *mpi.Comm, p Params) (Diagnostics, error) {
 	defer c.SectionExit(SecMain)
 
 	// ---- InitMeshDecomp: allocate, set Sedov state, initial constraints.
+	var slab []float64
 	err := c.Section(SecInit, func() error {
-		initState(s)
+		slab = freeSlabs.take(s.slabLen())
+		initState(s, slab)
 		s.maxWave = 0
 		for k := 1; k <= s.n; k++ {
 			if w := s.courantScan(k); w > s.maxWave {
@@ -101,12 +103,13 @@ func runRank(c *mpi.Comm, p Params) (Diagnostics, error) {
 		diag.FieldHash, err = s.gatherFieldHash()
 		return err
 	})
+	freeSlabs.put(slab) // FinalOutput was the state's last read
 	return diag, err
 }
 
-// newState places the calling rank in the cube and sizes its subdomain; the
-// fields are allocated by initState. It returns the state by value so that
-// the caller decides where it lives.
+// newState places the calling rank in the cube and sizes its subdomain;
+// initState carves the fields out of a slab. It returns the state by value
+// so that the caller decides where it lives.
 func newState(c *mpi.Comm, p Params) state {
 	px := cubeRoot(c.Size())
 	s := state{

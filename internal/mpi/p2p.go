@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -580,9 +581,11 @@ func (c *Comm) SendFloat64sSized(dst, tag int, xs []float64, virtualBytes int) e
 }
 
 // sendFloat64sSized encodes xs into per-rank scratch and sends it with an
-// explicit virtual size.
+// explicit virtual size. The scratch grows once to the encoding's size
+// rather than doubling its way there append by append.
 func (c *Comm) sendFloat64sSized(dst, tag int, xs []float64, vbytes int) error {
-	buf := AppendFloat64s(c.rs.encScratch[:0], xs)
+	//seclint:allocs-ok only when xs outgrows every earlier send of this rank
+	buf := AppendFloat64s(slices.Grow(c.rs.encScratch[:0], 8*len(xs)), xs)
 	c.rs.encScratch = buf[:0]
 	return c.SendSized(dst, tag, buf, vbytes)
 }
