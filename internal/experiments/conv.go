@@ -28,7 +28,8 @@ type ConvOptions struct {
 	Scale int
 	// Profile attaches the constant-memory streaming telemetry tool to each
 	// point's rep-0 run; the resulting summaries land in ConvPoint.Profile.
-	// Unlike Diagnose this never buffers an event stream, so it composes
+	// Unlike Diagnose, which keeps every receive and section change point
+	// of the run, its memory does not grow with the run, so it composes
 	// with the extreme-scale sweeps.
 	Profile bool
 	// TwoD runs the 2-D domain decomposition (convolution.Run2D) instead of

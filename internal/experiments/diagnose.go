@@ -4,25 +4,28 @@ import (
 	"fmt"
 
 	"repro/internal/pop"
-	"repro/internal/trace"
 	"repro/internal/waitstate"
 )
 
 // The sweep drivers answer WHICH section binds the speedup (Eq. 6); the
 // wait-state engine answers WHY. With Diagnose enabled each sweep point
-// attaches a trace collector to one representative run (the rep-0 seed),
-// replays the event stream through internal/waitstate and reports the
-// binding section's diagnosis next to the measured numbers — so the CSVs
-// carry {diag_section, diag_cause, diag_wait_in, diag_wait_out,
+// attaches a waitstate.Tool to one representative run (the rep-0 seed),
+// which steps every rank's events into its timeline at the hook, and
+// reports the binding section's diagnosis next to the measured numbers —
+// so the CSVs carry {diag_section, diag_cause, diag_wait_in, diag_wait_out,
 // diag_crit_share} per point, plus the pop_* block: the binding section's
 // POP efficiency factors (internal/pop) naming the root cause of the
 // bound. Faulted points leave the pop_* cells blank (degraded runs
-// withhold efficiencies).
+// withhold efficiencies). No trace is recorded: the tool keeps the
+// receives and the section and collective change points, not the stream,
+// and gives the diagnosis a recording of the same run would.
 
-// diagEventLimit caps the per-run trace buffer. A paper-scale convolution
-// sweep point records a few million events; past the cap the collector
-// counts drops and the analysis degrades to a partial (still deterministic)
-// diagnosis rather than exhausting memory.
+// diagEventLimit caps the events a point's diagnosis takes in, counted as
+// a trace buffer of that limit counts them, sends included. A paper-scale
+// convolution sweep point sees a few million; past the cap the tool
+// ignores the rest, as a full buffer drops them, and the analysis degrades
+// to a partial (still deterministic) diagnosis rather than exhausting
+// memory.
 const diagEventLimit = 4 << 20
 
 // PointDiagnosis summarizes the binding section's wait-state analysis for
@@ -43,28 +46,12 @@ type PointDiagnosis struct {
 	Eff *pop.SectionEfficiency
 }
 
-// newDiagCollector returns a trace collector recording everything the
-// wait-state engine consumes: sections, matched messages and collective
-// participation spans.
-func newDiagCollector() *trace.Collector {
-	c := trace.NewCollector(diagEventLimit)
-	c.Messages = true
-	c.Collectives = true
-	// Thread-team compute regions feed the POP hybrid split; pure-MPI
-	// sweeps record none, so the flag costs them nothing.
-	c.Omp = true
-	return c
-}
-
-// diagnose runs the wait-state engine over one recorded run, where the
-// collector's buffer keeps it, extracts the binding section's record and
-// releases the buffer's chunks to the next point's collector — the run is
-// over and nothing else reads the recording. It returns nil when the trace
-// is empty or carries no named sections — sweeps degrade to blank diagnosis
-// columns instead of failing.
-func diagnose(collector *trace.Collector, seq float64) *PointDiagnosis {
-	defer collector.Buffer().Release()
-	a, err := waitstate.AnalyzeOrder(collector.Buffer().Order(), waitstate.Options{SeqTime: seq})
+// diagnose finishes the wait-state analysis of one observed run and
+// extracts the binding section's record. It returns nil when the run
+// yielded no events or no named sections — sweeps degrade to blank
+// diagnosis columns instead of failing.
+func diagnose(tool *waitstate.Tool, seq float64) *PointDiagnosis {
+	a, err := tool.Analysis(waitstate.Options{SeqTime: seq})
 	if err != nil {
 		return nil
 	}

@@ -8,8 +8,8 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/prof"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/verify"
+	"repro/internal/waitstate"
 )
 
 // Every sweep point, and every live run, goes through this file: one
@@ -33,8 +33,9 @@ type Sweep struct {
 	// (sched.Workers semantics: 0 selects the process default). Results are
 	// independent of the value.
 	Jobs int
-	// Diagnose attaches a trace collector to each point's specimen run and
-	// reports the binding section's wait-state diagnosis in the CSV.
+	// Diagnose attaches the live wait-state tool (waitstate.Tool) to each
+	// point's specimen run and reports the binding section's diagnosis in
+	// the CSV; no trace is recorded.
 	Diagnose bool
 	// Verify attaches the runtime section/collective verifier to every run;
 	// violations accumulate in the result's Verify (the -verify bench flag).
@@ -89,7 +90,7 @@ type point struct {
 	// labels are the sections whose totals, shares and per-process
 	// averages the point reports.
 	labels []string
-	// specimen marks the run that carries the collector (with Diagnose)
+	// specimen marks the run that carries the wait-state tool (with Diagnose)
 	// and, with profile, the telemetry tool: tools observe the virtual
 	// clocks without perturbing them, so its times are those of any run.
 	specimen, profile bool
@@ -99,7 +100,7 @@ type point struct {
 }
 
 // pointResult is what a point leaves behind: numbers and summaries, never
-// a tool — the profiler, verifier, collector and telemetry die with it.
+// a tool — the profiler, verifier, wait-state tool and telemetry die with it.
 type pointResult struct {
 	wall                 float64
 	totals, shares, avgs map[string]float64
@@ -122,7 +123,7 @@ func (s Sweep) config(p point) mpi.Config {
 }
 
 // runPoint executes p under the sweep's tool chain — the profiler, the
-// verifier with Verify, the collector and telemetry on the specimen — and
+// verifier with Verify, the wait-state tool and telemetry on the specimen — and
 // reduces the run to a pointResult. A failed run is not an error: its root
 // cause, which is deterministic across worker counts where the joined
 // error tree is not, becomes the `error` cell.
@@ -135,10 +136,10 @@ func (s Sweep) runPoint(p point) (pointResult, error) {
 		ver = verify.New()
 		cfg.Tools = append(cfg.Tools, ver)
 	}
-	var collector *trace.Collector
+	var diag *waitstate.Tool
 	if s.Diagnose && p.specimen {
-		collector = newDiagCollector()
-		cfg.Tools = append(cfg.Tools, collector)
+		diag = waitstate.NewTool(diagEventLimit)
+		cfg.Tools = append(cfg.Tools, diag)
 	}
 	var tele *telemetry.Tool
 	if p.profile && p.specimen {
@@ -168,8 +169,8 @@ func (s Sweep) runPoint(p point) (pointResult, error) {
 			out.avgs[label] = sec.AvgPerProcess()
 		}
 	}
-	if collector != nil {
-		out.diag = diagnose(collector, p.seq)
+	if diag != nil {
+		out.diag = diagnose(diag, p.seq)
 	}
 	if tele != nil {
 		out.profile = tele.Snapshot()

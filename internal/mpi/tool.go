@@ -1,6 +1,10 @@
 package mpi
 
-import "repro/internal/machine"
+import (
+	"sync/atomic"
+
+	"repro/internal/machine"
+)
 
 // WorkUnit aliases machine.Work so benchmark code built on the mpi package
 // does not need a second import for the common case.
@@ -52,12 +56,13 @@ type MatchInfo struct {
 // Config.Tools; the runtime then invokes the hooks inline. The hooks of one
 // world run one at a time, in each rank r's program order and ordered
 // before r's next instruction, and one tool instance serves one live world:
-// worlds run side by side, so each Run gets a chain of its own. What a tool
-// keeps therefore needs no lock against its hooks; it needs one only for a
-// reader on another goroutine, such as a live scrape. A rank's hooks
-// usually run while it runs, not always: the message events of a Barrier
-// and of an ExchangeGhost fire while the communicator's last arriver runs
-// and r is parked, with r's clock already at the event's time.
+// worlds run side by side, so each Run gets a chain of its own (a tool that
+// embeds OneWorld checks it). What a tool keeps therefore needs no lock
+// against its hooks; it needs one only for a reader on another goroutine,
+// such as a live scrape. A rank's hooks usually run while it runs, not
+// always: the message events of a Barrier and of an ExchangeGhost fire
+// while the communicator's last arriver runs and r is parked, with r's
+// clock already at the event's time.
 //
 // SectionEnter/SectionLeave mirror MPIX_Section_enter_cb and
 // MPIX_Section_leave_cb from the paper: they receive the communicator, the
@@ -123,3 +128,20 @@ func (BaseTool) CollectiveBegin(*Comm, string, float64) {}
 func (BaseTool) CollectiveEnd(*Comm, string, float64) {}
 
 var _ Tool = BaseTool{}
+
+// OneWorld is Tool's rule "one instance serves one live world" made a check,
+// for the tools whose state has no lock because their hooks run one at a
+// time: embed it, Claim in Init and Free in Finalize, and an instance
+// attached to a second live world panics instead of interleaving two worlds'
+// hooks. An instance freed by Finalize may serve the next world.
+type OneWorld struct{ live atomic.Bool }
+
+// Claim takes the instance for a world; it panics if one holds it already.
+func (g *OneWorld) Claim() {
+	if !g.live.CompareAndSwap(false, true) {
+		panic("mpi: tool attached to a second live world; build one per Run")
+	}
+}
+
+// Free gives the instance back when its world has finished.
+func (g *OneWorld) Free() { g.live.Store(false) }

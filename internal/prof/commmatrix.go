@@ -16,7 +16,7 @@ import (
 // One CommMatrix serves one world at a time.
 type CommMatrix struct {
 	mpi.BaseTool
-	oneWorld
+	mpi.OneWorld
 	size      int
 	bytes     [][]int64 // [src][dst] user p2p payload bytes
 	msgs      [][]int64 // [src][dst] user p2p message count
@@ -28,7 +28,7 @@ func NewCommMatrix() *CommMatrix { return &CommMatrix{} }
 
 // Init implements mpi.Tool: it claims the matrix for the world.
 func (m *CommMatrix) Init(w *mpi.WorldInfo) {
-	m.claim()
+	m.Claim()
 	m.size = w.Size
 	m.bytes = make([][]int64, w.Size)
 	m.msgs = make([][]int64, w.Size)
@@ -40,7 +40,7 @@ func (m *CommMatrix) Init(w *mpi.WorldInfo) {
 }
 
 // Finalize implements mpi.Tool: it frees the matrix for another world.
-func (m *CommMatrix) Finalize(*mpi.Report) { m.free() }
+func (m *CommMatrix) Finalize(*mpi.Report) { m.Free() }
 
 // MessageSent implements mpi.Tool.
 func (m *CommMatrix) MessageSent(c *mpi.Comm, dst, tag, bytes int, t float64) {

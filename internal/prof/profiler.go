@@ -7,31 +7,16 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/mpi"
 	"repro/internal/stats"
 )
 
-// oneWorld is mpi.Tool's contract made a check for this package's tools:
-// the hooks of one world run one at a time, which is all their unlocked
-// state relies on, so an instance attached to a second live world is a
-// bug. Init claims the instance and Finalize frees it.
-type oneWorld struct{ live atomic.Bool }
-
-func (g *oneWorld) claim() {
-	if !g.live.CompareAndSwap(false, true) {
-		panic("prof: tool attached to a second live world; build one per mpi.Run")
-	}
-}
-
-func (g *oneWorld) free() { g.live.Store(false) }
-
 // Profiler is the mpi.Tool. Attach via mpi.Config.Tools, run, then call
 // Result. One Profiler serves one world at a time.
 type Profiler struct {
 	mpi.BaseTool
-	oneWorld
+	mpi.OneWorld
 	// declared and active are the world's declared and session rank
 	// counts seen at Init (0 when Init handed no RuntimeStats).
 	declared, active int
@@ -124,7 +109,7 @@ func New() *Profiler { return &Profiler{} }
 // Init implements mpi.Tool: it claims the Profiler for the world and
 // starts an empty profile.
 func (p *Profiler) Init(w *mpi.WorldInfo) {
-	p.claim()
+	p.Claim()
 	p.declared, p.active, p.comms, p.profile = 0, 0, nil, nil
 	if w.Stats != nil {
 		p.declared, p.active = w.Stats.DeclaredRanks(), w.Stats.ActiveRanks()
@@ -339,7 +324,7 @@ func (s *section) complete(cs *commState, in *instance) {
 // Profiler for another world. Dur merges the per-rank accumulators in rank
 // order.
 func (p *Profiler) Finalize(r *mpi.Report) {
-	defer p.free()
+	defer p.Free()
 	prof := &Profile{WallTime: r.WallTime}
 	prof.RankTimes = append(prof.RankTimes, r.RankTimes...)
 	for _, cs := range p.comms {

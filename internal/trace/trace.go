@@ -56,13 +56,13 @@
 // is what cmd/secmon's /waitstate.json and /efficiency.json serve. The
 // pointers an Order hands out stay valid for as long as the chunks belong
 // to the buffer, that is until Release. Release is for the owner who is
-// done with the recording — the sweep drivers, once a point's diagnosis is
-// extracted; the service, once an attempt has ended, its CSV and Index are
-// written and the last handler that was reading the live buffer has let go
-// (internal/serve counts them) — and gives the chunks to a bounded free
-// list that the next buffer's Add draws from before allocating, so a
-// sweep's and a service's steady state allocate no chunk (ChunkAllocs
-// counts the ones that had to be).
+// done with the recording — the service, once an attempt has ended, its
+// CSV and Index are written and the last handler that was reading the live
+// buffer has let go (internal/serve counts them) — and gives the chunks to
+// a bounded free list that the next buffer's Add draws from before
+// allocating, so a service's steady state allocates no chunk (ChunkAllocs
+// counts the ones that had to be). The sweep drivers record nothing: their
+// diagnosis steps events at the hook (waitstate.Tool).
 //
 // The write side is deliberately not split into per-rank logs, although
 // that would make the runs free. It was measured: with one lock per rank
@@ -295,7 +295,7 @@ func (b *Buffer) Add(e Event) {
 }
 
 // Release empties the buffer and hands its chunks to the next buffer that
-// records: a sweep that analyses one point and moves on to the next
+// records: a service that seals one attempt and moves on to the next
 // allocates no chunk in its steady state. The caller must be the only user
 // left — no rank still recording, and no Order, Run, Merge or *Event read
 // from this buffer used afterwards (a slice from Events is a copy and stays
@@ -308,13 +308,15 @@ func (b *Buffer) Release() {
 	freeChunks.put(chunks)
 }
 
-// freeChunksMax bounds the free list: 2048 chunks are 54 MB, room for the
-// two largest points of a paper-scale convolution sweep side by side.
+// freeChunksMax bounds the free list: 2048 chunks are 54 MB. Only the
+// service's recorded attempts fill it, the sweeps recording no trace; the
+// bound was sized for two paper-scale sweep points side by side, and no
+// measurement of the service has asked for another.
 const freeChunksMax = 2048
 
 // freeChunks is where Release leaves chunks and Add looks first. It is a
 // plain bounded stack rather than a sync.Pool so that reuse does not depend
-// on when the garbage collector last ran: a sweep's allocation volume is
+// on when the garbage collector last ran: a service's allocation volume is
 // the same number every time. Chunks are not cleared — a buffer never reads a chunk
 // past its own count — so a parked chunk pins the label strings of the
 // events it last held, a few constants.

@@ -15,24 +15,41 @@
 //   - a per-section diagnosis record {section, p, Twait_in, Twait_out,
 //     Tcrit_share, dominant_cause} joined against the Eq. 6 bound.
 //
-// # One engine, two feeders, one fold order
+// # One engine, three feeders, one fold order
 //
 // Every piece of replay state is keyed by rank — section and collective
 // stacks, timelines, the lists of receives — and only sums cross ranks. The
-// engine therefore never needs the global (time, rank) order: it reads a
-// trace.Order one rank's run at a time, in ascending rank order, with the
-// events where the recording keeps them (a Buffer's chunks for
-// AnalyzeOrder(b.Order()), the caller's slice for Analyze), and the lists
-// it comes back to hold *trace.Event, not copies. The replay charges every
-// quantity to a per-(rank, section) or per-(rank, collective) cell, in the
-// rank's own event order; a lateness charged to the sender's section goes
-// to the sender's cell, receivers taken in ascending rank order. Only when
-// every rank is done are the cells folded into the per-section and
+// engine therefore never needs the global (time, rank) order: one step
+// (replayer.step) applies a rank's events to its timeline in the rank's
+// canonical order (internal/trace), and the lists it comes back to hold
+// *trace.Event, not copies. The replay charges every quantity to a
+// per-(rank, section) or per-(rank, collective) cell, in the rank's own
+// event order; a lateness charged to the sender's section goes to the
+// sender's cell, receivers taken in ascending rank order. Only when every
+// rank is done are the cells folded into the per-section and
 // per-collective totals, ranks ascending.
 //
+// Three feeders call the step. AnalyzeOrder reads a trace.Order one rank's
+// run at a time, in ascending rank order, with the events where the
+// recording keeps them (a Buffer's chunks for AnalyzeOrder(b.Order())), and
+// Analyze does so over the caller's slice. A Tool records nothing: it steps
+// each rank's events at the hook while the world runs, as the paper's PMPI
+// tools see them, keeps of a send only its time and copies receives,
+// dead-peer waits and regions into chunks that do not move. The hooks give
+// a rank's events in recording order, which is canonical except among
+// events that share a timestamp: there a section leave goes first and the
+// other kinds follow by number. Only the section and collective boundaries
+// care — the other lists are canonical when in time order — so a Tool holds
+// a rank's boundaries of its latest timestamp and steps them, sorted, when
+// the rank's time moves on, and again before the analysis. A rank whose
+// time goes back is sorted in where that is still possible, among the held
+// boundaries or back along its list; otherwise the Analysis fails rather
+// than answer from a misordered stream.
+//
 // So ranges of ranks replay side by side: AnalyzeOrder gives each of up to
-// sched.Workers(0) workers, one per 64 Ki events, consecutive runs to replay
-// and classify. The lateness charged to a sender's cell, the one write that
+// sched.Workers(0) workers, one per 64 Ki events, consecutive runs to
+// replay and classify, and a Tool's Analysis gives them stepped ranks to
+// classify. The lateness charged to a sender's cell, the one write that
 // crosses ranks, waits for the join: one pass over every rank's receives,
 // ranks ascending, adds it in the order a lone worker does as it classifies.
 //
@@ -42,11 +59,12 @@
 // map of ranks, as this package once did, produced a different wait_in bit
 // pattern on nearly every call from p=64 up. With it, the same events give
 // the same Analysis bit for bit however they are fed — a Buffer, its
-// Events(), or its CSV read back — and however often, so experiment sweeps
-// emit diagnosis columns that are byte-identical from run to run and under
-// any -j. TestAnalyzeIsAFunctionOfItsInput and TestFeedersAgree hold the
-// package to both, under forced splits too, and FuzzAnalyzeSplit holds any
-// split to one worker.
+// Events(), its CSV read back, or a Tool's hooks — and however often, so
+// experiment sweeps emit diagnosis columns that are byte-identical from run
+// to run and under any -j. TestAnalyzeIsAFunctionOfItsInput,
+// TestFeedersAgree and TestToolAgreesWithReplay hold the package to both,
+// under forced splits too, and FuzzAnalyzeSplit holds any split to one
+// worker.
 package waitstate
 
 import (
@@ -365,10 +383,84 @@ func (a *arena[T]) take() []T {
 	return list
 }
 
+// reset is the arena emptied, its block kept for the lists to come.
+func (a *arena[T]) reset() arena[T] { return arena[T]{block: a.block[:0]} }
+
 // stackEntry is an open section or collective during the replay.
 type stackEntry struct {
 	enterT float64
 	cell   int32
+}
+
+// replayer is what stepping a rank's events writes besides its timeline:
+// the lists being built and the open sections and collectives. A worker has
+// one for the ranks it replays one after the other; the live Tool has one
+// per rank, since its ranks interleave.
+type replayer struct {
+	sections, colls     arena[changePoint]
+	recvs               arena[*trace.Event]
+	secStack, collStack []stackEntry
+}
+
+// step applies one of rt's events, taken in canonical order, to rt: its
+// section and collective cells and change points, and the lists of events
+// the classification comes back to, which keep e itself. Both feeders call
+// it, the offline replay and the live Tool.
+func (s *replayer) step(rt *rankTimeline, e *trace.Event) {
+	switch e.Kind {
+	case trace.KindSectionEnter:
+		c := rt.sec(e.Label)
+		s.secStack = append(s.secStack, stackEntry{e.T, c})
+		s.sections.push(changePoint{e.T, c})
+	case trace.KindSectionLeave:
+		n := len(s.secStack)
+		if n == 0 || rt.secs[s.secStack[n-1].cell].Section != e.Label {
+			rt.unmatched++
+			return
+		}
+		cell := &rt.secs[s.secStack[n-1].cell]
+		cell.Incl += e.T - s.secStack[n-1].enterT
+		cell.inDiag, cell.inRank = true, true
+		s.secStack = s.secStack[:n-1]
+		under := int32(none)
+		if n > 1 {
+			under = s.secStack[n-2].cell
+		}
+		s.sections.push(changePoint{e.T, under})
+	case trace.KindCollective:
+		c := rt.coll(e.Label)
+		s.collStack = append(s.collStack, stackEntry{e.T, c})
+		s.colls.push(changePoint{e.T, c})
+	case trace.KindCollectiveEnd:
+		n := len(s.collStack)
+		if n == 0 || rt.collCells[s.collStack[n-1].cell].Name != e.Label {
+			rt.unmatched++
+			return
+		}
+		cell := &rt.collCells[s.collStack[n-1].cell]
+		cell.Spans++
+		cell.Time += e.T - s.collStack[n-1].enterT
+		cell.touched = true
+		s.collStack = s.collStack[:n-1]
+		under := int32(none)
+		if n > 1 {
+			under = s.collStack[n-2].cell
+		}
+		s.colls.push(changePoint{e.T, under})
+	case trace.KindRecv:
+		s.recvs.push(e)
+	case trace.KindDeadPeer:
+		rt.deads = append(rt.deads, e)
+	case trace.KindOmpRegion:
+		rt.omps = append(rt.omps, e)
+	case trace.KindFault:
+		rt.faults++
+	}
+}
+
+// finish hands rt the lists its steps built.
+func (s *replayer) finish(rt *rankTimeline) {
+	rt.sections, rt.colls, rt.recvs = s.sections.take(), s.colls.take(), s.recvs.take()
 }
 
 // engine is one analysis in progress.
@@ -376,15 +468,12 @@ type engine struct {
 	ranks []rankTimeline // ascending rank
 }
 
-// worker replays and classifies the runs lo to hi, with arenas and stacks of
-// its own; it writes only the timelines of those ranks.
+// worker replays and classifies the ranks lo to hi, with a replayer of its
+// own; it writes only the timelines of those ranks.
 type worker struct {
-	lo, hi          int
-	last            *rankTimeline // the rank replayed before
-	sections, colls arena[changePoint]
-	recvs           arena[*trace.Event]
-	secStack        []stackEntry
-	collStack       []stackEntry
+	lo, hi int
+	last   *rankTimeline // the rank replayed before
+	replayer
 }
 
 // minShare is the fewest events worth a worker of their own.
@@ -413,21 +502,35 @@ func analyzeOrder(o *trace.Order, opts Options, workers int) (*Analysis, error) 
 		return nil, fmt.Errorf("waitstate: empty event stream")
 	}
 	en := &engine{ranks: make([]rankTimeline, o.Runs())}
-	workers = min(workers, o.Runs()) // no range is empty
+	ws := split(o.Runs(), o.Len(), workers, func(k int) int { return o.Run(k).Len() })
+	return en.analyze(ws, opts, func(w *worker, k int) { w.replay(&en.ranks[k], o.Run(k)) }), nil
+}
+
+// split gives each of at most workers workers consecutive ranks of about the
+// same number of the n events; events(k) is how many rank k has.
+func split(ranks, n, workers int, events func(k int) int) []worker {
+	workers = min(workers, ranks) // no range is empty
 	ws := []worker{{}}
-	for k, seen := 0, 0; k < o.Runs(); k++ {
-		if seen >= len(ws)*o.Len()/workers {
+	for k, seen := 0, 0; k < ranks; k++ {
+		if seen >= len(ws)*n/workers {
 			ws[len(ws)-1].hi = k
 			ws = append(ws, worker{lo: k})
 		}
-		seen += o.Run(k).Len()
+		seen += events(k)
 	}
-	ws[len(ws)-1].hi = o.Runs()
+	ws[len(ws)-1].hi = ranks
+	return ws
+}
+
+// analyze has each worker replay its ranks, unless replay is nil because the
+// timelines are built already, and classify them; then it charges the
+// lateness across ranks, walks the critical path and folds.
+func (en *engine) analyze(ws []worker, opts Options, replay func(w *worker, k int)) *Analysis {
 	alone := len(ws) == 1
 	sched.ForEach(len(ws), len(ws), func(i int) error {
 		w := &ws[i]
-		for k := w.lo; k < w.hi; k++ {
-			w.replay(&en.ranks[k], o.Run(k))
+		for k := w.lo; replay != nil && k < w.hi; k++ {
+			replay(w, k)
 		}
 		for k := w.lo; k < w.hi; k++ {
 			en.classify(&en.ranks[k], alone)
@@ -440,7 +543,7 @@ func analyzeOrder(o *trace.Order, opts Options, workers int) (*Analysis, error) 
 		}
 	}
 	crit, critSec := en.criticalPath()
-	return en.fold(crit, critSec, opts), nil
+	return en.fold(crit, critSec, opts)
 }
 
 // replay walks one rank's run: its timelines, its section and collective
@@ -454,64 +557,16 @@ func (w *worker) replay(rt *rankTimeline, run trace.Run) {
 		rt.secs = make([]secCell, 0, len(w.last.secs))
 		rt.collCells = make([]collCell, 0, len(w.last.collCells))
 	}
-	secStack, collStack := w.secStack[:0], w.collStack[:0]
+	w.secStack, w.collStack = w.secStack[:0], w.collStack[:0]
 	for j, n := 0, run.Len(); j < n; j++ {
 		e := run.At(j)
 		if e.T > rt.lastT {
 			rt.lastT = e.T
 		}
-		switch e.Kind {
-		case trace.KindSectionEnter:
-			c := rt.sec(e.Label)
-			secStack = append(secStack, stackEntry{e.T, c})
-			w.sections.push(changePoint{e.T, c})
-		case trace.KindSectionLeave:
-			n := len(secStack)
-			if n == 0 || rt.secs[secStack[n-1].cell].Section != e.Label {
-				rt.unmatched++
-				continue
-			}
-			cell := &rt.secs[secStack[n-1].cell]
-			cell.Incl += e.T - secStack[n-1].enterT
-			cell.inDiag, cell.inRank = true, true
-			secStack = secStack[:n-1]
-			under := int32(none)
-			if n > 1 {
-				under = secStack[n-2].cell
-			}
-			w.sections.push(changePoint{e.T, under})
-		case trace.KindCollective:
-			c := rt.coll(e.Label)
-			collStack = append(collStack, stackEntry{e.T, c})
-			w.colls.push(changePoint{e.T, c})
-		case trace.KindCollectiveEnd:
-			n := len(collStack)
-			if n == 0 || rt.collCells[collStack[n-1].cell].Name != e.Label {
-				rt.unmatched++
-				continue
-			}
-			cell := &rt.collCells[collStack[n-1].cell]
-			cell.Spans++
-			cell.Time += e.T - collStack[n-1].enterT
-			cell.touched = true
-			collStack = collStack[:n-1]
-			under := int32(none)
-			if n > 1 {
-				under = collStack[n-2].cell
-			}
-			w.colls.push(changePoint{e.T, under})
-		case trace.KindRecv:
-			w.recvs.push(e)
-		case trace.KindDeadPeer:
-			rt.deads = append(rt.deads, e)
-		case trace.KindOmpRegion:
-			rt.omps = append(rt.omps, e)
-		case trace.KindFault:
-			rt.faults++
-		}
+		w.step(rt, e)
 	}
-	rt.sections, rt.colls, rt.recvs = w.sections.take(), w.colls.take(), w.recvs.take()
-	w.secStack, w.collStack, w.last = secStack, collStack, rt
+	w.finish(rt)
+	w.last = rt
 }
 
 // Lateness splits the blocked time of a receive posted at postT, sent at
