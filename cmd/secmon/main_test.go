@@ -487,8 +487,8 @@ func TestFullRunAllEndpoints(t *testing.T) {
 }
 
 // TestTelemetryEndpoints drives a run to completion and checks the
-// streaming-telemetry surface: /profile.json serves the constant-memory
-// profile with the live Eq. 6 binding and POP factors, /heatmap.csv serves
+// telemetry surface, folded from the job's recording: /profile.json serves
+// the profile with the Eq. 6 binding and POP factors, /heatmap.csv serves
 // the bounded rank×time wait view, and /metrics carries the
 // bounded-cardinality telemetry_* families.
 func TestTelemetryEndpoints(t *testing.T) {

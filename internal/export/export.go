@@ -514,6 +514,27 @@ func (o reopened) facts() runFacts {
 	return f
 }
 
+// Facts are the run facts a fold of the events outside this package needs
+// besides the events themselves (internal/serve's telemetry views).
+type Facts struct {
+	World   int     // world size seen at Init
+	SeqTime float64 // the sequential baseline, 0 if none
+	// Members is the communicator table: by Comm.ID, communicator rank ->
+	// world rank; nil for a communicator not seen.
+	Members  [][]int
+	Finished bool
+	Wall     float64 // the makespan, once Finished
+}
+
+// Recorded returns the events every view replays — recorded so far, each
+// rank's in the order the rank recorded them — and then the facts, which,
+// read second, cover every one of the events.
+func (v Views) Recorded() (trace.Recording, Facts) {
+	rec := v.src.recording()
+	f := v.src.facts()
+	return rec, Facts{World: f.world, SeqTime: f.seqTime, Members: f.members, Finished: f.finished, Wall: f.wall}
+}
+
 // Faults returns the fault events recorded so far in canonical order, so
 // the same run yields a byte-identical JSON log every time.
 func (v Views) Faults() []fault.Event { return v.src.facts().faults }

@@ -55,3 +55,34 @@ func TestMetricsJobScopedGolden(t *testing.T) {
 		t.Fatalf("job-scoped /metrics diverges from %s:\n%s", golden, got)
 	}
 }
+
+// TestTelemetryViewsGolden holds /profile.json and /heatmap.csv of the
+// request TestMetricsJobScopedGolden makes to the bytes the streaming
+// telemetry tool wrote when it rode in the chain of every observed attempt:
+// the goldens were captured from that tool's snapshot, before the views
+// were folded from the recording on request.
+func TestTelemetryViewsGolden(t *testing.T) {
+	h, _ := liveHandler(t, Options{})
+	if code, body := get(t, h, "/run?exp=conv&p=16&steps=10&verify=1&nocache=1&wait=1"); code != http.StatusOK {
+		t.Fatalf("run: code %d body %q", code, body)
+	}
+	for _, name := range []string{"profile.json", "heatmap.csv"} {
+		code, got := get(t, h, "/"+name)
+		if code != http.StatusOK {
+			t.Fatalf("%s: code %d", name, code)
+		}
+		golden := filepath.Join("testdata", name+".golden")
+		if *update {
+			if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("golden file missing (run with -update): %v", err)
+		}
+		if got != string(want) {
+			t.Errorf("/%s diverges from %s:%s", name, golden, firstDifference(got, string(want)))
+		}
+	}
+}

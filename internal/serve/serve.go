@@ -110,10 +110,10 @@ type Options struct {
 	// it the oldest terminal jobs are forgotten (404 on /jobs/{id}; cached
 	// results remain addressable by configuration).
 	HistoryLimit int
-	// Observe attaches the observability bundle to every attempt — the
-	// recorder (in front of the collector, whose buffer its views read)
-	// and the streaming telemetry — which the analysis endpoints serve. The canonical trace collector that produces the
-	// result artifact records every attempt regardless.
+	// Observe attaches the recorder to every attempt, in front of the
+	// collector whose buffer its views and the telemetry views read, which
+	// the analysis endpoints serve. The canonical trace collector that
+	// produces the result artifact records every attempt regardless.
 	Observe bool
 	// Runner and SeqRunner are test seams; nil selects the real
 	// experiment launchers.

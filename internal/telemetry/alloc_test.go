@@ -12,7 +12,8 @@ import (
 // The p2p fast path must stay allocation-free with telemetry attached: the
 // tool's whole claim is that it rides along on 10k-rank runs, and one
 // alloc per message would dominate the runtime there. Warmup materializes
-// the shard slabs and fills the exemplar reservoir; the steady state then
+// the POP slabs, each rank's instance groups and the instance rings, and
+// fills the exemplar reservoir; the steady state then
 // exercises every hook — sends, receives (grid + threshold-rejected
 // exemplars), sections, collectives and thread-team compute regions —
 // without a single heap allocation.

@@ -1,36 +1,46 @@
-// Package telemetry is the constant-memory streaming observability layer:
-// an mpi.Tool that attaches to a run of any size and maintains, online, the
-// paper's headline quantities — per-section profiles with the Fig. 3
-// imbalance metrics, the live Eq. 6 partial speedup bounds, and the POP
-// efficiency factor tree — plus time-binned interval series, a bounded
+// Package telemetry is the streaming observability layer: one fold that
+// maintains the paper's headline quantities — per-section profiles with the
+// Fig. 3 imbalance metrics, the live Eq. 6 partial speedup bounds, and the
+// POP efficiency factor tree — plus time-binned interval series, a bounded
 // rank×time wait heatmap, power-of-two latency/size histograms, and a
 // deterministic sample of exemplar receives.
 //
-// Unlike the tracer (internal/trace) and the wait-state engine
-// (internal/waitstate), which buffer an event per operation and analyze
-// after the fact, this package folds every hook into fixed-size
-// accumulators at event time. Memory is O(sections × shards + bins), never
-// O(events) and never O(ranks × sections): rank state shards in groups of
-// 256 world ranks (mirroring the runtime's own sharding) and each shard's
-// slabs materialize lazily on first event, so a 10k-rank run with sparse
-// activity pays only for what it touches.
+// The fold takes one step per event, on plain values (world rank,
+// communicator id and size, peer world rank), and it has two feeders, as
+// internal/waitstate's engine does. Tool is an mpi.Tool whose hooks step it
+// while the run goes; it rides along on runs no trace can afford (the
+// sweeps' -profile option, 10k-rank runs). Feeder steps it over a
+// trace.Collector's recording — in place, or read back from its CSV through
+// trace.Restore — so a service that records every run anyway folds the
+// profile from the trace after the fact, on request, as the HLRS
+// time-resolved analyses do, and attaches no second observer
+// (internal/serve). TestFeedersAgree holds the two to the same bytes.
 //
-// What is computed online here is the aggregates; the definitions applied
-// to them have one owner each and are called, not restated: cause labels,
-// the dominant-cause and binding rules and the timestamp tolerance are
-// internal/waitstate's, the Eq. 6 bound core.PartialBound, the factor
-// formulas, the factor table and the diagnosis sentence internal/pop's.
+// What the fold keeps does not grow with the events: per-section
+// accumulators in a fixed 64-entry table, a cursor per rank, POP cells per
+// (section, rank) in slabs of 256 ranks materialized on first touch, the
+// instances in flight, and fixed-resolution bins. Definitions have one
+// owner each and are called, not restated: cause labels, the dominant-cause
+// and binding rules and the timestamp tolerance are internal/waitstate's,
+// the Eq. 6 bound core.PartialBound, the factor formulas, the factor table
+// and the diagnosis sentence internal/pop's.
 //
 // # Determinism
 //
-// The scheduler interleaves rank goroutines nondeterministically, yet the
-// profile must serialize byte-identically across runs and across -j worker
-// counts. Three mechanisms deliver that:
+// A profile must serialize byte-identically across runs, across -j worker
+// counts and across the two feeders, which see the ranks' events
+// interleaved differently: the Tool in the order the world ran its hooks,
+// a Feeder over a restored CSV in time order. Each rank's events come in
+// the order the rank recorded them in every case, so what a rank keeps
+// alone (its section and collective stacks, its receive count) is the
+// same; what crosses ranks folds independently of the interleaving:
 //
-//   - Durations accumulate as picosecond int64 atomics. Integer addition is
-//     associative, so any interleaving of atomic adds yields identical
-//     sums; extrema fold through CAS loops over order-preserving float
-//     bits (biased by one so 0.0 is distinguishable from the empty cell).
+//   - Durations accumulate as picosecond int64s. Integer addition is
+//     associative, so any order of adds yields identical sums; extrema are
+//     order-free by nature.
+//   - Fig. 3 instances are exact: an instance of a section on a
+//     communicator is the k-th enter of each of its ranks, and its metrics
+//     fold when the last of them leaves (instance.go).
 //   - The time grid folds bins pairwise when the run outgrows its span.
 //     floor(floor(t/w)/2) == floor(t/(2w)), so an event lands in the same
 //     final bin whether it arrives before or after any rescale.
@@ -39,31 +49,25 @@
 //     program, independent of arrival order, unlike classic reservoir
 //     sampling.
 //
-// The one caveat is the Fig. 3 instance ring: in-flight instances per
-// section are bounded (ringSlots), and an instance arriving more than
-// ringSlots generations ahead of an unfinished one is skipped and counted.
-// Imbalance means are exact and deterministic exactly when imb_skipped is
-// zero, which every synchronized workload at practical real-time skew
-// achieves; the skip counter makes the residual visible when it is not.
-//
 // # Accuracy trade-offs
 //
 // The streamed wait split classifies each receive at completion time from
-// its MatchInfo (late-sender vs. transfer vs. collective), matching the
-// trace-driven classification. What streaming cannot reproduce is
-// attribution requiring future knowledge — e.g. the wait-state engine's
+// its matched-pair timestamps (late-sender vs. transfer vs. collective),
+// matching the trace-driven classification. What streaming cannot reproduce
+// is attribution requiring future knowledge — e.g. the wait-state engine's
 // per-rank useful time subtracts waits at the enclosing-run level after
-// seeing the whole trace; the live global scope approximates each rank's
-// span as (first event, wall-so-far) and converges to the trace answer at
-// Finalize. Interval series and heatmaps are bounded-resolution by design:
-// bin width doubles as the run grows, so long runs trade time resolution
-// for constant memory.
+// seeing the whole trace; the global scope of a profile taken mid-run
+// approximates each rank's span as (first event, wall so far) and converges
+// to the trace answer once the run is over. Interval series and heatmaps
+// are bounded-resolution by design: bin width doubles as the run grows, so
+// long runs trade time resolution for constant memory.
 //
 // # Hot-path cost
 //
-// Per-event work is a few atomic adds plus, for messages, one short
-// critical section on the rank's shard mutex (grid fold; exemplar inserts
-// are pre-filtered by an atomic threshold load). No hook allocates after
-// the first event on a shard: the 0 allocs/op contract is pinned by
+// A hook takes the Tool's one lock — the hooks of a world run one at a
+// time, so only a Snapshot from another goroutine ever contends for it —
+// and makes a few plain adds. No hook allocates once each rank has met each
+// (communicator, section) pair and the instance rings have grown to the
+// run's deepest run-ahead: the 0 allocs/op contract is pinned by
 // TestTelemetryZeroAlloc.
 package telemetry

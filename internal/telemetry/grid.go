@@ -1,7 +1,5 @@
 package telemetry
 
-import "sync/atomic"
-
 // The time grid is the HLRS-style time-resolved view: a fixed number of
 // bins over the run so far, each holding message count, payload bytes and
 // blocked-wait picoseconds, plus a bounded rank-group × bin wait heatmap.
@@ -13,8 +11,7 @@ import "sync/atomic"
 
 type grid struct {
 	scale int64 // current bin width = baseBin × scale (power of two)
-
-	rowLo, rows int // global heat-row span of this shard
+	rows  int   // heat rows: rank groups
 
 	msgs  []int64
 	bytes []int64
@@ -22,18 +19,17 @@ type grid struct {
 	heat  []int64 // rows × timeBins wait picoseconds
 }
 
-//seclint:allocs-ok bin-grid construction: once per shard
-func (g *grid) init(rowLo, rows int) {
+//seclint:allocs-ok bin-grid construction: once per run
+func (g *grid) init(rows int) {
 	g.scale = 1
-	g.rowLo, g.rows = rowLo, rows
+	g.rows = rows
 	g.msgs = make([]int64, timeBins)
 	g.bytes = make([]int64, timeBins)
 	g.waitP = make([]int64, timeBins)
 	g.heat = make([]int64, rows*timeBins)
 }
 
-// index maps a timestamp to its bin, rescaling until it fits. Guarded by
-// the shard mutex.
+// index maps a timestamp to its bin, rescaling until it fits.
 func (g *grid) index(t float64) int {
 	if t < 0 {
 		t = 0
@@ -69,26 +65,14 @@ func (g *grid) rescale() {
 	g.scale <<= 1
 }
 
-// add folds one event into the grid; row is the event's global heat row.
+// add folds one event into the grid; row is the event's heat row.
 func (g *grid) add(t float64, row int, msgs, bytes, waitP int64) {
 	idx := g.index(t)
 	g.msgs[idx] += msgs
 	g.bytes[idx] += bytes
 	g.waitP[idx] += waitP
-	if waitP != 0 {
-		if r := row - g.rowLo; r >= 0 && r < g.rows {
-			g.heat[r*timeBins+idx] += waitP
-		}
-	}
-}
-
-// foldTo re-bins a channel to a coarser scale (factor = target/g.scale ≥ 1)
-// and adds it into dst.
-func foldInto(dst, src []int64, factor int64) {
-	for i, v := range src {
-		if v != 0 {
-			dst[int64(i)/factor] += v
-		}
+	if waitP != 0 && row < g.rows {
+		g.heat[row*timeBins+idx] += waitP
 	}
 }
 
@@ -105,25 +89,25 @@ type exemplar struct {
 
 // exReservoir keeps the k receives with the smallest deterministic hash —
 // a bottom-k sketch whose final content is independent of arrival order.
-// The threshold is the current kth-smallest hash, readable without the
-// shard lock so the steady state rejects in one atomic load.
+// The threshold is the current kth-smallest hash, so the steady state
+// rejects in one compare.
 type exReservoir struct {
-	thresh atomic.Uint64
+	thresh uint64
 	items  []exemplar
 }
 
-//seclint:allocs-ok reservoir construction: once per shard
+//seclint:allocs-ok reservoir construction: once per run
 func (r *exReservoir) init() {
 	r.items = make([]exemplar, 0, exemplars)
-	r.thresh.Store(^uint64(0))
+	r.thresh = ^uint64(0)
 }
 
-// insert is called under the shard mutex after a threshold pre-check.
+// insert is called after a threshold pre-check.
 func (r *exReservoir) insert(e exemplar) {
 	if len(r.items) < exemplars {
 		r.items = append(r.items, e)
 		if len(r.items) == exemplars {
-			r.thresh.Store(r.maxH())
+			r.thresh = r.maxH()
 		}
 		return
 	}
@@ -137,7 +121,7 @@ func (r *exReservoir) insert(e exemplar) {
 		return
 	}
 	r.items[worst] = e
-	r.thresh.Store(r.maxH())
+	r.thresh = r.maxH()
 }
 
 func (r *exReservoir) maxH() uint64 {

@@ -1,108 +1,160 @@
 package telemetry
 
-import "sync/atomic"
-
 // Fig. 3 instance tracking. An instance of a section is one synchronized
-// enter/leave round across the communicator's ranks; its metrics are
+// enter/leave round across its communicator's ranks: the k-th enter of the
+// label on that communicator by each of them. Its metrics are
 // imb_in = Tin − Tmin per rank (entry imbalance) and
-// imb = (Tmax − Tmin) − Tsection per rank (section imbalance). A full
-// tracer keys instances per (comm, label, ordinal); the streaming layer
-// keeps a fixed ring of in-flight instances per section, claimed by CAS and
-// folded by the last leaver, so memory stays constant however many
-// instances a run produces.
+// imb = (Tmax − Tmin) − Tsection per rank (section imbalance).
 //
-// A slot's generation word packs (ordinal+1) << 32 | commID₁₆ << 16 | size:
-// a single atomic both claims the slot and publishes the communicator size
-// the folder needs, with no two-word ordering hazard. An instance arriving
-// more than ringSlots generations ahead of an unfinished one (possible only
-// under extreme real-time skew between rank goroutines — virtual time does
-// not bound real-time progress) finds its slot occupied and is skipped;
-// skips are counted, so imb aggregates are exact and deterministic exactly
-// when Skipped == 0, which every synchronized workload at practical skew
-// achieves.
+// Accounting is exact per (communicator, section). A group keeps the
+// instances some rank has entered and not every rank has left in a ring,
+// instance i at i modulo its length; the ring doubles when a rank runs
+// more instances ahead than it holds, and a slot is recycled once its
+// instance and every older one are folded. Each rank numbers its own
+// enters, so the instance an enter joins does not depend on how the ranks'
+// events interleave, nor does the fold: integer sums and extrema.
 
+// instKey names a group: a section on one communicator.
+type instKey struct {
+	comm int64
+	sec  int32
+}
+
+// instSlot is one instance in flight.
 type instSlot struct {
-	gen    atomic.Uint64
-	leaves atomic.Int64
-	sumIn  atomic.Int64 // Σ pico(Tin)
-	sumOut atomic.Int64 // Σ pico(Tout)
-	minIn  atomic.Uint64
-	maxOut atomic.Uint64
+	enters, leaves int32
+	done           bool
+	sumIn, sumOut  int64 // Σ pico(Tin), Σ pico(Tout)
+	minIn, maxOut  float64
 }
 
-type instRing struct {
-	slots [ringSlots]instSlot
-
-	instances atomic.Int64 // completed instances
-	samples   atomic.Int64 // Σ communicator sizes over completed instances
-	imbInPico atomic.Int64 // Σ_instances Σ_ranks (Tin − Tmin)
-	imbPico   atomic.Int64 // Σ_instances Σ_ranks ((Tmax−Tmin) − Tsection)
-	spanPico  atomic.Int64 // Σ_instances (Tmax − Tmin)
-	skipped   atomic.Int64
+// instGroup is one (communicator, section) pair's instances in flight.
+type instGroup struct {
+	sec  int32
+	size int32  // the communicator's ranks: the leaves that complete an instance
+	lo   uint32 // the oldest instance not yet folded
+	ring []instSlot
 }
 
-//seclint:allocs-ok instance-ring construction: once per section
-func newInstRing() *instRing { return &instRing{} }
-
-func packGen(idx uint32, commID uint64, size int) uint64 {
-	return uint64(idx+1)<<32 | (commID&0xFFFF)<<16 | uint64(size)
+// instAgg is one section's completed-instance totals, over every
+// communicator it ran on.
+type instAgg struct {
+	instances int64 // completed instances
+	samples   int64 // Σ communicator sizes over completed instances
+	imbInPico int64 // Σ_instances Σ_ranks (Tin − Tmin)
+	imbPico   int64 // Σ_instances Σ_ranks ((Tmax−Tmin) − Tsection)
+	spanPico  int64 // Σ_instances (Tmax − Tmin)
 }
 
-// enter claims (or joins) the instance and folds the rank's entry time.
-// The return reports whether the rank joined; a false return means the
-// matching leave must not contribute either.
-func (rg *instRing) enter(idx uint32, commID uint64, size int, t float64) bool {
-	if size <= 0 || size >= 1<<16 {
-		rg.skipped.Add(1)
-		return false
+// instances is the fold's instance accounting.
+type instances struct {
+	ids    map[instKey]int32
+	groups []instGroup
+	agg    [nSlots]instAgg
+}
+
+// slot returns instance ord's slot, doubling the ring until the instances
+// from lo to ord each have one; nil for an instance already folded, which
+// only a rank its communicator does not count can reach.
+//
+//seclint:allocs-ok the ring grows to the deepest run-ahead once, then recycles
+func (g *instGroup) slot(ord uint32) *instSlot {
+	if int32(ord-g.lo) < 0 {
+		return nil
 	}
-	want := packGen(idx, commID, size)
-	s := &rg.slots[idx%ringSlots]
-	g := s.gen.Load()
-	if g != want {
-		if g != 0 || !s.gen.CompareAndSwap(0, want) {
-			if s.gen.Load() != want {
-				rg.skipped.Add(1)
-				return false
-			}
+	for ord-g.lo >= uint32(len(g.ring)) {
+		ring := make([]instSlot, 2*len(g.ring))
+		for i := g.lo; i != g.lo+uint32(len(g.ring)); i++ {
+			ring[i&uint32(len(ring)-1)] = g.ring[i&uint32(len(g.ring)-1)]
+		}
+		g.ring = ring
+	}
+	return &g.ring[ord&uint32(len(g.ring)-1)]
+}
+
+// enter joins the rank's next instance of the group key names, on a
+// communicator of size ranks, and returns the group (-1: none) and the
+// ordinal.
+//
+//seclint:hotpath
+func (in *instances) enter(cur *rankCur, key instKey, size int, t float64) (int32, uint32) {
+	var o *rankOrd
+	for i := range cur.ords {
+		if cur.ords[i].key == key {
+			o = &cur.ords[i]
+			break
 		}
 	}
-	s.sumIn.Add(pico(t))
-	atomicMinT(&s.minIn, t)
-	return true
+	if o == nil {
+		o = in.join(cur, key, size)
+	}
+	ord := o.next
+	o.next++
+	s := in.groups[o.grp].slot(ord)
+	if s == nil {
+		return -1, 0
+	}
+	s.sumIn += pico(t)
+	if s.enters == 0 || t < s.minIn {
+		s.minIn = t
+	}
+	s.enters++
+	return o.grp, ord
 }
 
-// leave folds the rank's exit time; the size-th leaver computes the
-// instance's imbalance contributions and recycles the slot. Each rank's
-// sum/extrema stores precede its leaves increment, so when the count
-// reaches size every contribution is visible to the folder.
-func (rg *instRing) leave(idx uint32, commID uint64, size int, _, tout float64) {
-	want := packGen(idx, commID, size)
-	s := &rg.slots[idx%ringSlots]
-	if s.gen.Load() != want {
+// join is a rank's first enter of a group: the group is made on the first
+// enter of any rank.
+//
+//seclint:allocs-ok first enter of a (communicator, section) pair by a rank
+func (in *instances) join(cur *rankCur, key instKey, size int) *rankOrd {
+	if in.ids == nil {
+		in.ids = map[instKey]int32{}
+	}
+	grp, ok := in.ids[key]
+	if !ok {
+		grp = int32(len(in.groups))
+		in.ids[key] = grp
+		in.groups = append(in.groups, instGroup{sec: key.sec, size: int32(size), ring: make([]instSlot, 4)})
+	}
+	cur.ords = append(cur.ords, rankOrd{key: key, grp: grp})
+	return &cur.ords[len(cur.ords)-1]
+}
+
+// leave folds a rank's exit from instance ord of group grp. The leave that
+// completes the instance folds its imbalance contributions, and the slots
+// of the oldest instances, once folded, are recycled.
+//
+//seclint:hotpath
+func (in *instances) leave(grp int32, ord uint32, tout float64) {
+	g := &in.groups[grp]
+	s := g.slot(ord)
+	if s == nil {
 		return
 	}
-	s.sumOut.Add(pico(tout))
-	atomicMaxT(&s.maxOut, tout)
-	if s.leaves.Add(1) != int64(size) {
+	s.sumOut += pico(tout)
+	if s.leaves == 0 || tout > s.maxOut {
+		s.maxOut = tout
+	}
+	if s.leaves++; s.leaves != g.size {
 		return
 	}
-	minIn, _ := loadT(&s.minIn)
-	maxOut, _ := loadT(&s.maxOut)
-	n := int64(size)
-	span := pico(maxOut) - pico(minIn)
-	rg.instances.Add(1)
-	rg.samples.Add(n)
-	rg.spanPico.Add(span)
-	rg.imbInPico.Add(s.sumIn.Load() - n*pico(minIn))
+	n := int64(g.size)
+	a := &in.agg[g.sec]
+	a.instances++
+	a.samples += n
+	a.spanPico += pico(s.maxOut) - pico(s.minIn)
+	a.imbInPico += s.sumIn - n*pico(s.minIn)
 	// Per rank: imb = (Tmax−Tmin) − Tsection with Tsection measured from the
 	// instance's Tmin (the exporter's Fig. 3 convention), so the sum
 	// telescopes to Σ (Tmax − Tout_r).
-	rg.imbPico.Add(n*pico(maxOut) - s.sumOut.Load())
-	s.leaves.Store(0)
-	s.sumIn.Store(0)
-	s.sumOut.Store(0)
-	s.minIn.Store(0)
-	s.maxOut.Store(0)
-	s.gen.Store(0)
+	a.imbPico += n*pico(s.maxOut) - s.sumOut
+	s.done = true
+	for {
+		old := &g.ring[g.lo&uint32(len(g.ring)-1)]
+		if !old.done {
+			return
+		}
+		*old = instSlot{}
+		g.lo++
+	}
 }

@@ -28,7 +28,7 @@ const perSectionFamilies = 9
 // series suppressed by the cap is itself exported as
 // telemetry_series_dropped_total.
 func (tl *Tool) WritePrometheus(w io.Writer, o PromOptions) error {
-	return tl.Snapshot().WritePrometheus(w, o, &tl.promDropped)
+	return tl.Snapshot().WritePrometheus(w, o, &tl.dropped)
 }
 
 // WritePrometheus is the exposition of one snapshot, for a caller that kept

@@ -2,7 +2,7 @@ package telemetry
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -38,11 +38,10 @@ type SectionProfile struct {
 	// Fig. 3 instance metrics over completed synchronized instances:
 	// entry imbalance mean (Tin − Tmin) and section imbalance mean
 	// ((Tmax − Tmin) − Tsection), per (instance, rank) sample.
-	Instances  int64   `json:"instances"`
-	ImbInMean  float64 `json:"entry_imb_mean_seconds"`
-	ImbMean    float64 `json:"imb_mean_seconds"`
-	SpanMean   float64 `json:"span_mean_seconds"`
-	ImbSkipped int64   `json:"imb_skipped,omitempty"`
+	Instances int64   `json:"instances"`
+	ImbInMean float64 `json:"entry_imb_mean_seconds"`
+	ImbMean   float64 `json:"imb_mean_seconds"`
+	SpanMean  float64 `json:"span_mean_seconds"`
 	// Bound is the live Eq. 6 partial speedup bound (0 without a baseline);
 	// Cause the dominant wait-state verdict (waitstate.DominantCause).
 	Bound float64 `json:"partial_bound,omitempty"`
@@ -115,7 +114,6 @@ type Profile struct {
 	LatencySum        float64 `json:"latency_sum_seconds"`
 	SectionsDropped   int64   `json:"section_table_overflow,omitempty"`
 	DepthDropped      int64   `json:"depth_dropped,omitempty"`
-	ImbSkipped        int64   `json:"imb_skipped,omitempty"`
 
 	Sections []SectionProfile `json:"sections"`
 	// Global is the whole-run POP scope ("(run)").
@@ -142,45 +140,70 @@ func (p *Profile) Section(name string) *SectionProfile {
 	return nil
 }
 
-// Snapshot assembles a consistent profile from the live accumulators. Safe
-// at any time from any goroutine; aggregates observed mid-run cover the
-// events completed so far.
+// Run is what a profile says of the run besides what its events fold to:
+// the baseline, the runtime's rank gauges, and how long the run was.
+type Run struct {
+	SeqTime float64
+	// Active and Materialized are the runtime's session gauges
+	// (mpi.RuntimeStats); 0 when there are none.
+	Active, Materialized int
+	// Finished is set once the run is over, Wall then its makespan. A run
+	// still going reads its wall as the later of Frontier, the runtime's
+	// virtual-clock frontier, and the latest event folded.
+	Finished bool
+	Wall     float64
+	Frontier float64
+}
+
+// Snapshot assembles a consistent profile from the fold as it stands. Safe
+// at any time from any goroutine; a profile taken mid-run covers the events
+// folded so far.
 func (tl *Tool) Snapshot() *Profile {
-	tl.initMu.RLock() // a snapshot may be asked for before, or while, the run initializes the tool
-	defer tl.initMu.RUnlock()
-	tab := tl.tab.Load()
+	tl.mu.Lock()
+	defer tl.mu.Unlock()
+	run := Run{SeqTime: tl.seq, Finished: tl.finished, Wall: tl.wall}
+	if tl.stats != nil {
+		run.Active, run.Materialized, run.Frontier = tl.stats.ActiveRanks(), tl.stats.MaterializedRanks(), tl.stats.Frontier()
+	}
+	f := tl.f
+	if f == nil { // a snapshot before the run's Init
+		f = newFold(0)
+	}
+	return f.profile(run)
+}
+
+// profile renders the fold as a Profile.
+func (f *fold) profile(run Run) *Profile {
 	p := &Profile{
-		Schema:          1,
-		Ranks:           tl.ranks,
-		Threads:         int(tl.threads.Load()),
-		Finished:        tl.finished.Load(),
-		Faults:          tl.faults.Load(),
-		DeadWaits:       tl.deadWaits.Load(),
-		SeqTime:         tl.seqTime(),
-		SectionsDropped: tl.secDropped.Load(),
-		DepthDropped:    tl.depthDropped.Load(),
-		Sections:        []SectionProfile{},
-		Intervals:       []Interval{},
-		Exemplars:       []Exemplar{},
+		Schema:            1,
+		Ranks:             f.ranks,
+		ActiveRanks:       run.Active,
+		MaterializedRanks: run.Materialized,
+		Threads:           int(f.threads),
+		Finished:          run.Finished,
+		Faults:            f.faults,
+		DeadWaits:         f.deadWaits,
+		SeqTime:           run.SeqTime,
+		SectionsDropped:   f.secDropped,
+		DepthDropped:      f.depthDropped,
+		Sections:          []SectionProfile{},
+		Intervals:         []Interval{},
+		Exemplars:         []Exemplar{},
 	}
 	p.Degraded = p.Faults > 0 || p.DeadWaits > 0
-	if tl.stats != nil {
-		p.ActiveRanks = tl.stats.ActiveRanks()
-		p.MaterializedRanks = tl.stats.MaterializedRanks()
-	}
-	p.Wall = tl.wall()
+	p.Wall = f.wall(run)
 
 	// Per-section fold plus the POP join. The verdicts are the wait-state
-	// engine's own rules, read off the streamed totals; the overflow slot
-	// is not a section and cannot bind.
+	// engine's own rules, read off the folded totals; the overflow slot is
+	// not a section and cannot bind.
 	var candidates []waitstate.SectionDiagnosis
-	labels := append(append(make([]string, 0, len(tab.labels)+1), tab.labels...), OtherLabel)
+	labels := append(append(make([]string, 0, len(f.labels)+1), f.labels...), OtherLabel)
 	for sid, label := range labels {
 		slot := int32(sid)
 		if label == OtherLabel {
 			slot = otherSlot
 		}
-		sp, rows := tl.foldSection(label, slot)
+		sp, rows := f.foldSection(label, slot)
 		if sp == nil {
 			continue
 		}
@@ -196,11 +219,10 @@ func (tl *Tool) Snapshot() *Profile {
 		if label != OtherLabel {
 			candidates = append(candidates, d)
 		}
-		eff := pop.FromTotals(label, tl.ranks, rows, p.Degraded)
+		eff := pop.FromTotals(label, f.ranks, rows, p.Degraded)
 		eff.Bound = sp.Bound
 		eff.Cause = sp.Cause
 		sp.Efficiency = &eff
-		p.ImbSkipped += sp.ImbSkipped
 		p.Messages += sp.Sends
 		p.MessageBytes += sp.SendBytes
 		p.Sections = append(p.Sections, *sp)
@@ -217,119 +239,72 @@ func (tl *Tool) Snapshot() *Profile {
 	}
 
 	// Whole-run scope.
-	p.Global = tl.globalScope(p.Wall, p.Degraded)
+	p.Global = f.globalScope(p.Wall, p.Degraded)
 
-	tl.foldGrid(p)
-	tl.foldHists(p)
-	tl.foldExemplars(p, tab)
+	f.foldGrid(p)
+	f.foldHists(p)
+	f.foldExemplars(p)
 	return p
 }
 
 // wall returns the best wall-time estimate: the report's makespan once
-// finalized, else the largest event time observed so far.
-func (tl *Tool) wall() float64 {
-	if tl.finished.Load() {
-		if w, ok := loadT0(tl.wallBits.Load()); ok {
-			return w
-		}
+// finished, else the later of the frontier and the latest event folded.
+func (f *fold) wall(run Run) float64 {
+	if run.Finished && run.Wall != 0 {
+		return run.Wall
 	}
-	var wall float64
-	if tl.stats != nil {
-		wall = tl.stats.Frontier()
-	}
-	for i := range tl.cur {
-		if t, ok := loadT(&tl.cur[i].lastT); ok && t > wall {
-			wall = t
+	wall := run.Frontier
+	for i := range f.cur {
+		if c := &f.cur[i]; c.hasLast && c.lastT > wall {
+			wall = c.lastT
 		}
 	}
 	return wall
 }
 
-// loadT0 unpacks raw (unbiased) float bits, treating 0 as unset.
-func loadT0(b uint64) (float64, bool) {
-	if b == 0 {
-		return 0, false
-	}
-	return math.Float64frombits(b), true
-}
-
-// foldSection sums one section slot across shards; nil when the slot never
-// saw an event.
-func (tl *Tool) foldSection(label string, sid int32) (*SectionProfile, []pop.RankTotals) {
-	sp := &SectionProfile{Section: label}
-	var minB, maxB uint64
-	var sumP, waitP, lateP, transP, collWP, deadP, collP int64
-	var rows []pop.RankTotals
-	for i := range tl.shards {
-		sh := &tl.shards[i]
-		if !sh.ready.Load() {
-			continue
-		}
-		a := &sh.secs[sid]
-		sp.Count += a.left.Load()
-		sumP += a.sumPico.Load()
-		waitP += a.waitPico.Load()
-		lateP += a.latePico.Load()
-		transP += a.transferPico.Load()
-		collWP += a.collWaitPico.Load()
-		deadP += a.deadPico.Load()
-		collP += a.collPico.Load()
-		sp.Recvs += a.recvs.Load()
-		sp.LateRecvs += a.lateRecvs.Load()
-		sp.DeadPeerN += a.deadN.Load()
-		sp.Sends += a.sends.Load()
-		sp.SendBytes += a.sendBytes.Load()
-		sp.Colls += a.colls.Load()
-		if b := a.minDur.Load(); b != 0 && (minB == 0 || b < minB) {
-			minB = b
-		}
-		if b := a.maxDur.Load(); b > maxB {
-			maxB = b
-		}
-		if slab := sh.pops[sid].Load(); slab != nil {
-			for r := 0; r < sh.n; r++ {
-				row := &slab[r]
-				t, w := secs(row.t.Load()), secs(row.wait.Load())
-				oe := secs(row.ompElapsed.Load())
-				if t == 0 && w == 0 && oe == 0 {
-					continue
-				}
-				rows = append(rows, pop.RankTotals{
-					T: t, Useful: t - w, Transfer: secs(row.transfer.Load()),
-					OmpElapsed: oe, OmpSingle: secs(row.ompSingle.Load()),
-					OmpBusy: secs(row.ompBusy.Load()), MaxTeam: int(row.maxTeam.Load()),
-				})
-			}
-		}
-	}
-	if sp.Count == 0 && sp.Recvs == 0 && sp.Sends == 0 && sp.Colls == 0 && sp.DeadPeerN == 0 {
+// foldSection reads one section slot; nil when the slot never saw an
+// event.
+func (f *fold) foldSection(label string, sid int32) (*SectionProfile, []pop.RankTotals) {
+	a := &f.secs[sid]
+	if a.left == 0 && a.recvs == 0 && a.sends == 0 && a.colls == 0 && a.deadN == 0 {
 		return nil, nil
 	}
-	sp.TotalSeconds = secs(sumP)
-	if tl.ranks > 0 {
-		sp.AvgPerProc = sp.TotalSeconds / float64(tl.ranks)
+	sp := &SectionProfile{
+		Section: label, Count: a.left, Recvs: a.recvs, LateRecvs: a.lateRecvs, DeadPeerN: a.deadN,
+		Sends: a.sends, SendBytes: a.sendBytes, Colls: a.colls,
+		TotalSeconds: secs(a.sumPico), MinSeconds: a.minDur, MaxSeconds: a.maxDur,
+		WaitSeconds: secs(a.waitPico), LateSenderSeconds: secs(a.latePico), TransferSeconds: secs(a.transferPico),
+		CollWaitSeconds: secs(a.collWaitPico), DeadWaitSeconds: secs(a.deadPico), CollSeconds: secs(a.collPico),
 	}
-	if minB != 0 {
-		sp.MinSeconds = math.Float64frombits(minB - 1)
+	if f.ranks > 0 {
+		sp.AvgPerProc = sp.TotalSeconds / float64(f.ranks)
 	}
-	if maxB != 0 {
-		sp.MaxSeconds = math.Float64frombits(maxB - 1)
+	in := &f.inst.agg[sid]
+	sp.Instances = in.instances
+	if in.samples > 0 {
+		sp.ImbInMean = secs(in.imbInPico) / float64(in.samples)
+		sp.ImbMean = secs(in.imbPico) / float64(in.samples)
 	}
-	sp.WaitSeconds = secs(waitP)
-	sp.LateSenderSeconds = secs(lateP)
-	sp.TransferSeconds = secs(transP)
-	sp.CollWaitSeconds = secs(collWP)
-	sp.DeadWaitSeconds = secs(deadP)
-	sp.CollSeconds = secs(collP)
-	if rg := tl.rings[sid].Load(); rg != nil {
-		sp.Instances = rg.instances.Load()
-		sp.ImbSkipped = rg.skipped.Load()
-		if samples := rg.samples.Load(); samples > 0 {
-			sp.ImbInMean = secs(rg.imbInPico.Load()) / float64(samples)
-			sp.ImbMean = secs(rg.imbPico.Load()) / float64(samples)
+	if sp.Instances > 0 {
+		sp.SpanMean = secs(in.spanPico) / float64(sp.Instances)
+	}
+	var rows []pop.RankTotals
+	for i, slab := range f.pops[sid] {
+		if slab == nil {
+			continue
 		}
-		if sp.Instances > 0 {
-			sp.SpanMean = secs(rg.spanPico.Load()) / float64(sp.Instances)
+		for r := 0; r < min(slabSize, f.ranks-i*slabSize); r++ {
+			row := &slab[r]
+			t, w := secs(row.t), secs(row.wait)
+			oe := secs(row.ompElapsed)
+			if t == 0 && w == 0 && oe == 0 {
+				continue
+			}
+			rows = append(rows, pop.RankTotals{
+				T: t, Useful: t - w, Transfer: secs(row.transfer),
+				OmpElapsed: oe, OmpSingle: secs(row.ompSingle),
+				OmpBusy: secs(row.ompBusy), MaxTeam: int(row.maxTeam),
+			})
 		}
 	}
 	return sp, rows
@@ -338,95 +313,63 @@ func (tl *Tool) foldSection(label string, sid int32) (*SectionProfile, []pop.Ran
 // globalScope builds the whole-run POP record: each rank spans from its
 // first event to the end of the run, so early finishers read as load
 // imbalance — the same accounting the trace-driven tree applies.
-func (tl *Tool) globalScope(wall float64, degraded bool) *pop.SectionEfficiency {
-	// Per rank, summed over its sections: the row's wait components and
-	// thread-team totals, and the wait that its useful time lacks.
-	aggs := make([]pop.RankTotals, tl.ranks)
-	waits := make([]float64, tl.ranks)
-	for i := range tl.shards {
-		sh := &tl.shards[i]
-		if !sh.ready.Load() {
+func (f *fold) globalScope(wall float64, degraded bool) *pop.SectionEfficiency {
+	// Per rank, summed over its sections in the order the rank met them —
+	// its own order, which every feeder sees — and the overflow slot last:
+	// the row's wait components and thread-team totals, and the wait that
+	// its useful time lacks.
+	var rows []pop.RankTotals
+	for r := range f.cur {
+		c := &f.cur[r]
+		if !c.hasFirst {
 			continue
 		}
-		for sid := 0; sid < nSlots; sid++ {
-			slab := sh.pops[sid].Load()
-			if slab == nil {
+		var row pop.RankTotals
+		var wait float64
+		for i := 0; i <= len(c.met); i++ {
+			sid := int32(otherSlot)
+			if i < len(c.met) {
+				sid = c.met[i]
+			}
+			slab := f.pops[sid]
+			if slab == nil || slab[r>>slabBits] == nil {
 				continue
 			}
-			for r := 0; r < sh.n; r++ {
-				row, ag := &slab[r], &aggs[sh.lo+r]
-				waits[sh.lo+r] += secs(row.wait.Load())
-				ag.Transfer += secs(row.transfer.Load())
-				ag.OmpElapsed += secs(row.ompElapsed.Load())
-				ag.OmpSingle += secs(row.ompSingle.Load())
-				ag.OmpBusy += secs(row.ompBusy.Load())
-				ag.MaxTeam = max(ag.MaxTeam, int(row.maxTeam.Load()))
-			}
+			cell := &slab[r>>slabBits][r&slabMask]
+			wait += secs(cell.wait)
+			row.Transfer += secs(cell.transfer)
+			row.OmpElapsed += secs(cell.ompElapsed)
+			row.OmpSingle += secs(cell.ompSingle)
+			row.OmpBusy += secs(cell.ompBusy)
+			row.MaxTeam = max(row.MaxTeam, int(cell.maxTeam))
 		}
-	}
-	var rows []pop.RankTotals
-	for r := range tl.cur {
-		first, ok := loadT(&tl.cur[r].firstT)
-		if !ok {
-			continue
+		first, last := c.firstT, c.firstT
+		if c.hasLast {
+			last = c.lastT
 		}
-		last, ok := loadT(&tl.cur[r].lastT)
-		if !ok {
-			last = first
-		}
-		row := aggs[r]
 		row.T = max(wall-first, 0)
-		row.Useful = max((last-first)-waits[r], 0)
+		row.Useful = max((last-first)-wait, 0)
 		rows = append(rows, row)
 	}
 	if len(rows) == 0 {
 		return nil
 	}
-	g := pop.FromTotals("(run)", tl.ranks, rows, degraded)
+	g := pop.FromTotals("(run)", f.ranks, rows, degraded)
 	return &g
 }
 
-// foldGrid merges the per-shard time grids to the coarsest scale in use and
-// emits the interval series and heatmap.
-func (tl *Tool) foldGrid(p *Profile) {
+// foldGrid emits the interval series and the heatmap: nothing before the
+// first event that is not a section enter.
+func (f *fold) foldGrid(p *Profile) {
 	const bins = timeBins
-	// Every ready shard stays locked from the scan for the coarsest scale
-	// to the end of the fold: a grid that rescaled in between would be
-	// coarser than the scale it is folded to.
-	var maxScale int64 = 1
-	var ready []*telShard
-	for i := range tl.shards {
-		sh := &tl.shards[i]
-		if !sh.ready.Load() {
-			continue
-		}
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		ready = append(ready, sh)
-		maxScale = max(maxScale, sh.grid.scale)
-	}
-	if len(ready) == 0 {
+	g := &f.grid
+	if g.msgs == nil {
 		return
 	}
-	msgs := make([]int64, bins)
-	bytesB := make([]int64, bins)
-	waitP := make([]int64, bins)
-	nrows := (tl.ranks + tl.rowGroup - 1) / tl.rowGroup
-	heat := make([]int64, nrows*bins)
-	for _, sh := range ready {
-		factor := maxScale / sh.grid.scale
-		foldInto(msgs, sh.grid.msgs, factor)
-		foldInto(bytesB, sh.grid.bytes, factor)
-		foldInto(waitP, sh.grid.waitP, factor)
-		for r := 0; r < sh.grid.rows; r++ {
-			foldInto(heat[(sh.grid.rowLo+r)*bins:(sh.grid.rowLo+r+1)*bins],
-				sh.grid.heat[r*bins:(r+1)*bins], factor)
-		}
-	}
-	width := baseBin * float64(maxScale)
+	width := baseBin * float64(g.scale)
 	last := 0
 	for i := 0; i < bins; i++ {
-		if msgs[i] != 0 || bytesB[i] != 0 || waitP[i] != 0 {
+		if g.msgs[i] != 0 || g.bytes[i] != 0 || g.waitP[i] != 0 {
 			last = i
 		}
 	}
@@ -436,67 +379,37 @@ func (tl *Tool) foldGrid(p *Profile) {
 	for i := 0; i <= last; i++ {
 		p.Intervals = append(p.Intervals, Interval{
 			From: float64(i) * width, To: float64(i+1) * width,
-			Msgs: msgs[i], Bytes: bytesB[i], WaitSeconds: secs(waitP[i]),
+			Msgs: g.msgs[i], Bytes: g.bytes[i], WaitSeconds: secs(g.waitP[i]),
 		})
 	}
-	hm := &Heatmap{RowRanks: tl.rowGroup, BinSeconds: width}
-	for r := 0; r < nrows; r++ {
-		hi := (r+1)*tl.rowGroup - 1
-		if hi >= tl.ranks {
-			hi = tl.ranks - 1
-		}
-		row := HeatRow{RankLo: r * tl.rowGroup, RankHi: hi, WaitSeconds: make([]float64, last+1)}
+	hm := &Heatmap{RowRanks: f.rowGroup, BinSeconds: width}
+	for r := 0; r < g.rows; r++ {
+		hi := min((r+1)*f.rowGroup-1, f.ranks-1)
+		row := HeatRow{RankLo: r * f.rowGroup, RankHi: hi, WaitSeconds: make([]float64, last+1)}
 		for i := 0; i <= last; i++ {
-			row.WaitSeconds[i] = secs(heat[r*bins+i])
+			row.WaitSeconds[i] = secs(g.heat[r*bins+i])
 		}
 		hm.Rows = append(hm.Rows, row)
 	}
 	p.Heatmap = hm
 }
 
-// foldHists merges the per-shard power-of-two histograms.
-func (tl *Tool) foldHists(p *Profile) {
-	var lat, size [hBuckets]int64
-	var latSum int64
-	for i := range tl.shards {
-		sh := &tl.shards[i]
-		if !sh.ready.Load() {
-			continue
-		}
-		for b := 0; b < hBuckets; b++ {
-			lat[b] += sh.latHist[b].Load()
-			size[b] += sh.sizeHist[b].Load()
-		}
-		latSum += sh.latPico.Load()
-	}
-	p.LatencySum = secs(latSum)
+// foldHists renders the power-of-two histograms.
+func (f *fold) foldHists(p *Profile) {
+	p.LatencySum = secs(f.latPico)
 	for b := 0; b < hBuckets; b++ {
-		if lat[b] != 0 {
-			p.Latency = append(p.Latency, HistBucket{Le: float64(uint64(1)<<uint(b)) * 1e-12, Count: lat[b]})
+		if f.latHist[b] != 0 {
+			p.Latency = append(p.Latency, HistBucket{Le: float64(uint64(1)<<uint(b)) * 1e-12, Count: f.latHist[b]})
 		}
-		if size[b] != 0 {
-			p.Sizes = append(p.Sizes, HistBucket{Le: float64(uint64(1) << uint(b)), Count: size[b]})
+		if f.sizeHist[b] != 0 {
+			p.Sizes = append(p.Sizes, HistBucket{Le: float64(uint64(1) << uint(b)), Count: f.sizeHist[b]})
 		}
 	}
 }
 
-// foldExemplars gathers the per-shard bottom-k sketches and keeps the
-// global bottom-k by hash — deterministic whatever the shard interleaving.
-func (tl *Tool) foldExemplars(p *Profile, tab *secTable) {
-	var all []exemplar
-	for i := range tl.shards {
-		sh := &tl.shards[i]
-		if !sh.ready.Load() {
-			continue
-		}
-		sh.mu.Lock()
-		all = append(all, sh.ex.items...)
-		sh.mu.Unlock()
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].h < all[j].h })
-	if len(all) > exemplars {
-		all = all[:exemplars]
-	}
+// foldExemplars lists the bottom-k sketch by time, then rank.
+func (f *fold) foldExemplars(p *Profile) {
+	all := slices.Clone(f.ex.items)
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].t != all[j].t {
 			return all[i].t < all[j].t
@@ -505,8 +418,8 @@ func (tl *Tool) foldExemplars(p *Profile, tab *secTable) {
 	})
 	for _, e := range all {
 		label := OtherLabel
-		if int(e.sec) < len(tab.labels) {
-			label = tab.labels[e.sec]
+		if int(e.sec) < len(f.labels) {
+			label = f.labels[e.sec]
 		}
 		p.Exemplars = append(p.Exemplars, Exemplar{
 			Rank: int(e.rank), Peer: int(e.peer), Tag: int(e.tag), Bytes: e.bytes,
@@ -576,9 +489,6 @@ func (p *Profile) Render() string {
 			fmt.Fprintf(&b, "  t=%.6g rank %d <- %d tag %d %dB wait %.4g s lat %.4g s in %s\n",
 				e.T, e.Rank, e.Peer, e.Tag, e.Bytes, e.Wait, e.Latency, e.Section)
 		}
-	}
-	if p.ImbSkipped > 0 {
-		fmt.Fprintf(&b, "note: %d instance(s) skipped by the bounded ring; imbalance means cover the rest\n", p.ImbSkipped)
 	}
 	if p.SectionsDropped > 0 {
 		fmt.Fprintf(&b, "note: %d event(s) beyond the %d-section table aggregated into %s\n",

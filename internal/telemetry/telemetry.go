@@ -21,22 +21,18 @@ const (
 	// OtherLabel names the overflow slot in every rendered view.
 	OtherLabel = "(other)"
 
-	// shardBits mirrors the runtime's rank sharding (internal/mpi): 256
-	// consecutive world ranks share one accumulator shard, so contention and
-	// slab granularity track the runtime's own layout.
-	shardBits = 8
-	shardSize = 1 << shardBits
-	shardMask = shardSize - 1
+	// slabBits sizes the slabs of per-rank POP cells: 256 consecutive world
+	// ranks share one slab per section, materialized on the first event of
+	// one of them, so a sparse 10k-rank run pays only for what it touches.
+	slabBits = 8
+	slabSize = 1 << slabBits
+	slabMask = slabSize - 1
 
 	// maxStack bounds the tracked section nesting depth per rank; deeper
 	// pushes are counted and dropped (LULESH's deepest tree is 5).
 	maxStack = 16
 	// maxColl bounds the tracked collective nesting depth per rank.
 	maxColl = 8
-	// ringSlots bounds the in-flight Fig. 3 instances per section; an
-	// instance more than ringSlots generations ahead of an unfinished one is
-	// skipped (counted, not accumulated).
-	ringSlots = 64
 	// hBuckets is the power-of-two histogram resolution (index by bit
 	// length, so bucket i covers [2^(i-1), 2^i)).
 	hBuckets = 64
@@ -50,27 +46,26 @@ const (
 	// heatRows bounds the rank axis of the wait heatmap: consecutive ranks
 	// fold into ceil(ranks/heatRows) groups per row.
 	heatRows = 256
-	// exemplars is the per-shard budget of sampled receive events linking
-	// the aggregates back to concrete messages. The global snapshot keeps
-	// the bottom-k by deterministic hash across shards.
+	// exemplars is the budget of sampled receive events linking the
+	// aggregates back to concrete messages: the bottom-k by deterministic
+	// hash.
 	exemplars = 8
 )
 
 // Options configures a telemetry Tool. The zero value is usable.
 type Options struct {
 	// SeqTime is the sequential baseline Σ_j f_j(n0, 1); when positive every
-	// section carries its live Eq. 6 partial speedup bound. Settable later
-	// via SetSeqTime (monitors learn the baseline after attach).
+	// section carries its live Eq. 6 partial speedup bound.
 	SeqTime float64
 }
 
 // ---- picosecond integer time ----------------------------------------------
 
 // Durations accumulate as picosecond int64s: integer addition is
-// associative, so concurrent atomic adds from any interleaving produce the
-// same sums — the root of the byte-identical-output contract. One pico is
-// 1e-12 s, matching waitstate.Eps; rounding error stays below half
-// an eps per recorded event.
+// associative, so the sums do not depend on how the ranks' events
+// interleave — the root of the byte-identical-output contract. One pico is
+// 1e-12 s, matching waitstate.Eps; rounding error stays below half an eps
+// per recorded event.
 
 func pico(s float64) int64 {
 	if s <= 0 {
@@ -85,53 +80,10 @@ func pico(s float64) int64 {
 
 func secs(p int64) float64 { return float64(p) * 1e-12 }
 
-// ---- atomic float min/max --------------------------------------------------
-
-// Non-negative float64s have order-preserving bit patterns; biasing by one
-// keeps 0.0 distinguishable from the empty slot (raw 0), so min/max fold
-// lock-free with plain CAS loops and remain order-independent.
-
-func biasBits(v float64) uint64 { return math.Float64bits(v) + 1 }
-
-func atomicMinT(a *atomic.Uint64, v float64) {
-	nb := biasBits(v)
-	for {
-		cur := a.Load()
-		if cur != 0 && cur <= nb {
-			return
-		}
-		if a.CompareAndSwap(cur, nb) {
-			return
-		}
-	}
-}
-
-func atomicMaxT(a *atomic.Uint64, v float64) {
-	nb := biasBits(v)
-	for {
-		cur := a.Load()
-		if cur >= nb {
-			return
-		}
-		if a.CompareAndSwap(cur, nb) {
-			return
-		}
-	}
-}
-
-// loadT unpacks a biased min/max cell; ok is false while nothing folded in.
-func loadT(a *atomic.Uint64) (v float64, ok bool) {
-	b := a.Load()
-	if b == 0 {
-		return 0, false
-	}
-	return math.Float64frombits(b - 1), true
-}
-
 // exHash is the deterministic exemplar key: a splitmix64 finalizer over the
 // (world rank, per-rank receive sequence) pair. Rank program order fixes
-// seq, so the global bottom-k set is a pure function of the run — no
-// arrival-order dependence, unlike classic reservoir sampling.
+// seq, so the bottom-k set is a pure function of the run — no arrival-order
+// dependence, unlike classic reservoir sampling.
 func exHash(rank int, seq uint64) uint64 {
 	x := uint64(rank)*0x9E3779B97F4A7C15 + seq
 	x ^= x >> 30
@@ -151,140 +103,76 @@ func histBucket(v uint64) int {
 	return b
 }
 
-// ---- per-section shard accumulators ---------------------------------------
+// ---- the fold ---------------------------------------------------------------
 
-// secAcc is one (shard, section) profile cell. Every field is a wait-free
-// atomic: sums in picoseconds, extrema as biased float bits.
+// secAcc is one section's profile cell: sums in picoseconds, duration
+// extrema once a pair has completed.
 type secAcc struct {
-	left         atomic.Int64 // completed enter/leave pairs
-	sumPico      atomic.Int64 // Σ inclusive duration
-	minDur       atomic.Uint64
-	maxDur       atomic.Uint64
-	waitPico     atomic.Int64 // classified blocked receive time
-	latePico     atomic.Int64
-	transferPico atomic.Int64
-	collWaitPico atomic.Int64
-	deadPico     atomic.Int64
-	recvs        atomic.Int64
-	lateRecvs    atomic.Int64
-	deadN        atomic.Int64
-	sends        atomic.Int64
-	sendBytes    atomic.Int64
-	colls        atomic.Int64
-	collPico     atomic.Int64
+	left         int64 // completed enter/leave pairs
+	sumPico      int64 // Σ inclusive duration
+	minDur       float64
+	maxDur       float64
+	waitPico     int64 // classified blocked receive time
+	latePico     int64
+	transferPico int64
+	collWaitPico int64
+	deadPico     int64
+	recvs        int64
+	lateRecvs    int64
+	deadN        int64
+	sends        int64
+	sendBytes    int64
+	colls        int64
+	collPico     int64
 }
 
 // popRow is one (rank, section) POP-input cell: exactly the per-rank totals
-// pop.FromTotals scores. Slabs of 256 rows materialize lazily per (shard,
-// section) — a run touching s sections costs s·shards slabs, not
-// sections·ranks rows.
+// pop.FromTotals scores.
 type popRow struct {
-	t          atomic.Int64
-	wait       atomic.Int64
-	transfer   atomic.Int64
-	ompElapsed atomic.Int64
-	ompSingle  atomic.Int64
-	ompBusy    atomic.Int64
-	maxTeam    atomic.Int32
-	_          [4]byte
+	t          int64
+	wait       int64
+	transfer   int64
+	ompElapsed int64
+	ompSingle  int64
+	ompBusy    int64
+	maxTeam    int32
 }
 
-type popSlab [shardSize]popRow
+type popSlab [slabSize]popRow
 
-// telShard aggregates up to 256 consecutive world ranks. The profile cells
-// and histograms are wait-free; the time grid and exemplar reservoir share
-// the shard mutex (amortized over the shard's ranks, never allocating).
-type telShard struct {
-	ready atomic.Bool
-	mu    sync.Mutex
-
-	lo, n int // world-rank span
-
-	secs     []secAcc
-	pops     [nSlots]atomic.Pointer[popSlab]
-	grid     grid
-	ex       exReservoir
-	latHist  [hBuckets]atomic.Int64
-	sizeHist [hBuckets]atomic.Int64
-	latPico  atomic.Int64 // Σ message latency (histogram _sum)
-}
-
-//seclint:allocs-ok telemetry shard bring-up: once per shard
-func (sh *telShard) materialize(rowGroup int) {
-	if sh.ready.Load() {
-		return
-	}
-	sh.mu.Lock()
-	if !sh.ready.Load() {
-		sh.secs = make([]secAcc, nSlots)
-		rowLo := sh.lo / rowGroup
-		rowHi := (sh.lo + sh.n - 1) / rowGroup
-		sh.grid.init(rowLo, rowHi-rowLo+1)
-		sh.ex.init()
-		sh.ready.Store(true)
-	}
-	sh.mu.Unlock()
-}
-
-// pop returns the (section, rank) POP cell, materializing the slab on first
-// touch with a lock-free CAS publish.
-func (sh *telShard) pop(sid int32, worldRank int) *popRow {
-	p := sh.pops[sid].Load()
-	if p == nil {
-		//seclint:allocs-ok POP slab first touch: once per section per shard, CAS-published
-		np := new(popSlab)
-		if sh.pops[sid].CompareAndSwap(nil, np) {
-			p = np
-		} else {
-			p = sh.pops[sid].Load()
-		}
-	}
-	return &p[worldRank&shardMask]
-}
-
-// recordRecv folds the receive's grid contribution and (rarely) an exemplar
-// under one shard-mutex acquisition. The atomic threshold rejects almost
-// every event before the lock.
-func (sh *telShard) recordRecv(t float64, row int, waitP int64, e exemplar) {
-	keep := e.h < sh.ex.thresh.Load()
-	sh.mu.Lock()
-	sh.grid.add(t, row, 0, 0, waitP)
-	if keep {
-		sh.ex.insert(e)
-	}
-	sh.mu.Unlock()
-}
-
-// recordSend folds the send's grid contribution.
-func (sh *telShard) recordSend(t float64, row int, bytes int64) {
-	sh.mu.Lock()
-	sh.grid.add(t, row, 1, bytes, 0)
-	sh.mu.Unlock()
-}
-
-// ---- per-rank cursor -------------------------------------------------------
-
-// stackFrame is one open section instance on a rank.
+// stackFrame is one open section instance on a rank: its section, the
+// instance it joined (grp < 0: none) and its entry time.
 type stackFrame struct {
-	sec     int32
-	claimed bool // contributed to the instance ring at enter
-	idx     uint32
-	enterT  float64
+	sec    int32
+	grp    int32
+	ord    uint32
+	enterT float64
 }
 
-// rankCur is the single-writer cursor of one rank: only that rank's
-// goroutine touches the stacks and counters, so they are plain fields; the
-// first/last-event cells are atomics because live snapshots read them.
+// rankOrd is the ordinal of the next instance a rank enters of one
+// (communicator, section) group.
+type rankOrd struct {
+	key  instKey
+	grp  int32
+	next uint32
+}
+
+// rankCur is one rank's cursor: its open sections and collectives, its
+// receive count, and the span its events cover.
 type rankCur struct {
 	depth     int32
 	over      int32 // pushes dropped past maxStack (balanced on leave)
 	collDepth int32
 	seq       uint64 // per-rank receive counter (exemplar hash input)
+	hasFirst  bool
+	hasLast   bool
+	firstT    float64 // earliest section enter
+	lastT     float64 // latest leave, receive, collective end or dead-peer wait
 	stack     [maxStack]stackFrame
 	collT     [maxColl]float64
-	instIdx   [nSlots]uint32
-	firstT    atomic.Uint64
-	lastT     atomic.Uint64
+	ords      []rankOrd
+	met       []int32   // the sections the rank has met, in the order it met them
+	metBits   [2]uint64 // the same, as a set
 }
 
 // top returns the innermost open section, or the overflow slot outside any.
@@ -295,45 +183,315 @@ func (c *rankCur) top() int32 {
 	return c.stack[c.depth-1].sec
 }
 
-// ---- section table ---------------------------------------------------------
+// meet notes a section the rank enters or waits in.
+func (c *rankCur) meet(sid int32) {
+	if c.metBits[sid>>6]&(1<<(sid&63)) == 0 {
+		c.metBits[sid>>6] |= 1 << (sid & 63)
+		//seclint:allocs-ok first sight of a section by a rank
+		c.met = append(c.met, sid)
+	}
+}
 
-// secTable is the copy-on-write label→slot map; readers take one atomic
-// pointer load and an allocation-free map read.
-type secTable struct {
+// seenLast folds t into the rank's latest event time.
+func (c *rankCur) seenLast(t float64) {
+	if !c.hasLast || t > c.lastT {
+		c.lastT, c.hasLast = t, true
+	}
+}
+
+// fold is the per-event fold behind every profile: one step per event, on
+// plain values — world rank, communicator id and size, peer world rank —
+// and one goroutine stepping it at a time. The Tool's hooks step it while
+// the run goes; a Feeder steps it over a recording. What a rank does alone
+// (its stack, its receive count) is kept per rank, and what crosses ranks
+// is integer sums, extrema, a bottom-k sketch and exact instance counts,
+// so how the ranks' events interleave does not change the result.
+type fold struct {
+	ranks    int
+	rowGroup int
+
 	ids    map[string]int32
 	labels []string
+
+	secs [nSlots]secAcc
+	pops [nSlots][]*popSlab // by section, then by 256-rank slab; each slab on first touch
+	inst instances
+
+	cur      []rankCur
+	grid     grid // bins from the first event that is not a section enter
+	ex       exReservoir
+	latHist  [hBuckets]int64
+	sizeHist [hBuckets]int64
+	latPico  int64 // Σ message latency (histogram _sum)
+
+	threads      int32
+	faults       int64
+	deadWaits    int64
+	secDropped   int64 // events landed in the overflow slot
+	depthDropped int64
+}
+
+// newFold lays out the fold for a world of ranks ranks.
+//
+//seclint:allocs-ok telemetry bring-up: once per run
+func newFold(ranks int) *fold {
+	f := &fold{ranks: ranks, ids: map[string]int32{}, threads: 1}
+	f.rowGroup = max((ranks+heatRows-1)/heatRows, 1)
+	f.cur = make([]rankCur, ranks)
+	f.ex.init()
+	return f
+}
+
+// touch brings up what a rank's first counted event writes: the time grid.
+// The grid is what tells a profile whose events were all section enters
+// from one that saw traffic.
+func (f *fold) touch() {
+	if f.grid.msgs == nil {
+		f.grid.init((f.ranks + f.rowGroup - 1) / f.rowGroup)
+	}
+}
+
+// sid resolves a section label to its slot, registering it on first use.
+func (f *fold) sid(label string) int32 {
+	if id, ok := f.ids[label]; ok {
+		return id
+	}
+	return f.addSection(label)
+}
+
+//seclint:allocs-ok section interning: first sight of a label, amortized over the run
+func (f *fold) addSection(label string) int32 {
+	if len(f.labels) >= MaxSections {
+		f.secDropped++
+		return otherSlot
+	}
+	id := int32(len(f.labels))
+	f.labels = append(f.labels, label)
+	f.ids[label] = id
+	return id
+}
+
+// pop returns the (section, rank) POP cell, materializing its slab on first
+// touch.
+func (f *fold) pop(sid int32, wr int) *popRow {
+	slabs := f.pops[sid]
+	if slabs == nil {
+		//seclint:allocs-ok POP slab table: once per section
+		slabs = make([]*popSlab, (f.ranks+slabSize-1)/slabSize)
+		f.pops[sid] = slabs
+	}
+	s := slabs[wr>>slabBits]
+	if s == nil {
+		//seclint:allocs-ok POP slab first touch: once per section per 256 ranks
+		s = new(popSlab)
+		slabs[wr>>slabBits] = s
+	}
+	return &s[wr&slabMask]
+}
+
+// enter is a section enter of world rank wr on communicator comm of size
+// ranks.
+//
+//seclint:hotpath
+func (f *fold) enter(wr int, comm int64, size int, label string, t float64) {
+	cur := &f.cur[wr]
+	if !cur.hasFirst || t < cur.firstT {
+		cur.firstT, cur.hasFirst = t, true
+	}
+	sid := f.sid(label)
+	cur.meet(sid)
+	if int(cur.depth) >= maxStack {
+		cur.over++
+		f.depthDropped++
+		return
+	}
+	fr := &cur.stack[cur.depth]
+	fr.sec, fr.enterT, fr.grp = sid, t, -1
+	if sid != otherSlot && size > 0 {
+		fr.grp, fr.ord = f.inst.enter(cur, instKey{comm, sid}, size, t)
+	}
+	cur.depth++
+}
+
+// leave is a section leave of world rank wr: it closes the innermost frame.
+//
+//seclint:hotpath
+func (f *fold) leave(wr int, t float64) {
+	cur := &f.cur[wr]
+	if cur.over > 0 {
+		cur.over--
+		return
+	}
+	if cur.depth == 0 {
+		return
+	}
+	cur.depth--
+	fr := cur.stack[cur.depth]
+	dur := max(t-fr.enterT, 0)
+	f.touch()
+	a := &f.secs[fr.sec]
+	if a.left == 0 || dur < a.minDur {
+		a.minDur = dur
+	}
+	if a.left == 0 || dur > a.maxDur {
+		a.maxDur = dur
+	}
+	a.left++
+	a.sumPico += pico(dur)
+	f.pop(fr.sec, wr).t += pico(dur)
+	if fr.grp >= 0 {
+		f.inst.leave(fr.grp, fr.ord, t)
+	}
+	cur.seenLast(t)
+}
+
+// send is a point-to-point send of world rank wr.
+//
+//seclint:hotpath
+func (f *fold) send(wr, bytes int, t float64) {
+	f.touch()
+	a := &f.secs[f.cur[wr].top()]
+	a.sends++
+	a.sendBytes += int64(bytes)
+	f.sizeHist[histBucket(uint64(bytes))]++
+	f.grid.add(t, wr/f.rowGroup, 1, int64(bytes), 0)
+}
+
+// recv is a completed receive of world rank wr from world rank peer: the
+// wait-state split (late-sender vs. transfer vs. collective) follows the
+// Scalasca-style classification the trace-driven engine applies,
+// evaluated from the matched-pair timestamps.
+//
+//seclint:hotpath
+func (f *fold) recv(wr, peer, tag, bytes int, t float64, m mpi.MatchInfo) {
+	cur := &f.cur[wr]
+	sid := cur.top()
+	f.touch()
+	a := &f.secs[sid]
+	wait, late := waitstate.Lateness(t, m.PostT, m.SendT)
+	wp := pico(wait)
+	a.recvs++
+	a.waitPico += wp
+	row := f.pop(sid, wr)
+	row.wait += wp
+	if m.PostT-m.Arrival > waitstate.Eps {
+		a.lateRecvs++
+	}
+	var lat float64
+	if tag < 0 {
+		a.collWaitPico += wp
+	} else {
+		lp := pico(late)
+		a.latePico += lp
+		a.transferPico += wp - lp
+		row.transfer += wp - lp
+		lat = max(t-m.SendT, 0)
+		latP := pico(lat)
+		f.latHist[histBucket(uint64(latP))]++
+		f.latPico += latP
+	}
+	cur.seq++
+	f.grid.add(t, wr/f.rowGroup, 0, 0, wp)
+	if h := exHash(wr, cur.seq); h < f.ex.thresh {
+		f.ex.insert(exemplar{
+			h: h, rank: int32(wr), peer: int32(peer), tag: int32(tag), sec: sid,
+			bytes: int64(bytes), t: t, wait: wait, lat: lat,
+		})
+	}
+	cur.seenLast(t)
+}
+
+// collBegin opens a collective on world rank wr.
+//
+//seclint:hotpath
+func (f *fold) collBegin(wr int, t float64) {
+	cur := &f.cur[wr]
+	if int(cur.collDepth) < maxColl {
+		cur.collT[cur.collDepth] = t
+	}
+	cur.collDepth++
+}
+
+// collEnd closes world rank wr's innermost collective.
+//
+//seclint:hotpath
+func (f *fold) collEnd(wr int, t float64) {
+	cur := &f.cur[wr]
+	if cur.collDepth == 0 {
+		return
+	}
+	cur.collDepth--
+	if int(cur.collDepth) >= maxColl {
+		return
+	}
+	dur := max(t-cur.collT[cur.collDepth], 0)
+	f.touch()
+	a := &f.secs[cur.top()]
+	a.colls++
+	a.collPico += pico(dur)
+	cur.seenLast(t)
+}
+
+// region is a thread-team compute region of world rank wr: the inputs of
+// the POP MPI+OpenMP split.
+//
+//seclint:hotpath
+func (f *fold) region(wr, team int, start, end, single float64) {
+	f.touch()
+	row := f.pop(f.cur[wr].top(), wr)
+	el := max(end-start, 0)
+	row.ompElapsed += pico(el)
+	row.ompSingle += pico(single)
+	row.ompBusy += pico(float64(team) * el)
+	row.maxTeam = max(row.maxTeam, int32(team))
+	f.threads = max(f.threads, int32(team))
+}
+
+// fault is an injected fault (dead false), which flags the profile
+// degraded, or a wait on a dead peer, which is charged to the section the
+// runtime stamped on it so the wait split stays truthful on failing runs.
+func (f *fold) fault(rank int, dead bool, section string, t, postT float64) {
+	if !dead {
+		f.faults++
+		return
+	}
+	f.deadWaits++
+	wait := max(t-postT, 0)
+	sid := int32(otherSlot)
+	if section != "" {
+		sid = f.sid(section)
+	}
+	if rank < 0 || rank >= f.ranks {
+		return
+	}
+	f.touch()
+	a := &f.secs[sid]
+	wp := pico(wait)
+	a.waitPico += wp
+	a.deadPico += wp
+	a.deadN++
+	f.pop(sid, rank).wait += wp
+	f.cur[rank].meet(sid)
+	f.cur[rank].seenLast(t)
 }
 
 // ---- the tool --------------------------------------------------------------
 
 // Tool is the streaming telemetry mpi.Tool: attach one per run via
-// Config.Tools. All hooks are safe for concurrent use; Snapshot may be
-// called at any time, including while the ranks are still executing.
+// Config.Tools. Its hooks step the fold; Snapshot may be called at any time
+// from any goroutine, including while the ranks are still executing. The
+// hooks of one world run one at a time, so the one lock is never contended
+// but by a Snapshot.
 type Tool struct {
-	// What Init lays out. The hooks read it freely — the ranks start after
-	// Init — and a Snapshot, which may come from any goroutine at any time,
-	// under initMu.
-	initMu   sync.RWMutex
-	rowGroup int
-	ranks    int
+	mpi.OneWorld
+
+	mu       sync.Mutex
+	f        *fold // from Init
+	seq      float64
 	stats    *mpi.RuntimeStats
-	cur      []rankCur
-	shards   []telShard
-
-	tab   atomic.Pointer[secTable]
-	tabMu sync.Mutex
-
-	rings [nSlots]atomic.Pointer[instRing]
-
-	seqBits      atomic.Uint64
-	threads      atomic.Int32
-	faults       atomic.Int64
-	deadWaits    atomic.Int64
-	wallBits     atomic.Uint64
-	finished     atomic.Bool
-	secDropped   atomic.Int64 // events landed in the overflow slot
-	depthDropped atomic.Int64
-	promDropped  atomic.Int64 // series suppressed by the exposition cap
+	wall     float64
+	finished bool
+	dropped  atomic.Int64 // series suppressed by the exposition cap
 }
 
 var (
@@ -343,242 +501,78 @@ var (
 )
 
 // New builds a telemetry tool for one run.
-func New(o Options) *Tool {
-	tl := &Tool{}
-	tl.tab.Store(&secTable{ids: map[string]int32{}})
-	tl.SetSeqTime(o.SeqTime)
-	tl.threads.Store(1)
-	return tl
-}
+func New(o Options) *Tool { return &Tool{seq: o.SeqTime} }
 
-// SetSeqTime installs (or replaces) the sequential baseline the Eq. 6
-// bounds divide; safe at any time, including mid-run.
-func (tl *Tool) SetSeqTime(s float64) { tl.seqBits.Store(math.Float64bits(s)) }
-
-func (tl *Tool) seqTime() float64 { return math.Float64frombits(tl.seqBits.Load()) }
-
-// Init implements mpi.Tool: it sizes the per-rank cursors and shard headers
-// for the declared world. Shard slabs stay unmaterialized until a rank in
-// their span produces an event, mirroring the runtime's lazy bring-up.
+// Init implements mpi.Tool: it claims the tool for the world and lays out
+// the fold for its ranks.
 func (tl *Tool) Init(w *mpi.WorldInfo) {
-	tl.initMu.Lock()
-	defer tl.initMu.Unlock()
-	tl.ranks = w.Size
-	tl.stats = w.Stats
-	tl.rowGroup = (w.Size + heatRows - 1) / heatRows
-	if tl.rowGroup < 1 {
-		tl.rowGroup = 1
-	}
-	tl.cur = make([]rankCur, w.Size)
-	nsh := (w.Size + shardSize - 1) / shardSize
-	tl.shards = make([]telShard, nsh)
-	for i := range tl.shards {
-		sh := &tl.shards[i]
-		sh.lo = i * shardSize
-		sh.n = w.Size - sh.lo
-		if sh.n > shardSize {
-			sh.n = shardSize
-		}
-	}
+	tl.Claim()
+	f := newFold(w.Size)
+	tl.mu.Lock()
+	tl.f, tl.stats, tl.wall, tl.finished = f, w.Stats, 0, false
+	tl.mu.Unlock()
 }
 
 // Finalize implements mpi.Tool.
 func (tl *Tool) Finalize(r *mpi.Report) {
-	tl.wallBits.Store(math.Float64bits(r.WallTime))
-	tl.finished.Store(true)
-}
-
-// shardFor returns the (materialized) shard of a world rank.
-func (tl *Tool) shardFor(worldRank int) *telShard {
-	sh := &tl.shards[worldRank>>shardBits]
-	if !sh.ready.Load() {
-		sh.materialize(tl.rowGroup)
-	}
-	return sh
-}
-
-// sid resolves a section label to its slot, registering it on first use.
-func (tl *Tool) sid(label string) int32 {
-	if id, ok := tl.tab.Load().ids[label]; ok {
-		return id
-	}
-	return tl.addSection(label)
-}
-
-//seclint:allocs-ok section interning: first sight of a label, amortized over the run
-func (tl *Tool) addSection(label string) int32 {
-	tl.tabMu.Lock()
-	defer tl.tabMu.Unlock()
-	t := tl.tab.Load()
-	if id, ok := t.ids[label]; ok {
-		return id
-	}
-	if len(t.labels) >= MaxSections {
-		tl.secDropped.Add(1)
-		return otherSlot
-	}
-	id := int32(len(t.labels))
-	nt := &secTable{
-		ids:    make(map[string]int32, len(t.labels)+1),
-		labels: append(append(make([]string, 0, len(t.labels)+1), t.labels...), label),
-	}
-	for k, v := range t.ids {
-		nt.ids[k] = v
-	}
-	nt.ids[label] = id
-	tl.rings[id].CompareAndSwap(nil, newInstRing())
-	tl.tab.Store(nt)
-	return id
+	tl.mu.Lock()
+	tl.wall, tl.finished = r.WallTime, true
+	tl.mu.Unlock()
+	tl.Free()
 }
 
 // SectionEnter implements mpi.Tool.
 //
 //seclint:hotpath
 func (tl *Tool) SectionEnter(c *mpi.Comm, label string, t float64, _ *mpi.ToolData) {
-	wr := c.WorldRank()
-	cur := &tl.cur[wr]
-	atomicMinT(&cur.firstT, t)
-	sid := tl.sid(label)
-	if int(cur.depth) >= maxStack {
-		cur.over++
-		tl.depthDropped.Add(1)
-		return
-	}
-	f := &cur.stack[cur.depth]
-	f.sec, f.enterT, f.claimed = sid, t, false
-	if rg := tl.rings[sid].Load(); rg != nil {
-		idx := cur.instIdx[sid]
-		cur.instIdx[sid] = idx + 1
-		f.idx = idx
-		f.claimed = rg.enter(idx, uint64(c.ID()), c.Size(), t)
-	}
-	cur.depth++
+	tl.mu.Lock()
+	tl.f.enter(c.WorldRank(), c.ID(), c.Size(), label, t)
+	tl.mu.Unlock()
 }
 
 // SectionLeave implements mpi.Tool.
 //
 //seclint:hotpath
-func (tl *Tool) SectionLeave(c *mpi.Comm, label string, t float64, _ *mpi.ToolData) {
-	wr := c.WorldRank()
-	cur := &tl.cur[wr]
-	if cur.over > 0 {
-		cur.over--
-		return
-	}
-	if cur.depth == 0 {
-		return
-	}
-	cur.depth--
-	f := cur.stack[cur.depth]
-	dur := t - f.enterT
-	if dur < 0 {
-		dur = 0
-	}
-	sh := tl.shardFor(wr)
-	a := &sh.secs[f.sec]
-	a.left.Add(1)
-	a.sumPico.Add(pico(dur))
-	atomicMinT(&a.minDur, dur)
-	atomicMaxT(&a.maxDur, dur)
-	sh.pop(f.sec, wr).t.Add(pico(dur))
-	if f.claimed {
-		if rg := tl.rings[f.sec].Load(); rg != nil {
-			rg.leave(f.idx, uint64(c.ID()), c.Size(), f.enterT, t)
-		}
-	}
-	atomicMaxT(&cur.lastT, t)
+func (tl *Tool) SectionLeave(c *mpi.Comm, _ string, t float64, _ *mpi.ToolData) {
+	tl.mu.Lock()
+	tl.f.leave(c.WorldRank(), t)
+	tl.mu.Unlock()
 }
 
 // MessageSent implements mpi.Tool.
 //
 //seclint:hotpath
 func (tl *Tool) MessageSent(c *mpi.Comm, _, _, bytes int, t float64) {
-	wr := c.WorldRank()
-	sh := tl.shardFor(wr)
-	a := &sh.secs[tl.cur[wr].top()]
-	a.sends.Add(1)
-	a.sendBytes.Add(int64(bytes))
-	sh.sizeHist[histBucket(uint64(bytes))].Add(1)
-	sh.recordSend(t, wr/tl.rowGroup, int64(bytes))
+	tl.mu.Lock()
+	tl.f.send(c.WorldRank(), bytes, t)
+	tl.mu.Unlock()
 }
 
-// MessageRecv implements mpi.Tool: the wait-state split (late-sender vs.
-// transfer vs. collective) follows the Scalasca-style classification the
-// trace-driven engine applies, evaluated inline from MatchInfo.
+// MessageRecv implements mpi.Tool.
 //
 //seclint:hotpath
 func (tl *Tool) MessageRecv(c *mpi.Comm, src, tag, bytes int, t float64, m mpi.MatchInfo) {
-	wr := c.WorldRank()
-	cur := &tl.cur[wr]
-	sid := cur.top()
-	sh := tl.shardFor(wr)
-	a := &sh.secs[sid]
-	wait, late := waitstate.Lateness(t, m.PostT, m.SendT)
-	wp := pico(wait)
-	a.recvs.Add(1)
-	a.waitPico.Add(wp)
-	row := sh.pop(sid, wr)
-	row.wait.Add(wp)
-	if m.PostT-m.Arrival > waitstate.Eps {
-		a.lateRecvs.Add(1)
-	}
-	var lat float64
-	if tag < 0 {
-		a.collWaitPico.Add(wp)
-	} else {
-		lp := pico(late)
-		a.latePico.Add(lp)
-		a.transferPico.Add(wp - lp)
-		row.transfer.Add(wp - lp)
-		lat = t - m.SendT
-		if lat < 0 {
-			lat = 0
-		}
-		latP := pico(lat)
-		sh.latHist[histBucket(uint64(latP))].Add(1)
-		sh.latPico.Add(latP)
-	}
-	cur.seq++
-	sh.recordRecv(t, wr/tl.rowGroup, wp, exemplar{
-		h: exHash(wr, cur.seq), rank: int32(wr), peer: int32(c.WorldRankOf(src)),
-		tag: int32(tag), sec: sid, bytes: int64(bytes), t: t, wait: wait, lat: lat,
-	})
-	atomicMaxT(&cur.lastT, t)
+	tl.mu.Lock()
+	tl.f.recv(c.WorldRank(), c.WorldRankOf(src), tag, bytes, t, m)
+	tl.mu.Unlock()
 }
 
 // CollectiveBegin implements mpi.Tool.
 //
 //seclint:hotpath
 func (tl *Tool) CollectiveBegin(c *mpi.Comm, _ string, t float64) {
-	cur := &tl.cur[c.WorldRank()]
-	if int(cur.collDepth) < maxColl {
-		cur.collT[cur.collDepth] = t
-	}
-	cur.collDepth++
+	tl.mu.Lock()
+	tl.f.collBegin(c.WorldRank(), t)
+	tl.mu.Unlock()
 }
 
 // CollectiveEnd implements mpi.Tool.
 //
 //seclint:hotpath
 func (tl *Tool) CollectiveEnd(c *mpi.Comm, _ string, t float64) {
-	wr := c.WorldRank()
-	cur := &tl.cur[wr]
-	if cur.collDepth == 0 {
-		return
-	}
-	cur.collDepth--
-	if int(cur.collDepth) >= maxColl {
-		return
-	}
-	dur := t - cur.collT[cur.collDepth]
-	if dur < 0 {
-		dur = 0
-	}
-	sh := tl.shardFor(wr)
-	a := &sh.secs[cur.top()]
-	a.colls.Add(1)
-	a.collPico.Add(pico(dur))
-	atomicMaxT(&cur.lastT, t)
+	tl.mu.Lock()
+	tl.f.collEnd(c.WorldRank(), t)
+	tl.mu.Unlock()
 }
 
 // ComputeRegion implements mpi.ComputeObserver: thread-team regions feed
@@ -586,56 +580,14 @@ func (tl *Tool) CollectiveEnd(c *mpi.Comm, _ string, t float64) {
 //
 //seclint:hotpath
 func (tl *Tool) ComputeRegion(c *mpi.Comm, team int, start, end, single float64) {
-	wr := c.WorldRank()
-	sh := tl.shardFor(wr)
-	row := sh.pop(tl.cur[wr].top(), wr)
-	el := end - start
-	if el < 0 {
-		el = 0
-	}
-	row.ompElapsed.Add(pico(el))
-	row.ompSingle.Add(pico(single))
-	row.ompBusy.Add(pico(float64(team) * el))
-	atomicMaxI32(&row.maxTeam, int32(team))
-	atomicMaxI32(&tl.threads, int32(team))
+	tl.mu.Lock()
+	tl.f.region(c.WorldRank(), team, start, end, single)
+	tl.mu.Unlock()
 }
 
-// FaultEvent implements mpi.FaultObserver: injected faults flag the profile
-// degraded (efficiency factors are withheld, like the trace-driven tree);
-// dead-peer waits are charged to the stamped section so the wait split
-// stays truthful on failing runs.
+// FaultEvent implements mpi.FaultObserver.
 func (tl *Tool) FaultEvent(ev fault.Event) {
-	if ev.Kind != fault.DeadPeer {
-		tl.faults.Add(1)
-		return
-	}
-	tl.deadWaits.Add(1)
-	wait := ev.T - ev.PostT
-	if wait < 0 {
-		wait = 0
-	}
-	sid := int32(otherSlot)
-	if ev.Section != "" {
-		sid = tl.sid(ev.Section)
-	}
-	if ev.Rank < 0 || ev.Rank >= len(tl.cur) {
-		return
-	}
-	sh := tl.shardFor(ev.Rank)
-	a := &sh.secs[sid]
-	wp := pico(wait)
-	a.waitPico.Add(wp)
-	a.deadPico.Add(wp)
-	a.deadN.Add(1)
-	sh.pop(sid, ev.Rank).wait.Add(wp)
-	atomicMaxT(&tl.cur[ev.Rank].lastT, ev.T)
-}
-
-func atomicMaxI32(a *atomic.Int32, v int32) {
-	for {
-		cur := a.Load()
-		if cur >= v || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
+	tl.mu.Lock()
+	tl.f.fault(ev.Rank, ev.Kind == fault.DeadPeer, ev.Section, ev.T, ev.PostT)
+	tl.mu.Unlock()
 }

@@ -257,6 +257,12 @@ const (
 // half-empty doubled slice, and a reader that noted the count under the
 // lock may read everything below it afterwards.
 type Buffer struct {
+	// Overflow, when set, is handed each event the cap turns away, on the
+	// goroutine that added it and outside the lock: a consumer that must
+	// see the whole run takes over where the recording stops. Set it before
+	// the first Add.
+	Overflow func(Event)
+
 	mu     sync.Mutex
 	chunks []*[chunkLen]Event // all but the last full
 	n      int
@@ -276,9 +282,13 @@ func NewBuffer(limit int) *Buffer {
 //seclint:hotpath
 func (b *Buffer) Add(e Event) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.limit > 0 && b.n >= b.limit {
 		b.drops++
+		b.mu.Unlock()
+		if b.Overflow != nil {
+			//seclint:allocs-ok past the cap only: the consumer that takes over there
+			b.Overflow(e)
+		}
 		return
 	}
 	i := b.n & (chunkLen - 1)
@@ -292,6 +302,7 @@ func (b *Buffer) Add(e Event) {
 	}
 	b.chunks[b.n>>chunkBits][i] = e
 	b.n++
+	b.mu.Unlock()
 }
 
 // Release empties the buffer and hands its chunks to the next buffer that
