@@ -42,8 +42,8 @@ func TestConvolutionP64BothTools(t *testing.T) {
 	rec := export.NewRecorder(export.Options{
 		Messages:    true,
 		Collectives: true,
-		SeqTime:     seq,
 	})
+	rec.SetSeqTime(seq)
 	opts.Tools = []mpi.Tool{profiler, rec}
 	rep, err := experiments.RunLive(opts)
 	if err != nil {
@@ -136,9 +136,10 @@ func TestExportDeterministic(t *testing.T) {
 	digests := map[string]map[[sha256.Size]byte]bool{}
 	for run := 0; run < 8; run++ {
 		rec := export.NewRecorder(export.Options{
-			Messages: true, Collectives: true, SeqTime: seq,
+			Messages: true, Collectives: true,
 			TraceID: export.TraceID{0xde, 0xad, 0xbe, 0xef},
 		})
+		rec.SetSeqTime(seq)
 		opts.Tools = []mpi.Tool{rec}
 		if _, err := experiments.RunLive(opts); err != nil {
 			t.Fatal(err)

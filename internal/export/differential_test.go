@@ -316,8 +316,10 @@ func TestDifferentialGeneratedPrograms(t *testing.T) {
 			if seed%2 == 0 {
 				cfg.Model = machine.NehalemCluster()
 			}
-			opts := Options{Messages: true, Collectives: true, SeqTime: 1}
+			opts := Options{Messages: true, Collectives: true}
 			rec, ref := NewRecorder(opts), newRefRecorder(opts, 0)
+			rec.SetSeqTime(1)
+			ref.seqTime = 1
 			runBoth(t, cfg, "", rec, ref, func(c *mpi.Comm) error {
 				comms, err := split(c)
 				if err != nil {

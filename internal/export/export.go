@@ -18,12 +18,10 @@
 //
 // The hooks run on the rank goroutines and do what only a live tool can.
 // They forward each event to the Recorder's collector (Collector: the one
-// event store, which cmd/secmon also renders as a job's result.csv). They
-// stamp the Fig. 2 payload at enter — span id, parent id, enter time —
-// from cursors only their rank touches: an event ordinal per world rank, a
-// stack of open spans per (communicator, rank). The payload is the
-// Recorder's own slot (mpi.Tool), so no other tool rewrites it and a view
-// rebuilds it from the stamp. No lock, no map, no allocation per event.
+// event store, which cmd/secmon also renders as a job's result.csv), and
+// keep the labels of each (communicator, rank)'s open sections, which only
+// that rank touches, so that Finalize can count the frames no leave closed.
+// No lock, no map, no allocation per event.
 // Two things are written under the Recorder's one mutex, each a handful of
 // times per run: a communicator's member world ranks on first sight (the
 // trace's peer column is a rank of the communicator; flow arrows and
@@ -33,14 +31,14 @@
 // The views — Sections, Spans, WritePrometheus, WriteChromeTrace, WriteOTLP
 // — each run one single-threaded replay (replay.go) on the caller's
 // goroutine, over each rank's events in recording order. Recording order is
-// each rank's program order, so the replay numbers a rank's events exactly
-// as the hooks did and span ids match the stamps. What one rank determines
-// (its spans, its per-section durations, its wait split) is accumulated per
-// rank; what crosses ranks is folded in ascending rank order — an
-// instance's Fig. 3 metrics when its last rank has left it, the per-rank
-// cells when the replay ends — so a view is a function of (seed, machine,
-// geometry), not of which rank reached a lock first, nor of how the ranks'
-// events interleave in what it is fed. A view taken while the ranks still
+// each rank's program order, so the replay numbers a rank's events, and
+// derives span ids and the Fig. 2 payload, the same way run after run. What
+// one rank determines (its spans, its per-section durations, its wait
+// split) is accumulated per rank; what crosses ranks is folded in
+// ascending rank order — an instance's Fig. 3 metrics when its last rank
+// has left it, the per-rank cells when the replay ends — so a view is a
+// function of (seed, machine, geometry), not of which rank reached a lock
+// first, nor of how the ranks' events interleave in what it is fed. A view taken while the ranks still
 // run replays the prefix recorded so far: completed spans, completed
 // instances, WallTime as the latest timestamp seen.
 //
@@ -121,9 +119,6 @@ type Options struct {
 	Messages bool
 	// Collectives records collective begin/end as slices on the rank track.
 	Collectives bool
-	// SeqTime is the sequential baseline Σ_j f_j(n0, 1); when positive the
-	// exporter also computes each section's Eq. 6 partial speedup bound.
-	SeqTime float64
 	// TraceID pins the run's trace id; zero derives a fresh one.
 	TraceID TraceID
 }
@@ -147,7 +142,7 @@ type Span struct {
 	// EnterSeq/LeaveSeq order same-timestamp events within one rank so the
 	// trace replays with the nesting the rank actually executed.
 	EnterSeq, LeaveSeq uint64
-	// Data is the Recorder's 32-byte tool payload, its stamp (sections only).
+	// Data is the span's 32-byte Fig. 2 tool payload (sections only).
 	Data mpi.ToolData
 }
 
@@ -161,29 +156,11 @@ type InstanceMetrics struct {
 	ImbMean      float64 `json:"imb_mean"`
 }
 
-// frame is an open section on one rank, as the hooks remember it: enough
-// to name the parent of the next enter and to match its leave.
-type frame struct {
-	id    uint64
-	label string
-}
-
-// cursor is one rank's open sections on one communicator, innermost last.
-type cursor struct{ stack []frame }
-
-// top is the id of the innermost open span, 0 at top level.
-func (cur *cursor) top() uint64 {
-	if n := len(cur.stack); n > 0 {
-		return cur.stack[n-1].id
-	}
-	return 0
-}
-
 // commInfo is what the Recorder knows of one communicator. members is
-// fixed at registration; cursors[r] is touched only by rank r's goroutine.
+// fixed at registration; open[r] is touched only by rank r's goroutine.
 type commInfo struct {
-	members []int // communicator rank -> world rank
-	cursors []cursor
+	members []int      // communicator rank -> world rank
+	open    [][]string // communicator rank -> its open sections' labels, innermost last
 }
 
 // runFacts are the few things about a run that its events do not say: with
@@ -230,10 +207,8 @@ type Recorder struct {
 	col *trace.Collector
 
 	// comms is indexed by Comm.ID and replaced, never written, when a
-	// communicator is first seen. seqs[w] is the ordinal of world rank w's
-	// last recorded event, written by that rank alone.
+	// communicator is first seen.
 	comms atomic.Pointer[[]*commInfo]
-	seqs  []uint64
 
 	mu    sync.Mutex
 	run   runFacts          // but for capped and members, which facts reads where they live
@@ -252,7 +227,7 @@ func NewRecorder(opts Options) *Recorder {
 	}
 	col := trace.NewCollector(opts.MaxEvents)
 	col.Messages, col.Collectives = opts.Messages, opts.Collectives
-	r := &Recorder{col: col, run: runFacts{traceID: opts.TraceID, maxEvents: opts.MaxEvents, seqTime: opts.SeqTime}}
+	r := &Recorder{col: col, run: runFacts{traceID: opts.TraceID, maxEvents: opts.MaxEvents}}
 	r.Views = Views{r}
 	return r
 }
@@ -264,9 +239,9 @@ func NewRecorder(opts Options) *Recorder {
 // view needs (Omp) before the run starts.
 func (r *Recorder) Collector() *trace.Collector { return r.col }
 
-// SetSeqTime installs (or replaces) the sequential baseline used for the
-// Eq. 6 partial bounds; callers that measure the baseline after
-// constructing the recorder (cmd/secmon's /run) use it.
+// SetSeqTime installs (or replaces) the sequential baseline Σ_j f_j(n0, 1);
+// when it is positive the views also compute each section's Eq. 6 partial
+// speedup bound.
 func (r *Recorder) SetSeqTime(seq float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -278,7 +253,6 @@ func (v Views) TraceID() TraceID { return v.src.facts().traceID }
 
 // Init implements mpi.Tool.
 func (r *Recorder) Init(w *mpi.WorldInfo) {
-	r.seqs = make([]uint64, w.Size)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.run.world, r.stats = w.Size, w.Stats
@@ -320,7 +294,7 @@ func (r *Recorder) registerComm(c *mpi.Comm) *commInfo {
 	}
 	grown := make([]*commInfo, max(len(table), id+1))
 	copy(grown, table)
-	ci := &commInfo{members: make([]int, c.Size()), cursors: make([]cursor, c.Size())}
+	ci := &commInfo{members: make([]int, c.Size()), open: make([][]string, c.Size())}
 	for i := range ci.members {
 		ci.members[i] = c.WorldRankOf(i)
 	}
@@ -331,57 +305,44 @@ func (r *Recorder) registerComm(c *mpi.Comm) *commInfo {
 
 // spanID derives a span's identity from its rank and the ordinal of its
 // enter among the rank's recorded events. The ordinal depends only on the
-// rank's own (deterministic, virtual-time) execution order, so the hooks
-// and every replay arrive at the same id, run after run: ids, parent links
-// and Fig. 2 stamps are byte-stable. What is folded across ranks is stable
+// rank's own (deterministic, virtual-time) execution order, so every replay
+// arrives at the same id, run after run: ids, parent links and Fig. 2
+// payloads are byte-stable. What is folded across ranks is stable
 // for a different reason, the replay's fold order.
 func spanID(worldRank int, seq uint64) uint64 {
 	return uint64(worldRank+1)<<40 | seq
 }
 
-// next registers c's communicator if need be and returns the ordinal of
-// the event its rank is about to record.
-func (r *Recorder) next(c *mpi.Comm) (*commInfo, uint64) {
-	ci := r.comm(c)
-	seq := &r.seqs[c.WorldRank()]
-	*seq++
-	return ci, *seq
-}
-
-// SectionEnter implements mpi.Tool: it stamps span identity into the
-// Fig. 2 tool-data slot and records the event.
+// SectionEnter implements mpi.Tool: it opens the section on its rank and
+// records the event.
 //
 //seclint:hotpath
 func (r *Recorder) SectionEnter(c *mpi.Comm, label string, t float64, data *mpi.ToolData) {
-	ci, seq := r.next(c)
-	cur := &ci.cursors[c.Rank()]
-	id := spanID(c.WorldRank(), seq)
-	stampPayload(data, id, cur.top(), t)
-	cur.stack = append(cur.stack, frame{id: id, label: label})
+	open := &r.comm(c).open[c.Rank()]
+	*open = append(*open, label)
 	r.col.SectionEnter(c, label, t, data)
 }
 
-// SectionLeave implements mpi.Tool: it closes the span and records the
-// event. The slot is this tool's alone, so it still holds the stamp, which
-// a view rebuilds. A misnested leave (the runtime reports it) closes
-// nothing here and in no replay, but is recorded like any event.
+// SectionLeave implements mpi.Tool: it closes the section and records the
+// event. A misnested leave (the runtime reports it) closes nothing here and
+// in no replay, but is recorded like any event.
 //
 //seclint:hotpath
 func (r *Recorder) SectionLeave(c *mpi.Comm, label string, t float64, data *mpi.ToolData) {
-	cur := &r.comm(c).cursors[c.Rank()]
-	if n := len(cur.stack); n > 0 && cur.stack[n-1].label == label {
-		cur.stack = cur.stack[:n-1]
-		r.seqs[c.WorldRank()]++
+	open := &r.comm(c).open[c.Rank()]
+	if n := len(*open); n > 0 && (*open)[n-1] == label {
+		*open = (*open)[:n-1]
 	}
 	r.col.SectionLeave(c, label, t, data)
 }
 
-// MessageSent implements mpi.Tool.
+// MessageSent implements mpi.Tool. It and the three hooks after it register
+// the event's communicator (comm) before they record the event.
 //
 //seclint:hotpath
 func (r *Recorder) MessageSent(c *mpi.Comm, dst, tag, bytes int, t float64) {
 	if r.col.Messages {
-		r.next(c)
+		r.comm(c)
 		r.col.MessageSent(c, dst, tag, bytes, t)
 	}
 }
@@ -391,7 +352,7 @@ func (r *Recorder) MessageSent(c *mpi.Comm, dst, tag, bytes int, t float64) {
 //seclint:hotpath
 func (r *Recorder) MessageRecv(c *mpi.Comm, src, tag, bytes int, t float64, m mpi.MatchInfo) {
 	if r.col.Messages {
-		r.next(c)
+		r.comm(c)
 		r.col.MessageRecv(c, src, tag, bytes, t, m)
 	}
 }
@@ -401,18 +362,17 @@ func (r *Recorder) MessageRecv(c *mpi.Comm, src, tag, bytes int, t float64, m mp
 //seclint:hotpath
 func (r *Recorder) CollectiveBegin(c *mpi.Comm, name string, t float64) {
 	if r.col.Collectives {
-		r.next(c)
+		r.comm(c)
 		r.col.CollectiveBegin(c, name, t)
 	}
 }
 
-// CollectiveEnd implements mpi.Tool. The runtime ends every collective it
-// began, so the ordinal counts each end.
+// CollectiveEnd implements mpi.Tool.
 //
 //seclint:hotpath
 func (r *Recorder) CollectiveEnd(c *mpi.Comm, name string, t float64) {
 	if r.col.Collectives {
-		r.next(c)
+		r.comm(c)
 		r.col.CollectiveEnd(c, name, t)
 	}
 }
@@ -439,8 +399,8 @@ func (r *Recorder) FaultEvent(ev fault.Event) {
 
 // Finalize implements mpi.Tool: it records the run report and counts the
 // section frames still open — a span without a leave has no duration to
-// export, so it is reported as dropped. The ranks are done, their cursors
-// readable.
+// export, so it is reported as dropped. The ranks are done, their open
+// sections readable.
 func (r *Recorder) Finalize(rep *mpi.Report) {
 	unclosed := 0
 	if t := r.comms.Load(); t != nil {
@@ -448,8 +408,8 @@ func (r *Recorder) Finalize(rep *mpi.Report) {
 			if ci == nil {
 				continue
 			}
-			for i := range ci.cursors {
-				unclosed += len(ci.cursors[i].stack)
+			for _, open := range ci.open {
+				unclosed += len(open)
 			}
 		}
 	}
@@ -483,7 +443,7 @@ func (r *Recorder) facts() runFacts {
 }
 
 // Sealed is a run as Seal keeps it: its facts without its events — a few
-// hundred bytes, where the Recorder holds a cursor per rank, the collector
+// hundred bytes, where the Recorder holds a section stack per rank, the collector
 // and the runtime's world.
 type Sealed struct{ run runFacts }
 
@@ -598,8 +558,9 @@ func (v Views) Warning() string {
 
 // stampPayload writes the exporter's Fig. 2 tool-data layout: a 4-byte
 // magic, the world-visible span and parent ids, and the enter timestamp.
-// The leave callback (and the OTLP writer) read it back; any profiler
-// could do the same with its own layout — that is the paper's point.
+// The replay stamps each section span's Data with it and the OTLP writer
+// reads it back; any profiler could do the same with its own layout — that
+// is the paper's point.
 func stampPayload(data *mpi.ToolData, spanID, parentID uint64, t float64) {
 	copy(data[0:4], payloadMagic[:])
 	binary.BigEndian.PutUint32(data[4:8], uint32(len(payloadMagic)))

@@ -91,6 +91,7 @@ type refRecorder struct {
 
 	mu       sync.Mutex
 	opts     Options
+	seqTime  float64  // the sequential baseline, as Recorder.SetSeqTime sets it
 	maxSpans int      // 0 = unbounded
 	seqs     []uint64 // per-world-rank event sequence counters
 	stacks   map[rankKey][]refOpenSpan
@@ -539,8 +540,8 @@ func (r *refRecorder) Sections() []SectionSnapshot {
 		if a.ranks > 0 {
 			s.AvgPerProc = s.Total / float64(a.ranks)
 		}
-		if r.opts.SeqTime > 0 && s.AvgPerProc > 0 {
-			s.Bound = r.opts.SeqTime / s.AvgPerProc
+		if r.seqTime > 0 && s.AvgPerProc > 0 {
+			s.Bound = r.seqTime / s.AvgPerProc
 		}
 		if a.hasLast {
 			inst := a.last

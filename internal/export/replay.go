@@ -13,8 +13,8 @@ import (
 
 // This file is the one pass every view is made of: a single-threaded
 // replay of a source — a Recorder's buffer, or a sealed run's events read
-// back — each rank's events in recording order, that rebuilds what the
-// hooks' cursors knew (event ordinals, open spans) and folds the rest; see
+// back — each rank's events in recording order, that numbers each rank's
+// events, tracks its open spans and folds the rest; see
 // the package comment for what is folded when.
 
 // msgEvent is one half of a point-to-point message (send or recv side).
@@ -211,8 +211,9 @@ func (p *replay) member(e *trace.Event) (*commReplay, int) {
 	return cm, int(cm.ranks[e.Rank])
 }
 
-// event replays one event. Only the six kinds the hooks number count
-// towards a rank's ordinal.
+// event replays one event. Section enters, the leaves that close them,
+// message halves and collective begins and ends count towards a rank's
+// ordinal.
 func (p *replay) event(e *trace.Event) {
 	p.maxT = max(p.maxT, e.T)
 	switch e.Kind {

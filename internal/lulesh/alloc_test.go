@@ -106,27 +106,25 @@ func runAllocBytes(t *testing.T, ranks int, p Params) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// parkedSlabs reports the free list's slab count and the bytes it accounts,
-// checking the account against the slabs themselves.
+// parkedSlabs reports the free list's slab count and bytes. It takes every
+// slab and parks them again, oldest first, so the list is as it was.
 func parkedSlabs(t *testing.T) (count, bytes int) {
 	t.Helper()
-	freeSlabs.mu.Lock()
-	defer freeSlabs.mu.Unlock()
-	sum := 0
-	for _, b := range freeSlabs.list {
-		sum += 8 * len(b)
+	var slabs [][]float64
+	for b := freeSlabs.Take(nil); b != nil; b = freeSlabs.Take(nil) {
+		slabs = append(slabs, b)
 	}
-	if sum != freeSlabs.bytes {
-		t.Fatalf("free list accounts %d bytes, holds %d", freeSlabs.bytes, sum)
+	for i := len(slabs) - 1; i >= 0; i-- {
+		freeSlabs.Put(slabs[i])
+		bytes += 8 * len(slabs[i])
 	}
-	return len(freeSlabs.list), sum
+	return len(slabs), bytes
 }
 
 // emptySlabs drops every parked slab.
 func emptySlabs() {
-	freeSlabs.mu.Lock()
-	defer freeSlabs.mu.Unlock()
-	freeSlabs.list, freeSlabs.bytes = nil, 0
+	for freeSlabs.Take(nil) != nil {
+	}
 }
 
 // TestRunReusesStateSlab pins the free list's three promises: a run hands
@@ -147,7 +145,7 @@ func TestRunReusesStateSlab(t *testing.T) {
 		emptySlabs()
 		runAllocBytes(t, 1, p) // warms the runtime's pools and parks the slab
 		warm := runAllocBytes(t, 1, p)
-		freeSlabs.take(size) // the warm run's slab: the next run makes its own
+		takeSlab(size) // the warm run's slab: the next run makes its own
 		cold := runAllocBytes(t, 1, p)
 		// The cold run makes the slab on top of what the warm run does. The
 		// slack covers the slab's rounding up to whole 8 KiB pages and the
@@ -170,8 +168,8 @@ func TestRunReusesStateSlab(t *testing.T) {
 		for i := range dirty {
 			dirty[i] = math.NaN()
 		}
-		freeSlabs.put(dirty)
-		got := freeSlabs.take(reused.slabLen())
+		freeSlabs.Put(dirty)
+		got := takeSlab(reused.slabLen())
 		if &got[0] != &dirty[0] {
 			t.Fatal("take made a slab while one of its length was parked")
 		}
@@ -187,12 +185,12 @@ func TestRunReusesStateSlab(t *testing.T) {
 		emptySlabs()
 		const small, large = 1000, 100_000 // 8 KB and 800 KB
 		for i := 0; i < 40; i++ {
-			freeSlabs.put(make([]float64, small))
+			freeSlabs.Put(make([]float64, small))
 		}
 		var newest []float64
 		for i := 0; i < 5; i++ {
 			newest = make([]float64, large)
-			freeSlabs.put(newest)
+			freeSlabs.Put(newest)
 			if _, bytes := parkedSlabs(t); bytes > slabBudget {
 				t.Fatalf("after %d large slabs the list holds %d B, budget %d", i+1, bytes, slabBudget)
 			}
@@ -201,14 +199,14 @@ func TestRunReusesStateSlab(t *testing.T) {
 		if want := slabBudget / (8 * large); count != want {
 			t.Errorf("list keeps %d slabs (%d B), want the %d newest large ones", count, bytes, want)
 		}
-		freeSlabs.put(make([]float64, slabBudget/8+1))
+		freeSlabs.Put(make([]float64, slabBudget/8+1))
 		if c, b := parkedSlabs(t); c != count || b != bytes {
 			t.Errorf("a slab over the whole budget was parked: %d slabs, %d B", c, b)
 		}
-		if got := freeSlabs.take(large); &got[0] != &newest[0] {
+		if got := takeSlab(large); &got[0] != &newest[0] {
 			t.Error("take did not return the newest slab of its length")
 		}
-		if got := freeSlabs.take(small); len(got) != small {
+		if got := takeSlab(small); len(got) != small {
 			t.Errorf("take(%d) returned %d floats", small, len(got))
 		}
 	})

@@ -3,8 +3,8 @@ package lulesh
 import (
 	"fmt"
 	"math"
-	"slices"
-	"sync"
+
+	"repro/internal/park"
 )
 
 // Physical constants of the ideal-gas solver.
@@ -60,50 +60,18 @@ func initState(s *state, slab []float64) {
 const slabBudget = 2 << 20
 
 // freeSlabs is where runRank returns its state slab and takes the next one
-// from, so that the next run of the same geometry allocates no state. It is
-// a plain bounded stack rather than a sync.Pool so that reuse does not
-// depend on when the garbage collector last ran: a sweep allocates the same
-// bytes every time.
-var freeSlabs slabStack
+// from (takeSlab), so that the next run of the same geometry allocates no
+// state. Its bound counts bytes.
+var freeSlabs = park.New(slabBudget, func(b []float64) int { return 8 * len(b) })
 
-type slabStack struct {
-	mu    sync.Mutex
-	list  [][]float64 // oldest first
-	bytes int         // 8 × the floats in list, at most slabBudget
-}
-
-// take returns a slab of size floats: the newest parked slab of exactly that
-// length, or a fresh one. Its contents are whatever its last rank left;
+// takeSlab returns a slab of size floats: the newest parked slab of exactly
+// that length, or a fresh one. Its contents are whatever its last rank left;
 // initState clears it.
-func (s *slabStack) take(size int) []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := len(s.list) - 1; i >= 0; i-- {
-		if b := s.list[i]; len(b) == size {
-			s.list = slices.Delete(s.list, i, i+1)
-			s.bytes -= 8 * size
-			return b
-		}
+func takeSlab(size int) []float64 {
+	if b := freeSlabs.Take(func(b []float64) bool { return len(b) == size }); b != nil {
+		return b
 	}
 	return make([]float64, size)
-}
-
-// put parks a slab its caller no longer reads or writes, dropping the oldest
-// parked slabs when the budget needs the room.
-func (s *slabStack) put(b []float64) {
-	size := 8 * len(b)
-	if size > slabBudget {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	drop := 0
-	for s.bytes+size > slabBudget {
-		s.bytes -= 8 * len(s.list[drop])
-		drop++
-	}
-	s.list = append(slices.Delete(s.list, 0, drop), b)
-	s.bytes += size
 }
 
 // primitives returns one cell's velocity, pressure (floored at pFloor) and

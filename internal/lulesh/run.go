@@ -36,7 +36,7 @@ func runRank(c *mpi.Comm, p Params) (Diagnostics, error) {
 	// ---- InitMeshDecomp: allocate, set Sedov state, initial constraints.
 	var slab []float64
 	err := c.Section(SecInit, func() error {
-		slab = freeSlabs.take(s.slabLen())
+		slab = takeSlab(s.slabLen())
 		initState(s, slab)
 		s.maxWave = 0
 		for k := 1; k <= s.n; k++ {
@@ -103,7 +103,7 @@ func runRank(c *mpi.Comm, p Params) (Diagnostics, error) {
 		diag.FieldHash, err = s.gatherFieldHash()
 		return err
 	})
-	freeSlabs.put(slab) // FinalOutput was the state's last read
+	freeSlabs.Put(slab) // FinalOutput was the state's last read
 	return diag, err
 }
 

@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/park"
 )
 
 // Payload buffers are recycled through size-classed sync.Pools so the
@@ -129,11 +131,9 @@ func Release(b []byte) {
 
 // envelopes and posted receives are recycled too; both are small fixed
 // structs, but at one of each per message they dominate the allocation
-// profile once payloads are pooled. They go through bounded free lists
-// rather than sync.Pools, so that reuse does not depend on when the garbage
-// collector last ran (a collection empties a sync.Pool, and a 10k-rank world
-// then allocates its envelopes again): a sweep allocates the same bytes
-// every time. In front of the lists a rank keeps a few objects of its own
+// profile once payloads are pooled. They are parked between uses (package
+// park), so that a collection does not make a 10k-rank world allocate its
+// envelopes again. In front of the lists a rank keeps a few objects of its own
 // (rankState.envs, a chain through envelope.next, and rankState.posted),
 // touched by nobody else and so by no lock: a Sendrecv — the stencil and
 // tree-collective pattern — sends with an envelope its last receive freed.
@@ -149,58 +149,16 @@ const (
 	envCacheMax = 8
 )
 
-type freeList[T any] struct {
-	mu   sync.Mutex
-	list []*T
-}
-
-// take returns a parked object, or nil.
-func (f *freeList[T]) take() *T {
-	f.mu.Lock()
-	n := len(f.list)
-	if n == 0 {
-		f.mu.Unlock()
-		return nil
-	}
-	v := f.list[n-1]
-	f.list[n-1] = nil
-	f.list = f.list[:n-1]
-	f.mu.Unlock()
-	return v
-}
-
-// put parks v; a full list leaves it to the collector.
-func (f *freeList[T]) put(v *T) {
-	f.mu.Lock()
-	if len(f.list) < freeListMax {
-		f.list = append(f.list, v)
-	}
-	f.mu.Unlock()
-}
-
 var (
-	envFree    freeList[envelope]
-	postedFree freeList[posted]
+	envFree    = park.New[*envelope](freeListMax, nil)
+	postedFree = park.New[*posted](freeListMax, nil)
 )
-
-// putEnvelopes parks a chain.
-func putEnvelopes(head *envelope) {
-	f := &envFree
-	f.mu.Lock()
-	for e := head; e != nil && len(f.list) < freeListMax; {
-		next := e.next
-		e.next = nil
-		f.list = append(f.list, e)
-		e = next
-	}
-	f.mu.Unlock()
-}
 
 // newEnvelope returns a zeroed envelope. The package-level forms serve the
 // paths with no rank at hand (a poisoned box, a revocation); a rank on the
 // message path goes through its rankState.
 func newEnvelope() *envelope {
-	if e := envFree.take(); e != nil {
+	if e := envFree.Take(nil); e != nil {
 		return e
 	}
 	//seclint:allocs-ok free-list miss: amortized by recycling
@@ -213,7 +171,7 @@ func freeEnvelope(e *envelope) {
 		payloads.put(e.data)
 	}
 	*e = envelope{}
-	envFree.put(e)
+	envFree.Put(e)
 }
 
 func (r *rankState) newEnvelope() *envelope {
@@ -239,8 +197,7 @@ func (r *rankState) freeEnvelope(e *envelope) {
 func (r *rankState) releaseEnvelope(e *envelope) {
 	*e = envelope{}
 	if r.nenv >= envCacheMax {
-		putEnvelopes(r.envs)
-		r.envs, r.nenv = nil, 0
+		r.parkEnvelopes()
 	}
 	e.next, r.envs = r.envs, e
 	r.nenv++
@@ -251,7 +208,7 @@ func (r *rankState) newPosted(src, tag int) *posted {
 	p := r.posted
 	if p != nil {
 		r.posted = nil
-	} else if p = postedFree.take(); p == nil {
+	} else if p = postedFree.Take(nil); p == nil {
 		//seclint:allocs-ok free-list miss: amortized by recycling
 		p = new(posted)
 	}
@@ -265,7 +222,18 @@ func (r *rankState) freePosted(p *posted) {
 		r.posted = p
 		return
 	}
-	postedFree.put(p)
+	postedFree.Put(p)
+}
+
+// parkEnvelopes hands the rank's own envelopes to the list in one put.
+func (r *rankState) parkEnvelopes() {
+	var chain [envCacheMax]*envelope
+	for i := range r.nenv {
+		e := r.envs
+		r.envs, e.next, chain[i] = e.next, nil, e
+	}
+	envFree.PutAll(chain[:r.nenv])
+	r.nenv = 0
 }
 
 // An ExchangeGhost generation's lists live in one slab per communicator
@@ -281,6 +249,7 @@ const (
 	slabsMax = 8
 )
 
+// slabFree is not a park.Stack: a take is best-fit, a full list drops its smallest.
 var slabFree struct {
 	mu   sync.Mutex
 	list [][]exchangeOp
@@ -334,10 +303,9 @@ func putSlab(s []exchangeOp) {
 // recycle hands what the rank kept to the lists when the rank is done, for
 // the next world's ranks to start from.
 func (r *rankState) recycle() {
-	putEnvelopes(r.envs)
-	r.envs, r.nenv = nil, 0
+	r.parkEnvelopes()
 	if r.posted != nil {
-		postedFree.put(r.posted)
+		postedFree.Put(r.posted)
 		r.posted = nil
 	}
 }

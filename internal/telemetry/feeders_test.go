@@ -140,7 +140,8 @@ func TestFeedersAgree(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			const seq = 40.0
 			tl := telemetry.New(telemetry.Options{SeqTime: seq})
-			rec := export.NewRecorder(export.Options{Messages: true, Collectives: true, SeqTime: seq})
+			rec := export.NewRecorder(export.Options{Messages: true, Collectives: true})
+			rec.SetSeqTime(seq)
 			rec.Collector().Omp = true
 			if _, err := c.run([]mpi.Tool{rec, tl}); (err != nil) != c.wantErr {
 				t.Fatalf("run error = %v, want one: %v", err, c.wantErr)

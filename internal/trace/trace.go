@@ -146,6 +146,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"repro/internal/park"
 )
 
 // Kind classifies an event.
@@ -243,7 +245,7 @@ type Event struct {
 	ArrT  float64 `json:"arrt,omitempty"`
 }
 
-// chunkLen is how many events one chunk of a Buffer holds: 26 KB, under
+// chunkLen is how many events one chunk of a Buffer holds: 24 KiB, under
 // the allocator's large-object threshold.
 const (
 	chunkBits = 8
@@ -293,7 +295,7 @@ func (b *Buffer) Add(e Event) {
 	}
 	i := b.n & (chunkLen - 1)
 	if i == 0 {
-		c := freeChunks.take()
+		c := freeChunks.Take(nil)
 		if c == nil {
 			//seclint:allocs-ok one chunk per chunkLen events, when Release has left none to reuse
 			c = new([chunkLen]Event)
@@ -316,60 +318,22 @@ func (b *Buffer) Release() {
 	chunks := b.chunks
 	b.chunks, b.n, b.drops = nil, 0, 0
 	b.mu.Unlock()
-	freeChunks.put(chunks)
+	freeChunks.PutAll(chunks)
 }
 
-// freeChunksMax bounds the free list: 2048 chunks are 54 MB. Only the
-// service's recorded attempts fill it, the sweeps recording no trace; the
-// bound was sized for two paper-scale sweep points side by side, and no
-// measurement of the service has asked for another.
-const freeChunksMax = 2048
-
-// freeChunks is where Release leaves chunks and Add looks first. It is a
-// plain bounded stack rather than a sync.Pool so that reuse does not depend
-// on when the garbage collector last ran: a service's allocation volume is
-// the same number every time. Chunks are not cleared — a buffer never reads a chunk
-// past its own count — so a parked chunk pins the label strings of the
-// events it last held, a few constants.
-var freeChunks chunkStack
-
-type chunkStack struct {
-	mu     sync.Mutex
-	list   []*[chunkLen]Event
-	misses uint64 // takes that found the list empty
-}
+// freeChunks is where Release leaves chunks and Add looks first. It keeps
+// 2048 chunks, 48 MiB. Only the service's recorded attempts fill it, the
+// sweeps recording no trace; the bound was sized for two paper-scale sweep
+// points side by side, and no measurement of the service has asked for
+// another. Chunks are not cleared — a buffer never reads a chunk past its
+// own count — so a parked chunk pins the label strings of the events it
+// last held, a few constants.
+var freeChunks = park.New[*[chunkLen]Event](2048, nil)
 
 // ChunkAllocs is how many chunks this process has had to allocate because
 // no released one was waiting: a count that stands still is a recording
 // path in its steady state.
-func ChunkAllocs() uint64 {
-	freeChunks.mu.Lock()
-	defer freeChunks.mu.Unlock()
-	return freeChunks.misses
-}
-
-func (s *chunkStack) take() *[chunkLen]Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.list)
-	if n == 0 {
-		s.misses++
-		return nil
-	}
-	c := s.list[n-1]
-	s.list[n-1] = nil
-	s.list = s.list[:n-1]
-	return c
-}
-
-func (s *chunkStack) put(chunks []*[chunkLen]Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.list == nil {
-		s.list = make([]*[chunkLen]Event, 0, freeChunksMax)
-	}
-	s.list = append(s.list, chunks[:min(len(chunks), freeChunksMax-len(s.list))]...)
-}
+func ChunkAllocs() uint64 { return freeChunks.Misses() }
 
 // Len reports the number of stored events.
 func (b *Buffer) Len() int {

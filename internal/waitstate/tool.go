@@ -3,10 +3,10 @@ package waitstate
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/mpi"
+	"repro/internal/park"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -61,12 +61,9 @@ const eventChunk = 256
 // newest parked world's storage, or new storage.
 func (t *Tool) Init(info *mpi.WorldInfo) {
 	t.Claim()
-	t.w = &liveWorld{}
-	freeWorlds.Lock()
-	if n := len(freeWorlds.list); n > 0 {
-		t.w, freeWorlds.list = freeWorlds.list[n-1], freeWorlds.list[:n-1]
+	if t.w = freeWorlds.Take(nil); t.w == nil {
+		t.w = &liveWorld{}
 	}
-	freeWorlds.Unlock()
 	t.w.reset(info.Size, t.limit)
 }
 
@@ -238,13 +235,7 @@ func (t *Tool) Analysis(opts Options) (*Analysis, error) {
 		return nil, fmt.Errorf("waitstate: the tool has observed no run")
 	}
 	t.w = nil
-	defer func() {
-		freeWorlds.Lock()
-		if len(freeWorlds.list) < freeWorldsMax {
-			freeWorlds.list = append(freeWorlds.list, w)
-		}
-		freeWorlds.Unlock()
-	}()
+	defer freeWorlds.Put(w)
 	if w.back != nil {
 		return nil, w.back
 	}
@@ -268,20 +259,12 @@ func (t *Tool) Analysis(opts Options) (*Analysis, error) {
 }
 
 // freeWorlds is where Analysis parks a world's per-rank lists, cells,
-// stacks and event chunks and Init looks first: a plain bounded stack rather
-// than a sync.Pool, as trace's free chunks are, so that a sweep allocates
-// the same bytes every time.
-var freeWorlds struct {
-	sync.Mutex
-	list []*liveWorld
-}
-
-// freeWorldsMax bounds the list. A sweep diagnoses at most sched.Workers
-// points at once, one Tool each, so eight keep every worker of a host of up
-// to eight cores — CI's and the benchmarks' — in its steady state; on a
-// larger one the worlds past eight are the garbage collector's, which costs
-// allocations, not memory.
-const freeWorldsMax = 8
+// stacks and event chunks and Init looks first. It keeps eight: a sweep
+// diagnoses at most sched.Workers points at once, one Tool each, so eight
+// keep every worker of a host of up to eight cores — CI's and the
+// benchmarks' — in its steady state; on a larger one the worlds past eight
+// are the garbage collector's, which costs allocations, not memory.
+var freeWorlds = park.New[*liveWorld](8, nil)
 
 // reset empties w for a world of size ranks. Each rank keeps the storage it
 // had, whichever rank used it.
