@@ -9,10 +9,10 @@ import (
 
 // LockOrder infers the program's mutex acquisition order and reports
 // inversions. Locks are grouped into classes by where they live — the
-// owning named type and field ("boxShard.mu", "sectionRegistry.mu") or the
-// package-level variable — because the sharded runtime multiplies each
+// owning named type and field ("Stack.mu" of internal/park) or the
+// package-level variable ("mpi.coPool") — because a program multiplies each
 // field into many instances and it is the class-level order that makes
-// cross-shard deadlock impossible.
+// deadlock between instances impossible.
 //
 // Within a function, a CFG walk tracks the held set path-sensitively:
 // acquiring B while holding A records the edge A→B with both witness

@@ -141,8 +141,11 @@ func Release(b []byte) {
 // bursts of Isends, and every rank's first take and last put.
 
 const (
-	// freeListMax bounds a free list: 128k envelopes are 12 MB, what a
-	// 10,000-rank halo exchange keeps in flight with room to spare.
+	// freeListMax bounds a free list: 128k envelopes are 12 MB. The highest
+	// mark measured is 54 envelopes, in lulesh-hybrid, the one benchmark
+	// workload that sends real payloads; the ghost workloads' halos, up to
+	// 10,000 ranks, park none (EXPERIMENTS.md, "What the process parks
+	// between runs").
 	freeListMax = 128 << 10
 	// envCacheMax is the most envelopes a rank keeps; one more and the
 	// chain goes to the list.

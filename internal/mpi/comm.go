@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // commShared is the state one communicator shares across its ranks.
@@ -24,9 +23,8 @@ type commShared struct {
 
 	// Fault tolerance (ft.go): revoked is set when the communicator is
 	// revoked; pi carries the reason and is immutable once set.
-	revokeOnce sync.Once
-	revoked    bool
-	pi         *poisonInfo
+	revoked bool
+	pi      *poisonInfo
 }
 
 // Comm is one rank's handle on a communicator. Handles are cheap values
@@ -47,35 +45,29 @@ type Comm struct {
 //
 //seclint:allocs-ok communicator construction: once per world or split, off the steady path
 func (w *World) newCommShared(group []int) *commShared {
-	w.commMu.Lock()
-	id := w.nextComm
-	w.nextComm++
-	w.commMu.Unlock()
 	cs := &commShared{
-		id:        id,
+		id:        w.nextComm,
 		world:     w,
 		group:     group,
 		boxShards: make([]boxShard, (len(group)+shardSize-1)/shardSize),
 	}
+	w.nextComm++
 	cs.sections = newSectionRegistry(len(group))
-	w.ftMu.Lock()
 	w.comms = append(w.comms, cs)
-	pi := w.failPi
-	w.ftMu.Unlock()
-	if pi != nil {
-		cs.revoke(pi)
+	if w.failPi != nil {
+		cs.revoke(w.failPi)
 	}
 	return cs
 }
 
-// box returns the mailbox of a comm rank together with its shard, whose
-// lock guards the box. The post-materialization cost is one atomic load.
-func (cs *commShared) box(rank int) (*boxShard, *mailbox) {
+// box returns the mailbox of a comm rank, materializing its shard on the
+// first call. The cost after that is one bool test.
+func (cs *commShared) box(rank int) *mailbox {
 	sh := &cs.boxShards[rank>>shardBits]
-	if !sh.ready.Load() {
+	if !sh.ready {
 		sh.materialize(len(cs.group), rank>>shardBits<<shardBits)
 	}
-	return sh, &sh.slab[rank&shardMask]
+	return &sh.slab[rank&shardMask]
 }
 
 // ID reports a process-unique identifier for the communicator; tools use it

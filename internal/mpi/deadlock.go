@@ -52,7 +52,7 @@ func (e *DeadlockError) Error() string {
 
 // park blocks the rank in op, waiting on peer (comm rank of c, or -1) with
 // tag, until a wake (sched.go); the caller has queued it where the call
-// that wakes it looks, and dropped any lock. Every wait of a rank in this
+// that wakes it looks. Every wait of a rank in this
 // package goes through it, and leaves its call site for the report.
 func (rs *rankState) park(c *Comm, op string, peer, tag int) {
 	rs.parkComm, rs.parkOp, rs.parkPeer, rs.parkTag = c, op, int32(peer), int32(tag)

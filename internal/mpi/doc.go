@@ -43,15 +43,25 @@
 //
 // # What is world-local
 //
-// Only a world's running rank or its driver touches the rendezvous behind
-// Barrier, ExchangeGhost and Split, the barrier, exchange and split states
-// around it, the rooted slots behind ScatterGhost and GatherGhost, and the
-// scratch ToolData a section exit hands its hooks, so they have no lock; so
-// is where each rank parked, which the driver reads back for a deadlock
-// report. Other goroutines reach
-// a world only through the abort flag (the watchdog, by abort), the
-// RuntimeStats gauges and the pools worlds share; those are atomic or
-// locked.
+// Only a world's running rank or its driver touches its state, so none of it
+// has a lock: the rank shards and mailboxes, the communicator registry, the
+// rendezvous behind Barrier, ExchangeGhost and Split and the barrier,
+// exchange and split states around it, the rooted slots behind ScatterGhost
+// and GatherGhost, the scratch ToolData a section exit hands its hooks, the
+// dead mask, the fault log, the section errors and where each rank parked,
+// which the driver reads back for a deadlock report. Another goroutine reads
+// only these, and they are atomic:
+//
+//   - abortSet, with abortOnce: the Timeout watchdog calls abort from Run's
+//     goroutine while the driver runs; the driver polls abortSet between
+//     two ranks, and the store publishes the abort's reason.
+//   - World.materialized and each rank shard's frontier: RuntimeStats reads
+//     them for a tool's monitor (internal/serve's HTTP handlers) while the
+//     run executes.
+//
+// What worlds share is locked or atomic in its own right: the rank
+// coroutine pool, the exchange slabs, the free lists (internal/park) and the
+// payload pool.
 //
 // # Fault injection and fault tolerance
 //
@@ -124,16 +134,16 @@
 // used:
 //
 //   - Rank state lives in fixed-size shards (shardSize ranks each, see
-//     shard.go). A shard's state slab is materialized on first touch under
-//     the shard's own mutex; rank-state pointers are stable thereafter.
-//     Mailboxes are sharded the same way (boxShard in p2p.go): delivery
-//     locks one shard, not the world.
+//     shard.go). A shard's state slab is a plain slice, materialized on
+//     first touch; rank-state pointers are stable thereafter. Mailboxes are
+//     sharded the same way (boxShard in p2p.go): a communicator allocates
+//     mailboxes only for the shards its traffic reaches.
 //
 //   - Virtual-clock frontiers are per shard. Ranks publish their clock to
 //     the shard's atomic frontier lazily — at receive completion and at
 //     rank finish, the points where clocks become externally meaningful —
-//     instead of synchronizing through a global structure on every
-//     advance. RuntimeStats.Frontier folds the shard maxima on demand.
+//     instead of updating a world-wide value on every advance.
+//     RuntimeStats.Frontier folds the shard maxima on demand.
 //
 //   - Sessions bring ranks up lazily. With Config.Lazy the ranks
 //     materialize shard by shard, on demand when a message first addresses

@@ -168,28 +168,19 @@ func (x *exchangeState) queued() bool {
 	cs := x.comms[0].shared
 	for s := range cs.boxShards {
 		sh := &cs.boxShards[s]
-		if !sh.ready.Load() {
-			continue
-		}
-		found := false
-		sh.mu.Lock()
 		for i := range sh.slab {
 			b := &sh.slab[i]
 			if len(b.recvs) > 0 {
-				found = true
+				return true
 			}
 			st := &x.ranks[s<<shardBits+i]
 			for _, e := range b.sends {
 				for _, op := range x.ops[st.off : st.off+st.n] {
 					if op.Peer == e.src && op.RecvTag == e.tag {
-						found = true
+						return true
 					}
 				}
 			}
-		}
-		sh.mu.Unlock()
-		if found {
-			return true
 		}
 	}
 	return false

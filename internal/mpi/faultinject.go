@@ -115,19 +115,8 @@ type FaultObserver interface {
 //
 //seclint:allocs-ok fault reporting: never on the steady path
 func (w *World) emitFault(ev fault.Event) {
-	w.faultMu.Lock()
 	w.faults = append(w.faults, ev)
-	w.faultMu.Unlock()
 	for _, o := range w.faultObs {
 		o.FaultEvent(ev)
 	}
-}
-
-// faultLog returns the canonically sorted fault events of the run.
-func (w *World) faultLog() []fault.Event {
-	w.faultMu.Lock()
-	out := append([]fault.Event(nil), w.faults...)
-	w.faultMu.Unlock()
-	fault.SortEvents(out)
-	return out
 }

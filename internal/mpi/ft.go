@@ -77,7 +77,6 @@ type poisonInfo struct {
 // already-matched operations. The shard-level pi also covers slabs that
 // have not materialized yet — their boxes are born poisoned.
 func (sh *boxShard) poison(pi *poisonInfo) {
-	sh.mu.Lock()
 	if sh.pi == nil {
 		sh.pi = pi
 	}
@@ -95,7 +94,6 @@ func (sh *boxShard) poison(pi *poisonInfo) {
 		}
 		b.recvs = nil
 	}
-	sh.mu.Unlock()
 }
 
 // revoke poisons every mailbox of the communicator and wakes ranks parked
@@ -104,7 +102,7 @@ func (sh *boxShard) poison(pi *poisonInfo) {
 //
 //seclint:allocs-ok revocation is a one-shot failure event
 func (cs *commShared) revoke(pi *poisonInfo) {
-	cs.revokeOnce.Do(func() {
+	if !cs.revoked {
 		cs.pi = pi
 		cs.revoked = true
 		cs.split.abort()
@@ -112,7 +110,7 @@ func (cs *commShared) revoke(pi *poisonInfo) {
 		cs.exchange.abort()
 		cs.scatter.abort()
 		cs.gather.abort()
-	})
+	}
 	for i := range cs.boxShards {
 		cs.boxShards[i].poison(pi)
 	}
@@ -134,7 +132,6 @@ func (cs *commShared) contains(worldRank int) bool {
 //
 //seclint:allocs-ok rank-failure bring-down path
 func (w *World) rankDied(rank int, re *RankError, t float64) {
-	w.ftMu.Lock()
 	w.dead[rank] = true
 	if w.failPi == nil {
 		w.failPi = &poisonInfo{
@@ -142,14 +139,6 @@ func (w *World) rankDied(rank int, re *RankError, t float64) {
 			deathT: t,
 		}
 	}
-	pi := w.failPi
-	comms := make([]*commShared, 0, len(w.comms))
-	for _, cs := range w.comms {
-		if cs.contains(rank) {
-			comms = append(comms, cs)
-		}
-	}
-	w.ftMu.Unlock()
 
 	// Log the death — unless the rank is itself a casualty of an earlier
 	// revocation, in which case the log already carries the root failure
@@ -160,15 +149,15 @@ func (w *World) rankDied(rank int, re *RankError, t float64) {
 			Section: re.Section,
 		})
 	}
-	for _, cs := range comms {
-		cs.revoke(pi)
+	for _, cs := range w.comms {
+		if cs.contains(rank) {
+			cs.revoke(w.failPi)
+		}
 	}
 }
 
 // deadRanks reports the world ranks that failed during the run, ascending.
 func (w *World) deadRanks() []int {
-	w.ftMu.Lock()
-	defer w.ftMu.Unlock()
 	var out []int
 	for r, d := range w.dead {
 		if d {
@@ -180,12 +169,11 @@ func (w *World) deadRanks() []int {
 
 // abort poisons the whole run with err: it records the reason and sets
 // abortSet, on which the driver revokes the world (revokeAll). The driver's
-// deadlock report, the Timeout watchdog and a rank's runtime.Goexit call it.
+// deadlock report, the Timeout watchdog and a rank's runtime.Goexit call it;
+// the watchdog from Run's goroutine, hence the Once and the atomic store.
 func (w *World) abort(err error) {
 	w.abortOnce.Do(func() {
-		w.ftMu.Lock()
 		w.abortErr = err
-		w.ftMu.Unlock()
 		w.abortSet.Store(true)
 	})
 }
@@ -193,24 +181,13 @@ func (w *World) abort(err error) {
 // revokeAll is the driver's half of abort: every communicator is revoked and
 // every parked rank wakes with an error.
 func (w *World) revokeAll() {
-	w.ftMu.Lock()
 	pi := &poisonInfo{reason: fmt.Errorf("%w: %w", ErrRevoked, w.abortErr)}
 	if w.failPi == nil {
 		w.failPi = pi
 	}
-	comms := append([]*commShared(nil), w.comms...)
-	w.ftMu.Unlock()
-	for _, cs := range comms {
+	for _, cs := range w.comms {
 		cs.revoke(pi)
 	}
-}
-
-// abortReason reports the run-level abort error, nil while the run is
-// healthy.
-func (w *World) abortReason() error {
-	w.ftMu.Lock()
-	defer w.ftMu.Unlock()
-	return w.abortErr
 }
 
 // RootCause extracts the most informative failure from a Run error tree:

@@ -92,8 +92,8 @@ func blockAfter(on *Comm, kind int) error {
 // TestHandOffPassesAtEveryBlock: ranks released by a Barrier or an
 // ExchangeGhost block at once at each site, and the world completes; ranks
 // that return, err or panic right after one let the rest run on. Each world
-// runs with the deadlock detector as its only bound (detector=true) and
-// with a 2 s watchdog besides (detector=false).
+// runs with the deadlock detector as its only bound (watchdog=false) and
+// with a 2 s watchdog besides (watchdog=true).
 func TestHandOffPassesAtEveryBlock(t *testing.T) {
 	const p, rounds = 16, 8
 	boom := errors.New("boom")
@@ -140,12 +140,12 @@ func TestHandOffPassesAtEveryBlock(t *testing.T) {
 	}
 	for _, s := range sites {
 		for _, meet := range []string{"Barrier", "ExchangeGhost"} {
-			for _, detect := range []bool{true, false} {
-				t.Run(fmt.Sprintf("%s/after=%s/detector=%t", s.name, meet, detect), func(t *testing.T) {
+			for _, watchdog := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/after=%s/watchdog=%t", s.name, meet, watchdog), func(t *testing.T) {
 					before := liveGoroutines()
 					cfg := testCfg(p)
 					cfg.Timeout = 2 * time.Second
-					if detect {
+					if !watchdog {
 						cfg.Timeout = 0
 					}
 					_, err := Run(cfg, func(c *Comm) error { return s.body(c, meets[meet](c)) })
@@ -226,7 +226,7 @@ func (o *oneAtATime) CollectiveEnd(*Comm, string, float64)                 { o.h
 
 // TestWorldRunsOneRankAtATime: at every blocking site, after a Barrier and
 // after an ExchangeGhost, eager and lazy, with the deadlock detector as the
-// world's only bound (detector=true) and a watchdog besides, no two
+// world's only bound (watchdog=false) and a watchdog besides, no two
 // ranks of a world are ever inside a hook at once. The lazy world spans two
 // shards, so the second comes up through a nudge or the driver.
 func TestWorldRunsOneRankAtATime(t *testing.T) {
@@ -238,15 +238,15 @@ func TestWorldRunsOneRankAtATime(t *testing.T) {
 	for kind := 0; kind < numBlocks; kind++ {
 		for _, meet := range []string{"Barrier", "ExchangeGhost"} {
 			for _, lazy := range []bool{false, true} {
-				for _, detect := range []bool{false, true} {
-					name := fmt.Sprintf("%s/after=%s/lazy=%t/detector=%t", blockNames[kind], meet, lazy, detect)
+				for _, watchdog := range []bool{true, false} {
+					name := fmt.Sprintf("%s/after=%s/lazy=%t/watchdog=%t", blockNames[kind], meet, lazy, watchdog)
 					t.Run(name, func(t *testing.T) {
 						tool := &oneAtATime{}
 						cfg := testCfg(p)
 						cfg.Tools = []Tool{tool}
 						cfg.Lazy = lazy
 						cfg.Timeout = 10 * time.Second
-						if detect {
+						if !watchdog {
 							cfg.Timeout = 0
 						}
 						_, err := Run(cfg, func(c *Comm) error {

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/fault"
 )
@@ -101,9 +99,9 @@ func (p *posted) matches(e *envelope) bool {
 		(p.tag == AnyTag || p.tag == e.tag)
 }
 
-// mailbox holds the unmatched traffic addressed to one rank. Boxes have no
-// lock of their own: they live in boxShard slabs, and all queue access goes
-// through the owning shard's mutex (one lock per shardSize ranks).
+// mailbox holds the unmatched traffic addressed to one rank. Boxes live in
+// boxShard slabs; like the rest of a world's state, only its running rank or
+// its driver touches them.
 type mailbox struct {
 	sends []*envelope
 	recvs []*posted
@@ -117,11 +115,10 @@ type mailbox struct {
 // shards, the slab materializes on first touch, so a 10k-rank communicator
 // allocates mailbox state only for the shards traffic actually reaches.
 type boxShard struct {
-	mu    sync.Mutex
-	ready atomic.Bool
+	ready bool
 	slab  []mailbox
-	// pi records a revocation that arrived before (or while) the slab
-	// materialized: boxes created later are born poisoned.
+	// pi records a revocation that arrived before the slab materialized:
+	// boxes created later are born poisoned.
 	pi *poisonInfo
 }
 
@@ -130,44 +127,32 @@ type boxShard struct {
 //
 //seclint:allocs-ok lazy mailbox bring-up: once per shard
 func (sh *boxShard) materialize(groupLen, lo int) {
-	sh.mu.Lock()
-	if !sh.ready.Load() {
-		n := groupLen - lo
-		if n > shardSize {
-			n = shardSize
+	n := min(groupLen-lo, shardSize)
+	sh.slab = make([]mailbox, n)
+	if sh.pi != nil {
+		for i := range sh.slab {
+			sh.slab[i].fail = sh.pi
 		}
-		slab := make([]mailbox, n)
-		if sh.pi != nil {
-			for i := range slab {
-				slab[i].fail = sh.pi
-			}
-		}
-		sh.slab = slab
-		sh.ready.Store(true)
 	}
-	sh.mu.Unlock()
+	sh.ready = true
 }
 
-// deliver matches e against the box's posted receives or queues it, under
-// the shard lock. A non-nil return means the box is poisoned: the message
-// was not delivered and the sender must fail with the carried reason.
-func (sh *boxShard) deliver(b *mailbox, e *envelope) *poisonInfo {
-	sh.mu.Lock()
+// deliver matches e against the box's posted receives or queues it. A
+// non-nil return means the box is poisoned: the message was not delivered
+// and the sender must fail with the carried reason.
+func (b *mailbox) deliver(e *envelope) *poisonInfo {
 	if pi := b.fail; pi != nil {
-		sh.mu.Unlock()
 		freeEnvelope(e)
 		return pi
 	}
 	for i, p := range b.recvs {
 		if p.matches(e) {
 			b.recvs = append(b.recvs[:i], b.recvs[i+1:]...)
-			sh.mu.Unlock()
 			p.fill(e)
 			return nil
 		}
 	}
 	b.sends = append(b.sends, e)
-	sh.mu.Unlock()
 	return nil
 }
 
@@ -175,24 +160,20 @@ func (sh *boxShard) deliver(b *mailbox, e *envelope) *poisonInfo {
 // either an immediately matched envelope or nil, in which case the caller
 // awaits p. On a poisoned box with no queued match it returns a
 // poison envelope instead of parking the receive forever.
-func (sh *boxShard) post(b *mailbox, p *posted) *envelope {
-	sh.mu.Lock()
+func (b *mailbox) post(p *posted) *envelope {
 	for i, e := range b.sends {
 		if p.matches(e) {
 			b.sends = append(b.sends[:i], b.sends[i+1:]...)
-			sh.mu.Unlock()
 			return e
 		}
 	}
 	if pi := b.fail; pi != nil {
-		sh.mu.Unlock()
 		e := newEnvelope()
 		e.src = -1
 		e.fail = pi
 		return e
 	}
 	b.recvs = append(b.recvs, p)
-	sh.mu.Unlock()
 	return nil
 }
 
@@ -287,8 +268,7 @@ func (c *Comm) sendInternal(dst, tag, hookTag int, data []byte, nbytes, vbytes i
 		// A ghost message's nil data makes no payload.
 		e.data = payloads.get(min(nbytes, len(data)))
 		copy(e.data, data)
-		sh, box := c.shared.box(dst)
-		if pi := sh.deliver(box, e); pi != nil {
+		if pi := c.shared.box(dst).deliver(e); pi != nil {
 			return fmt.Errorf("mpi: rank %d: Send to rank %d failed: %w", c.rank, dst, pi.reason)
 		}
 		if w.lazy {
@@ -361,8 +341,7 @@ func (c *Comm) Irecv(src, tag int) (*Request, error) {
 	}
 	p := c.rs.newPosted(src, tag)
 	req := &Request{comm: c, pending: p, src: src, postT: c.rs.now()}
-	sh, box := c.shared.box(c.rank)
-	if e := sh.post(box, p); e != nil {
+	if e := c.shared.box(c.rank).post(p); e != nil {
 		req.env = e
 		req.pending = nil
 		c.rs.freePosted(p)
@@ -383,8 +362,7 @@ func (c *Comm) recvEnvelope(src, tag, hookTag int) (*envelope, error) {
 	}
 	p := c.rs.newPosted(src, tag)
 	postT := c.rs.now()
-	sh, box := c.shared.box(c.rank)
-	e := sh.post(box, p)
+	e := c.shared.box(c.rank).post(p)
 	if e == nil {
 		e = c.await(p, "Recv", src, hookTag)
 	}

@@ -67,12 +67,16 @@ func (c *coChain) pop() (co *rankCo) {
 	return co
 }
 
-// coPool keeps up to freeListMax idle coroutines (an iter.Pull costs 11
-// allocations), more than extreme-scale's overlapping 10,000- and 4,096-rank
-// worlds use. A world hands its own back in one run and takes shardSize at a
-// time, so two worlds side by side seldom switch among coroutines interleaved
-// in memory: one coroutine at a time from one list ran sweeps ~8 % slower.
-// It is not a park.Stack: a coroutine the pool cannot keep must be stopped.
+// coPoolMax bounds the idle coroutines coPool keeps (an iter.Pull costs 11
+// allocations): more than extreme-scale's overlapping 10,000- and 4,096-rank
+// worlds use, each coroutine a parked goroutine of a few KiB of stack.
+const coPoolMax = 128 << 10
+
+// coPool keeps up to coPoolMax idle coroutines for the worlds of the process.
+// A world hands its own back in one run and takes shardSize at a time, so
+// two worlds side by side seldom switch among coroutines interleaved in
+// memory: one coroutine at a time from one list ran sweeps ~8 % slower. It is
+// not a park.Stack: a coroutine the pool cannot keep must be stopped.
 var coPool struct {
 	sync.Mutex
 	coChain
@@ -117,7 +121,7 @@ func (w *World) putIdle() {
 	coPool.Lock()
 	defer coPool.Unlock()
 	for co := w.idle.pop(); co != nil; co = w.idle.pop() {
-		if coPool.push(co); coPool.n > freeListMax {
+		if coPool.push(co); coPool.n > coPoolMax {
 			coPool.pop().stop()
 		}
 	}

@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/stats"
@@ -15,9 +14,8 @@ import (
 // addressed into the shard, or by a lazy world's driver when no rank can
 // run — so a 10,000-rank world does not pay 10,000 allocations before the
 // first byte moves. Each shard also carries a virtual-clock frontier, a
-// lock-free high-water mark its ranks publish at communication points;
-// cross-shard time observation (live gauges, the run report) folds the
-// per-shard frontiers instead of taking any global lock.
+// high-water mark its ranks publish at communication points; the live
+// gauges fold the per-shard frontiers from another goroutine.
 
 const (
 	// shardBits sets the shard granularity: 1<<shardBits ranks per shard.
@@ -30,21 +28,22 @@ const (
 )
 
 // rankShard holds the runtime state of up to shardSize consecutive world
-// ranks. The states slab is allocated under mu on first touch and then
-// immutable in shape; pointer stability of &states[i] is what lets the rest
-// of the runtime hold *rankState across the run.
+// ranks. The states slab is allocated on first touch, by the running rank or
+// the driver, and then immutable in shape; pointer stability of &states[i]
+// is what lets the rest of the runtime hold *rankState across the run.
 type rankShard struct {
 	lo int // first world rank covered
 	n  int // ranks covered (the last shard may be partial)
 
-	mu    sync.Mutex
-	ready atomic.Bool // states materialized and ranks queued to run
+	ready bool // states materialized and ranks queued to run
 
 	states []rankState
 
 	// frontier is the shard's virtual-clock high-water mark, float64 bits.
 	// Ranks publish lazily at communication points (completeRecv) and at
 	// finish; one rank of the world runs at a time, so it has one writer.
+	// Atomic: RuntimeStats.Frontier reads it from a tool's goroutine while
+	// the run executes.
 	frontier atomic.Uint64
 }
 
@@ -67,17 +66,11 @@ func (w *World) isActive(rank int) bool {
 }
 
 // ensureShard materializes the shard's state slab and queues its active ranks
-// to run. Idempotent; the double-checked ready flag keeps the
-// post-materialization cost at one atomic load.
+// to run. Idempotent: a ready shard costs one bool test.
 //
 //seclint:allocs-ok lazy shard bring-up: once per shard, amortized across the session
 func (w *World) ensureShard(sh *rankShard) {
-	if sh.ready.Load() {
-		return
-	}
-	sh.mu.Lock()
-	if sh.ready.Load() {
-		sh.mu.Unlock()
+	if sh.ready {
 		return
 	}
 	sh.states = make([]rankState, sh.n)
@@ -99,8 +92,7 @@ func (w *World) ensureShard(sh *rankShard) {
 		spawned++
 		w.runq.push(rs)
 	}
-	sh.ready.Store(true)
-	sh.mu.Unlock()
+	sh.ready = true
 	w.materialized.Add(int64(spawned))
 	w.running += spawned
 }
@@ -109,8 +101,7 @@ func (w *World) ensureShard(sh *rankShard) {
 // to — the communication-driven half of lazy bring-up. Only called on lazy
 // runs; the driver brings up the shards nobody sends to.
 func (w *World) nudge(worldRank int) {
-	sh := w.shardOf(worldRank)
-	if !sh.ready.Load() {
+	if sh := w.shardOf(worldRank); !sh.ready {
 		w.ensureShard(sh)
 	}
 }
@@ -153,9 +144,10 @@ func (w *World) rankMain(rs *rankState) {
 }
 
 // RuntimeStats exposes live gauges of a running (or finished) world. Tools
-// receive one via WorldInfo.Stats at Init and may poll it concurrently
-// while the run executes — monitors report rank bring-up and virtual-time
-// progress without touching any runtime lock.
+// receive one via WorldInfo.Stats at Init and may poll it from another
+// goroutine while the run executes — monitors report rank bring-up and
+// virtual-time progress — so the two gauges that change during a run,
+// MaterializedRanks and Frontier, read atomics.
 type RuntimeStats struct{ w *World }
 
 // DeclaredRanks reports the world size of the run (Config.Ranks).

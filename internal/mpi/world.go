@@ -104,17 +104,19 @@ type World struct {
 	// Headers exist from Run; state slabs materialize on first touch.
 	shards   []rankShard
 	nextComm int64
-	commMu   sync.Mutex
 
 	// Session / lazy bring-up (shard.go).
-	lazy         bool           // lazy materialization enabled
-	active       func(int) bool // nil = all ranks active
-	activeCount  int            // ranks the session runs fn on
-	runFn        func(*Comm) error
-	worldComm    *commShared
-	errs         []error      // per-world-rank errors, written by rankMain
-	finals       []float64    // per-world-rank final clocks
-	materialized atomic.Int64 // active ranks brought up so far
+	lazy        bool           // lazy materialization enabled
+	active      func(int) bool // nil = all ranks active
+	activeCount int            // ranks the session runs fn on
+	runFn       func(*Comm) error
+	worldComm   *commShared
+	errs        []error   // per-world-rank errors, written by rankMain
+	finals      []float64 // per-world-rank final clocks
+	// materialized counts the active ranks brought up so far. Atomic:
+	// RuntimeStats.MaterializedRanks reads it from a tool's goroutine (a
+	// monitor's HTTP handler) while the run executes.
+	materialized atomic.Int64
 
 	// The driver's state (sched.go): the run queue, the materialized ranks
 	// not yet ended, a lazy world's next shard, the idle coroutines, and
@@ -130,25 +132,24 @@ type World struct {
 	// exit). One rank of the world runs at a time, and only it uses it.
 	exitData ToolData
 
-	sectionErrMu sync.Mutex
-	sectionErrs  []error
+	sectionErrs []error
 
-	// Failure propagation state (ft.go). ftMu guards the communicator
-	// registry, the dead mask and the first-failure poison.
-	ftMu   sync.Mutex
+	// Failure propagation state (ft.go): the communicator registry, the
+	// dead mask and the first-failure poison.
 	comms  []*commShared
 	dead   []bool
 	failPi *poisonInfo
 
-	// Run-level abort (deadlock report / watchdog): abortSet is what the
-	// driver polls between two ranks.
+	// Run-level abort (deadlock report / watchdog). The Timeout watchdog
+	// calls abort from Run's goroutine while the driver runs, so abortOnce
+	// admits one reason and abortSet, which the driver polls between two
+	// ranks, publishes abortErr: it is written before the store.
 	abortSet  atomic.Bool
 	abortOnce sync.Once
 	abortErr  error
 
 	// Fault injection (faultinject.go); nil when no plan is armed.
 	fi       *faultState
-	faultMu  sync.Mutex
 	faults   []fault.Event
 	faultObs []FaultObserver
 	// computeObs are the attached tools that also implement ComputeObserver,
@@ -308,7 +309,7 @@ func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
 			select {
 			case <-w.done:
 			case <-time.After(2 * time.Second):
-				return nil, w.abortReason()
+				return nil, w.abortErr
 			}
 		}
 	} else {
@@ -318,12 +319,10 @@ func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
 	// Every rank is done: the communicators' exchange slabs go to the next
 	// world (bufpool.go). The watchdog's early return above keeps them, its
 	// ranks may still be running.
-	w.ftMu.Lock()
 	for _, cs := range w.comms {
 		putSlab(cs.exchange.ops)
 		cs.exchange.ops = nil
 	}
-	w.ftMu.Unlock()
 
 	rep := &Report{
 		RankTimes:         make([]float64, c.Ranks),
@@ -337,7 +336,8 @@ func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
 			rep.WallTime = w.finals[i]
 		}
 	}
-	rep.Faults = w.faultLog()
+	fault.SortEvents(w.faults)
+	rep.Faults = w.faults
 	rep.Dead = w.deadRanks()
 	for _, tool := range c.Tools {
 		tool.Finalize(rep)
@@ -349,12 +349,10 @@ func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
 			all = append(all, e)
 		}
 	}
-	if aerr := w.abortReason(); aerr != nil {
-		all = append(all, aerr)
+	if w.abortErr != nil {
+		all = append(all, w.abortErr)
 	}
-	w.sectionErrMu.Lock()
 	all = append(all, w.sectionErrs...)
-	w.sectionErrMu.Unlock()
 	if len(all) > 0 {
 		return rep, errors.Join(all...)
 	}
@@ -378,8 +376,6 @@ func identityGroup(n int) []int {
 }
 
 func (w *World) reportSectionError(err error) {
-	w.sectionErrMu.Lock()
-	defer w.sectionErrMu.Unlock()
 	// Bound the list: one misnested loop could otherwise flood memory.
 	if len(w.sectionErrs) < 64 {
 		w.sectionErrs = append(w.sectionErrs, err)
