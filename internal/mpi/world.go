@@ -303,12 +303,13 @@ func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
 		case <-w.done:
 		case <-time.After(c.Timeout):
 			// Revoke the run so parked ranks unwind instead of leaking,
-			// then give them a grace period. A rank stuck in real
-			// (non-runtime) work holds its world: leak it and return.
+			// then give them a grace period, at most as long as the
+			// watchdog itself. A rank stuck in real (non-runtime) work
+			// holds its world: leak it and return.
 			w.abort(fmt.Errorf("mpi: run exceeded %v watchdog", c.Timeout))
 			select {
 			case <-w.done:
-			case <-time.After(2 * time.Second):
+			case <-time.After(min(2*time.Second, c.Timeout)):
 				return nil, w.abortErr
 			}
 		}

@@ -285,24 +285,65 @@ func TestCodecAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkReadCSV decodes the 64-rank, 1,600-step recording of
-// TestCodecAllocs: 102,400 rows, 6.5 MB.
+// BenchmarkReadCSV decodes two traces on every core. "recording" is the
+// 64-rank, 1,600-step recording of TestCodecAllocs: 102,400 rows, 6.5 MB,
+// its times a millisecond a step. "conv-p256" has the shape of a recorded
+// p=256 convolution run (convRecording): 204,800 rows, times of two digits
+// before the point, a quarter of the rows receives with their three
+// matched-pair times, the rest sections and sends with zero tails.
 func BenchmarkReadCSV(b *testing.B) {
-	var data bytes.Buffer
-	if err := WriteEventsCSV(&data, Sorted(recording(64, 1600))); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(data.Len()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if events, err := ReadCSV(bytes.NewReader(data.Bytes())); err != nil || len(events) != 102400 {
-			b.Fatalf("%d events, err %v", len(events), err)
-		}
+	for _, c := range []struct {
+		name   string
+		events []Event
+	}{
+		{"recording", Sorted(recording(64, 1600))},
+		{"conv-p256", Sorted(convRecording(256, 100))},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var data bytes.Buffer
+			if err := WriteEventsCSV(&data, c.events); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(data.Len()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if events, err := ReadCSV(bytes.NewReader(data.Bytes())); err != nil || len(events) != len(c.events) {
+					b.Fatalf("%d events, err %v", len(events), err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(c.events)), "ns/row")
+		})
 	}
 }
 
-// BenchmarkWriteCSV encodes the same recording, as the ranks left it in a
+// convRecording is a p-rank run of steps halo-and-convolve steps as the
+// convolution records them: each step, each rank enters HALO, sends to its
+// right neighbour, receives from its left one and leaves; then enters
+// CONVOLVE, sends and receives again and leaves. The clock starts at ten
+// seconds, so every time has two digits before the point and some fifteen
+// after it.
+func convRecording(p, steps int) []Event {
+	out := make([]Event, 0, 8*p*steps)
+	for i := 0; i < steps; i++ {
+		for r := 0; r < p; r++ {
+			t := 10 + float64(i)*0.0123456789 + float64(r)*1.7e-6
+			right, left := (r+1)%p, (r+p-1)%p
+			for k, label := range []string{"HALO", "CONVOLVE"} {
+				at := t + float64(k)*0.006
+				out = append(out,
+					Event{T: at, Rank: r, Kind: KindSectionEnter, Label: label},
+					Event{T: at + 2e-6, Rank: r, Kind: KindSend, Peer: right, Bytes: 134784, Tag: 200 + k},
+					Event{T: at + 3.3e-4, Rank: r, Kind: KindRecv, Peer: left, Bytes: 134784, Tag: 200 + k,
+						SendT: at - 1.7e-6, PostT: at + 4e-6, ArrT: at + 3.1e-4},
+					Event{T: at + 3.4e-4, Rank: r, Kind: KindSectionLeave, Label: label})
+			}
+		}
+	}
+	return out
+}
+
+// BenchmarkWriteCSV encodes the "recording" trace, as the ranks left it in a
 // Buffer, through its Order: the merge and the encoder, what sealing a
 // served job pays.
 func BenchmarkWriteCSV(b *testing.B) {

@@ -454,7 +454,7 @@ const csvBlockSize = 256 << 10
 
 // readCSV is ReadCSV with the block size, which only tests vary.
 func readCSV(src io.Reader, blockSize int) ([]Event, error) {
-	r := &csvReader{src: src, blockSize: blockSize, workers: runtime.GOMAXPROCS(0), labels: map[string]string{}}
+	r := &csvReader{src: src, blockSize: blockSize, workers: runtime.GOMAXPROCS(0), labels: newLabelTable()}
 	first := blockSize
 	if l, ok := src.(interface{ Len() int }); ok {
 		r.total = int64(l.Len())
@@ -531,7 +531,7 @@ type csvReader struct {
 	head, next int
 	jobs, done chan *csvBlock
 	wg         sync.WaitGroup
-	labels     map[string]string // of the rows this goroutine decodes itself
+	labels     labelTable // of the rows this goroutine decodes itself
 
 	// out[:len] holds the rows of the blocks taken back, out[len:reserved]
 	// the ranges of those in flight.
@@ -637,9 +637,9 @@ func (r *csvReader) startWorkers() {
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
-			labels := map[string]string{}
+			labels := newLabelTable()
 			for b := range r.jobs {
-				b.decode(labels)
+				b.decode(&labels)
 				r.done <- b
 			}
 		}()
@@ -678,7 +678,7 @@ func (r *csvReader) dispatch(b *csvBlock, data []byte, more bool) {
 		r.jobs <- b
 		return
 	}
-	b.decode(r.labels)
+	b.decode(&r.labels)
 	b.decoded = true
 	r.retire()
 }
@@ -796,7 +796,7 @@ func (r *csvReader) readQuoted(rest io.Reader) {
 		}
 		n := len(r.out)
 		r.out = append(r.out, Event{})
-		if err := parseRow(&r.out[n], &fields, r.labels); err != nil {
+		if err := parseRow(&r.out[n], &fields, &r.labels); err != nil {
 			r.out = r.out[:n]
 			r.fail(err)
 			return
@@ -811,7 +811,7 @@ func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 // decode parses the block's lines into its range of the result, up to the
 // first line that is wrong.
-func (b *csvBlock) decode(labels map[string]string) {
+func (b *csvBlock) decode(labels *labelTable) {
 	var fields [numCols][]byte
 	rows, lines := 0, 0
 	b.err = nil
@@ -845,17 +845,42 @@ func nextLine(data []byte) (line, rest []byte) {
 	return line, rest
 }
 
+const (
+	commas = 0x2c2c2c2c2c2c2c2c // ',' in every byte
+	low7   = 0x7f7f7f7f7f7f7f7f
+)
+
 // splitRow cuts a line without quotes at its commas, and reports whether
-// that made numCols fields.
+// that made numCols fields. The commas are found eight bytes at a time:
+// xor-ed with eight commas, a word has a zero byte where the line has one,
+// and ^((x&low7 + low7) | x | low7) sets the top bit of exactly those bytes
+// — the sum cannot carry out of a byte, so no other byte is marked, unlike
+// the (x-0x01…)&^x&0x80… of C libraries, which marks the '-' after a comma
+// in ",section-enter". The last len(line)%8 bytes are read one at a time.
+//
+//seclint:hotpath
 func splitRow(line []byte, fields *[numCols][]byte) bool {
-	n, start := 0, 0
-	for i, c := range line {
-		if c != ',' {
+	n, start, i := 0, 0, 0
+	for ; i+8 <= len(line); i += 8 {
+		x := binary.LittleEndian.Uint64(line[i:]) ^ commas
+		for m := ^((x&low7 + low7) | x | low7); m != 0; m &= m - 1 {
+			if n == numCols-1 {
+				return false
+			}
+			at := i + bits.TrailingZeros64(m)>>3
+			fields[n] = line[start:at]
+			n++
+			start = at + 1
+		}
+	}
+	for ; i < len(line); i++ {
+		if line[i] != ',' {
 			continue
 		}
-		if n < numCols-1 {
-			fields[n] = line[start:i]
+		if n == numCols-1 {
+			return false
 		}
+		fields[n] = line[start:i]
 		n++
 		start = i + 1
 	}
@@ -866,9 +891,10 @@ func splitRow(line []byte, fields *[numCols][]byte) bool {
 	return true
 }
 
-// parseRow decodes one full-width record into e. Labels are interned: a
-// trace repeats a handful of them a hundred thousand times.
-func parseRow(e *Event, f *[numCols][]byte, labels map[string]string) error {
+// parseRow decodes one full-width record into e. Only a receive carries
+// its sendt, postt and arrt; every other row has the "0,0,0" the encoder
+// writes for them, and three such cells are +0 without a parse.
+func parseRow(e *Event, f *[numCols][]byte, labels *labelTable) error {
 	var err error
 	if e.T, err = parseFloat(f[0]); err != nil {
 		return fmt.Errorf("time: %w", err)
@@ -876,7 +902,7 @@ func parseRow(e *Event, f *[numCols][]byte, labels map[string]string) error {
 	if e.Rank, err = parseInt(f[1]); err != nil {
 		return fmt.Errorf("rank: %w", err)
 	}
-	kind, ok := kindByName[string(f[2])]
+	kind, ok := kindOf(f[2])
 	if !ok {
 		return unknownKind(string(f[2]))
 	}
@@ -886,7 +912,7 @@ func parseRow(e *Event, f *[numCols][]byte, labels map[string]string) error {
 	} else if e.Comm, err = strconv.ParseInt(string(f[3]), 10, 64); err != nil {
 		return fmt.Errorf("comm: %w", err)
 	}
-	e.Label = intern(labels, f[4])
+	e.Label = labels.intern(f[4])
 	if e.Peer, err = parseInt(f[5]); err != nil {
 		return fmt.Errorf("peer: %w", err)
 	}
@@ -895,6 +921,10 @@ func parseRow(e *Event, f *[numCols][]byte, labels map[string]string) error {
 	}
 	if e.Tag, err = parseInt(f[7]); err != nil {
 		return fmt.Errorf("tag: %w", err)
+	}
+	if isZero(f[8]) && isZero(f[9]) && isZero(f[10]) {
+		e.SendT, e.PostT, e.ArrT = 0, 0, 0
+		return nil
 	}
 	if e.SendT, err = parseFloat(f[8]); err != nil {
 		return fmt.Errorf("sendt: %w", err)
@@ -908,15 +938,58 @@ func parseRow(e *Event, f *[numCols][]byte, labels map[string]string) error {
 	return nil
 }
 
-func intern(labels map[string]string, b []byte) string {
+// isZero reports whether a cell is the one byte "0"; "-0", "0.0" and every
+// other spelling of a zero are parseFloat's.
+func isZero(b []byte) bool { return len(b) == 1 && b[0] == '0' }
+
+// kindOf is kindByName for a cell: the four kinds of nearly every row are a
+// switch, which the compiler makes a test of the length and then of the
+// bytes; the rest are looked up.
+func kindOf(b []byte) (Kind, bool) {
+	switch string(b) {
+	case "send":
+		return KindSend, true
+	case "recv":
+		return KindRecv, true
+	case "section-enter":
+		return KindSectionEnter, true
+	case "section-leave":
+		return KindSectionLeave, true
+	}
+	k, ok := kindByName[string(b)]
+	return k, ok
+}
+
+// labelTable interns a decoder's labels: a trace repeats a handful of them
+// a hundred thousand times. In front of the table, each label interned is
+// remembered in one of 16 slots, picked by its length and first byte, so
+// that the next row with that label skips the map. One slot of the last
+// label alone would not do: a run's rows switch between its sections'
+// labels nearly every labelled row (HALO, CONVOLVE, HALO, …), and the last
+// label is the next row's one time in five in a recorded p=256
+// convolution run; with the slots, every one of its eight labels has one
+// of its own.
+type labelTable struct {
+	m      map[string]string
+	recent [16]string
+}
+
+func newLabelTable() labelTable { return labelTable{m: map[string]string{}} }
+
+func (t *labelTable) intern(b []byte) string {
 	if len(b) == 0 {
 		return ""
 	}
-	if s, ok := labels[string(b)]; ok {
-		return s
+	slot := &t.recent[(len(b)+int(b[0]))%len(t.recent)]
+	if string(b) == *slot {
+		return *slot
 	}
-	s := string(b)
-	labels[s] = s
+	s, ok := t.m[string(b)]
+	if !ok {
+		s = string(b)
+		t.m[s] = s
+	}
+	*slot = s
 	return s
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -118,6 +119,90 @@ func TestReadCSVLenIsAHint(t *testing.T) {
 		got, err := readCSV(hinted{bytes.NewReader(data), n}, blockSize)
 		if err != nil || !sameEvents(got, events) {
 			t.Errorf("Len %d for %d bytes: %d events, err %v; want the %d written", n, len(data), len(got), err, len(events))
+		}
+	}
+}
+
+// splitRowBytes is splitRow one byte at a time: the oracle of the split
+// that finds commas a word at a time.
+func splitRowBytes(line []byte, fields *[numCols][]byte) bool {
+	n, start := 0, 0
+	for i, c := range line {
+		if c != ',' {
+			continue
+		}
+		if n < numCols-1 {
+			fields[n] = line[start:i]
+		}
+		n++
+		start = i + 1
+	}
+	if n != numCols-1 {
+		return false
+	}
+	fields[n] = line[start:]
+	return true
+}
+
+// TestSplitRowMatchesBytes holds splitRow to splitRowBytes: the same
+// verdict and, where the line splits, the same fields. The lines are every
+// line of 0 to 16 bytes made of commas and one other byte — a comma at
+// every offset mod 8, alone and in runs, with the other byte a digit, a '-'
+// (which a borrowing zero-byte test takes for a comma when it follows
+// one), or a byte of 0x80 and up ("\xac" is a comma with the top bit set);
+// random lines of those bytes up to 40 long; and rows of a trace shifted
+// by 0 to 7 bytes, so that each of their commas falls on every offset.
+func TestSplitRowMatchesBytes(t *testing.T) {
+	check := func(line []byte) {
+		t.Helper()
+		var got, want [numCols][]byte
+		ok, wantOK := splitRow(line, &got), splitRowBytes(line, &want)
+		if ok != wantOK {
+			t.Fatalf("splitRow(%q) = %t, byte loop %t", line, ok, wantOK)
+		}
+		for i := 0; ok && i < numCols; i++ {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("splitRow(%q): field %d = %q, byte loop %q", line, i, got[i], want[i])
+			}
+		}
+	}
+	others := []byte{'0', '-', 0x80, 0xac, 0xff}
+	line := make([]byte, 0, 40)
+	for n := 0; n <= 16; n++ {
+		for _, other := range others {
+			for bits := 0; bits < 1<<n; bits++ {
+				line = line[:0]
+				for i := 0; i < n; i++ {
+					if bits>>i&1 == 1 {
+						line = append(line, ',')
+					} else {
+						line = append(line, other)
+					}
+				}
+				check(line)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	alphabet := append([]byte{','}, others...)
+	for i := 0; i < 20000; i++ {
+		line = line[:0]
+		for j := rng.Intn(41); j > 0; j-- {
+			line = append(line, alphabet[rng.Intn(len(alphabet))])
+		}
+		check(line)
+	}
+	for _, row := range []string{
+		"0,0,section-enter,0,MPI_MAIN,0,0,0,0,0,0",
+		"9.4386897262127718,93,recv,0,,94,134784,200,9.1606110668532832,9.4386877262127715,9.1606567948532831",
+		"9.4387086856950138,126,send,0,,125,134784,200,0,0,0",
+		"1,2,section-leave,0,\xc3\xa9,-3,0,0,0,0,0",
+		",,,,,,,,,,",
+		",,,,,,,,,,,",
+	} {
+		for shift := 0; shift < 8; shift++ {
+			check([]byte(strings.Repeat("1", shift) + row))
+			check([]byte(row + strings.Repeat(",", shift)))
 		}
 	}
 }

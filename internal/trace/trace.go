@@ -131,6 +131,23 @@
 // needed quoting — stops the hand-outs: everything before it is decoded as
 // above, and that line and the rest of the stream are encoding/csv's.
 //
+// A row is cut at its commas eight bytes at a time: xor-ed with eight
+// commas, a word of the line has a zero byte where the line has a comma,
+// and a mask of exactly those bytes — exact, where the usual borrowing
+// test would also take the '-' of ",section-enter" for one — gives the
+// fields in order; the last bytes of a line, fewer than eight, are looked
+// at one by one. A row's kind is told by its length and bytes where it is
+// one of the four a trace is nearly all made of (section-enter and -leave,
+// send, recv) and looked up by name otherwise. What a row does not carry
+// is not parsed: the sendt, postt and arrt of every row but a receive's are
+// the one-byte cells "0,0,0" the writer puts there, and three such cells
+// are +0 without a call to the float parser, while "-0", "0.0" and every
+// other spelling of a zero still go through it. Each decoder remembers the
+// labels it interned in 16 slots, one picked by a label's length and first
+// byte, so a label seen before is as a rule found without its table: in a
+// recorded run, the rows switch between two section labels, which a memo
+// of the last label alone would miss four times in five.
+//
 // A float cell of the shape digits[.digits], with at most 19 digits from
 // the first that is not zero and at most 19 after the point, is an integer
 // below 10^19 over a power of ten up to 10^19: both fit a machine word, one
