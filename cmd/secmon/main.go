@@ -54,7 +54,6 @@ func main() {
 		Retries:      *retries,
 		CacheEntries: *cacheEntries,
 		CacheDir:     *cacheDir,
-		Observe:      true,
 	})
 	srv := &http.Server{Addr: *addr, Handler: serve.NewHandler(svc, serve.HandlerOptions{})}
 

@@ -17,7 +17,7 @@ import (
 // testHandler builds the handler exactly as main does: full observability,
 // default queue policy.
 func testHandler() http.Handler {
-	return serve.NewHandler(serve.NewService(serve.Options{Observe: true}), serve.HandlerOptions{})
+	return serve.NewHandler(serve.NewService(serve.Options{}), serve.HandlerOptions{})
 }
 
 // get issues a request against the monitor handler and returns status+body.
@@ -246,7 +246,7 @@ func TestVerifyKnob(t *testing.T) {
 // in-flight responses complete, the listener closes, and Serve reports
 // ErrServerClosed rather than a hard kill.
 func TestGracefulShutdown(t *testing.T) {
-	svc := serve.NewService(serve.Options{Observe: true})
+	svc := serve.NewService(serve.Options{})
 	srv := &http.Server{Handler: serve.NewHandler(svc, serve.HandlerOptions{})}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -16,12 +16,12 @@
 // events are recorded once, by a trace.Collector, and every output above is
 // a view over that recording.
 //
-// The hooks run on the rank goroutines and do what only a live tool can.
-// They forward each event to the Recorder's collector (Collector: the one
-// event store, which cmd/secmon also renders as a job's result.csv), and
-// keep the labels of each (communicator, rank)'s open sections, which only
-// that rank touches, so that Finalize can count the frames no leave closed.
-// No lock, no map, no allocation per event.
+// The hooks do what only a live tool can, and those of one world run one at
+// a time (mpi.Tool). They forward each event to the Recorder's collector
+// (Collector: the one event store, which cmd/secmon also renders as a job's
+// result.csv), and keep the labels of each (communicator, rank)'s open
+// sections, which only that rank touches, so that Finalize can count the
+// frames no leave closed. No lock, no map, no allocation per event.
 // Two things are written under the Recorder's one mutex, each a handful of
 // times per run: a communicator's member world ranks on first sight (the
 // trace's peer column is a rank of the communicator; flow arrows and
@@ -422,8 +422,8 @@ func (r *Recorder) Finalize(rep *mpi.Report) {
 func (r *Recorder) recording() trace.Recording { return r.col.Buffer().Recording() }
 
 // facts implements source: a copy of the run facts as they stand, the fault
-// log in canonical order (fault.SortEvents), however the rank goroutines
-// interleaved.
+// log in canonical order (fault.SortEvents) whatever order the world's
+// hooks, which run one at a time, logged it in.
 func (r *Recorder) facts() runFacts {
 	r.mu.Lock()
 	f := r.run

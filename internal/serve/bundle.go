@@ -22,17 +22,15 @@ const collectorLimit = 4 << 20
 // written once, against this.
 type attempt interface {
 	// exporter returns the exporter's views for what they say of the run
-	// without replaying it — trace id, faults, drops — and whether the
-	// attempt was recorded through an exporter at all.
-	exporter() (export.Views, bool)
+	// without replaying it — trace id, faults, drops.
+	exporter() export.Views
 	// replayable returns the exporter's views with the events behind them.
 	replayable() (export.Views, error)
 	// order is the recorded events in canonical order, which is all the
 	// wait-state and POP analyses read.
 	order() (*trace.Order, error)
 	// profile is the telemetry profile of the run so far, from the fold the
-	// attempt keeps of its recording (fold, keptFold); nil unless the
-	// attempt was observed.
+	// attempt keeps of its recording (fold, keptFold).
 	profile() (*telemetry.Profile, error)
 	// seriesDropped is the running count of series the telemetry
 	// expositions of the job suppressed.
@@ -40,8 +38,7 @@ type attempt interface {
 	// verification is the verifier's report, nil unless the request asked
 	// for one.
 	verification() *verify.Report
-	// ranks are the runtime's bring-up gauges, nil when the attempt has none
-	// to show (no exporter, or no Init yet).
+	// ranks are the runtime's bring-up gauges, nil before the run's Init.
 	ranks() *rankGauges
 	// release ends the reading; nothing got from the attempt is used after.
 	release()
@@ -54,12 +51,11 @@ type rankGauges struct {
 	frontier                       float64
 }
 
-// bundle is one attempt's tool chain. One trace collector records every
-// attempt — its buffer is the canonical result artifact and what every
-// analysis endpoint replays, the telemetry views included. An observed
-// attempt (Options.Observe) records through an export.Recorder, whose views
-// read that same buffer. The verifier rides along only when the request
-// asked for it.
+// bundle is one attempt's tool chain. Every attempt records through an
+// export.Recorder, whose collector's buffer is the canonical result artifact
+// and what every view replays: the recorder's own, the analyses and the
+// telemetry fold. The verifier rides along only when the request asked for
+// it.
 //
 // A job holds its bundle for as long as the attempt runs and no longer: when
 // the attempt ends, seal keeps what the views need and the recording goes
@@ -69,10 +65,9 @@ type rankGauges struct {
 // and every handler between its snapshot and its release — and the chunks
 // go back when the last one lets go.
 type bundle struct {
-	rec       *export.Recorder // nil unless observed; records into collector
-	collector *trace.Collector
-	verifier  *verify.Tool // nil unless asked for
-	fold      *fold        // nil unless observed
+	rec      *export.Recorder
+	verifier *verify.Tool // nil unless asked for
+	fold     *fold
 
 	dropped *atomic.Int64 // see attempt.seriesDropped; outlives the bundle, in what seal keeps
 	readers atomic.Int32
@@ -80,24 +75,15 @@ type bundle struct {
 
 // newBundle assembles the tool chain for one attempt, which is its first
 // reader. limit caps the recording (collectorLimit, but for tests).
-func newBundle(observe, verifyOn bool, limit int) *bundle {
-	b := &bundle{dropped: new(atomic.Int64)}
+func newBundle(verifyOn bool, limit int) *bundle {
+	rec := export.NewRecorder(export.Options{MaxEvents: limit, Messages: true, Collectives: true})
+	b := &bundle{rec: rec, fold: &fold{rec: rec}, dropped: new(atomic.Int64)}
 	b.readers.Store(1)
-	if observe {
-		// The recorder's cap is the collector's, so that result.csv is
-		// cut at the same event whether or not the job was observed.
-		b.rec = export.NewRecorder(export.Options{MaxEvents: limit, Messages: true, Collectives: true})
-		b.collector = b.rec.Collector()
-		b.fold = &fold{rec: b.rec}
-		b.collector.Buffer().Overflow = b.fold.add
-	} else {
-		b.collector = trace.NewCollector(limit)
-		b.collector.Messages = true
-		b.collector.Collectives = true
-	}
+	col := rec.Collector()
+	col.Buffer().Overflow = b.fold.add
 	// Thread-team compute regions feed the POP hybrid split; pure-MPI
 	// experiments record none, so the flag costs them nothing.
-	b.collector.Omp = true
+	col.Omp = true
 	if verifyOn {
 		b.verifier = verify.New()
 	}
@@ -107,31 +93,18 @@ func newBundle(observe, verifyOn bool, limit int) *bundle {
 // tools returns the chain in attachment order, each hook consumer once:
 // the recorder stands in for its collector.
 func (b *bundle) tools() []mpi.Tool {
-	out := []mpi.Tool{b.collector}
-	if b.rec != nil {
-		out[0] = b.rec
-	}
 	if b.verifier != nil {
-		out = append(out, b.verifier)
+		return []mpi.Tool{b.rec, b.verifier}
 	}
-	return out
+	return []mpi.Tool{b.rec}
 }
 
-// traceID is the attempt's trace id, "" unless observed.
-func (b *bundle) traceID() string {
-	if b.rec == nil {
-		return ""
-	}
-	return b.rec.TraceID().String()
-}
+// traceID is the attempt's trace id.
+func (b *bundle) traceID() string { return b.rec.TraceID().String() }
 
 // setSeqTime feeds the sequential baseline into the run facts the Eq. 6
 // bounds are computed from.
-func (b *bundle) setSeqTime(seq float64) {
-	if b.rec != nil {
-		b.rec.SetSeqTime(seq)
-	}
-}
+func (b *bundle) setSeqTime(seq float64) { b.rec.SetSeqTime(seq) }
 
 // retain adds a reader. The caller holds the job's lock and found the
 // bundle on the job, so the attempt's own reference is still out and the
@@ -142,27 +115,17 @@ func (b *bundle) retain() { b.readers.Add(1) }
 // handler was mid-replay when it ended — hands the chunks back.
 func (b *bundle) release() {
 	if b.readers.Add(-1) == 0 {
-		b.collector.Buffer().Release()
+		b.rec.Collector().Buffer().Release()
 	}
 }
 
-func (b *bundle) exporter() (export.Views, bool) {
-	if b.rec == nil {
-		return export.Views{}, false
-	}
-	return b.rec.Views, true
-}
+func (b *bundle) exporter() export.Views { return b.rec.Views }
 
 func (b *bundle) replayable() (export.Views, error) { return b.rec.Views, nil }
 
-func (b *bundle) order() (*trace.Order, error) { return b.collector.Buffer().Order(), nil }
+func (b *bundle) order() (*trace.Order, error) { return b.rec.Collector().Buffer().Order(), nil }
 
-func (b *bundle) profile() (*telemetry.Profile, error) {
-	if b.fold == nil {
-		return nil, nil
-	}
-	return b.fold.profile(b), nil
-}
+func (b *bundle) profile() (*telemetry.Profile, error) { return b.fold.profile(b), nil }
 
 func (b *bundle) seriesDropped() *atomic.Int64 { return b.dropped }
 
@@ -178,9 +141,6 @@ func (b *bundle) verification() *verify.Report {
 // materialized gauge climbs from 0 toward the active count while the ranks
 // are still executing.
 func (b *bundle) ranks() *rankGauges {
-	if b.rec == nil {
-		return nil
-	}
 	stats := b.rec.Stats()
 	if stats == nil {
 		return nil
@@ -188,7 +148,7 @@ func (b *bundle) ranks() *rankGauges {
 	return &rankGauges{stats.DeclaredRanks(), stats.ActiveRanks(), stats.MaterializedRanks(), stats.Frontier()}
 }
 
-// fold is the telemetry fold of an observed attempt's recording, kept with
+// fold is the telemetry fold of an attempt's recording, kept with
 // the attempt so that each event is folded once however often the views
 // ask. A view catches it up on the events recorded since the view before:
 // the recording only grows, so what was folded stays folded. Past the cap

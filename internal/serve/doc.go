@@ -67,14 +67,12 @@
 //
 // # Observers
 //
-// One trace collector records every attempt. Its buffer is the job's
-// result (the canonical event CSV) and the one thing every analysis
-// endpoint reads: /waitstate.json, /critpath.json and /efficiency.json
-// replay it, and so do the exporter's views and the telemetry's. With
-// Options.Observe an attempt's chain is one observer: the export.Recorder,
-// which stands in front of the collector (it stamps the Fig. 2 payload and
-// records through it — /sections, /trace.json and /spans.json are its
-// replays of the same buffer). /profile.json, /heatmap.csv and the
+// Every attempt's chain is one observer: the export.Recorder, which stamps
+// the Fig. 2 payload and records through its trace collector. That
+// collector's buffer is the job's result (the canonical event CSV) and the
+// one thing every view reads: /waitstate.json, /critpath.json and
+// /efficiency.json replay it, and /sections, /trace.json and /spans.json are
+// the recorder's replays of it. /profile.json, /heatmap.csv and the
 // telemetry families of /metrics are internal/telemetry's fold of that
 // buffer (telemetry.Feeder), with the recorder's communicator table
 // resolving the ranks the events name: the same bytes the streaming
@@ -82,9 +80,11 @@
 // first request and kept with the attempt; each later request folds only
 // the events recorded since the one before, so an event is folded once
 // however often a running job is asked, and never for a job nobody asks
-// (bundle.go, fold). The runtime
-// verifier is a second observer, per request (verify=1). Whether a job was
-// observed does not change its result bytes.
+// (bundle.go, fold). The runtime verifier is a second observer, per
+// request (verify=1). The recorder's collector records every event kind,
+// thread-team regions included, at the cap of a bare collector, so the
+// result bytes are those of a bare trace.Collector over the same run
+// (TestResultIsTheBareCollectorCSV).
 //
 // A recording stops at its cap (4 Mi events), the run does not. So that
 // the telemetry of a capped job stays whole, the buffer's Overflow hands
@@ -96,7 +96,7 @@
 //
 // The job-scoped surface is one table (views.go): each row is served as
 // /{view}?job= and as /jobs/{id}/{view}, and the job selection, the 404s
-// (unknown job, served from the cache, no run yet, executed unobserved),
+// (unknown job, served from the cache, no run yet),
 // the 503 while the recording is empty, the headers and the index page are
 // derived from it. /metrics is an ordered list of sources
 // (Service.metricsSources): secmon_up and mpi_pooled_rank_coroutines,

@@ -194,14 +194,14 @@ func TestViewsAcrossTheFinish(t *testing.T) {
 // whichever of the attempt and its readers that is.
 func TestLastReaderReleases(t *testing.T) {
 	b, _ := runSealCase(t, sealCases[0])
-	recorded := b.collector.Buffer().Len()
+	recorded := b.rec.Collector().Buffer().Len()
 	b.retain() // a handler, mid-replay
 	b.release()
-	if n := b.collector.Buffer().Len(); n != recorded {
+	if n := b.rec.Collector().Buffer().Len(); n != recorded {
 		t.Fatalf("attempt over, one reader left: buffer holds %d of %d events", n, recorded)
 	}
 	b.release()
-	if n := b.collector.Buffer().Len(); n != 0 {
+	if n := b.rec.Collector().Buffer().Len(); n != 0 {
 		t.Fatalf("last reader gone: buffer still holds %d events", n)
 	}
 }
@@ -215,7 +215,7 @@ func TestLastReaderReleases(t *testing.T) {
 func TestRetryReleasesTheFailedAttempt(t *testing.T) {
 	var buffers []*trace.Buffer // each attempt's, in order
 	var heldByEarlier []int     // events the earlier attempts' buffers hold when an attempt starts
-	s := NewService(Options{Observe: true, RetryBackoff: time.Millisecond, Runner: func(o experiments.LiveOptions) (*mpi.Report, error) {
+	s := NewService(Options{RetryBackoff: time.Millisecond, Runner: func(o experiments.LiveOptions) (*mpi.Report, error) {
 		held := 0
 		for _, b := range buffers {
 			held += b.Len()
@@ -326,14 +326,14 @@ func liveHeap() int {
 }
 
 // TestFinishedJobRetention pins what a listed job costs: the artifact and a
-// page or two of facts. 32 cold observed jobs of the benchmark's shape (conv
+// page or two of facts. 32 cold jobs of the benchmark's shape (conv
 // p = 64, 40 steps: 23,004 events, a 1.5 MB CSV) at a history and a cache
 // that keep them all; the live heap grows by at most 1.25 artifacts a job —
 // holding the attempt's bundle it was 2.9 — and nothing reachable from the
 // service, its jobs and its cache included, is a tool, a collector or a
 // world.
 func TestFinishedJobRetention(t *testing.T) {
-	s := NewService(Options{Observe: true})
+	s := NewService(Options{})
 	run := func(seed uint64) *Job {
 		j, err := s.Submit(Request{Opts: experiments.LiveOptions{Experiment: "conv", Ranks: 64, Steps: 40, Scale: 16, Seed: seed}, WithSeq: true})
 		if err != nil {
@@ -367,7 +367,7 @@ func TestFinishedJobRetention(t *testing.T) {
 		t.Errorf("a live attempt is still reachable from the idle service: %s", path)
 	}
 	// The walk does see one where there is one.
-	s.Jobs()[0].bundle = newBundle(true, false, collectorLimit)
+	s.Jobs()[0].bundle = newBundle(false, collectorLimit)
 	if path := reaches(s, tools[:4]...); !strings.HasSuffix(path, ".bundle.rec") {
 		t.Errorf("the walk found %q, not the recorder put on the first job", path)
 	}
@@ -378,7 +378,7 @@ func TestFinishedJobRetention(t *testing.T) {
 // otherwise idle — allocates no chunk at all. The free list is a plain
 // stack, not a sync.Pool: garbage collections in between change nothing.
 func TestSealReusesChunks(t *testing.T) {
-	s := NewService(Options{Observe: true})
+	s := NewService(Options{})
 	run := func(seed uint64) {
 		j, err := s.Submit(Request{Opts: experiments.LiveOptions{Experiment: "conv", Ranks: 16, Steps: 12, Scale: 16, Seed: seed}, WithSeq: true})
 		if err != nil {

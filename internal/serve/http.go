@@ -113,7 +113,7 @@ type jobView struct {
 	wall     float64
 	err      error
 	errKind  ErrorKind
-	traceID  string         // "" for a job that was not observed
+	traceID  string         // "" for a job that never executed
 	verify   *verify.Report // of a job that has ended; nil unless it asked for one
 	// a is the attempt the views read, set by observeJob alone; nil when the
 	// job has none to show.
@@ -203,8 +203,8 @@ func (h *handler) jobFor(req *http.Request) (*jobView, string) {
 }
 
 // serveView is every view's handler: select the job, 404 when there is
-// nothing to show of it, 503 while its recording is still empty, 404 when it
-// lacks the part the view reads, then the row's headers and its rendering.
+// nothing to show of it, 503 while its recording is still empty, then the
+// row's headers and its rendering.
 func (h *handler) serveView(w http.ResponseWriter, req *http.Request, vw *view) {
 	v, msg := h.jobFor(req)
 	defer v.release()
@@ -215,10 +215,6 @@ func (h *handler) serveView(w http.ResponseWriter, req *http.Request, vw *view) 
 	write, err := vw.render(v)
 	if err != nil {
 		http.Error(w, "no events recorded yet: "+err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	if write == nil {
-		http.Error(w, vw.needs, http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", vw.contentType)

@@ -23,7 +23,6 @@ func get(t *testing.T, h http.Handler, path string) (int, string) {
 
 func liveHandler(t *testing.T, opts Options) (http.Handler, *Service) {
 	t.Helper()
-	opts.Observe = true
 	s := NewService(opts)
 	return NewHandler(s, HandlerOptions{Logf: t.Logf}), s
 }

@@ -134,30 +134,26 @@ func (s *Service) metricsSources(v *jobView) []func(io.Writer) error {
 		return sources
 	}
 	a := v.a
-	if _, ok := a.exporter(); ok {
-		sources = append(sources,
-			func(w io.Writer) error { return writeRankGauges(w, a.ranks()) },
-			func(w io.Writer) error {
-				rec, err := a.replayable()
-				if err != nil {
-					return err
-				}
-				return rec.WritePrometheus(w)
-			})
-	}
-	if rep := a.verification(); rep != nil {
-		sources = append(sources, func(w io.Writer) error { return export.WriteVerifyPrometheus(w, rep.Counts) })
-	}
-	if _, ok := a.exporter(); ok {
-		// Bounded-cardinality per-section series, folded from the recording.
-		sources = append(sources, func(w io.Writer) error {
-			p, err := a.profile()
+	sources = append(sources,
+		func(w io.Writer) error { return writeRankGauges(w, a.ranks()) },
+		func(w io.Writer) error {
+			rec, err := a.replayable()
 			if err != nil {
 				return err
 			}
-			return p.WritePrometheus(w, telemetry.PromOptions{}, a.seriesDropped())
+			return rec.WritePrometheus(w)
 		})
+	if rep := a.verification(); rep != nil {
+		sources = append(sources, func(w io.Writer) error { return export.WriteVerifyPrometheus(w, rep.Counts) })
 	}
+	// Bounded-cardinality per-section series, folded from the recording.
+	sources = append(sources, func(w io.Writer) error {
+		p, err := a.profile()
+		if err != nil {
+			return err
+		}
+		return p.WritePrometheus(w, telemetry.PromOptions{}, a.seriesDropped())
+	})
 	// POP efficiency gauges: replay the recorded stream on demand. An empty
 	// stream (scrape before the first event) simply omits the families.
 	return append(sources, func(w io.Writer) error {

@@ -23,9 +23,9 @@ type sealed struct {
 	csv   []byte
 	index []int32
 
-	rec     *export.Sealed // the exporter's run facts; nil unless observed
+	rec     *export.Sealed // the exporter's run facts
 	gauges  *rankGauges    // as the run left them
-	fold    *keptFold      // nil unless observed
+	fold    keptFold
 	dropped *atomic.Int64  // the bundle's, carried on
 	verify  *verify.Report // nil unless asked for
 }
@@ -52,15 +52,11 @@ const csvRowBytes = 72
 // nearly all of what a terminal transition costs — 3 ms for 23,004 events
 // beside a 5 ms run (doc.go, "What a job keeps").
 func (b *bundle) seal() *sealed {
-	order := b.collector.Buffer().Order()
+	order := b.rec.Collector().Buffer().Order()
 	buf := bytes.NewBuffer(make([]byte, 0, 64+csvRowBytes*order.Len()))
 	_ = order.WriteCSV(buf) // a bytes.Buffer takes every write
-	s := &sealed{csv: buf.Bytes(), index: order.Index(), gauges: b.ranks(), dropped: b.dropped, verify: b.verification()}
-	if b.rec != nil {
-		s.rec = b.rec.Seal()
-		s.fold = &keptFold{fd: b.fold.kept()}
-	}
-	return s
+	return &sealed{csv: buf.Bytes(), index: order.Index(), rec: b.rec.Seal(), gauges: b.ranks(),
+		fold: keptFold{fd: b.fold.kept()}, dropped: b.dropped, verify: b.verification()}
 }
 
 // reopened is a sealed attempt as one request reads it. The events are
@@ -81,12 +77,7 @@ func (o *reopened) load() ([]trace.Event, error) {
 	return o.events, o.err
 }
 
-func (o *reopened) exporter() (export.Views, bool) {
-	if o.rec == nil {
-		return export.Views{}, false
-	}
-	return o.rec.Open(trace.Recording{}), true
-}
+func (o *reopened) exporter() export.Views { return o.rec.Open(trace.Recording{}) }
 
 // replayable feeds the exporter's replay each rank's events in restored
 // recording order, the ranks interleaved as the CSV has them: one of the
@@ -113,9 +104,6 @@ func (o *reopened) order() (*trace.Order, error) {
 }
 
 func (o *reopened) profile() (*telemetry.Profile, error) {
-	if o.rec == nil {
-		return nil, nil
-	}
 	o.fold.mu.Lock()
 	defer o.fold.mu.Unlock()
 	if o.fold.fd == nil {
@@ -128,7 +116,7 @@ func (o *reopened) profile() (*telemetry.Profile, error) {
 		fd.Feed(rec)
 		o.fold.fd = fd
 	}
-	_, facts := o.rec.Open(trace.Recording{}).Recorded()
+	_, facts := o.exporter().Recorded()
 	return o.fold.fd.Profile(runOf(o, facts)), nil
 }
 

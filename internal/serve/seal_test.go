@@ -27,7 +27,6 @@ type sealCase struct {
 	name    string
 	opts    experiments.LiveOptions
 	fault   string // spec of an armed plan, "" for none
-	observe bool
 	verify  bool
 	seq     bool
 	limit   int    // event cap (0 = collectorLimit)
@@ -70,29 +69,28 @@ func splitProgram(tools []mpi.Tool) (*mpi.Report, error) {
 }
 
 var sealCases = []sealCase{
-	{name: "conv p=4", opts: experiments.LiveOptions{Experiment: "conv", Ranks: 4, Steps: 6, Scale: 32, Seed: 2017}, observe: true, seq: true},
-	{name: "conv p=64", opts: experiments.LiveOptions{Experiment: "conv", Ranks: 64, Steps: 10, Scale: 16, Seed: 2017}, observe: true, seq: true},
+	{name: "conv p=4", opts: experiments.LiveOptions{Experiment: "conv", Ranks: 4, Steps: 6, Scale: 32, Seed: 2017}, seq: true},
+	{name: "conv p=64", opts: experiments.LiveOptions{Experiment: "conv", Ranks: 64, Steps: 10, Scale: 16, Seed: 2017}, seq: true},
 	// The lazy session runtime: the rank gauges.
-	{name: "conv2d", opts: experiments.LiveOptions{Experiment: "conv2d", Ranks: 16, Steps: 3, Scale: 32, Seed: 7}, observe: true, seq: true,
+	{name: "conv2d", opts: experiments.LiveOptions{Experiment: "conv2d", Ranks: 16, Steps: 3, Scale: 32, Seed: 7}, seq: true,
 		shows: [2]string{"metrics", "mpi_ranks_materialized 16"}},
 	// Thread-team regions and Allreduce.
-	{name: "lulesh threads", opts: experiments.LiveOptions{Experiment: "lulesh", Ranks: 8, Steps: 3, Threads: 4, Seed: 3}, observe: true, seq: true,
+	{name: "lulesh threads", opts: experiments.LiveOptions{Experiment: "lulesh", Ranks: 8, Steps: 3, Threads: 4, Seed: 3}, seq: true,
 		shows: [2]string{"efficiency.json", `"omp_`}},
-	{name: "split communicators", opts: experiments.LiveOptions{Experiment: "conv", Ranks: 6}, observe: true, verify: true, run: splitProgram,
+	{name: "split communicators", opts: experiments.LiveOptions{Experiment: "conv", Ranks: 6}, verify: true, run: splitProgram,
 		shows: [2]string{"sections", `"comm": 2`}},
-	{name: "unobserved", opts: experiments.LiveOptions{Experiment: "conv", Ranks: 4, Steps: 6, Scale: 32, Seed: 2017}, seq: true},
-	{name: "verify", opts: experiments.LiveOptions{Experiment: "conv", Ranks: 8, Steps: 5, Scale: 32, Seed: 5}, observe: true, verify: true, seq: true},
-	{name: "no seq", opts: experiments.LiveOptions{Experiment: "conv", Ranks: 8, Steps: 5, Scale: 32, Seed: 5}, observe: true},
+	{name: "verify", opts: experiments.LiveOptions{Experiment: "conv", Ranks: 8, Steps: 5, Scale: 32, Seed: 5}, verify: true, seq: true},
+	{name: "no seq", opts: experiments.LiveOptions{Experiment: "conv", Ranks: 8, Steps: 5, Scale: 32, Seed: 5}},
 	// A partial recording: faults, frames never closed, and dead-peer events
 	// when a survivor was caught waiting.
 	{name: "killed", opts: experiments.LiveOptions{Experiment: "conv", Ranks: 4, Steps: 6, Scale: 32, Seed: 2017},
-		fault: "kill:rank=2,after=5", observe: true, verify: true, wantErr: "fail-stop",
+		fault: "kill:rank=2,after=5", verify: true, wantErr: "fail-stop",
 		shows: [2]string{"faults.json", `"kind": "kill"`}},
 	{name: "link delay", opts: experiments.LiveOptions{Experiment: "conv", Ranks: 4, Steps: 6, Scale: 32, Seed: 2017},
-		fault: "delay:src=0,dst=1,prob=1,secs=1e-5", observe: true, seq: true,
+		fault: "delay:src=0,dst=1,prob=1,secs=1e-5", seq: true,
 		shows: [2]string{"trace.json", `"delay_us"`}},
 	// Dropped and Warning are facts, not events.
-	{name: "capped", opts: experiments.LiveOptions{Experiment: "conv", Ranks: 8, Steps: 6, Scale: 32, Seed: 9}, observe: true, seq: true, limit: 300,
+	{name: "capped", opts: experiments.LiveOptions{Experiment: "conv", Ranks: 8, Steps: 6, Scale: 32, Seed: 9}, seq: true, limit: 300,
 		shows: [2]string{"sections", "events dropped (event cap 300)"}},
 }
 
@@ -110,8 +108,6 @@ func render(t *testing.T, s *Service, v *jobView) rendering {
 		switch {
 		case err != nil:
 			out[vw.name] = "503 " + err.Error()
-		case write == nil:
-			out[vw.name] = "404 " + vw.needs
 		default:
 			var body bytes.Buffer
 			if err := write(&body); err != nil {
@@ -138,7 +134,7 @@ func runSealCase(t *testing.T, c sealCase) (*bundle, jobView) {
 	if limit == 0 {
 		limit = collectorLimit
 	}
-	b := newBundle(c.observe, c.verify, limit)
+	b := newBundle(c.verify, limit)
 	opts, err := c.opts.Resolved()
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +182,7 @@ func TestSealedViewsEqualLive(t *testing.T) {
 			}
 			kept := b.seal()
 			b.release()
-			if n := b.collector.Buffer().Len(); n != 0 {
+			if n := b.rec.Collector().Buffer().Len(); n != 0 {
 				t.Fatalf("the last reader has let go and the buffer still holds %d events", n)
 			}
 			v.a = &reopened{sealed: kept}
@@ -202,16 +198,12 @@ func TestSealedViewsEqualLive(t *testing.T) {
 			// section leave that shares its timestamp swap places, which
 			// renumbers what the exporter counts per rank and moves waits out
 			// of their section.
-			if !c.observe {
-				return
-			}
 			canonical := make([]int32, len(kept.index))
 			for i := range canonical {
 				canonical[i] = int32(i)
 			}
-			inCanonicalOrder := *kept
-			inCanonicalOrder.index = canonical
-			v.a = &reopened{sealed: &inCanonicalOrder}
+			kept.index = canonical
+			v.a = &reopened{sealed: kept}
 			mutated := render(t, s, &v)
 			differ := 0
 			for _, name := range []string{"sections", "trace.json", "spans.json", "metrics"} {
@@ -243,12 +235,12 @@ func firstDifference(got, want string) string {
 // views — ends with the profile of a job nobody asked until it was over.
 func TestLiveFoldCatchesUp(t *testing.T) {
 	s := NewService(Options{})
-	base := sealCase{name: "conv", opts: experiments.LiveOptions{Experiment: "conv", Ranks: 8, Steps: 6, Scale: 32, Seed: 9}, observe: true}
+	base := sealCase{name: "conv", opts: experiments.LiveOptions{Experiment: "conv", Ranks: 8, Steps: 6, Scale: 32, Seed: 9}}
 	_, v := runSealCase(t, base)
 	whole := render(t, s, &v)
 	for _, limit := range []int{collectorLimit, 300} {
 		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
-			b := newBundle(true, false, limit)
+			b := newBundle(false, limit)
 			opts, err := base.opts.Resolved()
 			if err != nil {
 				t.Fatal(err)
@@ -311,7 +303,7 @@ func BenchmarkSealedViews(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		live := newBundle(true, false, collectorLimit)
+		live := newBundle(false, collectorLimit)
 		opts.Tools = live.tools()
 		rep, err := experiments.RunLive(opts)
 		if err != nil {
@@ -355,9 +347,8 @@ func BenchmarkSealedViews(b *testing.B) {
 							live.fold = &fold{rec: live.rec}
 							v.a = live
 						case "sealed-cold":
-							cold := *kept
-							cold.fold = &keptFold{}
-							v.a = &reopened{sealed: &cold}
+							kept.fold = keptFold{}
+							v.a = &reopened{sealed: kept}
 						}
 						if err := rows[name](); err != nil {
 							b.Fatal(err)
@@ -378,9 +369,9 @@ func BenchmarkSealedViews(b *testing.B) {
 func TestCappedTelemetryIsWhole(t *testing.T) {
 	s := NewService(Options{})
 	for _, base := range []sealCase{
-		{name: "conv", opts: experiments.LiveOptions{Experiment: "conv", Ranks: 8, Steps: 6, Scale: 32, Seed: 9}, observe: true, seq: true},
-		{name: "lulesh", opts: experiments.LiveOptions{Experiment: "lulesh", Ranks: 8, Steps: 3, Threads: 4, Seed: 3}, observe: true, seq: true},
-		{name: "split", opts: experiments.LiveOptions{Experiment: "conv", Ranks: 6}, observe: true, run: splitProgram},
+		{name: "conv", opts: experiments.LiveOptions{Experiment: "conv", Ranks: 8, Steps: 6, Scale: 32, Seed: 9}, seq: true},
+		{name: "lulesh", opts: experiments.LiveOptions{Experiment: "lulesh", Ranks: 8, Steps: 3, Threads: 4, Seed: 3}, seq: true},
+		{name: "split", opts: experiments.LiveOptions{Experiment: "conv", Ranks: 6}, run: splitProgram},
 	} {
 		_, v := runSealCase(t, base)
 		whole := render(t, s, &v)

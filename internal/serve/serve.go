@@ -110,10 +110,9 @@ type Options struct {
 	// it the oldest terminal jobs are forgotten (404 on /jobs/{id}; cached
 	// results remain addressable by configuration).
 	HistoryLimit int
-	// Observe attaches the recorder to every attempt, in front of the
-	// collector whose buffer its views and the telemetry views read, which
-	// the analysis endpoints serve. The canonical trace collector that
-	// produces the result artifact records every attempt regardless.
+	// Observe is ignored: every attempt is observed, recorded through the
+	// export.Recorder whose buffer every view reads. The field goes when
+	// bench/ stops setting it.
 	Observe bool
 	// Runner and SeqRunner are test seams; nil selects the real
 	// experiment launchers.
@@ -211,7 +210,7 @@ type Job struct {
 	err       error
 	errKind   ErrorKind
 	result    *Result
-	traceID   string // of the latest attempt; "" unless observed
+	traceID   string // of the latest attempt; "" before the first
 	// What the views read: the tool chain of the attempt that is running,
 	// then what seal kept of the last one that ended. A job that never
 	// executed — a cache hit, one still queued — or was cancelled has
@@ -583,7 +582,7 @@ func (s *Service) run(j *Job) {
 			s.finish(j, Cancelled, nil, errCancelled, nil)
 			return
 		}
-		b := newBundle(s.opts.Observe, j.verify, collectorLimit)
+		b := newBundle(j.verify, collectorLimit)
 		opts.Tools = b.tools()
 		traceID := b.traceID()
 		j.mu.Lock()

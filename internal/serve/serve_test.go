@@ -13,6 +13,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/mpi"
+	"repro/internal/trace"
 )
 
 // gatedRunner is a scripted Runner whose executions block until released,
@@ -287,34 +288,47 @@ func TestRetryDisarmsFaultAndMatchesCleanRun(t *testing.T) {
 	}
 }
 
-// TestObserveDoesNotChangeResult: an observed job records through the
-// exporter's collector, an unobserved one through a bare collector, and the
-// result artifact — what the cache serves for both — must be the same bytes:
-// every event kind forwarded, the thread-team regions of a hybrid run
-// included, and the same cap.
-func TestObserveDoesNotChangeResult(t *testing.T) {
+// TestResultIsTheBareCollectorCSV: a job records through the recorder's
+// collector, and its result artifact — what the cache serves — is the
+// canonical CSV a bare trace.Collector writes of the same run: every event
+// kind forwarded, the thread-team regions of a hybrid run included, at the
+// same cap.
+func TestResultIsTheBareCollectorCSV(t *testing.T) {
 	for _, opts := range []experiments.LiveOptions{
-		{Experiment: "conv", Ranks: 4, Steps: 4, Scale: 32, Seed: 2017},
-		{Experiment: "conv2d", Ranks: 4, Steps: 2, Scale: 32, Seed: 7},
+		{Experiment: "conv", Ranks: 4, Steps: 4, Scale: 32, Seed: 2017, Threads: 4},
+		{Experiment: "conv2d", Ranks: 4, Steps: 2, Scale: 32, Seed: 7, Threads: 4},
 		{Experiment: "lulesh", Ranks: 8, Steps: 2, Threads: 4, Seed: 3},
 	} {
-		var csv [2][]byte
-		for i, observe := range []bool{false, true} {
-			j, err := NewService(Options{Observe: observe}).Submit(Request{Opts: opts, WithSeq: true})
-			if err != nil {
-				t.Fatalf("%s observe=%v: %v", opts.Experiment, observe, err)
-			}
-			waitJob(t, j)
-			if j.State() != Done {
-				t.Fatalf("%s observe=%v: state %s: %v", opts.Experiment, observe, j.State(), j.Err())
-			}
-			csv[i] = j.Result().CSV
+		j, err := NewService(Options{}).Submit(Request{Opts: opts, WithSeq: true})
+		if err != nil {
+			t.Fatalf("%s: %v", opts.Experiment, err)
 		}
-		if len(csv[0]) == 0 || !bytes.Equal(csv[0], csv[1]) {
-			t.Errorf("%s: result.csv is %d bytes unobserved, %d observed, and they differ", opts.Experiment, len(csv[0]), len(csv[1]))
+		waitJob(t, j)
+		if j.State() != Done {
+			t.Fatalf("%s: state %s: %v", opts.Experiment, j.State(), j.Err())
 		}
-		if opts.Threads > 1 && !bytes.Contains(csv[1], []byte(",omp-region,")) {
-			t.Errorf("%s: no thread-team region in the observed artifact", opts.Experiment)
+		served := j.Result().CSV
+
+		bare := trace.NewCollector(collectorLimit)
+		bare.Messages, bare.Collectives, bare.Omp = true, true, true
+		run, err := opts.Resolved()
+		if err != nil {
+			t.Fatal(err)
+		}
+		run.Tools = []mpi.Tool{bare}
+		if _, err := experiments.RunLive(run); err != nil {
+			t.Fatalf("%s: bare run: %v", opts.Experiment, err)
+		}
+		var want bytes.Buffer
+		if err := bare.Buffer().Order().WriteCSV(&want); err != nil {
+			t.Fatal(err)
+		}
+		bare.Buffer().Release()
+		if len(served) == 0 || !bytes.Equal(served, want.Bytes()) {
+			t.Errorf("%s: result.csv is %d bytes, the bare collector's %d, and they differ", opts.Experiment, len(served), want.Len())
+		}
+		if opts.Experiment == "lulesh" && !bytes.Contains(served, []byte(",omp-region,")) {
+			t.Errorf("%s: no thread-team region in the artifact", opts.Experiment)
 		}
 	}
 }

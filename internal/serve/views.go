@@ -13,14 +13,6 @@ import (
 	"repro/internal/waitstate"
 )
 
-// What a view can need of an attempt beyond the recording every attempt
-// has, named by the 404 text that says it is missing: the job executed, but
-// on a service that does not observe.
-const (
-	needsRecorder  = "run executed without the exporter attached"
-	needsTelemetry = "run executed without streaming telemetry attached"
-)
-
 // view is one row of the job-scoped surface. Everything a view's two routes
 // (/{name}?job= and /jobs/{id}/{name}) do besides rendering — selecting the
 // job, the 404s and the 503, the headers, the index entry, logging a failed
@@ -29,12 +21,10 @@ type view struct {
 	name        string // URL segment
 	about       string // index-page description
 	contentType string
-	download    bool   // served as an attachment named after the view
-	needs       string // "", needsRecorder or needsTelemetry
+	download    bool // served as an attachment named after the view
 	// render prepares the response from the job's attempt (v.a) and returns
-	// its writer — nil when the attempt lacks the part the row needs. Its one
-	// failure is a recording with nothing in it yet, which is served as 503
-	// before any header is sent.
+	// its writer. Its one failure is a recording with nothing in it yet,
+	// which is served as 503 before any header is sent.
 	render func(v *jobView) (func(io.Writer) error, error)
 }
 
@@ -45,29 +35,25 @@ const (
 
 // views is the table, in index-page order.
 var views = []view{
-	{"sections", "JSON aggregates: Fig. 3 metrics and Eq. 6 partial bounds", jsonType, false, "", sectionsView},
-	{"trace.json", "Chrome trace_event JSON (open in Perfetto / chrome://tracing)", jsonType, true, needsRecorder,
+	{"sections", "JSON aggregates: Fig. 3 metrics and Eq. 6 partial bounds", jsonType, false, sectionsView},
+	{"trace.json", "Chrome trace_event JSON (open in Perfetto / chrome://tracing)", jsonType, true,
 		recorderView(export.Views.WriteChromeTrace)},
-	{"spans.json", "OTLP-style span export", jsonType, true, needsRecorder,
-		recorderView(export.Views.WriteOTLP)},
-	{"waitstate.json", "wait-state diagnosis: why the binding section caps the speedup", jsonType, false, "", waitstateView},
-	{"critpath.json", "critical path through the happens-before graph", jsonType, false, "", critpathView},
-	{"efficiency.json", "POP efficiency tree joined with the Eq. 6 binding", jsonType, false, "", efficiencyView},
-	{"profile.json", "telemetry profile folded from the recording: sections, Fig. 3, POP, time bins", jsonType, false, needsTelemetry,
+	{"spans.json", "OTLP-style span export", jsonType, true, recorderView(export.Views.WriteOTLP)},
+	{"waitstate.json", "wait-state diagnosis: why the binding section caps the speedup", jsonType, false, waitstateView},
+	{"critpath.json", "critical path through the happens-before graph", jsonType, false, critpathView},
+	{"efficiency.json", "POP efficiency tree joined with the Eq. 6 binding", jsonType, false, efficiencyView},
+	{"profile.json", "telemetry profile folded from the recording: sections, Fig. 3, POP, time bins", jsonType, false,
 		telemetryView((*telemetry.Profile).WriteJSON)},
-	{"heatmap.csv", "rank×time wait heatmap folded from the recording", csvType, true, needsTelemetry,
+	{"heatmap.csv", "rank×time wait heatmap folded from the recording", csvType, true,
 		telemetryView((*telemetry.Profile).WriteHeatmapCSV)},
-	{"faults.json", "injected faults and failure consequences", jsonType, false, "", faultsView},
-	{"verify.json", "runtime verifier report", jsonType, false, "", verifyView},
+	{"faults.json", "injected faults and failure consequences", jsonType, false, faultsView},
+	{"verify.json", "runtime verifier report", jsonType, false, verifyView},
 }
 
 // recorderView is a row that is one of the exporter's writers over the
 // attempt's events.
 func recorderView(write func(export.Views, io.Writer) error) func(*jobView) (func(io.Writer) error, error) {
 	return func(v *jobView) (func(io.Writer) error, error) {
-		if _, ok := v.a.exporter(); !ok {
-			return nil, nil
-		}
 		rec, err := v.a.replayable()
 		return func(w io.Writer) error { return write(rec, w) }, err
 	}
@@ -78,7 +64,7 @@ func recorderView(write func(export.Views, io.Writer) error) func(*jobView) (fun
 func telemetryView(write func(*telemetry.Profile, io.Writer) error) func(*jobView) (func(io.Writer) error, error) {
 	return func(v *jobView) (func(io.Writer) error, error) {
 		p, err := v.a.profile()
-		if p == nil {
+		if err != nil {
 			return nil, err
 		}
 		return func(w io.Writer) error { return write(p, w) }, nil
@@ -128,18 +114,16 @@ func sectionsView(v *jobView) (func(io.Writer) error, error) {
 	if v.err != nil {
 		resp.Error = mpi.RootCause(v.err).Error()
 	}
-	if _, ok := v.a.exporter(); ok {
-		rec, err := v.a.replayable()
-		if err != nil {
-			return nil, err
-		}
-		if resp.Running {
-			resp.WallTime = rec.WallTime()
-		}
-		resp.Dropped = rec.Dropped()
-		resp.Warning = rec.Warning()
-		resp.Sections = rec.Sections()
+	rec, err := v.a.replayable()
+	if err != nil {
+		return nil, err
 	}
+	if resp.Running {
+		resp.WallTime = rec.WallTime()
+	}
+	resp.Dropped = rec.Dropped()
+	resp.Warning = rec.Warning()
+	resp.Sections = rec.Sections()
 	return jsonDoc(resp), nil
 }
 
@@ -164,13 +148,12 @@ func faultsView(v *jobView) (func(io.Writer) error, error) {
 		resp.Plan = v.opts.Fault.String()
 		resp.Seed = v.opts.Fault.Seed
 	}
-	if rec, ok := v.a.exporter(); ok {
-		if counts := rec.FaultCounts(); counts != nil {
-			resp.Counts = counts
-		}
-		if events := rec.Faults(); events != nil {
-			resp.Events = events
-		}
+	rec := v.a.exporter()
+	if counts := rec.FaultCounts(); counts != nil {
+		resp.Counts = counts
+	}
+	if events := rec.Faults(); events != nil {
+		resp.Events = events
 	}
 	return jsonDoc(resp), nil
 }

@@ -94,7 +94,8 @@ func eventlessRunner(experiments.LiveOptions) (*mpi.Report, error) {
 }
 
 // TestViewRefusals pins each 404 and 503 text the view routes answer with,
-// under both URL shapes where both can ask.
+// under both URL shapes where both can ask, and that a job run on a service
+// of zero Options is refused no view.
 func TestViewRefusals(t *testing.T) {
 	expect := func(t *testing.T, h http.Handler, path string, code int, text string) {
 		t.Helper()
@@ -127,24 +128,16 @@ func TestViewRefusals(t *testing.T) {
 			expect(t, h, "/jobs/"+hit+"/"+vw.name, http.StatusNotFound, text)
 		}
 	})
-	t.Run("not observed", func(t *testing.T) {
-		s := NewService(Options{Runner: eventlessRunner, SeqRunner: noSeq})
-		h := NewHandler(s, HandlerOptions{Logf: t.Logf})
-		if code, body := get(t, h, "/run?exp=conv&p=2&wait=1"); code != http.StatusOK {
+	t.Run("zero options", func(t *testing.T) {
+		h := NewHandler(NewService(Options{}), HandlerOptions{Logf: t.Logf})
+		if code, body := get(t, h, "/run?exp=conv&p=4&steps=6&scale=32&wait=1"); code != http.StatusOK {
 			t.Fatalf("run: code %d body %q", code, body)
 		}
-		for name, text := range map[string]string{
-			"trace.json":   "run executed without the exporter attached",
-			"spans.json":   "run executed without the exporter attached",
-			"profile.json": "run executed without streaming telemetry attached",
-			"heatmap.csv":  "run executed without streaming telemetry attached",
-		} {
-			expect(t, h, "/"+name, http.StatusNotFound, text)
-			expect(t, h, "/jobs/"+first+"/"+name, http.StatusNotFound, text)
-		}
 		for _, vw := range views {
-			if code, body := get(t, h, "/"+vw.name); vw.needs == "" && code == http.StatusNotFound {
-				t.Errorf("/%s needs no observer and is refused: %q", vw.name, body)
+			for _, path := range []string{"/" + vw.name + "?job=" + first, "/jobs/" + first + "/" + vw.name} {
+				if code, body := get(t, h, path); code != http.StatusOK {
+					t.Errorf("%s: code %d body %q", path, code, body)
+				}
 			}
 		}
 	})

@@ -8,9 +8,11 @@ import (
 
 // checker is the section and collective contract, written once for both of
 // its feeders: the live Tool's hooks and CheckTrace's replay of a recording.
-// Each rank's state is touched only by that rank's feeder — a rank goroutine
-// live, the one replay loop offline — so it takes no lock. What ranks share,
-// the canonical collective sequences and the violations, is under mu.
+// Each rank's state is touched only by that rank's feeder — the live Tool's
+// hooks, which for one world run one at a time, or the one replay loop
+// offline — so it takes no lock. What ranks share, the canonical collective
+// sequences and the violations, is under mu, which the readers on other
+// goroutines (Violations, Counts, Report) take too.
 type checker struct {
 	// The rank index: a slice for the ranks 0 <= r < limit and a map for any
 	// other — a negative rank, or one so far out that a slice would outweigh
@@ -48,8 +50,8 @@ type labelCount struct {
 }
 
 // reset forgets every rank and makes the state of ranks 0 <= r < size, so
-// that rank goroutines can look themselves up at once; violations found so
-// far stay.
+// that none of the world's hooks, which run one at a time, grows the index;
+// violations found so far stay.
 func (k *checker) reset(size int) {
 	k.limit, k.near, k.far = size, make([]rankState, size), nil
 	k.mu.Lock()

@@ -59,8 +59,11 @@ func (v Violation) String() string {
 // -verify flag of the benchmark drivers) and inspect after the run. Its hooks
 // feed the checker CheckTrace feeds offline: the hook's world rank and
 // communicator id, the runtime's dead ranks, and finalize at the wall time.
+// An instance serves one live world at a time (mpi.OneWorld): the per-rank
+// state takes no lock because the hooks of one world run one at a time.
 type Tool struct {
 	mpi.BaseTool
+	mpi.OneWorld
 	checker
 }
 
@@ -68,7 +71,10 @@ type Tool struct {
 func New() *Tool { return &Tool{} }
 
 // Init implements mpi.Tool.
-func (v *Tool) Init(w *mpi.WorldInfo) { v.reset(w.Size) }
+func (v *Tool) Init(w *mpi.WorldInfo) {
+	v.Claim()
+	v.reset(w.Size)
+}
 
 // SectionEnter implements mpi.Tool.
 func (v *Tool) SectionEnter(c *mpi.Comm, label string, _ float64, _ *mpi.ToolData) {
@@ -96,6 +102,7 @@ func (v *Tool) Finalize(r *mpi.Report) {
 		wallT = r.WallTime
 	}
 	v.finalize(wallT, dead)
+	v.Free()
 }
 
 // Violations returns the recorded violations in deterministic order:

@@ -418,3 +418,46 @@ func TestCheckTrace(t *testing.T) {
 		t.Error("CheckTrace reordered the caller's slice")
 	}
 }
+
+// TestToolServesOneWorldAtATime: a second live Init panics, and a Tool that
+// was finalized serves the next world on that world's own rank state, the
+// violations found so far kept: two runs on one Tool report what a fresh
+// Tool reports of each.
+func TestToolServesOneWorldAtATime(t *testing.T) {
+	v := New()
+	info := &mpi.WorldInfo{Size: 2}
+	v.Init(info)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a second Init before Finalize did not panic")
+			}
+		}()
+		v.Init(info)
+	}()
+	v.Finalize(&mpi.Report{})
+
+	// Each run leaves one rank's section open; the runtime objects too,
+	// which is not under test.
+	var want []Violation
+	for _, open := range []int{0, 1} {
+		prog := func(c *mpi.Comm) error {
+			c.SectionEnter("S")
+			if c.Rank() != open {
+				c.SectionExit("S")
+			}
+			return nil
+		}
+		fresh := New()
+		mpi.Run(testCfg(2, fresh), prog) //nolint:errcheck
+		mpi.Run(testCfg(2, v), prog)     //nolint:errcheck
+		if len(fresh.Violations()) == 0 {
+			t.Fatalf("run %d: no violation; the test is degenerate", open)
+		}
+		want = append(want, fresh.Violations()...)
+	}
+	SortViolations(want)
+	if got := v.Violations(); !reflect.DeepEqual(got, want) {
+		t.Errorf("two runs on one Tool report\n%v\nwant\n%v", got, want)
+	}
+}
