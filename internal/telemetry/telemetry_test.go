@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/convolution"
 	"repro/internal/export"
+	"repro/internal/lulesh"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/pop"
@@ -58,6 +59,22 @@ func convRun(t *testing.T, ranks, steps int, seq float64) (*Profile, []trace.Eve
 		t.Fatal(err)
 	}
 	return tl.Snapshot(), col.Buffer().Events(), rec.Sections()
+}
+
+// observed runs a program with the streaming telemetry tool and a trace
+// collector (the trace-driven analyses' input) attached, and returns the
+// tool's snapshot and the collector's events.
+func observed(t *testing.T, seq float64, run func(tools []mpi.Tool) error) (*Profile, []trace.Event) {
+	t.Helper()
+	col := trace.NewCollector(0)
+	col.Messages = true
+	col.Collectives = true
+	col.Omp = true
+	tl := New(Options{SeqTime: seq})
+	if err := run([]mpi.Tool{col, tl}); err != nil {
+		t.Fatal(err)
+	}
+	return tl.Snapshot(), col.Buffer().Events()
 }
 
 func TestEquivalenceWithWaitstate(t *testing.T) {
@@ -125,64 +142,78 @@ func TestEquivalenceWithWaitstate(t *testing.T) {
 	}
 }
 
+// TestEquivalenceWithPOP holds the fold's POP factors — the whole run's
+// and every section's, each factor of pop.FactorTable — to the trace-driven
+// tree's (pop.AnalyzeOrder), on a pure-MPI run, a hybrid run with thread
+// teams, and a world whose halves run one section each.
 func TestEquivalenceWithPOP(t *testing.T) {
 	const seq = 100.0
-	p, events, _ := convRun(t, 8, 3, seq)
-	tree, err := pop.Analyze(events, pop.Options{SeqTime: seq})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree.Global == nil || tree.Global.Factors == nil {
-		t.Fatal("trace-driven POP tree has no global factors")
-	}
-	if p.Global == nil || p.Global.Factors == nil {
-		t.Fatal("streamed profile has no global factors")
-	}
-	got, want := p.Global.Factors, tree.Global.Factors
-	checks := []struct {
-		name      string
-		got, want float64
+	for _, c := range []struct {
+		name string
+		run  func(tools []mpi.Tool) error
 	}{
-		{"parallel", got.Parallel, want.Parallel},
-		{"load_balance", got.LoadBalance, want.LoadBalance},
-		{"comm", got.Comm, want.Comm},
-		{"transfer", got.Transfer, want.Transfer},
-		{"serialisation", got.Serialisation, want.Serialisation},
-		{"thread", got.Thread, want.Thread},
-		{"total", got.Total, want.Total},
-	}
-	for _, c := range checks {
-		if !approxEq(c.got, c.want) {
-			t.Errorf("global %s = %g, pop %g", c.name, c.got, c.want)
-		}
-	}
-	// Per-section factor records must agree too, not just the global roll-up.
-	for _, ps := range tree.Sections {
-		sp := p.Section(ps.Section)
-		if sp == nil || sp.Efficiency == nil {
-			t.Errorf("section %q missing streamed efficiency", ps.Section)
-			continue
-		}
-		if ps.Factors == nil || sp.Efficiency.Factors == nil {
-			continue
-		}
-		if !approxEq(sp.Efficiency.Factors.LoadBalance, ps.Factors.LoadBalance) ||
-			!approxEq(sp.Efficiency.Factors.Comm, ps.Factors.Comm) {
-			t.Errorf("section %s factors (LB %g, comm %g), pop (LB %g, comm %g)",
-				ps.Section, sp.Efficiency.Factors.LoadBalance, sp.Efficiency.Factors.Comm,
-				ps.Factors.LoadBalance, ps.Factors.Comm)
-		}
+		{"conv p=16", func(tools []mpi.Tool) error {
+			cfg := mpi.Config{Ranks: 16, Model: machine.NehalemCluster(), Seed: 7, Tools: tools, Timeout: 2 * time.Minute}
+			_, err := convolution.Run(cfg, convolution.Params{Width: 5616, Height: 3744, Steps: 3, Scale: 16, Seed: 7, SkipKernel: true})
+			return err
+		}},
+		{"lulesh p=8 threads=4", func(tools []mpi.Tool) error {
+			cfg := mpi.Config{Ranks: 8, Model: machine.KNL(), Seed: 7, Tools: tools, Timeout: 2 * time.Minute}
+			_, err := lulesh.Run(cfg, lulesh.Params{S: 24, Steps: 2, Threads: 4, Scale: 4, SedovEnergy: 1e4})
+			return err
+		}},
+		{"split communicators", splitProgram},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p, events := observed(t, seq, c.run)
+			tree, err := pop.AnalyzeOrder(trace.OrderOf(events), pop.Options{SeqTime: seq})
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := func(scope string, got, want *pop.SectionEfficiency) {
+				t.Helper()
+				if got == nil || want == nil || got.Factors == nil || want.Factors == nil {
+					t.Errorf("%s: factors %v, pop %v", scope, got, want)
+					return
+				}
+				for _, fc := range pop.FactorTable {
+					if g, w := fc.Get(got.Factors), fc.Get(want.Factors); !approxEq(g, w) {
+						t.Errorf("%s %s = %.17g, pop %.17g", scope, fc.Name, g, w)
+					}
+				}
+			}
+			same("(run)", p.Global, tree.Global)
+			for i := range tree.Sections {
+				ps := &tree.Sections[i]
+				if ps.Section == "(no section)" {
+					continue // time outside any section: the fold's "(other)"
+				}
+				sp := p.Section(ps.Section)
+				if sp == nil {
+					t.Errorf("section %q missing from the profile", ps.Section)
+					continue
+				}
+				same(ps.Section, sp.Efficiency, ps)
+			}
+			if len(tree.Sections) < 2 {
+				t.Fatalf("pop scored %d sections: equivalence degenerate", len(tree.Sections))
+			}
+		})
 	}
 }
 
-// splitRun runs a world whose halves, two communicators of three, each
-// run the same HALO section inside the world's STEP, with telemetry and the
-// exporter attached.
+// splitRun runs splitProgram with telemetry and the exporter attached.
 func splitRun(t *testing.T) (*Profile, []export.SectionSnapshot) {
 	t.Helper()
 	rec := export.NewRecorder(export.Options{Messages: true, Collectives: true})
-	tl := New(Options{})
-	cfg := mpi.Config{Ranks: 6, Seed: 11, Model: machine.Ideal(6, 1), Tools: []mpi.Tool{rec, tl}, Timeout: time.Minute}
+	p, _ := observed(t, 0, func(tools []mpi.Tool) error { return splitProgram(append(tools, rec)) })
+	return p, rec.Sections()
+}
+
+// splitProgram runs a world whose halves, two communicators of three, each
+// run the same HALO section inside the world's STEP.
+func splitProgram(tools []mpi.Tool) error {
+	cfg := mpi.Config{Ranks: 6, Seed: 11, Model: machine.Ideal(6, 1), Tools: tools, Timeout: time.Minute}
 	_, err := mpi.Run(cfg, func(c *mpi.Comm) error {
 		halves, err := c.Split(c.Rank()%2, -c.Rank())
 		if err != nil {
@@ -202,10 +233,7 @@ func splitRun(t *testing.T) (*Profile, []export.SectionSnapshot) {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tl.Snapshot(), rec.Sections()
+	return err
 }
 
 // TestEquivalenceWithExporterFig3 holds the streamed instance counts and
