@@ -319,9 +319,9 @@ func TestFullRunAllEndpoints(t *testing.T) {
 		t.Fatalf("metrics: code %d", code)
 	}
 	for _, needle := range []string{
-		`section_time_seconds_count{comm="0",section="MPI_MAIN"}`,
-		"section_imbalance_seconds",
-		"section_partial_speedup_bound",
+		`section_exclusive_seconds_count{comm="0",section="MPI_MAIN"}`,
+		"telemetry_section_imb_seconds",
+		"telemetry_section_bound",
 		"export_run_finished 1",
 		"dropped_events 0",
 		"serve_jobs_done_total 1",

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/convolution"
@@ -14,14 +15,16 @@ import (
 	"repro/internal/export"
 	"repro/internal/mpi"
 	"repro/internal/prof"
+	"repro/internal/telemetry"
 )
 
 // TestConvolutionP64BothTools is the subsystem's acceptance run: the §5.1
 // convolution at p=64 with the reference profiler and the exporter chained
 // on one tool list. It checks (1) a Perfetto-loadable trace with 64 rank
-// tracks and balanced nested slices, (2) Prometheus families
-// section_time_seconds / section_imbalance_seconds present per section,
-// and (3) the Fig. 3 metrics agreeing between the two tools — chaining
+// tracks and balanced nested slices, (2) the Prometheus families of the
+// telemetry fold of the recording — section_exclusive_seconds and
+// telemetry_section_imb_seconds per section, and the Eq. 6 bounds — and
+// (3) the fold's Fig. 3 metrics agreeing with the profiler's — chaining
 // must not perturb measurements.
 func TestConvolutionP64BothTools(t *testing.T) {
 	if testing.Short() {
@@ -66,20 +69,26 @@ func TestConvolutionP64BothTools(t *testing.T) {
 	}
 
 	// (2) Prometheus families for every convolution section.
+	fold := export.FoldOf(rec)
 	var prom bytes.Buffer
-	if err := rec.WritePrometheus(&prom); err != nil {
+	if err := fold.WriteSectionPrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if err := fold.WritePrometheus(&prom, telemetry.PromOptions{}, new(atomic.Int64)); err != nil {
 		t.Fatal(err)
 	}
 	out := prom.String()
 	for _, label := range convolution.Labels() {
-		for _, family := range []string{"section_time_seconds", "section_imbalance_seconds"} {
-			needle := family + `_count{comm="0",section="` + label + `"}`
+		for _, needle := range []string{
+			`section_exclusive_seconds_count{comm="0",section="` + label + `"}`,
+			`telemetry_section_imb_seconds{section="` + label + `"}`,
+		} {
 			if !strings.Contains(out, needle) {
 				t.Errorf("prometheus output missing %s", needle)
 			}
 		}
 	}
-	if !strings.Contains(out, "section_partial_speedup_bound") {
+	if !strings.Contains(out, "telemetry_section_bound") {
 		t.Error("Eq. 6 bound family missing despite sequential baseline")
 	}
 
@@ -88,12 +97,12 @@ func TestConvolutionP64BothTools(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if profile.WallTime != rep.WallTime || rec.WallTime() != rep.WallTime {
-		t.Fatalf("wall times diverge: prof %g, export %g, report %g",
-			profile.WallTime, rec.WallTime(), rep.WallTime)
+	if profile.WallTime != rep.WallTime || fold.Wall != rep.WallTime {
+		t.Fatalf("wall times diverge: prof %g, fold %g, report %g",
+			profile.WallTime, fold.Wall, rep.WallTime)
 	}
-	recSecs := map[string]export.SectionSnapshot{}
-	for _, s := range rec.Sections() {
+	recSecs := map[string]telemetry.SectionRow{}
+	for _, s := range fold.Rows {
 		recSecs[s.Label] = s
 	}
 	near := func(a, b float64) bool {
@@ -144,7 +153,7 @@ func TestExportDeterministic(t *testing.T) {
 		if _, err := experiments.RunLive(opts); err != nil {
 			t.Fatal(err)
 		}
-		sections := func(w io.Writer) error { return json.NewEncoder(w).Encode(rec.Sections()) }
+		sections := func(w io.Writer) error { return json.NewEncoder(w).Encode(export.FoldOf(rec).Rows) }
 		for name, write := range map[string]func(io.Writer) error{
 			"WritePrometheus": rec.WritePrometheus, "Sections": sections,
 			"WriteChromeTrace": rec.WriteChromeTrace, "WriteOTLP": rec.WriteOTLP,

@@ -17,16 +17,19 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
 // The differential suite: the Recorder and the mutex-and-maps one in
 // reference_test.go are attached to the same run, so both see the same
 // events at the same virtual times. What one rank determines — spans, ids,
-// parents, payloads, message halves, fault counts, per-rank totals — must
-// come out identical; what is folded across ranks agrees to rounding, the
-// two folding in different orders (the reference's is not even the same
-// from run to run).
+// parents, payloads, message halves, fault counts — must come out
+// identical; what is folded across ranks agrees to rounding, the two
+// folding in different orders (the reference's is not even the same from
+// run to run). The section aggregates are the telemetry fold's, a Feeder
+// stepped over the Recorder's recording (FoldOf): it sums each term rounded
+// to the picosecond where the reference sums float seconds (exactClose).
 
 // runBoth executes fn with both recorders attached, then any extra tools.
 // wantErr is a substring the run's error must carry ("" for a clean run).
@@ -48,6 +51,29 @@ func runBoth(t *testing.T, cfg mpi.Config, wantErr string, rec *Recorder, ref *r
 
 func relClose(a, b float64) bool {
 	return a == b || math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
+}
+
+// exactClose compares a sum the fold takes exactly, in integer picoseconds,
+// with the reference's float sum of the same terms. Each of the n roundings
+// to the picosecond behind the fold's sum moves it by at most half a
+// picosecond; beyond that the two agree as relClose does. This is the one
+// gap expected between the fold and the reference (about the 13th
+// significant digit on the convolution's sections).
+func exactClose(g, w float64, n int64) bool { return within(g, w, float64(n)*0.5e-12) }
+
+// within is relClose widened by d, the gap of g's picosecond roundings.
+func within(g, w, d float64) bool {
+	return relClose(g, w) || math.Abs(g-w) <= d+1e-12*math.Max(math.Abs(g), math.Abs(w))
+}
+
+// FoldOf is the telemetry fold of the Recorder's recording: a Feeder
+// stepped over the events every view replays, read with the run's facts.
+// Its Rows are the run's sections, one communicator at a time.
+func FoldOf(rec *Recorder) *telemetry.Profile {
+	events, facts := rec.Recorded()
+	fd := telemetry.NewFeeder(facts.World, facts.Members)
+	fd.Feed(events)
+	return fd.Profile(telemetry.Run{SeqTime: facts.SeqTime, Finished: facts.Finished, Wall: facts.Wall})
 }
 
 func sortSpans(spans []Span) {
@@ -97,7 +123,8 @@ func sameViews(t *testing.T, rec *Recorder, ref *refRecorder, parents bool) {
 	if g, w := rec.Dropped(), ref.Dropped(); g != w {
 		t.Errorf("dropped %d, reference %d", g, w)
 	}
-	if g, w := rec.WallTime(), ref.WallTime(); g != w {
+	fold := FoldOf(rec)
+	if g, w := fold.Wall, ref.WallTime(); g != w {
 		t.Errorf("wall time %g, reference %g", g, w)
 	}
 
@@ -117,11 +144,11 @@ func sameViews(t *testing.T, rec *Recorder, ref *refRecorder, parents bool) {
 		comm  int64
 		label string
 	}
-	refs := map[key]SectionSnapshot{}
+	refs := map[key]telemetry.SectionRow{}
 	for _, s := range ref.Sections() {
 		refs[key{s.Comm, s.Label}] = s
 	}
-	secs := rec.Sections()
+	secs := fold.Rows
 	if len(secs) != len(refs) {
 		t.Errorf("%d sections, reference %d", len(secs), len(refs))
 	}
@@ -136,28 +163,51 @@ func sameViews(t *testing.T, rec *Recorder, ref *refRecorder, parents bool) {
 			continue
 		}
 		if g.Ranks != w.Ranks || g.Instances != w.Instances || g.Recvs != w.Recvs || g.LateRecvs != w.LateRecvs ||
-			g.DurMin != w.DurMin || g.DurMax != w.DurMax || g.ImbMax != w.ImbMax {
+			g.DurMin != w.DurMin || g.DurMax != w.DurMax || g.ImbMax != w.ImbMax ||
+			g.Count != w.Count || g.ExclMin != w.ExclMin || g.ExclMax != w.ExclMax {
 			t.Errorf("%s: counts and extremes\n got %+v\nwant %+v", what, g, w)
 		}
 		if parents && g.Parent != w.Parent {
 			t.Errorf("%s: parent %q, reference %q", what, g.Parent, w.Parent)
 		}
-		if !slices.Equal(g.PerRankTotal, w.PerRankTotal) {
+		// Every sum of durations has g.Count terms at most, a per-rank total
+		// included; a wait sum has one term a receive, a transfer two (the
+		// wait less its late-sender share); an instance's Fig. 3 terms two
+		// (Tin or Tout and the instance's Tmin or Tmax).
+		if len(g.PerRankTotal) != len(w.PerRankTotal) {
 			t.Errorf("%s: per-rank totals %v, reference %v", what, g.PerRankTotal, w.PerRankTotal)
 		}
+		for r := range min(len(g.PerRankTotal), len(w.PerRankTotal)) {
+			if !exactClose(g.PerRankTotal[r], w.PerRankTotal[r], g.Count) {
+				t.Errorf("%s: per-rank totals %v, reference %v", what, g.PerRankTotal, w.PerRankTotal)
+				break
+			}
+		}
+		recvs, instances := int64(g.Recvs), int64(g.Instances)
 		for _, f := range []struct {
 			name string
 			g, w float64
+			n    int64 // roundings to the picosecond behind g
 		}{
-			{"total", g.Total, w.Total}, {"excl", g.ExclTotal, w.ExclTotal}, {"avg", g.AvgPerProc, w.AvgPerProc},
-			{"dur mean", g.DurMean, w.DurMean}, {"entry imb", g.EntryImbMean, w.EntryImbMean}, {"imb", g.ImbMean, w.ImbMean},
-			{"span", g.SpanTotal, w.SpanTotal}, {"load imb", g.LoadImbalance, w.LoadImbalance}, {"bound", g.Bound, w.Bound},
-			{"wait", g.WaitIn, w.WaitIn}, {"late sender", g.LateSender, w.LateSender},
-			{"transfer", g.TransferWait, w.TransferWait}, {"coll wait", g.CollWait, w.CollWait},
+			{"total", g.Total, w.Total, g.Count}, {"excl", g.ExclTotal, w.ExclTotal, g.Count},
+			{"dur mean", g.DurMean, w.DurMean, 0}, {"entry imb", g.EntryImbMean, w.EntryImbMean, 2}, {"imb", g.ImbMean, w.ImbMean, 2},
+			{"span", g.SpanTotal, w.SpanTotal, 2 * instances},
+			{"wait", g.WaitIn, w.WaitIn, recvs}, {"late sender", g.LateSender, w.LateSender, recvs},
+			{"transfer", g.TransferWait, w.TransferWait, 2 * recvs}, {"coll wait", g.CollWait, w.CollWait, recvs},
 		} {
-			if !relClose(f.g, f.w) {
+			if !exactClose(f.g, f.w, f.n) {
 				t.Errorf("%s: %s %.17g, reference %.17g", what, f.name, f.g, f.w)
 			}
+		}
+		// What is derived from the totals moves with them: the mean per
+		// rank by the total's gap over the ranks, the bound seq/avg by the
+		// total's relative gap, and the load imbalance max/mean−1 by the
+		// per-rank totals' gaps (each within the total's) over the mean.
+		if gap, mean := float64(g.Count)*0.5e-12, w.Total/float64(max(w.Ranks, 1)); !within(g.AvgPerProc, w.AvgPerProc, gap/float64(max(w.Ranks, 1))) ||
+			mean > 0 && (!within(g.Bound, w.Bound, w.Bound*gap/w.Total) || !within(g.LoadImbalance, w.LoadImbalance, gap*(2+w.LoadImbalance)/mean)) ||
+			mean == 0 && (g.Bound != w.Bound || g.LoadImbalance != w.LoadImbalance) {
+			t.Errorf("%s: avg %.17g, bound %.17g, load imb %.17g; reference %.17g, %.17g, %.17g",
+				what, g.AvgPerProc, g.Bound, g.LoadImbalance, w.AvgPerProc, w.Bound, w.LoadImbalance)
 		}
 		// The deviation is compared on the scale of the samples: two exact
 		// algorithms for a spread that is itself rounding noise may differ
@@ -168,7 +218,7 @@ func sameViews(t *testing.T, rec *Recorder, ref *refRecorder, parents bool) {
 		if (g.LastInstance == nil) != (w.LastInstance == nil) {
 			t.Errorf("%s: last instance %v, reference %v", what, g.LastInstance, w.LastInstance)
 		} else if gl, wl := g.LastInstance, w.LastInstance; gl != nil && (gl.Tmin != wl.Tmin || gl.Tmax != wl.Tmax ||
-			!relClose(gl.EntryImbMean, wl.EntryImbMean) || !relClose(gl.ImbMean, wl.ImbMean)) {
+			!exactClose(gl.EntryImbMean, wl.EntryImbMean, 2) || !exactClose(gl.ImbMean, wl.ImbMean, 2)) {
 			t.Errorf("%s: last instance %+v, reference %+v", what, *gl, *wl)
 		}
 	}
@@ -213,7 +263,7 @@ func sameReopened(t *testing.T, rec *Recorder) {
 		}
 	}
 	facts := func(v Views) []any {
-		return []any{v.Sections(), v.Faults(), v.FaultCounts(), v.Dropped(), v.Warning(), v.WallTime(), v.TraceID()}
+		return []any{v.Faults(), v.FaultCounts(), v.Dropped(), v.Warning(), v.TraceID()}
 	}
 	if got, want := facts(reopened), facts(live); !reflect.DeepEqual(got, want) {
 		t.Errorf("the reopened run's accessors\n got %+v\nwant %+v", got, want)
@@ -483,9 +533,10 @@ func TestDifferentialForeignPayload(t *testing.T) {
 	}
 }
 
-// Views taken while the ranks still record (under -race, the coverage of
-// the hooks' rank-owned cursors against the replay's reads) are each a
-// consistent prefix; once the run is over the views are the reference's.
+// Views and folds taken while the ranks still record (under -race, the
+// coverage of the hooks' rank-owned cursors against the replay's reads)
+// are each a consistent prefix; once the run is over they are the
+// reference's.
 func TestDifferentialViewsWhileRecording(t *testing.T) {
 	opts := Options{Messages: true, Collectives: true}
 	rec, ref := NewRecorder(opts), newRefRecorder(opts, 0)
@@ -505,7 +556,7 @@ func TestDifferentialViewsWhileRecording(t *testing.T) {
 					t.Errorf("live span %+v", sp)
 				}
 			}
-			for _, s := range rec.Sections() {
+			for _, s := range FoldOf(rec).Rows {
 				if s.Instances > 0 && s.LastInstance == nil {
 					t.Errorf("live section %+v", s)
 				}
@@ -515,7 +566,6 @@ func TestDifferentialViewsWhileRecording(t *testing.T) {
 					t.Error(err)
 				}
 			}
-			rec.WallTime()
 			rec.Dropped()
 			rec.Faults()
 			n++

@@ -4,10 +4,13 @@
 // same MPI_Section enter/leave, point-to-point and collective events into
 // the formats modern observability pipelines speak — Chrome trace_event
 // JSON for Perfetto (WriteChromeTrace), OTLP-style spans with the 32-byte
-// tool-data payload as attributes (WriteOTLP), Prometheus text and its JSON
-// twin (WritePrometheus, Sections) — and computes the Fig. 3 temporal
-// metrics, the per-section wait split and the Eq. 6 partial bounds
-// independently of internal/prof (see the parity tests).
+// tool-data payload as attributes (WriteOTLP) — and hands a fold of the
+// events what it needs: the recording and the run's facts (Recorded). The
+// per-section aggregates — Fig. 3 metrics, the wait split, the Eq. 6
+// partial bounds, by (communicator, section) — are that fold's
+// (internal/telemetry's Feeder, which internal/serve keeps per job);
+// WritePrometheus renders the run facts only this package knows: faults,
+// drops, whether the run ended.
 //
 // # Who writes what
 //
@@ -28,19 +31,16 @@
 // CommRank need the world's), and a fault.Event when one is injected (the
 // trace keeps fewer of its fields).
 //
-// The views — Sections, Spans, WritePrometheus, WriteChromeTrace, WriteOTLP
-// — each run one single-threaded replay (replay.go) on the caller's
-// goroutine, over each rank's events in recording order. Recording order is
-// each rank's program order, so the replay numbers a rank's events, and
-// derives span ids and the Fig. 2 payload, the same way run after run. What
-// one rank determines (its spans, its per-section durations, its wait
-// split) is accumulated per rank; what crosses ranks is folded in
-// ascending rank order — an instance's Fig. 3 metrics when its last rank
-// has left it, the per-rank cells when the replay ends — so a view is a
-// function of (seed, machine, geometry), not of which rank reached a lock
-// first, nor of how the ranks' events interleave in what it is fed. A view taken while the ranks still
-// run replays the prefix recorded so far: completed spans, completed
-// instances, WallTime as the latest timestamp seen.
+// The trace views — Spans, WriteChromeTrace, WriteOTLP — each run one
+// single-threaded replay (replay.go) on the caller's goroutine, over each
+// rank's events in recording order. Recording order is each rank's program
+// order, so the replay numbers a rank's events, and derives span ids and
+// the Fig. 2 payload, the same way run after run. The one thing folded
+// across ranks, an instance's mean Fig. 3 imbalance on the counter track,
+// is taken in ascending rank order when its last rank has left it and the
+// track sorted, so a view is a function of (seed, machine, geometry), not
+// of how the ranks' events interleave in what it is fed. A view taken while
+// the ranks still run replays the prefix recorded so far.
 //
 // A view is a replay of *a* recording. The views are methods of Views, over
 // a source of two reads — the events, then the few facts no event carries
@@ -55,8 +55,8 @@
 //
 // The recording is capped (Options.MaxEvents). Dropped counts the events
 // the cap turned away plus, once the run is over, the section frames no
-// leave ever closed; when it is not zero every view describes a truncated
-// stream and Warning says so.
+// leave ever closed; when it is not zero the recording — the CSV and every
+// trace view — is truncated, and Warning says so.
 package export
 
 import (
@@ -146,16 +146,6 @@ type Span struct {
 	Data mpi.ToolData
 }
 
-// InstanceMetrics are the raw Fig. 3 quantities of one completed section
-// instance: Tmin (first entry), Tmax (last exit), and the mean entry and
-// section imbalances over the communicator's ranks.
-type InstanceMetrics struct {
-	Tmin         float64 `json:"tmin"`
-	Tmax         float64 `json:"tmax"`
-	EntryImbMean float64 `json:"entry_imb_mean"`
-	ImbMean      float64 `json:"imb_mean"`
-}
-
 // commInfo is what the Recorder knows of one communicator. members is
 // fixed at registration; open[r] is touched only by rank r's goroutine.
 type commInfo struct {
@@ -239,9 +229,9 @@ func NewRecorder(opts Options) *Recorder {
 // view needs (Omp) before the run starts.
 func (r *Recorder) Collector() *trace.Collector { return r.col }
 
-// SetSeqTime installs (or replaces) the sequential baseline Σ_j f_j(n0, 1);
-// when it is positive the views also compute each section's Eq. 6 partial
-// speedup bound.
+// SetSeqTime installs (or replaces) the sequential baseline Σ_j f_j(n0, 1),
+// a run fact (Facts.SeqTime) from which a fold of the events computes each
+// section's Eq. 6 partial speedup bound.
 func (r *Recorder) SetSeqTime(seq float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -531,18 +521,9 @@ func countFaults(faults []fault.Event) []FaultCount {
 	return out
 }
 
-// WallTime reports the final virtual makespan after Finalize, or the
-// latest event timestamp recorded so far during a live run.
-func (v Views) WallTime() float64 {
-	if f := v.src.facts(); f.finished {
-		return f.wall
-	}
-	return v.replay(nil, nil).maxT
-}
-
 // Dropped reports how many events the cap turned away plus, after
 // Finalize, how many section frames were never closed. Non-zero drops mean
-// the views describe a truncated stream.
+// the recording — and every view replayed from it — is truncated.
 func (v Views) Dropped() int { return v.src.facts().dropped() }
 
 func (f runFacts) dropped() int { return f.capped + f.unclosed }
@@ -551,7 +532,7 @@ func (f runFacts) dropped() int { return f.capped + f.unclosed }
 // and "" when the stream is complete — callers print it verbatim.
 func (v Views) Warning() string {
 	if f := v.src.facts(); f.dropped() > 0 {
-		return fmt.Sprintf("warning: %d events dropped (event cap %d); aggregates and traces describe a truncated stream", f.dropped(), f.maxEvents)
+		return fmt.Sprintf("warning: %d events dropped (event cap %d); the recorded trace (result.csv, trace.json, spans.json) is truncated", f.dropped(), f.maxEvents)
 	}
 	return ""
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/prof"
+	"repro/internal/telemetry"
 	"repro/internal/verify"
 )
 
@@ -62,11 +63,15 @@ func runWorkload(t *testing.T, p int, seed uint64, tools ...mpi.Tool) *mpi.Repor
 	return rep
 }
 
+// TestRecorderAggregates: the telemetry fold of a recording has every
+// section of the run, with its instances, totals, Fig. 3 metrics, nesting
+// and per-rank totals.
 func TestRecorderAggregates(t *testing.T) {
 	rec := export.NewRecorder(export.Options{Messages: true, Collectives: true})
 	rep := runWorkload(t, 4, 7, rec)
 
-	if got := rec.WallTime(); got != rep.WallTime {
+	fold := export.FoldOf(rec)
+	if got := fold.Wall; got != rep.WallTime {
 		t.Fatalf("wall time %g != report %g", got, rep.WallTime)
 	}
 	if rec.Dropped() != 0 {
@@ -76,8 +81,8 @@ func TestRecorderAggregates(t *testing.T) {
 		t.Fatalf("unexpected warning %q", w)
 	}
 
-	secs := rec.Sections()
-	byLabel := map[string]export.SectionSnapshot{}
+	secs := fold.Rows
+	byLabel := map[string]telemetry.SectionRow{}
 	for _, s := range secs {
 		byLabel[s.Label] = s
 	}
@@ -179,9 +184,9 @@ func TestRecorderSpanCapCountsDrops(t *testing.T) {
 }
 
 // TestParityWithProfiler chains the reference profiler and the exporter on
-// one run and requires the Fig. 3 metrics to agree — the acceptance
-// criterion that the PMPI-analogue chaining composes without perturbing
-// either tool.
+// one run and requires the Fig. 3 metrics of the telemetry fold of the
+// recording to agree with the profiler's — the acceptance criterion that
+// the PMPI-analogue chaining composes without perturbing either tool.
 func TestParityWithProfiler(t *testing.T) {
 	profiler := prof.New()
 	rec := export.NewRecorder(export.Options{Messages: true, Collectives: true})
@@ -191,8 +196,8 @@ func TestParityWithProfiler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recSecs := map[string]export.SectionSnapshot{}
-	for _, s := range rec.Sections() {
+	recSecs := map[string]telemetry.SectionRow{}
+	for _, s := range export.FoldOf(rec).Rows {
 		recSecs[s.Label] = s
 	}
 	if len(profile.Sections) != len(recSecs) {
@@ -200,7 +205,11 @@ func TestParityWithProfiler(t *testing.T) {
 	}
 	// Both tools receive identical virtual timestamps; only the fold order
 	// across ranks may differ, so Welford-derived means are compared to a
-	// tight relative tolerance and the order-free quantities exactly.
+	// tight relative tolerance and the order-free quantities exactly. A
+	// per-rank total is the one sum the profiler takes in float seconds and
+	// the fold in integer picoseconds, each of its instance durations
+	// rounded by at most half a picosecond: the one gap expected between
+	// them.
 	near := func(a, b float64) bool {
 		d := math.Abs(a - b)
 		return d <= 1e-9*(1+math.Max(math.Abs(a), math.Abs(b)))
@@ -214,7 +223,7 @@ func TestParityWithProfiler(t *testing.T) {
 			t.Errorf("%s: instances %d != %d", ps.Label, rs.Instances, ps.Instances)
 		}
 		for r := range ps.PerRankTotal {
-			if ps.PerRankTotal[r] != rs.PerRankTotal[r] {
+			if math.Abs(ps.PerRankTotal[r]-rs.PerRankTotal[r]) > float64(ps.Instances)*0.5e-12 {
 				t.Errorf("%s rank %d: per-rank total %g != %g",
 					ps.Label, r, rs.PerRankTotal[r], ps.PerRankTotal[r])
 			}
@@ -288,9 +297,9 @@ func (f firstScrape) SectionEnter(*mpi.Comm, string, float64, *mpi.ToolData) {
 	}
 }
 
-// TestLiveScrapeWhileRunning exercises the streaming aggregator: a
-// goroutine scrapes Prometheus text and section snapshots concurrently
-// with the executing ranks. Run under -race this is the two-consumer
+// TestLiveScrapeWhileRunning exercises the live views: a goroutine scrapes
+// Prometheus text and folds the recording concurrently with the executing
+// ranks. Run under -race this is the two-consumer
 // concurrency guarantee of the tool chain.
 func TestLiveScrapeWhileRunning(t *testing.T) {
 	rec := export.NewRecorder(export.Options{Messages: true, Collectives: true})
@@ -310,8 +319,7 @@ func TestLiveScrapeWhileRunning(t *testing.T) {
 			if err := rec.WritePrometheus(&buf); err != nil {
 				t.Error(err)
 			}
-			rec.Sections()
-			rec.WallTime()
+			export.FoldOf(rec)
 			n.Add(1)
 		}
 	}()
@@ -324,10 +332,13 @@ func TestLiveScrapeWhileRunning(t *testing.T) {
 	if err := rec.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
+	if err := export.FoldOf(rec).WriteSectionPrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
 	out := buf.String()
 	for _, family := range []string{
-		"section_time_seconds", "section_imbalance_seconds",
-		"section_instances_total", "dropped_events", "export_run_finished 1",
+		"section_time_seconds", "section_exclusive_seconds",
+		"section_span_seconds_total", "dropped_events 0", "export_run_finished 1",
 	} {
 		if !strings.Contains(out, family) {
 			t.Errorf("prometheus output missing %q", family)

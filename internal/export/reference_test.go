@@ -9,6 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 // refRecorder is the Recorder as it was before the views were made replays
@@ -18,7 +19,8 @@ import (
 // halves and fault counts exactly, aggregates up to the order cross-rank
 // sums are taken in (its own is the order ranks reached the mutex, which is
 // why its output was not a function of the run). differential_test.go
-// attaches both to the same runs.
+// attaches both to the same runs, and holds the telemetry fold of the
+// Recorder's recording (telemetry.Feeder) to its sections.
 
 type secKey struct {
 	comm  int64
@@ -73,7 +75,7 @@ type refSectionAgg struct {
 	spanTotal float64
 	perRank   []float64
 	perRankEx []float64
-	last      InstanceMetrics
+	last      telemetry.Instance
 	hasLast   bool
 	// Wait-state accumulators (Scalasca-style, from mpi.MatchInfo): blocked
 	// receive time inside the section split into late-sender time, residual
@@ -286,7 +288,7 @@ func (r *refRecorder) foldInstanceLocked(a *refSectionAgg, acc *instAcc) {
 		imbSum += imb
 	}
 	n := float64(len(acc.leaves))
-	a.last = InstanceMetrics{
+	a.last = telemetry.Instance{
 		Tmin:         tmin,
 		Tmax:         tmax,
 		EntryImbMean: entrySum / n,
@@ -507,12 +509,12 @@ func (r *refRecorder) Warning() string {
 
 // Sections snapshots the streaming aggregates, sorted by total inclusive
 // time descending (ties by label) like prof.Profile.
-func (r *refRecorder) Sections() []SectionSnapshot {
+func (r *refRecorder) Sections() []telemetry.SectionRow {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]SectionSnapshot, 0, len(r.aggs))
+	out := make([]telemetry.SectionRow, 0, len(r.aggs))
 	for _, a := range r.aggs {
-		s := SectionSnapshot{
+		s := telemetry.SectionRow{
 			Comm:          a.comm,
 			Label:         a.label,
 			Parent:        a.parent,
@@ -536,6 +538,9 @@ func (r *refRecorder) Sections() []SectionSnapshot {
 			CollWait:      a.collWait,
 			LateRecvs:     a.lateRecv,
 			Recvs:         a.recvs,
+			Count:         int64(a.dur.N()),
+			ExclMin:       a.excl.Min(),
+			ExclMax:       a.excl.Max(),
 		}
 		if a.ranks > 0 {
 			s.AvgPerProc = s.Total / float64(a.ranks)

@@ -17,7 +17,7 @@ const collectorLimit = 4 << 20
 
 // attempt is what the views read of one attempt of a job, whichever way the
 // job holds it: the tool chain of the attempt that is running (*bundle), or
-// what seal kept of one that ended, reopened for the request (*reopened).
+// what seal kept of one that ended, read anew by each request (*sealed).
 // Every row of the view table and every job-scoped source of /metrics is
 // written once, against this.
 type attempt interface {
@@ -29,8 +29,9 @@ type attempt interface {
 	// order is the recorded events in canonical order, which is all the
 	// wait-state and POP analyses read.
 	order() (*trace.Order, error)
-	// profile is the telemetry profile of the run so far, from the fold the
-	// attempt keeps of its recording (fold, keptFold).
+	// profile is the telemetry profile of the run so far, with its rows,
+	// from the fold the attempt keeps of its recording (fold, keptFold):
+	// every section aggregate a view shows.
 	profile() (*telemetry.Profile, error)
 	// seriesDropped is the running count of series the telemetry
 	// expositions of the job suppressed.

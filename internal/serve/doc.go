@@ -71,12 +71,14 @@
 // the Fig. 2 payload and records through its trace collector. That
 // collector's buffer is the job's result (the canonical event CSV) and the
 // one thing every view reads: /waitstate.json, /critpath.json and
-// /efficiency.json replay it, and /sections, /trace.json and /spans.json are
-// the recorder's replays of it. /profile.json, /heatmap.csv and the
-// telemetry families of /metrics are internal/telemetry's fold of that
-// buffer (telemetry.Feeder), with the recorder's communicator table
-// resolving the ranks the events name: the same bytes the streaming
-// telemetry.Tool gives when it rides in a chain. The fold is made on the
+// /efficiency.json replay it, and /trace.json and /spans.json are the
+// recorder's replays of it. Every section aggregate is internal/telemetry's
+// fold of that buffer (telemetry.Feeder), with the recorder's communicator
+// table resolving the ranks the events name: /profile.json and
+// /heatmap.csv — the same bytes the streaming telemetry.Tool gives when it
+// rides in a chain — /sections (the profile's rows, one per section and
+// communicator) and every section family of /metrics, so each number is
+// folded once and printed once. The fold is made on the
 // first request and kept with the attempt; each later request folds only
 // the events recorded since the one before, so an event is folded once
 // however often a running job is asked, and never for a job nobody asks
@@ -100,10 +102,11 @@
 // the 503 while the recording is empty, the headers and the index page are
 // derived from it. /metrics is an ordered list of sources
 // (Service.metricsSources): secmon_up and mpi_pooled_rank_coroutines,
-// serve_*, then for the selected job
-// the rank gauges, the recorder's families, the verifier's, the
-// telemetry's and the POP gauges. Every family is written through
-// internal/promtext. Rows and sources are written once, against the attempt
+// serve_*, then for the selected job the rank gauges, and then what one
+// read of the fold gives — the section_* families of its rows — the
+// recorder's facts (faults, drops, whether the run ended), the verifier's
+// counts, the telemetry_* families and the POP gauges of the fold's
+// per-section cells. Every family is written through internal/promtext. Rows and sources are written once, against the attempt
 // interface (bundle.go), which an attempt satisfies twice over.
 //
 // # What a job keeps
@@ -151,20 +154,21 @@
 // them; a cancelled job's bundle is dropped the same way and nothing is
 // kept of it.
 //
-// A view of a job that has ended reopens it, per request: trace.ReadCSV over
-// the kept bytes, the analysis views straight over trace.OrderOf — they are
-// functions of canonical order — and the recorder's views through the same
-// export replay, fed each rank's events in restored recording order. Same
-// bytes as the live bundle gave when the run ended (seal_test.go holds every
-// row to that). What it costs is the decode: about 6 ms on top of a 2–4 ms
-// view for those 23 k events, 0.1–0.4 s for a million (BenchmarkSealedViews);
-// the rows that read facts alone (/faults.json, /verify.json) cost what
-// they did, and so do /profile.json and /heatmap.csv once the job keeps
-// its telemetry fold: 1.3 and 0.8 ms, the first of them 9 ms (0.4 s for a
-// million events) for the decode and the fold. Nothing else is memoized —
-// the periodic consumer is a /metrics scrape, 11 ms where it is 4 on the
-// running job, 13 ms the first time — and a reopened recording lives for
-// the request: 104 bytes an event, 436 MB at the 4 M-event cap.
+// A view of a job that has ended reads it anew, per request: trace.ReadCSV
+// over the kept bytes, the analysis views straight over trace.OrderOf —
+// they are functions of canonical order — and the recorder's views through
+// the same export replay, fed each rank's events in restored recording
+// order. Same bytes as the live bundle gave when the run ended (seal_test.go
+// holds every row to that). What it costs is the decode: about 6 ms on top
+// of a 2–4 ms view for those 23 k events, 0.1–0.4 s for a million
+// (BenchmarkSealedViews); the rows that read facts alone (/faults.json,
+// /verify.json) cost what they did, and so do the fold views once the job
+// keeps its telemetry fold: /profile.json 1.1–1.5 ms, /sections 0.5–0.7 ms
+// and the periodic consumer, a /metrics scrape, 0.4–0.5 ms (0.4–1.1 on the
+// running job); the first of them pays 8–14 ms (0.4 s for a million
+// events) for the decode and the fold. Nothing else is memoized, and a
+// decoded recording lives for the request: 104 bytes an event, 436 MB at
+// the 4 M-event cap.
 //
 // # Admission bounds
 //

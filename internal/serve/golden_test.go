@@ -25,9 +25,10 @@ func jobScoped(t *testing.T, body string) string {
 }
 
 // TestMetricsJobScopedGolden holds the job-scoped families of /metrics —
-// rank gauges, recorder, verifier, telemetry, POP, in that order — to the
-// bytes the seven hand-written writers produced before internal/promtext:
-// the golden was captured at that commit (406 lines for this request).
+// rank gauges, the fold's section rows, recorder facts, verifier,
+// telemetry, POP, in that order — to their bytes (277 lines for this
+// request), where every section number is read from the one telemetry fold
+// the attempt keeps and printed once.
 func TestMetricsJobScopedGolden(t *testing.T) {
 	h, _ := liveHandler(t, Options{})
 	if code, body := get(t, h, "/run?exp=conv&p=16&steps=10&verify=1&nocache=1&wait=1"); code != http.StatusOK {

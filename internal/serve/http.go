@@ -152,7 +152,7 @@ func snapshotJob(j *Job) jobView {
 
 // observeJob is snapshotJob for a handler that renders from the job's
 // attempt: the bundle of a running one, retained in the same critical
-// section that found it on the job, or the sealed one, reopened. The caller
+// section that found it on the job, or the sealed one. The caller
 // releases the view when the response is written.
 func observeJob(j *Job) jobView {
 	j.mu.Lock()
@@ -163,7 +163,7 @@ func observeJob(j *Job) jobView {
 		j.bundle.retain()
 		v.a = j.bundle
 	case j.sealed != nil:
-		v.a = &reopened{sealed: j.sealed}
+		v.a = j.sealed
 	}
 	return v
 }

@@ -117,9 +117,11 @@ func (s *Service) state() (queued, inflight int, draining bool) {
 // metricsSources is /metrics as an ordered list: what the process and the
 // service always expose, then the families of the job the request selects
 // (nil, or without an attempt, when there is none yet or it never executed)
-// — rank gauges, recorder, verifier, telemetry, POP — from its attempt,
-// running or sealed. Each source writes whole families and owns their
-// names; internal/promtext owns the format.
+// — rank gauges, the fold's section rows, recorder facts, verifier,
+// telemetry, POP — from its attempt, running or sealed. Each source writes
+// whole families and owns their names; internal/promtext owns the format.
+// Every section number comes from the one telemetry fold the attempt keeps,
+// read once per scrape by the first source that needs it.
 func (s *Service) metricsSources(v *jobView) []func(io.Writer) error {
 	sources := []func(io.Writer) error{
 		func(w io.Writer) error {
@@ -134,39 +136,43 @@ func (s *Service) metricsSources(v *jobView) []func(io.Writer) error {
 		return sources
 	}
 	a := v.a
+	var p *telemetry.Profile // read by the section source; the sources run in order
 	sources = append(sources,
 		func(w io.Writer) error { return writeRankGauges(w, a.ranks()) },
 		func(w io.Writer) error {
-			rec, err := a.replayable()
-			if err != nil {
+			var err error
+			if p, err = a.profile(); err != nil {
 				return err
 			}
-			return rec.WritePrometheus(w)
-		})
+			return p.WriteSectionPrometheus(w)
+		},
+		func(w io.Writer) error { return a.exporter().WritePrometheus(w) })
 	if rep := a.verification(); rep != nil {
 		sources = append(sources, func(w io.Writer) error { return export.WriteVerifyPrometheus(w, rep.Counts) })
 	}
-	// Bounded-cardinality per-section series, folded from the recording.
-	sources = append(sources, func(w io.Writer) error {
-		p, err := a.profile()
-		if err != nil {
-			return err
-		}
-		return p.WritePrometheus(w, telemetry.PromOptions{}, a.seriesDropped())
-	})
-	// POP efficiency gauges: replay the recorded stream on demand. An empty
-	// stream (scrape before the first event) simply omits the families.
-	return append(sources, func(w io.Writer) error {
-		order, err := a.order()
-		if err != nil {
-			return err
-		}
-		t, err := pop.AnalyzeOrder(order, pop.Options{SeqTime: v.seq})
-		if err != nil {
-			return nil
-		}
-		return export.WriteEfficiencyPrometheus(w, t)
-	})
+	return append(sources,
+		func(w io.Writer) error { return p.WritePrometheus(w, telemetry.PromOptions{}, a.seriesDropped()) },
+		// POP efficiency gauges from the fold's per-section cells. A profile
+		// with no section yet (scrape before the first event) omits them.
+		func(w io.Writer) error {
+			if len(p.Sections) == 0 {
+				return nil
+			}
+			return export.WriteEfficiencyPrometheus(w, efficiencyTree(p))
+		})
+}
+
+// efficiencyTree is the POP tree of the profile's sections and binding, as
+// the section_efficiency_* families read it.
+func efficiencyTree(p *telemetry.Profile) *pop.Tree {
+	t := &pop.Tree{Degraded: p.Degraded}
+	for i := range p.Sections {
+		t.Sections = append(t.Sections, *p.Sections[i].Efficiency)
+	}
+	if b := p.Section(p.Binding); b != nil {
+		t.Binding = b.Efficiency
+	}
+	return t
 }
 
 // writeRankGauges reports rank bring-up; a scrape before the run's Init has

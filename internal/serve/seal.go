@@ -59,31 +59,18 @@ func (b *bundle) seal() *sealed {
 		fold: keptFold{fd: b.fold.kept()}, dropped: b.dropped, verify: b.verification()}
 }
 
-// reopened is a sealed attempt as one request reads it. The events are
-// decoded from the CSV when a view first needs them and at most once per
-// request, however many of its sources replay them (/metrics has two).
-type reopened struct {
-	*sealed
-	events []trace.Event
-	err    error
-	read   bool
-}
+// A sealed attempt is read by each request anew: the events are decoded
+// from the CSV when a view needs them — the trace writers, the analyses, or
+// the first fold — once, since no view reads them twice.
+func (o *sealed) load() ([]trace.Event, error) { return trace.ReadCSV(bytes.NewReader(o.csv)) }
 
-func (o *reopened) load() ([]trace.Event, error) {
-	if !o.read {
-		o.events, o.err = trace.ReadCSV(bytes.NewReader(o.csv))
-		o.read = true
-	}
-	return o.events, o.err
-}
-
-func (o *reopened) exporter() export.Views { return o.rec.Open(trace.Recording{}) }
+func (o *sealed) exporter() export.Views { return o.rec.Open(trace.Recording{}) }
 
 // replayable feeds the exporter's replay each rank's events in restored
 // recording order, the ranks interleaved as the CSV has them: one of the
 // interleavings the live recording could have had, and the views do not
 // depend on which.
-func (o *reopened) replayable() (export.Views, error) {
+func (o *sealed) replayable() (export.Views, error) {
 	events, err := o.load()
 	if err != nil {
 		return export.Views{}, err
@@ -95,7 +82,7 @@ func (o *reopened) replayable() (export.Views, error) {
 	return o.rec.Open(rec), nil
 }
 
-func (o *reopened) order() (*trace.Order, error) {
+func (o *sealed) order() (*trace.Order, error) {
 	events, err := o.load()
 	if err != nil {
 		return nil, err
@@ -103,7 +90,7 @@ func (o *reopened) order() (*trace.Order, error) {
 	return trace.OrderOf(events), nil
 }
 
-func (o *reopened) profile() (*telemetry.Profile, error) {
+func (o *sealed) profile() (*telemetry.Profile, error) {
 	o.fold.mu.Lock()
 	defer o.fold.mu.Unlock()
 	if o.fold.fd == nil {
@@ -120,10 +107,10 @@ func (o *reopened) profile() (*telemetry.Profile, error) {
 	return o.fold.fd.Profile(runOf(o, facts)), nil
 }
 
-func (o *reopened) seriesDropped() *atomic.Int64 { return o.dropped }
+func (o *sealed) seriesDropped() *atomic.Int64 { return o.dropped }
 
-func (o *reopened) verification() *verify.Report { return o.verify }
+func (o *sealed) verification() *verify.Report { return o.verify }
 
-func (o *reopened) ranks() *rankGauges { return o.gauges }
+func (o *sealed) ranks() *rankGauges { return o.gauges }
 
-func (o *reopened) release() {}
+func (o *sealed) release() {}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -185,7 +186,7 @@ func TestSealedViewsEqualLive(t *testing.T) {
 			if n := b.rec.Collector().Buffer().Len(); n != 0 {
 				t.Fatalf("the last reader has let go and the buffer still holds %d events", n)
 			}
-			v.a = &reopened{sealed: kept}
+			v.a = kept
 			reopenedRows := render(t, s, &v)
 			for name, want := range live {
 				if got := reopenedRows[name]; got != want {
@@ -203,7 +204,7 @@ func TestSealedViewsEqualLive(t *testing.T) {
 				canonical[i] = int32(i)
 			}
 			kept.index = canonical
-			v.a = &reopened{sealed: kept}
+			v.a = kept
 			mutated := render(t, s, &v)
 			differ := 0
 			for _, name := range []string{"sections", "trace.json", "spans.json", "metrics"} {
@@ -258,7 +259,7 @@ func TestLiveFoldCatchesUp(t *testing.T) {
 				if from == "sealed" {
 					kept := b.seal()
 					b.release()
-					v.a = &reopened{sealed: kept}
+					v.a = kept
 				}
 				got := render(t, s, &v)
 				for _, row := range []string{"profile.json", "heatmap.csv"} {
@@ -342,13 +343,13 @@ func BenchmarkSealedViews(b *testing.B) {
 						case "live":
 							v.a = live
 						case "sealed":
-							v.a = &reopened{sealed: kept}
+							v.a = kept
 						case "live-cold":
 							live.fold = &fold{rec: live.rec}
 							v.a = live
 						case "sealed-cold":
 							kept.fold = keptFold{}
-							v.a = &reopened{sealed: kept}
+							v.a = kept
 						}
 						if err := rows[name](); err != nil {
 							b.Fatal(err)
@@ -361,11 +362,39 @@ func BenchmarkSealedViews(b *testing.B) {
 	}
 }
 
+// sectionRows is the sections array of a /sections document: what the fold
+// says, without the job's trace id and drop count.
+func sectionRows(t *testing.T, doc string) string {
+	t.Helper()
+	var d struct{ Sections json.RawMessage }
+	if err := json.Unmarshal([]byte(doc), &d); err != nil {
+		t.Fatal(err)
+	}
+	return string(d.Sections)
+}
+
+// sectionFamilies is the fold's section_* samples of a /metrics body: every
+// section_ line but the recorder's fault and the verifier's counts.
+func sectionFamilies(t *testing.T, body string) string {
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(body, "\n") {
+		if strings.HasPrefix(line, "section_") && !strings.HasPrefix(line, "section_fault_") && !strings.HasPrefix(line, "section_verify_") {
+			b.WriteString(line)
+		}
+	}
+	if b.Len() == 0 {
+		t.Fatal("/metrics has no section family")
+	}
+	return b.String()
+}
+
 // TestCappedTelemetryIsWhole: where the cap stops the recording, the
 // telemetry fold takes over — the recorded prefix first, then every event
 // the cap turns away — so a capped job's telemetry views are its uncapped
-// twin's, live and sealed. A cap of one event has the fold take over at
-// the second; the split run meets its halves' communicator past the cap.
+// twin's, live and sealed: /profile.json, /heatmap.csv, the sections of
+// /sections and the section families of /metrics. A cap of one event has
+// the fold take over at the second; the split run meets its halves'
+// communicator past the cap.
 func TestCappedTelemetryIsWhole(t *testing.T) {
 	s := NewService(Options{})
 	for _, base := range []sealCase{
@@ -391,11 +420,16 @@ func TestCappedTelemetryIsWhole(t *testing.T) {
 							t.Errorf("%s %s differs from the uncapped run's%s", from, row, firstDifference(got[row], whole[row]))
 						}
 					}
+					for row, part := range map[string]func(*testing.T, string) string{"sections": sectionRows, "metrics": sectionFamilies} {
+						if g, w := part(t, got[row]), part(t, whole[row]); g != w {
+							t.Errorf("%s %s differs from the uncapped run's%s", from, row, firstDifference(g, w))
+						}
+					}
 				}
 				check("live")
 				kept := b.seal()
 				b.release()
-				v.a = &reopened{sealed: kept}
+				v.a = kept
 				check("sealed")
 			})
 		}

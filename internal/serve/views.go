@@ -35,7 +35,7 @@ const (
 
 // views is the table, in index-page order.
 var views = []view{
-	{"sections", "JSON aggregates: Fig. 3 metrics and Eq. 6 partial bounds", jsonType, false, sectionsView},
+	{"sections", "JSON aggregates per (communicator, section) from the telemetry fold: Fig. 3 metrics and Eq. 6 partial bounds", jsonType, false, sectionsView},
 	{"trace.json", "Chrome trace_event JSON (open in Perfetto / chrome://tracing)", jsonType, true,
 		recorderView(export.Views.WriteChromeTrace)},
 	{"spans.json", "OTLP-style span export", jsonType, true, recorderView(export.Views.WriteOTLP)},
@@ -82,21 +82,21 @@ func jsonDoc(v any) func(io.Writer) error {
 
 // sectionsResponse is the /sections JSON document.
 type sectionsResponse struct {
-	Job        string                   `json:"job"`
-	Tenant     string                   `json:"tenant"`
-	State      State                    `json:"state"`
-	Experiment string                   `json:"experiment"`
-	Ranks      int                      `json:"ranks"`
-	Steps      int                      `json:"steps"`
-	Scale      int                      `json:"scale"`
-	Seed       uint64                   `json:"seed"`
-	TraceID    string                   `json:"trace_id"`
-	Running    bool                     `json:"running"`
-	Error      string                   `json:"error,omitempty"`
-	WallTime   float64                  `json:"wall_seconds"`
-	Dropped    int                      `json:"dropped_events"`
-	Warning    string                   `json:"warning,omitempty"`
-	Sections   []export.SectionSnapshot `json:"sections"`
+	Job        string                 `json:"job"`
+	Tenant     string                 `json:"tenant"`
+	State      State                  `json:"state"`
+	Experiment string                 `json:"experiment"`
+	Ranks      int                    `json:"ranks"`
+	Steps      int                    `json:"steps"`
+	Scale      int                    `json:"scale"`
+	Seed       uint64                 `json:"seed"`
+	TraceID    string                 `json:"trace_id"`
+	Running    bool                   `json:"running"`
+	Error      string                 `json:"error,omitempty"`
+	WallTime   float64                `json:"wall_seconds"`
+	Dropped    int                    `json:"dropped_events"`
+	Warning    string                 `json:"warning,omitempty"`
+	Sections   []telemetry.SectionRow `json:"sections"`
 }
 
 func sectionsView(v *jobView) (func(io.Writer) error, error) {
@@ -114,16 +114,16 @@ func sectionsView(v *jobView) (func(io.Writer) error, error) {
 	if v.err != nil {
 		resp.Error = mpi.RootCause(v.err).Error()
 	}
-	rec, err := v.a.replayable()
+	p, err := v.a.profile()
 	if err != nil {
 		return nil, err
 	}
 	if resp.Running {
-		resp.WallTime = rec.WallTime()
+		resp.WallTime = p.Wall
 	}
-	resp.Dropped = rec.Dropped()
-	resp.Warning = rec.Warning()
-	resp.Sections = rec.Sections()
+	facts := v.a.exporter()
+	resp.Dropped, resp.Warning = facts.Dropped(), facts.Warning()
+	resp.Sections = p.Rows
 	return jsonDoc(resp), nil
 }
 

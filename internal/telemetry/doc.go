@@ -16,10 +16,24 @@
 // time-resolved analyses do, and attaches no second observer
 // (internal/serve). TestFeedersAgree holds the two to the same bytes.
 //
+// A profile is by section label, as the trace-driven analyses read a run:
+// a receive is charged to its rank's innermost open section, on whatever
+// communicator, and a label's instances are summed over its communicators.
+// A Feeder's profile also has rows (Profile.Rows), one per section and
+// communicator, as internal/serve's /sections and section_* families show
+// them: each instance group (instance.go) keeps its enter/leave pairs, its
+// exclusive time (a frame's duration less its nested frames' on the same
+// communicator), its first parent there, the wait split of the receives on
+// its communicator and each rank's durations, which the Feeder's
+// communicator table puts in communicator-rank order. A leave that does not
+// close the rank's innermost open section — a misnesting the runtime
+// reports — closes nothing, in the profile and in the rows.
+//
 // What the fold keeps does not grow with the events: per-section
 // accumulators in a fixed 64-entry table, a cursor per rank, POP cells per
-// (section, rank) in slabs of 256 ranks materialized on first touch, the
-// instances in flight, and fixed-resolution bins. Definitions have one
+// (section, rank) and row cells per (instance group, rank) in slabs of 256
+// ranks materialized on first touch, the instances in flight, and
+// fixed-resolution bins. Definitions have one
 // owner each and are called, not restated: cause labels, the dominant-cause
 // and binding rules and the timestamp tolerance are internal/waitstate's,
 // the Eq. 6 bound core.PartialBound, the factor formulas, the factor table
@@ -37,7 +51,9 @@
 //
 //   - Durations accumulate as picosecond int64s. Integer addition is
 //     associative, so any order of adds yields identical sums; extrema are
-//     order-free by nature.
+//     order-free by nature. A row's duration moments are a Welford
+//     accumulator per rank, in the rank's own order, merged in
+//     communicator-rank order.
 //   - Fig. 3 instances are exact: an instance of a section on a
 //     communicator is the k-th enter of each of its ranks, and its metrics
 //     fold when the last of them leaves (instance.go).

@@ -66,7 +66,7 @@ func (fd *Feeder) Step(e *trace.Event) {
 		}
 		f.enter(e.Rank, e.Comm, size, e.Label, e.T)
 	case trace.KindSectionLeave:
-		f.leave(e.Rank, e.T)
+		f.leave(e.Rank, e.Label, e.T)
 	case trace.KindSend:
 		f.send(e.Rank, e.Bytes, e.T)
 	case trace.KindRecv:
@@ -74,7 +74,7 @@ func (fd *Feeder) Step(e *trace.Event) {
 		if fd.Knows(e.Comm) && peer >= 0 && peer < len(fd.members[e.Comm]) {
 			peer = fd.members[e.Comm][peer]
 		}
-		f.recv(e.Rank, peer, e.Tag, e.Bytes, e.T, mpi.MatchInfo{SendT: e.SendT, PostT: e.PostT, Arrival: e.ArrT})
+		f.recv(e.Rank, e.Comm, peer, e.Tag, e.Bytes, e.T, mpi.MatchInfo{SendT: e.SendT, PostT: e.PostT, Arrival: e.ArrT})
 	case trace.KindCollective:
 		f.collBegin(e.Rank, e.T)
 	case trace.KindCollectiveEnd:
@@ -84,5 +84,10 @@ func (fd *Feeder) Step(e *trace.Event) {
 	}
 }
 
-// Profile renders what has been fed so far.
-func (fd *Feeder) Profile(run Run) *Profile { return fd.f.profile(run) }
+// Profile renders what has been fed so far, with its rows: the feeder's
+// communicator table resolves them.
+func (fd *Feeder) Profile(run Run) *Profile {
+	p := fd.f.profile(run)
+	p.Rows = fd.f.rows(fd.members, run.SeqTime)
+	return p
+}

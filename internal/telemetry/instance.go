@@ -1,5 +1,11 @@
 package telemetry
 
+import (
+	"math"
+
+	"repro/internal/stats"
+)
+
 // Fig. 3 instance tracking. An instance of a section is one synchronized
 // enter/leave round across its communicator's ranks: the k-th enter of the
 // label on that communicator by each of them. Its metrics are
@@ -13,6 +19,11 @@ package telemetry
 // instance and every older one are folded. Each rank numbers its own
 // enters, so the instance an enter joins does not depend on how the ranks'
 // events interleave, nor does the fold: integer sums and extrema.
+//
+// A group is also the one place that tells a section's communicators
+// apart, so it keeps what a (communicator, section) row reads besides
+// (fold.rows): its enter/leave pairs, exclusive time, parent, the wait
+// split of the receives on its communicator and each rank's durations.
 
 // instKey names a group: a section on one communicator.
 type instKey struct {
@@ -26,18 +37,48 @@ type instSlot struct {
 	done           bool
 	sumIn, sumOut  int64 // Σ pico(Tin), Σ pico(Tout)
 	minIn, maxOut  float64
+	minOut         float64
 }
 
-// instGroup is one (communicator, section) pair's instances in flight.
+// instGroup is one (communicator, section) pair: its instances in flight,
+// and the totals of its completed instances and enter/leave pairs.
 type instGroup struct {
 	sec  int32
+	comm int64
 	size int32  // the communicator's ranks: the leaves that complete an instance
 	lo   uint32 // the oldest instance not yet folded
 	ring []instSlot
+
+	agg    instAgg
+	imbMax float64
+	// last is the most recently completed instance: the instances of a
+	// group complete in order, since a rank leaves one before it enters
+	// the next.
+	last Instance
+	// parent is the group of the innermost frame on the communicator that
+	// its lowest world rank to enter, parentRank, had open then (-1: none).
+	parent     int32
+	parentRank int
+
+	count            int64 // completed enter/leave pairs
+	exclPico         int64 // Σ duration less the nested frames' on the communicator
+	minExcl, maxExcl float64
+	// The receives on the communicator whose innermost open section there
+	// is the group's.
+	waitSplit
+
+	cells []*[slabSize]rowCell // by world rank, a slab of 256 on first touch
 }
 
-// instAgg is one section's completed-instance totals, over every
-// communicator it ran on.
+// rowCell is one rank's pairs in a group: their summed duration, and their
+// moments and extrema, which a row merges in communicator-rank order.
+type rowCell struct {
+	t   int64
+	dur stats.Welford
+}
+
+// instAgg is completed-instance totals: a section's over every
+// communicator it ran on, or a group's.
 type instAgg struct {
 	instances int64 // completed instances
 	samples   int64 // Σ communicator sizes over completed instances
@@ -114,7 +155,7 @@ func (in *instances) join(cur *rankCur, key instKey, size int) *rankOrd {
 	if !ok {
 		grp = int32(len(in.groups))
 		in.ids[key] = grp
-		in.groups = append(in.groups, instGroup{sec: key.sec, size: int32(size), ring: make([]instSlot, 4)})
+		in.groups = append(in.groups, instGroup{sec: key.sec, comm: key.comm, size: int32(size), ring: make([]instSlot, 4), parentRank: math.MaxInt})
 	}
 	cur.ords = append(cur.ords, rankOrd{key: key, grp: grp})
 	return &cur.ords[len(cur.ords)-1]
@@ -135,19 +176,29 @@ func (in *instances) leave(grp int32, ord uint32, tout float64) {
 	if s.leaves == 0 || tout > s.maxOut {
 		s.maxOut = tout
 	}
+	if s.leaves == 0 || tout < s.minOut {
+		s.minOut = tout
+	}
 	if s.leaves++; s.leaves != g.size {
 		return
 	}
 	n := int64(g.size)
-	a := &in.agg[g.sec]
-	a.instances++
-	a.samples += n
-	a.spanPico += pico(s.maxOut) - pico(s.minIn)
-	a.imbInPico += s.sumIn - n*pico(s.minIn)
+	imbIn := s.sumIn - n*pico(s.minIn)
 	// Per rank: imb = (Tmax−Tmin) − Tsection with Tsection measured from the
 	// instance's Tmin (the exporter's Fig. 3 convention), so the sum
 	// telescopes to Σ (Tmax − Tout_r).
-	a.imbPico += n*pico(s.maxOut) - s.sumOut
+	imb := n*pico(s.maxOut) - s.sumOut
+	for _, a := range [2]*instAgg{&in.agg[g.sec], &g.agg} {
+		a.instances++
+		a.samples += n
+		a.spanPico += pico(s.maxOut) - pico(s.minIn)
+		a.imbInPico += imbIn
+		a.imbPico += imb
+	}
+	// The largest per-rank imbalance is the earliest leaver's, taken in
+	// float seconds as (Tmax−Tmin) − (Tout−Tmin).
+	g.imbMax = max(g.imbMax, (s.maxOut-s.minIn)-(s.minOut-s.minIn))
+	g.last = Instance{Tmin: s.minIn, Tmax: s.maxOut, EntryImbMean: secs(imbIn) / float64(n), ImbMean: secs(imb) / float64(n)}
 	s.done = true
 	for {
 		old := &g.ring[g.lo&uint32(len(g.ring)-1)]
@@ -157,4 +208,34 @@ func (in *instances) leave(grp int32, ord uint32, tout float64) {
 		*old = instSlot{}
 		g.lo++
 	}
+}
+
+// pair folds a completed enter/leave pair of world rank wr: its duration
+// and its exclusive time.
+//
+//seclint:hotpath
+func (g *instGroup) pair(wr int, dur, excl float64) {
+	if g.count == 0 || excl < g.minExcl {
+		g.minExcl = excl
+	}
+	if g.count == 0 || excl > g.maxExcl {
+		g.maxExcl = excl
+	}
+	g.count++
+	g.exclPico += pico(excl)
+	i := wr >> slabBits
+	if i >= len(g.cells) || g.cells[i] == nil {
+		g.touch(i)
+	}
+	c := &g.cells[i][wr&slabMask]
+	c.t += pico(dur)
+	c.dur.Add(dur)
+}
+
+//seclint:allocs-ok a group's slab of rank cells: once per 256 ranks that leave it
+func (g *instGroup) touch(i int) {
+	if i >= len(g.cells) {
+		g.cells = append(g.cells, make([]*[slabSize]rowCell, i+1-len(g.cells))...)
+	}
+	g.cells[i] = new([slabSize]rowCell)
 }

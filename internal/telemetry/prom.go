@@ -1,7 +1,10 @@
 package telemetry
 
 import (
+	"cmp"
 	"io"
+	"slices"
+	"strconv"
 	"sync/atomic"
 
 	"repro/internal/pop"
@@ -136,5 +139,53 @@ func (p *Profile) WritePrometheus(w io.Writer, o PromOptions, dropped *atomic.In
 	pw.IntFamily("telemetry_degraded", "gauge", "1 when faults or dead-peer waits degraded the run.", degraded)
 	pw.IntFamily("telemetry_series_dropped_total", "counter", "Per-section series suppressed by the cardinality cap.", dropped.Load())
 	pw.IntFamily("telemetry_section_table_overflow_total", "counter", "Events aggregated into the overflow section slot.", p.SectionsDropped)
+	return pw.Flush()
+}
+
+// WriteSectionPrometheus exposes what the profile's rows say that the
+// telemetry_* families do not, one series per (communicator, section) in
+// that order: the extremes of one pair's inclusive time, the exclusive
+// time, the summed span, the load imbalance and the late receivers. A
+// section's inclusive total, instances, wait split, Fig. 3 means and Eq. 6
+// bound are the telemetry_section_* families'.
+func (p *Profile) WriteSectionPrometheus(w io.Writer) error {
+	rows := slices.Clone(p.Rows)
+	slices.SortFunc(rows, func(a, b SectionRow) int {
+		return cmp.Or(cmp.Compare(a.Comm, b.Comm), cmp.Compare(a.Label, b.Label))
+	})
+	pw := promtext.New(w, promtext.RoundTrip)
+	for _, f := range []struct {
+		name, typ, help string
+		write           func(name string, r *SectionRow, labels []string)
+	}{
+		{"section_time_seconds", "summary", "Extremes of one rank's inclusive time in one section instance (the sum is telemetry_section_seconds_total).",
+			func(name string, r *SectionRow, labels []string) {
+				if r.Count > 0 {
+					pw.Float(name, r.DurMin, append(labels, "quantile", "0")...)
+					pw.Float(name, r.DurMax, append(labels, "quantile", "1")...)
+				}
+			}},
+		{"section_exclusive_seconds", "summary", "Per-rank exclusive time (inclusive minus nested sections).",
+			func(name string, r *SectionRow, labels []string) {
+				if r.Count > 0 {
+					pw.Summary(name, r.ExclMin, r.ExclMax, r.Count, r.ExclTotal, labels...)
+				}
+			}},
+		{"section_span_seconds_total", "counter", "Summed distributed span Tmax - Tmin over completed instances.",
+			func(name string, r *SectionRow, labels []string) { pw.Float(name, r.SpanTotal, labels...) }},
+		{"section_load_imbalance_ratio", "gauge", "Load imbalance max/mean - 1 over per-rank inclusive totals.",
+			func(name string, r *SectionRow, labels []string) { pw.Float(name, r.LoadImbalance, labels...) }},
+		{"section_late_receiver_total", "counter", "Receives posted after the payload had already arrived (message sat in the mailbox).",
+			func(name string, r *SectionRow, labels []string) {
+				if r.Recvs > 0 {
+					pw.Int(name, int64(r.LateRecvs), labels...)
+				}
+			}},
+	} {
+		pw.Family(f.name, f.typ, f.help)
+		for i := range rows {
+			f.write(f.name, &rows[i], []string{"comm", strconv.FormatInt(rows[i].Comm, 10), "section", rows[i].Label})
+		}
+	}
 	return pw.Flush()
 }

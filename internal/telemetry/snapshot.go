@@ -1,13 +1,16 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/pop"
+	"repro/internal/stats"
 	"repro/internal/waitstate"
 )
 
@@ -128,6 +131,73 @@ type Profile struct {
 	Latency   []HistBucket `json:"message_latency,omitempty"`
 	Sizes     []HistBucket `json:"message_sizes,omitempty"`
 	Exemplars []Exemplar   `json:"exemplars"`
+
+	// Rows are the sections one communicator at a time — the /sections
+	// document and the section_* families — where the fold knows the
+	// communicators (a Feeder's profile; nil in a Tool's). They are not part
+	// of the profile document.
+	Rows []SectionRow `json:"-"`
+}
+
+// SectionRow is one section on one communicator: the fold's instance group
+// read with the communicator's ranks, in the order they have there.
+type SectionRow struct {
+	Comm   int64  `json:"comm"`
+	Label  string `json:"label"`
+	Parent string `json:"parent,omitempty"`
+	Ranks  int    `json:"ranks"`
+	// Instances counts completed instances (entered and left by every rank).
+	Instances int `json:"instances"`
+	// Total / ExclTotal are summed-over-ranks inclusive / exclusive times.
+	Total      float64 `json:"total_seconds"`
+	ExclTotal  float64 `json:"excl_seconds"`
+	AvgPerProc float64 `json:"avg_per_proc_seconds"`
+	DurMean    float64 `json:"dur_mean_seconds"`
+	DurStd     float64 `json:"dur_std_seconds"`
+	DurMin     float64 `json:"dur_min_seconds"`
+	DurMax     float64 `json:"dur_max_seconds"`
+	// EntryImbMean / ImbMean are the Fig. 3 aggregates: mean Tin−Tmin and
+	// mean (Tmax−Tmin)−Tsection over every rank of every instance.
+	EntryImbMean float64 `json:"entry_imb_mean_seconds"`
+	ImbMean      float64 `json:"imb_mean_seconds"`
+	ImbMax       float64 `json:"imb_max_seconds"`
+	// SpanTotal sums the distributed span Tmax−Tmin over instances.
+	SpanTotal float64 `json:"span_total_seconds"`
+	// LoadImbalance is max/mean − 1 over per-rank inclusive totals.
+	LoadImbalance float64 `json:"load_imbalance"`
+	// Bound is the Eq. 6 partial speedup bound seq / avgPerProc (0 without
+	// a sequential baseline).
+	Bound float64 `json:"partial_bound,omitempty"`
+	// LastInstance carries the raw Fig. 3 numbers of the most recently
+	// completed instance.
+	LastInstance *Instance `json:"last_instance,omitempty"`
+	// PerRankTotal is each communicator rank's summed inclusive time.
+	PerRankTotal []float64 `json:"per_rank_total_seconds"`
+	// The wait split of the receives on the communicator whose innermost
+	// open section there this is: blocked time, its late-sender / transfer
+	// / collective components, the receives posted after their payload had
+	// arrived, and the receives.
+	WaitIn       float64 `json:"wait_in_seconds"`
+	LateSender   float64 `json:"late_sender_seconds"`
+	TransferWait float64 `json:"transfer_wait_seconds"`
+	CollWait     float64 `json:"collective_wait_seconds"`
+	LateRecvs    int     `json:"late_receiver_total"`
+	Recvs        int     `json:"recv_total"`
+	// Count is completed enter/leave pairs summed over ranks, and
+	// ExclMin / ExclMax the extremes of one pair's exclusive time.
+	Count   int64   `json:"count"`
+	ExclMin float64 `json:"excl_min_seconds"`
+	ExclMax float64 `json:"excl_max_seconds"`
+}
+
+// Instance is the Fig. 3 record of one completed section instance: Tmin
+// (first entry), Tmax (last exit), and the mean entry and section
+// imbalances over the communicator's ranks.
+type Instance struct {
+	Tmin         float64 `json:"tmin"`
+	Tmax         float64 `json:"tmax"`
+	EntryImbMean float64 `json:"entry_imb_mean"`
+	ImbMean      float64 `json:"imb_mean"`
 }
 
 // Section returns the named section's record, or nil.
@@ -245,6 +315,62 @@ func (f *fold) profile(run Run) *Profile {
 	f.foldHists(p)
 	f.foldExemplars(p)
 	return p
+}
+
+// rows reads each instance group on a communicator members resolves — a
+// section on one communicator — sorted by total inclusive time descending,
+// then label, then communicator.
+func (f *fold) rows(members [][]int, seqTime float64) []SectionRow {
+	out := []SectionRow{}
+	for gi := range f.inst.groups {
+		g := &f.inst.groups[gi]
+		if g.comm >= int64(len(members)) || members[g.comm] == nil {
+			continue
+		}
+		mem := members[g.comm]
+		r := SectionRow{
+			Comm: g.comm, Label: f.labels[g.sec], Ranks: len(mem), Instances: int(g.agg.instances),
+			ExclTotal: secs(g.exclPico), ImbMax: g.imbMax, SpanTotal: secs(g.agg.spanPico),
+			PerRankTotal: make([]float64, len(mem)),
+			WaitIn:       secs(g.waitPico), LateSender: secs(g.latePico),
+			TransferWait: secs(g.transferPico), CollWait: secs(g.collWaitPico),
+			LateRecvs: int(g.lateRecvs), Recvs: int(g.recvs),
+			Count: g.count, ExclMin: g.minExcl, ExclMax: g.maxExcl,
+		}
+		if g.parent >= 0 {
+			r.Parent = f.labels[f.inst.groups[g.parent].sec]
+		}
+		var total int64
+		var dur stats.Welford
+		for cr, wr := range mem {
+			if i := wr >> slabBits; i < len(g.cells) && g.cells[i] != nil {
+				c := &g.cells[i][wr&slabMask]
+				total += c.t
+				r.PerRankTotal[cr] = secs(c.t)
+				dur.Merge(c.dur)
+			}
+		}
+		r.Total, r.AvgPerProc = secs(total), secs(total)/float64(r.Ranks)
+		r.DurMean, r.DurStd, r.DurMin, r.DurMax = dur.Mean(), dur.Std(), dur.Min(), dur.Max()
+		if g.agg.samples > 0 {
+			r.EntryImbMean = secs(g.agg.imbInPico) / float64(g.agg.samples)
+			r.ImbMean = secs(g.agg.imbPico) / float64(g.agg.samples)
+		}
+		if v, err := stats.Imbalance(r.PerRankTotal); err == nil && !math.IsNaN(v) {
+			r.LoadImbalance = v
+		}
+		if b, err := core.PartialBound(seqTime, r.AvgPerProc); err == nil {
+			r.Bound = b
+		}
+		if last := g.last; g.agg.instances > 0 {
+			r.LastInstance = &last
+		}
+		out = append(out, r)
+	}
+	slices.SortFunc(out, func(a, b SectionRow) int {
+		return cmp.Or(cmp.Compare(b.Total, a.Total), cmp.Compare(a.Label, b.Label), cmp.Compare(a.Comm, b.Comm))
+	})
+	return out
 }
 
 // wall returns the best wall-time estimate: the report's makespan once

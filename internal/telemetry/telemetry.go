@@ -108,22 +108,46 @@ func histBucket(v uint64) int {
 // secAcc is one section's profile cell: sums in picoseconds, duration
 // extrema once a pair has completed.
 type secAcc struct {
-	left         int64 // completed enter/leave pairs
-	sumPico      int64 // Σ inclusive duration
-	minDur       float64
-	maxDur       float64
-	waitPico     int64 // classified blocked receive time
+	left    int64 // completed enter/leave pairs
+	sumPico int64 // Σ inclusive duration
+	minDur  float64
+	maxDur  float64
+	waitSplit
+	deadPico  int64
+	deadN     int64
+	sends     int64
+	sendBytes int64
+	colls     int64
+	collPico  int64
+}
+
+// waitSplit is classified blocked receive time, in picoseconds, and the
+// receives it is classified from.
+type waitSplit struct {
+	waitPico     int64
 	latePico     int64
 	transferPico int64
 	collWaitPico int64
-	deadPico     int64
 	recvs        int64
-	lateRecvs    int64
-	deadN        int64
-	sends        int64
-	sendBytes    int64
-	colls        int64
-	collPico     int64
+	lateRecvs    int64 // posted after their payload had arrived
+}
+
+// recv classifies a receive's wait wp, of which lp is the late sender's
+// (collective-internal traffic, tag < 0, has none).
+//
+//seclint:hotpath
+func (w *waitSplit) recv(tag int, wp, lp int64, lateRecv bool) {
+	w.recvs++
+	w.waitPico += wp
+	if lateRecv {
+		w.lateRecvs++
+	}
+	if tag < 0 {
+		w.collWaitPico += wp
+		return
+	}
+	w.latePico += lp
+	w.transferPico += wp - lp
 }
 
 // popRow is one (rank, section) POP-input cell: exactly the per-rank totals
@@ -141,12 +165,14 @@ type popRow struct {
 type popSlab [slabSize]popRow
 
 // stackFrame is one open section instance on a rank: its section, the
-// instance it joined (grp < 0: none) and its entry time.
+// instance group it joined (grp < 0: none), its entry time and the time of
+// the frames nested in it on the group's communicator.
 type stackFrame struct {
 	sec    int32
 	grp    int32
 	ord    uint32
 	enterT float64
+	childT float64
 }
 
 // rankOrd is the ordinal of the next instance a rank enters of one
@@ -271,6 +297,17 @@ func (f *fold) addSection(label string) int32 {
 	return id
 }
 
+// under returns the innermost of the rank's frames below depth that is in
+// a group on communicator comm, or -1.
+func (f *fold) under(cur *rankCur, comm int64, depth int32) int32 {
+	for i := depth - 1; i >= 0; i-- {
+		if g := cur.stack[i].grp; g >= 0 && f.inst.groups[g].comm == comm {
+			return i
+		}
+	}
+	return -1
+}
+
 // pop returns the (section, rank) POP cell, materializing its slab on first
 // touch.
 func (f *fold) pop(sid int32, wr int) *popRow {
@@ -306,17 +343,27 @@ func (f *fold) enter(wr int, comm int64, size int, label string, t float64) {
 		return
 	}
 	fr := &cur.stack[cur.depth]
-	fr.sec, fr.enterT, fr.grp = sid, t, -1
+	fr.sec, fr.enterT, fr.grp, fr.childT = sid, t, -1, 0
 	if sid != otherSlot && size > 0 {
 		fr.grp, fr.ord = f.inst.enter(cur, instKey{comm, sid}, size, t)
+		// A group's parent is the first one its lowest world rank met on
+		// the communicator.
+		if g := &f.inst.groups[fr.grp]; wr < g.parentRank {
+			g.parentRank, g.parent = wr, -1
+			if i := f.under(cur, comm, cur.depth); i >= 0 {
+				g.parent = cur.stack[i].grp
+			}
+		}
 	}
 	cur.depth++
 }
 
-// leave is a section leave of world rank wr: it closes the innermost frame.
+// leave is a section leave of world rank wr: it closes the innermost frame
+// when that is the section left. A misnested leave (the runtime reports it)
+// closes nothing, as in the trace-driven analyses.
 //
 //seclint:hotpath
-func (f *fold) leave(wr int, t float64) {
+func (f *fold) leave(wr int, label string, t float64) {
 	cur := &f.cur[wr]
 	if cur.over > 0 {
 		cur.over--
@@ -325,8 +372,11 @@ func (f *fold) leave(wr int, t float64) {
 	if cur.depth == 0 {
 		return
 	}
+	fr := cur.stack[cur.depth-1]
+	if fr.sec != otherSlot && f.labels[fr.sec] != label {
+		return
+	}
 	cur.depth--
-	fr := cur.stack[cur.depth]
 	dur := max(t-fr.enterT, 0)
 	f.touch()
 	a := &f.secs[fr.sec]
@@ -340,6 +390,11 @@ func (f *fold) leave(wr int, t float64) {
 	a.sumPico += pico(dur)
 	f.pop(fr.sec, wr).t += pico(dur)
 	if fr.grp >= 0 {
+		g := &f.inst.groups[fr.grp]
+		g.pair(wr, dur, dur-fr.childT)
+		if i := f.under(cur, g.comm, cur.depth); i >= 0 {
+			cur.stack[i].childT += dur
+		}
 		f.inst.leave(fr.grp, fr.ord, t)
 	}
 	cur.seenLast(t)
@@ -357,33 +412,29 @@ func (f *fold) send(wr, bytes int, t float64) {
 	f.grid.add(t, wr/f.rowGroup, 1, int64(bytes), 0)
 }
 
-// recv is a completed receive of world rank wr from world rank peer: the
-// wait-state split (late-sender vs. transfer vs. collective) follows the
-// Scalasca-style classification the trace-driven engine applies,
-// evaluated from the matched-pair timestamps.
+// recv is a completed receive of world rank wr on communicator comm from
+// world rank peer: the wait-state split (late-sender vs. transfer vs.
+// collective) follows the Scalasca-style classification the trace-driven
+// engine applies, evaluated from the matched-pair timestamps. The section
+// it is charged to is the rank's innermost, on any communicator, as the
+// trace-driven analyses charge it; the group, the innermost open on comm.
 //
 //seclint:hotpath
-func (f *fold) recv(wr, peer, tag, bytes int, t float64, m mpi.MatchInfo) {
+func (f *fold) recv(wr int, comm int64, peer, tag, bytes int, t float64, m mpi.MatchInfo) {
 	cur := &f.cur[wr]
 	sid := cur.top()
 	f.touch()
 	a := &f.secs[sid]
 	wait, late := waitstate.Lateness(t, m.PostT, m.SendT)
-	wp := pico(wait)
-	a.recvs++
-	a.waitPico += wp
+	wp, lp := pico(wait), pico(late)
+	a.recv(tag, wp, lp, m.PostT-m.Arrival > waitstate.Eps)
+	if i := f.under(cur, comm, cur.depth); i >= 0 {
+		f.inst.groups[cur.stack[i].grp].recv(tag, wp, lp, m.PostT > m.Arrival)
+	}
 	row := f.pop(sid, wr)
 	row.wait += wp
-	if m.PostT-m.Arrival > waitstate.Eps {
-		a.lateRecvs++
-	}
 	var lat float64
-	if tag < 0 {
-		a.collWaitPico += wp
-	} else {
-		lp := pico(late)
-		a.latePico += lp
-		a.transferPico += wp - lp
+	if tag >= 0 {
 		row.transfer += wp - lp
 		lat = max(t-m.SendT, 0)
 		latP := pico(lat)
@@ -533,9 +584,9 @@ func (tl *Tool) SectionEnter(c *mpi.Comm, label string, t float64, _ *mpi.ToolDa
 // SectionLeave implements mpi.Tool.
 //
 //seclint:hotpath
-func (tl *Tool) SectionLeave(c *mpi.Comm, _ string, t float64, _ *mpi.ToolData) {
+func (tl *Tool) SectionLeave(c *mpi.Comm, label string, t float64, _ *mpi.ToolData) {
 	tl.mu.Lock()
-	tl.f.leave(c.WorldRank(), t)
+	tl.f.leave(c.WorldRank(), label, t)
 	tl.mu.Unlock()
 }
 
@@ -553,7 +604,7 @@ func (tl *Tool) MessageSent(c *mpi.Comm, _, _, bytes int, t float64) {
 //seclint:hotpath
 func (tl *Tool) MessageRecv(c *mpi.Comm, src, tag, bytes int, t float64, m mpi.MatchInfo) {
 	tl.mu.Lock()
-	tl.f.recv(c.WorldRank(), c.WorldRankOf(src), tag, bytes, t, m)
+	tl.f.recv(c.WorldRank(), c.ID(), c.WorldRankOf(src), tag, bytes, t, m)
 	tl.mu.Unlock()
 }
 

@@ -35,30 +35,27 @@ func approxEq(a, b float64) bool {
 }
 
 // convRun executes one small convolution run with the full analysis tool
-// stack attached: trace collector (ground truth), exporter (Fig. 3 ground
-// truth), and the streaming telemetry tool under test.
-func convRun(t *testing.T, ranks, steps int, seq float64) (*Profile, []trace.Event, []export.SectionSnapshot) {
+// stack attached: trace collector (ground truth), exporter, and the
+// streaming telemetry tool under test. The rows are the fold of the
+// exporter's recording (rowsOf).
+func convRun(t *testing.T, ranks, steps int, seq float64) (*Profile, []trace.Event, []SectionRow) {
 	t.Helper()
-	col := trace.NewCollector(0)
-	col.Messages = true
-	col.Collectives = true
-	col.Omp = true
 	rec := export.NewRecorder(export.Options{Messages: true, Collectives: true})
 	if seq > 0 {
 		rec.SetSeqTime(seq)
 	}
-	tl := New(Options{SeqTime: seq})
-	cfg := mpi.Config{
-		Ranks: ranks, Model: machine.NehalemCluster(), Seed: 7,
-		Tools: []mpi.Tool{col, rec, tl}, Timeout: 2 * time.Minute,
-	}
-	params := convolution.Params{
-		Width: 5616, Height: 3744, Steps: steps, Scale: 16, Seed: 7, SkipKernel: true,
-	}
-	if _, err := convolution.Run(cfg, params); err != nil {
-		t.Fatal(err)
-	}
-	return tl.Snapshot(), col.Buffer().Events(), rec.Sections()
+	p, events := observed(t, seq, func(tools []mpi.Tool) error {
+		cfg := mpi.Config{
+			Ranks: ranks, Model: machine.NehalemCluster(), Seed: 7,
+			Tools: append(tools, rec), Timeout: 2 * time.Minute,
+		}
+		params := convolution.Params{
+			Width: 5616, Height: 3744, Steps: steps, Scale: 16, Seed: 7, SkipKernel: true,
+		}
+		_, err := convolution.Run(cfg, params)
+		return err
+	})
+	return p, events, rowsOf(rec)
 }
 
 // observed runs a program with the streaming telemetry tool and a trace
@@ -75,6 +72,15 @@ func observed(t *testing.T, seq float64, run func(tools []mpi.Tool) error) (*Pro
 		t.Fatal(err)
 	}
 	return tl.Snapshot(), col.Buffer().Events()
+}
+
+// rowsOf folds the exporter's recording with a Feeder: the sections one
+// communicator at a time, as internal/serve's /sections reads them.
+func rowsOf(rec *export.Recorder) []SectionRow {
+	events, facts := rec.Recorded()
+	fd := NewFeeder(facts.World, facts.Members)
+	fd.Feed(events)
+	return fd.Profile(Run{SeqTime: facts.SeqTime, Finished: facts.Finished, Wall: facts.Wall}).Rows
 }
 
 func TestEquivalenceWithWaitstate(t *testing.T) {
@@ -203,11 +209,11 @@ func TestEquivalenceWithPOP(t *testing.T) {
 }
 
 // splitRun runs splitProgram with telemetry and the exporter attached.
-func splitRun(t *testing.T) (*Profile, []export.SectionSnapshot) {
+func splitRun(t *testing.T) (*Profile, []SectionRow) {
 	t.Helper()
 	rec := export.NewRecorder(export.Options{Messages: true, Collectives: true})
 	p, _ := observed(t, 0, func(tools []mpi.Tool) error { return splitProgram(append(tools, rec)) })
-	return p, rec.Sections()
+	return p, rowsOf(rec)
 }
 
 // splitProgram runs a world whose halves, two communicators of three, each
@@ -237,17 +243,18 @@ func splitProgram(tools []mpi.Tool) error {
 }
 
 // TestEquivalenceWithExporterFig3 holds the streamed instance counts and
-// Fig. 3 means to the exporter's, which keeps them per (communicator,
-// section): a label's instances are the sum over its communicators, and its
-// means weigh each communicator's by its samples (ranks × instances).
+// Fig. 3 means — the Tool's, by label — to the rows of the exporter's
+// recording folded per (communicator, section): a label's instances are
+// the sum over its communicators, and its means weigh each communicator's
+// by its samples (ranks × instances).
 func TestEquivalenceWithExporterFig3(t *testing.T) {
-	conv := func(t *testing.T) (*Profile, []export.SectionSnapshot) {
-		p, _, snaps := convRun(t, 8, 3, 0)
-		return p, snaps
+	conv := func(t *testing.T) (*Profile, []SectionRow) {
+		p, _, rows := convRun(t, 8, 3, 0)
+		return p, rows
 	}
 	for _, c := range []struct {
 		name  string
-		run   func(*testing.T) (*Profile, []export.SectionSnapshot)
+		run   func(*testing.T) (*Profile, []SectionRow)
 		min   int // the fewest sections that must match the exporter
 		comms int // the most communicators one label runs on
 	}{{"conv p=8", conv, 3, 1}, {"split communicators", splitRun, 2, 2}} {
