@@ -27,10 +27,13 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"repro/internal/diag"
 	"repro/internal/experiments"
 	"repro/internal/fault"
+	"repro/internal/mpi"
+	"repro/internal/sched"
 	"repro/internal/verify"
 )
 
@@ -102,10 +105,14 @@ func main() {
 	if plan != nil {
 		fmt.Printf("fault plan armed (seed %d): %s\n\n", *faultSeed, plan)
 	}
+	var whole, render mpi.HostClock
+	var total mpi.HostPhase
+	whole.Start()
 	res, err := experiments.RunConvolution(opts)
 	if err != nil {
 		log.Fatal(err)
 	}
+	render.Start()
 	violations := append([]verify.Violation(nil), res.Verify...)
 	for _, pt := range res.Points {
 		if pt.Err != "" {
@@ -146,6 +153,13 @@ func main() {
 
 	if *fit {
 		fmt.Println(res.FitReport())
+	}
+	render.Lap(&res.Host[experiments.PhaseRender])
+	whole.Lap(&total)
+	if *quick || *extreme {
+		// Host measurements vary run to run: they go to standard error,
+		// so that standard output stays a function of the flags.
+		fmt.Fprintf(os.Stderr, "host phases of the sweep and its figures (-j %d):\n%s\n", sched.Workers(*jobs), res.Host.Render(total))
 	}
 
 	if *weak {

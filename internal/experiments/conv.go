@@ -9,6 +9,7 @@ import (
 	"repro/internal/convolution"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/mpi"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
 	"repro/internal/verify"
@@ -114,6 +115,9 @@ type ConvResult struct {
 	// Verify holds every runtime-verifier violation across the sweep's runs,
 	// canonically sorted (empty without Opts.Verify, and for a clean sweep).
 	Verify []verify.Violation
+	// Host is what the sweep cost the process by phase (host.go), summed
+	// over its runs; not part of any rendered output.
+	Host HostTable
 }
 
 // RunConvolution executes the sweep and assembles the partial-bounding
@@ -153,6 +157,11 @@ func RunConvolution(o ConvOptions) (*ConvResult, error) {
 		return nil, err
 	}
 	res.Verify = violations(reps)
+	var clock mpi.HostClock
+	clock.Start()
+	for i := range reps {
+		res.Host.add(&reps[i].host)
+	}
 
 	for pi, p := range o.Ps {
 		pt := ConvPoint{
@@ -199,6 +208,7 @@ func RunConvolution(o ConvOptions) (*ConvResult, error) {
 		res.Points = append(res.Points, pt)
 	}
 	sort.Slice(res.Points, func(i, j int) bool { return res.Points[i].P < res.Points[j].P })
+	clock.Lap(&res.Host[PhaseAnalysis])
 	return res, nil
 }
 

@@ -46,15 +46,11 @@ type PointDiagnosis struct {
 	Eff *pop.SectionEfficiency
 }
 
-// diagnose finishes the wait-state analysis of one observed run and
-// extracts the binding section's record. It returns nil when the run
-// yielded no events or no named sections — sweeps degrade to blank
-// diagnosis columns instead of failing.
-func diagnose(tool *waitstate.Tool, seq float64) *PointDiagnosis {
-	a, err := tool.Analysis(waitstate.Options{SeqTime: seq})
-	if err != nil {
-		return nil
-	}
+// diagnose extracts the binding section's record from the wait-state
+// analysis of one observed run. It returns nil when the run yielded no
+// named sections — sweeps degrade to blank diagnosis columns instead of
+// failing, as they do when the analysis itself fails.
+func diagnose(a *waitstate.Analysis) *PointDiagnosis {
 	b := a.Binding()
 	if b == nil {
 		return nil

@@ -108,6 +108,7 @@ type pointResult struct {
 	profile              *telemetry.Profile
 	verify               []verify.Violation
 	err                  string // the run's root cause; "" when healthy
+	host                 HostTable
 }
 
 // config is the mpi.Config of one run of p, tools not yet attached.
@@ -147,7 +148,12 @@ func (s Sweep) runPoint(p point) (pointResult, error) {
 		cfg.Tools = append(cfg.Tools, tele)
 	}
 	var out pointResult
-	_, runErr := p.run(cfg)
+	rep, runErr := p.run(cfg)
+	var clock mpi.HostClock
+	clock.Start()
+	if rep != nil {
+		out.host.addRun(rep.Host)
+	}
 	if ver != nil {
 		out.verify = ver.Violations()
 	}
@@ -159,6 +165,14 @@ func (s Sweep) runPoint(p point) (pointResult, error) {
 	if err != nil {
 		return pointResult{}, err
 	}
+	var analysis *waitstate.Analysis
+	if diag != nil {
+		analysis, _ = diag.Analysis(waitstate.Options{SeqTime: p.seq})
+	}
+	if tele != nil {
+		out.profile = tele.Snapshot()
+	}
+	clock.Lap(&out.host[PhaseFinalize])
 	out.wall = profile.WallTime
 	out.totals, out.shares, out.avgs = map[string]float64{}, map[string]float64{}, map[string]float64{}
 	shares := profile.Shares()
@@ -169,12 +183,10 @@ func (s Sweep) runPoint(p point) (pointResult, error) {
 			out.avgs[label] = sec.AvgPerProcess()
 		}
 	}
-	if diag != nil {
-		out.diag = diagnose(diag, p.seq)
+	if analysis != nil {
+		out.diag = diagnose(analysis)
 	}
-	if tele != nil {
-		out.profile = tele.Snapshot()
-	}
+	clock.Lap(&out.host[PhaseAnalysis])
 	return out, nil
 }
 

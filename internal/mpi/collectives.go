@@ -137,7 +137,10 @@ func (c *Comm) barrierRendezvous() error {
 		return c.aborted("Barrier")
 	}
 	if last {
+		w := c.rs.world
+		left := w.enterPhase(&w.host.Rendezvous)
 		b.evaluate()
+		w.enterPhase(left)
 		b.release()
 		return nil
 	}

@@ -172,7 +172,10 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	}
 	sp.entries = append(sp.entries, splitEntry{rank: c.rank, color: color, key: key})
 	if last {
-		sp.newShared = buildSplit(c.shared.world, c.shared, sp.entries)
+		w := c.shared.world
+		left := w.enterPhase(&w.host.Rendezvous)
+		sp.newShared = buildSplit(w, c.shared, sp.entries)
+		w.enterPhase(left)
 		sp.entries = sp.entries[:0]
 		sp.release()
 	} else if !sp.park(c, "Split") {

@@ -57,7 +57,9 @@ func (c *Comm) ExchangeGhost(ops []GhostExchange) error {
 	}
 	x.admit(c.rank, ops)
 	if last {
+		left := c.rs.world.enterPhase(&c.rs.world.host.Rendezvous)
 		x.evaluate()
+		c.rs.world.enterPhase(left)
 		x.release()
 	} else if !x.park(c, "ExchangeGhost") {
 		return c.aborted("ExchangeGhost")

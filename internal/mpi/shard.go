@@ -73,6 +73,8 @@ func (w *World) ensureShard(sh *rankShard) {
 	if sh.ready {
 		return
 	}
+	left := w.enterPhase(&w.host.BringUp)
+	defer w.enterPhase(left)
 	sh.states = make([]rankState, sh.n)
 	spawned := 0
 	for i := range sh.states {

@@ -94,6 +94,9 @@ type Report struct {
 	DeclaredRanks     int
 	ActiveRanks       int
 	MaterializedRanks int
+	// Host is what the run cost the process, by phase: host seconds and
+	// heap bytes, which vary run to run (host.go).
+	Host HostPhases
 }
 
 // World owns the shared state of one run.
@@ -156,6 +159,11 @@ type World struct {
 	// collected once at Init so ComputeParallel's hook check is a cheap
 	// len() == 0 in the common (unobserved) case.
 	computeObs []ComputeObserver
+
+	// The host phase the world is in and what each has cost (host.go).
+	clock HostClock
+	phase *HostPhase
+	host  HostPhases
 }
 
 // rankState is the per-rank mutable context, touched only while it runs.
@@ -235,6 +243,8 @@ const MainSection = "MPI_MAIN"
 // a DeadlockError naming each rank's parked operation. RootCause distills
 // the aggregate error back to the originating failure.
 func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
+	var clock HostClock
+	clock.Start()
 	c, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -243,7 +253,8 @@ func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &World{cfg: c, placement: placement}
+	w := &World{cfg: c, placement: placement, clock: clock}
+	w.phase = &w.host.BringUp
 	w.dead = make([]bool, c.Ranks)
 	w.runFn = fn
 	w.active = c.Active
@@ -297,6 +308,7 @@ func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
 			w.ensureShard(&w.shards[s])
 		}
 	}
+	w.enterPhase(&w.host.Execution)
 	go w.drive()
 	if c.Timeout > 0 {
 		select {
@@ -317,6 +329,7 @@ func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
 		<-w.done
 	}
 
+	w.enterPhase(&w.host.Finalize)
 	// Every rank is done: the communicators' exchange slabs go to the next
 	// world (bufpool.go). The watchdog's early return above keeps them, its
 	// ranks may still be running.
@@ -343,6 +356,8 @@ func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
 	for _, tool := range c.Tools {
 		tool.Finalize(rep)
 	}
+	w.clock.Lap(w.phase)
+	rep.Host = w.host
 
 	var all []error
 	for _, e := range w.errs {
