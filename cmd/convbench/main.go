@@ -159,7 +159,9 @@ func main() {
 	if *quick || *extreme {
 		// Host measurements vary run to run: they go to standard error,
 		// so that standard output stays a function of the flags.
-		fmt.Fprintf(os.Stderr, "host phases of the sweep and its figures (-j %d):\n%s\n", sched.Workers(*jobs), res.Host.Render(total))
+		workers := sched.Workers(*jobs)
+		fmt.Fprintf(os.Stderr, "host phases of the sweep and its figures (-j %d):\n%s\n%s\n",
+			workers, res.Host.Render(total, workers), experiments.ParkTable())
 	}
 
 	if *weak {

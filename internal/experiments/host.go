@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/mpi"
+	"repro/internal/park"
 )
 
 // Where a sweep's own host time and heap bytes go (ROADMAP item 5's
@@ -43,11 +44,11 @@ func (t *HostTable) add(o *HostTable) {
 }
 
 // Render prints the table against total, what the caller measured around
-// the whole sweep and its rendering. What no phase names is total less the
-// phases' sum. Seconds and bytes add up to the total only with one worker:
-// points running side by side each count their own seconds, and each
-// other's bytes, so the unnamed row can go negative.
-func (t *HostTable) Render(total mpi.HostPhase) string {
+// the whole sweep and its rendering, with the given number of workers. What
+// no phase names is total less the phases' sum, which only one worker
+// measures: points running side by side each count their own seconds, and
+// each other's bytes, so with more the row is left out.
+func (t *HostTable) Render(total mpi.HostPhase, workers int) string {
 	tab := newTable("host phase", "seconds", "share", "MB", "share")
 	row := func(name string, s, b float64) {
 		tab.addRow(name, fmt.Sprintf("%.4f", s), percent(s, total.Seconds),
@@ -58,8 +59,25 @@ func (t *HostTable) Render(total mpi.HostPhase) string {
 		row(hostPhaseNames[i], ph.Seconds, float64(ph.Bytes))
 		s, b = s+ph.Seconds, b+float64(ph.Bytes)
 	}
-	row("unnamed", total.Seconds-s, float64(total.Bytes)-b)
+	if workers == 1 {
+		row("unnamed", total.Seconds-s, float64(total.Bytes)-b)
+	}
 	row("total", total.Seconds, float64(total.Bytes))
+	out := tab.String()
+	if workers > 1 {
+		out += fmt.Sprintf("(%d workers: phases of points run side by side overlap; -j 1 names every byte and second)\n", workers)
+	}
+	return out
+}
+
+// ParkTable prints the process's park lists: what each holds against its
+// bound, in the bound's unit (values, or bytes for a weighed list), and its
+// takes and misses so far.
+func ParkTable() string {
+	tab := newTable("park list", "parked", "bound", "takes", "misses")
+	for _, l := range park.Lists() {
+		tab.addRow(l.Name, fmt.Sprint(l.Parked), fmt.Sprint(l.Bound), fmt.Sprint(l.Takes), fmt.Sprint(l.Misses))
+	}
 	return tab.String()
 }
 

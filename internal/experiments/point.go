@@ -183,6 +183,7 @@ func (s Sweep) runPoint(p point) (pointResult, error) {
 			out.avgs[label] = sec.AvgPerProcess()
 		}
 	}
+	profile.Release()
 	if analysis != nil {
 		out.diag = diagnose(analysis)
 	}

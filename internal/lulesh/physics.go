@@ -62,7 +62,7 @@ const slabBudget = 2 << 20
 // freeSlabs is where runRank returns its state slab and takes the next one
 // from (takeSlab), so that the next run of the same geometry allocates no
 // state. Its bound counts bytes.
-var freeSlabs = park.New(slabBudget, func(b []float64) int { return 8 * len(b) })
+var freeSlabs = park.New("lulesh_state_slabs", slabBudget, func(b []float64) int { return 8 * len(b) })
 
 // takeSlab returns a slab of size floats: the newest parked slab of exactly
 // that length, or a fresh one. Its contents are whatever its last rank left;

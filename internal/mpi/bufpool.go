@@ -153,8 +153,8 @@ const (
 )
 
 var (
-	envFree    = park.New[*envelope](freeListMax, nil)
-	postedFree = park.New[*posted](freeListMax, nil)
+	envFree    = park.New[*envelope]("mpi_envelopes", freeListMax, nil)
+	postedFree = park.New[*posted]("mpi_posted_receives", freeListMax, nil)
 )
 
 // newEnvelope returns a zeroed envelope. The package-level forms serve the
@@ -310,5 +310,135 @@ func (r *rankState) recycle() {
 	if r.posted != nil {
 		postedFree.Put(r.posted)
 		r.posted = nil
+	}
+}
+
+// A world's per-rank state outlives it as well: when its ranks are done,
+// Run parks its shard slabs and each communicator's per-rank arrays, and
+// the next world of a sweep or a service starts from them. A slab is a
+// whole shard, 256 ranks, so one 10,000-rank world's slabs serve every
+// smaller world; a communicator's arrays go back by its size, the length
+// they were made for.
+
+const (
+	// rankSlabsMax bounds the parked rank-state slabs: 64 are 16,384
+	// ranks, 3.7 MB. The extreme sweep's three worlds (10,000, 4,096 and
+	// 1,024 ranks) hold 60 between them when they run side by side, 40
+	// one at a time (EXPERIMENTS.md, "Worlds from parked slabs", has the
+	// sweep's rows at half and at double every bound).
+	rankSlabsMax = 64
+	// commArraysMax bounds the parked communicator arrays, in bytes: the
+	// extreme sweep's three world communicators hold 3.5 MB.
+	commArraysMax = 4 << 20
+)
+
+var (
+	rankSlabs      = park.New[[]rankState]("mpi_rank_slabs", rankSlabsMax, nil)
+	commArraysFree = park.New("mpi_comm_arrays", commArraysMax, (*commArrays).bytes)
+)
+
+// takeRankSlab returns n zeroed rank states of a shard slab.
+func takeRankSlab(n int) []rankState {
+	if s := rankSlabs.Take(nil); s != nil {
+		return s[:n]
+	}
+	return make([]rankState, shardSize)[:n]
+}
+
+// commArrays are the per-rank arrays of a communicator of n ranks, each as
+// its state made it on first use (nil when it never did).
+type commArrays struct {
+	n          int
+	sections   []rankSections
+	rendezvous [3][]*Comm // split, barrier, exchange
+	sendT      []float64
+	arrival    []float64
+	xranks     []exchangeRank
+	ready      []int32
+	slots      [2][]rootedSlot // scatter, gather
+	seen       [2][]uint32
+}
+
+func (a *commArrays) bytes() int {
+	n := 120*len(a.sections) + 8*(len(a.sendT)+len(a.arrival)) + 24*len(a.xranks) + 4*cap(a.ready)
+	for i := range a.rendezvous {
+		n += 8 * len(a.rendezvous[i])
+	}
+	for i := range a.slots {
+		n += 24*len(a.slots[i]) + 4*len(a.seen[i])
+	}
+	return n
+}
+
+// takeArrays gives a new communicator the arrays a finished one of its size
+// parked, if there are any.
+func (cs *commShared) takeArrays() {
+	n := len(cs.group)
+	a := commArraysFree.Take(func(a *commArrays) bool { return a.n == n })
+	if a == nil {
+		cs.sections = newSectionRegistry(n)
+		return
+	}
+	cs.sections = &sectionRegistry{perRank: a.sections}
+	cs.split.comms, cs.barrier.comms, cs.exchange.comms = a.rendezvous[0], a.rendezvous[1], a.rendezvous[2]
+	cs.barrier.sendT, cs.barrier.arrival = a.sendT, a.arrival
+	cs.exchange.ranks, cs.exchange.ready = a.xranks, a.ready
+	cs.scatter.slots, cs.gather.slots = a.slots[0], a.slots[1]
+	cs.scatter.seen, cs.gather.seen = a.seen[0], a.seen[1]
+	*a = commArrays{}
+	cs.parked = a
+}
+
+// parkArrays parks the communicator's arrays, cleared, once its world is
+// done.
+func (cs *commShared) parkArrays() {
+	a := cs.parked
+	if a == nil {
+		a = new(commArrays)
+	}
+	*a = commArrays{
+		n:          len(cs.group),
+		sections:   cs.sections.perRank,
+		rendezvous: [3][]*Comm{cs.split.comms, cs.barrier.comms, cs.exchange.comms},
+		sendT:      cs.barrier.sendT,
+		arrival:    cs.barrier.arrival,
+		xranks:     cs.exchange.ranks,
+		ready:      cs.exchange.ready[:0],
+		slots:      [2][]rootedSlot{cs.scatter.slots, cs.gather.slots},
+		seen:       [2][]uint32{cs.scatter.seen, cs.gather.seen},
+	}
+	clear(a.sections)
+	for i := range a.rendezvous {
+		clear(a.rendezvous[i])
+	}
+	clear(a.sendT)
+	clear(a.arrival)
+	clear(a.xranks)
+	for i := range a.slots {
+		clear(a.slots[i])
+		clear(a.seen[i])
+	}
+	cs.parked = nil
+	commArraysFree.Put(a)
+}
+
+// parkWorld parks what the world's ranks and communicators leave behind. Run
+// calls it once every rank is done and every tool finalized; nothing reads
+// the world's rank states or communicator arrays after that.
+func (w *World) parkWorld() {
+	for _, cs := range w.comms {
+		putSlab(cs.exchange.ops)
+		cs.exchange.ops = nil
+		cs.parkArrays()
+	}
+	for s := range w.shards {
+		sh := &w.shards[s]
+		if sh.states == nil {
+			continue
+		}
+		slab := sh.states[:cap(sh.states)]
+		clear(slab)
+		rankSlabs.Put(slab)
+		sh.states = nil
 	}
 }

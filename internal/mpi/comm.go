@@ -15,6 +15,9 @@ type commShared struct {
 	boxShards []boxShard
 
 	sections *sectionRegistry
+	// parked is what takeArrays handed the communicator, for parkArrays
+	// to carry its arrays back in (bufpool.go).
+	parked *commArrays
 
 	split           splitState
 	barrier         barrierState  // collectives.go
@@ -52,7 +55,7 @@ func (w *World) newCommShared(group []int) *commShared {
 		boxShards: make([]boxShard, (len(group)+shardSize-1)/shardSize),
 	}
 	w.nextComm++
-	cs.sections = newSectionRegistry(len(group))
+	cs.takeArrays()
 	w.comms = append(w.comms, cs)
 	if w.failPi != nil {
 		cs.revoke(w.failPi)
@@ -111,7 +114,7 @@ func (c *Comm) ComputeParallel(w WorkUnit, team int) {
 	model := world.cfg.Model
 	d := world.placement.ComputeTime(c.WorldRank(), w, team)
 	d += model.ForkJoinOverhead(team, world.placement.NodeThreads(c.WorldRank()))
-	d += model.NoiseSample(d, c.rs.rng, &c.rs.noise)
+	d += model.NoiseSample(d, &c.rs.rng, &c.rs.noise)
 	if team > 1 && len(world.computeObs) > 0 {
 		start := c.rs.now()
 		c.rs.advance(d)

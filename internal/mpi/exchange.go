@@ -122,7 +122,9 @@ func (x *exchangeState) admit(rank int, ops []GhostExchange) {
 		p := len(x.comms)
 		x.ranks = make([]exchangeRank, p)
 		x.ready = make([]int32, 0, p)
-		x.ops = takeSlab(slabOpsPerRank * p)
+	}
+	if x.ops == nil {
+		x.ops = takeSlab(slabOpsPerRank * len(x.comms))
 	}
 	x.ranks[rank] = exchangeRank{off: int32(len(x.ops)), n: int32(len(ops)), want: -1}
 	for _, op := range ops {

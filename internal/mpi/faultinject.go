@@ -37,13 +37,14 @@ func (w *World) armFaults(plan *fault.Plan) {
 	w.fi = &faultState{plan: plan, hasLink: plan.HasLinkRules()}
 }
 
-// countOp advances the rank's p2p op counter and fail-stops the rank when
-// its kill threshold is reached. Only called when a plan is armed.
+// countOp counts a p2p op of the rank down to its kill threshold and
+// fail-stops the rank at it. Only called when a plan is armed.
 func (c *Comm) countOp() {
 	rs := c.rs
-	rs.ops++
-	if rs.killAt != 0 && rs.ops >= rs.killAt {
-		panic(&killPanic{section: c.sectionLabel(), err: errFailStop})
+	if rs.killIn != 0 {
+		if rs.killIn--; rs.killIn == 0 {
+			panic(&killPanic{section: c.sectionLabel(), err: errFailStop})
+		}
 	}
 }
 

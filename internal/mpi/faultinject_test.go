@@ -302,7 +302,7 @@ func TestNoPlanNoStateOrOverheadHooks(t *testing.T) {
 		if w.fi != nil {
 			t.Error("fault state armed without a plan")
 		}
-		if c.rs.linkSeq != nil || c.rs.killAt != 0 {
+		if c.rs.linkSeq != nil || c.rs.killIn != 0 {
 			t.Error("per-rank injection state allocated without a plan")
 		}
 		return c.Barrier()

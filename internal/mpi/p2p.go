@@ -300,7 +300,7 @@ func (c *Comm) stampSend(dst, nbytes, vbytes int) (sendT, arrival float64, realB
 	c.rs.advance(model.Net.SendOverhead)
 	srcWorld := c.shared.group[c.rank]
 	dstWorld := c.shared.group[dst]
-	transfer := model.MsgTime(vbytes, w.placement.SameNode(srcWorld, dstWorld), w.placement.NodesInUse(), c.rs.rng)
+	transfer := model.MsgTime(vbytes, w.placement.SameNode(srcWorld, dstWorld), w.placement.NodesInUse(), &c.rs.rng)
 	if fi := w.fi; fi != nil {
 		c.countOp()
 		if fi.hasLink {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-
-	"repro/internal/stats"
 )
 
 // Sharded rank state. Per-rank runtime context lives in fixed-size shard
@@ -75,7 +73,7 @@ func (w *World) ensureShard(sh *rankShard) {
 	}
 	left := w.enterPhase(&w.host.BringUp)
 	defer w.enterPhase(left)
-	sh.states = make([]rankState, sh.n)
+	sh.states = takeRankSlab(sh.n)
 	spawned := 0
 	for i := range sh.states {
 		rank := sh.lo + i
@@ -85,10 +83,10 @@ func (w *World) ensureShard(sh *rankShard) {
 		if !w.isActive(rank) {
 			continue
 		}
-		rs.rng = stats.NewRNG(mixSeed(w.cfg.Seed, uint64(rank)))
+		rs.rng.Seed(mixSeed(w.cfg.Seed, uint64(rank)))
 		if fi := w.fi; fi != nil {
 			if at, ok := fi.plan.KillAfter(rank); ok {
-				rs.killAt = at
+				rs.killIn = at
 			}
 		}
 		spawned++

@@ -167,14 +167,14 @@ type World struct {
 }
 
 // rankState is the per-rank mutable context, touched only while it runs.
-// States live in shard slabs (shard.go); rng == nil marks a rank outside
-// the session, whose state exists but never runs. Slabs are page-rounded:
-// keep it at 224 bytes (the shard is found by id, not kept).
+// States live in shard slabs (shard.go); a rank outside the session has a
+// state that never runs, its rng unseeded. Slabs are page-rounded: keep it
+// at 224 bytes (the shard is found by id, not kept).
 type rankState struct {
 	id    int32 // world rank
 	nenv  int32 // length of envs
 	clock float64
-	rng   *stats.RNG
+	rng   stats.RNG         // the rank's jitter stream, seeded at bring-up
 	noise machine.NoiseMemo // rng's last Poisson mean and its exponential
 	world *World
 
@@ -199,13 +199,12 @@ type rankState struct {
 	parkOp            string
 	parkPeer, parkTag int32
 
-	// What a fault-free virtual-time run never touches comes last, 40
+	// What a fault-free virtual-time run never touches comes last, 32
 	// bytes: states sit back to back in a slab, and most of the line two
 	// neighbours share then holds nothing the first one reads or writes
 	// while the second advances its clock.
 	// Fault injection (nil/zero unless a plan is armed; see armFaults).
-	ops     uint64   // point-to-point op counter
-	killAt  uint64   // fail-stop threshold (0 = none)
+	killIn  uint64   // point-to-point ops left before the fail-stop (0 = none)
 	linkSeq []uint64 // per-destination send ordinals for link rules
 }
 
@@ -243,8 +242,8 @@ const MainSection = "MPI_MAIN"
 // a DeadlockError naming each rank's parked operation. RootCause distills
 // the aggregate error back to the originating failure.
 func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
-	var clock HostClock
-	clock.Start()
+	w := new(World)
+	w.clock.Start()
 	c, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -253,8 +252,7 @@ func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &World{cfg: c, placement: placement, clock: clock}
-	w.phase = &w.host.BringUp
+	w.cfg, w.placement, w.phase = c, placement, &w.host.BringUp
 	w.dead = make([]bool, c.Ranks)
 	w.runFn = fn
 	w.active = c.Active
@@ -330,13 +328,6 @@ func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
 	}
 
 	w.enterPhase(&w.host.Finalize)
-	// Every rank is done: the communicators' exchange slabs go to the next
-	// world (bufpool.go). The watchdog's early return above keeps them, its
-	// ranks may still be running.
-	for _, cs := range w.comms {
-		putSlab(cs.exchange.ops)
-		cs.exchange.ops = nil
-	}
 
 	rep := &Report{
 		RankTimes:         make([]float64, c.Ranks),
@@ -356,6 +347,10 @@ func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
 	for _, tool := range c.Tools {
 		tool.Finalize(rep)
 	}
+	// Every rank is done and every tool finalized: the world's slabs and
+	// arrays go to the next world (bufpool.go). The watchdog's early return
+	// above keeps them, its ranks may still be running.
+	w.parkWorld()
 	w.clock.Lap(w.phase)
 	rep.Host = w.host
 

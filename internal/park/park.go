@@ -8,26 +8,38 @@
 // the reason for it, is kept where the Stack is declared.
 package park
 
-import "sync"
+import (
+	"cmp"
+	"slices"
+	"sync"
+)
 
 // Stack is a mutex-guarded bounded stack of parked values. Its bound counts
 // values, or the weight a weight function gives each one.
 type Stack[T any] struct {
+	name   string
 	bound  int
 	weight func(T) int // nil: each value weighs 1
 
-	mu     sync.Mutex
-	vals   []T // vals[lo:] are parked, oldest first; vals[:lo] are dropped, zero
-	lo     int
-	held   int // the weight of vals[lo:], at most bound
-	misses uint64
+	mu            sync.Mutex
+	vals          []T // vals[lo:] are parked, oldest first; vals[:lo] are dropped, zero
+	lo            int
+	held          int // the weight of vals[lo:], at most bound
+	takes, misses uint64
 }
 
 // New returns an empty Stack that holds at most bound of weight, a value
 // weighing weight(v), or 1 when weight is nil. weight runs under the Stack's
-// lock and must not call it.
-func New[T any](bound int, weight func(T) int) *Stack[T] {
-	return &Stack[T]{bound: bound, weight: weight}
+// lock and must not call it. A Stack with a name is listed by Lists; the
+// name is the list's label wherever it is reported, and unique.
+func New[T any](name string, bound int, weight func(T) int) *Stack[T] {
+	s := &Stack[T]{name: name, bound: bound, weight: weight}
+	if name != "" {
+		lists.mu.Lock()
+		lists.all = append(lists.all, s)
+		lists.mu.Unlock()
+	}
+	return s
 }
 
 func (s *Stack[T]) weigh(v T) int {
@@ -53,6 +65,7 @@ func (s *Stack[T]) Take(ok func(T) bool) T {
 			s.vals[last] = zero
 			s.vals = s.vals[:last]
 			s.held -= s.weigh(v)
+			s.takes++
 			return v
 		}
 	}
@@ -95,10 +108,56 @@ func (s *Stack[T]) PutAll(vs []T) {
 	}
 }
 
-// Misses counts the takes that found no value: each is an allocation its
-// caller had to make.
-func (s *Stack[T]) Misses() uint64 {
+// TakeLen returns a parked slice of length n, or a new zeroed one. It is
+// zeroed if its putter parked it cleared, as PutCleared does.
+func TakeLen[E any](s *Stack[[]E], n int) []E {
+	if v := s.Take(func(v []E) bool { return len(v) == n }); v != nil {
+		return v
+	}
+	return make([]E, n)
+}
+
+// PutCleared zeroes v and parks it, unless it is nil.
+func PutCleared[E any](s *Stack[[]E], v []E) {
+	if v != nil {
+		clear(v)
+		s.Put(v)
+	}
+}
+
+// Stats is a list's state: its bound and what it holds, in the weight its
+// Stack counts, and how many takes found a value (Takes) or none (Misses:
+// each is an allocation its caller had to make).
+type Stats struct {
+	Name          string
+	Bound, Parked int
+	Takes, Misses uint64
+}
+
+// Stats reports the Stack's state.
+func (s *Stack[T]) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.misses
+	return Stats{Name: s.name, Bound: s.bound, Parked: s.held, Takes: s.takes, Misses: s.misses}
+}
+
+// Misses counts the takes that found no value.
+func (s *Stack[T]) Misses() uint64 { return s.Stats().Misses }
+
+// lists are the named Stacks of the process.
+var lists struct {
+	mu  sync.Mutex
+	all []interface{ Stats() Stats }
+}
+
+// Lists reports every named Stack, by name.
+func Lists() []Stats {
+	lists.mu.Lock()
+	out := make([]Stats, len(lists.all))
+	for i, s := range lists.all {
+		out[i] = s.Stats()
+	}
+	lists.mu.Unlock()
+	slices.SortFunc(out, func(a, b Stats) int { return cmp.Compare(a.Name, b.Name) })
+	return out
 }

@@ -25,7 +25,7 @@ func parked[T any](t *testing.T, s *Stack[T]) []T {
 }
 
 func TestTakeNewestFirst(t *testing.T) {
-	s := New[int](10, nil)
+	s := New[int]("", 10, nil)
 	s.PutAll([]int{1, 2, 3})
 	s.Put(4)
 	if got := parked(t, s); !slices.Equal(got, []int{1, 2, 3, 4}) {
@@ -49,7 +49,7 @@ func TestTakeNewestFirst(t *testing.T) {
 }
 
 func TestPutDropsOldest(t *testing.T) {
-	s := New[int](3, nil)
+	s := New[int]("", 3, nil)
 	for v := 1; v <= 100; v++ {
 		s.Put(v)
 		var want []int // the three newest, oldest first
@@ -68,7 +68,7 @@ func TestPutDropsOldest(t *testing.T) {
 
 func TestWeightBound(t *testing.T) {
 	weight := func(b []byte) int { return len(b) }
-	s := New(100, weight)
+	s := New("", 100, weight)
 	for i := 0; i < 10; i++ {
 		s.Put(make([]byte, 8))
 	}
@@ -93,7 +93,7 @@ func TestWeightBound(t *testing.T) {
 }
 
 func TestMisses(t *testing.T) {
-	s := New[*int](4, nil)
+	s := New[*int]("", 4, nil)
 	s.Take(nil)
 	s.Put(new(int))
 	s.Take(nil)
@@ -108,7 +108,7 @@ func TestMisses(t *testing.T) {
 // predicate and with one that captures a variable, once the stack has room
 // for what cycles through it.
 func TestSteadyStateAllocs(t *testing.T) {
-	s := New(1<<10, func(b []float64) int { return 8 * len(b) })
+	s := New("", 1<<10, func(b []float64) int { return 8 * len(b) })
 	a, b := make([]float64, 4), make([]float64, 8)
 	s.PutAll([][]float64{a, b})
 	if n := testing.AllocsPerRun(100, func() {
@@ -123,7 +123,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		t.Errorf("take/put with a capturing predicate: %v allocs/op, want 0", n)
 	}
 	// A full stack drops its oldest value to take each new one.
-	full := New[*int](64, nil)
+	full := New[*int]("", 64, nil)
 	vals := make([]*int, 200)
 	for i := range vals {
 		vals[i] = new(int)
@@ -145,7 +145,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 // under the race detector. What is parked must still weigh what the stack
 // accounts.
 func TestConcurrentUse(t *testing.T) {
-	s := New(1<<10, func(b []byte) int { return len(b) })
+	s := New("", 1<<10, func(b []byte) int { return len(b) })
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		go func(size int) {
@@ -163,4 +163,48 @@ func TestConcurrentUse(t *testing.T) {
 		<-done
 	}
 	parked(t, s)
+}
+
+// TestStats counts takes beside misses and reports the parked weight; a
+// named Stack is listed by Lists, an unnamed one is not.
+func TestStats(t *testing.T) {
+	s := New("park_test_stats", 100, func(b []byte) int { return len(b) })
+	s.Take(nil)
+	s.PutAll([][]byte{make([]byte, 10), make([]byte, 20)})
+	s.Take(nil)
+	want := Stats{Name: "park_test_stats", Bound: 100, Parked: 10, Takes: 1, Misses: 1}
+	if got := s.Stats(); got != want {
+		t.Fatalf("Stats() = %+v, want %+v", got, want)
+	}
+	New[int]("", 1, nil)
+	var named []string
+	for _, l := range Lists() {
+		named = append(named, l.Name)
+		if l.Name == want.Name && l != want {
+			t.Errorf("Lists() has %+v, want %+v", l, want)
+		}
+	}
+	if !slices.IsSorted(named) || !slices.Contains(named, want.Name) || slices.Contains(named, "") {
+		t.Errorf("Lists() names %q, want the named stacks by name", named)
+	}
+}
+
+// TestTakeLen takes by exact length and hands out a zeroed slice either
+// way; PutCleared zeroes what it parks and ignores nil.
+func TestTakeLen(t *testing.T) {
+	s := New("", 1<<10, func(v []int) int { return len(v) })
+	a := []int{1, 2, 3}
+	park := func(v []int) { PutCleared(s, v) }
+	park(a)
+	park(nil)
+	if got := TakeLen(s, 2); len(got) != 2 || got[0] != 0 || got[1] != 0 {
+		t.Fatalf("TakeLen(2) = %v, want a new zeroed slice of 2", got)
+	}
+	got := TakeLen(s, 3)
+	if &got[0] != &a[0] || !slices.Equal(got, []int{0, 0, 0}) {
+		t.Fatalf("TakeLen(3) = %v, want the parked slice, cleared", got)
+	}
+	if st := s.Stats(); st.Takes != 1 || st.Misses != 1 || st.Parked != 0 {
+		t.Fatalf("after the takes: %+v, want one take, one miss, nothing parked", st)
+	}
 }

@@ -141,7 +141,8 @@ const profiledPointBytes, pointSlack = 133_008, 4096
 
 // TestProfiledPointBytes pins the bytes the profiler adds to a warm conv
 // point, measured against the same point with no tool, so that the
-// runtime's own bytes and the Go version's map layout largely cancel.
+// runtime's own bytes and the Go version's map layout largely cancel. The
+// runtime is warm, the profiler's park lists drained: it makes every cell.
 func TestProfiledPointBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector allocates shadow memory; byte counts are meaningless")
@@ -178,6 +179,7 @@ func TestProfiledPointBytes(t *testing.T) {
 	}
 	point(New()) // fills the runtime's pools and coroutines
 	bare := point()
+	drainParks() // the profiler's cells are made, as in a fresh process
 	n := point(New()) - bare
 	if n > profiledPointBytes+pointSlack {
 		t.Errorf("the profiler added %d bytes to a warm p = %d point, want at most %d + %d", n, p, profiledPointBytes, pointSlack)
@@ -194,8 +196,9 @@ func TestProfiledPointBytes(t *testing.T) {
 // flight (rank r leaves each instance before rank r+1 enters it, so every
 // section has one, at 16 bytes per rank: an entry and an exit time),
 // Profile.RankTimes (8 bytes per rank), and 24 more for the page rounding
-// of these large slices, the label map and the rings. go1.24 on
-// linux/amd64 measured 564 bytes per rank, against a bound of 580.
+// of these large slices, the label map and the rings. The runtime is warm,
+// the profiler's park lists drained. go1.24 on linux/amd64 measured 564
+// bytes per rank, against a bound of 580.
 func TestProfilerBytesPerRank(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector allocates shadow memory; byte counts are meaningless")
@@ -218,6 +221,7 @@ func TestProfilerBytesPerRank(t *testing.T) {
 	}
 	run(New()) // fills the runtime's pools and coroutines
 	bare := run()
+	drainParks() // the profiler's cells are made, as in a fresh process
 	perRank := float64(run(New())-bare) / p
 	pin := float64(16 + 60*sections)
 	slack := float64(16*sections + 8 + 24)

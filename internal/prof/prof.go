@@ -139,6 +139,9 @@ type Profile struct {
 	RankTimes []float64
 	// Sections, sorted by decreasing total inclusive time.
 	Sections []*SectionStats
+
+	// comms are the profiler's communicators, whose cells Release parks.
+	comms []*commState
 }
 
 // Section returns the stats for the first section with the given label

@@ -9,7 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/mpi"
-	"repro/internal/stats"
+	"repro/internal/park"
 )
 
 // Profiler is the mpi.Tool. Attach via mpi.Config.Tools, run, then call
@@ -122,14 +122,14 @@ func (p *Profiler) registerComm(c *mpi.Comm) {
 	if id >= len(p.comms) {
 		p.comms = append(p.comms, make([]*commState, id+1-len(p.comms))...)
 	}
-	cs := &commState{participants: c.Size(), cursors: make([]rankCursor, c.Size()), labels: map[string]*section{}}
+	cs := &commState{participants: c.Size(), cursors: park.TakeLen(freeCursors, c.Size()), labels: map[string]*section{}}
 	// Only a communicator spanning every declared rank can have members
 	// outside the session (mpi.Config.Active).
 	if p.active > 0 && c.Size() == p.declared {
 		cs.participants = p.active
 	}
 	if cs.participants < c.Size() {
-		cs.slots = &slotTable{of: make([]int32, c.Size())}
+		cs.slots = &slotTable{of: park.TakeLen(freeCounters, c.Size())}
 	}
 	p.comms[id] = cs
 }
@@ -138,16 +138,16 @@ func (p *Profiler) registerComm(c *mpi.Comm) {
 func (cs *commState) registerSection(c *mpi.Comm, label string) *section {
 	sec := &section{
 		id:         int32(len(cs.sections)),
-		next:       make([]int32, cs.participants),
+		next:       park.TakeLen(freeCounters, cs.participants),
 		ring:       make([]*instance, 4),
 		parentRank: int32(c.Size()),
 		stats: SectionStats{
 			Comm:         c.ID(),
 			Label:        label,
 			Ranks:        c.Size(),
-			PerRankTotal: make([]float64, c.Size()),
-			PerRankExcl:  make([]float64, c.Size()),
-			PerRank:      make([]stats.Welford, c.Size()),
+			PerRankTotal: park.TakeLen(freeCells, c.Size()),
+			PerRankExcl:  park.TakeLen(freeCells, c.Size()),
+			PerRank:      park.TakeLen(freeWelfords, c.Size()),
 		},
 	}
 	cs.sections = append(cs.sections, sec)
@@ -239,7 +239,7 @@ func (s *section) open(cs *commState, idx int) *instance {
 	if n := len(cs.free); n > 0 {
 		in, cs.free = cs.free[n-1], cs.free[:n-1]
 	} else {
-		in = &instance{enters: make([]float64, cs.participants), leaves: make([]float64, cs.participants)}
+		in = &instance{enters: park.TakeLen(freeCells, cs.participants), leaves: park.TakeLen(freeCells, cs.participants)}
 	}
 	in.index, in.left = idx, 0
 	s.ring[idx&(len(s.ring)-1)] = in
@@ -346,6 +346,7 @@ func (p *Profiler) Finalize(r *mpi.Report) {
 			}
 		}
 	}
+	prof.comms = p.comms
 	slices.SortFunc(prof.Sections, func(a, b *SectionStats) int {
 		if ta, tb := a.TotalTime(), b.TotalTime(); ta != tb {
 			return cmp.Compare(tb, ta)

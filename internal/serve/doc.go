@@ -100,8 +100,9 @@
 // /{view}?job= and as /jobs/{id}/{view}, and the job selection, the 404s
 // (unknown job, served from the cache, no run yet),
 // the 503 while the recording is empty, the headers and the index page are
-// derived from it. /metrics is an ordered list of sources
-// (Service.metricsSources): secmon_up and mpi_pooled_rank_coroutines,
+// derived from it. /metrics leads with the process's park lists (park_*:
+// takes, misses, what each holds and its bound), then an ordered list of
+// sources (Service.metricsSources): secmon_up and mpi_pooled_rank_coroutines,
 // serve_*, then for the selected job the rank gauges, and then what one
 // read of the fold gives — the section_* families of its rows — the
 // recorder's facts (faults, drops, whether the run ended), the verifier's

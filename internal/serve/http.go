@@ -233,12 +233,13 @@ func (h *handler) writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// handleMetrics writes the sources of Service.metricsSources in order.
+// handleMetrics writes the process's park lists, then the sources of
+// Service.metricsSources in order.
 func (h *handler) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", promtext.ContentType)
 	v, _ := h.jobFor(req)
 	defer v.release()
-	for _, source := range h.svc.metricsSources(v) {
+	for _, source := range append([]func(io.Writer) error{writeParkLists}, h.svc.metricsSources(v)...) {
 		if err := source(w); err != nil {
 			h.logf("metrics write: %v", err)
 			return

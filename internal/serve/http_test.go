@@ -43,6 +43,13 @@ func TestHTTPIndexAndBeforeRun(t *testing.T) {
 	if !strings.Contains(body, "serve_jobs_queued_total 0") || !strings.Contains(body, "serve_queue_depth 0") {
 		t.Fatalf("metrics lack serve_* families before first run:\n%s", body)
 	}
+	// So are the process's park lists, one series per list and family.
+	for _, series := range []string{`park_takes_total{list="mpi_rank_slabs"}`, `park_misses_total{list="prof_cells"}`,
+		`park_parked{list="trace_chunks"}`, `park_bound{list="mpi_comm_arrays"} 4194304`} {
+		if !strings.Contains(body, series) {
+			t.Fatalf("metrics lack %s:\n%s", series, body)
+		}
+	}
 	for _, path := range []string{"/sections", "/trace.json", "/waitstate.json", "/efficiency.json", "/heatmap.csv"} {
 		if code, _ := get(t, h, path); code != http.StatusNotFound {
 			t.Fatalf("%s before any run: code %d, want 404", path, code)

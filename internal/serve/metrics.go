@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/export"
 	"repro/internal/mpi"
+	"repro/internal/park"
 	"repro/internal/pop"
 	"repro/internal/promtext"
 	"repro/internal/telemetry"
@@ -185,5 +186,30 @@ func writeRankGauges(w io.Writer, g *rankGauges) error {
 	pw.IntFamily("mpi_ranks_declared", "gauge", "Configured world size of the current run.", int64(g.declared))
 	pw.IntFamily("mpi_ranks_active", "gauge", "Ranks participating in the session.", int64(g.active))
 	pw.IntFamily("mpi_ranks_materialized", "gauge", "Active ranks whose state the runtime has brought up so far.", int64(g.materialized))
+	return pw.Flush()
+}
+
+// writeParkLists writes the process's park lists (internal/park): per list,
+// its takes and misses since start, what it holds and its bound, the last
+// two in the unit the list's bound counts (values or bytes). They are not
+// one of metricsSources: what a list holds moves whenever any run parks or
+// takes, so no two renderings of a job agree on it.
+func writeParkLists(w io.Writer) error {
+	pw := promtext.New(w, promtext.Shortest)
+	lists := park.Lists()
+	for _, f := range []struct {
+		name, typ, help string
+		v               func(park.Stats) uint64
+	}{
+		{"park_takes_total", "counter", "Takes that found a parked value.", func(l park.Stats) uint64 { return l.Takes }},
+		{"park_misses_total", "counter", "Takes that found none: each an allocation its caller made.", func(l park.Stats) uint64 { return l.Misses }},
+		{"park_parked", "gauge", "What the list holds, in the unit of its bound.", func(l park.Stats) uint64 { return uint64(l.Parked) }},
+		{"park_bound", "gauge", "The most the list holds: values, or bytes for a weighed list.", func(l park.Stats) uint64 { return uint64(l.Bound) }},
+	} {
+		pw.Family(f.name, f.typ, f.help)
+		for _, l := range lists {
+			pw.Uint(f.name, f.v(l), "list", l.Name)
+		}
+	}
 	return pw.Flush()
 }

@@ -5,15 +5,23 @@ import "math"
 // RNG is a small, fast, deterministic pseudo-random generator
 // (splitmix64-seeded xorshift128+). The machine model uses one RNG per rank
 // so that jitter is reproducible for a given seed and independent of
-// goroutine scheduling. The zero value is NOT valid; use NewRNG.
+// goroutine scheduling. The zero value is NOT valid; use NewRNG or Seed.
 type RNG struct {
 	s0, s1 uint64
 }
 
 // NewRNG returns a generator seeded deterministically from seed.
 //
-//seclint:allocs-ok RNG construction at rank bring-up: once per rank
+//seclint:allocs-ok RNG construction: once per stream
 func NewRNG(seed uint64) *RNG {
+	r := new(RNG)
+	r.Seed(seed)
+	return r
+}
+
+// Seed resets r to the stream NewRNG(seed) starts, in place: a generator
+// held by value needs no allocation.
+func (r *RNG) Seed(seed uint64) {
 	// splitmix64 to spread the seed into two non-zero words.
 	sm := func() uint64 {
 		seed += 0x9e3779b97f4a7c15
@@ -22,11 +30,10 @@ func NewRNG(seed uint64) *RNG {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		return z ^ (z >> 31)
 	}
-	r := &RNG{s0: sm(), s1: sm()}
+	r.s0, r.s1 = sm(), sm()
 	if r.s0 == 0 && r.s1 == 0 {
 		r.s0 = 1
 	}
-	return r
 }
 
 // Uint64 returns the next 64 random bits.

@@ -345,7 +345,7 @@ func (b *Buffer) Release() {
 // another. Chunks are not cleared — a buffer never reads a chunk past its
 // own count — so a parked chunk pins the label strings of the events it
 // last held, a few constants.
-var freeChunks = park.New[*[chunkLen]Event](2048, nil)
+var freeChunks = park.New[*[chunkLen]Event]("trace_chunks", 2048, nil)
 
 // ChunkAllocs is how many chunks this process has had to allocate because
 // no released one was waiting: a count that stands still is a recording

@@ -264,7 +264,7 @@ func (t *Tool) Analysis(opts Options) (*Analysis, error) {
 // keep every worker of a host of up to eight cores — CI's and the
 // benchmarks' — in its steady state; on a larger one the worlds past eight
 // are the garbage collector's, which costs allocations, not memory.
-var freeWorlds = park.New[*liveWorld](8, nil)
+var freeWorlds = park.New[*liveWorld]("waitstate_worlds", 8, nil)
 
 // reset empties w for a world of size ranks. Each rank keeps the storage it
 // had, whichever rank used it.
