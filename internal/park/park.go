@@ -4,8 +4,32 @@
 // allocating. A Stack is a plain bounded stack rather than a sync.Pool, so
 // that reuse does not depend on when the garbage collector last ran (a
 // collection empties a sync.Pool, and the next run allocates again): a sweep
-// or a service allocates the same bytes every time. Each Stack's bound, and
-// the reason for it, is kept where the Stack is declared.
+// or a service allocates the same bytes every time. Each Stack counts the
+// takes that found a value and those that did not, and a named one is
+// listed by Lists, which secmon's /metrics (park_*) and convbench's
+// host-phase table print.
+//
+// The lists, each bound with its reason kept where the Stack is declared:
+//
+//   - mpi_envelopes, mpi_posted_receives (internal/mpi): 128k values each,
+//     what a halo of messages might park; the highest mark measured is 54.
+//   - mpi_rank_slabs: 64 shard slabs of 256 rank states, 3.7 MB: the
+//     extreme sweep's three worlds side by side hold 60.
+//   - mpi_comm_arrays: 4 MiB of communicators' per-rank arrays, by
+//     communicator size: the extreme sweep's worlds park 3.5 MB.
+//   - prof_cells, prof_welfords, prof_counters, prof_cursors
+//     (internal/prof): 4 MiB, 8 MiB, 512 KiB and 256 KiB of a profiler's
+//     per-rank arrays, by length: the power of two above what the extreme
+//     sweep's worlds park.
+//   - lulesh_state_slabs (internal/lulesh): 2 MiB of LULESH state, two
+//     points of each geometry of the KNL sweep (1.65 MB).
+//   - trace_chunks (internal/trace): 2048 chunks, 48 MiB, two paper-scale
+//     recorded points side by side.
+//   - waitstate_worlds (internal/waitstate): 8 diagnosis worlds, one per
+//     sweep worker on a host of up to eight cores.
+//
+// EXPERIMENTS.md ("Worlds from parked slabs") has the extreme sweep's
+// alloc_mb and peak RSS with the mpi and prof bounds at half and at double.
 package park
 
 import (

@@ -39,23 +39,23 @@ type keptFold struct {
 	fd *telemetry.Feeder // nil until a view needs it
 }
 
-// csvRowBytes is what seal reserves per event: rows of the experiments this
-// service runs average 64 to 72 bytes, and a reservation that falls short
-// makes the buffer double.
+// csvRowBytes is what seal reserves per event, the rows encoded straight
+// into the reservation: rows of the experiments this service runs average
+// 64 to 72 bytes, and a reservation that falls short makes it grow.
 const csvRowBytes = 72
 
 // seal renders the attempt's canonically sorted event stream — the
 // byte-identical artifact the cache and retry contracts are stated over —
-// merging the recording straight into the encoder, and copies the facts out
+// merging the recording straight into the encoder and the encoder straight
+// into the kept bytes, and copies the facts out
 // of the tools. The run is over: nothing it reads changes any more. The
 // caller then takes the bundle off the job and releases it. The CSV is
 // nearly all of what a terminal transition costs — 3 ms for 23,004 events
 // beside a 5 ms run (doc.go, "What a job keeps").
 func (b *bundle) seal() *sealed {
 	order := b.rec.Collector().Buffer().Order()
-	buf := bytes.NewBuffer(make([]byte, 0, 64+csvRowBytes*order.Len()))
-	_ = order.WriteCSV(buf) // a bytes.Buffer takes every write
-	return &sealed{csv: buf.Bytes(), index: order.Index(), rec: b.rec.Seal(), gauges: b.ranks(),
+	csv := order.AppendCSV(make([]byte, 0, 64+csvRowBytes*order.Len()))
+	return &sealed{csv: csv, index: order.Index(), rec: b.rec.Seal(), gauges: b.ranks(),
 		fold: keptFold{fd: b.fold.kept()}, dropped: b.dropped, verify: b.verification()}
 }
 

@@ -25,7 +25,9 @@
 // exclusive time (a frame's duration less its nested frames' on the same
 // communicator), its first parent there, the wait split of the receives on
 // its communicator and each rank's durations, which the Feeder's
-// communicator table puts in communicator-rank order. A leave that does not
+// communicator table puts in communicator-rank order. Only a Feeder's fold
+// keeps that row state; the Tool's hooks, whose Snapshot has no rows, skip
+// it on every enter, leave and receive. A leave that does not
 // close the rank's innermost open section — a misnesting the runtime
 // reports — closes nothing, in the profile and in the rows.
 //

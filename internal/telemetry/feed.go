@@ -23,7 +23,9 @@ type Feeder struct {
 // NewFeeder returns a feeder for a world of ranks ranks whose communicators
 // members resolves.
 func NewFeeder(ranks int, members [][]int) *Feeder {
-	return &Feeder{f: newFold(ranks), members: members}
+	f := newFold(ranks)
+	f.keepRows = true
+	return &Feeder{f: f, members: members}
 }
 
 // SetMembers replaces the communicator table, for a recording whose table

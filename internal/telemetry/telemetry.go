@@ -235,6 +235,10 @@ func (c *rankCur) seenLast(t float64) {
 type fold struct {
 	ranks    int
 	rowGroup int
+	// keepRows keeps what only a (communicator, section) row reads — each
+	// group's pairs, exclusive time, parent and receive split — which a
+	// Feeder renders and the Tool's Snapshot does not.
+	keepRows bool
 
 	ids    map[string]int32
 	labels []string
@@ -348,7 +352,7 @@ func (f *fold) enter(wr int, comm int64, size int, label string, t float64) {
 		fr.grp, fr.ord = f.inst.enter(cur, instKey{comm, sid}, size, t)
 		// A group's parent is the first one its lowest world rank met on
 		// the communicator.
-		if g := &f.inst.groups[fr.grp]; wr < g.parentRank {
+		if g := &f.inst.groups[fr.grp]; f.keepRows && wr < g.parentRank {
 			g.parentRank, g.parent = wr, -1
 			if i := f.under(cur, comm, cur.depth); i >= 0 {
 				g.parent = cur.stack[i].grp
@@ -391,9 +395,11 @@ func (f *fold) leave(wr int, label string, t float64) {
 	f.pop(fr.sec, wr).t += pico(dur)
 	if fr.grp >= 0 {
 		g := &f.inst.groups[fr.grp]
-		g.pair(wr, dur, dur-fr.childT)
-		if i := f.under(cur, g.comm, cur.depth); i >= 0 {
-			cur.stack[i].childT += dur
+		if f.keepRows {
+			g.pair(wr, dur, dur-fr.childT)
+			if i := f.under(cur, g.comm, cur.depth); i >= 0 {
+				cur.stack[i].childT += dur
+			}
 		}
 		f.inst.leave(fr.grp, fr.ord, t)
 	}
@@ -428,8 +434,10 @@ func (f *fold) recv(wr int, comm int64, peer, tag, bytes int, t float64, m mpi.M
 	wait, late := waitstate.Lateness(t, m.PostT, m.SendT)
 	wp, lp := pico(wait), pico(late)
 	a.recv(tag, wp, lp, m.PostT-m.Arrival > waitstate.Eps)
-	if i := f.under(cur, comm, cur.depth); i >= 0 {
-		f.inst.groups[cur.stack[i].grp].recv(tag, wp, lp, m.PostT > m.Arrival)
+	if f.keepRows {
+		if i := f.under(cur, comm, cur.depth); i >= 0 {
+			f.inst.groups[cur.stack[i].grp].recv(tag, wp, lp, m.PostT > m.Arrival)
+		}
 	}
 	row := f.pop(sid, wr)
 	row.wait += wp

@@ -191,9 +191,6 @@ func TestEquivalenceWithPOP(t *testing.T) {
 			same("(run)", p.Global, tree.Global)
 			for i := range tree.Sections {
 				ps := &tree.Sections[i]
-				if ps.Section == "(no section)" {
-					continue // time outside any section: the fold's "(other)"
-				}
 				sp := p.Section(ps.Section)
 				if sp == nil {
 					t.Errorf("section %q missing from the profile", ps.Section)

@@ -366,3 +366,32 @@ func BenchmarkWriteCSV(b *testing.B) {
 		}
 	}
 }
+
+// TestAppendCSV holds the in-place encoder to WriteCSV's bytes, appended
+// after what dst holds, and pins it at what WriteCSV allocates less its
+// 64 KiB buffer when dst has room: the rows land in dst.
+func TestAppendCSV(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates shadow memory; alloc counts are meaningless")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	o := OrderOf(recording(64, 400))
+	var want bytes.Buffer
+	if err := o.WriteCSV(&want); err != nil {
+		t.Fatal(err)
+	}
+	got := o.AppendCSV([]byte("kept:"))
+	if string(got) != "kept:"+want.String() {
+		t.Fatalf("AppendCSV wrote %d bytes after the prefix, WriteCSV %d; they differ", len(got)-5, want.Len())
+	}
+	if small := o.AppendCSV(nil); !bytes.Equal(small, want.Bytes()) {
+		t.Fatal("AppendCSV into a nil slice, grown as it goes, differs from WriteCSV")
+	}
+	dst := make([]byte, 0, want.Len())
+	write, _ := allocated(func() { o.WriteCSV(io.Discard) })
+	appended, _ := allocated(func() { o.AppendCSV(dst) })
+	if appended != write-1 {
+		t.Errorf("AppendCSV into room enough: %v allocs, WriteCSV %v; want one fewer", appended, write)
+	}
+	t.Logf("WriteCSV %v allocs, AppendCSV %v", write, appended)
+}

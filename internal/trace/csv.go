@@ -34,14 +34,27 @@ const (
 // WriteCSV streams the indexed events as CSV with a header, in canonical
 // order, each row formatted from where its event lies.
 func (o *Order) WriteCSV(w io.Writer) error {
-	enc := newCSVEncoder(w)
+	enc := newCSVEncoder(w, make([]byte, 0, csvBuf))
+	return enc.rows(o)
+}
+
+// AppendCSV appends to dst the bytes WriteCSV writes, each row encoded in
+// place: a caller that keeps the CSV reserves it once and copies nothing.
+func (o *Order) AppendCSV(dst []byte) []byte {
+	enc := newCSVEncoder(nil, dst)
+	_ = enc.rows(o) // with no writer, nothing fails
+	return enc.buf
+}
+
+// rows encodes the indexed events in canonical order.
+func (c *csvEncoder) rows(o *Order) error {
 	m := o.Merge()
 	for e := m.Next(); e != nil; e = m.Next() {
-		if err := enc.row(e); err != nil {
+		if err := c.row(e); err != nil {
 			return err
 		}
 	}
-	return enc.flush()
+	return c.flush()
 }
 
 // WriteEventsCSV streams an already-assembled event slice as CSV with the
@@ -49,7 +62,7 @@ func (o *Order) WriteCSV(w io.Writer) error {
 // -waitstate consumes. The bytes are those encoding/csv would produce
 // (see the package comment); rows are formatted into one reused buffer.
 func WriteEventsCSV(w io.Writer, events []Event) error {
-	enc := newCSVEncoder(w)
+	enc := newCSVEncoder(w, make([]byte, 0, csvBuf))
 	for i := range events {
 		if err := enc.row(&events[i]); err != nil {
 			return err
@@ -59,7 +72,7 @@ func WriteEventsCSV(w io.Writer, events []Event) error {
 }
 
 // csvEncoder formats rows into one buffer and hands it to the writer each
-// time it fills. Wherever it can, a row is made of text the encoder has made
+// time it fills; with no writer, the buffer is the output and grows. Wherever it can, a row is made of text the encoder has made
 // before (see the package comment): a float it still remembers, the
 // ",kind,comm,label," middle of an earlier row, the constant tail of a row
 // whose last columns are all zero. The two memos are arrays in the encoder
@@ -101,9 +114,8 @@ const (
 	hashMul = 0x9e3779b97f4a7c15
 )
 
-// newCSVEncoder starts a stream with the header row.
-func newCSVEncoder(w io.Writer) csvEncoder {
-	buf := make([]byte, 0, csvBuf)
+// newCSVEncoder starts a stream into buf with the header row.
+func newCSVEncoder(w io.Writer, buf []byte) csvEncoder {
 	for i, name := range csvHeader {
 		if i > 0 {
 			buf = append(buf, ',')
@@ -122,6 +134,9 @@ func (c *csvEncoder) row(e *Event) error {
 }
 
 func (c *csvEncoder) flush() error {
+	if c.w == nil {
+		return nil
+	}
 	_, err := c.w.Write(c.buf)
 	c.buf = c.buf[:0]
 	return err

@@ -200,7 +200,7 @@ func TestAppendRowAtAnyCapacity(t *testing.T) {
 		}
 		row := want.Bytes()[bytes.IndexByte(want.Bytes(), '\n')+1:]
 		for room := 0; room <= len(row)+32; room++ {
-			enc := newCSVEncoder(io.Discard)
+			enc := newCSVEncoder(io.Discard, nil)
 			for pass := 0; pass < 2; pass++ { // the second finds everything in the memos
 				buf := append(make([]byte, 0, 3+room), "xyz"...)
 				if got := enc.appendRow(buf, &events[i]); string(got) != "xyz"+string(row) {

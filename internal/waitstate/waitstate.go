@@ -331,6 +331,24 @@ func (rt *rankTimeline) secAt(t float64) *secCell {
 	return &rt.secs[c]
 }
 
+// recvCell resolves the section a receive posted at t belongs to: the
+// innermost at t, except where t is the instant the rank left its last open
+// section. The replay steps a timestamp's section events before its
+// receives, but in the rank's program order a receive posted as the rank's
+// outermost section ends came before the leave: it belongs to the innermost
+// section open before the change points at t, not outside every section.
+func (rt *rankTimeline) recvCell(t float64) *secCell {
+	cps := rt.sections
+	if c := cellAt(cps, t); c != none {
+		return &rt.secs[c]
+	}
+	i := sort.Search(len(cps), func(i int) bool { return cps[i].t >= t })
+	if i > 0 && i < len(cps) && cps[i].t == t && cps[i-1].cell != none {
+		return &rt.secs[cps[i-1].cell]
+	}
+	return rt.secAt(t)
+}
+
 // labelAt returns the innermost section label at time t, or "".
 func (rt *rankTimeline) labelAt(t float64) string {
 	if c := cellAt(rt.sections, t); c != none {
@@ -597,7 +615,7 @@ func (en *engine) classify(rt *rankTimeline, alone bool) {
 		}
 		wait, late := Lateness(e.T, e.PostT, e.SendT)
 		rt.wait += wait
-		cell := rt.secAt(e.PostT)
+		cell := rt.recvCell(e.PostT)
 		cell.inDiag, cell.inRank = true, true
 		cell.recvs++
 		cell.Wait += wait
@@ -697,7 +715,7 @@ func (en *engine) fold(crit []PathSegment, critSec map[string]float64, opts Opti
 	for _, s := range crit {
 		a.CritLen += s.To - s.From
 	}
-	var cells, unmatched int
+	var unmatched int
 	for k := range en.ranks {
 		rt := &en.ranks[k]
 		if rt.lastT > a.Wall {
@@ -706,7 +724,6 @@ func (en *engine) fold(crit []PathSegment, critSec map[string]float64, opts Opti
 		a.Msgs += len(rt.recvs)
 		a.Faults += rt.faults
 		a.DeadWaits += len(rt.deads)
-		cells += len(rt.secs)
 		unmatched += rt.unmatched
 	}
 	if unmatched > 0 {
@@ -719,13 +736,21 @@ func (en *engine) fold(crit []PathSegment, critSec map[string]float64, opts Opti
 	)
 	diagOf := map[string]*SectionDiagnosis{}
 	collOf := map[string]*CollectiveStat{}
-	a.RankSections = make([]RankSection, 0, cells)
+	// RankSections go by section, then rank. The ranks ascend, so each
+	// section's rows come in rank order: counting them places every row,
+	// and only the few labels are sorted.
+	rowsOf := map[string]int{}
+	var labels []string
 	for k := range en.ranks {
 		rt := &en.ranks[k]
 		for i := range rt.secs {
 			cell := &rt.secs[i]
 			if cell.inRank {
-				a.RankSections = append(a.RankSections, cell.RankSection)
+				n, seen := rowsOf[cell.Section]
+				if !seen {
+					labels = append(labels, cell.Section)
+				}
+				rowsOf[cell.Section] = n + 1
 			}
 			if !cell.inDiag {
 				continue
@@ -777,11 +802,7 @@ func (en *engine) fold(crit []PathSegment, critSec map[string]float64, opts Opti
 
 	for _, d := range diag {
 		d.CritTime = critSec[d.Section]
-		if d.Section == "" {
-			// Receives outside any section (trace without section events):
-			// keep them under a pseudo-section so nothing is silently lost.
-			d.Section = "(no section)"
-		}
+		d.Section = shownLabel(d.Section)
 		d.P = p
 		d.AvgPerProc = d.Total / float64(p)
 		if b, err := core.PartialBound(opts.SeqTime, d.AvgPerProc); err == nil {
@@ -799,17 +820,25 @@ func (en *engine) fold(crit []PathSegment, critSec map[string]float64, opts Opti
 		}
 		return cmp.Compare(x.Section, y.Section)
 	})
-	for i := range a.RankSections {
-		if a.RankSections[i].Section == "" {
-			a.RankSections[i].Section = "(no section)"
+	slices.SortFunc(labels, func(x, y string) int { return cmp.Compare(shownLabel(x), shownLabel(y)) })
+	at := 0
+	for _, l := range labels {
+		n := rowsOf[l]
+		rowsOf[l] = at
+		at += n
+	}
+	a.RankSections = make([]RankSection, at)
+	for k := range en.ranks {
+		rt := &en.ranks[k]
+		for i := range rt.secs {
+			if cell := &rt.secs[i]; cell.inRank {
+				row := &a.RankSections[rowsOf[cell.Section]]
+				rowsOf[cell.Section]++
+				*row = cell.RankSection
+				row.Section = shownLabel(row.Section)
+			}
 		}
 	}
-	slices.SortFunc(a.RankSections, func(x, y RankSection) int {
-		if x.Section != y.Section {
-			return cmp.Compare(x.Section, y.Section)
-		}
-		return cmp.Compare(x.Rank, y.Rank)
-	})
 	for _, cs := range colls {
 		a.Colls = append(a.Colls, *cs)
 	}
@@ -820,6 +849,16 @@ func (en *engine) fold(crit []PathSegment, critSec map[string]float64, opts Opti
 		return cmp.Compare(x.Name, y.Name)
 	})
 	return a
+}
+
+// shownLabel is a section label as an Analysis reports it: receives
+// outside any section (a trace without section events) go under a
+// pseudo-section, so that nothing is silently lost.
+func shownLabel(label string) string {
+	if label == "" {
+		return "(no section)"
+	}
+	return label
 }
 
 // DominantCause classifies a section from its Total, WaitIn and the four
