@@ -127,7 +127,7 @@ func newCSVEncoder(w io.Writer, buf []byte) csvEncoder {
 
 func (c *csvEncoder) row(e *Event) error {
 	c.buf = c.appendRow(c.buf, e)
-	if len(c.buf) < csvFlush {
+	if c.w == nil || len(c.buf) < csvFlush {
 		return nil
 	}
 	return c.flush()
