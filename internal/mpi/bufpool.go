@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/park"
 )
@@ -360,12 +361,13 @@ type commArrays struct {
 }
 
 func (a *commArrays) bytes() int {
-	n := 120*len(a.sections) + 8*(len(a.sendT)+len(a.arrival)) + 24*len(a.xranks) + 4*cap(a.ready)
+	n := len(a.sections)*int(unsafe.Sizeof(rankSections{})) + 8*(len(a.sendT)+len(a.arrival)) +
+		len(a.xranks)*int(unsafe.Sizeof(exchangeRank{})) + 4*cap(a.ready)
 	for i := range a.rendezvous {
 		n += 8 * len(a.rendezvous[i])
 	}
 	for i := range a.slots {
-		n += 24*len(a.slots[i]) + 4*len(a.seen[i])
+		n += len(a.slots[i])*int(unsafe.Sizeof(rootedSlot{})) + 4*len(a.seen[i])
 	}
 	return n
 }
@@ -385,18 +387,12 @@ func (cs *commShared) takeArrays() {
 	cs.exchange.ranks, cs.exchange.ready = a.xranks, a.ready
 	cs.scatter.slots, cs.gather.slots = a.slots[0], a.slots[1]
 	cs.scatter.seen, cs.gather.seen = a.seen[0], a.seen[1]
-	*a = commArrays{}
-	cs.parked = a
 }
 
 // parkArrays parks the communicator's arrays, cleared, once its world is
 // done.
 func (cs *commShared) parkArrays() {
-	a := cs.parked
-	if a == nil {
-		a = new(commArrays)
-	}
-	*a = commArrays{
+	a := &commArrays{
 		n:          len(cs.group),
 		sections:   cs.sections.perRank,
 		rendezvous: [3][]*Comm{cs.split.comms, cs.barrier.comms, cs.exchange.comms},
@@ -418,7 +414,6 @@ func (cs *commShared) parkArrays() {
 		clear(a.slots[i])
 		clear(a.seen[i])
 	}
-	cs.parked = nil
 	commArraysFree.Put(a)
 }
 

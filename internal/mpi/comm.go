@@ -15,9 +15,6 @@ type commShared struct {
 	boxShards []boxShard
 
 	sections *sectionRegistry
-	// parked is what takeArrays handed the communicator, for parkArrays
-	// to carry its arrays back in (bufpool.go).
-	parked *commArrays
 
 	split           splitState
 	barrier         barrierState  // collectives.go

@@ -60,8 +60,11 @@
 //     run executes.
 //
 // What worlds share is locked or atomic in its own right: the rank
-// coroutine pool, the exchange slabs, the free lists (internal/park) and the
-// payload pool.
+// coroutine pool, the exchange slabs, the free lists (internal/park: the
+// envelopes, posted receives, rank-state slabs and communicator arrays)
+// and the payload pool. A world takes its slabs and arrays from the lists
+// at bring-up and parks them, cleared, once its ranks are done and its
+// tools finalized (bufpool.go).
 //
 // # Fault injection and fault tolerance
 //
@@ -134,8 +137,9 @@
 // used:
 //
 //   - Rank state lives in fixed-size shards (shardSize ranks each, see
-//     shard.go). A shard's state slab is a plain slice, materialized on
-//     first touch; rank-state pointers are stable thereafter. Mailboxes are
+//     shard.go). A shard's state slab is a whole shard's slice, taken from
+//     the parked slabs or made on first touch; rank-state pointers are
+//     stable until Run returns. Mailboxes are
 //     sharded the same way (boxShard in p2p.go): a communicator allocates
 //     mailboxes only for the shards its traffic reaches.
 //

@@ -1,6 +1,8 @@
 package prof
 
 import (
+	"unsafe"
+
 	"repro/internal/park"
 	"repro/internal/stats"
 )
@@ -27,11 +29,17 @@ const (
 )
 
 var (
-	freeCells    = park.New("prof_cells", cellsMax, func(s []float64) int { return 8 * len(s) })
-	freeWelfords = park.New("prof_welfords", welfordsMax, func(s []stats.Welford) int { return 40 * len(s) })
-	freeCounters = park.New("prof_counters", countersMax, func(s []int32) int { return 4 * len(s) })
-	freeCursors  = park.New("prof_cursors", cursorsMax, func(s []rankCursor) int { return 16 * len(s) })
+	freeCells    = park.New("prof_cells", cellsMax, bytesOf[float64])
+	freeWelfords = park.New("prof_welfords", welfordsMax, bytesOf[stats.Welford])
+	freeCounters = park.New("prof_counters", countersMax, bytesOf[int32])
+	freeCursors  = park.New("prof_cursors", cursorsMax, bytesOf[rankCursor])
 )
+
+// bytesOf weighs a parked slice in bytes.
+func bytesOf[E any](s []E) int {
+	var e E
+	return len(s) * int(unsafe.Sizeof(e))
+}
 
 // Release parks the per-rank arrays behind the profile — its sections'
 // PerRankTotal, PerRankExcl and PerRank, which it leaves nil, and the
