@@ -167,6 +167,7 @@ func (s Sweep) runPoint(p point) (pointResult, error) {
 	}
 	var analysis *waitstate.Analysis
 	if diag != nil {
+		// A run the analysis cannot read degrades to blank diagnosis cells.
 		analysis, _ = diag.Analysis(waitstate.Options{SeqTime: p.seq})
 	}
 	if tele != nil {
