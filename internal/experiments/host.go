@@ -7,10 +7,10 @@ import (
 	"repro/internal/park"
 )
 
-// Where a sweep's own host time and heap bytes go (ROADMAP item 5's
-// table). A run charges its runtime phases on its mpi.Report; runPoint
-// times what follows the run into its pointResult, and the sweep sums the
-// points and times its own fold. A driver that renders adds that last.
+// Where a sweep's own host time and heap bytes go. A run charges its
+// runtime phases on its mpi.Report; runPoint times what follows the run
+// into its pointResult, and the sweep sums the points and times its own
+// fold. A command that renders figures adds that last.
 
 // Host phases, in the order a point passes through them.
 const (
@@ -19,7 +19,7 @@ const (
 	PhaseRendezvous        // mpi.HostPhases.Rendezvous
 	PhaseFinalize          // the tools' Finalize, Result, Analysis and Snapshot
 	PhaseAnalysis          // a point's reduction and diagnosis, the sweep's fold
-	PhaseRender            // figures and CSV, timed by the driver
+	PhaseRender            // figures, timed by the command that draws them
 	numHostPhases
 )
 
