@@ -41,7 +41,7 @@ func runWorkload(t *testing.T, p int, seed uint64, tools ...mpi.Tool) *mpi.Repor
 				return c.Section("RING", func() error {
 					dst := (c.Rank() + 1) % c.Size()
 					src := (c.Rank() - 1 + c.Size()) % c.Size()
-					_, _, err := c.Sendrecv(dst, step, []byte("halo"), src, step)
+					_, _, err := c.SendrecvSized(dst, step, []byte("halo"), 4, src, step)
 					return err
 				})
 			})

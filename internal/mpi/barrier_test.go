@@ -15,13 +15,15 @@ import (
 	"repro/internal/stats"
 )
 
-// Barrier has two bodies (collectives.go): one host rendezvous that
-// evaluates the dissemination rounds as clock arithmetic, and the rounds as
-// literal messages, kept for armed fault plans. An empty plan
-// arms the second with no other effect, so it is the reference the first is
-// held to here: same final clocks, same hooks with the same fields in the
-// same per-rank order, same frontier — on generated programs, across every
-// axis that is supposed to be invisible.
+// Barrier is ExchangeGhost's engine run with the dissemination schedule
+// (exchange.go), and has its two bodies: one host rendezvous that evaluates
+// the rounds as dataflow, and the rounds as literal messages, kept for armed
+// fault plans. An empty plan arms the second with no other effect, so the
+// first is held to it here: same final clocks, same hooks with the same
+// fields in the same per-rank order, same frontier — on generated programs,
+// across every axis that is supposed to be invisible. Both bodies share the
+// runtime's stamp and completion code; the oracle for that is the reference
+// interpreter (reference_test.go), fed the same programs.
 
 // hookEvent is one tool callback as its rank saw it. Communicators are
 // identified by (size, rank), not by id: one Split numbers its colours in
@@ -74,16 +76,20 @@ func (l *hookLog) CollectiveEnd(c *Comm, name string, t float64) {
 
 // Program steps. Each acts on the world or on the rank's Split communicator.
 const (
-	stepSkew    = iota // Compute, Sleep, StorageRead or nothing, by rank
-	stepBarrier        // one barrier
-	stepTriple         // three back to back: the generation is reused
-	stepNested         // a barrier inside a world section inside a section of its own communicator
-	stepRing           // a barrier, then jittered p2p: the rng stream position
-	stepDup            // Dup (Split's own barrier), then a barrier on the copy
-	stepBlock          // a barrier, then a block on a later rank (handoff_test.go)
-	stepEnd            // a barrier, then every rank returns
+	stepSkew     = iota // Compute, Sleep, StorageRead or nothing, by rank
+	stepBarrier         // one barrier
+	stepTriple          // three back to back: the generation is reused
+	stepNested          // a barrier inside a world section inside a section of its own communicator
+	stepRing            // a barrier, then jittered p2p: the rng stream position
+	stepDup             // Dup (Split's own barrier), then a barrier on the copy
+	stepBlock           // a barrier, then a block on a later rank (handoff_test.go)
+	stepEnd             // a barrier, then every rank returns
+	stepWildcard        // a wildcard receive pending across a barrier, then filled
 	numSteps
 )
+
+// tagWildcard tags the message stepWildcard's receive takes.
+const tagWildcard = 6
 
 // errEndProg ends a generated program early, as a nil return.
 var errEndProg = errors.New("end of program")
@@ -166,7 +172,8 @@ func namedBarrierProg(p int) *barrierProg {
 	for kind := 0; kind < numBlocks; kind++ {
 		pr.steps = append(pr.steps, progStep{stepBlock, kind%2 == 0})
 	}
-	pr.steps = append(pr.steps, progStep{stepEnd, true}, progStep{stepBarrier, false})
+	pr.steps = append(pr.steps, progStep{stepWildcard, false}, progStep{stepWildcard, true},
+		progStep{stepEnd, true}, progStep{stepBarrier, false})
 	return pr
 }
 
@@ -182,14 +189,47 @@ func (pr *barrierProg) run(c *Comm) error {
 	return runSteps(c, sub, pr.steps, stepEnd, pr.step)
 }
 
+// member is what a generator reads off a rank's communicator handle: *Comm,
+// or a handle of the reference (reference_test.go).
+type member interface {
+	Rank() int
+	Size() int
+	WorldRank() int
+}
+
+// skewer is a handle that charges the clock, as stepSkew does.
+type skewer interface {
+	member
+	Compute(WorkUnit)
+	Sleep(float64)
+	StorageRead(int)
+}
+
+// skew is a skew step: Compute, Sleep, StorageRead or nothing, drawn from
+// the program's seed, the step and the world rank.
+func skew(on skewer, seed uint64, i int) {
+	h := mixSeed(seed+uint64(i), uint64(on.WorldRank()))
+	n := int(h >> 8 % 1000)
+	switch h % 4 {
+	case 0:
+		on.Compute(WorkUnit{Flops: 1e3 * float64(n)})
+	case 1:
+		on.Sleep(1e-6 * float64(n))
+	case 2:
+		on.StorageRead(4 * n)
+	}
+}
+
 // runSteps runs a generated program's steps on the world or on sub; a rank
 // without a sub-communicator sits those out, but leaves at an end step with
-// the rest.
-func runSteps(c, sub *Comm, steps []progStep, end int, step func(world, on *Comm, i, op int) error) error {
+// the rest. It runs the programs on the runtime (C *Comm) and lowers them
+// for the reference.
+func runSteps[C comparable](c, sub C, steps []progStep, end int, step func(world, on C, i, op int) error) error {
+	var none C
 	for i, st := range steps {
 		on := c
 		if st.sub {
-			if sub == nil {
+			if sub == none {
 				if st.op == end {
 					return nil
 				}
@@ -209,16 +249,7 @@ func runSteps(c, sub *Comm, steps []progStep, end int, step func(world, on *Comm
 func (pr *barrierProg) step(world, on *Comm, i, op int) error {
 	switch op {
 	case stepSkew:
-		h := mixSeed(pr.seed+uint64(i), uint64(on.WorldRank()))
-		n := int(h >> 8 % 1000)
-		switch h % 4 {
-		case 0:
-			on.Compute(WorkUnit{Flops: 1e3 * float64(n)})
-		case 1:
-			on.Sleep(1e-6 * float64(n))
-		case 2:
-			on.StorageRead(4 * n)
-		}
+		skew(on, pr.seed, i)
 		return nil
 	case stepBarrier:
 		return on.Barrier()
@@ -239,7 +270,7 @@ func (pr *barrierProg) step(world, on *Comm, i, op int) error {
 		}
 		n := on.Size()
 		var payload [64]byte
-		got, _, err := on.Sendrecv((on.Rank()+1)%n, 5, payload[:], (on.Rank()+n-1)%n, 5)
+		got, _, err := on.SendrecvSized((on.Rank()+1)%n, 5, payload[:], len(payload), (on.Rank()+n-1)%n, 5)
 		Release(got)
 		return err
 	case stepBlock:
@@ -252,6 +283,24 @@ func (pr *barrierProg) step(world, on *Comm, i, op int) error {
 			return err
 		}
 		return errEndProg
+	case stepWildcard:
+		// The barrier's messages travel under a tag of the runtime's, which
+		// AnyTag never takes; the message from the rank below is the one
+		// user message that can fill the receive.
+		req, err := on.Irecv(AnySource, AnyTag)
+		if err != nil {
+			return err
+		}
+		if err := on.Barrier(); err != nil {
+			return err
+		}
+		var payload [8]byte
+		if err := on.Send((on.Rank()+1)%on.Size(), tagWildcard, payload[:]); err != nil {
+			return err
+		}
+		got, _, err := req.Wait()
+		Release(got)
+		return err
 	default: // stepDup
 		d, err := on.Dup()
 		if err != nil {

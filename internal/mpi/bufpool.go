@@ -240,14 +240,15 @@ func (r *rankState) parkEnvelopes() {
 	r.nenv = 0
 }
 
-// An ExchangeGhost generation's lists live in one slab per communicator
-// (exchange.go). Slabs outlive their world: Run parks them here when the
+// A generation's schedules — ExchangeGhost's lists, Barrier's rounds — live
+// in one slab per communicator (exchange.go). Slabs outlive their world: Run parks them here when the
 // ranks are done, and the next world's communicator takes the smallest that
 // holds its estimate, so a sweep allocates its slabs once, not once a point.
 
 const (
 	// slabOpsPerRank sizes a new slab: a Moore neighbourhood's eight ops a
-	// rank. Longer lists grow it by append.
+	// rank, or a barrier's rounds where there are more. Longer lists grow it
+	// by append.
 	slabOpsPerRank = 8
 	// slabsMax bounds the parked slabs: one per worker of a wide sweep.
 	slabsMax = 8
@@ -351,9 +352,7 @@ func takeRankSlab(n int) []rankState {
 type commArrays struct {
 	n          int
 	sections   []rankSections
-	rendezvous [3][]*Comm // split, barrier, exchange
-	sendT      []float64
-	arrival    []float64
+	rendezvous [2][]*Comm // split, exchange
 	xranks     []exchangeRank
 	ready      []int32
 	slots      [2][]rootedSlot // scatter, gather
@@ -361,7 +360,7 @@ type commArrays struct {
 }
 
 func (a *commArrays) bytes() int {
-	n := len(a.sections)*int(unsafe.Sizeof(rankSections{})) + 8*(len(a.sendT)+len(a.arrival)) +
+	n := len(a.sections)*int(unsafe.Sizeof(rankSections{})) +
 		len(a.xranks)*int(unsafe.Sizeof(exchangeRank{})) + 4*cap(a.ready)
 	for i := range a.rendezvous {
 		n += 8 * len(a.rendezvous[i])
@@ -382,8 +381,7 @@ func (cs *commShared) takeArrays() {
 		return
 	}
 	cs.sections = &sectionRegistry{perRank: a.sections}
-	cs.split.comms, cs.barrier.comms, cs.exchange.comms = a.rendezvous[0], a.rendezvous[1], a.rendezvous[2]
-	cs.barrier.sendT, cs.barrier.arrival = a.sendT, a.arrival
+	cs.split.comms, cs.exchange.comms = a.rendezvous[0], a.rendezvous[1]
 	cs.exchange.ranks, cs.exchange.ready = a.xranks, a.ready
 	cs.scatter.slots, cs.gather.slots = a.slots[0], a.slots[1]
 	cs.scatter.seen, cs.gather.seen = a.seen[0], a.seen[1]
@@ -395,9 +393,7 @@ func (cs *commShared) parkArrays() {
 	a := &commArrays{
 		n:          len(cs.group),
 		sections:   cs.sections.perRank,
-		rendezvous: [3][]*Comm{cs.split.comms, cs.barrier.comms, cs.exchange.comms},
-		sendT:      cs.barrier.sendT,
-		arrival:    cs.barrier.arrival,
+		rendezvous: [2][]*Comm{cs.split.comms, cs.exchange.comms},
 		xranks:     cs.exchange.ranks,
 		ready:      cs.exchange.ready[:0],
 		slots:      [2][]rootedSlot{cs.scatter.slots, cs.gather.slots},
@@ -407,8 +403,6 @@ func (cs *commShared) parkArrays() {
 	for i := range a.rendezvous {
 		clear(a.rendezvous[i])
 	}
-	clear(a.sendT)
-	clear(a.arrival)
 	clear(a.xranks)
 	for i := range a.slots {
 		clear(a.slots[i])

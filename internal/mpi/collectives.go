@@ -2,9 +2,10 @@ package mpi
 
 import "fmt"
 
-// Collective internal tags. User tags are >= 0; the runtime reserves the
-// space below internalTagBase. Per-pair FIFO matching keeps successive
-// collectives from interfering even though they reuse tags. The block keeps
+// Collective internal tags. User tags are >= 0; every negative tag is the
+// runtime's (checkTag), and the collectives' start at internalTagBase.
+// Per-pair FIFO matching keeps successive collectives from interfering even
+// though they reuse tags. The block keeps
 // the tags of collectives since removed (Scatter, Allgather, Alltoall):
 // tags reach the trace, and deleting one would renumber those after it.
 const (
@@ -91,100 +92,17 @@ func (c *Comm) collectiveEnd(name string) {
 
 // Barrier blocks until every rank of the communicator reaches it and aligns
 // virtual clocks as the dissemination algorithm does: ceil(log2 p) rounds,
-// rank r sending to r+step and receiving from r-step. The rounds' messages
-// are virtual — one host rendezvous evaluates their clock arithmetic and
-// fires their tool events — unless a fault plan is armed, where every round
-// is a real Sendrecv (package doc, "Literal messages under a plan"). Virtual
-// times and tool events are the same either way.
+// rank r sending to r+step and receiving from r-step. The rounds run on
+// ExchangeGhost's engine (exchange.go): their messages are virtual unless a
+// fault plan is armed, and virtual times and tool events are the same
+// either way.
 func (c *Comm) Barrier() error {
 	c.collectiveBegin("Barrier")
 	defer c.collectiveEnd("Barrier")
 	if c.Size() == 1 {
 		return nil
 	}
-	if c.rs.world.fi != nil {
-		return c.barrierMessages()
-	}
-	return c.barrierRendezvous()
-}
-
-// barrierMessages runs the dissemination schedule over real messages.
-func (c *Comm) barrierMessages() error {
-	p := c.Size()
-	for step := 1; step < p; step *= 2 {
-		dst := (c.rank + step) % p
-		src := (c.rank - step + p) % p
-		if _, _, err := c.Sendrecv(dst, tagBarrier, nil, src, tagBarrier); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// barrierState is a communicator's barrier rendezvous and its evaluator's
-// scratch: the current round's send stamps, by sender.
-type barrierState struct {
-	rendezvous
-	sendT, arrival []float64
-}
-
-// barrierRendezvous parks the rank until the communicator's last arriver has
-// evaluated the schedule for everyone, or a revocation aborts the wait.
-func (c *Comm) barrierRendezvous() error {
-	b := &c.shared.barrier
-	last, ok := b.arrive(c)
-	if !ok {
-		return c.aborted("Barrier")
-	}
-	if last {
-		w := c.rs.world
-		left := w.enterPhase(&w.host.Rendezvous)
-		b.evaluate()
-		w.enterPhase(left)
-		b.release()
-		return nil
-	}
-	if !b.park(c, "Barrier") {
-		return c.aborted("Barrier")
-	}
-	return nil
-}
-
-// evaluate runs the dissemination schedule of barrierMessages as arithmetic
-// over the arrived ranks' clocks: per round, every rank's send, then every
-// rank's receive, through the stamp and completion functions real messages
-// use (p2p.go) and with the hooks a real round fires — each rank's events
-// in its program order (sent k, received k, sent k+1, ...), each with the
-// rank's clock already at the event's time.
-//
-//seclint:hotpath
-func (b *barrierState) evaluate() {
-	p := len(b.comms)
-	if b.sendT == nil {
-		//seclint:allocs-ok the communicator's first barrier: once
-		b.sendT, b.arrival = make([]float64, p), make([]float64, p)
-	}
-	tools := b.comms[0].rs.world.cfg.Tools
-	for step := 1; step < p; step *= 2 {
-		for r, c := range b.comms {
-			dst := r + step
-			if dst >= p {
-				dst -= p
-			}
-			b.sendT[r], b.arrival[r], _, _ = c.stampSend(dst, 0, 0)
-			for _, t := range tools {
-				//seclint:allocs-ok tool hooks are //seclint:hotpath roots, proven allocation-free in their own right
-				t.MessageSent(c, dst, tagBarrier, 0, b.sendT[r])
-			}
-		}
-		for r, c := range b.comms {
-			src := r - step
-			if src < 0 {
-				src += p
-			}
-			c.completeRecv(src, tagBarrier, 0, MatchInfo{SendT: b.sendT[src], PostT: c.rs.now(), Arrival: b.arrival[src]})
-		}
-	}
+	return c.meet("Barrier", nil, true)
 }
 
 // Bcast distributes root's buffer to every rank over a binomial tree and
@@ -207,7 +125,7 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 	for mask < p {
 		if vrank&mask != 0 {
 			parent := ((vrank - mask) + root) % p
-			b, _, err := c.Recv(parent, tagBcast)
+			b, _, err := c.recv(parent, tagBcast)
 			if err != nil {
 				return nil, err
 			}
@@ -218,7 +136,7 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 	}
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if child := vrank + mask; child < p {
-			if err := c.Send((child+root)%p, tagBcast, data); err != nil {
+			if err := c.sendInternal((child+root)%p, tagBcast, tagBcast, data, len(data), len(data)); err != nil {
 				return nil, err
 			}
 		}
@@ -263,7 +181,8 @@ func (c *Comm) reduceScratch(root int, xs []float64, op Op, name string) ([]floa
 			}
 		} else {
 			parent := vrank - step
-			if err := c.SendFloat64s((parent+root)%p, tagReduce, acc); err != nil {
+			buf := c.encode(acc)
+			if err := c.sendInternal((parent+root)%p, tagReduce, tagReduce, buf, len(buf), len(buf)); err != nil {
 				return nil, err
 			}
 			break
@@ -314,7 +233,7 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 	c.collectiveBegin("Gather")
 	defer c.collectiveEnd("Gather")
 	if c.rank != root {
-		return nil, c.Send(root, tagGather, data)
+		return nil, c.sendInternal(root, tagGather, tagGather, data, len(data), len(data))
 	}
 	out := make([][]byte, c.Size())
 	own := make([]byte, len(data))
@@ -324,7 +243,7 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 		if r == root {
 			continue
 		}
-		b, _, err := c.Recv(r, tagGather)
+		b, _, err := c.recv(r, tagGather)
 		if err != nil {
 			return nil, err
 		}

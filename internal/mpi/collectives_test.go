@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
+
+	"repro/internal/fault"
 )
 
 // collSizes is the rank-count sweep used for every collective: powers of
@@ -27,6 +30,48 @@ func TestBarrierAlignsClocks(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWildcardSkipsCollectiveTraffic: a receive posted for AnySource and
+// AnyTag stays pending across Barrier, Bcast and Allreduce, whose messages
+// travel under the runtime's tags, and then takes the user message sent for
+// it — with every collective on messages (an empty plan) and without.
+func TestWildcardSkipsCollectiveTraffic(t *testing.T) {
+	for _, plan := range []bool{false, true} {
+		cfg := testCfg(5)
+		cfg.Timeout = 10 * time.Second
+		if plan {
+			cfg.Fault = &fault.Plan{}
+		}
+		_, err := Run(cfg, func(c *Comm) error {
+			n, me := c.Size(), c.Rank()
+			req, err := c.Irecv(AnySource, AnyTag)
+			if err != nil {
+				return err
+			}
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			got, err := c.Bcast(2, []byte{byte(me)})
+			if err != nil || got[0] != 2 {
+				return fmt.Errorf("rank %d: Bcast = %v, %v; want the root's byte", me, got, err)
+			}
+			if sum, err := c.AllreduceFloat64(1, OpSum); err != nil || sum != float64(n) {
+				return fmt.Errorf("rank %d: Allreduce = %v, %v; want %d", me, sum, err, n)
+			}
+			if err := c.Send((me+1)%n, 9, []byte{byte(me)}); err != nil {
+				return err
+			}
+			got, st, err := req.Wait()
+			if from := (me + n - 1) % n; err != nil || st.Source != from || st.Tag != 9 || len(got) != 1 || got[0] != byte(from) {
+				return fmt.Errorf("rank %d: the wildcard took %v %+v, %v; want rank %d's byte under tag 9", me, got, st, err, from)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("plan=%t: %v", plan, err)
+		}
 	}
 }
 

@@ -17,8 +17,7 @@ type commShared struct {
 	sections *sectionRegistry
 
 	split           splitState
-	barrier         barrierState  // collectives.go
-	exchange        exchangeState // exchange.go
+	exchange        exchangeState // exchange.go: Barrier and ExchangeGhost
 	scatter, gather rootedState   // rooted.go
 
 	// Fault tolerance (ft.go): revoked is set when the communicator is

@@ -45,8 +45,8 @@
 //
 // Only a world's running rank or its driver touches its state, so none of it
 // has a lock: the rank shards and mailboxes, the communicator registry, the
-// rendezvous behind Barrier, ExchangeGhost and Split and the barrier,
-// exchange and split states around it, the rooted slots behind ScatterGhost
+// rendezvous behind Split and the exchange engine Barrier and ExchangeGhost
+// share, the states around them, the rooted slots behind ScatterGhost
 // and GatherGhost, the scratch ToolData a section exit hands its hooks, the
 // dead mask, the fault log, the section errors and where each rank parked,
 // which the driver reads back for a deadlock report. Another goroutine reads
@@ -86,22 +86,21 @@
 // Literal messages under a plan: rules address messages one at a time (a
 // rank's Nth operation, a link's Nth message), so an armed plan — even one
 // with no rules — turns off the places where the runtime does not move
-// messages one at a time. Barrier, which otherwise evaluates its
-// dissemination rounds as clock arithmetic in one host rendezvous
-// (collectives.go), sends every round as a real zero-byte Sendrecv;
-// ExchangeGhost, which otherwise evaluates every rank's list of pairwise
-// exchanges in a rendezvous of the same kind (exchange.go), runs its list as
-// a SendrecvGhost loop; and ScatterGhost and GatherGhost, which otherwise
-// stamp their messages into per-rank slots that the receiving side reads
-// (rooted.go), run their SendGhost and RecvDiscard loops under a reserved
-// tag, so that as in MPI they match only their own messages, while every
-// hook reports the caller's tag. An ExchangeGhost call also takes the loop
-// on its own when it finds a mailbox of the communicator already holding a
-// send one of its receives names, or a posted receive: that traffic was
-// there first, and only real messages match it in order. Virtual times and
-// tool events are identical either way, which makes the empty plan the
-// in-tree reference the virtual bodies are tested against (barrier_test.go,
-// exchange_test.go, rooted_test.go).
+// messages one at a time. Barrier and ExchangeGhost, which otherwise
+// evaluate every rank's schedule — the dissemination rounds, a list of
+// pairwise exchanges — as dataflow in one host rendezvous (exchange.go), run
+// it as a loop of literal sends and receives; and ScatterGhost and
+// GatherGhost, which otherwise stamp their messages into per-rank slots that
+// the receiving side reads (rooted.go), run their SendGhost and RecvDiscard
+// loops under a reserved tag, so that as in MPI they match only their own
+// messages, while every hook reports the caller's tag. A generation also
+// takes the loop on its own when it finds a mailbox of the communicator
+// already holding a send one of its receives names, or a posted receive one
+// of its sends would fill: that traffic was there first, and only real
+// messages match it in order. Virtual times and tool events are identical
+// either way, which the empty plan checks in-tree (barrier_test.go,
+// exchange_test.go, rooted_test.go); both bodies are held to a sequential
+// interpreter of the same programs (reference_test.go).
 //
 // Failures surface as errors, not crashes. A panic inside a rank function
 // — including an injected fail-stop — is recovered into a

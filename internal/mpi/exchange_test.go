@@ -17,9 +17,10 @@ import (
 // evaluates every rank's list as dataflow over the arrival clocks, and the
 // list as a loop of literal SendrecvGhosts, kept for armed fault plans and
 // calls that find their own traffic already queued. As for
-// Barrier, an empty plan arms the second with no other effect and is the
-// reference the first is held to — on barrier_test.go's machinery (hook log,
-// byte decoder, variants, result diff), with programs of exchanges.
+// Barrier, an empty plan arms the second with no other effect and the first
+// is held to it — on barrier_test.go's machinery (hook log, byte decoder,
+// variants, result diff), with programs of exchanges; the reference
+// (reference_test.go) is fed the same programs.
 
 // Exchange program steps. Each acts on the world or on the rank's Split
 // communicator.
@@ -139,13 +140,13 @@ func (pr *exchangeProg) sizes(i, rank, k int) (nbytes, vbytes int) {
 	return nbytes, nbytes * int(1+h>>16%64)
 }
 
-func (pr *exchangeProg) exchange(on *Comm, i, peer, sendTag, recvTag, k int) GhostExchange {
+func (pr *exchangeProg) exchange(on member, i, peer, sendTag, recvTag, k int) GhostExchange {
 	nbytes, vbytes := pr.sizes(i, on.Rank(), k)
 	return GhostExchange{Peer: peer, SendTag: sendTag, NBytes: nbytes, VBytes: vbytes, RecvTag: recvTag}
 }
 
 // chain is the 1-D halo of convolution.Run.
-func (pr *exchangeProg) chain(on *Comm, i int) []GhostExchange {
+func (pr *exchangeProg) chain(on member, i int) []GhostExchange {
 	var ops []GhostExchange
 	if up := on.Rank() - 1; up >= 0 {
 		ops = append(ops, pr.exchange(on, i, up, tagChainUp, tagChainDown, 0))
@@ -160,7 +161,7 @@ func (pr *exchangeProg) chain(on *Comm, i int) []GhostExchange {
 // less the directions the step leaves out (with their opposites, so the
 // lists still pair up) and a quarter of the remaining edges; full leaves
 // nothing out.
-func (pr *exchangeProg) moore(on *Comm, i int, full bool) []GhostExchange {
+func (pr *exchangeProg) moore(on member, i int, full bool) []GhostExchange {
 	n, r := on.Size(), on.Rank()
 	px := 1
 	for d := 1; d*d <= n; d++ {
@@ -190,7 +191,7 @@ func (pr *exchangeProg) moore(on *Comm, i int, full bool) []GhostExchange {
 }
 
 // pair is one exchange with the rank's partner r^1 under tag, nil without one.
-func (pr *exchangeProg) pair(on *Comm, i, tag int) []GhostExchange {
+func (pr *exchangeProg) pair(on member, i, tag int) []GhostExchange {
 	if peer := on.Rank() ^ 1; peer < on.Size() {
 		return []GhostExchange{pr.exchange(on, i, peer, tag, tag, 10)}
 	}
@@ -211,31 +212,24 @@ func exchangeAndCheck(on *Comm, ops []GhostExchange, literal bool) error {
 	return nil
 }
 
-func (pr *exchangeProg) step(world, on *Comm, i, op int) error {
-	partner := on.Rank() ^ 1
-	paired, low := on.Size() > 1, on.Rank()&1 == 0 && partner < on.Size()
-	high := on.Rank()&1 == 1
+// pairs names a rank's place in the r^1 pairing of the communicator: its
+// partner, and whether it is the low or the high member of a pair.
+func pairs(on member) (partner int, low, high bool) {
+	partner = on.Rank() ^ 1
+	return partner, on.Rank()&1 == 0 && partner < on.Size(), on.Rank()&1 == 1
+}
+
+// list is the rank's list in a step that is one plain exchange: xChain (and
+// the chain other steps run), xMoore, xSelf, xTwice, xReordered or xEmpty.
+func (pr *exchangeProg) list(on member, i, op int) []GhostExchange {
+	partner, low, high := pairs(on)
+	var ops []GhostExchange
 	switch op {
-	case xSkew:
-		h := mixSeed(pr.seed+uint64(i), uint64(on.WorldRank()))
-		n := int(h >> 8 % 1000)
-		switch h % 4 {
-		case 0:
-			on.Compute(WorkUnit{Flops: 1e3 * float64(n)})
-		case 1:
-			on.Sleep(1e-6 * float64(n))
-		case 2:
-			on.StorageRead(4 * n)
-		}
-		return nil
-	case xChain:
-		return exchangeAndCheck(on, pr.chain(on, i), false)
 	case xMoore:
-		return exchangeAndCheck(on, pr.moore(on, i, false), false)
+		return pr.moore(on, i, false)
 	case xSelf:
-		return exchangeAndCheck(on, []GhostExchange{pr.exchange(on, i, on.Rank(), tagSelf, tagSelf, 10)}, false)
+		return []GhostExchange{pr.exchange(on, i, on.Rank(), tagSelf, tagSelf, 10)}
 	case xTwice:
-		var ops []GhostExchange
 		if partner < on.Size() {
 			// Sizes differ: the second receive taking the first message shows.
 			ops = []GhostExchange{
@@ -243,11 +237,9 @@ func (pr *exchangeProg) step(world, on *Comm, i, op int) error {
 				pr.exchange(on, i, partner, tagTwice, tagTwice, 12),
 			}
 		}
-		return exchangeAndCheck(on, ops, false)
 	case xReordered:
 		// The low rank sends tags a, b, b; the high rank receives b, b, a: its
 		// second receive has to pass over a message the first one took.
-		var ops []GhostExchange
 		for k, tag := range [3]int{tagSelf, tagTwice, tagTwice} {
 			if low {
 				ops = append(ops, pr.exchange(on, i, partner, tag, tagOther, 13+k))
@@ -255,13 +247,25 @@ func (pr *exchangeProg) step(world, on *Comm, i, op int) error {
 				ops = append(ops, pr.exchange(on, i, partner, tagOther, [3]int{tagTwice, tagTwice, tagSelf}[k], 13+k))
 			}
 		}
-		return exchangeAndCheck(on, ops, false)
 	case xEmpty:
-		var ops []GhostExchange
 		if on.Rank()/2%2 == 0 {
 			ops = pr.pair(on, i, tagChainUp)
 		}
-		return exchangeAndCheck(on, ops, false)
+	default:
+		return pr.chain(on, i)
+	}
+	return ops
+}
+
+func (pr *exchangeProg) step(world, on *Comm, i, op int) error {
+	partner, low, high := pairs(on)
+	paired := on.Size() > 1
+	switch op {
+	case xSkew:
+		skew(on, pr.seed, i)
+		return nil
+	case xChain, xMoore, xSelf, xTwice, xReordered, xEmpty:
+		return exchangeAndCheck(on, pr.list(on, i, op), false)
 	case xNested:
 		return world.Section("OUTER", func() error {
 			return on.Section("INNER", func() error { return exchangeAndCheck(on, pr.chain(on, i), false) })
@@ -272,7 +276,7 @@ func (pr *exchangeProg) step(world, on *Comm, i, op int) error {
 		}
 		n := on.Size()
 		var payload [64]byte
-		got, _, err := on.Sendrecv((on.Rank()+1)%n, 5, payload[:], (on.Rank()+n-1)%n, 5)
+		got, _, err := on.SendrecvSized((on.Rank()+1)%n, 5, payload[:], len(payload), (on.Rank()+n-1)%n, 5)
 		Release(got)
 		return err
 	case xQueuedSend:

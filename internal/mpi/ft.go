@@ -106,7 +106,6 @@ func (cs *commShared) revoke(pi *poisonInfo) {
 		cs.pi = pi
 		cs.revoked = true
 		cs.split.abort()
-		cs.barrier.abort()
 		cs.exchange.abort()
 		cs.scatter.abort()
 		cs.gather.abort()

@@ -18,15 +18,18 @@ import (
 
 // FuzzBarrierSchedule decodes bytes into a barrier program (barrier_test.go:
 // up to 96 ranks, a Split by colours, skewed arrivals, barriers single,
-// repeated, nested and followed by p2p) and requires the rendezvous barrier
-// and the message barrier to agree on every final clock, hook and the
+// repeated, nested, followed by p2p and across a pending wildcard receive)
+// and requires the rendezvous barrier, the message barrier and the
+// reference (reference_test.go) to agree on every final clock, hook and the
 // frontier.
 func FuzzBarrierSchedule(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{6, 17, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 5, 0x80, 1, 0x82, 4, 0x85, 3})
 	f.Add([]byte{94, 1, 2, 0, 3, 1, 2, 3, 0, 3, 2, 1, 0, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkBarrierProg(t, decodeBarrierProg(&byteSrc{data}, 0), []progVariant{{tool: true}})
+		pr := decodeBarrierProg(&byteSrc{data}, 0)
+		checkBarrierProg(t, pr, []progVariant{{tool: true}})
+		checkReference(t, pr.p, pr.seed, pr.run, pr.lower)
 	})
 }
 
@@ -36,15 +39,17 @@ func FuzzBarrierSchedule(f *testing.F) {
 // the exchange's own tags queued or posted ahead of the call; rooted_test.go:
 // scatters and gathers from drawn roots, single, back to back and among
 // point-to-point traffic under their tag) and requires ExchangeGhost's
-// rendezvous, the rooted calls' slots and their literal loops to agree on
-// every final clock, hook and the frontier.
+// rendezvous, the rooted calls' slots, their literal loops and the reference
+// (reference_test.go) to agree on every final clock, hook and the frontier.
 func FuzzExchangeSchedule(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{6, 17, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 9, 0x80, 1, 0x82, 4, 0x88, 3, 9, 0x8a, 2, 7})
 	f.Add([]byte{94, 1, 2, 0, 3, 1, 2, 3, 0, 3, 2, 1, 0, 1, 2, 3})
 	f.Add([]byte{6, 17, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 11, xScatter, 0x80 | xGather, xRootedRun, 0x80 | xRootedP2P, 0, 0x80 | xScatter, xGather, 0x80 | xRootedRun, xRootedP2P, 1, 14, 0x8f})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkExchangeProg(t, decodeExchangeProg(&byteSrc{data}, 0), []progVariant{{tool: true}})
+		pr := decodeExchangeProg(&byteSrc{data}, 0)
+		checkExchangeProg(t, pr, []progVariant{{tool: true}})
+		checkReference(t, pr.p, pr.seed, pr.run, pr.lower)
 	})
 }
 

@@ -19,6 +19,16 @@ const (
 // user tags must be >= 0.
 const internalTagBase = -1000
 
+// checkTag refuses the runtime's tags at the public calls: every negative
+// tag but a receive's AnyTag. The collectives match under reserved tags
+// through the unchecked paths (sendInternal, recv, recvEnvelope).
+func checkTag(tag int, recv bool) error {
+	if tag < 0 && (!recv || tag != AnyTag) {
+		return fmt.Errorf("mpi: negative tag %d is reserved", tag)
+	}
+	return nil
+}
+
 // Status describes a received message.
 type Status struct {
 	Source int // sender's rank in the communicator
@@ -94,9 +104,11 @@ func (c *Comm) await(p *posted, op string, peer, tag int) *envelope {
 	return p.env
 }
 
-func (p *posted) matches(e *envelope) bool {
-	return (p.src == AnySource || p.src == e.src) &&
-		(p.tag == AnyTag || p.tag == e.tag)
+// matches reports whether a message from src under tag fills p. AnyTag
+// takes the tags users send under, never a collective's.
+func (p *posted) matches(src, tag int) bool {
+	return (p.src == AnySource || p.src == src) &&
+		(p.tag == tag || p.tag == AnyTag && tag >= 0)
 }
 
 // mailbox holds the unmatched traffic addressed to one rank. Boxes live in
@@ -146,7 +158,7 @@ func (b *mailbox) deliver(e *envelope) *poisonInfo {
 		return pi
 	}
 	for i, p := range b.recvs {
-		if p.matches(e) {
+		if p.matches(e.src, e.tag) {
 			b.recvs = append(b.recvs[:i], b.recvs[i+1:]...)
 			p.fill(e)
 			return nil
@@ -162,7 +174,7 @@ func (b *mailbox) deliver(e *envelope) *poisonInfo {
 // poison envelope instead of parking the receive forever.
 func (b *mailbox) post(p *posted) *envelope {
 	for i, e := range b.sends {
-		if p.matches(e) {
+		if p.matches(e.src, e.tag) {
 			b.sends = append(b.sends[:i], b.sends[i+1:]...)
 			return e
 		}
@@ -197,7 +209,7 @@ type Request struct {
 //
 //seclint:hotpath
 func (c *Comm) Send(dst, tag int, data []byte) error {
-	return c.sendInternal(dst, tag, tag, data, len(data), len(data))
+	return c.SendSized(dst, tag, data, len(data))
 }
 
 // SendSized is Send with an explicit virtual message size: the receiver
@@ -207,6 +219,9 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 //
 //seclint:hotpath
 func (c *Comm) SendSized(dst, tag int, data []byte, virtualBytes int) error {
+	if err := checkTag(tag, false); err != nil {
+		return err
+	}
 	if virtualBytes < 0 {
 		return fmt.Errorf("mpi: negative virtual size %d", virtualBytes)
 	}
@@ -223,6 +238,9 @@ func (c *Comm) SendSized(dst, tag int, data []byte, virtualBytes int) error {
 //
 //seclint:hotpath
 func (c *Comm) SendGhost(dst, tag, nbytes, virtualBytes int) error {
+	if err := checkTag(tag, false); err != nil {
+		return err
+	}
 	if err := checkSizes(nbytes, virtualBytes); err != nil {
 		return err
 	}
@@ -249,14 +267,11 @@ func (c *Comm) Isend(dst, tag int, data []byte) (*Request, error) {
 	return &Request{comm: c, done: true}, nil
 }
 
-// sendInternal sends under tag and reports hookTag: the caller's tag, where
-// a collective's literal body (rooted.go) matches under a reserved one.
+// sendInternal sends under any tag and reports hookTag: the caller's tag,
+// where a collective's literal body (rooted.go) matches under a reserved one.
 func (c *Comm) sendInternal(dst, tag, hookTag int, data []byte, nbytes, vbytes int) error {
 	if dst < 0 || dst >= c.Size() {
 		return fmt.Errorf("mpi: Send to invalid rank %d (size %d)", dst, c.Size())
-	}
-	if tag < 0 && tag > internalTagBase {
-		return fmt.Errorf("mpi: negative tag %d is reserved", tag)
 	}
 	w := c.rs.world
 	sendT, arrival, nbytes, dropped := c.stampSend(dst, nbytes, vbytes)
@@ -335,6 +350,9 @@ func (c *Comm) SendGhostBatch(dsts []int, tag int, nbytes, vbytes []int) error {
 func (c *Comm) Irecv(src, tag int) (*Request, error) {
 	if src != AnySource && (src < 0 || src >= c.Size()) {
 		return nil, fmt.Errorf("mpi: Irecv from invalid rank %d (size %d)", src, c.Size())
+	}
+	if err := checkTag(tag, true); err != nil {
+		return nil, err
 	}
 	if c.rs.world.fi != nil {
 		c.countOp()
@@ -454,6 +472,14 @@ func (r *Request) Wait() ([]byte, Status, error) {
 //
 //seclint:hotpath
 func (c *Comm) Recv(src, tag int) ([]byte, Status, error) {
+	if err := checkTag(tag, true); err != nil {
+		return nil, Status{}, err
+	}
+	return c.recv(src, tag)
+}
+
+// recv is Recv under any tag.
+func (c *Comm) recv(src, tag int) ([]byte, Status, error) {
 	e, err := c.recvEnvelope(src, tag, tag)
 	if err != nil {
 		return nil, Status{}, err
@@ -471,6 +497,9 @@ func (c *Comm) Recv(src, tag int) ([]byte, Status, error) {
 //
 //seclint:hotpath
 func (c *Comm) RecvDiscard(src, tag int) (Status, error) {
+	if err := checkTag(tag, true); err != nil {
+		return Status{}, err
+	}
 	e, err := c.recvEnvelope(src, tag, tag)
 	if err != nil {
 		return Status{}, err
@@ -480,30 +509,31 @@ func (c *Comm) RecvDiscard(src, tag int) (Status, error) {
 	return st, nil
 }
 
-// Sendrecv sends to dst and receives from src in one logically concurrent
-// operation, the stencil workhorse. Deadlock-free under eager buffering.
+// SendrecvSized sends to dst and receives from src in one logically
+// concurrent operation, the stencil workhorse, with an explicit virtual size
+// for the outgoing message (see SendSized). Because sends buffer eagerly and
+// never block, sending first and then receiving matches the
+// posted-receive-first MPI formulation exactly, and is deadlock-free.
 //
 //seclint:hotpath
-func (c *Comm) Sendrecv(dst, sendTag int, data []byte, src, recvTag int) ([]byte, Status, error) {
-	return c.SendrecvSized(dst, sendTag, data, len(data), src, recvTag)
-}
-
-// SendrecvSized is Sendrecv with an explicit virtual size for the outgoing
-// message (see SendSized). Because sends buffer eagerly and never block,
-// sending first and then receiving matches the posted-receive-first MPI
-// formulation exactly.
 func (c *Comm) SendrecvSized(dst, sendTag int, data []byte, virtualBytes, src, recvTag int) ([]byte, Status, error) {
+	if err := checkTag(recvTag, true); err != nil {
+		return nil, Status{}, err
+	}
 	if err := c.SendSized(dst, sendTag, data, virtualBytes); err != nil {
 		return nil, Status{}, err
 	}
-	return c.Recv(src, recvTag)
+	return c.recv(src, recvTag)
 }
 
-// SendrecvGhost is Sendrecv for ghost messages: nbytes of unmaterialized
+// SendrecvGhost is SendrecvSized for ghost messages: nbytes of unmaterialized
 // payload out (modeled as virtualBytes), and the matching inbound message
 // received and discarded. The whole exchange allocates nothing. A rank's
 // exchanges of one step, every rank calling, are ExchangeGhost.
 func (c *Comm) SendrecvGhost(dst, sendTag, nbytes, virtualBytes, src, recvTag int) (Status, error) {
+	if err := checkTag(recvTag, true); err != nil {
+		return Status{}, err
+	}
 	if err := c.SendGhost(dst, sendTag, nbytes, virtualBytes); err != nil {
 		return Status{}, err
 	}
@@ -544,46 +574,36 @@ func appendBytesToFloat64s(dst []float64, b []byte) []float64 {
 	return dst
 }
 
-// SendFloat64s sends a float64 vector. The encoding runs through the
-// rank's scratch buffer, so the call allocates nothing.
+// SendFloat64sSized sends a float64 vector, its transfer modeled for
+// virtualBytes (see SendSized). The encoding runs through the rank's
+// scratch buffer, so the call allocates nothing.
 //
 //seclint:hotpath
-func (c *Comm) SendFloat64s(dst, tag int, xs []float64) error {
-	return c.sendFloat64sSized(dst, tag, xs, 8*len(xs))
-}
-
-// SendFloat64sSized is SendFloat64s with an explicit virtual message size
-// (see SendSized).
 func (c *Comm) SendFloat64sSized(dst, tag int, xs []float64, virtualBytes int) error {
-	return c.sendFloat64sSized(dst, tag, xs, virtualBytes)
+	return c.SendSized(dst, tag, c.encode(xs), virtualBytes)
 }
 
-// sendFloat64sSized encodes xs into per-rank scratch and sends it with an
-// explicit virtual size. The scratch grows once to the encoding's size
-// rather than doubling its way there append by append.
-func (c *Comm) sendFloat64sSized(dst, tag int, xs []float64, vbytes int) error {
+// encode encodes xs into the rank's scratch, which grows once to the
+// encoding's size rather than doubling its way there append by append.
+func (c *Comm) encode(xs []float64) []byte {
 	//seclint:allocs-ok only when xs outgrows every earlier send of this rank
 	buf := AppendFloat64s(slices.Grow(c.rs.encScratch[:0], 8*len(xs)), xs)
 	c.rs.encScratch = buf[:0]
-	return c.SendSized(dst, tag, buf, vbytes)
+	return buf
 }
 
 // RecvFloat64s receives a float64 vector. The wire buffer is recycled
 // internally; the returned vector is freshly allocated and caller-owned.
 func (c *Comm) RecvFloat64s(src, tag int) ([]float64, Status, error) {
-	e, err := c.recvEnvelope(src, tag, tag)
-	if err != nil {
+	if err := checkTag(tag, true); err != nil {
 		return nil, Status{}, err
 	}
-	st := Status{Source: e.src, Tag: e.tag, Bytes: e.vbytes}
-	xs, err := decodeEnvelopeFloat64s(e, nil)
-	c.rs.freeEnvelope(e)
-	return xs, st, err
+	return c.recvFloat64sInto(nil, src, tag)
 }
 
-// recvFloat64sInto receives a float64 vector into dst (grown as needed),
-// returning the filled slice — the zero-allocation receive the collectives
-// fold from.
+// recvFloat64sInto receives a float64 vector under any tag into dst (grown
+// as needed), returning the filled slice — the zero-allocation receive the
+// collectives fold from.
 func (c *Comm) recvFloat64sInto(dst []float64, src, tag int) ([]float64, Status, error) {
 	e, err := c.recvEnvelope(src, tag, tag)
 	if err != nil {
@@ -627,11 +647,11 @@ func (c *Comm) SendrecvFloat64s(dst, sendTag int, xs []float64, src, recvTag int
 // is decoded into `into` (grown when too small) with the wire buffer
 // recycled. The returned slice aliases `into` when it fit.
 func (c *Comm) SendrecvFloat64sInto(dst, sendTag int, xs []float64, virtualBytes, src, recvTag int, into []float64) ([]float64, Status, error) {
-	if err := c.sendFloat64sSized(dst, sendTag, xs, virtualBytes); err != nil {
+	if err := checkTag(recvTag, true); err != nil {
 		return nil, Status{}, err
 	}
-	if into == nil {
-		return c.RecvFloat64s(src, recvTag)
+	if err := c.SendFloat64sSized(dst, sendTag, xs, virtualBytes); err != nil {
+		return nil, Status{}, err
 	}
 	return c.recvFloat64sInto(into, src, recvTag)
 }

@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/machine"
 )
 
@@ -199,6 +201,65 @@ func TestRecvValidation(t *testing.T) {
 	}
 }
 
+// TestReservedTagsAreRefused: every public send and receive refuses the
+// runtime's tags — any negative tag but a receive's AnyTag — before it
+// moves a message or the clock, so no forged message reaches a collective:
+// the Bcast that follows delivers the root's bytes.
+func TestReservedTagsAreRefused(t *testing.T) {
+	for _, plan := range []bool{false, true} {
+		cfg := testCfg(2)
+		if plan {
+			cfg.Fault = &fault.Plan{}
+		}
+		_, err := Run(cfg, func(c *Comm) error {
+			peer, forged := 1-c.Rank(), []byte("forged")
+			for _, tag := range []int{-2, tagBarrier, tagBcast, tagGather, internalTagBase - 100} {
+				calls := map[string]func() error{
+					"Recv":             func() error { _, _, err := c.Recv(peer, tag); return err },
+					"RecvDiscard":      func() error { _, err := c.RecvDiscard(peer, tag); return err },
+					"Irecv":            func() error { _, err := c.Irecv(peer, tag); return err },
+					"RecvFloat64s":     func() error { _, _, err := c.RecvFloat64s(peer, tag); return err },
+					"SendrecvSized":    func() error { _, _, err := c.SendrecvSized(peer, 0, forged, 6, peer, tag); return err },
+					"SendrecvGhost":    func() error { _, err := c.SendrecvGhost(peer, 0, 8, 8, peer, tag); return err },
+					"SendrecvFloat64s": func() error { _, _, err := c.SendrecvFloat64s(peer, 0, []float64{1}, peer, tag); return err },
+				}
+				if c.Rank() == 0 {
+					calls = map[string]func() error{
+						"Send":              func() error { return c.Send(peer, tag, forged) },
+						"SendSized":         func() error { return c.SendSized(peer, tag, forged, 6) },
+						"SendGhost":         func() error { return c.SendGhost(peer, tag, 8, 8) },
+						"Isend":             func() error { _, err := c.Isend(peer, tag, forged); return err },
+						"SendGhostBatch":    func() error { return c.SendGhostBatch([]int{peer}, tag, []int{8}, []int{8}) },
+						"SendFloat64sSized": func() error { return c.SendFloat64sSized(peer, tag, []float64{1}, 8) },
+						"SendrecvSized":     func() error { _, _, err := c.SendrecvSized(peer, tag, forged, 6, peer, 0); return err },
+						"SendrecvGhost":     func() error { _, err := c.SendrecvGhost(peer, tag, 8, 8, peer, 0); return err },
+						"SendrecvFloat64sInto": func() error {
+							_, _, err := c.SendrecvFloat64sInto(peer, tag, []float64{1}, 8, peer, 0, nil)
+							return err
+						},
+					}
+				}
+				for name, call := range calls {
+					if err := call(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("negative tag %d is reserved", tag)) {
+						return fmt.Errorf("rank %d: %s under tag %d: err = %v, want it refused", c.Rank(), name, tag, err)
+					}
+				}
+			}
+			if c.Now() != 0 {
+				return fmt.Errorf("rank %d: refused calls moved the clock to %v", c.Rank(), c.Now())
+			}
+			got, err := c.Bcast(0, []byte("root"))
+			if err == nil && string(got) != "root" {
+				err = fmt.Errorf("rank %d: Bcast delivered %q, want the root's bytes", c.Rank(), got)
+			}
+			return err
+		})
+		if err != nil {
+			t.Errorf("plan=%t: %v", plan, err)
+		}
+	}
+}
+
 func TestMessageOrderingPerPair(t *testing.T) {
 	const n = 50
 	_, err := Run(testCfg(2), func(c *Comm) error {
@@ -339,7 +400,7 @@ func TestSendrecvRing(t *testing.T) {
 	_, err := Run(testCfg(p), func(c *Comm) error {
 		right := (c.Rank() + 1) % p
 		left := (c.Rank() - 1 + p) % p
-		got, st, err := c.Sendrecv(right, 11, []byte{byte(c.Rank())}, left, 11)
+		got, st, err := c.SendrecvSized(right, 11, []byte{byte(c.Rank())}, 1, left, 11)
 		if err != nil {
 			return err
 		}
@@ -382,7 +443,7 @@ func TestSendRecvFloat64s(t *testing.T) {
 	want := []float64{3.14, -2.72, 0, math.Inf(1)}
 	_, err := Run(testCfg(2), func(c *Comm) error {
 		if c.Rank() == 0 {
-			return c.SendFloat64s(1, 0, want)
+			return c.SendFloat64sSized(1, 0, want, 8*len(want))
 		}
 		got, _, err := c.RecvFloat64s(0, 0)
 		if err != nil {

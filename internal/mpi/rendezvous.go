@@ -3,13 +3,14 @@ package mpi
 import "fmt"
 
 // rendezvous is the host meeting of a communicator's ranks behind Split
-// (comm.go) and the collectives whose messages are virtual — Barrier
-// (collectives.go) and ExchangeGhost (exchange.go): every rank arrives and
-// parks, and the last arriver evaluates the call for everyone, then
-// releases them. One generation is in flight at a time — a rank cannot reach
-// generation g+1 before g released it — so the state is reused, not keyed by
-// call. Each collective has a rendezvous of its own: ranks that disagree on
-// which one they are in wait (and are reported) apart.
+// (comm.go) and the exchange engine, whose messages are virtual — Barrier
+// and ExchangeGhost (exchange.go): every rank arrives and parks, and the
+// last arriver evaluates the call for everyone, then releases them. One
+// generation is in flight at a time — a rank cannot reach generation g+1
+// before g released it — so the state is reused, not keyed by call. Ranks
+// in Split and in the engine wait (and are reported) apart; ranks that
+// disagree on Barrier and ExchangeGhost meet in one generation, whose
+// schedules do not pair up.
 //
 // A release appends the parked ranks to the world's run queue in arrival
 // order; abort does the same for a generation that can no longer complete.

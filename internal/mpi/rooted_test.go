@@ -38,15 +38,20 @@ func namedRootedProg(p int) *exchangeProg {
 
 // root draws the root of step i's k-th call on the communicator, the same on
 // every member.
-func (pr *exchangeProg) root(on *Comm, i, k int) int {
+func (pr *exchangeProg) root(on member, i, k int) int {
 	return int(mixSeed(pr.seed+uint64(i), uint64(on.Size()*8+k)) % uint64(on.Size()))
 }
 
-// scatter is step i's k-th fan-out from root key's root: the destinations
-// in a drawn order, their sizes drawn per destination and call.
+// scatter is step i's k-th fan-out from root key's root.
 func (pr *exchangeProg) scatter(on *Comm, i, key, k int) error {
-	root := pr.root(on, i, key)
-	var dsts, nbytes, vbytes []int
+	root, dsts, nbytes, vbytes := pr.fanOut(on, i, key, k)
+	return on.ScatterGhost(root, tagRooted, dsts, nbytes, vbytes)
+}
+
+// fanOut is the rank's arguments to scatter: the destinations in a drawn
+// order, their sizes drawn per destination and call.
+func (pr *exchangeProg) fanOut(on member, i, key, k int) (root int, dsts, nbytes, vbytes []int) {
+	root = pr.root(on, i, key)
 	if on.Rank() == root {
 		for r := range on.Size() {
 			if r != root {
@@ -64,7 +69,7 @@ func (pr *exchangeProg) scatter(on *Comm, i, key, k int) error {
 			nbytes, vbytes = append(nbytes, n), append(vbytes, v)
 		}
 	}
-	return on.ScatterGhost(root, tagRooted, dsts, nbytes, vbytes)
+	return root, dsts, nbytes, vbytes
 }
 
 // gather is step i's k-th fan-in to root key's root.

@@ -90,7 +90,7 @@ func TestCommMatrixStencilShape(t *testing.T) {
 	m := runWithMatrix(t, p, func(c *mpi.Comm) error {
 		right := (c.Rank() + 1) % p
 		left := (c.Rank() - 1 + p) % p
-		_, _, err := c.Sendrecv(right, 0, make([]byte, 10), left, 0)
+		_, _, err := c.SendrecvSized(right, 0, make([]byte, 10), 10, left, 0)
 		return err
 	})
 	for src := 0; src < p; src++ {
