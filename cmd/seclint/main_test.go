@@ -68,7 +68,6 @@ var keptUnreachable = map[string]string{
 	"repro/internal/stats.(RNG).Intn":                 "generators of the differential suites",
 	"repro/internal/trace.ChunkAllocs":                "serve's chunk-reuse pins",
 	"repro/internal/export.(Views).Spans":             "export's tests read the replayed spans",
-	"repro/internal/analysis.RunFixture":              "the harness every pass's fixture test runs on",
 	"repro/internal/experiments.(HybridResult).Point": "root bench_test.go's figure benchmarks",
 	"repro/internal/trace.(Order).WriteCSV":           "the streaming encoder the codec, fuzz and feeder tests write with; seal appends in place",
 }

@@ -24,6 +24,13 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example; main_test.go runs it in the test suite.
+func run() error {
 	const p = 32
 	params := convolution.Params{
 		Width: 5616, Height: 3744, // the paper's full image, for all costs
@@ -36,7 +43,7 @@ func main() {
 	// Sequential reference (real pixels) and modeled baseline time.
 	ref, seqTime, err := convolution.Sequential(params, model)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	profiler := prof.New()
@@ -50,31 +57,32 @@ func main() {
 	}
 	res, err := convolution.Run(cfg, params)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := checker.Err(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	diff, err := img.MaxAbsDiff(ref, res.Output)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("distributed vs sequential max |Δ| = %g (bit-exact expected)\n\n", diff)
 
 	profile, err := profiler.Result()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println(profile.Table())
 
 	halo := profile.Section(convolution.SecHalo)
 	bound, err := core.PartialBound(seqTime, halo.AvgPerProcess())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	speedup := seqTime / profile.WallTime
 	fmt.Printf("modeled sequential: %.5g s | wall at p=%d: %.5g s | speedup %.4g×\n",
 		seqTime, p, profile.WallTime, speedup)
 	fmt.Printf("HALO partial bound B(%d) = %.5g× — communication caps scaling well before Amdahl would\n",
 		p, bound)
+	return nil
 }

@@ -24,13 +24,20 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example; main_test.go runs it in the test suite.
+func run() error {
 
 	// Correctness first: both decompositions equal the sequential filter
 	// bit for bit on real pixels.
 	p := convolution.Params{Width: 64, Height: 48, Steps: 5, Scale: 1, Seed: 31}
 	ref, _, err := convolution.Sequential(p, machine.Ideal(1, 1))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for name, run := range map[string]func(mpi.Config, convolution.Params) (*convolution.Result, error){
 		"1-D": convolution.Run, "2-D": convolution.Run2D,
@@ -38,11 +45,11 @@ func main() {
 		cfg := mpi.Config{Ranks: 4, Model: machine.Ideal(4, 1), Seed: 1}
 		res, err := run(cfg, p)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		d, err := img.MaxAbsDiff(ref, res.Output)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Printf("%s decomposition vs sequential: max |Δ| = %g\n", name, d)
 	}
@@ -55,7 +62,7 @@ func main() {
 	opts.Scale = 8 // the 256-rank grid needs the larger executed image
 	res, err := experiments.RunDecompComparison(opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println(res.Table())
 
@@ -76,9 +83,10 @@ func main() {
 		chart.Series{Name: "2-D", X: ps, Y: h2},
 	)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println(plot)
 	fmt.Println("fewer bytes ≠ faster until the switch saturates — which is why the paper")
 	fmt.Println("wants HALO measured as a section rather than modeled as constant.")
+	return nil
 }

@@ -45,6 +45,13 @@ func runOnce(model *machine.Model, threads int) (wall, nodal, elements float64, 
 
 func main() {
 	log.SetFlags(0)
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example; main_test.go runs it in the test suite.
+func run() error {
 	model := machine.KNL()
 	model.Noise = machine.Noise{} // deterministic demo
 
@@ -56,7 +63,7 @@ func main() {
 	for _, th := range threadSet {
 		wall, nodal, elements, err := runOnce(model, th)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if th == 1 {
 			seq = wall
@@ -72,20 +79,21 @@ func main() {
 	// The paper's §8 proposal: restrain parallelism dynamically.
 	ctrl, err := core.NewController(256)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	evals := 0
 	for !ctrl.Settled() {
 		th := ctrl.Recommend()
 		wall, _, _, err := runOnce(model, th)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := ctrl.Observe(th, wall); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		evals++
 	}
 	fmt.Printf("adaptive controller settled on %d threads after %d probe runs.\n",
 		ctrl.Best(), evals)
+	return nil
 }

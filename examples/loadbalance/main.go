@@ -24,6 +24,13 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example; main_test.go runs it in the test suite.
+func run() error {
 	const p = 8
 	profiler := prof.New()
 	collector := trace.NewCollector(0)
@@ -59,15 +66,15 @@ func main() {
 		return nil
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := checker.Err(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	profile, err := profiler.Result()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println(profile.Table())
 
@@ -93,12 +100,12 @@ func main() {
 	fmt.Println("\n=== load-balance analysis (paper §8, implemented) ===")
 	report, err := balance.Report(profile, 2)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Print(report)
 	analyses, err := balance.AnalyzeProfile(profile)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, a := range analyses {
 		if a.Label == "COMPUTE" {
@@ -109,4 +116,5 @@ func main() {
 	// The barrier traffic pattern, as a communication matrix (IPM's view).
 	fmt.Println()
 	fmt.Print(matrix.Render())
+	return nil
 }

@@ -62,6 +62,13 @@ func stencilStep(c *mpi.Comm, chunk []float64) error {
 
 func main() {
 	log.SetFlags(0)
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example; main_test.go runs it in the test suite.
+func run() error {
 	profiler := prof.New()
 	checker := verify.New()
 	cfg := mpi.Config{
@@ -86,15 +93,15 @@ func main() {
 		return err
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := checker.Err(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	profile, err := profiler.Result()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println("=== section profile (Fig. 3 metrics) ===")
 	fmt.Println(profile.Table())
@@ -113,9 +120,10 @@ func main() {
 		s := profile.Section(label)
 		b, err := core.PartialBound(seq, s.AvgPerProcess())
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Printf("%-8s avg/proc %.4g s → bound %.5g×\n", label, s.AvgPerProcess(), b)
 	}
 	fmt.Println("\nthe tightest bound names the section that will cap strong scaling first.")
+	return nil
 }

@@ -69,8 +69,13 @@ func (cs *commShared) box(rank int) *mailbox {
 	return &sh.slab[rank&shardMask]
 }
 
-// ID reports a process-unique identifier for the communicator; tools use it
-// to keep per-communicator section state apart.
+// ID reports the communicator's identifier within its world; tools use it
+// to keep per-communicator section state apart. Every world numbers its
+// communicators from 0, so two worlds of one process reuse ids. One Split
+// numbers its siblings in ascending colour order, but Splits of different
+// communicators that complete at the same time are numbered in the order
+// their last arrivers complete them, and an armed fault plan can change
+// that order.
 func (c *Comm) ID() int64 { return c.shared.id }
 
 // Rank reports the calling rank within this communicator.

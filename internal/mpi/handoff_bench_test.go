@@ -12,16 +12,17 @@ import (
 // convStep is one step of the paper's 1-D convolution as the runtime sees
 // it, with its layers switchable: a HALO section around an ExchangeGhost
 // with both row neighbours (halo) or with nobody (an empty list still meets
-// in the rendezvous), and a CONVOLVE section around a Compute charge.
+// in the rendezvous), and a CONVOLVE section around a Compute charge. With
+// barrier, the ranks meet in one Barrier after the last step.
 type convStep struct {
-	sections, exchange, halo bool
+	sections, exchange, halo, barrier bool
 }
 
 const convP, convSteps = 456, 200
 
 // runConvPoint runs one p = 456, 200-step point of the step with tools
 // attached.
-func runConvPoint(b *testing.B, st convStep, tools ...mpi.Tool) {
+func runConvPoint(tb testing.TB, st convStep, tools ...mpi.Tool) {
 	cfg := mpi.Config{Ranks: convP, Model: machine.NehalemCluster(), Seed: 2017, Timeout: time.Minute, Tools: tools}
 	_, err := mpi.Run(cfg, func(c *mpi.Comm) error {
 		var list [2]mpi.GhostExchange
@@ -50,10 +51,13 @@ func runConvPoint(b *testing.B, st convStep, tools ...mpi.Tool) {
 				c.SectionExit("CONVOLVE")
 			}
 		}
+		if st.barrier {
+			return c.Barrier()
+		}
 		return nil
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 }
 
