@@ -1,8 +1,6 @@
-// Command seclint runs the repro mpi correctness suite — the five
-// syntactic passes (sectionpair, sectionlabel, useafterrelease,
-// collectiveorder, revokederr) and the three interprocedural dataflow
-// passes (hotpathalloc, commdeadlock, lockorder) — over Go packages,
-// multichecker-style.
+// Command seclint runs the repro mpi correctness suite — the syntactic
+// passes sectionlabel, useafterrelease and revokederr and the
+// interprocedural lockorder — over Go packages, multichecker-style.
 //
 // Usage:
 //

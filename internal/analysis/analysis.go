@@ -30,8 +30,7 @@ type Analyzer struct {
 	// RunProgram, when set, executes the pass once over the whole loaded
 	// program — every root package plus its syntax-carrying dependencies,
 	// joined by the call graph — instead of once per package. The
-	// interprocedural passes (hotpathalloc, commdeadlock, lockorder) use
-	// this form.
+	// interprocedural lockorder pass uses this form.
 	RunProgram func(*ProgramPass) error
 }
 
@@ -174,17 +173,13 @@ func inspectShallow(n ast.Node, visit func(ast.Node) bool) {
 	})
 }
 
-// All returns the full pass suite in reporting order: the five syntactic
-// passes, then the three interprocedural dataflow passes.
+// All returns the full pass suite in reporting order: the three
+// syntactic passes, then the interprocedural one.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Sectionpair,
 		Sectionlabel,
 		UseAfterRelease,
-		CollectiveOrder,
 		RevokedErr,
-		HotPathAlloc,
-		CommDeadlock,
 		LockOrder,
 	}
 }

@@ -12,13 +12,9 @@ import (
 	"testing"
 )
 
-func TestSectionpair(t *testing.T)     { RunFixture(t, Sectionpair, "sectionpair") }
 func TestSectionlabel(t *testing.T)    { RunFixture(t, Sectionlabel, "sectionlabel") }
 func TestUseAfterRelease(t *testing.T) { RunFixture(t, UseAfterRelease, "useafterrelease") }
-func TestCollectiveOrder(t *testing.T) { RunFixture(t, CollectiveOrder, "collectiveorder") }
 func TestRevokedErr(t *testing.T)      { RunFixture(t, RevokedErr, "revokederr") }
-func TestHotPathAlloc(t *testing.T)    { RunFixture(t, HotPathAlloc, "hotpathalloc") }
-func TestCommDeadlock(t *testing.T)    { RunFixture(t, CommDeadlock, "commdeadlock") }
 func TestLockOrder(t *testing.T)       { RunFixture(t, LockOrder, "lockorder") }
 
 // TestLoadModulePackage exercises the module-path resolution branch of the

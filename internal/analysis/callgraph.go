@@ -12,8 +12,9 @@ import (
 // function body across the loaded packages (roots plus their in-module and
 // fixture dependencies, which the single-instance loader guarantees share
 // one type-object space), and the static call edges between them. The
-// dataflow passes — hotpathalloc, commdeadlock, lockorder — are Program
-// passes: they run once over the whole program instead of once per package.
+// lockorder pass is a Program pass: it runs once over the whole program
+// instead of once per package. cmd/seclint's dead-code census walks the
+// same index.
 
 // Program is the whole loaded program, ready for interprocedural analysis.
 type Program struct {
@@ -31,9 +32,6 @@ type Program struct {
 	byPos []*Func
 	// lits maps function literals to their index entries.
 	lits map[*ast.FuncLit]*Func
-
-	// directives indexes line-scoped seclint comments across All.
-	directives *lineDirectives
 }
 
 // Func is one function body in the program: a declared function or method
@@ -47,9 +45,6 @@ type Func struct {
 	Body *ast.BlockStmt
 	// Calls are the body's call sites in source order.
 	Calls []CallSite
-	// Directives are the function-scoped seclint directives from the doc
-	// comment (hotpath, allocs-ok).
-	Directives []Directive
 
 	cfg *CFG // built on first use
 }
@@ -71,17 +66,6 @@ func (f *Func) Name() string {
 	}
 	pos := f.Pkg.Fset.Position(f.Lit.Pos())
 	return fmt.Sprintf("%s.func@%d", f.Pkg.Types.Name(), pos.Line)
-}
-
-// HasDirective reports whether the function carries a doc directive of the
-// given kind, returning it when so.
-func (f *Func) HasDirective(kind string) (Directive, bool) {
-	for _, d := range f.Directives {
-		if d.Kind == kind {
-			return d, true
-		}
-	}
-	return Directive{}, false
 }
 
 // CFG returns the function's control-flow graph, building it on first use.
@@ -152,8 +136,7 @@ func NewProgram(pkgs []*Package) *Program {
 						return true
 					}
 					obj, _ := pkg.Info.Defs[fn.Name].(*types.Func)
-					f := &Func{Obj: obj, Pkg: pkg, Decl: fn, Body: fn.Body,
-						Directives: funcDirectives(fn)}
+					f := &Func{Obj: obj, Pkg: pkg, Decl: fn, Body: fn.Body}
 					if obj != nil {
 						p.funcs[obj] = f
 					}
@@ -180,7 +163,6 @@ func NewProgram(pkgs []*Package) *Program {
 	for _, f := range p.byPos {
 		f.Calls = p.resolveCalls(f)
 	}
-	p.directives = newLineDirectives(p.Fset, p.All)
 	return p
 }
 
@@ -198,9 +180,6 @@ func (p *Program) FuncOf(obj *types.Func) *Func {
 	// Generic instantiations resolve through their origin.
 	return p.funcs[obj.Origin()]
 }
-
-// Directives exposes the program-wide line-directive index.
-func (p *Program) Directives() *lineDirectives { return p.directives }
 
 // resolveCalls finds and resolves the call expressions in f's body,
 // excluding nested function literals (they index their own sites).

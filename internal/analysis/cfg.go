@@ -13,9 +13,8 @@ import (
 // label as reachable from the function entry region that contains it.
 //
 // The graph is deliberately simple — no SSA, no expression decomposition —
-// because the passes built on it ask ordering and reachability questions
-// about whole statements: "can this Recv execute before any Send?", "which
-// locks are held when this Lock runs?".
+// because the pass built on it asks one question about whole statements:
+// which locks are held when this Lock runs?
 
 // CFG is a function body's control-flow graph.
 type CFG struct {
@@ -306,50 +305,4 @@ func (b *cfgBuilder) caseClauses(clauses []ast.Stmt, sw ast.Stmt, cur, cont *Blo
 		edge(cur, exit)
 	}
 	return exit
-}
-
-// ExecutesBefore reports whether target can execute before any node
-// satisfying blocker, walking from the entry block. Both target and
-// blockers are matched by containment: a node containing target's position
-// counts as target, and likewise for blockers. When target and a blocker
-// share a node, source order within the node decides.
-func (g *CFG) ExecutesBefore(target ast.Node, blocker func(ast.Node) bool) bool {
-	seen := make([]bool, len(g.Blocks))
-	stack := []*Block{g.Entry}
-	seen[g.Entry.Index] = true
-	contains := func(n ast.Node) bool {
-		return n.Pos() <= target.Pos() && target.End() <= n.End()
-	}
-	for len(stack) > 0 {
-		blk := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		blockedHere := false
-		for _, n := range blk.Nodes {
-			hit := contains(n)
-			blocked := blocker(n)
-			if hit && blocked {
-				// Same node holds both: the earlier position wins; the
-				// blocker callback reports its own position via closure, so
-				// be conservative and treat the target as reachable.
-				return true
-			}
-			if hit {
-				return true
-			}
-			if blocked {
-				blockedHere = true
-				break
-			}
-		}
-		if blockedHere {
-			continue
-		}
-		for _, s := range blk.Succs {
-			if s != nil && !seen[s.Index] {
-				seen[s.Index] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	return false
 }

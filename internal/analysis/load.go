@@ -365,8 +365,6 @@ func (l *loader) loadDir(dir string, root bool) (*Package, error) {
 // Run executes the analyzers over the packages and returns the findings in
 // a deterministic order — sorted by file, line, column, pass and message —
 // that is independent of the order pkgs were passed in or loaded.
-// Line-scoped `//seclint:disable <pass> <reason>` directives suppress
-// matching findings; a disable without a justification is itself reported.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	var out []Finding
 	var program *Program
@@ -418,7 +416,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 			}
 		}
 	}
-	out = applyDirectives(out, pkgs, program)
 	sort.Slice(out, func(i, j int) bool {
 		pi, pj := out[i].Pos, out[j].Pos
 		if pi.Filename != pj.Filename {
@@ -436,51 +433,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 		return out[i].Message < out[j].Message
 	})
 	return out, nil
-}
-
-// applyDirectives filters findings covered by line-scoped disable
-// directives and reports unjustified directives.
-func applyDirectives(findings []Finding, pkgs []*Package, program *Program) []Finding {
-	if len(pkgs) == 0 {
-		return findings
-	}
-	var ld *lineDirectives
-	if program != nil {
-		ld = program.Directives()
-	} else {
-		ld = newLineDirectives(pkgs[0].Fset, pkgs)
-	}
-	fset := pkgs[0].Fset
-	out := findings[:0]
-	for _, f := range findings {
-		if !ld.suppresses(f.Analyzer, f.Pos) {
-			out = append(out, f)
-		}
-	}
-	// A suppression without a justification defeats the audit trail the
-	// directives exist to provide; flag it once per directive.
-	seen := map[token.Pos]bool{}
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, cg := range file.Comments {
-				for _, c := range cg.List {
-					d, ok := parseDirective(c)
-					if !ok || seen[d.Pos] {
-						continue
-					}
-					seen[d.Pos] = true
-					if (d.Kind == DirDisable || d.Kind == DirAllocsOK) && d.Reason == "" {
-						out = append(out, Finding{
-							Analyzer: "seclint",
-							Pos:      fset.Position(d.Pos),
-							Message:  fmt.Sprintf("seclint:%s without a justification: add a reason after the marker", d.Kind),
-						})
-					}
-				}
-			}
-		}
-	}
-	return out
 }
 
 // Finding is one rendered diagnostic.

@@ -310,3 +310,27 @@ func walkHeldSets(pp *ProgramPass, f *Func, blocks [][]lockEvent, acquires map[*
 	}
 	walk(g.Entry, nil)
 }
+
+// externalKey renders a *types.Func as "pkgpath.Name" or
+// "pkgpath.(*Recv).Name", the keys of lockAcquire and lockRelease.
+func externalKey(obj *types.Func) string {
+	if obj.Pkg() == nil {
+		return obj.Name()
+	}
+	sig, _ := obj.Type().(*types.Signature)
+	if sig != nil && sig.Recv() != nil {
+		rt := sig.Recv().Type()
+		star := ""
+		if p, ok := rt.(*types.Pointer); ok {
+			rt = p.Elem()
+			star = "*"
+		}
+		if named, ok := rt.(*types.Named); ok {
+			if star == "*" {
+				return obj.Pkg().Path() + ".(*" + named.Obj().Name() + ")." + obj.Name()
+			}
+			return obj.Pkg().Path() + "." + named.Obj().Name() + "." + obj.Name()
+		}
+	}
+	return obj.Pkg().Path() + "." + obj.Name()
+}

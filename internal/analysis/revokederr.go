@@ -6,7 +6,7 @@ import (
 )
 
 // RevokedErr checks that error results of mpi operations are not silently
-// discarded. Since PR 4 the runtime returns mpi.ErrRevoked from any
+// discarded. The runtime returns mpi.ErrRevoked from any
 // operation on a revoked communicator; a dropped error turns a recoverable
 // revocation into silent data corruption (the operation did not happen,
 // but the caller's control flow continues as if it did).

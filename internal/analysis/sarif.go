@@ -74,11 +74,6 @@ type sarifRegion struct {
 	StartColumn int `json:"startColumn,omitempty"`
 }
 
-// directiveRuleDoc describes the implicit "seclint" meta-rule: findings
-// the driver itself emits for malformed //seclint: directives. It is not
-// an Analyzer, but its findings need a rule entry like any other.
-const directiveRuleDoc = "report seclint control comments that lack a justification"
-
 // relArtifact rewrites an absolute finding path to a slash-separated
 // path relative to baseDir, the form code-scanning uploads expect. Paths
 // outside baseDir (or when baseDir is empty) pass through unchanged
@@ -93,22 +88,14 @@ func relArtifact(path, baseDir string) string {
 }
 
 // WriteSARIF renders findings as a single-run SARIF 2.1.0 document. The
-// rule table lists every analyzer (plus the implicit directive rule)
-// sorted by id, whether or not it fired, so a clean run still documents
-// which passes were in force. File paths are rewritten relative to
-// baseDir.
+// rule table lists every analyzer sorted by id, whether or not it fired,
+// so a clean run still documents which passes were in force. File paths
+// are rewritten relative to baseDir.
 func WriteSARIF(w io.Writer, analyzers []*Analyzer, findings []Finding, baseDir string) error {
-	docs := map[string]string{"seclint": directiveRuleDoc}
+	docs := map[string]string{}
 	for _, a := range analyzers {
 		doc, _, _ := strings.Cut(a.Doc, "\n")
 		docs[a.Name] = doc
-	}
-	// Findings may name a pass outside analyzers (a subset run replaying
-	// a full-run baseline, say); give those a rule entry too.
-	for _, f := range findings {
-		if _, ok := docs[f.Analyzer]; !ok {
-			docs[f.Analyzer] = ""
-		}
 	}
 	ids := make([]string, 0, len(docs))
 	for id := range docs {

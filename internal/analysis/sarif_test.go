@@ -15,26 +15,26 @@ func sampleFindings(t *testing.T) []Finding {
 	t.Helper()
 	return []Finding{
 		{
-			Analyzer: "hotpathalloc",
-			Pos:      token.Position{Filename: "/repo/internal/mpi/p2p.go", Line: 42, Column: 7},
-			Message:  "alloc on hot path in mpi.(Comm).Send: make allocates",
+			Analyzer: "useafterrelease",
+			Pos:      token.Position{Filename: "/repo/internal/convolution/halo2d.go", Line: 42, Column: 7},
+			Message:  "use of got after mpi.Release: the buffer may already back an unrelated message",
 		},
 		{
-			Analyzer: "commdeadlock",
-			Pos:      token.Position{Filename: "/repo/internal/serve/sweep.go", Line: 9, Column: 2},
-			Message:  "Recv from the caller's own rank can execute before any Send to self; no other rank can satisfy it",
+			Analyzer: "lockorder",
+			Pos:      token.Position{Filename: "/repo/internal/serve/serve.go", Line: 9, Column: 2},
+			Message:  "lock order inversion: Service.mu acquired while Job.mu is held (held since /repo/internal/serve/serve.go:8:2), closing a cycle in the lock-order graph",
 		},
 		{
-			Analyzer: "seclint",
-			Pos:      token.Position{Filename: "/repo/internal/mpi/comm.go", Line: 3, Column: 1},
-			Message:  "seclint:allocs-ok without a justification: add a reason after the marker",
+			Analyzer: "revokederr",
+			Pos:      token.Position{Filename: "/repo/examples/quickstart/main.go", Line: 3, Column: 1},
+			Message:  "error result of Section is assigned to _: handle or propagate it (it may be mpi.ErrRevoked)",
 		},
 	}
 }
 
 // TestSARIFGolden pins the rendered SARIF document byte-for-byte: rule
-// table sorted by id and covering all eight passes plus the directive
-// meta-rule, repo-relative artifact URIs, and stable field order. Any
+// table sorted by id and covering every pass, repo-relative artifact URIs,
+// and stable field order. Any
 // schema drift shows up as a golden diff (regenerate with -update).
 func TestSARIFGolden(t *testing.T) {
 	var buf bytes.Buffer
@@ -76,11 +76,11 @@ func TestSARIFDeterministic(t *testing.T) {
 // findings sequence, because Run sorts packages and findings itself.
 func TestDeterministicOrder(t *testing.T) {
 	src := filepath.Join("testdata", "src")
-	forward, err := Load(LoadConfig{Dir: src, SrcRoot: src, Tests: true}, "commdeadlock", "lockorder")
+	forward, err := Load(LoadConfig{Dir: src, SrcRoot: src, Tests: true}, "lockorder", "useafterrelease")
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	reverse, err := Load(LoadConfig{Dir: src, SrcRoot: src, Tests: true}, "lockorder", "commdeadlock")
+	reverse, err := Load(LoadConfig{Dir: src, SrcRoot: src, Tests: true}, "useafterrelease", "lockorder")
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}

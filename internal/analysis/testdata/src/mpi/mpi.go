@@ -39,5 +39,25 @@ func (c *Comm) GatherGhost(root, tag, nbytes, vbytes int) error              { r
 func (c *Comm) Send(dst, tag int, b []byte) error { return nil }
 func (c *Comm) Recv(src, tag int) ([]byte, error) { return nil, nil }
 
+// Status is the stub receive status.
+type Status struct{}
+
+func (c *Comm) SendrecvSized(dst, sendTag int, b []byte, vbytes, src, recvTag int) ([]byte, Status, error) {
+	return b, Status{}, nil
+}
+func (c *Comm) SendrecvFloat64s(dst, sendTag int, xs []float64, src, recvTag int) ([]float64, Status, error) {
+	return xs, Status{}, nil
+}
+
+// BytesToFloat64s decodes a payload.
+func BytesToFloat64s(b []byte) ([]float64, error) { return nil, nil }
+
+// Config and Report are the stub world's configuration and result.
+type Config struct{ Ranks int }
+type Report struct{}
+
+// Run runs fn on every rank of a world.
+func Run(cfg Config, fn func(*Comm) error) (*Report, error) { return nil, fn(&Comm{}) }
+
 // Release returns a payload buffer to the runtime's pool.
 func Release(b []byte) {}

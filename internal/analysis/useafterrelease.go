@@ -40,10 +40,20 @@ func (s uarState) absorb(other uarState) {
 
 type uarChecker struct {
 	pass *Pass
+	// reported keeps a loop body's second walk from reporting again what
+	// its first walk found.
+	reported map[token.Pos]bool
+}
+
+func (c *uarChecker) reportf(pos token.Pos, format string, args ...any) {
+	if !c.reported[pos] {
+		c.reported[pos] = true
+		c.pass.Reportf(pos, format, args...)
+	}
 }
 
 func runUseAfterRelease(pass *Pass) error {
-	c := &uarChecker{pass: pass}
+	c := &uarChecker{pass: pass, reported: map[token.Pos]bool{}}
 	funcBodies(pass.Files, func(body *ast.BlockStmt) {
 		c.block(body, uarState{})
 	})
@@ -218,7 +228,7 @@ func (c *uarChecker) useOf(id *ast.Ident, st uarState) {
 		return
 	}
 	if _, released := st[obj]; released {
-		c.pass.Reportf(id.Pos(), "use of %s after mpi.Release: the buffer may already back an unrelated message", id.Name)
+		c.reportf(id.Pos(), "use of %s after mpi.Release: the buffer may already back an unrelated message", id.Name)
 		// One report per variable per path is enough.
 		delete(st, obj)
 	}
@@ -252,7 +262,7 @@ func (c *uarChecker) releaseCall(call *ast.CallExpr, st uarState) {
 		return
 	}
 	if _, released := st[obj]; released {
-		c.pass.Reportf(call.Pos(), "double mpi.Release of %s: the buffer would be pooled twice and handed to two future messages", id.Name)
+		c.reportf(call.Pos(), "double mpi.Release of %s: the buffer would be pooled twice and handed to two future messages", id.Name)
 		return
 	}
 	st[obj] = call.Pos()

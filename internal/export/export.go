@@ -270,7 +270,6 @@ func (r *Recorder) comm(c *mpi.Comm) *commInfo {
 	return r.registerComm(c)
 }
 
-//seclint:allocs-ok first sight of a communicator
 func (r *Recorder) registerComm(c *mpi.Comm) *commInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -305,8 +304,6 @@ func spanID(worldRank int, seq uint64) uint64 {
 
 // SectionEnter implements mpi.Tool: it opens the section on its rank and
 // records the event.
-//
-//seclint:hotpath
 func (r *Recorder) SectionEnter(c *mpi.Comm, label string, t float64, data *mpi.ToolData) {
 	open := &r.comm(c).open[c.Rank()]
 	*open = append(*open, label)
@@ -316,8 +313,6 @@ func (r *Recorder) SectionEnter(c *mpi.Comm, label string, t float64, data *mpi.
 // SectionLeave implements mpi.Tool: it closes the section and records the
 // event. A misnested leave (the runtime reports it) closes nothing here and
 // in no replay, but is recorded like any event.
-//
-//seclint:hotpath
 func (r *Recorder) SectionLeave(c *mpi.Comm, label string, t float64, data *mpi.ToolData) {
 	open := &r.comm(c).open[c.Rank()]
 	if n := len(*open); n > 0 && (*open)[n-1] == label {
@@ -328,8 +323,6 @@ func (r *Recorder) SectionLeave(c *mpi.Comm, label string, t float64, data *mpi.
 
 // MessageSent implements mpi.Tool. It and the three hooks after it register
 // the event's communicator (comm) before they record the event.
-//
-//seclint:hotpath
 func (r *Recorder) MessageSent(c *mpi.Comm, dst, tag, bytes int, t float64) {
 	if r.col.Messages {
 		r.comm(c)
@@ -338,8 +331,6 @@ func (r *Recorder) MessageSent(c *mpi.Comm, dst, tag, bytes int, t float64) {
 }
 
 // MessageRecv implements mpi.Tool.
-//
-//seclint:hotpath
 func (r *Recorder) MessageRecv(c *mpi.Comm, src, tag, bytes int, t float64, m mpi.MatchInfo) {
 	if r.col.Messages {
 		r.comm(c)
@@ -348,8 +339,6 @@ func (r *Recorder) MessageRecv(c *mpi.Comm, src, tag, bytes int, t float64, m mp
 }
 
 // CollectiveBegin implements mpi.Tool.
-//
-//seclint:hotpath
 func (r *Recorder) CollectiveBegin(c *mpi.Comm, name string, t float64) {
 	if r.col.Collectives {
 		r.comm(c)
@@ -358,8 +347,6 @@ func (r *Recorder) CollectiveBegin(c *mpi.Comm, name string, t float64) {
 }
 
 // CollectiveEnd implements mpi.Tool.
-//
-//seclint:hotpath
 func (r *Recorder) CollectiveEnd(c *mpi.Comm, name string, t float64) {
 	if r.col.Collectives {
 		r.comm(c)
@@ -369,8 +356,6 @@ func (r *Recorder) CollectiveEnd(c *mpi.Comm, name string, t float64) {
 
 // ComputeRegion implements mpi.ComputeObserver for the trace's sake
 // (recorded when the collector's Omp is set).
-//
-//seclint:hotpath
 func (r *Recorder) ComputeRegion(c *mpi.Comm, team int, start, end, single float64) {
 	r.col.ComputeRegion(c, team, start, end, single)
 }

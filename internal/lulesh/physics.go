@@ -209,8 +209,6 @@ func increment(lam, xp, xm, yp, ym, zp, zm float64) float64 {
 // its caller visiting planes 1..n in ascending order, one at a time —
 // omp.Team.ForModeled runs its body sequentially on the rank's goroutine —
 // and panics on any other order.
-//
-//seclint:hotpath
 func (s *state) computeIncrements(k int) {
 	if k != 1 && k != s.forcePlane {
 		panic("lulesh: force pass needs planes in ascending order")

@@ -369,8 +369,6 @@ func (s *state) faceWalk(axis, side int) (interior, ghost, sa, sb int) {
 
 // packFace flattens the interior boundary plane of every field into out,
 // field by field.
-//
-//seclint:hotpath
 func (s *state) packFace(axis, side int, fields [5][]float64, out []float64) []float64 {
 	n := s.n
 	out = out[:5*n*n]
@@ -388,8 +386,6 @@ func (s *state) packFace(axis, side int, fields [5][]float64, out []float64) []f
 }
 
 // unpackFace writes a received neighbor plane into the ghost layer.
-//
-//seclint:hotpath
 func (s *state) unpackFace(axis, side int, fields [5][]float64, face []float64) error {
 	n := s.n
 	if len(face) != 5*n*n {
@@ -410,8 +406,6 @@ func (s *state) unpackFace(axis, side int, fields [5][]float64, face []float64) 
 
 // mirrorWall fills a global-boundary ghost plane with the mirrored interior
 // state, negating the wall-normal momentum (reflective BC).
-//
-//seclint:hotpath
 func (s *state) mirrorWall(axis, side int, fields [5][]float64) {
 	n := s.n
 	first, ghost, sa, sb := s.faceWalk(axis, side)

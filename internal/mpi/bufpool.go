@@ -70,7 +70,7 @@ func (p *payloadPool) get(n int) []byte {
 	}
 	c := classFor(n)
 	if c < 0 {
-		//seclint:allocs-ok oversize request: falls through the class pool by design
+		// oversize request: falls through the class pool by design
 		return make([]byte, n)
 	}
 	if v := p.classes[c].Get(); v != nil {
@@ -86,7 +86,7 @@ func (p *payloadPool) get(n int) []byte {
 	// Pool miss: whatever held still claims for this class was GC-reclaimed
 	// (or raced away); reset so future puts are not spuriously dropped.
 	p.held[c].Store(0)
-	//seclint:allocs-ok pool miss: amortized by recycling
+	// pool miss: amortized by recycling
 	return make([]byte, n, 1<<(c+minClassBits))
 }
 
@@ -111,7 +111,7 @@ func (p *payloadPool) put(b []byte) {
 	if v := p.boxes.Get(); v != nil {
 		box = v.(*[]byte)
 	} else {
-		//seclint:allocs-ok box-pool miss: amortized by recycling
+		// box-pool miss: amortized by recycling
 		box = new([]byte)
 	}
 	*box = b[:n]
@@ -124,8 +124,6 @@ func (p *payloadPool) put(b []byte) {
 // garbage collector reclaims unreleased payloads — and nil-safe. After
 // Release the caller must not read or write b, and must not Release it
 // again: the bytes will be handed to an unrelated future message.
-//
-//seclint:hotpath
 func Release(b []byte) {
 	payloads.put(b)
 }
@@ -165,7 +163,7 @@ func newEnvelope() *envelope {
 	if e := envFree.Take(nil); e != nil {
 		return e
 	}
-	//seclint:allocs-ok free-list miss: amortized by recycling
+	// free-list miss: amortized by recycling
 	return new(envelope)
 }
 
@@ -213,7 +211,7 @@ func (r *rankState) newPosted(src, tag int) *posted {
 	if p != nil {
 		r.posted = nil
 	} else if p = postedFree.Take(nil); p == nil {
-		//seclint:allocs-ok free-list miss: amortized by recycling
+		// free-list miss: amortized by recycling
 		p = new(posted)
 	}
 	p.src, p.tag = src, tag

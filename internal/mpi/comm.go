@@ -41,8 +41,6 @@ type Comm struct {
 // newCommShared builds and registers a communicator. One born into an
 // already-failed world starts revoked, so post-mortem Splits cannot
 // silently block on a dead member.
-//
-//seclint:allocs-ok communicator construction: once per world or split, off the steady path
 func (w *World) newCommShared(group []int) *commShared {
 	cs := &commShared{
 		id:        w.nextComm,
@@ -98,8 +96,6 @@ func (c *Comm) Now() float64 { return c.rs.now() }
 // Compute executes nothing but charges w to the rank's virtual clock as
 // single-threaded work, including a sampled OS-noise detour. Benchmarks
 // call it right after doing the corresponding real computation.
-//
-//seclint:hotpath
 func (c *Comm) Compute(w WorkUnit) {
 	c.ComputeParallel(w, 1)
 }
@@ -108,8 +104,6 @@ func (c *Comm) Compute(w WorkUnit) {
 // including fork/join overhead and OS noise. Team sizes above the rank's
 // configured ThreadsPerRank are allowed: the placement already accounted
 // node occupancy with ThreadsPerRank, so passing more merely oversubscribes.
-//
-//seclint:hotpath
 func (c *Comm) ComputeParallel(w WorkUnit, team int) {
 	world := c.rs.world
 	model := world.cfg.Model
@@ -125,7 +119,6 @@ func (c *Comm) ComputeParallel(w WorkUnit, team int) {
 		single := world.placement.ComputeTime(c.WorldRank(), w, 1)
 		end := c.rs.now()
 		for _, o := range world.computeObs {
-			//seclint:allocs-ok tool hooks are //seclint:hotpath roots, proven allocation-free in their own right
 			o.ComputeRegion(c, team, start, end, single)
 		}
 		return

@@ -56,7 +56,7 @@ func (e *DeadlockError) Error() string {
 // package goes through it, and leaves its call site for the report.
 func (rs *rankState) park(c *Comm, op string, peer, tag int) {
 	rs.parkComm, rs.parkOp, rs.parkPeer, rs.parkTag = c, op, int32(peer), int32(tag)
-	//seclint:allocs-ok the switch back to the driver: a pooled coroutine's yield allocates nothing
+	// the switch back to the driver: a pooled coroutine's yield allocates nothing
 	rs.co.yield(false)
 }
 

@@ -221,7 +221,7 @@ func (x *exchangeState) unpaired(op string) error {
 	for r := range x.ranks {
 		if st := &x.ranks[r]; st.pc < st.n {
 			o := &x.ops[st.off+st.pc]
-			//seclint:allocs-ok a generation that cannot complete: the failure path
+			// a generation that cannot complete: the failure path
 			return fmt.Errorf("mpi: %s on comm %d: the lists do not pair up: rank %d is left waiting for a message from rank %d under tag %d",
 				op, x.comms[r].shared.id, r, o.src, o.RecvTag)
 		}
@@ -268,8 +268,6 @@ func (x *exchangeState) queued() bool {
 }
 
 // run advances rank r until its list is done or it suspends.
-//
-//seclint:hotpath
 func (x *exchangeState) run(r int32) {
 	c, st := x.comms[r], &x.ranks[r]
 	tools := c.rs.world.cfg.Tools
@@ -280,7 +278,6 @@ func (x *exchangeState) run(r int32) {
 			op.sendT, op.arrival, _, _ = c.stampSend(op.Peer, op.NBytes, op.VBytes)
 			op.stamped = true
 			for _, t := range tools {
-				//seclint:allocs-ok tool hooks are //seclint:hotpath roots, proven allocation-free in their own right
 				t.MessageSent(c, op.Peer, op.SendTag, op.VBytes, op.sendT)
 			}
 			if op.awaited {

@@ -54,8 +54,6 @@ func (c *Comm) countOp() {
 // transports), a delayed one arrives later, a truncated one carries fewer
 // real bytes than advertised. Each applied fault is logged. Returns the
 // possibly-updated (dropped, nbytes, transfer).
-//
-//seclint:allocs-ok fault-injection path: runs only with a fault plan armed
 func (c *Comm) applyLinkFaults(srcWorld, dstWorld, nbytes, vbytes int, transfer float64) (bool, int, float64) {
 	rs := c.rs
 	if rs.linkSeq == nil {
@@ -113,8 +111,6 @@ type FaultObserver interface {
 
 // emitFault appends ev to the run's fault log and streams it to observers.
 // Only failure paths and armed injection sites call it.
-//
-//seclint:allocs-ok fault reporting: never on the steady path
 func (w *World) emitFault(ev fault.Event) {
 	w.faults = append(w.faults, ev)
 	for _, o := range w.faultObs {

@@ -99,8 +99,6 @@ func (sh *boxShard) poison(pi *poisonInfo) {
 // revoke poisons every mailbox of the communicator and wakes ranks parked
 // in Split, Barrier, ExchangeGhost, ScatterGhost or GatherGhost on it.
 // Idempotent.
-//
-//seclint:allocs-ok revocation is a one-shot failure event
 func (cs *commShared) revoke(pi *poisonInfo) {
 	if !cs.revoked {
 		cs.pi = pi
@@ -128,8 +126,6 @@ func (cs *commShared) contains(worldRank int) bool {
 // rankDied records a rank's death and propagates it: every communicator the
 // rank belongs to is revoked, waking all blocked peers. Called from the
 // rank's recovery path.
-//
-//seclint:allocs-ok rank-failure bring-down path
 func (w *World) rankDied(rank int, re *RankError, t float64) {
 	w.dead[rank] = true
 	if w.failPi == nil {

@@ -9,7 +9,7 @@ import (
 // phases — bring-up, rank execution, rendezvous evaluation and the tools'
 // Finalize — on a HostClock that switches from one to the next at each
 // boundary, so the four add up to Run's span. The boundaries sit in
-// functions of their own, outside the //seclint:hotpath paths they
+// functions of their own, outside the hot paths they
 // interrupt. These are measurements of the process running the simulation,
 // not part of the simulated result: they vary run to run where virtual
 // times do not.
@@ -76,8 +76,6 @@ func (c *HostClock) allocated() uint64 {
 // enterPhase charges the world's phase so far to where it was and makes ph
 // the world's phase; it returns the phase it left, for the caller to go back
 // to.
-//
-//seclint:allocs-ok host phase boundary: two clock reads, no allocation
 func (w *World) enterPhase(ph *HostPhase) (left *HostPhase) {
 	left = w.phase
 	w.clock.Lap(left)

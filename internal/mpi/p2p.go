@@ -136,8 +136,6 @@ type boxShard struct {
 
 // materialize allocates the slab for a shard covering ranks [lo, lo+n) of
 // a group of groupLen members.
-//
-//seclint:allocs-ok lazy mailbox bring-up: once per shard
 func (sh *boxShard) materialize(groupLen, lo int) {
 	n := min(groupLen-lo, shardSize)
 	sh.slab = make([]mailbox, n)
@@ -206,8 +204,6 @@ type Request struct {
 // eagerly, so Send never blocks on the receiver; it charges the sender's
 // software overhead and stamps the message with its model-derived arrival
 // time. data is copied.
-//
-//seclint:hotpath
 func (c *Comm) Send(dst, tag int, data []byte) error {
 	return c.SendSized(dst, tag, data, len(data))
 }
@@ -216,8 +212,6 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 // gets data, but transfer time is modeled for virtualBytes. Scaled-down
 // benchmark executions use it to charge full-problem communication costs
 // while moving reduced real payloads (see DESIGN.md §5).
-//
-//seclint:hotpath
 func (c *Comm) SendSized(dst, tag int, data []byte, virtualBytes int) error {
 	if err := checkTag(tag, false); err != nil {
 		return err
@@ -235,8 +229,6 @@ func (c *Comm) SendSized(dst, tag int, data []byte, virtualBytes int) error {
 // executed kernel is skipped (convolution.Params.SkipKernel) and only the
 // clock effects of communication matter. A plain Recv of a ghost message
 // returns a zeroed buffer of length nbytes; RecvDiscard avoids even that.
-//
-//seclint:hotpath
 func (c *Comm) SendGhost(dst, tag, nbytes, virtualBytes int) error {
 	if err := checkTag(tag, false); err != nil {
 		return err
@@ -295,7 +287,6 @@ func (c *Comm) sendInternal(dst, tag, hookTag int, data []byte, nbytes, vbytes i
 	}
 
 	for _, t := range w.cfg.Tools {
-		//seclint:allocs-ok tool hooks are //seclint:hotpath roots, proven allocation-free in their own right
 		t.MessageSent(c, dst, hookTag, vbytes, c.rs.now())
 	}
 	return nil
@@ -330,8 +321,6 @@ func (c *Comm) stampSend(dst, nbytes, vbytes int) (sendT, arrival float64, realB
 // SendGhost(dsts[i], tag, nbytes[i], vbytes[i]) in order. A fan-out every
 // rank takes part in is ScatterGhost. On a revoked communicator a prefix of
 // the batch may already have been delivered when the error returns.
-//
-//seclint:hotpath
 func (c *Comm) SendGhostBatch(dsts []int, tag int, nbytes, vbytes []int) error {
 	if len(dsts) != len(nbytes) || len(dsts) != len(vbytes) {
 		return fmt.Errorf("mpi: SendGhostBatch length mismatch (%d dsts, %d nbytes, %d vbytes)",
@@ -429,7 +418,6 @@ func (c *Comm) completeRecv(src, tag, vbytes int, m MatchInfo) {
 	// frontier here.
 	c.rs.world.shardOf(int(c.rs.id)).noteClock(c.rs.clock)
 	for _, tool := range c.rs.world.cfg.Tools {
-		//seclint:allocs-ok tool hooks are //seclint:hotpath roots, proven allocation-free in their own right
 		tool.MessageRecv(c, src, tag, vbytes, c.rs.now(), m)
 	}
 }
@@ -469,8 +457,6 @@ func (r *Request) Wait() ([]byte, Status, error) {
 // and returns its payload. Ownership of the payload transfers to the
 // caller: it stays valid indefinitely, and MAY be handed back to the
 // runtime's buffer pool with Release once decoded or consumed.
-//
-//seclint:hotpath
 func (c *Comm) Recv(src, tag int) ([]byte, Status, error) {
 	if err := checkTag(tag, true); err != nil {
 		return nil, Status{}, err
@@ -494,8 +480,6 @@ func (c *Comm) recv(src, tag int) ([]byte, Status, error) {
 // buffer (ghost messages never materialize one). It is the receive side of
 // SendGhost and the zero-allocation path for messages whose bytes the
 // caller never reads.
-//
-//seclint:hotpath
 func (c *Comm) RecvDiscard(src, tag int) (Status, error) {
 	if err := checkTag(tag, true); err != nil {
 		return Status{}, err
@@ -514,8 +498,6 @@ func (c *Comm) RecvDiscard(src, tag int) (Status, error) {
 // for the outgoing message (see SendSized). Because sends buffer eagerly and
 // never block, sending first and then receiving matches the
 // posted-receive-first MPI formulation exactly, and is deadlock-free.
-//
-//seclint:hotpath
 func (c *Comm) SendrecvSized(dst, sendTag int, data []byte, virtualBytes, src, recvTag int) ([]byte, Status, error) {
 	if err := checkTag(recvTag, true); err != nil {
 		return nil, Status{}, err
@@ -577,8 +559,6 @@ func appendBytesToFloat64s(dst []float64, b []byte) []float64 {
 // SendFloat64sSized sends a float64 vector, its transfer modeled for
 // virtualBytes (see SendSized). The encoding runs through the rank's
 // scratch buffer, so the call allocates nothing.
-//
-//seclint:hotpath
 func (c *Comm) SendFloat64sSized(dst, tag int, xs []float64, virtualBytes int) error {
 	return c.SendSized(dst, tag, c.encode(xs), virtualBytes)
 }
@@ -586,7 +566,7 @@ func (c *Comm) SendFloat64sSized(dst, tag int, xs []float64, virtualBytes int) e
 // encode encodes xs into the rank's scratch, which grows once to the
 // encoding's size rather than doubling its way there append by append.
 func (c *Comm) encode(xs []float64) []byte {
-	//seclint:allocs-ok only when xs outgrows every earlier send of this rank
+	// only when xs outgrows every earlier send of this rank
 	buf := AppendFloat64s(slices.Grow(c.rs.encScratch[:0], 8*len(xs)), xs)
 	c.rs.encScratch = buf[:0]
 	return buf

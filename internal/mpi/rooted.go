@@ -11,8 +11,6 @@ import "fmt"
 // it stamps each message into its destination's slot on the communicator
 // and wakes the receivers waiting for it. Under an armed fault plan the
 // loop is the body (package doc, "Literal messages under a plan").
-//
-//seclint:hotpath
 func (c *Comm) ScatterGhost(root, tag int, dsts, nbytes, vbytes []int) error {
 	st := &c.shared.scatter
 	if err := c.checkRooted("ScatterGhost", root, tag, 0, 0); err != nil {
@@ -54,8 +52,6 @@ func (c *Comm) ScatterGhost(root, tag int, dsts, nbytes, vbytes []int) error {
 // Its messages are its own, as for ScatterGhost. A sender waits for nobody:
 // it stamps its message into its slot, and the last one wakes root. Under
 // an armed fault plan the loop is the body.
-//
-//seclint:hotpath
 func (c *Comm) GatherGhost(root, tag, nbytes, vbytes int) error {
 	if err := c.checkRooted("GatherGhost", root, tag, nbytes, vbytes); err != nil {
 		return err
@@ -104,7 +100,6 @@ func (c *Comm) stamp(dst, tag, nbytes, vbytes int) rootedSlot {
 	w := c.rs.world
 	sendT, arrival, _, _ := c.stampSend(dst, nbytes, vbytes)
 	for _, t := range w.cfg.Tools {
-		//seclint:allocs-ok tool hooks are //seclint:hotpath roots, proven allocation-free in their own right
 		t.MessageSent(c, dst, tag, vbytes, sendT)
 	}
 	if w.lazy {
@@ -153,8 +148,6 @@ func (s *rootedSlot) complete(c *Comm, src, tag int) {
 
 // checkFanOut refuses a fan-out that does not name every rank but root
 // exactly once, with sizes >= 0.
-//
-//seclint:allocs-ok a fan-out's first check on the communicator allocates its marks: once
 func (st *rootedState) checkFanOut(p, root int, dsts, nbytes, vbytes []int) error {
 	if len(dsts) != p-1 || len(nbytes) != p-1 || len(vbytes) != p-1 {
 		return fmt.Errorf("mpi: ScatterGhost needs %d destinations, got %d dsts, %d nbytes, %d vbytes",
@@ -178,8 +171,6 @@ func (st *rootedState) checkFanOut(p, root int, dsts, nbytes, vbytes []int) erro
 
 // enter brings the state to generation k, opening it with its writer and
 // reader counts once generation k-1 is read, and waiting for that.
-//
-//seclint:allocs-ok the communicator's first call allocates its slots
 func (st *rootedState) enter(c *Comm, op string, root, tag int, k uint64, writers, readers int) error {
 	for !st.aborted && st.ord != k {
 		if st.unread > 0 {

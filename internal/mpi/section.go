@@ -47,15 +47,12 @@ type sectionRegistry struct {
 	slots [][]ToolData
 }
 
-//seclint:allocs-ok registry construction at session bring-up
 func newSectionRegistry(ranks int) *sectionRegistry {
 	return &sectionRegistry{perRank: make([]rankSections, ranks)}
 }
 
 // enterSlots zeroes and returns rank's payloads for tools 1..n at stack
 // depth d, first growing them to the stack's capacity if need be.
-//
-//seclint:allocs-ok a chain longer than one tool: the table once per communicator, a rank's slots as deep as its stack grows
 func (r *sectionRegistry) enterSlots(rank, d, n int) []ToolData {
 	if r.slots == nil {
 		r.slots = make([][]ToolData, len(r.perRank))
@@ -71,8 +68,6 @@ func (r *sectionRegistry) enterSlots(rank, d, n int) []ToolData {
 // SectionEnter enters the labeled section on this communicator. It is
 // non-blocking; each tool attached to the run receives the enter callback
 // with a pointer to its own zeroed 32-byte slot, which it may fill.
-//
-//seclint:hotpath
 func (c *Comm) SectionEnter(label string) {
 	if fi := c.rs.world.fi; fi != nil && fi.plan.KillSection(c.WorldRank(), label) {
 		panic(&killPanic{section: label, err: errFailStop})
@@ -95,7 +90,6 @@ func (c *Comm) SectionEnter(label string) {
 		if i > 0 {
 			data = &more[i-1]
 		}
-		//seclint:allocs-ok tool hooks are //seclint:hotpath roots, proven allocation-free in their own right
 		t.SectionEnter(c, label, c.rs.now(), data)
 	}
 }
@@ -105,22 +99,20 @@ func (c *Comm) SectionEnter(label string) {
 // mismatched frame force-popped) so that a buggy caller cannot corrupt the
 // stack silently. Each tool's leave callback gets its own payload as the
 // popped frame holds it, or a zero one when no section was open.
-//
-//seclint:hotpath
 func (c *Comm) SectionExit(label string) {
 	rs := &c.shared.sections.perRank[c.rank]
 	tools := c.rs.world.cfg.Tools
 	var frame *sectionFrame
 	var more []ToolData
 	if n := len(rs.stack); n == 0 {
-		//seclint:allocs-ok section-mismatch error construction: failing path
+		// section-mismatch error construction: failing path
 		c.rs.world.reportSectionError(fmt.Errorf(
 			"mpi: rank %d exited section %q with no section open (comm %d)",
 			c.rank, label, c.shared.id))
 	} else {
 		frame = &rs.stack[n-1]
 		if frame.label != label {
-			//seclint:allocs-ok section-mismatch error construction: failing path
+			// section-mismatch error construction: failing path
 			c.rs.world.reportSectionError(fmt.Errorf(
 				"mpi: rank %d exited section %q but %q is innermost (comm %d)",
 				c.rank, label, frame.label, c.shared.id))
@@ -141,18 +133,15 @@ func (c *Comm) SectionExit(label string) {
 		default:
 			*data = more[i-1]
 		}
-		//seclint:allocs-ok tool hooks are //seclint:hotpath roots, proven allocation-free in their own right
 		t.SectionLeave(c, label, c.rs.now(), data)
 	}
 }
 
 // Section runs body inside an enter/exit pair — the idiomatic Go spelling
 // that guarantees perfect nesting by construction.
-//
-//seclint:hotpath
 func (c *Comm) Section(label string, body func() error) error {
 	c.SectionEnter(label)
 	defer c.SectionExit(label)
-	//seclint:allocs-ok runs the caller closure: its cost is measured and pinned at the caller
+	// runs the caller closure: its cost is measured and pinned at the caller
 	return body()
 }

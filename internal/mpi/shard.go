@@ -57,16 +57,12 @@ func (sh *rankShard) noteClock(t float64) {
 func (w *World) shardOf(rank int) *rankShard { return &w.shards[rank>>shardBits] }
 
 // isActive reports whether a world rank participates in the session.
-//
-//seclint:allocs-ok membership predicate: the closures installed at bring-up are index and bitset lookups
 func (w *World) isActive(rank int) bool {
 	return w.active == nil || w.active(rank)
 }
 
 // ensureShard materializes the shard's state slab and queues its active ranks
 // to run. Idempotent: a ready shard costs one bool test.
-//
-//seclint:allocs-ok lazy shard bring-up: once per shard, amortized across the session
 func (w *World) ensureShard(sh *rankShard) {
 	if sh.ready {
 		return
@@ -108,8 +104,6 @@ func (w *World) nudge(worldRank int) {
 
 // rankMain is one rank: the MPI_MAIN-wrapped execution of the run's rank
 // function, with panic recovery and death propagation.
-//
-//seclint:allocs-ok rank prologue and epilogue: once per rank, not per op
 func (w *World) rankMain(rs *rankState) {
 	rank := int(rs.id)
 	comm := &Comm{shared: w.worldComm, rank: rank, rs: rs}

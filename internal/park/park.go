@@ -70,7 +70,7 @@ func (s *Stack[T]) weigh(v T) int {
 	if s.weight == nil {
 		return 1
 	}
-	//seclint:allocs-ok only stacks off the hot paths weigh their values
+	// only stacks off the hot paths weigh their values
 	return s.weight(v)
 }
 
@@ -82,7 +82,7 @@ func (s *Stack[T]) Take(ok func(T) bool) T {
 	defer s.mu.Unlock()
 	var zero T
 	for i := len(s.vals) - 1; i >= s.lo; i-- {
-		//seclint:allocs-ok only stacks off the hot paths take with a predicate
+		// only stacks off the hot paths take with a predicate
 		if v := s.vals[i]; ok == nil || ok(v) {
 			last := len(s.vals) - 1
 			copy(s.vals[i:], s.vals[i+1:])

@@ -116,7 +116,6 @@ func (p *Profiler) Init(w *mpi.WorldInfo) {
 	}
 }
 
-//seclint:allocs-ok first sight of a communicator
 func (p *Profiler) registerComm(c *mpi.Comm) {
 	id := int(c.ID())
 	if id >= len(p.comms) {
@@ -134,7 +133,6 @@ func (p *Profiler) registerComm(c *mpi.Comm) {
 	p.comms[id] = cs
 }
 
-//seclint:allocs-ok first sight of a section: its per-rank cells and ring
 func (cs *commState) registerSection(c *mpi.Comm, label string) *section {
 	sec := &section{
 		id:         int32(len(cs.sections)),
@@ -157,8 +155,6 @@ func (cs *commState) registerSection(c *mpi.Comm, label string) *section {
 
 // rankOrder lists the instance slots by ascending rank; nil means the
 // slots are the ranks. Called once every participant has a slot.
-//
-//seclint:allocs-ok built once per sparse communicator
 func (cs *commState) rankOrder() []int32 {
 	st := cs.slots
 	if st == nil {
@@ -175,8 +171,6 @@ func (cs *commState) rankOrder() []int32 {
 }
 
 // SectionEnter implements mpi.Tool: it opens a frame in the payload.
-//
-//seclint:hotpath
 func (p *Profiler) SectionEnter(c *mpi.Comm, label string, t float64, data *mpi.ToolData) {
 	if id := c.ID(); id >= int64(len(p.comms)) || p.comms[id] == nil {
 		p.registerComm(c)
@@ -190,7 +184,7 @@ func (p *Profiler) SectionEnter(c *mpi.Comm, label string, t float64, data *mpi.
 		}
 	} else if st := cs.slots; st != nil {
 		st.of[rank] = int32(len(st.rank))
-		//seclint:allocs-ok first enter of a rank on a sparse communicator
+		// first enter of a rank on a sparse communicator
 		st.rank = append(st.rank, int32(rank))
 	}
 	if sec == nil {
@@ -223,8 +217,6 @@ func (p *Profiler) SectionEnter(c *mpi.Comm, label string, t float64, data *mpi.
 // has not left: then the ring doubles until idx has a position of its own.
 // The held instances are distinct modulo the length, so they stay distinct
 // modulo twice it.
-//
-//seclint:allocs-ok the ring and the instance cells grow to the deepest run-ahead once, then recycle
 func (s *section) open(cs *commState, idx int) *instance {
 	for s.ring[idx&(len(s.ring)-1)] != nil {
 		ring := make([]*instance, 2*len(s.ring))
@@ -249,8 +241,6 @@ func (s *section) open(cs *commState, idx int) *instance {
 // SectionLeave implements mpi.Tool: it closes the frame the runtime popped.
 // A misnested leave (the runtime reports it) abandons the instance and
 // gives the enclosing frame back its child time.
-//
-//seclint:hotpath
 func (p *Profiler) SectionLeave(c *mpi.Comm, label string, t float64, data *mpi.ToolData) {
 	id := le.Uint32(data[0:])
 	if id == 0 {

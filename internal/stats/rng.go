@@ -11,8 +11,6 @@ type RNG struct {
 }
 
 // NewRNG returns a generator seeded deterministically from seed.
-//
-//seclint:allocs-ok RNG construction: once per stream
 func NewRNG(seed uint64) *RNG {
 	r := new(RNG)
 	r.Seed(seed)

@@ -19,7 +19,6 @@ type grid struct {
 	heat  []int64 // rows × timeBins wait picoseconds
 }
 
-//seclint:allocs-ok bin-grid construction: once per run
 func (g *grid) init(rows int) {
 	g.scale = 1
 	g.rows = rows
@@ -44,8 +43,6 @@ func (g *grid) index(t float64) int {
 }
 
 // rescale folds bin pairs and doubles the width.
-//
-//seclint:allocs-ok log-grid refold: rare, amortized O(log T) over a run
 func (g *grid) rescale() {
 	fold := func(a []int64) {
 		half := len(a) / 2
@@ -96,7 +93,6 @@ type exReservoir struct {
 	items  []exemplar
 }
 
-//seclint:allocs-ok reservoir construction: once per run
 func (r *exReservoir) init() {
 	r.items = make([]exemplar, 0, exemplars)
 	r.thresh = ^uint64(0)

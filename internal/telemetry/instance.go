@@ -97,8 +97,6 @@ type instances struct {
 // slot returns instance ord's slot, doubling the ring until the instances
 // from lo to ord each have one; nil for an instance already folded, which
 // only a rank its communicator does not count can reach.
-//
-//seclint:allocs-ok the ring grows to the deepest run-ahead once, then recycles
 func (g *instGroup) slot(ord uint32) *instSlot {
 	if int32(ord-g.lo) < 0 {
 		return nil
@@ -116,8 +114,6 @@ func (g *instGroup) slot(ord uint32) *instSlot {
 // enter joins the rank's next instance of the group key names, on a
 // communicator of size ranks, and returns the group (-1: none) and the
 // ordinal.
-//
-//seclint:hotpath
 func (in *instances) enter(cur *rankCur, key instKey, size int, t float64) (int32, uint32) {
 	var o *rankOrd
 	for i := range cur.ords {
@@ -145,8 +141,6 @@ func (in *instances) enter(cur *rankCur, key instKey, size int, t float64) (int3
 
 // join is a rank's first enter of a group: the group is made on the first
 // enter of any rank.
-//
-//seclint:allocs-ok first enter of a (communicator, section) pair by a rank
 func (in *instances) join(cur *rankCur, key instKey, size int) *rankOrd {
 	if in.ids == nil {
 		in.ids = map[instKey]int32{}
@@ -164,8 +158,6 @@ func (in *instances) join(cur *rankCur, key instKey, size int) *rankOrd {
 // leave folds a rank's exit from instance ord of group grp. The leave that
 // completes the instance folds its imbalance contributions, and the slots
 // of the oldest instances, once folded, are recycled.
-//
-//seclint:hotpath
 func (in *instances) leave(grp int32, ord uint32, tout float64) {
 	g := &in.groups[grp]
 	s := g.slot(ord)
@@ -212,8 +204,6 @@ func (in *instances) leave(grp int32, ord uint32, tout float64) {
 
 // pair folds a completed enter/leave pair of world rank wr: its duration
 // and its exclusive time.
-//
-//seclint:hotpath
 func (g *instGroup) pair(wr int, dur, excl float64) {
 	if g.count == 0 || excl < g.minExcl {
 		g.minExcl = excl
@@ -232,7 +222,6 @@ func (g *instGroup) pair(wr int, dur, excl float64) {
 	c.dur.Add(dur)
 }
 
-//seclint:allocs-ok a group's slab of rank cells: once per 256 ranks that leave it
 func (g *instGroup) touch(i int) {
 	if i >= len(g.cells) {
 		g.cells = append(g.cells, make([]*[slabSize]rowCell, i+1-len(g.cells))...)

@@ -134,8 +134,6 @@ type waitSplit struct {
 
 // recv classifies a receive's wait wp, of which lp is the late sender's
 // (collective-internal traffic, tag < 0, has none).
-//
-//seclint:hotpath
 func (w *waitSplit) recv(tag int, wp, lp int64, lateRecv bool) {
 	w.recvs++
 	w.waitPico += wp
@@ -213,7 +211,7 @@ func (c *rankCur) top() int32 {
 func (c *rankCur) meet(sid int32) {
 	if c.metBits[sid>>6]&(1<<(sid&63)) == 0 {
 		c.metBits[sid>>6] |= 1 << (sid & 63)
-		//seclint:allocs-ok first sight of a section by a rank
+		// first sight of a section by a rank
 		c.met = append(c.met, sid)
 	}
 }
@@ -262,8 +260,6 @@ type fold struct {
 }
 
 // newFold lays out the fold for a world of ranks ranks.
-//
-//seclint:allocs-ok telemetry bring-up: once per run
 func newFold(ranks int) *fold {
 	f := &fold{ranks: ranks, ids: map[string]int32{}, threads: 1}
 	f.rowGroup = max((ranks+heatRows-1)/heatRows, 1)
@@ -289,7 +285,6 @@ func (f *fold) sid(label string) int32 {
 	return f.addSection(label)
 }
 
-//seclint:allocs-ok section interning: first sight of a label, amortized over the run
 func (f *fold) addSection(label string) int32 {
 	if len(f.labels) >= MaxSections {
 		f.secDropped++
@@ -317,13 +312,13 @@ func (f *fold) under(cur *rankCur, comm int64, depth int32) int32 {
 func (f *fold) pop(sid int32, wr int) *popRow {
 	slabs := f.pops[sid]
 	if slabs == nil {
-		//seclint:allocs-ok POP slab table: once per section
+		// POP slab table: once per section
 		slabs = make([]*popSlab, (f.ranks+slabSize-1)/slabSize)
 		f.pops[sid] = slabs
 	}
 	s := slabs[wr>>slabBits]
 	if s == nil {
-		//seclint:allocs-ok POP slab first touch: once per section per 256 ranks
+		// POP slab first touch: once per section per 256 ranks
 		s = new(popSlab)
 		slabs[wr>>slabBits] = s
 	}
@@ -332,8 +327,6 @@ func (f *fold) pop(sid int32, wr int) *popRow {
 
 // enter is a section enter of world rank wr on communicator comm of size
 // ranks.
-//
-//seclint:hotpath
 func (f *fold) enter(wr int, comm int64, size int, label string, t float64) {
 	cur := &f.cur[wr]
 	if !cur.hasFirst || t < cur.firstT {
@@ -365,8 +358,6 @@ func (f *fold) enter(wr int, comm int64, size int, label string, t float64) {
 // leave is a section leave of world rank wr: it closes the innermost frame
 // when that is the section left. A misnested leave (the runtime reports it)
 // closes nothing, as in the trace-driven analyses.
-//
-//seclint:hotpath
 func (f *fold) leave(wr int, label string, t float64) {
 	cur := &f.cur[wr]
 	if cur.over > 0 {
@@ -407,8 +398,6 @@ func (f *fold) leave(wr int, label string, t float64) {
 }
 
 // send is a point-to-point send of world rank wr.
-//
-//seclint:hotpath
 func (f *fold) send(wr, bytes int, t float64) {
 	f.touch()
 	a := &f.secs[f.cur[wr].top()]
@@ -424,8 +413,6 @@ func (f *fold) send(wr, bytes int, t float64) {
 // engine applies, evaluated from the matched-pair timestamps. The section
 // it is charged to is the rank's innermost, on any communicator, as the
 // trace-driven analyses charge it; the group, the innermost open on comm.
-//
-//seclint:hotpath
 func (f *fold) recv(wr int, comm int64, peer, tag, bytes int, t float64, m mpi.MatchInfo) {
 	cur := &f.cur[wr]
 	sid := cur.top()
@@ -461,8 +448,6 @@ func (f *fold) recv(wr int, comm int64, peer, tag, bytes int, t float64, m mpi.M
 }
 
 // collBegin opens a collective on world rank wr.
-//
-//seclint:hotpath
 func (f *fold) collBegin(wr int, t float64) {
 	cur := &f.cur[wr]
 	if int(cur.collDepth) < maxColl {
@@ -472,8 +457,6 @@ func (f *fold) collBegin(wr int, t float64) {
 }
 
 // collEnd closes world rank wr's innermost collective.
-//
-//seclint:hotpath
 func (f *fold) collEnd(wr int, t float64) {
 	cur := &f.cur[wr]
 	if cur.collDepth == 0 {
@@ -493,8 +476,6 @@ func (f *fold) collEnd(wr int, t float64) {
 
 // region is a thread-team compute region of world rank wr: the inputs of
 // the POP MPI+OpenMP split.
-//
-//seclint:hotpath
 func (f *fold) region(wr, team int, start, end, single float64) {
 	f.touch()
 	row := f.pop(f.cur[wr].top(), wr)
@@ -581,8 +562,6 @@ func (tl *Tool) Finalize(r *mpi.Report) {
 }
 
 // SectionEnter implements mpi.Tool.
-//
-//seclint:hotpath
 func (tl *Tool) SectionEnter(c *mpi.Comm, label string, t float64, _ *mpi.ToolData) {
 	tl.mu.Lock()
 	tl.f.enter(c.WorldRank(), c.ID(), c.Size(), label, t)
@@ -590,8 +569,6 @@ func (tl *Tool) SectionEnter(c *mpi.Comm, label string, t float64, _ *mpi.ToolDa
 }
 
 // SectionLeave implements mpi.Tool.
-//
-//seclint:hotpath
 func (tl *Tool) SectionLeave(c *mpi.Comm, label string, t float64, _ *mpi.ToolData) {
 	tl.mu.Lock()
 	tl.f.leave(c.WorldRank(), label, t)
@@ -599,8 +576,6 @@ func (tl *Tool) SectionLeave(c *mpi.Comm, label string, t float64, _ *mpi.ToolDa
 }
 
 // MessageSent implements mpi.Tool.
-//
-//seclint:hotpath
 func (tl *Tool) MessageSent(c *mpi.Comm, _, _, bytes int, t float64) {
 	tl.mu.Lock()
 	tl.f.send(c.WorldRank(), bytes, t)
@@ -608,8 +583,6 @@ func (tl *Tool) MessageSent(c *mpi.Comm, _, _, bytes int, t float64) {
 }
 
 // MessageRecv implements mpi.Tool.
-//
-//seclint:hotpath
 func (tl *Tool) MessageRecv(c *mpi.Comm, src, tag, bytes int, t float64, m mpi.MatchInfo) {
 	tl.mu.Lock()
 	tl.f.recv(c.WorldRank(), c.ID(), c.WorldRankOf(src), tag, bytes, t, m)
@@ -617,8 +590,6 @@ func (tl *Tool) MessageRecv(c *mpi.Comm, src, tag, bytes int, t float64, m mpi.M
 }
 
 // CollectiveBegin implements mpi.Tool.
-//
-//seclint:hotpath
 func (tl *Tool) CollectiveBegin(c *mpi.Comm, _ string, t float64) {
 	tl.mu.Lock()
 	tl.f.collBegin(c.WorldRank(), t)
@@ -626,8 +597,6 @@ func (tl *Tool) CollectiveBegin(c *mpi.Comm, _ string, t float64) {
 }
 
 // CollectiveEnd implements mpi.Tool.
-//
-//seclint:hotpath
 func (tl *Tool) CollectiveEnd(c *mpi.Comm, _ string, t float64) {
 	tl.mu.Lock()
 	tl.f.collEnd(c.WorldRank(), t)
@@ -636,8 +605,6 @@ func (tl *Tool) CollectiveEnd(c *mpi.Comm, _ string, t float64) {
 
 // ComputeRegion implements mpi.ComputeObserver: thread-team regions feed
 // the POP MPI+OpenMP split.
-//
-//seclint:hotpath
 func (tl *Tool) ComputeRegion(c *mpi.Comm, team int, start, end, single float64) {
 	tl.mu.Lock()
 	tl.f.region(c.WorldRank(), team, start, end, single)

@@ -144,8 +144,6 @@ func (c *csvEncoder) flush() error {
 
 // appendRow formats one event as a CSV record, newline included. The
 // zero tails are recognised on bit patterns: -0 is written "-0".
-//
-//seclint:hotpath
 func (c *csvEncoder) appendRow(buf []byte, e *Event) []byte {
 	buf = c.appendFloat(buf, e.T)
 	buf = append(buf, ',')
@@ -317,8 +315,6 @@ var pow5 = func() (p [28]uint64) {
 // even, as in strconv. (Rounding up to 10^17 is carried into the exponent
 // although no double of this domain lies that close below a power of ten:
 // the kernel is right by construction, not by a census of its domain.)
-//
-//seclint:hotpath
 func formatDecimal(dst *[24]byte, key uint64) int {
 	b := int(key>>52) - (1023 - 36) // the sign bit, if set, puts it out of range too
 	if uint(b) > 36+50 {
@@ -872,8 +868,6 @@ const (
 // — the sum cannot carry out of a byte, so no other byte is marked, unlike
 // the (x-0x01…)&^x&0x80… of C libraries, which marks the '-' after a comma
 // in ",section-enter". The last len(line)%8 bytes are read one at a time.
-//
-//seclint:hotpath
 func splitRow(line []byte, fields *[numCols][]byte) bool {
 	n, start, i := 0, 0, 0
 	for ; i+8 <= len(line); i += 8 {
@@ -1027,8 +1021,6 @@ var pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
 // yields its first 64 bits and whether anything follows them — all that
 // rounding to nearest even needs. The result is the correctly rounded one,
 // which is what strconv.ParseFloat returns. Any other cell is declined.
-//
-//seclint:hotpath
 func parseDecimal(b []byte) (float64, bool) {
 	// w is the digits without the point, n of them once the zeros they
 	// start with are gone — from before the point and, if nothing else was

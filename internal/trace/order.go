@@ -203,7 +203,6 @@ func kindOrder(k Kind) int {
 	return int(k)
 }
 
-//seclint:hotpath
 func isSorted(events []Event) bool {
 	for i := 1; i < len(events); i++ {
 		a, b := &events[i-1], &events[i]

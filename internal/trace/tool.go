@@ -43,8 +43,6 @@ func (c *Collector) Dropped() int { return c.buf.Dropped() }
 func (c *Collector) Warning() string { return c.buf.Warning() }
 
 // SectionEnter implements mpi.Tool.
-//
-//seclint:hotpath
 func (c *Collector) SectionEnter(cm *mpi.Comm, label string, t float64, _ *mpi.ToolData) {
 	if !c.Sections {
 		return
@@ -53,8 +51,6 @@ func (c *Collector) SectionEnter(cm *mpi.Comm, label string, t float64, _ *mpi.T
 }
 
 // SectionLeave implements mpi.Tool.
-//
-//seclint:hotpath
 func (c *Collector) SectionLeave(cm *mpi.Comm, label string, t float64, _ *mpi.ToolData) {
 	if !c.Sections {
 		return
@@ -63,8 +59,6 @@ func (c *Collector) SectionLeave(cm *mpi.Comm, label string, t float64, _ *mpi.T
 }
 
 // MessageSent implements mpi.Tool.
-//
-//seclint:hotpath
 func (c *Collector) MessageSent(cm *mpi.Comm, dst, tag, bytes int, t float64) {
 	if !c.Messages {
 		return
@@ -75,8 +69,6 @@ func (c *Collector) MessageSent(cm *mpi.Comm, dst, tag, bytes int, t float64) {
 // MessageRecv implements mpi.Tool. The matched-pair timestamps ride along
 // so an offline replay (internal/waitstate) can classify wait states
 // without re-matching sends to receives.
-//
-//seclint:hotpath
 func (c *Collector) MessageRecv(cm *mpi.Comm, src, tag, bytes int, t float64, m mpi.MatchInfo) {
 	if !c.Messages {
 		return
@@ -88,8 +80,6 @@ func (c *Collector) MessageRecv(cm *mpi.Comm, src, tag, bytes int, t float64, m 
 }
 
 // CollectiveBegin implements mpi.Tool.
-//
-//seclint:hotpath
 func (c *Collector) CollectiveBegin(cm *mpi.Comm, name string, t float64) {
 	if !c.Collectives {
 		return
@@ -99,8 +89,6 @@ func (c *Collector) CollectiveBegin(cm *mpi.Comm, name string, t float64) {
 
 // CollectiveEnd implements mpi.Tool: the exit edge of a rank's collective
 // participation span (paired with the KindCollective begin event).
-//
-//seclint:hotpath
 func (c *Collector) CollectiveEnd(cm *mpi.Comm, name string, t float64) {
 	if !c.Collectives {
 		return
@@ -134,8 +122,6 @@ func (c *Collector) FaultEvent(ev fault.Event) {
 // inefficiency into its OpenMP-region and serial-region parts. Field reuse
 // per the KindOmpRegion docs: team in Bytes, start in PostT, single-thread
 // duration in ArrT.
-//
-//seclint:hotpath
 func (c *Collector) ComputeRegion(cm *mpi.Comm, team int, start, end, single float64) {
 	if !c.Omp {
 		return

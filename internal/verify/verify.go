@@ -1,9 +1,9 @@
-// Package verify is the runtime twin of the seclint static suite
-// (internal/analysis): a MUST-style correctness tool that attaches through
-// the standard mpi.Tool interface and checks, on the live execution, the
-// contracts the paper's section semantics rest on — perfect nesting per
-// communicator on every rank, matched section enters across ranks, and
-// cross-rank collective-order consistency.
+// Package verify checks the paper's section contracts on live executions:
+// a MUST-style correctness tool that attaches through the standard mpi.Tool
+// interface and checks the contracts the section semantics rest on —
+// perfect nesting per communicator on every rank, matched section enters
+// across ranks, and cross-rank collective-order consistency. The seclint
+// static suite (internal/analysis) leaves these checks to it.
 //
 // The tool is deliberately pay-for-what-you-check: the point-to-point hot
 // path (MessageSent/MessageRecv) keeps the embedded no-op hooks, so an
