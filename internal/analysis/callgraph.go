@@ -19,8 +19,6 @@ import (
 // Program is the whole loaded program, ready for interprocedural analysis.
 type Program struct {
 	Fset *token.FileSet
-	// Packages are the root packages handed to Run, sorted by path.
-	Packages []*Package
 	// All is every indexed package — roots plus reachable syntax-carrying
 	// dependencies — sorted by path.
 	All []*Package
@@ -83,11 +81,9 @@ type CallSite struct {
 	// dynamic calls, builtins and conversions.
 	Callee *Func
 	// CalleeObj is the static target's type object, set even when the body
-	// is outside the program (stdlib). Nil for dynamic calls.
+	// is outside the program (stdlib), and the method of an interface call.
+	// Nil for calls through function values.
 	CalleeObj *types.Func
-	// Dynamic marks calls whose target is unknowable statically: through a
-	// function value or an interface method.
-	Dynamic bool
 }
 
 // NewProgram indexes the packages (and their syntax-carrying dependencies)
@@ -100,8 +96,6 @@ func NewProgram(pkgs []*Package) *Program {
 	if len(pkgs) > 0 {
 		p.Fset = pkgs[0].Fset
 	}
-	p.Packages = append(p.Packages, pkgs...)
-	sort.Slice(p.Packages, func(i, j int) bool { return p.Packages[i].Path < p.Packages[j].Path })
 
 	// Transitive closure over syntax-carrying imports.
 	seen := map[*Package]bool{}
@@ -121,7 +115,7 @@ func NewProgram(pkgs []*Package) *Program {
 			visit(pkg.Imports[path])
 		}
 	}
-	for _, pkg := range p.Packages {
+	for _, pkg := range pkgs {
 		visit(pkg)
 	}
 	sort.Slice(p.All, func(i, j int) bool { return p.All[i].Path < p.All[j].Path })
@@ -219,31 +213,31 @@ func (p *Program) resolveCall(pkg *Package, call *ast.CallExpr) (CallSite, bool)
 			return CallSite{Call: call, Callee: p.FuncOf(obj), CalleeObj: obj}, true
 		default:
 			// Function-typed variable (or a type-checker gap): dynamic.
-			return CallSite{Call: call, Dynamic: true}, true
+			return CallSite{Call: call}, true
 		}
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[fn]; ok {
 			if sel.Kind() == types.MethodVal {
 				obj := sel.Obj().(*types.Func)
 				if types.IsInterface(sel.Recv()) {
-					return CallSite{Call: call, CalleeObj: obj, Dynamic: true}, true
+					return CallSite{Call: call, CalleeObj: obj}, true
 				}
 				return CallSite{Call: call, Callee: p.FuncOf(obj), CalleeObj: obj}, true
 			}
 			// Field of function type: dynamic.
-			return CallSite{Call: call, Dynamic: true}, true
+			return CallSite{Call: call}, true
 		}
 		// Qualified identifier pkg.F.
 		if obj, ok := info.Uses[fn.Sel].(*types.Func); ok {
 			return CallSite{Call: call, Callee: p.FuncOf(obj), CalleeObj: obj}, true
 		}
-		return CallSite{Call: call, Dynamic: true}, true
+		return CallSite{Call: call}, true
 	case *ast.FuncLit:
 		return CallSite{Call: call, Callee: p.lits[fn]}, true
 	default:
 		// Anything else (index expressions into func slices, calls of call
 		// results, ...) is dynamic.
-		return CallSite{Call: call, Dynamic: true}, true
+		return CallSite{Call: call}, true
 	}
 }
 

@@ -31,7 +31,7 @@ import (
 //     but this one and cmd/seclint (whose TestRepoIsClean is seclint).
 //
 // A mutant whose package no longer type-checks is stillborn and skipped.
-// The run takes a quarter of an hour or more:
+// The run takes about ten minutes on two cores:
 //
 //	go test ./internal/analysis -run TestMutants -mutants -timeout 0 -v
 //
@@ -101,8 +101,8 @@ type sites struct {
 func (s *sites) off(pos token.Pos) int { return s.prog.Fset.Position(pos).Offset }
 
 // newMutant starts a mutant at node n of f.
-func (s *sites) newMutant(pass, op string, f *siteFile, n ast.Node) *mutant {
-	m := &mutant{pass: pass, op: op, rel: f.rel, line: s.prog.Fset.Position(n.Pos()).Line}
+func (s *sites) newMutant(f *siteFile, n ast.Node) *mutant {
+	m := &mutant{rel: f.rel, line: s.prog.Fset.Position(n.Pos()).Line}
 	for _, d := range f.file.Decls {
 		if fd, ok := d.(*ast.FuncDecl); ok && fd.Pos() <= n.Pos() && n.End() <= fd.End() {
 			m.fn = [2]int{s.off(fd.Pos()), s.off(fd.End())}
@@ -203,13 +203,13 @@ func returnsOnlyError(info *types.Info, ft *ast.FuncType) bool {
 }
 
 // calls visits the mpi runtime calls of every site file, in path order.
-func (s *sites) calls(visit func(f *siteFile, call *ast.CallExpr, name string)) {
+func (s *sites) calls(visit func(f *siteFile, pass *Pass, call *ast.CallExpr, name string)) {
 	for _, f := range s.files {
 		pass := &Pass{TypesInfo: f.pkg.Info, Pkg: f.pkg.Types}
 		ast.Inspect(f.file, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
 				if name, ok := mpiCall(pass, call); ok {
-					visit(f, call, name)
+					visit(f, pass, call, name)
 				}
 			}
 			return true
@@ -224,13 +224,12 @@ var operators = []struct {
 	find     func(s *sites) []*mutant
 }{
 	{"sectionlabel", "replace a constant label with `fmt.Sprint(label)`", func(s *sites) (out []*mutant) {
-		s.calls(func(f *siteFile, call *ast.CallExpr, name string) {
+		s.calls(func(f *siteFile, pass *Pass, call *ast.CallExpr, name string) {
 			switch name {
 			case "SectionEnter", "SectionExit", "Section":
 			default:
 				return
 			}
-			pass := &Pass{TypesInfo: f.pkg.Info}
 			if len(call.Args) == 0 {
 				return
 			}
@@ -238,7 +237,7 @@ var operators = []struct {
 				return
 			}
 			arg := call.Args[0]
-			m := s.newMutant("sectionlabel", "", f, call)
+			m := s.newMutant(f, call)
 			m.edits = []edit{{s.off(arg.Pos()), s.off(arg.End()), "fmt.Sprint(" + s.text(f, arg) + ")"}}
 			imported := false
 			for _, imp := range f.file.Imports {
@@ -253,7 +252,7 @@ var operators = []struct {
 		return out
 	}},
 	{"useafterrelease", "read the buffer after its `mpi.Release`", func(s *sites) (out []*mutant) {
-		s.calls(func(f *siteFile, call *ast.CallExpr, name string) {
+		s.calls(func(f *siteFile, pass *Pass, call *ast.CallExpr, name string) {
 			if name != "Release" || len(call.Args) != 1 {
 				return
 			}
@@ -262,7 +261,7 @@ var operators = []struct {
 			if _, isExpr := st.(*ast.ExprStmt); !ok || !isExpr {
 				return
 			}
-			m := s.newMutant("useafterrelease", "", f, call)
+			m := s.newMutant(f, call)
 			end := s.off(st.End())
 			m.edits = []edit{{end, end, fmt.Sprintf("\n%sif len(%s) > 0 {\n%s\t_ = %[2]s[0]\n%[1]s}", indent(f.src, end), id.Name, indent(f.src, end))}}
 			out = append(out, m)
@@ -270,14 +269,13 @@ var operators = []struct {
 		return out
 	}},
 	{"revokederr", "discard an mpi call's error with `_ =`", func(s *sites) (out []*mutant) {
-		s.calls(func(f *siteFile, call *ast.CallExpr, name string) {
-			pass := &Pass{TypesInfo: f.pkg.Info}
+		s.calls(func(f *siteFile, pass *Pass, call *ast.CallExpr, name string) {
 			_, sig, ok := mpiCallSig(pass, call)
-			if !ok || !lastResultIsError(sig) {
+			st, ft := stmtOf(f.file, call)
+			if !ok || !lastResultIsError(sig) || st == nil {
 				return
 			}
-			st, ft := stmtOf(f.file, call)
-			m := s.newMutant("revokederr", "", f, call)
+			m := s.newMutant(f, call)
 			ind := indent(f.src, s.off(st.Pos()))
 			discard := "_ = " + s.text(f, call)
 			isErrCheck := func(n ast.Stmt, id *ast.Ident) bool {
@@ -382,7 +380,7 @@ func (s *sites) lockSwaps() []*mutant {
 					if !ok || ic == oc {
 						continue
 					}
-					m := s.newMutant("lockorder", "", f, outer)
+					m := s.newMutant(f, outer)
 					end := s.off(inner.End())
 					m.edits = []edit{
 						{s.off(outer.Pos()), s.off(outer.End()), ""},
@@ -483,7 +481,7 @@ func killer(out string) string {
 		case m[2] != "":
 			pkg := strings.TrimPrefix(m[2], "repro/")
 			for _, t := range tests {
-				if !seen[pkg+"."+t] && !strings.Contains(t, "/") {
+				if !strings.Contains(t, "/") {
 					seen[pkg+"."+t] = true
 				}
 			}
@@ -571,7 +569,7 @@ func TestMutants(t *testing.T) {
 			if taken == mutantsPerOp {
 				break
 			}
-			m.op = op.op
+			m.pass, m.op = op.pass, op.op
 			r, ok := scoreMutant(t, work, m, tier1)
 			if !ok {
 				continue // stillborn
