@@ -25,7 +25,11 @@ const (
 
 var hostPhaseNames = [numHostPhases]string{"bring-up", "rank execution", "rendezvous", "tool finalize", "analysis", "render"}
 
-// HostTable is a sweep's host cost by phase, summed over its points.
+// HostTable is a sweep's host cost by phase, summed over its points. Every
+// row is wall time on the goroutine that ran the phase: the rendezvous row
+// is the last arrivers' time in each evaluation, waiting included, and the
+// CPU that the exchange engine's helper goroutines spend drawing a large
+// generation's transfers beside it is not counted.
 type HostTable [numHostPhases]mpi.HostPhase
 
 // addRun adds a run's runtime phases.

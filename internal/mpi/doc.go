@@ -59,6 +59,14 @@
 //     them for a tool's monitor (internal/serve's HTTP handlers) while the
 //     run executes.
 //
+// One pass writes rank state off the running rank: the exchange engine's
+// resolve pass (exchange.go). In a generation of more than one chunk of
+// ranks, helper goroutines draw the sends' transfers next to the last
+// arriver. A helper touches only the rng of the ranks it takes and those
+// ranks' ops in the generation's slab, and reads the model, the placement
+// and the group, which nothing writes while a world runs. The last arriver
+// waits for its helpers before any rank moves, so no rank runs meanwhile.
+//
 // What worlds share is locked or atomic in its own right: the rank
 // coroutine pool, the exchange slabs, the free lists (internal/park: the
 // envelopes, posted receives, rank-state slabs and communicator arrays)

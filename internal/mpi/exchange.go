@@ -3,6 +3,9 @@ package mpi
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // GhostExchange is one pairwise ghost Sendrecv of an ExchangeGhost call:
@@ -32,7 +35,8 @@ type GhostExchange struct {
 //
 // The messages are virtual: the ranks meet in one host rendezvous and the
 // last arriver evaluates everyone's list as dataflow over the arrival clocks
-// (exchangeState.evaluate), the engine Barrier runs its rounds on too. The
+// (exchangeState.evaluate), the engine Barrier runs its rounds on too; the
+// transfers, jitter included, are drawn ahead of it rank-parallel. The
 // loop above is the body when a fault plan is armed (package doc, "Literal
 // messages under a plan"), and for a call that finds a message it would
 // have matched already queued. Lists that do not pair up — a receive whose
@@ -144,10 +148,21 @@ type exchangeState struct {
 	// The verdict: the generation goes down the literal loop, or failed.
 	literal bool
 	err     error
+	// The resolve pass's workers: the first rank of the next chunk, and the
+	// helpers the last arriver waits for.
+	next    atomic.Int32
+	helpers sync.WaitGroup
 }
 
+// resolveChunk is how many ranks' transfers a resolve worker draws at a
+// time. A generation of one chunk — every sweep point but the extreme
+// ones — is resolved inline, with no goroutine. Sized from rows at half
+// and double (EXPERIMENTS.md, "Jitter drawn ahead of the dataflow").
+const resolveChunk = 512
+
 // exchangeOp is one op of the generation — a send to Peer, then a receive
-// from src — with its outgoing message's stamps.
+// from src — with its outgoing message's stamps. Until the send is stamped,
+// arrival holds its transfer time, drawn by the resolve pass.
 type exchangeOp struct {
 	GhostExchange
 	sendT, arrival float64
@@ -186,19 +201,27 @@ func (x *exchangeState) admit(c *Comm, ops []GhostExchange, barrier bool) {
 	}
 }
 
-// evaluate runs the generation: every rank's list in order, a rank
-// suspending at a receive whose send is not stamped yet and resuming when it
-// is. A rank's draws from its stream, clock advances and hooks so happen in
-// its program order, each hook with the rank's clock at the event's time,
-// through the stamp and completion functions real messages use (p2p.go).
-// Which rank runs when is immaterial — a message's stamps depend on its
-// sender alone — so the result is the literal loop's in O(ops). The last
-// arriver's host time here is the rendezvous phase's.
+// evaluate runs the generation in two passes. The first, resolve, draws
+// every send's transfer time, jitter included, from its sender's stream,
+// each rank's sends in program order: a generation's only draws are its
+// sends' jitter, so a rank's stream ends where the literal loop leaves it.
+// It is rank-parallel, and reads only what no rank writes. The second is
+// the dataflow: every rank's list in order, a rank suspending at a receive
+// whose send is not stamped yet and resuming when it is. A rank's clock
+// advances and hooks so happen in its program order, each hook with the
+// rank's clock at the event's time, the arrival sendT + transfer as
+// stampSend computes it and the receive through the completion function
+// real messages use (p2p.go). Which rank runs when is immaterial — a
+// message's stamps depend on its sender alone — so the result is the
+// literal loop's in O(ops). Lists that do not pair up have their unreached
+// sends drawn too; the loop would hang on them. The last arriver's host
+// time here, waiting for the helpers included, is the rendezvous phase's.
 func (x *exchangeState) evaluate(op string) {
 	w := x.comms[0].rs.world
 	left := w.enterPhase(&w.host.Rendezvous)
 	x.literal, x.err = x.queued(), nil
 	if !x.literal {
+		x.resolve()
 		for r := range x.comms {
 			x.run(int32(r))
 			for len(x.ready) > 0 {
@@ -211,6 +234,54 @@ func (x *exchangeState) evaluate(op string) {
 	}
 	x.ops = x.ops[:0]
 	w.enterPhase(left)
+}
+
+// resolve draws the generation's transfers: ranks go out in chunks of
+// resolveChunk to the last arriver and up to GOMAXPROCS-1 helper
+// goroutines, and the last arriver returns once every chunk is drawn. A
+// helper touches only its ranks' streams and their ops in the slab; the
+// last arriver waits, so no rank runs meanwhile.
+func (x *exchangeState) resolve() {
+	p := int32(len(x.comms))
+	helpers := min(int((p+resolveChunk-1)/resolveChunk), runtime.GOMAXPROCS(0)) - 1
+	if helpers <= 0 {
+		x.resolveRanks(0, p)
+		return
+	}
+	x.next.Store(0)
+	x.helpers.Add(helpers)
+	for range helpers {
+		go func() {
+			defer x.helpers.Done()
+			x.drain()
+		}()
+	}
+	x.drain()
+	x.helpers.Wait()
+}
+
+// drain resolves chunks until none is left.
+func (x *exchangeState) drain() {
+	p := int32(len(x.comms))
+	for {
+		lo := x.next.Add(resolveChunk) - resolveChunk
+		if lo >= p {
+			return
+		}
+		x.resolveRanks(lo, min(lo+resolveChunk, p))
+	}
+}
+
+// resolveRanks draws the transfers of ranks [lo, hi), into their ops'
+// arrival.
+func (x *exchangeState) resolveRanks(lo, hi int32) {
+	for r := lo; r < hi; r++ {
+		c, st := x.comms[r], &x.ranks[r]
+		ops := x.ops[st.off : st.off+st.n]
+		for i := range ops {
+			ops[i].arrival = c.transfer(ops[i].Peer, ops[i].VBytes)
+		}
+	}
 }
 
 // unpaired is the error of schedules that do not pair up, naming the first
@@ -270,14 +341,16 @@ func (x *exchangeState) queued() bool {
 // run advances rank r until its list is done or it suspends.
 func (x *exchangeState) run(r int32) {
 	c, st := x.comms[r], &x.ranks[r]
-	tools := c.rs.world.cfg.Tools
+	w := c.rs.world
 	for st.pc < st.n {
 		at := st.off + st.pc
 		op := &x.ops[at]
 		if !op.stamped {
-			op.sendT, op.arrival, _, _ = c.stampSend(op.Peer, op.NBytes, op.VBytes)
+			c.rs.advance(w.cfg.Model.Net.SendOverhead)
+			op.sendT = c.rs.now()
+			op.arrival += op.sendT
 			op.stamped = true
-			for _, t := range tools {
+			for _, t := range w.cfg.Tools {
 				t.MessageSent(c, op.Peer, op.SendTag, op.VBytes, op.sendT)
 			}
 			if op.awaited {

@@ -39,7 +39,9 @@ type HostPhases struct {
 	// Execution is the ranks running, less the other phases.
 	Execution HostPhase
 	// Rendezvous is the last arrivers' evaluations of the virtual
-	// collectives (Barrier, ExchangeGhost) and of Split.
+	// collectives (Barrier, ExchangeGhost) and of Split, in their wall
+	// time: an exchange's helpers (exchangeState.resolve) are waited for,
+	// not counted.
 	Rendezvous HostPhase
 	// Finalize is the tools' Finalize and the report's assembly.
 	Finalize HostPhase

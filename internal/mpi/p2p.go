@@ -293,28 +293,36 @@ func (c *Comm) sendInternal(dst, tag, hookTag int, data []byte, nbytes, vbytes i
 }
 
 // stampSend is the sender's half of a message's clock arithmetic, said once
-// for Send, the rendezvous evaluators (collectives.go, exchange.go) and the
-// rooted calls' slots (rooted.go):
-// charge o_send, model the transfer of vbytes to comm rank dst with jitter
-// from the rank's own stream, let an armed fault plan count the operation
-// and perturb the link, then stamp the message. nbytes comes back shortened
-// when a trunc rule fired; dropped means the message is never delivered
-// (the sender proceeds and its hooks still fire).
+// for Send and the rooted calls' slots (rooted.go):
+// charge o_send, model the transfer of vbytes to comm rank dst, let an armed
+// fault plan count the operation and perturb the link, then stamp the
+// message. nbytes comes back shortened when a trunc rule fired; dropped
+// means the message is never delivered (the sender proceeds and its hooks
+// still fire). The exchange engine (exchange.go) draws its transfers ahead
+// and stamps them itself, with no plan armed.
 func (c *Comm) stampSend(dst, nbytes, vbytes int) (sendT, arrival float64, realBytes int, dropped bool) {
 	w := c.rs.world
-	model := w.cfg.Model
-	c.rs.advance(model.Net.SendOverhead)
-	srcWorld := c.shared.group[c.rank]
-	dstWorld := c.shared.group[dst]
-	transfer := model.MsgTime(vbytes, w.placement.SameNode(srcWorld, dstWorld), w.placement.NodesInUse(), &c.rs.rng)
+	c.rs.advance(w.cfg.Model.Net.SendOverhead)
+	transfer := c.transfer(dst, vbytes)
 	if fi := w.fi; fi != nil {
 		c.countOp()
 		if fi.hasLink {
-			dropped, nbytes, transfer = c.applyLinkFaults(srcWorld, dstWorld, nbytes, vbytes, transfer)
+			dropped, nbytes, transfer = c.applyLinkFaults(c.shared.group[c.rank], c.shared.group[dst], nbytes, vbytes, transfer)
 		}
 	}
 	sendT = c.rs.now()
 	return sendT, sendT + transfer, nbytes, dropped
+}
+
+// transfer is the modeled transfer time of vbytes to comm rank dst, its
+// jitter drawn from the rank's own stream: the one place a message's
+// transfer is drawn. It reads only the model, the placement and the group,
+// which no rank writes, so the exchange engine's helpers call it on the
+// ranks they resolve (exchangeState.resolve).
+func (c *Comm) transfer(dst, vbytes int) float64 {
+	w := c.rs.world
+	sameNode := w.placement.SameNode(c.shared.group[c.rank], c.shared.group[dst])
+	return w.cfg.Model.MsgTime(vbytes, sameNode, w.placement.NodesInUse(), &c.rs.rng)
 }
 
 // SendGhostBatch posts one ghost message per destination: the loop

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/machine"
 	"repro/internal/stats"
@@ -660,6 +661,56 @@ func TestReferenceMatchesRuntime(t *testing.T) {
 			checkReference(t, xp.p, xp.seed, xp.run, xp.lower)
 		}
 	})
+}
+
+// TestReferenceAcrossResolveChunks holds generations of more than two
+// resolve chunks (exchange.go) to the reference: the world's generations
+// span three, so under -cpu 2 and 4 helpers draw their transfers, and under
+// -cpu 1 the last arriver alone. Barrier rounds and halo lists match bit for
+// bit; with one rank in the third chunk receiving under a tag its peer never
+// sends, the runtime and the reference name the same first waiting rank.
+func TestReferenceAcrossResolveChunks(t *testing.T) {
+	const p = 2*resolveChunk + 5
+	bp, xp := namedBarrierProg(p), namedExchangeProg(p)
+	if raceEnabled {
+		// The reference's cost grows with p squared: under the detector,
+		// the programs up to their first p2p after a world generation.
+		bp.steps, xp.steps = bp.steps[:9], xp.steps[:26]
+	}
+	checkReference(t, p, bp.seed, bp.run, bp.lower)
+	checkReference(t, p, xp.seed, xp.run, xp.lower)
+
+	const odd = 2*resolveChunk + 1
+	lists := func(on member) []GhostExchange {
+		ops := xp.moore(on, 0, true)
+		if on.Rank() == odd {
+			ops[0].RecvTag = tagOther
+		}
+		return ops
+	}
+	cfg := Config{Ranks: p, Model: machine.ExtremeCluster(), Seed: xp.seed, Timeout: time.Minute}
+	var err0 error
+	if _, err := Run(cfg, func(c *Comm) error {
+		err := c.ExchangeGhost(lists(c))
+		if c.Rank() == 0 {
+			err0 = err
+		}
+		return err
+	}); err == nil {
+		t.Fatal("the runtime exchanged lists that do not pair up")
+	}
+	_, stuck := runReference(xp.seed, cfg.Model, lowerProgram(p, func(h refHandle) error {
+		h.exchange(lists(h))
+		return nil
+	}))
+	if len(stuck) == 0 {
+		t.Fatal("the reference left no rank waiting")
+	}
+	s := stuck[0]
+	want := fmt.Sprintf("rank %d is left waiting for a message from rank %d under tag %d", s.rank, s.src, s.tag)
+	if s.call != "ExchangeGhost" || err0 == nil || !strings.Contains(err0.Error(), want) {
+		t.Errorf("the runtime reports %v; the reference's first waits in %s: %s", err0, s.call, want)
+	}
 }
 
 // TestReferenceStuckSets: where the runtime reports a deadlock, or lists
