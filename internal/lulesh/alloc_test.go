@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/mpi"
+	"repro/internal/park"
 )
 
 // stepAllocs returns the allocations of one time step, all ranks together,
@@ -210,6 +211,31 @@ func TestRunReusesStateSlab(t *testing.T) {
 			t.Errorf("take(%d) returned %d floats", small, len(got))
 		}
 	})
+}
+
+// TestFieldRowsReused pins freeFieldRows: a second run of a geometry takes
+// every rank's field encoding from the list, and the list keeps what one
+// 8-rank world needs at most at once — rank 0's across its Gather and one
+// sender's.
+func TestFieldRowsReused(t *testing.T) {
+	p := Params{S: 6, Steps: 1, Threads: 1, Scale: 1, SedovEnergy: 1e4}
+	run := func() park.Stats {
+		t.Helper()
+		if _, err := Run(idealCfg(8, 1), p); err != nil {
+			t.Fatal(err)
+		}
+		return freeFieldRows.Stats()
+	}
+	for freeFieldRows.Take(nil) != nil {
+	}
+	warm := run()
+	again := run()
+	if again.Misses != warm.Misses || again.Takes != warm.Takes+8 {
+		t.Errorf("second run: %d takes, %d misses; want 8 takes, no miss", again.Takes-warm.Takes, again.Misses-warm.Misses)
+	}
+	if size := 8 * p.S * p.S * p.S; again.Parked > 2*size {
+		t.Errorf("list parks %d B after an 8-rank world, want at most two %d B encodings", again.Parked, size)
+	}
 }
 
 // TestConcurrentRunsShareSlabs runs a 1-rank and an 8-rank world side by side

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"strconv"
 
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/omp"
+	"repro/internal/park"
 )
 
 // Tags for the face exchanges (one pair per axis) and the final gather.
@@ -443,30 +445,57 @@ func (s *state) totals() (mass, energy float64, err error) {
 	return agg[0], agg[1], nil
 }
 
+// fieldRowsBudget bounds the bytes freeFieldRows keeps. A rank's encoded
+// interior is 8n³ bytes: 13.8, 1.7 and 0.5 KB for the KNL sweep's edges 12,
+// 6 and 4. A world of one rank holds one at a time and a larger world two
+// (rank 0's, across its Gather, and the sender's), so the sweep on two
+// workers parks 36 KB.
+const fieldRowsBudget = 64 << 10
+
+// freeFieldRows is where gatherFieldHash takes a rank's encoding buffer
+// from and returns it to once Gather has copied it, so that a repeated
+// sweep encodes its fields without allocating. Its bound counts bytes.
+var freeFieldRows = park.New("lulesh_field_rows", fieldRowsBudget, func(b []byte) int { return len(b) })
+
 // gatherFieldHash hashes the global density field on rank 0 (in global
 // index order, independent of the decomposition); the hash is then broadcast
 // so every rank returns the same value. A rank encodes its interior once, in
 // local order, and rank 0 feeds the hash row by row straight from the
 // gathered wire bytes: the little-endian encoding is the hashed stream.
+// Rank 0's own rows never travel, so it gathers none of its own and hashes
+// them from its encoding.
 func (s *state) gatherFieldHash() (uint64, error) {
 	c := s.c
 	n := s.n
-	local := make([]byte, 0, 8*n*n*n)
+	size := 8 * n * n * n
+	local := freeFieldRows.Take(func(b []byte) bool { return len(b) == size })
+	if local == nil {
+		local = make([]byte, size)
+	}
+	local = local[:0]
 	for k := 1; k <= n; k++ {
 		for j := 1; j <= n; j++ {
 			row := s.idx(1, j, k)
 			local = mpi.AppendFloat64s(local, s.rho[row:row+n])
 		}
 	}
-	parts, err := c.Gather(0, local)
+	mine := local
+	if c.Rank() == 0 {
+		mine = nil
+	}
+	parts, err := c.Gather(0, mine)
+	if c.Rank() != 0 {
+		freeFieldRows.Put(local) // Gather sent a copy
+	}
 	if err != nil {
 		return 0, err
 	}
 	var hash uint64
 	if c.Rank() == 0 {
+		parts[0] = local
 		for r, raw := range parts {
-			if len(raw) != len(local) {
-				return 0, fmt.Errorf("lulesh: rank %d sent %d field bytes, want %d", r, len(raw), len(local))
+			if len(raw) != size {
+				return 0, fmt.Errorf("lulesh: rank %d sent %d field bytes, want %d", r, len(raw), size)
 			}
 		}
 		h := fnv.New64a()
@@ -484,16 +513,15 @@ func (s *state) gatherFieldHash() (uint64, error) {
 			}
 		}
 		hash = h.Sum64()
-		for _, raw := range parts {
+		for _, raw := range parts[1:] {
 			mpi.Release(raw)
 		}
+		freeFieldRows.Put(local)
 	}
-	got, err := c.Bcast(0, []byte(fmt.Sprintf("%d", hash)))
+	var digits [20]byte
+	got, err := c.Bcast(0, strconv.AppendUint(digits[:0], hash, 10))
 	if err != nil {
 		return 0, err
 	}
-	if _, err := fmt.Sscan(string(got), &hash); err != nil {
-		return 0, err
-	}
-	return hash, nil
+	return strconv.ParseUint(string(got), 10, 64)
 }

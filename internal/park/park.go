@@ -23,6 +23,9 @@
 //     sweep's worlds park.
 //   - lulesh_state_slabs (internal/lulesh): 2 MiB of LULESH state, two
 //     points of each geometry of the KNL sweep (1.65 MB).
+//   - lulesh_field_rows (internal/lulesh): 64 KiB of encoded density
+//     fields for the final gather; the KNL sweep on two workers parks
+//     36 KB.
 //   - trace_chunks (internal/trace): 2048 chunks, 48 MiB, two paper-scale
 //     recorded points side by side.
 //   - waitstate_worlds (internal/waitstate): 8 diagnosis worlds, one per
