@@ -226,20 +226,15 @@ func runRank(c *mpi.Comm, p Params) (*img.Image, error) {
 	err = c.Section(SecScatter, func() error {
 		const tag = 100
 		if p.SkipKernel {
-			// Ghost bands: no pixels exist, but each message carries its
-			// band's real byte count and full-problem vbytes.
-			var dsts, nbytes, vbytes []int
-			if rank == 0 {
-				dsts, nbytes, vbytes = make([]int, 0, ranks-1), make([]int, 0, ranks-1), make([]int, 0, ranks-1)
-				for r := ranks - 1; r >= 1; r-- {
-					rLo, rHi := partition(execH, ranks, r)
-					rFullLo, rFullHi := partition(p.Height, ranks, r)
-					dsts = append(dsts, r)
-					nbytes = append(nbytes, (rHi-rLo)*stride*8)
-					vbytes = append(vbytes, (rFullHi-rFullLo)*fullRowBytes)
-				}
-			}
-			return c.ScatterGhost(0, tag, dsts, nbytes, vbytes)
+			// Ghost bands, in descending rank order: no pixels exist, but
+			// each message carries its band's real byte count and
+			// full-problem vbytes.
+			return c.ScatterGhost(0, tag, func(i int) (int, int, int) {
+				r := ranks - 1 - i
+				rLo, rHi := partition(execH, ranks, r)
+				rFullLo, rFullHi := partition(p.Height, ranks, r)
+				return r, (rHi - rLo) * stride * 8, (rFullHi - rFullLo) * fullRowBytes
+			})
 		}
 		if rank == 0 {
 			for r := ranks - 1; r >= 1; r-- {

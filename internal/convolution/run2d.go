@@ -97,8 +97,7 @@ func runRank2D(c *mpi.Comm, p Params, px, py int) (*img.Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	coords := cart.Coords()
-	t := &tile2D{cy: coords[0], cx: coords[1]}
+	t := &tile2D{cy: cart.Coord(0), cx: cart.Coord(1)}
 	// The eight neighbours are fixed for the run; every halo exchange of
 	// every step reads them.
 	for dy := -1; dy <= 1; dy++ {
@@ -167,23 +166,15 @@ func runRank2D(c *mpi.Comm, p Params, px, py int) (*img.Image, error) {
 		const tag = 110
 		if p.SkipKernel {
 			// Ghost tiles, in descending rank order.
-			var dsts, nbytes, vbytes []int
-			if c.Rank() == 0 {
-				n := c.Size() - 1
-				dsts, nbytes, vbytes = make([]int, 0, n), make([]int, 0, n), make([]int, 0, n)
-				for r := n; r >= 1; r-- {
-					rcy := r / px
-					rcx := r % px
-					rxlo, rxhi := partition(execW, px, rcx)
-					rylo, ryhi := partition(execH, py, rcy)
-					fxlo, fxhi := partition(p.Width, px, rcx)
-					fylo, fyhi := partition(p.Height, py, rcy)
-					dsts = append(dsts, r)
-					nbytes = append(nbytes, (rxhi-rxlo)*(ryhi-rylo)*ch*8)
-					vbytes = append(vbytes, (fxhi-fxlo)*(fyhi-fylo)*ch*8)
-				}
-			}
-			return c.ScatterGhost(0, tag, dsts, nbytes, vbytes)
+			return c.ScatterGhost(0, tag, func(i int) (int, int, int) {
+				r := c.Size() - 1 - i
+				rcy, rcx := r/px, r%px
+				rxlo, rxhi := partition(execW, px, rcx)
+				rylo, ryhi := partition(execH, py, rcy)
+				fxlo, fxhi := partition(p.Width, px, rcx)
+				fylo, fyhi := partition(p.Height, py, rcy)
+				return r, (rxhi - rxlo) * (ryhi - rylo) * ch * 8, (fxhi - fxlo) * (fyhi - fylo) * ch * 8
+			})
 		}
 		if c.Rank() == 0 {
 			for r := c.Size() - 1; r >= 1; r-- {

@@ -319,13 +319,13 @@ func TestPlacementBlockFill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.nodeOf) != 64 {
-		t.Fatalf("placed %d ranks, want 64", len(p.nodeOf))
+	if p.ranksOn(7) != 8 || p.ranksOn(8) != 0 {
+		t.Fatalf("nodes 7 and 8 hold %d and %d ranks, want 8 and 0", p.ranksOn(7), p.ranksOn(8))
 	}
 	// 8 ranks per node, block-wise.
 	for r := 0; r < 64; r++ {
-		if want := r / 8; p.nodeOf[r] != want {
-			t.Fatalf("rank %d on node %d, want %d", r, p.nodeOf[r], want)
+		if want := r / 8; p.node(r) != want {
+			t.Fatalf("rank %d on node %d, want %d", r, p.node(r), want)
 		}
 	}
 	if !p.SameNode(0, 7) || p.SameNode(7, 8) {
@@ -343,8 +343,8 @@ func TestPlacementHybrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < 8; r++ {
-		if p.nodeOf[r] != 0 {
-			t.Fatalf("single-node machine placed rank %d on node %d", r, p.nodeOf[r])
+		if p.node(r) != 0 {
+			t.Fatalf("single-node machine placed rank %d on node %d", r, p.node(r))
 		}
 	}
 	if p.NodeThreads(0) != 128 {
@@ -401,17 +401,25 @@ func TestPlacementPropertyAllRanksPlaced(t *testing.T) {
 		}
 		total := 0
 		for n := 0; n < m.Nodes; n++ {
-			total += p.threadsOnNode[n]
+			total += p.ranksOn(n) * th
 		}
 		if total != r*th {
 			return false
 		}
+		onNode := make([]int, m.Nodes)
 		for i := 0; i < r; i++ {
-			if p.nodeOf[i] < 0 || p.nodeOf[i] >= m.Nodes {
+			onNode[p.node(i)]++
+		}
+		for i := 0; i < r; i++ {
+			// A node's load is the ranks placed on it.
+			if p.NodeThreads(i) != onNode[p.node(i)]*th {
+				return false
+			}
+			if p.node(i) < 0 || p.node(i) >= m.Nodes {
 				return false
 			}
 			// Block placement is monotone in rank.
-			if i > 0 && p.nodeOf[i] < p.nodeOf[i-1] {
+			if i > 0 && p.node(i) < p.node(i-1) {
 				return false
 			}
 		}

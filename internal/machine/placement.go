@@ -5,17 +5,15 @@ import "fmt"
 // Placement maps MPI ranks onto the nodes of a Model, block-wise: ranks
 // fill a node before spilling to the next one, which is how the paper's
 // runs were scheduled (e.g. 8 ranks per Nehalem node). Each rank may run a
-// team of software threads; the placement records how many software threads
-// end up on each node so the cost model can charge bandwidth and core
-// sharing correctly.
+// team of software threads; the cost model charges bandwidth and core
+// sharing by the software threads on the rank's node. Placement is
+// arithmetic: a rank's node and its node's load follow from the rank and
+// the ranks per node, so a placement holds no per-rank or per-node array.
 type Placement struct {
-	model         *Model
-	nodeOf        []int
-	threadsOnNode []int
+	model                          *Model
+	ranks, perNode, threadsPerRank int
 	// nodesInUse is derived once at construction: the placement is
-	// immutable, and NodesInUse sits on the per-message send path, where an
-	// O(nodes) recount at 10k ranks would dominate the transfer-time model
-	// itself.
+	// immutable, and NodesInUse sits on the per-message send path.
 	nodesInUse int
 }
 
@@ -45,33 +43,25 @@ func NewPlacement(m *Model, ranks, threadsPerRank int) (*Placement, error) {
 	if perNode*m.Nodes < ranks {
 		perNode = (ranks + m.Nodes - 1) / m.Nodes
 	}
-	p := &Placement{
-		model:         m,
-		nodeOf:        make([]int, ranks),
-		threadsOnNode: make([]int, m.Nodes),
-	}
-	for r := 0; r < ranks; r++ {
-		n := r / perNode
-		if n >= m.Nodes {
-			n = m.Nodes - 1
-		}
-		p.nodeOf[r] = n
-		p.threadsOnNode[n] += threadsPerRank
-	}
-	for _, t := range p.threadsOnNode {
-		if t > 0 {
-			p.nodesInUse++
-		}
-	}
-	return p, nil
+	// Either way perNode·Nodes ≥ ranks: every rank's block is a node.
+	return &Placement{
+		model: m, ranks: ranks, perNode: perNode, threadsPerRank: threadsPerRank,
+		nodesInUse: (ranks + perNode - 1) / perNode,
+	}, nil
 }
 
+// node returns the node hosting rank r.
+func (p *Placement) node(r int) int { return r / p.perNode }
+
+// ranksOn returns how many ranks node n hosts.
+func (p *Placement) ranksOn(n int) int { return max(min(p.ranks-n*p.perNode, p.perNode), 0) }
+
 // SameNode reports whether two ranks share a node.
-func (p *Placement) SameNode(a, b int) bool { return p.nodeOf[a] == p.nodeOf[b] }
+func (p *Placement) SameNode(a, b int) bool { return p.node(a) == p.node(b) }
 
 // NodeThreads reports the total software threads on the node hosting rank r
 // — the denominator for per-rank shares of node throughput and bandwidth.
-func (p *Placement) NodeThreads(r int) int { return p.threadsOnNode[p.nodeOf[r]] }
+func (p *Placement) NodeThreads(r int) int { return p.ranksOn(p.node(r)) * p.threadsPerRank }
 
 // ComputeTime charges work w to rank r running team software threads
 // (team <= threadsPerRank normally; pass 1 for serial phases).

@@ -322,7 +322,7 @@ func (r *rankState) recycle() {
 
 const (
 	// rankSlabsMax bounds the parked rank-state slabs: 64 are 16,384
-	// ranks, 3.7 MB. The extreme sweep's three worlds (10,000, 4,096 and
+	// ranks, 4.5 MB. The extreme sweep's three worlds (10,000, 4,096 and
 	// 1,024 ranks) hold 60 between them when they run side by side, 40
 	// one at a time (EXPERIMENTS.md, "Worlds from parked slabs", has the
 	// sweep's rows at half and at double every bound).

@@ -28,6 +28,10 @@ type commShared struct {
 
 // Comm is one rank's handle on a communicator. Handles are cheap values
 // tied to their rank; methods must only be called from its rank function.
+// The world handle Run passes a rank function is part of the rank's state,
+// which its world parks when it ends (bufpool.go): it is valid only inside
+// the rank function, and a handle kept past Run may alias a rank of the
+// next world.
 type Comm struct {
 	shared *commShared
 	rank   int // rank within this communicator

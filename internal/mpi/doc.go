@@ -48,9 +48,9 @@
 // rendezvous behind Split and the exchange engine Barrier and ExchangeGhost
 // share, the states around them, the rooted slots behind ScatterGhost
 // and GatherGhost, the scratch ToolData a section exit hands its hooks, the
-// dead mask, the fault log, the section errors and where each rank parked,
-// which the driver reads back for a deadlock report. Another goroutine reads
-// only these, and they are atomic:
+// failed ranks' errors, the fault log, the section errors and where each
+// rank parked, which the driver reads back for a deadlock report. Another
+// goroutine reads only these, and they are atomic:
 //
 //   - abortSet, with abortOnce: the Timeout watchdog calls abort from Run's
 //     goroutine while the driver runs; the driver polls abortSet between
@@ -69,10 +69,14 @@
 //
 // What worlds share is locked or atomic in its own right: the rank
 // coroutine pool, the exchange slabs, the free lists (internal/park: the
-// envelopes, posted receives, rank-state slabs and communicator arrays)
-// and the payload pool. A world takes its slabs and arrays from the lists
-// at bring-up and parks them, cleared, once its ranks are done and its
-// tools finalized (bufpool.go).
+// envelopes, posted receives, rank-state slabs and communicator arrays),
+// the payload pool and the world communicator's identity group, of which
+// each world reads a prefix. A world takes its slabs and arrays from the
+// lists at bring-up and parks them, cleared, once its ranks are done and
+// its tools finalized (bufpool.go). A rank's handle on the world
+// communicator, the *Comm its rank function is passed, is a field of its
+// rank state and parked with it: it is valid only inside the rank
+// function, and one kept past Run may alias a rank of the next world.
 //
 // # Fault injection and fault tolerance
 //

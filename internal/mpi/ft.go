@@ -126,8 +126,8 @@ func (cs *commShared) contains(worldRank int) bool {
 // rankDied records a rank's death and propagates it: every communicator the
 // rank belongs to is revoked, waking all blocked peers. Called from the
 // rank's recovery path.
-func (w *World) rankDied(rank int, re *RankError, t float64) {
-	w.dead[rank] = true
+func (w *World) rankDied(re *RankError, t float64) {
+	w.failed = append(w.failed, re)
 	if w.failPi == nil {
 		w.failPi = &poisonInfo{
 			reason: fmt.Errorf("%w: %w", ErrRevoked, re),
@@ -140,26 +140,15 @@ func (w *World) rankDied(rank int, re *RankError, t float64) {
 	// and a second kill event would misattribute it.
 	if re.killed || !errors.Is(re.Err, ErrRevoked) {
 		w.emitFault(fault.Event{
-			T: t, Kind: fault.Kill, Rank: rank, Src: -1, Dst: -1,
+			T: t, Kind: fault.Kill, Rank: re.Rank, Src: -1, Dst: -1,
 			Section: re.Section,
 		})
 	}
 	for _, cs := range w.comms {
-		if cs.contains(rank) {
+		if cs.contains(re.Rank) {
 			cs.revoke(w.failPi)
 		}
 	}
-}
-
-// deadRanks reports the world ranks that failed during the run, ascending.
-func (w *World) deadRanks() []int {
-	var out []int
-	for r, d := range w.dead {
-		if d {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // abort poisons the whole run with err: it records the reason and sets

@@ -71,7 +71,7 @@ func blockAfter(on *Comm, kind int) error {
 				dsts, sizes = append(dsts, d), append(sizes, 8)
 			}
 		}
-		return on.ScatterGhost(n-1, tagHandOff, dsts, sizes, sizes)
+		return on.ScatterGhost(n-1, tagHandOff, lists(dsts, sizes, sizes))
 	case blockGather:
 		return on.GatherGhost(0, tagHandOff, 8, 8)
 	case blockSplit:
@@ -299,6 +299,60 @@ func TestRankCoroutinesArePooled(t *testing.T) {
 	}
 	if now := PooledRankGoroutines(); now != pooled {
 		t.Errorf("pool went from %d to %d coroutines across warm runs", pooled, now)
+	}
+}
+
+// TestConcurrentWorldsShareParkedState runs worlds of growing size side by
+// side, each twice, so that they take and park rank slabs (and the world
+// handles in them) while the others run, and read the shared identity group
+// while a larger world grows it. Each rank's handle names itself, and each
+// world's clocks and failures equal those of the same world run alone.
+func TestConcurrentWorldsShareParkedState(t *testing.T) {
+	sizes := []int{5, 300, 600, 1100}
+	run := func(p int) (*Report, error) {
+		cfg := Config{Ranks: p, Model: machine.ExtremeCluster(), Seed: uint64(p), Lazy: p%2 == 0, Timeout: time.Minute}
+		return Run(cfg, func(c *Comm) error {
+			if c.WorldRank() != c.Rank() || c.Size() != p {
+				return fmt.Errorf("rank %d of %d: world rank %d, size %d", c.Rank(), p, c.WorldRank(), c.Size())
+			}
+			c.Compute(WorkUnit{Flops: float64(1000 * (c.Rank() + 1))})
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			if c.Rank() == p/2 {
+				return errors.New("leaves")
+			}
+			return c.Barrier()
+		})
+	}
+	alone := make([]*Report, len(sizes))
+	for i, p := range sizes {
+		alone[i], _ = run(p)
+	}
+	for round := 0; round < 2; round++ {
+		// The worlds grow the identity from nothing while the others read it.
+		identity.Lock()
+		identity.group = nil
+		identity.Unlock()
+		reps, errs := make([]*Report, len(sizes)), make([]error, len(sizes))
+		done := make(chan int)
+		for i, p := range sizes {
+			go func() {
+				reps[i], errs[i] = run(p)
+				done <- i
+			}()
+		}
+		for range sizes {
+			<-done
+		}
+		for i, p := range sizes {
+			switch {
+			case errs[i] == nil || !strings.Contains(errs[i].Error(), fmt.Sprintf("rank %d failed: leaves", p/2)):
+				t.Errorf("p = %d: err = %v, want rank %d's failure", p, errs[i], p/2)
+			case fmt.Sprint(reps[i].RankTimes) != fmt.Sprint(alone[i].RankTimes) || fmt.Sprint(reps[i].Dead) != fmt.Sprint(alone[i].Dead):
+				t.Errorf("p = %d: side by side, clocks or dead ranks differ from the world run alone", p)
+			}
+		}
 	}
 }
 

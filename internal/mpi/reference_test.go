@@ -20,10 +20,11 @@ import (
 // hooks' section and collective events — with every collective spelled out
 // as the messages of its algorithm: the dissemination rounds, the binomial
 // trees, the linear fan-out and fan-in and the exchange loop. The
-// interpreter then runs the lists with one clock per rank and one global list
-// of messages in send order: no pools, shards, coroutines or rendezvous, and
-// none of the runtime's stamp or completion code, only machine.Model's cost
-// functions, the placement and rank streams seeded as the runtime seeds them.
+// interpreter then runs the lists with one clock per rank and, per mailbox,
+// one list of messages in send order: no pools, shards, coroutines or
+// rendezvous, and none of the runtime's stamp or completion code, only
+// machine.Model's cost functions, the placement and rank streams seeded as
+// the runtime seeds them.
 //
 //	send:    clock += o_send; arrival = clock + MsgTime(vbytes, route, jitter)
 //	receive: clock = max(clock + o_recv, arrival)
@@ -517,15 +518,26 @@ func runReference(seed uint64, model *machine.Model, progs [][]refOp) (*progResu
 		rng   stats.RNG
 		noise machine.NoiseMemo
 		pc    int
-		reqs  map[int]*refRecv
+		reqs  []*refRecv // by request id - 1: ids count a rank's posts from 1
+		// waiting marks a rank stopped at a wait whose receive is unfilled:
+		// a pass skips it until a send fills the receive.
+		waiting bool
 	}
 	ranks := make([]rankRun, p)
 	for r := range ranks {
 		ranks[r].rng.Seed(mixSeed(seed, uint64(r)))
-		ranks[r].reqs = map[int]*refRecv{}
 	}
-	var sent []*refMsg    // the event list: sent and not yet received, in send order
-	var posted []*refRecv // receives posted and not yet filled, in post order
+	// The event lists, by (communicator, destination), as the runtime's
+	// mailboxes: sent and not yet received, in send order, and receives
+	// posted and not yet filled, in post order. A message and a receive
+	// match only within one key, so the first match of a key's list is the
+	// first of one global list.
+	type box struct {
+		c   *refComm
+		dst int
+	}
+	sent := map[box][]*refMsg{}
+	posted := map[box][]*refRecv{}
 	res := &progResult{times: make([]float64, p), hooks: make([][]hookEvent, p)}
 	step := func(r int) bool {
 		rr, op := &ranks[r], &progs[r][ranks[r].pc]
@@ -552,24 +564,28 @@ func runReference(seed uint64, model *machine.Model, progs [][]refOp) (*progResu
 			transfer := model.MsgTime(op.vbytes, route, placement.NodesInUse(), &rr.rng)
 			m := &refMsg{c: op.c, src: op.rank, dst: op.peer, tag: op.tag, vbyt: op.vbytes, sendT: rr.clock, arrival: rr.clock + transfer}
 			hook(hookEvent{kind: "sent", peer: op.peer, tag: op.hookTag, bytes: op.vbytes, t: rr.clock})
-			if i := slices.IndexFunc(posted, func(q *refRecv) bool { return q.matches(m) }); i >= 0 {
-				posted[i].m = m
-				posted = slices.Delete(posted, i, i+1)
+			k := box{m.c, m.dst}
+			if i := slices.IndexFunc(posted[k], func(q *refRecv) bool { return q.matches(m) }); i >= 0 {
+				posted[k][i].m = m
+				ranks[op.c.group[m.dst]].waiting = false
+				posted[k] = slices.Delete(posted[k], i, i+1)
 			} else {
-				sent = append(sent, m)
+				sent[k] = append(sent[k], m)
 			}
 		case refPost:
 			q := &refRecv{c: op.c, dst: op.rank, src: op.peer, tag: op.tag, postT: rr.clock}
-			rr.reqs[op.req] = q
-			if i := slices.IndexFunc(sent, q.matches); i >= 0 {
-				q.m = sent[i]
-				sent = slices.Delete(sent, i, i+1)
+			rr.reqs = append(rr.reqs, q)
+			k := box{q.c, q.dst}
+			if i := slices.IndexFunc(sent[k], q.matches); i >= 0 {
+				q.m = sent[k][i]
+				sent[k] = slices.Delete(sent[k], i, i+1)
 			} else {
-				posted = append(posted, q)
+				posted[k] = append(posted[k], q)
 			}
 		case refWait:
-			q := rr.reqs[op.req]
+			q := rr.reqs[op.req-1]
 			if q.m == nil {
+				rr.waiting = true
 				return false
 			}
 			advance(model.Net.RecvOverhead)
@@ -589,7 +605,7 @@ func runReference(seed uint64, model *machine.Model, progs [][]refOp) (*progResu
 	for moved := true; moved; {
 		moved = false
 		for r := range ranks {
-			for ranks[r].pc < len(progs[r]) && step(r) {
+			for !ranks[r].waiting && ranks[r].pc < len(progs[r]) && step(r) {
 				moved = true
 			}
 		}
@@ -600,7 +616,7 @@ func runReference(seed uint64, model *machine.Model, progs [][]refOp) (*progResu
 		res.frontier = max(res.frontier, rr.clock)
 		if rr.pc < len(progs[r]) {
 			op := &progs[r][rr.pc]
-			q := rr.reqs[op.req]
+			q := rr.reqs[op.req-1]
 			peer := -1
 			if op.callPeer >= 0 {
 				peer = op.c.group[op.callPeer]
@@ -672,11 +688,6 @@ func TestReferenceMatchesRuntime(t *testing.T) {
 func TestReferenceAcrossResolveChunks(t *testing.T) {
 	const p = 2*resolveChunk + 5
 	bp, xp := namedBarrierProg(p), namedExchangeProg(p)
-	if raceEnabled {
-		// The reference's cost grows with p squared: under the detector,
-		// the programs up to their first p2p after a world generation.
-		bp.steps, xp.steps = bp.steps[:9], xp.steps[:26]
-	}
 	checkReference(t, p, bp.seed, bp.run, bp.lower)
 	checkReference(t, p, xp.seed, xp.run, xp.lower)
 

@@ -3,44 +3,50 @@ package mpi
 import "fmt"
 
 // ScatterGhost is a ghost fan-out from root: message for message, root's
-// SendGhost(dsts[i], tag, nbytes[i], vbytes[i]) in list order and every
-// other rank's RecvDiscard(root, tag), with the same stamps and tool hooks in
-// the same per-rank order. dsts names every other rank once; non-roots pass
-// nil lists. As in MPI, the call's messages match only its own receives,
-// whatever point-to-point traffic shares the tag. The root waits for nobody:
-// it stamps each message into its destination's slot on the communicator
-// and wakes the receivers waiting for it. Under an armed fault plan the
-// loop is the body (package doc, "Literal messages under a plan").
-func (c *Comm) ScatterGhost(root, tag int, dsts, nbytes, vbytes []int) error {
+// SendGhost(dst, tag, nbytes, vbytes) for (dst, nbytes, vbytes) = fanOut(i),
+// i = 0 … Size()-2 in order, and every other rank's RecvDiscard(root, tag),
+// with the same stamps and tool hooks in the same per-rank order. fanOut
+// names every other rank once. The root calls it during the call only,
+// twice for each i, so it must be a function of i alone; a root computes
+// its fan-out that way with no list, and non-roots pass nil. As in MPI, the
+// call's messages match only its own receives, whatever point-to-point
+// traffic shares the tag. The root waits for nobody: it stamps each message
+// into its destination's slot on the communicator and wakes the receivers
+// waiting for it. Under an armed fault plan the loop is the body (package
+// doc, "Literal messages under a plan").
+func (c *Comm) ScatterGhost(root, tag int, fanOut func(i int) (dst, nbytes, vbytes int)) error {
 	st := &c.shared.scatter
 	if err := c.checkRooted("ScatterGhost", root, tag, 0, 0); err != nil {
 		return err
 	}
+	n := c.Size() - 1
 	if c.rank == root {
-		if err := st.checkFanOut(c.Size(), root, dsts, nbytes, vbytes); err != nil {
+		if err := st.checkFanOut(n+1, root, fanOut); err != nil {
 			return err
 		}
 	}
-	if c.rs.world.fi != nil || c.Size() == 1 {
+	if c.rs.world.fi != nil || n == 0 {
 		if c.rank != root {
 			return c.discard(root, tagScatterGhost, tag)
 		}
-		for i, dst := range dsts {
-			if err := c.sendInternal(dst, tagScatterGhost, tag, nil, nbytes[i], vbytes[i]); err != nil {
+		for i := range n {
+			dst, nbytes, vbytes := fanOut(i)
+			if err := c.sendInternal(dst, tagScatterGhost, tag, nil, nbytes, vbytes); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	c.scatterCalls++
-	if err := st.enter(c, "ScatterGhost", root, tag, c.scatterCalls, 1, c.Size()-1); err != nil {
+	if err := st.enter(c, "ScatterGhost", root, tag, c.scatterCalls, 1, n); err != nil {
 		return err
 	}
 	if c.rank != root {
 		return st.receive(c, "ScatterGhost", root, tag)
 	}
-	for i, dst := range dsts {
-		st.slots[dst] = c.stamp(dst, tag, nbytes[i], vbytes[i])
+	for i := range n {
+		dst, nbytes, vbytes := fanOut(i)
+		st.slots[dst] = c.stamp(dst, tag, nbytes, vbytes)
 	}
 	st.wrote()
 	return nil
@@ -148,21 +154,21 @@ func (s *rootedSlot) complete(c *Comm, src, tag int) {
 
 // checkFanOut refuses a fan-out that does not name every rank but root
 // exactly once, with sizes >= 0.
-func (st *rootedState) checkFanOut(p, root int, dsts, nbytes, vbytes []int) error {
-	if len(dsts) != p-1 || len(nbytes) != p-1 || len(vbytes) != p-1 {
-		return fmt.Errorf("mpi: ScatterGhost needs %d destinations, got %d dsts, %d nbytes, %d vbytes",
-			p-1, len(dsts), len(nbytes), len(vbytes))
+func (st *rootedState) checkFanOut(p, root int, fanOut func(int) (int, int, int)) error {
+	if fanOut == nil && p > 1 {
+		return fmt.Errorf("mpi: ScatterGhost needs %d destinations, got no fan-out", p-1)
 	}
 	if st.seen == nil {
 		st.seen = make([]uint32, p)
 	}
 	st.checks++
-	for i, dst := range dsts {
+	for i := range p - 1 {
+		dst, nbytes, vbytes := fanOut(i)
 		if dst < 0 || dst >= p || dst == root || st.seen[dst] == st.checks {
 			return fmt.Errorf("mpi: ScatterGhost destination %d is out of range, the root or repeated", dst)
 		}
 		st.seen[dst] = st.checks
-		if err := checkSizes(nbytes[i], vbytes[i]); err != nil {
+		if err := checkSizes(nbytes, vbytes); err != nil {
 			return err
 		}
 	}

@@ -42,10 +42,19 @@ func (pr *exchangeProg) root(on member, i, k int) int {
 	return int(mixSeed(pr.seed+uint64(i), uint64(on.Size()*8+k)) % uint64(on.Size()))
 }
 
+// lists is the fan-out that reads ScatterGhost's messages from three lists,
+// nil for a non-root's nil dsts.
+func lists(dsts, nbytes, vbytes []int) func(int) (int, int, int) {
+	if dsts == nil {
+		return nil
+	}
+	return func(i int) (int, int, int) { return dsts[i], nbytes[i], vbytes[i] }
+}
+
 // scatter is step i's k-th fan-out from root key's root.
 func (pr *exchangeProg) scatter(on *Comm, i, key, k int) error {
 	root, dsts, nbytes, vbytes := pr.fanOut(on, i, key, k)
-	return on.ScatterGhost(root, tagRooted, dsts, nbytes, vbytes)
+	return on.ScatterGhost(root, tagRooted, lists(dsts, nbytes, vbytes))
 }
 
 // fanOut is the rank's arguments to scatter: the destinations in a drawn
@@ -202,7 +211,7 @@ func TestRootedWaitersUnwindWhenARankFails(t *testing.T) {
 						return boom
 					}
 					if op == "ScatterGhost" {
-						errs[c.Rank()] = c.ScatterGhost(5, 1, nil, nil, nil)
+						errs[c.Rank()] = c.ScatterGhost(5, 1, nil)
 					} else {
 						errs[c.Rank()] = c.GatherGhost(0, 1, 8, 64)
 					}
@@ -242,7 +251,7 @@ func TestRootedDeadlockReport(t *testing.T) {
 			if c.Rank() == 2 {
 				return nil
 			}
-			return c.ScatterGhost(2, 7, nil, nil, nil)
+			return c.ScatterGhost(2, 7, nil)
 		}},
 		{"gather root", 1, func(c *Comm) error {
 			if c.Rank() == 4 {
@@ -307,7 +316,7 @@ func TestRootedWatchdogReleasesWaiters(t *testing.T) {
 					for {
 						var err error
 						if op == "ScatterGhost" {
-							err = c.ScatterGhost(0, 1, dsts, sizes, sizes)
+							err = c.ScatterGhost(0, 1, lists(dsts, sizes, sizes))
 						} else {
 							err = c.GatherGhost(0, 1, 8, 8)
 						}
@@ -347,9 +356,9 @@ func TestRootedRejectsMalformedArgs(t *testing.T) {
 				fn   func() error
 			}
 			calls := []call{
-				{"root 3 out of range", func() error { return c.ScatterGhost(3, 1, nil, nil, nil) }},
+				{"root 3 out of range", func() error { return c.ScatterGhost(3, 1, nil) }},
 				{"root -1 out of range", func() error { return c.GatherGhost(-1, 1, 8, 8) }},
-				{"ScatterGhost with negative tag -1", func() error { return c.ScatterGhost(1, AnyTag, nil, nil, nil) }},
+				{"ScatterGhost with negative tag -1", func() error { return c.ScatterGhost(1, AnyTag, nil) }},
 				{"GatherGhost with negative tag -1001", func() error { return c.GatherGhost(1, tagBarrier-1, 8, 8) }},
 			}
 			if c.Rank() != 1 {
@@ -358,12 +367,11 @@ func TestRootedRejectsMalformedArgs(t *testing.T) {
 					call{"negative virtual size -8", func() error { return c.GatherGhost(1, 1, 8, -8) }})
 			} else {
 				scatter := func(dsts, nbytes, vbytes []int) func() error {
-					return func() error { return c.ScatterGhost(1, 1, dsts, nbytes, vbytes) }
+					return func() error { return c.ScatterGhost(1, 1, lists(dsts, nbytes, vbytes)) }
 				}
 				sizes := []int{8, 8}
 				calls = append(calls,
-					call{"needs 2 destinations, got 1 dsts, 2 nbytes, 2 vbytes", scatter([]int{0}, sizes, sizes)},
-					call{"needs 2 destinations, got 2 dsts, 2 nbytes, 1 vbytes", scatter([]int{0, 2}, sizes, []int{8})},
+					call{"needs 2 destinations, got no fan-out", scatter(nil, nil, nil)},
 					call{"destination 3 is out of range", scatter([]int{0, 3}, sizes, sizes)},
 					call{"destination 1 is out of range, the root", scatter([]int{0, 1}, sizes, sizes)},
 					call{"destination 2 is out of range, the root or repeated", scatter([]int{2, 2}, sizes, sizes)},
@@ -390,7 +398,7 @@ func TestRootedRejectsMalformedArgs(t *testing.T) {
 			if c.Rank() == 1 {
 				dsts, sizes = []int{2, 0}, []int{8, 8}
 			}
-			return c.ScatterGhost(1, 1, dsts, sizes, sizes)
+			return c.ScatterGhost(1, 1, lists(dsts, sizes, sizes))
 		})
 		if err != nil {
 			t.Errorf("%s: %v", body, err)
@@ -412,7 +420,7 @@ func TestLazyBatchFanOutAcrossShards(t *testing.T) {
 				dsts, nbytes, vbytes = append(dsts, r), append(nbytes, 128), append(vbytes, 4096)
 			}
 		}
-		if err := c.ScatterGhost(0, 9, dsts, nbytes, vbytes); err != nil {
+		if err := c.ScatterGhost(0, 9, lists(dsts, nbytes, vbytes)); err != nil {
 			return err
 		}
 		return c.GatherGhost(0, 9, 8, 8)
@@ -448,7 +456,7 @@ func TestRootedSteadyStateAllocs(t *testing.T) {
 					dsts, sizes = []int{7, 6, 5, 4, 3, 2, 1}, []int{64, 64, 64, 64, 64, 64, 64}
 				}
 				pair := func() error {
-					if err := c.ScatterGhost(0, 1, dsts, sizes, sizes); err != nil {
+					if err := c.ScatterGhost(0, 1, lists(dsts, sizes, sizes)); err != nil {
 						return err
 					}
 					return c.GatherGhost(0, 2, 64, 4096)
@@ -508,7 +516,7 @@ func BenchmarkRootedGhost(b *testing.B) {
 						}
 					}
 					for i := 0; i < b.N; i++ {
-						if err := c.ScatterGhost(0, 1, dsts, sizes, sizes); err != nil {
+						if err := c.ScatterGhost(0, 1, lists(dsts, sizes, sizes)); err != nil {
 							return err
 						}
 						if err := c.GatherGhost(0, 2, 4096, 4096); err != nil {

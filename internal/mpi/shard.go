@@ -106,7 +106,8 @@ func (w *World) nudge(worldRank int) {
 // function, with panic recovery and death propagation.
 func (w *World) rankMain(rs *rankState) {
 	rank := int(rs.id)
-	comm := &Comm{shared: w.worldComm, rank: rank, rs: rs}
+	rs.comm = Comm{shared: w.worldComm, rank: rank, rs: rs}
+	comm := &rs.comm
 	defer func() {
 		if p := recover(); p != nil {
 			re := &RankError{Rank: rank}
@@ -116,12 +117,11 @@ func (w *World) rankMain(rs *rankState) {
 				re.Section = comm.sectionLabel()
 				re.Err = fmt.Errorf("panic: %v", p)
 			}
-			w.errs[rank] = re
-			w.rankDied(rank, re, rs.now())
+			w.rankDied(re, rs.now())
 		}
 		rs.recycle()
 		t := rs.now()
-		w.finals[rank] = t
+		w.rankTimes[rank] = t
 		w.shardOf(rank).noteClock(t)
 		w.running--
 	}()
@@ -131,9 +131,7 @@ func (w *World) rankMain(rs *rankState) {
 	if err != nil {
 		// An erroring rank has left the computation: propagate its
 		// departure so peers blocked on it unwind too.
-		re := &RankError{Rank: rank, Section: comm.sectionLabel(), Err: err}
-		w.errs[rank] = re
-		w.rankDied(rank, re, rs.now())
+		w.rankDied(&RankError{Rank: rank, Section: comm.sectionLabel(), Err: err}, rs.now())
 	}
 }
 

@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,8 +116,7 @@ type World struct {
 	activeCount int            // ranks the session runs fn on
 	runFn       func(*Comm) error
 	worldComm   *commShared
-	errs        []error   // per-world-rank errors, written by rankMain
-	finals      []float64 // per-world-rank final clocks
+	rankTimes   []float64 // the report's: rankMain writes each final clock
 	// materialized counts the active ranks brought up so far. Atomic:
 	// RuntimeStats.MaterializedRanks reads it from a tool's goroutine (a
 	// monitor's HTTP handler) while the run executes.
@@ -138,9 +139,9 @@ type World struct {
 	sectionErrs []error
 
 	// Failure propagation state (ft.go): the communicator registry, the
-	// dead mask and the first-failure poison.
+	// failed ranks in the order they died, and the first-failure poison.
 	comms  []*commShared
-	dead   []bool
+	failed []*RankError
 	failPi *poisonInfo
 
 	// Run-level abort (deadlock report / watchdog). The Timeout watchdog
@@ -169,7 +170,7 @@ type World struct {
 // rankState is the per-rank mutable context, touched only while it runs.
 // States live in shard slabs (shard.go); a rank outside the session has a
 // state that never runs, its rng unseeded. Slabs are page-rounded: keep it
-// at 224 bytes (the shard is found by id, not kept).
+// at 272 bytes, 17 pages a slab (the shard is found by id, not kept).
 type rankState struct {
 	id    int32 // world rank
 	nenv  int32 // length of envs
@@ -177,6 +178,9 @@ type rankState struct {
 	rng   stats.RNG         // the rank's jitter stream, seeded at bring-up
 	noise machine.NoiseMemo // rng's last Poisson mean and its exponential
 	world *World
+	// The rank's handle on the world communicator, the one its rank
+	// function is passed; parked and cleared with the slab.
+	comm Comm
 
 	// Scratch buffers for the typed send path and the tree collectives.
 	// They are per-rank (hence shared by every communicator of the rank,
@@ -253,7 +257,6 @@ func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
 		return nil, err
 	}
 	w.cfg, w.placement, w.phase = c, placement, &w.host.BringUp
-	w.dead = make([]bool, c.Ranks)
 	w.runFn = fn
 	w.active = c.Active
 	w.lazy = c.Lazy || c.Active != nil
@@ -298,8 +301,7 @@ func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
 		}
 	}
 
-	w.errs = make([]error, c.Ranks)
-	w.finals = make([]float64, c.Ranks)
+	w.rankTimes = make([]float64, c.Ranks)
 	w.done = make(chan struct{})
 	if !w.lazy {
 		for s := range w.shards {
@@ -330,20 +332,21 @@ func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
 	w.enterPhase(&w.host.Finalize)
 
 	rep := &Report{
-		RankTimes:         make([]float64, c.Ranks),
+		WallTime:          slices.Max(w.rankTimes),
+		RankTimes:         w.rankTimes,
 		DeclaredRanks:     c.Ranks,
 		ActiveRanks:       w.activeCount,
 		MaterializedRanks: int(w.materialized.Load()),
 	}
-	for i := range w.finals {
-		rep.RankTimes[i] = w.finals[i]
-		if w.finals[i] > rep.WallTime {
-			rep.WallTime = w.finals[i]
-		}
-	}
 	fault.SortEvents(w.faults)
 	rep.Faults = w.faults
-	rep.Dead = w.deadRanks()
+	// Dead and the errors list the failed ranks ascending, not as they died.
+	slices.SortFunc(w.failed, func(a, b *RankError) int { return cmp.Compare(a.Rank, b.Rank) })
+	var all []error
+	for _, re := range w.failed {
+		rep.Dead = append(rep.Dead, re.Rank)
+		all = append(all, re)
+	}
 	for _, tool := range c.Tools {
 		tool.Finalize(rep)
 	}
@@ -354,12 +357,6 @@ func Run(cfg Config, fn func(*Comm) error) (*Report, error) {
 	w.clock.Lap(w.phase)
 	rep.Host = w.host
 
-	var all []error
-	for _, e := range w.errs {
-		if e != nil {
-			all = append(all, e)
-		}
-	}
 	if w.abortErr != nil {
 		all = append(all, w.abortErr)
 	}
@@ -378,12 +375,21 @@ func mixSeed(seed, rank uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// identity is the world communicator's group, comm rank = world rank. Every
+// world of the process reads a prefix of it, and it only grows, at indexes
+// no world reads yet: a world's ranks get no group of their own.
+var identity struct {
+	sync.Mutex
+	group []int
+}
+
 func identityGroup(n int) []int {
-	g := make([]int, n)
-	for i := range g {
-		g[i] = i
+	identity.Lock()
+	defer identity.Unlock()
+	for i := len(identity.group); i < n; i++ {
+		identity.group = append(identity.group, i)
 	}
-	return g
+	return identity.group[:n:n]
 }
 
 func (w *World) reportSectionError(err error) {

@@ -96,13 +96,14 @@ func TestSecondWorldTakesFromPark(t *testing.T) {
 
 // warmWorldBytesPerRank is what a warm 10,000-rank lazy world of
 // parkedWorld allocates per rank, the profiler attached and released, with
-// go1.24 on linux/amd64: the rank's Comm handle (48 bytes), its error slot
-// (16), its placement (16), its final clock, its place in the world
-// communicator's group, the report's and the profile's rank times (8 each)
-// and its dead flag (1): 113. warmWorldSlack absorbs the per-world
-// constants (shard headers, the label map, the rings) spread over the
-// ranks; 115.6 bytes were measured.
-const warmWorldBytesPerRank, warmWorldSlack = 113, 8
+// go1.24 on linux/amd64: the report's and the profile's rank times, 8 bytes
+// each, the results a world hands its caller. Nothing else is per rank: the
+// rank's Comm handle is a field of its parked rank state, its placement is
+// arithmetic, its place in the world communicator's group is a prefix of
+// one identity every world shares, and only a failed rank has an error
+// entry. warmWorldSlack absorbs the per-world constants (shard headers, the
+// label map, the rings) spread over the ranks; 17.4 bytes were measured.
+const warmWorldBytesPerRank, warmWorldSlack = 16, 4
 
 // TestWarmWorldBytesPerRank pins the bytes per rank of a warm profiled
 // world: its shard slabs, communicator arrays and profiler cells taken
