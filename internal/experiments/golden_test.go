@@ -89,6 +89,23 @@ func TestGoldenConv(t *testing.T) {
 	golden(t, "conv_quick.txt", []byte(text))
 }
 
+// TestGoldenConv2D holds a small 2-D sweep, prime and square rank counts
+// alike, at the CSV's full precision: a one-byte change to any charge of
+// the 2-D program shows in it, which decomp_quick.txt's four digits miss.
+func TestGoldenConv2D(t *testing.T) {
+	o := QuickConvOptions()
+	o.Ps, o.TwoD = []int{4, 7, 16, 64}, true
+	o.Verify, o.Profile = true, true
+	res, err := RunConvolution(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Verify) != 0 {
+		t.Errorf("%d verifier violations, first %v", len(res.Verify), res.Verify[0])
+	}
+	golden(t, "conv2d_quick.csv", csvBytes(t, res.WriteCSV))
+}
+
 func TestGoldenConvFaulted(t *testing.T) {
 	o := QuickConvOptions()
 	plan, err := fault.ParseSpec("delay:src=*,dst=*,prob=0.2,secs=2e-6;kill:rank=8,after=40", 1234)
