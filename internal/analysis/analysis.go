@@ -67,7 +67,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 const mpiPkgName = "mpi"
 
 // mpiCall resolves call to an entry point of the mpi runtime: a method on
-// a type defined in a package named "mpi" (Comm, CartComm, Request) or a
+// a type defined in a package named "mpi" (Comm, Request) or a
 // package-level function of such a package (Release, ...). It
 // returns the bare name ("SectionEnter", "Release") when it is one.
 func mpiCall(pass *Pass, call *ast.CallExpr) (string, bool) {

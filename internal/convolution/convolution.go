@@ -1,13 +1,18 @@
 // Package convolution implements the paper's §5.1 benchmark: a repeated
-// 3×3 mean-filter convolution of a large RGB image, 1-D decomposed over MPI
+// 3×3 mean-filter convolution of a large RGB image, decomposed over MPI
 // ranks, with the six instrumented MPI_Sections of the paper's Fig. 4:
 //
 //	LOAD     — rank 0 loads and decodes the image, others wait
-//	SCATTER  — image bands distributed from rank 0
+//	SCATTER  — image tiles distributed from rank 0
 //	CONVOLVE — local stencil computation, every step
-//	HALO     — ghost-row exchange with both neighbors, every step
-//	GATHER   — bands collected back on rank 0
+//	HALO     — ghost exchange with the neighbours, every step
+//	GATHER   — tiles collected back on rank 0
 //	STORE    — rank 0 encodes and stores the result, others wait
+//
+// One rank program runs every decomposition, on a px×py grid of tiles: Run
+// is the paper's 1-D split into row bands, the grid (1, p), and Run2D the
+// closest-to-square grid, for the §3 halo-volume ablation and for rank
+// counts past the executed image's height.
 //
 // Execution is scale-aware: the real pixel data may be a 1/Scale-sized
 // replica of the paper's 5616×3744 image (so runs finish quickly and the
@@ -64,58 +69,47 @@ func Paper() Params {
 	return Params{Width: 5616, Height: 3744, Steps: 1000, Scale: 8, Seed: 2017, SkipKernel: true}
 }
 
-// Validate checks the configuration against a rank count.
+// Validate checks the configuration against a rank count, for Run: the
+// rank count is the row count of a (1, ranks) grid, so the executed height
+// must cover every rank.
 func (p Params) Validate(ranks int) error {
-	if p.Width <= 0 || p.Height <= 0 {
-		return fmt.Errorf("convolution: invalid dimensions %dx%d", p.Width, p.Height)
-	}
-	if p.Steps <= 0 {
-		return fmt.Errorf("convolution: Steps must be positive, got %d", p.Steps)
-	}
-	if p.Scale < 1 {
-		return fmt.Errorf("convolution: Scale must be >= 1, got %d", p.Scale)
-	}
-	if ranks <= 0 {
-		return fmt.Errorf("convolution: need at least one rank")
-	}
-	if p.execHeight() < ranks {
-		return fmt.Errorf("convolution: executed height %d smaller than %d ranks (reduce Scale)",
-			p.execHeight(), ranks)
-	}
-	if p.Height < ranks {
-		return fmt.Errorf("convolution: full height %d smaller than %d ranks", p.Height, ranks)
-	}
-	return nil
+	return p.validateGrid(1, ranks)
 }
 
-// Validate2D checks the configuration against the px×py process grid the
-// 2-D decomposition uses for this rank count. It is the relaxed geometry
-// check Run2D needs: each grid dimension must fit the corresponding image
-// dimension, rather than the 1-D requirement that the executed *height*
-// cover every rank — which is what caps the 1-D variant near the paper's
-// scales and would reject a 10,000-rank run outright (a 100×100 grid over
-// the paper image is fine; 10,000 rows of a 234-row scaled image are not).
+// Validate2D checks the configuration against the px×py process grid
+// Grid2D picks for this rank count, for Run2D. Each grid dimension only has
+// to fit the corresponding image dimension, so a 100×100 grid over the
+// paper image is fine where 10,000 rows of a 234-row scaled image are not.
 func (p Params) Validate2D(ranks int) error {
-	if p.Width <= 0 || p.Height <= 0 {
-		return fmt.Errorf("convolution: invalid dimensions %dx%d", p.Width, p.Height)
-	}
-	if p.Steps <= 0 {
-		return fmt.Errorf("convolution: Steps must be positive, got %d", p.Steps)
-	}
-	if p.Scale < 1 {
-		return fmt.Errorf("convolution: Scale must be >= 1, got %d", p.Scale)
-	}
 	px, py, err := Grid2D(ranks)
 	if err != nil {
 		return err
 	}
-	if p.execWidth() < px || p.execHeight() < py {
-		return fmt.Errorf("convolution: executed image %dx%d smaller than %dx%d grid (reduce Scale)",
-			p.execWidth(), p.execHeight(), px, py)
+	return p.validateGrid(px, py)
+}
+
+// validateGrid checks the configuration against a px×py grid: every tile
+// must hold at least one pixel of the full and of the executed image.
+func (p Params) validateGrid(px, py int) error {
+	if p.Width <= 0 || p.Height <= 0 {
+		return fmt.Errorf("convolution: invalid dimensions %dx%d", p.Width, p.Height)
+	}
+	if p.Steps <= 0 {
+		return fmt.Errorf("convolution: Steps must be positive, got %d", p.Steps)
+	}
+	if p.Scale < 1 {
+		return fmt.Errorf("convolution: Scale must be >= 1, got %d", p.Scale)
+	}
+	if px <= 0 || py <= 0 {
+		return fmt.Errorf("convolution: need at least one rank")
 	}
 	if p.Width < px || p.Height < py {
 		return fmt.Errorf("convolution: full image %dx%d smaller than %dx%d grid",
 			p.Width, p.Height, px, py)
+	}
+	if p.execWidth() < px || p.execHeight() < py {
+		return fmt.Errorf("convolution: executed image %dx%d smaller than %dx%d grid; the largest Scale that fits is %d",
+			p.execWidth(), p.execHeight(), px, py, min(p.Width/px, p.Height/py))
 	}
 	return nil
 }
@@ -142,6 +136,32 @@ var decodeWork = machine.Work{Flops: 4, Bytes: 3}
 // kernelWork is the modeled per-channel-value cost of one mean-filter step.
 var kernelWork = machine.Work{Flops: img.KernelWork.Flops, Bytes: img.KernelWork.Bytes}
 
+// codecWork is the modeled cost of decoding, or encoding, the full image.
+func (p Params) codecWork() machine.Work {
+	return decodeWork.Scale(float64(p.Width * p.Height * img.Channels))
+}
+
+// ppmBytes is the size of the full image's PPM file, with a header of
+// header bytes.
+func (p Params) ppmBytes(header int) int {
+	return p.Width*p.Height*img.Channels + header
+}
+
+// source builds the synthetic input at execution scale and passes it
+// through the PPM codec, as rank 0's LOAD and the sequential reference
+// both do.
+func (p Params) source() (*img.Image, error) {
+	im, err := img.NewSynthetic(p.execWidth(), p.execHeight(), p.Seed)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := im.EncodePPM(&buf); err != nil {
+		return nil, err
+	}
+	return img.DecodePPM(&buf)
+}
+
 // Result carries the distributed output and the run report.
 type Result struct {
 	// Output is the gathered, convolved image at execution scale (nil when
@@ -151,15 +171,44 @@ type Result struct {
 	Report *mpi.Report
 }
 
+// The PPM header is charged two ways, both named here: Run charges
+// ppmHeader's exact bytes, and Run2D and Sequential charge flatPPMHeader,
+// 3 bytes more than the paper image's header. Charging the exact header
+// everywhere would move the 2-D and sequential virtual times.
+const flatPPMHeader = 20
+
+// ppmHeader is the length of the P6 header of the full-size image, 17
+// bytes for the paper's.
+func ppmHeader(p Params) int {
+	return len(fmt.Sprintf("P6\n%d %d\n255\n", p.Width, p.Height))
+}
+
 // Run executes the benchmark under cfg (which supplies rank count, machine
-// model, seed and attached tools).
+// model, seed and attached tools), decomposed into image rows: the rank
+// program on a (1, p) grid.
 func Run(cfg mpi.Config, p Params) (*Result, error) {
 	if err := p.Validate(cfg.Ranks); err != nil {
 		return nil, err
 	}
+	return run(cfg, p, 1, cfg.Ranks, ppmHeader(p))
+}
+
+// Run2D executes the benchmark decomposed into tiles, on the grid Grid2D
+// picks. Output semantics match Run.
+func Run2D(cfg mpi.Config, p Params) (*Result, error) {
+	if err := p.Validate2D(cfg.Ranks); err != nil {
+		return nil, err
+	}
+	px, py, _ := Grid2D(cfg.Ranks)
+	return run(cfg, p, px, py, flatPPMHeader)
+}
+
+// run executes the rank program on a px×py grid, charging header bytes for
+// the PPM header at LOAD and STORE.
+func run(cfg mpi.Config, p Params, px, py, header int) (*Result, error) {
 	var out *img.Image
 	rep, err := mpi.Run(cfg, func(c *mpi.Comm) error {
-		res, err := runRank(c, p)
+		res, err := runTile(c, p, px, py, header)
 		if err != nil {
 			return err
 		}
@@ -174,222 +223,6 @@ func Run(cfg mpi.Config, p Params) (*Result, error) {
 	return &Result{Output: out, Report: rep}, nil
 }
 
-// runRank is the per-rank benchmark body.
-func runRank(c *mpi.Comm, p Params) (*img.Image, error) {
-	rank, ranks := c.Rank(), c.Size()
-	execW, execH := p.execWidth(), p.execHeight()
-	stride := execW * img.Channels
-	fullRowBytes := p.Width * img.Channels * 8
-
-	// ---- LOAD: rank 0 loads and decodes; everyone waits (paper Fig. 4).
-	// A SkipKernel sweep never touches pixel data anywhere below, so it
-	// skips the synthetic image entirely; the charges are identical.
-	var source *img.Image
-	err := c.Section(SecLoad, func() error {
-		if rank == 0 {
-			if !p.SkipKernel {
-				var err error
-				source, err = img.NewSynthetic(execW, execH, p.Seed)
-				if err != nil {
-					return err
-				}
-				// Encode/decode through the real PPM codec; always charge
-				// full-size storage + decode.
-				var buf bytes.Buffer
-				if err := source.EncodePPM(&buf); err != nil {
-					return err
-				}
-				source, err = img.DecodePPM(&buf)
-				if err != nil {
-					return err
-				}
-			}
-			fullPPM := len(fmt.Sprintf("P6\n%d %d\n255\n", p.Width, p.Height)) +
-				p.Width*p.Height*img.Channels
-			c.StorageRead(fullPPM)
-			c.Compute(decodeWork.Scale(float64(p.Width * p.Height * img.Channels)))
-		}
-		return c.Barrier() // others' wait is LOAD time, as in the paper
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// ---- SCATTER: rank 0 sends each rank its band (linear root fan-out,
-	// the root bottleneck MPI_Scatterv exhibits). Virtual sizes are the
-	// full-problem band sizes.
-	var band []float64
-	execLo, execHi := partition(execH, ranks, rank)
-	fullLo, fullHi := partition(p.Height, ranks, rank)
-	execRows := execHi - execLo
-	fullRows := fullHi - fullLo
-	err = c.Section(SecScatter, func() error {
-		const tag = 100
-		if p.SkipKernel {
-			// Ghost bands, in descending rank order: no pixels exist, but
-			// each message carries its band's real byte count and
-			// full-problem vbytes.
-			return c.ScatterGhost(0, tag, func(i int) (int, int, int) {
-				r := ranks - 1 - i
-				rLo, rHi := partition(execH, ranks, r)
-				rFullLo, rFullHi := partition(p.Height, ranks, r)
-				return r, (rHi - rLo) * stride * 8, (rFullHi - rFullLo) * fullRowBytes
-			})
-		}
-		if rank == 0 {
-			for r := ranks - 1; r >= 1; r-- {
-				rLo, rHi := partition(execH, ranks, r)
-				rFullLo, rFullHi := partition(p.Height, ranks, r)
-				rows, err := source.Rows(rLo, rHi)
-				if err != nil {
-					return err
-				}
-				if err := c.SendFloat64sSized(r, tag, rows, (rFullHi-rFullLo)*fullRowBytes); err != nil {
-					return err
-				}
-			}
-			own, err := source.Rows(0, execHi)
-			if err != nil {
-				return err
-			}
-			band = append([]float64(nil), own...)
-			return nil
-		}
-		var err error
-		band, _, err = c.RecvFloat64s(0, tag)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !p.SkipKernel && len(band) != execRows*stride {
-		return nil, fmt.Errorf("convolution: rank %d band %d != %d rows", rank, len(band), execRows)
-	}
-
-	// ---- time-step loop: HALO then CONVOLVE, p.Steps times.
-	up, down := rank-1, rank+1
-	perStepWork := kernelWork.Scale(float64(fullRows * p.Width * img.Channels))
-	rowBytes := stride * 8
-	var topHalo, bottomHalo []float64
-	var topScratch, botScratch []float64 // persistent receive buffers
-	for step := 0; step < p.Steps; step++ {
-		err = c.Section(SecHalo, func() error {
-			const tagUp, tagDown = 200, 201
-			if p.SkipKernel {
-				// Ghost exchange: full matching, ordering and timing, zero
-				// payload traffic.
-				var list [2]mpi.GhostExchange
-				ops := list[:0]
-				if up >= 0 {
-					ops = append(ops, mpi.GhostExchange{Peer: up, SendTag: tagUp, NBytes: rowBytes, VBytes: fullRowBytes, RecvTag: tagDown})
-				}
-				if down < ranks {
-					ops = append(ops, mpi.GhostExchange{Peer: down, SendTag: tagDown, NBytes: rowBytes, VBytes: fullRowBytes, RecvTag: tagUp})
-				}
-				return c.ExchangeGhost(ops)
-			}
-			topHalo, bottomHalo = nil, nil
-			// Exchange with the upper neighbor: send my first row up,
-			// receive their last row.
-			if up >= 0 {
-				firstRow := band[0:stride]
-				got, _, err := c.SendrecvFloat64sInto(up, tagUp, firstRow,
-					fullRowBytes, up, tagDown, topScratch)
-				if err != nil {
-					return err
-				}
-				topScratch, topHalo = got, got
-			}
-			if down < ranks {
-				lastRow := band[(execRows-1)*stride:]
-				got, _, err := c.SendrecvFloat64sInto(down, tagDown, lastRow,
-					fullRowBytes, down, tagUp, botScratch)
-				if err != nil {
-					return err
-				}
-				botScratch, bottomHalo = got, got
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		err = c.Section(SecConvolve, func() error {
-			if !p.SkipKernel {
-				next, err := img.ConvolveBand(band, execW, execRows, topHalo, bottomHalo)
-				if err != nil {
-					return err
-				}
-				band = next
-			}
-			c.Compute(perStepWork)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// ---- GATHER: bands back to rank 0 (linear root fan-in).
-	var result *img.Image
-	err = c.Section(SecGather, func() error {
-		const tag = 300
-		if p.SkipKernel {
-			return c.GatherGhost(0, tag, execRows*stride*8, fullRows*fullRowBytes)
-		}
-		if rank != 0 {
-			return c.SendFloat64sSized(0, tag, band, fullRows*fullRowBytes)
-		}
-		var err error
-		result, err = img.New(execW, execH)
-		if err != nil {
-			return err
-		}
-		copy(result.Pix[0:execHi*stride], band)
-		for r := 1; r < ranks; r++ {
-			raw, _, err := c.Recv(r, tag)
-			if err != nil {
-				return err
-			}
-			rows, err := mpi.BytesToFloat64s(raw)
-			if err != nil {
-				return err
-			}
-			mpi.Release(raw)
-			rLo, rHi := partition(execH, ranks, r)
-			copy(result.Pix[rLo*stride:rHi*stride], rows)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// ---- STORE: rank 0 encodes and writes; everyone waits.
-	err = c.Section(SecStore, func() error {
-		if rank == 0 {
-			if !p.SkipKernel {
-				var buf bytes.Buffer
-				if err := result.EncodePPM(&buf); err != nil {
-					return err
-				}
-			}
-			fullPPM := len(fmt.Sprintf("P6\n%d %d\n255\n", p.Width, p.Height)) +
-				p.Width*p.Height*img.Channels
-			c.Compute(decodeWork.Scale(float64(p.Width * p.Height * img.Channels)))
-			c.StorageWrite(fullPPM)
-		}
-		return c.Barrier()
-	})
-	if err != nil {
-		return nil, err
-	}
-	if p.SkipKernel {
-		return nil, nil
-	}
-	return result, nil
-}
-
 // Sequential computes the reference result (at execution scale) and the
 // modeled sequential time of the FULL problem — the Speedup numerator.
 func Sequential(p Params, model *machine.Model) (*img.Image, float64, error) {
@@ -400,25 +233,15 @@ func Sequential(p Params, model *machine.Model) (*img.Image, float64, error) {
 	// kernel really executes, so SkipKernel sweeps never build the image.
 	var out *img.Image
 	if !p.SkipKernel {
-		src, err := img.NewSynthetic(p.execWidth(), p.execHeight(), p.Seed)
+		src, err := p.source()
 		if err != nil {
 			return nil, 0, err
 		}
-		// Run through the codec exactly like rank 0 of the parallel run.
-		var buf bytes.Buffer
-		if err := src.EncodePPM(&buf); err != nil {
-			return nil, 0, err
-		}
-		decoded, err := img.DecodePPM(&buf)
-		if err != nil {
-			return nil, 0, err
-		}
-		out = img.MeanFilterSteps(decoded, p.Steps)
+		out = img.MeanFilterSteps(src, p.Steps)
 	}
 	values := float64(p.Width * p.Height * img.Channels)
 	t := model.SerialComputeTime(kernelWork.Scale(values * float64(p.Steps)))
-	t += 2 * model.SerialComputeTime(decodeWork.Scale(values))
-	fullPPM := p.Width*p.Height*img.Channels + 20
-	t += 2 * model.StorageTime(fullPPM)
+	t += 2 * model.SerialComputeTime(p.codecWork())
+	t += 2 * model.StorageTime(p.ppmBytes(flatPPMHeader))
 	return out, t, nil
 }

@@ -2,6 +2,7 @@ package convolution
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -49,6 +50,24 @@ func TestValidate(t *testing.T) {
 	}
 	if err := (Params{}).Validate(0); err == nil {
 		t.Error("zero ranks accepted")
+	}
+	// A 240×240 grid needs 240 executed rows, which the paper image at
+	// Scale 16 (351×234) lacks; the error names the Scale that fits.
+	paper := Paper()
+	paper.Scale = 16
+	err := paper.Validate2D(240 * 240)
+	if err == nil || !strings.Contains(err.Error(), "the largest Scale that fits is 15") {
+		t.Errorf("240x240 grid at Scale 16: %v, want the largest Scale that fits, 15", err)
+	}
+	paper.Scale = 15
+	if err := paper.Validate2D(240 * 240); err != nil {
+		t.Errorf("240x240 grid at Scale 15 rejected: %v", err)
+	}
+	// The same for the rows of Run's (1, p) grid.
+	halved := smallParams()
+	halved.Scale = 2
+	if err := halved.Validate(11); err == nil || !strings.Contains(err.Error(), "the largest Scale that fits is 1") {
+		t.Errorf("11 bands of 10 executed rows: %v, want the largest Scale that fits, 1", err)
 	}
 }
 

@@ -1,21 +1,34 @@
 package convolution
 
 import (
-	"bytes"
 	"fmt"
+	"io"
 
 	"repro/internal/img"
 	"repro/internal/mpi"
 )
 
-// 2-D domain decomposition of the same benchmark. The paper's §3 argues
-// that halo volume drives the memory/communication trade-off of
-// decomposition dimensionality: a 1-D split exchanges two full image rows
-// per process regardless of p, while a 2-D split exchanges tile edges whose
-// total shrinks as the tiles do. Run2D implements the 2-D variant —
-// including the corner exchanges a 3×3 stencil needs — bit-identical to the
-// sequential reference, so the HALO sections of both variants can be
-// compared on equal footing (see experiments.Compare Decomp).
+// The rank program. Ranks sit row-major on a px×py grid of image tiles:
+// Run's row bands are the grid (1, p), Run2D's tiles the grid Grid2D picks.
+// The paper's §3 argues that halo volume drives the memory/communication
+// trade-off of decomposition dimensionality: a band exchanges two full
+// image rows per process regardless of p, while a tile exchanges edges
+// whose total shrinks as the tiles do (experiments.Compare Decomp). Either
+// way the result is bit-identical to the sequential reference.
+
+// Message tags, one table for every grid.
+const (
+	tagScatter  = 100
+	tagRowUp    = 200 // my top row, sent to the upper neighbour
+	tagRowDown  = 201 // my bottom row, sent to the lower neighbour
+	tagColLeft  = 212 // my left column, sent to the left neighbour
+	tagColRight = 213 // my right column, sent to the right neighbour
+	tagCornerNW = 220 // corner pixels, by travel direction
+	tagCornerNE = 221
+	tagCornerSW = 222
+	tagCornerSE = 223
+	tagGather   = 300
+)
 
 // Grid2D reports the process grid Run2D uses for p ranks: the divisor pair
 // px×py = p with px ≤ py and px maximal (closest to square).
@@ -48,218 +61,206 @@ func (p Params) Halo2DBytesPerProc(px, py int) int {
 	return (edges + corners) * img.Channels * 8
 }
 
-// Run2D executes the benchmark with a 2-D decomposition. Output semantics
-// match Run.
-func Run2D(cfg mpi.Config, p Params) (*Result, error) {
-	if err := p.Validate2D(cfg.Ranks); err != nil {
-		return nil, err
-	}
-	px, py, err := Grid2D(cfg.Ranks)
-	if err != nil {
-		return nil, err
-	}
-	var out *img.Image
-	rep, err := mpi.Run(cfg, func(c *mpi.Comm) error {
-		res, err := runRank2D(c, p, px, py)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			out = res
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Output: out, Report: rep}, nil
+// tile is one rank's share of the grid: its coordinates and its pixel
+// ranges, executed and full-size.
+type tile struct {
+	px, py, cx, cy         int
+	xlo, xhi, ylo, yhi     int // executed pixel ranges
+	fxlo, fxhi, fylo, fyhi int // full-size ranges, for cost charging
 }
 
-// tile2D is the per-rank decomposition geometry.
-type tile2D struct {
-	cx, cy     int       // grid coordinates (column, row)
-	nbr        [3][3]int // rank at grid offset [dy+1][dx+1], -1 outside
-	xlo, xhi   int       // executed column range
-	ylo, yhi   int
-	fxlo, fxhi int // full-size column range (for cost charging)
-	fylo, fyhi int
-	w, h       int // executed tile dims
-}
-
-func (t *tile2D) fullW() int { return t.fxhi - t.fxlo }
-func (t *tile2D) fullH() int { return t.fyhi - t.fylo }
-
-// neighborRank returns the rank at grid offset (dx, dy), or -1 outside.
-func (t *tile2D) neighborRank(dx, dy int) int { return t.nbr[dy+1][dx+1] }
-
-func runRank2D(c *mpi.Comm, p Params, px, py int) (*img.Image, error) {
-	cart, err := c.CartCreate([]int{py, px}, nil)
-	if err != nil {
-		return nil, err
-	}
-	t := &tile2D{cy: cart.Coord(0), cx: cart.Coord(1)}
-	// The eight neighbours are fixed for the run; every halo exchange of
-	// every step reads them.
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			nx, ny := t.cx+dx, t.cy+dy
-			r := -1
-			if nx >= 0 && ny >= 0 && nx < px && ny < py {
-				if r, err = cart.CoordsToRank([]int{ny, nx}); err != nil {
-					return nil, err
-				}
-			}
-			t.nbr[dy+1][dx+1] = r
-		}
-	}
-	execW, execH := p.execWidth(), p.execHeight()
-	t.xlo, t.xhi = partition(execW, px, t.cx)
-	t.ylo, t.yhi = partition(execH, py, t.cy)
+// tileOf returns the tile of rank on the px×py grid.
+func tileOf(p Params, px, py, rank int) tile {
+	t := tile{px: px, py: py, cx: rank % px, cy: rank / px}
+	t.xlo, t.xhi = partition(p.execWidth(), px, t.cx)
+	t.ylo, t.yhi = partition(p.execHeight(), py, t.cy)
 	t.fxlo, t.fxhi = partition(p.Width, px, t.cx)
 	t.fylo, t.fyhi = partition(p.Height, py, t.cy)
-	t.w, t.h = t.xhi-t.xlo, t.yhi-t.ylo
-	ch := img.Channels
+	return t
+}
 
-	// ---- LOAD (same as 1-D).
+func (t *tile) w() int     { return t.xhi - t.xlo }
+func (t *tile) h() int     { return t.yhi - t.ylo }
+func (t *tile) fullW() int { return t.fxhi - t.fxlo }
+func (t *tile) fullH() int { return t.fyhi - t.fylo }
+
+// bytes returns the size of the tile's pixels, executed and full-size.
+func (t *tile) bytes() (nbytes, vbytes int) {
+	return t.w() * t.h() * img.Channels * 8, t.fullW() * t.fullH() * img.Channels * 8
+}
+
+// neighbour returns the rank at grid offset (dx, dy), or -1 outside.
+func (t *tile) neighbour(dx, dy int) int {
+	x, y := t.cx+dx, t.cy+dy
+	if x < 0 || y < 0 || x >= t.px || y >= t.py {
+		return -1
+	}
+	return y*t.px + x
+}
+
+// cut copies the tile's pixels out of an executed-scale image.
+func (t *tile) cut(im *img.Image) []float64 {
+	ch := img.Channels
+	pix := make([]float64, 0, t.w()*t.h()*ch)
+	for y := t.ylo; y < t.yhi; y++ {
+		pix = append(pix, im.Pix[(y*im.W+t.xlo)*ch:(y*im.W+t.xhi)*ch]...)
+	}
+	return pix
+}
+
+// paste copies the tile's pixels into an executed-scale image.
+func (t *tile) paste(im *img.Image, pix []float64) {
+	ch := img.Channels
+	for y := t.ylo; y < t.yhi; y++ {
+		copy(im.Pix[(y*im.W+t.xlo)*ch:(y*im.W+t.xhi)*ch], pix[(y-t.ylo)*t.w()*ch:])
+	}
+}
+
+// runTile is the rank program: the six sections of the paper's Fig. 4 on
+// one tile. It returns the gathered image on rank 0 of a run that executes
+// the kernel, and nil otherwise.
+//
+// A world keeps the stack of every parked rank, and every rank parks in
+// every HALO exchange, so each section runs in a function of its own: the
+// frames live during HALO are this one's, steps' and the exchange's, not
+// those of every section's closures.
+func runTile(c *mpi.Comm, p Params, px, py, header int) (*img.Image, error) {
+	t := tileOf(p, px, py, c.Rank())
+	source, err := load(c, p, header)
+	if err != nil {
+		return nil, err
+	}
+	pix, err := t.scatter(c, p, source)
+	if err != nil {
+		return nil, err
+	}
+	if pix, err = t.steps(c, p, pix); err != nil {
+		return nil, err
+	}
+	result, err := t.gather(c, p, pix)
+	if err != nil {
+		return nil, err
+	}
+	return result, store(c, p, header, result)
+}
+
+// load is LOAD: rank 0 reads and decodes the image while the others wait.
+// It returns the decoded image on rank 0 of a run that executes the kernel.
+func load(c *mpi.Comm, p Params, header int) (*img.Image, error) {
 	var source *img.Image
-	err = c.Section(SecLoad, func() error {
+	err := c.Section(SecLoad, func() error {
 		if c.Rank() == 0 {
+			// A SkipKernel run never touches pixel data, so it skips the
+			// synthetic image entirely; the charges are identical.
 			if !p.SkipKernel {
 				var err error
-				source, err = img.NewSynthetic(execW, execH, p.Seed)
-				if err != nil {
-					return err
-				}
-				// Through the real codec, like the 1-D variant and the
-				// sequential reference.
-				var buf bytes.Buffer
-				if err := source.EncodePPM(&buf); err != nil {
-					return err
-				}
-				source, err = img.DecodePPM(&buf)
-				if err != nil {
+				if source, err = p.source(); err != nil {
 					return err
 				}
 			}
-			fullPPM := p.Width*p.Height*ch + 20
-			c.StorageRead(fullPPM)
-			c.Compute(decodeWork.Scale(float64(p.Width * p.Height * ch)))
+			c.StorageRead(p.ppmBytes(header))
+			c.Compute(p.codecWork())
 		}
-		return c.Barrier()
+		return c.Barrier() // others' wait is LOAD time, as in the paper
 	})
-	if err != nil {
-		return nil, err
-	}
+	return source, err
+}
 
-	// ---- SCATTER: root carves tiles and sends them (linear fan-out).
-	extractTile := func(im *img.Image, xlo, xhi, ylo, yhi int) []float64 {
-		w := xhi - xlo
-		tl := make([]float64, 0, (yhi-ylo)*w*ch)
-		for y := ylo; y < yhi; y++ {
-			row := im.Pix[(y*im.W+xlo)*ch : (y*im.W+xhi)*ch]
-			tl = append(tl, row...)
-		}
-		return tl
-	}
-	var tile []float64
-	err = c.Section(SecScatter, func() error {
-		const tag = 110
+// scatter is SCATTER: rank 0 sends each rank its tile, in descending rank
+// order (a linear root fan-out, the root bottleneck MPI_Scatterv exhibits).
+// It returns the rank's pixels, nil in a SkipKernel run, whose messages
+// carry their tiles' sizes and no pixels.
+func (t *tile) scatter(c *mpi.Comm, p Params, source *img.Image) ([]float64, error) {
+	var pix []float64
+	err := c.Section(SecScatter, func() error {
 		if p.SkipKernel {
-			// Ghost tiles, in descending rank order.
-			return c.ScatterGhost(0, tag, func(i int) (int, int, int) {
+			return c.ScatterGhost(0, tagScatter, func(i int) (int, int, int) {
 				r := c.Size() - 1 - i
-				rcy, rcx := r/px, r%px
-				rxlo, rxhi := partition(execW, px, rcx)
-				rylo, ryhi := partition(execH, py, rcy)
-				fxlo, fxhi := partition(p.Width, px, rcx)
-				fylo, fyhi := partition(p.Height, py, rcy)
-				return r, (rxhi - rxlo) * (ryhi - rylo) * ch * 8, (fxhi - fxlo) * (fyhi - fylo) * ch * 8
+				rt := tileOf(p, t.px, t.py, r)
+				nbytes, vbytes := rt.bytes()
+				return r, nbytes, vbytes
 			})
 		}
-		if c.Rank() == 0 {
-			for r := c.Size() - 1; r >= 1; r-- {
-				rcy := r / px
-				rcx := r % px
-				rxlo, rxhi := partition(execW, px, rcx)
-				rylo, ryhi := partition(execH, py, rcy)
-				fxlo, fxhi := partition(p.Width, px, rcx)
-				fylo, fyhi := partition(p.Height, py, rcy)
-				vbytes := (fxhi - fxlo) * (fyhi - fylo) * ch * 8
-				data := extractTile(source, rxlo, rxhi, rylo, ryhi)
-				if err := c.SendFloat64sSized(r, tag, data, vbytes); err != nil {
-					return err
-				}
-			}
-			tile = extractTile(source, t.xlo, t.xhi, t.ylo, t.yhi)
-			return nil
+		if c.Rank() != 0 {
+			var err error
+			pix, _, err = c.RecvFloat64s(0, tagScatter)
+			return err
 		}
-		var err error
-		tile, _, err = c.RecvFloat64s(0, tag)
-		return err
+		for r := c.Size() - 1; r >= 1; r-- {
+			rt := tileOf(p, t.px, t.py, r)
+			_, vbytes := rt.bytes()
+			if err := c.SendFloat64sSized(r, tagScatter, rt.cut(source), vbytes); err != nil {
+				return err
+			}
+		}
+		pix = t.cut(source)
+		return nil
 	})
-	if err != nil {
-		return nil, err
+	if err == nil && !p.SkipKernel && len(pix) != t.w()*t.h()*img.Channels {
+		err = fmt.Errorf("convolution: rank %d tile %d != %dx%d", c.Rank(), len(pix), t.w(), t.h())
 	}
-	if !p.SkipKernel && len(tile) != t.w*t.h*ch {
-		return nil, fmt.Errorf("convolution: rank %d tile %d != %dx%d", c.Rank(), len(tile), t.w, t.h)
-	}
+	return pix, err
+}
 
-	// ---- time-step loop.
-	perStepWork := kernelWork.Scale(float64(t.fullW() * t.fullH() * ch))
+// steps runs HALO then CONVOLVE, p.Steps times, and returns the convolved
+// pixels.
+func (t *tile) steps(c *mpi.Comm, p Params, pix []float64) ([]float64, error) {
+	perStep := kernelWork.Scale(float64(t.fullW() * t.fullH() * img.Channels))
+	// A SkipKernel run exchanges the same ghost list every step.
+	var list [len(halo)]mpi.GhostExchange
+	var ghost []mpi.GhostExchange
 	var ext []float64
-	if !p.SkipKernel {
-		ext = make([]float64, (t.h+2)*(t.w+2)*ch)
+	if p.SkipKernel {
+		ghost = t.ghostExchanges(list[:0])
+	} else {
+		ext = make([]float64, (t.h()+2)*(t.w()+2)*img.Channels)
 	}
 	for step := 0; step < p.Steps; step++ {
 		if err := c.Section(SecHalo, func() error {
 			if p.SkipKernel {
-				return t.exchangeHalos2DGhost(c)
+				return c.ExchangeGhost(ghost)
 			}
-			return t.exchangeHalos2D(c, p, tile, ext)
+			return t.exchange(c, pix, ext)
 		}); err != nil {
 			return nil, err
 		}
 		if err := c.Section(SecConvolve, func() error {
 			if !p.SkipKernel {
-				next, err := img.ConvolveExtended(ext, t.w, t.h)
+				next, err := img.ConvolveExtended(ext, t.w(), t.h())
 				if err != nil {
 					return err
 				}
-				tile = next
+				pix = next
 			}
-			c.Compute(perStepWork)
+			c.Compute(perStep)
 			return nil
 		}); err != nil {
 			return nil, err
 		}
 	}
+	return pix, nil
+}
 
-	// ---- GATHER: tiles back to rank 0.
+// gather is GATHER: every rank sends its tile back to rank 0 (a linear
+// root fan-in). It returns the assembled image on rank 0 of a run that
+// executes the kernel.
+func (t *tile) gather(c *mpi.Comm, p Params, pix []float64) (*img.Image, error) {
 	var result *img.Image
-	err = c.Section(SecGather, func() error {
-		const tag = 111
-		vbytes := t.fullW() * t.fullH() * ch * 8
+	err := c.Section(SecGather, func() error {
+		nbytes, vbytes := t.bytes()
 		if p.SkipKernel {
-			return c.GatherGhost(0, tag, t.w*t.h*ch*8, vbytes)
+			return c.GatherGhost(0, tagGather, nbytes, vbytes)
 		}
 		if c.Rank() != 0 {
-			return c.SendFloat64sSized(0, tag, tile, vbytes)
+			return c.SendFloat64sSized(0, tagGather, pix, vbytes)
 		}
 		var err error
-		result, err = img.New(execW, execH)
-		if err != nil {
+		if result, err = img.New(p.execWidth(), p.execHeight()); err != nil {
 			return err
 		}
-		place := func(data []float64, xlo, xhi, ylo, yhi int) {
-			w := xhi - xlo
-			for y := ylo; y < yhi; y++ {
-				copy(result.Pix[(y*execW+xlo)*ch:(y*execW+xhi)*ch],
-					data[(y-ylo)*w*ch:(y-ylo+1)*w*ch])
-			}
-		}
-		place(tile, t.xlo, t.xhi, t.ylo, t.yhi)
+		t.paste(result, pix)
 		for r := 1; r < c.Size(); r++ {
-			raw, _, err := c.Recv(r, tag)
+			raw, _, err := c.Recv(r, tagGather)
 			if err != nil {
 				return err
 			}
@@ -268,31 +269,27 @@ func runRank2D(c *mpi.Comm, p Params, px, py int) (*img.Image, error) {
 				return err
 			}
 			mpi.Release(raw)
-			rcy, rcx := r/px, r%px
-			rxlo, rxhi := partition(execW, px, rcx)
-			rylo, ryhi := partition(execH, py, rcy)
-			place(data, rxlo, rxhi, rylo, ryhi)
+			rt := tileOf(p, t.px, t.py, r)
+			rt.paste(result, data)
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
+	return result, err
+}
 
-	// ---- STORE (same as 1-D).
-	err = c.Section(SecStore, func() error {
+// store is STORE: rank 0 encodes and writes the image while the others
+// wait.
+func store(c *mpi.Comm, p Params, header int, result *img.Image) error {
+	return c.Section(SecStore, func() error {
 		if c.Rank() == 0 {
-			fullPPM := p.Width*p.Height*ch + 20
-			c.Compute(decodeWork.Scale(float64(p.Width * p.Height * ch)))
-			c.StorageWrite(fullPPM)
+			if result != nil {
+				if err := result.EncodePPM(io.Discard); err != nil {
+					return err
+				}
+			}
+			c.Compute(p.codecWork())
+			c.StorageWrite(p.ppmBytes(header))
 		}
 		return c.Barrier()
 	})
-	if err != nil {
-		return nil, err
-	}
-	if p.SkipKernel {
-		return nil, nil
-	}
-	return result, nil
 }

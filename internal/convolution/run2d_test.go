@@ -2,6 +2,7 @@ package convolution
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -31,6 +32,45 @@ func TestGrid2D(t *testing.T) {
 	}
 	if _, _, err := Grid2D(0); err == nil {
 		t.Error("Grid2D(0) accepted")
+	}
+}
+
+// TestTileGeometryProperty: on any grid, ranks sit row-major, a tile's
+// neighbour at every offset is the rank there or -1 off the grid, each
+// neighbour sees the tile back, and the tiles cover both images exactly.
+func TestTileGeometryProperty(t *testing.T) {
+	f := func(pxRaw, pyRaw uint8) bool {
+		px, py := int(pxRaw)%6+1, int(pyRaw)%6+1
+		p := Params{Width: 23, Height: 17, Steps: 1, Scale: 2}
+		execArea, fullArea := 0, 0
+		for rank := 0; rank < px*py; rank++ {
+			tl := tileOf(p, px, py, rank)
+			if tl.cx < 0 || tl.cx >= px || tl.cy < 0 || tl.cy >= py || tl.cy*px+tl.cx != rank {
+				return false
+			}
+			for dy := -1; dy <= 1; dy++ {
+				for dx := -1; dx <= 1; dx++ {
+					nb := tl.neighbour(dx, dy)
+					x, y := tl.cx+dx, tl.cy+dy
+					if x < 0 || y < 0 || x >= px || y >= py {
+						if nb != -1 {
+							return false
+						}
+						continue
+					}
+					back := tileOf(p, px, py, nb)
+					if back.neighbour(-dx, -dy) != rank {
+						return false
+					}
+				}
+			}
+			execArea += tl.w() * tl.h()
+			fullArea += tl.fullW() * tl.fullH()
+		}
+		return execArea == p.execWidth()*p.execHeight() && fullArea == p.Width*p.Height
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -91,7 +131,13 @@ func TestRun2DMatchesSequentialProperty(t *testing.T) {
 	}
 }
 
-// TestRun2DMatches1D: both decompositions agree with each other.
+// TestRun2DMatches1D: both decompositions agree with each other. At a
+// prime rank count Grid2D's grid is (1, p), Run's, so Run2D runs Run's
+// messages and charges on the same clocks, but for the PPM header: Run
+// charges the exact 17 bytes of the paper image's, Run2D a flat 20. Every
+// rank's LOAD and STORE then last StorageTime(20) − StorageTime(17) longer
+// under Run2D, every other section exactly as long, and every rank ends
+// twice that later.
 func TestRun2DMatches1D(t *testing.T) {
 	p := Params{Width: 32, Height: 24, Steps: 4, Scale: 1, Seed: 21}
 	r1, err := Run(idealCfg(4), p)
@@ -108,6 +154,50 @@ func TestRun2DMatches1D(t *testing.T) {
 	}
 	if d != 0 {
 		t.Errorf("1-D and 2-D differ by %g", d)
+	}
+
+	p = Paper()
+	p.Steps, p.Scale = 5, 16
+	if h := ppmHeader(p); h != 17 {
+		t.Fatalf("paper image's PPM header is %d bytes, want 17", h)
+	}
+	model := machine.NehalemCluster()
+	header := model.StorageTime(p.ppmBytes(flatPPMHeader)) - model.StorageTime(p.ppmBytes(17))
+	if header <= 0 {
+		t.Fatalf("flat header charged %g s more than the exact one, want > 0", header)
+	}
+	const tol = 1e-12
+	for _, ranks := range []int{2, 3, 7, 13} {
+		run := func(run func(mpi.Config, Params) (*Result, error)) (*mpi.Report, *prof.Profile) {
+			profiler := prof.New()
+			cfg := mpi.Config{Ranks: ranks, Model: model, Seed: 5, Tools: []mpi.Tool{profiler}, Timeout: idealCfg(1).Timeout}
+			res, err := run(cfg, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			profile, err := profiler.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Report, profile
+		}
+		rep1, prof1 := run(Run)
+		rep2, prof2 := run(Run2D)
+		for r := 0; r < ranks; r++ {
+			if got := rep2.RankTimes[r] - rep1.RankTimes[r]; math.Abs(got-2*header) > tol {
+				t.Errorf("p=%d rank %d: Run2D ends %g s after Run, want %g", ranks, r, got, 2*header)
+			}
+			for _, label := range Labels() {
+				want := 0.0
+				if label == SecLoad || label == SecStore {
+					want = header
+				}
+				got := prof2.Section(label).PerRankTotal[r] - prof1.Section(label).PerRankTotal[r]
+				if math.Abs(got-want) > tol {
+					t.Errorf("p=%d rank %d: Run2D's %s is %g s longer than Run's, want %g", ranks, r, label, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -48,9 +48,10 @@ func (s *barrierStacks) CollectiveBegin(_ *mpi.Comm, name string, _ float64) {
 //
 //   - 1d: a p = 456 point of the paper sweep, as conv-steady runs it, holds
 //     16 KB stacks (17,030 bytes a rank).
-//   - 2d: a p = 1,024 point of the extreme sweep, 2-D and lazy, whose frame
-//     carries the rank's CartComm value, holds 16 KB stacks (16,672–16,736
-//     bytes a rank).
+//   - 2d: a p = 1,024 point of the extreme sweep, 2-D and lazy, holds 16 KB
+//     stacks (16,672–16,736 bytes a rank).
+//
+// A third sub-test reads the stack a whole sweep leaves behind (below).
 func TestRankStackBytes(t *testing.T) {
 	const nextClass = 32 << 10
 	for _, tc := range []struct {
@@ -66,17 +67,7 @@ func TestRankStackBytes(t *testing.T) {
 			Params{Width: 5616, Height: 3744, Steps: 3, Scale: 16, Seed: 2017, SkipKernel: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// Rank coroutines are pooled process-wide, so the stacks of
-			// other tests' ranks would be counted: each point runs in a
-			// fresh process.
-			if os.Getenv("CONV_RANK_STACK") != tc.name {
-				cmd := exec.Command(os.Args[0], "-test.run=^TestRankStackBytes$/^"+tc.name+"$", "-test.v")
-				cmd.Env = append(os.Environ(), "CONV_RANK_STACK="+tc.name)
-				out, err := cmd.CombinedOutput()
-				if err != nil {
-					t.Fatalf("%v\n%s", err, out)
-				}
-				t.Logf("%s", out)
+			if !inFreshProcess(t, tc.name) {
 				return
 			}
 			point := func(tools ...mpi.Tool) {
@@ -96,4 +87,56 @@ func TestRankStackBytes(t *testing.T) {
 			}
 		})
 	}
+	// The garbage collector halves every stack whose parked depth is under
+	// a quarter of it, so how deep a rank sits parked in a HALO exchange
+	// decides the size its stack settles at between points, which the
+	// barrier reads above do not see. A warm sweep shaped like conv-steady
+	// (the paper's 13 points, 200 steps, prof attached, one point at a
+	// time) leaves 2.2 MB of stack in use. The rank program with every
+	// section's closures in one 0x450-byte frame, the HALO exchange in
+	// another 0x1d8 bytes deep, parks over the line: its ranks settle at
+	// 8 KB instead of 4 KB, 4.1 MB. Today's program parks 440–500 bytes
+	// short of it: 440 bytes more in steps' frame still leave 2.3 MB, 504
+	// leave 4.1 MB.
+	t.Run("1d-sweep", func(t *testing.T) {
+		if !inFreshProcess(t, "1d-sweep") {
+			return
+		}
+		params := Paper()
+		params.Steps = 200
+		sweep := func() {
+			for _, p := range []int{8, 16, 32, 64, 80, 96, 112, 128, 144, 192, 256, 320, 456} {
+				cfg := mpi.Config{Ranks: p, Model: machine.NehalemCluster(), Seed: 2017, Timeout: time.Minute, Tools: []mpi.Tool{prof.New()}}
+				if _, err := Run(cfg, params); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		sweep() // warm
+		sweep()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		t.Logf("stack in use after the sweep: %d B", ms.StackInuse)
+		const bound = 3 << 20
+		if ms.StackInuse >= bound {
+			t.Errorf("stack in use after the sweep %d B, at or above %d B", ms.StackInuse, bound)
+		}
+	})
+}
+
+// inFreshProcess reports whether the calling sub-test is running in a
+// process of its own, and if not runs it in one. Rank coroutines are pooled
+// process-wide, so the stacks of other tests' ranks would be counted.
+func inFreshProcess(t *testing.T, name string) bool {
+	if os.Getenv("CONV_RANK_STACK") == name {
+		return true
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRankStackBytes$/^"+name+"$", "-test.v")
+	cmd.Env = append(os.Environ(), "CONV_RANK_STACK="+name)
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	t.Logf("%s", out)
+	return false
 }

@@ -67,15 +67,6 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// Rows returns the flat pixel data of rows [lo, hi) — the unit the
-// benchmark scatters over ranks.
-func (im *Image) Rows(lo, hi int) ([]float64, error) {
-	if lo < 0 || hi > im.H || lo >= hi {
-		return nil, fmt.Errorf("img: bad row range [%d, %d) of %d", lo, hi, im.H)
-	}
-	return im.Pix[lo*im.W*Channels : hi*im.W*Channels], nil
-}
-
 // Clone deep-copies the image.
 func (im *Image) Clone() *Image {
 	out := &Image{W: im.W, H: im.H, Pix: make([]float64, len(im.Pix))}
@@ -196,66 +187,11 @@ func MeanFilterSteps(src *Image, steps int) *Image {
 	return cur
 }
 
-// ConvolveBand mean-filters a horizontal band of `rows` image rows stored
-// flat in band (width w), given the halo rows above and below. A nil halo
-// marks an image border, replicated as in MeanFilter, so that a banded
-// computation composed over all bands is bit-identical to the sequential
-// reference.
-func ConvolveBand(band []float64, w, rows int, top, bottom []float64) ([]float64, error) {
-	stride := w * Channels
-	if len(band) != rows*stride {
-		return nil, fmt.Errorf("img: band length %d != rows %d × stride %d", len(band), rows, stride)
-	}
-	if top != nil && len(top) != stride {
-		return nil, fmt.Errorf("img: top halo length %d != stride %d", len(top), stride)
-	}
-	if bottom != nil && len(bottom) != stride {
-		return nil, fmt.Errorf("img: bottom halo length %d != stride %d", len(bottom), stride)
-	}
-	out := make([]float64, len(band))
-	rowAt := func(y int) []float64 {
-		switch {
-		case y < 0:
-			if top != nil {
-				return top
-			}
-			return band[0:stride] // replicate image border
-		case y >= rows:
-			if bottom != nil {
-				return bottom
-			}
-			return band[(rows-1)*stride : rows*stride]
-		default:
-			return band[y*stride : (y+1)*stride]
-		}
-	}
-	for y := 0; y < rows; y++ {
-		up, mid, down := rowAt(y-1), rowAt(y), rowAt(y+1)
-		dst := out[y*stride : (y+1)*stride]
-		for x := 0; x < w; x++ {
-			for c := 0; c < Channels; c++ {
-				// Accumulate in the same row-major order as MeanFilter so
-				// the banded result is bit-identical to the sequential
-				// reference, not merely close.
-				var sum float64
-				for _, row := range [3][]float64{up, mid, down} {
-					for dx := -1; dx <= 1; dx++ {
-						xx := clampInt(x+dx, 0, w-1)
-						sum += row[xx*Channels+c]
-					}
-				}
-				dst[x*Channels+c] = sum / 9
-			}
-		}
-	}
-	return out, nil
-}
-
 // ConvolveExtended mean-filters the interior of an "extended tile": pixel
 // data of (h+2) rows × (w+2) columns whose outermost frame is ghost data
 // (neighbor pixels, or replicated borders assembled by the caller). The
 // result is the h×w interior, bit-identical to the corresponding region of
-// MeanFilter on the full image. This is the kernel of the 2-D decomposed
+// MeanFilter on the full image. This is the kernel of the decomposed
 // benchmark, where ghosts arrive from up to 8 neighbors.
 func ConvolveExtended(ext []float64, w, h int) ([]float64, error) {
 	extW := w + 2
