@@ -199,7 +199,7 @@ func Run2D(cfg mpi.Config, p Params) (*Result, error) {
 	if err := p.Validate2D(cfg.Ranks); err != nil {
 		return nil, err
 	}
-	px, py, _ := Grid2D(cfg.Ranks)
+	px, py, _ := Grid2D(cfg.Ranks) // Validate2D has checked the rank count
 	return run(cfg, p, px, py, flatPPMHeader)
 }
 
