@@ -35,6 +35,45 @@ func TestGrid2D(t *testing.T) {
 	}
 }
 
+// TestTileCoordsRoundtrip: on a 3×4 grid every rank's tile sits at
+// (rank%3, rank/3), and the rank at offset (0, 0) is the rank itself.
+func TestTileCoordsRoundtrip(t *testing.T) {
+	p := Params{Width: 23, Height: 17, Steps: 1, Scale: 1}
+	for rank := 0; rank < 12; rank++ {
+		tl := tileOf(p, 3, 4, rank)
+		if tl.cx != rank%3 || tl.cy != rank/3 {
+			t.Errorf("rank %d at (%d, %d), want (%d, %d)", rank, tl.cx, tl.cy, rank%3, rank/3)
+		}
+		if back := tl.neighbour(0, 0); back != rank {
+			t.Errorf("rank %d: (%d, %d) -> %d", rank, tl.cx, tl.cy, back)
+		}
+	}
+}
+
+// TestTileNeighbourBounds: a neighbour off the grid reads -1 on every side,
+// and one on it is the rank there, row-major.
+func TestTileNeighbourBounds(t *testing.T) {
+	p := Params{Width: 23, Height: 17, Steps: 1, Scale: 1}
+	corner := tileOf(p, 3, 4, 0)
+	for _, d := range [][2]int{{-1, -1}, {-1, 0}, {0, -1}, {1, -1}, {-1, 1}} {
+		if nb := corner.neighbour(d[0], d[1]); nb != -1 {
+			t.Errorf("rank 0 neighbour %v = %d, want -1", d, nb)
+		}
+	}
+	last := tileOf(p, 3, 4, 11)
+	for _, d := range [][2]int{{1, 1}, {1, 0}, {0, 1}, {-1, 1}, {1, -1}} {
+		if nb := last.neighbour(d[0], d[1]); nb != -1 {
+			t.Errorf("rank 11 neighbour %v = %d, want -1", d, nb)
+		}
+	}
+	if nb := corner.neighbour(1, 1); nb != 4 {
+		t.Errorf("rank 0 neighbour (1, 1) = %d, want 4", nb)
+	}
+	if nb := last.neighbour(-1, -1); nb != 7 {
+		t.Errorf("rank 11 neighbour (-1, -1) = %d, want 7", nb)
+	}
+}
+
 // TestTileGeometryProperty: on any grid, ranks sit row-major, a tile's
 // neighbour at every offset is the rank there or -1 off the grid, each
 // neighbour sees the tile back, and the tiles cover both images exactly.
