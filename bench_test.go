@@ -244,14 +244,41 @@ func BenchmarkSectionOverheadChecked(b *testing.B) {
 	benchSections(b, 4, verify.New())
 }
 
+// pairsBetweenMeetings is how many pairs each rank does between two
+// Barriers in benchSections. The prof pair reads the same at 64 (102 ns)
+// and 1,024 (99 ns, 2 vCPUs); the longer round keeps the untimed meetings,
+// each timer stop and start reading the memory statistics, few.
+const pairsBetweenMeetings = 1024
+
+// benchSections times b.N pairs on every rank in the steady state of a
+// sweep, where every section instance completes: the ranks meet at an
+// untimed Barrier after every pairsBetweenMeetings pairs. A world runs one
+// rank at a time, and the timer runs only while a rank does its pairs.
+// Ranks that never met would each open every instance before any closed,
+// and time a profiler's instance ring growing instead.
 func benchSections(b *testing.B, ranks int, tools ...mpi.Tool) {
 	cfg := mpi.Config{Ranks: ranks, Model: machine.Ideal(ranks, 1), Seed: 1,
 		Tools: tools, Timeout: 10 * time.Minute}
+	b.StopTimer()
 	b.ResetTimer()
 	_, err := mpi.Run(cfg, func(c *mpi.Comm) error {
-		for i := 0; i < b.N; i++ {
-			c.SectionEnter("bench")
-			c.SectionExit("bench")
+		round := func(pairs int) error {
+			for i := 0; i < pairs; i++ {
+				c.SectionEnter("bench")
+				c.SectionExit("bench")
+			}
+			b.StopTimer()
+			return c.Barrier()
+		}
+		// An untimed first round grows the instance ring to its size.
+		if err := round(pairsBetweenMeetings); err != nil {
+			return err
+		}
+		for left := b.N; left > 0; left -= pairsBetweenMeetings {
+			b.StartTimer()
+			if err := round(min(left, pairsBetweenMeetings)); err != nil {
+				return err
+			}
 		}
 		return nil
 	})

@@ -14,46 +14,31 @@ import (
 	"repro/internal/prof"
 )
 
-// barrierStacks reads the stack bytes in use each time the last rank
-// arrives at a Barrier, while every other rank is parked in it, and keeps
-// the most.
-type barrierStacks struct {
-	mpi.BaseTool
-	ranks, arrived int
-	most           uint64
-}
-
-func (s *barrierStacks) CollectiveBegin(_ *mpi.Comm, name string, _ float64) {
-	if name != "Barrier" {
-		return
-	}
-	if s.arrived++; s.arrived == s.ranks {
-		s.arrived = 0
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		s.most = max(s.most, ms.StackInuse)
-	}
-}
-
 // TestRankStackBytes pins how deep the stacks of the sweeps' own ranks are.
 // A world keeps every rank's stack while it is parked, and Go doubles a
 // stack that outgrows its size class, so one more frame where a rank is
 // deepest — the last arriver of a HALO exchange evaluating the generation
 // into the tools' hooks — can grow every rank's stack at once, which no
-// alloc count sees. Each point runs warm, prof attached, and is read at
-// LOAD's and STORE's barriers; the stack bytes a rank include the
-// process's other goroutines, go1.24 on linux/amd64. The bound is the next
-// class, 32 KB: an 8 KB frame added on a parked rank's path still fits, a
-// 16 KB one fails.
+// alloc count sees. Each point runs warm, prof attached, and is read once
+// Run has returned, its ranks' coroutines pooled with the stacks they
+// grew; the stack bytes a rank include the process's other goroutines,
+// go1.24 on linux/amd64. The bound is the next class, 8 KB: a frame that
+// doubles a parked rank's stack fails.
 //
 //   - 1d: a p = 456 point of the paper sweep, as conv-steady runs it, holds
-//     16 KB stacks (17,030 bytes a rank).
-//   - 2d: a p = 1,024 point of the extreme sweep, 2-D and lazy, holds 16 KB
-//     stacks (16,672–16,736 bytes a rank).
+//     4 KB stacks (4,814 bytes a rank).
+//   - 2d: a p = 1,024 point of the extreme sweep, 2-D and lazy, holds 4 KB
+//     stacks (4,416–4,448 bytes a rank; a goroutine sampling every
+//     100 µs through the run read 4,384–4,480).
+//
+// The points are read from outside the world because a probe that reads
+// the stacks from a tool hook, on the last arriver's coroutine, reads four
+// times as much (16,672–17,030 bytes a rank): that reading is the probe's
+// own, not the ranks'.
 //
 // A third sub-test reads the stack a whole sweep leaves behind (below).
 func TestRankStackBytes(t *testing.T) {
-	const nextClass = 32 << 10
+	const nextClass = 8 << 10
 	for _, tc := range []struct {
 		name   string
 		p      int
@@ -70,34 +55,34 @@ func TestRankStackBytes(t *testing.T) {
 			if !inFreshProcess(t, tc.name) {
 				return
 			}
-			point := func(tools ...mpi.Tool) {
+			point := func() {
 				cfg := tc.cfg
-				cfg.Ranks, cfg.Seed, cfg.Timeout, cfg.Tools = tc.p, 2017, time.Minute, tools
+				cfg.Ranks, cfg.Seed, cfg.Timeout, cfg.Tools = tc.p, 2017, time.Minute, []mpi.Tool{prof.New()}
 				if _, err := tc.run(cfg, tc.params); err != nil {
 					t.Fatal(err)
 				}
 			}
-			point(prof.New()) // warm: pooled coroutines, park lists
-			probe := &barrierStacks{ranks: tc.p}
-			point(prof.New(), probe)
-			perRank := probe.most / uint64(tc.p)
-			t.Logf("stack in use with every rank parked: %d B, %d B a rank", probe.most, perRank)
+			point() // warm: pooled coroutines, park lists
+			point()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			perRank := ms.StackInuse / uint64(tc.p)
+			t.Logf("stack in use after the point: %d B, %d B a rank", ms.StackInuse, perRank)
 			if perRank >= nextClass {
-				t.Errorf("parked ranks use %d B of stack each, at or above the %d B size class", perRank, nextClass)
+				t.Errorf("pooled ranks use %d B of stack each, at or above the %d B size class", perRank, nextClass)
 			}
 		})
 	}
-	// The garbage collector halves every stack whose parked depth is under
-	// a quarter of it, so how deep a rank sits parked in a HALO exchange
-	// decides the size its stack settles at between points, which the
-	// barrier reads above do not see. A warm sweep shaped like conv-steady
-	// (the paper's 13 points, 200 steps, prof attached, one point at a
-	// time) leaves 2.2 MB of stack in use. The rank program with every
-	// section's closures in one 0x450-byte frame, the HALO exchange in
-	// another 0x1d8 bytes deep, parks over the line: its ranks settle at
-	// 8 KB instead of 4 KB, 4.1 MB. Today's program parks 440–500 bytes
-	// short of it: 440 bytes more in steps' frame still leave 2.3 MB, 504
-	// leave 4.1 MB.
+	// The garbage collector halves every stack whose parked depth is under a
+	// quarter of it, so how deep a rank sits parked in a HALO exchange decides
+	// the size its stack settles at between points, over more collections than
+	// one point above sees. A warm sweep shaped like conv-steady (the paper's
+	// 13 points, 200 steps, prof attached, one point at a time) leaves 2.2 MB
+	// of stack in use. The rank program with every section's closures in one
+	// 0x450-byte frame, the HALO exchange in another 0x1d8 bytes deep, parks
+	// over the line: its ranks settle at 8 KB instead of 4 KB, 4.1 MB. Today's
+	// program parks 440–500 bytes short of it: 440 bytes more in steps' frame
+	// still leave 2.3 MB, 504 leave 4.1 MB.
 	t.Run("1d-sweep", func(t *testing.T) {
 		if !inFreshProcess(t, "1d-sweep") {
 			return

@@ -55,16 +55,14 @@ func diagnose(a *waitstate.Analysis) *PointDiagnosis {
 	if b == nil {
 		return nil
 	}
-	d := &PointDiagnosis{
+	return &PointDiagnosis{
 		Section:   b.Section,
 		Cause:     b.DominantCause,
 		WaitIn:    b.WaitIn,
 		WaitOut:   b.WaitOut,
 		CritShare: b.CritShare,
+		Eff:       pop.SectionOf(a, b.Section),
 	}
-	tree := pop.FromAnalysis(a, pop.Options{})
-	d.Eff = tree.Section(b.Section)
-	return d
 }
 
 // diagHeader is the diagnosis column block shared by every sweep CSV: the

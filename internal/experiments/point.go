@@ -187,6 +187,7 @@ func (s Sweep) runPoint(p point) (pointResult, error) {
 	profile.Release()
 	if analysis != nil {
 		out.diag = diagnose(analysis)
+		analysis.Release()
 	}
 	clock.Lap(&out.host[PhaseAnalysis])
 	return out, nil

@@ -350,7 +350,8 @@ func takeRankSlab(n int) []rankState {
 type commArrays struct {
 	n          int
 	sections   []rankSections
-	rendezvous [2][]*Comm // split, exchange
+	toolSlots  [][]ToolData // uncleared: enterSlots zeroes a frame's payloads
+	rendezvous [2][]*Comm   // split, exchange
 	xranks     []exchangeRank
 	ready      []int32
 	slots      [2][]rootedSlot // scatter, gather
@@ -362,6 +363,10 @@ func (a *commArrays) bytes() int {
 		len(a.xranks)*int(unsafe.Sizeof(exchangeRank{})) + 4*cap(a.ready)
 	for i := range a.rendezvous {
 		n += 8 * len(a.rendezvous[i])
+	}
+	n += len(a.toolSlots) * int(unsafe.Sizeof(a.toolSlots[0]))
+	for _, s := range a.toolSlots {
+		n += ToolDataSize * len(s)
 	}
 	for i := range a.slots {
 		n += len(a.slots[i])*int(unsafe.Sizeof(rootedSlot{})) + 4*len(a.seen[i])
@@ -378,7 +383,7 @@ func (cs *commShared) takeArrays() {
 		cs.sections = newSectionRegistry(n)
 		return
 	}
-	cs.sections = &sectionRegistry{perRank: a.sections}
+	cs.sections = &sectionRegistry{perRank: a.sections, slots: a.toolSlots}
 	cs.split.comms, cs.exchange.comms = a.rendezvous[0], a.rendezvous[1]
 	cs.exchange.ranks, cs.exchange.ready = a.xranks, a.ready
 	cs.scatter.slots, cs.gather.slots = a.slots[0], a.slots[1]
@@ -391,6 +396,7 @@ func (cs *commShared) parkArrays() {
 	a := &commArrays{
 		n:          len(cs.group),
 		sections:   cs.sections.perRank,
+		toolSlots:  cs.sections.slots,
 		rendezvous: [2][]*Comm{cs.split.comms, cs.exchange.comms},
 		xranks:     cs.exchange.ranks,
 		ready:      cs.exchange.ready[:0],

@@ -16,7 +16,9 @@
 //   - mpi_rank_slabs: 64 shard slabs of 256 rank states, 3.7 MB: the
 //     extreme sweep's three worlds side by side hold 60.
 //   - mpi_comm_arrays: 4 MiB of communicators' per-rank arrays, by
-//     communicator size: the extreme sweep's worlds park 3.5 MB.
+//     communicator size: the extreme sweep's worlds park 3.5 MB. A chain
+//     of two or more tools adds its section payload slots, a table and a
+//     slab per rank, which the one-tool extreme sweep does not make.
 //   - prof_cells, prof_welfords, prof_counters, prof_cursors
 //     (internal/prof): 4 MiB, 8 MiB, 512 KiB and 256 KiB of a profiler's
 //     per-rank arrays, by length: the power of two above what the extreme
@@ -30,6 +32,11 @@
 //     recorded points side by side.
 //   - waitstate_worlds (internal/waitstate): 8 diagnosis worlds, one per
 //     sweep worker on a host of up to eight cores.
+//   - waitstate_rank_sections, waitstate_crit_paths (internal/waitstate):
+//     4 MiB each of a released analysis's per-(section, rank) rows and
+//     critical path, by capacity: eight workers' largest points, the
+//     paper sweep's p = 456 at 1,000 steps (332 KB of rows, 336 KB of
+//     path each).
 //
 // EXPERIMENTS.md ("Worlds from parked slabs") has the extreme sweep's
 // alloc_mb and peak RSS with the mpi and prof bounds at half and at double.
@@ -140,6 +147,16 @@ func (s *Stack[T]) PutAll(vs []T) {
 func TakeLen[E any](s *Stack[[]E], n int) []E {
 	if v := s.Take(func(v []E) bool { return len(v) == n }); v != nil {
 		return v
+	}
+	return make([]E, n)
+}
+
+// TakeCap returns the newest parked slice of capacity at least n, resliced
+// to n, or a new zeroed one. It is zeroed if each putter cleared what it
+// wrote, as PutCleared does a slice's length.
+func TakeCap[E any](s *Stack[[]E], n int) []E {
+	if v := s.Take(func(v []E) bool { return cap(v) >= n }); v != nil {
+		return v[:n]
 	}
 	return make([]E, n)
 }

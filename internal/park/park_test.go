@@ -208,3 +208,24 @@ func TestTakeLen(t *testing.T) {
 		t.Fatalf("after the takes: %+v, want one take, one miss, nothing parked", st)
 	}
 }
+
+// TestTakeCap takes the newest slice long enough, resliced, and a new one
+// when none is.
+func TestTakeCap(t *testing.T) {
+	s := New("", 1<<10, func(v []int) int { return cap(v) })
+	long, short := make([]int, 8), make([]int, 2)
+	PutCleared(s, long[:5])
+	PutCleared(s, short)
+	if got := TakeCap(s, 4); len(got) != 4 || &got[0] != &long[0] {
+		t.Fatalf("TakeCap(4) = %v, want the 8-capacity slice at length 4", got)
+	}
+	if got := TakeCap(s, 3); len(got) != 3 || cap(got) != 3 {
+		t.Fatalf("TakeCap(3) = %v (cap %d), want a new slice of 3", got, cap(got))
+	}
+	if got := TakeCap(s, 2); &got[0] != &short[0] {
+		t.Fatalf("TakeCap(2) = %v, want the parked 2-slice", got)
+	}
+	if st := s.Stats(); st.Takes != 2 || st.Misses != 1 || st.Parked != 0 {
+		t.Fatalf("after the takes: %+v, want two takes, one miss, nothing parked", st)
+	}
+}

@@ -86,7 +86,7 @@ func TestFactorTableLevels(t *testing.T) {
 			rows[i] = RankTotals{T: T, Useful: T - wait, Transfer: rng.Float64() * wait,
 				OmpElapsed: omp, OmpSingle: omp * float64(team) * rng.Float64(), OmpBusy: omp * float64(team), MaxTeam: team}
 		}
-		f, _, _, _, _ := computeFactors(rows, len(rows)+rng.Intn(2))
+		f := *FromTotals("", len(rows)+rng.Intn(2), rows, false).Factors
 		for i, fc := range FactorTable {
 			children := below(i)
 			if fc.Leaf != (len(children) == 0) {

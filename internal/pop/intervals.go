@@ -100,8 +100,7 @@ func timeResolved(o *trace.Order, wall float64, n int, degraded bool) []Interval
 			iv.To = wall
 		}
 		if !degraded {
-			f, _, _, _, _ := computeFactors(rows[i], p)
-			iv.Factors = &f
+			iv.Factors = FromTotals("", p, rows[i], false).Factors
 		}
 		out[i] = iv
 	}

@@ -1,7 +1,9 @@
 package pop
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/trace"
 	"repro/internal/waitstate"
@@ -185,10 +187,10 @@ func clamp01(x float64) float64 {
 }
 
 // computeFactors evaluates the factor formulas (package docs) over one
-// scope's per-rank rows; p is the divisor of the load-balance mean so
-// ranks absent from rows count as fully idle. A scope nobody entered
-// (Tmax = 0) scores a neutral all-ones tree.
-func computeFactors(rows []RankTotals, p int) (f Factors, tMax, tIdeal, uMax, uAvg float64) {
+// scope's n per-rank rows, row(i) the i-th; p is the divisor of the
+// load-balance mean so ranks absent from rows count as fully idle. A scope
+// nobody entered (Tmax = 0) scores a neutral all-ones tree.
+func computeFactors(n int, row func(i int) RankTotals, p int) (f Factors, tMax, tIdeal, uMax, uAvg float64) {
 	f = Factors{
 		Parallel: 1, LoadBalance: 1, Comm: 1, Transfer: 1, Serialisation: 1,
 		Thread: 1, OmpRegion: 1, SerialRegion: 1, Total: 1,
@@ -197,7 +199,8 @@ func computeFactors(rows []RankTotals, p int) (f Factors, tMax, tIdeal, uMax, uA
 		return
 	}
 	var uSum, usefulSum, busySum, capSum float64
-	for _, r := range rows {
+	for i := 0; i < n; i++ {
+		r := row(i)
 		if r.T > tMax {
 			tMax = r.T
 		}
@@ -266,7 +269,12 @@ func computeFactors(rows []RankTotals, p int) (f Factors, tMax, tIdeal, uMax, uA
 // load-balance mean, so ranks absent from rows count as fully idle;
 // degraded withholds the factors.
 func FromTotals(name string, p int, rows []RankTotals, degraded bool) SectionEfficiency {
-	f, tMax, tIdeal, uMax, uAvg := computeFactors(rows, p)
+	return scope(name, p, len(rows), func(i int) RankTotals { return rows[i] }, degraded)
+}
+
+// scope is FromTotals over rows that row(i) reads where they are.
+func scope(name string, p, n int, row func(i int) RankTotals, degraded bool) SectionEfficiency {
+	f, tMax, tIdeal, uMax, uAvg := computeFactors(n, row, p)
 	se := SectionEfficiency{
 		Section: name, P: p,
 		TMax: tMax, TIdeal: tIdeal, UsefulMax: uMax, UsefulAvg: uAvg,
@@ -279,55 +287,80 @@ func FromTotals(name string, p int, rows []RankTotals, degraded bool) SectionEff
 	return se
 }
 
+// rowOf is a section scope's row of one rank: the one place a RankSection
+// becomes RankTotals.
+func rowOf(rs *waitstate.RankSection) RankTotals {
+	return RankTotals{
+		T: rs.Incl, Useful: rs.Incl - rs.Wait, Transfer: rs.Transfer,
+		OmpElapsed: rs.OmpElapsed, OmpSingle: rs.OmpSingle,
+		OmpBusy: rs.OmpBusy, MaxTeam: rs.MaxTeam,
+	}
+}
+
+// degraded is the rule that withholds an analysis's factors: a faulted run.
+func degraded(a *waitstate.Analysis) bool { return a.Faults > 0 || a.DeadWaits > 0 }
+
+// SectionOf builds the named section's record from a completed wait-state
+// analysis, as FromAnalysis(a, opts).Section(name) reads it, without the
+// rest of the tree; nil when the analysis has no such section.
+func SectionOf(a *waitstate.Analysis, name string) *SectionEfficiency {
+	for i := range a.Sections {
+		if d := &a.Sections[i]; d.Section == name {
+			se := sectionOf(a, d, degraded(a))
+			return &se
+		}
+	}
+	return nil
+}
+
+// sectionOf scores d's scope over its rows: a run of a.RankSections, which
+// lists them by section, then rank.
+func sectionOf(a *waitstate.Analysis, d *waitstate.SectionDiagnosis, degraded bool) SectionEfficiency {
+	rs := a.RankSections
+	lo, _ := slices.BinarySearchFunc(rs, d.Section, func(r waitstate.RankSection, s string) int { return cmp.Compare(r.Section, s) })
+	hi := lo
+	for hi < len(rs) && rs[hi].Section == d.Section {
+		hi++
+	}
+	run := rs[lo:hi]
+	se := scope(d.Section, a.Ranks, len(run), func(i int) RankTotals { return rowOf(&run[i]) }, degraded)
+	se.Bound, se.Cause = d.Bound, d.DominantCause
+	return se
+}
+
 // FromAnalysis builds the tree from a completed wait-state analysis. The
-// per-section scopes come from Analysis.RankSections; the global scope
-// from the per-rank breakdown (idle tails count against load balance).
+// per-section scopes are SectionOf's; the global scope comes from the
+// per-rank breakdown (idle tails count against load balance).
 func FromAnalysis(a *waitstate.Analysis, opts Options) *Tree {
 	t := &Tree{
 		Ranks: a.Ranks, Threads: 1, Wall: a.Wall, SeqTime: a.SeqTime,
 		Faults: a.Faults, DeadWaits: a.DeadWaits, Warning: a.Warning,
-		Degraded: a.Faults > 0 || a.DeadWaits > 0,
+		Degraded: degraded(a),
 	}
-	// One pass fills every section's rows and, per rank, what the global
-	// scope sums over the rank's sections.
-	bySec := map[string][]RankTotals{}
-	perRank := map[int]*RankTotals{}
-	for _, rs := range a.RankSections {
-		row := RankTotals{
-			T: rs.Incl, Useful: rs.Incl - rs.Wait, Transfer: rs.Transfer,
-			OmpElapsed: rs.OmpElapsed, OmpSingle: rs.OmpSingle,
-			OmpBusy: rs.OmpBusy, MaxTeam: rs.MaxTeam,
-		}
-		bySec[rs.Section] = append(bySec[rs.Section], row)
-		ra := perRank[rs.Rank]
-		if ra == nil {
-			ra = &RankTotals{}
-			perRank[rs.Rank] = ra
-		}
-		ra.Transfer += row.Transfer
-		ra.OmpElapsed += row.OmpElapsed
-		ra.OmpSingle += row.OmpSingle
-		ra.OmpBusy += row.OmpBusy
-		ra.MaxTeam = max(ra.MaxTeam, row.MaxTeam)
-		t.Threads = max(t.Threads, row.MaxTeam)
-	}
-	for _, d := range a.Sections {
-		se := FromTotals(d.Section, a.Ranks, bySec[d.Section], t.Degraded)
-		se.Bound = d.Bound
-		se.Cause = d.DominantCause
-		t.Sections = append(t.Sections, se)
+	for i := range a.Sections {
+		t.Sections = append(t.Sections, sectionOf(a, &a.Sections[i], t.Degraded))
 	}
 	// Global scope: each rank spans from its first event to the end of the
 	// run (Wait + Compute + Residual in the breakdown's terms), its useful
-	// time is the classified compute, and waits/regions sum over sections.
-	var global []RankTotals
-	for _, rb := range a.Ranked {
-		var row RankTotals
-		if ra := perRank[rb.Rank]; ra != nil {
-			row = *ra
+	// time is the classified compute, and waits/regions sum over its
+	// sections, in the order RankSections lists them.
+	global := make([]RankTotals, len(a.Ranked))
+	for i := range a.RankSections {
+		rs := &a.RankSections[i]
+		t.Threads = max(t.Threads, rs.MaxTeam)
+		k, ok := slices.BinarySearchFunc(a.Ranked, rs.Rank, func(rb waitstate.RankBreakdown, r int) int { return cmp.Compare(rb.Rank, r) })
+		if !ok {
+			continue
 		}
-		row.T, row.Useful = rb.Wait+rb.Compute+rb.Residual, rb.Compute
-		global = append(global, row)
+		g, row := &global[k], rowOf(rs)
+		g.Transfer += row.Transfer
+		g.OmpElapsed += row.OmpElapsed
+		g.OmpSingle += row.OmpSingle
+		g.OmpBusy += row.OmpBusy
+		g.MaxTeam = max(g.MaxTeam, row.MaxTeam)
+	}
+	for k, rb := range a.Ranked {
+		global[k].T, global[k].Useful = rb.Wait+rb.Compute+rb.Residual, rb.Compute
 	}
 	g := FromTotals("(run)", a.Ranks, global, t.Degraded)
 	t.Global = &g

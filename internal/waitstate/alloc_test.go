@@ -92,3 +92,52 @@ func TestAnalyzeAllocs(t *testing.T) {
 	}
 	next.Release()
 }
+
+// TestReleaseParksRowsAndPath pins what a released analysis hands on: the
+// next analysis of the same point takes its RankSections and CritPath from
+// the park lists, missing neither, and allocates at least their bytes
+// fewer than the first, which made them.
+func TestReleaseParksRowsAndPath(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates shadow memory; alloc counts are meaningless")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for freeRankSections.Take(nil) != nil {
+	}
+	for freeCritPaths.Take(nil) != nil {
+	}
+	b := trace.NewBuffer(0)
+	defer b.Release()
+	sweepPoint(b, 64, 40, true)
+	analyze := func() (a *Analysis, bytes uint64) {
+		bytes = allocatedBytes(func() {
+			var err error
+			if a, err = AnalyzeOrder(b.Order(), Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return a, bytes
+	}
+	a, first := analyze()
+	rows := cap(a.RankSections) * int(unsafe.Sizeof(RankSection{}))
+	path := cap(a.CritPath) * int(unsafe.Sizeof(PathSegment{}))
+	if rows == 0 || path == 0 {
+		t.Fatalf("the point has %d B of rows and %d B of path; want both", rows, path)
+	}
+	a.Release()
+	if a.RankSections != nil || a.CritPath != nil {
+		t.Fatal("Release left the analysis its rows or its path")
+	}
+	a.Release() // a second release does nothing
+	rowsBefore, pathBefore := freeRankSections.Stats(), freeCritPaths.Stats()
+	a, second := analyze()
+	rowsAfter, pathAfter := freeRankSections.Stats(), freeCritPaths.Stats()
+	if rowsAfter.Misses != rowsBefore.Misses || pathAfter.Misses != pathBefore.Misses {
+		t.Errorf("the second analysis missed the park lists: rows %+v -> %+v, path %+v -> %+v", rowsBefore, rowsAfter, pathBefore, pathAfter)
+	}
+	t.Logf("first analysis %d B, second %d B; %d B of rows and %d B of path parked", first, second, rows, path)
+	if second+uint64(rows+path) > first {
+		t.Errorf("the second analysis allocated %d B, the first %d B: want at least the %d B of rows and path fewer", second, first, rows+path)
+	}
+	a.Release()
+}

@@ -3,6 +3,7 @@ package waitstate
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/fault"
 	"repro/internal/mpi"
@@ -265,6 +266,26 @@ func (t *Tool) Analysis(opts Options) (*Analysis, error) {
 // benchmarks' — in its steady state; on a larger one the worlds past eight
 // are the garbage collector's, which costs allocations, not memory.
 var freeWorlds = park.New[*liveWorld]("waitstate_worlds", 8, nil)
+
+// freeRankSections and freeCritPaths are where Release parks an analysis's
+// point-sized slices, weighed by capacity in bytes, for the next fold and
+// critical-path walk; a slice serves any point it is long enough for. Each
+// holds eight of the paper sweep's largest, p = 456 at 1,000 steps (332 KB
+// of rows, 336 KB of path): one a worker, as above.
+var (
+	freeRankSections = park.New("waitstate_rank_sections", 4<<20, func(v []RankSection) int { return cap(v) * int(unsafe.Sizeof(RankSection{})) })
+	freeCritPaths    = park.New("waitstate_crit_paths", 4<<20, func(v []PathSegment) int { return cap(v) * int(unsafe.Sizeof(PathSegment{})) })
+)
+
+// Release parks the analysis's RankSections and CritPath, which it leaves
+// nil, for the next analysis; call it once nothing reads them (a record pop
+// built from them copies what it keeps). Releasing is optional, and a
+// second Release does nothing.
+func (a *Analysis) Release() {
+	park.PutCleared(freeRankSections, a.RankSections)
+	park.PutCleared(freeCritPaths, a.CritPath)
+	a.RankSections, a.CritPath = nil, nil
+}
 
 // reset empties w for a world of size ranks. Each rank keeps the storage it
 // had, whichever rank used it.

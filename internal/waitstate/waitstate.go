@@ -75,6 +75,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/park"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -827,7 +828,7 @@ func (en *engine) fold(crit []PathSegment, critSec map[string]float64, opts Opti
 		rowsOf[l] = at
 		at += n
 	}
-	a.RankSections = make([]RankSection, at)
+	a.RankSections = park.TakeCap(freeRankSections, at)
 	for k := range en.ranks {
 		rt := &en.ranks[k]
 		for i := range rt.secs {
@@ -906,7 +907,7 @@ func (en *engine) criticalPath() ([]PathSegment, map[string]float64) {
 		// time (or the iteration cap fires on a degenerate zero-latency chain).
 		maxHops += len(en.ranks[k].recvs) + 1
 	}
-	var rev []PathSegment
+	rev := freeCritPaths.Take(nil)[:0]
 	addCompute := func(rt *rankTimeline, from, to float64) {
 		if to <= from {
 			return
@@ -961,6 +962,9 @@ func (en *engine) criticalPath() ([]PathSegment, map[string]float64) {
 		})
 		perSec[label] += e.T - e.SendT
 		rt, curT = sender, e.SendT
+	}
+	if len(rev) == 0 {
+		return nil, perSec // none, as when rev began nil
 	}
 	// Earliest-first for readers.
 	slices.Reverse(rev)
