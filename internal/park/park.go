@@ -30,13 +30,25 @@
 //     36 KB.
 //   - trace_chunks (internal/trace): 2048 chunks, 48 MiB, two paper-scale
 //     recorded points side by side.
-//   - waitstate_worlds (internal/waitstate): 8 diagnosis worlds, one per
-//     sweep worker on a host of up to eight cores.
+//   - trace_csv_blocks, trace_csv_heads (internal/trace): ReadCSV's read
+//     buffers, 4 MiB by capacity, two readers' rings on four cores; and
+//     its head-of-stream reservations, 8 MiB in bytes, three heads of the
+//     benchmark's 217 k-event trace (2.5 MB each).
+//   - waitstate_worlds (internal/waitstate): 32 MiB of analysis storage,
+//     weighed in bytes — a Tool's per-rank lists and chunks, an offline
+//     replay's timelines, arenas and index: the worlds of eight sweep
+//     workers' largest diagnosed points at 40 steps (29 MB), and never one
+//     of a trace at the 4 Mi-event cap (some 70 MB).
 //   - waitstate_rank_sections, waitstate_crit_paths (internal/waitstate):
 //     4 MiB each of a released analysis's per-(section, rank) rows and
 //     critical path, by capacity: eight workers' largest points, the
 //     paper sweep's p = 456 at 1,000 steps (332 KB of rows, 336 KB of
 //     path each).
+//   - waitstate_ranked, waitstate_sections, waitstate_colls
+//     (internal/waitstate): 256 KiB, 64 KiB and 64 KiB of a released
+//     analysis's rank rows, section records and collective stats, by
+//     capacity: eight of that point's 18 KB of rank rows, eight of
+//     LULESH's 21 section records (3.5 KB).
 //
 // EXPERIMENTS.md ("Worlds from parked slabs") has the extreme sweep's
 // alloc_mb and peak RSS with the mpi and prof bounds at half and at double.

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/mpi"
+	"repro/internal/park"
 )
 
 // The sweep fast path must stay allocation-free with the full POP
@@ -229,11 +230,12 @@ func TestOrderingAllocs(t *testing.T) {
 
 // TestCodecAllocs pins the codec's allocations to be independent of the row
 // count: the encoder's one buffer — its memos, 22 KB of slots, are part of
-// the encoder and stay in the writer's frame; the decoder's reader, its
-// first block, the label table and the growth steps of its result, and,
-// once the stream outgrows that block, the ring's other blocks in one
-// piece, two channels and a goroutine, a closure and a label table per
-// worker.
+// the encoder and stay in the writer's frame; the decoder's reader, the
+// label table and the growth steps of its result, and, once the stream
+// outgrows one block, the ring, two channels and a goroutine, a closure and
+// a label table per worker. Warm, a read allocates its result and a
+// constant in bytes: the ring's blocks and the reservation for the head of
+// a long stream are taken from freeBlocks and freeHeads.
 func TestCodecAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector allocates shadow memory; alloc counts are meaningless")
@@ -244,7 +246,6 @@ func TestCodecAllocs(t *testing.T) {
 	const workers = 4
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	small, large := Sorted(recording(64, 100)), Sorted(recording(64, 1600))
-	eventBytes := uint64(len(large)) * uint64(unsafe.Sizeof(Event{}))
 
 	writeSmall, _ := allocated(func() { WriteEventsCSV(io.Discard, small) })
 	writeLarge, _ := allocated(func() { WriteEventsCSV(io.Discard, large) })
@@ -257,8 +258,8 @@ func TestCodecAllocs(t *testing.T) {
 	WriteEventsCSV(&largeCSV, large)
 	var got []Event
 	readSmall, _ := allocated(func() { got, _ = ReadCSV(bytes.NewReader(smallCSV.Bytes())) })
-	readLarge, readBytes := allocated(func() { got, _ = ReadCSV(bytes.NewReader(largeCSV.Bytes())) })
-	t.Logf("ReadCSV: %v allocs for %d rows, %v allocs and %d bytes for %d rows (cap %d)", readSmall, len(small), readLarge, readBytes, len(got), cap(got))
+	readLarge, _ := allocated(func() { got, _ = ReadCSV(bytes.NewReader(largeCSV.Bytes())) })
+	t.Logf("ReadCSV: %v allocs for %d rows, %v allocs for %d rows", readSmall, len(small), readLarge, len(got))
 	if len(got) != len(large) {
 		t.Fatalf("ReadCSV returned %d events, want %d", len(got), len(large))
 	}
@@ -280,8 +281,33 @@ func TestCodecAllocs(t *testing.T) {
 	if over := float64(cap(got)) / float64(len(got)); over > 1.08 {
 		t.Errorf("ReadCSV reserved %d events for %d (%.0f%% over)", cap(got), len(got), 100*(over-1))
 	}
-	if limit := eventBytes * 8 / 5; readBytes > limit {
-		t.Errorf("ReadCSV allocated %d bytes for %d bytes of events; want <= %d", readBytes, eventBytes, limit)
+	// The read above left its ring with four workers parked; a p = 256
+	// recording twice the rows reads warm at the same constant over its
+	// result.
+	var convCSV bytes.Buffer
+	WriteEventsCSV(&convCSV, Sorted(convRecording(256, 100)))
+	for _, c := range []struct {
+		name string
+		csv  []byte
+	}{{"recording", largeCSV.Bytes()}, {"conv-p256", convCSV.Bytes()}} {
+		ReadCSV(bytes.NewReader(c.csv))
+		runtime.ReadMemStats(&before)
+		got, _ = ReadCSV(bytes.NewReader(c.csv))
+		runtime.ReadMemStats(&after)
+		result := uint64(cap(got)) * uint64(unsafe.Sizeof(Event{}))
+		bytes := after.TotalAlloc - before.TotalAlloc
+		t.Logf("warm ReadCSV of %s: %d rows, %d bytes: %d for the result (cap %d) and %d more", c.name, len(got), bytes, result, cap(got), bytes-result)
+		if limit := result + 32<<10; bytes > limit {
+			t.Errorf("warm ReadCSV of %s allocated %d bytes for a result of %d; want <= %d, the result and 32 KiB", c.name, bytes, result, limit)
+		}
+	}
+	// Both lists are named, and so bounded and reported.
+	named := map[string]bool{}
+	for _, l := range park.Lists() {
+		named[l.Name] = true
+	}
+	if !named["trace_csv_blocks"] || !named["trace_csv_heads"] {
+		t.Errorf("park.Lists() lacks the reader's lists: %v", named)
 	}
 }
 

@@ -15,6 +15,9 @@ import (
 	"sync"
 	"unicode"
 	"unicode/utf8"
+	"unsafe"
+
+	"repro/internal/park"
 )
 
 // csvHeader is the stable column set of the CSV codec. The tag and
@@ -463,6 +466,21 @@ func ReadCSV(r io.Reader) ([]Event, error) {
 // them per worker are all the read buffer there is.
 const csvBlockSize = 256 << 10
 
+// freeBlocks and freeHeads are where ReadCSV parks what it reads with and
+// what the next one takes before it allocates: the ring's read buffers of
+// csvBlockSize or more, weighed by capacity, and the head-of-stream
+// reservations grow drops once it reserves for the whole stream, by
+// capacity in bytes. freeBlocks holds 4 MiB, the rings of two readers on a
+// host of four cores (two blocks a worker); freeHeads 8 MiB, the heads of
+// three traces of the benchmark's 217 k events (2.5 MB each) or one of
+// 700 k. A head is parked as it stands, its rows not cleared: the reader
+// writes every field of each row it keeps, so a parked head pins the label
+// strings of its last rows and nothing else.
+var (
+	freeBlocks = park.New("trace_csv_blocks", 4<<20, func(b []byte) int { return cap(b) })
+	freeHeads  = park.New("trace_csv_heads", 8<<20, func(v []Event) int { return cap(v) * int(unsafe.Sizeof(Event{})) })
+)
+
 // readCSV is ReadCSV with the block size, which only tests vary.
 func readCSV(src io.Reader, blockSize int) ([]Event, error) {
 	r := &csvReader{src: src, blockSize: blockSize, workers: runtime.GOMAXPROCS(0), labels: newLabelTable()}
@@ -472,7 +490,8 @@ func readCSV(src io.Reader, blockSize int) ([]Event, error) {
 		first = int(min(int64(first), r.total+1))
 	}
 	r.ring = make([]csvBlock, 1, 2*r.workers)
-	r.ring[0].buf = make([]byte, first)
+	r.ring[0].buf = park.TakeCap(freeBlocks, first)
+	defer r.parkBlocks()
 
 	// Blocks of whole lines go to the workers until a line has a quote in
 	// it: encoding/csv reads from that line on, after everything before it.
@@ -545,9 +564,11 @@ type csvReader struct {
 	labels     labelTable // of the rows this goroutine decodes itself
 
 	// out[:len] holds the rows of the blocks taken back, out[len:reserved]
-	// the ranges of those in flight.
+	// the ranges of those in flight. lent is whether out is a head taken
+	// from freeHeads, to go back there when grow moves its rows on.
 	out      []Event
 	reserved int
+	lent     bool
 	header   bool // seen and right
 	lines    int  // lines and records in the blocks taken back, the
 	recs     int  // header among them
@@ -637,9 +658,8 @@ func (r *csvReader) startWorkers() {
 		extra = min(extra, int((r.total-r.pos)/int64(size))+1)
 	}
 	r.ring = r.ring[:1+extra]
-	bufs := make([]byte, extra*size)
 	for i := range r.ring[1:] {
-		r.ring[1+i].buf = bufs[i*size : (i+1)*size : (i+1)*size]
+		r.ring[1+i].buf = park.TakeCap(freeBlocks, size)
 	}
 	// Every block fits in either channel: neither side ever waits to send.
 	r.jobs = make(chan *csvBlock, len(r.ring))
@@ -700,23 +720,41 @@ func (r *csvReader) dispatch(b *csvBlock, data []byte, more bool) {
 // everything, one that overshoots is held for the trace's lifetime. The
 // head of a trace (start-up, scatter) is not representative, so a mean
 // taken over less than a sixteenth of the stream reserves for no more than
-// an eighth of it; the reservation made there is for all the rest.
-// Otherwise growth is append's.
+// an eighth of it, in a head taken from freeHeads; the reservation made
+// past it is for all the rest, and the head goes back once its rows are
+// copied there. Otherwise growth is append's.
 func (r *csvReader) grow(need int) {
-	n := len(r.out)
+	n, old, head := len(r.out), r.out, false
 	if r.total <= r.pos {
-		r.out = slices.Grow(r.out, need)
-		return
+		r.out = slices.Grow(old[:n:n], need)
+	} else {
+		end := r.total
+		if head = r.pos < r.total/16; head {
+			end = r.total / 8
+		}
+		rows := float64(n + need)
+		rest := float64(end-r.pos) * rows / float64(r.pos)
+		size := n + need + int(rest*1.03) + 16
+		if head {
+			r.out = park.TakeCap(freeHeads, size)[:n]
+		} else {
+			r.out = make([]Event, n, size)
+		}
+		copy(r.out, old)
 	}
-	end := r.total
-	if r.pos < r.total/16 {
-		end = r.total / 8
+	if r.lent {
+		freeHeads.Put(old[:cap(old)])
 	}
-	rows := float64(n + need)
-	rest := float64(end-r.pos) * rows / float64(r.pos)
-	grown := make([]Event, n, n+need+int(rest*1.03)+16)
-	copy(grown, r.out)
-	r.out = grown
+	r.lent = head
+}
+
+// parkBlocks parks the ring's read buffers that are a whole block or more.
+func (r *csvReader) parkBlocks() {
+	for i := range r.ring {
+		if b := r.ring[i].buf; cap(b) >= csvBlockSize {
+			freeBlocks.Put(b)
+		}
+	}
 }
 
 // retire takes back the oldest block in flight: its rows join the result,

@@ -14,7 +14,7 @@ import (
 func (b *Buffer) Events() []Event {
 	rec := b.snapshot()
 	if !rec.isSorted() {
-		return newOrder(rec).gather()
+		return newOrder(rec, nil).gather()
 	}
 	out := make([]Event, 0, rec.n)
 	for k := range rec.chunks {
@@ -237,10 +237,16 @@ type Order struct {
 }
 
 // Order indexes the events recorded so far.
-func (b *Buffer) Order() *Order { return newOrder(b.snapshot()) }
+func (b *Buffer) Order() *Order { return newOrder(b.snapshot(), nil) }
 
 // OrderOf indexes a slice, which it neither copies nor reorders.
-func OrderOf(events []Event) *Order { return newOrder(sliceSource(events)) }
+func OrderOf(events []Event) *Order { return newOrder(sliceSource(events), nil) }
+
+// OrderIn is OrderOf with the index built in *buf: in its storage when that
+// is long enough, otherwise in new storage it leaves in *buf. A replay that
+// is done with one Order can so index the next slice in the same storage;
+// the Order reads *buf until then.
+func OrderIn(events []Event, buf *[]int32) *Order { return newOrder(sliceSource(events), buf) }
 
 // newOrder builds the index: a counting sort of the event numbers by rank
 // (scratch is one int32 per event plus one per rank of the range), then one
@@ -250,8 +256,9 @@ func OrderOf(events []Event) *Order { return newOrder(sliceSource(events)) }
 // of it in order. A NaN compares equal to every time, so a slice with one
 // can pass isSorted with a run out of order. Ranks spread over a range
 // wider than the event count — nothing a table can be indexed by — get the
-// same runs out of one stable sort by (rank, canonical order).
-func newOrder(src source) *Order {
+// same runs out of one stable sort by (rank, canonical order). The index
+// lies in *buf's storage, or new storage when buf is nil.
+func newOrder(src source, buf *[]int32) *Order {
 	n := src.n
 	if n > math.MaxInt32 {
 		panic("trace: more than 2^31 events")
@@ -274,7 +281,7 @@ func newOrder(src source) *Order {
 		}
 	}
 	if uint(hi-lo) >= uint(n) {
-		o.idx = make([]int32, n)
+		o.idx = indexStorage(buf, n)
 		for i := range o.idx {
 			o.idx[i] = int32(i)
 		}
@@ -295,8 +302,9 @@ func newOrder(src source) *Order {
 	}
 
 	buckets := hi - lo + 1
-	scratch := make([]int32, buckets+n)
+	scratch := indexStorage(buf, buckets+n)
 	end, idx := scratch[:buckets], scratch[buckets:]
+	clear(end)
 	for k := 0; k < src.parts(); k++ {
 		c := src.part(k)
 		for j := range c {
@@ -330,6 +338,18 @@ func newOrder(src source) *Order {
 	}
 	o.idx, o.ends = idx, end[:runs]
 	return o
+}
+
+// indexStorage returns n int32s: new ones when buf is nil, else *buf's,
+// made anew and left in *buf when it is too short.
+func indexStorage(buf *[]int32, n int) []int32 {
+	if buf == nil {
+		return make([]int32, n)
+	}
+	if cap(*buf) < n {
+		*buf = make([]int32, n)
+	}
+	return (*buf)[:n]
 }
 
 // sortRun puts one rank's run in canonical order, stably. A run normally is

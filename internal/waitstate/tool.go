@@ -8,7 +8,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/park"
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -27,16 +26,23 @@ type Tool struct {
 // counted and dropped as a trace buffer of that limit does, sends included.
 func NewTool(limit int) *Tool { return &Tool{limit: limit} }
 
-// liveWorld is what a Tool keeps of one world.
+// liveWorld is the storage of one analysis: what a Tool keeps of one
+// world, or the timelines, replayers and index of an offline replay. Both
+// take it from freeWorlds and park it there once the Analysis is folded.
 type liveWorld struct {
-	ranks   []rankTimeline // by world rank
-	feeds   []liveRank     // by world rank
+	ranks   []rankTimeline // by world rank; offline, by run
+	feeds   []liveRank     // by world rank; offline, worker i replays with feeds[i]
 	chunks  []*[eventChunk]trace.Event
 	scratch trace.Event // a held boundary, as step reads it
 	limit   int
 	n, kept int   // events counted, and copied into chunks
 	late    bool  // the event seen last is earlier than one its rank had
 	back    error // the first event that could not be put in order
+
+	en      engine
+	workers []worker
+	index   []int32 // an offline replay's trace.Order
+	weight  int     // bytes, as parked
 }
 
 // liveRank is one rank's replayer and its boundaries not yet stepped.
@@ -62,9 +68,7 @@ const eventChunk = 256
 // newest parked world's storage, or new storage.
 func (t *Tool) Init(info *mpi.WorldInfo) {
 	t.Claim()
-	if t.w = freeWorlds.Take(nil); t.w == nil {
-		t.w = &liveWorld{}
-	}
+	t.w = takeWorld()
 	t.w.reset(info.Size, t.limit)
 }
 
@@ -236,7 +240,7 @@ func (t *Tool) Analysis(opts Options) (*Analysis, error) {
 		return nil, fmt.Errorf("waitstate: the tool has observed no run")
 	}
 	t.w = nil
-	defer freeWorlds.Put(w)
+	defer w.park()
 	if w.back != nil {
 		return nil, w.back
 	}
@@ -252,39 +256,98 @@ func (t *Tool) Analysis(opts Options) (*Analysis, error) {
 	if present == 0 {
 		return nil, fmt.Errorf("waitstate: empty event stream")
 	}
-	en := &engine{ranks: w.ranks[:present]}
-	ws := split(present, w.n, max(1, min(sched.Workers(0), w.n/minShare)), func(k int) int {
+	en := &w.en
+	en.ranks = w.ranks[:present]
+	w.workers = split(w.workers, present, w.n, defaultWorkers(w.n), func(k int) int {
 		return w.feeds[en.ranks[k].rank].events
 	})
-	return en.analyze(ws, opts, nil), nil
+	return en.analyze(w.workers, opts, nil), nil
 }
 
-// freeWorlds is where Analysis parks a world's per-rank lists, cells,
-// stacks and event chunks and Init looks first. It keeps eight: a sweep
-// diagnoses at most sched.Workers points at once, one Tool each, so eight
-// keep every worker of a host of up to eight cores — CI's and the
-// benchmarks' — in its steady state; on a larger one the worlds past eight
-// are the garbage collector's, which costs allocations, not memory.
-var freeWorlds = park.New[*liveWorld]("waitstate_worlds", 8, nil)
+// freeWorlds is where an analysis parks its storage — a Tool's per-rank
+// lists, cells, stacks and event chunks, an offline replay's timelines,
+// arenas and index — and the next one looks first, weighed in bytes. It
+// holds 32 MiB: the Tools' worlds of the eight largest points of a
+// diagnosed paper sweep at 40 steps (7.8 MB at p = 456, 29 MB the eight),
+// one a sweep worker on a host of up to eight cores, or eight replays of
+// the benchmark's recorded p = 256 trace (217 k events, 3.8 MB each). The
+// world of a trace at the 4 Mi-event cap, some 70 MB, or of a paper point
+// at 1,000 steps is never parked: it is the garbage collector's, which
+// costs allocations, not memory.
+var freeWorlds = park.New("waitstate_worlds", 32<<20, func(w *liveWorld) int { return w.weight })
 
-// freeRankSections and freeCritPaths are where Release parks an analysis's
-// point-sized slices, weighed by capacity in bytes, for the next fold and
-// critical-path walk; a slice serves any point it is long enough for. Each
-// holds eight of the paper sweep's largest, p = 456 at 1,000 steps (332 KB
-// of rows, 336 KB of path): one a worker, as above.
+// takeWorld returns the newest parked world, or a new one.
+func takeWorld() *liveWorld {
+	if w := freeWorlds.Take(nil); w != nil {
+		return w
+	}
+	return &liveWorld{}
+}
+
+// park parks w once its Analysis is folded. Nothing the Analysis holds lies
+// in w; what w holds of the events — an offline replay's are the caller's —
+// is cleared first.
+func (w *liveWorld) park() {
+	for k := range w.ranks {
+		clear(w.ranks[k].deads)
+		clear(w.ranks[k].omps)
+	}
+	for k := range w.feeds {
+		w.feeds[k].recvs.clear()
+	}
+	w.weight = w.bytes()
+	freeWorlds.Put(w)
+}
+
+// bytes is what w's storage weighs.
+func (w *liveWorld) bytes() int {
+	n := cap(w.ranks)*int(unsafe.Sizeof(rankTimeline{})) + cap(w.feeds)*int(unsafe.Sizeof(liveRank{})) +
+		len(w.chunks)*int(unsafe.Sizeof([eventChunk]trace.Event{})) + cap(w.chunks)*int(unsafe.Sizeof(w.chunks[0])) +
+		cap(w.workers)*int(unsafe.Sizeof(worker{})) + cap(w.index)*4 +
+		cap(w.en.labels)*int(unsafe.Sizeof(labelSum{})) + cap(w.en.order)*4 +
+		cap(w.en.colls)*int(unsafe.Sizeof(collCell{})) + cap(w.en.crit)*int(unsafe.Sizeof(labelTime{})) +
+		cap(w.en.rev)*int(unsafe.Sizeof(PathSegment{}))
+	for k := range w.ranks[:cap(w.ranks)] {
+		rt := &w.ranks[:cap(w.ranks)][k]
+		n += cap(rt.secs)*int(unsafe.Sizeof(secCell{})) + cap(rt.collCells)*int(unsafe.Sizeof(collCell{})) +
+			(cap(rt.deads)+cap(rt.omps))*int(unsafe.Sizeof(rt.deads[0]))
+	}
+	for k := range w.feeds[:cap(w.feeds)] {
+		f := &w.feeds[:cap(w.feeds)][k]
+		n += f.sections.bytes() + f.colls.bytes() + f.recvs.bytes() +
+			(cap(f.secStack)+cap(f.collStack))*int(unsafe.Sizeof(stackEntry{})) + cap(f.held)*int(unsafe.Sizeof(boundary{}))
+	}
+	return n
+}
+
+// The lists Release parks an analysis's slices in, weighed by capacity in
+// bytes, for the next fold and critical-path walk; a slice serves any
+// analysis it is long enough for. freeRankSections and freeCritPaths hold
+// 4 MiB each, eight of the paper sweep's largest point, p = 456 at 1,000
+// steps (332 KB of rows, 336 KB of path): one a worker of a host of up to
+// eight cores. freeRanked holds 256 KiB, eight of that point's 18 KB of
+// rank rows with room; freeSections and freeColls 64 KiB each, eight of
+// LULESH's 21 sections (3.5 KB) with room.
 var (
 	freeRankSections = park.New("waitstate_rank_sections", 4<<20, func(v []RankSection) int { return cap(v) * int(unsafe.Sizeof(RankSection{})) })
 	freeCritPaths    = park.New("waitstate_crit_paths", 4<<20, func(v []PathSegment) int { return cap(v) * int(unsafe.Sizeof(PathSegment{})) })
+	freeRanked       = park.New("waitstate_ranked", 256<<10, func(v []RankBreakdown) int { return cap(v) * int(unsafe.Sizeof(RankBreakdown{})) })
+	freeSections     = park.New("waitstate_sections", 64<<10, func(v []SectionDiagnosis) int { return cap(v) * int(unsafe.Sizeof(SectionDiagnosis{})) })
+	freeColls        = park.New("waitstate_colls", 64<<10, func(v []CollectiveStat) int { return cap(v) * int(unsafe.Sizeof(CollectiveStat{})) })
 )
 
-// Release parks the analysis's RankSections and CritPath, which it leaves
-// nil, for the next analysis; call it once nothing reads them (a record pop
-// built from them copies what it keeps). Releasing is optional, and a
-// second Release does nothing.
+// Release parks the analysis's Sections, Ranked, Colls, RankSections and
+// CritPath, which it leaves nil, for the next analysis; call it once
+// nothing reads them (a record pop built from them copies what it keeps,
+// and Binding points into Sections). Releasing is optional, and a second
+// Release does nothing.
 func (a *Analysis) Release() {
+	park.PutCleared(freeSections, a.Sections)
+	park.PutCleared(freeRanked, a.Ranked)
+	park.PutCleared(freeColls, a.Colls)
 	park.PutCleared(freeRankSections, a.RankSections)
 	park.PutCleared(freeCritPaths, a.CritPath)
-	a.RankSections, a.CritPath = nil, nil
+	a.Sections, a.Ranked, a.Colls, a.RankSections, a.CritPath = nil, nil, nil, nil, nil
 }
 
 // reset empties w for a world of size ranks. Each rank keeps the storage it
@@ -295,10 +358,8 @@ func (w *liveWorld) reset(size, limit int) {
 	for k := range w.ranks {
 		rt, f := &w.ranks[k], &w.feeds[k]
 		*rt = rankTimeline{secs: rt.secs[:0], collCells: rt.collCells[:0], deads: rt.deads[:0], omps: rt.omps[:0]}
-		*f = liveRank{replayer: replayer{
-			sections: f.sections.reset(), colls: f.colls.reset(), recvs: f.recvs.reset(),
-			secStack: f.secStack[:0], collStack: f.collStack[:0],
-		}, held: f.held[:0], steppedT: math.Inf(-1)}
+		f.replayer.reset()
+		*f = liveRank{replayer: f.replayer, held: f.held[:0], steppedT: math.Inf(-1)}
 	}
 	w.limit, w.n, w.kept, w.back = limit, 0, 0, nil
 }

@@ -73,6 +73,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/park"
@@ -251,12 +252,14 @@ const none = -1
 // sums: the RankSection that is reported as it stands, and the rest of
 // what SectionDiagnosis adds up over ranks. A section enter alone makes a
 // cell without reporting it; inDiag and inRank record that something was
-// charged to it that SectionDiagnosis or RankSections shows.
+// charged to it that SectionDiagnosis or RankSections shows. label is the
+// fold's number for the cell's label.
 type secCell struct {
 	RankSection
 	waitOut, lateRecvSat        float64
 	recvs, lateRecvN, deadPeerN int
 	inDiag, inRank              bool
+	label                       int32
 }
 
 // collCell is one (rank, collective) pair's share of a CollectiveStat.
@@ -378,10 +381,14 @@ func (rt *rankTimeline) sendCell(t float64) *secCell {
 // that a list costs its own length and nothing for having grown. A worker
 // replays its ranks one after the other, which makes the list being built
 // the tail of the current block: push appends to it, take cuts it off. When
-// the block is full only that tail moves to the next one.
+// the block is full only that tail moves to the next one. The arena keeps
+// the blocks that hold lists, and after reset the lists to come fill them
+// again in order: a block is made only where the one kept is too small.
 type arena[T any] struct {
-	block []T
-	start int // where the list being built begins
+	block  []T
+	start  int   // where the list being built begins
+	blocks [][]T // the blocks kept, in order; blocks[:used] hold lists
+	used   int
 }
 
 // arenaMax caps a block; below it blocks double, as append would.
@@ -389,11 +396,29 @@ const arenaMax = 4096
 
 func (a *arena[T]) push(v T) {
 	if len(a.block) == cap(a.block) {
-		open := a.block[a.start:]
-		size := max(16, 2*len(open), min(2*cap(a.block), arenaMax))
-		a.block, a.start = append(make([]T, 0, size), open...), 0
+		a.next()
 	}
 	a.block = append(a.block, v)
+}
+
+// next moves the list being built on to the next block. A block that holds
+// no list but that one holds nothing once it has moved: the next block
+// takes its place, so that an arena of one list, a live rank's, keeps one
+// block.
+func (a *arena[T]) next() {
+	open := a.block[a.start:]
+	size := max(16, 2*len(open), min(2*cap(a.block), arenaMax))
+	if a.start == 0 && a.used > 0 {
+		a.used--
+	}
+	if a.used == len(a.blocks) {
+		a.blocks = append(a.blocks, nil)
+	}
+	if cap(a.blocks[a.used]) < size {
+		a.blocks[a.used] = make([]T, 0, size)
+	}
+	a.block, a.start = append(a.blocks[a.used][:0], open...), 0
+	a.used++
 }
 
 func (a *arena[T]) take() []T {
@@ -402,8 +427,26 @@ func (a *arena[T]) take() []T {
 	return list
 }
 
-// reset is the arena emptied, its block kept for the lists to come.
-func (a *arena[T]) reset() arena[T] { return arena[T]{block: a.block[:0]} }
+// reset empties the arena for the lists to come.
+func (a *arena[T]) reset() { a.block, a.start, a.used = nil, 0, 0 }
+
+// clear zeroes the blocks that hold lists, so that an arena of pointers
+// parked with its world points at no event.
+func (a *arena[T]) clear() {
+	for _, b := range a.blocks[:a.used] {
+		clear(b[:cap(b)])
+	}
+}
+
+// bytes is what the arena's blocks weigh.
+func (a *arena[T]) bytes() int {
+	var v T
+	n := cap(a.blocks) * int(unsafe.Sizeof(a.block))
+	for _, b := range a.blocks {
+		n += cap(b) * int(unsafe.Sizeof(v))
+	}
+	return n
+}
 
 // stackEntry is an open section or collective during the replay.
 type stackEntry struct {
@@ -482,9 +525,38 @@ func (s *replayer) finish(rt *rankTimeline) {
 	rt.sections, rt.colls, rt.recvs = s.sections.take(), s.colls.take(), s.recvs.take()
 }
 
-// engine is one analysis in progress.
+// reset empties the replayer for the ranks to come, keeping its storage.
+func (s *replayer) reset() {
+	s.sections.reset()
+	s.colls.reset()
+	s.recvs.reset()
+	s.secStack, s.collStack = s.secStack[:0], s.collStack[:0]
+}
+
+// engine is one analysis in progress: the timelines, and the scratch the
+// fold and the critical-path walk sum by label in, kept with the world.
 type engine struct {
-	ranks []rankTimeline // ascending rank
+	ranks  []rankTimeline // ascending rank
+	labels []labelSum     // section labels, in order of first appearance
+	order  []int32        // labels with rows, by shown label
+	colls  []collCell     // collectives, in order of first appearance
+	crit   []labelTime    // critical-path time by section label
+	rev    []PathSegment  // the critical path as walked, latest first
+}
+
+// labelSum is one section label's share of the fold: its diagnosis summed
+// over ranks, whether a cell of it was charged what SectionDiagnosis
+// shows, and its RankSections rows — counted, then where the next one goes.
+type labelSum struct {
+	SectionDiagnosis
+	diag bool
+	rows int
+}
+
+// labelTime is the critical path's time in one section.
+type labelTime struct {
+	label string
+	t     float64
 }
 
 // worker replays and classifies the ranks lo to hi, with a replayer of its
@@ -492,7 +564,7 @@ type engine struct {
 type worker struct {
 	lo, hi int
 	last   *rankTimeline // the rank replayed before
-	replayer
+	*replayer
 }
 
 // minShare is the fewest events worth a worker of their own.
@@ -502,7 +574,10 @@ const minShare = 64 << 10
 // any order and are left as they are; section events are required for
 // attribution, message events for wait classification.
 func Analyze(events []trace.Event, opts Options) (*Analysis, error) {
-	return AnalyzeOrder(trace.OrderOf(events), opts)
+	w := takeWorld()
+	defer w.park()
+	o := trace.OrderIn(events, &w.index)
+	return w.analyzeOrder(o, opts, defaultWorkers(o.Len()))
 }
 
 // AnalyzeOrder runs the engine over an indexed recording — a Buffer's, read
@@ -511,25 +586,42 @@ func Analyze(events []trace.Event, opts Options) (*Analysis, error) {
 // b's CSV, and AnalyzeOrder(b.Order()) return the same Analysis, bit for
 // bit (see the package comment).
 func AnalyzeOrder(o *trace.Order, opts Options) (*Analysis, error) {
-	return analyzeOrder(o, opts, max(1, min(sched.Workers(0), o.Len()/minShare)))
+	return analyzeOrder(o, opts, defaultWorkers(o.Len()))
 }
+
+// defaultWorkers is up to sched.Workers(0) workers, one per minShare events.
+func defaultWorkers(events int) int { return max(1, min(sched.Workers(0), events/minShare)) }
 
 // analyzeOrder is AnalyzeOrder on at most the given number of workers, each
 // given about the same number of events.
 func analyzeOrder(o *trace.Order, opts Options, workers int) (*Analysis, error) {
+	w := takeWorld()
+	defer w.park()
+	return w.analyzeOrder(o, opts, workers)
+}
+
+// analyzeOrder replays o in w's storage: its rank timelines, and for each
+// worker the replayer of one of its ranks.
+func (w *liveWorld) analyzeOrder(o *trace.Order, opts Options, workers int) (*Analysis, error) {
 	if o.Len() == 0 {
 		return nil, fmt.Errorf("waitstate: empty event stream")
 	}
-	en := &engine{ranks: make([]rankTimeline, o.Runs())}
-	ws := split(o.Runs(), o.Len(), workers, func(k int) int { return o.Run(k).Len() })
-	return en.analyze(ws, opts, func(w *worker, k int) { w.replay(&en.ranks[k], o.Run(k)) }), nil
+	w.reset(o.Runs(), 0)
+	en := &w.en
+	en.ranks = w.ranks
+	w.workers = split(w.workers, o.Runs(), o.Len(), workers, func(k int) int { return o.Run(k).Len() })
+	for i := range w.workers {
+		w.workers[i].replayer = &w.feeds[i].replayer
+	}
+	return en.analyze(w.workers, opts, func(wk *worker, k int) { wk.replay(&en.ranks[k], o.Run(k)) }), nil
 }
 
 // split gives each of at most workers workers consecutive ranks of about the
-// same number of the n events; events(k) is how many rank k has.
-func split(ranks, n, workers int, events func(k int) int) []worker {
+// same number of the n events, in ws's storage; events(k) is how many rank k
+// has.
+func split(ws []worker, ranks, n, workers int, events func(k int) int) []worker {
 	workers = min(workers, ranks) // no range is empty
-	ws := []worker{{}}
+	ws = append(ws[:0], worker{})
 	for k, seen := 0, 0; k < ranks; k++ {
 		if seen >= len(ws)*n/workers {
 			ws[len(ws)-1].hi = k
@@ -561,8 +653,7 @@ func (en *engine) analyze(ws []worker, opts Options, replay func(w *worker, k in
 			en.charge(e)
 		}
 	}
-	crit, critSec := en.criticalPath()
-	return en.fold(crit, critSec, opts)
+	return en.fold(en.criticalPath(), opts)
 }
 
 // replay walks one rank's run: its timelines, its section and collective
@@ -573,8 +664,8 @@ func (w *worker) replay(rt *rankTimeline, run trace.Run) {
 	if w.last != nil {
 		// Ranks of one program see the same labels: room for the
 		// predecessor's cells saves growing into them.
-		rt.secs = make([]secCell, 0, len(w.last.secs))
-		rt.collCells = make([]collCell, 0, len(w.last.collCells))
+		rt.secs = slices.Grow(rt.secs, len(w.last.secs))
+		rt.collCells = slices.Grow(rt.collCells, len(w.last.collCells))
 	}
 	w.secStack, w.collStack = w.secStack[:0], w.collStack[:0]
 	for j, n := 0, run.Len(); j < n; j++ {
@@ -707,11 +798,11 @@ func (en *engine) rank(r int) *rankTimeline {
 // fold assembles the Analysis. Everything summed over ranks is summed here,
 // cell by cell in ascending rank order, which is what makes the result a
 // function of the events alone.
-func (en *engine) fold(crit []PathSegment, critSec map[string]float64, opts Options) *Analysis {
+func (en *engine) fold(crit []PathSegment, opts Options) *Analysis {
 	p := len(en.ranks)
 	a := &Analysis{
 		Ranks: p, SeqTime: opts.SeqTime, CritPath: crit,
-		Ranked: make([]RankBreakdown, 0, p),
+		Ranked: park.TakeCap(freeRanked, p),
 	}
 	for _, s := range crit {
 		a.CritLen += s.To - s.From
@@ -731,37 +822,24 @@ func (en *engine) fold(crit []PathSegment, critSec map[string]float64, opts Opti
 		a.Warning = fmt.Sprintf("warning: %d unmatched section/collective boundary events; the stream is truncated and aggregates are incomplete", unmatched)
 	}
 
-	var (
-		diag  []*SectionDiagnosis // in order of first appearance
-		colls []*CollectiveStat
-	)
-	diagOf := map[string]*SectionDiagnosis{}
-	collOf := map[string]*CollectiveStat{}
 	// RankSections go by section, then rank. The ranks ascend, so each
 	// section's rows come in rank order: counting them places every row,
 	// and only the few labels are sorted.
-	rowsOf := map[string]int{}
-	var labels []string
+	en.labels, en.colls = en.labels[:0], en.colls[:0]
 	for k := range en.ranks {
 		rt := &en.ranks[k]
 		for i := range rt.secs {
 			cell := &rt.secs[i]
+			cell.label = en.label(i, cell.Section)
+			l := &en.labels[cell.label]
 			if cell.inRank {
-				n, seen := rowsOf[cell.Section]
-				if !seen {
-					labels = append(labels, cell.Section)
-				}
-				rowsOf[cell.Section] = n + 1
+				l.rows++
 			}
 			if !cell.inDiag {
 				continue
 			}
-			d := diagOf[cell.Section]
-			if d == nil {
-				d = &SectionDiagnosis{Section: cell.Section}
-				diagOf[cell.Section] = d
-				diag = append(diag, d)
-			}
+			l.diag = true
+			d := &l.SectionDiagnosis
 			d.Total += cell.Incl
 			d.WaitIn += cell.Wait
 			d.LateSender += cell.LateSender
@@ -776,15 +854,11 @@ func (en *engine) fold(crit []PathSegment, critSec map[string]float64, opts Opti
 		}
 		for i := range rt.collCells {
 			cell := &rt.collCells[i]
+			cs := &en.colls[en.coll(i, cell.Name)]
 			if !cell.touched {
 				continue
 			}
-			cs := collOf[cell.Name]
-			if cs == nil {
-				cs = &CollectiveStat{Name: cell.Name}
-				collOf[cell.Name] = cs
-				colls = append(colls, cs)
-			}
+			cs.touched = true
 			cs.Spans += cell.Spans
 			cs.Time += cell.Time
 			cs.Wait += cell.Wait
@@ -794,15 +868,31 @@ func (en *engine) fold(crit []PathSegment, critSec map[string]float64, opts Opti
 		if compute < 0 {
 			compute = 0
 		}
-		a.Ranked = append(a.Ranked, RankBreakdown{
+		a.Ranked[k] = RankBreakdown{
 			Rank: rt.rank, Wall: rw, Wait: rt.wait,
 			Compute:  compute,
 			Residual: a.Wall - rt.firstT - rt.wait - compute,
-		})
+		}
 	}
 
-	for _, d := range diag {
-		d.CritTime = critSec[d.Section]
+	diag, rows := 0, 0
+	en.order = en.order[:0]
+	for i := range en.labels {
+		if en.labels[i].diag {
+			diag++
+		}
+		if en.labels[i].rows > 0 {
+			en.order = append(en.order, int32(i))
+		}
+	}
+	a.Sections = taken(freeSections, diag)
+	for i := range en.labels {
+		l := &en.labels[i]
+		if !l.diag {
+			continue
+		}
+		d := l.SectionDiagnosis
+		d.CritTime = en.critOf(d.Section)
 		d.Section = shownLabel(d.Section)
 		d.P = p
 		d.AvgPerProc = d.Total / float64(p)
@@ -812,8 +902,8 @@ func (en *engine) fold(crit []PathSegment, critSec map[string]float64, opts Opti
 		if a.CritLen > 0 {
 			d.CritShare = d.CritTime / a.CritLen
 		}
-		d.DominantCause = DominantCause(d)
-		a.Sections = append(a.Sections, *d)
+		d.DominantCause = DominantCause(&d)
+		a.Sections = append(a.Sections, d)
 	}
 	slices.SortFunc(a.Sections, func(x, y SectionDiagnosis) int {
 		if x.Total != y.Total {
@@ -821,27 +911,37 @@ func (en *engine) fold(crit []PathSegment, critSec map[string]float64, opts Opti
 		}
 		return cmp.Compare(x.Section, y.Section)
 	})
-	slices.SortFunc(labels, func(x, y string) int { return cmp.Compare(shownLabel(x), shownLabel(y)) })
-	at := 0
-	for _, l := range labels {
-		n := rowsOf[l]
-		rowsOf[l] = at
-		at += n
+	slices.SortFunc(en.order, func(x, y int32) int {
+		return cmp.Or(cmp.Compare(shownLabel(en.labels[x].Section), shownLabel(en.labels[y].Section)), cmp.Compare(x, y))
+	})
+	for _, i := range en.order {
+		l := &en.labels[i]
+		l.rows, rows = rows, rows+l.rows
 	}
-	a.RankSections = park.TakeCap(freeRankSections, at)
+	a.RankSections = park.TakeCap(freeRankSections, rows)
 	for k := range en.ranks {
 		rt := &en.ranks[k]
 		for i := range rt.secs {
 			if cell := &rt.secs[i]; cell.inRank {
-				row := &a.RankSections[rowsOf[cell.Section]]
-				rowsOf[cell.Section]++
+				l := &en.labels[cell.label]
+				row := &a.RankSections[l.rows]
+				l.rows++
 				*row = cell.RankSection
 				row.Section = shownLabel(row.Section)
 			}
 		}
 	}
-	for _, cs := range colls {
-		a.Colls = append(a.Colls, *cs)
+	colls := 0
+	for i := range en.colls {
+		if en.colls[i].touched {
+			colls++
+		}
+	}
+	a.Colls = taken(freeColls, colls)
+	for i := range en.colls {
+		if en.colls[i].touched {
+			a.Colls = append(a.Colls, en.colls[i].CollectiveStat)
+		}
 	}
 	slices.SortFunc(a.Colls, func(x, y CollectiveStat) int {
 		if x.Wait != y.Wait {
@@ -850,6 +950,68 @@ func (en *engine) fold(crit []PathSegment, critSec map[string]float64, opts Opti
 		return cmp.Compare(x.Name, y.Name)
 	})
 	return a
+}
+
+// label returns the number of the fold's sums for a label, the label of a
+// rank's cell i, making them on first use. Ranks of one program see the
+// same labels in the same order, so the sums at i are tried first, and a
+// program has a handful of labels, so the rest are searched.
+func (en *engine) label(i int, label string) int32 {
+	if i < len(en.labels) && en.labels[i].Section == label {
+		return int32(i)
+	}
+	for j := range en.labels {
+		if en.labels[j].Section == label {
+			return int32(j)
+		}
+	}
+	en.labels = append(en.labels, labelSum{SectionDiagnosis: SectionDiagnosis{Section: label}})
+	return int32(len(en.labels) - 1)
+}
+
+// coll is label for the fold's collective sums.
+func (en *engine) coll(i int, name string) int {
+	if i < len(en.colls) && en.colls[i].Name == name {
+		return i
+	}
+	for j := range en.colls {
+		if en.colls[j].Name == name {
+			return j
+		}
+	}
+	en.colls = append(en.colls, collCell{CollectiveStat: CollectiveStat{Name: name}})
+	return len(en.colls) - 1
+}
+
+// critAdd adds t to the critical path's time in the section of a label.
+func (en *engine) critAdd(label string, t float64) {
+	i := 0
+	for i < len(en.crit) && en.crit[i].label != label {
+		i++
+	}
+	if i == len(en.crit) {
+		en.crit = append(en.crit, labelTime{label: label})
+	}
+	en.crit[i].t += t
+}
+
+// critOf is the critical path's time in the section of a label.
+func (en *engine) critOf(label string) float64 {
+	for _, c := range en.crit {
+		if c.label == label {
+			return c.t
+		}
+	}
+	return 0
+}
+
+// taken is a parked slice of capacity at least n, emptied for appending, or
+// nil when n is 0: a list with nothing in it stays the nil it always was.
+func taken[E any](s *park.Stack[[]E], n int) []E {
+	if n == 0 {
+		return nil
+	}
+	return park.TakeCap(s, n)[:0]
 }
 
 // shownLabel is a section label as an Analysis reports it: receives
@@ -892,10 +1054,11 @@ func DominantCause(d *SectionDiagnosis) string {
 // the post), the path jumps along the message edge to the sender at its
 // send time; everything between binding receives is compute attributed to
 // the innermost section split at its change points. It returns the
-// segments earliest-first plus the per-section path time (transfer time is
-// charged to the receiving section that blocked on it).
-func (en *engine) criticalPath() ([]PathSegment, map[string]float64) {
-	perSec := map[string]float64{}
+// segments earliest-first, walked in en.rev and copied once, and leaves the
+// per-section path time in en.crit (transfer time is charged to the
+// receiving section that blocked on it).
+func (en *engine) criticalPath() []PathSegment {
+	en.crit = en.crit[:0]
 	// Start on the rank that finishes last (lowest id on ties).
 	rt, curT := &en.ranks[0], math.Inf(-1)
 	maxHops := 16
@@ -907,7 +1070,7 @@ func (en *engine) criticalPath() ([]PathSegment, map[string]float64) {
 		// time (or the iteration cap fires on a degenerate zero-latency chain).
 		maxHops += len(en.ranks[k].recvs) + 1
 	}
-	rev := freeCritPaths.Take(nil)[:0]
+	rev := en.rev[:0]
 	addCompute := func(rt *rankTimeline, from, to float64) {
 		if to <= from {
 			return
@@ -928,7 +1091,7 @@ func (en *engine) criticalPath() ([]PathSegment, map[string]float64) {
 			}
 			if hi > lo {
 				rev = append(rev, PathSegment{Rank: rt.rank, From: lo, To: hi, Kind: "compute", Section: label})
-				perSec[label] += hi - lo
+				en.critAdd(label, hi-lo)
 			}
 			hi = lo
 			i--
@@ -960,15 +1123,19 @@ func (en *engine) criticalPath() ([]PathSegment, map[string]float64) {
 		rev = append(rev, PathSegment{
 			Rank: rt.rank, From: e.SendT, To: e.T, Kind: "transfer", Section: label, Peer: e.Peer,
 		})
-		perSec[label] += e.T - e.SendT
+		en.critAdd(label, e.T-e.SendT)
 		rt, curT = sender, e.SendT
 	}
+	en.rev = rev
 	if len(rev) == 0 {
-		return nil, perSec // none, as when rev began nil
+		return nil
 	}
 	// Earliest-first for readers.
-	slices.Reverse(rev)
-	return rev, perSec
+	path := park.TakeCap(freeCritPaths, len(rev))
+	for i := range path {
+		path[i] = rev[len(rev)-1-i]
+	}
+	return path
 }
 
 // Binding returns the section with the smallest Eq. 6 bound — the largest
