@@ -36,9 +36,10 @@
 //     benchmark's 217 k-event trace (2.5 MB each).
 //   - waitstate_worlds (internal/waitstate): 32 MiB of analysis storage,
 //     weighed in bytes — a Tool's per-rank lists and chunks, an offline
-//     replay's timelines, arenas and index: the worlds of eight sweep
-//     workers' largest diagnosed points at 40 steps (29 MB), and never one
-//     of a trace at the 4 Mi-event cap (some 70 MB).
+//     replay's timelines, arenas and index — with a Tool's world weighing
+//     at most 4 MiB: eight sweep workers' worlds of any size, as a paper
+//     sweep's 127 MB at p = 456 and 1,000 steps, and never an offline
+//     replay's of a trace at the 4 Mi-event cap (some 70 MB).
 //   - waitstate_rank_sections, waitstate_crit_paths (internal/waitstate):
 //     4 MiB each of a released analysis's per-(section, rank) rows and
 //     critical path, by capacity: eight workers' largest points, the

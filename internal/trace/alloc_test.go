@@ -281,16 +281,28 @@ func TestCodecAllocs(t *testing.T) {
 	if over := float64(cap(got)) / float64(len(got)); over > 1.08 {
 		t.Errorf("ReadCSV reserved %d events for %d (%.0f%% over)", cap(got), len(got), 100*(over-1))
 	}
-	// The read above left its ring with four workers parked; a p = 256
-	// recording twice the rows reads warm at the same constant over its
-	// result.
+	// Cold, with nothing parked to take — a first read, or one whose head
+	// outweighs freeHeads — a read allocates its ring's blocks and its
+	// head afresh, at most 1.6 times the events it returns. Warm, after a
+	// read that parked them, it reads at a constant over its result, for
+	// a p = 256 recording twice the rows too.
 	var convCSV bytes.Buffer
 	WriteEventsCSV(&convCSV, Sorted(convRecording(256, 100)))
 	for _, c := range []struct {
 		name string
 		csv  []byte
 	}{{"recording", largeCSV.Bytes()}, {"conv-p256", convCSV.Bytes()}} {
-		ReadCSV(bytes.NewReader(c.csv))
+		for freeBlocks.Take(nil) != nil || freeHeads.Take(nil) != nil {
+		}
+		runtime.ReadMemStats(&before)
+		got, _ = ReadCSV(bytes.NewReader(c.csv))
+		runtime.ReadMemStats(&after)
+		events := uint64(len(got)) * uint64(unsafe.Sizeof(Event{}))
+		cold := after.TotalAlloc - before.TotalAlloc
+		t.Logf("cold ReadCSV of %s: %d rows, %d bytes for %d bytes of events", c.name, len(got), cold, events)
+		if limit := events * 8 / 5; cold > limit {
+			t.Errorf("cold ReadCSV of %s allocated %d bytes for %d bytes of events; want <= %d", c.name, cold, events, limit)
+		}
 		runtime.ReadMemStats(&before)
 		got, _ = ReadCSV(bytes.NewReader(c.csv))
 		runtime.ReadMemStats(&after)

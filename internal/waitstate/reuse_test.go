@@ -1,6 +1,7 @@
 package waitstate
 
 import (
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
@@ -193,9 +194,7 @@ func TestWarmAnalyzeBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		held := cap(a.Sections)*int(unsafe.Sizeof(SectionDiagnosis{})) + cap(a.Ranked)*int(unsafe.Sizeof(RankBreakdown{})) +
-			cap(a.Colls)*int(unsafe.Sizeof(CollectiveStat{})) + cap(a.RankSections)*int(unsafe.Sizeof(RankSection{})) +
-			cap(a.CritPath)*int(unsafe.Sizeof(PathSegment{}))
+		held := sliceBytes(a)
 		t.Logf("%d events: %d bytes, %d of them the Analysis's slices", len(events), bytes, held)
 		if limit := uint64(held + constant); bytes > limit {
 			t.Errorf("a warm analysis of %d events allocated %d bytes; want <= %d, its slices (%d) and %d", len(events), bytes, limit, held, constant)
@@ -211,5 +210,64 @@ func TestWarmAnalyzeBytes(t *testing.T) {
 		if !named[name] {
 			t.Errorf("park.Lists() has no %s", name)
 		}
+	}
+}
+
+// sliceBytes is what the slices of a hold, by capacity.
+func sliceBytes(a *Analysis) int {
+	return cap(a.Sections)*int(unsafe.Sizeof(SectionDiagnosis{})) + cap(a.Ranked)*int(unsafe.Sizeof(RankBreakdown{})) +
+		cap(a.Colls)*int(unsafe.Sizeof(CollectiveStat{})) + cap(a.RankSections)*int(unsafe.Sizeof(RankSection{})) +
+		cap(a.CritPath)*int(unsafe.Sizeof(PathSegment{}))
+}
+
+// TestWorldWeighsItsStorage holds liveWorld.bytes, the weight freeWorlds
+// bounds, to the heap a world really keeps: a fresh world's analysis, an
+// offline replay's and a live Tool's, leaves the world parked and its
+// Analysis, and nothing else, live on the heap. A field that bytes does not
+// count shows here as heap the weight misses.
+func TestWorldWeighsItsStorage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates shadow memory; heap sizes are meaningless")
+	}
+	opts := Options{SeqTime: 3}
+	events := hookPoint(64, 400)
+	for _, c := range []struct {
+		name string
+		live bool
+		run  func() (*Analysis, error)
+	}{
+		{"an offline replay", false, func() (*Analysis, error) { return Analyze(events, opts) }},
+		{"a live Tool", true, func() (*Analysis, error) { return toolAnalysis(events, 64, 0, opts) }},
+	} {
+		for freeWorlds.Take(nil) != nil {
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		a, err := c.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		w := freeWorlds.Take(nil)
+		if w == nil {
+			t.Fatalf("%s parked no world", c.name)
+		}
+		kept := int(after.HeapAlloc) - int(before.HeapAlloc) - sliceBytes(a)
+		weight := w.bytes()
+		t.Logf("%s of %d events: %d bytes kept besides the Analysis's slices, the world weighs %d (%+.2f%%)",
+			c.name, len(events), kept, weight, 100*(float64(weight)/float64(kept)-1))
+		if lo, hi := kept*97/100, kept*103/100; weight < lo || weight > hi {
+			t.Errorf("%s: the world weighs %d bytes, the heap it keeps %d; want within 3%%", c.name, weight, kept)
+		}
+		want := weight
+		if c.live {
+			want = min(weight, worldSlot)
+		}
+		if w.weight != want {
+			t.Errorf("%s: parked at weight %d, want %d", c.name, w.weight, want)
+		}
+		runtime.KeepAlive(a)
 	}
 }

@@ -61,8 +61,11 @@ type boundary struct {
 	label string
 }
 
-// eventChunk is how many events a chunk holds: 24 KB, a small object.
-const eventChunk = 256
+// eventChunk is how many events a chunk holds: 24,480 B, a small object.
+// With the 8 B header the allocator puts before a small object of pointers
+// over 512 B it fills the 24 KiB size class; 256 events would take the
+// 27,264 B class, 11 % more than they hold.
+const eventChunk = 255
 
 // Init implements mpi.Tool: it claims the Tool for the world and takes the
 // newest parked world's storage, or new storage.
@@ -240,7 +243,7 @@ func (t *Tool) Analysis(opts Options) (*Analysis, error) {
 		return nil, fmt.Errorf("waitstate: the tool has observed no run")
 	}
 	t.w = nil
-	defer w.park()
+	defer w.park(true)
 	if w.back != nil {
 		return nil, w.back
 	}
@@ -266,15 +269,24 @@ func (t *Tool) Analysis(opts Options) (*Analysis, error) {
 
 // freeWorlds is where an analysis parks its storage — a Tool's per-rank
 // lists, cells, stacks and event chunks, an offline replay's timelines,
-// arenas and index — and the next one looks first, weighed in bytes. It
-// holds 32 MiB: the Tools' worlds of the eight largest points of a
-// diagnosed paper sweep at 40 steps (7.8 MB at p = 456, 29 MB the eight),
-// one a sweep worker on a host of up to eight cores, or eight replays of
-// the benchmark's recorded p = 256 trace (217 k events, 3.8 MB each). The
-// world of a trace at the 4 Mi-event cap, some 70 MB, or of a paper point
-// at 1,000 steps is never parked: it is the garbage collector's, which
+// arenas and index — and the next one looks first. It holds eight slots of
+// 4 MiB, weighed in bytes, but a Tool's world weighs at most one slot: a
+// sweep diagnoses at most sched.Workers points at once, one Tool each, so
+// eight Tool worlds of any size keep every worker of a host of up to eight
+// cores in its steady state. A diagnosed paper sweep at its default 1,000
+// steps makes worlds of 127 MB at p = 456; weighed in full they would never
+// park, and remaking them made such a sweep allocate 620 MB, not 54
+// (EXPERIMENTS.md, "An offline replay pays for its events"). An offline
+// replay's world weighs all its bytes, whatever world it took: eight
+// replays of the benchmark's recorded p = 256 trace (217 k events, 3.8 MB
+// each) fit, and the world of a trace at the 4 Mi-event cap, some 70 MB, is
+// never parked. Worlds past the bound are the garbage collector's, which
 // costs allocations, not memory.
-var freeWorlds = park.New("waitstate_worlds", 32<<20, func(w *liveWorld) int { return w.weight })
+var freeWorlds = park.New("waitstate_worlds", 8*worldSlot, func(w *liveWorld) int { return w.weight })
+
+// worldSlot is the most a Tool's parked world weighs, an eighth of
+// freeWorlds' bound.
+const worldSlot = 4 << 20
 
 // takeWorld returns the newest parked world, or a new one.
 func takeWorld() *liveWorld {
@@ -284,10 +296,10 @@ func takeWorld() *liveWorld {
 	return &liveWorld{}
 }
 
-// park parks w once its Analysis is folded. Nothing the Analysis holds lies
-// in w; what w holds of the events — an offline replay's are the caller's —
-// is cleared first.
-func (w *liveWorld) park() {
+// park parks w once its Analysis is folded, weighed as a Tool's world when
+// live is set. Nothing the Analysis holds lies in w; what w holds of the
+// events — an offline replay's are the caller's — is cleared first.
+func (w *liveWorld) park(live bool) {
 	for k := range w.ranks {
 		clear(w.ranks[k].deads)
 		clear(w.ranks[k].omps)
@@ -296,6 +308,9 @@ func (w *liveWorld) park() {
 		w.feeds[k].recvs.clear()
 	}
 	w.weight = w.bytes()
+	if live {
+		w.weight = min(w.weight, worldSlot)
+	}
 	freeWorlds.Put(w)
 }
 

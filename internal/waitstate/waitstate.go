@@ -575,7 +575,7 @@ const minShare = 64 << 10
 // attribution, message events for wait classification.
 func Analyze(events []trace.Event, opts Options) (*Analysis, error) {
 	w := takeWorld()
-	defer w.park()
+	defer w.park(false)
 	o := trace.OrderIn(events, &w.index)
 	return w.analyzeOrder(o, opts, defaultWorkers(o.Len()))
 }
@@ -596,7 +596,7 @@ func defaultWorkers(events int) int { return max(1, min(sched.Workers(0), events
 // given about the same number of events.
 func analyzeOrder(o *trace.Order, opts Options, workers int) (*Analysis, error) {
 	w := takeWorld()
-	defer w.park()
+	defer w.park(false)
 	return w.analyzeOrder(o, opts, workers)
 }
 
