@@ -34,7 +34,7 @@
 // mpi.Release when done to keep the steady state allocation-free, or keep
 // it indefinitely (a kept buffer is merely never recycled). Tool hooks
 // (MessageSent/MessageRecv) receive metadata only, never the payload, so
-// tools are unaffected. Buffers obtained any other way (RecvFloat64s
+// tools are unaffected. Buffers obtained any other way (SendrecvFloat64s
 // results, Allreduce results) are owned by the caller outright and must
 // NOT be passed to mpi.Release. Scaled runs may ship "ghost" messages
 // that carry a byte count but no payload bytes; Recv materializes a

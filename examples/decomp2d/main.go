@@ -39,11 +39,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	for name, run := range map[string]func(mpi.Config, convolution.Params) (*convolution.Result, error){
-		"1-D": convolution.Run, "2-D": convolution.Run2D,
-	} {
+	for _, dec := range []struct {
+		name string
+		run  func(mpi.Config, convolution.Params) (*convolution.Result, error)
+	}{{"1-D", convolution.Run}, {"2-D", convolution.Run2D}} {
 		cfg := mpi.Config{Ranks: 4, Model: machine.Ideal(4, 1), Seed: 1}
-		res, err := run(cfg, p)
+		res, err := dec.run(cfg, p)
 		if err != nil {
 			return err
 		}
@@ -51,7 +52,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s decomposition vs sequential: max |Δ| = %g\n", name, d)
+		fmt.Printf("%s decomposition vs sequential: max |Δ| = %g\n", dec.name, d)
 	}
 	fmt.Println()
 

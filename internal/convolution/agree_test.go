@@ -3,7 +3,9 @@ package convolution
 import (
 	"bytes"
 	"fmt"
+	"regexp"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -71,6 +73,40 @@ func TestRealAndGhostRunsAgree(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestTruncatedMessageIsAnError: a fault plan that truncates a real-data
+// run's messages fails the receiving rank with an error naming both sizes,
+// and no rank panics. In 1-D the rules cut rank 1's HALO ghost from rank 2
+// and rank 0's GATHER tile from rank 3; in 2-D both cut a HALO ghost.
+func TestTruncatedMessageIsAnError(t *testing.T) {
+	sizeError := regexp.MustCompile(`received \d+ bytes from rank \d+ into a \d+-byte buffer`)
+	p := Params{Width: 192, Height: 144, Steps: 4, Scale: 2, Seed: 7}
+	for _, dec := range []struct {
+		name string
+		run  func(mpi.Config, Params) (*Result, error)
+	}{{"1d", Run}, {"2d", Run2D}} {
+		for _, spec := range []string{
+			"trunc:src=2,dst=1,prob=1,frac=0.5",
+			"trunc:src=3,dst=0,prob=1,frac=0.5",
+		} {
+			t.Run(dec.name+"/"+spec, func(t *testing.T) {
+				plan, err := fault.ParseSpec(spec, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := idealCfg(4)
+				cfg.Fault = plan
+				_, err = dec.run(cfg, p)
+				if err == nil {
+					t.Fatal("a truncated run succeeded")
+				}
+				if msg := err.Error(); strings.Contains(msg, "panic") || !sizeError.MatchString(msg) {
+					t.Errorf("err = %v, want a size error and no panic", err)
+				}
+			})
 		}
 	}
 }

@@ -57,9 +57,10 @@ type Params struct {
 	Scale int
 	// Seed drives the synthetic input image.
 	Seed uint64
-	// SkipKernel skips the real pixel arithmetic (cost charges are
-	// unaffected). Used by the large experiment sweeps; correctness runs
-	// keep it false.
+	// SkipKernel runs with no pixels: no image, no arithmetic, and
+	// messages that carry their sizes only. It decides nothing else — the
+	// messages, charges and hooks are a real-data run's. Used by the large
+	// experiment sweeps; correctness runs keep it false.
 	SkipKernel bool
 }
 

@@ -48,11 +48,10 @@ func (t *tile) haloBytes(d haloDir) (nbytes, vbytes int) {
 	return span(d.dx, t.w()) * span(d.dy, t.h()) * px, span(d.dx, t.fullW()) * span(d.dy, t.fullH()) * px
 }
 
-// ghostExchanges appends to ops the exact message sequence of exchange —
-// same neighbours, tags, real sizes and virtual sizes, in the same order —
-// as an ExchangeGhost list over the neighbours that exist. SkipKernel runs
-// exchange it: virtual clocks advance identically, nothing is packed or
-// copied.
+// ghostExchanges appends to ops the tile's HALO list: one ExchangeGhost op
+// for each neighbour that exists, in halo order, with the real and the
+// full-size edge bytes. Every run exchanges it, carrying the pixels in a
+// real-data run (haloBuf).
 func (t *tile) ghostExchanges(ops []mpi.GhostExchange) []mpi.GhostExchange {
 	for _, d := range halo {
 		if peer := t.neighbour(d.dx, d.dy); peer >= 0 {
@@ -63,17 +62,32 @@ func (t *tile) ghostExchanges(ops []mpi.GhostExchange) []mpi.GhostExchange {
 	return ops
 }
 
-// exchange fills ext, the (h+2)×(w+2) extended tile, from pix and the
-// neighbours' edges.
-func (t *tile) exchange(c *mpi.Comm, pix, ext []float64) error {
-	ch := img.Channels
-	w, h := t.w(), t.h()
-	at := func(y, x int) int { return (y*(w+2) + x) * ch }
-	for y := 0; y < h; y++ {
-		copy(ext[at(y+1, 1):at(y+1, w+1)], pix[y*w*ch:(y+1)*w*ch])
+// haloBuf is a real-data run's HALO storage: the extended tile ext, the
+// (h+2)×(w+2) pixels the stencil reads, and the exchange's payloads, one for
+// each op of the tile's list. A SkipKernel run has none: its nil haloBuf
+// packs no payloads and unpacks nothing.
+type haloBuf struct {
+	t   *tile
+	ext []float64
+	pay []mpi.Payload
+}
+
+// newHalo makes the HALO storage for the tile's list ops.
+func (t *tile) newHalo(ops []mpi.GhostExchange) *haloBuf {
+	h := &haloBuf{t: t, ext: make([]float64, (t.h()+2)*(t.w()+2)*img.Channels), pay: make([]mpi.Payload, len(ops))}
+	for i, x := range ops {
+		h.pay[i] = mpi.Payload{Send: make([]float64, x.NBytes/8), Recv: make([]float64, x.NBytes/8)}
 	}
-	// edge returns where, along one axis of the extended tile, the pixels
-	// sent in direction d start, and the ghosts filled from there.
+	return h
+}
+
+// at is the index of pixel (y, x) of ext.
+func (h *haloBuf) at(y, x int) int { return (y*(h.t.w()+2) + x) * img.Channels }
+
+// edges locates direction d in ext: the first pixel of the interior edge the
+// tile sends that way, (sy, sx), the first of the ghosts it fills from
+// there, (gy, gx), and their extent, ny rows of nx pixels.
+func (t *tile) edges(d haloDir) (sy, sx, gy, gx, ny, nx int) {
 	edge := func(d, n int) (send, ghost int) {
 		switch {
 		case d < 0:
@@ -83,45 +97,64 @@ func (t *tile) exchange(c *mpi.Comm, pix, ext []float64) error {
 		}
 		return 1, 1
 	}
-	var out []float64
+	sx, gx = edge(d.dx, t.w())
+	sy, gy = edge(d.dy, t.h())
+	return sy, sx, gy, gx, span(d.dy, t.h()), span(d.dx, t.w())
+}
+
+// pack copies pix into ext's interior and each edge the tile sends into its
+// op's payload, and returns the payloads.
+func (h *haloBuf) pack(pix []float64) []mpi.Payload {
+	if h == nil {
+		return nil
+	}
+	t, ch := h.t, img.Channels
+	w := t.w()
+	for y := range t.h() {
+		copy(h.ext[h.at(y+1, 1):h.at(y+1, w+1)], pix[y*w*ch:(y+1)*w*ch])
+	}
+	k := 0
 	for _, d := range halo {
-		sx, gx := edge(d.dx, w)
-		sy, gy := edge(d.dy, h)
-		nx, ny := span(d.dx, w), span(d.dy, h)
-		peer := t.neighbour(d.dx, d.dy)
-		if peer < 0 {
-			// Replicate the border as MeanFilter clamps it: along y when
-			// the neighbour above or below in this direction is missing
-			// (for a corner, the value then sits in the edge ghost column
-			// already filled), otherwise along x.
-			sx, sy = gx, gy
-			if d.dy != 0 && t.neighbour(0, d.dy) < 0 {
-				sy -= d.dy
-			} else {
-				sx -= d.dx
+		if t.neighbour(d.dx, d.dy) >= 0 {
+			sy, sx, _, _, ny, nx := t.edges(d)
+			for r := range ny {
+				copy(h.pay[k].Send[r*nx*ch:(r+1)*nx*ch], h.ext[h.at(sy+r, sx):h.at(sy+r, sx+nx)])
 			}
-			for r := 0; r < ny; r++ {
-				copy(ext[at(gy+r, gx):at(gy+r, gx+nx)], ext[at(sy+r, sx):at(sy+r, sx+nx)])
-			}
-			continue
-		}
-		out = out[:0]
-		for r := 0; r < ny; r++ {
-			out = append(out, ext[at(sy+r, sx):at(sy+r, sx+nx)]...)
-		}
-		_, vbytes := t.haloBytes(d)
-		got, _, err := c.SendrecvSized(peer, d.sendTag, mpi.Float64sToBytes(out), vbytes, peer, d.recvTag)
-		if err != nil {
-			return err
-		}
-		in, err := mpi.BytesToFloat64s(got)
-		if err != nil {
-			return err
-		}
-		mpi.Release(got)
-		for r := 0; r < ny; r++ {
-			copy(ext[at(gy+r, gx):at(gy+r, gx+nx)], in[r*nx*ch:(r+1)*nx*ch])
+			k++
 		}
 	}
-	return nil
+	return h.pay
+}
+
+// unpack fills ext's ghosts in halo order: from the payloads received where
+// there is a neighbour, and at the global image boundary by replicating the
+// border as MeanFilter clamps it.
+func (h *haloBuf) unpack() {
+	if h == nil {
+		return
+	}
+	t, ch := h.t, img.Channels
+	k := 0
+	for _, d := range halo {
+		sy, sx, gy, gx, ny, nx := t.edges(d)
+		if t.neighbour(d.dx, d.dy) >= 0 {
+			for r := range ny {
+				copy(h.ext[h.at(gy+r, gx):h.at(gy+r, gx+nx)], h.pay[k].Recv[r*nx*ch:(r+1)*nx*ch])
+			}
+			k++
+			continue
+		}
+		// Replicate along y when the neighbour above or below in this
+		// direction is missing (for a corner, the value then sits in the edge
+		// ghost column already filled), otherwise along x.
+		sx, sy = gx, gy
+		if d.dy != 0 && t.neighbour(0, d.dy) < 0 {
+			sy -= d.dy
+		} else {
+			sx -= d.dx
+		}
+		for r := range ny {
+			copy(h.ext[h.at(gy+r, gx):h.at(gy+r, gx+nx)], h.ext[h.at(sy+r, sx):h.at(sy+r, sx+nx)])
+		}
+	}
 }

@@ -171,62 +171,60 @@ func load(c *mpi.Comm, p Params, header int) (*img.Image, error) {
 // It returns the rank's pixels, nil in a SkipKernel run, whose messages
 // carry their tiles' sizes and no pixels.
 func (t *tile) scatter(c *mpi.Comm, p Params, source *img.Image) ([]float64, error) {
-	var pix []float64
+	tiles, pix := t.scatterBufs(c, p, source)
 	err := c.Section(SecScatter, func() error {
-		if p.SkipKernel {
-			return c.ScatterGhost(0, tagScatter, func(i int) (int, int, int) {
-				r := c.Size() - 1 - i
-				rt := tileOf(p, t.px, t.py, r)
-				nbytes, vbytes := rt.bytes()
-				return r, nbytes, vbytes
-			})
-		}
-		if c.Rank() != 0 {
-			var err error
-			pix, _, err = c.RecvFloat64s(0, tagScatter)
-			return err
-		}
-		for r := c.Size() - 1; r >= 1; r-- {
+		return c.ScatterGhost(0, tagScatter, func(i int) (int, int, int) {
+			r := c.Size() - 1 - i
 			rt := tileOf(p, t.px, t.py, r)
-			_, vbytes := rt.bytes()
-			if err := c.SendFloat64sSized(r, tagScatter, rt.cut(source), vbytes); err != nil {
-				return err
-			}
-		}
-		pix = t.cut(source)
-		return nil
+			nbytes, vbytes := rt.bytes()
+			return r, nbytes, vbytes
+		}, tiles, pix)
 	})
-	if err == nil && !p.SkipKernel && len(pix) != t.w()*t.h()*img.Channels {
-		err = fmt.Errorf("convolution: rank %d tile %d != %dx%d", c.Rank(), len(pix), t.w(), t.h())
-	}
 	return pix, err
+}
+
+// scatterBufs returns SCATTER's pixels in a real-data run: on rank 0 every
+// rank's tile, cut from source, and its own; elsewhere the buffer the rank's
+// tile arrives in.
+func (t *tile) scatterBufs(c *mpi.Comm, p Params, source *img.Image) (tiles [][]float64, pix []float64) {
+	if p.SkipKernel {
+		return nil, nil
+	}
+	if c.Rank() != 0 {
+		return nil, make([]float64, t.w()*t.h()*img.Channels)
+	}
+	tiles = make([][]float64, c.Size())
+	for r := range tiles {
+		rt := tileOf(p, t.px, t.py, r)
+		tiles[r] = rt.cut(source)
+	}
+	return tiles, tiles[0]
 }
 
 // steps runs HALO then CONVOLVE, p.Steps times, and returns the convolved
 // pixels.
 func (t *tile) steps(c *mpi.Comm, p Params, pix []float64) ([]float64, error) {
 	perStep := kernelWork.Scale(float64(t.fullW() * t.fullH() * img.Channels))
-	// A SkipKernel run exchanges the same ghost list every step.
+	// Every step exchanges the same list.
 	var list [len(halo)]mpi.GhostExchange
-	var ghost []mpi.GhostExchange
-	var ext []float64
-	if p.SkipKernel {
-		ghost = t.ghostExchanges(list[:0])
-	} else {
-		ext = make([]float64, (t.h()+2)*(t.w()+2)*img.Channels)
+	ghost := t.ghostExchanges(list[:0])
+	var h *haloBuf
+	if !p.SkipKernel {
+		h = t.newHalo(ghost)
 	}
 	for step := 0; step < p.Steps; step++ {
 		if err := c.Section(SecHalo, func() error {
-			if p.SkipKernel {
-				return c.ExchangeGhost(ghost)
+			if err := c.ExchangeGhost(ghost, h.pack(pix)); err != nil {
+				return err
 			}
-			return t.exchange(c, pix, ext)
+			h.unpack()
+			return nil
 		}); err != nil {
 			return nil, err
 		}
 		if err := c.Section(SecConvolve, func() error {
-			if !p.SkipKernel {
-				next, err := img.ConvolveExtended(ext, t.w(), t.h())
+			if h != nil {
+				next, err := img.ConvolveExtended(h.ext, t.w(), t.h())
 				if err != nil {
 					return err
 				}
@@ -246,35 +244,38 @@ func (t *tile) steps(c *mpi.Comm, p Params, pix []float64) ([]float64, error) {
 // executes the kernel.
 func (t *tile) gather(c *mpi.Comm, p Params, pix []float64) (*img.Image, error) {
 	var result *img.Image
+	tiles := t.gatherBufs(c, p, pix)
 	err := c.Section(SecGather, func() error {
 		nbytes, vbytes := t.bytes()
-		if p.SkipKernel {
-			return c.GatherGhost(0, tagGather, nbytes, vbytes)
-		}
-		if c.Rank() != 0 {
-			return c.SendFloat64sSized(0, tagGather, pix, vbytes)
+		if err := c.GatherGhost(0, tagGather, nbytes, vbytes, pix, tiles); err != nil || tiles == nil {
+			return err
 		}
 		var err error
 		if result, err = img.New(p.execWidth(), p.execHeight()); err != nil {
 			return err
 		}
-		t.paste(result, pix)
-		for r := 1; r < c.Size(); r++ {
-			raw, _, err := c.Recv(r, tagGather)
-			if err != nil {
-				return err
-			}
-			data, err := mpi.BytesToFloat64s(raw)
-			if err != nil {
-				return err
-			}
-			mpi.Release(raw)
+		for r, px := range tiles {
 			rt := tileOf(p, t.px, t.py, r)
-			rt.paste(result, data)
+			rt.paste(result, px)
 		}
 		return nil
 	})
 	return result, err
+}
+
+// gatherBufs returns, on rank 0 of a real-data run, the buffer every rank's
+// tile arrives in, by rank, its own being pix.
+func (t *tile) gatherBufs(c *mpi.Comm, p Params, pix []float64) [][]float64 {
+	if p.SkipKernel || c.Rank() != 0 {
+		return nil
+	}
+	tiles := make([][]float64, c.Size())
+	tiles[0] = pix
+	for r := 1; r < len(tiles); r++ {
+		rt := tileOf(p, t.px, t.py, r)
+		tiles[r] = make([]float64, rt.w()*rt.h()*img.Channels)
+	}
+	return tiles
 }
 
 // store is STORE: rank 0 encodes and writes the image while the others

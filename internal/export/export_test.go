@@ -41,7 +41,10 @@ func runWorkload(t *testing.T, p int, seed uint64, tools ...mpi.Tool) *mpi.Repor
 				return c.Section("RING", func() error {
 					dst := (c.Rank() + 1) % c.Size()
 					src := (c.Rank() - 1 + c.Size()) % c.Size()
-					_, _, err := c.SendrecvSized(dst, step, []byte("halo"), 4, src, step)
+					if err := c.SendSized(dst, step, []byte("halo"), 4); err != nil {
+						return err
+					}
+					_, _, err := c.Recv(src, step)
 					return err
 				})
 			})

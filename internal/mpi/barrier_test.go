@@ -270,7 +270,7 @@ func (pr *barrierProg) step(world, on *Comm, i, op int) error {
 		}
 		n := on.Size()
 		var payload [64]byte
-		got, _, err := on.SendrecvSized((on.Rank()+1)%n, 5, payload[:], len(payload), (on.Rank()+n-1)%n, 5)
+		got, _, err := sendrecv(on, (on.Rank()+1)%n, 5, payload[:], len(payload), (on.Rank()+n-1)%n, 5)
 		Release(got)
 		return err
 	case stepBlock:

@@ -118,10 +118,10 @@ func (p *payloadPool) put(b []byte) {
 	p.classes[c].Put(box)
 }
 
-// Release returns a payload buffer previously obtained from Recv, Wait or
-// a typed receive helper to the runtime's buffer pool, eliminating the
-// allocation for a future message of similar size. It is optional — the
-// garbage collector reclaims unreleased payloads — and nil-safe. After
+// Release returns a payload buffer previously obtained from Recv or Wait to
+// the runtime's buffer pool, eliminating the allocation for a future
+// message of similar size. It is optional — the garbage collector reclaims
+// unreleased payloads — and nil-safe. After
 // Release the caller must not read or write b, and must not Release it
 // again: the bytes will be handed to an unrelated future message.
 func Release(b []byte) {

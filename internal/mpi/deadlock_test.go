@@ -204,8 +204,8 @@ func TestDeadlockReportIsDeterministic(t *testing.T) {
 		{"mismatched tag", dlCfg(4), 4, mismatchedTag},
 		{"receive cycle", dlCfg(4), 4, recvCycle},
 		{"Barrier", dlCfg(6), 5, missing2((*Comm).Barrier)},
-		{"ExchangeGhost", dlCfg(6), 5, missing2(func(c *Comm) error { return c.ExchangeGhost(exchange.chain(c, 0)) })},
-		{"ScatterGhost", dlCfg(6), 5, missing2(func(c *Comm) error { return c.ScatterGhost(2, 7, nil) })},
+		{"ExchangeGhost", dlCfg(6), 5, missing2(func(c *Comm) error { return c.ExchangeGhost(exchange.chain(c, 0), nil) })},
+		{"ScatterGhost", dlCfg(6), 5, missing2(func(c *Comm) error { return c.ScatterGhost(2, 7, nil, nil, nil) })},
 		{"lazy two-shard receive cycle", lazy, shardSize + 16, recvCycle},
 		{"Active session world Barrier", active, declared / stride, (*Comm).Barrier},
 	} {

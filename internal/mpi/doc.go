@@ -103,9 +103,14 @@
 // pairwise exchanges — as dataflow in one host rendezvous (exchange.go), run
 // it as a loop of literal sends and receives; and ScatterGhost and
 // GatherGhost, which otherwise stamp their messages into per-rank slots that
-// the receiving side reads (rooted.go), run their SendGhost and RecvDiscard
-// loops under a reserved tag, so that as in MPI they match only their own
-// messages, while every hook reports the caller's tag. A generation also
+// the receiving side reads (rooted.go), run their send and receive loops
+// under a reserved tag, so that as in MPI they match only their own
+// messages, while every hook reports the caller's tag. Their messages are
+// ghosts unless the call carries payloads — a real-data convolution's
+// pixels — which then travel as the loops' real bytes, where the dataflow
+// and the slots copy them into the receivers' buffers; a fault plan's trunc
+// rule shortens them, and a receiver refuses a payload that is not its
+// buffer's size. A generation also
 // takes the loop on its own when it finds a mailbox of the communicator
 // already holding a send one of its receives names, or a posted receive one
 // of its sends would fill: that traffic was there first, and only real

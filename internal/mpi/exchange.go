@@ -4,20 +4,30 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// GhostExchange is one pairwise ghost Sendrecv of an ExchangeGhost call:
-// NBytes of unmaterialized payload, modeled as VBytes, to Peer under
-// SendTag, and the message Peer sends back under RecvTag received and
-// discarded.
+// GhostExchange is one pairwise Sendrecv of an ExchangeGhost call: NBytes of
+// payload, modeled as VBytes, to Peer under SendTag, and the message Peer
+// sends back under RecvTag received. The payload is unmaterialized unless
+// the call carries a Payload for the op beside its list.
 type GhostExchange struct {
 	Peer    int
 	SendTag int
 	NBytes  int
 	VBytes  int
 	RecvTag int
+}
+
+// Payload is the real content of one op of an ExchangeGhost list: Send, the
+// values its message carries, NBytes of them, and Recv, the buffer the
+// message it receives fills, which must be exactly that message's size. A
+// nil Send leaves the message unmaterialized, and a nil Recv drops what
+// arrives.
+type Payload struct {
+	Send, Recv []float64
 }
 
 // ExchangeGhost runs a halo exchange: message for message the loop
@@ -33,27 +43,38 @@ type GhostExchange struct {
 // peer's n-th send to this rank under that tag. Receives name their tag:
 // AnyTag is rejected, as is any negative tag.
 //
+// pay is nil, or holds the payload of each op: its messages then carry real
+// values, and a receive whose message is not its buffer's size — truncated
+// by a fault plan, or sent with no payload — is an error. Payloads change
+// neither clocks nor hooks, so a call with them is the call without them
+// with the values moved.
+//
 // The messages are virtual: the ranks meet in one host rendezvous and the
 // last arriver evaluates everyone's list as dataflow over the arrival clocks
-// (exchangeState.evaluate), the engine Barrier runs its rounds on too; the
-// transfers, jitter included, are drawn ahead of it rank-parallel. The
-// loop above is the body when a fault plan is armed (package doc, "Literal
-// messages under a plan"), and for a call that finds a message it would
-// have matched already queued. Lists that do not pair up — a receive whose
-// send nobody posts, or a cycle of ranks each waiting for a later send of
-// the next — hang the loop; the rendezvous returns every rank an error
-// naming the first rank left waiting.
-func (c *Comm) ExchangeGhost(ops []GhostExchange) error {
-	if err := c.checkExchange(ops); err != nil {
+// (exchangeState.evaluate), the engine Barrier runs its rounds on too,
+// copying each payload into its receiver's buffer as the receive completes;
+// the transfers, jitter included, are drawn ahead of it rank-parallel. The
+// loop above, moving the payloads as real messages, is the body when a
+// fault plan is armed (package doc, "Literal messages under a plan"), and
+// for a call that finds a message it would have matched already queued.
+// Lists that do not pair up — a receive whose send nobody posts, or a cycle
+// of ranks each waiting for a later send of the next — hang the loop; the
+// rendezvous returns every rank an error naming the first rank left
+// waiting.
+func (c *Comm) ExchangeGhost(ops []GhostExchange, pay []Payload) error {
+	if err := c.checkExchange(ops, pay); err != nil {
 		return err
 	}
-	return c.meet("ExchangeGhost", ops, false)
+	return c.meet("ExchangeGhost", ops, pay, false)
 }
 
 // checkExchange refuses a list with a peer out of range, a negative tag or
-// a negative size.
-func (c *Comm) checkExchange(ops []GhostExchange) error {
-	for _, x := range ops {
+// a negative size, and payloads that do not match it.
+func (c *Comm) checkExchange(ops []GhostExchange, pay []Payload) error {
+	if pay != nil && len(pay) != len(ops) {
+		return fmt.Errorf("mpi: ExchangeGhost with %d payloads for %d ops", len(pay), len(ops))
+	}
+	for i, x := range ops {
 		if x.Peer < 0 || x.Peer >= c.Size() {
 			return fmt.Errorf("mpi: ExchangeGhost with invalid rank %d (size %d)", x.Peer, c.Size())
 		}
@@ -63,6 +84,9 @@ func (c *Comm) checkExchange(ops []GhostExchange) error {
 		if err := checkSizes(x.NBytes, x.VBytes); err != nil {
 			return err
 		}
+		if pay != nil && pay[i].Send != nil && 8*len(pay[i].Send) != x.NBytes {
+			return fmt.Errorf("mpi: ExchangeGhost op %d sends %d bytes of payload as a message of %d", i, 8*len(pay[i].Send), x.NBytes)
+		}
 	}
 	return nil
 }
@@ -70,14 +94,15 @@ func (c *Comm) checkExchange(ops []GhostExchange) error {
 // meet is Barrier's and ExchangeGhost's one body: the rank's schedule in a
 // generation of the communicator's exchange engine, op naming the call in a
 // deadlock report. The schedule is ops, each received back from its peer,
-// or with barrier the dissemination rounds (scheduled). A rank's stack is
-// parked under it, so what is not needed to park lives in the callees.
-func (c *Comm) meet(op string, ops []GhostExchange, barrier bool) error {
+// with pay's payloads if any, or with barrier the dissemination rounds
+// (scheduled). A rank's stack is parked under it, so what is not needed to
+// park lives in the callees.
+func (c *Comm) meet(op string, ops []GhostExchange, pay []Payload, barrier bool) error {
 	if c.rs.world.fi == nil {
 		x := &c.shared.exchange
 		last, ok := x.arrive(c)
 		if ok {
-			x.admit(c, ops, barrier)
+			x.admit(c, ops, pay, barrier)
 			if last {
 				x.evaluate(op)
 				x.release()
@@ -94,17 +119,21 @@ func (c *Comm) meet(op string, ops []GhostExchange, barrier bool) error {
 			return x.err
 		}
 	}
-	return c.literal(ops, barrier)
+	return c.literal(ops, pay, barrier)
 }
 
 // literal runs the rank's schedule as real messages.
-func (c *Comm) literal(ops []GhostExchange, barrier bool) error {
+func (c *Comm) literal(ops []GhostExchange, pay []Payload, barrier bool) error {
 	for i := range c.scheduleLen(ops, barrier) {
 		o := c.scheduled(ops, barrier, i)
-		if err := c.sendInternal(o.Peer, o.SendTag, o.SendTag, nil, o.NBytes, o.VBytes); err != nil {
+		var p Payload
+		if pay != nil {
+			p = pay[i]
+		}
+		if err := c.sendInternal(o.Peer, o.SendTag, o.SendTag, c.encode(p.Send), o.NBytes, o.VBytes); err != nil {
 			return err
 		}
-		if err := c.discard(int(o.src), o.RecvTag, o.RecvTag); err != nil {
+		if err := c.take("ExchangeGhost", int(o.src), o.RecvTag, o.RecvTag, p.Recv); err != nil {
 			return err
 		}
 	}
@@ -143,6 +172,7 @@ func (c *Comm) scheduled(ops []GhostExchange, barrier bool, i int) exchangeOp {
 type exchangeState struct {
 	rendezvous
 	ops   []exchangeOp   // the slab (bufpool.go), rank after rank in arrival order
+	pay   []Payload      // beside the slab, by position: made by the first generation that carries payloads (carry)
 	ranks []exchangeRank // by comm rank
 	ready []int32        // suspended ranks whose message has been stamped since
 	// The verdict: the generation goes down the literal loop, or failed.
@@ -185,7 +215,7 @@ type exchangeRank struct {
 }
 
 // admit writes the schedule of a rank that has just arrived into the slab.
-func (x *exchangeState) admit(c *Comm, ops []GhostExchange, barrier bool) {
+func (x *exchangeState) admit(c *Comm, ops []GhostExchange, pay []Payload, barrier bool) {
 	p := len(x.comms)
 	if x.ranks == nil {
 		x.ranks = make([]exchangeRank, p)
@@ -194,11 +224,23 @@ func (x *exchangeState) admit(c *Comm, ops []GhostExchange, barrier bool) {
 	if x.ops == nil {
 		x.ops = takeSlab(max(slabOpsPerRank, bits.Len(uint(p-1))) * p)
 	}
-	n := c.scheduleLen(ops, barrier)
-	x.ranks[c.rank] = exchangeRank{off: int32(len(x.ops)), n: int32(n), want: -1}
+	n, off := c.scheduleLen(ops, barrier), len(x.ops)
+	x.ranks[c.rank] = exchangeRank{off: int32(off), n: int32(n), want: -1}
 	for i := range n {
 		x.ops = append(x.ops, c.scheduled(ops, barrier, i))
 	}
+	if pay != nil {
+		x.carry(off, pay)
+	}
+}
+
+// carry writes a rank's payloads beside its ops, from slab position off. A
+// position past the table, or one no rank wrote, carries none.
+func (x *exchangeState) carry(off int, pay []Payload) {
+	if end := off + len(pay); end > len(x.pay) {
+		x.pay = slices.Grow(x.pay, end-len(x.pay))[:end]
+	}
+	copy(x.pay[off:], pay)
 }
 
 // evaluate runs the generation in two passes. The first, resolve, draws
@@ -230,9 +272,13 @@ func (x *exchangeState) evaluate(op string) {
 				x.run(next)
 			}
 		}
-		x.err = x.unpaired(op)
+		if x.err == nil {
+			x.err = x.unpaired(op)
+		}
 	}
 	x.ops = x.ops[:0]
+	clear(x.pay)
+	x.pay = x.pay[:0]
 	w.enterPhase(left)
 }
 
@@ -368,9 +414,34 @@ func (x *exchangeState) run(r int32) {
 			return
 		}
 		c.completeRecv(int(op.src), op.RecvTag, msg.VBytes, MatchInfo{SendT: msg.sendT, PostT: c.rs.now(), Arrival: msg.arrival})
+		if int(at) < len(x.pay) {
+			x.deliver(c, at, st.want)
+		}
 		st.pc++
 		st.want = -1
 	}
+}
+
+// deliver copies the payload of the send at slab position from into the
+// buffer of the op at at, whose receive from c's peer has just completed. A
+// message that does not fit fails the generation, as for the literal loop's
+// receiver.
+func (x *exchangeState) deliver(c *Comm, at, from int32) {
+	buf := x.pay[at].Recv
+	if buf == nil {
+		return
+	}
+	var send []float64
+	if int(from) < len(x.pay) {
+		send = x.pay[from].Send
+	}
+	if len(send) != len(buf) {
+		if x.err == nil {
+			x.err = c.sizeError("ExchangeGhost", int(x.ops[at].src), 8*len(send), buf)
+		}
+		return
+	}
+	copy(buf, send)
 }
 
 // claim finds the send that rank r's next receive from (q, tag) takes — q's

@@ -202,7 +202,7 @@ func (pr *exchangeProg) pair(on member, i, tag int) []GhostExchange {
 // generation's verdict to what the step expects: virtual, or sent down the
 // literal loop because of what was queued.
 func exchangeAndCheck(on *Comm, ops []GhostExchange, literal bool) error {
-	if err := on.ExchangeGhost(ops); err != nil {
+	if err := on.ExchangeGhost(ops, nil); err != nil {
 		return err
 	}
 	// The verdict stands until this rank's next arrival.
@@ -276,7 +276,7 @@ func (pr *exchangeProg) step(world, on *Comm, i, op int) error {
 		}
 		n := on.Size()
 		var payload [64]byte
-		got, _, err := on.SendrecvSized((on.Rank()+1)%n, 5, payload[:], len(payload), (on.Rank()+n-1)%n, 5)
+		got, _, err := sendrecv(on, (on.Rank()+1)%n, 5, payload[:], len(payload), (on.Rank()+n-1)%n, 5)
 		Release(got)
 		return err
 	case xQueuedSend:
@@ -453,7 +453,7 @@ func TestExchangeRejectsMalformedOps(t *testing.T) {
 				"negative virtual size -8": {Peer: 0, SendTag: 1, VBytes: -8, RecvTag: 1},
 			} {
 				// A valid op ahead of the bad one is not executed either.
-				err := c.ExchangeGhost([]GhostExchange{ok, bad})
+				err := c.ExchangeGhost([]GhostExchange{ok, bad}, nil)
 				if err == nil || !strings.Contains(err.Error(), want) {
 					return fmt.Errorf("%+v: err = %v, want %q", bad, err, want)
 				}
@@ -461,7 +461,7 @@ func TestExchangeRejectsMalformedOps(t *testing.T) {
 			if c.Now() != 0 {
 				return fmt.Errorf("rejected calls moved the clock to %v", c.Now())
 			}
-			return c.ExchangeGhost([]GhostExchange{ok})
+			return c.ExchangeGhost([]GhostExchange{ok}, nil)
 		})
 		if err != nil {
 			t.Errorf("%s: %v", body, err)
@@ -485,7 +485,7 @@ func TestExchangeWaitersUnwindWhenARankFails(t *testing.T) {
 					}
 					return boom
 				}
-				waiterErrs[c.Rank()] = c.ExchangeGhost(pr.chain(c, 0))
+				waiterErrs[c.Rank()] = c.ExchangeGhost(pr.chain(c, 0), nil)
 				return waiterErrs[c.Rank()]
 			})
 			if err == nil {
@@ -523,7 +523,7 @@ func TestExchangeDeadlockReport(t *testing.T) {
 		}
 		c.SectionEnter("HALO")
 		defer c.SectionExit("HALO")
-		return c.ExchangeGhost(pr.chain(c, 0))
+		return c.ExchangeGhost(pr.chain(c, 0), nil)
 	})
 	byRank := blockedByRank(t, err, 5)
 	for rank, op := range byRank {
@@ -556,7 +556,7 @@ func TestExchangeWatchdogReleasesRendezvous(t *testing.T) {
 				}
 				ops := pr.moore(c, 0, true)
 				for {
-					if err := c.ExchangeGhost(ops); err != nil {
+					if err := c.ExchangeGhost(ops, nil); err != nil {
 						return err
 					}
 					completed[c.Rank()]++
@@ -602,7 +602,7 @@ func TestAbortMidGeneration(t *testing.T) {
 			// Nobody sends this: the receive parks, and the driver revokes.
 			_, recvErr = c.RecvDiscard(0, 99)
 		}
-		errs[c.Rank()] = c.ExchangeGhost(nil)
+		errs[c.Rank()] = c.ExchangeGhost(nil, nil)
 		return errs[c.Rank()]
 	})
 	if err == nil || !strings.Contains(err.Error(), "watchdog") {
@@ -650,7 +650,7 @@ func TestExchangeUnpairedLists(t *testing.T) {
 			before := liveGoroutines()
 			errs := make([]error, 3)
 			_, err := Run(testCfg(3), func(c *Comm) error {
-				errs[c.Rank()] = c.ExchangeGhost(tc.lists[c.Rank()])
+				errs[c.Rank()] = c.ExchangeGhost(tc.lists[c.Rank()], nil)
 				return errs[c.Rank()]
 			})
 			if err == nil {
@@ -735,7 +735,7 @@ func chainExchange(c *Comm) error {
 	if down := c.Rank() + 1; down < c.Size() {
 		ops = append(ops, GhostExchange{Peer: down, SendTag: tagChainDown, NBytes: 64, VBytes: 4096, RecvTag: tagChainUp})
 	}
-	return c.ExchangeGhost(ops)
+	return c.ExchangeGhost(ops, nil)
 }
 
 // BenchmarkExchange reports host ns per rank per eight-neighbour exchange on
@@ -754,7 +754,7 @@ func BenchmarkExchange(b *testing.B) {
 				_, err := Run(cfg, func(c *Comm) error {
 					ops := pr.moore(c, 0, true)
 					for i := 0; i < b.N; i++ {
-						if err := c.ExchangeGhost(ops); err != nil {
+						if err := c.ExchangeGhost(ops, nil); err != nil {
 							return err
 						}
 					}

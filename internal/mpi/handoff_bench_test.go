@@ -38,7 +38,7 @@ func runConvPoint(tb testing.TB, st convStep, tools ...mpi.Tool) {
 				c.SectionEnter("HALO")
 			}
 			if st.exchange {
-				if err := c.ExchangeGhost(ops); err != nil {
+				if err := c.ExchangeGhost(ops, nil); err != nil {
 					return err
 				}
 			}

@@ -71,9 +71,9 @@ func blockAfter(on *Comm, kind int) error {
 				dsts, sizes = append(dsts, d), append(sizes, 8)
 			}
 		}
-		return on.ScatterGhost(n-1, tagHandOff, lists(dsts, sizes, sizes))
+		return on.ScatterGhost(n-1, tagHandOff, lists(dsts, sizes, sizes), nil, nil)
 	case blockGather:
-		return on.GatherGhost(0, tagHandOff, 8, 8)
+		return on.GatherGhost(0, tagHandOff, 8, 8, nil, nil)
 	case blockSplit:
 		_, err := on.Split(r%2, -r)
 		return err

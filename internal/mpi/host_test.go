@@ -25,7 +25,7 @@ func TestHostPhases(t *testing.T) {
 		if down := c.Rank() + 1; down < p {
 			ops = append(ops, GhostExchange{Peer: down, SendTag: 2, NBytes: 8, VBytes: 8, RecvTag: 1})
 		}
-		return c.ExchangeGhost(ops)
+		return c.ExchangeGhost(ops, nil)
 	})
 	span := time.Since(start).Seconds()
 	if err != nil {

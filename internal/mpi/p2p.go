@@ -501,25 +501,13 @@ func (c *Comm) RecvDiscard(src, tag int) (Status, error) {
 	return st, nil
 }
 
-// SendrecvSized sends to dst and receives from src in one logically
-// concurrent operation, the stencil workhorse, with an explicit virtual size
-// for the outgoing message (see SendSized). Because sends buffer eagerly and
-// never block, sending first and then receiving matches the
-// posted-receive-first MPI formulation exactly, and is deadlock-free.
-func (c *Comm) SendrecvSized(dst, sendTag int, data []byte, virtualBytes, src, recvTag int) ([]byte, Status, error) {
-	if err := checkTag(recvTag, true); err != nil {
-		return nil, Status{}, err
-	}
-	if err := c.SendSized(dst, sendTag, data, virtualBytes); err != nil {
-		return nil, Status{}, err
-	}
-	return c.recv(src, recvTag)
-}
-
-// SendrecvGhost is SendrecvSized for ghost messages: nbytes of unmaterialized
-// payload out (modeled as virtualBytes), and the matching inbound message
-// received and discarded. The whole exchange allocates nothing. A rank's
-// exchanges of one step, every rank calling, are ExchangeGhost.
+// SendrecvGhost sends to dst and receives from src in one logically
+// concurrent operation, for ghost messages: nbytes of unmaterialized payload
+// out (modeled as virtualBytes), and the matching inbound message received
+// and discarded. Because sends buffer eagerly and never block, sending first
+// and then receiving matches the posted-receive-first MPI formulation
+// exactly, and is deadlock-free. The whole exchange allocates nothing. A
+// rank's exchanges of one step, every rank calling, are ExchangeGhost.
 func (c *Comm) SendrecvGhost(dst, sendTag, nbytes, virtualBytes, src, recvTag int) (Status, error) {
 	if err := checkTag(recvTag, true); err != nil {
 		return Status{}, err
@@ -532,14 +520,8 @@ func (c *Comm) SendrecvGhost(dst, sendTag, nbytes, virtualBytes, src, recvTag in
 
 // --- typed float64 helpers -------------------------------------------------
 
-// Float64sToBytes encodes xs little-endian; the inverse of BytesToFloat64s.
-func Float64sToBytes(xs []float64) []byte {
-	return AppendFloat64s(make([]byte, 0, 8*len(xs)), xs)
-}
-
 // AppendFloat64s appends the little-endian encoding of xs to dst and
-// returns the extended buffer — the allocation-free variant of
-// Float64sToBytes for callers that reuse a scratch buffer.
+// returns the extended buffer; the inverse of BytesToFloat64s.
 func AppendFloat64s(dst []byte, xs []float64) []byte {
 	for _, x := range xs {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
@@ -547,7 +529,7 @@ func AppendFloat64s(dst []byte, xs []float64) []byte {
 	return dst
 }
 
-// BytesToFloat64s decodes a buffer produced by Float64sToBytes.
+// BytesToFloat64s decodes a buffer produced by AppendFloat64s.
 func BytesToFloat64s(b []byte) ([]float64, error) {
 	if len(b)%8 != 0 {
 		return nil, fmt.Errorf("mpi: payload length %d is not a multiple of 8", len(b))
@@ -578,15 +560,6 @@ func (c *Comm) encode(xs []float64) []byte {
 	buf := AppendFloat64s(slices.Grow(c.rs.encScratch[:0], 8*len(xs)), xs)
 	c.rs.encScratch = buf[:0]
 	return buf
-}
-
-// RecvFloat64s receives a float64 vector. The wire buffer is recycled
-// internally; the returned vector is freshly allocated and caller-owned.
-func (c *Comm) RecvFloat64s(src, tag int) ([]float64, Status, error) {
-	if err := checkTag(tag, true); err != nil {
-		return nil, Status{}, err
-	}
-	return c.recvFloat64sInto(nil, src, tag)
 }
 
 // recvFloat64sInto receives a float64 vector under any tag into dst (grown

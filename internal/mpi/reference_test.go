@@ -261,7 +261,7 @@ func (h refHandle) gather(root, tag, vbytes int) {
 	})
 }
 
-// ring is the jittered p2p after a step: a SendrecvSized of 64 bytes round
+// ring is the jittered p2p after a step: a sendrecv of 64 bytes round
 // the communicator.
 func (h refHandle) ring() {
 	n := h.Size()
@@ -702,7 +702,7 @@ func TestReferenceAcrossResolveChunks(t *testing.T) {
 	cfg := Config{Ranks: p, Model: machine.ExtremeCluster(), Seed: xp.seed, Timeout: time.Minute}
 	var err0 error
 	if _, err := Run(cfg, func(c *Comm) error {
-		err := c.ExchangeGhost(lists(c))
+		err := c.ExchangeGhost(lists(c), nil)
 		if c.Rank() == 0 {
 			err0 = err
 		}
@@ -739,7 +739,7 @@ func TestReferenceStuckSets(t *testing.T) {
 	for i, lists := range unpaired {
 		var errs [3]error
 		if _, err := Run(testCfg(3), func(c *Comm) error {
-			errs[c.Rank()] = c.ExchangeGhost(lists[c.Rank()])
+			errs[c.Rank()] = c.ExchangeGhost(lists[c.Rank()], nil)
 			return errs[c.Rank()]
 		}); err == nil {
 			t.Fatalf("lists %d: the runtime exchanged them", i)

@@ -54,7 +54,7 @@ func lists(dsts, nbytes, vbytes []int) func(int) (int, int, int) {
 // scatter is step i's k-th fan-out from root key's root.
 func (pr *exchangeProg) scatter(on *Comm, i, key, k int) error {
 	root, dsts, nbytes, vbytes := pr.fanOut(on, i, key, k)
-	return on.ScatterGhost(root, tagRooted, lists(dsts, nbytes, vbytes))
+	return on.ScatterGhost(root, tagRooted, lists(dsts, nbytes, vbytes), nil, nil)
 }
 
 // fanOut is the rank's arguments to scatter: the destinations in a drawn
@@ -84,7 +84,7 @@ func (pr *exchangeProg) fanOut(on member, i, key, k int) (root int, dsts, nbytes
 // gather is step i's k-th fan-in to root key's root.
 func (pr *exchangeProg) gather(on *Comm, i, key, k int) error {
 	n, v := pr.sizes(i, on.Rank(), 20+k)
-	return on.GatherGhost(pr.root(on, i, key), tagRooted, n, v)
+	return on.GatherGhost(pr.root(on, i, key), tagRooted, n, v, nil, nil)
 }
 
 func (pr *exchangeProg) rootedStep(on *Comm, i, op int) error {
@@ -211,9 +211,9 @@ func TestRootedWaitersUnwindWhenARankFails(t *testing.T) {
 						return boom
 					}
 					if op == "ScatterGhost" {
-						errs[c.Rank()] = c.ScatterGhost(5, 1, nil)
+						errs[c.Rank()] = c.ScatterGhost(5, 1, nil, nil, nil)
 					} else {
-						errs[c.Rank()] = c.GatherGhost(0, 1, 8, 64)
+						errs[c.Rank()] = c.GatherGhost(0, 1, 8, 64, nil, nil)
 					}
 					return errs[c.Rank()]
 				})
@@ -251,22 +251,22 @@ func TestRootedDeadlockReport(t *testing.T) {
 			if c.Rank() == 2 {
 				return nil
 			}
-			return c.ScatterGhost(2, 7, nil)
+			return c.ScatterGhost(2, 7, nil, nil, nil)
 		}},
 		{"gather root", 1, func(c *Comm) error {
 			if c.Rank() == 4 {
 				return nil
 			}
-			return c.GatherGhost(2, 7, 8, 64)
+			return c.GatherGhost(2, 7, 8, 64, nil, nil)
 		}},
 		{"gather senders a call ahead", 5, func(c *Comm) error {
 			if c.Rank() == 2 {
 				return nil
 			}
-			if err := c.GatherGhost(2, 7, 8, 64); err != nil {
+			if err := c.GatherGhost(2, 7, 8, 64, nil, nil); err != nil {
 				return err
 			}
-			return c.GatherGhost(2, 7, 8, 64)
+			return c.GatherGhost(2, 7, 8, 64, nil, nil)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -316,9 +316,9 @@ func TestRootedWatchdogReleasesWaiters(t *testing.T) {
 					for {
 						var err error
 						if op == "ScatterGhost" {
-							err = c.ScatterGhost(0, 1, lists(dsts, sizes, sizes))
+							err = c.ScatterGhost(0, 1, lists(dsts, sizes, sizes), nil, nil)
 						} else {
-							err = c.GatherGhost(0, 1, 8, 8)
+							err = c.GatherGhost(0, 1, 8, 8, nil, nil)
 						}
 						if err != nil {
 							return err
@@ -356,18 +356,18 @@ func TestRootedRejectsMalformedArgs(t *testing.T) {
 				fn   func() error
 			}
 			calls := []call{
-				{"root 3 out of range", func() error { return c.ScatterGhost(3, 1, nil) }},
-				{"root -1 out of range", func() error { return c.GatherGhost(-1, 1, 8, 8) }},
-				{"ScatterGhost with negative tag -1", func() error { return c.ScatterGhost(1, AnyTag, nil) }},
-				{"GatherGhost with negative tag -1001", func() error { return c.GatherGhost(1, tagBarrier-1, 8, 8) }},
+				{"root 3 out of range", func() error { return c.ScatterGhost(3, 1, nil, nil, nil) }},
+				{"root -1 out of range", func() error { return c.GatherGhost(-1, 1, 8, 8, nil, nil) }},
+				{"ScatterGhost with negative tag -1", func() error { return c.ScatterGhost(1, AnyTag, nil, nil, nil) }},
+				{"GatherGhost with negative tag -1001", func() error { return c.GatherGhost(1, tagBarrier-1, 8, 8, nil, nil) }},
 			}
 			if c.Rank() != 1 {
 				calls = append(calls,
-					call{"negative ghost size -8", func() error { return c.GatherGhost(1, 1, -8, 8) }},
-					call{"negative virtual size -8", func() error { return c.GatherGhost(1, 1, 8, -8) }})
+					call{"negative ghost size -8", func() error { return c.GatherGhost(1, 1, -8, 8, nil, nil) }},
+					call{"negative virtual size -8", func() error { return c.GatherGhost(1, 1, 8, -8, nil, nil) }})
 			} else {
 				scatter := func(dsts, nbytes, vbytes []int) func() error {
-					return func() error { return c.ScatterGhost(1, 1, lists(dsts, nbytes, vbytes)) }
+					return func() error { return c.ScatterGhost(1, 1, lists(dsts, nbytes, vbytes), nil, nil) }
 				}
 				sizes := []int{8, 8}
 				calls = append(calls,
@@ -391,14 +391,14 @@ func TestRootedRejectsMalformedArgs(t *testing.T) {
 			if c.Rank() == 1 {
 				size = -1
 			}
-			if err := c.GatherGhost(1, 1, size, size); err != nil {
+			if err := c.GatherGhost(1, 1, size, size, nil, nil); err != nil {
 				return err
 			}
 			var dsts, sizes []int
 			if c.Rank() == 1 {
 				dsts, sizes = []int{2, 0}, []int{8, 8}
 			}
-			return c.ScatterGhost(1, 1, lists(dsts, sizes, sizes))
+			return c.ScatterGhost(1, 1, lists(dsts, sizes, sizes), nil, nil)
 		})
 		if err != nil {
 			t.Errorf("%s: %v", body, err)
@@ -420,10 +420,10 @@ func TestLazyBatchFanOutAcrossShards(t *testing.T) {
 				dsts, nbytes, vbytes = append(dsts, r), append(nbytes, 128), append(vbytes, 4096)
 			}
 		}
-		if err := c.ScatterGhost(0, 9, lists(dsts, nbytes, vbytes)); err != nil {
+		if err := c.ScatterGhost(0, 9, lists(dsts, nbytes, vbytes), nil, nil); err != nil {
 			return err
 		}
-		return c.GatherGhost(0, 9, 8, 8)
+		return c.GatherGhost(0, 9, 8, 8, nil, nil)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -456,10 +456,10 @@ func TestRootedSteadyStateAllocs(t *testing.T) {
 					dsts, sizes = []int{7, 6, 5, 4, 3, 2, 1}, []int{64, 64, 64, 64, 64, 64, 64}
 				}
 				pair := func() error {
-					if err := c.ScatterGhost(0, 1, lists(dsts, sizes, sizes)); err != nil {
+					if err := c.ScatterGhost(0, 1, lists(dsts, sizes, sizes), nil, nil); err != nil {
 						return err
 					}
-					return c.GatherGhost(0, 2, 64, 4096)
+					return c.GatherGhost(0, 2, 64, 4096, nil, nil)
 				}
 				for i := 0; i < warmup; i++ {
 					if err := pair(); err != nil {
@@ -516,10 +516,10 @@ func BenchmarkRootedGhost(b *testing.B) {
 						}
 					}
 					for i := 0; i < b.N; i++ {
-						if err := c.ScatterGhost(0, 1, lists(dsts, sizes, sizes)); err != nil {
+						if err := c.ScatterGhost(0, 1, lists(dsts, sizes, sizes), nil, nil); err != nil {
 							return err
 						}
-						if err := c.GatherGhost(0, 2, 4096, 4096); err != nil {
+						if err := c.GatherGhost(0, 2, 4096, 4096, nil, nil); err != nil {
 							return err
 						}
 					}

@@ -31,7 +31,7 @@ func TestVirtualClockMonotone(t *testing.T) {
 			check("compute")
 			right := (c.Rank() + 1) % c.Size()
 			left := (c.Rank() - 1 + c.Size()) % c.Size()
-			if _, _, err := c.SendrecvSized(right, 0, make([]byte, 1024), 1024, left, 0); err != nil {
+			if _, _, err := sendrecv(c, right, 0, make([]byte, 1024), 1024, left, 0); err != nil {
 				return err
 			}
 			check("sendrecv")
@@ -113,7 +113,7 @@ func TestDeterminism(t *testing.T) {
 				c.Compute(WorkUnit{Flops: 5e6, Bytes: 1e5})
 				right := (c.Rank() + 1) % c.Size()
 				left := (c.Rank() - 1 + c.Size()) % c.Size()
-				if _, _, err := c.SendrecvSized(right, 0, make([]byte, 4096), 4096, left, 0); err != nil {
+				if _, _, err := sendrecv(c, right, 0, make([]byte, 4096), 4096, left, 0); err != nil {
 					return err
 				}
 			}
@@ -138,7 +138,7 @@ func TestDeterminism(t *testing.T) {
 			c.Compute(WorkUnit{Flops: 5e6, Bytes: 1e5})
 			right := (c.Rank() + 1) % c.Size()
 			left := (c.Rank() - 1 + c.Size()) % c.Size()
-			if _, _, err := c.SendrecvSized(right, 0, make([]byte, 4096), 4096, left, 0); err != nil {
+			if _, _, err := sendrecv(c, right, 0, make([]byte, 4096), 4096, left, 0); err != nil {
 				return err
 			}
 		}

@@ -166,7 +166,7 @@ func TestProfiledPointBytes(t *testing.T) {
 			}
 			for s := 0; s < steps; s++ {
 				c.SectionEnter("HALO")
-				if err := c.ExchangeGhost(ops); err != nil {
+				if err := c.ExchangeGhost(ops, nil); err != nil {
 					return err
 				}
 				c.SectionExit("HALO")

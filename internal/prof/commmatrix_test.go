@@ -90,7 +90,10 @@ func TestCommMatrixStencilShape(t *testing.T) {
 	m := runWithMatrix(t, p, func(c *mpi.Comm) error {
 		right := (c.Rank() + 1) % p
 		left := (c.Rank() - 1 + p) % p
-		_, _, err := c.SendrecvSized(right, 0, make([]byte, 10), 10, left, 0)
+		if err := c.SendSized(right, 0, make([]byte, 10), 10); err != nil {
+			return err
+		}
+		_, _, err := c.Recv(left, 0)
 		return err
 	})
 	for src := 0; src < p; src++ {
