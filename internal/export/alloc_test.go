@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/mpi"
+	"repro/internal/trace"
 )
 
 // recordedStep is two nested sections around one synchronized round trip
@@ -60,10 +61,9 @@ func TestRecorderSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const chunkLen = 256 // internal/trace's events per chunk
-	n, chunks := after.Mallocs-before.Mallocs, recorded/chunkLen+1
+	n, chunks := after.Mallocs-before.Mallocs, recorded/trace.ChunkLen+1
 	if limit := uint64(chunks + bits.Len(uint(chunks)) + strays); n > limit {
-		t.Errorf("%d allocations for %d events, want <= %d (one per chunk of %d, plus the chunk table)", n, recorded, limit, chunkLen)
+		t.Errorf("%d allocations for %d events, want <= %d (one per chunk of %d, plus the chunk table)", n, recorded, limit, trace.ChunkLen)
 	}
 	if recorded < 6*steps {
 		t.Errorf("%d events recorded over %d steps; the recorder saw less than it should", recorded, steps)

@@ -28,8 +28,8 @@
 //   - lulesh_field_rows (internal/lulesh): 64 KiB of encoded density
 //     fields for the final gather; the KNL sweep on two workers parks
 //     36 KB.
-//   - trace_chunks (internal/trace): 2048 chunks, 48 MiB, two paper-scale
-//     recorded points side by side.
+//   - trace_chunks (internal/trace): 2048 chunks, 48 MiB, each filling
+//     its 24 KiB size class; two paper-scale recorded points side by side.
 //   - trace_csv_blocks, trace_csv_heads (internal/trace): ReadCSV's read
 //     buffers, 4 MiB by capacity, two readers' rings on four cores; and
 //     its head-of-stream reservations, 8 MiB in bytes, three heads of the

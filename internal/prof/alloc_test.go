@@ -103,13 +103,12 @@ func TestProfilerSteadyStateAllocs(t *testing.T) {
 		t.Errorf("prof attached: %d allocations over %d steps, want 0 (at most %d strays)", n, steps, strays)
 	}
 
-	const chunkLen = 256 // internal/trace's events per chunk
 	col := trace.NewCollector(0)
 	n := steadyMallocs(t, steps, New(), col)
-	chunks := col.Buffer().Len()/chunkLen + 1
+	chunks := col.Buffer().Len()/trace.ChunkLen + 1
 	if limit := uint64(chunks + bits.Len(uint(chunks)) + strays); n > limit {
 		t.Errorf("prof+collector: %d allocations for %d events, want <= %d (one per chunk of %d, plus the chunk table)",
-			n, col.Buffer().Len(), limit, chunkLen)
+			n, col.Buffer().Len(), limit, trace.ChunkLen)
 	}
 	if n == 0 {
 		t.Error("prof+collector: no allocation at all; the collector recorded nothing?")

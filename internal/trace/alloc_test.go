@@ -433,3 +433,33 @@ func TestAppendCSV(t *testing.T) {
 	}
 	t.Logf("WriteCSV %v allocs, AppendCSV %v", write, appended)
 }
+
+// TestRecordingWeighsItsChunks: the heap a recording keeps is its chunks'
+// bytes, within 3 %. A chunk of 256 events, 24,576 B of pointer-bearing
+// events, takes the 27,264 B size class once the allocator's 8 B header is
+// added, 11 % more than it holds; ChunkLen's 255 fill the 24 KiB class.
+func TestRecordingWeighsItsChunks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates shadow memory; heap sizes are meaningless")
+	}
+	for freeChunks.Take(nil) != nil {
+	}
+	const chunks = 400
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	b := NewBuffer(0)
+	for i := range chunks * ChunkLen {
+		b.Add(Event{T: float64(i), Rank: i % 8, Kind: KindSectionEnter, Label: "HALO"})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	kept := int(after.HeapAlloc) - int(before.HeapAlloc)
+	weight := chunks * int(unsafe.Sizeof([ChunkLen]Event{}))
+	t.Logf("%d events in %d chunks: %d bytes kept, the chunks weigh %d (%+.2f%%)",
+		b.Len(), chunks, kept, weight, 100*(float64(kept)/float64(weight)-1))
+	if lo, hi := weight*97/100, weight*103/100; kept < lo || kept > hi {
+		t.Errorf("a recording of %d chunks keeps %d bytes of heap, its chunks weigh %d; want within 3%%", chunks, kept, weight)
+	}
+	runtime.KeepAlive(b)
+}

@@ -638,7 +638,7 @@ func TestOrderOfCanonicalInput(t *testing.T) {
 
 	// Long canonical runs over many chunks.
 	rng := rand.New(rand.NewSource(1))
-	long := orderEvents(rng, []int{0, 1, 2}, 3*chunkLen)
+	long := orderEvents(rng, []int{0, 1, 2}, 3*ChunkLen)
 	copy(long, Sorted(long))
 	b := NewBuffer(0)
 	for _, e := range long {

@@ -111,10 +111,10 @@ func Sorted(events []Event) []Event {
 }
 
 // source is a recording to put in order, read where it lies: a plain slice,
-// or the n events in a Buffer's chunks, event i at chunks[i/chunkLen][i%chunkLen].
+// or the n events in a Buffer's chunks, event i at chunks[i/ChunkLen][i%ChunkLen].
 type source struct {
 	flat   []Event
-	chunks []*[chunkLen]Event
+	chunks []*[ChunkLen]Event
 	n      int
 }
 
@@ -124,7 +124,7 @@ func (s *source) at(i int32) *Event {
 	if s.chunks == nil {
 		return &s.flat[i]
 	}
-	return &s.chunks[i>>chunkBits][i&(chunkLen-1)]
+	return &s.chunks[i/ChunkLen][i%ChunkLen]
 }
 
 // parts is how many pieces part cuts the source into.
@@ -135,12 +135,12 @@ func (s *source) parts() int {
 	return len(s.chunks)
 }
 
-// part returns piece k of the source; event j of it is event k*chunkLen+j.
+// part returns piece k of the source; event j of it is event k*ChunkLen+j.
 func (s *source) part(k int) []Event {
 	if s.chunks == nil {
 		return s.flat
 	}
-	return s.chunks[k][:min(chunkLen, s.n-k*chunkLen)]
+	return s.chunks[k][:min(ChunkLen, s.n-k*ChunkLen)]
 }
 
 func (s *source) isSorted() bool {
@@ -319,7 +319,7 @@ func newOrder(src source, buf *[]int32) *Order {
 		c := src.part(k)
 		for j := range c {
 			r := c[j].Rank - lo
-			idx[end[r]] = int32(k*chunkLen + j)
+			idx[end[r]] = int32(k*ChunkLen + j)
 			end[r]++
 		}
 	}

@@ -262,16 +262,16 @@ type Event struct {
 	ArrT  float64 `json:"arrt,omitempty"`
 }
 
-// chunkLen is how many events one chunk of a Buffer holds: 24 KiB, under
-// the allocator's large-object threshold.
-const (
-	chunkBits = 8
-	chunkLen  = 1 << chunkBits
-)
+// ChunkLen is how many events one chunk of a Buffer holds: 24,480 B, a
+// small object. With the 8 B header the allocator puts before a small
+// object of pointers over 512 B it fills the 24 KiB size class; 256 events
+// would take the 27,264 B class, 11 % more than they hold. The wait-state
+// engine's worlds keep their events in chunks of the same length.
+const ChunkLen = 255
 
 // Buffer accumulates events from concurrent ranks. The zero value is ready.
 //
-// Events are kept in chunks of chunkLen, each allocated once and never
+// Events are kept in chunks of ChunkLen, each allocated once and never
 // moved: recording a long trace copies no event twice and holds no
 // half-empty doubled slice, and a reader that noted the count under the
 // lock may read everything below it afterwards.
@@ -283,7 +283,7 @@ type Buffer struct {
 	Overflow func(Event)
 
 	mu     sync.Mutex
-	chunks []*[chunkLen]Event // all but the last full
+	chunks []*[ChunkLen]Event // all but the last full
 	n      int
 	limit  int // 0 = unbounded
 	drops  int
@@ -308,16 +308,16 @@ func (b *Buffer) Add(e Event) {
 		}
 		return
 	}
-	i := b.n & (chunkLen - 1)
+	i := b.n % ChunkLen
 	if i == 0 {
 		c := freeChunks.Take(nil)
 		if c == nil {
-			// one chunk per chunkLen events, when Release has left none to reuse
-			c = new([chunkLen]Event)
+			// one chunk per ChunkLen events, when Release has left none to reuse
+			c = new([ChunkLen]Event)
 		}
 		b.chunks = append(b.chunks, c)
 	}
-	b.chunks[b.n>>chunkBits][i] = e
+	b.chunks[b.n/ChunkLen][i] = e
 	b.n++
 	b.mu.Unlock()
 }
@@ -337,13 +337,13 @@ func (b *Buffer) Release() {
 }
 
 // freeChunks is where Release leaves chunks and Add looks first. It keeps
-// 2048 chunks, 48 MiB. Only the service's recorded attempts fill it, the
-// sweeps recording no trace; the bound was sized for two paper-scale sweep
-// points side by side, and no measurement of the service has asked for
-// another. Chunks are not cleared — a buffer never reads a chunk past its
+// 2048 chunks, 48 MiB, each in its 24 KiB size class (ChunkLen). Only the
+// service's recorded attempts fill it, the sweeps recording no trace; the
+// bound was sized for two paper-scale sweep points side by side, and no
+// measurement of the service has asked for another. Chunks are not cleared — a buffer never reads a chunk past its
 // own count — so a parked chunk pins the label strings of the events it
 // last held, a few constants.
-var freeChunks = park.New[*[chunkLen]Event]("trace_chunks", 2048, nil)
+var freeChunks = park.New[*[ChunkLen]Event]("trace_chunks", 2048, nil)
 
 // ChunkAllocs is how many chunks this process has had to allocate because
 // no released one was waiting: a count that stands still is a recording

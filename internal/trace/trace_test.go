@@ -470,11 +470,11 @@ func streamed(o *Order) []*Event {
 // back its own events and nothing of the previous recording, through every
 // reader.
 func TestReleaseHandsOverNothing(t *testing.T) {
-	old := NewBuffer(3*chunkLen + 9)
-	for i := 0; i < 3*chunkLen+20; i++ {
+	old := NewBuffer(3*ChunkLen + 9)
+	for i := 0; i < 3*ChunkLen+20; i++ {
 		old.Add(Event{T: float64(i), Rank: i % 5, Kind: KindMarker, Label: "old", Bytes: i})
 	}
-	if old.Len() != 3*chunkLen+9 || old.Dropped() != 11 {
+	if old.Len() != 3*ChunkLen+9 || old.Dropped() != 11 {
 		t.Fatalf("before Release: %d kept, %d dropped", old.Len(), old.Dropped())
 	}
 	old.Release()
@@ -483,7 +483,7 @@ func TestReleaseHandsOverNothing(t *testing.T) {
 			old.Len(), old.Dropped(), old.Warning(), len(old.Events()), old.Order().Runs())
 	}
 	for name, b := range map[string]*Buffer{"the next buffer": NewBuffer(0), "the same buffer": old} {
-		want := make([]Event, chunkLen+3) // ends inside a chunk that was full of "old"
+		want := make([]Event, ChunkLen+3) // ends inside a chunk that was full of "old"
 		for i := range want {
 			want[i] = Event{T: float64(i / 2), Rank: i % 2, Kind: KindMarker, Label: "new", Bytes: i}
 			b.Add(want[i])
@@ -545,7 +545,7 @@ func TestViewsWhileRecording(t *testing.T) {
 				default:
 				}
 				own := NewBuffer(0)
-				for i := 0; i < 2*chunkLen+g; i++ {
+				for i := 0; i < 2*ChunkLen+g; i++ {
 					own.Add(Event{T: float64(i), Rank: -1 - g, Kind: KindMarker, Bytes: round})
 				}
 				run := own.Order().Run(0)
@@ -605,7 +605,7 @@ func TestViewsWhileRecording(t *testing.T) {
 // inversion whose two events sit in different chunks must still be seen
 // and sorted out, and the limit must hold where it coincides with a chunk.
 func TestBufferChunkBoundaries(t *testing.T) {
-	for _, n := range []int{1, chunkLen - 1, chunkLen, chunkLen + 1, 2 * chunkLen, 3*chunkLen + 7} {
+	for _, n := range []int{1, ChunkLen - 1, ChunkLen, ChunkLen + 1, 2 * ChunkLen, 3*ChunkLen + 7} {
 		in := make([]Event, n)
 		for i := range in {
 			in[i] = Event{T: float64(i), Rank: i % 3, Kind: KindMarker, Bytes: i}
@@ -617,10 +617,10 @@ func TestBufferChunkBoundaries(t *testing.T) {
 		if got := b.Events(); b.Len() != n || !reflect.DeepEqual(got, in) {
 			t.Fatalf("n=%d: an ordered buffer read back %d events (Len %d), not what was added", n, len(got), b.Len())
 		}
-		if n <= chunkLen {
+		if n <= ChunkLen {
 			continue
 		}
-		in[chunkLen-1], in[chunkLen] = in[chunkLen], in[chunkLen-1]
+		in[ChunkLen-1], in[ChunkLen] = in[ChunkLen], in[ChunkLen-1]
 		b = NewBuffer(0)
 		for _, e := range in {
 			b.Add(e)
@@ -631,11 +631,11 @@ func TestBufferChunkBoundaries(t *testing.T) {
 			t.Fatalf("n=%d: an inversion across the first chunk boundary was not sorted out", n)
 		}
 	}
-	b := NewBuffer(chunkLen)
-	for i := 0; i < chunkLen+5; i++ {
+	b := NewBuffer(ChunkLen)
+	for i := 0; i < ChunkLen+5; i++ {
 		b.Add(Event{T: float64(i)})
 	}
-	if b.Len() != chunkLen || b.Dropped() != 5 || len(b.Events()) != chunkLen {
-		t.Errorf("limit %d: kept %d, dropped %d, Events %d", chunkLen, b.Len(), b.Dropped(), len(b.Events()))
+	if b.Len() != ChunkLen || b.Dropped() != 5 || len(b.Events()) != ChunkLen {
+		t.Errorf("limit %d: kept %d, dropped %d, Events %d", ChunkLen, b.Len(), b.Dropped(), len(b.Events()))
 	}
 }

@@ -2,7 +2,7 @@ package verify
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -164,13 +164,18 @@ func (k *checker) collective(t float64, rank int, comm int64, name string) {
 // enter counts that differ between the ranks that entered sections on a
 // communicator at all. It runs after every other call has returned.
 func (k *checker) finalize(t float64, dead map[int]bool) {
-	type commLabel struct {
-		comm  int64
-		label string
+	// tally is a communicator's enter counts: the ranks that entered a
+	// section on it, and for each label the enters of each of those ranks
+	// by its place in ranks, short for the ranks folded since the label's
+	// last count.
+	type tally struct {
+		ranks  []int
+		labels []string
+		enters [][]int
 	}
 	var out []Violation
-	counts := map[commLabel]map[int]int{}
-	participants := map[int64][]int{}
+	var tallies []tally
+	comms := map[int64]int{} // comm -> its tally
 	fold := func(r int, st *rankState) {
 		if dead[r] {
 			return
@@ -185,15 +190,29 @@ func (k *checker) finalize(t float64, dead map[int]bool) {
 				out = append(out, Violation{T: t, Rank: r, Comm: s.comm, Class: ClassCollectiveOrder,
 					Detail: fmt.Sprintf("rank issued %d collectives, other ranks issued %d (next missing: %s)", s.colls, len(seq), seq[s.colls])})
 			}
-			if len(s.enters) > 0 {
-				participants[s.comm] = append(participants[s.comm], r)
+			if len(s.enters) == 0 {
+				continue
 			}
+			ti, ok := comms[s.comm]
+			if !ok {
+				ti = len(tallies)
+				comms[s.comm] = ti
+				tallies = append(tallies, tally{})
+			}
+			tl := &tallies[ti]
+			at := len(tl.ranks)
+			tl.ranks = append(tl.ranks, r)
 			for _, c := range s.enters {
-				ck := commLabel{s.comm, c.label}
-				if counts[ck] == nil {
-					counts[ck] = map[int]int{}
+				j := slices.Index(tl.labels, c.label)
+				if j < 0 {
+					j = len(tl.labels)
+					tl.labels, tl.enters = append(tl.labels, c.label), append(tl.enters, nil)
 				}
-				counts[ck][r] = c.n
+				n := tl.enters[j]
+				for len(n) < at {
+					n = append(n, 0)
+				}
+				tl.enters[j] = append(n, c.n)
 			}
 		}
 	}
@@ -203,25 +222,28 @@ func (k *checker) finalize(t float64, dead map[int]bool) {
 	for r, st := range k.far {
 		fold(r, st)
 	}
-	for _, live := range participants {
-		sort.Ints(live)
-	}
-	// A participant that never entered the label counts as zero; scanning in
-	// rank order makes the reported extremes the lowest ranks that have them.
-	for ck, perRank := range counts {
-		minN, maxN, minRank, maxRank := -1, -1, -1, -1
-		for _, r := range participants[ck.comm] {
-			n := perRank[r]
-			if minN == -1 || n < minN {
-				minN, minRank = n, r
+	// A participant that never entered the label counts as zero; the
+	// reported extremes are the lowest ranks that have them.
+	for comm, ti := range comms {
+		tl := &tallies[ti]
+		for j, label := range tl.labels {
+			minN, maxN, minRank, maxRank := -1, -1, -1, -1
+			for at, r := range tl.ranks {
+				n := 0
+				if at < len(tl.enters[j]) {
+					n = tl.enters[j][at]
+				}
+				if minN == -1 || n < minN || n == minN && r < minRank {
+					minN, minRank = n, r
+				}
+				if maxN == -1 || n > maxN || n == maxN && r < maxRank {
+					maxN, maxRank = n, r
+				}
 			}
-			if maxN == -1 || n > maxN {
-				maxN, maxRank = n, r
+			if minN != maxN {
+				out = append(out, Violation{T: t, Rank: minRank, Comm: comm, Class: ClassEnterDivergence,
+					Detail: fmt.Sprintf("section %q entered %d times on rank %d but %d times on rank %d", label, minN, minRank, maxN, maxRank)})
 			}
-		}
-		if minN != maxN {
-			out = append(out, Violation{T: t, Rank: minRank, Comm: ck.comm, Class: ClassEnterDivergence,
-				Detail: fmt.Sprintf("section %q entered %d times on rank %d but %d times on rank %d", ck.label, minN, minRank, maxN, maxRank)})
 		}
 	}
 	k.report(out...)

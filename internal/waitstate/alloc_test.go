@@ -141,3 +141,19 @@ func TestReleaseParksRowsAndPath(t *testing.T) {
 	}
 	a.Release()
 }
+
+// TestRenderSizesItsReport: Render grows its builder once, so the size it
+// reserves must hold the report it writes, and not by much more.
+func TestRenderSizesItsReport(t *testing.T) {
+	for _, ranks := range []int{1, 16, 96} {
+		a, err := Analyze(recordedRun(t, ranks, 2), Options{SeqTime: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, size := len(a.Render()), a.reportSize()
+		t.Logf("p = %d: a %d-byte report in %d reserved", ranks, n, size)
+		if n > size || size > 2*n {
+			t.Errorf("p = %d: Render wrote %d bytes into %d reserved, want them to fit and fill half", ranks, n, size)
+		}
+	}
+}

@@ -11,6 +11,7 @@ import (
 // accounting.
 func (a *Analysis) Render() string {
 	var sb strings.Builder
+	sb.Grow(a.reportSize())
 	fmt.Fprintf(&sb, "wait-state analysis: %d ranks, wall %.6gs, %d messages classified\n",
 		a.Ranks, a.Wall, a.Msgs)
 	if a.Faults > 0 || a.DeadWaits > 0 {
@@ -59,6 +60,20 @@ func (a *Analysis) Render() string {
 			rb.Rank, rb.Wall, rb.Wait, rb.Compute, rb.Residual)
 	}
 	return sb.String()
+}
+
+// reportSize is about how long Render's report is: its fixed lines, and
+// each row at its fields' printed widths, so that the report is written into
+// one buffer instead of one doubled from empty.
+func (a *Analysis) reportSize() int {
+	n := 1024 + len(a.Warning)
+	for _, d := range a.Sections {
+		n += 128 + len(d.Section) + len(d.DominantCause)
+	}
+	for _, cs := range a.Colls {
+		n += 72 + len(cs.Name)
+	}
+	return n + 96*len(a.Ranked)
 }
 
 func pct(num, den float64) float64 {

@@ -32,7 +32,7 @@ func NewTool(limit int) *Tool { return &Tool{limit: limit} }
 type liveWorld struct {
 	ranks   []rankTimeline // by world rank; offline, by run
 	feeds   []liveRank     // by world rank; offline, worker i replays with feeds[i]
-	chunks  []*[eventChunk]trace.Event
+	chunks  []*[trace.ChunkLen]trace.Event
 	scratch trace.Event // a held boundary, as step reads it
 	limit   int
 	n, kept int   // events counted, and copied into chunks
@@ -60,12 +60,6 @@ type boundary struct {
 	kind  trace.Kind
 	label string
 }
-
-// eventChunk is how many events a chunk holds: 24,480 B, a small object.
-// With the 8 B header the allocator puts before a small object of pointers
-// over 512 B it fills the 24 KiB size class; 256 events would take the
-// 27,264 B class, 11 % more than they hold.
-const eventChunk = 255
 
 // Init implements mpi.Tool: it claims the Tool for the world and takes the
 // newest parked world's storage, or new storage.
@@ -159,11 +153,11 @@ func (w *liveWorld) event(rank int, tm float64) *trace.Event {
 	if !w.seen(rank, tm) {
 		return nil
 	}
-	if w.kept == len(w.chunks)*eventChunk {
-		w.chunks = append(w.chunks, new([eventChunk]trace.Event))
+	if w.kept == len(w.chunks)*trace.ChunkLen {
+		w.chunks = append(w.chunks, new([trace.ChunkLen]trace.Event))
 	}
 	w.kept++
-	return &w.chunks[(w.kept-1)/eventChunk][(w.kept-1)%eventChunk]
+	return &w.chunks[(w.kept-1)/trace.ChunkLen][(w.kept-1)%trace.ChunkLen]
 }
 
 // list steps a kept receive, dead-peer wait or region into its rank's list
@@ -317,7 +311,7 @@ func (w *liveWorld) park(live bool) {
 // bytes is what w's storage weighs.
 func (w *liveWorld) bytes() int {
 	n := cap(w.ranks)*int(unsafe.Sizeof(rankTimeline{})) + cap(w.feeds)*int(unsafe.Sizeof(liveRank{})) +
-		len(w.chunks)*int(unsafe.Sizeof([eventChunk]trace.Event{})) + cap(w.chunks)*int(unsafe.Sizeof(w.chunks[0])) +
+		len(w.chunks)*int(unsafe.Sizeof([trace.ChunkLen]trace.Event{})) + cap(w.chunks)*int(unsafe.Sizeof(w.chunks[0])) +
 		cap(w.workers)*int(unsafe.Sizeof(worker{})) + cap(w.index)*4 +
 		cap(w.en.labels)*int(unsafe.Sizeof(labelSum{})) + cap(w.en.order)*4 +
 		cap(w.en.colls)*int(unsafe.Sizeof(collCell{})) + cap(w.en.crit)*int(unsafe.Sizeof(labelTime{})) +
