@@ -175,9 +175,9 @@ type exchangeState struct {
 	pay   []Payload      // beside the slab, by position: made by the first generation that carries payloads (carry)
 	ranks []exchangeRank // by comm rank
 	ready []int32        // suspended ranks whose message has been stamped since
-	// The verdict: the generation goes down the literal loop, or failed.
-	literal bool
+	// The verdict: the generation failed, or goes down the literal loop.
 	err     error
+	literal bool
 	// The resolve pass's workers: the first rank of the next chunk, and the
 	// helpers the last arriver waits for.
 	next    atomic.Int32

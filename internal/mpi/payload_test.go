@@ -221,10 +221,12 @@ func TestPayloadSizeErrors(t *testing.T) {
 // path. GhostExchange's 40 B keep a rank's [8]GhostExchange list on its
 // stack, whose parked depth the convolution's stack pins hold; exchangeOp's
 // 64 B size the parked slab of a 10,000-rank exchange; rootedSlot's 24 B,
-// with no pointer, the rooted slots. And a generation of each ghost
-// collective with no payload allocates no byte, at 8 and at 64 ranks, and
-// makes no payload table: a table made once a world would escape a
-// steady-state count.
+// with no pointer, the rooted slots. A world allocates one commShared a
+// communicator, and the payload tables' slice headers must leave it in the
+// 640 B size class, with the allocator's 8 B header. And a generation of
+// each ghost collective with no payload allocates no byte, at 8 and at 64
+// ranks, and makes no payload table: a table made once a world would escape
+// a steady-state count.
 func TestGhostPathLayout(t *testing.T) {
 	for _, sz := range []struct {
 		name      string
@@ -237,6 +239,9 @@ func TestGhostPathLayout(t *testing.T) {
 		if sz.got != sz.want {
 			t.Errorf("unsafe.Sizeof(%s{}) = %d, want %d", sz.name, sz.got, sz.want)
 		}
+	}
+	if n := unsafe.Sizeof(commShared{}) + 8; n > 640 {
+		t.Errorf("commShared takes %d B with its malloc header, want <= 640", n)
 	}
 	if raceEnabled {
 		t.Skip("race detector allocates shadow memory; byte counts are meaningless")

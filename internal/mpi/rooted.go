@@ -194,11 +194,11 @@ type rootedState struct {
 	// Generation ord's writers still to write (the last wakes the readers
 	// parked in filling) and readers still to read (the last wakes the next
 	// generation's ranks parked in draining).
-	unwritten, unread int
+	unwritten, unread int32
 	filling, draining rankQueue
-	aborted           bool
 	seen              []uint32 // checkFanOut's marks, touched only by the root
 	checks            uint32
+	aborted           bool
 }
 
 type rootedSlot struct {
@@ -257,7 +257,7 @@ func (st *rootedState) enter(c *Comm, op string, root, tag int, k uint64, writer
 		if st.slots == nil {
 			st.slots = make([]rootedSlot, c.Size())
 		}
-		st.ord, st.unwritten, st.unread = k, writers, readers
+		st.ord, st.unwritten, st.unread = k, int32(writers), int32(readers)
 	}
 	if st.aborted {
 		return c.aborted(op)
