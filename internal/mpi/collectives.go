@@ -102,7 +102,7 @@ func (c *Comm) Barrier() error {
 	if c.Size() == 1 {
 		return nil
 	}
-	return c.meet("Barrier", nil, nil, true)
+	return c.meet(nil, nil, true)
 }
 
 // Bcast distributes root's buffer to every rank over a binomial tree and

@@ -65,7 +65,7 @@ func (c *Comm) ExchangeGhost(ops []GhostExchange, pay []Payload) error {
 	if err := c.checkExchange(ops, pay); err != nil {
 		return err
 	}
-	return c.meet("ExchangeGhost", ops, pay, false)
+	return c.meet(ops, pay, false)
 }
 
 // checkExchange refuses a list with a peer out of range, a negative tag or
@@ -92,34 +92,41 @@ func (c *Comm) checkExchange(ops []GhostExchange, pay []Payload) error {
 }
 
 // meet is Barrier's and ExchangeGhost's one body: the rank's schedule in a
-// generation of the communicator's exchange engine, op naming the call in a
-// deadlock report. The schedule is ops, each received back from its peer,
-// with pay's payloads if any, or with barrier the dissemination rounds
-// (scheduled). A rank's stack is parked under it, so what is not needed to
-// park lives in the callees.
-func (c *Comm) meet(op string, ops []GhostExchange, pay []Payload, barrier bool) error {
+// generation of the communicator's exchange engine. The schedule is ops,
+// each received back from its peer, with pay's payloads if any, or with
+// barrier the dissemination rounds (scheduled). A rank's stack is parked
+// under it, so what is not needed to park lives in the callees.
+func (c *Comm) meet(ops []GhostExchange, pay []Payload, barrier bool) error {
 	if c.rs.world.fi == nil {
 		x := &c.shared.exchange
 		last, ok := x.arrive(c)
 		if ok {
 			x.admit(c, ops, pay, barrier)
 			if last {
-				x.evaluate(op)
+				x.evaluate(meetName(barrier))
 				x.release()
 			} else {
-				ok = x.park(c, op)
+				ok = x.park(c, meetName(barrier))
 			}
 		}
 		if !ok {
-			return c.aborted(op)
+			return c.aborted(meetName(barrier))
 		}
 		// The verdict stands until the next generation's last arriver writes
 		// its own, which is after this rank arrived there.
 		if !x.literal {
-			return x.err
+			return x.verdict(c.rank)
 		}
 	}
 	return c.literal(ops, pay, barrier)
+}
+
+// meetName names meet's call in a deadlock report or an error.
+func meetName(barrier bool) string {
+	if barrier {
+		return "Barrier"
+	}
+	return "ExchangeGhost"
 }
 
 // literal runs the rank's schedule as real messages.
@@ -172,16 +179,26 @@ func (c *Comm) scheduled(ops []GhostExchange, barrier bool, i int) exchangeOp {
 type exchangeState struct {
 	rendezvous
 	ops   []exchangeOp   // the slab (bufpool.go), rank after rank in arrival order
-	pay   []Payload      // beside the slab, by position: made by the first generation that carries payloads (carry)
+	pay   *exchangePay   // made by the first generation that carries a payload (carry)
 	ranks []exchangeRank // by comm rank
 	ready []int32        // suspended ranks whose message has been stamped since
-	// The verdict: the generation failed, or goes down the literal loop.
+	// The verdict: the generation failed, or goes down the literal loop. A
+	// receive whose payload does not fit fails its rank alone (pay.errs).
 	err     error
 	literal bool
 	// The resolve pass's workers: the first rank of the next chunk, and the
 	// helpers the last arriver waits for.
 	next    atomic.Int32
 	helpers sync.WaitGroup
+}
+
+// exchangePay is what a generation's payloads need beside the slab: each
+// op's payload by slab position, and by comm rank the error of a receive
+// whose message did not fit its buffer, made by the first such receive. As
+// on the literal loop, that error is its receiver's alone.
+type exchangePay struct {
+	ops  []Payload
+	errs []error
 }
 
 // resolveChunk is how many ranks' transfers a resolve worker draws at a
@@ -237,10 +254,22 @@ func (x *exchangeState) admit(c *Comm, ops []GhostExchange, pay []Payload, barri
 // carry writes a rank's payloads beside its ops, from slab position off. A
 // position past the table, or one no rank wrote, carries none.
 func (x *exchangeState) carry(off int, pay []Payload) {
-	if end := off + len(pay); end > len(x.pay) {
-		x.pay = slices.Grow(x.pay, end-len(x.pay))[:end]
+	if x.pay == nil {
+		x.pay = new(exchangePay)
 	}
-	copy(x.pay[off:], pay)
+	t := x.pay
+	if end := off + len(pay); end > len(t.ops) {
+		t.ops = slices.Grow(t.ops, end-len(t.ops))[:end]
+	}
+	copy(t.ops[off:], pay)
+}
+
+// verdict is rank r's result of the generation.
+func (x *exchangeState) verdict(r int) error {
+	if x.err == nil && x.pay != nil && x.pay.errs != nil {
+		return x.pay.errs[r]
+	}
+	return x.err
 }
 
 // evaluate runs the generation in two passes. The first, resolve, draws
@@ -262,6 +291,9 @@ func (x *exchangeState) evaluate(op string) {
 	w := x.comms[0].rs.world
 	left := w.enterPhase(&w.host.Rendezvous)
 	x.literal, x.err = x.queued(), nil
+	if x.pay != nil {
+		clear(x.pay.errs) // every rank has read its previous verdict: it arrived here
+	}
 	if !x.literal {
 		x.resolve()
 		for r := range x.comms {
@@ -272,13 +304,13 @@ func (x *exchangeState) evaluate(op string) {
 				x.run(next)
 			}
 		}
-		if x.err == nil {
-			x.err = x.unpaired(op)
-		}
+		x.err = x.unpaired(op)
 	}
 	x.ops = x.ops[:0]
-	clear(x.pay)
-	x.pay = x.pay[:0]
+	if x.pay != nil {
+		clear(x.pay.ops)
+		x.pay.ops = x.pay.ops[:0]
+	}
 	w.enterPhase(left)
 }
 
@@ -386,7 +418,7 @@ func (x *exchangeState) queued() bool {
 
 // run advances rank r until its list is done or it suspends.
 func (x *exchangeState) run(r int32) {
-	c, st := x.comms[r], &x.ranks[r]
+	c, st, pay := x.comms[r], &x.ranks[r], x.pay
 	w := c.rs.world
 	for st.pc < st.n {
 		at := st.off + st.pc
@@ -414,8 +446,8 @@ func (x *exchangeState) run(r int32) {
 			return
 		}
 		c.completeRecv(int(op.src), op.RecvTag, msg.VBytes, MatchInfo{SendT: msg.sendT, PostT: c.rs.now(), Arrival: msg.arrival})
-		if int(at) < len(x.pay) {
-			x.deliver(c, at, st.want)
+		if pay != nil && int(at) < len(pay.ops) {
+			pay.deliver(c, op.src, at, st.want)
 		}
 		st.pc++
 		st.want = -1
@@ -423,21 +455,24 @@ func (x *exchangeState) run(r int32) {
 }
 
 // deliver copies the payload of the send at slab position from into the
-// buffer of the op at at, whose receive from c's peer has just completed. A
-// message that does not fit fails the generation, as for the literal loop's
-// receiver.
-func (x *exchangeState) deliver(c *Comm, at, from int32) {
-	buf := x.pay[at].Recv
+// buffer of the op at at, whose receive from src has just completed on c. A
+// message that does not fit is c's error, its first one standing, as on the
+// literal loop, where the receive that fails ends the rank's call.
+func (t *exchangePay) deliver(c *Comm, src, at, from int32) {
+	buf := t.ops[at].Recv
 	if buf == nil {
 		return
 	}
 	var send []float64
-	if int(from) < len(x.pay) {
-		send = x.pay[from].Send
+	if int(from) < len(t.ops) {
+		send = t.ops[from].Send
 	}
 	if len(send) != len(buf) {
-		if x.err == nil {
-			x.err = c.sizeError("ExchangeGhost", int(x.ops[at].src), 8*len(send), buf)
+		if t.errs == nil {
+			t.errs = make([]error, c.Size())
+		}
+		if t.errs[c.rank] == nil {
+			t.errs[c.rank] = c.sizeError("ExchangeGhost", int(src), 8*len(send), buf)
 		}
 		return
 	}

@@ -149,20 +149,24 @@ func TestRootedPayloads(t *testing.T) {
 
 // TestPayloadSizeErrors: a payload that is not its message's NBytes is
 // refused before anything moves, and a message that does not fit its
-// receive buffer fails the call, on both bodies, with both sizes named.
+// receive buffer fails the call, on both bodies, with both sizes named. A
+// failed receive is its receiver's error alone: the rank that sent the
+// message returns nil from its own call, on both bodies.
 func TestPayloadSizeErrors(t *testing.T) {
+	const everyCaller = -1
 	for _, tc := range []struct {
 		name, want string
+		fails      int // the one rank whose call fails, or everyCaller
 		rank       func(c *Comm) error
 	}{
-		{"exchange-send", "sends 16 bytes of payload as a message of 24", func(c *Comm) error {
+		{"exchange-send", "sends 16 bytes of payload as a message of 24", everyCaller, func(c *Comm) error {
 			peer := 1 - c.Rank()
 			return c.ExchangeGhost([]GhostExchange{{Peer: peer, NBytes: 24, VBytes: 24}}, []Payload{{Send: make([]float64, 2)}})
 		}},
-		{"exchange-count", "2 payloads for 1 ops", func(c *Comm) error {
+		{"exchange-count", "2 payloads for 1 ops", everyCaller, func(c *Comm) error {
 			return c.ExchangeGhost([]GhostExchange{{Peer: 1 - c.Rank(), NBytes: 8}}, make([]Payload, 2))
 		}},
-		{"exchange-recv", "received 16 bytes from rank 0 into a 24-byte buffer", func(c *Comm) error {
+		{"exchange-recv", "received 16 bytes from rank 0 into a 24-byte buffer", 1, func(c *Comm) error {
 			peer := 1 - c.Rank()
 			pay := []Payload{{Send: make([]float64, 2)}}
 			if c.Rank() == 1 {
@@ -170,32 +174,32 @@ func TestPayloadSizeErrors(t *testing.T) {
 			}
 			return c.ExchangeGhost([]GhostExchange{{Peer: peer, NBytes: 16, VBytes: 16}}, pay)
 		}},
-		{"exchange-ghost", "received 0 bytes from rank 0 into a 8-byte buffer", func(c *Comm) error {
+		{"exchange-ghost", "received 0 bytes from rank 0 into a 8-byte buffer", 1, func(c *Comm) error {
 			var pay []Payload
 			if c.Rank() == 1 {
 				pay = []Payload{{Recv: make([]float64, 1)}}
 			}
 			return c.ExchangeGhost([]GhostExchange{{Peer: 1 - c.Rank(), NBytes: 8, VBytes: 8}}, pay)
 		}},
-		{"scatter-send", "sends 8 bytes of payload as a message of 16", func(c *Comm) error {
+		{"scatter-send", "sends 8 bytes of payload as a message of 16", everyCaller, func(c *Comm) error {
 			if c.Rank() == 0 {
 				return c.ScatterGhost(0, 1, func(int) (int, int, int) { return 1, 16, 16 }, [][]float64{nil, make([]float64, 1)}, nil)
 			}
 			return nil
 		}},
-		{"scatter-recv", "received 16 bytes from rank 0 into a 8-byte buffer", func(c *Comm) error {
+		{"scatter-recv", "received 16 bytes from rank 0 into a 8-byte buffer", 1, func(c *Comm) error {
 			if c.Rank() == 0 {
 				return c.ScatterGhost(0, 1, func(int) (int, int, int) { return 1, 16, 16 }, [][]float64{nil, make([]float64, 2)}, nil)
 			}
 			return c.ScatterGhost(0, 1, nil, nil, make([]float64, 1))
 		}},
-		{"gather-table", "3 payloads for 2 ranks", func(c *Comm) error {
+		{"gather-table", "3 payloads for 2 ranks", everyCaller, func(c *Comm) error {
 			if c.Rank() == 0 {
 				return c.GatherGhost(0, 1, 0, 0, nil, make([][]float64, 3))
 			}
 			return nil
 		}},
-		{"gather-recv", "received 8 bytes from rank 1 into a 16-byte buffer", func(c *Comm) error {
+		{"gather-recv", "received 8 bytes from rank 1 into a 16-byte buffer", 0, func(c *Comm) error {
 			if c.Rank() == 0 {
 				return c.GatherGhost(0, 1, 0, 0, nil, [][]float64{nil, make([]float64, 2)})
 			}
@@ -208,9 +212,16 @@ func TestPayloadSizeErrors(t *testing.T) {
 				if armed {
 					cfg.Fault = &fault.Plan{}
 				}
-				_, err := Run(cfg, tc.rank)
+				var calls [2]error
+				_, err := Run(cfg, func(c *Comm) error {
+					calls[c.Rank()] = tc.rank(c)
+					return calls[c.Rank()]
+				})
 				if err == nil || !strings.Contains(err.Error(), tc.want) {
 					t.Errorf("err = %v, want it to say %q", err, tc.want)
+				}
+				if tc.fails != everyCaller && calls[1-tc.fails] != nil {
+					t.Errorf("rank %d's own call returned %v, want nil: only rank %d's receive fails", 1-tc.fails, calls[1-tc.fails], tc.fails)
 				}
 			})
 		}
@@ -222,8 +233,8 @@ func TestPayloadSizeErrors(t *testing.T) {
 // stack, whose parked depth the convolution's stack pins hold; exchangeOp's
 // 64 B size the parked slab of a 10,000-rank exchange; rootedSlot's 24 B,
 // with no pointer, the rooted slots. A world allocates one commShared a
-// communicator, and the payload tables' slice headers must leave it in the
-// 640 B size class, with the allocator's 8 B header. And a generation of
+// communicator, and the payload tables' headers must leave it in the 640 B
+// size class, with the allocator's 8 B header. And a generation of
 // each ghost collective with no payload allocates no byte, at 8 and at 64
 // ranks, and makes no payload table: a table made once a world would escape
 // a steady-state count.
