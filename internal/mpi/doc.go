@@ -110,14 +110,14 @@
 // pixels — which then travel as the loops' real bytes, where the dataflow
 // and the slots copy them into the receivers' buffers; a fault plan's trunc
 // rule shortens them, and a receiver refuses a payload that is not its
-// buffer's size. A generation also
-// takes the loop on its own when it finds a mailbox of the communicator
-// already holding a send one of its receives names, or a posted receive one
-// of its sends would fill: that traffic was there first, and only real
-// messages match it in order. Virtual times and tool events are identical
-// either way, which the empty plan checks in-tree (barrier_test.go,
-// exchange_test.go, rooted_test.go); both bodies are held to a sequential
-// interpreter of the same programs (reference_test.go).
+// buffer's size, an error of its own call alone on either body. A
+// generation also takes the loop on its own when it finds a mailbox of the
+// communicator already holding a send one of its receives names, or a
+// posted receive one of its sends would fill: that traffic was there
+// first, and only real messages match it in order. Virtual times and tool
+// events are identical either way, which the empty plan checks in-tree
+// (barrier_test.go, exchange_test.go, rooted_test.go); both bodies are held
+// to a sequential interpreter of the same programs (reference_test.go).
 //
 // Failures surface as errors, not crashes. A panic inside a rank function
 // — including an injected fail-stop — is recovered into a
