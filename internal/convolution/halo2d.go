@@ -65,15 +65,19 @@ func (t *tile) ghostExchanges(ops []mpi.GhostExchange) []mpi.GhostExchange {
 // haloBuf is a real-data run's HALO storage: the extended tile ext, the
 // (h+2)×(w+2) pixels the stencil reads, and the exchange's payloads, one for
 // each op of the tile's list. A SkipKernel run has none: its nil haloBuf
-// packs no payloads and unpacks nothing.
+// packs no payloads, and the run has no ghosts to unpack.
 type haloBuf struct {
 	t   *tile
 	ext []float64
 	pay []mpi.Payload
 }
 
-// newHalo makes the HALO storage for the tile's list ops.
-func (t *tile) newHalo(ops []mpi.GhostExchange) *haloBuf {
+// newHalo makes the HALO storage for the tile's list ops, none in a
+// SkipKernel run.
+func (t *tile) newHalo(p Params, ops []mpi.GhostExchange) *haloBuf {
+	if p.SkipKernel {
+		return nil
+	}
 	h := &haloBuf{t: t, ext: make([]float64, (t.h()+2)*(t.w()+2)*img.Channels), pay: make([]mpi.Payload, len(ops))}
 	for i, x := range ops {
 		h.pay[i] = mpi.Payload{Send: make([]float64, x.NBytes/8), Recv: make([]float64, x.NBytes/8)}
@@ -130,9 +134,6 @@ func (h *haloBuf) pack(pix []float64) []mpi.Payload {
 // there is a neighbour, and at the global image boundary by replicating the
 // border as MeanFilter clamps it.
 func (h *haloBuf) unpack() {
-	if h == nil {
-		return
-	}
 	t, ch := h.t, img.Channels
 	k := 0
 	for _, d := range halo {

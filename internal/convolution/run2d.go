@@ -208,13 +208,10 @@ func (t *tile) steps(c *mpi.Comm, p Params, pix []float64) ([]float64, error) {
 	// Every step exchanges the same list.
 	var list [len(halo)]mpi.GhostExchange
 	ghost := t.ghostExchanges(list[:0])
-	var h *haloBuf
-	if !p.SkipKernel {
-		h = t.newHalo(ghost)
-	}
+	h := t.newHalo(p, ghost)
 	for step := 0; step < p.Steps; step++ {
 		if err := c.Section(SecHalo, func() error {
-			if err := c.ExchangeGhost(ghost, h.pack(pix)); err != nil {
+			if err := c.ExchangeGhost(ghost, h.pack(pix)); err != nil || h == nil {
 				return err
 			}
 			h.unpack()

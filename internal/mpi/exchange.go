@@ -45,7 +45,8 @@ type Payload struct {
 //
 // pay is nil, or holds the payload of each op: its messages then carry real
 // values, and a receive whose message is not its buffer's size — truncated
-// by a fault plan, or sent with no payload — is an error. Payloads change
+// by a fault plan, or sent with no payload — is the receiving rank's error,
+// not its sender's. Payloads change
 // neither clocks nor hooks, so a call with them is the call without them
 // with the values moved.
 //
@@ -71,10 +72,7 @@ func (c *Comm) ExchangeGhost(ops []GhostExchange, pay []Payload) error {
 // checkExchange refuses a list with a peer out of range, a negative tag or
 // a negative size, and payloads that do not match it.
 func (c *Comm) checkExchange(ops []GhostExchange, pay []Payload) error {
-	if pay != nil && len(pay) != len(ops) {
-		return fmt.Errorf("mpi: ExchangeGhost with %d payloads for %d ops", len(pay), len(ops))
-	}
-	for i, x := range ops {
+	for _, x := range ops {
 		if x.Peer < 0 || x.Peer >= c.Size() {
 			return fmt.Errorf("mpi: ExchangeGhost with invalid rank %d (size %d)", x.Peer, c.Size())
 		}
@@ -84,8 +82,16 @@ func (c *Comm) checkExchange(ops []GhostExchange, pay []Payload) error {
 		if err := checkSizes(x.NBytes, x.VBytes); err != nil {
 			return err
 		}
-		if pay != nil && pay[i].Send != nil && 8*len(pay[i].Send) != x.NBytes {
-			return fmt.Errorf("mpi: ExchangeGhost op %d sends %d bytes of payload as a message of %d", i, 8*len(pay[i].Send), x.NBytes)
+	}
+	if pay == nil {
+		return nil
+	}
+	if len(pay) != len(ops) {
+		return fmt.Errorf("mpi: ExchangeGhost with %d payloads for %d ops", len(pay), len(ops))
+	}
+	for i, p := range pay {
+		if p.Send != nil && 8*len(p.Send) != ops[i].NBytes {
+			return fmt.Errorf("mpi: ExchangeGhost op %d sends %d bytes of payload as a message of %d", i, 8*len(p.Send), ops[i].NBytes)
 		}
 	}
 	return nil
