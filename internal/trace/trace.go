@@ -308,16 +308,19 @@ func (b *Buffer) Add(e Event) {
 		}
 		return
 	}
-	i := b.n % ChunkLen
-	if i == 0 {
+	// The event's place in the last chunk, ChunkLen when that is full or
+	// there is none: Add divides nothing, ChunkLen being no power of two.
+	i := b.n - (len(b.chunks)-1)*ChunkLen
+	if i == ChunkLen {
 		c := freeChunks.Take(nil)
 		if c == nil {
 			// one chunk per ChunkLen events, when Release has left none to reuse
 			c = new([ChunkLen]Event)
 		}
 		b.chunks = append(b.chunks, c)
+		i = 0
 	}
-	b.chunks[b.n/ChunkLen][i] = e
+	b.chunks[len(b.chunks)-1][i] = e
 	b.n++
 	b.mu.Unlock()
 }
@@ -340,9 +343,9 @@ func (b *Buffer) Release() {
 // 2048 chunks, 48 MiB, each in its 24 KiB size class (ChunkLen). Only the
 // service's recorded attempts fill it, the sweeps recording no trace; the
 // bound was sized for two paper-scale sweep points side by side, and no
-// measurement of the service has asked for another. Chunks are not cleared — a buffer never reads a chunk past its
-// own count — so a parked chunk pins the label strings of the events it
-// last held, a few constants.
+// measurement of the service has asked for another. Chunks are not cleared
+// — a buffer never reads a chunk past its own count — so a parked chunk
+// pins the label strings of the events it last held, a few constants.
 var freeChunks = park.New[*[ChunkLen]Event]("trace_chunks", 2048, nil)
 
 // ChunkAllocs is how many chunks this process has had to allocate because
