@@ -124,8 +124,7 @@ func (s *source) at(i int32) *Event {
 	if s.chunks == nil {
 		return &s.flat[i]
 	}
-	u := uint32(i) // unsigned, the division by ChunkLen takes no sign fix-up
-	return &s.chunks[u/ChunkLen][u%ChunkLen]
+	return &s.chunks[i/ChunkLen][i%ChunkLen]
 }
 
 // parts is how many pieces part cuts the source into.

@@ -308,19 +308,16 @@ func (b *Buffer) Add(e Event) {
 		}
 		return
 	}
-	// The event's place in the last chunk, ChunkLen when that is full or
-	// there is none: Add divides nothing, ChunkLen being no power of two.
-	i := b.n - (len(b.chunks)-1)*ChunkLen
-	if i == ChunkLen {
+	i := b.n % ChunkLen
+	if i == 0 {
 		c := freeChunks.Take(nil)
 		if c == nil {
 			// one chunk per ChunkLen events, when Release has left none to reuse
 			c = new([ChunkLen]Event)
 		}
 		b.chunks = append(b.chunks, c)
-		i = 0
 	}
-	b.chunks[len(b.chunks)-1][i] = e
+	b.chunks[b.n/ChunkLen][i] = e
 	b.n++
 	b.mu.Unlock()
 }
